@@ -29,7 +29,8 @@ lint:
 
 race:
 	$(GO) test -race ./internal/graph/... ./internal/spath/... ./internal/eval/... \
-		./internal/engine/... ./internal/rbpc/... ./internal/mpls/...
+		./internal/engine/... ./internal/rbpc/... ./internal/mpls/... \
+		./internal/shard/... ./internal/shardrpc/... ./internal/probe/...
 
 # The long fault-injection conformance suite (DESIGN.md §11): seeded chaos
 # schedules against the online engine under -race, with the theorem oracles

@@ -179,12 +179,7 @@ func churnOnce(sys *rbpc.System, events []failure.Event, shards int) (time.Durat
 		fail, repair, flush = eng.Fail, eng.Repair, eng.Flush
 		scrape = func() shard.Stats {
 			st := eng.Stats()
-			return shard.Stats{
-				Shards: 1, Epoch: st.Epoch, Epochs: st.Epochs,
-				PlanCacheHits: st.PlanCacheHits, PlanCacheMiss: st.PlanCacheMiss,
-				RowBytes: st.RowBytes, DenseRowBytes: st.DenseRowBytes,
-				EpochBuild: st.EpochBuild, Incremental: st.Incremental,
-			}
+			return shard.MergeStats([]engine.Stats{st}, st.Epoch, shard.ColdStats{})
 		}
 	}
 	// Retire setup garbage before the clock starts: marking the
@@ -286,14 +281,11 @@ func runProcChurn(out *os.File, sys *rbpc.System, events []failure.Event, scale 
 	return rec, nil
 }
 
-// engineProbe adapts a bare engine to the prober's backend surface.
-type engineProbe struct{ e *engine.Engine }
+// engineProbe adapts a bare engine to the prober's backend surface (the
+// engine's own Query and AffectedPairs, its RecordRestore minus the source).
+type engineProbe struct{ *engine.Engine }
 
-func (p engineProbe) Query(src, dst graph.NodeID) engine.Result { return p.e.Query(src, dst) }
-func (p engineProbe) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
-	return p.e.AffectedPairs(ed)
-}
-func (p engineProbe) RecordRestore(_ graph.NodeID, d time.Duration) { p.e.RecordRestore(d) }
+func (p engineProbe) RecordRestore(_ graph.NodeID, d time.Duration) { p.Engine.RecordRestore(d) }
 
 // runSchemeComparison re-runs the identical churn schedule once per
 // restoration scheme on a fresh single engine, timing every failure's

@@ -31,9 +31,11 @@ import (
 	"rbpc/internal/topology"
 )
 
-// backend abstracts the system under load: a single engine, or the
-// multi-shard coordinator when -shards > 0. Both expose the same
-// fan-in/fan-out surface the window driver needs.
+// backend is the system under load, as the window driver and the
+// time-to-restore prober see it. *shard.Coordinator is one as it stands —
+// over in-process engines (-shards) and over worker processes
+// (-shard-procs) alike; a lone engine needs the four methods of
+// engineBackend to take the same shape.
 type backend interface {
 	Fail(e graph.EdgeID)
 	Repair(e graph.EdgeID)
@@ -43,110 +45,27 @@ type backend interface {
 	// scrape after it covers the full window, no residual queue.
 	Drain()
 	Close()
-	LinksDown() int
-	Scrape() shard.Stats
-	// Query/AffectedPairs/RecordRestore are the time-to-restore prober's
-	// surface: synchronous reads of the serving snapshot plus the sink for
-	// observed failure-to-delivery wall-clock samples.
-	Query(src, dst graph.NodeID) engine.Result
-	AffectedPairs(e graph.EdgeID) []graph.NodePair
-	RecordRestore(src graph.NodeID, d time.Duration)
+	// Failed is the failed-set the backend has been told of.
+	Failed() []graph.EdgeID
+	Stats() shard.Stats
+	probe.ProbeBackend
 }
 
-type engineBackend struct{ e *engine.Engine }
+type engineBackend struct{ *engine.Engine }
 
-func (b engineBackend) Fail(e graph.EdgeID)               { b.e.Fail(e) }
-func (b engineBackend) Repair(e graph.EdgeID)             { b.e.Repair(e) }
-func (b engineBackend) SubmitBatch(pairs []rbpc.Pair) int { return b.e.SubmitBatch(pairs) }
-func (b engineBackend) Flush()                            { b.e.Flush() }
-func (b engineBackend) Drain()                            { b.e.Drain() }
-func (b engineBackend) Close()                            { b.e.Close() }
-func (b engineBackend) LinksDown() int                    { return len(b.e.Snapshot().Failed()) }
+func (b engineBackend) Failed() []graph.EdgeID { return b.Snapshot().Failed() }
 
-func (b engineBackend) Query(src, dst graph.NodeID) engine.Result { return b.e.Query(src, dst) }
-func (b engineBackend) AffectedPairs(e graph.EdgeID) []graph.NodePair {
-	return b.e.AffectedPairs(e)
-}
-func (b engineBackend) RecordRestore(_ graph.NodeID, d time.Duration) { b.e.RecordRestore(d) }
-
-// Scrape lifts the single engine's stats into the merged shape so the
+// Stats lifts the single engine's stats into the merged shape so the
 // report code has one spelling.
-func (b engineBackend) Scrape() shard.Stats {
-	st := b.e.Stats()
-	return shard.Stats{
-		Shards:        1,
-		Epoch:         st.Epoch,
-		Queries:       st.Queries,
-		Unroutable:    st.Unroutable,
-		Submitted:     st.Submitted,
-		Dropped:       st.Dropped,
-		QueueDepth:    st.QueueDepth,
-		Epochs:        st.Epochs,
-		PlanCacheHits: st.PlanCacheHits,
-		PlanCacheMiss: st.PlanCacheMiss,
-		OnDemandLSPs:  st.OnDemandLSPs,
-		RowBytes:      st.RowBytes,
-		DenseRowBytes: st.DenseRowBytes,
-		QueryLatency:  st.QueryLatency,
-		EpochBuild:    st.EpochBuild,
-
-		Scheme:            st.Scheme,
-		Restore:           st.Restore,
-		LocalBuild:        st.LocalBuild,
-		Stretch:           st.Stretch,
-		DetourHops:        st.DetourHops,
-		LocalPairs:        st.LocalPairs,
-		LocalUnrestorable: st.LocalUnrestorable,
-		Converged:         st.Converged,
-		PendingTimers:     st.PendingTimers,
-
-		Incremental: st.Incremental,
-		PerShard:    []engine.Stats{st},
-	}
+func (b engineBackend) Stats() shard.Stats {
+	st := b.Engine.Stats()
+	return shard.MergeStats([]engine.Stats{st}, st.Epoch, shard.ColdStats{})
 }
 
-type shardBackend struct{ c *shard.Coordinator }
+func (b engineBackend) RecordRestore(_ graph.NodeID, d time.Duration) { b.Engine.RecordRestore(d) }
 
-func (b shardBackend) Fail(e graph.EdgeID)               { b.c.Fail(e) }
-func (b shardBackend) Repair(e graph.EdgeID)             { b.c.Repair(e) }
-func (b shardBackend) SubmitBatch(pairs []rbpc.Pair) int { return b.c.SubmitBatch(pairs) }
-func (b shardBackend) Flush()                            { b.c.Flush() }
-func (b shardBackend) Drain()                            { b.c.Drain() }
-func (b shardBackend) Close()                            { b.c.Close() }
-func (b shardBackend) LinksDown() int                    { return len(b.c.Shard(0).Snapshot().Failed()) }
-func (b shardBackend) Scrape() shard.Stats               { return b.c.Stats() }
-
-func (b shardBackend) Query(src, dst graph.NodeID) engine.Result { return b.c.Query(src, dst) }
-func (b shardBackend) AffectedPairs(e graph.EdgeID) []graph.NodePair {
-	return b.c.AffectedPairs(e)
-}
-func (b shardBackend) RecordRestore(src graph.NodeID, d time.Duration) { b.c.RecordRestore(src, d) }
-
-// procBackend fronts the process-mode coordinator (-shard-procs): the
-// same serving surface with every query a wire round trip. It also
-// satisfies probe.ProbeBackend — the prober's delivery verdicts are
-// computed inside the owning worker process, whose data plane the
-// coordinator cannot walk locally.
-type procBackend struct{ c *shardrpc.Coordinator }
-
-func (b procBackend) Fail(e graph.EdgeID)               { b.c.Fail(e) }
-func (b procBackend) Repair(e graph.EdgeID)             { b.c.Repair(e) }
-func (b procBackend) SubmitBatch(pairs []rbpc.Pair) int { return b.c.SubmitBatch(pairs) }
-func (b procBackend) Flush()                            { b.c.Flush() }
-func (b procBackend) Drain()                            { b.c.Drain() }
-func (b procBackend) Close()                            { b.c.Close() }
-func (b procBackend) LinksDown() int                    { return b.c.LinksDown() }
-func (b procBackend) Scrape() shard.Stats               { return b.c.Stats() }
-
-func (b procBackend) Query(src, dst graph.NodeID) engine.Result { return b.c.Query(src, dst) }
-func (b procBackend) AffectedPairs(e graph.EdgeID) []graph.NodePair {
-	return b.c.AffectedPairs(e)
-}
-func (b procBackend) RecordRestore(src graph.NodeID, d time.Duration) { b.c.RecordRestore(src, d) }
-
-func (b procBackend) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.ProbeResult {
-	v := b.c.ProbeQuery(src, dst, ed)
-	return probe.ProbeResult{FailedContains: v.FailedContains, Routable: v.Routable, Delivered: v.Delivered}
+func (b engineBackend) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.ProbeResult {
+	return probe.Verdict(b.Query(src, dst), ed)
 }
 
 // engineBench is the BENCH_engine.json payload: the rbpc-bench stage
@@ -292,10 +211,10 @@ type windowOpts struct {
 	cold         shard.ColdConfig
 	scheme       engine.Scheme
 	flood        engine.FloodConfig
-	// proc, when set, serves the window through the process-mode
-	// coordinator instead of building an in-process backend (shards is
-	// ignored; the coordinator's worker fleet is already running).
-	proc *shardrpc.Coordinator
+	// proc, when set, serves the window through this coordinator (the
+	// process-mode one, its worker fleet already running) instead of
+	// building an in-process backend; shards is ignored.
+	proc *shard.Coordinator
 }
 
 // windowResult is the scrape of one serving window after queue drain.
@@ -327,7 +246,7 @@ func runWindow(g *graph.Graph, sys *rbpc.System, o windowOpts) (windowResult, er
 	var eng backend
 	switch {
 	case o.proc != nil:
-		eng = procBackend{o.proc}
+		eng = o.proc
 	case o.shards > 0:
 		// Per-shard workers/queue: the shards together get the configured
 		// budget, not o.shards times it.
@@ -339,7 +258,7 @@ func runWindow(g *graph.Graph, sys *rbpc.System, o windowOpts) (windowResult, er
 		if err != nil {
 			return windowResult{}, fmt.Errorf("shard coordinator: %w", err)
 		}
-		eng = shardBackend{c}
+		eng = c
 	default:
 		e, err := engine.New(sys.Export(), ecfg)
 		if err != nil {
@@ -377,13 +296,9 @@ func runWindow(g *graph.Graph, sys *rbpc.System, o windowOpts) (windowResult, er
 				probeWG.Add(1)
 				go func(ed graph.EdgeID) {
 					defer probeWG.Done()
-					// Backends whose data plane lives in another process
-					// ship the whole restoration verdict over the wire.
-					if pb, ok := eng.(probe.ProbeBackend); ok {
-						probe.RestoreVia(pb, o.scheme, ed, t0)
-					} else {
-						probe.Restore(eng, o.scheme, ed, t0)
-					}
+					// The verdict of every poll is computed where the pair's
+					// data plane lives, which may be another process.
+					probe.RestoreVia(eng, o.scheme, ed, t0)
 				}(ev.Edge)
 			}
 		}()
@@ -459,8 +374,8 @@ func runWindow(g *graph.Graph, sys *rbpc.System, o windowOpts) (windowResult, er
 
 	return windowResult{
 		elapsed:   elapsed,
-		st:        eng.Scrape(),
-		linksDown: eng.LinksDown(),
+		st:        eng.Stats(),
+		linksDown: len(eng.Failed()),
 	}, nil
 }
 
@@ -789,7 +704,7 @@ func main() {
 		}
 		pOpts := opts
 		pOpts.shards = 0
-		pOpts.proc = coord
+		pOpts.proc = coord.Coordinator
 		pres, err := runWindow(g, sys, pOpts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rbpc-serve: process window:", err)

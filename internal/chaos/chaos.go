@@ -26,25 +26,24 @@
 //     builder's contract: reuse is legal only when a from-scratch build
 //     would reproduce the snapshot exactly.
 //
-// Sharded cases (Config.Shards > 0) run the multi-shard coordinator
-// (internal/shard) as the system under test: the same schedule fans out
-// to every shard, queries route by ring ownership with per-shard epoch
-// monotonicity, and flush barriers check every shard's failed-set
-// against the event model (catching an event-skewed shard) before
-// comparing the merged cross-shard view bit-for-bit against the same
-// single-writer FullRebuild reference.
+// Sharded cases (Config.Shards > 0) run the shard coordinator
+// (internal/shard) as the system under test through one lockstep driver:
+// the same schedule fans out to every worker, queries route by ring
+// ownership with per-worker epoch monotonicity, and flush barriers check
+// every worker's snapshot against the event model (catching a skewed
+// worker or a dropped burst) before comparing the merged cross-shard view
+// bit-for-bit against the same single-writer FullRebuild reference.
 //
 // Process-mode cases (Config.Procs, sharded only) put the cross-process
-// transport (internal/shardrpc) under the same oracles: the worker fleet
-// runs in-process behind net.Pipe connections carrying the real length-
-// prefixed wire protocol, so every query crosses a full encode/decode
-// round trip, every churn event rides a burst frame, and every flush
-// barrier checks the coordinator's decoded replica snapshots — per-worker
-// failed-set agreement against the event model (catching a dropped or
-// torn burst), then the merged replica view bit-for-bit against the
-// FullRebuild reference. FaultTornFrame corrupts one burst frame on the
-// wire after its checksum is computed; the receiving worker must drop it
-// and the flush oracle must catch the divergence.
+// transport (internal/shardrpc) under that same driver and those same
+// oracles: the worker fleet runs in-process behind net.Pipe connections
+// carrying the real length-prefixed wire protocol, so every query crosses
+// a full encode/decode round trip, every churn event rides a burst frame,
+// and the snapshots the barriers check are the coordinator's decoded
+// replicas. FaultSkewShard is injected in the coordinator's one fan-out,
+// so it is caught in both modes; FaultTornFrame corrupts one burst frame
+// on the wire after its checksum is computed, the receiving worker must
+// drop it, and the flush oracle must catch the divergence.
 //
 // Failing schedules are shrunk to a minimal event sequence by delta
 // debugging (Shrink) and emitted as a replayable corpus file that
@@ -88,8 +87,10 @@ type Config struct {
 	// CoalesceWindow is passed to the engine; non-zero values exercise
 	// burst coalescing (events cancelling out inside one window).
 	CoalesceWindow time.Duration
-	// Fault injects a deliberate engine defect (engine.FaultNone = the
-	// production engine). The harness must catch every injectable fault.
+	// Fault injects a deliberate defect (engine.FaultNone = the production
+	// system): a writer defect in every engine under test, or — in the one
+	// vocabulary — FaultSkewShard (needs Shards > 0) or FaultTornFrame
+	// (needs Procs). The harness must catch every injectable fault.
 	Fault engine.Fault
 	// Scheme selects the restoration scheme of the engine under test
 	// (default engine.SchemeSource). The lockstep reference always runs
@@ -113,19 +114,13 @@ type Config struct {
 	// cross-shard view bit-for-bit against the single-writer FullRebuild
 	// reference. Zero tests the single engine.
 	Shards int
-	// ShardFault injects a deliberate coordinator defect (sharded runs
-	// only). The harness must catch every injectable shard fault too.
-	ShardFault shard.Fault
 	// Procs, for sharded cases, serves the shards through the
-	// cross-process transport (internal/shardrpc) instead of the
-	// in-process coordinator: the same worker fleet runs behind net.Pipe
-	// connections carrying the real wire protocol, so the oracles check
-	// the full frame encode/decode, burst/ack, and replica-merge
-	// machinery. Requires Shards > 0.
+	// cross-process transport (internal/shardrpc) instead of in-process
+	// engines: the same worker fleet runs behind net.Pipe connections
+	// carrying the real wire protocol, so the oracles check the full
+	// frame encode/decode, burst/ack, and replica-merge machinery.
+	// Requires Shards > 0.
 	Procs bool
-	// ProcFault injects a deliberate transport defect (process-mode runs
-	// only). The harness must catch every injectable transport fault too.
-	ProcFault shardrpc.Fault
 }
 
 func (c Config) withDefaults() Config {
@@ -160,10 +155,8 @@ type Case struct {
 	Fault          engine.Fault
 	Scheme         engine.Scheme
 	FloodFrozen    bool
-	Shards         int // 0 = single engine under test
-	ShardFault     shard.Fault
+	Shards         int  // 0 = single engine under test
 	Procs          bool // serve the shards over the shardrpc transport
-	ProcFault      shardrpc.Fault
 	Schedule       failure.Schedule
 }
 
@@ -188,9 +181,7 @@ func Generate(cfg Config) (Case, error) {
 		Scheme:         cfg.Scheme,
 		FloodFrozen:    cfg.FloodFrozen,
 		Shards:         cfg.Shards,
-		ShardFault:     cfg.ShardFault,
 		Procs:          cfg.Procs,
-		ProcFault:      cfg.ProcFault,
 		Schedule:       failure.ChaosSchedule(w.g, cfg.Steps, cfg.MaxDown, rand.New(rand.NewSource(cfg.Seed))),
 	}, nil
 }
@@ -239,7 +230,8 @@ type Report struct {
 // and the all-shortest-paths base set the theorem oracle checks against.
 // Provisioning dominates run cost, so worlds are cached — the engine
 // clones everything it mutates (COW network, per-export map clones), so
-// sharing is safe.
+// sharing between successive runs is safe. Concurrent runs over one world
+// are not: cloning the pristine network marks its tables shared, a write.
 type world struct {
 	g   *graph.Graph
 	sys *rbpc.System
@@ -286,8 +278,8 @@ func (c Case) Run() (Report, error) {
 	if c.Procs && c.Shards <= 0 {
 		return Report{}, fmt.Errorf("chaos: process-mode cases require Shards > 0")
 	}
-	if c.ProcFault != shardrpc.FaultNone && !c.Procs {
-		return Report{}, fmt.Errorf("chaos: proc-fault %v set on a non-process case", c.ProcFault)
+	if (c.Fault == engine.FaultSkewShard && c.Shards <= 0) || (c.Fault == engine.FaultTornFrame && !c.Procs) {
+		return Report{}, fmt.Errorf("chaos: fault %v has nothing to act on in this case (skew-shard needs shards, torn-frame needs procs)", c.Fault)
 	}
 	var epochs atomic.Int64
 	ecfg := engine.Config{
@@ -301,69 +293,33 @@ func (c Case) Run() (Report, error) {
 		// flushed snapshot keeps serving its edge-bypass answers.
 		ecfg.Flood = engine.FloodConfig{Detect: time.Hour, PerHop: time.Hour}
 	}
-	// The system under test: a single engine, the in-process multi-shard
-	// coordinator, or — when the case is process-mode — the shardrpc
-	// coordinator driving the worker fleet over pipe-backed wire
-	// connections.
+	// The system under test: a single engine, or the shard coordinator
+	// over in-process engines or — when the case is process-mode — over
+	// socket clients driving the worker fleet through pipe-backed wire
+	// connections. Both answer the four calls the schedule makes.
+	var sut interface {
+		Fail(graph.EdgeID)
+		Repair(graph.EdgeID)
+		Flush()
+		Query(src, dst graph.NodeID) engine.Result
+	}
 	var eng *engine.Engine
 	var coord *shard.Coordinator
-	var proc *shardrpc.Coordinator
-	if c.Procs {
-		prov := w.sys.Export()
-		wcfg := shardrpc.Config{
-			Shards: c.Shards,
-			Engine: ecfg,
-			Fault:  c.ProcFault,
-			// The schedule is the only clock: no background pings, and
-			// timeouts far beyond any run so a deliberately-dropped burst
-			// (FaultTornFrame) is caught by the flush oracle, not by an
-			// ack-timeout death racing it.
-			HealthEvery: -1,
-			AckTimeout:  time.Minute,
-			DialTimeout: time.Second,
-			DialBudget:  10 * time.Second,
-		}
-		workers := make([]*shardrpc.Worker, c.Shards)
-		for s := range workers {
-			workers[s], err = shardrpc.NewWorker(prov, s, wcfg)
-			if err != nil {
-				for _, wk := range workers[:s] {
-					wk.Close()
-				}
-				return Report{}, err
-			}
-		}
-		defer func() {
-			for _, wk := range workers {
-				wk.Close()
-			}
-		}()
-		wcfg.Dial = func(i int) (net.Conn, error) {
-			cc, wc := net.Pipe()
-			go workers[i].ServeConn(wc)
-			return cc, nil
-		}
-		proc, err = shardrpc.NewCoordinator(prov, wcfg)
+	if c.Shards > 0 {
+		var closeAll func()
+		coord, closeAll, err = c.sharded(w.sys.Export(), ecfg)
 		if err != nil {
 			return Report{}, err
 		}
-		defer proc.Close()
-	} else if c.Shards > 0 {
-		coord, err = shard.New(w.sys.Export(), shard.Config{
-			Shards: c.Shards,
-			Fault:  c.ShardFault,
-			Engine: ecfg,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		defer coord.Close()
+		defer closeAll()
+		sut = coord
 	} else {
 		eng, err = engine.New(w.sys.Export(), ecfg)
 		if err != nil {
 			return Report{}, err
 		}
 		defer eng.Close()
+		sut = eng
 	}
 
 	// The equivalence oracle's reference: a correct engine fed the same
@@ -398,94 +354,46 @@ func (c Case) Run() (Report, error) {
 			}
 			switch st.Kind {
 			case failure.StepFail:
-				switch {
-				case proc != nil:
-					proc.Fail(st.Edge)
-				case coord != nil:
-					coord.Fail(st.Edge)
-				default:
-					eng.Fail(st.Edge)
-				}
+				sut.Fail(st.Edge)
 				ref.Fail(st.Edge)
 				model[st.Edge] = true
 				rep.Churn++
 			case failure.StepRepair:
-				switch {
-				case proc != nil:
-					proc.Repair(st.Edge)
-				case coord != nil:
-					coord.Repair(st.Edge)
-				default:
-					eng.Repair(st.Edge)
-				}
+				sut.Repair(st.Edge)
 				ref.Repair(st.Edge)
 				delete(model, st.Edge)
 				rep.Churn++
 			case failure.StepQuery:
 				rep.Queries++
-				switch {
-				case proc != nil:
-					// Process mode checks the raw wire answer — the full
-					// epoch/failed-set/route as it crossed the transport —
-					// rather than the Result wrapper's snapshot view.
-					ans, qerr := proc.RemoteQuery(st.Src, st.Dst)
-					vio = ck.checkRemoteAnswer(i, proc.Owner(st.Src), st.Src, st.Dst, ans, qerr)
-				case coord != nil:
-					vio = ck.checkResult(i, coord.Owner(st.Src), coord.Query(st.Src, st.Dst))
-				default:
-					vio = ck.checkResult(i, 0, eng.Query(st.Src, st.Dst))
+				owner := 0
+				if coord != nil {
+					owner = coord.Owner(st.Src)
 				}
+				vio = ck.checkResult(i, owner, sut.Query(st.Src, st.Dst))
 				rep.Probes = ck.probes
 			case failure.StepFlush:
-				switch {
-				case proc != nil:
-					proc.Flush()
-					ref.Flush()
-					// Per-worker flush agreement on the decoded replicas:
-					// a burst dropped on the wire (torn frame) leaves its
-					// worker's failed-set behind the event model.
-					for s := 0; s < proc.Shards() && vio == nil; s++ {
-						snap := proc.Replica(s)
-						if snap == nil {
-							vio = &Violation{Step: i, Kind: "torn-view",
-								Detail: fmt.Sprintf("worker %d has no replica after flush", s)}
-						} else {
-							vio = ck.checkFlush(i, s, snap, model)
-						}
-					}
-					if vio == nil {
-						v, ok := proc.View()
-						if !ok {
-							vio = &Violation{Step: i, Kind: "torn-view",
-								Detail: "no consistent cross-process view after flush"}
-						} else {
-							vio = ck.checkShardEquivalence(i, v, ref.Snapshot())
-						}
-					}
-				case coord != nil:
-					coord.Flush()
-					ref.Flush()
-					// Per-shard flush agreement: every shard's snapshot must
-					// hold the full failed-set — this is the oracle that
-					// catches an event-skewed shard.
-					for s := 0; s < coord.Shards() && vio == nil; s++ {
-						vio = ck.checkFlush(i, s, coord.Shard(s).Snapshot(), model)
-					}
-					if vio == nil {
-						v, ok := coord.View()
-						if !ok {
-							vio = &Violation{Step: i, Kind: "torn-view",
-								Detail: "no consistent cross-shard view after flush"}
-						} else {
-							vio = ck.checkShardEquivalence(i, v, ref.Snapshot())
-						}
-					}
-				default:
-					eng.Flush()
-					ref.Flush()
+				sut.Flush()
+				ref.Flush()
+				if coord == nil {
 					vio = ck.checkFlush(i, 0, eng.Snapshot(), model)
 					if vio == nil {
 						vio = ck.checkEquivalence(i, eng.Snapshot(), ref.Snapshot())
+					}
+					break
+				}
+				// Per-worker flush agreement: every worker's snapshot (the
+				// engine's, or the replica decoded off the wire) must hold
+				// the full failed-set — the oracle that catches a skewed
+				// worker and a burst dropped on the wire.
+				for s := 0; s < coord.Shards() && vio == nil; s++ {
+					vio = ck.checkFlush(i, s, coord.Shard(s).Snapshot(), model)
+				}
+				if vio == nil {
+					if v, ok := coord.View(); !ok {
+						vio = &Violation{Step: i, Kind: "torn-view",
+							Detail: "no consistent cross-shard view after flush"}
+					} else {
+						vio = ck.checkShardEquivalence(i, v, ref.Snapshot())
 					}
 				}
 			case failure.StepSettle:
@@ -493,14 +401,7 @@ func (c Case) Run() (Report, error) {
 				// snapshot to become time-invariant. Only a live hybrid
 				// flood takes nonzero time; a frozen flood never settles,
 				// so settle steps degrade to flush barriers there.
-				switch {
-				case proc != nil:
-					proc.Flush()
-				case coord != nil:
-					coord.Flush()
-				default:
-					eng.Flush()
-				}
+				sut.Flush()
 				ref.Flush()
 				if eng != nil && !c.FloodFrozen {
 					deadline := time.Now().Add(5 * time.Second)
@@ -522,6 +423,57 @@ func (c Case) Run() (Report, error) {
 		return rep, vio
 	}
 	return rep, nil
+}
+
+// sharded builds the sharded system under test: shard.New over in-process
+// engines, or — for a process-mode case — shardrpc.NewCoordinator over a
+// worker fleet served behind net.Pipe, whose embedded coordinator is the
+// same type. closeAll tears down whatever was built.
+func (c Case) sharded(prov rbpc.Provision, ecfg engine.Config) (coord *shard.Coordinator, closeAll func(), err error) {
+	if !c.Procs {
+		coord, err = shard.New(prov, shard.Config{Shards: c.Shards, Engine: ecfg})
+		if err != nil {
+			return nil, nil, err
+		}
+		return coord, coord.Close, nil
+	}
+	wcfg := shardrpc.Config{
+		Shards: c.Shards,
+		Engine: ecfg,
+		// The schedule is the only clock: no background pings, and
+		// timeouts far beyond any run so a deliberately-dropped burst
+		// (FaultTornFrame) is caught by the flush oracle, not by an
+		// ack-timeout death racing it.
+		HealthEvery: -1,
+		AckTimeout:  time.Minute,
+		DialTimeout: time.Second,
+		DialBudget:  10 * time.Second,
+	}
+	var workers []*shardrpc.Worker
+	closeWorkers := func() {
+		for _, wk := range workers {
+			wk.Close()
+		}
+	}
+	for s := 0; s < c.Shards; s++ {
+		wk, err := shardrpc.NewWorker(prov, s, wcfg)
+		if err != nil {
+			closeWorkers()
+			return nil, nil, err
+		}
+		workers = append(workers, wk)
+	}
+	wcfg.Dial = func(i int) (net.Conn, error) {
+		cc, wc := net.Pipe()
+		go workers[i].ServeConn(wc)
+		return cc, nil
+	}
+	proc, err := shardrpc.NewCoordinator(prov, wcfg)
+	if err != nil {
+		closeWorkers()
+		return nil, nil, err
+	}
+	return proc.Coordinator, func() { proc.Close(); closeWorkers() }, nil
 }
 
 // Hunt runs the harness over runs consecutive schedule seeds starting at

@@ -28,62 +28,64 @@ func TestConformanceClean(t *testing.T) {
 	}
 }
 
-// TestHarnessCatchesEveryFault is the harness's own conformance proof:
-// for each injectable engine defect, the hunt must find a violation
-// within the default budget, the shrunk counterexample must replay
-// deterministically, and the corpus encoding must round-trip to an
-// equally-failing case.
+// TestHarnessCatchesEveryFault is the harness's own conformance proof
+// for every injectable engine defect (see catchShrinkReplay).
 func TestHarnessCatchesEveryFault(t *testing.T) {
 	for _, f := range engine.Faults() {
-		f := f
-		t.Run(f.String(), func(t *testing.T) {
-			cfg := smokeCfg()
-			cfg.Fault = f
-			if f == engine.FaultStaleBypass {
-				// The stale-bypass defect lives in the local-plan writer,
-				// which only runs under a local scheme.
-				cfg.Scheme = engine.SchemeBypass
-			}
-			c, v, err := Hunt(cfg, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v == nil {
-				t.Fatalf("harness did not catch injected fault %v within budget", f)
-			}
-			t.Logf("caught %v as %s (shrunk to %d steps)", f, v.Kind, len(c.Schedule))
+		cfg := smokeCfg()
+		cfg.Fault = f
+		if f == engine.FaultStaleBypass {
+			// The stale-bypass defect lives in the local-plan writer,
+			// which only runs under a local scheme.
+			cfg.Scheme = engine.SchemeBypass
+		}
+		t.Run(f.String(), func(t *testing.T) { catchShrinkReplay(t, cfg) })
+	}
+}
 
-			// Deterministic replay: the shrunk case fails the same way twice.
-			for i := 0; i < 2; i++ {
-				_, err := c.Run()
-				var rv *Violation
-				if !errors.As(err, &rv) {
-					t.Fatalf("replay %d of shrunk case did not fail: %v", i, err)
-				}
-				if rv.Kind != v.Kind || rv.Step != v.Step {
-					t.Fatalf("replay %d diverged: got %v, want %v", i, rv, v)
-				}
-			}
+// catchShrinkReplay: the hunt must find a violation of cfg's injected
+// fault within the default budget, the shrunk counterexample must replay
+// deterministically, and the corpus encoding must round-trip to an
+// equally-failing case.
+func catchShrinkReplay(t *testing.T, cfg Config) {
+	c, v, err := Hunt(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil {
+		t.Fatalf("harness did not catch injected fault %v within budget", cfg.Fault)
+	}
+	t.Logf("caught %v as %s (shrunk to %d steps)", cfg.Fault, v.Kind, len(c.Schedule))
 
-			// Corpus round-trip: encode, decode, and the decoded case still
-			// fails identically.
-			var buf bytes.Buffer
-			if err := WriteCase(&buf, c); err != nil {
-				t.Fatal(err)
-			}
-			rc, err := ReadCase(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("ReadCase: %v\ncorpus:\n%s", err, buf.String())
-			}
-			if !reflect.DeepEqual(rc, c) {
-				t.Fatalf("corpus round-trip changed the case:\ngot  %+v\nwant %+v", rc, c)
-			}
-			_, err = rc.Run()
-			var rv *Violation
-			if !errors.As(err, &rv) || rv.Kind != v.Kind {
-				t.Fatalf("decoded case does not reproduce: %v", err)
-			}
-		})
+	// Deterministic replay: the shrunk case fails the same way twice.
+	for i := 0; i < 2; i++ {
+		_, err := c.Run()
+		var rv *Violation
+		if !errors.As(err, &rv) {
+			t.Fatalf("replay %d of shrunk case did not fail: %v", i, err)
+		}
+		if rv.Kind != v.Kind || rv.Step != v.Step {
+			t.Fatalf("replay %d diverged: got %v, want %v", i, rv, v)
+		}
+	}
+
+	// Corpus round-trip: encode, decode, and the decoded case still
+	// fails identically.
+	var buf bytes.Buffer
+	if err := WriteCase(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := ReadCase(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadCase: %v\ncorpus:\n%s", err, buf.String())
+	}
+	if !reflect.DeepEqual(rc, c) {
+		t.Fatalf("corpus round-trip changed the case:\ngot  %+v\nwant %+v", rc, c)
+	}
+	_, err = rc.Run()
+	var rv *Violation
+	if !errors.As(err, &rv) || rv.Kind != v.Kind {
+		t.Fatalf("decoded case does not reproduce: %v", err)
 	}
 }
 
@@ -106,7 +108,6 @@ func TestSchemeConformanceClean(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
 			cfg := smokeCfg()
 			cfg.Scheme = tc.scheme
 			cfg.FloodFrozen = tc.frozen

@@ -12,8 +12,6 @@ import (
 
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
-	"rbpc/internal/shard"
-	"rbpc/internal/shardrpc"
 )
 
 // Corpus format: a short header of "key value" lines fixing the world and
@@ -43,16 +41,13 @@ func WriteCase(w io.Writer, c Case) error {
 	if c.FloodFrozen {
 		fmt.Fprintln(bw, "flood-frozen 1")
 	}
-	// Sharded-run keys are omitted for single-engine cases so their files
-	// stay byte-identical to the pre-shard corpus format.
+	// Sharded-run keys are omitted for single-engine cases, and the
+	// process-mode key for in-process ones, so their files stay
+	// byte-identical to the earlier corpus formats.
 	if c.Shards > 0 {
 		fmt.Fprintf(bw, "shards %d\n", c.Shards)
-		fmt.Fprintf(bw, "shard-fault %s\n", c.ShardFault)
-		// Process-mode keys are omitted for in-process sharded cases so
-		// their files stay byte-identical to the pre-transport format.
 		if c.Procs {
 			fmt.Fprintln(bw, "procs 1")
-			fmt.Fprintf(bw, "proc-fault %s\n", c.ProcFault)
 		}
 	}
 	fmt.Fprintln(bw, "schedule")
@@ -91,12 +86,21 @@ func ReadCase(r io.Reader) (Case, error) {
 		if len(fields) != 2 {
 			return Case{}, fmt.Errorf("chaos: corpus line %d: %q takes one value", lineNo, key)
 		}
-		if key == "fault" {
+		// One fault vocabulary, one field. Files written while the
+		// coordinator and the transport had enums of their own spell their
+		// faults under "shard-fault" and "proc-fault" (and "none" under the
+		// keys they did not use); those still load.
+		if key == "fault" || key == "shard-fault" || key == "proc-fault" {
 			f, err := engine.ParseFault(fields[1])
 			if err != nil {
 				return Case{}, fmt.Errorf("chaos: corpus line %d: %v", lineNo, err)
 			}
-			c.Fault = f
+			if f != engine.FaultNone {
+				if c.Fault != engine.FaultNone && c.Fault != f {
+					return Case{}, fmt.Errorf("chaos: corpus line %d: case injects both %v and %v", lineNo, c.Fault, f)
+				}
+				c.Fault = f
+			}
 			continue
 		}
 		if key == "scheme" {
@@ -105,22 +109,6 @@ func ReadCase(r io.Reader) (Case, error) {
 				return Case{}, fmt.Errorf("chaos: corpus line %d: %v", lineNo, err)
 			}
 			c.Scheme = s
-			continue
-		}
-		if key == "shard-fault" {
-			f, err := shard.ParseFault(fields[1])
-			if err != nil {
-				return Case{}, fmt.Errorf("chaos: corpus line %d: %v", lineNo, err)
-			}
-			c.ShardFault = f
-			continue
-		}
-		if key == "proc-fault" {
-			f, err := shardrpc.ParseFault(fields[1])
-			if err != nil {
-				return Case{}, fmt.Errorf("chaos: corpus line %d: %v", lineNo, err)
-			}
-			c.ProcFault = f
 			continue
 		}
 		n, err := strconv.ParseInt(fields[1], 10, 64)

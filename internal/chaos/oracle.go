@@ -12,7 +12,6 @@ import (
 	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
-	"rbpc/internal/shardrpc"
 )
 
 // costEps is the tolerance for cost comparisons. Topology weights are
@@ -221,9 +220,17 @@ func (ck *checker) checkResult(step, sh int, res engine.Result) *Violation {
 	// End-to-end forwarding on the epoch's own data plane: the installed
 	// label stacks must deliver, and on unit-weight topologies must walk
 	// exactly the served cost. DataPlane picks the plane the answer was
-	// served from (the phase-one net for pre-horizon hybrid sources).
+	// served from (the phase-one net for pre-horizon hybrid sources). An
+	// answer that crossed the wire carries a control-plane replica with no
+	// forwarding state — only the worker process can walk its data plane —
+	// so this is the one oracle a process-mode answer skips (the prober's
+	// ProbeQuery path exercises that walk end to end instead).
+	plane := snap.DataPlane(res.Src)
+	if plane == nil {
+		return nil
+	}
 	ck.probes++
-	pkt, err := snap.DataPlane(res.Src).SendIP(res.Src, res.Dst)
+	pkt, err := plane.SendIP(res.Src, res.Dst)
 	if err != nil {
 		return vio("forwarding", "data plane dropped the packet: %v", err)
 	}
@@ -232,94 +239,6 @@ func (ck *checker) checkResult(step, sh int, res engine.Result) *Violation {
 	}
 	if ck.g.UnitWeights() && math.Abs(float64(pkt.Hops)-rt.Cost) > costEps {
 		return vio("forwarding", "data plane walked %d hops, served cost %v (stale forwarding state)", pkt.Hops, rt.Cost)
-	}
-	return nil
-}
-
-// checkRemoteAnswer validates one wire answer served by a process-mode
-// worker. All checks are relative to the answer's own epoch and
-// failed-set — exactly what crossed the transport — so they are sound
-// even while a racing burst is still in flight to the worker. The
-// coordinator cannot walk a remote worker's data plane, so the
-// forwarding probe is the one oracle not run here (the delivery verdict
-// is exercised end-to-end by the prober's ProbeQuery path instead);
-// everything else matches checkResult's source-scheme chain. sh keys
-// the per-worker epoch sequence as in checkResult.
-func (ck *checker) checkRemoteAnswer(step, sh int, src, dst graph.NodeID, ans shardrpc.Answer, err error) *Violation {
-	vio := func(kind, format string, args ...interface{}) *Violation {
-		return &Violation{Step: step, Epoch: ans.Epoch, Kind: kind,
-			Detail: fmt.Sprintf("%d->%d ", src, dst) + fmt.Sprintf(format, args...)}
-	}
-	if err != nil {
-		return vio("transport", "remote query failed: %v", err)
-	}
-	if ans.Epoch < ck.lastEpoch[sh] {
-		return vio("monotonicity", "observed epoch %d after epoch %d", ans.Epoch, ck.lastEpoch[sh])
-	}
-	ck.lastEpoch[sh] = ans.Epoch
-
-	failed := ans.Failed
-	k := len(failed)
-	down := make(map[graph.EdgeID]bool, k)
-	for _, e := range failed {
-		down[e] = true
-	}
-
-	if ans.Route == nil {
-		if src == dst || math.IsInf(ck.bruteDist(down, src, dst), 1) {
-			return nil
-		}
-		return vio("unroutable-but-connected", "reported unroutable, but a path survives %v", failed)
-	}
-	rt := ans.Route
-	if rt.Via != engine.SchemeSource {
-		return vio("chain", "process-mode answer flavor %v, want source", rt.Via)
-	}
-	if len(rt.LSPs) == 0 {
-		return vio("chain", "route carries no components")
-	}
-
-	// Structural validity: the components chain src to dst and ride only
-	// links alive in the answering epoch.
-	at := src
-	for i, l := range rt.LSPs {
-		if l.Path.Src() != at {
-			return vio("chain", "component %d starts at %d, want %d", i, l.Path.Src(), at)
-		}
-		for _, e := range l.Path.Edges {
-			if down[e] {
-				return vio("dead-edge", "component %d rides failed link %d (failed-set %v)", i, e, failed)
-			}
-		}
-		at = l.Path.Dst()
-	}
-	if at != dst {
-		return vio("chain", "concatenation ends at %d", at)
-	}
-
-	// Corollary-4 membership, interleaving bound, optimality, and the
-	// theorem DP — the same oracles checkResult runs on a local snapshot.
-	for i, l := range rt.LSPs {
-		if l.Path.Hops() > 1 && !ck.base.Contains(l.Path) {
-			return vio("membership", "component %d (%v) is not a provisioned base path", i, l.Path)
-		}
-	}
-	if len(rt.LSPs) > 2*k+1 {
-		return vio("interleaving-bound", "%d components for k=%d failures (bound %d)", len(rt.LSPs), k, 2*k+1)
-	}
-	want := ck.bruteDist(down, src, dst)
-	if math.IsInf(want, 1) {
-		return vio("optimality", "served a route but the pair is disconnected under %v", failed)
-	}
-	if math.Abs(rt.Cost-want) > costEps {
-		return vio("optimality", "served cost %v, post-failure shortest %v (failed %v)", rt.Cost, want, failed)
-	}
-	full := rt.LSPs[0].Path
-	for _, l := range rt.LSPs[1:] {
-		full = full.Concat(l.Path)
-	}
-	if min := core.MinPathComponents(ck.all, full, k); min < 0 || min > k+1 {
-		return vio("theorem-bound", "served path needs %d shortest-path components with <= %d edges (bound %d)", min, k, k+1)
 	}
 	return nil
 }

@@ -294,25 +294,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		done:      make(chan struct{}),
 	}
 
-	// Static index: failed link -> pairs whose primary crosses it, packed
-	// flat (CSR) so the hot affected-pair scan is one contiguous slice per
-	// edge. Primaries never change, so the index is built once; per-edge
-	// lists are (src, dst)-sorted for deterministic plan construction.
-	lists := make(map[graph.EdgeID][]graph.NodePair)
-	for pr, lsp := range p.Primaries {
-		for _, ed := range lsp.Path.Edges {
-			lists[ed] = append(lists[ed], graph.NodePair{Src: pr.Src, Dst: pr.Dst})
-		}
-	}
-	for _, prs := range lists {
-		sort.Slice(prs, func(i, j int) bool {
-			if prs[i].Src != prs[j].Src {
-				return prs[i].Src < prs[j].Src
-			}
-			return prs[i].Dst < prs[j].Dst
-		})
-	}
-	e.pairIndex = graph.BuildPairIndex(p.Graph.Size(), lists)
+	e.pairIndex = PrimaryIndex(p.Graph, p.Primaries, nil)
 
 	// Canonical routing matrix from the provisioned routes. Dense mode
 	// allocates every row up front; delta mode allocates rows lazily from
@@ -394,6 +376,34 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		go e.queryWorker(uint64(w))
 	}
 	return e, nil
+}
+
+// PrimaryIndex builds the static index failed link -> pairs whose
+// primary crosses it, packed flat (CSR) so the hot affected-pair scan is
+// one contiguous slice per edge. Primaries never change, so the index is
+// built once; per-edge lists are (src, dst)-sorted for deterministic plan
+// construction. A non-nil own (indexed by source) restricts the index to
+// the sources it marks — the socket client of a remote shard
+// (internal/shardrpc) indexes exactly the slice its worker's engine does.
+func PrimaryIndex(g *graph.Graph, prims map[rbpc.Pair]*mpls.LSP, own []bool) *graph.PairIndex {
+	lists := make(map[graph.EdgeID][]graph.NodePair)
+	for pr, lsp := range prims {
+		if own != nil && !own[pr.Src] {
+			continue
+		}
+		for _, ed := range lsp.Path.Edges {
+			lists[ed] = append(lists[ed], graph.NodePair{Src: pr.Src, Dst: pr.Dst})
+		}
+	}
+	for _, prs := range lists {
+		sort.Slice(prs, func(i, j int) bool {
+			if prs[i].Src != prs[j].Src {
+				return prs[i].Src < prs[j].Src
+			}
+			return prs[i].Dst < prs[j].Dst
+		})
+	}
+	return graph.BuildPairIndex(g.Size(), lists)
 }
 
 // Snapshot returns the current serving epoch. The returned snapshot stays

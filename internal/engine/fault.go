@@ -2,13 +2,16 @@ package engine
 
 import "fmt"
 
-// Fault selects a deliberately injected writer defect. The chaos
-// conformance harness (internal/chaos) runs the engine with each fault to
-// prove its runtime oracles catch the corresponding class of real bug —
-// a conformance suite that cannot detect its own target defects proves
-// nothing. Production configurations leave it at FaultNone; the fault
-// only ever perturbs the writer goroutine, so a faulty engine is still
-// race-free, just wrong.
+// Fault selects a deliberately injected defect. The chaos conformance
+// harness (internal/chaos) runs the system with each fault to prove its
+// runtime oracles catch the corresponding class of real bug — a
+// conformance suite that cannot detect its own target defects proves
+// nothing. Production configurations leave it at FaultNone. This is the
+// one fault vocabulary of the serving stack: the writer defects perturb
+// this package's writer goroutine (so a faulty engine is still race-free,
+// just wrong); FaultSkewShard and FaultTornFrame travel in the same
+// Config.Fault field but are acted on by the shard coordinator and the
+// shardrpc transport, and an engine ignores them.
 type Fault int
 
 const (
@@ -46,39 +49,53 @@ const (
 	// repaired pairs keep detouring (optimality violation). Meaningless
 	// under SchemeSource, where no local plan exists to go stale.
 	FaultStaleBypass
+	// FaultSkewShard makes the shard coordinator (internal/shard) drop
+	// every failure/repair burst destined for worker 0, skewing its epoch
+	// state behind its peers — the torn-view defect the per-worker
+	// flush-agreement oracle must catch, in process and over the wire.
+	FaultSkewShard
+	// FaultTornFrame makes the transport (internal/shardrpc) corrupt one
+	// burst frame on worker 0's control connection after its checksum is
+	// computed: the receiver drops the torn frame, the worker silently
+	// misses churn, and its replica's failed-set disagrees at the next
+	// flush.
+	FaultTornFrame
 )
 
-// String implements fmt.Stringer; the names double as the CLI vocabulary
-// of cmd/rbpc-chaos -fault and the corpus file encoding.
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultStalePlanOnRepair:
-		return "stale-plan-on-repair"
-	case FaultSkipFECRewrite:
-		return "skip-fec-rewrite"
-	case FaultDropEpoch:
-		return "drop-epoch"
-	case FaultSkipRepairRescan:
-		return "skip-repair-rescan"
-	case FaultStaleBypass:
-		return "stale-bypass"
-	default:
-		return fmt.Sprintf("Fault(%d)", int(f))
-	}
+// faultNames is the one name table: the CLI vocabulary of cmd/rbpc-chaos
+// -fault and the corpus file encoding.
+var faultNames = [...]string{
+	FaultNone:              "none",
+	FaultStalePlanOnRepair: "stale-plan-on-repair",
+	FaultSkipFECRewrite:    "skip-fec-rewrite",
+	FaultDropEpoch:         "drop-epoch",
+	FaultSkipRepairRescan:  "skip-repair-rescan",
+	FaultStaleBypass:       "stale-bypass",
+	FaultSkewShard:         "skew-shard",
+	FaultTornFrame:         "torn-frame",
 }
 
-// Faults lists every injectable defect (FaultNone excluded).
+// String implements fmt.Stringer.
+func (f Fault) String() string {
+	if f < 0 || int(f) >= len(faultNames) {
+		return fmt.Sprintf("Fault(%d)", int(f))
+	}
+	return faultNames[f]
+}
+
+// Faults lists the writer defects — every fault a lone engine can host
+// (FaultNone excluded). FaultSkewShard needs a coordinator and
+// FaultTornFrame a transport, so harnesses that iterate this list against
+// a single engine do not meet them.
 func Faults() []Fault {
 	return []Fault{FaultStalePlanOnRepair, FaultSkipFECRewrite, FaultDropEpoch, FaultSkipRepairRescan, FaultStaleBypass}
 }
 
 // ParseFault maps a Fault name back to its value.
 func ParseFault(name string) (Fault, error) {
-	for _, f := range append(Faults(), FaultNone) {
-		if f.String() == name {
-			return f, nil
+	for f, n := range faultNames {
+		if n == name {
+			return Fault(f), nil
 		}
 	}
 	return FaultNone, fmt.Errorf("engine: unknown fault %q", name)

@@ -90,11 +90,18 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal("original ClearFEC leaked into clone")
 	}
 
-	// ILM writes are isolated too.
-	var lbl Label
-	for l := range net.routers[2].ilm {
-		lbl = l
-		break
+	// ILM writes are isolated too. The replaced entry must differ from
+	// its replacement (an egress entry already pops to local processing),
+	// or "unchanged in the clone" and "leaked" would look the same.
+	lbl, found := Label(0), false
+	for l, e := range net.routers[2].ilm {
+		if e.OutEdge != LocalProcess || len(e.Out) != 0 {
+			lbl, found = l, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("router 2 has no transit ILM entry to replace")
 	}
 	if _, err := net.ReplaceILM(2, lbl, ILMEntry{Out: nil, OutEdge: LocalProcess}); err != nil {
 		t.Fatalf("ReplaceILM: %v", err)

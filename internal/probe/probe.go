@@ -19,10 +19,9 @@ import (
 	"rbpc/internal/graph"
 )
 
-// Backend is the serving surface the prober reads: synchronous snapshot
-// queries, the static affected-pair index, and the sink for observed
-// restoration samples. Both the single engine and the multi-shard
-// coordinator satisfy it (the serving commands adapt them).
+// Backend is the serving surface of a backend whose snapshots this
+// process can walk: synchronous snapshot queries, the static
+// affected-pair index, and the sink for observed restoration samples.
 type Backend interface {
 	Query(src, dst graph.NodeID) engine.Result
 	AffectedPairs(e graph.EdgeID) []graph.NodePair
@@ -37,19 +36,6 @@ const (
 	timeout  = 250 * time.Millisecond
 )
 
-// snapFailed reports whether the epoch's failed-set contains the edge —
-// the prober only times answers from epochs that have reacted to the
-// injected failure (the pre-failure epoch still serves the old rows, and
-// its data plane would happily forward across the dead link).
-func snapFailed(s *engine.Snapshot, ed graph.EdgeID) bool {
-	for _, f := range s.Failed() {
-		if f == ed {
-			return true
-		}
-	}
-	return false
-}
-
 // ProbeResult is one poll's restoration verdict for a pair, as computed
 // by whoever owns the serving state: whether the answering epoch's
 // failed-set contained the probed edge, whether the pair was routable,
@@ -60,18 +46,46 @@ type ProbeResult struct {
 	Delivered      bool
 }
 
-// ProbeBackend is the serving surface for backends whose data plane
-// lives elsewhere — the process-mode coordinator cannot walk a remote
-// worker's MPLS network, so the whole verdict is computed at the owner
-// and shipped back, rather than read off a local snapshot.
+// Verdict computes the restoration verdict of one served answer against
+// its own snapshot — what the owner of a data plane does for a poll. The
+// walk is only taken for an epoch that has reacted to the failure: the
+// pre-failure epoch still serves the old rows, its data plane would
+// happily forward across the dead link, and the prober never reads
+// Delivered from it.
+func Verdict(res engine.Result, ed graph.EdgeID) ProbeResult {
+	v := ProbeResult{Routable: res.Route != nil}
+	for _, f := range res.Snap.Failed() {
+		if f == ed {
+			v.FailedContains = true
+			break
+		}
+	}
+	if v.FailedContains && v.Routable {
+		pkt, err := res.Snap.DataPlane(res.Src).SendIP(res.Src, res.Dst)
+		v.Delivered = err == nil && pkt.At == res.Dst
+	}
+	return v
+}
+
+// ProbeBackend is the serving surface the prober polls: the whole verdict
+// is computed by whoever owns the pair's data plane — the shard
+// coordinator asks the owning worker, in process or over the wire — and
+// handed back, rather than read off a local snapshot.
 type ProbeBackend interface {
 	ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) ProbeResult
 	AffectedPairs(e graph.EdgeID) []graph.NodePair
 	RecordRestore(src graph.NodeID, d time.Duration)
 }
 
-// RestoreVia is Restore for ProbeBackends: the same sampling, polling,
-// and gating discipline, with the delivery verdict computed remotely.
+// RestoreVia measures one injected failure's time-to-restore: it samples
+// up to maxPairs affected pairs (strided over the affected list) and, for
+// each, polls the backend until an epoch reflecting the failure returns
+// an answer whose data-plane walk delivers — the wall clock since t0 (the
+// injection instant) is that pair's restoration latency, handed to
+// RecordRestore. A nil answer in a failure-aware epoch is final for every
+// scheme except hybrid (whose source-routed answer can still arrive once
+// the flood horizon passes), so those pairs are skipped rather than
+// timed out.
 func RestoreVia(b ProbeBackend, scheme engine.Scheme, ed graph.EdgeID, t0 time.Time) {
 	pairs := b.AffectedPairs(ed)
 	if len(pairs) == 0 {
@@ -103,44 +117,14 @@ func RestoreVia(b ProbeBackend, scheme engine.Scheme, ed graph.EdgeID, t0 time.T
 	}
 }
 
-// Restore measures one injected failure's time-to-restore: it samples up
-// to maxPairs affected pairs and, for each, polls the backend until an
-// epoch reflecting the failure returns an answer whose data-plane walk
-// delivers — the wall clock since t0 (the injection instant) is that
-// pair's restoration latency, recorded into the backend's Restore
-// histogram. A nil answer in a failure-aware epoch is final for every
-// scheme except hybrid (whose source-routed answer can still arrive once
-// the flood horizon passes), so those pairs are skipped rather than
-// timed out.
+// Restore is RestoreVia for a Backend: the verdict of every poll is
+// computed here, from the answer's own snapshot.
 func Restore(b Backend, scheme engine.Scheme, ed graph.EdgeID, t0 time.Time) {
-	pairs := b.AffectedPairs(ed)
-	if len(pairs) == 0 {
-		return
-	}
-	stride := len(pairs) / maxPairs
-	if stride < 1 {
-		stride = 1
-	}
-	deadline := t0.Add(timeout)
-	for i := 0; i < len(pairs) && i/stride < maxPairs; i += stride {
-		pr := pairs[i]
-		for {
-			res := b.Query(pr.Src, pr.Dst)
-			if snapFailed(res.Snap, ed) {
-				if res.Route != nil {
-					pkt, err := res.Snap.DataPlane(pr.Src).SendIP(pr.Src, pr.Dst)
-					if err == nil && pkt.At == pr.Dst {
-						b.RecordRestore(pr.Src, time.Since(t0))
-						break
-					}
-				} else if scheme != engine.SchemeHybrid {
-					break // unrestorable this epoch: disconnected or bypass-blocked
-				}
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(step)
-		}
-	}
+	RestoreVia(local{b}, scheme, ed, t0)
+}
+
+type local struct{ Backend }
+
+func (l local) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) ProbeResult {
+	return Verdict(l.Query(src, dst), ed)
 }

@@ -11,7 +11,6 @@ import (
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
-	"rbpc/internal/rbpc"
 )
 
 // ColdConfig tunes the on-demand tier answering pairs whose source has no
@@ -344,10 +343,4 @@ func failedSetKey(failed []graph.EdgeID) string {
 		b = strconv.AppendInt(b, int64(e), 10)
 	}
 	return string(b)
-}
-
-// coldPair reports whether the pair must go to the cold tier under the
-// given snapshot.
-func coldPair(snap *engine.Snapshot, pr rbpc.Pair) bool {
-	return !snap.Materialized(pr.Src)
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rbpc/internal/engine"
@@ -12,35 +14,55 @@ import (
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
+	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
 
-// Coordinator fronts N shard engines: it partitions the provisioned pair
+// Coordinator fronts N shard workers: it partitions the provisioned pair
 // space by ring ownership, routes queries and submissions to owners,
-// fans failure/repair bursts out to every shard, and merges per-shard
+// fans failure/repair bursts out to every worker, and merges per-worker
 // state into consistent cross-shard views and stats. It is the thin
-// layer — all serving and epoch building happens inside the shards; the
-// coordinator holds no hot-path locks (the only mutex guards the epoch
-// watermark table, touched once per published epoch).
+// layer — all serving and epoch building happens inside the workers'
+// engines — and the only one: the same coordinator runs over in-process
+// engines (New) and over worker processes (internal/shardrpc, through
+// Over). The query path takes no lock; the one mutex orders bursts and
+// guards the failed-set model they fold into.
 type Coordinator struct {
-	g     *graph.Graph
-	ring  *Ring
-	cfg   Config
-	shard []*engine.Engine
-	cold  *ColdTier
+	ring *Ring
+	w    []Worker
+	cold *ColdTier
+	// skew is the injected FaultSkewShard: worker 0 never learns of churn.
+	skew bool
+	// hot marks the sources with a materialized serving row. In delta-row
+	// mode materialization is static (the overlay only ever diverges
+	// provisioned rows), so the table answers for every epoch.
+	hot []bool
+	// dec builds detached snapshots of the model for cold solves while an
+	// owner is down. Nil in process: an engine is never down, and the
+	// in-process shape does not pay for a second canonical matrix.
+	dec *engine.SnapDecoder
+	// restore is the time-to-restore histogram: the prober's samples are
+	// recorded here, keyed by owner, never on a worker.
+	restore metrics.Histogram
 
 	mu sync.Mutex
-	// watermarks holds the highest epoch each shard has published, fed by
-	// the per-shard OnEpoch taps.
-	watermarks []uint64 //rbpc:guardedby mu
+	// model is the failed-set of the event stream so far: what a
+	// replacement worker is resynced to, and what detached snapshots are
+	// cut from.
+	model  map[graph.EdgeID]bool //rbpc:guardedby mu
+	bursts uint64                //rbpc:guardedby mu
+	one    [1]failure.Event      //rbpc:guardedby mu
+	// detached caches the canonical-only snapshot of the model: dropped by
+	// every burst, rebuilt by the first dead-owner query after it.
+	detached atomic.Pointer[engine.Snapshot]
 }
 
-// New partitions the provision across cfg.Shards engines and starts
-// them. Each shard receives only the primaries and routes of the sources
-// it owns (its engines run delta-row mode, so unowned — and unprovisioned
-// cold — sources cost it nothing); graph, base set, and network are
-// shared (each engine clones the network copy-on-write). p.Failed must be
-// empty, as for engine.New.
+// New partitions the provision across cfg.Shards in-process engines and
+// starts them. Each shard receives only the primaries and routes of the
+// sources it owns (its engines run delta-row mode, so unowned — and
+// unprovisioned cold — sources cost it nothing); graph, base set, and
+// network are shared (each engine clones the network copy-on-write).
+// p.Failed must be empty, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: config needs Shards >= 1, got %d", cfg.Shards)
@@ -49,43 +71,40 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		g:          p.Graph,
-		ring:       ring,
-		cfg:        cfg,
-		shard:      make([]*engine.Engine, cfg.Shards),
-		watermarks: make([]uint64, cfg.Shards),
-	}
-
-	for i := 0; i < cfg.Shards; i++ {
-		sp := SliceProvision(p, ring, i)
-
-		ecfg := cfg.Engine
-		ecfg.DeltaRows = true
-		idx := i
-		userTap := cfg.Engine.OnEpoch
-		ecfg.OnEpoch = func(s *engine.Snapshot) {
-			c.mu.Lock()
-			if s.Epoch() > c.watermarks[idx] {
-				c.watermarks[idx] = s.Epoch()
-			}
-			c.mu.Unlock()
-			if userTap != nil {
-				userTap(s)
-			}
-		}
-		eng, err := engine.New(sp, ecfg)
+	workers := make([]Worker, cfg.Shards)
+	ecfg := cfg.Engine
+	ecfg.DeltaRows = true
+	for i := range workers {
+		eng, err := engine.New(SliceProvision(p, ring, i), ecfg)
 		if err != nil {
-			for _, sh := range c.shard[:i] {
-				sh.Close()
+			for _, w := range workers[:i] {
+				w.Close()
 			}
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		c.shard[i] = eng
+		workers[i] = engineWorker{eng}
 	}
+	return Over(p, cfg, ring, workers, nil), nil
+}
 
-	c.cold = NewColdTier(p.Graph, p.Base, maps.Clone(p.LSPs), cfg.Cold, cfg.Engine.OnResult)
-	return c, nil
+// Over assembles the coordinator over already-running workers, one per
+// ring shard, each serving SliceProvision(p, ring, i). dec is required
+// when a worker can be down (it cuts the detached snapshots their
+// sources are then solved against) and nil otherwise.
+func Over(p rbpc.Provision, cfg Config, ring *Ring, workers []Worker, dec *engine.SnapDecoder) *Coordinator {
+	hot := make([]bool, p.Graph.Order())
+	for pr := range p.Routes {
+		hot[pr.Src] = true
+	}
+	return &Coordinator{
+		ring:  ring,
+		w:     workers,
+		cold:  NewColdTier(p.Graph, p.Base, maps.Clone(p.LSPs), cfg.Cold, cfg.Engine.OnResult),
+		skew:  cfg.Engine.Fault == engine.FaultSkewShard,
+		hot:   hot,
+		dec:   dec,
+		model: make(map[graph.EdgeID]bool),
+	}
 }
 
 // SliceProvision returns the provision slice shard i serves under the
@@ -93,9 +112,9 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 // private clone of the LSP registry (each shard engine signs on-demand
 // LSPs into its own registry, and concurrent writers must not share a
 // map). Graph, base set, and network stay shared. It is the single
-// definition of the shard partition — the in-process coordinator and
-// every remote worker process slice with it, so a worker rebuilt from
-// the same provision serves exactly the rows its in-process twin would.
+// definition of the shard partition — New and every remote worker
+// process slice with it, so a worker rebuilt from the same provision
+// serves exactly the rows its in-process twin would.
 func SliceProvision(p rbpc.Provision, ring *Ring, i int) rbpc.Provision {
 	prims := make(map[rbpc.Pair]*mpls.LSP)
 	routes := make(map[rbpc.Pair][]*mpls.LSP)
@@ -120,137 +139,216 @@ func SliceProvision(p rbpc.Provision, ring *Ring, i int) rbpc.Provision {
 // routers).
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
-// Shards returns the number of shard engines.
-func (c *Coordinator) Shards() int { return len(c.shard) }
+// Shards returns the number of workers.
+func (c *Coordinator) Shards() int { return len(c.w) }
 
-// Fail fans a link failure out to every shard (each needs full failure
+// Shard returns worker i — the chaos harness and the benchmark inspect
+// per-shard snapshots directly.
+func (c *Coordinator) Shard(i int) Worker { return c.w[i] }
+
+// Owner returns the index of the worker owning src's row.
+func (c *Coordinator) Owner(src graph.NodeID) int { return c.ring.Owner(src) }
+
+// Fail fans a link failure out to every worker (each needs full failure
 // knowledge to rebuild the rows it owns).
-func (c *Coordinator) Fail(ed graph.EdgeID) {
-	for i, sh := range c.shard {
-		if c.cfg.Fault == FaultSkewShard && i == 0 {
-			continue // injected defect: shard 0 never learns
-		}
-		sh.Fail(ed)
-	}
+func (c *Coordinator) Fail(ed graph.EdgeID) { c.applyOne(failure.Event{Edge: ed}) }
+
+// Repair fans a link repair out to every worker.
+func (c *Coordinator) Repair(ed graph.EdgeID) { c.applyOne(failure.Event{Repair: true, Edge: ed}) }
+
+func (c *Coordinator) applyOne(ev failure.Event) {
+	c.mu.Lock()
+	c.one[0] = ev
+	c.fanOutLocked(c.one[:])
+	c.mu.Unlock()
 }
 
-// Repair fans a link repair out to every shard.
-func (c *Coordinator) Repair(ed graph.EdgeID) {
-	for i, sh := range c.shard {
-		if c.cfg.Fault == FaultSkewShard && i == 0 {
-			continue
-		}
-		sh.Repair(ed)
-	}
-}
-
-// ApplyEvents fans a churn burst out to every shard; each shard's writer
-// coalesces it independently.
+// ApplyEvents fans a churn burst out to every worker as one burst; each
+// worker's writer coalesces it independently.
 func (c *Coordinator) ApplyEvents(evs []failure.Event) {
+	if len(evs) == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.fanOutLocked(evs)
+	c.mu.Unlock()
+}
+
+// fanOutLocked folds the burst into the model and hands it to every
+// worker. Holding mu across the hand-off is what gives every worker the
+// bursts in the same order.
+//
+//rbpc:locked
+func (c *Coordinator) fanOutLocked(evs []failure.Event) {
 	for _, ev := range evs {
 		if ev.Repair {
-			c.Repair(ev.Edge)
+			delete(c.model, ev.Edge)
 		} else {
-			c.Fail(ev.Edge)
+			c.model[ev.Edge] = true
 		}
 	}
+	c.bursts++
+	c.detached.Store(nil)
+	for i, w := range c.w {
+		if i == 0 && c.skew {
+			continue
+		}
+		w.Apply(evs)
+	}
 }
 
-// Flush blocks until every event sent before the call is reflected in
-// every shard's published snapshot.
+// Failed returns the model failed-set — every event sent so far folded
+// in, whether or not the workers have published it — sorted ascending.
+func (c *Coordinator) Failed() []graph.EdgeID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failedLocked()
+}
+
+//rbpc:locked
+func (c *Coordinator) failedLocked() []graph.EdgeID {
+	if len(c.model) == 0 {
+		return nil
+	}
+	out := make([]graph.EdgeID, 0, len(c.model))
+	for e := range c.model {
+		out = append(out, e)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// Flush is the barrier: it returns once every event sent before the call
+// is reflected in the snapshot of every worker that is alive.
 func (c *Coordinator) Flush() {
-	for _, sh := range c.shard {
-		sh.Flush()
+	for _, w := range c.w {
+		w.Flush()
 	}
 }
 
-// Query answers synchronously, routed by ring ownership. Materialized
-// sources are a lock-free row read in the owner shard; cold sources go
-// through the admission-controlled on-demand tier against the owner's
-// current snapshot.
-//
-//rbpc:hotpath
+// coldSnap is the snapshot a cold-tier solve for one of owner's sources
+// runs against: the owner's current snapshot while it is alive, a
+// detached snapshot of the coordinator's model while it is not.
+func (c *Coordinator) coldSnap(owner int) *engine.Snapshot {
+	if w := c.w[owner]; w.Alive() {
+		return w.Snapshot()
+	}
+	if s := c.detached.Load(); s != nil {
+		return s
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.dec.Detached(c.failedLocked(), c.bursts)
+	c.detached.Store(s)
+	return s
+}
+
+// Query answers synchronously, routed by ring ownership. A materialized
+// source of a live worker is the worker's own read (a lock-free row read
+// in process, one round trip over the wire); never-materialized sources
+// and the sources of a worker that is down go through the
+// admission-controlled cold tier (see coldSnap).
 func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
-	sh := c.shard[c.ring.Owner(src)]
-	s := sh.Snapshot()
-	if !s.Materialized(src) {
-		return c.cold.Query(src, dst, s) //rbpc:allow hotpath -- cold-pair divert is the deliberate slow path
+	owner := c.ring.Owner(src)
+	if c.hot[src] {
+		if res, ok := c.w[owner].Query(src, dst); ok {
+			return res
+		}
 	}
-	return sh.Query(src, dst)
+	return c.cold.Query(src, dst, c.coldSnap(owner))
 }
 
-// Submit enqueues one async query with the owner shard (or the cold
-// tier). Reports false when shed.
-func (c *Coordinator) Submit(src, dst graph.NodeID) bool {
-	sh := c.shard[c.ring.Owner(src)]
-	if s := sh.Snapshot(); !s.Materialized(src) {
-		return c.cold.Submit(src, dst, s)
+// ProbeQuery is Query for the time-to-restore prober: the full
+// restoration verdict of one pair under one probe edge, computed by the
+// owning worker on its own data plane. When the cold tier answers
+// instead, delivery equals routability — the control-plane answer is the
+// restoration; there is no row, or no live data plane, to walk.
+func (c *Coordinator) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.ProbeResult {
+	owner := c.ring.Owner(src)
+	if c.hot[src] {
+		if v, ok := c.w[owner].Probe(src, dst, ed); ok {
+			return v
+		}
 	}
-	return sh.Submit(src, dst)
+	snap := c.coldSnap(owner)
+	routable := c.cold.Query(src, dst, snap).Route != nil
+	return probe.ProbeResult{
+		FailedContains: slices.Contains(snap.Failed(), ed),
+		Routable:       routable,
+		Delivered:      routable,
+	}
+}
+
+// Submit enqueues one async query with the owner (or the cold tier).
+// Reports false when shed.
+func (c *Coordinator) Submit(src, dst graph.NodeID) bool {
+	owner := c.ring.Owner(src)
+	if c.hot[src] && c.w[owner].Alive() {
+		return c.w[owner].SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
+	}
+	return c.cold.Submit(src, dst, c.coldSnap(owner))
 }
 
 // SubmitBatch splits a burst by ring ownership and hands each owner its
-// sub-batch in one channel operation; pairs from non-materialized
-// sources are diverted to the cold tier's admission queue. The
+// sub-batch in one call; pairs of non-materialized sources and of workers
+// that are down divert to the cold tier's admission queue. The
 // coordinator takes ownership of pairs. Returns the number of queries
-// accepted (each sub-batch is admitted or shed as a unit by its shard).
+// accepted (each sub-batch is admitted or shed as a unit by its worker).
 func (c *Coordinator) SubmitBatch(pairs []rbpc.Pair) int {
 	if len(pairs) == 0 {
 		return 0
 	}
-	buckets := make([][]rbpc.Pair, len(c.shard))
+	// Fresh buckets per call — the workers keep them — sized for an even
+	// split with slack, so a bucket is one allocation unless the burst is
+	// skewed.
+	buckets := make([][]rbpc.Pair, len(c.w))
+	down := make([]bool, len(c.w))
+	size := min(len(pairs), len(pairs)/len(c.w)*5/4+8)
+	for i, w := range c.w {
+		buckets[i] = make([]rbpc.Pair, 0, size)
+		down[i] = !w.Alive()
+	}
 	accepted := 0
 	for _, pr := range pairs {
-		w := c.ring.Owner(pr.Src)
-		snap := c.shard[w].Snapshot()
-		if coldPair(snap, pr) {
-			if c.cold.Submit(pr.Src, pr.Dst, snap) {
+		owner := c.ring.Owner(pr.Src)
+		if !c.hot[pr.Src] || down[owner] {
+			if c.cold.Submit(pr.Src, pr.Dst, c.coldSnap(owner)) {
 				accepted++
 			}
 			continue
 		}
-		buckets[w] = append(buckets[w], pr)
+		buckets[owner] = append(buckets[owner], pr)
 	}
 	for i, b := range buckets {
 		if len(b) > 0 {
-			accepted += c.shard[i].SubmitBatch(b)
+			accepted += c.w[i].SubmitBatch(b)
 		}
 	}
 	return accepted
 }
 
-// Shard returns shard i's engine — the chaos harness inspects per-shard
-// snapshots directly.
-func (c *Coordinator) Shard(i int) *engine.Engine { return c.shard[i] }
-
 // AffectedPairs returns the provisioned pairs whose canonical primary
-// crosses the link. Each shard indexes only the sources it owns, so the
-// deployment's answer is the union — disjoint by ring ownership, so no
-// pair appears twice.
+// crosses the link: the union of the workers' slice indices — disjoint
+// by ring ownership, so no pair appears twice.
 func (c *Coordinator) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
 	var out []graph.NodePair
-	for _, sh := range c.shard {
-		out = append(out, sh.AffectedPairs(ed)...)
+	for _, w := range c.w {
+		out = append(out, w.AffectedPairs(ed)...)
 	}
 	return out
 }
 
-// RecordRestore records one observed time-to-restore on the shard owning
-// the pair's source, so the merged Stats.Restore reflects it.
+// RecordRestore records one observed time-to-restore (Stats.Restore).
 func (c *Coordinator) RecordRestore(src graph.NodeID, d time.Duration) {
-	c.shard[c.ring.Owner(src)].RecordRestore(d)
+	c.restore.Record(uint64(c.ring.Owner(src)), d)
 }
 
-// Watermark returns the low epoch watermark: every shard has published
-// at least this epoch.
+// Watermark returns the low epoch watermark, read off the workers'
+// current snapshots: every worker has published at least this epoch.
 func (c *Coordinator) Watermark() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	low := c.watermarks[0]
-	for _, w := range c.watermarks[1:] {
-		if w < low {
-			low = w
-		}
+	low := c.w[0].Snapshot().Epoch()
+	for _, w := range c.w[1:] {
+		low = min(low, w.Snapshot().Epoch())
 	}
 	return low
 }
@@ -267,15 +365,6 @@ type View struct {
 	snaps []*engine.Snapshot
 }
 
-// NewView assembles a view from per-shard snapshots routed by the ring.
-// The caller is responsible for the agreement discipline (only un-torn,
-// failed-set-agreeing snapshot sets make a consistent view) — the
-// process-mode coordinator builds its views here from the replica
-// snapshots its workers shipped over the wire.
-func NewView(ring *Ring, snaps []*engine.Snapshot) View {
-	return View{ring: ring, snaps: snaps}
-}
-
 // Shards returns the number of per-shard snapshots in the view.
 func (v View) Shards() int { return len(v.snaps) }
 
@@ -290,20 +379,23 @@ func (v View) Route(src, dst graph.NodeID) *engine.Route {
 	return v.Snap(src).Route(src, dst)
 }
 
-// View assembles a consistent cross-shard view. Between bursts (and
-// always after Flush) the first attempt succeeds; under concurrent churn
-// it retries while the shards' independently-coalesced epochs converge,
-// and reports ok=false with the latest (possibly torn) snapshots if they
-// fail to agree within the retry budget — which a correct deployment
-// only hits mid-burst, and an injected skew fault hits forever.
+// View assembles a consistent cross-shard view from the workers' current
+// snapshots. Between bursts (and always after Flush) the first attempt
+// succeeds; under concurrent churn it retries while the workers'
+// independently-coalesced epochs converge, and reports ok=false with the
+// latest (possibly torn) snapshots if they fail to agree within the retry
+// budget — which a correct deployment only hits mid-burst, and a worker
+// that is down, a skewed worker or a dropped burst frame hits forever.
 func (c *Coordinator) View() (View, bool) {
 	const retries = 128
-	snaps := make([]*engine.Snapshot, len(c.shard))
+	snaps := make([]*engine.Snapshot, len(c.w))
 	for attempt := 0; attempt < retries; attempt++ {
-		for i, sh := range c.shard {
-			snaps[i] = sh.Snapshot()
+		alive := true
+		for i, w := range c.w {
+			snaps[i] = w.Snapshot()
+			alive = alive && w.Alive()
 		}
-		if failedSetsAgree(snaps) {
+		if alive && failedSetsAgree(snaps) {
 			return View{ring: c.ring, snaps: snaps}, true
 		}
 		runtime.Gosched()
@@ -314,55 +406,48 @@ func (c *Coordinator) View() (View, bool) {
 func failedSetsAgree(snaps []*engine.Snapshot) bool {
 	first := snaps[0].Failed()
 	for _, s := range snaps[1:] {
-		f := s.Failed()
-		if len(f) != len(first) {
+		if !slices.Equal(s.Failed(), first) {
 			return false
-		}
-		for i := range f {
-			if f[i] != first[i] {
-				return false
-			}
 		}
 	}
 	return true
 }
 
 // Drain blocks until every query submitted before the call has been
-// served by its shard or the cold tier.
+// served by its worker or the cold tier.
 func (c *Coordinator) Drain() {
-	for _, sh := range c.shard {
-		sh.Drain()
+	for _, w := range c.w {
+		w.Drain()
 	}
 	c.cold.Drain()
 }
 
-// Close stops every shard and the cold tier.
+// Close stops every worker and the cold tier.
 func (c *Coordinator) Close() {
-	for _, sh := range c.shard {
-		sh.Close()
+	for _, w := range c.w {
+		w.Close()
 	}
 	c.cold.Close()
 }
 
-// Stats merges the shard scrapes: counters sum, latency percentiles take
-// the worst shard (per-shard histograms cannot be re-merged), RowBytes
-// sums residents while DenseRowBytes stays the single-engine dense
-// baseline the shards collectively replace.
+// Stats merges the workers' scrapes (see MergeStats) and overlays the
+// coordinator's own time-to-restore histogram.
 func (c *Coordinator) Stats() Stats {
-	perShard := make([]engine.Stats, len(c.shard))
-	for i, sh := range c.shard {
-		perShard[i] = sh.Stats()
+	perShard := make([]engine.Stats, len(c.w))
+	for i, w := range c.w {
+		perShard[i] = w.Stats()
 	}
-	return MergeStats(perShard, c.Watermark(), c.cold.Stats())
+	st := MergeStats(perShard, c.Watermark(), c.cold.Stats())
+	st.Restore = c.restore.Summarize()
+	return st
 }
 
 // MergeStats folds per-shard engine scrapes into the deployment view:
 // counters sum, latency percentiles take the worst shard (per-shard
 // histograms cannot be re-merged), RowBytes sums residents while
 // DenseRowBytes stays the single-engine dense baseline the shards
-// collectively replace. Shared by the in-process coordinator and the
-// process-mode coordinator (internal/shardrpc), whose worker scrapes
-// arrive over the wire.
+// collectively replace. The serving commands lift a lone engine into the
+// same shape with it.
 func MergeStats(perShard []engine.Stats, epoch uint64, cold ColdStats) Stats {
 	st := Stats{
 		Shards:   len(perShard),

@@ -24,57 +24,18 @@
 // any connected pair — and promotes answers that stay hot into a bounded
 // cache.
 //
-// Everything is in-process here; the ring/coordinator split is the
-// process boundary of a future multi-process deployment (the ring is a
+// The Coordinator is deployment-agnostic: it talks to its shards through
+// the Worker seam (worker.go), which has exactly two implementations —
+// a direct *engine.Engine adapter here (New) and the socket client of
+// internal/shardrpc, whose workers are separate processes. The ring is a
 // pure function of its parameters, so remote processes agree on
-// ownership without coordination).
+// ownership without coordination.
 package shard
 
 import (
-	"fmt"
-
 	"rbpc/internal/engine"
 	"rbpc/internal/engine/metrics"
-	"rbpc/internal/graph"
 )
-
-// Fault injects a deliberate coordinator defect for the chaos harness's
-// shard-level conformance proofs. Production leaves FaultNone.
-type Fault int
-
-const (
-	// FaultNone is the production coordinator.
-	FaultNone Fault = iota
-	// FaultSkewShard drops every failure/repair event destined for shard
-	// 0, skewing its epoch state behind its peers — the torn-view defect
-	// the per-shard flush-agreement oracle must catch.
-	FaultSkewShard
-)
-
-// String implements fmt.Stringer.
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultSkewShard:
-		return "skew-shard"
-	default:
-		return fmt.Sprintf("Fault(%d)", int(f))
-	}
-}
-
-// Faults lists every injectable coordinator fault.
-func Faults() []Fault { return []Fault{FaultSkewShard} }
-
-// ParseFault maps a Fault name back to its value.
-func ParseFault(name string) (Fault, error) {
-	for _, f := range append(Faults(), FaultNone) {
-		if f.String() == name {
-			return f, nil
-		}
-	}
-	return FaultNone, fmt.Errorf("shard: unknown fault %q", name)
-}
 
 // Config tunes the coordinator. The zero value of every field except
 // Shards selects a default.
@@ -88,12 +49,11 @@ type Config struct {
 	// routing contract — all processes of a deployment must agree.
 	RingSeed uint64
 	// Engine is the per-shard engine configuration template. DeltaRows is
-	// forced on; OnEpoch is chained after the coordinator's watermark tap.
+	// forced on. Engine.Fault == engine.FaultSkewShard is the one fault
+	// the coordinator itself acts on (chaos harness only).
 	Engine engine.Config
 	// Cold tunes the on-demand tier for non-materialized sources.
 	Cold ColdConfig
-	// Fault injects a coordinator defect (chaos harness only).
-	Fault Fault
 }
 
 // Stats is a point-in-time scrape of the coordinator: sums of the shard
@@ -146,7 +106,3 @@ type Stats struct {
 	Cold        ColdStats
 	PerShard    []engine.Stats
 }
-
-// Owner returns the shard owning the source — exported for the chaos
-// harness, which partitions its reference checks the same way.
-func (c *Coordinator) Owner(src graph.NodeID) int { return c.ring.Owner(src) }

@@ -250,7 +250,9 @@ func TestWatermarkAdvances(t *testing.T) {
 // impossible while a failure is outstanding.
 func TestSkewFaultBreaksView(t *testing.T) {
 	g := topology.Waxman(12, 0.8, 0.5, 6)
-	c := newCoordinator(t, g, rbpc.DefaultConfig(), Config{Shards: 2, Fault: FaultSkewShard})
+	skewed := Config{Shards: 2}
+	skewed.Engine.Fault = engine.FaultSkewShard
+	c := newCoordinator(t, g, rbpc.DefaultConfig(), skewed)
 	c.Fail(g.Edges()[0].ID)
 	c.Flush()
 	if _, ok := c.View(); ok {

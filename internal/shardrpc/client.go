@@ -8,7 +8,11 @@ import (
 
 	"rbpc/internal/engine"
 	"rbpc/internal/engine/metrics"
+	"rbpc/internal/failure"
+	"rbpc/internal/graph"
+	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
+	"rbpc/internal/shard"
 )
 
 // callKind distinguishes pending-table entries: RPCs park a waiter on a
@@ -34,10 +38,12 @@ type call struct {
 	n  int
 }
 
-// queryMetrics are the coordinator-side serving counters: queries are
-// counted where the answers land (the reader goroutines), and latency is
-// batch submit to answer arrival — transport included, which is the
-// honest number for a cross-process deployment.
+// queryMetrics are the client-side serving counters of one worker:
+// queries are counted where the answers land (remoteQuery and the reader
+// goroutines), and latency is submit to answer arrival — transport
+// included, which is the honest number for a cross-process deployment.
+// Nothing on the worker's side of the wire counts a query, so Stats
+// reports each exactly once.
 type queryMetrics struct {
 	queries    metrics.Counter
 	unroutable metrics.Counter
@@ -45,18 +51,25 @@ type queryMetrics struct {
 	latency    metrics.Histogram
 }
 
-// client drives one worker: a control connection (bursts, barriers,
-// stats; snapshot frames back) plus a pool of query connections, a
-// pending table demultiplexing replies by sequence number, and the
-// decoded replica snapshot the coordinator's View() merges.
+// client drives one worker and is the socket implementation of
+// shard.Worker: a control connection (bursts, barriers, stats; snapshot
+// frames back) plus a pool of query connections, a pending table
+// demultiplexing replies by sequence number, and the decoded replica
+// snapshot the coordinator reads as the shard's current epoch. What it
+// adds to the seam is everything a wire needs: encode/decode, timeouts
+// and bounded retry, death detection with the alive flag, the in-flight
+// budget, and health pings.
 type client struct {
-	idx int
-	cfg Config
-	dec *engine.SnapDecoder
-	met *queryMetrics
-	// onEpoch observes every replica update (coordinator watermark, then
-	// the user tap).
-	onEpoch func(worker int, snap *engine.Snapshot)
+	idx   int
+	cfg   Config
+	dec   *engine.SnapDecoder
+	nodes int // topology contract checked against the worker's hello
+	links int
+	// pairs indexes the primaries of this worker's slice — the same index
+	// the worker's engine holds; the provision is known on both ends, so
+	// AffectedPairs needs no frame.
+	pairs *graph.PairIndex
+	met   queryMetrics
 
 	mu       sync.Mutex
 	control  *Conn
@@ -69,21 +82,67 @@ type client struct {
 	next    atomic.Uint32
 	alive   atomic.Bool
 	replica atomic.Pointer[engine.Snapshot]
-	torn    atomic.Int64
+	// torn counts the checksum-failed frames this end has dropped, over
+	// every connection the client has dialed.
+	torn atomic.Int64
+	done chan struct{} // closed by Close; stops the health loop
 	// batchBuf is the reused query-batch encode buffer.
 	bmu      sync.Mutex
 	batchBuf []byte //rbpc:guardedby bmu
 }
 
-func newClient(idx int, cfg Config, dec *engine.SnapDecoder, met *queryMetrics,
-	onEpoch func(int, *engine.Snapshot)) *client {
-	return &client{
-		idx:     idx,
-		cfg:     cfg,
-		dec:     dec,
-		met:     met,
-		onEpoch: onEpoch,
-		pend:    make(map[uint32]*call),
+func newClient(idx int, cfg Config, p rbpc.Provision, ring *shard.Ring, dec *engine.SnapDecoder) *client {
+	own := make([]bool, p.Graph.Order())
+	for src := range own {
+		own[src] = ring.Owner(graph.NodeID(src)) == idx
+	}
+	c := &client{
+		idx:   idx,
+		cfg:   cfg,
+		dec:   dec,
+		nodes: p.Graph.Order(),
+		links: p.Graph.Size(),
+		pairs: engine.PrimaryIndex(p.Graph, p.Primaries, own),
+		pend:  make(map[uint32]*call),
+		done:  make(chan struct{}),
+	}
+	if cfg.HealthEvery > 0 {
+		go c.healthLoop()
+	}
+	return c
+}
+
+// healthLoop pings the worker on the configured cadence; a failed ping
+// runs the full timeout/retry ladder inside rpc and marks the worker
+// dead, which is what diverts its sources to the cold tier.
+func (c *client) healthLoop() {
+	t := time.NewTicker(c.cfg.HealthEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.done:
+			return
+		case <-t.C:
+			if c.alive.Load() {
+				c.ping()
+			}
+		}
+	}
+}
+
+// attachWithin dials and attaches the worker, retrying inside the dial
+// budget.
+func (c *client) attachWithin() error {
+	deadline := time.Now().Add(c.cfg.DialBudget)
+	for {
+		err := c.attach()
+		if err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("shardrpc: worker %d: attach budget exhausted: %w", c.idx, err)
+		}
+		time.Sleep(c.cfg.DialTimeout / 4)
 	}
 }
 
@@ -91,20 +150,20 @@ func newClient(idx int, cfg Config, dec *engine.SnapDecoder, met *queryMetrics,
 // ring/topology contract from the hello, and waits for the priming
 // snapshot before declaring the worker alive — so a caller returning
 // from attach can immediately build whole views.
-func (c *client) attach(wantShards, wantVNodes int, wantSeed uint64, nodes, links int) error {
+func (c *client) attach() error {
 	control, h, err := c.dialOne(roleControl)
 	if err != nil {
 		return err
 	}
-	if int(h.shards) != wantShards || int(h.vnodes) != wantVNodes || h.ringSeed != wantSeed {
+	if int(h.shards) != c.cfg.Shards || int(h.vnodes) != c.cfg.VNodes || h.ringSeed != c.cfg.RingSeed {
 		control.Close()
 		return fmt.Errorf("shardrpc: worker %d ring contract (%d shards, %d vnodes, seed %#x) differs from coordinator (%d, %d, %#x)",
-			c.idx, h.shards, h.vnodes, h.ringSeed, wantShards, wantVNodes, wantSeed)
+			c.idx, h.shards, h.vnodes, h.ringSeed, c.cfg.Shards, c.cfg.VNodes, c.cfg.RingSeed)
 	}
-	if int(h.shard) != c.idx || int(h.nodes) != nodes || int(h.links) != links {
+	if int(h.shard) != c.idx || int(h.nodes) != c.nodes || int(h.links) != c.links {
 		control.Close()
 		return fmt.Errorf("shardrpc: worker %d hello claims shard %d of a %d-node/%d-link topology, want %d of %d/%d",
-			c.idx, h.shard, h.nodes, h.links, c.idx, nodes, links)
+			c.idx, h.shard, h.nodes, h.links, c.idx, c.nodes, c.links)
 	}
 	// The worker primes the replica right after the hello; read it
 	// synchronously so the attach postcondition is a current replica.
@@ -158,8 +217,8 @@ func (c *client) dialOne(role byte) (*Conn, hello, error) {
 	if err != nil {
 		return nil, hello{}, fmt.Errorf("shardrpc: dial worker %d: %w", c.idx, err)
 	}
-	conn := NewConn(nc)
-	if role == roleControl && c.idx == 0 && c.cfg.Fault == FaultTornFrame {
+	conn := newConn(nc, &c.torn)
+	if role == roleControl && c.idx == 0 && c.cfg.Engine.Fault == engine.FaultTornFrame {
 		armTornFrame(conn)
 	}
 	if err := conn.WriteFrame(ftAttach, role, 0, nil); err != nil {
@@ -210,8 +269,8 @@ func (c *client) storeReplica(snap *engine.Snapshot) {
 			break
 		}
 	}
-	if c.onEpoch != nil {
-		c.onEpoch(c.idx, snap)
+	if c.cfg.OnEpoch != nil {
+		c.cfg.OnEpoch(c.idx, snap)
 	}
 }
 
@@ -438,28 +497,29 @@ func (c *client) sendBatch(pairs []rbpc.Pair) bool {
 }
 
 // remoteQuery performs one synchronous single-pair query (optionally with
-// a probe edge) and decodes the full answer.
-func (c *client) remoteQuery(src, dst uint32, probe uint32, hasProbe bool) (Answer, error) {
-	c.bmu.Lock()
-	c.batchBuf = grow(c.batchBuf, 12)
-	putU32(c.batchBuf, 0, src)
-	putU32(c.batchBuf, 4, dst)
-	if hasProbe {
-		putU32(c.batchBuf, 8, probe)
-	} else {
-		putU32(c.batchBuf, 8, noEdge)
-	}
-	payload := append([]byte(nil), c.batchBuf[:12]...)
-	c.bmu.Unlock()
-	ca, err := c.rpc(c.queryConn(), ftQuery, 0, payload, ftAnswer)
+// a probe edge), decodes the full answer, and counts it: this is where
+// the answer of every synchronous query lands.
+func (c *client) remoteQuery(src, dst graph.NodeID, ed graph.EdgeID, hasProbe bool) (Answer, error) {
+	t0 := time.Now()
+	ca, err := c.rpc(c.queryConn(), ftQuery, 0, appendQuery(nil, src, dst, ed, hasProbe), ftAnswer)
 	if err != nil {
 		return Answer{}, err
 	}
-	return decodeAnswer(ca.payload, c.dec)
+	ans, err := decodeAnswer(ca.payload, c.dec)
+	if err != nil {
+		return Answer{}, err
+	}
+	key := uint64(c.idx)
+	c.met.queries.Add(key, 1)
+	c.met.latency.Record(key, time.Since(t0))
+	if ans.Route == nil && src != dst {
+		c.met.unroutable.Add(key, 1)
+	}
+	return ans, nil
 }
 
-// burst broadcasts churn events. The ack is awaited asynchronously — the
-// pending entry resolves when the worker confirms, and only a write
+// burst ships one encoded churn burst. The ack is awaited asynchronously
+// — the pending entry resolves when the worker confirms, and only a write
 // failure (dead transport) surfaces here; ordering against the following
 // flush is the control connection's FIFO.
 func (c *client) burst(payload []byte) error {
@@ -500,26 +560,127 @@ func (c *client) flush() (uint64, error) {
 	return getU64(ca.payload, 0), nil
 }
 
-func (c *client) drain() error {
-	_, err := c.rpc(c.controlConn(), ftDrain, 0, nil, ftDrainAck)
-	return err
-}
-
-func (c *client) stats() (engine.Stats, error) {
-	ca, err := c.rpc(c.controlConn(), ftStats, 0, nil, ftStatsAck)
-	if err != nil {
-		return engine.Stats{}, err
+// ping is the health check; the pong carries the count of torn frames
+// the worker's end of the wire has dropped (0 when the ping fails).
+func (c *client) ping() int64 {
+	ca, err := c.rpc(c.controlConn(), ftPing, 0, nil, ftPong)
+	if err != nil || len(ca.payload) != 8 {
+		return 0
 	}
-	return decodeStats(ca.payload)
+	return int64(getU64(ca.payload, 0))
 }
 
-func (c *client) ping() error {
-	_, err := c.rpc(c.controlConn(), ftPing, 0, nil, ftPong)
-	return err
+// --- shard.Worker -----------------------------------------------------------
+
+// Apply ships the burst as one frame; a dead worker misses it and is
+// resynced from the coordinator's model on Reattach.
+func (c *client) Apply(evs []failure.Event) {
+	if c.alive.Load() {
+		c.burst(appendBurst(nil, evs))
+	}
 }
 
-// close tears the client down (used at coordinator shutdown; not a
-// worker death).
-func (c *client) close() {
+// Flush is the cross-process barrier: the worker runs its engine flush
+// and acks with its post-barrier epoch; because its snapshot frames
+// precede the ack on the same connection, returning means the replica
+// reflects every burst sent before the call.
+func (c *client) Flush() {
+	if c.alive.Load() {
+		c.flush()
+	}
+}
+
+// Query is one round trip on a pool connection. ok is false when the
+// worker is down or died mid-query.
+func (c *client) Query(src, dst graph.NodeID) (engine.Result, bool) {
+	if !c.alive.Load() {
+		return engine.Result{}, false
+	}
+	ans, err := c.remoteQuery(src, dst, 0, false)
+	if err != nil {
+		return engine.Result{}, false
+	}
+	return engine.Result{Src: src, Dst: dst, Route: ans.Route, Snap: c.snapFor(ans)}, true
+}
+
+// snapFor resolves the snapshot to attach to a query result: the decoded
+// replica when it matches the answering epoch, else a detached snapshot
+// of the answer's failed-set (the replica frame may still be in flight).
+func (c *client) snapFor(ans Answer) *engine.Snapshot {
+	if rep := c.replica.Load(); rep.Epoch() == ans.Epoch {
+		return rep
+	}
+	return c.dec.Detached(ans.Failed, ans.Epoch)
+}
+
+// Probe ships the probe edge with the query: only the worker can walk
+// the shard's data plane, so the whole verdict comes back on the wire.
+func (c *client) Probe(src, dst graph.NodeID, ed graph.EdgeID) (probe.ProbeResult, bool) {
+	if !c.alive.Load() {
+		return probe.ProbeResult{}, false
+	}
+	ans, err := c.remoteQuery(src, dst, ed, true)
+	return ans.ProbeResult, err == nil
+}
+
+// SubmitBatch ships one frame; the sub-batch is shed whole when the
+// worker is down, the in-flight budget is spent, or the write fails.
+func (c *client) SubmitBatch(pairs []rbpc.Pair) int {
+	if c.sendBatch(pairs) {
+		return len(pairs)
+	}
+	c.met.dropped.Add(uint64(c.idx), int64(len(pairs)))
+	return 0
+}
+
+func (c *client) AffectedPairs(ed graph.EdgeID) []graph.NodePair { return c.pairs.Pairs(ed) }
+
+// Snapshot is the latest decoded replica (non-nil once attached; a dead
+// worker keeps its last one).
+func (c *client) Snapshot() *engine.Snapshot { return c.replica.Load() }
+
+func (c *client) Alive() bool { return c.alive.Load() }
+
+// Drain settles the worker's queues, then waits for the answer batches
+// still crossing the wire (the worker has served them — drain acked —
+// but the frames may not have landed). Batches pending on a worker that
+// dies are accounted dropped by the death path.
+func (c *client) Drain() {
+	if c.alive.Load() {
+		c.rpc(c.controlConn(), ftDrain, 0, nil, ftDrainAck)
+	}
+	for deadline := time.Now().Add(c.cfg.AckTimeout); time.Now().Before(deadline); {
+		c.mu.Lock()
+		busy := c.inflight > 0
+		c.mu.Unlock()
+		if !busy {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// Stats scrapes the worker's engine over the wire (zeros while it is
+// down) and adds the serving counters kept on this side of it.
+func (c *client) Stats() engine.Stats {
+	var st engine.Stats
+	if c.alive.Load() {
+		if ca, err := c.rpc(c.controlConn(), ftStats, 0, nil, ftStatsAck); err == nil {
+			st, _ = decodeStats(ca.payload)
+		}
+	}
+	st.Queries += c.met.queries.Load()
+	st.Unroutable += c.met.unroutable.Load()
+	st.Dropped += c.met.dropped.Load()
+	if s := c.met.latency.Summarize(); s.Count > 0 {
+		st.QueryLatency = s
+	}
+	return st
+}
+
+// Close tears the connections down (coordinator shutdown, not a worker
+// death). Worker processes are owned by the supervisor, not the client.
+func (c *client) Close() {
+	close(c.done)
 	c.die(c.generation(), fmt.Errorf("shardrpc: coordinator closed"))
 }

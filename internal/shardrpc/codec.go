@@ -9,6 +9,7 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
 
@@ -223,12 +224,10 @@ type Answer struct {
 	Epoch  uint64
 	Failed []graph.EdgeID
 	Route  *engine.Route
-	// Routable mirrors Route != nil on the wire; Delivered is the
-	// data-plane walk verdict; FailedContains reports whether the probe
-	// edge was in the answering epoch's failed-set.
-	Routable       bool
-	Delivered      bool
-	FailedContains bool
+	// The verdict rides as three flag bits: Routable mirrors Route != nil;
+	// FailedContains and Delivered are set only when the query carried a
+	// probe edge (see probe.Verdict).
+	probe.ProbeResult
 }
 
 func appendAnswer(buf []byte, a Answer) []byte {

@@ -12,6 +12,7 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
 
@@ -228,9 +229,9 @@ func TestAnswerCodecRoundTrip(t *testing.T) {
 		t.Fatal("no provisioned route to round-trip")
 	}
 	cases := []Answer{
-		{Epoch: 3, Failed: []graph.EdgeID{1, 5, 9}, Route: rt, Routable: true, Delivered: true, FailedContains: true},
-		{Epoch: 0, Routable: false},
-		{Epoch: 1 << 40, Failed: []graph.EdgeID{0}, Routable: false, FailedContains: true},
+		{Epoch: 3, Failed: []graph.EdgeID{1, 5, 9}, Route: rt, ProbeResult: probe.ProbeResult{Routable: true, Delivered: true, FailedContains: true}},
+		{Epoch: 0},
+		{Epoch: 1 << 40, Failed: []graph.EdgeID{0}, ProbeResult: probe.ProbeResult{FailedContains: true}},
 	}
 	for i, want := range cases {
 		got, err := decodeAnswer(appendAnswer(nil, want), dec)

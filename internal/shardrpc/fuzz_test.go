@@ -8,6 +8,7 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/topology"
 )
@@ -132,10 +133,9 @@ func seedSnapshotFrame(selector byte) []byte {
 
 func seedAnswerFrame() []byte {
 	return appendAnswer([]byte{fuzzAnswer}, Answer{
-		Epoch:          5,
-		Failed:         []graph.EdgeID{1, 4},
-		Routable:       false,
-		FailedContains: true,
+		Epoch:       5,
+		Failed:      []graph.EdgeID{1, 4},
+		ProbeResult: probe.ProbeResult{FailedContains: true},
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rbpc/internal/engine"
 	"rbpc/internal/graph"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
@@ -174,9 +175,6 @@ func TestProcMatchesInProcess(t *testing.T) {
 	// answering epoch + failed-set on the wire).
 	for s := 0; s < n; s++ {
 		src := graph.NodeID(s)
-		if !proc.dec.Materialized(src) {
-			continue
-		}
 		dst := graph.NodeID((s + 1) % n)
 		if src == dst {
 			continue
@@ -261,10 +259,10 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	farm.kill(victim)
 	// The severed control pipe kills the reader immediately.
 	deadline := time.Now().Add(2 * time.Second)
-	for proc.Alive(victim) && time.Now().Before(deadline) {
+	for proc.Shard(victim).Alive() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if proc.Alive(victim) {
+	if proc.Shard(victim).Alive() {
 		t.Fatal("worker never marked dead after its control connection died")
 	}
 	if _, ok := proc.View(); ok {
@@ -277,7 +275,7 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	served := 0
 	for s := 0; s < n && served < 4; s++ {
 		src := graph.NodeID(s)
-		if proc.ring.Owner(src) != victim || !proc.dec.Materialized(src) {
+		if proc.Owner(src) != victim {
 			continue
 		}
 		for d := 0; d < n; d++ {
@@ -307,7 +305,7 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	if err := proc.Reattach(victim); err != nil {
 		t.Fatal(err)
 	}
-	if !proc.Alive(victim) {
+	if !proc.Shard(victim).Alive() {
 		t.Fatal("worker not alive after reattach")
 	}
 	pv, ok := proc.View()
@@ -334,11 +332,6 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 			if w == nil && g == nil {
 				continue
 			}
-			// Cold-tier reference answers have no view entry; compare only
-			// materialized rows.
-			if !proc.dec.Materialized(src) {
-				continue
-			}
 			if (w == nil) != (g == nil) ||
 				(w != nil && math.Float64bits(w.Cost) != math.Float64bits(g.Cost)) {
 				t.Fatalf("pair %d->%d diverges after reattach", s, d)
@@ -356,7 +349,7 @@ func TestProcTornFrameCaught(t *testing.T) {
 	p := buildProvision(t, 12, 9)
 	farm := newPipeFarm(t, p, Config{Shards: shards})
 	cfg := testConfig(farm, shards)
-	cfg.Fault = FaultTornFrame
+	cfg.Engine.Fault = engine.FaultTornFrame
 	proc, err := NewCoordinator(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -376,14 +369,76 @@ func TestProcTornFrameCaught(t *testing.T) {
 	if rep := proc.Replica(1); len(rep.Failed()) != 1 {
 		t.Fatalf("worker 1 replica failed-set %v, want one edge", rep.Failed())
 	}
-	tornTotal := int64(0)
-	for _, w := range farm.workers {
-		if c := w.control.Load(); c != nil {
-			tornTotal += c.Torn()
-		}
+	if got := farm.workers[0].torn.Load(); got != 1 {
+		t.Fatalf("worker 0 dropped %d torn frames, want exactly 1", got)
 	}
-	if tornTotal != 1 {
-		t.Fatalf("worker side dropped %d torn frames, want exactly 1", tornTotal)
+	// The frame was dropped at the worker's end of the wire; Torn() must
+	// see it all the same.
+	if got := proc.Torn(); got < 1 {
+		t.Fatalf("Torn() = %d after a torn burst frame, want >= 1", got)
+	}
+}
+
+// TestProcTornCleanRunReadsZero is the other half of the Torn() contract:
+// churn, flushes and queries over a sound transport drop nothing.
+func TestProcTornCleanRunReadsZero(t *testing.T) {
+	const shards = 2
+	p := buildProvision(t, 12, 9)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	proc, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	proc.Fail(3)
+	proc.Flush()
+	proc.Query(0, 5)
+	proc.Repair(3)
+	proc.Flush()
+	if _, ok := proc.View(); !ok {
+		t.Fatal("clean run has a torn view")
+	}
+	if got := proc.Torn(); got != 0 {
+		t.Fatalf("Torn() = %d on a clean run, want 0", got)
+	}
+}
+
+// TestQueriesCountedOnceInBothModes: N Query + M ProbeQuery calls raise
+// Stats().Queries by exactly N+M through the in-process coordinator and
+// through the pipe-backed one — every answered query is counted once, by
+// the worker implementation that answered it.
+func TestQueriesCountedOnceInBothModes(t *testing.T) {
+	const shards, nQuery, nProbe = 2, 7, 5
+	p := buildProvision(t, 12, 9)
+	inproc, err := shard.New(p, shard.Config{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	wire, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.Close()
+
+	n := p.Graph.Order()
+	for name, c := range map[string]*shard.Coordinator{"in-process": inproc, "wire": wire.Coordinator} {
+		before := c.Stats().Queries
+		for i := 0; i < nQuery; i++ {
+			if c.Query(graph.NodeID(i%n), graph.NodeID((i+3)%n)).Route == nil {
+				t.Fatalf("%s: query %d unroutable on a pristine network", name, i)
+			}
+		}
+		for i := 0; i < nProbe; i++ {
+			if !c.ProbeQuery(graph.NodeID(i%n), graph.NodeID((i+5)%n), 0).Routable {
+				t.Fatalf("%s: probe %d unroutable on a pristine network", name, i)
+			}
+		}
+		if got := c.Stats().Queries - before; got != nQuery+nProbe {
+			t.Errorf("%s: %d Query + %d ProbeQuery raised Stats().Queries by %d, want %d",
+				name, nQuery, nProbe, got, nQuery+nProbe)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package shardrpc moves the shard coordinator's workers out of process:
 // the same consistent-hash partition internal/shard serves from one
 // address space, served by N worker processes over a length-prefixed
-// binary protocol on Unix domain sockets. The ring, the slice each worker
-// owns (shard.SliceProvision), and the delta-row engines are byte-for-byte
-// the ones the in-process coordinator builds — the transport only carries
-// the traffic between them, so a process-mode deployment answers
-// bit-identically to `-shards N` (the chaos lockstep oracle proves it over
-// a pipe transport).
+// binary protocol on Unix domain sockets. It is transport only — codec,
+// Conn, the socket client that implements shard.Worker, the Worker
+// server, the Fleet supervisor, attach/reattach/health — under the one
+// shard.Coordinator: NewCoordinator dials the workers and hands them to
+// it. The ring, the slice each worker owns (shard.SliceProvision), and
+// the delta-row engines are byte-for-byte the ones shard.New builds, so a
+// process-mode deployment answers bit-identically to `-shards N` (the
+// chaos lockstep oracle proves it over a pipe transport).
 //
 // Wire shape. Every frame is a fixed 20-byte header (magic, payload
 // length, sequence, type, flags, FNV-1a payload checksum) followed by the
@@ -21,14 +23,15 @@
 // connection; workers push each published epoch back as an overlay-only
 // snapshot frame (engine.Snapshot.AppendWire — the canonical forest is
 // rebuilt once per process from the topology and never shipped), so the
-// coordinator's View() merges decoded replicas exactly the way the
-// in-process coordinator merges atomic snapshot pointers, still refusing
-// torn (disagreeing) epochs. Flush is an explicit barrier frame: the
-// worker's engine taps OnEpoch on its writer goroutine, writing the
-// snapshot frame on the control connection before the flush ack, so a
-// flush ack guarantees the coordinator's replica is current. Query
-// batches fan out one frame per owning worker per batch and answers
-// demultiplex by sequence number over per-worker connection pools.
+// decoded replica is the shard's current snapshot as the coordinator sees
+// it, and View() merges replicas exactly the way it merges in-process
+// snapshot pointers, still refusing torn (disagreeing) epochs. Flush is
+// an explicit barrier frame: the worker's engine taps OnEpoch on its
+// writer goroutine, writing the snapshot frame on the control connection
+// before the flush ack, so a flush ack guarantees the coordinator's
+// replica is current. Query batches fan out one frame per owning worker
+// per batch and answers demultiplex by sequence number over per-worker
+// connection pools.
 //
 // Failure. Per-worker health checks, a configurable dial/ack timeout
 // with bounded retry, and crash diversion: while a worker is down its
@@ -44,48 +47,11 @@ import (
 	"time"
 
 	"rbpc/internal/engine"
+	"rbpc/internal/failure"
+	"rbpc/internal/graph"
+	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 )
-
-// Fault selects a deliberate transport defect for the chaos harness.
-// Production uses FaultNone.
-type Fault int
-
-const (
-	// FaultNone is the correct transport.
-	FaultNone Fault = iota
-	// FaultTornFrame corrupts one burst frame on worker 0's control
-	// connection after the checksum is computed — the torn frame is
-	// dropped by the receiver, the worker silently misses churn, and its
-	// replica's failed-set disagrees at the next flush. The conformance
-	// oracle must catch the divergence.
-	FaultTornFrame
-)
-
-// String names the fault the way the chaos corpus spells it.
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultTornFrame:
-		return "torn-frame"
-	}
-	return fmt.Sprintf("fault(%d)", int(f))
-}
-
-// Faults lists the injectable transport faults.
-func Faults() []Fault { return []Fault{FaultTornFrame} }
-
-// ParseFault resolves a fault name (as written by String).
-func ParseFault(name string) (Fault, error) {
-	switch name {
-	case "none", "":
-		return FaultNone, nil
-	case "torn-frame":
-		return FaultTornFrame, nil
-	}
-	return FaultNone, fmt.Errorf("shardrpc: unknown fault %q", name)
-}
 
 // Dialer opens a transport connection to one worker. The serve command
 // dials the worker's Unix socket; the chaos harness hands back one end of
@@ -104,7 +70,9 @@ type Config struct {
 	VNodes   int
 	RingSeed uint64
 	// Engine is the per-worker engine template; DeltaRows is forced on
-	// (the snapshot wire format only ships overlays).
+	// (the snapshot wire format only ships overlays). Engine.Fault ==
+	// engine.FaultTornFrame is the one fault the transport itself acts on
+	// (chaos harness only).
 	Engine engine.Config
 	// Cold tunes the coordinator-side on-demand tier, which answers both
 	// never-materialized sources and the sources of a crashed worker.
@@ -131,8 +99,6 @@ type Config struct {
 	// OnEpoch, when non-nil, observes every decoded replica snapshot in
 	// arrival order (the chaos flush oracle taps it).
 	OnEpoch func(worker int, snap *engine.Snapshot)
-	// Fault injects a transport defect (chaos harness only).
-	Fault Fault
 }
 
 func (cfg Config) withDefaults() Config {
@@ -164,4 +130,98 @@ func (cfg Config) withDefaults() Config {
 		cfg.Inflight = 256
 	}
 	return cfg
+}
+
+// Coordinator is the process-mode front: the shard.Coordinator itself,
+// over socket clients, plus what only a transport has — replicas by
+// index, raw wire answers, torn-frame counts, and reattaching a
+// replacement worker.
+type Coordinator struct {
+	*shard.Coordinator
+	w []*client
+}
+
+// NewCoordinator attaches every worker through cfg.Dial and hands the
+// clients to the shared coordinator. The workers must already be
+// listening; a worker that cannot be attached within the dial budget
+// fails construction (post-construction crashes are survived,
+// construction requires a whole deployment). The full provision's
+// canonical matrix (SnapDecoder) decodes the workers' replicas here and,
+// in the coordinator, answers for the sources of a crashed worker.
+func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Shards < 1 {
+		return nil, fmt.Errorf("shardrpc: config needs Shards >= 1, got %d", cfg.Shards)
+	}
+	if cfg.Dial == nil {
+		return nil, fmt.Errorf("shardrpc: config needs a Dialer")
+	}
+	ring, err := shard.NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := engine.NewSnapDecoder(p)
+	if err != nil {
+		return nil, err
+	}
+	c := &Coordinator{w: make([]*client, cfg.Shards)}
+	workers := make([]shard.Worker, cfg.Shards)
+	for i := range c.w {
+		c.w[i] = newClient(i, cfg, p, ring, dec)
+		workers[i] = c.w[i]
+		if err := c.w[i].attachWithin(); err != nil {
+			for _, cl := range c.w[:i+1] {
+				cl.Close()
+			}
+			return nil, err
+		}
+	}
+	scfg := shard.Config{Shards: cfg.Shards, VNodes: cfg.VNodes, RingSeed: cfg.RingSeed, Engine: cfg.Engine, Cold: cfg.Cold}
+	c.Coordinator = shard.Over(p, scfg, ring, workers, dec)
+	return c, nil
+}
+
+// Replica returns worker i's latest decoded snapshot.
+func (c *Coordinator) Replica(i int) *engine.Snapshot { return c.w[i].Snapshot() }
+
+// Torn counts the checksum-failed frames dropped on either end of every
+// live worker's connections: this end's own count plus the count each
+// worker reports in its pong. A FaultTornFrame run reads >= 1 — the
+// corrupted burst is dropped by the worker's Conn — and a clean run 0.
+func (c *Coordinator) Torn() int64 {
+	var n int64
+	for _, cl := range c.w {
+		n += cl.torn.Load()
+		if cl.Alive() {
+			n += cl.ping()
+		}
+	}
+	return n
+}
+
+// RemoteQuery exposes the raw single-query RPC to src's owner — the full
+// wire answer (epoch, failed-set, route) rather than the Result wrapper.
+func (c *Coordinator) RemoteQuery(src, dst graph.NodeID) (Answer, error) {
+	return c.w[c.Owner(src)].remoteQuery(src, dst, 0, false)
+}
+
+// Reattach dials a replacement for worker i (the supervisor calls this
+// after respawning the process) and resyncs it: a fresh worker is
+// pristine, so the coordinator's whole model failed-set is replayed as
+// one burst and flushed, after which the worker serves current epochs
+// and its sources leave the cold tier.
+func (c *Coordinator) Reattach(i int) error {
+	cl := c.w[i]
+	if err := cl.attachWithin(); err != nil {
+		return err
+	}
+	if failed := c.Failed(); len(failed) > 0 {
+		evs := make([]failure.Event, len(failed))
+		for j, ed := range failed {
+			evs[j] = failure.Event{Edge: ed}
+		}
+		cl.Apply(evs)
+	}
+	_, err := cl.flush()
+	return err
 }

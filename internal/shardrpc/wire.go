@@ -83,12 +83,17 @@ type Conn struct {
 	// checksum is computed — the write-side fault-injection hook.
 	corrupt func(typ byte, payload []byte)
 
-	torn atomic.Int64
+	// torn counts the frames this end dropped. A client and a worker
+	// point every connection they own at one shared counter.
+	torn *atomic.Int64
 }
 
 // NewConn frames a transport connection.
-func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc}
+func NewConn(nc net.Conn) *Conn { return newConn(nc, new(atomic.Int64)) }
+
+// newConn frames a connection that counts its torn frames into torn.
+func newConn(nc net.Conn, torn *atomic.Int64) *Conn {
+	return &Conn{nc: nc, torn: torn}
 }
 
 // Close closes the underlying connection (unblocking any reader).

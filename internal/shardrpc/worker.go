@@ -10,6 +10,7 @@ import (
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 )
@@ -35,6 +36,10 @@ type Worker struct {
 	// and both share snapBuf.
 	snapMu  sync.Mutex
 	snapBuf []byte //rbpc:guardedby snapMu
+	// torn counts the frames this worker's connections have dropped; the
+	// pong reports it, which is how the coordinator's Torn() sees a frame
+	// that was lost on the way in.
+	torn atomic.Int64
 
 	ringContract hello
 }
@@ -130,7 +135,7 @@ func (w *Worker) Serve(l net.Listener) error {
 // declared by the first frame). The chaos harness calls this directly
 // with pipe ends.
 func (w *Worker) ServeConn(nc net.Conn) error {
-	c := NewConn(nc)
+	c := newConn(nc, &w.torn)
 	defer c.Close()
 	typ, role, _, _, err := c.ReadFrame()
 	if err != nil {
@@ -190,7 +195,9 @@ func (w *Worker) serveControl(c *Conn) error {
 			statsBuf = appendStats(statsBuf[:0], w.eng.Stats())
 			err = c.WriteFrame(ftStatsAck, 0, seq, statsBuf)
 		case ftPing:
-			err = c.WriteFrame(ftPong, 0, seq, nil)
+			ackBuf = grow(ackBuf, 8)
+			putU64(ackBuf, 0, uint64(w.torn.Load()))
+			err = c.WriteFrame(ftPong, 0, seq, ackBuf)
 		default:
 			return fmt.Errorf("shardrpc: worker %d: frame %d on control connection", w.idx, typ)
 		}
@@ -261,31 +268,23 @@ func (w *Worker) serveBatch(payload, ansBuf []byte, n, order int) {
 	}
 }
 
-// answerQuery builds the full answer for a synchronous single query,
-// including the data-plane walk when a probe edge rides along — only the
-// worker owns the shard's real forwarding plane, so the delivery verdict
-// must be computed here, not at the coordinator.
-func (w *Worker) answerQuery(buf []byte, src, dst graph.NodeID, probe graph.EdgeID, hasProbe bool) []byte {
+// answerQuery builds the full answer for a synchronous single query off
+// the current snapshot, including the verdict of the data-plane walk when
+// a probe edge rides along — only the worker owns the shard's real
+// forwarding plane, so it must be computed here, not at the coordinator.
+// The row is read directly, not through engine.Query: a query is counted
+// where its answer lands, on the client.
+func (w *Worker) answerQuery(buf []byte, src, dst graph.NodeID, ed graph.EdgeID, hasProbe bool) []byte {
 	snap := w.eng.Snapshot()
-	a := Answer{Epoch: snap.Epoch(), Failed: snap.Failed()}
+	res := engine.Result{Src: src, Dst: dst, Snap: snap}
 	order := w.g.Order()
 	if int(src) < order && int(dst) < order && src != dst {
-		res := w.eng.Query(src, dst)
-		a.Route = res.Route
-		a.Routable = res.Route != nil
+		res.Route = snap.Route(src, dst)
 	}
+	a := Answer{Epoch: snap.Epoch(), Failed: snap.Failed(), Route: res.Route}
+	a.Routable = res.Route != nil
 	if hasProbe {
-		for _, f := range a.Failed {
-			if f == probe {
-				a.FailedContains = true
-				break
-			}
-		}
-		if a.Route != nil {
-			if pkt, err := snap.DataPlane(src).SendIP(src, dst); err == nil && pkt.At == dst {
-				a.Delivered = true
-			}
-		}
+		a.ProbeResult = probe.Verdict(res, ed)
 	}
 	return appendAnswer(buf, a)
 }

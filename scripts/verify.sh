@@ -1,9 +1,13 @@
 #!/bin/sh
 # verify.sh — the full local gate: formatting, build, vet, the rbpc-lint
-# invariant checkers, tests, and the race detector over the packages with
-# real concurrency (the SSSP solver pool, the CSR lazy build, the oracle's
-# CLOCK cache, the eval fan-outs, and the online engine: epoch snapshots
-# under churn, COW network clones, and the sharded metrics).
+# invariant checkers, tests (the frozen bench/ module included — it is its
+# own module, so root `go test ./...` does not reach it and an API break
+# would otherwise show only when the benchmark pipeline runs), and the
+# race detector over the packages with real concurrency (the SSSP solver
+# pool, the CSR lazy build, the oracle's CLOCK cache, the eval fan-outs,
+# the online engine: epoch snapshots under churn, COW network clones and
+# the sharded metrics; and the shard coordinator, the socket transport
+# and the prober).
 #
 # Usage: scripts/verify.sh   (or: make verify)
 set -eu
@@ -40,9 +44,13 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+echo "==> bench module: go vet + go test (compiles against this checkout)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/graph/... ./internal/spath/... ./internal/eval/... \
-	./internal/engine/... ./internal/rbpc/... ./internal/mpls/...
+	./internal/engine/... ./internal/rbpc/... ./internal/mpls/... \
+	./internal/shard/... ./internal/shardrpc/... ./internal/probe/...
 
 echo "==> chaos conformance suite (long, -race, tagged)"
 go test -race -tags chaos -count=1 ./internal/chaos/
