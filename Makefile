@@ -42,9 +42,12 @@ chaos:
 verify:
 	sh scripts/verify.sh
 
-# Kernel benchmarks (ns/edge and allocs/op for the SSSP hot path).
+# Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op) and the
+# snapshot read path (Snapshot.Route over the nil overlay, an overlay hit
+# and an overlay miss; 0 allocs asserted).
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkSSSPKernel -benchmem ./internal/spath/
+	$(GO) test -run '^$$' -bench BenchmarkSnapshotRoute -benchmem ./internal/engine/
 
 # Serving benchmark: the online engine under open-loop load with failure
 # churn, sharded across 4 pair-space shards with a shard-count sweep;

@@ -241,7 +241,6 @@ func runWindow(g *graph.Graph, sys *rbpc.System, o windowOpts) (windowResult, er
 		PlanCacheCap:   o.planCacheMax,
 		Scheme:         o.scheme,
 		Flood:          o.flood,
-		WarmOracle:     false, // serving reads rows, not the oracle
 	}
 	var eng backend
 	switch {
@@ -452,10 +451,6 @@ func main() {
 	sch, err := engine.ParseScheme(*schemeStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rbpc-serve:", err)
-		os.Exit(2)
-	}
-	if sch != engine.SchemeSource && (*shards > 0 || *shardSweep != "" || *hotSources > 0 || *shardProcs > 0) {
-		fmt.Fprintf(os.Stderr, "rbpc-serve: -scheme %s needs the single-engine path (-shards, -shard-sweep, -shard-procs, and -hot-sources serve the source scheme only)\n", sch)
 		os.Exit(2)
 	}
 

@@ -272,9 +272,6 @@ func (c Case) Run() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	if c.Shards > 0 && c.Scheme != engine.SchemeSource {
-		return Report{}, fmt.Errorf("chaos: sharded cases test the source scheme only (got %v)", c.Scheme)
-	}
 	if c.Procs && c.Shards <= 0 {
 		return Report{}, fmt.Errorf("chaos: process-mode cases require Shards > 0")
 	}

@@ -23,7 +23,7 @@ import (
 // Run it under -race; scripts/verify.sh does.
 func TestChurnStress(t *testing.T) {
 	g := topology.Waxman(24, 0.8, 0.5, 17)
-	e, _ := newEngine(t, g, Config{WarmOracle: true})
+	e, _ := newEngine(t, g, Config{})
 
 	events := failure.ChurnSchedule(g, 120, 3, rand.New(rand.NewSource(23)))
 

@@ -8,80 +8,166 @@ import (
 
 	"rbpc/internal/graph"
 	"rbpc/internal/rbpc"
+	"rbpc/internal/spath"
 	"rbpc/internal/topology"
 )
 
-// TestDeltaRowsMatchDense churns a delta-row engine and a dense engine in
-// lockstep and demands bit-identical answers at every quiescent point,
-// plus the memory accounting that justifies the mode.
-func TestDeltaRowsMatchDense(t *testing.T) {
+// TestOverlayMatchesFullRebuild churns an incremental engine and a
+// FullRebuild engine in lockstep and demands bit-identical snapshots
+// after every event: the incremental engine builds its overlay with
+// mergePlanRow on plan-cache misses and buildOverlayRows on hits, the
+// reference with buildOverlayRows from a from-scratch plan only. Every
+// served cost is also held to the epoch oracle's distance, which neither
+// assembly path feeds.
+func TestOverlayMatchesFullRebuild(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
-	dense, _ := newEngine(t, g, Config{})
-	delta, _ := newEngine(t, g, Config{DeltaRows: true})
+	inc, _ := newEngine(t, g, Config{})
+	ref, _ := newEngine(t, g, Config{FullRebuild: true})
+	n := g.Order()
 
-	rng := rand.New(rand.NewSource(11))
-	edges := g.Edges()
-	down := map[graph.EdgeID]bool{}
 	compare := func(tag string) {
 		t.Helper()
-		dense.Flush()
-		delta.Flush()
-		for s := 0; s < g.Order(); s++ {
-			for d := 0; d < g.Order(); d++ {
+		inc.Flush()
+		ref.Flush()
+		snap := inc.Snapshot()
+		snapsEqualBitwise(t, ref.Snapshot(), snap, n, tag)
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
 				if s == d {
 					continue
 				}
 				src, dst := graph.NodeID(s), graph.NodeID(d)
-				want := dense.Query(src, dst).Route
-				got := delta.Query(src, dst).Route
-				if (got == nil) != (want == nil) {
-					t.Fatalf("%s: %d->%d routable mismatch: delta %v, dense %v",
-						tag, s, d, got != nil, want != nil)
+				dist := snap.Oracle().Dist(src, dst)
+				rt := snap.Route(src, dst)
+				if (rt == nil) != (dist == spath.Unreachable) {
+					t.Fatalf("%s: %d->%d routable %v, oracle distance %v", tag, s, d, rt != nil, dist)
 				}
-				if got == nil {
-					continue
-				}
-				if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
-					t.Fatalf("%s: %d->%d cost %v != %v", tag, s, d, got.Cost, want.Cost)
-				}
-				for i := range got.LSPs {
-					if !got.LSPs[i].Path.Equal(want.LSPs[i].Path) {
-						t.Fatalf("%s: %d->%d component %d path mismatch", tag, s, d, i)
-					}
+				if rt != nil && math.Float64bits(rt.Cost) != math.Float64bits(dist) {
+					t.Fatalf("%s: %d->%d cost %v, oracle distance %v", tag, s, d, rt.Cost, dist)
 				}
 			}
 		}
 	}
 
 	compare("initial")
+	rng := rand.New(rand.NewSource(11))
+	edges := g.Edges()
+	down := map[graph.EdgeID]bool{}
 	for step := 0; step < 30; step++ {
 		e := edges[rng.Intn(len(edges))].ID
 		if down[e] {
 			delete(down, e)
-			dense.Repair(e)
-			delta.Repair(e)
+			inc.Repair(e)
+			ref.Repair(e)
 		} else if len(down) < 3 {
 			down[e] = true
-			dense.Fail(e)
-			delta.Fail(e)
+			inc.Fail(e)
+			ref.Fail(e)
 		}
-		if step%6 == 5 {
-			compare("churn")
-		}
+		compare("churn")
 	}
-	compare("final")
+	if st := inc.Stats().Incremental; st.PairsReused == 0 || st.FullRebuilds != 0 {
+		t.Fatalf("incremental engine did not build incrementally: %+v", st)
+	}
+}
 
-	// With every source hot the canonical matrix is fully materialized, so
-	// delta mode carries a small overlay overhead over dense — the memory
-	// win needs a hot set (TestDeltaRowsColdSource). Just check accounting.
-	resident, denseBytes := delta.Snapshot().RowBytes()
-	if resident == 0 || denseBytes == 0 {
-		t.Fatalf("row accounting missing: resident %d, dense %d", resident, denseBytes)
+// TestOverlayNilAtRest: a snapshot in which no source diverges carries a
+// nil overlay — pristine, and every repair back to it — so with every
+// source hot its resident bytes equal the dense figure exactly, and the
+// wire round-trips the nil overlay as nil.
+func TestOverlayNilAtRest(t *testing.T) {
+	g := topology.Waxman(16, 0.8, 0.5, 3)
+	e, sys := newEngine(t, g, Config{})
+	dec, err := NewSnapDecoder(sys.Export())
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := delta.Stats()
-	if st.RowBytes != resident || st.DenseRowBytes != denseBytes {
-		t.Fatalf("stats row bytes %d/%d disagree with snapshot %d/%d",
-			st.RowBytes, st.DenseRowBytes, resident, denseBytes)
+	atRest := func(tag string) {
+		t.Helper()
+		snap := e.Snapshot()
+		if snap.over != nil {
+			t.Fatalf("%s: overlay not nil at rest", tag)
+		}
+		resident, dense := snap.RowBytes()
+		if resident != dense {
+			t.Fatalf("%s: resident %d bytes, dense %d", tag, resident, dense)
+		}
+		if st := e.Stats(); st.RowBytes != resident || st.DenseRowBytes != dense {
+			t.Fatalf("%s: stats row bytes %d/%d disagree with snapshot %d/%d",
+				tag, st.RowBytes, st.DenseRowBytes, resident, dense)
+		}
+		buf, err := snap.AppendWire(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		got, err := dec.Decode(buf)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tag, err)
+		}
+		if got.over != nil {
+			t.Fatalf("%s: nil overlay decoded as non-nil", tag)
+		}
+		snapsEqualBitwise(t, snap, got, g.Order(), tag)
+	}
+
+	atRest("pristine")
+	for _, ed := range []graph.EdgeID{0, 3, 7} {
+		e.Fail(ed)
+		e.Flush()
+	}
+	snap := e.Snapshot()
+	if snap.over == nil {
+		t.Fatal("three links down but no source diverges")
+	}
+	if resident, dense := snap.RowBytes(); resident <= dense {
+		t.Fatalf("three links down: resident %d bytes does not charge the overlay (dense %d)", resident, dense)
+	}
+	// Repair in a different order than the failures, one epoch each: {0,7}
+	// is a new failed-set (a merge), {0} and pristine are cached plans.
+	for _, ed := range []graph.EdgeID{3, 7, 0} {
+		e.Repair(ed)
+		e.Flush()
+	}
+	atRest("repaired")
+}
+
+// TestPlanRowGet is the property test of the overlay row lookup and its
+// one-word miss filter: over random sorted rows — including destinations
+// at and above 64, which alias lower ones in the mask — every member is
+// found with its own route, every non-member misses, and a non-member
+// whose mask bit is set (an alias of a member) still misses.
+func TestPlanRowGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const universe = 200
+	aliased := 0
+	for trial := 0; trial < 200; trial++ {
+		member := map[graph.NodeID]*Route{}
+		for k := rng.Intn(12) + 1; k > 0; k-- {
+			member[graph.NodeID(rng.Intn(universe))] = &Route{}
+		}
+		var dsts []graph.NodeID
+		var routes []*Route
+		for d := graph.NodeID(0); d < universe; d++ {
+			if rt, ok := member[d]; ok {
+				dsts, routes = append(dsts, d), append(routes, rt)
+			}
+		}
+		row := newPlanRow(dsts, routes)
+		for d := graph.NodeID(0); d < universe; d++ {
+			want, in := member[d]
+			if rt, ok := row.get(d); ok != in || rt != want {
+				t.Fatalf("trial %d: get(%d) = (%p, %v), want (%p, %v); row %v", trial, d, rt, ok, want, in, dsts)
+			}
+			if !in && row.mask&(1<<(uint(d)&63)) != 0 {
+				aliased++
+			}
+		}
+	}
+	if aliased == 0 {
+		t.Fatal("no mask-positive non-member was exercised")
+	}
+	if newPlanRow(nil, nil) != nil {
+		t.Fatal("empty row is not the nil row")
 	}
 }
 
@@ -96,7 +182,7 @@ func TestDeltaRowsColdSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(sys.Export(), Config{DeltaRows: true})
+	e, err := New(sys.Export(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,25 +34,9 @@ type Config struct {
 	// churn that revisits failed-sets — repairs walking back to pristine —
 	// cached plans make epoch builds O(FEC writes).
 	PlanCacheCap int
-	// WarmOracle precomputes post-failure shortest-path trees for every
-	// affected source at epoch build, so reader Dist calls never take the
-	// Dijkstra hit.
-	WarmOracle bool
-	// OracleCap caps each epoch oracle's resident trees (0 = unbounded).
-	OracleCap int
 	// BuildWorkers parallelizes per-source decomposition during plan
 	// computation. Default GOMAXPROCS.
 	BuildWorkers int
-	// DeltaRows selects the delta-encoded snapshot representation: every
-	// epoch shares one canonical matrix and carries per-source overlay
-	// rows holding only the destinations whose route diverges from it
-	// (the splice points), reconstructed on read by Snapshot.Route. In
-	// this mode sources absent from the provision's Routes are never
-	// materialized at all — Snapshot.Materialized reports false and a
-	// query returns nil — which is what lets a shard hold only its source
-	// slice (and a hot-set provision skip cold sources entirely). Dense
-	// mode (false, the default) keeps the flat [src][dst] matrix.
-	DeltaRows bool
 	// FullRebuild forces every epoch's plan to be computed from scratch,
 	// bypassing both the plan cache and the incremental affected-pair
 	// builder. It is the reference mode of the equivalence oracle: a
@@ -183,12 +167,10 @@ type Engine struct {
 	onDemand int64
 	inc      incCounters
 	// Local-restoration writer state (Config.Scheme != SchemeSource):
-	// the ILM patches applied on the current epoch's net, the local plan
-	// serving it, and the shared empty overlay local epochs publish in
-	// delta-row mode.
+	// the ILM patches applied on the current epoch's net and the local
+	// plan serving it.
 	ilmPatches mpls.PatchSet
 	prevLocal  *localPlan
-	emptyOver  []*planRow
 
 	// timers holds the armed hybrid switchover timers.
 	//
@@ -199,10 +181,6 @@ type Engine struct {
 	// canonBytes is the resident cost of the canonical matrix (top-level
 	// slice + every materialized row), fixed after New.
 	canonBytes int64
-	// rowBytes/denseBytes mirror the latest snapshot's accounting for
-	// lock-free scraping (written by the writer, read by Stats).
-	rowBytes   atomic.Int64
-	denseBytes atomic.Int64
 
 	events chan writerMsg
 	// queries is sharded one channel per worker so concurrent submitters
@@ -274,7 +252,10 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		cfg.BuildWorkers = runtime.GOMAXPROCS(0)
 	}
 
-	n := p.Graph.Order()
+	canonical, err := canonicalRows(p)
+	if err != nil {
+		return nil, err
+	}
 	costIndex := paths.NewCostIndex(p.Base)
 	e := &Engine{
 		g:         p.Graph,
@@ -285,7 +266,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		xbase:     p.Base,
 		costIndex: costIndex,
 		live:      paths.NewLiveIndex(p.Base, costIndex),
-		canonical: make([][]*Route, n),
+		canonical: canonical,
 		planCache: newPlanCache(cfg.PlanCacheCap),
 		prevPlan:  emptyPlan,
 		downCount: make(map[rbpc.Pair]int),
@@ -296,69 +277,32 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 
 	e.pairIndex = PrimaryIndex(p.Graph, p.Primaries, nil)
 
-	// Canonical routing matrix from the provisioned routes. Dense mode
-	// allocates every row up front; delta mode allocates rows lazily from
-	// the routes actually provisioned, so sources outside a hot-set
-	// provision stay nil (non-materialized) and cost nothing.
-	if !cfg.DeltaRows {
-		for i := range e.canonical {
-			e.canonical[i] = make([]*Route, n)
-		}
-	}
-	for pr, lsps := range p.Routes {
-		stack, err := mpls.SelfStack(lsps)
-		if err != nil {
-			return nil, fmt.Errorf("engine: provision route %v: %w", pr, err)
-		}
-		var cost float64
-		for _, l := range lsps {
-			cost += l.Path.CostIn(p.Graph)
-		}
-		row := e.canonical[pr.Src]
-		if row == nil {
-			row = make([]*Route, n)
-			e.canonical[pr.Src] = row
-		}
-		row[pr.Dst] = &Route{LSPs: lsps, Stack: stack, Cost: cost}
-	}
-
-	e.canonBytes = int64(n) * 8
-	for _, row := range e.canonical {
-		if row != nil {
-			e.canonBytes += int64(len(row)) * 8
-		}
+	e.canonBytes = int64(len(canonical)) * 8
+	for _, row := range canonical {
+		e.canonBytes += int64(len(row)) * 8
 	}
 
 	// Epoch 0: the pristine snapshot. The provision's network is cloned
 	// (copy-on-write) so the exporting System and the engine part ways.
 	s0 := &Snapshot{
-		epoch:   0,
-		failed:  nil,
-		key:     "",
-		fv:      graph.FailEdges(p.Graph),
-		net:     p.Net.Clone(),
-		oracle:  spath.NewOracle(graph.FailEdges(p.Graph)),
-		created: time.Now(),
-		scheme:  cfg.Scheme,
-		clock:   cfg.Clock,
+		epoch:    0,
+		failed:   nil,
+		key:      "",
+		fv:       graph.FailEdges(p.Graph),
+		net:      p.Net.Clone(),
+		oracle:   spath.NewOracle(graph.FailEdges(p.Graph)),
+		created:  time.Now(),
+		canon:    canonical,
+		rowBytes: e.canonBytes,
+		scheme:   cfg.Scheme,
+		clock:    cfg.Clock,
 	}
-	e.emptyOver = make([]*planRow, n)
 	if cfg.Scheme != SchemeSource {
 		// Pristine local state: no failures, no patches, and (hybrid)
 		// nothing to converge to — the epoch is trivially converged.
 		s0.local = emptyLocal
 		s0.srcReady = true
 		e.prevLocal = emptyLocal
-	}
-	if cfg.DeltaRows {
-		s0.canon = e.canonical
-		s0.over = e.emptyOver
-	} else {
-		s0.rows = e.canonical
-	}
-	s0.rowBytes, s0.denseBytes = e.accountRows(s0.rows, s0.over)
-	if cfg.OracleCap > 0 {
-		s0.oracle.SetCap(cfg.OracleCap)
 	}
 	e.snap.Store(s0)
 
@@ -376,6 +320,32 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		go e.queryWorker(uint64(w))
 	}
 	return e, nil
+}
+
+// canonicalRows builds the canonical routing matrix from the provisioned
+// routes. Rows are allocated lazily from the routes actually provisioned,
+// so sources outside a shard's slice or a hot-set provision stay nil
+// (non-materialized) and cost nothing.
+func canonicalRows(p rbpc.Provision) ([][]*Route, error) {
+	n := p.Graph.Order()
+	canon := make([][]*Route, n)
+	for pr, lsps := range p.Routes {
+		stack, err := mpls.SelfStack(lsps)
+		if err != nil {
+			return nil, fmt.Errorf("engine: provision route %v: %w", pr, err)
+		}
+		var cost float64
+		for _, l := range lsps {
+			cost += l.Path.CostIn(p.Graph)
+		}
+		row := canon[pr.Src]
+		if row == nil {
+			row = make([]*Route, n)
+			canon[pr.Src] = row
+		}
+		row[pr.Dst] = &Route{LSPs: lsps, Stack: stack, Cost: cost}
+	}
+	return canon, nil
 }
 
 // PrimaryIndex builds the static index failed link -> pairs whose
@@ -614,6 +584,7 @@ func (e *Engine) queueLen() int {
 // Stats scrapes the engine's counters.
 func (e *Engine) Stats() Stats {
 	s := e.snap.Load()
+	resident, dense := s.RowBytes()
 	return Stats{
 		Epoch:         s.epoch,
 		SnapshotAge:   s.Age(),
@@ -626,8 +597,8 @@ func (e *Engine) Stats() Stats {
 		PlanCacheHits: e.mCacheHits.Load(),
 		PlanCacheMiss: e.mCacheMiss.Load(),
 		OnDemandLSPs:  atomic.LoadInt64(&e.onDemand),
-		RowBytes:      e.rowBytes.Load(),
-		DenseRowBytes: e.denseBytes.Load(),
+		RowBytes:      resident,
+		DenseRowBytes: dense,
 		QueryLatency:  e.mLatency.Summarize(),
 		EpochBuild:    e.mBuild.Summarize(),
 		Incremental:   e.inc.snapshot(),
@@ -822,9 +793,6 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 
 	fv := graph.FailEdges(e.g, failed...)
 	oracle := spath.NewOracle(fv)
-	if e.cfg.OracleCap > 0 {
-		oracle.SetCap(e.cfg.OracleCap)
-	}
 	if !e.cfg.FullRebuild {
 		// Seed the epoch's oracle with every previous-epoch tree that
 		// provably survives the transition; adopted trees double as the
@@ -883,25 +851,9 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 
 	assembleStart := time.Now()
-	var rows [][]*Route
-	var over []*planRow
-	var warmSrcs []graph.NodeID
-	if e.cfg.DeltaRows {
-		over, warmSrcs = e.assembleOverlay(prev, pl, changed, delta, net)
-	} else {
-		rows, warmSrcs = e.assembleDense(prev, pl, changed, delta, net)
-	}
+	over := e.assembleOverlay(prev, pl, changed, delta, net)
 	e.inc.assembleNs.Add(time.Since(assembleStart).Nanoseconds())
 
-	if e.cfg.WarmOracle {
-		oracle.Precompute(warmSrcs, e.cfg.BuildWorkers)
-	}
-
-	var canon [][]*Route
-	if e.cfg.DeltaRows {
-		canon = e.canonical
-	}
-	resident, dense := e.accountRows(rows, over)
 	epoch := prev.epoch + 1
 	// Hybrid phase two carries the phase-one snapshot's local serving
 	// state with srcReady set: source rows are ready, and each source
@@ -932,11 +884,9 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		net:        net,
 		oracle:     oracle,
 		created:    time.Now(),
-		canon:      canon,
+		canon:      e.canonical,
 		over:       over,
-		rows:       rows,
-		rowBytes:   resident,
-		denseBytes: dense,
+		rowBytes:   e.canonBytes + overlayBytes(over),
 		scheme:     scheme,
 		local:      local,
 		horizon:    horizon,
@@ -956,162 +906,6 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	if e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(next)
 	}
-}
-
-// assembleDense builds the dense serving matrix for the next epoch. The
-// delta path shares every untouched row of the previous snapshot
-// (copy-on-write) and rewrites only the changed pairs; the full path
-// (cache hits, reference mode, fault paths) starts from canonical rows
-// and applies the whole plan. Both rewrite the FEC entries of the pairs
-// they touch on the epoch's cloned net.
-func (e *Engine) assembleDense(prev *Snapshot, pl *plan, changed []rbpc.Pair, delta bool, net *mpls.Network) ([][]*Route, []graph.NodeID) {
-	var rows [][]*Route
-	var warmSrcs []graph.NodeID
-	if delta {
-		// Delta apply: share every untouched row of the previous snapshot
-		// (copy-on-write), rewriting only the pairs whose route changed —
-		// recomputed plan entries and pairs leaving the plan. Reused plan
-		// entries are already in the previous rows by construction.
-		//
-		// The rewrite fans out by source, lock-free: changed is
-		// (src, dst)-sorted, so contiguous spans partition it by source,
-		// and a worker owning a span writes only rows[src] (one disjoint
-		// top-level slot) and router src's FEC table (router-granular
-		// copy-on-write; counters are atomic). The WaitGroup below is the
-		// single publication barrier — every slot write happens before the
-		// snapshot pointer store, and no reader sees a partial epoch
-		// because readers only ever traverse the published pointer.
-		rows = make([][]*Route, len(prev.rows))
-		copy(rows, prev.rows)
-		type srcSpan struct {
-			src    graph.NodeID
-			lo, hi int
-		}
-		var spans []srcSpan
-		for lo := 0; lo < len(changed); {
-			hi := lo + 1
-			for hi < len(changed) && changed[hi].Src == changed[lo].Src {
-				hi++
-			}
-			spans = append(spans, srcSpan{src: changed[lo].Src, lo: lo, hi: hi})
-			lo = hi
-		}
-		applySpan := func(sp srcSpan) {
-			row := make([]*Route, len(prev.rows[sp.src]))
-			copy(row, prev.rows[sp.src])
-			for _, pr := range changed[sp.lo:sp.hi] {
-				if rt, covered := pl.routes[pr]; covered {
-					row[pr.Dst] = rt
-				} else {
-					row[pr.Dst] = e.canonical[pr.Src][pr.Dst]
-				}
-			}
-			rows[sp.src] = row
-			// Forwarding plane: only changed pairs need their FEC
-			// rewritten; reused routes kept their entries in the cloned net.
-			for _, pr := range changed[sp.lo:sp.hi] {
-				if _, covered := pl.routes[pr]; !covered && e.cfg.Fault == FaultSkipFECRewrite {
-					continue // injected defect: leaving pairs keep stale labels
-				}
-				if rt := row[pr.Dst]; rt == nil {
-					net.ClearFEC(pr.Src, pr.Dst)
-				} else {
-					net.SetFEC(pr.Src, pr.Dst, mpls.FECEntry{Stack: rt.Stack, OutEdge: mpls.LocalProcess})
-				}
-			}
-		}
-		if workers := min(e.cfg.BuildWorkers, len(spans)); workers > 1 {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(spans) {
-							return
-						}
-						applySpan(spans[i])
-					}
-				}()
-			}
-			wg.Wait() // publication barrier: all slot writes precede the snap.Store below
-		} else {
-			for _, sp := range spans {
-				applySpan(sp)
-			}
-		}
-		for _, sp := range spans {
-			warmSrcs = append(warmSrcs, sp.src)
-		}
-	} else {
-		// Full apply (cache hits, reference mode, fault paths): fresh
-		// top-level slice over shared canonical rows, deep-copying only
-		// the rows this transition touches.
-		rows = make([][]*Route, len(e.canonical))
-		copy(rows, e.canonical)
-		touched := make(map[graph.NodeID][]*Route)
-		row := func(src graph.NodeID) []*Route {
-			r, ok := touched[src]
-			if !ok {
-				r = make([]*Route, len(e.canonical[src]))
-				copy(r, e.canonical[src])
-				touched[src] = r
-				rows[src] = r
-			}
-			return r
-		}
-
-		// Apply the new plan; pairs in the previous plan but not this one
-		// fall back to canonical simply by starting from canonical rows —
-		// their FEC entries are rewritten below.
-		for pr, rt := range pl.routes {
-			row(pr.Src)[pr.Dst] = rt
-		}
-
-		// Forwarding plane: rewrite the FEC entry of every pair in either
-		// plan to match the new matrix.
-		writeFEC := func(pr rbpc.Pair) {
-			rt := rows[pr.Src][pr.Dst]
-			if rt == nil {
-				net.ClearFEC(pr.Src, pr.Dst)
-				return
-			}
-			net.SetFEC(pr.Src, pr.Dst, mpls.FECEntry{Stack: rt.Stack, OutEdge: mpls.LocalProcess})
-		}
-		for pr := range pl.routes {
-			writeFEC(pr)
-		}
-		if e.cfg.Fault != FaultSkipFECRewrite {
-			for pr := range e.prevPlan.routes {
-				if _, covered := pl.routes[pr]; !covered {
-					writeFEC(pr)
-				}
-			}
-		}
-		for s := range touched {
-			warmSrcs = append(warmSrcs, s)
-		}
-	}
-	return rows, warmSrcs
-}
-
-// accountRows computes the resident routing-matrix bytes of a snapshot
-// holding the given dense rows / overlay and the dense all-pairs
-// equivalent, mirroring both into the engine's scrape counters. Dense
-// mode holds the full matrix by construction; delta mode pays for
-// materialized canonical rows plus the overlay.
-func (e *Engine) accountRows(rows [][]*Route, over []*planRow) (resident, dense int64) {
-	n := int64(len(e.canonical))
-	dense = n*8 + n*n*8
-	resident = dense
-	if rows == nil {
-		resident = e.canonBytes + overlayBytes(over)
-	}
-	e.rowBytes.Store(resident)
-	e.denseBytes.Store(dense)
-	return resident, dense
 }
 
 // resolveRoute maps a decomposition onto LSPs via the shared resolver,

@@ -17,10 +17,16 @@ import (
 // to the topology order. Rows are immutable once built and shared across
 // epochs for sources a transition does not touch.
 //
+// mask is a one-word miss filter: bit dst&63 is set for every entry.
+// Under a few failures many sources own a short row, and almost every
+// query of such a source is for a destination the row does not hold; the
+// mask answers those without the search (measured in DESIGN.md §9).
+//
 //rbpc:immutable
 type planRow struct {
 	dsts   []graph.NodeID
 	routes []*Route
+	mask   uint64
 }
 
 // get returns the override for d and whether one exists. Hand-rolled
@@ -29,6 +35,9 @@ type planRow struct {
 //
 //rbpc:hotpath
 func (r *planRow) get(d graph.NodeID) (*Route, bool) {
+	if r.mask&(1<<(uint(d)&63)) == 0 {
+		return nil, false
+	}
 	lo, hi := 0, len(r.dsts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -56,7 +65,11 @@ func newPlanRow(dsts []graph.NodeID, routes []*Route) *planRow {
 	if len(dsts) == 0 {
 		return nil
 	}
-	return &planRow{dsts: dsts, routes: routes}
+	var mask uint64
+	for _, d := range dsts {
+		mask |= 1 << (uint(d) & 63)
+	}
+	return &planRow{dsts: dsts, routes: routes, mask: mask}
 }
 
 // mergePlanRow produces the successor overlay row for one source from the
@@ -109,14 +122,17 @@ func mergePlanRow(prev *planRow, span []rbpc.Pair, pl *plan) *planRow {
 // buildOverlayRows materializes a full overlay from a plan: one row per
 // source holding every plan entry, sorted by destination. Used on the
 // full-apply path (cache hits, fault paths), where the plan is the
-// complete divergence from canonical by construction.
-func buildOverlayRows(n int, pl *plan) ([]*planRow, []graph.NodeID) {
+// complete divergence from canonical by construction. An empty plan
+// yields the nil overlay.
+func buildOverlayRows(n int, pl *plan) []*planRow {
+	if len(pl.routes) == 0 {
+		return nil
+	}
 	byDst := make(map[graph.NodeID][]rbpc.Pair)
 	for pr := range pl.routes {
 		byDst[pr.Src] = append(byDst[pr.Src], pr)
 	}
 	over := make([]*planRow, n)
-	srcs := make([]graph.NodeID, 0, len(byDst))
 	for s, prs := range byDst {
 		sort.Slice(prs, func(i, j int) bool { return prs[i].Dst < prs[j].Dst })
 		dsts := make([]graph.NodeID, len(prs))
@@ -126,33 +142,29 @@ func buildOverlayRows(n int, pl *plan) ([]*planRow, []graph.NodeID) {
 			routes[i] = pl.routes[pr]
 		}
 		over[s] = newPlanRow(dsts, routes)
-		srcs = append(srcs, s)
 	}
-	return over, srcs
+	return over
 }
 
-// assembleOverlay builds the next epoch's overlay rows in delta-row mode,
-// mirroring assembleDense's two arms. The delta path carries the previous
-// epoch's rows forward and merges only the sources the transition's
-// changed span touches; the full path (cache hits, reference mode, fault
-// paths) rebuilds the overlay wholesale from the plan, which is the
-// complete divergence from canonical by construction. Both rewrite the
-// FEC entries of the pairs they touch on the epoch's cloned net —
-// identically to the dense paths, so the data plane cannot tell the
-// representations apart.
-func (e *Engine) assembleOverlay(prev *Snapshot, pl *plan, changed []rbpc.Pair, delta bool, net *mpls.Network) ([]*planRow, []graph.NodeID) {
+// assembleOverlay builds the next epoch's overlay. The delta path carries
+// the previous epoch's rows forward and merges only the sources the
+// transition's changed span touches; the full path (cache hits, reference
+// mode, fault paths) rebuilds the overlay wholesale from the plan, which
+// is the complete divergence from canonical by construction. Both rewrite
+// the FEC entries of the pairs they touch on the epoch's cloned net. An
+// overlay in which no source diverges is returned as nil, so a snapshot
+// at rest holds the canonical matrix and nothing else.
+func (e *Engine) assembleOverlay(prev *Snapshot, pl *plan, changed []rbpc.Pair, delta bool, net *mpls.Network) []*planRow {
 	if delta {
-		over := make([]*planRow, len(prev.over))
+		over := make([]*planRow, len(e.canonical))
 		copy(over, prev.over)
-		var warm []graph.NodeID
 		for lo := 0; lo < len(changed); {
 			hi := lo + 1
 			for hi < len(changed) && changed[hi].Src == changed[lo].Src {
 				hi++
 			}
 			src := changed[lo].Src
-			over[src] = mergePlanRow(prev.over[src], changed[lo:hi], pl)
-			warm = append(warm, src)
+			over[src] = mergePlanRow(over[src], changed[lo:hi], pl)
 			for _, pr := range changed[lo:hi] {
 				if _, covered := pl.routes[pr]; !covered && e.cfg.Fault == FaultSkipFECRewrite {
 					continue // injected defect: leaving pairs keep stale labels
@@ -161,9 +173,14 @@ func (e *Engine) assembleOverlay(prev *Snapshot, pl *plan, changed []rbpc.Pair, 
 			}
 			lo = hi
 		}
-		return over, warm
+		for _, row := range over {
+			if row != nil {
+				return over
+			}
+		}
+		return nil
 	}
-	over, warm := buildOverlayRows(len(e.canonical), pl)
+	over := buildOverlayRows(len(e.canonical), pl)
 	for pr := range pl.routes {
 		e.writeOverlayFEC(net, over, pr)
 	}
@@ -174,16 +191,18 @@ func (e *Engine) assembleOverlay(prev *Snapshot, pl *plan, changed []rbpc.Pair, 
 			}
 		}
 	}
-	return over, warm
+	return over
 }
 
 // overlayRoute reads a pair's route through a not-yet-published overlay:
 // overlay first, canonical fallback — the writer-side twin of
 // Snapshot.Route.
 func (e *Engine) overlayRoute(over []*planRow, src, dst graph.NodeID) *Route {
-	if row := over[src]; row != nil {
-		if rt, ok := row.get(dst); ok {
-			return rt
+	if int(src) < len(over) {
+		if row := over[src]; row != nil {
+			if rt, ok := row.get(dst); ok {
+				return rt
+			}
 		}
 	}
 	if c := e.canonical[src]; c != nil {
@@ -202,10 +221,9 @@ func (e *Engine) writeOverlayFEC(net *mpls.Network, over []*planRow, pr rbpc.Pai
 }
 
 // overlayBytes is the resident-byte accounting of one snapshot's overlay:
-// the top-level slice plus every entry of every row. Rows shared with
-// previous epochs are charged in full — the figure answers "what does
-// holding this snapshot keep alive", the quantity the dense-vs-delta
-// comparison needs.
+// the top-level slice plus every entry of every row (zero for the nil
+// overlay). Rows shared with previous epochs are charged in full — the
+// figure answers "what does holding this snapshot keep alive".
 func overlayBytes(over []*planRow) int64 {
 	b := int64(len(over)) * 8
 	for _, r := range over {

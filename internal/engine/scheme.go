@@ -508,17 +508,10 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 	if e.cfg.Clock != nil {
 		detected = e.cfg.Clock()
 	}
-	var rows, canon [][]*Route
 	var over []*planRow
-	switch {
-	case hybrid:
-		rows, canon, over = prev.rows, prev.canon, prev.over
-	case e.cfg.DeltaRows:
-		canon, over = e.canonical, e.emptyOver
-	default:
-		rows = e.canonical
+	if hybrid {
+		over = prev.over
 	}
-	resident, dense := e.accountRows(rows, over)
 	next := &Snapshot{
 		epoch:      prev.epoch + 1,
 		failed:     failed,
@@ -527,11 +520,9 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 		net:        net,
 		oracle:     oracle,
 		created:    time.Now(),
-		rows:       rows,
-		canon:      canon,
+		canon:      e.canonical,
 		over:       over,
-		rowBytes:   resident,
-		denseBytes: dense,
+		rowBytes:   e.canonBytes + overlayBytes(over),
 		scheme:     e.cfg.Scheme,
 		local:      lp,
 		horizon:    horizon,

@@ -56,33 +56,29 @@ type Snapshot struct {
 	net    *mpls.Network
 	oracle *spath.Oracle // shortest paths in fv (post-failure distances)
 
-	// rows is the dense routing matrix, [src][dst]. The top-level slice is
-	// fresh per epoch; inner rows are shared with the canonical matrix
-	// except for sources the epoch's plan touched (copy-on-write at row
-	// granularity). A nil entry is an unroutable (or self) pair. Nil when
-	// the engine runs in delta-row mode (Config.DeltaRows), where canon
-	// and over below carry the matrix instead.
-	rows [][]*Route
-
-	// canon and over are the delta-encoded matrix (Config.DeltaRows):
-	// canon is the engine's shared canonical matrix — identical across
-	// every epoch, with nil rows for sources the provision did not
-	// materialize — and over holds one divergence row per source the
-	// current failed-set touches (nil = the source serves pure canonical).
-	// A read consults the overlay first and falls back to canonical.
+	// canon and over are the routing matrix, [src][dst], stored as the
+	// paper's observation about it: a restored route is the original with
+	// a short splice, so an epoch differs from the pristine matrix in a
+	// handful of entries. canon is the engine's canonical matrix — the
+	// same slice in every epoch, with nil rows for sources the provision
+	// did not materialize — and over holds one divergence row per source
+	// the current failed-set touches (nil entry = the source serves pure
+	// canonical; nil slice = no source diverges, which is every pristine
+	// epoch and every repair back to one). A read consults the overlay
+	// first and falls back to canonical.
 	canon [][]*Route
 	over  []*planRow
 
-	// rowBytes/denseBytes are the resident-byte accounting of this
-	// epoch's matrix and of the dense all-pairs equivalent (see RowBytes).
-	rowBytes   int64
-	denseBytes int64
+	// rowBytes is the resident-byte accounting of this epoch's matrix (see
+	// RowBytes): the materialized canonical rows plus the overlay. Zero on
+	// a decoded replica, which accounts nothing.
+	rowBytes int64
 
 	created time.Time
 
 	// Local-restoration serving state (Config.Scheme != SchemeSource).
 	// local maps each affected pair to its locally restored answer and is
-	// consulted before the row matrices; under SchemeLocal/SchemeBypass it
+	// consulted before the matrix; under SchemeLocal/SchemeBypass it
 	// wins unconditionally, under SchemeHybrid only until the querying
 	// source's flood horizon passes (and only once srcReady marks the
 	// phase-two snapshot whose rows actually hold the source plan).
@@ -138,10 +134,10 @@ func (s *Snapshot) DataPlane(src graph.NodeID) *mpls.Network {
 func (s *Snapshot) Oracle() *spath.Oracle { return s.oracle }
 
 // Route returns the pair's current concatenation, or nil if the pair is
-// unroutable in this epoch. The returned Route is immutable. In delta-row
-// mode a nil answer for a non-materialized source (see Materialized)
-// means "no precomputed row", not "disconnected" — the sharded serving
-// layer answers those pairs on demand.
+// unroutable in this epoch. The returned Route is immutable. A nil answer
+// for a non-materialized source (see Materialized) means "no precomputed
+// row", not "disconnected" — the sharded serving layer answers those
+// pairs on demand.
 //
 //rbpc:hotpath
 func (s *Snapshot) Route(src, dst graph.NodeID) *Route {
@@ -156,12 +152,11 @@ func (s *Snapshot) Route(src, dst graph.NodeID) *Route {
 			}
 		}
 	}
-	if s.rows != nil {
-		return s.rows[src][dst]
-	}
-	if pr := s.over[src]; pr != nil {
-		if rt, ok := pr.get(dst); ok {
-			return rt
+	if int(src) < len(s.over) {
+		if pr := s.over[src]; pr != nil {
+			if rt, ok := pr.get(dst); ok {
+				return rt
+			}
 		}
 	}
 	if row := s.canon[src]; row != nil {
@@ -171,22 +166,24 @@ func (s *Snapshot) Route(src, dst graph.NodeID) *Route {
 }
 
 // Materialized reports whether the source has a precomputed serving row
-// in this epoch. Always true in dense mode; in delta-row mode it is false
-// for sources outside the provisioned hot set, whose pairs must be
-// answered by an on-demand base-set solve (Corollary 4 guarantees one
-// exists whenever the pair is connected).
+// in this epoch. It is false for sources outside the provisioned hot set
+// (a shard's slice, a hot-set provision), whose pairs must be answered by
+// an on-demand base-set solve (Corollary 4 guarantees one exists whenever
+// the pair is connected).
 //
 //rbpc:hotpath
 func (s *Snapshot) Materialized(src graph.NodeID) bool {
-	return s.rows != nil || s.canon[src] != nil
+	return s.canon[src] != nil
 }
 
 // RowBytes reports the resident bytes this snapshot's routing matrix
 // keeps alive and the bytes a dense all-pairs matrix over the same
 // topology would hold (top-level slice plus n route pointers per source).
-// The ratio is the delta-encoding + cold-pair saving.
+// The two are equal for a snapshot at rest with every source hot; the
+// ratio is the cold-pair saving.
 func (s *Snapshot) RowBytes() (resident, dense int64) {
-	return s.rowBytes, s.denseBytes
+	n := int64(len(s.canon))
+	return s.rowBytes, n*8 + n*n*8
 }
 
 // Age reports how long this snapshot has been the serving epoch (time

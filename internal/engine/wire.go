@@ -1,10 +1,10 @@
 // Snapshot wire codec: the engine-side serialization hooks of the
-// process-mode shard transport (internal/shardrpc). A delta-row snapshot
-// travels as its overlay only — epoch, failed-set, and the per-source
-// divergence rows. The canonical matrix is never shipped: it is a pure
-// function of the provision, so every process rebuilds it once from the
-// topology (SnapDecoder) and the wire carries just the splice points,
-// exactly the delta-row memory argument applied to the network.
+// process-mode shard transport (internal/shardrpc). A snapshot travels as
+// its overlay only — epoch, failed-set, and the per-source divergence
+// rows. The canonical matrix is never shipped: it is a pure function of
+// the provision, so every process rebuilds it once from the topology
+// (SnapDecoder) and the wire carries just the splice points — the
+// snapshot layout's memory argument applied to the network.
 //
 // Costs cross the wire as raw Float64bits, so a decoded replica answers
 // with the same bits the worker served — the bit-identity the chaos
@@ -24,13 +24,15 @@ import (
 	"rbpc/internal/spath"
 )
 
-// AppendWire serializes the snapshot's delta-row serving state — epoch,
-// failed-set, and overlay rows — appending to buf (which may be nil) and
-// returning the extended slice. Only delta-row snapshots serialize; a
-// dense-mode snapshot has no overlay to ship and reports an error.
+// AppendWire serializes the snapshot's serving state — epoch, failed-set,
+// and overlay rows — appending to buf (which may be nil) and returning
+// the extended slice. Only source-scheme snapshots serialize: the local
+// plan and the flood horizons of the other schemes are not wire state,
+// and a replica decoded without them would answer affected pairs wrongly,
+// so a snapshot carrying them reports an error.
 func (s *Snapshot) AppendWire(buf []byte) ([]byte, error) {
-	if s.over == nil {
-		return nil, fmt.Errorf("engine: only delta-row snapshots serialize (dense matrix is not wire state)")
+	if s.local != nil {
+		return nil, fmt.Errorf("engine: %v-scheme snapshot carries local restoration state, which does not serialize", s.scheme)
 	}
 	buf = wireU64(buf, s.epoch)
 	buf = wireU32(buf, uint32(len(s.failed)))
@@ -75,49 +77,29 @@ func AppendRouteWire(buf []byte, rt *Route) []byte {
 
 // SnapDecoder rebuilds engine snapshots from their wire overlay. It holds
 // the shared canonical matrix — reconstructed once from the provision by
-// the same code path engine.New uses, so canonical rows (and their cost
+// canonicalRows, as engine.New does, so canonical rows (and their cost
 // bits) are identical to the worker's — plus the LSP registry that
 // resolves decoded component paths back to provisioned LSP identities.
 type SnapDecoder struct {
-	g         *graph.Graph
-	canon     [][]*Route
-	lspOf     map[string]*mpls.LSP
-	emptyOver []*planRow
+	g     *graph.Graph
+	canon [][]*Route
+	lspOf map[string]*mpls.LSP
 }
 
 // NewSnapDecoder builds the decoder for a provision. The provision must
 // be the full (unsliced) export of the deployment, so the decoder can
 // answer for any shard's sources.
 func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
-	n := p.Graph.Order()
-	d := &SnapDecoder{
-		g:         p.Graph,
-		canon:     make([][]*Route, n),
-		lspOf:     p.LSPs,
-		emptyOver: make([]*planRow, n),
+	canon, err := canonicalRows(p)
+	if err != nil {
+		return nil, err
 	}
-	for pr, lsps := range p.Routes {
-		stack, err := mpls.SelfStack(lsps)
-		if err != nil {
-			return nil, fmt.Errorf("engine: decoder route %v: %w", pr, err)
-		}
-		var cost float64
-		for _, l := range lsps {
-			cost += l.Path.CostIn(p.Graph)
-		}
-		row := d.canon[pr.Src]
-		if row == nil {
-			row = make([]*Route, n)
-			d.canon[pr.Src] = row
-		}
-		row[pr.Dst] = &Route{LSPs: lsps, Stack: stack, Cost: cost}
-	}
-	return d, nil
+	return &SnapDecoder{g: p.Graph, canon: canon, lspOf: p.LSPs}, nil
 }
 
 // Materialized reports whether the source has a canonical serving row.
-// In delta-row mode materialization is static — the overlay only ever
-// diverges provisioned rows — so this answers for every epoch, which is
+// Materialization is static — the overlay only ever diverges provisioned
+// rows — so this answers for every epoch, which is
 // what lets the process-mode coordinator divert cold pairs without
 // consulting any worker.
 func (d *SnapDecoder) Materialized(src graph.NodeID) bool {
@@ -143,7 +125,10 @@ func (d *SnapDecoder) Decode(data []byte) (*Snapshot, error) {
 	if rows < 0 || rows > n {
 		return nil, fmt.Errorf("engine: decode: %d overlay rows on a %d-node graph", rows, n)
 	}
-	over := make([]*planRow, n)
+	var over []*planRow
+	if rows > 0 {
+		over = make([]*planRow, n)
+	}
 	for r := 0; r < rows; r++ {
 		src := int(c.u32())
 		if c.err || src < 0 || src >= n {
@@ -181,7 +166,7 @@ func (d *SnapDecoder) Decode(data []byte) (*Snapshot, error) {
 	if c.remaining() != 0 {
 		return nil, fmt.Errorf("engine: decode: %d trailing bytes after snapshot", c.remaining())
 	}
-	snap := d.detached(failed, epoch)
+	snap := d.Detached(failed, epoch)
 	snap.over = over
 	return snap, nil
 }
@@ -240,16 +225,12 @@ func (d *SnapDecoder) decodeRoute(c *wireCursor) (*Route, error) {
 }
 
 // Detached builds a canonical-only snapshot for an arbitrary failed-set:
-// shared canonical rows, empty overlay, locally computed failure view and
+// shared canonical rows, nil overlay, locally computed failure view and
 // oracle. The process-mode coordinator solves cold-tier queries against
 // one when the owning worker is down — Corollary 4 answers any source
 // from the base set, which is exactly what crash recovery leans on. The
 // failed slice must be sorted ascending; it is retained.
 func (d *SnapDecoder) Detached(failed []graph.EdgeID, epoch uint64) *Snapshot {
-	return d.detached(failed, epoch)
-}
-
-func (d *SnapDecoder) detached(failed []graph.EdgeID, epoch uint64) *Snapshot {
 	fv := graph.FailEdges(d.g, failed...)
 	return &Snapshot{
 		epoch:   epoch,
@@ -257,7 +238,6 @@ func (d *SnapDecoder) detached(failed []graph.EdgeID, epoch uint64) *Snapshot {
 		fv:      fv,
 		oracle:  spath.NewOracle(fv),
 		canon:   d.canon,
-		over:    d.emptyOver,
 		created: time.Now(),
 		scheme:  SchemeSource,
 	}

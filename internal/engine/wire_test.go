@@ -60,12 +60,12 @@ func snapsEqualBitwise(t *testing.T, want, got *Snapshot, n int, tag string) {
 	}
 }
 
-// TestSnapshotWireRoundTrip drives a delta-row engine through churn and
+// TestSnapshotWireRoundTrip drives an engine through churn and
 // proves every published snapshot survives AppendWire/Decode bit-for-bit,
 // including the oracle distances a decoded replica recomputes locally.
 func TestSnapshotWireRoundTrip(t *testing.T) {
 	g := topology.Waxman(14, 0.8, 0.5, 41)
-	eng, sys := newEngine(t, g, Config{DeltaRows: true})
+	eng, sys := newEngine(t, g, Config{})
 	dec, err := NewSnapDecoder(sys.Export())
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 // engine's provision.
 func TestSnapDecoderDetached(t *testing.T) {
 	g := topology.Waxman(12, 0.8, 0.5, 5)
-	eng, sys := newEngine(t, g, Config{DeltaRows: true})
+	eng, sys := newEngine(t, g, Config{})
 	dec, err := NewSnapDecoder(sys.Export())
 	if err != nil {
 		t.Fatal(err)
@@ -167,13 +167,22 @@ func TestSnapDecoderDetached(t *testing.T) {
 	}
 }
 
-// TestSnapshotWireDenseRefuses: dense snapshots have no overlay and must
-// refuse to serialize rather than silently ship an empty frame.
-func TestSnapshotWireDenseRefuses(t *testing.T) {
+// TestSnapshotWireLocalStateRefuses: the local plan and flood horizons
+// of the non-source schemes are not wire state, so their snapshots must
+// refuse to serialize — pristine and churned alike — rather than ship a
+// replica that would answer affected pairs from the overlay alone.
+func TestSnapshotWireLocalStateRefuses(t *testing.T) {
 	g := topology.Waxman(10, 0.8, 0.5, 2)
-	eng, _ := newEngine(t, g, Config{})
-	if _, err := eng.Snapshot().AppendWire(nil); err == nil {
-		t.Fatal("dense snapshot serialized")
+	for _, sch := range []Scheme{SchemeLocal, SchemeBypass, SchemeHybrid} {
+		eng, _ := newEngine(t, g, Config{Scheme: sch})
+		if _, err := eng.Snapshot().AppendWire(nil); err == nil {
+			t.Fatalf("pristine %v snapshot serialized", sch)
+		}
+		eng.Fail(1)
+		eng.Flush()
+		if _, err := eng.Snapshot().AppendWire(nil); err == nil {
+			t.Fatalf("%v snapshot with a link down serialized", sch)
+		}
 	}
 }
 
@@ -182,7 +191,7 @@ func TestSnapshotWireDenseRefuses(t *testing.T) {
 // panic, and the pristine frame must still decode after the abuse.
 func TestSnapDecoderRejectsCorrupt(t *testing.T) {
 	g := topology.Waxman(10, 0.8, 0.5, 8)
-	eng, sys := newEngine(t, g, Config{DeltaRows: true})
+	eng, sys := newEngine(t, g, Config{})
 	dec, err := NewSnapDecoder(sys.Export())
 	if err != nil {
 		t.Fatal(err)

@@ -33,8 +33,8 @@ type Coordinator struct {
 	cold *ColdTier
 	// skew is the injected FaultSkewShard: worker 0 never learns of churn.
 	skew bool
-	// hot marks the sources with a materialized serving row. In delta-row
-	// mode materialization is static (the overlay only ever diverges
+	// hot marks the sources with a materialized serving row.
+	// Materialization is static (the overlay only ever diverges
 	// provisioned rows), so the table answers for every epoch.
 	hot []bool
 	// dec builds detached snapshots of the model for cold solves while an
@@ -59,23 +59,24 @@ type Coordinator struct {
 
 // New partitions the provision across cfg.Shards in-process engines and
 // starts them. Each shard receives only the primaries and routes of the
-// sources it owns (its engines run delta-row mode, so unowned — and
-// unprovisioned cold — sources cost it nothing); graph, base set, and
-// network are shared (each engine clones the network copy-on-write).
-// p.Failed must be empty, as for engine.New.
+// sources it owns (engine rows are allocated per provisioned source, so
+// unowned — and unprovisioned cold — sources cost it nothing); graph,
+// base set, and network are shared (each engine clones the network
+// copy-on-write). p.Failed must be empty, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: config needs Shards >= 1, got %d", cfg.Shards)
+	}
+	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
+		return nil, err
 	}
 	ring, err := NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
 	if err != nil {
 		return nil, err
 	}
 	workers := make([]Worker, cfg.Shards)
-	ecfg := cfg.Engine
-	ecfg.DeltaRows = true
 	for i := range workers {
-		eng, err := engine.New(SliceProvision(p, ring, i), ecfg)
+		eng, err := engine.New(SliceProvision(p, ring, i), cfg.Engine)
 		if err != nil {
 			for _, w := range workers[:i] {
 				w.Close()
@@ -84,14 +85,30 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 		}
 		workers[i] = engineWorker{eng}
 	}
-	return Over(p, cfg, ring, workers, nil), nil
+	return Over(p, cfg, ring, workers, nil)
+}
+
+// SourceOnly is the one statement of what sharded serving supports: the
+// source-router scheme. The coordinator's cold tier, the ring's ownership
+// of a pair by its source, and the snapshot wire format all assume a
+// pair's answer is its source's row; the local schemes' ILM patches and
+// flood horizons are not partitioned or shipped (ROADMAP item 2).
+func SourceOnly(s engine.Scheme) error {
+	if s != engine.SchemeSource {
+		return fmt.Errorf("shard: sharded serving is source-scheme only (got %v); serve %v from a single engine", s, s)
+	}
+	return nil
 }
 
 // Over assembles the coordinator over already-running workers, one per
 // ring shard, each serving SliceProvision(p, ring, i). dec is required
 // when a worker can be down (it cuts the detached snapshots their
-// sources are then solved against) and nil otherwise.
-func Over(p rbpc.Provision, cfg Config, ring *Ring, workers []Worker, dec *engine.SnapDecoder) *Coordinator {
+// sources are then solved against) and nil otherwise. A non-source
+// cfg.Engine.Scheme is an error (SourceOnly).
+func Over(p rbpc.Provision, cfg Config, ring *Ring, workers []Worker, dec *engine.SnapDecoder) (*Coordinator, error) {
+	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
+		return nil, err
+	}
 	hot := make([]bool, p.Graph.Order())
 	for pr := range p.Routes {
 		hot[pr.Src] = true
@@ -104,7 +121,7 @@ func Over(p rbpc.Provision, cfg Config, ring *Ring, workers []Worker, dec *engin
 		hot:   hot,
 		dec:   dec,
 		model: make(map[graph.EdgeID]bool),
-	}
+	}, nil
 }
 
 // SliceProvision returns the provision slice shard i serves under the

@@ -15,9 +15,9 @@
 // watermarks, and exposes a merged snapshot view (View) that never
 // returns a torn cross-shard epoch.
 //
-// Shards run their engines in delta-row mode: snapshots share the
-// canonical matrix and carry only per-source divergence rows, and
-// sources outside the provisioned hot set are not materialized at all.
+// Engine snapshots share one canonical matrix and carry only per-source
+// divergence rows, and sources outside a shard's slice or the provisioned
+// hot set are not materialized at all.
 // Queries for those cold pairs fall through to an admission-controlled
 // on-demand tier (see cold.go) that solves them straight from the base
 // set — Corollary 4 guarantees an optimal-cost concatenation exists for
@@ -48,9 +48,10 @@ type Config struct {
 	// RingSeed seeds the ring hash (default DefaultRingSeed). Part of the
 	// routing contract — all processes of a deployment must agree.
 	RingSeed uint64
-	// Engine is the per-shard engine configuration template. DeltaRows is
-	// forced on. Engine.Fault == engine.FaultSkewShard is the one fault
-	// the coordinator itself acts on (chaos harness only).
+	// Engine is the per-shard engine configuration template. Its Scheme
+	// must be engine.SchemeSource (SourceOnly). Engine.Fault ==
+	// engine.FaultSkewShard is the one fault the coordinator itself acts
+	// on (chaos harness only).
 	Engine engine.Config
 	// Cold tunes the on-demand tier for non-materialized sources.
 	Cold ColdConfig
@@ -77,7 +78,7 @@ type Stats struct {
 	// RowBytes sums resident routing-matrix bytes across shards;
 	// DenseRowBytes is what ONE dense all-pairs engine would hold (the
 	// shards partition a single pair space, so the baseline is not
-	// summed). Their ratio is the delta-encoding + cold-pair saving.
+	// summed). Their ratio is the cold-pair saving.
 	RowBytes      int64
 	DenseRowBytes int64
 

@@ -27,7 +27,7 @@ func newCoordinator(t testing.TB, g *graph.Graph, rcfg rbpc.Config, cfg Config) 
 }
 
 // TestCoordinatorMatchesSingleEngine drives the same churn through a
-// 3-shard coordinator and a single dense engine and demands bit-identical
+// 3-shard coordinator and a single engine and demands bit-identical
 // answers (Float64bits costs, same LSP sequences) for every pair at every
 // quiescent point.
 func TestCoordinatorMatchesSingleEngine(t *testing.T) {
@@ -257,5 +257,32 @@ func TestSkewFaultBreaksView(t *testing.T) {
 	c.Flush()
 	if _, ok := c.View(); ok {
 		t.Fatal("skewed shards produced a consistent view — fault not observable")
+	}
+}
+
+// TestNonSourceSchemeRejected: sharded serving is source-scheme only, and
+// the library says so itself — New (and Over, for a caller bringing its
+// own workers) return an error instead of building replicas that lack
+// the local plan and flood horizons.
+func TestNonSourceSchemeRejected(t *testing.T) {
+	g := topology.Waxman(10, 0.8, 0.5, 6)
+	sys, err := rbpc.NewSystem(g, rbpc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range []engine.Scheme{engine.SchemeLocal, engine.SchemeBypass, engine.SchemeHybrid} {
+		cfg := Config{Shards: 2}
+		cfg.Engine.Scheme = sch
+		if c, err := New(sys.Export(), cfg); err == nil {
+			c.Close()
+			t.Fatalf("New accepted scheme %v", sch)
+		}
+		ring, err := NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Over(sys.Export(), cfg, ring, nil, nil); err == nil {
+			t.Fatalf("Over accepted scheme %v", sch)
+		}
 	}
 }

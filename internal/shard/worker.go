@@ -9,7 +9,7 @@ import (
 )
 
 // Worker is the seam between the Coordinator and whatever serves one
-// shard of the pair space: a delta-row engine over the shard's
+// shard of the pair space: an engine over the shard's
 // SliceProvision slice, reached directly (engineWorker) or through the
 // socket client of internal/shardrpc. Everything deployment-agnostic —
 // ring, failed-set model, fan-out, barrier, routing, cold diversion,

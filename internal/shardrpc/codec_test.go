@@ -217,7 +217,7 @@ func TestAnswerCodecRoundTrip(t *testing.T) {
 	// registry hit path.
 	var rt *engine.Route
 	for pr := range p.Routes {
-		eng, err := engine.New(p, engine.Config{DeltaRows: true})
+		eng, err := engine.New(p, engine.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

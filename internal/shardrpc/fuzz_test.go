@@ -116,7 +116,7 @@ func seedSnapshotFrame(selector byte) []byte {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := engine.New(sys.Export(), engine.Config{DeltaRows: true})
+	eng, err := engine.New(sys.Export(), engine.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -466,6 +466,26 @@ func TestProcContractMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestProcNonSourceSchemeRejected: the snapshot wire format ships
+// overlays, not local plans, so neither end of the transport accepts a
+// non-source engine template.
+func TestProcNonSourceSchemeRejected(t *testing.T) {
+	p := buildProvision(t, 10, 4)
+	f := newPipeFarm(t, p, Config{Shards: 2})
+	for _, sch := range []engine.Scheme{engine.SchemeLocal, engine.SchemeBypass, engine.SchemeHybrid} {
+		cfg := testConfig(f, 2)
+		cfg.Engine.Scheme = sch
+		if w, err := NewWorker(p, 0, cfg); err == nil {
+			w.Close()
+			t.Fatalf("NewWorker accepted scheme %v", sch)
+		}
+		if c, err := NewCoordinator(p, cfg); err == nil {
+			c.Close()
+			t.Fatalf("NewCoordinator accepted scheme %v", sch)
+		}
+	}
+}
+
 // TestProcFlushBarrierOrdersReplicas hammers the burst→flush→view cycle:
 // after every flush the merged view must reflect exactly the events sent
 // before it (snapshot frames precede flush acks on the control

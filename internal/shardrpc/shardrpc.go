@@ -6,7 +6,7 @@
 // server, the Fleet supervisor, attach/reattach/health — under the one
 // shard.Coordinator: NewCoordinator dials the workers and hands them to
 // it. The ring, the slice each worker owns (shard.SliceProvision), and
-// the delta-row engines are byte-for-byte the ones shard.New builds, so a
+// the engines are byte-for-byte the ones shard.New builds, so a
 // process-mode deployment answers bit-identically to `-shards N` (the
 // chaos lockstep oracle proves it over a pipe transport).
 //
@@ -69,8 +69,9 @@ type Config struct {
 	// shard.DefaultVNodes / shard.DefaultRingSeed).
 	VNodes   int
 	RingSeed uint64
-	// Engine is the per-worker engine template; DeltaRows is forced on
-	// (the snapshot wire format only ships overlays). Engine.Fault ==
+	// Engine is the per-worker engine template; its Scheme must be
+	// engine.SchemeSource (the snapshot wire format ships overlays, not
+	// local plans — shard.SourceOnly). Engine.Fault ==
 	// engine.FaultTornFrame is the one fault the transport itself acts on
 	// (chaos harness only).
 	Engine engine.Config
@@ -177,7 +178,13 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 		}
 	}
 	scfg := shard.Config{Shards: cfg.Shards, VNodes: cfg.VNodes, RingSeed: cfg.RingSeed, Engine: cfg.Engine, Cold: cfg.Cold}
-	c.Coordinator = shard.Over(p, scfg, ring, workers, dec)
+	c.Coordinator, err = shard.Over(p, scfg, ring, workers, dec)
+	if err != nil {
+		for _, cl := range c.w {
+			cl.Close()
+		}
+		return nil, err
+	}
 	return c, nil
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // Worker serves one shard of the pair space out of its own process: the
-// same delta-row engine over the same shard.SliceProvision slice the
+// same engine over the same shard.SliceProvision slice the
 // in-process coordinator would build, fronted by the wire protocol. One
 // control connection carries bursts, barriers, and stats, and returns
 // every published epoch as an overlay snapshot frame; query connections
@@ -54,6 +54,9 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	if idx < 0 || idx >= cfg.Shards {
 		return nil, fmt.Errorf("shardrpc: worker index %d outside %d shards", idx, cfg.Shards)
 	}
+	if err := shard.SourceOnly(cfg.Engine.Scheme); err != nil {
+		return nil, err
+	}
 	ring, err := shard.NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
 	if err != nil {
 		return nil, err
@@ -72,7 +75,6 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	}
 
 	ecfg := cfg.Engine
-	ecfg.DeltaRows = true
 	userTap := cfg.Engine.OnEpoch
 	ecfg.OnEpoch = func(s *engine.Snapshot) {
 		w.pushSnapshot(s)
@@ -110,7 +112,7 @@ func (w *Worker) pushSnapshot(s *engine.Snapshot) {
 	defer w.snapMu.Unlock()
 	buf, err := s.AppendWire(w.snapBuf[:0])
 	if err != nil {
-		return // dense-mode snapshots cannot happen here (DeltaRows forced)
+		return // only a non-source snapshot refuses, and NewWorker rejected those
 	}
 	w.snapBuf = buf
 	if err := c.WriteFrame(ftSnapshot, 0, 0, buf); err != nil {

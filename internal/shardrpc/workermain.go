@@ -155,7 +155,6 @@ func RunWorker(o WorkerOpts) error {
 			QueueDepth:     o.Queue,
 			CoalesceWindow: o.Coalesce,
 			PlanCacheCap:   o.PlanCacheMax,
-			WarmOracle:     false,
 		},
 	}
 	w, err := NewWorker(sys.Export(), o.Index, cfg)

@@ -15,10 +15,19 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "==> gofmt -l"
-unformatted=$(gofmt -l ./cmd ./internal)
+unformatted=$(gofmt -l ./*.go ./cmd ./internal ./examples ./bench)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
 	echo "$unformatted" >&2
+	exit 1
+fi
+
+# The engine has one serving-row representation (DESIGN.md §9). These are
+# the names of the deleted second one; whole-word, so test names that
+# contain them do not trip the gate.
+echo "==> retired identifiers stay retired"
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver' -- '*.go'; then
+	echo "verify: a retired plan-row identifier reappeared (see above)" >&2
 	exit 1
 fi
 
