@@ -42,12 +42,18 @@ chaos:
 verify:
 	sh scripts/verify.sh
 
-# Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op) and the
-# snapshot read path (Snapshot.Route over the nil overlay, an overlay hit
-# and an overlay miss; 0 allocs asserted).
+# Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op), the LSP
+# registry key, the snapshot read path (Snapshot.Route over the nil
+# overlay, an overlay hit and miss, and the hybrid local rows for an
+# affected and an unaffected pair; 0 allocs asserted), a query worker's
+# cost per answer of a submitted burst, and a local-scheme transition with
+# three links down. CI runs them once each (BENCHTIME=1x)
+# so they cannot rot.
+BENCHTIME ?= 1s
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkSSSPKernel -benchmem ./internal/spath/
-	$(GO) test -run '^$$' -bench BenchmarkSnapshotRoute -benchmem ./internal/engine/
+	$(GO) test -run '^$$' -bench BenchmarkSSSPKernel -benchmem -benchtime $(BENCHTIME) ./internal/spath/
+	$(GO) test -run '^$$' -bench BenchmarkPathKey -benchmem -benchtime $(BENCHTIME) ./internal/graph/
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 
 # Serving benchmark: the online engine under open-loop load with failure
 # churn, sharded across 4 pair-space shards with a shard-count sweep;

@@ -137,7 +137,7 @@ func (ck *checker) checkResult(step, sh int, res engine.Result) *Violation {
 		// primary, and a crossing whose endpoints the failures disconnect
 		// has none. Every other nil answer is a violation.
 		if ck.scheme == engine.SchemeBypass || ck.scheme == engine.SchemeHybrid {
-			lr, affected := snap.LocalRoutes()[rbpc.Pair{Src: res.Src, Dst: res.Dst}]
+			lr, affected := snap.LocalRoute(res.Src, res.Dst)
 			if affected && lr == nil && ck.bypassBlocked(down, res.Src, res.Dst) {
 				return nil
 			}

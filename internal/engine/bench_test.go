@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
@@ -75,6 +79,169 @@ func BenchmarkSnapshotRoute(b *testing.B) {
 	run("pristine", pristine, miss)
 	run("three-down/hit", down, hit)
 	run("three-down/miss", down, miss)
+
+	// The hybrid engine with the same links down and the flood still out
+	// (an hour's detect delay): every read tries the local plan's rows
+	// first. affected pairs are answered there; unaffected ones — nearly
+	// every query — must fall through at the cost of a miss filter.
+	h, err := New(sys.Export(), Config{Scheme: SchemeHybrid, Flood: FloodConfig{Detect: time.Hour}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	for _, ed := range down.Failed() {
+		h.Fail(ed)
+	}
+	h.Flush()
+	hdown := h.Snapshot()
+	var affected, unaffected []rbpc.Pair
+	for s := 0; s < g.Order(); s++ {
+		for d := 0; d < g.Order(); d++ {
+			src, dst := graph.NodeID(s), graph.NodeID(d)
+			if _, ok := hdown.LocalRoute(src, dst); ok {
+				affected = append(affected, rbpc.Pair{Src: src, Dst: dst})
+			} else if s != d {
+				unaffected = append(unaffected, rbpc.Pair{Src: src, Dst: dst})
+			}
+		}
+	}
+	if len(affected) == 0 {
+		b.Fatal("three links down affect no pair")
+	}
+	run("hybrid/three-down/affected", hdown, affected)
+	run("hybrid/three-down/unaffected", hdown, unaffected)
+}
+
+// BenchmarkLocalPlanBuild prices a local-scheme transition with the
+// failed-set at the benchmark's depth, on its topology (the AS stand-in at
+// scale 0.05): the third failure of a three-link episode — a leaf, a
+// middle and a core link by the number of pairs crossing them, as the
+// benchmark of record draws its episodes — and that link's repair, for
+// both patch flavors. Under SchemeLocal and SchemeBypass the local epoch
+// is the whole transition: ns/op covers net clone, oracle adoption, the
+// local build, the ILM patch diff and the publish — what Stats.LocalBuild
+// records — and the stretch accounting that follows the publish.
+func BenchmarkLocalPlanBuild(b *testing.B) {
+	g := topology.PaperAS(1, 0.05)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prov := sys.Export()
+	for _, scheme := range []Scheme{SchemeLocal, SchemeBypass} {
+		e, err := New(prov, Config{Scheme: scheme})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		episode := benchEpisode(b, e, g)
+		for _, ed := range episode[:2] {
+			e.Fail(ed)
+		}
+		e.Flush()
+		third := episode[2]
+		step := func(b *testing.B, timed, untimed func(graph.EdgeID)) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				timed(third)
+				e.Flush()
+				b.StopTimer()
+				untimed(third)
+				e.Flush()
+				b.StartTimer()
+			}
+		}
+		b.Run(scheme.String()+"/third-failure", func(b *testing.B) {
+			step(b, e.Fail, e.Repair)
+		})
+		b.Run(scheme.String()+"/its-repair", func(b *testing.B) {
+			e.Fail(third)
+			e.Flush()
+			step(b, e.Repair, e.Fail)
+			e.Repair(third)
+			e.Flush()
+		})
+	}
+}
+
+// benchEpisode picks three links whose joint failure keeps the graph
+// connected: the links at one, three and five sixths of the order by
+// affected pairs (or their nearest neighbours that qualify).
+func benchEpisode(b *testing.B, e *Engine, g *graph.Graph) []graph.EdgeID {
+	links := make([]graph.EdgeID, g.Size())
+	for i := range links {
+		links[i] = graph.EdgeID(i)
+	}
+	sort.Slice(links, func(i, j int) bool {
+		ai, aj := len(e.AffectedPairs(links[i])), len(e.AffectedPairs(links[j]))
+		if ai != aj {
+			return ai < aj
+		}
+		return links[i] < links[j]
+	})
+	var episode []graph.EdgeID
+	for _, k := range []int{1, 3, 5} {
+		for _, ed := range links[k*len(links)/6:] {
+			fv := graph.FailEdges(g, append(episode[:len(episode):len(episode)], ed)...)
+			if graph.Connected(fv) {
+				episode = append(episode, ed)
+				break
+			}
+		}
+	}
+	if len(episode) != 3 {
+		b.Fatal("no three-link episode keeps the graph connected")
+	}
+	return episode
+}
+
+// BenchmarkServeBatch measures what one answer of a submitted burst costs a
+// query worker when its consumer does what consumers do — an atomic count
+// and a read of the route — on the benchmark's topology under the hybrid
+// scheme with three links down. The pairs are random over the whole matrix,
+// so every lookup misses the cache; serveBatch resolves a chunk before it
+// delivers it so that those misses overlap instead of queueing one by one
+// behind the callback's atomic.
+func BenchmarkServeBatch(b *testing.B) {
+	g := topology.PaperAS(1, 0.05)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var answers, checksum atomic.Uint64
+	e, err := New(sys.Export(), Config{Scheme: SchemeHybrid, OnResult: func(r Result) {
+		answers.Add(1)
+		if r.Route != nil {
+			checksum.Add(math.Float64bits(r.Route.Cost))
+		}
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for _, k := range []int{1, 3, 5} {
+		e.Fail(graph.EdgeID(k * g.Size() / 6))
+	}
+	e.Flush()
+
+	const batch = 512
+	rng := rand.New(rand.NewSource(5))
+	pool := make([]rbpc.Pair, 256*batch)
+	for i := range pool {
+		pool[i] = rbpc.Pair{Src: graph.NodeID(rng.Intn(g.Order())), Dst: graph.NodeID(rng.Intn(g.Order()))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i % (len(pool) / batch) * batch
+		e.serveBatch(0, queryReq{at: time.Now(), batch: pool[at : at+batch]})
+	}
+	b.StopTimer()
+	if got := answers.Load(); got != uint64(b.N)*batch {
+		b.Fatalf("%d answers for %d pairs", got, b.N*batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/answer")
 }
 
 // BenchmarkEngineQuery measures the steady-state lock-free read path under

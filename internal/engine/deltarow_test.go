@@ -335,3 +335,56 @@ func TestDrainWaitsForSubmitted(t *testing.T) {
 		t.Fatalf("accepted %d but only %d answered when Drain returned", accepted, got)
 	}
 }
+
+// TestSubmitBatchAnswersInOrder checks the chunked serving of a burst: a
+// batch that is neither a multiple of serveChunk nor shorter than it is
+// answered pair by pair, in order, with exactly the snapshot's routes, and
+// the unroutable pairs — self pairs excluded — are counted once each.
+func TestSubmitBatchAnswersInOrder(t *testing.T) {
+	g := topology.Waxman(14, 0.8, 0.5, 9)
+	var got []Result
+	e, _ := newEngine(t, g, Config{Workers: 1, OnResult: func(r Result) { got = append(got, r) }})
+	// Cut node 0 off, so that every pair with it at one end is unroutable.
+	for _, a := range g.Arcs(0) {
+		e.Fail(a.Edge)
+	}
+	e.Flush()
+
+	var pairs []rbpc.Pair
+	for s := 0; s < g.Order(); s++ {
+		for d := 0; d < g.Order(); d++ {
+			pairs = append(pairs, rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)})
+		}
+	}
+	if len(pairs) <= 2*serveChunk || len(pairs)%serveChunk == 0 {
+		t.Fatalf("%d pairs do not end in a partial chunk of %d", len(pairs), serveChunk)
+	}
+	want := append([]rbpc.Pair(nil), pairs...)
+	before := e.Stats()
+	if n := e.SubmitBatch(pairs); n != len(want) {
+		t.Fatalf("accepted %d of %d", n, len(want))
+	}
+	e.Drain()
+	if len(got) != len(want) {
+		t.Fatalf("%d answers for %d pairs", len(got), len(want))
+	}
+	unroutable := int64(0)
+	for i, r := range got {
+		if r.Src != want[i].Src || r.Dst != want[i].Dst {
+			t.Fatalf("answer %d is for %d->%d, want %v", i, r.Src, r.Dst, want[i])
+		}
+		if r.Route != r.Snap.Route(r.Src, r.Dst) {
+			t.Fatalf("answer %d (%d->%d) is not the snapshot's route", i, r.Src, r.Dst)
+		}
+		if r.Route == nil && r.Src != r.Dst {
+			unroutable++
+		}
+	}
+	after := e.Stats()
+	if d := after.Queries - before.Queries; d != int64(len(want)) {
+		t.Errorf("Queries rose by %d, want %d", d, len(want))
+	}
+	if d := after.Unroutable - before.Unroutable; d != unroutable || unroutable != int64(2*(g.Order()-1)) {
+		t.Errorf("Unroutable rose by %d, answers say %d, want %d", d, unroutable, 2*(g.Order()-1))
+	}
+}

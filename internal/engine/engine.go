@@ -113,10 +113,15 @@ type Stats struct {
 	Restore metrics.Summary
 	// LocalBuild is the distribution of local-plan build+patch latency per
 	// transition — the time from epoch start until affected pairs have a
-	// serving local answer.
+	// serving local answer: it is recorded as the snapshot carrying the
+	// local plan is stored.
 	LocalBuild metrics.Summary
-	// Stretch accumulates served-cost / shortest-distance per affected
-	// pair, in permille (1000 = optimal).
+	// Stretch accumulates served-cost / shortest-distance per restorable
+	// affected pair of every local plan built, in permille (1000 =
+	// optimal). It is accounted after the plan is serving. The denominator
+	// is the epoch oracle's distance under SchemeLocal and SchemeBypass; under
+	// SchemeHybrid it is the cost of the pair's route in the phase-two
+	// source plan, which is that same distance by construction.
 	Stretch metrics.AccSummary
 	// DetourHops accumulates the hop length of each installed ILM detour.
 	DetourHops metrics.AccSummary
@@ -171,6 +176,12 @@ type Engine struct {
 	// plan serving it.
 	ilmPatches mpls.PatchSet
 	prevLocal  *localPlan
+	// lspAt maps a base-path index (paths.Explicit position) to the LSP
+	// provisioned for it, so the crossing scan of a down link walks
+	// xbase.IndicesThroughEdge without forming a path key; lscratch is the
+	// local build's reused working memory. Both nil under SchemeSource.
+	lspAt    []*mpls.LSP
+	lscratch *localScratch
 
 	// timers holds the armed hybrid switchover timers.
 	//
@@ -303,6 +314,11 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		s0.local = emptyLocal
 		s0.srcReady = true
 		e.prevLocal = emptyLocal
+		e.lspAt = make([]*mpls.LSP, p.Base.Len())
+		for i, bp := range p.Base.All() {
+			e.lspAt[i] = p.LSPs[bp.Key()]
+		}
+		e.lscratch = newLocalScratch(p.Graph)
 	}
 	e.snap.Store(s0)
 
@@ -470,23 +486,52 @@ func (e *Engine) queryWorker(id uint64) {
 	}
 }
 
+// serveChunk is how many pairs of a burst serveBatch looks up before it
+// delivers them: enough for the core to keep its miss buffers full, few
+// enough that the routes are still in the first-level cache when the
+// callback reads them.
+const serveChunk = 64
+
 // serveBatch answers a submitted burst: one snapshot load and one latency
 // record cover every pair, so the per-query cost is a row lookup plus an
 // amortized share of the channel and clock overhead. (Not hotpath-annotated:
 // the optional OnResult callback is a dynamic call the checker cannot
 // verify; the per-candidate work is all in annotated callees.)
+//
+// The burst is served serveChunk pairs at a time, in three passes over the
+// chunk: look every pair up, read every route found, deliver. A lookup ends
+// in a route that, for a random pair, is not in the cache, and the
+// consumer's callback (an atomic or a lock, which later loads wait behind)
+// would take those misses one at a time, each in full: the burst would run
+// at the memory latency of the moment, which on a shared host is another
+// one every few minutes. Read back to back in a loop that does nothing
+// else, the misses of a chunk overlap, and the callback finds the route it
+// is about to read in the cache.
 func (e *Engine) serveBatch(id uint64, q queryReq) {
 	s := e.snap.Load()
 	var unroutable int64
-	for _, pr := range q.batch {
-		r := s.Route(pr.Src, pr.Dst)
-		if r == nil && pr.Src != pr.Dst {
-			unroutable++
+	var routes [serveChunk]*Route
+	var touched Scheme
+	for rest := q.batch; len(rest) > 0; {
+		chunk := rest[:min(len(rest), serveChunk)]
+		rest = rest[len(chunk):]
+		for i, pr := range chunk {
+			routes[i] = s.Route(pr.Src, pr.Dst)
+		}
+		for i, pr := range chunk {
+			if r := routes[i]; r != nil {
+				touched |= r.Via
+			} else if pr.Src != pr.Dst {
+				unroutable++
+			}
 		}
 		if e.cfg.OnResult != nil {
-			e.cfg.OnResult(Result{Src: pr.Src, Dst: pr.Dst, Route: r, Snap: s})
+			for i, pr := range chunk {
+				e.cfg.OnResult(Result{Src: pr.Src, Dst: pr.Dst, Route: routes[i], Snap: s})
+			}
 		}
 	}
+	runtime.KeepAlive(touched)
 	e.mQueries.Add(id, int64(len(q.batch)))
 	if unroutable != 0 {
 		e.mUnroutable.Add(id, unroutable)
@@ -902,6 +947,15 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	e.mBuild.Record(0, time.Since(start))
 	if snap1 != nil {
 		e.scheduleConvergence(snap1.maxHorizon)
+		// The source plan's cost is the post-failure shortest distance by
+		// construction (cached plans included), so hybrid reads its stretch
+		// denominators from it instead of rooting a tree per affected source.
+		e.accountStretch(func(pr rbpc.Pair) float64 {
+			if rt := pl.routes[pr]; rt != nil {
+				return rt.Cost
+			}
+			return spath.Unreachable
+		})
 	}
 	if e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(next)

@@ -48,7 +48,7 @@ func FuzzBypassPlanValidity(f *testing.F) {
 		fe := g.Edge(ed)
 		bridged := snap.Oracle().Dist(fe.U, fe.V) != spath.Unreachable
 
-		for pr, rt := range snap.LocalRoutes() {
+		for pr, rt := range localRoutesOf(snap) {
 			if rt == nil {
 				if bridged {
 					t.Fatalf("pair %v unrestorable but failed link %d-%d is not a bridge", pr, fe.U, fe.V)

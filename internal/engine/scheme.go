@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -90,17 +89,19 @@ type FloodConfig struct {
 // its local answers indefinitely.
 const neverHorizon = time.Duration(math.MaxInt64)
 
-// localPlan is one epoch's local-restoration serving state: the affected
-// pairs (canonical primary crosses a down link) mapped to the answer the
-// patched data plane actually delivers. A nil route means the pair is
-// locally unrestorable — the failure disconnected the patch point from its
-// detour target — and is served as unroutable even if a source-router
-// concatenation exists; that gap is exactly the paper's trade-off between
-// restoration speed and coverage.
+// localPlan is one epoch's local-restoration serving state: for every
+// affected pair (canonical primary crosses a down link) the answer the
+// patched data plane actually delivers, laid out like the overlay — one
+// dst-sorted planRow per source with an affected pair, nil for the rest
+// (and a nil slice for the pristine plan). A nil route in a row means the
+// pair is locally unrestorable — the failure disconnected the patch point
+// from its detour target — and is served as unroutable even if a
+// source-router concatenation exists; that gap is exactly the paper's
+// trade-off between restoration speed and coverage.
 //
 //rbpc:immutable
 type localPlan struct {
-	routes map[rbpc.Pair]*Route
+	rows []*planRow
 }
 
 // emptyLocal is the shared pristine local plan (no failures, no patches).
@@ -124,223 +125,366 @@ func labelInto(lsp *mpls.LSP, i int) (mpls.Label, bool) {
 	return lsp.HopLabel(i - 1)
 }
 
-// decPath flattens a decomposition into the concrete hop-by-hop path its
-// components traverse.
-func decPath(dec core.Decomposition) graph.Path {
-	p := dec.Components[0].Path
-	for _, c := range dec.Components[1:] {
-		p = p.Concat(c.Path)
-	}
-	return p
+// localScratch is buildLocalPlan's working memory. The build is
+// writer-only and runs once per transition on the restore-critical path,
+// so everything it would otherwise allocate per event lives here and is
+// reused: the tables indexed by edge and node are returned to all-zero at
+// the end of each build, the slices are truncated at the start of the
+// next.
+type localScratch struct {
+	downIn    []bool       // by EdgeID: the link is down in the epoch being built
+	pointAt   []int32      // by NodeID: 1 + index in points of the node's patch point
+	points    []patchPoint // detour requests grouped by patch point; entries are recycled
+	crossings []crossing
+	want      []mpls.ILMPatch
+	labels    []mpls.Label // backing store of the bypass rows in want
+	affected  []affectedPair
+	merged    []affectedPair // second buffer of the affected-set merge
+	stretch   []stretchObs
+	rev       []float64 // revBound's min-combine row
 }
 
-// detourKey identifies one decomposition request (patch point -> target).
-type detourKey struct {
-	s, d graph.NodeID
+// patchPoint is one router adjacent to a failure and the detours it needs:
+// every request out of it is answered by one bounded search.
+type patchPoint struct {
+	s      graph.NodeID
+	dsts   []graph.NodeID
+	slotAt []int32 // by NodeID: 1 + index in dsts of the request towards it
+	dets   []detour
+}
+
+// detour is one solved request, with everything the crossings and pairs
+// sharing it need derived once: the flattened walk, its cost, and the
+// self-label stack of its components (resolved on first use, in crossing
+// order, so on-demand LSPs are signaled in a deterministic order).
+type detour struct {
+	dec      core.Decomposition
+	ok       bool // a surviving detour exists
+	path     graph.Path
+	cost     float64
+	resolved bool
+	stack    []mpls.Label // nil after a failed resolution
+}
+
+// crossing is one provisioned LSP's traversal of a down link: the ILM row
+// (r1, label) to patch.
+type crossing struct {
+	lsp    *mpls.LSP
+	i      int
+	r1, r2 graph.NodeID
+	label  mpls.Label
+}
+
+type affectedPair struct {
+	graph.NodePair
+	lsp *mpls.LSP // the pair's canonical primary
+}
+
+// stretchObs is one restorable affected pair's local cost, kept until the
+// transition's stretch is accounted (see accountStretch).
+type stretchObs struct {
+	pr   rbpc.Pair
+	cost float64
+}
+
+func newLocalScratch(g *graph.Graph) *localScratch {
+	return &localScratch{
+		downIn:  make([]bool, g.Size()),
+		pointAt: make([]int32, g.Order()),
+	}
+}
+
+// need registers the detour request s -> d.
+func (sc *localScratch) need(s, d graph.NodeID) {
+	pi := sc.pointAt[s]
+	if pi == 0 {
+		if len(sc.points) < cap(sc.points) {
+			sc.points = sc.points[:len(sc.points)+1] // recycle a released entry
+		} else {
+			sc.points = append(sc.points, patchPoint{})
+		}
+		pi = int32(len(sc.points))
+		sc.pointAt[s] = pi
+		pt := &sc.points[pi-1]
+		pt.s = s
+		if pt.slotAt == nil {
+			pt.slotAt = make([]int32, len(sc.pointAt))
+		}
+	}
+	pt := &sc.points[pi-1]
+	if pt.slotAt[d] == 0 {
+		pt.dsts = append(pt.dsts, d)
+		pt.slotAt[d] = int32(len(pt.dsts))
+	}
+}
+
+// detour returns the solved request s -> d, nil if it has no detour. The
+// request must have been registered with need before the solve.
+func (sc *localScratch) detour(s, d graph.NodeID) *detour {
+	pt := &sc.points[sc.pointAt[s]-1]
+	if dt := &pt.dets[pt.slotAt[d]-1]; dt.ok {
+		return dt
+	}
+	return nil
+}
+
+// release zeroes the indexed tables and drops what the build's detours
+// keep alive.
+func (sc *localScratch) release(failed []graph.EdgeID) {
+	for _, ed := range failed {
+		sc.downIn[ed] = false
+	}
+	for i := range sc.points {
+		pt := &sc.points[i]
+		sc.pointAt[pt.s] = 0
+		for _, d := range pt.dsts {
+			pt.slotAt[d] = 0
+		}
+		pt.dsts = pt.dsts[:0]
+		clear(pt.dets)
+		pt.dets = pt.dets[:0]
+	}
+	sc.points = sc.points[:0]
+}
+
+// mergeAffected fills sc.affected with the (src, dst)-sorted union of the
+// failed links' primary-crossing lists — each already sorted — paired with
+// the canonical primaries.
+func (e *Engine) mergeAffected(sc *localScratch, failed []graph.EdgeID) {
+	out, spare := sc.affected[:0], sc.merged[:0]
+	for _, ed := range failed {
+		a, b := out, e.pairIndex.Pairs(ed)
+		spare = spare[:0]
+		for len(a) > 0 || len(b) > 0 {
+			switch {
+			case len(b) == 0 || len(a) > 0 && pairBefore(a[0].NodePair, b[0]):
+				spare = append(spare, a[0])
+				a = a[1:]
+			case len(a) > 0 && a[0].NodePair == b[0]:
+				b = b[1:]
+			default:
+				spare = append(spare, affectedPair{NodePair: b[0], lsp: e.primaries[rbpc.Pair(b[0])]})
+				b = b[1:]
+			}
+		}
+		out, spare = spare, out
+	}
+	sc.affected, sc.merged = out, spare
+}
+
+func pairBefore(a, b graph.NodePair) bool {
+	return a.Src < b.Src || a.Src == b.Src && a.Dst < b.Dst
 }
 
 // buildLocalPlan computes the epoch's local restoration state for the
-// full failed-set: it patches the ILM row of every provisioned LSP
-// crossing of every down link on the epoch's net (recording the patches in
-// e.ilmPatches for the next transition's revert) and derives the answer
-// each affected pair's patched forwarding now delivers. Writer-only.
+// full failed-set: it brings the patched ILM rows on the epoch's net in
+// line with the failed-set — one row per provisioned LSP crossing of every
+// down link, e.ilmPatches writing only what changed since the previous
+// transition — and derives the answer each affected pair's patched
+// forwarding now delivers. Writer-only, and the whole of it stands between
+// a failure and the first restored packet, so it works in four passes over
+// writer-owned scratch:
 //
-// The build batches all detour solves: crossings and affected primaries
-// are scanned first to collect the (patch point, target) set, then one
-// sparse solver answers each patch point's targets in a single Dijkstra
-// run over the base-path graph — the same O(1)-ish solve count per failed
-// link that makes the local schemes fast to install in the paper.
+//  1. Collect. Walk the provisioned LSPs through each down link (by base
+//     path index — no key is hashed) for the rows to patch, and merge the
+//     links' sorted primary-crossing lists for the affected pairs; both
+//     register the detours they need, grouped by patch point.
+//  2. Solve. One search per patch point on the writer's pooled solver —
+//     live candidate index, cheapest-first scan — bounded by the patch
+//     point's post-failure distance row and, for edge-bypass, confined to
+//     the ellipse around its targets. Patch points and bypass targets are
+//     failure endpoints, whose trees the epoch oracle roots anyway.
+//  3. Patch. Resolve each detour to its label stack once, form the wanted
+//     row of every crossing, and hand the set to PatchSet.Sync.
+//  4. Answer. Splice the detours into each affected primary and lay the
+//     routes out as per-source rows.
+//
+// The pairs' stretch is only noted here; it is accounted after the
+// snapshot is serving (accountStretch).
 func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle, nh *netHandle) *localPlan {
+	sc := e.lscratch
+	sc.stretch, sc.crossings = sc.stretch[:0], sc.crossings[:0]
+	sc.want, sc.labels = sc.want[:0], sc.labels[:0]
 	if len(failed) == 0 {
+		e.syncPatches(nh.net, nil)
 		return emptyLocal
 	}
 	flavor, via := e.localFlavor()
-
-	downIn := make(map[graph.EdgeID]bool, len(failed))
+	defer sc.release(failed)
 	for _, ed := range failed {
-		downIn[ed] = true
+		sc.downIn[ed] = true
 	}
 
-	// Pass 1: collect every detour endpoint the build needs — one request
-	// per patched crossing, plus the per-crossing requests of each affected
-	// pair's primary (the same requests when primaries are base paths, but
-	// collected explicitly so the route construction below never misses).
-	want := make(map[detourKey]bool)
-	targets := make(map[graph.NodeID][]graph.NodeID)
-	need := func(s, d graph.NodeID) {
-		k := detourKey{s, d}
-		if !want[k] {
-			want[k] = true
-			targets[s] = append(targets[s], d)
-		}
-	}
-
-	type rowKey struct {
-		router graph.NodeID
-		label  mpls.Label
-	}
-	type crossing struct {
-		lsp    *mpls.LSP
-		i      int
-		r1, r2 graph.NodeID
-		label  mpls.Label
-	}
-	var crossings []crossing
-	seen := make(map[rowKey]bool)
+	// Pass 1: the rows to patch, the affected pairs, and the detours both
+	// need. The crossings of a pair's primary are requested explicitly —
+	// the same requests when primaries are base paths — so the route
+	// construction below never misses.
 	for _, ed := range failed {
-		for _, p := range e.xbase.ThroughEdge(ed) {
-			lsp, ok := e.lspOf[p.Key()]
-			if !ok {
+		idxs := e.xbase.IndicesThroughEdge(ed)
+		for j, idx := range idxs {
+			if j > 0 && idxs[j-1] == idx {
+				continue // a path crossing ed twice is listed twice; one visit finds both
+			}
+			lsp := e.lspAt[idx]
+			if lsp == nil {
 				continue
 			}
 			for i, edge := range lsp.Path.Edges {
 				if edge != ed {
 					continue
 				}
-				r1, r2 := lsp.Path.Nodes[i], lsp.Path.Nodes[i+1]
 				label, ok := labelInto(lsp, i)
 				if !ok {
 					continue
 				}
-				k := rowKey{router: r1, label: label}
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				crossings = append(crossings, crossing{lsp: lsp, i: i, r1: r1, r2: r2, label: label})
+				r1, r2 := lsp.Path.Nodes[i], lsp.Path.Nodes[i+1]
+				sc.crossings = append(sc.crossings, crossing{lsp: lsp, i: i, r1: r1, r2: r2, label: label})
 				if flavor == rbpc.EndRoute {
-					need(r1, lsp.Egress())
+					sc.need(r1, lsp.Egress())
 				} else {
-					need(r1, r2)
+					sc.need(r1, r2)
 				}
 			}
 		}
 	}
-
-	affected := make([]rbpc.Pair, 0, len(e.downCount))
-	for pr := range e.downCount {
-		affected = append(affected, pr)
-	}
-	sort.Slice(affected, func(i, j int) bool {
-		if affected[i].Src != affected[j].Src {
-			return affected[i].Src < affected[j].Src
-		}
-		return affected[i].Dst < affected[j].Dst
-	})
-	for _, pr := range affected {
-		lsp := e.primaries[pr]
-		if lsp == nil {
+	e.mergeAffected(sc, failed)
+	for _, ap := range sc.affected {
+		if ap.lsp == nil {
 			continue
 		}
-		for i, edge := range lsp.Path.Edges {
-			if !downIn[edge] {
+		for i, edge := range ap.lsp.Path.Edges {
+			if !sc.downIn[edge] {
 				continue
 			}
 			if flavor == rbpc.EndRoute {
-				need(lsp.Path.Nodes[i], pr.Dst)
+				sc.need(ap.lsp.Path.Nodes[i], ap.Dst)
 				break // end-route acts at the first down crossing only
 			}
-			need(lsp.Path.Nodes[i], lsp.Path.Nodes[i+1])
+			sc.need(ap.lsp.Path.Nodes[i], ap.lsp.Path.Nodes[i+1])
 		}
 	}
 
-	// Pass 2: one batched solve per patch point, in sorted order so label
-	// allocation for on-demand LSPs stays deterministic.
-	srcs := make([]graph.NodeID, 0, len(targets))
-	for s := range targets {
-		srcs = append(srcs, s)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	ss := core.NewSparseSolver(e.base, fv)
-	solved := make(map[detourKey]core.Decomposition, len(want))
-	okd := make(map[detourKey]bool, len(want))
-	for _, s := range srcs {
-		dsts := targets[s]
-		sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-		decs, oks := ss.From(s, dsts)
-		for j, d := range dsts {
-			solved[detourKey{s, d}] = decs[j]
-			okd[detourKey{s, d}] = oks[j]
+	// Pass 2: one bounded search per patch point. End-route targets are
+	// LSP egresses — any node, with trees nobody else roots, whose ellipses
+	// together cover most of the forward ball — so only edge-bypass pays
+	// for the reverse bound.
+	e.ensureSolvers(1, fv)
+	solver := e.solvers[0]
+	for i := range sc.points {
+		pt := &sc.points[i]
+		bound := oracle.Tree(pt.s).Dists()
+		var rev []float64
+		if flavor == rbpc.EdgeBypass {
+			rev = revBound(oracle, pt.s, pt.dsts, bound, &sc.rev)
+		}
+		var decs []core.Decomposition
+		var oks []bool
+		if rev != nil {
+			decs, oks = solver.FromBoundedEllipse(pt.s, pt.dsts, bound, rev, spath.Unreachable)
+		} else {
+			decs, oks = solver.FromBounded(pt.s, pt.dsts, bound, spath.Unreachable)
+		}
+		for j, dec := range decs {
+			dt := detour{dec: dec, ok: oks[j] && len(dec.Components) > 0}
+			if dt.ok {
+				dt.path, dt.cost = dec.Concat(), dec.Cost(e.g)
+			}
+			pt.dets = append(pt.dets, dt)
 		}
 	}
-	sol := func(s, d graph.NodeID) (core.Decomposition, bool) {
-		k := detourKey{s, d}
-		return solved[k], okd[k]
-	}
 
-	// Pass 3: install the ILM patches on the epoch's net.
-	for _, c := range crossings {
+	// Pass 3: the wanted ILM row of every crossing, then the diff against
+	// what the previous transition left patched.
+	var unrestorable int64
+	for _, c := range sc.crossings {
 		target := c.r2
 		if flavor == rbpc.EndRoute {
 			target = c.lsp.Egress()
 		}
-		dec, ok := sol(c.r1, target)
-		if !ok || len(dec.Components) == 0 {
-			e.mLocalUnrestorable.Add(0, 1)
+		dt := sc.detour(c.r1, target)
+		if dt == nil {
+			unrestorable++
 			continue
 		}
-		row, ok := e.localILMRow(c.lsp, c.i, dec, nh, flavor)
+		out, ok := e.localILMRow(sc, c, dt, nh, flavor)
 		if !ok {
-			e.mLocalUnrestorable.Add(0, 1)
+			unrestorable++
 			continue
 		}
-		if err := e.ilmPatches.Apply(nh.net, c.r1, c.label, row); err != nil {
-			// The row vanished from under us — a provisioning bug, not a
-			// runtime condition; surface it like PatchSet.RevertAll would.
-			panic("engine: applying ILM patch: " + err.Error())
-		}
-		e.mDetourHops.Add(int64(decPath(dec).Hops()))
+		sc.want = append(sc.want, mpls.ILMPatch{Router: c.r1, Label: c.label,
+			Entry: mpls.ILMEntry{Out: out, OutEdge: mpls.LocalProcess}})
+		e.mDetourHops.Add(int64(dt.path.Hops()))
 	}
+	e.syncPatches(nh.net, sc.want)
 
-	// Pass 4: derive the answer each affected pair's patched data plane
-	// now delivers, plus the stretch it pays over the true post-failure
-	// shortest distance.
-	routes := make(map[rbpc.Pair]*Route, len(affected))
-	for _, pr := range affected {
-		var rt *Route
-		if lsp := e.primaries[pr]; lsp != nil {
-			rt = e.localRoute(pr, lsp, downIn, sol, flavor, via)
+	// Pass 4: the answer each affected pair's patched data plane now
+	// delivers. sc.affected is (src, dst)-sorted, so each source's run is
+	// its row; the rows share two backing arrays.
+	rows := make([]*planRow, len(e.canonical))
+	dsts := make([]graph.NodeID, len(sc.affected))
+	routes := make([]*Route, len(sc.affected))
+	for lo := 0; lo < len(sc.affected); {
+		src := sc.affected[lo].Src
+		hi := lo
+		for ; hi < len(sc.affected) && sc.affected[hi].Src == src; hi++ {
+			ap := sc.affected[hi]
+			dsts[hi] = ap.Dst
+			if ap.lsp != nil {
+				routes[hi] = e.localRoute(sc, ap, flavor, via)
+			}
+			if rt := routes[hi]; rt != nil {
+				sc.stretch = append(sc.stretch, stretchObs{pr: rbpc.Pair(ap.NodePair), cost: rt.Cost})
+			} else {
+				unrestorable++
+			}
 		}
-		routes[pr] = rt
-		e.mLocalPairs.Add(0, 1)
-		if rt == nil {
-			e.mLocalUnrestorable.Add(0, 1)
-			continue
-		}
-		if dist := oracle.Dist(pr.Src, pr.Dst); dist > 0 && dist != spath.Unreachable {
-			e.mStretch.Add(int64(math.Round(1000 * rt.Cost / dist)))
-		}
+		rows[src] = newPlanRow(dsts[lo:hi:hi], routes[lo:hi:hi])
+		lo = hi
 	}
-	return &localPlan{routes: routes}
+	e.mLocalPairs.Add(0, int64(len(sc.affected)))
+	e.mLocalUnrestorable.Add(0, unrestorable)
+	return &localPlan{rows: rows}
 }
 
-// localILMRow builds the replacement ILM row for the LSP's i-th crossing,
-// resolving the detour decomposition to LSPs on the epoch's net. Mirrors
-// rbpc.System.localRow, phrased against engine state.
-func (e *Engine) localILMRow(lsp *mpls.LSP, i int, dec core.Decomposition, nh *netHandle, flavor rbpc.LocalScheme) (mpls.ILMEntry, bool) {
-	r := rbpc.Resolver{Net: nh.net, LSPs: e.lspOf}
-	lsps, err := r.Resolve(dec)
-	if err != nil {
-		return mpls.ILMEntry{}, false
+// syncPatches makes the patched ILM rows on net exactly want.
+func (e *Engine) syncPatches(net *mpls.Network, want []mpls.ILMPatch) {
+	if err := e.ilmPatches.Sync(net, want); err != nil {
+		// The row vanished from under us — a provisioning bug, not a
+		// runtime condition; surface it like a failed revert.
+		panic("engine: applying ILM patch: " + err.Error())
 	}
-	atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
-	stack, err := mpls.SelfStack(lsps)
-	if err != nil {
-		return mpls.ILMEntry{}, false
+}
+
+// localILMRow forms the label sequence (bottom-first) of the replacement
+// ILM row for crossing c, resolving the detour to LSPs on the epoch's net
+// the first time a crossing uses it. Mirrors rbpc.System.localRow, phrased
+// against engine state. The result may point into sc.labels.
+func (e *Engine) localILMRow(sc *localScratch, c crossing, dt *detour, nh *netHandle, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
+	if !dt.resolved {
+		dt.resolved = true
+		r := rbpc.Resolver{Net: nh.net, LSPs: e.lspOf}
+		if lsps, err := r.Resolve(dt.dec); err == nil {
+			atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
+			if stack, err := mpls.SelfStack(lsps); err == nil {
+				dt.stack = stack
+			}
+		}
+	}
+	if dt.stack == nil {
+		return nil, false
 	}
 	if flavor == rbpc.EndRoute {
-		return mpls.ILMEntry{Out: stack, OutEdge: mpls.LocalProcess}, true
+		return dt.stack, true
 	}
-	resume, ok := lsp.HopLabel(i)
+	resume, ok := c.lsp.HopLabel(c.i)
 	if !ok {
-		return mpls.ILMEntry{}, false
+		return nil, false
 	}
 	// Bottom-first: the resume label sits beneath the bypass stack,
 	// exposed when the bypass's egress pops.
-	out := make([]mpls.Label, 0, len(stack)+1)
-	out = append(out, resume)
-	out = append(out, stack...)
-	return mpls.ILMEntry{Out: out, OutEdge: mpls.LocalProcess}, true
+	at := len(sc.labels)
+	sc.labels = append(append(sc.labels, resume), dt.stack...)
+	return sc.labels[at:len(sc.labels):len(sc.labels)], true
 }
 
 // localRoute derives the path an affected pair's traffic takes through the
@@ -348,47 +492,61 @@ func (e *Engine) localILMRow(lsp *mpls.LSP, i int, dec core.Decomposition, nh *n
 // the end-route detour to the destination, or (edge-bypass) the primary
 // with every down link spliced out for its detour. Returns nil when any
 // required detour does not exist — the pair is locally unrestorable.
-func (e *Engine) localRoute(pr rbpc.Pair, lsp *mpls.LSP, downIn map[graph.EdgeID]bool, sol func(s, d graph.NodeID) (core.Decomposition, bool), flavor rbpc.LocalScheme, via Scheme) *Route {
+func (e *Engine) localRoute(sc *localScratch, ap affectedPair, flavor rbpc.LocalScheme, via Scheme) *Route {
+	prim := ap.lsp.Path
 	if flavor == rbpc.EndRoute {
-		for i, edge := range lsp.Path.Edges {
-			if !downIn[edge] {
+		for i, edge := range prim.Edges {
+			if !sc.downIn[edge] {
 				continue
 			}
-			r1 := lsp.Path.Nodes[i]
-			dec, ok := sol(r1, pr.Dst)
-			if !ok || len(dec.Components) == 0 {
+			dt := sc.detour(prim.Nodes[i], ap.Dst)
+			if dt == nil {
 				return nil
 			}
-			prefix := lsp.Path.SubPath(0, i)
+			prefix := prim.SubPath(0, i)
 			return &Route{
 				Via:  via,
-				Path: prefix.Concat(decPath(dec)),
-				Cost: prefix.CostIn(e.g) + dec.Cost(e.g),
+				Path: prefix.Concat(dt.path),
+				Cost: prefix.CostIn(e.g) + dt.cost,
 			}
 		}
-		return nil // unreachable: downCount said a crossing exists
+		return nil // unreachable: the pair index said a crossing exists
 	}
-	nodes := make([]graph.NodeID, 1, len(lsp.Path.Nodes))
-	nodes[0] = lsp.Path.Src()
-	edges := make([]graph.EdgeID, 0, len(lsp.Path.Edges))
+	nodes := make([]graph.NodeID, 1, len(prim.Nodes))
+	nodes[0] = prim.Src()
+	edges := make([]graph.EdgeID, 0, len(prim.Edges))
 	var cost float64
-	for i, edge := range lsp.Path.Edges {
-		if !downIn[edge] {
-			nodes = append(nodes, lsp.Path.Nodes[i+1])
+	for i, edge := range prim.Edges {
+		if !sc.downIn[edge] {
+			nodes = append(nodes, prim.Nodes[i+1])
 			edges = append(edges, edge)
 			cost += e.g.Edge(edge).W
 			continue
 		}
-		dec, ok := sol(lsp.Path.Nodes[i], lsp.Path.Nodes[i+1])
-		if !ok || len(dec.Components) == 0 {
+		dt := sc.detour(prim.Nodes[i], prim.Nodes[i+1])
+		if dt == nil {
 			return nil
 		}
-		dp := decPath(dec)
-		nodes = append(nodes, dp.Nodes[1:]...)
-		edges = append(edges, dp.Edges...)
-		cost += dec.Cost(e.g)
+		nodes = append(nodes, dt.path.Nodes[1:]...)
+		edges = append(edges, dt.path.Edges...)
+		cost += dt.cost
 	}
 	return &Route{Via: via, Path: graph.Path{Nodes: nodes, Edges: edges}, Cost: cost}
+}
+
+// accountStretch feeds Stats.Stretch with the transition's restorable
+// affected pairs: local cost over the pair's post-failure shortest
+// distance, in permille. It runs after the snapshot the costs belong to is
+// serving, because the denominators are not free: dist returns the
+// distance for a pair, Unreachable (or 0) to skip it.
+func (e *Engine) accountStretch(dist func(rbpc.Pair) float64) {
+	sc := e.lscratch
+	for _, o := range sc.stretch {
+		if d := dist(o.pr); d > 0 && d != spath.Unreachable {
+			e.mStretch.Add(int64(math.Round(1000 * o.cost / d)))
+		}
+	}
+	sc.stretch = sc.stretch[:0]
 }
 
 // floodHorizons computes, per router, when the modeled link-state flood of
@@ -478,10 +636,9 @@ func (e *Engine) pendingTimers() int {
 // into the source-plan build, which publishes phase two on a fresh net
 // clone with srcReady set.
 //
-// FaultStaleBypass short-circuits the revert+rebuild: the previous plan's
-// patches stay applied and its routes keep being served.
+// FaultStaleBypass short-circuits the rebuild: the previous plan's patches
+// stay applied and its routes keep being served.
 func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network, nh *netHandle, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
-	buildStart := time.Now()
 	var lp *localPlan
 	if e.cfg.Fault == FaultStaleBypass {
 		lp = e.prevLocal
@@ -489,10 +646,8 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 			lp = emptyLocal
 		}
 	} else {
-		e.ilmPatches.RevertAll(net)
 		lp = e.buildLocalPlan(failed, fv, oracle, nh)
 	}
-	e.mLocalBuild.Record(0, time.Since(buildStart))
 	e.prevLocal = lp
 
 	hybrid := e.cfg.Scheme == SchemeHybrid
@@ -531,9 +686,14 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 		clock:      e.cfg.Clock,
 	}
 	e.snap.Store(next)
+	e.mLocalBuild.Record(0, time.Since(start))
 	e.mEpochs.Add(0, 1)
 	if !hybrid {
 		e.mBuild.Record(0, time.Since(start))
+		// No source plan follows: the stretch denominators come from the
+		// epoch oracle, one tree per affected source, now that the local
+		// answers are serving.
+		e.accountStretch(func(pr rbpc.Pair) float64 { return oracle.Dist(pr.Src, pr.Dst) })
 	}
 	if e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(next)

@@ -106,7 +106,7 @@ func TestLocalSchemesServeAffectedPairs(t *testing.T) {
 				if snap.Scheme() != tc.scheme {
 					t.Fatalf("snapshot scheme %v", snap.Scheme())
 				}
-				localPairs := snap.LocalRoutes()
+				localPairs := localRoutesOf(snap)
 				for pr, rt := range localPairs {
 					if rt == nil {
 						if res := e.Query(pr.Src, pr.Dst); res.Route != nil {
@@ -141,7 +141,7 @@ func TestLocalSchemesServeAffectedPairs(t *testing.T) {
 			}
 			e.Flush()
 			snap := e.Snapshot()
-			if got := snap.LocalRoutes(); len(got) != 0 {
+			if got := localRoutesOf(snap); len(got) != 0 {
 				t.Fatalf("pristine epoch still holds %d local routes", len(got))
 			}
 			if e.ilmPatches.Len() != 0 {
@@ -213,7 +213,7 @@ func TestHybridSwitchover(t *testing.T) {
 	if snap.MaxHorizon() < 10*time.Millisecond {
 		t.Fatalf("MaxHorizon = %v, want at least the detect delay", snap.MaxHorizon())
 	}
-	local := snap.LocalRoutes()
+	local := localRoutesOf(snap)
 	if len(local) == 0 {
 		t.Skip("seed produced no affected pairs for edge 0")
 	}

@@ -16,7 +16,6 @@ import (
 
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
-	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 )
 
@@ -77,9 +76,10 @@ type Snapshot struct {
 	created time.Time
 
 	// Local-restoration serving state (Config.Scheme != SchemeSource).
-	// local maps each affected pair to its locally restored answer and is
-	// consulted before the matrix; under SchemeLocal/SchemeBypass it
-	// wins unconditionally, under SchemeHybrid only until the querying
+	// local holds each affected pair's locally restored answer, in the
+	// overlay's per-source row layout, and is consulted before the matrix;
+	// under SchemeLocal/SchemeBypass it wins unconditionally, under
+	// SchemeHybrid only until the querying
 	// source's flood horizon passes (and only once srcReady marks the
 	// phase-two snapshot whose rows actually hold the source plan).
 	// horizon[src] is that source's switchover delay after detected, on
@@ -141,14 +141,18 @@ func (s *Snapshot) Oracle() *spath.Oracle { return s.oracle }
 //
 //rbpc:hotpath
 func (s *Snapshot) Route(src, dst graph.NodeID) *Route {
-	if s.local != nil {
-		if rt, ok := s.local.routes[rbpc.Pair{Src: src, Dst: dst}]; ok {
-			// Affected pair: the local answer wins until the source has
-			// both heard of the failure (its flood horizon passed) and a
-			// source plan to switch to (srcReady). A nil rt is a locally
-			// unrestorable pair — served as unroutable, faithfully.
-			if !s.srcReady || !s.pastHorizon(src) {
-				return rt
+	// The local rows are read in place rather than through LocalRoute: the
+	// call does not inline, and every query of every scheme passes here.
+	if s.local != nil && int(src) < len(s.local.rows) {
+		if lr := s.local.rows[src]; lr != nil {
+			if rt, ok := lr.get(dst); ok {
+				// Affected pair: the local answer wins until the source has
+				// both heard of the failure (its flood horizon passed) and a
+				// source plan to switch to (srcReady). A nil rt is a locally
+				// unrestorable pair — served as unroutable, faithfully.
+				if !s.srcReady || !s.pastHorizon(src) {
+					return rt
+				}
 			}
 		}
 	}
@@ -238,12 +242,16 @@ func (s *Snapshot) Converged() bool {
 	return s.clock().Sub(s.detected) >= s.maxHorizon
 }
 
-// LocalRoutes returns the affected-pair local answers of this epoch (nil
-// outside the local schemes; a nil map value is a locally unrestorable
-// pair). Callers must not modify the map.
-func (s *Snapshot) LocalRoutes() map[rbpc.Pair]*Route {
-	if s.local == nil {
-		return nil
+// LocalRoute returns the pair's local answer in this epoch and whether
+// the pair is affected — its canonical primary crosses a down link — under
+// a local scheme. An affected pair with a nil route is locally
+// unrestorable. Unlike Route it ignores the hybrid switchover: it reports
+// what the patched data plane delivers, whoever is still served by it.
+//
+//rbpc:hotpath
+func (s *Snapshot) LocalRoute(src, dst graph.NodeID) (*Route, bool) {
+	if s.local == nil || int(src) >= len(s.local.rows) || s.local.rows[src] == nil {
+		return nil, false
 	}
-	return s.local.routes
+	return s.local.rows[src].get(dst)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -212,13 +213,19 @@ func (p Path) String() string {
 }
 
 // Key returns a compact string identifying the path's edge sequence plus its
-// endpoints, suitable as a map key (e.g. for deduplicating base paths).
+// endpoints ("src:e0,e1,...,:dst"), suitable as a map key (e.g. for
+// deduplicating base paths). It is on the restore-critical path — every
+// component of every restoration route is resolved to its LSP by key — so
+// it formats into a stack buffer and allocates only the returned string.
 func (p Path) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:", p.Nodes[0])
+	var buf [96]byte
+	b := strconv.AppendInt(buf[:0], int64(p.Nodes[0]), 10)
+	b = append(b, ':')
 	for _, e := range p.Edges {
-		fmt.Fprintf(&b, "%d,", e)
+		b = strconv.AppendInt(b, int64(e), 10)
+		b = append(b, ',')
 	}
-	fmt.Fprintf(&b, ":%d", p.Dst())
-	return b.String()
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(p.Dst()), 10)
+	return string(b)
 }

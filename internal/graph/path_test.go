@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -146,6 +149,62 @@ func TestPathStringAndKey(t *testing.T) {
 	// Trivial paths at different nodes must have distinct keys.
 	if Trivial(1).Key() == Trivial(2).Key() {
 		t.Error("trivial keys collide")
+	}
+}
+
+// fmtKey is Key as it was rendered before the strconv rewrite; the keys are
+// persisted nowhere, but every LSP registry is indexed by them, so the
+// rendering is pinned byte for byte.
+func fmtKey(p Path) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d:", p.Nodes[0])
+	for _, e := range p.Edges {
+		fmt.Fprintf(&b, "%d,", e)
+	}
+	fmt.Fprintf(&b, ":%d", p.Dst())
+	return b.String()
+}
+
+func TestPathKeyFormat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	id := func() int32 {
+		switch rng.Intn(4) {
+		case 0:
+			return int32(rng.Intn(10))
+		case 1:
+			return int32(rng.Intn(100000))
+		case 2:
+			return math.MaxInt32 - int32(rng.Intn(3))
+		default:
+			return rng.Int31()
+		}
+	}
+	paths := []Path{Trivial(0), Trivial(math.MaxInt32)}
+	for i := 0; i < 500; i++ {
+		hops := rng.Intn(40) // long enough to outgrow Key's stack buffer
+		p := Path{Nodes: []NodeID{NodeID(id())}}
+		for h := 0; h < hops; h++ {
+			p.Nodes = append(p.Nodes, NodeID(id()))
+			p.Edges = append(p.Edges, EdgeID(id()))
+		}
+		paths = append(paths, p)
+	}
+	for _, p := range paths {
+		if got, want := p.Key(), fmtKey(p); got != want {
+			t.Fatalf("Key() = %q, fmt rendering %q", got, want)
+		}
+	}
+}
+
+var keySink string
+
+// BenchmarkPathKey prices the registry key of a typical base path (four
+// hops, three-digit ids): one call per component of every resolved route.
+func BenchmarkPathKey(b *testing.B) {
+	p := Path{Nodes: []NodeID{117, 203, 15, 88, 231}, Edges: []EdgeID{412, 96, 305, 471}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		keySink = p.Key()
 	}
 }
 

@@ -13,7 +13,7 @@ import "slices"
 //
 // Semantics:
 //
-//   - ILM maps and FEC slices are shared until written; the first write to
+//   - ILM and FEC tables are shared until written; the first write to
 //     a router's table (on either lineage) copies that table.
 //   - The LSP registry is likewise shared until written. *LSP values
 //     themselves are immutable after establishment and stay shared.
@@ -41,6 +41,7 @@ func (n *Network) Clone() *Network {
 		c.routers[i] = &Router{
 			ID:        r.ID,
 			ilm:       r.ilm,
+			ilmCount:  r.ilmCount,
 			fec:       r.fec,
 			fecCount:  r.fecCount,
 			sharedILM: true,

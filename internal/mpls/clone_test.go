@@ -42,6 +42,17 @@ func lineNet(tb testing.TB, n int) (*graph.Graph, *Network) {
 
 func mapPtr(v any) uintptr { return reflect.ValueOf(v).Pointer() }
 
+// ilmRows collects a router's installed ILM rows by label.
+func ilmRows(r *Router) map[Label]ILMEntry {
+	rows := make(map[Label]ILMEntry, r.ILMSize())
+	for l := range r.ilm {
+		if e, ok := r.ILMEntryFor(Label(l)); ok {
+			rows[Label(l)] = e
+		}
+	}
+	return rows
+}
+
 func TestCloneSharesUntouchedTables(t *testing.T) {
 	_, net := lineNet(t, 8)
 	c := net.Clone()
@@ -94,7 +105,7 @@ func TestCloneIsolation(t *testing.T) {
 	// its replacement (an egress entry already pops to local processing),
 	// or "unchanged in the clone" and "leaked" would look the same.
 	lbl, found := Label(0), false
-	for l, e := range net.routers[2].ilm {
+	for l, e := range ilmRows(net.routers[2]) {
 		if e.OutEdge != LocalProcess || len(e.Out) != 0 {
 			lbl, found = l, true
 			break
@@ -178,8 +189,8 @@ func imageOf(n *Network) tableImage {
 		lsps:   n.NumLSPs(),
 	}
 	for i, r := range n.routers {
-		img.ilm[i] = make(map[Label]ILMEntry, len(r.ilm))
-		for l, e := range r.ilm {
+		img.ilm[i] = make(map[Label]ILMEntry, r.ILMSize())
+		for l, e := range ilmRows(r) {
 			img.ilm[i][l] = ILMEntry{Out: append([]Label(nil), e.Out...), OutEdge: e.OutEdge, LSP: e.LSP}
 		}
 		img.fec[i] = make(map[graph.NodeID]FECEntry, r.fecCount)
@@ -208,7 +219,7 @@ func TestCloneParentTablesBitIdentical(t *testing.T) {
 		c.ClearFEC(graph.NodeID(i), 7)
 	}
 	var lbl Label
-	for l := range c.routers[4].ilm {
+	for l := range ilmRows(c.routers[4]) {
 		lbl = l
 		break
 	}

@@ -111,7 +111,7 @@ func (n *Network) Forward(pkt *Packet) error {
 		ops := 0
 		for {
 			r := n.routers[pkt.At]
-			entry, ok := r.ilm[top]
+			entry, ok := r.ILMEntryFor(top)
 			if !ok {
 				n.stats.packetsDropped.Add(1)
 				return fmt.Errorf("router %d, label %d: %w", pkt.At, top, ErrNoRoute)

@@ -119,11 +119,11 @@ func (n *Network) establish(path graph.Path, php bool) (*LSP, error) {
 	// Ingress self-row.
 	ingress := n.routers[path.Src()]
 	lsp.selfLabel = ingress.allocLabel()
-	ingress.writableILM()[lsp.selfLabel] = ILMEntry{
+	ingress.setILM(lsp.selfLabel, ILMEntry{
 		Out:     []Label{lsp.hopLabels[0]},
 		OutEdge: path.Edges[0],
 		LSP:     lsp.ID,
-	}
+	})
 
 	// Transit and egress rows.
 	for i := 1; i <= m; i++ {
@@ -134,12 +134,12 @@ func (n *Network) establish(path graph.Path, php bool) (*LSP, error) {
 			if php {
 				continue // egress holds no row under PHP
 			}
-			r.writableILM()[in] = ILMEntry{Out: nil, OutEdge: LocalProcess, LSP: lsp.ID}
+			r.setILM(in, ILMEntry{Out: nil, OutEdge: LocalProcess, LSP: lsp.ID})
 		case php && i == m-1:
 			// Penultimate pop: forward the inner stack on the last link.
-			r.writableILM()[in] = ILMEntry{Out: nil, OutEdge: path.Edges[i], LSP: lsp.ID}
+			r.setILM(in, ILMEntry{Out: nil, OutEdge: path.Edges[i], LSP: lsp.ID})
 		default:
-			r.writableILM()[in] = ILMEntry{Out: []Label{lsp.hopLabels[i]}, OutEdge: path.Edges[i], LSP: lsp.ID}
+			r.setILM(in, ILMEntry{Out: []Label{lsp.hopLabels[i]}, OutEdge: path.Edges[i], LSP: lsp.ID})
 		}
 	}
 

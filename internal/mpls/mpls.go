@@ -66,7 +66,16 @@ type FECEntry struct {
 type Router struct {
 	ID graph.NodeID
 
-	ilm map[Label]ILMEntry
+	// ilm is the incoming label map, indexed by label: a router hands out
+	// its labels densely from 16 up, so the label space is the table. A
+	// slot whose OutEdge is noRow holds no row. Like the FEC table below it
+	// is a flat slice so that the copy-on-write un-share after a Clone is
+	// one memmove of 32-byte rows — the local restoration schemes patch the
+	// routers adjacent to every failed link, which are the routers with the
+	// largest tables, on the restore-critical path — and so that a row costs
+	// its 32 bytes and nothing for hashing.
+	ilm      []ILMEntry
+	ilmCount int
 	// fec is the dense FEC table, indexed by destination node ID (the FEC
 	// key domain is exactly the node space); nil marks an absent row. A
 	// flat slice of pointers instead of a map makes the copy-on-write
@@ -89,10 +98,12 @@ type Router struct {
 	freeList  []Label
 }
 
+// noRow in an ILM slot's OutEdge marks the slot empty.
+const noRow graph.EdgeID = -2
+
 func newRouter(id graph.NodeID, order int) *Router {
 	return &Router{
 		ID:        id,
-		ilm:       make(map[Label]ILMEntry),
 		fec:       make([]*FECEntry, order),
 		nextLabel: 16, // labels 0-15 are reserved in real MPLS
 	}
@@ -111,18 +122,33 @@ func (r *Router) allocLabel() Label {
 }
 
 func (r *Router) freeLabel(l Label) {
-	delete(r.writableILM(), l)
+	if _, ok := r.ILMEntryFor(l); ok {
+		r.writableILM(l)[l] = ILMEntry{OutEdge: noRow}
+		r.ilmCount--
+	}
 	r.freeList = append(r.freeList, l)
 }
 
-// writableILM returns the ILM map, un-sharing it first if a Clone holds a
-// reference. All ILM writes must go through it.
-func (r *Router) writableILM() map[Label]ILMEntry {
+// writableILM un-shares the ILM table if a Clone holds a reference and
+// ensures it spans at least l+1 slots. All ILM writes must go through it
+// (or through setILM, which also keeps the row count).
+func (r *Router) writableILM(l Label) []ILMEntry {
 	if r.sharedILM {
-		r.ilm = maps.Clone(r.ilm)
+		r.ilm = slices.Clone(r.ilm)
 		r.sharedILM = false
 	}
+	for int(l) >= len(r.ilm) {
+		r.ilm = append(r.ilm, ILMEntry{OutEdge: noRow})
+	}
 	return r.ilm
+}
+
+// setILM installs (or replaces) the row for label l.
+func (r *Router) setILM(l Label, e ILMEntry) {
+	if _, ok := r.ILMEntryFor(l); !ok {
+		r.ilmCount++
+	}
+	r.writableILM(l)[l] = e
 }
 
 // writableFEC un-shares the FEC table if a Clone holds a reference and
@@ -142,14 +168,16 @@ func (r *Router) writableFEC(dst graph.NodeID) []*FECEntry {
 // footprint the paper's ILM stretch factor measures.
 //
 //rbpc:hotpath
-func (r *Router) ILMSize() int { return len(r.ilm) }
+func (r *Router) ILMSize() int { return r.ilmCount }
 
 // ILMEntryFor returns the entry for an incoming label.
 //
 //rbpc:hotpath
 func (r *Router) ILMEntryFor(l Label) (ILMEntry, bool) {
-	e, ok := r.ilm[l]
-	return e, ok
+	if l < 0 || int(l) >= len(r.ilm) || r.ilm[l].OutEdge == noRow {
+		return ILMEntry{}, false
+	}
+	return r.ilm[l], true
 }
 
 // FECEntryFor returns the FEC row for a destination.
@@ -335,11 +363,11 @@ func (n *Network) ClearFEC(id, dst graph.NodeID) {
 // link recovers.
 func (n *Network) ReplaceILM(id graph.NodeID, l Label, e ILMEntry) (ILMEntry, error) {
 	r := n.routers[id]
-	prev, ok := r.ilm[l]
+	prev, ok := r.ILMEntryFor(l)
 	if !ok {
 		return ILMEntry{}, fmt.Errorf("mpls: router %d has no ILM entry for label %d", id, l)
 	}
-	r.writableILM()[l] = e
+	r.writableILM(l)[l] = e
 	n.stats.ilmReplacements.Add(1)
 	return prev, nil
 }

@@ -31,6 +31,21 @@ if git grep -nwE 'DeltaRows|assembleDense|emptyOver' -- '*.go'; then
 	exit 1
 fi
 
+# The engine's writer owns one pool of sparse solvers, warm across epochs
+# and bound to the live candidate index (ensureSolvers); the from-scratch
+# reference plan (computePlan, Config.FullRebuild) is the only other place
+# allowed to build one. A solver constructed per transition anywhere else
+# is the slow arm this gate exists to keep out. -W prints the enclosing
+# function as a "file=N=" line ahead of each "file:N:" match.
+echo "==> internal/engine builds sparse solvers in ensureSolvers and computePlan only"
+if git grep -nW 'core\.NewSparseSolver(' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
+	awk '/=[0-9]+=/ { fn = $0 }
+		/:[0-9]+:.*NewSparseSolver\(/ && fn !~ /\) (ensureSolvers|computePlan)\(/ { print fn; print; bad = 1 }
+		END { exit !bad }'; then
+	echo "verify: core.NewSparseSolver called outside ensureSolvers/computePlan (see above)" >&2
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
