@@ -42,7 +42,9 @@ chaos:
 verify:
 	sh scripts/verify.sh
 
-# Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op), the LSP
+# Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op), an epoch
+# tree with 1-3 links down derived from the pristine tree against computed
+# from scratch (<= 2 allocs asserted on the derived arm), the LSP
 # registry key, the snapshot read path (Snapshot.Route over the nil
 # overlay, an overlay hit and miss, and the hybrid local rows for an
 # affected and an unaffected pair; 0 allocs asserted), a query worker's
@@ -51,7 +53,7 @@ verify:
 # so they cannot rot.
 BENCHTIME ?= 1s
 bench:
-	$(GO) test -run '^$$' -bench BenchmarkSSSPKernel -benchmem -benchtime $(BENCHTIME) ./internal/spath/
+	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
 	$(GO) test -run '^$$' -bench BenchmarkPathKey -benchmem -benchtime $(BENCHTIME) ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 

@@ -156,7 +156,12 @@ type Engine struct {
 	// segments holding only currently-surviving candidates, carried across
 	// epochs and refiltered only for sources the failure delta touched.
 	// Updated once per published transition; read-only during solve fan-out.
-	live      *paths.LiveIndex
+	live *paths.LiveIndex
+	// pristine is epoch 0's oracle, kept for the engine's lifetime: every
+	// later epoch's trees are repairs of its trees (epochOracle). Nil on a
+	// FullRebuild engine, whose trees stay from-scratch searches so the
+	// reference arm is independent of the derivation it checks.
+	pristine  *spath.Oracle
 	canonical [][]*Route
 	planCache *planCache
 	prevPlan  *plan
@@ -320,6 +325,10 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		}
 		e.lscratch = newLocalScratch(p.Graph)
 	}
+	if !cfg.FullRebuild {
+		e.pristine = s0.oracle
+		e.pristine.SetCap(pristineTreeCap(p.Graph.Order()))
+	}
 	e.snap.Store(s0)
 
 	e.wg.Add(1)
@@ -336,6 +345,29 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		go e.queryWorker(uint64(w))
 	}
 	return e, nil
+}
+
+// pristineBudget bounds the memory the pristine oracle may hold, whatever
+// the topology's size; pristineTreeCap turns it into the oracle's CLOCK cap.
+// A pristine tree costs 32 B a node (20 of labels, 12 of preorder layout),
+// so 237 nodes hold every root in 1.8 MB and never evict, while a
+// 40 000-node graph keeps its 50 hottest roots and pays one search to
+// bring an evicted one back.
+const pristineBudget = 64 << 20
+
+func pristineTreeCap(n int) int {
+	return max(pristineBudget/(32*max(n, 1)), 16)
+}
+
+// epochOracle builds the distance oracle of an epoch over fv: its trees are
+// repairs of the pristine oracle's (spath.Oracle.Derive), or from-scratch
+// searches where there is no pristine oracle to derive from — the
+// FullRebuild reference arm and a decoder's detached replica.
+func epochOracle(pristine *spath.Oracle, fv *graph.FailureView) *spath.Oracle {
+	if pristine == nil {
+		return spath.NewOracle(fv)
+	}
+	return pristine.Derive(fv)
 }
 
 // canonicalRows builds the canonical routing matrix from the provisioned
@@ -837,7 +869,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 
 	fv := graph.FailEdges(e.g, failed...)
-	oracle := spath.NewOracle(fv)
+	oracle := epochOracle(e.pristine, fv)
 	if !e.cfg.FullRebuild {
 		// Seed the epoch's oracle with every previous-epoch tree that
 		// provably survives the transition; adopted trees double as the

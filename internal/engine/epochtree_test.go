@@ -1,0 +1,78 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"rbpc/internal/failure"
+	"rbpc/internal/graph"
+	"rbpc/internal/spath"
+	"rbpc/internal/topology"
+)
+
+// TestEpochTreesMatchCompute taps every published epoch of a seeded churn
+// (failures and repairs, at most three links down) and demands that the
+// epoch oracle's tree of every root — the ones the build cached by deriving
+// or adopting them, and the rest, derived on the spot — has exactly the
+// distance row of a from-scratch search of the epoch's view. The capped arm
+// squeezes the pristine oracle to four trees, so most derivations first
+// bring an evicted pristine tree back.
+func TestEpochTreesMatchCompute(t *testing.T) {
+	small := topology.ISPConfig{
+		Core: 5, Agg: 10, Access: 25,
+		CoreOffsets: []int{1, 2}, DualAccess: 12,
+		WCore: 1, WAgg: 3, WAccess: 10, WJitter: 2,
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"AS-unit", topology.PaperAS(1, 0.01)},
+		{"ISP-weighted", topology.ISP(small, 3)},
+	} {
+		for _, scheme := range []Scheme{SchemeSource, SchemeHybrid} {
+			for _, pristineCap := range []int{0, 4} {
+				t.Run(fmt.Sprintf("%s/%s/cap=%d", tc.name, scheme, pristineCap), func(t *testing.T) {
+					g := tc.g
+					epochs, repaired := 0, 0
+					cached := 0
+					check := func(snap *Snapshot) {
+						epochs++
+						cached += snap.Oracle().CachedTrees()
+						for s := 0; s < g.Order(); s++ {
+							root := graph.NodeID(s)
+							got := snap.Oracle().Tree(root).Dists()
+							want := spath.Compute(snap.View(), root).Dists()
+							for v := range want {
+								if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+									t.Errorf("epoch %d failed %v: root %d dist to %d = %v, Compute says %v",
+										snap.Epoch(), snap.Failed(), root, v, got[v], want[v])
+									return
+								}
+							}
+						}
+					}
+					e, _ := newEngine(t, g, Config{Scheme: scheme, OnEpoch: check})
+					if pristineCap > 0 {
+						e.pristine.SetCap(pristineCap)
+					}
+					for _, ev := range failure.ChurnSchedule(g, 40, 3, rand.New(rand.NewSource(5))) {
+						if ev.Repair {
+							repaired++
+						}
+						e.ApplyEvents([]failure.Event{ev})
+						e.Flush()
+					}
+					if epochs < 40 || repaired == 0 || cached == 0 {
+						t.Fatalf("vacuous: %d epochs, %d repairs, %d trees cached by the builds", epochs, repaired, cached)
+					}
+					if got := e.pristine.CachedTrees(); pristineCap > 0 && got > pristineCap {
+						t.Fatalf("pristine oracle holds %d trees, cap %d", got, pristineCap)
+					}
+				})
+			}
+		}
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
-	"rbpc/internal/spath"
 )
 
 // AppendWire serializes the snapshot's serving state — epoch, failed-set,
@@ -236,7 +235,7 @@ func (d *SnapDecoder) Detached(failed []graph.EdgeID, epoch uint64) *Snapshot {
 		epoch:   epoch,
 		failed:  failed,
 		fv:      fv,
-		oracle:  spath.NewOracle(fv),
+		oracle:  epochOracle(nil, fv),
 		canon:   d.canon,
 		created: time.Now(),
 		scheme:  SchemeSource,

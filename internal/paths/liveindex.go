@@ -49,6 +49,13 @@ type LiveIndex struct {
 	ownDsts  [][]int32
 	ownKeys  [][]int32
 
+	// touched and touchGen dedup the sources one Update touches: source u is
+	// already on the touched list iff touchGen[u] == gen. Writer-owned
+	// scratch, like the rest of the index.
+	touched  []graph.NodeID
+	touchGen []uint32
+	gen      uint32
+
 	// edgeOK caches Explicit.EdgeComplete at construction (the set is
 	// immutable): live filtering keeps a 1-hop path exactly while its edge
 	// is up, so the attestation survives every Update.
@@ -77,6 +84,7 @@ func NewLiveIndex(b *Explicit, ci *CostIndex) *LiveIndex {
 		ownCosts:  make([][]float64, n),
 		ownDsts:   make([][]int32, n),
 		ownKeys:   make([][]int32, n),
+		touchGen:  make([]uint32, n),
 	}
 	for k := range li.baseKeys {
 		li.baseKeys[k] = int32(k)
@@ -112,15 +120,20 @@ func (li *LiveIndex) Update(newlyDown, repaired []graph.EdgeID) {
 	if len(newlyDown) == 0 && len(repaired) == 0 {
 		return
 	}
-	// touched collects the sources whose dead-path population changed.
-	var touched []graph.NodeID
+	// touched collects the sources whose dead-path population changed, in
+	// first-touch order, each once: a per-source generation stamp replaces a
+	// search of the list per dead path.
+	li.gen++
+	if li.gen == 0 { // wrapped: stale stamps could collide, start over
+		clear(li.touchGen)
+		li.gen = 1
+	}
+	touched := li.touched[:0]
 	mark := func(u graph.NodeID) {
-		for _, t := range touched {
-			if t == u {
-				return
-			}
+		if li.touchGen[u] != li.gen {
+			li.touchGen[u] = li.gen
+			touched = append(touched, u)
 		}
-		touched = append(touched, u)
 	}
 	for _, e := range newlyDown {
 		for _, idx := range li.ex.IndicesThroughEdge(e) {
@@ -149,6 +162,7 @@ func (li *LiveIndex) Update(newlyDown, repaired []graph.EdgeID) {
 		}
 		li.refilter(u)
 	}
+	li.touched = touched
 }
 
 // refilter rebuilds u's owned live segments from the base columns, keeping

@@ -154,8 +154,57 @@ func TestAdoptFromRejectsBrokenAndImproved(t *testing.T) {
 		downO.mu.RLock()
 		e := downO.trees[src]
 		downO.mu.RUnlock()
-		if e != nil && e.tree.UsesAny(map[graph.EdgeID]bool{cut: true}) {
+		if e != nil && scanUsesEdge(e.tree, cut) {
 			t.Fatalf("source %d: adopted a tree that uses the removed edge", s)
+		}
+	}
+}
+
+// scanUsesEdge is the per-node reference of Tree.usesEdge's two-probe test.
+func scanUsesEdge(t *Tree, id graph.EdgeID) bool {
+	for _, pe := range t.parentE {
+		if pe == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAdoptFromParallelEdges: between one node pair, only the parallel
+// edge the tree actually uses blocks adoption; its equal-weight twin — same
+// endpoints, other ID — does not, and everything adopted is the fresh tree.
+func TestAdoptFromParallelEdges(t *testing.T) {
+	// Line 0-1-2-3 with the middle link doubled: edges 1 and 3 both join
+	// (1,2) at weight 1. The tie-break keeps the lower ID in every tree.
+	g := lineGraph(4)
+	twin := g.AddEdge(1, 2, 1)
+	used := graph.EdgeID(1)
+	upO := NewOracle(graph.FailEdges(g))
+	for s := 0; s < g.Order(); s++ {
+		tr := upO.Tree(graph.NodeID(s))
+		if !scanUsesEdge(tr, used) || scanUsesEdge(tr, twin) {
+			t.Fatalf("source %d: expected edge %d in the tree and its twin %d out", s, used, twin)
+		}
+		for _, e := range g.Edges() {
+			if got, want := tr.usesEdge(e), scanUsesEdge(tr, e.ID); got != want {
+				t.Fatalf("source %d edge %d: usesEdge = %v, scan says %v", s, e.ID, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		cut  graph.EdgeID
+		want int
+	}{{twin, g.Order()}, {used, 0}} {
+		downView := graph.FailEdges(g, tc.cut)
+		downO := NewOracle(downView)
+		if got := downO.AdoptFrom(upO, []graph.EdgeID{tc.cut}, nil); got != tc.want {
+			t.Fatalf("cut edge %d: adopted %d trees, want %d", tc.cut, got, tc.want)
+		}
+		for s := 0; s < g.Order(); s++ {
+			src := graph.NodeID(s)
+			if !treesEqualBits(downO.Tree(src), Compute(downView, src)) {
+				t.Fatalf("cut edge %d source %d: oracle tree differs from a fresh solve", tc.cut, s)
+			}
 		}
 	}
 }

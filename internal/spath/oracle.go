@@ -9,11 +9,26 @@ import (
 )
 
 // oracleEntry is one cached tree plus its CLOCK reference bit. The bit is
-// set on every hit (outside the oracle lock) and cleared by the sweeping
-// hand, giving recently used trees a second chance before eviction.
+// set on a hit (outside the oracle lock) and cleared by the sweeping hand,
+// giving recently used trees a second chance before eviction. lay is the
+// tree's preorder layout, built the first time a derived oracle repairs
+// the tree (see Derive); trees nobody derives from never pay for it.
 type oracleEntry struct {
 	tree *Tree
 	ref  atomic.Bool
+	lay  atomic.Pointer[treeLayout]
+}
+
+// touch sets the reference bit. Hot trees are hit from every build worker
+// (a destination's tree bounds the search of every source routing to it),
+// so the bit is read first and written only when clear: a set bit stays a
+// shared cache line instead of bouncing between cores on every hit.
+//
+//rbpc:hotpath
+func (e *oracleEntry) touch() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 }
 
 // Oracle memoizes shortest-path trees per source over a fixed view. It is
@@ -31,6 +46,10 @@ type oracleEntry struct {
 // Oracle is safe for concurrent use.
 type Oracle struct {
 	view graph.View
+
+	// derive, when non-nil, makes this a derived oracle: a miss repairs the
+	// pristine oracle's tree of the same root instead of searching the view.
+	derive *derivation
 
 	mu    sync.RWMutex
 	trees map[graph.NodeID]*oracleEntry //rbpc:guardedby mu
@@ -51,32 +70,43 @@ func NewOracle(v graph.View) *Oracle {
 func (o *Oracle) View() graph.View { return o.view }
 
 // Tree returns the (memoized) shortest-path tree rooted at s.
-func (o *Oracle) Tree(s graph.NodeID) *Tree {
+func (o *Oracle) Tree(s graph.NodeID) *Tree { return o.entry(s).tree }
+
+// entry returns the cache entry of the tree rooted at s, building the tree
+// on a miss: by repair of the pristine tree on a derived oracle, by a
+// search of the view otherwise.
+func (o *Oracle) entry(s graph.NodeID) *oracleEntry {
 	o.mu.RLock()
 	e := o.trees[s]
 	o.mu.RUnlock()
 	if e != nil {
-		e.ref.Store(true)
-		return e.tree
+		e.touch()
+		return e
 	}
-	t := Compute(o.view, s)
+	var t *Tree
+	if o.derive != nil {
+		t = o.derive.tree(s)
+	} else {
+		t = Compute(o.view, s)
+	}
 	o.mu.Lock()
 	// Another goroutine may have raced us; keep the first stored tree so
 	// callers always observe one consistent tree per source.
 	if prev, ok := o.trees[s]; ok {
 		o.mu.Unlock()
-		prev.ref.Store(true)
-		return prev.tree
+		prev.touch()
+		return prev
 	}
 	if o.cap > 0 {
 		for len(o.trees) >= o.cap {
 			o.evictOneLocked()
 		}
 	}
-	o.trees[s] = &oracleEntry{tree: t}
+	e = &oracleEntry{tree: t}
+	o.trees[s] = e
 	o.ring = append(o.ring, s)
 	o.mu.Unlock()
-	return t
+	return e
 }
 
 // evictOneLocked advances the clock hand until it finds a tree whose
@@ -195,6 +225,9 @@ const adoptSlack = 1e-9
 // anywhere, by induction over the restored edges). Trees failing either
 // test are simply not adopted; the oracle recomputes them on demand.
 //
+// The removed-edge test probes each edge's two endpoints (Tree.usesEdge):
+// O(k) per cached tree, no per-node scan and no edge set to build.
+//
 // It returns the number of trees adopted. This is what makes incremental
 // epoch builds cheap for the distance oracle: across a small failure
 // burst almost every cached tree is reusable as-is.
@@ -202,9 +235,9 @@ func (o *Oracle) AdoptFrom(prev *Oracle, removed []graph.EdgeID, repaired []grap
 	if prev == nil {
 		return 0
 	}
-	down := make(map[graph.EdgeID]bool, len(removed))
-	for _, e := range removed {
-		down[e] = true
+	down := make([]graph.Edge, len(removed))
+	for i, id := range removed {
+		down[i] = o.view.Edge(id)
 	}
 	prev.mu.RLock()
 	cands := make([]*Tree, 0, len(prev.trees))
@@ -215,17 +248,7 @@ func (o *Oracle) AdoptFrom(prev *Oracle, removed []graph.EdgeID, repaired []grap
 
 	keep := cands[:0]
 	for _, t := range cands {
-		if t.UsesAny(down) {
-			continue
-		}
-		ok := true
-		for _, e := range repaired {
-			if t.DisturbedBy(e, adoptSlack*(1+e.W)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if t.carriesOver(down, repaired) {
 			keep = append(keep, t)
 		}
 	}
@@ -247,6 +270,22 @@ func (o *Oracle) AdoptFrom(prev *Oracle, removed []graph.EdgeID, repaired []grap
 	}
 	o.mu.Unlock()
 	return adopted
+}
+
+// carriesOver is AdoptFrom's per-tree test: no removed edge is a tree edge
+// and no repaired edge improves or ties a label.
+func (t *Tree) carriesOver(removed, repaired []graph.Edge) bool {
+	for _, e := range removed {
+		if t.usesEdge(e) {
+			return false
+		}
+	}
+	for _, e := range repaired {
+		if t.DisturbedBy(e, adoptSlack*(1+e.W)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Dist returns the shortest-path distance from s to d, or Unreachable.

@@ -2,6 +2,7 @@ package spath
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -267,26 +268,46 @@ func TestOracleMemoizes(t *testing.T) {
 	}
 }
 
+// TestOracleConcurrent: goroutines missing on the same roots at once all
+// observe one tree per root — on a computing oracle and on a derived one,
+// whose misses also race to fill (and lay out) the shared pristine oracle.
 func TestOracleConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnected(rng, 60, 80, intWeights(rng, 3))
-	o := NewOracle(g)
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 50; i++ {
-				s := graph.NodeID(i % g.Order())
-				d := graph.NodeID((i * 7) % g.Order())
-				if o.Dist(s, d) == Unreachable {
-					t.Error("unreachable in connected graph")
-					return
+	fv := graph.FailEdges(g, 3, 17, 40)
+	for _, tc := range []struct {
+		name string
+		o    *Oracle
+		view graph.View
+	}{
+		{"computed", NewOracle(g), g},
+		{"derived", NewOracle(g).Derive(fv), fv},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const workers = 8
+			got := make([][]*Tree, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for s := 0; s < g.Order(); s++ {
+						got[w] = append(got[w], tc.o.Tree(graph.NodeID(s)))
+					}
+				}(w)
+			}
+			wg.Wait()
+			for s := 0; s < g.Order(); s++ {
+				for w := 1; w < workers; w++ {
+					if got[w][s] != got[0][s] {
+						t.Fatalf("root %d: goroutines observed different trees", s)
+					}
+				}
+				if !treesEqualBits(got[0][s], Compute(tc.view, graph.NodeID(s))) {
+					t.Fatalf("root %d: oracle tree differs from Compute", s)
 				}
 			}
-		}()
-	}
-	for w := 0; w < 8; w++ {
-		<-done
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ package spath
 
 import (
 	"math"
+	"unsafe"
 
 	"rbpc/internal/graph"
 )
@@ -100,14 +101,30 @@ func Compute(v graph.View, src graph.NodeID) *Tree {
 	return t
 }
 
-func newTree(n int, src graph.NodeID) *Tree {
-	t := &Tree{
-		Source:  src,
-		dist:    make([]float64, n),
-		hops:    make([]int32, n),
-		parent:  make([]graph.NodeID, n),
-		parentE: make([]graph.EdgeID, n),
+// allocTree returns a Tree of order n whose four label arrays share one
+// zeroed allocation: the float64 distances first, then the three int32
+// arrays packed into the words that follow. A tree is built once per
+// (epoch, root) on the engine's failure path, where four allocations cost
+// more than the labels they hold. This is the package's only unsafe code:
+// the backing array holds no pointers, and the slices keep it alive.
+//
+//rbpc:ctor
+func allocTree(n int, src graph.NodeID) *Tree {
+	t := &Tree{Source: src}
+	if n == 0 {
+		return t
 	}
+	buf := make([]float64, n+(3*n+1)/2)
+	ints := unsafe.Slice((*int32)(unsafe.Pointer(&buf[n])), 3*n)
+	t.dist = buf[:n:n]
+	t.hops = ints[:n:n]
+	t.parent = ints[n : 2*n : 2*n]
+	t.parentE = ints[2*n : 3*n : 3*n]
+	return t
+}
+
+func newTree(n int, src graph.NodeID) *Tree {
+	t := allocTree(n, src)
 	for i := 0; i < n; i++ {
 		t.dist[i] = Unreachable
 		t.parent[i] = -1
@@ -116,18 +133,16 @@ func newTree(n int, src graph.NodeID) *Tree {
 	return t
 }
 
-// UsesAny reports whether any edge of the set is a tree edge — the scan
-// behind incremental tree adoption: a shortest-path tree that avoids every
-// newly-failed edge keeps all its distances when those edges go down
-// (removal only deletes losing candidates, and the surviving tree paths
-// already achieve the old minima).
-func (t *Tree) UsesAny(removed map[graph.EdgeID]bool) bool {
-	for v := range t.parentE {
-		if e := t.parentE[v]; e >= 0 && removed[e] {
-			return true
-		}
-	}
-	return false
+// usesEdge reports whether e is a tree edge. A tree edge is the parent
+// edge of its child endpoint, so two probes decide it — which is what lets
+// incremental adoption test a failed set in O(k) per tree instead of
+// scanning every node's parent edge (tree derivation makes the same probes
+// to name the orphaned child). Parallel edges between one node pair are
+// told apart by ID.
+//
+//rbpc:hotpath
+func (t *Tree) usesEdge(e graph.Edge) bool {
+	return t.parentE[e.U] == e.ID || t.parentE[e.V] == e.ID
 }
 
 // DisturbedBy reports whether restoring edge e could alter the canonical

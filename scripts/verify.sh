@@ -46,6 +46,21 @@ if git grep -nW 'core\.NewSparseSolver(' -- 'internal/engine/*.go' ':!internal/e
 	exit 1
 fi
 
+# An epoch's distance oracle repairs the pristine oracle's trees instead of
+# searching the failed view (spath.Oracle.Derive, DESIGN.md §8). New builds
+# the pristine oracle; epochOracle is the one place an epoch's oracle comes
+# from, and the one place allowed to fall back to from-scratch trees (the
+# FullRebuild reference arm, a decoder's detached replica). A from-scratch
+# oracle or tree built per transition anywhere else is the slow arm again.
+echo "==> internal/engine builds oracles in New and epochOracle only"
+if git grep -nW -E 'spath\.(NewOracle|Compute)\(' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
+	awk '/=[0-9]+=/ { fn = $0 }
+		/:[0-9]+:.*spath\.(NewOracle|Compute)\(/ && fn !~ /=func (New|epochOracle)\(/ { print fn; print; bad = 1 }
+		END { exit !bad }'; then
+	echo "verify: spath.NewOracle/spath.Compute called outside New/epochOracle (see above)" >&2
+	exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
