@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race chaos verify bench serve-bench bench-smoke
+.PHONY: all build test vet lint race chaos verify bench
 
 all: build
 
@@ -56,17 +56,3 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
 	$(GO) test -run '^$$' -bench BenchmarkPathKey -benchmem -benchtime $(BENCHTIME) ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
-
-# Serving benchmark: the online engine under open-loop load with failure
-# churn, sharded across 4 pair-space shards with a shard-count sweep;
-# writes BENCH_engine.json into the repo root.
-serve-bench:
-	$(GO) run ./cmd/rbpc-serve -topology as -scale 0.1 -qps 165000 -duration 3s -shards 4 -shard-sweep 1,2,4 -bench-dir .
-
-# Reduced-scale benchmark smoke for CI: rbpc-serve (strict: any dropped or
-# unroutable query fails) and rbpc-bench -engine on GOMAXPROCS 1 and 4,
-# multi-core serve stages at GOMAXPROCS 8 (batched submit, hybrid
-# restoration switchover), and a same-machine churn double-run gated by
-# -compare-fail-pct. Cross-machine timings are reported, not gated.
-bench-smoke:
-	sh scripts/bench_smoke.sh

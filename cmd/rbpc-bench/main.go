@@ -11,61 +11,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"rbpc"
-	"rbpc/internal/shardrpc"
 )
-
-// benchRecord is the machine-readable timing of one pipeline stage,
-// written as BENCH_<name>.json so perf trajectories can be tracked across
-// commits by any tooling that can read JSON.
-type benchRecord struct {
-	Name      string  `json:"name"`
-	Seconds   float64 `json:"seconds"`
-	Seed      int64   `json:"seed"`
-	FullScale bool    `json:"full_scale"`
-	MaxProcs  int     `json:"gomaxprocs"`
-	GoVersion string  `json:"go_version"`
-}
-
-// benchWriter accumulates stage timings and, when enabled with a target
-// directory, persists each as its own BENCH_*.json file.
-type benchWriter struct {
-	dir  string
-	seed int64
-	full bool
-}
-
-func (b benchWriter) record(name string, d time.Duration) {
-	if b.dir == "" {
-		return
-	}
-	rec := benchRecord{
-		Name:      name,
-		Seconds:   d.Seconds(),
-		Seed:      b.seed,
-		FullScale: b.full,
-		MaxProcs:  runtime.GOMAXPROCS(0),
-		GoVersion: runtime.Version(),
-	}
-	path := filepath.Join(b.dir, "BENCH_"+name+".json")
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rbpc-bench: marshal bench record:", err)
-		return
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "rbpc-bench: write bench record:", err)
-	}
-}
 
 func main() {
 	table := flag.Int("table", 0, "regenerate a table (1, 2 or 3)")
@@ -76,33 +29,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for topologies and sampling")
 	maxEdges := flag.Int("max-edges", 20000, "edge sample cap for table 3 (0 = all edges)")
 	jsonPath := flag.String("json", "", "also write all computed results as JSON to this file")
-	benchDir := flag.String("bench-dir", "", "write per-stage timings as BENCH_*.json files into this directory")
-	engineRun := flag.Bool("engine", false, "benchmark the incremental epoch builder under churn (writes BENCH_engine_churn.json)")
-	engineScale := flag.Float64("engine-scale", 0.1, "AS stand-in scale for the -engine churn benchmark")
-	engineSteps := flag.Int("engine-steps", 40, "churn events for the -engine benchmark")
-	engineMaxDown := flag.Int("engine-max-down", 4, "concurrently-down link bound for the -engine benchmark")
-	engineSweep := flag.String("engine-sweep", "", "comma-separated GOMAXPROCS values to additionally run the -engine churn benchmark at (e.g. 1,2,4,8)")
-	engineShards := flag.Int("engine-shards", 0, "run the -engine churn benchmark through the multi-shard coordinator with N shards (0 = single engine)")
-	engineHot := flag.Int("engine-hot-sources", 0, "provision only the first N sources for the -engine benchmark (0 = all)")
-	engineShardSweep := flag.String("engine-shard-sweep", "", "comma-separated shard counts to additionally run the -engine churn benchmark at (e.g. 1,2,4,8)")
-	engineShardProcs := flag.Int("engine-shard-procs", 0, "additionally run the -engine churn benchmark through N forked worker processes over the wire transport")
-	workerSpec := flag.String("worker", "", "run as a shard worker process with this spec (internal; set by -engine-shard-procs)")
-	compare := flag.String("compare", "", "compare an old BENCH_*.json against the current record of the same name and print deltas")
-	compareFailPct := flag.Float64("compare-fail-pct", 0, "with -compare: exit non-zero if a gated stage metric regressed by more than this percentage (0 = report only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	flag.Parse()
-
-	if *workerSpec != "" {
-		// Worker mode: this process is one shard of a fleet forked by
-		// -engine-shard-procs. It serves its socket until killed.
-		wo, err := shardrpc.ParseWorkerOpts(*workerSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rbpc-bench:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "rbpc-bench: worker:", shardrpc.RunWorker(wo))
-		os.Exit(1)
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -118,7 +46,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if !*all && *table == 0 && *figure == 0 && !*ablations && !*engineRun && *compare == "" {
+	if !*all && *table == 0 && *figure == 0 && !*ablations {
 		*all = true
 	}
 
@@ -129,42 +57,12 @@ func main() {
 	sc.Seed = *seed
 
 	fullScale := *full || os.Getenv("RBPC_FULL") == "1"
-	bench := benchWriter{dir: *benchDir, seed: *seed, full: fullScale}
-
-	if *engineRun {
-		sweep, err := parseProcsList(*engineSweep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rbpc-bench:", err)
-			os.Exit(2)
-		}
-		shardSweep, err := parseProcsList(*engineShardSweep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rbpc-bench:", err)
-			os.Exit(2)
-		}
-		fmt.Println("=== Engine: incremental epoch builds under churn (AS stand-in) ===")
-		if err := runEngineChurn(os.Stdout, *benchDir, *engineScale, *engineSteps, *engineMaxDown, *seed, sweep, *engineShards, *engineHot, shardSweep, *engineShardProcs); err != nil {
-			fmt.Fprintln(os.Stderr, "rbpc-bench: engine churn:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
-	if *compare != "" {
-		if err := runCompare(os.Stdout, *compare, *benchDir, *compareFailPct); err != nil {
-			fmt.Fprintln(os.Stderr, "rbpc-bench: compare:", err)
-			os.Exit(1)
-		}
-	}
-	if !*all && *table == 0 && *figure == 0 && !*ablations {
-		return
-	}
 
 	fmt.Printf("Building evaluation topologies (seed=%d, AS scale=%.3f, Internet scale=%.3f)...\n",
 		sc.Seed, sc.ASScale, sc.InternetScale)
 	start := time.Now()
 	nets := rbpc.EvalNetworks(sc)
 	fmt.Printf("done in %v\n\n", time.Since(start).Round(time.Millisecond))
-	bench.record("build", time.Since(start))
 
 	out := os.Stdout
 	results := rbpc.EvalResults{Seed: *seed, FullScale: fullScale}
@@ -178,14 +76,12 @@ func main() {
 		t := time.Now()
 		results.Table2 = rbpc.RunTable2(out, nets, *seed)
 		fmt.Printf("\n(table 2 computed in %v)\n\n", time.Since(t).Round(time.Millisecond))
-		bench.record("table2", time.Since(t))
 	}
 	if *all || *table == 3 {
 		fmt.Println("=== Table 3: length of the bypass of an edge ===")
 		t := time.Now()
 		results.Table3 = rbpc.RunTable3(out, nets, *maxEdges, *seed)
 		fmt.Printf("\n(table 3 computed in %v)\n\n", time.Since(t).Round(time.Millisecond))
-		bench.record("table3", time.Since(t))
 	}
 	if *all || *figure == 10 {
 		fmt.Println("=== Figure 10: restoration overhead of local RBPC (weighted ISP) ===")
@@ -193,7 +89,6 @@ func main() {
 		fig := rbpc.RunFigure10(out, nets[0], *seed)
 		results.Figure10 = &fig
 		fmt.Printf("\n(figure 10 computed in %v)\n\n", time.Since(t).Round(time.Millisecond))
-		bench.record("figure10", time.Since(t))
 	}
 	if *all || *ablations {
 		fmt.Println("=== Ablation: RBPC vs pre-established k-backup paths (weighted ISP) ===")

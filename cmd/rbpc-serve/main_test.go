@@ -1,0 +1,155 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestMain doubles as the worker entry point: the fleet re-executes
+// os.Args[0] with "-worker <spec>", and under go test that is this test
+// binary, whose own flag parsing would reject the flag.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 2 && os.Args[1] == "-worker" {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
+// syncBuf is an output sink safe for the writers run has besides its own
+// goroutine: the kill timer and the fleet's reattach callback.
+type syncBuf struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuf) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuf) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// serve runs the command with TMPDIR pointed at a fresh directory (short,
+// so the fleet's socket paths stay under the Unix limit) and checks what
+// every exit path owes: run returns, and no fleet directory survives it —
+// Fleet.Close removes it only after it has killed and waited on every
+// worker.
+func serve(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	var out, errOut syncBuf
+	done := make(chan int, 1)
+	go func() { done <- run(args, &out, &errOut) }()
+	select {
+	case code = <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("rbpc-serve %v did not return\nstdout:\n%s\nstderr:\n%s", args, out.String(), errOut.String())
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "rbpc-w*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("rbpc-serve %v left worker fleet directories behind: %v", args, left)
+	}
+	return code, out.String(), errOut.String()
+}
+
+// window is a strict window small enough to be about correctness, not
+// throughput: AS stand-in at scale 0.02, sub-second, a few thousand qps.
+func window(extra ...string) []string {
+	return append([]string{"-topology", "as", "-scale", "0.02", "-qps", "5000", "-duration", "400ms", "-strict"}, extra...)
+}
+
+// TestStrictWindow serves one strict window per backend shape. Exit 0 under
+// -strict means 0 dropped, 0 unroutable, at least one time-to-restore
+// sample and no switchover timer pending after the drain.
+func TestStrictWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs int
+		args  []string
+		want  string // a report line only this shape prints
+	}{
+		{"engine/gomaxprocs=1", 1, nil, "time-to-restore (source):"},
+		{"engine/gomaxprocs=8", 8, nil, "time-to-restore (source):"},
+		{"hybrid", 8, []string{"-scheme", "hybrid", "-flood-detect", "2ms", "-flood-hop", "100us"}, "time-to-restore (hybrid):"},
+		// The cold queue covers the window's backlog: cold queries shed only
+		// on a full admission queue, and the closing drain absorbs the rest.
+		{"shards=4/hot-set", 8, []string{"-shards", "4", "-hot-sources", "40", "-plan-cache-max", "256",
+			"-cold-queue", "65536", "-cold-cache", "16384", "-cold-promote-after", "2"}, "shards: 4;"},
+		{"shard-procs=2", 8, []string{"-shard-procs", "2"}, "process mode: 0 worker restarts, 0 torn frames"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ambient := runtime.GOMAXPROCS(tc.procs)
+			defer runtime.GOMAXPROCS(ambient)
+			code, stdout, stderr := serve(t, window(tc.args...)...)
+			if code != 0 || !strings.Contains(stdout, tc.want) {
+				t.Fatalf("exit %d, want 0 and a %q line\nstdout:\n%s\nstderr:\n%s", code, tc.want, stdout, stderr)
+			}
+		})
+	}
+}
+
+// TestStrictFailureReapsWorkers pins the exit path that used to leave
+// through os.Exit past the deferred fleet close: a strict violation in
+// process mode. The violation must be certain, and drops over the wire are
+// not (a two-slot queue under 400k qps sheds anything from nothing to a few
+// hundred queries), so the churn interval outlasts the window and leaves no
+// time-to-restore sample. The command reports it with exit 1 and (checked
+// by serve) still reaps its workers.
+func TestStrictFailureReapsWorkers(t *testing.T) {
+	code, stdout, stderr := serve(t, window("-shard-procs", "2", "-fail-every", "10s")...)
+	if code != 1 || !strings.Contains(stderr, "strict mode: churn ran but") {
+		t.Fatalf("exit %d, want 1 with the strict-mode no-samples line\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// TestKillWorkerRecovers drives the real fork, crash, respawn, Reattach
+// path: worker 0 is killed 100ms into the window, its sources divert to
+// the cold tier meanwhile, and every query is still answered.
+func TestKillWorkerRecovers(t *testing.T) {
+	code, stdout, stderr := serve(t, "-topology", "as", "-scale", "0.02", "-qps", "5000", "-duration", "1s",
+		"-strict", "-shard-procs", "2", "-kill-worker-after", "100ms")
+	if code != 0 ||
+		!strings.Contains(stdout, "process mode: 1 worker restarts") ||
+		!strings.Contains(stdout, "unroutable answers: 0;") {
+		t.Fatalf("exit %d, want 0 with one worker restart and 0 unroutable\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// TestRejectedFlagCombos: each is refused with exit 2 before anything is
+// provisioned or forked (the first stdout line reports the provision).
+func TestRejectedFlagCombos(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"hot set without a coordinator", []string{"-hot-sources", "10"}, "-hot-sources needs"},
+		{"two backends", []string{"-shards", "2", "-shard-procs", "2"}, "give one"},
+		{"hybrid over shards", []string{"-scheme", "hybrid", "-shards", "2"}, "source-scheme only"},
+		// Without the up-front check this one would print "hybrid" and
+		// serve the source scheme: the worker spec carries no scheme.
+		{"hybrid over worker processes", []string{"-scheme", "hybrid", "-shard-procs", "2"}, "source-scheme only"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := serve(t, tc.args...)
+			if code != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr containing %q", code, stdout, stderr, tc.want)
+			}
+		})
+	}
+}

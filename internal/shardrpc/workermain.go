@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -37,9 +38,11 @@ type WorkerOpts struct {
 	Index  int
 	Socket string
 
-	MaxProcs     int // GOMAXPROCS inside the worker (0 = inherit)
-	Workers      int // engine query workers
-	Queue        int
+	MaxProcs int // GOMAXPROCS inside the worker (0 = inherit)
+	Workers  int // engine query workers
+	Queue    int
+	// Coalesce crosses the spec as whole microseconds (coalesce-us); a
+	// sub-microsecond remainder is truncated.
 	Coalesce     time.Duration
 	PlanCacheMax int
 }
@@ -123,18 +126,17 @@ func ParseWorkerOpts(spec string) (WorkerOpts, error) {
 	return o, nil
 }
 
-// RunWorker is the worker process's whole life: rebuild the provision the
-// coordinator described (bit-identical — same topology generator, same
-// seed, same hot set), slice it onto this index's shard engine, and serve
-// the socket until the process is killed. It never returns nil: the
-// supervisor kills workers, workers don't exit.
-func RunWorker(o WorkerOpts) error {
-	if o.MaxProcs > 0 {
-		runtime.GOMAXPROCS(o.MaxProcs)
-	}
+// Provision builds the deployment's world from the spec: the topology from
+// (kind, scale, seed) and the RBPC system over it. The hot set is the
+// first HotSources node IDs — deterministic, and on the generated
+// topologies node IDs carry no locality, so it behaves like a uniform
+// sample of the pair space. This is the one recipe: the coordinator's
+// process and every worker call it, so they cannot disagree on what was
+// provisioned.
+func (o WorkerOpts) Provision() (rbpc.Provision, error) {
 	g, err := topology.Build(o.Topology, o.Scale, o.Seed)
 	if err != nil {
-		return err
+		return rbpc.Provision{}, err
 	}
 	rcfg := rbpc.Config{SubpathClosure: o.Closure, EdgeLSPs: true}
 	if o.HotSources > 0 && o.HotSources < g.Order() {
@@ -146,7 +148,23 @@ func RunWorker(o WorkerOpts) error {
 	}
 	sys, err := rbpc.NewSystem(g, rcfg)
 	if err != nil {
-		return fmt.Errorf("shardrpc: worker %d provision: %w", o.Index, err)
+		return rbpc.Provision{}, fmt.Errorf("provision: %w", err)
+	}
+	return sys.Export(), nil
+}
+
+// RunWorker is the worker process's whole life: rebuild the provision the
+// coordinator described (bit-identical — the same Provision call), slice
+// it onto this index's shard engine, and serve the socket until the
+// process is killed. It never returns nil: the supervisor kills workers,
+// workers don't exit.
+func RunWorker(o WorkerOpts) error {
+	if o.MaxProcs > 0 {
+		runtime.GOMAXPROCS(o.MaxProcs)
+	}
+	p, err := o.Provision()
+	if err != nil {
+		return fmt.Errorf("shardrpc: worker %d: %w", o.Index, err)
 	}
 	cfg := Config{
 		Shards: o.Shards,
@@ -157,7 +175,7 @@ func RunWorker(o WorkerOpts) error {
 			PlanCacheCap:   o.PlanCacheMax,
 		},
 	}
-	w, err := NewWorker(sys.Export(), o.Index, cfg)
+	w, err := NewWorker(p, o.Index, cfg)
 	if err != nil {
 		return err
 	}
@@ -182,12 +200,17 @@ type Fleet struct {
 	dir  string
 	onUp func(worker int)
 
-	mu    sync.Mutex
-	procs []*exec.Cmd //rbpc:guardedby mu
+	mu      sync.Mutex
+	procs   []*exec.Cmd //rbpc:guardedby mu
+	closing bool        //rbpc:guardedby mu
+	// unreaped counts the started processes whose watcher is still in
+	// Wait; Close waits on it rather than calling Wait a second time.
+	unreaped sync.WaitGroup
 
 	restarts atomic.Int64
-	closing  atomic.Bool
 }
+
+var errFleetClosing = errors.New("shardrpc: fleet is closing")
 
 // NewFleet spawns Shards worker processes from the template spec. onUp
 // (optional) is called from the watcher goroutine each time a crashed
@@ -238,7 +261,9 @@ func (f *Fleet) Kill(i int) error {
 	return cmd.Process.Kill()
 }
 
-// spawn forks worker i and installs its crash watcher.
+// spawn forks worker i and installs its crash watcher. The closing check
+// and the start share mu with Close's kill sweep, so no process is started
+// behind it.
 func (f *Fleet) spawn(i int) error {
 	wo := f.opts
 	wo.Index = i
@@ -246,12 +271,16 @@ func (f *Fleet) spawn(i int) error {
 	cmd := exec.Command(os.Args[0], "-worker", wo.Encode())
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closing {
+		return errFleetClosing
+	}
 	if err := cmd.Start(); err != nil {
 		return err
 	}
-	f.mu.Lock()
 	f.procs[i] = cmd
-	f.mu.Unlock()
+	f.unreaped.Add(1)
 	go f.watch(i, cmd)
 	return nil
 }
@@ -259,11 +288,16 @@ func (f *Fleet) spawn(i int) error {
 // watch reaps worker i and respawns it unless the fleet is closing.
 func (f *Fleet) watch(i int, cmd *exec.Cmd) {
 	cmd.Wait()
-	if f.closing.Load() {
+	err := f.spawn(i)
+	// The replacement is counted by now, so Close never sees zero between
+	// a worker and its successor; onUp may take a dial budget and is not
+	// waited for.
+	f.unreaped.Done()
+	if err == errFleetClosing {
 		return
 	}
 	f.restarts.Add(1)
-	if err := f.spawn(i); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "shardrpc: fleet: respawn worker %d: %v\n", i, err)
 		return
 	}
@@ -272,23 +306,21 @@ func (f *Fleet) watch(i int, cmd *exec.Cmd) {
 	}
 }
 
-// Close kills every worker and removes the socket directory. Idempotent.
+// Close kills every worker, waits until each has been reaped and removes
+// the socket directory. Idempotent.
 func (f *Fleet) Close() {
-	if f.closing.Swap(true) {
+	f.mu.Lock()
+	if f.closing {
+		f.mu.Unlock()
 		return
 	}
-	f.mu.Lock()
-	procs := append([]*exec.Cmd(nil), f.procs...)
-	f.mu.Unlock()
-	for _, cmd := range procs {
-		if cmd != nil && cmd.Process != nil {
+	f.closing = true
+	for _, cmd := range f.procs {
+		if cmd != nil {
 			cmd.Process.Kill()
 		}
 	}
-	for _, cmd := range procs {
-		if cmd != nil {
-			cmd.Wait()
-		}
-	}
+	f.mu.Unlock()
+	f.unreaped.Wait()
 	os.RemoveAll(f.dir)
 }

@@ -1,0 +1,61 @@
+package shardrpc
+
+import (
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestWorkerOptsRoundTrip: the spec string is the whole configuration
+// channel to a worker process, so ParseWorkerOpts must invert Encode on
+// every field.
+func TestWorkerOptsRoundTrip(t *testing.T) {
+	full := WorkerOpts{
+		Topology: "as", Scale: 0.02, Seed: 7, Closure: true, HotSources: 40,
+		Shards: 4, Index: 3, Socket: "/tmp/rbpc-w123/w3.sock",
+		MaxProcs: 2, Workers: 2, Queue: 2048, Coalesce: time.Millisecond, PlanCacheMax: 256,
+	}
+	for _, tc := range []struct {
+		name string
+		mod  func(*WorkerOpts)
+	}{
+		{"every field set", func(*WorkerOpts) {}},
+		{"fractional scale", func(o *WorkerOpts) { o.Scale = 0.1 + 0.2 }},
+		{"negative seed", func(o *WorkerOpts) { o.Seed = -9 }},
+		{"no closure", func(o *WorkerOpts) { o.Closure = false }},
+		{"sub-millisecond coalesce", func(o *WorkerOpts) { o.Coalesce = 250 * time.Microsecond }},
+		{"zero coalesce", func(o *WorkerOpts) { o.Coalesce = 0 }},
+		{"minimal", func(o *WorkerOpts) { *o = WorkerOpts{Topology: "isp", Socket: "w0.sock", Shards: 1} }},
+	} {
+		o := full
+		tc.mod(&o)
+		got, err := ParseWorkerOpts(o.Encode())
+		if err != nil {
+			t.Errorf("%s: ParseWorkerOpts(%q): %v", tc.name, o.Encode(), err)
+		} else if got != o {
+			t.Errorf("%s: round trip through %q\n got %+v\nwant %+v", tc.name, o.Encode(), got, o)
+		}
+	}
+
+	// The one lossy field, as its comment says: whole microseconds.
+	o := full
+	o.Coalesce = 1500 * time.Nanosecond
+	if got, err := ParseWorkerOpts(o.Encode()); err != nil || got.Coalesce != time.Microsecond {
+		t.Errorf("1.5us coalesce came back as %v (err %v), want 1us", got.Coalesce, err)
+	}
+}
+
+func TestParseWorkerOptsRejects(t *testing.T) {
+	for _, tc := range []struct{ name, spec, want string }{
+		{"key without a value", "topo=as,closure,socket=s,shards=1", "not k=v"},
+		{"unknown key", "topo=as,socket=s,shards=1,colour=red", "unknown key"},
+		{"unparsable value", "topo=as,socket=s,shards=two", "shards"},
+		{"missing topo", "socket=s,shards=1", "missing"},
+		{"missing socket", "topo=as,shards=1", "missing"},
+		{"missing shards", "topo=as,socket=s", "missing"},
+	} {
+		if o, err := ParseWorkerOpts(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseWorkerOpts(%q) = %+v, %v; want an error containing %q", tc.name, tc.spec, o, err, tc.want)
+		}
+	}
+}

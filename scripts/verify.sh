@@ -31,6 +31,15 @@ if git grep -nwE 'DeltaRows|assembleDense|emptyOver' -- '*.go'; then
 	exit 1
 fi
 
+# The repository has one benchmark system, bench/ (BENCHMARK.json), and
+# rbpc-serve serves one window on one backend. These are the flags, files
+# and targets of the deleted second system.
+if git grep -nE 'BENCH_engine|bench-dir|compare-fail-pct|engine-shard|shard-sweep|serve-bench|bench_smoke' -- \
+	'*.go' Makefile scripts .github ':!scripts/verify.sh'; then
+	echo "verify: a retired benchmark flag, file or target reappeared (see above)" >&2
+	exit 1
+fi
+
 # The engine's writer owns one pool of sparse solvers, warm across epochs
 # and bound to the live candidate index (ensureSolvers); the from-scratch
 # reference plan (computePlan, Config.FullRebuild) is the only other place
