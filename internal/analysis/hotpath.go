@@ -46,6 +46,9 @@ var hotpathStdlibPkgs = map[string]bool{
 var hotpathStdlibFuncs = map[string]bool{
 	"time.Now":   true, // nanotime, no allocation
 	"time.Since": true,
+	// Over a table built once (crc32.MakeTable at package init): a loop
+	// over the slice, or the CRC32 instruction; no allocation.
+	"hash/crc32.Checksum": true,
 }
 
 // hotpathBuiltins are builtins that never allocate.

@@ -147,11 +147,16 @@ type Engine struct {
 	snap atomic.Pointer[Snapshot]
 
 	// Writer-owned state (only the writer goroutine touches these after New).
-	lspOf     map[string]*mpls.LSP
-	primaries map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
-	xbase     *paths.Explicit         // concrete base set (ThroughEdge scans)
-	pairIndex *graph.PairIndex        // failed link -> pairs whose primary crosses it
-	costIndex *paths.CostIndex        // cost-sorted candidate order for bounded solves
+	// provisioned is the provision's LSP registry: read, never written, so
+	// every engine built over one provision (the shards of a process)
+	// shares it. lspOf holds the LSPs this engine signaled on demand, on
+	// its own network.
+	provisioned map[string]*mpls.LSP
+	lspOf       map[string]*mpls.LSP
+	primaries   map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
+	xbase       *paths.Explicit         // concrete base set (ThroughEdge scans)
+	pairIndex   *graph.PairIndex        // failed link -> pairs whose primary crosses it
+	costIndex   *paths.CostIndex        // cost-sorted candidate order for bounded solves
 	// live is the persistent filtered form of costIndex: per-source column
 	// segments holding only currently-surviving candidates, carried across
 	// epochs and refiltered only for sources the failure delta touched.
@@ -163,6 +168,10 @@ type Engine struct {
 	// reference arm is independent of the derivation it checks.
 	pristine  *spath.Oracle
 	canonical [][]*Route
+	// mat[src] is 1 when canonical[src] is materialized, else 0: the byte
+	// serveOwned advances its gather cursor by. Fixed after New, like the
+	// rows it describes.
+	mat       []uint8
 	planCache *planCache
 	prevPlan  *plan
 	// downCount tracks, per pair, how many edges of its canonical primary
@@ -238,6 +247,10 @@ type queryReq struct {
 	// batch, when non-nil, carries a whole burst of pairs stamped with one
 	// timestamp and served from one snapshot load; src/dst are unused.
 	batch []rbpc.Pair
+	// owned, when non-zero, marks batch as shared with other engines
+	// (SubmitOwned): only the pairs whose source this engine materializes
+	// are this engine's to answer, and there are owned of them.
+	owned int
 	// drain, when non-nil, is a Drain barrier: the worker closes it after
 	// serving everything queued ahead of it. No query is attached.
 	drain chan struct{}
@@ -250,7 +263,8 @@ type netHandle struct {
 
 // New builds an engine over a pristine provisioned export (p.Failed must
 // be empty: the engine owns all failure state from here on) and starts its
-// writer and query workers.
+// writer and query workers. The export's maps, base set and graph are read,
+// never written, so several engines may be built over one provision.
 func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if len(p.Failed) != 0 {
 		return nil, fmt.Errorf("engine: provision has %d pre-existing failures; export a pristine system", len(p.Failed))
@@ -272,30 +286,35 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	costIndex := paths.NewCostIndex(p.Base)
+	costIndex := p.Base.CostIndex()
 	e := &Engine{
-		g:         p.Graph,
-		base:      p.Base,
-		cfg:       cfg,
-		lspOf:     p.LSPs,
-		primaries: p.Primaries,
-		xbase:     p.Base,
-		costIndex: costIndex,
-		live:      paths.NewLiveIndex(p.Base, costIndex),
-		canonical: canonical,
-		planCache: newPlanCache(cfg.PlanCacheCap),
-		prevPlan:  emptyPlan,
-		downCount: make(map[rbpc.Pair]int),
-		events:    make(chan writerMsg, 256),
-		queries:   make([]chan queryReq, cfg.Workers),
-		done:      make(chan struct{}),
+		g:           p.Graph,
+		base:        p.Base,
+		cfg:         cfg,
+		provisioned: p.LSPs,
+		lspOf:       make(map[string]*mpls.LSP),
+		primaries:   p.Primaries,
+		xbase:       p.Base,
+		costIndex:   costIndex,
+		live:        paths.NewLiveIndex(p.Base, costIndex),
+		canonical:   canonical,
+		planCache:   newPlanCache(cfg.PlanCacheCap),
+		prevPlan:    emptyPlan,
+		downCount:   make(map[rbpc.Pair]int),
+		events:      make(chan writerMsg, 256),
+		queries:     make([]chan queryReq, cfg.Workers),
+		done:        make(chan struct{}),
 	}
 
 	e.pairIndex = PrimaryIndex(p.Graph, p.Primaries, nil)
 
 	e.canonBytes = int64(len(canonical)) * 8
-	for _, row := range canonical {
+	e.mat = make([]uint8, len(canonical))
+	for src, row := range canonical {
 		e.canonBytes += int64(len(row)) * 8
+		if row != nil {
+			e.mat[src] = 1
+		}
 	}
 
 	// Epoch 0: the pristine snapshot. The provision's network is cloned
@@ -478,17 +497,42 @@ func (e *Engine) Submit(src, dst graph.NodeID) bool {
 //
 //rbpc:hotpath
 func (e *Engine) SubmitBatch(pairs []rbpc.Pair) int {
-	if len(pairs) == 0 {
+	return e.enqueue(queryReq{batch: pairs}, len(pairs))
+}
+
+// SubmitOwned is SubmitBatch for a burst this engine shares with others —
+// the shard coordinator hands every shard engine the caller's slice itself
+// instead of a copy of its part. The engine answers the pairs whose source
+// it materializes (Snapshot.Materialized; a shard engine's rows are exactly
+// the sources it owns) and skips the rest; owned is how many those are,
+// counted by the caller, and admission, Submitted and Dropped are counted
+// in it. The slice is only ever read, so engines serving it concurrently
+// do not race. Returns owned or 0.
+//
+//rbpc:hotpath
+func (e *Engine) SubmitOwned(pairs []rbpc.Pair, owned int) int {
+	if owned == len(pairs) {
+		return e.SubmitBatch(pairs) // nothing to skip: the plain loop serves it
+	}
+	return e.enqueue(queryReq{batch: pairs, owned: owned}, owned)
+}
+
+// enqueue admits or sheds one burst of n queries as a unit.
+//
+//rbpc:hotpath
+func (e *Engine) enqueue(q queryReq, n int) int {
+	if n == 0 {
 		return 0
 	}
 	key := e.submitSeq.Add(1)
-	e.mSubmitted.Add(key, int64(len(pairs)))
+	e.mSubmitted.Add(key, int64(n))
 	shard := key % uint64(len(e.queries))
+	q.at = time.Now()
 	select {
-	case e.queries[shard] <- queryReq{at: time.Now(), batch: pairs}:
-		return len(pairs)
+	case e.queries[shard] <- q:
+		return n
 	default:
-		e.mDropped.Add(key, int64(len(pairs)))
+		e.mDropped.Add(key, int64(n))
 		return 0
 	}
 }
@@ -505,6 +549,10 @@ func (e *Engine) queryWorker(id uint64) {
 				close(q.drain)
 				continue
 			}
+			if q.owned != 0 {
+				e.serveOwned(id, q)
+				continue
+			}
 			if q.batch != nil {
 				e.serveBatch(id, q)
 				continue
@@ -518,57 +566,105 @@ func (e *Engine) queryWorker(id uint64) {
 	}
 }
 
-// serveChunk is how many pairs of a burst serveBatch looks up before it
-// delivers them: enough for the core to keep its miss buffers full, few
+// ServeChunk is how many pairs of a burst are looked up before any of them
+// is delivered: enough for the core to keep its miss buffers full, few
 // enough that the routes are still in the first-level cache when the
-// callback reads them.
-const serveChunk = 64
+// consumer reads them.
+const ServeChunk = 64
+
+// Routes resolves at most ServeChunk pairs in two passes over the chunk:
+// look every pair up, then read every route found. A lookup ends in a route
+// that, for a random pair, is not in the cache, and a consumer that took
+// the pairs one at a time — a callback with an atomic or a lock in it,
+// which later loads wait behind, or a lookup whose branches mispredict —
+// would take those misses one at a time, each in full: the burst would run
+// at the memory latency of the moment, which on a shared host is another
+// one every few minutes. Read back to back in loops that do nothing else,
+// the misses of a chunk overlap, and the consumer finds the route it is
+// about to read in the cache. routes[i] is pairs[i]'s route (nil: none);
+// the results are how many pairs were unroutable (no route, and not a
+// self-pair) and the union of the schemes that answered.
+//
+//rbpc:hotpath
+func (s *Snapshot) Routes(pairs []rbpc.Pair, routes []*Route) (unroutable int64, via Scheme) {
+	routes = routes[:len(pairs)]
+	for i, pr := range pairs {
+		routes[i] = s.Route(pr.Src, pr.Dst)
+	}
+	for i, pr := range pairs {
+		if r := routes[i]; r != nil {
+			via |= r.Via
+		} else if pr.Src != pr.Dst {
+			unroutable++
+		}
+	}
+	return unroutable, via
+}
 
 // serveBatch answers a submitted burst: one snapshot load and one latency
 // record cover every pair, so the per-query cost is a row lookup plus an
 // amortized share of the channel and clock overhead. (Not hotpath-annotated:
 // the optional OnResult callback is a dynamic call the checker cannot
-// verify; the per-candidate work is all in annotated callees.)
-//
-// The burst is served serveChunk pairs at a time, in three passes over the
-// chunk: look every pair up, read every route found, deliver. A lookup ends
-// in a route that, for a random pair, is not in the cache, and the
-// consumer's callback (an atomic or a lock, which later loads wait behind)
-// would take those misses one at a time, each in full: the burst would run
-// at the memory latency of the moment, which on a shared host is another
-// one every few minutes. Read back to back in a loop that does nothing
-// else, the misses of a chunk overlap, and the callback finds the route it
-// is about to read in the cache.
+// verify; the per-candidate work is all in annotated callees.) The burst
+// is served ServeChunk pairs at a time (Snapshot.Routes).
 func (e *Engine) serveBatch(id uint64, q queryReq) {
 	s := e.snap.Load()
 	var unroutable int64
-	var routes [serveChunk]*Route
-	var touched Scheme
 	for rest := q.batch; len(rest) > 0; {
-		chunk := rest[:min(len(rest), serveChunk)]
+		chunk := rest[:min(len(rest), ServeChunk)]
 		rest = rest[len(chunk):]
-		for i, pr := range chunk {
-			routes[i] = s.Route(pr.Src, pr.Dst)
-		}
-		for i, pr := range chunk {
-			if r := routes[i]; r != nil {
-				touched |= r.Via
-			} else if pr.Src != pr.Dst {
-				unroutable++
-			}
-		}
-		if e.cfg.OnResult != nil {
-			for i, pr := range chunk {
-				e.cfg.OnResult(Result{Src: pr.Src, Dst: pr.Dst, Route: routes[i], Snap: s})
-			}
+		unroutable += e.answerChunk(s, chunk)
+	}
+	e.settle(id, q.at, int64(len(q.batch)), unroutable)
+}
+
+// serveOwned is serveBatch for a burst shared with other engines
+// (SubmitOwned): it gathers the pairs whose source this engine
+// materializes into a chunk and answers each full chunk the same way. The
+// gather has no branch on ownership — every pair is stored, and the cursor
+// advances by the source's byte in e.mat — because the owners of a random
+// burst are a coin flip, and a mispredicted skip per pair costs more than
+// the answer's own lookup.
+func (e *Engine) serveOwned(id uint64, q queryReq) {
+	s := e.snap.Load()
+	var unroutable, served int64
+	var own [ServeChunk]rbpc.Pair
+	mat, k := e.mat, 0
+	for _, pr := range q.batch {
+		own[k] = pr
+		k += int(mat[pr.Src])
+		if k == ServeChunk {
+			unroutable += e.answerChunk(s, own[:])
+			served += ServeChunk
+			k = 0
 		}
 	}
-	runtime.KeepAlive(touched)
-	e.mQueries.Add(id, int64(len(q.batch)))
+	unroutable += e.answerChunk(s, own[:k])
+	served += int64(k)
+	e.settle(id, q.at, served, unroutable)
+}
+
+// answerChunk resolves at most ServeChunk pairs off one snapshot and
+// delivers them; it returns how many were unroutable.
+func (e *Engine) answerChunk(s *Snapshot, chunk []rbpc.Pair) int64 {
+	var routes [ServeChunk]*Route
+	unroutable, via := s.Routes(chunk, routes[:])
+	if e.cfg.OnResult != nil {
+		for i, pr := range chunk {
+			e.cfg.OnResult(Result{Src: pr.Src, Dst: pr.Dst, Route: routes[i], Snap: s})
+		}
+	}
+	runtime.KeepAlive(via)
+	return unroutable
+}
+
+// settle counts one served burst: n answers, one arrival latency.
+func (e *Engine) settle(id uint64, at time.Time, n, unroutable int64) {
+	e.mQueries.Add(id, n)
 	if unroutable != 0 {
 		e.mUnroutable.Add(id, unroutable)
 	}
-	e.mLatency.RecordN(id, time.Since(q.at), int64(len(q.batch)))
+	e.mLatency.RecordN(id, time.Since(at), n)
 }
 
 // Fail injects a link failure. The epoch including it is published
@@ -997,7 +1093,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 // resolveRoute maps a decomposition onto LSPs via the shared resolver,
 // establishing missing components on the epoch's net.
 func (e *Engine) resolveRoute(dec core.Decomposition, nh *netHandle) (*Route, error) {
-	r := rbpc.Resolver{Net: nh.net, LSPs: e.lspOf}
+	r := rbpc.Resolver{Net: nh.net, Provisioned: e.provisioned, LSPs: e.lspOf}
 	lsps, err := r.Resolve(dec)
 	if err != nil {
 		return nil, err

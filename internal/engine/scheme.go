@@ -462,7 +462,7 @@ func (e *Engine) syncPatches(net *mpls.Network, want []mpls.ILMPatch) {
 func (e *Engine) localILMRow(sc *localScratch, c crossing, dt *detour, nh *netHandle, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
 	if !dt.resolved {
 		dt.resolved = true
-		r := rbpc.Resolver{Net: nh.net, LSPs: e.lspOf}
+		r := rbpc.Resolver{Net: nh.net, Provisioned: e.provisioned, LSPs: e.lspOf}
 		if lsps, err := r.Resolve(dt.dec); err == nil {
 			atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
 			if stack, err := mpls.SelfStack(lsps); err == nil {

@@ -19,7 +19,12 @@ import (
 type Resolver struct {
 	// Net receives on-demand LSP establishment.
 	Net *mpls.Network
-	// LSPs is the provisioned registry, keyed by path key. On-demand
+	// Provisioned, when non-nil, is a registry of pre-provisioned LSPs the
+	// resolver reads first and never writes — so any number of resolvers
+	// (the shard engines of one process, each with its own Net) share one
+	// instead of each holding a clone of it.
+	Provisioned map[string]*mpls.LSP
+	// LSPs is the resolver's own registry, keyed by path key. On-demand
 	// LSPs are added to it.
 	LSPs map[string]*mpls.LSP
 	// OnDemand counts LSPs this resolver had to signal because the
@@ -33,7 +38,10 @@ func (r *Resolver) Resolve(dec core.Decomposition) ([]*mpls.LSP, error) {
 	lsps := make([]*mpls.LSP, 0, len(dec.Components))
 	for _, c := range dec.Components {
 		key := c.Path.Key()
-		lsp, ok := r.LSPs[key]
+		lsp, ok := r.Provisioned[key]
+		if !ok {
+			lsp, ok = r.LSPs[key]
+		}
 		if !ok {
 			var err error
 			lsp, err = r.Net.EstablishLSP(c.Path)

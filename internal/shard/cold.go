@@ -124,9 +124,10 @@ type ColdTier struct {
 	hand  int                    //rbpc:guardedby mu
 }
 
-// NewColdTier starts the solver pool. The registry must be a private
-// clone (workers read it concurrently with nobody writing); onResult
-// receives async answers (nil discards them).
+// NewColdTier starts the solver pool. Workers read the registry
+// concurrently, so nobody may write it from here on (the engines over the
+// same provision do not: they only read it too); onResult receives async
+// answers (nil discards them).
 func NewColdTier(g *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
 	cfg = cfg.withDefaults()
 	t := &ColdTier{

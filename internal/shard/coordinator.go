@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -19,7 +18,8 @@ import (
 )
 
 // Coordinator fronts N shard workers: it partitions the provisioned pair
-// space by ring ownership, routes queries and submissions to owners,
+// space by ring ownership (read from the owner table, never searched on the
+// ring), routes queries and submissions to owners,
 // fans failure/repair bursts out to every worker, and merges per-worker
 // state into consistent cross-shard views and stats. It is the thin
 // layer — all serving and epoch building happens inside the workers'
@@ -28,15 +28,17 @@ import (
 // Over). The query path takes no lock; the one mutex orders bursts and
 // guards the failed-set model they fold into.
 type Coordinator struct {
-	ring *Ring
-	w    []Worker
-	cold *ColdTier
+	owners Owners
+	w      []Worker
+	cold   *ColdTier
 	// skew is the injected FaultSkewShard: worker 0 never learns of churn.
 	skew bool
-	// hot marks the sources with a materialized serving row.
+	// slot folds materialization into ownership, for one table probe per
+	// pair: a source with a materialized serving row reads its owner's
+	// index, every other source reads len(w), the cold slot.
 	// Materialization is static (the overlay only ever diverges
 	// provisioned rows), so the table answers for every epoch.
-	hot []bool
+	slot []uint8
 	// dec builds detached snapshots of the model for cold solves while an
 	// owner is down. Nil in process: an engine is never down, and the
 	// in-process shape does not pay for a second canonical matrix.
@@ -61,8 +63,9 @@ type Coordinator struct {
 // starts them. Each shard receives only the primaries and routes of the
 // sources it owns (engine rows are allocated per provisioned source, so
 // unowned — and unprovisioned cold — sources cost it nothing); graph,
-// base set, and network are shared (each engine clones the network
-// copy-on-write). p.Failed must be empty, as for engine.New.
+// base set, LSP registry and network are shared (each engine clones the
+// network copy-on-write and reads the registry). p.Failed must be empty,
+// as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: config needs Shards >= 1, got %d", cfg.Shards)
@@ -74,9 +77,10 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	owners := ring.Table(p.Graph.Order())
 	workers := make([]Worker, cfg.Shards)
 	for i := range workers {
-		eng, err := engine.New(SliceProvision(p, ring, i), cfg.Engine)
+		eng, err := engine.New(SliceProvision(p, owners, i), cfg.Engine)
 		if err != nil {
 			for _, w := range workers[:i] {
 				w.Close()
@@ -85,7 +89,7 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 		}
 		workers[i] = engineWorker{eng}
 	}
-	return Over(p, cfg, ring, workers, nil)
+	return Over(p, cfg, owners, workers, nil)
 }
 
 // SourceOnly is the one statement of what sharded serving supports: the
@@ -101,60 +105,65 @@ func SourceOnly(s engine.Scheme) error {
 }
 
 // Over assembles the coordinator over already-running workers, one per
-// ring shard, each serving SliceProvision(p, ring, i). dec is required
-// when a worker can be down (it cuts the detached snapshots their
-// sources are then solved against) and nil otherwise. A non-source
-// cfg.Engine.Scheme is an error (SourceOnly).
-func Over(p rbpc.Provision, cfg Config, ring *Ring, workers []Worker, dec *engine.SnapDecoder) (*Coordinator, error) {
+// shard, each serving SliceProvision(p, owners, i); owners is the ring's
+// table over p's nodes (Ring.Table). dec is required when a worker can be
+// down (it cuts the detached snapshots their sources are then solved
+// against) and nil otherwise. A non-source cfg.Engine.Scheme is an error
+// (SourceOnly).
+func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *engine.SnapDecoder) (*Coordinator, error) {
 	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
 	}
-	hot := make([]bool, p.Graph.Order())
+	if len(owners) != p.Graph.Order() || len(workers) > MaxShards {
+		return nil, fmt.Errorf("shard: owner table covers %d sources of %d, over %d workers (at most %d)",
+			len(owners), p.Graph.Order(), len(workers), MaxShards)
+	}
+	slot := make([]uint8, len(owners))
+	for src, o := range owners {
+		if int(o) >= len(workers) {
+			return nil, fmt.Errorf("shard: source %d is owned by shard %d of %d", src, o, len(workers))
+		}
+		slot[src] = uint8(len(workers))
+	}
 	for pr := range p.Routes {
-		hot[pr.Src] = true
+		slot[pr.Src] = owners[pr.Src]
 	}
 	return &Coordinator{
-		ring:  ring,
-		w:     workers,
-		cold:  NewColdTier(p.Graph, p.Base, maps.Clone(p.LSPs), cfg.Cold, cfg.Engine.OnResult),
-		skew:  cfg.Engine.Fault == engine.FaultSkewShard,
-		hot:   hot,
-		dec:   dec,
-		model: make(map[graph.EdgeID]bool),
+		owners: owners,
+		w:      workers,
+		cold:   NewColdTier(p.Graph, p.Base, p.LSPs, cfg.Cold, cfg.Engine.OnResult),
+		skew:   cfg.Engine.Fault == engine.FaultSkewShard,
+		slot:   slot,
+		dec:    dec,
+		model:  make(map[graph.EdgeID]bool),
 	}, nil
 }
 
 // SliceProvision returns the provision slice shard i serves under the
-// ring: only the primaries and routes of the sources i owns, with a
-// private clone of the LSP registry (each shard engine signs on-demand
-// LSPs into its own registry, and concurrent writers must not share a
-// map). Graph, base set, and network stay shared. It is the single
-// definition of the shard partition — New and every remote worker
-// process slice with it, so a worker rebuilt from the same provision
-// serves exactly the rows its in-process twin would.
-func SliceProvision(p rbpc.Provision, ring *Ring, i int) rbpc.Provision {
+// owner table: only the primaries and routes of the sources i owns.
+// Graph, base set, network and the LSP registry stay shared — an engine
+// reads the provision's registry and signs on-demand LSPs into a registry
+// of its own. It is the single definition of the shard partition — New and
+// every remote worker process slice with it, so a worker rebuilt from the
+// same provision serves exactly the rows its in-process twin would.
+func SliceProvision(p rbpc.Provision, owners Owners, i int) rbpc.Provision {
 	prims := make(map[rbpc.Pair]*mpls.LSP)
 	routes := make(map[rbpc.Pair][]*mpls.LSP)
 	for pr, lsp := range p.Primaries {
-		if ring.Owner(pr.Src) == i {
+		if int(owners[pr.Src]) == i {
 			prims[pr] = lsp
 		}
 	}
 	for pr, lsps := range p.Routes {
-		if ring.Owner(pr.Src) == i {
+		if int(owners[pr.Src]) == i {
 			routes[pr] = lsps
 		}
 	}
 	sp := p
 	sp.Primaries = prims
 	sp.Routes = routes
-	sp.LSPs = maps.Clone(p.LSPs)
 	return sp
 }
-
-// Ring returns the routing ring (immutable; safe to share with remote
-// routers).
-func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Shards returns the number of workers.
 func (c *Coordinator) Shards() int { return len(c.w) }
@@ -164,7 +173,17 @@ func (c *Coordinator) Shards() int { return len(c.w) }
 func (c *Coordinator) Shard(i int) Worker { return c.w[i] }
 
 // Owner returns the index of the worker owning src's row.
-func (c *Coordinator) Owner(src graph.NodeID) int { return c.ring.Owner(src) }
+//
+//rbpc:hotpath
+func (c *Coordinator) Owner(src graph.NodeID) int { return int(c.owners[src]) }
+
+// route is the table read every query starts with: src's owner, and
+// whether that owner holds a materialized row for it.
+//
+//rbpc:hotpath
+func (c *Coordinator) route(src graph.NodeID) (owner int, hot bool) {
+	return int(c.owners[src]), int(c.slot[src]) < len(c.w)
+}
 
 // Fail fans a link failure out to every worker (each needs full failure
 // knowledge to rebuild the rows it owns).
@@ -266,8 +285,8 @@ func (c *Coordinator) coldSnap(owner int) *engine.Snapshot {
 // and the sources of a worker that is down go through the
 // admission-controlled cold tier (see coldSnap).
 func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
-	owner := c.ring.Owner(src)
-	if c.hot[src] {
+	owner, hot := c.route(src)
+	if hot {
 		if res, ok := c.w[owner].Query(src, dst); ok {
 			return res
 		}
@@ -281,8 +300,8 @@ func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
 // instead, delivery equals routability — the control-plane answer is the
 // restoration; there is no row, or no live data plane, to walk.
 func (c *Coordinator) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.ProbeResult {
-	owner := c.ring.Owner(src)
-	if c.hot[src] {
+	owner, hot := c.route(src)
+	if hot {
 		if v, ok := c.w[owner].Probe(src, dst, ed); ok {
 			return v
 		}
@@ -299,49 +318,67 @@ func (c *Coordinator) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.P
 // Submit enqueues one async query with the owner (or the cold tier).
 // Reports false when shed.
 func (c *Coordinator) Submit(src, dst graph.NodeID) bool {
-	owner := c.ring.Owner(src)
-	if c.hot[src] && c.w[owner].Alive() {
-		return c.w[owner].SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
+	owner, hot := c.route(src)
+	if hot && c.w[owner].Alive() {
+		return c.w[owner].SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}, 1) == 1
 	}
 	return c.cold.Submit(src, dst, c.coldSnap(owner))
 }
 
-// SubmitBatch splits a burst by ring ownership and hands each owner its
-// sub-batch in one call; pairs of non-materialized sources and of workers
-// that are down divert to the cold tier's admission queue. The
-// coordinator takes ownership of pairs. Returns the number of queries
-// accepted (each sub-batch is admitted or shed as a unit by its worker).
+// SubmitBatch shares a burst among its owners: one pass counts each
+// worker's pairs, then every worker with a non-zero count is handed the
+// caller's slice itself and its count, and serves the pairs it owns out of
+// it. Nothing is copied, allocated or queued beyond that slice; the price
+// is that every worker scans the whole burst (DESIGN.md, the sharded read
+// path). Pairs of non-materialized sources and of workers that are down
+// divert to the cold tier's admission queue. The coordinator takes
+// ownership of pairs — it is read, never written, from here on. Returns
+// the number of queries accepted (each worker admits or sheds its part as
+// a unit).
 func (c *Coordinator) SubmitBatch(pairs []rbpc.Pair) int {
 	if len(pairs) == 0 {
 		return 0
 	}
-	// Fresh buckets per call — the workers keep them — sized for an even
-	// split with slack, so a bucket is one allocation unless the burst is
-	// skewed.
-	buckets := make([][]rbpc.Pair, len(c.w))
-	down := make([]bool, len(c.w))
-	size := min(len(pairs), len(pairs)/len(c.w)*5/4+8)
+	var counts [MaxShards + 1]int32
+	countSlots(pairs, c.slot, &counts)
+	// A slot diverts when no live worker answers for it: the cold slot, and
+	// the slot of every worker that is down.
+	var divert [MaxShards + 1]bool
+	cold := len(c.w)
+	divert[cold] = true
+	diverted := counts[cold]
 	for i, w := range c.w {
-		buckets[i] = make([]rbpc.Pair, 0, size)
-		down[i] = !w.Alive()
+		if counts[i] != 0 && !w.Alive() {
+			divert[i] = true
+			diverted += counts[i]
+			counts[i] = 0
+		}
 	}
 	accepted := 0
-	for _, pr := range pairs {
-		owner := c.ring.Owner(pr.Src)
-		if !c.hot[pr.Src] || down[owner] {
-			if c.cold.Submit(pr.Src, pr.Dst, c.coldSnap(owner)) {
+	if diverted != 0 {
+		for _, pr := range pairs {
+			if divert[c.slot[pr.Src]] && c.cold.Submit(pr.Src, pr.Dst, c.coldSnap(int(c.owners[pr.Src]))) {
 				accepted++
 			}
-			continue
 		}
-		buckets[owner] = append(buckets[owner], pr)
 	}
-	for i, b := range buckets {
-		if len(b) > 0 {
-			accepted += c.w[i].SubmitBatch(b)
+	for i, w := range c.w {
+		if counts[i] != 0 {
+			accepted += w.SubmitBatch(pairs, int(counts[i]))
 		}
 	}
 	return accepted
+}
+
+// countSlots is SubmitBatch's one pass over a burst: how many pairs fall
+// to each slot. An increment through a table probe, no branch on the owner
+// — the owners of a random burst are a coin flip.
+//
+//rbpc:hotpath
+func countSlots(pairs []rbpc.Pair, slot []uint8, counts *[MaxShards + 1]int32) {
+	for _, pr := range pairs {
+		counts[slot[pr.Src]]++
+	}
 }
 
 // AffectedPairs returns the provisioned pairs whose canonical primary
@@ -357,7 +394,7 @@ func (c *Coordinator) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
 
 // RecordRestore records one observed time-to-restore (Stats.Restore).
 func (c *Coordinator) RecordRestore(src graph.NodeID, d time.Duration) {
-	c.restore.Record(uint64(c.ring.Owner(src)), d)
+	c.restore.Record(uint64(c.owners[src]), d)
 }
 
 // Watermark returns the low epoch watermark, read off the workers'
@@ -378,15 +415,15 @@ func (c *Coordinator) Watermark() uint64 {
 //rbpc:immutable
 //rbpc:epochscoped
 type View struct {
-	ring  *Ring
-	snaps []*engine.Snapshot
+	owners Owners
+	snaps  []*engine.Snapshot
 }
 
 // Shards returns the number of per-shard snapshots in the view.
 func (v View) Shards() int { return len(v.snaps) }
 
 // Snap returns the snapshot serving the source.
-func (v View) Snap(src graph.NodeID) *engine.Snapshot { return v.snaps[v.ring.Owner(src)] }
+func (v View) Snap(src graph.NodeID) *engine.Snapshot { return v.snaps[v.owners[src]] }
 
 // Shard returns shard i's snapshot.
 func (v View) Shard(i int) *engine.Snapshot { return v.snaps[i] }
@@ -413,11 +450,11 @@ func (c *Coordinator) View() (View, bool) {
 			alive = alive && w.Alive()
 		}
 		if alive && failedSetsAgree(snaps) {
-			return View{ring: c.ring, snaps: snaps}, true
+			return View{owners: c.owners, snaps: snaps}, true
 		}
 		runtime.Gosched()
 	}
-	return View{ring: c.ring, snaps: snaps}, false
+	return View{owners: c.owners, snaps: snaps}, false
 }
 
 func failedSetsAgree(snaps []*engine.Snapshot) bool {

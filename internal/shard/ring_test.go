@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"rbpc/internal/graph"
+	"rbpc/internal/rbpc"
+	"rbpc/internal/topology"
 )
 
 // fullASNodes is the paper's full-scale AS graph order (PaperAS at scale
@@ -97,5 +99,70 @@ func TestRingMinimalMovement(t *testing.T) {
 		if f := float64(moved); f < 0.5*want || f > 1.5*want {
 			t.Errorf("n=%d: %d sources moved to the new shard, expected about %.0f", n, moved, want)
 		}
+	}
+}
+
+// TestOwnerTableMatchesRing: the table every query reads is the ring it was
+// filled from, entry for entry, and slicing a provision through it yields
+// the maps slicing through the ring would.
+func TestOwnerTableMatchesRing(t *testing.T) {
+	const nodes = 2000
+	for _, shards := range []int{1, 2, 3, 8} {
+		for _, seed := range []uint64{0, 7} {
+			for _, vnodes := range []int{0, 64} {
+				r, err := NewRing(shards, vnodes, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab := r.Table(nodes)
+				if len(tab) != nodes {
+					t.Fatalf("table covers %d sources, want %d", len(tab), nodes)
+				}
+				for s := 0; s < nodes; s++ {
+					if got, want := int(tab[s]), r.Owner(graph.NodeID(s)); got != want {
+						t.Fatalf("shards=%d seed=%d vnodes=%d: source %d reads owner %d from the table, %d from the ring",
+							shards, seed, vnodes, s, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	g := topology.Waxman(14, 0.8, 0.5, 9)
+	sys, err := rbpc.NewSystem(g, rbpc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Export()
+	for _, shards := range []int{1, 2, 3, 8} {
+		r, err := NewRing(shards, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := r.Table(g.Order())
+		total := 0
+		for i := 0; i < shards; i++ {
+			sp := SliceProvision(p, tab, i)
+			total += len(sp.Routes)
+			for pr := range p.Routes {
+				if _, in := sp.Routes[pr]; in != (r.Owner(pr.Src) == i) {
+					t.Fatalf("shards=%d: route %v in shard %d's slice: %v, the ring says %v", shards, pr, i, in, !in)
+				}
+			}
+			for pr := range p.Primaries {
+				if _, in := sp.Primaries[pr]; in != (r.Owner(pr.Src) == i) {
+					t.Fatalf("shards=%d: primary %v in shard %d's slice: %v, the ring says %v", shards, pr, i, in, !in)
+				}
+			}
+		}
+		if total != len(p.Routes) {
+			t.Fatalf("shards=%d: the slices hold %d routes of %d", shards, total, len(p.Routes))
+		}
+	}
+}
+
+func TestRingRejectsTooManyShards(t *testing.T) {
+	if _, err := NewRing(MaxShards+1, 0, 0); err == nil {
+		t.Fatalf("NewRing(%d) should fail: an owner-table entry is one byte", MaxShards+1)
 	}
 }

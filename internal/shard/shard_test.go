@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -281,8 +283,196 @@ func TestNonSourceSchemeRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Over(sys.Export(), cfg, ring, nil, nil); err == nil {
+		if _, err := Over(sys.Export(), cfg, ring.Table(g.Order()), nil, nil); err == nil {
 			t.Fatalf("Over accepted scheme %v", sch)
 		}
+	}
+}
+
+// everyPairTwice is the burst the exactly-once tests share: every ordered
+// pair of the topology, self-pairs included, and every third one again.
+func everyPairTwice(n int) []rbpc.Pair {
+	var pairs []rbpc.Pair
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			pr := rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)}
+			pairs = append(pairs, pr)
+			if (s*n+d)%3 == 0 {
+				pairs = append(pairs, pr)
+			}
+		}
+	}
+	return pairs
+}
+
+// TestSharedBatchExactlyOnce: every worker is handed the same slice, so
+// the burst is safe only if every pair is answered by exactly one party —
+// its owner when the source is materialized, the cold tier when it is not.
+func TestSharedBatchExactlyOnce(t *testing.T) {
+	g := topology.Waxman(14, 0.8, 0.5, 9)
+	rcfg := rbpc.DefaultConfig()
+	rcfg.Sources = []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	hot := make(map[graph.NodeID]bool)
+	for _, s := range rcfg.Sources {
+		hot[s] = true
+	}
+	for _, shards := range []int{3, 8} {
+		var mu sync.Mutex
+		answered := make(map[rbpc.Pair][]uint64) // cost bits of every answer, by pair
+		cfg := Config{Shards: shards, Cold: ColdConfig{Queue: 1 << 12}}
+		cfg.Engine.OnResult = func(r engine.Result) {
+			bits := uint64(0)
+			if r.Route != nil {
+				bits = math.Float64bits(r.Route.Cost)
+			}
+			mu.Lock()
+			answered[rbpc.Pair{Src: r.Src, Dst: r.Dst}] = append(answered[rbpc.Pair{Src: r.Src, Dst: r.Dst}], bits)
+			mu.Unlock()
+		}
+		c := newCoordinator(t, g, rcfg, cfg)
+		c.Fail(g.Edges()[0].ID)
+		c.Flush()
+
+		pairs := everyPairTwice(g.Order())
+		sent := make(map[rbpc.Pair]int)
+		handed := make([]int64, shards)
+		var cold int64
+		for _, pr := range pairs {
+			sent[pr]++
+			if hot[pr.Src] {
+				handed[c.Owner(pr.Src)]++
+			} else {
+				cold++
+			}
+		}
+		before := c.Stats()
+		if got := c.SubmitBatch(pairs); got != len(pairs) {
+			t.Fatalf("shards=%d: %d of %d pairs accepted", shards, got, len(pairs))
+		}
+		c.Drain()
+		after := c.Stats()
+
+		for i := range handed {
+			if got := after.PerShard[i].Queries - before.PerShard[i].Queries; got != handed[i] {
+				t.Errorf("shards=%d: worker %d answered %d queries, was handed %d", shards, i, got, handed[i])
+			}
+		}
+		if got := after.Cold.Queries - before.Cold.Queries; got != cold {
+			t.Errorf("shards=%d: the cold tier took %d queries, %d pairs have a cold source", shards, got, cold)
+		}
+		if got := after.Queries - before.Queries; got != int64(len(pairs)) {
+			t.Errorf("shards=%d: Stats().Queries rose by %d for %d pairs", shards, got, len(pairs))
+		}
+		mu.Lock()
+		for pr, n := range sent {
+			if len(answered[pr]) != n {
+				t.Errorf("shards=%d: pair %v sent %d times, answered %d times", shards, pr, n, len(answered[pr]))
+			}
+		}
+		if len(answered) != len(sent) {
+			t.Errorf("shards=%d: answers for %d distinct pairs, %d were sent", shards, len(answered), len(sent))
+		}
+		mu.Unlock()
+		for pr, costs := range answered {
+			var want uint64
+			if rt := c.Query(pr.Src, pr.Dst).Route; rt != nil {
+				want = math.Float64bits(rt.Cost)
+			}
+			for _, got := range costs {
+				if got != want {
+					t.Fatalf("shards=%d: pair %v answered with cost bits %x, Query says %x", shards, pr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSubmitBatchAllocs: with every source hot, a burst costs the
+// coordinator no allocation — no buckets, no copies, nothing but the
+// caller's slice handed on — and, holding no scratch of its own, it may be
+// called from several goroutines at once.
+func TestSubmitBatchAllocs(t *testing.T) {
+	g := topology.Waxman(14, 0.8, 0.5, 9)
+	var answers atomic.Int64
+	cfg := Config{Shards: 3}
+	cfg.Engine.OnResult = func(engine.Result) { answers.Add(1) }
+	c := newCoordinator(t, g, rbpc.DefaultConfig(), cfg)
+	pairs := everyPairTwice(g.Order())
+
+	var accepted atomic.Int64
+	submit := func() { accepted.Add(int64(c.SubmitBatch(pairs))) }
+	submit() // warm-up
+	c.Drain()
+	if a := testing.AllocsPerRun(50, submit); a != 0 {
+		t.Errorf("SubmitBatch allocates %.1f times a burst in process, want 0", a)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				submit()
+			}
+		}()
+	}
+	wg.Wait()
+	c.Drain()
+	if got, want := answers.Load(), accepted.Load(); got != want {
+		t.Errorf("%d answers for %d accepted queries", got, want)
+	}
+}
+
+// BenchmarkSubmitBatch measures a query's whole cost through the
+// in-process sharded path — the coordinator's counting pass, the hand-off,
+// every shard scanning the shared burst for its own pairs, the lookups —
+// as 512-pair bursts over the pristine AS stand-in. Each of N shards scans
+// all 512 pairs to serve 512/N of them: the difference between the two
+// rows is what that costs (DESIGN.md, the sharded read path).
+func BenchmarkSubmitBatch(b *testing.B) {
+	g := topology.PaperAS(1, 0.05)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sys.Export()
+	const burst = 512
+	rng := rand.New(rand.NewSource(5))
+	pool := make([]rbpc.Pair, 256*burst)
+	for i := range pool {
+		pool[i] = rbpc.Pair{Src: graph.NodeID(rng.Intn(g.Order())), Dst: graph.NodeID(rng.Intn(g.Order()))}
+	}
+	for _, shards := range []int{2, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cfg := Config{Shards: shards}
+			cfg.Engine = engine.Config{Workers: 1, OnResult: func(engine.Result) {}}
+			c, err := New(p, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			batch := func(i int) []rbpc.Pair {
+				at := i % (len(pool) / burst) * burst
+				return pool[at : at+burst]
+			}
+			if a := testing.AllocsPerRun(100, func() { c.SubmitBatch(batch(0)) }); a != 0 {
+				b.Fatalf("SubmitBatch allocates %.1f times a burst, want 0", a)
+			}
+			c.Drain()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 1023 {
+					c.Drain() // the generator outruns the workers: keep their queues from filling
+				}
+				if n := c.SubmitBatch(batch(i)); n != burst {
+					b.Fatalf("burst %d: %d of %d queries accepted", i, n, burst)
+				}
+			}
+			c.Drain()
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/query")
+		})
 	}
 }

@@ -32,10 +32,12 @@ type Worker interface {
 	// Probe is Query plus the restoration verdict for the probed edge,
 	// computed where the shard's data plane lives.
 	Probe(src, dst graph.NodeID, ed graph.EdgeID) (v probe.ProbeResult, ok bool)
-	// SubmitBatch enqueues an async sub-batch, admitted or shed as a
-	// unit; it returns the number of queries accepted. The worker owns
-	// pairs from here on.
-	SubmitBatch(pairs []rbpc.Pair) int
+	// SubmitBatch enqueues the worker's part of an async burst: pairs is
+	// the whole burst, shared read-only with the other workers it was
+	// handed to, and owned is how many of its pairs have a source this
+	// worker materializes — the ones it answers. The part is admitted or
+	// shed as a unit; the result is owned or 0.
+	SubmitBatch(pairs []rbpc.Pair, owned int) int
 	// AffectedPairs lists the pairs of this shard's slice whose primary
 	// crosses the link (static; callers must not modify the result).
 	AffectedPairs(ed graph.EdgeID) []graph.NodePair
@@ -51,11 +53,17 @@ type Worker interface {
 }
 
 // engineWorker is the in-process Worker: the engine itself. It adds
-// nothing to the seam — Apply/Flush/SubmitBatch/AffectedPairs/Snapshot/
-// Drain/Stats/Close are the embedded engine's own methods.
+// nothing to the seam — Apply/Flush/AffectedPairs/Snapshot/Drain/Stats/
+// Close are the embedded engine's own methods, SubmitBatch its
+// SubmitOwned.
 type engineWorker struct{ *engine.Engine }
 
 func (w engineWorker) Apply(evs []failure.Event) { w.ApplyEvents(evs) }
+
+//rbpc:hotpath
+func (w engineWorker) SubmitBatch(pairs []rbpc.Pair, owned int) int {
+	return w.SubmitOwned(pairs, owned)
+}
 
 func (w engineWorker) Alive() bool { return true }
 

@@ -69,7 +69,11 @@ type client struct {
 	// the worker's engine holds; the provision is known on both ends, so
 	// AffectedPairs needs no frame.
 	pairs *graph.PairIndex
-	met   queryMetrics
+	// mine[src] is 1 when this worker holds a materialized row for src — a
+	// provisioned source it owns — else 0: the mark the shared-burst encode
+	// advances by (fillOwnedBatch).
+	mine []uint8
+	met  queryMetrics
 
 	mu       sync.Mutex
 	control  *Conn
@@ -91,10 +95,16 @@ type client struct {
 	batchBuf []byte //rbpc:guardedby bmu
 }
 
-func newClient(idx int, cfg Config, p rbpc.Provision, ring *shard.Ring, dec *engine.SnapDecoder) *client {
-	own := make([]bool, p.Graph.Order())
-	for src := range own {
-		own[src] = ring.Owner(graph.NodeID(src)) == idx
+func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *engine.SnapDecoder) *client {
+	own := make([]bool, len(owners))
+	for src, o := range owners {
+		own[src] = int(o) == idx
+	}
+	mine := make([]uint8, len(owners))
+	for pr := range p.Routes {
+		if own[pr.Src] {
+			mine[pr.Src] = 1
+		}
 	}
 	c := &client{
 		idx:   idx,
@@ -103,6 +113,7 @@ func newClient(idx int, cfg Config, p rbpc.Provision, ring *shard.Ring, dec *eng
 		nodes: p.Graph.Order(),
 		links: p.Graph.Size(),
 		pairs: engine.PrimaryIndex(p.Graph, p.Primaries, own),
+		mine:  mine,
 		pend:  make(map[uint32]*call),
 		done:  make(chan struct{}),
 	}
@@ -339,18 +350,16 @@ func (c *client) settleBatch(key uint64, ca *call, payload []byte, n int) {
 }
 
 // scanUnroutable counts the batch's unroutable answers — the hot half of
-// answer decoding (one flags byte per query, no allocation).
+// answer decoding: one flags byte per answer, added up without a branch
+// (which answers are unroutable is the network's business, not a pattern).
 //
 //rbpc:hotpath
 func scanUnroutable(payload []byte, n int) int64 {
-	var u int64
-	for i := 0; i < n; i++ {
-		flags, _ := answerAt(payload, i)
-		if flags&ansRoutable == 0 {
-			u++
-		}
+	var routable int64
+	for off := 4; off < 4+answerEntrySize*n; off += answerEntrySize {
+		routable += int64(payload[off] & ansRoutable) // the entry's flags byte
 	}
-	return u
+	return int64(n) - routable
 }
 
 // take removes and returns the pending entry for seq (nil if unknown),
@@ -462,18 +471,18 @@ func (c *client) generation() int {
 	return c.gen
 }
 
-// sendBatch encodes and writes one batch frame (hot fill into the reused
-// buffer) and registers its pending entry; answers settle asynchronously
-// in the reader. Returns false when the worker is dead, the in-flight
-// budget is exhausted, or the write fails — the caller accounts the
-// batch as dropped.
-func (c *client) sendBatch(pairs []rbpc.Pair) bool {
+// sendBatch encodes this worker's part of a shared burst — owned of its
+// pairs — straight into the reused frame buffer, writes the frame and
+// registers its pending entry; answers settle asynchronously in the
+// reader. Returns false when the worker is dead, the in-flight budget is
+// exhausted, or the write fails — the caller accounts the part as dropped.
+func (c *client) sendBatch(pairs []rbpc.Pair, owned int) bool {
 	conn := c.queryConn()
 	if conn == nil {
 		return false
 	}
 	seq := c.seq.Add(1)
-	ca := &call{kind: callBatch, t0: time.Now(), n: len(pairs)}
+	ca := &call{kind: callBatch, t0: time.Now(), n: owned}
 	c.mu.Lock()
 	if c.inflight >= c.cfg.Inflight {
 		c.mu.Unlock()
@@ -485,8 +494,8 @@ func (c *client) sendBatch(pairs []rbpc.Pair) bool {
 
 	c.bmu.Lock()
 	c.batchBuf = grow(c.batchBuf, queryBatchSize(len(pairs)))
-	fillQueryBatch(c.batchBuf, pairs)
-	err := conn.WriteFrame(ftQueryBatch, 0, seq, c.batchBuf)
+	n := fillOwnedBatch(c.batchBuf, pairs, c.mine)
+	err := conn.WriteFrame(ftQueryBatch, 0, seq, c.batchBuf[:queryBatchSize(n)])
 	c.bmu.Unlock()
 	if err != nil {
 		c.take(seq) // remove before die so the batch is not also counted there
@@ -623,13 +632,14 @@ func (c *client) Probe(src, dst graph.NodeID, ed graph.EdgeID) (probe.ProbeResul
 	return ans.ProbeResult, err == nil
 }
 
-// SubmitBatch ships one frame; the sub-batch is shed whole when the
-// worker is down, the in-flight budget is spent, or the write fails.
-func (c *client) SubmitBatch(pairs []rbpc.Pair) int {
-	if c.sendBatch(pairs) {
-		return len(pairs)
+// SubmitBatch ships this worker's part of the burst as one frame; the part
+// is shed whole when the worker is down, the in-flight budget is spent, or
+// the write fails.
+func (c *client) SubmitBatch(pairs []rbpc.Pair, owned int) int {
+	if c.sendBatch(pairs, owned) {
+		return owned
 	}
-	c.met.dropped.Add(uint64(c.idx), int64(len(pairs)))
+	c.met.dropped.Add(uint64(c.idx), int64(owned))
 	return 0
 }
 

@@ -111,19 +111,24 @@ func decodeBurst(p []byte, evs []failure.Event) ([]failure.Event, error) {
 // cold and fill it hot.
 func queryBatchSize(n int) int { return 4 + 8*n }
 
-// fillQueryBatch writes a query batch into a pre-grown buffer of exactly
-// queryBatchSize(len(pairs)) bytes — the steady-state encode path: no
-// allocation, no bounds growth, one putU32 pair per query.
+// fillOwnedBatch encodes one worker's part of a shared burst: the pairs
+// whose source mine marks (1, else 0), as a query batch, straight into b —
+// pre-grown to queryBatchSize(len(pairs)) bytes, room for all of them — and
+// returns how many that was; the frame is b[:queryBatchSize(n)]. Every
+// pair is written and the cursor advances by the source's mark: no branch
+// on ownership (the owners of a random burst are a coin flip), no
+// allocation, no copy of the part.
 //
 //rbpc:hotpath
-func fillQueryBatch(b []byte, pairs []rbpc.Pair) {
-	putU32(b, 0, uint32(len(pairs)))
+func fillOwnedBatch(b []byte, pairs []rbpc.Pair, mine []uint8) int {
 	off := 4
-	for i := 0; i < len(pairs); i++ {
-		putU32(b, off, uint32(pairs[i].Src))
-		putU32(b, off+4, uint32(pairs[i].Dst))
-		off += 8
+	for _, pr := range pairs {
+		putU64(b, off, uint64(uint32(pr.Src))|uint64(uint32(pr.Dst))<<32) // src then dst, as queryAt reads them
+		off += 8 * int(mine[pr.Src])
 	}
+	n := (off - 4) / 8
+	putU32(b, 0, uint32(n))
+	return n
 }
 
 // queryBatchCount validates a query-batch frame's framing and returns the
@@ -181,12 +186,6 @@ func answerBatchCount(p []byte) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-//rbpc:hotpath
-func answerAt(p []byte, i int) (flags byte, costBits uint64) {
-	off := 4 + answerEntrySize*i
-	return p[off], getU64(p, off+1)
 }
 
 // --- single query / full answer -------------------------------------------

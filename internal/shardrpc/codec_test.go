@@ -1,6 +1,8 @@
 package shardrpc
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -15,6 +17,14 @@ import (
 	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
+
+// answerAt reads entry i of an answer batch: the read half of fillAnswerAt.
+// The client itself reads only the flags bytes (scanUnroutable) — a wire
+// batch has no per-answer callback to hand a cost to.
+func answerAt(p []byte, i int) (flags byte, costBits uint64) {
+	off := 4 + answerEntrySize*i
+	return p[off], getU64(p, off+1)
+}
 
 // TestFrameRoundTrip drives random frames through a pipe-backed Conn and
 // asserts type, flags, sequence, and payload survive byte-for-byte.
@@ -114,15 +124,28 @@ func TestQueryAnswerBatchRoundTrip(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = rbpc.Pair{Src: graph.NodeID(rng.Intn(1 << 16)), Dst: graph.NodeID(rng.Intn(1 << 16))}
 		}
-		qb := grow(nil, queryBatchSize(n))
-		fillQueryBatch(qb, pairs)
-		gotN, ok := queryBatchCount(qb)
-		if !ok || gotN != n {
-			t.Fatalf("trial %d: query batch count %d ok=%v, want %d", trial, gotN, ok, n)
+		// The encode filters a shared burst by the worker's marks: with a
+		// random half of the sources marked, the frame holds exactly the
+		// marked pairs, in order.
+		mine := make([]uint8, 1<<16)
+		var want []rbpc.Pair
+		for i := range mine {
+			mine[i] = uint8(rng.Intn(2))
 		}
-		for i := range pairs {
+		for _, pr := range pairs {
+			if mine[pr.Src] == 1 {
+				want = append(want, pr)
+			}
+		}
+		qb := grow(nil, queryBatchSize(n))
+		qb = qb[:queryBatchSize(fillOwnedBatch(qb, pairs, mine))]
+		gotN, ok := queryBatchCount(qb)
+		if !ok || gotN != len(want) {
+			t.Fatalf("trial %d: query batch count %d ok=%v, want %d", trial, gotN, ok, len(want))
+		}
+		for i := range want {
 			src, dst := queryAt(qb, i)
-			if graph.NodeID(src) != pairs[i].Src || graph.NodeID(dst) != pairs[i].Dst {
+			if graph.NodeID(src) != want[i].Src || graph.NodeID(dst) != want[i].Dst {
 				t.Fatalf("trial %d: pair %d diverged", trial, i)
 			}
 		}
@@ -261,5 +284,114 @@ func TestAnswerCodecRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// memConn is a transport that holds everything written to it: the writer
+// never blocks, and a read returns as much as the reader asks for, so a
+// buffered reader's refill boundary falls wherever 64 KiB happens to end —
+// in the middle of a header, of a payload, or exactly between two frames.
+type memConn struct {
+	net.Conn // unused methods
+	buf      bytes.Buffer
+}
+
+func (m *memConn) Write(p []byte) (int, error) { return m.buf.Write(p) }
+func (m *memConn) Read(p []byte) (int, error)  { return m.buf.Read(p) }
+func (m *memConn) Close() error                { return nil }
+
+// TestFrameSizesAcrossReaderBuffer: payloads of no bytes, of exactly what
+// the buffered reader holds, of one byte more (the path through the
+// connection's own buffer) and of several buffers, each followed by a small
+// frame that must still be found where the big one ended.
+func TestFrameSizesAcrossReaderBuffer(t *testing.T) {
+	sizes := []int{0, 1, readBuffer - headerSize, readBuffer - headerSize + 1, readBuffer, 3*readBuffer + 7, 0, 0}
+	m := &memConn{}
+	c := NewConn(m)
+	rng := rand.New(rand.NewSource(3))
+	var want [][]byte
+	for i, n := range sizes {
+		p := make([]byte, n)
+		rng.Read(p)
+		want = append(want, p)
+		if err := c.WriteFrame(ftSnapshot, byte(i), uint32(i), p); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteFrame(ftPing, 0, uint32(1000+i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range want {
+		typ, flags, seq, payload, err := c.ReadFrame()
+		if err != nil {
+			t.Fatalf("frame %d (%d bytes): %v", i, len(p), err)
+		}
+		if typ != ftSnapshot || flags != byte(i) || seq != uint32(i) || !bytes.Equal(payload, p) {
+			t.Fatalf("frame %d (%d bytes) came back as type %d flags %d seq %d, %d bytes", i, len(p), typ, flags, seq, len(payload))
+		}
+		typ, _, seq, payload, err = c.ReadFrame()
+		if err != nil || typ != ftPing || seq != uint32(1000+i) || len(payload) != 1 || payload[0] != byte(i) {
+			t.Fatalf("the frame after frame %d came back as type %d seq %d %v (%v)", i, typ, seq, payload, err)
+		}
+	}
+	if _, _, _, _, err := c.ReadFrame(); err != io.EOF {
+		t.Fatalf("read past the last frame: %v, want io.EOF", err)
+	}
+	if c.Torn() != 0 {
+		t.Fatalf("%d frames dropped on a sound transport", c.Torn())
+	}
+}
+
+// TestBackToBackFramesAcrossRefill writes 1 000 small frames before the
+// first read, one in 97 of them with a byte of its payload flipped in
+// transit: the reader must deliver every intact frame once, in order, drop
+// and count the torn ones, and lose nothing where its buffer refills.
+func TestBackToBackFramesAcrossRefill(t *testing.T) {
+	const frames = 1000
+	m := &memConn{}
+	c := NewConn(m)
+	rng := rand.New(rand.NewSource(11))
+	tear := false
+	c.corrupt = func(_ byte, payload []byte) {
+		if tear {
+			payload[rng.Intn(len(payload))] ^= 1 << rng.Intn(8)
+		}
+	}
+	type frame struct {
+		seq     uint32
+		payload []byte
+	}
+	var want []frame
+	torn := int64(0)
+	for i := 0; i < frames; i++ {
+		p := make([]byte, rng.Intn(200))
+		rng.Read(p)
+		tear = i%97 == 96 && len(p) > 0
+		if tear {
+			torn++
+		} else {
+			want = append(want, frame{uint32(i), p})
+		}
+		if err := c.WriteFrame(byte(i%17+1), byte(i%3), uint32(i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.buf.Len() <= readBuffer {
+		t.Fatalf("%d bytes written do not cross the reader's %d-byte buffer", m.buf.Len(), readBuffer)
+	}
+	for _, w := range want {
+		typ, flags, seq, payload, err := c.ReadFrame()
+		if err != nil {
+			t.Fatalf("frame %d: %v", w.seq, err)
+		}
+		if seq != w.seq || typ != byte(w.seq%17+1) || flags != byte(w.seq%3) || !bytes.Equal(payload, w.payload) {
+			t.Fatalf("want frame %d (%d bytes), got seq %d type %d flags %d (%d bytes)", w.seq, len(w.payload), seq, typ, flags, len(payload))
+		}
+	}
+	if _, _, _, _, err := c.ReadFrame(); err != io.EOF {
+		t.Fatalf("read past the last frame: %v, want io.EOF", err)
+	}
+	if c.Torn() != torn {
+		t.Fatalf("torn counter %d, want %d", c.Torn(), torn)
 	}
 }

@@ -526,3 +526,173 @@ func TestProcFlushBarrierOrdersReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfPairVerdictMatchesInProcess: a pair whose source is its
+// destination has no route and is not unroutable — the engine says so for
+// a burst (serveBatch) as for a single query, and the worker's answer
+// batch must say the same, or the same burst raises Stats().Unroutable
+// over the wire and not in process.
+func TestSelfPairVerdictMatchesInProcess(t *testing.T) {
+	const shards = 2
+	p := buildProvision(t, 12, 9)
+	inproc, err := shard.New(p, shard.Config{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	wire, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.Close()
+
+	n := p.Graph.Order()
+	var pairs []rbpc.Pair
+	for s := 0; s < n; s++ {
+		src := graph.NodeID(s)
+		pairs = append(pairs, rbpc.Pair{Src: src, Dst: src}, rbpc.Pair{Src: src, Dst: graph.NodeID((s + 1) % n)})
+	}
+	stats := map[string]shard.Stats{}
+	for name, c := range map[string]*shard.Coordinator{"in-process": inproc, "wire": wire.Coordinator} {
+		if got := c.SubmitBatch(pairs); got != len(pairs) {
+			t.Fatalf("%s: %d of %d pairs accepted", name, got, len(pairs))
+		}
+		c.Drain()
+		stats[name] = c.Stats()
+	}
+	in, wr := stats["in-process"], stats["wire"]
+	if in.Queries != int64(len(pairs)) || wr.Queries != in.Queries {
+		t.Errorf("Queries: in-process %d, wire %d, want %d both", in.Queries, wr.Queries, len(pairs))
+	}
+	if in.Unroutable != 0 || wr.Unroutable != in.Unroutable {
+		t.Errorf("Unroutable: in-process %d, wire %d, want 0 both (a self-pair is not unroutable)", in.Unroutable, wr.Unroutable)
+	}
+}
+
+// TestSharedBatchExactlyOnce is the pipe twin of the in-process test of
+// the same name: every client encodes its own part out of the one shared
+// slice, so each worker must answer exactly the pairs it was handed and
+// the cold tier exactly the rest — also while a worker is down, when its
+// part diverts and nobody answers it twice. A wire batch has no answer
+// callback; the per-worker Queries counters stand in.
+func TestSharedBatchExactlyOnce(t *testing.T) {
+	g := topology.Waxman(14, 0.8, 0.5, 9)
+	rcfg := rbpc.DefaultConfig()
+	rcfg.Sources = []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	sys, err := rbpc.NewSystem(g, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Export()
+	n := g.Order()
+	var pairs []rbpc.Pair
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			pr := rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)}
+			pairs = append(pairs, pr)
+			if (s*n+d)%3 == 0 {
+				pairs = append(pairs, pr)
+			}
+		}
+	}
+	for _, shards := range []int{3, 8} {
+		farm := newPipeFarm(t, p, Config{Shards: shards})
+		cfg := testConfig(farm, shards)
+		cfg.Cold = shard.ColdConfig{Queue: 1 << 12}
+		proc, err := NewCoordinator(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handed := make([]int64, shards)
+		var cold int64
+		for _, pr := range pairs {
+			if int(pr.Src) < len(rcfg.Sources) {
+				handed[proc.Owner(pr.Src)]++
+			} else {
+				cold++
+			}
+		}
+		victim := -1
+		for round := 0; round < 2; round++ {
+			before := proc.Stats()
+			if got := proc.SubmitBatch(pairs); got != len(pairs) {
+				t.Fatalf("shards=%d round %d: %d of %d pairs accepted", shards, round, got, len(pairs))
+			}
+			proc.Drain()
+			after := proc.Stats()
+			wantCold := cold
+			for i := range handed {
+				want := handed[i]
+				if i == victim {
+					wantCold += want // its part diverted
+					want = 0
+				}
+				if got := after.PerShard[i].Queries - before.PerShard[i].Queries; got != want {
+					t.Errorf("shards=%d round %d: worker %d answered %d queries, want %d", shards, round, i, got, want)
+				}
+			}
+			if got := after.Cold.Queries - before.Cold.Queries; got != wantCold {
+				t.Errorf("shards=%d round %d: the cold tier took %d queries, want %d", shards, round, got, wantCold)
+			}
+			if got := after.Queries - before.Queries; got != int64(len(pairs)) {
+				t.Errorf("shards=%d round %d: Stats().Queries rose by %d for %d pairs", shards, round, got, len(pairs))
+			}
+			if got := after.Dropped - before.Dropped; got != 0 {
+				t.Errorf("shards=%d round %d: %d queries dropped", shards, round, got)
+			}
+			if round == 0 {
+				// Second round: the worker with the largest part is down.
+				victim = 0
+				for i := range handed {
+					if handed[i] > handed[victim] {
+						victim = i
+					}
+				}
+				farm.kill(victim)
+				for deadline := time.Now().Add(2 * time.Second); proc.Shard(victim).Alive() && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				if proc.Shard(victim).Alive() {
+					t.Fatalf("shards=%d: worker %d never marked dead", shards, victim)
+				}
+			}
+		}
+		proc.Close()
+	}
+}
+
+// TestSubmitBatchAllocs: over a pipe a burst costs the coordinator at most
+// one allocation per owner — the pending entry its answer settles against;
+// the frame is encoded straight out of the caller's slice into a reused
+// buffer.
+func TestSubmitBatchAllocs(t *testing.T) {
+	const shards = 3
+	p := buildProvision(t, 14, 9)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	proc, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	n := p.Graph.Order()
+	var pairs []rbpc.Pair
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			pairs = append(pairs, rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)})
+		}
+	}
+	accepted := 0
+	submit := func() {
+		accepted += proc.SubmitBatch(pairs)
+		proc.Drain() // keeps the in-flight budget from filling
+	}
+	submit() // warm-up: frame buffers, the pending table
+	drain := testing.AllocsPerRun(20, proc.Drain)
+	if a := testing.AllocsPerRun(20, submit) - drain; a > shards {
+		t.Errorf("SubmitBatch allocates %.1f times a burst over a pipe, want at most one per owner (%d)", a, shards)
+	}
+	if st := proc.Stats(); st.Queries != int64(accepted) || st.Dropped != 0 {
+		t.Errorf("%d queries answered and %d dropped of %d accepted", st.Queries, st.Dropped, accepted)
+	}
+}

@@ -11,13 +11,15 @@
 // chaos lockstep oracle proves it over a pipe transport).
 //
 // Wire shape. Every frame is a fixed 20-byte header (magic, payload
-// length, sequence, type, flags, FNV-1a payload checksum) followed by the
+// length, sequence, type, flags, CRC-32C of the payload) followed by the
 // payload, all little-endian, hand-rolled — no reflection, no JSON, and
-// reused buffers on both ends. The hot frames (query batches out, answer
-// batches back) encode and decode through fixed-offset //rbpc:hotpath
-// functions: zero allocations per query in the steady state, verified by
-// allocprove. Cold frames (bursts, snapshots, stats) take the ordinary
-// append path.
+// reused buffers on both ends. A connection reads through one 64 KiB
+// buffered reader: a header and its payload, and under load several
+// frames, arrive in one read call, and a payload is handed out in place.
+// The hot frames (query batches out, answer batches back) encode and
+// decode through fixed-offset //rbpc:hotpath functions: zero allocations
+// per query in the steady state, verified by allocprove. Cold frames
+// (bursts, snapshots, stats) take the ordinary append path.
 //
 // Traffic. Fail/repair bursts broadcast to every worker on its control
 // connection; workers push each published epoch back as an overlay-only
@@ -29,9 +31,11 @@
 // an explicit barrier frame: the worker's engine taps OnEpoch on its
 // writer goroutine, writing the snapshot frame on the control connection
 // before the flush ack, so a flush ack guarantees the coordinator's
-// replica is current. Query batches fan out one frame per owning worker
-// per batch and answers demultiplex by sequence number over per-worker
-// connection pools.
+// replica is current. A query burst is shared, not partitioned: the
+// coordinator hands every owning worker's client the caller's slice, and
+// each encodes the pairs its worker owns straight into its frame (one
+// frame per owning worker per burst); answers demultiplex by sequence
+// number over per-worker connection pools.
 //
 // Failure. Per-worker health checks, a configurable dial/ack timeout
 // with bounded retry, and crash diversion: while a worker is down its
@@ -165,10 +169,11 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	owners := ring.Table(p.Graph.Order())
 	c := &Coordinator{w: make([]*client, cfg.Shards)}
 	workers := make([]shard.Worker, cfg.Shards)
 	for i := range c.w {
-		c.w[i] = newClient(i, cfg, p, ring, dec)
+		c.w[i] = newClient(i, cfg, p, owners, dec)
 		workers[i] = c.w[i]
 		if err := c.w[i].attachWithin(); err != nil {
 			for _, cl := range c.w[:i+1] {
@@ -178,7 +183,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 		}
 	}
 	scfg := shard.Config{Shards: cfg.Shards, VNodes: cfg.VNodes, RingSeed: cfg.RingSeed, Engine: cfg.Engine, Cold: cfg.Cold}
-	c.Coordinator, err = shard.Over(p, scfg, ring, workers, dec)
+	c.Coordinator, err = shard.Over(p, scfg, owners, workers, dec)
 	if err != nil {
 		for _, cl := range c.w {
 			cl.Close()

@@ -1,7 +1,9 @@
 package shardrpc
 
 import (
+	"bufio"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -16,13 +18,18 @@ import (
 //	offset 12 u8  frame type
 //	offset 13 u8  flags (frame-type specific)
 //	offset 14 u16 reserved (zero)
-//	offset 16 u32 FNV-1a checksum of the payload
+//	offset 16 u32 CRC-32C (Castagnoli) of the payload
 const (
 	headerSize = 20
 	wireMagic  = 0x43504252 // "RBPC"
 	// maxFrame bounds one payload; a full-mesh overlay snapshot of the
 	// largest deployment fits in a fraction of this.
 	maxFrame = 64 << 20
+	// readBuffer is the size of a connection's buffered reader: one read
+	// call brings in a header with its payload, and usually several frames
+	// (a 512-pair answer batch is 4.6 KB). A frame that does not fit is
+	// read into the connection's own growable buffer instead.
+	readBuffer = 64 << 10
 )
 
 // Frame types. Direction is fixed per type; replies echo the request's
@@ -53,7 +60,10 @@ const (
 	roleQuery   byte = 1 // query/answer traffic only
 )
 
-// Answer flag bits (ftAnswerBatch entries, ftAnswer).
+// Answer flag bits (ftAnswerBatch entries, ftAnswer). In an answer batch
+// ansRoutable is the negation of what Stats().Unroutable counts: a route
+// exists, or the pair is a self-pair, whose empty path costs 0 — the
+// engine does not count those unroutable either.
 const (
 	ansRoutable       byte = 1 << 0
 	ansDelivered      byte = 1 << 1
@@ -66,16 +76,17 @@ const (
 )
 
 // Conn frames one transport connection. Reads are single-goroutine
-// (payloads are valid only until the next ReadFrame — the read buffer is
-// reused); writes are internally locked so the worker's snapshot tap and
-// ack writes can share the control connection without interleaving
-// frames. A checksum mismatch drops the frame (the length prefix keeps
-// the stream framed), counts it, and reads on — exactly the torn-frame
-// behavior the chaos fault proves is caught downstream.
+// (payloads are valid only until the next ReadFrame — the read buffers are
+// reused) and go through one buffered reader; writes are internally locked
+// so the worker's snapshot tap and ack writes can share the control
+// connection without interleaving frames. A checksum mismatch drops the
+// frame (the length prefix keeps the stream framed), counts it, and reads
+// on — exactly the torn-frame behavior the chaos fault proves is caught
+// downstream.
 type Conn struct {
 	nc   net.Conn
-	rbuf []byte
-	hdr  [headerSize]byte
+	br   *bufio.Reader
+	rbuf []byte // payloads larger than the reader's buffer
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -93,7 +104,7 @@ func NewConn(nc net.Conn) *Conn { return newConn(nc, new(atomic.Int64)) }
 
 // newConn frames a connection that counts its torn frames into torn.
 func newConn(nc net.Conn, torn *atomic.Int64) *Conn {
-	return &Conn{nc: nc, torn: torn}
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBuffer), torn: torn}
 }
 
 // Close closes the underlying connection (unblocking any reader).
@@ -102,33 +113,54 @@ func (c *Conn) Close() error { return c.nc.Close() }
 // Torn reports how many checksum-failed frames this end has dropped.
 func (c *Conn) Torn() int64 { return c.torn.Load() }
 
-// ReadFrame returns the next intact frame. The payload slice aliases the
-// connection's reusable buffer: it is valid only until the next
-// ReadFrame. Torn frames (checksum mismatch) are counted and skipped.
+// ReadFrame returns the next intact frame. The payload slice aliases one
+// of the connection's reusable buffers — the buffered reader's own when
+// the frame fits in it, so a frame is not copied on its way in: it is
+// valid only until the next ReadFrame. Torn frames (checksum mismatch) are
+// counted and skipped.
 func (c *Conn) ReadFrame() (typ byte, flags byte, seq uint32, payload []byte, err error) {
 	for {
-		if _, err = io.ReadFull(c.nc, c.hdr[:]); err != nil {
+		hdr, err := c.br.Peek(headerSize)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
 			return 0, 0, 0, nil, err
 		}
-		if getU32(c.hdr[:], 0) != wireMagic {
-			return 0, 0, 0, nil, fmt.Errorf("shardrpc: bad frame magic %#x", getU32(c.hdr[:], 0))
+		if getU32(hdr, 0) != wireMagic {
+			return 0, 0, 0, nil, fmt.Errorf("shardrpc: bad frame magic %#x", getU32(hdr, 0))
 		}
-		n := int(getU32(c.hdr[:], 4))
+		n := int(getU32(hdr, 4))
 		if n > maxFrame {
 			return 0, 0, 0, nil, fmt.Errorf("shardrpc: frame length %d exceeds limit", n)
 		}
-		if cap(c.rbuf) < n {
-			c.rbuf = make([]byte, n)
+		// The header's fields are read out before the next Peek, which may
+		// move the bytes hdr aliases.
+		seq, typ, flags = getU32(hdr, 8), hdr[12], hdr[13]
+		sum := getU32(hdr, 16)
+		if headerSize+n <= readBuffer {
+			frame, err := c.br.Peek(headerSize + n)
+			if err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return 0, 0, 0, nil, err
+			}
+			payload = frame[headerSize:]
+			c.br.Discard(len(frame)) // cannot fail: the bytes are buffered
+		} else {
+			c.br.Discard(headerSize)
+			c.rbuf = grow(c.rbuf, n)
+			payload = c.rbuf
+			if _, err := io.ReadFull(c.br, payload); err != nil {
+				return 0, 0, 0, nil, err
+			}
 		}
-		payload = c.rbuf[:n]
-		if _, err = io.ReadFull(c.nc, payload); err != nil {
-			return 0, 0, 0, nil, err
-		}
-		if fnv1a(payload) != getU32(c.hdr[:], 16) {
+		if checksum(payload) != sum {
 			c.torn.Add(1)
 			continue // torn frame: drop, stream stays framed
 		}
-		return c.hdr[12], c.hdr[13], getU32(c.hdr[:], 8), payload, nil
+		return typ, flags, seq, payload, nil
 	}
 }
 
@@ -148,7 +180,7 @@ func (c *Conn) WriteFrame(typ, flags byte, seq uint32, payload []byte) error {
 	b[12] = typ
 	b[13] = flags
 	b[14], b[15] = 0, 0
-	putU32(b, 16, fnv1a(payload))
+	putU32(b, 16, checksum(payload))
 	copy(b[headerSize:], payload)
 	if c.corrupt != nil {
 		c.corrupt(typ, b[headerSize:])
@@ -157,52 +189,58 @@ func (c *Conn) WriteFrame(typ, flags byte, seq uint32, payload []byte) error {
 	return err
 }
 
-// fnv1a is the payload checksum: FNV-1a 32-bit, hand-rolled so the frame
-// read/write path stays allocation-free.
+// castagnoli is the CRC-32C table: built once, and on amd64 and arm64 only
+// a marker that sends crc32.Checksum to the CRC32 instruction.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the payload checksum: CRC-32C, which detects every burst of
+// up to 32 flipped bits — any torn byte — and runs at memory speed
+// (BenchmarkFrameChecksum: ~20 GB/s, against 0.8 GB/s for the byte-at-a-time
+// FNV-1a it replaces and ~19 GB/s for a four-lane multiply-rotate over
+// words, which detects nothing in particular).
 //
 //rbpc:hotpath
-func fnv1a(p []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(p); i++ {
-		h ^= uint32(p[i])
-		h *= 16777619
-	}
-	return h
-}
+func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // Fixed-offset little-endian primitives: the hot codec functions below
 // write into buffers their callers have already grown, so the steady
-// state query path never allocates.
+// state query path never allocates. Each takes its bytes as one
+// fixed-length window (one bounds check), which is the shape the compiler
+// turns into a single load or store.
 
 //rbpc:hotpath
 func putU32(b []byte, off int, v uint32) {
-	b[off] = byte(v)
-	b[off+1] = byte(v >> 8)
-	b[off+2] = byte(v >> 16)
-	b[off+3] = byte(v >> 24)
+	w := b[off : off+4 : off+4]
+	w[0] = byte(v)
+	w[1] = byte(v >> 8)
+	w[2] = byte(v >> 16)
+	w[3] = byte(v >> 24)
 }
 
 //rbpc:hotpath
 func putU64(b []byte, off int, v uint64) {
-	b[off] = byte(v)
-	b[off+1] = byte(v >> 8)
-	b[off+2] = byte(v >> 16)
-	b[off+3] = byte(v >> 24)
-	b[off+4] = byte(v >> 32)
-	b[off+5] = byte(v >> 40)
-	b[off+6] = byte(v >> 48)
-	b[off+7] = byte(v >> 56)
+	w := b[off : off+8 : off+8]
+	w[0] = byte(v)
+	w[1] = byte(v >> 8)
+	w[2] = byte(v >> 16)
+	w[3] = byte(v >> 24)
+	w[4] = byte(v >> 32)
+	w[5] = byte(v >> 40)
+	w[6] = byte(v >> 48)
+	w[7] = byte(v >> 56)
 }
 
 //rbpc:hotpath
 func getU32(b []byte, off int) uint32 {
-	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
+	w := b[off : off+4 : off+4]
+	return uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16 | uint32(w[3])<<24
 }
 
 //rbpc:hotpath
 func getU64(b []byte, off int) uint64 {
-	return uint64(b[off]) | uint64(b[off+1])<<8 | uint64(b[off+2])<<16 | uint64(b[off+3])<<24 |
-		uint64(b[off+4])<<32 | uint64(b[off+5])<<40 | uint64(b[off+6])<<48 | uint64(b[off+7])<<56
+	w := b[off : off+8 : off+8]
+	return uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+		uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
 }
 
 // grow returns buf resized to n bytes, reallocating only when capacity

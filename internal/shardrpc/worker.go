@@ -82,7 +82,7 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 			userTap(s)
 		}
 	}
-	eng, err := engine.New(shard.SliceProvision(p, ring, idx), ecfg)
+	eng, err := engine.New(shard.SliceProvision(p, ring.Table(p.Graph.Order()), idx), ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: worker %d engine: %w", idx, err)
 	}
@@ -249,24 +249,45 @@ func (w *Worker) serveQuery(c *Conn) error {
 }
 
 // serveBatch fills the pre-grown answer buffer for one query batch from
-// one snapshot load: per pair a row lookup, a flags byte, and the raw
-// cost bits — the steady-state serving path, allocation-free end to end.
+// one snapshot load: per pair a row lookup, a flags byte, and the raw cost
+// bits — the steady-state serving path, allocation-free end to end. The
+// frame is served engine.ServeChunk pairs at a time through the engine's
+// own chunked lookup (Snapshot.Routes), so the route misses of a chunk
+// overlap instead of each pair's cost waiting on its own lookup. A pair
+// with a node outside the topology is looked up as the self-pair of node 0
+// and answered unroutable whatever that finds; a self-pair is answered with
+// the empty path, cost 0 — not unroutable, as the engine counts it.
 //
 //rbpc:hotpath
 func (w *Worker) serveBatch(payload, ansBuf []byte, n, order int) {
 	snap := w.eng.Snapshot()
 	fillAnswerCount(ansBuf, n)
-	for i := 0; i < n; i++ {
-		src, dst := queryAt(payload, i)
-		var flags byte
-		var bits uint64
-		if int(src) < order && int(dst) < order && src != dst {
-			if rt := snap.Route(graph.NodeID(src), graph.NodeID(dst)); rt != nil {
-				flags = ansRoutable
-				bits = math.Float64bits(rt.Cost)
+	var pairs [engine.ServeChunk]rbpc.Pair
+	var routes [engine.ServeChunk]*engine.Route
+	for base := 0; base < n; base += engine.ServeChunk {
+		m := min(n-base, engine.ServeChunk)
+		for i := 0; i < m; i++ {
+			src, dst := queryAt(payload, base+i)
+			if int(src) >= order || int(dst) >= order {
+				src, dst = 0, 0
 			}
+			pairs[i] = rbpc.Pair{Src: graph.NodeID(src), Dst: graph.NodeID(dst)}
 		}
-		fillAnswerAt(ansBuf, i, flags, bits)
+		snap.Routes(pairs[:m], routes[:m])
+		for i := 0; i < m; i++ {
+			src, dst := queryAt(payload, base+i)
+			var flags byte
+			var bits uint64
+			if int(src) < order && int(dst) < order {
+				if rt := routes[i]; rt != nil {
+					flags = ansRoutable
+					bits = math.Float64bits(rt.Cost)
+				} else if src == dst {
+					flags = ansRoutable
+				}
+			}
+			fillAnswerAt(ansBuf, base+i, flags, bits)
+		}
 	}
 }
 

@@ -31,6 +31,13 @@ if git grep -nwE 'DeltaRows|assembleDense|emptyOver' -- '*.go'; then
 	exit 1
 fi
 
+# The frame layer has one payload checksum, CRC-32C (shardrpc.checksum);
+# this is the byte-at-a-time FNV-1a loop it replaced.
+if git grep -nw 'fnv1a' -- '*.go'; then
+	echo "verify: the retired byte-loop frame checksum reappeared (see above)" >&2
+	exit 1
+fi
+
 # The repository has one benchmark system, bench/ (BENCHMARK.json), and
 # rbpc-serve serves one window on one backend. These are the flags, files
 # and targets of the deleted second system.
@@ -67,6 +74,21 @@ if git grep -nW -E 'spath\.(NewOracle|Compute)\(' -- 'internal/engine/*.go' ':!i
 		/:[0-9]+:.*spath\.(NewOracle|Compute)\(/ && fn !~ /=func (New|epochOracle)\(/ { print fn; print; bad = 1 }
 		END { exit !bad }'; then
 	echo "verify: spath.NewOracle/spath.Compute called outside New/epochOracle (see above)" >&2
+	exit 1
+fi
+
+# Ownership is read from the owner table (shard.Owners), which each process
+# fills once from the ring (Ring.Table). Ring.Owner is a hash and an 11-deep
+# binary search whose branches are random, ~70 ns against a ~50 ns answer: a
+# ring search that creeps back into Query or SubmitBatch is the slow arm
+# again. The one other `.Owner(` in these packages is shardrpc's RemoteQuery
+# asking the coordinator, which reads the table.
+echo "==> internal/shard, internal/shardrpc search the ring in NewRing, Ring.Table and Ring.Counts only"
+if git grep -nW '\.Owner(' -- 'internal/shard/*.go' 'internal/shardrpc/*.go' ':!internal/shard/*_test.go' ':!internal/shardrpc/*_test.go' |
+	awk '/=[0-9]+=/ { fn = $0 }
+		/:[0-9]+:.*\.Owner\(/ && fn !~ /=func (NewRing\(|\(r \*Ring\) (Table|Counts)\(|\(c \*Coordinator\) RemoteQuery\()/ { print fn; print; bad = 1 }
+		END { exit !bad }'; then
+	echo "verify: Ring.Owner called outside NewRing/Table/Counts (see above)" >&2
 	exit 1
 fi
 
