@@ -49,15 +49,18 @@ verify:
 # overlay, an overlay hit and miss, and the hybrid local rows for an
 # affected and an unaffected pair; 0 allocs asserted), a query worker's
 # cost per answer of a submitted burst, a local-scheme transition with
-# three links down, and the sharded read path: a query's whole cost through
-# the in-process coordinator at 2 and at 8 shards (every shard scans the
-# shared burst; 0 allocs asserted), the frame checksum in GB/s, and a
-# 256-pair query frame out and its answer frame back over a pipe and over a
-# Unix socket. CI runs them once each (BENCHTIME=1x) so they cannot rot.
+# three links down, a phase-two transition of the writer in the benchmark
+# of record's shape (three-link episodes, plan cache of three: ns, allocs
+# and FEC writes per plan-cache miss and per hit), and the sharded read
+# path: a query's whole cost through the in-process coordinator at 2 and at
+# 8 shards (every shard scans the shared burst; 0 allocs asserted), the
+# frame checksum in GB/s, and a 256-pair query frame out and its answer
+# frame back over a pipe and over a Unix socket. CI runs them once each
+# (BENCHTIME=1x) so they cannot rot.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
 	$(GO) test -run '^$$' -bench BenchmarkPathKey -benchmem -benchtime $(BENCHTIME) ./internal/graph/
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/

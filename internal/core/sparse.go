@@ -16,56 +16,28 @@ import (
 // retains extra transient offers, never changing final labels.
 func boundSlack(b float64) float64 { return 1e-9 * (b + 1) }
 
-// AllBetween is an optional interface a base set may implement to expose
-// every stored path per ordered pair (not just the canonical one). The
-// sparse decomposer uses it to consider all alternatives — important for
-// Corollary-4 extended sets where several base paths share endpoints.
-type AllBetween interface {
-	AllBetween(s, d graph.NodeID) []graph.Path
-}
-
-// BySource is an optional interface exposing every stored path out of a
-// node along with its precomputed base-view cost. When available, the
-// sparse decomposer iterates a node's outgoing paths directly instead of
-// probing all n possible endpoints through per-pair lookups — the
-// difference between an allocation-heavy O(n) map scan and a flat slice
-// walk per settled node.
-type BySource interface {
-	FromSource(s graph.NodeID) []paths.SourcePath
-}
-
-// DeadIndexed extends BySource with a per-failure-view dead-path mask (see
-// paths.Explicit.DeadUnder): survival of a candidate becomes one bit load
-// instead of an edge scan.
+// DeadIndexed is the optional interface of a materialized base set (see
+// paths.Explicit): every stored path out of a node with its precomputed
+// base-view cost, and a per-failure-view dead-path mask indexed by
+// SourcePath.Index. With it the sparse decomposer iterates a node's outgoing
+// paths directly instead of probing all n possible endpoints through
+// per-pair lookups, and survival of a candidate is one bit load instead of
+// an edge scan. The mask builder reuses caller-owned scratch, so a pooled
+// solver rebuilds its mask on Rebind without a per-epoch allocation.
 type DeadIndexed interface {
-	BySource
-	DeadUnder(fv *graph.FailureView) []bool
-}
-
-// DeadIndexedInto extends DeadIndexed with the scratch-reusing mask builder
-// (see paths.Explicit.DeadUnderInto), letting a pooled solver rebuild its
-// dead mask on Rebind without a per-epoch allocation.
-type DeadIndexedInto interface {
-	DeadIndexed
+	FromSource(s graph.NodeID) []paths.SourcePath
 	DeadUnderInto(fv *graph.FailureView, dead []bool) []bool
 }
 
 // ByCost is an optional candidate source ordered by ascending (cost,
-// insertion index) — see paths.CostIndex. With a ByCost source installed
-// (SetCostIndex), bounded searches scan each settled node's candidates
-// cheapest-first and stop at the first candidate that cannot reach any
-// pending destination within its distance bound.
+// insertion index), in a flat structure-of-arrays layout (see
+// paths.CostIndex.Columns). With one installed (SetCostIndex), searches
+// scan each settled node's candidates cheapest-first — reading only the
+// three rejection columns (cost, destination, dead-mask index) and fetching
+// the path value solely for candidates they relax — and bounded searches
+// stop at the first candidate that cannot reach any pending destination
+// within its distance bound.
 type ByCost interface {
-	FromSourceByCost(u graph.NodeID) []paths.SourcePath
-}
-
-// ByCostColumns is an optional extension of ByCost exposing the index's
-// flat structure-of-arrays layout (see paths.CostIndex.Columns). When
-// available, the solver's candidate scan reads only the three rejection
-// columns — cost, destination, dead-mask index — and fetches the path
-// value solely for candidates it actually relaxes.
-type ByCostColumns interface {
-	ByCost
 	Columns() (off []int32, costs []float64, dsts []int32, idx []int32)
 	PathAt(k int32) graph.Path
 }
@@ -94,13 +66,9 @@ type SparseSolver struct {
 	fv   *graph.FailureView
 	orig graph.View
 
-	bs     BySource
-	hasSrc bool
-	ab     AllBetween
-	hasAll bool
-	ci     ByCost // nil unless installed with SetCostIndex
-	cc     ByCostColumns
-	ciOff  []int32 // SoA hot columns when ci implements ByCostColumns
+	src    DeadIndexed // nil when base is not materialized
+	ci     ByCost      // nil unless installed with SetCostIndex
+	ciOff  []int32     // ci's hot columns
 	ciCost []float64
 	ciDst  []int32
 	ciIdx  []int32
@@ -110,7 +78,7 @@ type SparseSolver struct {
 	// base path of identical cost, so the raw-edge scan can only produce
 	// offers that lose the first-offer-wins tie and is skipped wholesale.
 	lcShadowsArcs bool
-	dead          []bool // nil unless base implements DeadIndexed
+	dead          []bool // src's dead-path mask under fv; stale while lc is installed
 
 	// kern is the compiled flat form of fv (CSR + removal bitsets); when
 	// available the raw-edge scan iterates it directly instead of paying a
@@ -160,10 +128,9 @@ func NewSparseSolver(base paths.Base, fv *graph.FailureView) *SparseSolver {
 		lab:      make([]sparseLabel, n),
 		prevComp: make([]Component, n),
 	}
-	ss.bs, ss.hasSrc = base.(BySource)
-	ss.ab, ss.hasAll = base.(AllBetween)
 	if di, ok := base.(DeadIndexed); ok {
-		ss.dead = di.DeadUnder(fv)
+		ss.src = di
+		ss.dead = di.DeadUnderInto(fv, nil)
 	}
 	ss.kern, ss.hasKern = graph.CompileView(fv)
 	return ss
@@ -184,13 +151,8 @@ func (ss *SparseSolver) Rebind(fv *graph.FailureView) {
 	// With a live index installed the dead mask is never consulted, and
 	// rebuilding it would be the exact O(paths) per-epoch cost the live
 	// index exists to avoid.
-	if ss.lc == nil {
-		switch di := ss.base.(type) {
-		case DeadIndexedInto:
-			ss.dead = di.DeadUnderInto(fv, ss.dead)
-		case DeadIndexed:
-			ss.dead = di.DeadUnder(fv)
-		}
+	if ss.lc == nil && ss.src != nil {
+		ss.dead = ss.src.DeadUnderInto(fv, ss.dead)
 	}
 	ss.kern, ss.hasKern = graph.CompileView(fv)
 }
@@ -204,13 +166,7 @@ func (ss *SparseSolver) Rebind(fv *graph.FailureView) {
 // exceeds the remaining budget.
 func (ss *SparseSolver) SetCostIndex(ci ByCost) {
 	ss.ci = ci
-	if cc, ok := ci.(ByCostColumns); ok {
-		ss.cc = cc
-		ss.ciOff, ss.ciCost, ss.ciDst, ss.ciIdx = cc.Columns()
-	} else {
-		ss.cc = nil
-		ss.ciOff, ss.ciCost, ss.ciDst, ss.ciIdx = nil, nil, nil, nil
-	}
+	ss.ciOff, ss.ciCost, ss.ciDst, ss.ciIdx = ci.Columns()
 }
 
 // SetLiveIndex installs a pre-filtered candidate source whose failure state
@@ -227,13 +183,8 @@ func (ss *SparseSolver) SetLiveIndex(lc LiveColumns) {
 	if ec, ok := lc.(interface{ EdgeComplete() bool }); ok {
 		ss.lcShadowsArcs = ec.EdgeComplete()
 	}
-	if lc == nil {
-		switch di := ss.base.(type) {
-		case DeadIndexedInto:
-			ss.dead = di.DeadUnderInto(ss.fv, ss.dead)
-		case DeadIndexed:
-			ss.dead = di.DeadUnder(ss.fv)
-		}
+	if lc == nil && ss.src != nil {
+		ss.dead = ss.src.DeadUnderInto(ss.fv, ss.dead)
 	}
 }
 
@@ -474,11 +425,12 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.lc.PathAt(lcKeys[j])})
 				}
 			}
-		case ss.ciOff != nil && ss.dead != nil:
+		case ss.ci != nil:
 			// Structure-of-arrays scan over the cost index's rejection
-			// columns. Identical candidate order and identical
-			// accept/reject decisions as the SourcePath walk below — only
-			// the memory traffic per rejected candidate changes.
+			// columns, cheapest first. Same accept/reject decisions as the
+			// insertion-order walk below — the Dijkstra labels are path
+			// properties and the (cost, index) order keeps the
+			// first-best-offer tie-break.
 			end := ss.ciOff[u+1]
 			for k := ss.ciOff[u]; k < end; k++ {
 				c := ss.ciCost[k]
@@ -493,39 +445,13 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 					continue
 				}
 				if total, tc := du+c, cu+1; ss.offer(v, total, tc) {
-					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.cc.PathAt(k)})
+					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.ci.PathAt(k)})
 				}
 			}
-		case ss.ci != nil && ss.dead != nil:
-			for _, sp := range ss.ci.FromSourceByCost(u) {
-				if du+sp.Cost > maxTotal {
-					break // cheapest-first: every later candidate is dearer
-				}
-				if ss.dead[sp.Index] {
-					continue
-				}
-				v := sp.Path.Dst()
-				if bounded && du+sp.Cost > ss.lab[v].bnd {
-					continue
-				}
-				ss.relax(u, v, sp.Cost, 1, Component{Kind: KindBasePath, Path: sp.Path})
-			}
-		case ss.ci != nil:
-			for _, sp := range ss.ci.FromSourceByCost(u) {
-				if du+sp.Cost > maxTotal {
-					break
-				}
-				v := sp.Path.Dst()
-				if !fv.NodeUsable(v) || !paths.Survives(sp.Path, fv) {
-					continue
-				}
-				if bounded && du+sp.Cost > ss.lab[v].bnd {
-					continue
-				}
-				ss.relax(u, v, sp.Cost, 1, Component{Kind: KindBasePath, Path: sp.Path})
-			}
-		case ss.hasSrc && ss.dead != nil:
-			for _, sp := range ss.bs.FromSource(u) {
+		case ss.src != nil:
+			// A materialized base set in insertion order. An empty one has
+			// no candidates and a nil mask, which this loop never indexes.
+			for _, sp := range ss.src.FromSource(u) {
 				if ss.dead[sp.Index] {
 					continue
 				}
@@ -534,31 +460,6 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 					continue
 				}
 				ss.relax(u, v, sp.Cost, 1, Component{Kind: KindBasePath, Path: sp.Path})
-			}
-		case ss.hasSrc:
-			for _, sp := range ss.bs.FromSource(u) {
-				vv := sp.Path.Dst()
-				if !fv.NodeUsable(vv) {
-					continue
-				}
-				if bounded && (du+sp.Cost > maxTotal || du+sp.Cost > ss.lab[vv].bnd) {
-					continue
-				}
-				if paths.Survives(sp.Path, fv) {
-					ss.relax(u, vv, sp.Cost, 1, Component{Kind: KindBasePath, Path: sp.Path})
-				}
-			}
-		case ss.hasAll:
-			for v := 0; v < n; v++ {
-				vv := graph.NodeID(v)
-				if vv == u || !fv.NodeUsable(vv) {
-					continue
-				}
-				for _, p := range ss.ab.AllBetween(u, vv) {
-					if paths.Survives(p, fv) {
-						ss.relax(u, vv, p.CostIn(ss.orig), 1, Component{Kind: KindBasePath, Path: p})
-					}
-				}
 			}
 		default:
 			for v := 0; v < n; v++ {

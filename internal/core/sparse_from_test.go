@@ -81,6 +81,20 @@ func TestSparseFromEmptyAndUnusable(t *testing.T) {
 	if !oks[0] || oks[1] || !oks[2] {
 		t.Fatalf("oks = %v, want [true false true]", oks)
 	}
+
+	// An empty materialized base set has no candidates and a nil dead mask:
+	// every route is bare edges, with and without a cost index over it.
+	empty := paths.NewExplicit(g)
+	for _, ci := range []ByCost{nil, paths.NewCostIndex(empty)} {
+		ss := NewSparseSolver(empty, fv)
+		if ci != nil {
+			ss.SetCostIndex(ci)
+		}
+		decs, oks = ss.From(0, []graph.NodeID{2})
+		if !oks[0] || decs[0].Len() != 2 || decs[0].Components[0].Kind != KindEdge {
+			t.Fatalf("empty base set (cost index %v): ok %v, decomposition %v", ci != nil, oks[0], decs[0])
+		}
+	}
 }
 
 // BenchmarkSparseFanout compares n independent single-destination runs

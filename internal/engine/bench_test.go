@@ -134,7 +134,7 @@ func BenchmarkLocalPlanBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer e.Close()
-		episode := benchEpisode(b, e, g)
+		episode := benchEpisodes(b, e, g, 1)[0]
 		for _, ed := range episode[:2] {
 			e.Fail(ed)
 		}
@@ -165,10 +165,10 @@ func BenchmarkLocalPlanBuild(b *testing.B) {
 	}
 }
 
-// benchEpisode picks three links whose joint failure keeps the graph
-// connected: the links at one, three and five sixths of the order by
-// affected pairs (or their nearest neighbours that qualify).
-func benchEpisode(b *testing.B, e *Engine, g *graph.Graph) []graph.EdgeID {
+// benchEpisodes picks n disjoint three-link episodes whose joint failure
+// keeps the graph connected: the links at one, three and five sixths of the
+// order by affected pairs (or their nearest unused neighbours that qualify).
+func benchEpisodes(b *testing.B, e *Engine, g *graph.Graph, n int) [][]graph.EdgeID {
 	links := make([]graph.EdgeID, g.Size())
 	for i := range links {
 		links[i] = graph.EdgeID(i)
@@ -180,20 +180,26 @@ func benchEpisode(b *testing.B, e *Engine, g *graph.Graph) []graph.EdgeID {
 		}
 		return links[i] < links[j]
 	})
-	var episode []graph.EdgeID
-	for _, k := range []int{1, 3, 5} {
-		for _, ed := range links[k*len(links)/6:] {
-			fv := graph.FailEdges(g, append(episode[:len(episode):len(episode)], ed)...)
-			if graph.Connected(fv) {
-				episode = append(episode, ed)
-				break
+	used := make(map[graph.EdgeID]bool)
+	episodes := make([][]graph.EdgeID, n)
+	for i := range episodes {
+		var episode []graph.EdgeID
+		for _, k := range []int{1, 3, 5} {
+			for _, ed := range links[k*len(links)/6:] {
+				fv := graph.FailEdges(g, append(episode[:len(episode):len(episode)], ed)...)
+				if !used[ed] && graph.Connected(fv) {
+					used[ed] = true
+					episode = append(episode, ed)
+					break
+				}
 			}
 		}
+		if len(episode) != 3 {
+			b.Fatal("no three-link episode keeps the graph connected")
+		}
+		episodes[i] = episode
 	}
-	if len(episode) != 3 {
-		b.Fatal("no three-link episode keeps the graph connected")
-	}
-	return episode
+	return episodes
 }
 
 // BenchmarkServeBatch measures what one answer of a submitted burst costs a
@@ -267,52 +273,80 @@ func BenchmarkEngineQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkEpochBuild measures writer-side epoch publication: cold (every
-// failed-set new) vs hot (plans cached from a prior pass over the same
-// schedule).
+// BenchmarkEpochBuild prices a phase-two transition — the writer — in the
+// shape the benchmark of record drives it: the AS stand-in at scale 0.05
+// under the source scheme, three-link episodes (a leaf, a middle and a core
+// link) failed one link at a time and repaired in reverse, and a plan cache
+// of three, which holds one episode: every failure meets a failed-set the
+// cache no longer holds and is built from the previous epoch's rows (miss),
+// every repair walks back through the plans its episode cached (hit). One
+// op is one transition, Fail or Repair to Flush; the other half of each
+// episode runs off the clock. fec-writes/transition is the growth of the
+// network's FEC update count over the timed transitions.
 func BenchmarkEpochBuild(b *testing.B) {
-	g := topology.Waxman(64, 0.8, 0.5, 29)
-	events := failure.ChurnSchedule(g, 64, 3, rand.New(rand.NewSource(11)))
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e, _ := newEngine(b, g, Config{})
-			b.StartTimer()
-			for _, ev := range events {
-				if ev.Repair {
-					e.Repair(ev.Edge)
-				} else {
-					e.Fail(ev.Edge)
+	g := topology.PaperAS(1, 0.05)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prov := sys.Export()
+	for _, arm := range []struct {
+		name    string
+		repairs bool
+	}{{"miss", false}, {"hit", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			e, err := New(prov, Config{PlanCacheCap: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			var cycle []failure.Event
+			for _, ep := range benchEpisodes(b, e, g, 2) {
+				for _, ed := range ep {
+					cycle = append(cycle, failure.Event{Edge: ed})
 				}
+				for k := len(ep) - 1; k >= 0; k-- {
+					cycle = append(cycle, failure.Event{Repair: true, Edge: ep[k]})
+				}
+			}
+			at, applied := 0, [2]int64{} // applied[1] counts repairs
+			next := func() {
+				ev := cycle[at%len(cycle)]
+				at++
+				if ev.Repair {
+					applied[1]++
+				} else {
+					applied[0]++
+				}
+				e.ApplyEvents([]failure.Event{ev})
 				e.Flush()
 			}
-			b.StopTimer()
-			e.Close()
-			b.StartTimer()
-		}
-	})
-	b.Run("hot", func(b *testing.B) {
-		e, _ := newEngine(b, g, Config{})
-		// Prime the plan cache with one full pass.
-		for _, ev := range events {
-			if ev.Repair {
-				e.Repair(ev.Edge)
-			} else {
-				e.Fail(ev.Edge)
+			// One cycle off the clock signals the on-demand LSPs and
+			// leaves the cache as every later cycle finds it.
+			for range cycle {
+				next()
 			}
-		}
-		e.Flush()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, ev := range events {
-				if ev.Repair {
-					e.Repair(ev.Edge)
-				} else {
-					e.Fail(ev.Edge)
+			fecWrites := func() int { return e.Snapshot().Net().Stats().FECUpdates }
+			st0, writes := e.Stats(), 0
+			applied = [2]int64{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for cycle[at%len(cycle)].Repair != arm.repairs {
+					b.StopTimer()
+					next()
+					b.StartTimer()
 				}
-				e.Flush()
+				before := fecWrites()
+				next()
+				writes += fecWrites() - before
 			}
-		}
-	})
+			b.StopTimer()
+			b.ReportMetric(float64(writes)/float64(b.N), "fec-writes/transition")
+			st := e.Stats()
+			if miss, hit := st.PlanCacheMiss-st0.PlanCacheMiss, st.PlanCacheHits-st0.PlanCacheHits; miss != applied[0] || hit != applied[1] {
+				b.Fatalf("%d failures missed the plan cache %d times, %d repairs hit it %d times", applied[0], miss, applied[1], hit)
+			}
+		})
+	}
 }

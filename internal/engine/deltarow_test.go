@@ -14,11 +14,12 @@ import (
 
 // TestOverlayMatchesFullRebuild churns an incremental engine and a
 // FullRebuild engine in lockstep and demands bit-identical snapshots
-// after every event: the incremental engine builds its overlay with
-// mergePlanRow on plan-cache misses and buildOverlayRows on hits, the
-// reference with buildOverlayRows from a from-scratch plan only. Every
-// served cost is also held to the epoch oracle's distance, which neither
-// assembly path feeds.
+// after every event: the incremental engine's overlay is the previous
+// epoch's rows with the touched sources replaced on plan-cache misses and
+// the cached rows on hits, the reference's the rows of a from-scratch plan
+// only. Every served cost is also held to the epoch oracle's distance,
+// which neither build feeds, and both engines' FEC tables to the routes
+// they serve.
 func TestOverlayMatchesFullRebuild(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
 	inc, _ := newEngine(t, g, Config{})
@@ -31,6 +32,8 @@ func TestOverlayMatchesFullRebuild(t *testing.T) {
 		ref.Flush()
 		snap := inc.Snapshot()
 		snapsEqualBitwise(t, ref.Snapshot(), snap, n, tag)
+		fecCarriesRoutes(t, snap, tag+", incremental")
+		fecCarriesRoutes(t, ref.Snapshot(), tag+", reference")
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s == d {

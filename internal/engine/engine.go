@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -173,7 +175,6 @@ type Engine struct {
 	// rows it describes.
 	mat       []uint8
 	planCache *planCache
-	prevPlan  *plan
 	// downCount tracks, per pair, how many edges of its canonical primary
 	// are currently down in the published snapshot. It is the membership
 	// side of the affected-pair delta: a pair enters the plan when its
@@ -183,13 +184,12 @@ type Engine struct {
 	// worker; Rebind reuses their Dijkstra scratch and dead-path masks
 	// across epochs instead of reallocating per plan.
 	solvers  []*core.SparseSolver
+	pscratch *planScratch // incrementalPlan's reused working memory
 	onDemand int64
 	inc      incCounters
-	// Local-restoration writer state (Config.Scheme != SchemeSource):
-	// the ILM patches applied on the current epoch's net and the local
-	// plan serving it.
+	// ilmPatches is the local-restoration writer state (Config.Scheme !=
+	// SchemeSource): the ILM patches applied on the current epoch's net.
 	ilmPatches mpls.PatchSet
-	prevLocal  *localPlan
 	// lspAt maps a base-path index (paths.Explicit position) to the LSP
 	// provisioned for it, so the crossing scan of a down link walks
 	// xbase.IndicesThroughEdge without forming a path key; lscratch is the
@@ -299,8 +299,8 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		live:        paths.NewLiveIndex(p.Base, costIndex),
 		canonical:   canonical,
 		planCache:   newPlanCache(cfg.PlanCacheCap),
-		prevPlan:    emptyPlan,
 		downCount:   make(map[rbpc.Pair]int),
+		pscratch:    &planScratch{downNew: make([]bool, p.Graph.Size())},
 		events:      make(chan writerMsg, 256),
 		queries:     make([]chan queryReq, cfg.Workers),
 		done:        make(chan struct{}),
@@ -335,9 +335,8 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if cfg.Scheme != SchemeSource {
 		// Pristine local state: no failures, no patches, and (hybrid)
 		// nothing to converge to — the epoch is trivially converged.
-		s0.local = emptyLocal
+		s0.local = emptyPlan
 		s0.srcReady = true
-		e.prevLocal = emptyLocal
 		e.lspAt = make([]*mpls.LSP, p.Base.Len())
 		for i, bp := range p.Base.All() {
 			e.lspAt[i] = p.LSPs[bp.Key()]
@@ -885,7 +884,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	for ed := range downSet {
 		failed = append(failed, ed)
 	}
-	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
+	slices.Sort(failed)
 	key := failedKey(failed)
 	if key == prev.key {
 		return // coalesced burst cancelled out
@@ -896,24 +895,22 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 
 	// Transition delta against the published snapshot: the edges that just
-	// went down and the ones that just came back. Everything incremental
-	// below is phrased in terms of this delta, never the full failed-set.
-	prevDown := make(map[graph.EdgeID]bool, len(prev.failed))
-	for _, ed := range prev.failed {
-		prevDown[ed] = true
-	}
-	var newlyDown []graph.EdgeID
-	for _, ed := range failed {
-		if !prevDown[ed] {
-			newlyDown = append(newlyDown, ed)
-		}
-	}
-	var repairedIDs []graph.EdgeID
+	// went down and the ones that just came back, read off the two sorted
+	// failed-sets. Everything incremental below is phrased in terms of this
+	// delta, never the full failed-set.
+	var newlyDown, repairedIDs []graph.EdgeID
 	var repaired []graph.Edge
-	for _, ed := range prev.failed {
-		if !downSet[ed] {
-			repairedIDs = append(repairedIDs, ed)
-			repaired = append(repaired, e.g.Edge(ed))
+	for was, now := prev.failed, failed; len(was) > 0 || len(now) > 0; {
+		switch {
+		case len(was) == 0 || len(now) > 0 && now[0] < was[0]:
+			newlyDown = append(newlyDown, now[0])
+			now = now[1:]
+		case len(now) == 0 || was[0] < now[0]:
+			repairedIDs = append(repairedIDs, was[0])
+			repaired = append(repaired, e.g.Edge(was[0]))
+			was = was[1:]
+		default:
+			was, now = was[1:], now[1:]
 		}
 	}
 
@@ -923,29 +920,37 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	// crossing both a new failure and a repair keeps a positive count
 	// throughout and is classified as staying. This bookkeeping runs on
 	// every published transition, cache hits and fault paths included, so
-	// it always mirrors the serving snapshot's failed-set.
-	var entering, leaving []rbpc.Pair
+	// it always mirrors the serving snapshot's failed-set. entering feeds
+	// the incremental build, which walks it in (src, dst) order: each link's
+	// list is sorted, so only a multi-link burst needs the sort.
+	var entering []rbpc.Pair
+	var leaving int64
 	for _, ed := range newlyDown {
 		for _, np := range e.pairIndex.Pairs(ed) {
-			pr := rbpc.Pair{Src: np.Src, Dst: np.Dst}
+			pr := rbpc.Pair(np)
 			if e.downCount[pr] == 0 {
 				entering = append(entering, pr)
 			}
 			e.downCount[pr]++
 		}
 	}
+	if len(newlyDown) > 1 {
+		slices.SortFunc(entering, func(a, b rbpc.Pair) int {
+			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+		})
+	}
 	for _, ed := range repairedIDs {
 		for _, np := range e.pairIndex.Pairs(ed) {
-			pr := rbpc.Pair{Src: np.Src, Dst: np.Dst}
+			pr := rbpc.Pair(np)
 			e.downCount[pr]--
 			if e.downCount[pr] == 0 {
 				delete(e.downCount, pr)
-				leaving = append(leaving, pr)
+				leaving++
 			}
 		}
 	}
 	e.inc.entering.Add(int64(len(entering)))
-	e.inc.leaving.Add(int64(len(leaving)))
+	e.inc.leaving.Add(leaving)
 
 	// Carry the persistent live candidate index across the transition. Like
 	// the downCount bookkeeping above, this runs on every published epoch —
@@ -991,31 +996,28 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		nh = &netHandle{net: net}
 	}
 
-	var pl *plan
-	var changed []rbpc.Pair
-	delta := false
+	// The epoch's overlay is its plan's rows as they stand: the cached ones
+	// on a hit, the previous epoch's with the touched sources replaced on a
+	// miss, the reference's own in FullRebuild mode.
+	var over []*planRow
 	hit := false
 	switch {
 	case e.cfg.Fault == FaultStalePlanOnRepair && shrunk:
 		// Injected defect: keep serving the previous failed-set's plan.
-		pl, hit = e.prevPlan, true
+		over, hit = prev.over, true
 	case e.cfg.FullRebuild:
 		// Reference mode: from-scratch plan, no cache, no reuse.
-		pl = e.computePlan(failed, nh)
+		over = e.computePlan(failed, nh).rows
 		e.inc.fullRebuilds.Add(1)
 	default:
-		if p, ok := e.lookupPlan(key); ok {
-			pl, hit = p, true
-		} else {
-			var aliased bool
-			pl, changed, aliased = e.incrementalPlan(key, fv, oracle, newlyDown, entering, leaving, repaired, nh)
-			e.storePlan(pl)
-			delta = true
-			// A repair-only burst canonicalized to the previous plan counts
-			// as a cache hit: the lookup was answered from existing state
-			// with no solve.
-			hit = aliased
+		pl, ok := e.planCache.get(key)
+		if !ok {
+			// A repair-only burst that needed no solve counts as a cache
+			// hit: the lookup was answered from existing state.
+			pl, ok = e.incrementalPlan(key, prev.over, fv, oracle, newlyDown, entering, repaired, nh)
+			e.planCache.put(pl)
 		}
+		over, hit = pl.rows, ok
 	}
 	if hit {
 		e.mCacheHits.Add(0, 1)
@@ -1024,7 +1026,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 
 	assembleStart := time.Now()
-	over := e.assembleOverlay(prev, pl, changed, delta, net)
+	e.syncFEC(net, prev.over, over)
 	e.inc.assembleNs.Add(time.Since(assembleStart).Nanoseconds())
 
 	epoch := prev.epoch + 1
@@ -1033,7 +1035,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	// switches to them as its flood horizon passes (Snapshot.Route gates
 	// per read).
 	var scheme Scheme
-	var local *localPlan
+	var local *plan
 	var horizon []time.Duration
 	var maxHorizon time.Duration
 	var detected time.Time
@@ -1069,7 +1071,6 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		srcReady:   snap1 != nil,
 		localNet:   localNet,
 	}
-	e.prevPlan = pl
 	e.snap.Store(next)
 	e.mEpochs.Add(0, 1)
 	e.mBuild.Record(0, time.Since(start))
@@ -1079,7 +1080,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		// construction (cached plans included), so hybrid reads its stretch
 		// denominators from it instead of rooting a tree per affected source.
 		e.accountStretch(func(pr rbpc.Pair) float64 {
-			if rt := pl.routes[pr]; rt != nil {
+			if rt, _ := rowsGet(over, pr.Src, pr.Dst); rt != nil {
 				return rt.Cost
 			}
 			return spath.Unreachable
@@ -1091,17 +1092,18 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 }
 
 // resolveRoute maps a decomposition onto LSPs via the shared resolver,
-// establishing missing components on the epoch's net.
-func (e *Engine) resolveRoute(dec core.Decomposition, nh *netHandle) (*Route, error) {
+// establishing missing components on the epoch's net. A decomposition that
+// does not resolve leaves the pair unroutable (nil).
+func (e *Engine) resolveRoute(dec core.Decomposition, nh *netHandle) *Route {
 	r := rbpc.Resolver{Net: nh.net, Provisioned: e.provisioned, LSPs: e.lspOf}
 	lsps, err := r.Resolve(dec)
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
 	stack, err := mpls.SelfStack(lsps)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return &Route{LSPs: lsps, Stack: stack, Cost: dec.Cost(e.g)}, nil
+	return &Route{LSPs: lsps, Stack: stack, Cost: dec.Cost(e.g)}
 }

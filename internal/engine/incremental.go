@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,17 +84,15 @@ func (c *incCounters) snapshot() IncrementalStats {
 	}
 }
 
-// routeUses reports whether the route's concrete paths cross any edge of
-// the set — the staleness test of the incremental builder. The route is
-// the actual label chain the previous epoch's search settled, so a route
-// avoiding every newly-failed edge has its entire winning offer chain
-// intact: failing other edges only deletes losing candidates.
+// routeUses reports whether the route's concrete paths cross any edge
+// marked in down (indexed by EdgeID) — the staleness test of the incremental
+// builder. The route is the actual label chain the previous epoch's search
+// settled, so a route avoiding every newly-failed edge has its entire
+// winning offer chain intact: failing other edges only deletes losing
+// candidates.
 //
 //rbpc:hotpath
-func routeUses(rt *Route, down map[graph.EdgeID]bool) bool {
-	if len(down) == 0 {
-		return false
-	}
+func routeUses(rt *Route, down []bool) bool {
 	for _, l := range rt.LSPs {
 		for _, ed := range l.Path.Edges {
 			if down[ed] {
@@ -145,24 +143,29 @@ func revBound(oracle *spath.Oracle, s graph.NodeID, dsts []graph.NodeID, bound [
 	return rev
 }
 
-// repairImproves reports whether some repaired edge could hand pr a
+// repairedLink is one link a transition repaired, with the new view's
+// distance rows from its two endpoints — the epoch oracle's trees rooted
+// there, fetched once per transition: a burst repairing R edges prices
+// every surviving pair with only 2|R| tree builds.
+type repairedLink struct {
+	w      float64
+	du, dv []float64
+}
+
+// repairImproves reports whether some repaired link could hand pr a
 // restoration route at least as good as rt (or, for an unroutable pair,
 // any route at all). The bound d(s,x)+w+d(y,t) over both orientations of
-// a repaired edge (x,y,w) is the shortest new-view s–t distance through
-// that edge; distances come from the epoch oracle's trees rooted at the
-// edge endpoints (the graph is undirected, so d(s,x) = Tree(x).Dist(s)),
-// which means a burst repairing R edges prices every surviving pair with
-// only 2|R| tree builds. Comparisons are ≤ cost+slack: ties count as
-// improvements, because an equal-cost path through a repaired edge could
-// win the deterministic tie-break and change the canonical decomposition.
-func repairImproves(oracle *spath.Oracle, pr rbpc.Pair, rt *Route, repaired []graph.Edge) bool {
+// a repaired link (x,y,w) is the shortest new-view s–t distance through
+// that link (the graph is undirected, so d(s,x) is x's row at s).
+// Comparisons are ≤ cost+slack: ties count as improvements, because an
+// equal-cost path through a repaired link could win the deterministic
+// tie-break and change the canonical decomposition.
+func repairImproves(repaired []repairedLink, pr rbpc.Pair, rt *Route) bool {
 	for _, ed := range repaired {
-		du := oracle.Tree(ed.U).Dists()
-		dv := oracle.Tree(ed.V).Dists()
-		dsu, dvt := du[pr.Src], dv[pr.Dst]
-		dsv, dut := dv[pr.Src], du[pr.Dst]
+		dsu, dvt := ed.du[pr.Src], ed.dv[pr.Dst]
+		dsv, dut := ed.dv[pr.Src], ed.du[pr.Dst]
 		if rt == nil {
-			// Any new s–t connection must traverse a repaired edge, so the
+			// Any new s–t connection must traverse a repaired link, so the
 			// pair became routable iff both legs of some orientation exist.
 			if (dsu != spath.Unreachable && dvt != spath.Unreachable) ||
 				(dsv != spath.Unreachable && dut != spath.Unreachable) {
@@ -171,10 +174,10 @@ func repairImproves(oracle *spath.Oracle, pr rbpc.Pair, rt *Route, repaired []gr
 			continue
 		}
 		slack := repairSlack * (rt.Cost + 1)
-		if dsu != spath.Unreachable && dvt != spath.Unreachable && dsu+ed.W+dvt <= rt.Cost+slack {
+		if dsu != spath.Unreachable && dvt != spath.Unreachable && dsu+ed.w+dvt <= rt.Cost+slack {
 			return true
 		}
-		if dsv != spath.Unreachable && dut != spath.Unreachable && dsv+ed.W+dut <= rt.Cost+slack {
+		if dsv != spath.Unreachable && dut != spath.Unreachable && dsv+ed.w+dut <= rt.Cost+slack {
 			return true
 		}
 	}
@@ -200,114 +203,169 @@ func (e *Engine) ensureSolvers(n int, fv *graph.FailureView) {
 	}
 }
 
-// incrementalPlan builds plan(key) from the previous epoch's plan instead
-// of from scratch. Classification walks the surviving plan once:
+// planScratch is incrementalPlan's working memory: writer-owned, reused
+// across transitions, so a transition allocates its new rows and nothing
+// to find them. downNew is all-false between builds.
+type planScratch struct {
+	downNew  []bool         // by EdgeID: the link went down in this transition
+	repaired []repairedLink // the links it repaired
+	jobs     []solveJob     // the sources with pairs to solve, ascending
+	dsts     []graph.NodeID // the jobs' destinations, one dst-sorted span per job
+	slots    []int32        // parallel to dsts: the entry of the job's row the route goes to
+}
+
+// solveJob is one source's share of the solve fan-out: the span of
+// planScratch.dsts to solve, the source's next row under construction (kept
+// entries in place, nil at the slots awaiting a solved route), and the
+// fan-out's answer.
+type solveJob struct {
+	src    graph.NodeID
+	lo, hi int
+	dsts   []graph.NodeID
+	routes []*Route
+	decs   []core.Decomposition
+	oks    []bool
+}
+
+// incrementalPlan builds plan(key) from the previous epoch's rows instead
+// of from scratch. Classification walks them source by source, in step with
+// the source's run of the (src, dst)-sorted entering pairs:
 //
-//   - pairs whose primary left the failed-set (downCount hit zero) drop
+//   - entries whose primary left the failed-set (downCount hit zero) drop
 //     out and fall back to canonical;
-//   - pairs whose served route crosses a newly-failed edge are stale and
+//   - entries whose served route crosses a newly-failed edge are stale and
 //     re-solved;
-//   - pairs a repaired edge could improve (or tie) are re-solved — unless
+//   - entries a repaired edge could improve (or tie) are re-solved — unless
 //     FaultSkipRepairRescan injects exactly that omission;
-//   - every other surviving entry is reused verbatim: its winning offer
-//     chain is intact and no repaired edge can beat it, so a from-scratch
-//     solve would reproduce it bit-for-bit.
+//   - every other entry is reused verbatim: its winning offer chain is
+//     intact and no repaired edge can beat it, so a from-scratch solve would
+//     reproduce it bit-for-bit.
 //
-// Entering pairs plus the re-solve set then go through a work-stealing
-// fan-out of pooled bounded solvers: each source's true post-failure
-// distance row (the epoch oracle's tree, often adopted rather than
-// recomputed) prunes the decomposition search, and results land in
-// pre-sized slots — no locks on the assembly path. It returns the plan and
-// the changed pairs (re-solved ∪ leaving), which is exactly the set whose
-// rows and FEC entries the caller must rewrite.
+// A source with nothing entering, leaving, stale or improvable keeps its row
+// pointer — which is what lets syncFEC skip it on sight. Any other source
+// gets one new row, merged in dst order from its kept entries and its
+// solved ones. The solved ones go through a
+// work-stealing fan-out of pooled bounded solvers: each source's true
+// post-failure distance row (the epoch oracle's tree, often adopted rather
+// than recomputed) prunes the decomposition search, and results land in
+// pre-sized slots — no locks on the assembly path. Resolution into LSPs is
+// serial, in (src, dst) order, so on-demand signaling stays deterministic.
 //
-// A repair-only burst that classification proves changes nothing — no pair
-// entering, leaving, stale, or repair-improvable — canonicalizes to the
-// previous plan verbatim: the new plan is the previous routes map aliased
-// under the new failed-set key, reported as aliased=true so the caller can
-// account it a plan-cache hit (the lookup was satisfied without a solve).
-func (e *Engine) incrementalPlan(key string, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering, leaving []rbpc.Pair, repaired []graph.Edge, nh *netHandle) (_ *plan, changedPairs []rbpc.Pair, aliased bool) {
+// hit reports a repair-only burst that classification proves needs no solve
+// — surviving entries reused, leaving ones dropped: the failed-set was
+// answered from cached state, which the caller accounts a plan-cache hit.
+// When nothing left the plan either, the previous rows themselves are the
+// new plan, aliased under the new key.
+func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge, nh *netHandle) (_ *plan, hit bool) {
 	t0 := time.Now()
-	downNew := make(map[graph.EdgeID]bool, len(newlyDown))
+	sc := e.pscratch
 	for _, ed := range newlyDown {
-		downNew[ed] = true
+		sc.downNew[ed] = true
 	}
-	recompute := make(map[rbpc.Pair]bool, len(entering))
-	for _, pr := range entering {
-		recompute[pr] = true
-	}
-	routes := make(map[rbpc.Pair]*Route, len(e.prevPlan.routes)+len(entering))
-	reused := 0
-	for pr, rt := range e.prevPlan.routes {
-		if e.downCount[pr] == 0 || recompute[pr] {
-			continue // leaving (canonical fallback) or already queued
+	sc.repaired = sc.repaired[:0]
+	if e.cfg.Fault != FaultSkipRepairRescan {
+		for _, ed := range repaired {
+			sc.repaired = append(sc.repaired, repairedLink{w: ed.W,
+				du: oracle.Tree(ed.U).Dists(), dv: oracle.Tree(ed.V).Dists()})
 		}
-		if rt != nil && routeUses(rt, downNew) {
-			e.inc.stale.Add(1)
-			recompute[pr] = true
+	}
+	sc.jobs, sc.dsts, sc.slots = sc.jobs[:0], sc.dsts[:0], sc.slots[:0]
+
+	var rows []*planRow // the new plan's; copied from prev when the first source changes
+	var reused, stale, improved int64
+	for s, at := 0, 0; s < len(e.canonical); s++ {
+		src := graph.NodeID(s)
+		lo := at
+		for at < len(entering) && entering[at].Src == src {
+			at++
+		}
+		ent := entering[lo:at]
+		p := rowAt(prev, s)
+		if p == nil && len(ent) == 0 {
 			continue
 		}
-		if e.cfg.Fault != FaultSkipRepairRescan && repairImproves(oracle, pr, rt, repaired) {
-			e.inc.improved.Add(1)
-			recompute[pr] = true
+		pd, prt := p.entries()
+
+		// One merge, in dst order, of the previous entries and the entering
+		// pairs. The source's next row is begun at the first entry that
+		// changes: until then the previous row stands, and if none does its
+		// pointer is kept.
+		job := solveJob{src: src, lo: len(sc.dsts)}
+		begun := false
+		begin := func(i int) { // the i entries before the change are kept
+			if !begun {
+				begun = true
+				job.dsts = append(make([]graph.NodeID, 0, len(pd)+len(ent)), pd[:i]...)
+				job.routes = append(make([]*Route, 0, len(pd)+len(ent)), prt[:i]...)
+			}
+		}
+		solve := func(d graph.NodeID) {
+			sc.dsts, sc.slots = append(sc.dsts, d), append(sc.slots, int32(len(job.dsts)))
+			job.dsts, job.routes = append(job.dsts, d), append(job.routes, nil)
+		}
+		for i, k := 0, 0; i < len(pd) || k < len(ent); {
+			if i == len(pd) || k < len(ent) && ent[k].Dst <= pd[i] {
+				// Entering. The pair is not in the previous plan unless that
+				// plan was stale (FaultStalePlanOnRepair); its solve then
+				// supersedes the entry.
+				begin(i)
+				if i < len(pd) && ent[k].Dst == pd[i] {
+					i++
+				}
+				solve(ent[k].Dst)
+				k++
+				continue
+			}
+			pr, rt := rbpc.Pair{Src: src, Dst: pd[i]}, prt[i]
+			switch {
+			case e.downCount[pr] == 0: // leaving: back to canonical
+				begin(i)
+			case rt != nil && len(newlyDown) > 0 && routeUses(rt, sc.downNew):
+				stale++
+				begin(i)
+				solve(pr.Dst)
+			case repairImproves(sc.repaired, pr, rt):
+				improved++
+				begin(i)
+				solve(pr.Dst)
+			default:
+				reused++
+				if begun {
+					job.dsts, job.routes = append(job.dsts, pr.Dst), append(job.routes, rt)
+				}
+			}
+			i++
+		}
+		if !begun {
 			continue
 		}
-		routes[pr] = rt
-		reused++
+		if rows == nil {
+			rows = make([]*planRow, len(e.canonical))
+			copy(rows, prev)
+		}
+		if job.hi = len(sc.dsts); job.hi > job.lo {
+			sc.jobs = append(sc.jobs, job)
+		} else {
+			rows[s] = newPlanRow(job.dsts, job.routes)
+		}
 	}
-	e.inc.pairsReused.Add(int64(reused))
-	e.inc.pairsRecomputed.Add(int64(len(recompute)))
+	for _, ed := range newlyDown {
+		sc.downNew[ed] = false
+	}
+	e.inc.stale.Add(stale)
+	e.inc.improved.Add(improved)
+	e.inc.pairsReused.Add(reused)
+	e.inc.pairsRecomputed.Add(int64(len(sc.dsts)))
 	e.inc.affectedNs.Add(time.Since(t0).Nanoseconds())
 
-	// Repair-only burst with nothing to re-solve: the new plan is derived
-	// entirely from cached state — surviving entries reused verbatim,
-	// leaving pairs dropped to canonical — and no solver runs, so the
-	// lookup is accounted a plan-cache hit (the canonical failed-set key
-	// was answered without a solve). When nothing left the plan either,
-	// the previous routes map itself is aliased under the new key instead
-	// of keeping the copy.
-	if len(newlyDown) == 0 && len(entering) == 0 && len(recompute) == 0 {
-		if len(leaving) == 0 {
-			return &plan{key: key, routes: e.prevPlan.routes}, nil, true
-		}
-		changed := append([]rbpc.Pair(nil), leaving...)
-		sort.Slice(changed, func(i, j int) bool {
-			if changed[i].Src != changed[j].Src {
-				return changed[i].Src < changed[j].Src
-			}
-			return changed[i].Dst < changed[j].Dst
-		})
-		return &plan{key: key, routes: routes}, changed, true
+	hit = len(newlyDown) == 0 && len(sc.jobs) == 0
+	if rows == nil {
+		return &plan{key: key, rows: prev}, hit
 	}
 
-	if len(recompute) > 0 {
+	if len(sc.jobs) > 0 {
 		t1 := time.Now()
-		bySrc := make(map[graph.NodeID][]graph.NodeID)
-		for pr := range recompute {
-			bySrc[pr.Src] = append(bySrc[pr.Src], pr.Dst)
-		}
-		srcs := make([]graph.NodeID, 0, len(bySrc))
-		for s := range bySrc {
-			srcs = append(srcs, s)
-		}
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-		for _, s := range srcs {
-			d := bySrc[s]
-			sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		}
-
-		type srcDecs struct {
-			decs []core.Decomposition
-			oks  []bool
-		}
-		out := make([]srcDecs, len(srcs))
-		workers := e.cfg.BuildWorkers
-		if workers > len(srcs) {
-			workers = len(srcs)
-		}
-		if workers < 1 {
-			workers = 1
-		}
+		workers := min(e.cfg.BuildWorkers, len(sc.jobs))
 		e.ensureSolvers(workers, fv)
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
@@ -318,10 +376,11 @@ func (e *Engine) incrementalPlan(key string, fv *graph.FailureView, oracle *spat
 				var revScratch []float64
 				for {
 					i := int(cursor.Add(1)) - 1
-					if i >= len(srcs) {
+					if i >= len(sc.jobs) {
 						return
 					}
-					s := srcs[i]
+					job := &sc.jobs[i]
+					dsts := sc.dsts[job.lo:job.hi]
 					// The oracle tree is the true post-failure distance
 					// row from s; it bounds the decomposition search and
 					// skips provably unreachable destinations outright.
@@ -330,53 +389,35 @@ func (e *Engine) incrementalPlan(key string, fv *graph.FailureView, oracle *spat
 					// distances that confine the search to the
 					// optimal-path ellipse instead of the whole forward
 					// ball of the farthest target.
-					bound := oracle.Tree(s).Dists()
-					rev := revBound(oracle, s, bySrc[s], bound, &revScratch)
-					var decs []core.Decomposition
-					var oks []bool
-					if rev != nil {
-						decs, oks = solver.FromBoundedEllipse(s, bySrc[s], bound, rev, spath.Unreachable)
+					bound := oracle.Tree(job.src).Dists()
+					if rev := revBound(oracle, job.src, dsts, bound, &revScratch); rev != nil {
+						job.decs, job.oks = solver.FromBoundedEllipse(job.src, dsts, bound, rev, spath.Unreachable)
 					} else {
-						decs, oks = solver.FromBounded(s, bySrc[s], bound, spath.Unreachable)
+						job.decs, job.oks = solver.FromBounded(job.src, dsts, bound, spath.Unreachable)
 					}
-					out[i] = srcDecs{decs, oks}
 				}
 			}(e.solvers[w])
 		}
 		wg.Wait()
 		e.inc.solveNs.Add(time.Since(t1).Nanoseconds())
 
-		// Serial resolution into LSPs, in sorted (src, dst) order so
-		// on-demand signaling on the epoch's net stays deterministic.
 		t2 := time.Now()
-		for i, s := range srcs {
-			for j, d := range bySrc[s] {
-				pr := rbpc.Pair{Src: s, Dst: d}
-				if !out[i].oks[j] {
-					routes[pr] = nil
-					continue
+		for _, job := range sc.jobs {
+			for j, ok := range job.oks {
+				if ok {
+					job.routes[sc.slots[job.lo+j]] = e.resolveRoute(job.decs[j], nh)
 				}
-				r, err := e.resolveRoute(out[i].decs[j], nh)
-				if err != nil {
-					routes[pr] = nil
-					continue
-				}
-				routes[pr] = r
 			}
+			rows[job.src] = newPlanRow(job.dsts, job.routes)
 		}
+		clear(sc.jobs) // the scratch must not pin the rows it helped build
 		e.inc.resolveNs.Add(time.Since(t2).Nanoseconds())
 	}
 
-	changed := make([]rbpc.Pair, 0, len(recompute)+len(leaving))
-	for pr := range recompute {
-		changed = append(changed, pr)
+	// A plan in which no source diverges is the nil plan, so a snapshot at
+	// rest holds the canonical matrix and nothing else.
+	if !slices.ContainsFunc(rows, func(r *planRow) bool { return r != nil }) {
+		rows = nil
 	}
-	changed = append(changed, leaving...)
-	sort.Slice(changed, func(i, j int) bool {
-		if changed[i].Src != changed[j].Src {
-			return changed[i].Src < changed[j].Src
-		}
-		return changed[i].Dst < changed[j].Dst
-	})
-	return &plan{key: key, routes: routes}, changed, false
+	return &plan{key: key, rows: rows}, hit
 }

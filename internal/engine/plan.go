@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -10,26 +10,33 @@ import (
 	"rbpc/internal/rbpc"
 )
 
-// plan is the canonical-relative restoration plan for one failed-set: for
-// every pair whose primary crosses a failed link, the route replacing it
-// (nil = unroutable under this failed-set). Pairs absent from the plan
-// ride their canonical primaries untouched.
+// plan is one failed-set's restoration plan in the layout it is served
+// from: one dst-sorted planRow per source with an affected pair (canonical
+// primary crosses a failed link), nil for every other source, and a nil
+// slice for the pristine plan. A source plan's entry is the route replacing
+// the pair's primary (nil = unroutable under this failed-set) and the slice
+// is a snapshot's overlay as it stands; a local plan's entry is the answer
+// the patched data plane delivers (nil = locally unrestorable, served as
+// unroutable even if a source-router concatenation exists — the paper's
+// trade-off between restoration speed and coverage). Pairs absent from the
+// plan ride their canonical primaries untouched.
 //
 // Keying plans by failed-set makes arbitrary churn transitions correct by
-// construction: moving from failed-set A to failed-set S applies plan(S)
-// and restores the canonical route for every pair in plan(A) that plan(S)
-// does not cover. Plans are immutable once built and safe to cache — they
-// hold routes only, never forwarding state.
+// construction: moving from failed-set A to failed-set S publishes plan(S)
+// and syncFEC writes what differs from plan(A). Plans are immutable once
+// built, share the rows of sources a transition did not touch, and are safe
+// to cache — they hold routes only, never forwarding state.
 //
 //rbpc:immutable
 type plan struct {
-	key    string
-	routes map[rbpc.Pair]*Route
+	key  string // the failed-set's plan-cache key; a local plan is never cached and has none
+	rows []*planRow
 }
 
-// emptyPlan is plan("") — the pristine network needs no overrides. Having
-// it pre-cached makes "repair everything" transitions free.
-var emptyPlan = &plan{key: "", routes: nil}
+// emptyPlan is plan("") — the pristine network needs no overrides, under
+// either kind of plan. Having it pre-cached makes "repair everything"
+// transitions free.
+var emptyPlan = &plan{}
 
 // failedKey canonicalizes a sorted failed-set into a cache key.
 func failedKey(failed []graph.EdgeID) string {
@@ -46,41 +53,37 @@ func failedKey(failed []graph.EdgeID) string {
 	return string(b)
 }
 
-// affectedPairs returns the pairs whose primary crosses any failed link,
-// grouped by source, using the static CSR primary->edge index (primaries
-// never change, so the index is built once).
-func (e *Engine) affectedPairs(failed []graph.EdgeID) map[graph.NodeID][]graph.NodeID {
+// computePlan builds plan(failed) from scratch — the FullRebuild reference,
+// independent of everything the incremental writer leans on (fresh solvers,
+// no live index, no bounds, no previous rows): the affected pairs off the
+// static primary index, one batched sparse decomposition per affected
+// source (parallel, pure), then serial resolution of components into LSPs
+// on net in (src, dst) order (which receives any on-demand establishment —
+// the engine's net lineage is linear, so rows signaled here persist into
+// every later epoch).
+func (e *Engine) computePlan(failed []graph.EdgeID, net *netHandle) *plan {
 	seen := make(map[rbpc.Pair]bool)
 	bySrc := make(map[graph.NodeID][]graph.NodeID)
 	for _, ed := range failed {
 		for _, np := range e.pairIndex.Pairs(ed) {
-			pr := rbpc.Pair{Src: np.Src, Dst: np.Dst}
-			if !seen[pr] {
+			if pr := rbpc.Pair(np); !seen[pr] {
 				seen[pr] = true
 				bySrc[pr.Src] = append(bySrc[pr.Src], pr.Dst)
 			}
 		}
 	}
-	return bySrc
-}
-
-// computePlan builds plan(failed) from scratch: batched sparse
-// decomposition per affected source (parallel, pure), then serial
-// resolution of components into LSPs on net (which receives any on-demand
-// establishment — the engine's net lineage is linear, so rows signaled
-// here persist into every later epoch).
-func (e *Engine) computePlan(failed []graph.EdgeID, net *netHandle) *plan {
-	bySrc := e.affectedPairs(failed)
+	key := failedKey(failed)
 	if len(bySrc) == 0 {
-		return &plan{key: failedKey(failed), routes: nil}
+		return &plan{key: key}
 	}
 	fv := graph.FailEdges(e.g, failed...)
 
 	srcs := make([]graph.NodeID, 0, len(bySrc))
-	for s := range bySrc {
+	for s, dsts := range bySrc {
 		srcs = append(srcs, s)
+		slices.Sort(dsts)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
 
 	// Phase 1 — decomposition fan-out. Each source's affected destinations
 	// are covered by one multi-destination Dijkstra on the base-path graph.
@@ -89,13 +92,7 @@ func (e *Engine) computePlan(failed []graph.EdgeID, net *netHandle) *plan {
 		oks  []bool
 	}
 	out := make([]srcDecs, len(srcs))
-	workers := e.cfg.BuildWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
+	workers := min(e.cfg.BuildWorkers, len(srcs))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -119,37 +116,20 @@ func (e *Engine) computePlan(failed []graph.EdgeID, net *netHandle) *plan {
 	close(next)
 	wg.Wait()
 
-	// Phase 2 — serial resolution into LSPs. On-demand components are
-	// signaled into the epoch's writable net and recorded in the shared
-	// registry so later plans find them provisioned.
-	routes := make(map[rbpc.Pair]*Route)
+	// Phase 2 — serial resolution into LSPs, one row per source. On-demand
+	// components are signaled into the epoch's writable net and recorded in
+	// the engine's registry so later plans find them provisioned.
+	rows := make([]*planRow, len(e.canonical))
 	for i, s := range srcs {
-		for j, d := range bySrc[s] {
-			pr := rbpc.Pair{Src: s, Dst: d}
-			if !out[i].oks[j] {
-				routes[pr] = nil
-				continue
+		routes := make([]*Route, len(bySrc[s]))
+		for j, ok := range out[i].oks {
+			if ok {
+				routes[j] = e.resolveRoute(out[i].decs[j], net)
 			}
-			r, err := e.resolveRoute(out[i].decs[j], net)
-			if err != nil {
-				routes[pr] = nil
-				continue
-			}
-			routes[pr] = r
 		}
+		rows[s] = newPlanRow(bySrc[s], routes)
 	}
-	return &plan{key: failedKey(failed), routes: routes}
-}
-
-// lookupPlan consults the failed-set plan cache.
-func (e *Engine) lookupPlan(key string) (*plan, bool) {
-	return e.planCache.get(key)
-}
-
-// storePlan caches a freshly built plan, evicting by CLOCK when the cache
-// is at capacity.
-func (e *Engine) storePlan(p *plan) {
-	e.planCache.put(p)
+	return &plan{key: key, rows: rows}
 }
 
 // planCache is the bounded failed-set plan cache, owned by the writer

@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"sort"
-
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
-	"rbpc/internal/rbpc"
 )
 
 // planRow is the delta-encoded serving row of one source: the sorted set
@@ -72,151 +69,87 @@ func newPlanRow(dsts []graph.NodeID, routes []*Route) *planRow {
 	return &planRow{dsts: dsts, routes: routes, mask: mask}
 }
 
-// mergePlanRow produces the successor overlay row for one source from the
-// previous epoch's row and the transition's changed span (same source,
-// dst-sorted): changed pairs covered by the plan take the plan's route,
-// changed pairs the plan dropped revert to canonical (removed from the
-// overlay), and unchanged overlay entries carry over. A two-pointer merge
-// over two sorted sequences; the inputs are never mutated.
-func mergePlanRow(prev *planRow, span []rbpc.Pair, pl *plan) *planRow {
-	var pd []graph.NodeID
-	var prt []*Route
-	if prev != nil {
-		pd, prt = prev.dsts, prev.routes
+// entries returns the row's parallel arrays; a nil row has none.
+func (r *planRow) entries() ([]graph.NodeID, []*Route) {
+	if r == nil {
+		return nil, nil
 	}
-	dsts := make([]graph.NodeID, 0, len(pd)+len(span))
-	routes := make([]*Route, 0, len(pd)+len(span))
-	i, j := 0, 0
-	for i < len(pd) || j < len(span) {
-		var takeChanged bool
-		switch {
-		case i >= len(pd):
-			takeChanged = true
-		case j >= len(span):
-			takeChanged = false
-		case span[j].Dst < pd[i]:
-			takeChanged = true
-		case span[j].Dst > pd[i]:
-			takeChanged = false
-		default: // same destination: the change supersedes the old entry
-			i++
-			takeChanged = true
-		}
-		if takeChanged {
-			pr := span[j]
-			j++
-			if rt, covered := pl.routes[pr]; covered {
-				dsts = append(dsts, pr.Dst)
-				routes = append(routes, rt)
-			}
-			// Not covered: the pair reverts to canonical — no entry.
-		} else {
-			dsts = append(dsts, pd[i])
-			routes = append(routes, prt[i])
-			i++
-		}
-	}
-	return newPlanRow(dsts, routes)
+	return r.dsts, r.routes
 }
 
-// buildOverlayRows materializes a full overlay from a plan: one row per
-// source holding every plan entry, sorted by destination. Used on the
-// full-apply path (cache hits, fault paths), where the plan is the
-// complete divergence from canonical by construction. An empty plan
-// yields the nil overlay.
-func buildOverlayRows(n int, pl *plan) []*planRow {
-	if len(pl.routes) == 0 {
+// rowAt is src's row in a per-source row slice — a plan's rows, a
+// snapshot's overlay — and nil where the slice is: the nil plan has no rows.
+//
+//rbpc:hotpath
+func rowAt(rows []*planRow, src int) *planRow {
+	if src >= len(rows) {
 		return nil
 	}
-	byDst := make(map[graph.NodeID][]rbpc.Pair)
-	for pr := range pl.routes {
-		byDst[pr.Src] = append(byDst[pr.Src], pr)
-	}
-	over := make([]*planRow, n)
-	for s, prs := range byDst {
-		sort.Slice(prs, func(i, j int) bool { return prs[i].Dst < prs[j].Dst })
-		dsts := make([]graph.NodeID, len(prs))
-		routes := make([]*Route, len(prs))
-		for i, pr := range prs {
-			dsts[i] = pr.Dst
-			routes[i] = pl.routes[pr]
-		}
-		over[s] = newPlanRow(dsts, routes)
-	}
-	return over
+	return rows[src]
 }
 
-// assembleOverlay builds the next epoch's overlay. The delta path carries
-// the previous epoch's rows forward and merges only the sources the
-// transition's changed span touches; the full path (cache hits, reference
-// mode, fault paths) rebuilds the overlay wholesale from the plan, which
-// is the complete divergence from canonical by construction. Both rewrite
-// the FEC entries of the pairs they touch on the epoch's cloned net. An
-// overlay in which no source diverges is returned as nil, so a snapshot
-// at rest holds the canonical matrix and nothing else.
-func (e *Engine) assembleOverlay(prev *Snapshot, pl *plan, changed []rbpc.Pair, delta bool, net *mpls.Network) []*planRow {
-	if delta {
-		over := make([]*planRow, len(e.canonical))
-		copy(over, prev.over)
-		for lo := 0; lo < len(changed); {
-			hi := lo + 1
-			for hi < len(changed) && changed[hi].Src == changed[lo].Src {
-				hi++
-			}
-			src := changed[lo].Src
-			over[src] = mergePlanRow(over[src], changed[lo:hi], pl)
-			for _, pr := range changed[lo:hi] {
-				if _, covered := pl.routes[pr]; !covered && e.cfg.Fault == FaultSkipFECRewrite {
-					continue // injected defect: leaving pairs keep stale labels
+// rowsGet reads a pair's entry through a per-source row slice and reports
+// whether there is one.
+//
+//rbpc:hotpath
+func rowsGet(rows []*planRow, src, dst graph.NodeID) (*Route, bool) {
+	if r := rowAt(rows, int(src)); r != nil {
+		return r.get(dst)
+	}
+	return nil, false
+}
+
+// syncFEC turns net's FEC tables from those of the overlay prev into those
+// of the overlay next — the paper's whole source-router action, and the FEC
+// twin of mpls.PatchSet.Sync. The net lineage is linear and every published
+// net's FEC tables read overlay-or-canonical, so the difference of the two
+// overlays is the difference of the two tables: a source whose row pointer
+// did not move is skipped (rows are immutable, so one pointer is one
+// content), and within a moved row a two-pointer walk over the dst-sorted
+// entries writes those whose route differs and restores canonical for those
+// that left. A router no entry of which changed is never written, so its
+// copy-on-write FEC table stays shared with the previous epoch's.
+//
+// FaultSkipFECRewrite skips the entries that left: the routing matrix
+// returns to canonical while the data plane keeps the stale stack.
+func (e *Engine) syncFEC(net *mpls.Network, prev, next []*planRow) {
+	for s := range max(len(prev), len(next)) {
+		p, n := rowAt(prev, s), rowAt(next, s)
+		if p == n {
+			continue
+		}
+		src := graph.NodeID(s)
+		pd, prt := p.entries()
+		nd, nrt := n.entries()
+		for i, j := 0, 0; i < len(pd) || j < len(nd); {
+			switch {
+			case j == len(nd) || i < len(pd) && pd[i] < nd[j]:
+				// Left the overlay. An overlay entry's pair has a primary,
+				// so its source has a canonical row.
+				if e.cfg.Fault != FaultSkipFECRewrite {
+					setFEC(net, src, pd[i], e.canonical[s][pd[i]])
 				}
-				e.writeOverlayFEC(net, over, pr)
-			}
-			lo = hi
-		}
-		for _, row := range over {
-			if row != nil {
-				return over
-			}
-		}
-		return nil
-	}
-	over := buildOverlayRows(len(e.canonical), pl)
-	for pr := range pl.routes {
-		e.writeOverlayFEC(net, over, pr)
-	}
-	if e.cfg.Fault != FaultSkipFECRewrite {
-		for pr := range e.prevPlan.routes {
-			if _, covered := pl.routes[pr]; !covered {
-				e.writeOverlayFEC(net, over, pr)
+				i++
+			case i == len(pd) || nd[j] < pd[i]:
+				setFEC(net, src, nd[j], nrt[j])
+				j++
+			default:
+				if prt[i] != nrt[j] {
+					setFEC(net, src, nd[j], nrt[j])
+				}
+				i, j = i+1, j+1
 			}
 		}
 	}
-	return over
 }
 
-// overlayRoute reads a pair's route through a not-yet-published overlay:
-// overlay first, canonical fallback — the writer-side twin of
-// Snapshot.Route.
-func (e *Engine) overlayRoute(over []*planRow, src, dst graph.NodeID) *Route {
-	if int(src) < len(over) {
-		if row := over[src]; row != nil {
-			if rt, ok := row.get(dst); ok {
-				return rt
-			}
-		}
-	}
-	if c := e.canonical[src]; c != nil {
-		return c[dst]
-	}
-	return nil
-}
-
-// writeOverlayFEC syncs one pair's forwarding entry with the overlay.
-func (e *Engine) writeOverlayFEC(net *mpls.Network, over []*planRow, pr rbpc.Pair) {
-	if rt := e.overlayRoute(over, pr.Src, pr.Dst); rt != nil {
-		net.SetFEC(pr.Src, pr.Dst, mpls.FECEntry{Stack: rt.Stack, OutEdge: mpls.LocalProcess})
+// setFEC makes the pair's forwarding entry push rt's stack, or removes it
+// for an unroutable pair.
+func setFEC(net *mpls.Network, src, dst graph.NodeID, rt *Route) {
+	if rt != nil {
+		net.SetFEC(src, dst, mpls.FECEntry{Stack: rt.Stack, OutEdge: mpls.LocalProcess})
 	} else {
-		net.ClearFEC(pr.Src, pr.Dst)
+		net.ClearFEC(src, dst)
 	}
 }
 

@@ -89,24 +89,6 @@ type FloodConfig struct {
 // its local answers indefinitely.
 const neverHorizon = time.Duration(math.MaxInt64)
 
-// localPlan is one epoch's local-restoration serving state: for every
-// affected pair (canonical primary crosses a down link) the answer the
-// patched data plane actually delivers, laid out like the overlay — one
-// dst-sorted planRow per source with an affected pair, nil for the rest
-// (and a nil slice for the pristine plan). A nil route in a row means the
-// pair is locally unrestorable — the failure disconnected the patch point
-// from its detour target — and is served as unroutable even if a
-// source-router concatenation exists; that gap is exactly the paper's
-// trade-off between restoration speed and coverage.
-//
-//rbpc:immutable
-type localPlan struct {
-	rows []*planRow
-}
-
-// emptyLocal is the shared pristine local plan (no failures, no patches).
-var emptyLocal = &localPlan{}
-
 // localFlavor maps the serving scheme to the ILM-patch flavor it installs.
 func (e *Engine) localFlavor() (rbpc.LocalScheme, Scheme) {
 	if e.cfg.Scheme == SchemeLocal {
@@ -301,13 +283,13 @@ func pairBefore(a, b graph.NodePair) bool {
 //
 // The pairs' stretch is only noted here; it is accounted after the
 // snapshot is serving (accountStretch).
-func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle, nh *netHandle) *localPlan {
+func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle, nh *netHandle) *plan {
 	sc := e.lscratch
 	sc.stretch, sc.crossings = sc.stretch[:0], sc.crossings[:0]
 	sc.want, sc.labels = sc.want[:0], sc.labels[:0]
 	if len(failed) == 0 {
 		e.syncPatches(nh.net, nil)
-		return emptyLocal
+		return emptyPlan
 	}
 	flavor, via := e.localFlavor()
 	defer sc.release(failed)
@@ -443,7 +425,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 	}
 	e.mLocalPairs.Add(0, int64(len(sc.affected)))
 	e.mLocalUnrestorable.Add(0, unrestorable)
-	return &localPlan{rows: rows}
+	return &plan{rows: rows}
 }
 
 // syncPatches makes the patched ILM rows on net exactly want.
@@ -639,16 +621,10 @@ func (e *Engine) pendingTimers() int {
 // FaultStaleBypass short-circuits the rebuild: the previous plan's patches
 // stay applied and its routes keep being served.
 func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network, nh *netHandle, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
-	var lp *localPlan
-	if e.cfg.Fault == FaultStaleBypass {
-		lp = e.prevLocal
-		if lp == nil {
-			lp = emptyLocal
-		}
-	} else {
+	lp := prev.local
+	if e.cfg.Fault != FaultStaleBypass {
 		lp = e.buildLocalPlan(failed, fv, oracle, nh)
 	}
-	e.prevLocal = lp
 
 	hybrid := e.cfg.Scheme == SchemeHybrid
 	var horizon []time.Duration

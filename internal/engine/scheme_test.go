@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -294,6 +295,8 @@ func TestHybridConvergenceProperty(t *testing.T) {
 			if !hyb.Converged() {
 				t.Fatalf("seed %d step %d: zero-flood hybrid not converged", seed, step)
 			}
+			// Phase two wrote its FEC delta on a clone of phase one's net.
+			fecCarriesRoutes(t, hyb, fmt.Sprintf("seed %d step %d, hybrid", seed, step))
 			single := len(src.Snapshot().Failed()) == 1
 			for s := 0; s < g.Order(); s++ {
 				for d := 0; d < g.Order(); d++ {

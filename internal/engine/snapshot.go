@@ -86,7 +86,7 @@ type Snapshot struct {
 	// the snapshot's clock (nil = wall clock); maxHorizon is the largest
 	// finite entry.
 	scheme     Scheme
-	local      *localPlan
+	local      *plan
 	horizon    []time.Duration
 	maxHorizon time.Duration
 	detected   time.Time
@@ -108,6 +108,10 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // Failed returns the links down in this epoch, sorted. Callers must not
 // modify the returned slice.
 func (s *Snapshot) Failed() []graph.EdgeID { return s.failed }
+
+// Key returns the canonical encoding of the failed-set — the engine's plan
+// cache key, equal exactly for snapshots (live or decoded) of one failed-set.
+func (s *Snapshot) Key() string { return s.key }
 
 // View returns the epoch's failure view of the topology.
 func (s *Snapshot) View() *graph.FailureView { return s.fv }
@@ -250,8 +254,8 @@ func (s *Snapshot) Converged() bool {
 //
 //rbpc:hotpath
 func (s *Snapshot) LocalRoute(src, dst graph.NodeID) (*Route, bool) {
-	if s.local == nil || int(src) >= len(s.local.rows) || s.local.rows[src] == nil {
+	if s.local == nil {
 		return nil, false
 	}
-	return s.local.rows[src].get(dst)
+	return rowsGet(s.local.rows, src, dst)
 }

@@ -234,6 +234,7 @@ func (d *SnapDecoder) Detached(failed []graph.EdgeID, epoch uint64) *Snapshot {
 	return &Snapshot{
 		epoch:   epoch,
 		failed:  failed,
+		key:     failedKey(failed),
 		fv:      fv,
 		oracle:  epochOracle(nil, fv),
 		canon:   d.canon,

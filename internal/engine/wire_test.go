@@ -27,6 +27,9 @@ func snapsEqualBitwise(t *testing.T, want, got *Snapshot, n int, tag string) {
 			t.Fatalf("%s: failed-set %v decoded as %v", tag, wf, gf)
 		}
 	}
+	if want.Key() != got.Key() {
+		t.Fatalf("%s: failed-set key %q decoded as %q", tag, want.Key(), got.Key())
+	}
 	for s := 0; s < n; s++ {
 		src := graph.NodeID(s)
 		if want.Materialized(src) != got.Materialized(src) {
@@ -164,6 +167,13 @@ func TestSnapDecoderDetached(t *testing.T) {
 				t.Fatalf("pair %d->%d: canonical cost bits differ", s, d)
 			}
 		}
+	}
+	// The replica and the worker snapshot it stands in for agree on the
+	// failed-set's key: the cold tier caches answers under it.
+	eng.Fail(ed)
+	eng.Flush()
+	if want := eng.Snapshot().Key(); want == "" || snap.Key() != want {
+		t.Fatalf("detached key %q, the engine's for the same failed-set %q", snap.Key(), want)
 	}
 }
 

@@ -64,31 +64,6 @@ func (ps *PatchSet) record(k patchKey, prev, cur ILMEntry) {
 	ps.applied = append(ps.applied, ilmPatch{patchKey: k, prev: prev, cur: cur, gen: ps.gen})
 }
 
-// Apply replaces the ILM row for label at router with entry, recording
-// the displaced row for RevertAll. It fails if the router has no row for
-// the label (patches only ever replace live forwarding state).
-func (ps *PatchSet) Apply(n *Network, router graph.NodeID, label Label, entry ILMEntry) error {
-	prev, err := n.ReplaceILM(router, label, entry)
-	if err != nil {
-		return err
-	}
-	ps.record(patchKey{router, label}, prev, entry)
-	return nil
-}
-
-// RevertAll restores every recorded row on n and clears the set. It
-// panics if a patched row has vanished — the engine's linear net lineage
-// guarantees it cannot, so a miss is a lifecycle bug, not a recoverable
-// condition.
-func (ps *PatchSet) RevertAll(n *Network) {
-	for i := len(ps.applied) - 1; i >= 0; i-- {
-		ps.revert(n, ps.applied[i])
-	}
-	clear(ps.applied)
-	ps.applied = ps.applied[:0]
-	clear(ps.index)
-}
-
 func (ps *PatchSet) revert(n *Network, p ilmPatch) {
 	if _, err := n.ReplaceILM(p.router, p.label, p.prev); err != nil {
 		panic("mpls: reverting ILM patch: " + err.Error())
@@ -100,16 +75,18 @@ func (ps *PatchSet) revert(n *Network, p ilmPatch) {
 // already reads is left alone, a row wanted differently is rewritten (its
 // recorded displaced entry untouched), a new row is patched and recorded,
 // and a recorded row no longer wanted is restored. The resulting tables
-// equal RevertAll followed by one Apply per wanted row, but a router whose
-// rows did not change is not written — so its copy-on-write table is not
-// copied — which is what keeps the k-th failure of an episode from paying
-// again for the k−1 links already down. When want names a row twice the
-// first entry wins.
+// equal restoring every recorded row and then patching every wanted one
+// (the reference patchset_test.go keeps), but a router whose rows did not
+// change is not written — so its copy-on-write table is not copied — which
+// is what keeps the k-th failure of an episode from paying again for the
+// k−1 links already down. When want names a row twice the first entry
+// wins.
 //
 // Installed entries are copied, so want (and the label slices it points
 // to) may live in scratch the caller reuses. Sync fails, with every row
-// written so far recorded, if a wanted row does not exist; like RevertAll
-// it panics if a recorded row has vanished.
+// written so far recorded, if a wanted row does not exist; it panics if a
+// recorded row has vanished — the engine's linear net lineage guarantees it
+// cannot, so a miss is a lifecycle bug, not a recoverable condition.
 func (ps *PatchSet) Sync(n *Network, want []ILMPatch) error {
 	ps.gen++
 	for i := range want {

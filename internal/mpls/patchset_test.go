@@ -9,6 +9,35 @@ import (
 	"rbpc/internal/graph"
 )
 
+// Apply and RevertAll are the patch-by-patch form of a PatchSet, which Sync
+// replaced in the engine: they stay here as the reference Sync is compared
+// against (TestPatchSetSyncMatchesRebuild).
+
+// Apply replaces the ILM row for label at router with entry, recording
+// the displaced row for RevertAll. It fails if the router has no row for
+// the label (patches only ever replace live forwarding state).
+func (ps *PatchSet) Apply(n *Network, router graph.NodeID, label Label, entry ILMEntry) error {
+	prev, err := n.ReplaceILM(router, label, entry)
+	if err != nil {
+		return err
+	}
+	ps.record(patchKey{router, label}, prev, entry)
+	return nil
+}
+
+// RevertAll restores every recorded row on n and clears the set. It
+// panics if a patched row has vanished — the engine's linear net lineage
+// guarantees it cannot, so a miss is a lifecycle bug, not a recoverable
+// condition.
+func (ps *PatchSet) RevertAll(n *Network) {
+	for i := len(ps.applied) - 1; i >= 0; i-- {
+		ps.revert(n, ps.applied[i])
+	}
+	clear(ps.applied)
+	ps.applied = ps.applied[:0]
+	clear(ps.index)
+}
+
 // TestPatchSetApplyRevert: Apply replaces a live ILM row and records the
 // displaced entry; RevertAll restores it (on a later COW clone, matching
 // the engine's linear net lineage) and clears the set.

@@ -179,18 +179,6 @@ func (b *Explicit) Between(s, d graph.NodeID) (graph.Path, bool) {
 // View implements Base.
 func (b *Explicit) View() graph.View { return b.view }
 
-// AllBetween returns every stored path for the ordered pair (s, d), in
-// insertion order. The sparse decomposer uses it to consider alternatives
-// beyond the canonical path.
-func (b *Explicit) AllBetween(s, d graph.NodeID) []graph.Path {
-	idxs := b.byPairAll[pairKey{s, d}]
-	out := make([]graph.Path, len(idxs))
-	for i, idx := range idxs {
-		out[i] = b.paths[idx]
-	}
-	return out
-}
-
 // IndicesThroughEdge returns the set positions (see SourcePath.Index) of
 // the stored paths traversing e. Shared index state — callers must not
 // modify the slice.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,7 +202,7 @@ func (t *ColdTier) worker() {
 }
 
 func (t *ColdTier) answer(solver **core.SparseSolver, boundKey *string, req coldReq) engine.Result {
-	key := coldKey{src: req.src, dst: req.dst, failed: failedSetKey(req.snap.Failed())}
+	key := coldKey{src: req.src, dst: req.dst, failed: req.snap.Key()}
 
 	t.mu.Lock()
 	if ent, ok := t.cache[key]; ok {
@@ -327,21 +326,4 @@ func (t *ColdTier) Stats() ColdStats {
 		PromotedHits: t.promotedHits.Load(),
 		Promotions:   t.promotions.Load(),
 	}
-}
-
-// failedSetKey canonicalizes a sorted failed-set (the same encoding the
-// engine's plan cache uses, rebuilt here because the engine's is
-// unexported and the coupling is one line).
-func failedSetKey(failed []graph.EdgeID) string {
-	if len(failed) == 0 {
-		return ""
-	}
-	b := make([]byte, 0, 4*len(failed))
-	for i, e := range failed {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(e), 10)
-	}
-	return string(b)
 }

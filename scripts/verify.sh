@@ -22,12 +22,28 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-# The engine has one serving-row representation (DESIGN.md §9). These are
-# the names of the deleted second one; whole-word, so test names that
-# contain them do not trip the gate.
+# The engine has one serving-row representation, and a plan is held in it
+# from the solver to the snapshot (DESIGN.md §9, §12). These are the names
+# of the deleted dense rows and of the deleted bridge from a map-shaped plan
+# into rows; whole-word, so test names that contain them do not trip the
+# gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver' -- '*.go'; then
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay' -- '*.go'; then
 	echo "verify: a retired plan-row identifier reappeared (see above)" >&2
+	exit 1
+fi
+
+# The writer classifies, merges and diffs by walking sorted rows against
+# writer-owned scratch (DESIGN.md §12); a map built per transition — pairs
+# to recompute, destinations by source, the edges just down — is the form
+# that walk replaced. downCount, the membership counts, is the one map the
+# pipeline reads, and it lives on the engine.
+echo "==> incrementalPlan, publish and syncFEC build no map per transition"
+if git grep -nW 'make(map\[' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
+	awk '/=[0-9]+=/ { fn = $0 }
+		/:[0-9]+:.*make\(map\[/ && fn ~ /\) (incrementalPlan|publish|syncFEC)\(/ { print fn; print; bad = 1 }
+		END { exit !bad }'; then
+	echo "verify: a per-transition map in incrementalPlan/publish/syncFEC (see above)" >&2
 	exit 1
 fi
 
