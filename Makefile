@@ -50,8 +50,8 @@ verify:
 # affected and an unaffected pair; 0 allocs asserted), a query worker's
 # cost per answer of a submitted burst, a local-scheme transition with
 # three links down, a phase-two transition of the writer in the benchmark
-# of record's shape (three-link episodes, plan cache of three: ns, allocs
-# and FEC writes per plan-cache miss and per hit), and the sharded read
+# of record's shape (three-link episodes, plan cache of three: ns and
+# allocs per plan-cache miss and per hit), and the sharded read
 # path: a query's whole cost through the in-process coordinator at 2 and at
 # 8 shards (every shard scans the shared burst; 0 allocs asserted), the
 # frame checksum in GB/s, and a 256-pair query frame out and its answer

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"rbpc/internal/chaos"
@@ -38,7 +39,7 @@ func main() {
 	steps := flag.Int("steps", 60, "hunt: churn events per schedule")
 	maxDown := flag.Int("maxdown", 3, "hunt: max concurrently-down links")
 	coalesce := flag.Duration("coalesce", 0, "engine coalescing window (hunt alternates 0 and 200us when unset)")
-	faultName := flag.String("fault", "none", "inject an engine defect: none, stale-plan-on-repair, skip-fec-rewrite, drop-epoch")
+	faultName := flag.String("fault", engine.FaultNone.String(), faultUsage())
 	corpus := flag.String("corpus", "", "hunt: write the shrunk failing case to this file")
 	replay := flag.String("replay", "", "replay a corpus case instead of hunting")
 	flag.Parse()
@@ -86,6 +87,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "corpus written to %s (replay with: rbpc-chaos -replay %s)\n", *corpus, *corpus)
 	}
 	os.Exit(1)
+}
+
+// faultUsage builds the -fault help from the engine's one name table: the
+// faults a hunt's lone engine can host. The two that act on a coordinator or
+// a transport have nothing to perturb here and are reached by replaying a
+// corpus case that sets shards or procs.
+func faultUsage() string {
+	names := []string{engine.FaultNone.String()}
+	for _, f := range engine.Faults() {
+		names = append(names, f.String())
+	}
+	return "inject an engine defect: " + strings.Join(names, ", ") +
+		" (" + engine.FaultSkewShard.String() + " and " + engine.FaultTornFrame.String() + " need a -replay case with shards / procs)"
 }
 
 func replayCase(path string) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rbpc/internal/engine"
@@ -201,6 +202,17 @@ func TestRunTraceDeterministic(t *testing.T) {
 	}
 	if r1.Queries == 0 || r1.Churn == 0 || r1.Probes == 0 {
 		t.Fatalf("schedule exercised nothing: %+v", r1)
+	}
+}
+
+// TestCorpusRefusesRetiredFault: skip-fec-rewrite perturbed the engine's
+// mirror of its routing matrix into the network's FEC tables; the mirror is
+// gone, so the defect has no code to live in, and a corpus file that names it
+// is refused with the name in the error instead of replaying as a clean run.
+func TestCorpusRefusesRetiredFault(t *testing.T) {
+	_, err := ReadCase(strings.NewReader("nodes 12\nfault skip-fec-rewrite\nschedule\nfail 1\n"))
+	if err == nil || !strings.Contains(err.Error(), "skip-fec-rewrite") {
+		t.Fatalf("ReadCase on a retired fault: %v, want an error naming it", err)
 	}
 }
 

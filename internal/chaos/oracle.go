@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -217,20 +218,19 @@ func (ck *checker) checkResult(step, sh int, res engine.Result) *Violation {
 		return vio("theorem-bound", "served path needs %d shortest-path components with <= %d edges (bound %d)", min, k, k+1)
 	}
 
-	// End-to-end forwarding on the epoch's own data plane: the installed
-	// label stacks must deliver, and on unit-weight topologies must walk
-	// exactly the served cost. DataPlane picks the plane the answer was
-	// served from (the phase-one net for pre-horizon hybrid sources). An
-	// answer that crossed the wire carries a control-plane replica with no
-	// forwarding state — only the worker process can walk its data plane —
-	// so this is the one oracle a process-mode answer skips (the prober's
-	// ProbeQuery path exercises that walk end to end instead).
-	plane := snap.DataPlane(res.Src)
-	if plane == nil {
+	// End-to-end forwarding on the epoch's own data plane: the stack the
+	// source pushes in this epoch (Snapshot.Send) must deliver over the
+	// epoch's ILM tables and link state, and on unit-weight topologies must
+	// walk exactly the served cost. An answer that crossed the wire carries
+	// a control-plane replica with no forwarding state — only the worker
+	// process can walk its data plane — so this is the one oracle a
+	// process-mode answer skips (the prober's ProbeQuery path exercises
+	// that walk end to end instead).
+	pkt, err := snap.Send(res.Src, res.Dst)
+	if errors.Is(err, engine.ErrNoDataPlane) {
 		return nil
 	}
 	ck.probes++
-	pkt, err := plane.SendIP(res.Src, res.Dst)
 	if err != nil {
 		return vio("forwarding", "data plane dropped the packet: %v", err)
 	}
@@ -294,8 +294,8 @@ func (ck *checker) checkLocalResult(step int, snap *engine.Snapshot, down map[gr
 		return vio("local-exact", "served cost %v, independent %v recomputation says %v", rt.Cost, rt.Via, exact)
 	}
 	ck.probes++
-	pkt, err := snap.DataPlane(src).SendIP(src, dst)
-	// Before a hybrid snapshot converges, the source's FEC entry is its
+	pkt, err := snap.Send(src, dst)
+	// Before a hybrid snapshot converges, what the source pushes is its
 	// last pre-flood plan — possibly a previous transition's restoration
 	// plan, not the canonical primary this local answer patches — so the
 	// probe may honestly walk a different (patched) route than the
@@ -358,7 +358,7 @@ func (ck *checker) checkStaleSource(step int, snap *engine.Snapshot, down map[gr
 		return nil
 	}
 	ck.probes++
-	pkt, err := snap.DataPlane(src).SendIP(src, dst)
+	pkt, err := snap.Send(src, dst)
 	if err != nil {
 		return vio("forwarding", "data plane dropped the packet: %v", err)
 	}

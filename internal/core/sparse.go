@@ -80,11 +80,10 @@ type SparseSolver struct {
 	lcShadowsArcs bool
 	dead          []bool // src's dead-path mask under fv; stale while lc is installed
 
-	// kern is the compiled flat form of fv (CSR + removal bitsets); when
-	// available the raw-edge scan iterates it directly instead of paying a
-	// visitor closure call per arc.
-	kern    graph.Kernel
-	hasKern bool
+	// kern is the compiled flat form of fv (CSR + removal bitsets): the
+	// raw-edge scan iterates it directly instead of paying a visitor closure
+	// call per arc.
+	kern graph.Kernel
 
 	// Dijkstra scratch, validity-stamped by generation: a lab entry is
 	// meaningful only where its gen matches curGen. Starting a search is
@@ -132,7 +131,7 @@ func NewSparseSolver(base paths.Base, fv *graph.FailureView) *SparseSolver {
 		ss.src = di
 		ss.dead = di.DeadUnderInto(fv, nil)
 	}
-	ss.kern, ss.hasKern = graph.CompileView(fv)
+	ss.kern, _ = graph.CompileView(fv) // a *FailureView always compiles
 	return ss
 }
 
@@ -154,7 +153,7 @@ func (ss *SparseSolver) Rebind(fv *graph.FailureView) {
 	if ss.lc == nil && ss.src != nil {
 		ss.dead = ss.src.DeadUnderInto(fv, ss.dead)
 	}
-	ss.kern, ss.hasKern = graph.CompileView(fv)
+	ss.kern, _ = graph.CompileView(fv) // a *FailureView always compiles
 }
 
 // SetCostIndex installs a cost-sorted candidate source built over the same
@@ -472,46 +471,30 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 				}
 			}
 		}
-		// Candidate 2: surviving raw edges out of u. The compiled kernel
-		// iterates the flat CSR adjacency with bitset removal tests — same
-		// arcs in the same order as the visitor interface, minus a closure
-		// call per arc; the 2-node component is built only for accepted
-		// offers. With an edge-complete live index installed the whole scan
-		// is skipped: every usable arc's offer was already made (and won or
-		// lost) by its same-cost 1-hop base path in Candidate 1, so the arc
-		// offer can only tie and lose first-offer-wins.
+		// Candidate 2: surviving raw edges out of u, off the flat CSR
+		// adjacency with bitset removal tests; the 2-node component is built
+		// only for accepted offers. With an edge-complete live index
+		// installed the whole scan is skipped: every usable arc's offer was
+		// already made (and won or lost) by its same-cost 1-hop base path in
+		// Candidate 1, so the arc offer can only tie and lose
+		// first-offer-wins.
 		if ss.lcShadowsArcs {
 			continue
 		}
-		if ss.hasKern {
-			for _, a := range ss.kern.CSR.Arcs(u) {
-				if !ss.kern.ArcUsable(a) {
-					continue
-				}
-				total := du + a.W
-				if bounded && (total > maxTotal || total > ss.lab[a.To].bnd) {
-					continue
-				}
-				if tc := cu + 1; ss.offer(a.To, total, tc) {
-					ss.commit(u, a.To, total, tc, Component{Kind: KindEdge, Path: graph.Path{
-						Nodes: []graph.NodeID{u, a.To},
-						Edges: []graph.EdgeID{a.Edge},
-					}})
-				}
+		for _, a := range ss.kern.CSR.Arcs(u) {
+			if !ss.kern.ArcUsable(a) {
+				continue
 			}
-		} else {
-			fv.VisitArcs(u, func(a graph.Arc) bool {
-				e := fv.Edge(a.Edge)
-				if bounded && (du+e.W > maxTotal || du+e.W > ss.lab[a.To].bnd) {
-					return true
-				}
-				comp := Component{Kind: KindEdge, Path: graph.Path{
+			total := du + a.W
+			if bounded && (total > maxTotal || total > ss.lab[a.To].bnd) {
+				continue
+			}
+			if tc := cu + 1; ss.offer(a.To, total, tc) {
+				ss.commit(u, a.To, total, tc, Component{Kind: KindEdge, Path: graph.Path{
 					Nodes: []graph.NodeID{u, a.To},
 					Edges: []graph.EdgeID{a.Edge},
-				}}
-				ss.relax(u, a.To, e.W, 1, comp)
-				return true
-			})
+				}})
+			}
 		}
 	}
 

@@ -281,8 +281,7 @@ func BenchmarkEngineQuery(b *testing.B) {
 // cache no longer holds and is built from the previous epoch's rows (miss),
 // every repair walks back through the plans its episode cached (hit). One
 // op is one transition, Fail or Repair to Flush; the other half of each
-// episode runs off the clock. fec-writes/transition is the growth of the
-// network's FEC update count over the timed transitions.
+// episode runs off the clock.
 func BenchmarkEpochBuild(b *testing.B) {
 	g := topology.PaperAS(1, 0.05)
 	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
@@ -326,8 +325,7 @@ func BenchmarkEpochBuild(b *testing.B) {
 			for range cycle {
 				next()
 			}
-			fecWrites := func() int { return e.Snapshot().Net().Stats().FECUpdates }
-			st0, writes := e.Stats(), 0
+			st0 := e.Stats()
 			applied = [2]int64{}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -337,12 +335,9 @@ func BenchmarkEpochBuild(b *testing.B) {
 					next()
 					b.StartTimer()
 				}
-				before := fecWrites()
 				next()
-				writes += fecWrites() - before
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(writes)/float64(b.N), "fec-writes/transition")
 			st := e.Stats()
 			if miss, hit := st.PlanCacheMiss-st0.PlanCacheMiss, st.PlanCacheHits-st0.PlanCacheHits; miss != applied[0] || hit != applied[1] {
 				b.Fatalf("%d failures missed the plan cache %d times, %d repairs hit it %d times", applied[0], miss, applied[1], hit)

@@ -64,7 +64,7 @@ func TestChurnStress(t *testing.T) {
 			}
 			// Sampled end-to-end forwarding on the epoch's own data plane.
 			if rng.Intn(16) == 0 {
-				pkt, err := snap.Net().SendIP(res.Src, res.Dst)
+				pkt, err := snap.Send(res.Src, res.Dst)
 				if err != nil || pkt.At != res.Dst {
 					t.Errorf("epoch %d: %d->%d forwarding failed: %v (%v)",
 						snap.Epoch(), res.Src, res.Dst, pkt, err)

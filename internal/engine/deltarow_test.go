@@ -18,8 +18,8 @@ import (
 // epoch's rows with the touched sources replaced on plan-cache misses and
 // the cached rows on hits, the reference's the rows of a from-scratch plan
 // only. Every served cost is also held to the epoch oracle's distance,
-// which neither build feeds, and both engines' FEC tables to the routes
-// they serve.
+// which neither build feeds, and both engines' Send to the routes they
+// serve.
 func TestOverlayMatchesFullRebuild(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
 	inc, _ := newEngine(t, g, Config{})
@@ -32,8 +32,8 @@ func TestOverlayMatchesFullRebuild(t *testing.T) {
 		ref.Flush()
 		snap := inc.Snapshot()
 		snapsEqualBitwise(t, ref.Snapshot(), snap, n, tag)
-		fecCarriesRoutes(t, snap, tag+", incremental")
-		fecCarriesRoutes(t, ref.Snapshot(), tag+", reference")
+		sendDeliversServed(t, snap, tag+", incremental")
+		sendDeliversServed(t, ref.Snapshot(), tag+", reference")
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s == d {

@@ -34,7 +34,7 @@ type Config struct {
 	CoalesceWindow time.Duration
 	// PlanCacheCap bounds the failed-set plan cache (0 = unbounded). Under
 	// churn that revisits failed-sets — repairs walking back to pristine —
-	// cached plans make epoch builds O(FEC writes).
+	// a cached plan's rows are published as they are: no solve, no resolve.
 	PlanCacheCap int
 	// BuildWorkers parallelizes per-source decomposition during plan
 	// computation. Default GOMAXPROCS.
@@ -143,7 +143,7 @@ type Stats struct {
 // for the concurrency model.
 type Engine struct {
 	g    *graph.Graph
-	base paths.Base
+	base *paths.Explicit // concrete base set (solver candidates, ThroughEdge scans)
 	cfg  Config
 
 	snap atomic.Pointer[Snapshot]
@@ -156,7 +156,6 @@ type Engine struct {
 	provisioned map[string]*mpls.LSP
 	lspOf       map[string]*mpls.LSP
 	primaries   map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
-	xbase       *paths.Explicit         // concrete base set (ThroughEdge scans)
 	pairIndex   *graph.PairIndex        // failed link -> pairs whose primary crosses it
 	costIndex   *paths.CostIndex        // cost-sorted candidate order for bounded solves
 	// live is the persistent filtered form of costIndex: per-source column
@@ -192,7 +191,7 @@ type Engine struct {
 	ilmPatches mpls.PatchSet
 	// lspAt maps a base-path index (paths.Explicit position) to the LSP
 	// provisioned for it, so the crossing scan of a down link walks
-	// xbase.IndicesThroughEdge without forming a path key; lscratch is the
+	// base.IndicesThroughEdge without forming a path key; lscratch is the
 	// local build's reused working memory. Both nil under SchemeSource.
 	lspAt    []*mpls.LSP
 	lscratch *localScratch
@@ -256,11 +255,6 @@ type queryReq struct {
 	drain chan struct{}
 }
 
-// netHandle wraps the epoch's writable network clone for plan resolution.
-type netHandle struct {
-	net *mpls.Network
-}
-
 // New builds an engine over a pristine provisioned export (p.Failed must
 // be empty: the engine owns all failure state from here on) and starts its
 // writer and query workers. The export's maps, base set and graph are read,
@@ -294,7 +288,6 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		provisioned: p.LSPs,
 		lspOf:       make(map[string]*mpls.LSP),
 		primaries:   p.Primaries,
-		xbase:       p.Base,
 		costIndex:   costIndex,
 		live:        paths.NewLiveIndex(p.Base, costIndex),
 		canonical:   canonical,
@@ -978,27 +971,27 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		e.inc.treesAdopted.Add(int64(oracle.AdoptFrom(prev.oracle, newlyDown, repaired)))
 	}
 
-	nh := &netHandle{net: net}
-
 	// Local restoration schemes: publish the local epoch. For SchemeLocal
 	// and SchemeBypass that is the whole transition; for SchemeHybrid it is
 	// phase one, and the source-plan build below publishes phase two on a
-	// fresh net clone (the phase-one snapshot owns net from here on — its
-	// ILM patches ride along in the copy-on-write lineage).
+	// fresh net clone: resolution may still signal on-demand LSPs into ILM
+	// tables, and the phase-one snapshot owns net from here on (its ILM
+	// patches ride along in the copy-on-write lineage).
 	var snap1 *Snapshot
 	if e.cfg.Scheme != SchemeSource {
 		var done bool
-		snap1, done = e.publishLocal(prev, start, failed, key, fv, oracle, net, nh, newlyDown, repairedIDs)
+		snap1, done = e.publishLocal(prev, start, failed, key, fv, oracle, net, newlyDown, repairedIDs)
 		if done {
 			return
 		}
 		net = net.Clone()
-		nh = &netHandle{net: net}
 	}
 
 	// The epoch's overlay is its plan's rows as they stand: the cached ones
 	// on a hit, the previous epoch's with the touched sources replaced on a
-	// miss, the reference's own in FullRebuild mode.
+	// miss, the reference's own in FullRebuild mode. The rows are also the
+	// epoch's FEC tables (Snapshot.Send), so publishing them is the paper's
+	// whole source-router action and nothing is written to net for it.
 	var over []*planRow
 	hit := false
 	switch {
@@ -1007,14 +1000,14 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		over, hit = prev.over, true
 	case e.cfg.FullRebuild:
 		// Reference mode: from-scratch plan, no cache, no reuse.
-		over = e.computePlan(failed, nh).rows
+		over = e.computePlan(failed, net).rows
 		e.inc.fullRebuilds.Add(1)
 	default:
 		pl, ok := e.planCache.get(key)
 		if !ok {
 			// A repair-only burst that needed no solve counts as a cache
 			// hit: the lookup was answered from existing state.
-			pl, ok = e.incrementalPlan(key, prev.over, fv, oracle, newlyDown, entering, repaired, nh)
+			pl, ok = e.incrementalPlan(key, prev.over, fv, oracle, newlyDown, entering, repaired, net)
 			e.planCache.put(pl)
 		}
 		over, hit = pl.rows, ok
@@ -1026,21 +1019,19 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 
 	assembleStart := time.Now()
-	e.syncFEC(net, prev.over, over)
-	e.inc.assembleNs.Add(time.Since(assembleStart).Nanoseconds())
-
 	epoch := prev.epoch + 1
 	// Hybrid phase two carries the phase-one snapshot's local serving
 	// state with srcReady set: source rows are ready, and each source
-	// switches to them as its flood horizon passes (Snapshot.Route gates
-	// per read).
+	// switches to them as its flood horizon passes (Snapshot.Route and
+	// Snapshot.Send gate per read). Until then it pushes from the rows the
+	// transition began with, which phase one carried.
 	var scheme Scheme
 	var local *plan
 	var horizon []time.Duration
 	var maxHorizon time.Duration
 	var detected time.Time
 	var clock func() time.Time
-	var localNet *mpls.Network
+	var preOver []*planRow
 	if snap1 != nil {
 		epoch = snap1.epoch + 1
 		scheme = SchemeHybrid
@@ -1049,7 +1040,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		maxHorizon = snap1.maxHorizon
 		detected = snap1.detected
 		clock = snap1.clock
-		localNet = snap1.net
+		preOver = snap1.over
 	}
 	next := &Snapshot{
 		epoch:      epoch,
@@ -1069,8 +1060,9 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		detected:   detected,
 		clock:      clock,
 		srcReady:   snap1 != nil,
-		localNet:   localNet,
+		preOver:    preOver,
 	}
+	e.inc.assembleNs.Add(time.Since(assembleStart).Nanoseconds())
 	e.snap.Store(next)
 	e.mEpochs.Add(0, 1)
 	e.mBuild.Record(0, time.Since(start))
@@ -1094,8 +1086,8 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 // resolveRoute maps a decomposition onto LSPs via the shared resolver,
 // establishing missing components on the epoch's net. A decomposition that
 // does not resolve leaves the pair unroutable (nil).
-func (e *Engine) resolveRoute(dec core.Decomposition, nh *netHandle) *Route {
-	r := rbpc.Resolver{Net: nh.net, Provisioned: e.provisioned, LSPs: e.lspOf}
+func (e *Engine) resolveRoute(dec core.Decomposition, net *mpls.Network) *Route {
+	r := rbpc.Resolver{Net: net, Provisioned: e.provisioned, LSPs: e.lspOf}
 	lsps, err := r.Resolve(dec)
 	if err != nil {
 		return nil

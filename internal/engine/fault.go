@@ -23,11 +23,6 @@ const (
 	// primaries come back, so served costs exceed the true post-failure
 	// shortest distance (optimality-oracle violation).
 	FaultStalePlanOnRepair
-	// FaultSkipFECRewrite skips rewriting the forwarding entries of pairs
-	// that leave the plan on an epoch transition: the routing matrix
-	// returns to canonical but the data plane keeps the old label stack
-	// (forwarding-oracle violation).
-	FaultSkipFECRewrite
 	// FaultDropEpoch silently skips publishing epochs whose failed-set
 	// shrank: repairs are absorbed but never surface, so after a flush
 	// the snapshot disagrees with the event stream (snapshot-agreement
@@ -67,7 +62,6 @@ const (
 var faultNames = [...]string{
 	FaultNone:              "none",
 	FaultStalePlanOnRepair: "stale-plan-on-repair",
-	FaultSkipFECRewrite:    "skip-fec-rewrite",
 	FaultDropEpoch:         "drop-epoch",
 	FaultSkipRepairRescan:  "skip-repair-rescan",
 	FaultStaleBypass:       "stale-bypass",
@@ -88,7 +82,7 @@ func (f Fault) String() string {
 // FaultTornFrame a transport, so harnesses that iterate this list against
 // a single engine do not meet them.
 func Faults() []Fault {
-	return []Fault{FaultStalePlanOnRepair, FaultSkipFECRewrite, FaultDropEpoch, FaultSkipRepairRescan, FaultStaleBypass}
+	return []Fault{FaultStalePlanOnRepair, FaultDropEpoch, FaultSkipRepairRescan, FaultStaleBypass}
 }
 
 // ParseFault maps a Fault name back to its value.

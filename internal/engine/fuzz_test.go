@@ -14,7 +14,7 @@ import (
 // topologies and single-link failures and checks the structural contract
 // of every plan it emits: each affected pair's answer is a loop-bounded
 // walk over surviving links from source to destination whose data-plane
-// replay (canonical FEC stack through the patched ILM rows) terminates at
+// replay (the canonical stack through the patched ILM rows) terminates at
 // the egress in exactly the advertised number of hops; and a nil answer is
 // only ever given when the failed link's endpoints really are partitioned
 // (for a single failure, Section 4's bridge argument makes edge-bypass
@@ -76,7 +76,7 @@ func FuzzBypassPlanValidity(f *testing.F) {
 			if rt.Path.Hops() > 2*g.Size() {
 				t.Fatalf("pair %v bypass walk of %d hops looks like a loop", pr, rt.Path.Hops())
 			}
-			pkt, err := snap.DataPlane(pr.Src).SendIP(pr.Src, pr.Dst)
+			pkt, err := snap.Send(pr.Src, pr.Dst)
 			if err != nil {
 				t.Fatalf("pair %v probe: %v", pr, err)
 			}

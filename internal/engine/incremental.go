@@ -8,6 +8,7 @@ import (
 
 	"rbpc/internal/core"
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 )
@@ -60,7 +61,8 @@ type IncrementalStats struct {
 	FullRebuilds int64
 	// Per-stage cumulative build time: affected-pair classification,
 	// bounded decomposition solves, LSP resolution, and snapshot assembly
-	// (row copy-on-write plus FEC rewrite).
+	// (overlay accounting and snapshot construction — the rows are published
+	// as the plan built them).
 	AffectedNanos int64
 	SolveNanos    int64
 	ResolveNanos  int64
@@ -242,7 +244,7 @@ type solveJob struct {
 //     reproduce it bit-for-bit.
 //
 // A source with nothing entering, leaving, stale or improvable keeps its row
-// pointer — which is what lets syncFEC skip it on sight. Any other source
+// pointer — the paper's FEC delta is the rows that moved. Any other source
 // gets one new row, merged in dst order from its kept entries and its
 // solved ones. The solved ones go through a
 // work-stealing fan-out of pooled bounded solvers: each source's true
@@ -256,7 +258,7 @@ type solveJob struct {
 // answered from cached state, which the caller accounts a plan-cache hit.
 // When nothing left the plan either, the previous rows themselves are the
 // new plan, aliased under the new key.
-func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge, nh *netHandle) (_ *plan, hit bool) {
+func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge, net *mpls.Network) (_ *plan, hit bool) {
 	t0 := time.Now()
 	sc := e.pscratch
 	for _, ed := range newlyDown {
@@ -405,7 +407,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureV
 		for _, job := range sc.jobs {
 			for j, ok := range job.oks {
 				if ok {
-					job.routes[sc.slots[job.lo+j]] = e.resolveRoute(job.decs[j], nh)
+					job.routes[sc.slots[job.lo+j]] = e.resolveRoute(job.decs[j], net)
 				}
 			}
 			rows[job.src] = newPlanRow(job.dsts, job.routes)

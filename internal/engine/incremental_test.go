@@ -39,7 +39,7 @@ func sameRoute(a, b *Route) bool {
 // a FullRebuild reference engine, and demands bit-identical serving state
 // after every flush: same failed-set, same per-pair routability, cost
 // bits, and LSP path sequences, same post-failure distances — and, on each
-// engine, FEC tables that push the served routes' stacks. This is the
+// engine, a Send that pushes the served routes' stacks. This is the
 // tentpole claim of the incremental epoch builder: reuse is only legal
 // when a from-scratch build would reproduce the plan exactly.
 func TestIncrementalBitIdenticalToFullRebuild(t *testing.T) {
@@ -66,8 +66,8 @@ func TestIncrementalBitIdenticalToFullRebuild(t *testing.T) {
 		if failedKey(si.Failed()) != failedKey(sr.Failed()) {
 			t.Fatalf("step %d: failed-sets diverged: %v vs %v", step, si.Failed(), sr.Failed())
 		}
-		fecCarriesRoutes(t, si, fmt.Sprintf("step %d, incremental", step))
-		fecCarriesRoutes(t, sr, fmt.Sprintf("step %d, reference", step))
+		sendDeliversServed(t, si, fmt.Sprintf("step %d, incremental", step))
+		sendDeliversServed(t, sr, fmt.Sprintf("step %d, reference", step))
 		for s := 0; s < g.Order(); s++ {
 			for d := 0; d < g.Order(); d++ {
 				if s == d {

@@ -90,7 +90,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 	var crossings []crossing
 	seen := make(map[ilmRow]bool)
 	for _, ed := range failed {
-		for _, p := range e.xbase.ThroughEdge(ed) {
+		for _, p := range e.base.ThroughEdge(ed) {
 			lsp, ok := lsps[p.Key()]
 			if !ok {
 				continue

@@ -7,6 +7,7 @@ import (
 
 	"rbpc/internal/core"
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
 )
 
@@ -22,10 +23,10 @@ import (
 // plan ride their canonical primaries untouched.
 //
 // Keying plans by failed-set makes arbitrary churn transitions correct by
-// construction: moving from failed-set A to failed-set S publishes plan(S)
-// and syncFEC writes what differs from plan(A). Plans are immutable once
-// built, share the rows of sources a transition did not touch, and are safe
-// to cache — they hold routes only, never forwarding state.
+// construction: moving from failed-set A to failed-set S publishes plan(S),
+// whatever A was. Plans are immutable once built, share the rows of sources
+// a transition did not touch, and are safe to cache — a route's stack names
+// LSPs, which the linear net lineage never tears down.
 //
 //rbpc:immutable
 type plan struct {
@@ -61,7 +62,7 @@ func failedKey(failed []graph.EdgeID) string {
 // on net in (src, dst) order (which receives any on-demand establishment —
 // the engine's net lineage is linear, so rows signaled here persist into
 // every later epoch).
-func (e *Engine) computePlan(failed []graph.EdgeID, net *netHandle) *plan {
+func (e *Engine) computePlan(failed []graph.EdgeID, net *mpls.Network) *plan {
 	seen := make(map[rbpc.Pair]bool)
 	bySrc := make(map[graph.NodeID][]graph.NodeID)
 	for _, ed := range failed {

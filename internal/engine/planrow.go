@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"rbpc/internal/graph"
-	"rbpc/internal/mpls"
-)
+import "rbpc/internal/graph"
 
 // planRow is the delta-encoded serving row of one source: the sorted set
 // of destinations whose route currently diverges from the canonical
@@ -97,60 +94,6 @@ func rowsGet(rows []*planRow, src, dst graph.NodeID) (*Route, bool) {
 		return r.get(dst)
 	}
 	return nil, false
-}
-
-// syncFEC turns net's FEC tables from those of the overlay prev into those
-// of the overlay next — the paper's whole source-router action, and the FEC
-// twin of mpls.PatchSet.Sync. The net lineage is linear and every published
-// net's FEC tables read overlay-or-canonical, so the difference of the two
-// overlays is the difference of the two tables: a source whose row pointer
-// did not move is skipped (rows are immutable, so one pointer is one
-// content), and within a moved row a two-pointer walk over the dst-sorted
-// entries writes those whose route differs and restores canonical for those
-// that left. A router no entry of which changed is never written, so its
-// copy-on-write FEC table stays shared with the previous epoch's.
-//
-// FaultSkipFECRewrite skips the entries that left: the routing matrix
-// returns to canonical while the data plane keeps the stale stack.
-func (e *Engine) syncFEC(net *mpls.Network, prev, next []*planRow) {
-	for s := range max(len(prev), len(next)) {
-		p, n := rowAt(prev, s), rowAt(next, s)
-		if p == n {
-			continue
-		}
-		src := graph.NodeID(s)
-		pd, prt := p.entries()
-		nd, nrt := n.entries()
-		for i, j := 0, 0; i < len(pd) || j < len(nd); {
-			switch {
-			case j == len(nd) || i < len(pd) && pd[i] < nd[j]:
-				// Left the overlay. An overlay entry's pair has a primary,
-				// so its source has a canonical row.
-				if e.cfg.Fault != FaultSkipFECRewrite {
-					setFEC(net, src, pd[i], e.canonical[s][pd[i]])
-				}
-				i++
-			case i == len(pd) || nd[j] < pd[i]:
-				setFEC(net, src, nd[j], nrt[j])
-				j++
-			default:
-				if prt[i] != nrt[j] {
-					setFEC(net, src, nd[j], nrt[j])
-				}
-				i, j = i+1, j+1
-			}
-		}
-	}
-}
-
-// setFEC makes the pair's forwarding entry push rt's stack, or removes it
-// for an unroutable pair.
-func setFEC(net *mpls.Network, src, dst graph.NodeID, rt *Route) {
-	if rt != nil {
-		net.SetFEC(src, dst, mpls.FECEntry{Stack: rt.Stack, OutEdge: mpls.LocalProcess})
-	} else {
-		net.ClearFEC(src, dst)
-	}
 }
 
 // overlayBytes is the resident-byte accounting of one snapshot's overlay:

@@ -283,12 +283,12 @@ func pairBefore(a, b graph.NodePair) bool {
 //
 // The pairs' stretch is only noted here; it is accounted after the
 // snapshot is serving (accountStretch).
-func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle, nh *netHandle) *plan {
+func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network) *plan {
 	sc := e.lscratch
 	sc.stretch, sc.crossings = sc.stretch[:0], sc.crossings[:0]
 	sc.want, sc.labels = sc.want[:0], sc.labels[:0]
 	if len(failed) == 0 {
-		e.syncPatches(nh.net, nil)
+		e.syncPatches(net, nil)
 		return emptyPlan
 	}
 	flavor, via := e.localFlavor()
@@ -302,7 +302,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 	// the same requests when primaries are base paths — so the route
 	// construction below never misses.
 	for _, ed := range failed {
-		idxs := e.xbase.IndicesThroughEdge(ed)
+		idxs := e.base.IndicesThroughEdge(ed)
 		for j, idx := range idxs {
 			if j > 0 && idxs[j-1] == idx {
 				continue // a path crossing ed twice is listed twice; one visit finds both
@@ -388,7 +388,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 			unrestorable++
 			continue
 		}
-		out, ok := e.localILMRow(sc, c, dt, nh, flavor)
+		out, ok := e.localILMRow(sc, c, dt, net, flavor)
 		if !ok {
 			unrestorable++
 			continue
@@ -397,7 +397,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 			Entry: mpls.ILMEntry{Out: out, OutEdge: mpls.LocalProcess}})
 		e.mDetourHops.Add(int64(dt.path.Hops()))
 	}
-	e.syncPatches(nh.net, sc.want)
+	e.syncPatches(net, sc.want)
 
 	// Pass 4: the answer each affected pair's patched data plane now
 	// delivers. sc.affected is (src, dst)-sorted, so each source's run is
@@ -441,10 +441,10 @@ func (e *Engine) syncPatches(net *mpls.Network, want []mpls.ILMPatch) {
 // ILM row for crossing c, resolving the detour to LSPs on the epoch's net
 // the first time a crossing uses it. Mirrors rbpc.System.localRow, phrased
 // against engine state. The result may point into sc.labels.
-func (e *Engine) localILMRow(sc *localScratch, c crossing, dt *detour, nh *netHandle, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
+func (e *Engine) localILMRow(sc *localScratch, c crossing, dt *detour, net *mpls.Network, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
 	if !dt.resolved {
 		dt.resolved = true
-		r := rbpc.Resolver{Net: nh.net, Provisioned: e.provisioned, LSPs: e.lspOf}
+		r := rbpc.Resolver{Net: net, Provisioned: e.provisioned, LSPs: e.lspOf}
 		if lsps, err := r.Resolve(dt.dec); err == nil {
 			atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
 			if stack, err := mpls.SelfStack(lsps); err == nil {
@@ -620,10 +620,10 @@ func (e *Engine) pendingTimers() int {
 //
 // FaultStaleBypass short-circuits the rebuild: the previous plan's patches
 // stay applied and its routes keep being served.
-func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network, nh *netHandle, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
+func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
 	lp := prev.local
 	if e.cfg.Fault != FaultStaleBypass {
-		lp = e.buildLocalPlan(failed, fv, oracle, nh)
+		lp = e.buildLocalPlan(failed, fv, oracle, net)
 	}
 
 	hybrid := e.cfg.Scheme == SchemeHybrid

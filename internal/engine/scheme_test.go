@@ -67,7 +67,7 @@ func checkLocalAnswer(t *testing.T, e *Engine, src, dst graph.NodeID, rt *Route,
 	if dist := e.Dist(src, dst); rt.Cost < dist-1e-9 {
 		t.Fatalf("%s: pair %d->%d served cost %v beats shortest distance %v", tag, src, dst, rt.Cost, dist)
 	}
-	pkt, err := snap.DataPlane(src).SendIP(src, dst)
+	pkt, err := snap.Send(src, dst)
 	if err != nil {
 		t.Fatalf("%s: pair %d->%d probe: %v", tag, src, dst, err)
 	}
@@ -158,7 +158,7 @@ func TestLocalSchemesServeAffectedPairs(t *testing.T) {
 						t.Fatalf("post-repair pair %d->%d not canonical", s, d)
 					}
 					if want := pristine.Route(src, dst); want != nil {
-						pkt, err := snap.DataPlane(src).SendIP(src, dst)
+						pkt, err := snap.Send(src, dst)
 						if err != nil || pkt.At != dst {
 							t.Fatalf("post-repair probe %d->%d: pkt=%+v err=%v", s, d, pkt, err)
 						}
@@ -295,8 +295,8 @@ func TestHybridConvergenceProperty(t *testing.T) {
 			if !hyb.Converged() {
 				t.Fatalf("seed %d step %d: zero-flood hybrid not converged", seed, step)
 			}
-			// Phase two wrote its FEC delta on a clone of phase one's net.
-			fecCarriesRoutes(t, hyb, fmt.Sprintf("seed %d step %d, hybrid", seed, step))
+			// Phase two forwards on a clone of phase one's net, patches and all.
+			sendDeliversServed(t, hyb, fmt.Sprintf("seed %d step %d, hybrid", seed, step))
 			single := len(src.Snapshot().Failed()) == 1
 			for s := 0; s < g.Order(); s++ {
 				for d := 0; d < g.Order(); d++ {

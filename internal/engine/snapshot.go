@@ -12,6 +12,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"rbpc/internal/graph"
@@ -21,7 +23,8 @@ import (
 
 // Route is one served answer. For source-scheme answers (Via ==
 // SchemeSource) it is the LSP concatenation currently restoring the pair,
-// its label stack as pushed by the source router, and its cost in the
+// its label stack as pushed by the source router — the pair's FEC entry,
+// which Snapshot.Send reads from here — and its cost in the
 // original graph (which, by construction, is the true post-failure
 // shortest distance). For local-scheme answers (Via == SchemeLocal /
 // SchemeBypass) the source keeps pushing its canonical stack and the
@@ -64,7 +67,11 @@ type Snapshot struct {
 	// the current failed-set touches (nil entry = the source serves pure
 	// canonical; nil slice = no source diverges, which is every pristine
 	// epoch and every repair back to one). A read consults the overlay
-	// first and falls back to canonical.
+	// first and falls back to canonical. Row src of the matrix is also
+	// source src's FEC table — each entry's Stack is what src pushes for
+	// that destination (Send) — so the paper's per-transition FEC delta is
+	// the rows that moved between two epochs, and pointer-shared rows make
+	// the rest free.
 	canon [][]*Route
 	over  []*planRow
 
@@ -92,12 +99,12 @@ type Snapshot struct {
 	detected   time.Time
 	clock      func() time.Time
 	srcReady   bool
-	// localNet is the hybrid phase-one forwarding plane: canonical FEC
-	// entries over the patched ILM rows. Pre-horizon sources forward
-	// through it (they have not heard of the transition, so they still
-	// push canonical stacks); net above carries the phase-two source-plan
-	// FEC rewrites. Nil outside hybrid phase two.
-	localNet *mpls.Network
+	// preOver is the overlay the transition began with, which phase one
+	// served: a hybrid phase-two source whose flood horizon has not passed
+	// has not heard of the transition and still pushes from it (Send). Its
+	// rows are the previous epoch's, already accounted there, so rowBytes
+	// does not count them. Nil outside hybrid phase two.
+	preOver []*planRow
 }
 
 // Epoch returns the snapshot's sequence number (0 = pristine).
@@ -116,21 +123,44 @@ func (s *Snapshot) Key() string { return s.key }
 // View returns the epoch's failure view of the topology.
 func (s *Snapshot) View() *graph.FailureView { return s.fv }
 
-// Net returns the epoch's forwarding plane. It is safe for concurrent
-// packet forwarding (reads); it must not be mutated.
+// Net returns the epoch's forwarding plane: ILM tables (local-scheme
+// patches included), the LSP registry and link state. It is safe for
+// concurrent packet forwarding (reads); it must not be mutated. Its FEC
+// tables are the provision's, which the engine never maintains — the
+// epoch's FEC tables are the snapshot's rows, and Send is the ingress. Nil
+// on a replica decoded off the wire.
 func (s *Snapshot) Net() *mpls.Network { return s.net }
 
-// DataPlane returns the forwarding plane src's traffic actually traverses
-// in this epoch. It differs from Net only in hybrid phase two for a
-// source whose flood horizon has not passed: that source still pushes its
-// canonical stack through the patched phase-one net — it has not heard of
-// the transition, so the source-plan FEC rewrites in Net haven't reached
-// it. Probes of a served answer should forward through DataPlane(src).
-func (s *Snapshot) DataPlane(src graph.NodeID) *mpls.Network {
-	if s.localNet != nil && !s.pastHorizon(src) {
-		return s.localNet
+// ErrNoDataPlane is Send's answer on a snapshot that holds no network: a
+// replica decoded off the wire is a control-plane view, and only the worker
+// that owns the shard's data plane can walk it.
+var ErrNoDataPlane = errors.New("engine: snapshot holds no data plane")
+
+// Send injects a packet for dst at src and forwards it over the epoch's ILM
+// tables and link state: src pushes the stack of its entry in this epoch's
+// matrix — the overlay's, else the canonical one. A local or bypass answer
+// changes nothing at the source, which pushes what it pushed while the
+// patched ILM rows do the rest; and a hybrid phase-two source the flood has
+// not reached still pushes from the overlay the transition began with. A
+// pair with no entry, or an unroutable one, is mpls.ErrNoRoute.
+func (s *Snapshot) Send(src, dst graph.NodeID) (*mpls.Packet, error) {
+	if s.net == nil {
+		return nil, ErrNoDataPlane
 	}
-	return s.net
+	rows := s.over
+	if s.srcReady && !s.pastHorizon(src) {
+		rows = s.preOver
+	}
+	rt, ok := rowsGet(rows, src, dst)
+	if !ok {
+		if row := s.canon[src]; row != nil {
+			rt = row[dst]
+		}
+	}
+	if rt == nil {
+		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, mpls.ErrNoRoute)
+	}
+	return s.net.Send(src, dst, rt.Stack)
 }
 
 // Oracle returns shortest-path distances in the epoch's failure view,

@@ -133,8 +133,8 @@ func (k *Kernel) ArcUsable(a CSRArc) bool {
 
 // CompileView lowers a View to its Kernel. It succeeds for the two concrete
 // view types this package defines — a whole *Graph and a *FailureView —
-// and reports false for anything else, in which case callers fall back to
-// the generic VisitArcs interface.
+// and reports false for anything else, which no search can run on: the
+// shortest-path engine (internal/spath) refuses such a view by panic.
 func CompileView(v View) (Kernel, bool) {
 	switch t := v.(type) {
 	case *Graph:

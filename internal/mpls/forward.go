@@ -58,15 +58,29 @@ func (n *Network) SendIP(src, dst graph.NodeID) (*Packet, error) {
 	if !ok {
 		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, ErrNoRoute)
 	}
+	return n.inject(src, dst, fe.Stack, fe.OutEdge)
+}
+
+// Send is SendIP for an ingress whose FEC row the caller holds: src pushes
+// stack (bottom first; it is copied) on a packet for dst and processes it
+// locally, as a row with OutEdge == LocalProcess does. The online engine's
+// FEC table is its routing matrix, not the network's, and enters here.
+func (n *Network) Send(src, dst graph.NodeID, stack []Label) (*Packet, error) {
+	return n.inject(src, dst, stack, LocalProcess)
+}
+
+// inject labels a packet at src, sends it out on first unless that is
+// LocalProcess, and forwards it.
+func (n *Network) inject(src, dst graph.NodeID, stack []Label, first graph.EdgeID) (*Packet, error) {
 	pkt := &Packet{
 		Src: src, Dst: dst,
-		Stack: append([]Label(nil), fe.Stack...),
+		Stack: append([]Label(nil), stack...),
 		At:    src,
 		TTL:   DefaultTTL,
 		Trace: []graph.NodeID{src},
 	}
-	if fe.OutEdge != LocalProcess {
-		if err := n.transmit(pkt, fe.OutEdge); err != nil {
+	if first != LocalProcess {
+		if err := n.transmit(pkt, first); err != nil {
 			return pkt, err
 		}
 	}
@@ -80,18 +94,7 @@ func (n *Network) SendOnLSPs(dst graph.NodeID, lsps []*LSP) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := lsps[0].Ingress()
-	pkt := &Packet{
-		Src: src, Dst: dst,
-		Stack: stack,
-		At:    src,
-		TTL:   DefaultTTL,
-		Trace: []graph.NodeID{src},
-	}
-	if err := n.transmit(pkt, first); err != nil {
-		return pkt, err
-	}
-	return pkt, n.Forward(pkt)
+	return n.inject(lsps[0].Ingress(), dst, stack, first)
 }
 
 // Forward runs the label-switching loop until the packet is delivered (at

@@ -2,6 +2,7 @@ package mpls
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rbpc/internal/graph"
@@ -243,6 +244,46 @@ func TestSendIPUsesFEC(t *testing.T) {
 	}
 	if _, ok := n.Router(0).FECEntryFor(3); !ok {
 		t.Error("FECEntryFor")
+	}
+}
+
+// TestSendPushesGivenStack: Send with a FEC row's stack is SendIP — same
+// walk, same delivery — without the row being installed; it drops on a dead
+// link and reports ErrNoRoute for a label no router holds.
+func TestSendPushesGivenStack(t *testing.T) {
+	g := line5()
+	n := NewNetwork(g)
+	a, _ := n.EstablishLSP(pathOf(g, 0, 1, 2))
+	b, _ := n.EstablishLSP(pathOf(g, 2, 3, 4))
+	stack, err := SelfStack([]*LSP{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetFEC(0, 4, FECEntry{Stack: stack, OutEdge: LocalProcess})
+	want, err := n.SendIP(0, 4)
+	if err != nil {
+		t.Fatalf("SendIP: %v", err)
+	}
+	got, err := n.Send(0, 4, stack)
+	if err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if got.At != 4 || got.Hops != want.Hops || !slices.Equal(got.Trace, want.Trace) {
+		t.Errorf("Send walked %v (%d hops, at %d), SendIP %v (%d hops)", got.Trace, got.Hops, got.At, want.Trace, want.Hops)
+	}
+	if len(stack) != 2 || stack[0] != b.SelfLabel() {
+		t.Errorf("Send consumed the caller's stack: %v", stack)
+	}
+	if fec := n.Stats().FECUpdates; fec != 1 {
+		t.Errorf("FECUpdates = %d after one SetFEC", fec)
+	}
+
+	n.FailEdge(g.Edges()[2].ID) // link 2-3
+	if pkt, err := n.Send(0, 4, stack); !errors.Is(err, ErrLinkDown) || pkt.At != 2 {
+		t.Errorf("dead link: pkt at %d, err = %v, want ErrLinkDown at 2", pkt.At, err)
+	}
+	if _, err := n.Send(0, 4, []Label{9999}); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("unknown label: err = %v, want ErrNoRoute", err)
 	}
 }
 

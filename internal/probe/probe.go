@@ -61,7 +61,7 @@ func Verdict(res engine.Result, ed graph.EdgeID) ProbeResult {
 		}
 	}
 	if v.FailedContains && v.Routable {
-		pkt, err := res.Snap.DataPlane(res.Src).SendIP(res.Src, res.Dst)
+		pkt, err := res.Snap.Send(res.Src, res.Dst)
 		v.Delivered = err == nil && pkt.At == res.Dst
 	}
 	return v

@@ -1,6 +1,7 @@
 package spath
 
 import (
+	"fmt"
 	"sync"
 
 	"rbpc/internal/graph"
@@ -17,11 +18,11 @@ import (
 //     invalidates every label of the previous run in O(1), and a lazily
 //     (re)initialized "touched" list records exactly the nodes the current
 //     run labeled.
-//   - Views whose concrete type the engine knows (*graph.Graph,
-//     *graph.FailureView, and PaddedView over either) are lowered to the
-//     graph's compiled CSR kernel, replacing the per-arc visitor closure
-//     and the Edge(id).W indirection with a flat slice walk. Any other
-//     View still works through the generic interface.
+//   - Every view is lowered to the graph's compiled CSR kernel
+//     (*graph.Graph, *graph.FailureView, and PaddedView over either — the
+//     views this repository defines), replacing the per-arc visitor closure
+//     and the Edge(id).W indirection with a flat slice walk. A view of any
+//     other type is refused by panic (compileView), not searched slowly.
 //
 // Results are read from the Solver itself (Dist, Hops, Parent, PathTo) and
 // remain valid until the next Solve; Tree materializes a standalone
@@ -40,7 +41,6 @@ type Solver struct {
 	parentE []graph.EdgeID
 
 	gen     []uint32       // gen[v] == cur: v is labeled in the current run
-	mark    []uint32       // mark[v] == cur: secondary flag (settled in BidiDist)
 	cur     uint32         // current generation
 	touched []graph.NodeID // nodes labeled in the current run
 
@@ -64,7 +64,6 @@ func (s *Solver) grow(n int) {
 	s.parent = make([]graph.NodeID, n)
 	s.parentE = make([]graph.EdgeID, n)
 	s.gen = make([]uint32, n)
-	s.mark = make([]uint32, n)
 	s.cur = 0
 	s.heap = pqueue.New(n)
 	if cap(s.queue) < n {
@@ -83,7 +82,6 @@ func (s *Solver) begin(n int, src graph.NodeID) {
 	s.cur++
 	if s.cur == 0 { // generation counter wrapped: hard-reset the stamps
 		clear(s.gen)
-		clear(s.mark)
 		s.cur = 1
 	}
 	s.touched = s.touched[:0]
@@ -106,13 +104,6 @@ func (s *Solver) label(v graph.NodeID) bool {
 	s.parentE[v] = -1
 	s.touched = append(s.touched, v)
 	return true
-}
-
-func (s *Solver) labeled(v graph.NodeID) bool { return s.gen[v] == s.cur }
-
-func (s *Solver) setMark(v graph.NodeID) { s.mark[v] = s.cur }
-func (s *Solver) marked(v graph.NodeID) bool {
-	return s.mark[v] == s.cur
 }
 
 // Source returns the source of the last Solve.
@@ -194,18 +185,20 @@ func (s *Solver) Tree() *Tree {
 }
 
 // compileView lowers a view to the flat CSR kernel plus the padding
-// magnitude to apply per edge (0 for unpadded views). It reports false for
-// view types the kernel cannot represent, in which case the solver runs the
-// generic VisitArcs path.
-func compileView(v graph.View) (graph.Kernel, float64, bool) {
+// magnitude to apply per edge (0 for unpadded views). Every search in this
+// package runs on the kernel, so a view it cannot represent — a type other
+// than the graph package's two and PaddedView over them — is a programming
+// error, reported by a panic naming the type.
+func compileView(v graph.View) (graph.Kernel, float64) {
+	under, eps := v, 0.0
 	if p, ok := v.(*PaddedView); ok {
-		if k, ok := graph.CompileView(p.under); ok {
-			return k, p.eps, true
-		}
-		return graph.Kernel{}, 0, false
+		under, eps = p.under, p.eps
 	}
-	k, ok := graph.CompileView(v)
-	return k, 0, ok
+	k, ok := graph.CompileView(under)
+	if !ok {
+		panic(fmt.Sprintf("spath: no CSR kernel for a view of type %T", under))
+	}
+	return k, eps
 }
 
 // Solve runs SSSP on v from src: BFS when all usable weights are 1,
@@ -222,28 +215,21 @@ func (s *Solver) solveBFS(v graph.View, src graph.NodeID) {
 	s.begin(v.Order(), src)
 	s.label(src)
 	s.dist[src] = 0
-	if k, _, ok := compileView(v); ok {
-		s.bfsKernel(&k, src)
-		return
-	}
-	s.bfsGeneric(v, src)
+	k, _ := compileView(v)
+	s.bfsKernel(&k, src)
 }
 
 func (s *Solver) solveDijkstra(v graph.View, src graph.NodeID) {
 	s.begin(v.Order(), src)
 	s.label(src)
 	s.dist[src] = 0
-	if k, eps, ok := compileView(v); ok {
-		s.dijkstraKernel(&k, eps, src)
-		return
-	}
-	s.dijkstraGeneric(v, src)
+	k, eps := compileView(v)
+	s.dijkstraKernel(&k, eps, src)
 }
 
-// bfsKernel is the flat-adjacency BFS. The branch structure mirrors the
-// generic version exactly so tie-breaking is identical. Scratch fields are
-// hoisted into locals so the inner loop indexes slices directly instead of
-// re-loading them through the receiver per relaxation.
+// bfsKernel is the flat-adjacency BFS. Scratch fields are hoisted into
+// locals so the inner loop indexes slices directly instead of re-loading
+// them through the receiver per relaxation.
 //
 //rbpc:hotpath
 func (s *Solver) bfsKernel(k *graph.Kernel, src graph.NodeID) {
@@ -289,35 +275,6 @@ func (s *Solver) bfsKernel(k *graph.Kernel, src graph.NodeID) {
 		}
 	}
 	s.touched = touched
-	s.queue = queue[:0]
-}
-
-func (s *Solver) bfsGeneric(v graph.View, src graph.NodeID) {
-	queue := append(s.queue, src)
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		du := s.dist[u]
-		hu := s.hops[u]
-		v.VisitArcs(u, func(a graph.Arc) bool {
-			to := a.To
-			switch {
-			case s.gen[to] != s.cur:
-				s.gen[to] = s.cur
-				s.dist[to] = du + 1
-				s.hops[to] = hu + 1
-				s.parent[to] = u
-				s.parentE[to] = a.Edge
-				s.touched = append(s.touched, to)
-				queue = append(queue, to)
-			case s.dist[to] == du+1:
-				if betterParent(hu+1, u, a.Edge, s.hops[to], s.parent[to], s.parentE[to]) {
-					s.parent[to] = u
-					s.parentE[to] = a.Edge
-				}
-			}
-			return true
-		})
-	}
 	s.queue = queue[:0]
 }
 
@@ -385,42 +342,7 @@ func (s *Solver) dijkstraKernel(k *graph.Kernel, eps float64, src graph.NodeID) 
 	s.touched = touched
 }
 
-func (s *Solver) dijkstraGeneric(v graph.View, src graph.NodeID) {
-	h := s.heap
-	h.Push(int(src), 0)
-	for h.Len() > 0 {
-		ui, du := h.Pop()
-		u := graph.NodeID(ui)
-		if du > s.dist[u] {
-			continue
-		}
-		hu := s.hops[u]
-		v.VisitArcs(u, func(a graph.Arc) bool {
-			to := a.To
-			nd := du + v.Edge(a.Edge).W
-			if s.gen[to] != s.cur {
-				s.label(to)
-			}
-			switch {
-			case nd < s.dist[to]:
-				s.dist[to] = nd
-				s.hops[to] = hu + 1
-				s.parent[to] = u
-				s.parentE[to] = a.Edge
-				h.PushOrDecrease(int(to), nd)
-			case nd == s.dist[to]:
-				if betterParent(hu+1, u, a.Edge, s.hops[to], s.parent[to], s.parentE[to]) {
-					s.hops[to] = hu + 1
-					s.parent[to] = u
-					s.parentE[to] = a.Edge
-				}
-			}
-			return true
-		})
-	}
-}
-
-// solverPool recycles Solvers across Compute/DistTo/BidiDist calls, so the
+// solverPool recycles Solvers across Compute/DistTo calls, so the
 // steady-state hot path of the evaluation allocates only the result values
 // it returns.
 var solverPool = sync.Pool{New: func() any { return NewSolver(0) }}

@@ -9,7 +9,9 @@ package spath
 // every topology generator.
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -207,8 +209,8 @@ func randomView(rng *rand.Rand, g *graph.Graph) graph.View {
 
 // TestQuickKernelMatchesReference is the old-vs-new equivalence property:
 // the CSR/solver Compute must reproduce the reference trees exactly on
-// random graphs under random failure overlays and padding, and DistTo and
-// BidiDist must agree with their references too.
+// random graphs under random failure overlays and padding, and DistTo must
+// agree with its reference too.
 func TestQuickKernelMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,17 +232,6 @@ func TestQuickKernelMatchesReference(t *testing.T) {
 			wd, wh, wok := referenceDistTo(v, src, dst)
 			if gd != wd || gh != wh || gok != wok {
 				t.Fatalf("DistTo(%d,%d) = (%v,%d,%v), want (%v,%d,%v)", src, dst, gd, gh, gok, wd, wh, wok)
-			}
-			// Skip padded views for the BidiDist cross-check: integer
-			// weights sum exactly in float64 so the bidirectional meeting
-			// sum equals the forward tree distance, but padded
-			// perturbations accumulate in a different order on the
-			// backward frontier and may differ in the last ulp.
-			if _, padded := v.(*PaddedView); !padded {
-				bd, bok := BidiDist(v, src, dst)
-				if bok != wok || (bok && bd != want.Dist(dst)) {
-					t.Fatalf("BidiDist(%d,%d) = (%v,%v), want (%v,%v)", src, dst, bd, bok, want.Dist(dst), wok)
-				}
 			}
 		}
 		return true
@@ -365,43 +356,30 @@ func TestSolverRemovedSource(t *testing.T) {
 	if _, _, ok := DistTo(fv, 1, 3); ok {
 		t.Error("DistTo from removed source should fail")
 	}
-	if _, ok := BidiDist(fv, 0, 1); ok {
-		t.Error("BidiDist to removed target should fail")
-	}
-	if d, ok := BidiDist(fv, 1, 1); !ok || d != 0 {
-		t.Errorf("BidiDist(removed, same) = %v,%v; want 0,true", d, ok)
-	}
 }
 
-// fallbackView hides the concrete type of a view so CompileView fails and
-// the solver exercises its generic path.
-type fallbackView struct{ graph.View }
+// foreignView hides the concrete type of a view, so graph.CompileView
+// cannot lower it.
+type foreignView struct{ graph.View }
 
-func TestSolverGenericFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		unit := rng.Intn(2) == 0
-		w := intWeights(rng, 5)
-		if unit {
-			w = func() float64 { return 1 }
-		}
-		g := randomConnected(rng, n, rng.Intn(n), w)
-		v := fallbackView{g}
-		if _, _, ok := compileView(v); ok {
-			t.Fatal("fallbackView unexpectedly compiled")
-		}
-		src := graph.NodeID(rng.Intn(n))
-		sameTree(t, Compute(v, src), referenceCompute(g, src), n, "generic fallback")
-		dst := graph.NodeID(rng.Intn(n))
-		gd, gh, gok := DistTo(v, src, dst)
-		wd, wh, wok := referenceDistTo(g, src, dst)
-		if gd != wd || gh != wh || gok != wok {
-			t.Fatalf("generic DistTo = (%v,%d,%v), want (%v,%d,%v)", gd, gh, gok, wd, wh, wok)
-		}
-		bd, bok := BidiDist(v, src, dst)
-		if bok != wok || (bok && bd != wd) {
-			t.Fatalf("generic BidiDist = (%v,%v), want (%v,%v)", bd, bok, wd, wok)
+// TestForeignViewPanics: every search runs on the CSR kernel, and a view it
+// cannot be lowered to is refused loudly — a panic naming the type — bare
+// and under padding, instead of being searched by some slower arm.
+func TestForeignViewPanics(t *testing.T) {
+	g := lineGraph(4)
+	for name, search := range map[string]func(graph.View){
+		"Compute": func(v graph.View) { Compute(v, 0) },
+		"DistTo":  func(v graph.View) { DistTo(v, 0, 3) },
+	} {
+		for _, v := range []graph.View{foreignView{g}, Padded(foreignView{g}, PaddingFor(g))} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "foreignView") {
+						t.Errorf("%s on %T: recovered %q, want a panic naming the view's type", name, v, msg)
+					}
+				}()
+				search(v)
+			}()
 		}
 	}
 }

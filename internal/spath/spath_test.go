@@ -150,6 +150,24 @@ func TestFailureViewChangesPath(t *testing.T) {
 	}
 }
 
+// bfs and dijkstra force one algorithm regardless of UnitWeights, for the
+// unit-weight cross-check below.
+func bfs(v graph.View, src graph.NodeID) *Tree {
+	s := AcquireSolver(v.Order())
+	s.solveBFS(v, src)
+	t := s.Tree()
+	ReleaseSolver(s)
+	return t
+}
+
+func dijkstra(v graph.View, src graph.NodeID) *Tree {
+	s := AcquireSolver(v.Order())
+	s.solveDijkstra(v, src)
+	t := s.Tree()
+	ReleaseSolver(s)
+	return t
+}
+
 func TestBFSAndDijkstraAgreeOnUnitWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {

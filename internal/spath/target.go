@@ -30,10 +30,8 @@ func (s *Solver) bfsTo(v graph.View, src, tgt graph.NodeID) (float64, int, bool)
 	s.begin(v.Order(), src)
 	s.label(src)
 	s.dist[src] = 0
-	if k, _, ok := compileView(v); ok {
-		return s.bfsToKernel(&k, src, tgt)
-	}
-	return s.bfsToGeneric(v, src, tgt)
+	k, _ := compileView(v)
+	return s.bfsToKernel(&k, src, tgt)
 }
 
 func (s *Solver) bfsToKernel(k *graph.Kernel, src, tgt graph.NodeID) (float64, int, bool) {
@@ -69,35 +67,6 @@ func (s *Solver) bfsToKernel(k *graph.Kernel, src, tgt graph.NodeID) (float64, i
 	return Unreachable, 0, false
 }
 
-func (s *Solver) bfsToGeneric(v graph.View, src, tgt graph.NodeID) (float64, int, bool) {
-	queue := append(s.queue, src)
-	defer func() { s.queue = queue[:0] }()
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		du := s.dist[u]
-		found := false
-		v.VisitArcs(u, func(a graph.Arc) bool {
-			to := a.To
-			if s.gen[to] == s.cur {
-				return true
-			}
-			s.gen[to] = s.cur
-			s.dist[to] = du + 1
-			s.touched = append(s.touched, to)
-			if to == tgt {
-				found = true
-				return false
-			}
-			queue = append(queue, to)
-			return true
-		})
-		if found {
-			return du + 1, int(du) + 1, true
-		}
-	}
-	return Unreachable, 0, false
-}
-
 // dijkstraTo is an early-terminating Dijkstra: it returns as soon as tgt is
 // settled. Among equal-cost paths it reports the minimum hop count, the
 // same tie-break the previous implementation used.
@@ -105,10 +74,8 @@ func (s *Solver) dijkstraTo(v graph.View, src, tgt graph.NodeID) (float64, int, 
 	s.begin(v.Order(), src)
 	s.label(src)
 	s.dist[src] = 0
-	if k, eps, ok := compileView(v); ok {
-		return s.dijkstraToKernel(&k, eps, src, tgt)
-	}
-	return s.dijkstraToGeneric(v, src, tgt)
+	k, eps := compileView(v)
+	return s.dijkstraToKernel(&k, eps, src, tgt)
 }
 
 func (s *Solver) dijkstraToKernel(k *graph.Kernel, eps float64, src, tgt graph.NodeID) (float64, int, bool) {
@@ -153,39 +120,6 @@ func (s *Solver) dijkstraToKernel(k *graph.Kernel, eps float64, src, tgt graph.N
 				s.hops[to] = hu + 1
 			}
 		}
-	}
-	return Unreachable, 0, false
-}
-
-func (s *Solver) dijkstraToGeneric(v graph.View, src, tgt graph.NodeID) (float64, int, bool) {
-	h := s.heap
-	h.Push(int(src), 0)
-	for h.Len() > 0 {
-		ui, du := h.Pop()
-		u := graph.NodeID(ui)
-		if du > s.dist[u] {
-			continue
-		}
-		if u == tgt {
-			return s.dist[u], int(s.hops[u]), true
-		}
-		hu := s.hops[u]
-		v.VisitArcs(u, func(a graph.Arc) bool {
-			to := a.To
-			nd := du + v.Edge(a.Edge).W
-			if s.gen[to] != s.cur {
-				s.label(to)
-			}
-			switch {
-			case nd < s.dist[to]:
-				s.dist[to] = nd
-				s.hops[to] = hu + 1
-				h.PushOrDecrease(int(to), nd)
-			case nd == s.dist[to] && hu+1 < s.hops[to]:
-				s.hops[to] = hu + 1
-			}
-			return true
-		})
 	}
 	return Unreachable, 0, false
 }

@@ -85,19 +85,6 @@ func TestDistToUnreachableAndFailureViews(t *testing.T) {
 	}
 }
 
-func TestMatrixHops(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	m, err := AllPairs(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hops(0, 2) != 2 || m.Hops(0, 1) != 1 || m.Hops(1, 1) != 0 {
-		t.Errorf("Hops wrong: %d %d %d", m.Hops(0, 2), m.Hops(0, 1), m.Hops(1, 1))
-	}
-}
-
 func TestOracleViewAndCap(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)

@@ -176,24 +176,6 @@ func betterParent(h int32, p graph.NodeID, e graph.EdgeID, ch int32, cp graph.No
 	return e < ce
 }
 
-// bfs and dijkstra force one algorithm regardless of UnitWeights; they back
-// Compute's dispatch tests and the unit-weight cross-checks.
-func bfs(v graph.View, src graph.NodeID) *Tree {
-	s := AcquireSolver(v.Order())
-	s.solveBFS(v, src)
-	t := s.Tree()
-	ReleaseSolver(s)
-	return t
-}
-
-func dijkstra(v graph.View, src graph.NodeID) *Tree {
-	s := AcquireSolver(v.Order())
-	s.solveDijkstra(v, src)
-	t := s.Tree()
-	ReleaseSolver(s)
-	return t
-}
-
 // ShortestPath returns a shortest path from s to d in v, or false if d is
 // unreachable. The path is the deterministic tree path (see Tree).
 func ShortestPath(v graph.View, s, d graph.NodeID) (graph.Path, bool) {

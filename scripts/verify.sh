@@ -24,26 +24,39 @@ fi
 
 # The engine has one serving-row representation, and a plan is held in it
 # from the solver to the snapshot (DESIGN.md §9, §12). These are the names
-# of the deleted dense rows and of the deleted bridge from a map-shaped plan
-# into rows; whole-word, so test names that contain them do not trip the
-# gate.
+# of the deleted dense rows, of the deleted bridge from a map-shaped plan
+# into rows, of the deleted mirror of the rows into the network's FEC tables
+# (with hybrid's second network and the fault that could desynchronise
+# them), and of the deleted searches over views no kernel compiles;
+# whole-word, so test names that contain them do not trip the gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay' -- '*.go'; then
-	echo "verify: a retired plan-row identifier reappeared (see above)" >&2
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric' -- '*.go'; then
+	echo "verify: a retired identifier reappeared (see above)" >&2
 	exit 1
 fi
 
-# The writer classifies, merges and diffs by walking sorted rows against
+# A source's row in the snapshot is its FEC table and Snapshot.Send is the
+# one ingress (DESIGN.md §12): the serving stack neither writes nor reads a
+# network's FEC tables, which stay the provisioner's (rbpc.System).
+echo "==> the serving stack touches no FEC table"
+if git grep -nE 'SetFEC\(|ClearFEC\(|FECEntryFor\(|SendIP\(' -- \
+	'internal/engine/*.go' 'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/probe/*.go' 'internal/chaos/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: a FEC-table call under the serving stack; go through Snapshot.Send (see above)" >&2
+	exit 1
+fi
+
+# The writer classifies and merges by walking sorted rows against
 # writer-owned scratch (DESIGN.md §12); a map built per transition — pairs
 # to recompute, destinations by source, the edges just down — is the form
 # that walk replaced. downCount, the membership counts, is the one map the
 # pipeline reads, and it lives on the engine.
-echo "==> incrementalPlan, publish and syncFEC build no map per transition"
+echo "==> incrementalPlan and publish build no map per transition"
 if git grep -nW 'make(map\[' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
 	awk '/=[0-9]+=/ { fn = $0 }
-		/:[0-9]+:.*make\(map\[/ && fn ~ /\) (incrementalPlan|publish|syncFEC)\(/ { print fn; print; bad = 1 }
+		/:[0-9]+:.*make\(map\[/ && fn ~ /\) (incrementalPlan|publish)\(/ { print fn; print; bad = 1 }
 		END { exit !bad }'; then
-	echo "verify: a per-transition map in incrementalPlan/publish/syncFEC (see above)" >&2
+	echo "verify: a per-transition map in incrementalPlan/publish (see above)" >&2
 	exit 1
 fi
 
