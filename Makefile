@@ -44,10 +44,10 @@ verify:
 
 # Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op), an epoch
 # tree with 1-3 links down derived from the pristine tree against computed
-# from scratch (<= 2 allocs asserted on the derived arm), the LSP
-# registry key, the snapshot read path (Snapshot.Route over the nil
-# overlay, an overlay hit and miss, and the hybrid local rows for an
-# affected and an unaffected pair; 0 allocs asserted), a query worker's
+# from scratch (<= 2 allocs asserted on the derived arm), the snapshot
+# read path (Snapshot.Route over the nil overlay, an overlay hit and miss,
+# and the hybrid local rows for an affected and an unaffected pair; 0
+# allocs asserted), a query worker's
 # cost per answer of a submitted burst, a local-scheme transition with
 # three links down, a phase-two transition of the writer in the benchmark
 # of record's shape (three-link episodes, plan cache of three: ns and
@@ -60,7 +60,6 @@ verify:
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
-	$(GO) test -run '^$$' -bench BenchmarkPathKey -benchmem -benchtime $(BENCHTIME) ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/

@@ -423,8 +423,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st.Queries, res.elapsed.Round(time.Millisecond), float64(st.Queries)/res.elapsed.Seconds(), *qps, st.Dropped)
 	fmt.Fprintf(stdout, "query latency: p50 %v  p99 %v  max %v\n",
 		st.QueryLatency.P50, st.QueryLatency.P99, st.QueryLatency.Max)
-	fmt.Fprintf(stdout, "epochs: %d published (build p50 %v, p99 %v), plan cache hit rate %.2f, %d on-demand LSPs\n",
-		st.Epochs, st.EpochBuild.P50, st.EpochBuild.P99, hitRate, st.OnDemandLSPs)
+	fmt.Fprintf(stdout, "epochs: %d published (build p50 %v, p99 %v), plan cache hit rate %.2f\n",
+		st.Epochs, st.EpochBuild.P50, st.EpochBuild.P99, hitRate)
 	fmt.Fprintf(stdout, "unroutable answers: %d; final epoch %d with %d links down\n",
 		st.Unroutable, st.Epoch, res.linksDown)
 	if st.Restore.Count > 0 {

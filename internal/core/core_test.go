@@ -186,6 +186,11 @@ func TestSparseMatchesShortestCost(t *testing.T) {
 				t.Fatalf("trial %d: sparse concatenation invalid in view: %v", trial, err)
 			}
 		}
+		for _, c := range dec.Components {
+			if c.Base != 0 {
+				t.Fatalf("trial %d: an implicit base set has no positions, yet %v carries index %d", trial, c.Path, c.Base-1)
+			}
+		}
 	}
 }
 

@@ -49,6 +49,11 @@ func (k Kind) String() string {
 type Component struct {
 	Kind Kind
 	Path graph.Path
+	// Base names a KindBasePath component drawn from a materialized base
+	// set by position: 1 + its paths.Explicit index, which the provisioned
+	// LSP tables are laid out by. Zero is "none" — a bare edge, an implicit
+	// base set, a literal that forgets the field — never base path 0.
+	Base int32
 }
 
 // Decomposition is a restoration path expressed as a concatenation of

@@ -44,14 +44,15 @@ type ByCost interface {
 
 // LiveColumns is a pre-filtered candidate source (see paths.LiveIndex):
 // per source, the cost-sorted columns already restricted to paths that
-// survive the solver's failure view. With one installed (SetLiveIndex) the
-// scan needs no per-candidate liveness test at all — the filtering was
-// paid once per epoch, only for sources the failure delta touched. The
-// caller owns the contract that the index's failure state matches the
-// solver's view.
+// survive the solver's failure view, the third column naming each
+// candidate by its base-set index (what Component.Base carries, and what
+// PathAt takes). With one installed (SetLiveIndex) the scan needs no
+// per-candidate liveness test at all — the filtering was paid once per
+// epoch, only for sources the failure delta touched. The caller owns the
+// contract that the index's failure state matches the solver's view.
 type LiveColumns interface {
-	LiveFromSource(u graph.NodeID) (costs []float64, dsts []int32, keys []int32)
-	PathAt(k int32) graph.Path
+	LiveFromSource(u graph.NodeID) (costs []float64, dsts []int32, idx []int32)
+	PathAt(idx int32) graph.Path
 }
 
 // SparseSolver runs minimum-cost restoration-path searches on the
@@ -412,7 +413,7 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 						l.dist = total
 						l.comps = tc
 						l.prev = int32(u)
-						ss.prevComp[v] = Component{Kind: KindBasePath, Path: ss.lc.PathAt(lcKeys[j])}
+						ss.prevComp[v] = Component{Kind: KindBasePath, Path: ss.lc.PathAt(lcKeys[j]), Base: lcKeys[j] + 1}
 						pq.push(sparseItem{node: v, cost: total, comps: tc})
 					}
 				}
@@ -421,7 +422,7 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 			for j, c := range lcCosts {
 				v := graph.NodeID(lcDsts[j])
 				if total, tc := du+c, cu+1; ss.offer(v, total, tc) {
-					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.lc.PathAt(lcKeys[j])})
+					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.lc.PathAt(lcKeys[j]), Base: lcKeys[j] + 1})
 				}
 			}
 		case ss.ci != nil:
@@ -444,7 +445,7 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 					continue
 				}
 				if total, tc := du+c, cu+1; ss.offer(v, total, tc) {
-					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.ci.PathAt(k)})
+					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.ci.PathAt(k), Base: ss.ciIdx[k] + 1})
 				}
 			}
 		case ss.src != nil:
@@ -455,10 +456,13 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 					continue
 				}
 				v := sp.Path.Dst()
-				if bounded && (du+sp.Cost > maxTotal || du+sp.Cost > ss.lab[v].bnd) {
+				total := du + sp.Cost
+				if bounded && (total > maxTotal || total > ss.lab[v].bnd) {
 					continue
 				}
-				ss.relax(u, v, sp.Cost, 1, Component{Kind: KindBasePath, Path: sp.Path})
+				if tc := cu + 1; ss.offer(v, total, tc) {
+					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: sp.Path, Base: int32(sp.Index) + 1})
+				}
 			}
 		default:
 			for v := 0; v < n; v++ {
@@ -467,7 +471,9 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 					continue
 				}
 				if p, ok := ss.base.Between(u, vv); ok && paths.Survives(p, fv) {
-					ss.relax(u, vv, p.CostIn(ss.orig), 1, Component{Kind: KindBasePath, Path: p})
+					if total, tc := du+p.CostIn(ss.orig), cu+1; ss.offer(vv, total, tc) {
+						ss.commit(u, vv, total, tc, Component{Kind: KindBasePath, Path: p})
+					}
 				}
 			}
 		}
@@ -572,14 +578,6 @@ func (ss *SparseSolver) commit(u, v graph.NodeID, total float64, tc int32, comp 
 	ss.pq.push(sparseItem{node: v, cost: total, comps: tc})
 }
 
-func (ss *SparseSolver) relax(u, v graph.NodeID, cost float64, nc int32, comp Component) {
-	total := ss.lab[u].dist + cost
-	tc := ss.lab[u].comps + nc
-	if ss.offer(v, total, tc) {
-		ss.commit(u, v, total, tc, comp)
-	}
-}
-
 // sparseItem orders Dijkstra's frontier by (cost, component count, node ID).
 type sparseItem struct {
 	node  graph.NodeID
@@ -590,7 +588,7 @@ type sparseItem struct {
 // sparseHeap is a concrete binary min-heap over sparseItem. It replaces
 // container/heap on the solver's hottest loop: the interface-based API
 // boxes every pushed item onto the heap (one allocation per relaxation).
-// The (cost, comps, node) key is a total order and relax never pushes the
+// The (cost, comps, node) key is a total order and commit never pushes the
 // same triple twice, so the pop sequence is uniquely determined by the
 // item set — any conforming heap, this one included, is observationally
 // identical to the previous implementation.

@@ -104,6 +104,10 @@ func TestBatchedSolveBitIdenticalToPairSolves(t *testing.T) {
 						t.Fatalf("trial %d burst %d s=%d d=%d: decomposition %v (batched) vs %v (pair)",
 							trial, burst, s, d, gotDecs[i], wantDecs[0])
 					}
+					// The live columns, filtered or aliased, name stored paths.
+					if err := baseNamesPath(ex, gotDecs[i]); err != nil {
+						t.Fatalf("trial %d burst %d s=%d d=%d: %v", trial, burst, s, d, err)
+					}
 				}
 
 				// Ellipse form: a small random target subset (so the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,11 +28,29 @@ func sameDecomposition(a, b Decomposition) bool {
 	}
 	for i := range a.Components {
 		if a.Components[i].Kind != b.Components[i].Kind ||
+			a.Components[i].Base != b.Components[i].Base ||
 			!a.Components[i].Path.Equal(b.Components[i].Path) {
 			return false
 		}
 	}
 	return true
+}
+
+// baseNamesPath checks the identity every scan over a materialized base set
+// hands on: a base-path component's Base names the stored path Equal to its
+// Path, and only a bare edge carries none.
+func baseNamesPath(ex *paths.Explicit, d Decomposition) error {
+	for i, c := range d.Components {
+		switch {
+		case c.Kind == KindEdge && c.Base != 0:
+			return fmt.Errorf("component %d: bare edge %v carries base index %d", i, c.Path, c.Base-1)
+		case c.Kind == KindBasePath && (c.Base < 1 || int(c.Base) > ex.Len()):
+			return fmt.Errorf("component %d: base path %v carries index %d of %d", i, c.Path, c.Base-1, ex.Len())
+		case c.Kind == KindBasePath && !ex.All()[c.Base-1].Equal(c.Path):
+			return fmt.Errorf("component %d: index %d names %v, the component is %v", i, c.Base-1, ex.All()[c.Base-1], c.Path)
+		}
+	}
+	return nil
 }
 
 // TestFromBoundedBitIdenticalToFrom: on random graphs under random edge
@@ -81,6 +100,11 @@ func TestFromBoundedBitIdenticalToFrom(t *testing.T) {
 				if !sameDecomposition(gotDecs[i], wantDecs[i]) {
 					t.Fatalf("trial %d s=%d d=%d: decomposition diverged:\n bounded: %v\n plain:   %v",
 						trial, s, dsts[i], gotDecs[i], wantDecs[i])
+				}
+				// The cost-index scan and the insertion-order scan name the
+				// same stored path (sameDecomposition compared the indices).
+				if err := baseNamesPath(ex, wantDecs[i]); err != nil {
+					t.Fatalf("trial %d s=%d d=%d: %v", trial, s, dsts[i], err)
 				}
 			}
 		}

@@ -320,8 +320,8 @@ func BenchmarkEpochBuild(b *testing.B) {
 				e.ApplyEvents([]failure.Event{ev})
 				e.Flush()
 			}
-			// One cycle off the clock signals the on-demand LSPs and
-			// leaves the cache as every later cycle finds it.
+			// One cycle off the clock warms the pooled solvers and the pristine
+			// trees and leaves the cache as every later cycle finds it.
 			for range cycle {
 				next()
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 	"rbpc/internal/topology"
@@ -18,12 +19,14 @@ import (
 // epoch's rows with the touched sources replaced on plan-cache misses and
 // the cached rows on hits, the reference's the rows of a from-scratch plan
 // only. Every served cost is also held to the epoch oracle's distance,
-// which neither build feeds, and both engines' Send to the routes they
-// serve.
+// which neither build feeds, both engines' Send to the routes they serve,
+// and every component of every overlay route to the provision's own LSP for
+// its path (overlayHoldsProvisionedLSPs).
 func TestOverlayMatchesFullRebuild(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
-	inc, _ := newEngine(t, g, Config{})
-	ref, _ := newEngine(t, g, Config{FullRebuild: true})
+	inc, incSys := newEngine(t, g, Config{})
+	ref, refSys := newEngine(t, g, Config{FullRebuild: true})
+	incReg, refReg := incSys.Export().LSPs, refSys.Export().LSPs
 	n := g.Order()
 
 	compare := func(tag string) {
@@ -34,6 +37,8 @@ func TestOverlayMatchesFullRebuild(t *testing.T) {
 		snapsEqualBitwise(t, ref.Snapshot(), snap, n, tag)
 		sendDeliversServed(t, snap, tag+", incremental")
 		sendDeliversServed(t, ref.Snapshot(), tag+", reference")
+		overlayHoldsProvisionedLSPs(t, snap, incReg, tag+", incremental")
+		overlayHoldsProvisionedLSPs(t, ref.Snapshot(), refReg, tag+", reference")
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
 				if s == d {
@@ -71,6 +76,28 @@ func TestOverlayMatchesFullRebuild(t *testing.T) {
 	}
 	if st := inc.Stats().Incremental; st.PairsReused == 0 || st.FullRebuilds != 0 {
 		t.Fatalf("incremental engine did not build incrementally: %+v", st)
+	}
+}
+
+// overlayHoldsProvisionedLSPs checks what resolution by index must
+// preserve: every component of every overlay route is an established LSP of
+// the provision — pointer-identical to the entry its path has in the
+// string-keyed registry, which is this test's reference (the engine never
+// reads it) — and never a value made up for the route.
+func overlayHoldsProvisionedLSPs(t *testing.T, snap *Snapshot, reg map[string]*mpls.LSP, tag string) {
+	t.Helper()
+	for src, row := range snap.over {
+		dsts, routes := row.entries()
+		for i, rt := range routes {
+			if rt == nil {
+				continue
+			}
+			for j, l := range rt.LSPs {
+				if reg[l.Path.Key()] != l {
+					t.Fatalf("%s: %d->%d component %d (%v) is not the provision's LSP for that path", tag, src, dsts[i], j, l.Path)
+				}
+			}
+		}
 	}
 }
 

@@ -98,7 +98,6 @@ type Stats struct {
 	Epochs        int64
 	PlanCacheHits int64
 	PlanCacheMiss int64
-	OnDemandLSPs  int64
 	// RowBytes/DenseRowBytes are the current snapshot's resident routing
 	// matrix bytes and the dense all-pairs equivalent (Snapshot.RowBytes).
 	RowBytes      int64
@@ -148,17 +147,17 @@ type Engine struct {
 
 	snap atomic.Pointer[Snapshot]
 
+	// lspAt is the provision's LSP table by base-path index
+	// (rbpc.Provision.BaseLSPs): what a solved component resolves through
+	// (core.Component.Base) and the crossing scan of a down link walks
+	// base.IndicesThroughEdge against. Shared, read-only.
+	lspAt []*mpls.LSP
+
 	// Writer-owned state (only the writer goroutine touches these after New).
-	// provisioned is the provision's LSP registry: read, never written, so
-	// every engine built over one provision (the shards of a process)
-	// shares it. lspOf holds the LSPs this engine signaled on demand, on
-	// its own network.
-	provisioned map[string]*mpls.LSP
-	lspOf       map[string]*mpls.LSP
-	primaries   map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
-	pairIndex   *graph.PairIndex        // failed link -> pairs whose primary crosses it
-	costIndex   *paths.CostIndex        // cost-sorted candidate order for bounded solves
-	// live is the persistent filtered form of costIndex: per-source column
+	primaries map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
+	pairIndex *graph.PairIndex        // failed link -> pairs whose primary crosses it
+	// live is the persistent filtered form of the base set's cost index
+	// (cost-sorted candidate order for bounded solves): per-source column
 	// segments holding only currently-surviving candidates, carried across
 	// epochs and refiltered only for sources the failure delta touched.
 	// Updated once per published transition; read-only during solve fan-out.
@@ -184,17 +183,13 @@ type Engine struct {
 	// across epochs instead of reallocating per plan.
 	solvers  []*core.SparseSolver
 	pscratch *planScratch // incrementalPlan's reused working memory
-	onDemand int64
 	inc      incCounters
 	// ilmPatches is the local-restoration writer state (Config.Scheme !=
 	// SchemeSource): the ILM patches applied on the current epoch's net.
+	// lscratch is the local build's reused working memory, nil under
+	// SchemeSource.
 	ilmPatches mpls.PatchSet
-	// lspAt maps a base-path index (paths.Explicit position) to the LSP
-	// provisioned for it, so the crossing scan of a down link walks
-	// base.IndicesThroughEdge without forming a path key; lscratch is the
-	// local build's reused working memory. Both nil under SchemeSource.
-	lspAt    []*mpls.LSP
-	lscratch *localScratch
+	lscratch   *localScratch
 
 	// timers holds the armed hybrid switchover timers.
 	//
@@ -257,11 +252,16 @@ type queryReq struct {
 
 // New builds an engine over a pristine provisioned export (p.Failed must
 // be empty: the engine owns all failure state from here on) and starts its
-// writer and query workers. The export's maps, base set and graph are read,
-// never written, so several engines may be built over one provision.
+// writer and query workers. The provision must be servable
+// (rbpc.Provision.Servable): the engine names LSPs, it never signals one.
+// The export's maps, LSP table, base set and graph are read, never written,
+// so several engines may be built over one provision.
 func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if len(p.Failed) != 0 {
 		return nil, fmt.Errorf("engine: provision has %d pre-existing failures; export a pristine system", len(p.Failed))
+	}
+	if err := p.Servable(); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if cfg.Scheme < SchemeSource || cfg.Scheme > SchemeHybrid {
 		return nil, fmt.Errorf("engine: unknown scheme %d", int(cfg.Scheme))
@@ -280,23 +280,20 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	costIndex := p.Base.CostIndex()
 	e := &Engine{
-		g:           p.Graph,
-		base:        p.Base,
-		cfg:         cfg,
-		provisioned: p.LSPs,
-		lspOf:       make(map[string]*mpls.LSP),
-		primaries:   p.Primaries,
-		costIndex:   costIndex,
-		live:        paths.NewLiveIndex(p.Base, costIndex),
-		canonical:   canonical,
-		planCache:   newPlanCache(cfg.PlanCacheCap),
-		downCount:   make(map[rbpc.Pair]int),
-		pscratch:    &planScratch{downNew: make([]bool, p.Graph.Size())},
-		events:      make(chan writerMsg, 256),
-		queries:     make([]chan queryReq, cfg.Workers),
-		done:        make(chan struct{}),
+		g:         p.Graph,
+		base:      p.Base,
+		cfg:       cfg,
+		lspAt:     p.BaseLSPs,
+		primaries: p.Primaries,
+		live:      paths.NewLiveIndex(p.Base, p.Base.CostIndex()),
+		canonical: canonical,
+		planCache: newPlanCache(cfg.PlanCacheCap),
+		downCount: make(map[rbpc.Pair]int),
+		pscratch:  &planScratch{downNew: make([]bool, p.Graph.Size())},
+		events:    make(chan writerMsg, 256),
+		queries:   make([]chan queryReq, cfg.Workers),
+		done:      make(chan struct{}),
 	}
 
 	e.pairIndex = PrimaryIndex(p.Graph, p.Primaries, nil)
@@ -330,10 +327,6 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		// nothing to converge to — the epoch is trivially converged.
 		s0.local = emptyPlan
 		s0.srcReady = true
-		e.lspAt = make([]*mpls.LSP, p.Base.Len())
-		for i, bp := range p.Base.All() {
-			e.lspAt[i] = p.LSPs[bp.Key()]
-		}
 		e.lscratch = newLocalScratch(p.Graph)
 	}
 	if !cfg.FullRebuild {
@@ -761,7 +754,6 @@ func (e *Engine) Stats() Stats {
 		Epochs:        e.mEpochs.Load(),
 		PlanCacheHits: e.mCacheHits.Load(),
 		PlanCacheMiss: e.mCacheMiss.Load(),
-		OnDemandLSPs:  atomic.LoadInt64(&e.onDemand),
 		RowBytes:      resident,
 		DenseRowBytes: dense,
 		QueryLatency:  e.mLatency.Summarize(),
@@ -952,8 +944,8 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	e.live.Update(newlyDown, repairedIDs)
 
 	// The net lineage is linear: always clone the latest snapshot's net,
-	// so ILM rows of LSPs signaled on demand in any earlier epoch persist
-	// (cached plans rely on this).
+	// whose link state and patched ILM rows (e.ilmPatches diffs against
+	// them) the transition moves on from.
 	net := prev.net.Clone()
 	for _, ed := range repairedIDs {
 		net.RepairEdge(ed)
@@ -973,10 +965,9 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 
 	// Local restoration schemes: publish the local epoch. For SchemeLocal
 	// and SchemeBypass that is the whole transition; for SchemeHybrid it is
-	// phase one, and the source-plan build below publishes phase two on a
-	// fresh net clone: resolution may still signal on-demand LSPs into ILM
-	// tables, and the phase-one snapshot owns net from here on (its ILM
-	// patches ride along in the copy-on-write lineage).
+	// phase one, and the source-plan build below publishes phase two on the
+	// same net: nothing writes a network once its ILM rows are patched — a
+	// source plan names LSPs, it never signals one.
 	var snap1 *Snapshot
 	if e.cfg.Scheme != SchemeSource {
 		var done bool
@@ -984,7 +975,6 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		if done {
 			return
 		}
-		net = net.Clone()
 	}
 
 	// The epoch's overlay is its plan's rows as they stand: the cached ones
@@ -1000,14 +990,14 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		over, hit = prev.over, true
 	case e.cfg.FullRebuild:
 		// Reference mode: from-scratch plan, no cache, no reuse.
-		over = e.computePlan(failed, net).rows
+		over = e.computePlan(failed).rows
 		e.inc.fullRebuilds.Add(1)
 	default:
 		pl, ok := e.planCache.get(key)
 		if !ok {
 			// A repair-only burst that needed no solve counts as a cache
 			// hit: the lookup was answered from existing state.
-			pl, ok = e.incrementalPlan(key, prev.over, fv, oracle, newlyDown, entering, repaired, net)
+			pl, ok = e.incrementalPlan(key, prev.over, fv, oracle, newlyDown, entering, repaired)
 			e.planCache.put(pl)
 		}
 		over, hit = pl.rows, ok
@@ -1083,19 +1073,25 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 }
 
-// resolveRoute maps a decomposition onto LSPs via the shared resolver,
-// establishing missing components on the epoch's net. A decomposition that
-// does not resolve leaves the pair unroutable (nil).
-func (e *Engine) resolveRoute(dec core.Decomposition, net *mpls.Network) *Route {
-	r := rbpc.Resolver{Net: net, Provisioned: e.provisioned, LSPs: e.lspOf}
-	lsps, err := r.Resolve(dec)
-	if err != nil {
-		return nil
+// ResolveRoute is the served form of a decomposition solved over the base
+// set lspAt belongs to (rbpc.Provision.BaseLSPs): component i is the LSP at
+// its base-set index, the stack is their self-labels, the cost is dec's in
+// g. A component that names no base path — a bare edge, which an
+// edge-complete base set never yields — or whose LSP the table lacks, like
+// an empty decomposition, leaves the pair unroutable (nil): nothing is
+// signaled for it. The engine's epoch builds and the cold tier's on-demand
+// answers (internal/shard) are both this.
+func ResolveRoute(lspAt []*mpls.LSP, g *graph.Graph, dec core.Decomposition) *Route {
+	lsps := make([]*mpls.LSP, len(dec.Components))
+	for i, c := range dec.Components {
+		if c.Base == 0 || lspAt[c.Base-1] == nil {
+			return nil
+		}
+		lsps[i] = lspAt[c.Base-1]
 	}
-	atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
 	stack, err := mpls.SelfStack(lsps)
 	if err != nil {
 		return nil
 	}
-	return &Route{LSPs: lsps, Stack: stack, Cost: dec.Cost(e.g)}
+	return &Route{LSPs: lsps, Stack: stack, Cost: dec.Cost(g)}
 }

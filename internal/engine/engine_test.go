@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,5 +227,50 @@ func TestNewRejectsFailedProvision(t *testing.T) {
 	sys.FailLink(0)
 	if _, err := New(sys.Export(), Config{}); err == nil {
 		t.Fatal("New accepted a provision with live failures")
+	}
+}
+
+// detourTriangle is the smallest topology rbpc.Config{} does not provision
+// edge-complete: link 0-2 is dearer than the way round, so it is no pair's
+// shortest path and only EdgeLSPs gives it a 1-hop base path.
+func detourTriangle() *graph.Graph {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(0, 2, 3)
+	return g
+}
+
+// TestNewRequiresEdgeLSPs: the engine and the decoder resolve a component
+// by its base-set index and signal nothing, so both refuse at the door a
+// provision in which some link has no 1-hop base path, naming the field
+// that provisions one; a hot-set provision is edge-complete by construction
+// and is accepted.
+func TestNewRequiresEdgeLSPs(t *testing.T) {
+	bare, err := rbpc.NewSystem(detourTriangle(), rbpc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := New(bare.Export(), Config{}); err == nil {
+		e.Close()
+		t.Fatal("New accepted a provision without EdgeLSPs")
+	} else if !strings.Contains(err.Error(), "rbpc.Config.EdgeLSPs") {
+		t.Fatalf("New: %v; the error does not name rbpc.Config.EdgeLSPs", err)
+	}
+	if _, err := NewSnapDecoder(bare.Export()); err == nil || !strings.Contains(err.Error(), "rbpc.Config.EdgeLSPs") {
+		t.Fatalf("NewSnapDecoder: error %v, want one naming rbpc.Config.EdgeLSPs", err)
+	}
+
+	hot, err := rbpc.NewSystem(detourTriangle(), rbpc.Config{EdgeLSPs: true, Sources: []graph.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(hot.Export(), Config{})
+	if err != nil {
+		t.Fatalf("New refused a hot-set provision: %v", err)
+	}
+	e.Close()
+	if _, err := NewSnapDecoder(hot.Export()); err != nil {
+		t.Fatalf("NewSnapDecoder refused a hot-set provision: %v", err)
 	}
 }

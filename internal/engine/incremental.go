@@ -8,7 +8,6 @@ import (
 
 	"rbpc/internal/core"
 	"rbpc/internal/graph"
-	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 )
@@ -193,7 +192,6 @@ func repairImproves(repaired []repairedLink, pr rbpc.Pair, rt *Route) bool {
 func (e *Engine) ensureSolvers(n int, fv *graph.FailureView) {
 	for len(e.solvers) < n {
 		s := core.NewSparseSolver(e.base, fv)
-		s.SetCostIndex(e.costIndex)
 		// The writer keeps e.live in sync with every published failed-set,
 		// so pooled solvers can skip the per-epoch dead-mask rebuild and the
 		// per-candidate liveness test entirely.
@@ -250,15 +248,16 @@ type solveJob struct {
 // work-stealing fan-out of pooled bounded solvers: each source's true
 // post-failure distance row (the epoch oracle's tree, often adopted rather
 // than recomputed) prunes the decomposition search, and results land in
-// pre-sized slots — no locks on the assembly path. Resolution into LSPs is
-// serial, in (src, dst) order, so on-demand signaling stays deterministic.
+// pre-sized slots — no locks on the assembly path. Resolution into LSPs, a
+// table read per component, is its own serial stage after the fan-out,
+// timed apart from the solve (IncrementalStats.ResolveNanos).
 //
 // hit reports a repair-only burst that classification proves needs no solve
 // — surviving entries reused, leaving ones dropped: the failed-set was
 // answered from cached state, which the caller accounts a plan-cache hit.
 // When nothing left the plan either, the previous rows themselves are the
 // new plan, aliased under the new key.
-func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge, net *mpls.Network) (_ *plan, hit bool) {
+func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge) (_ *plan, hit bool) {
 	t0 := time.Now()
 	sc := e.pscratch
 	for _, ed := range newlyDown {
@@ -407,7 +406,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureV
 		for _, job := range sc.jobs {
 			for j, ok := range job.oks {
 				if ok {
-					job.routes[sc.slots[job.lo+j]] = e.resolveRoute(job.decs[j], net)
+					job.routes[sc.slots[job.lo+j]] = ResolveRoute(e.lspAt, e.g, job.decs[j])
 				}
 			}
 			rows[job.src] = newPlanRow(job.dsts, job.routes)

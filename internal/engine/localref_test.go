@@ -313,11 +313,10 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 						return nil // hybrid phase two carries phase one's plan
 					}
 					epochs++
-					// The reference works off one flat registry: the
-					// provisioned LSPs and the ones the engine has signaled.
-					reg := maps.Clone(e.provisioned)
-					maps.Copy(reg, e.lspOf)
-					ref, onDemand := referenceLocalBuild(e, snap.failed, snap.fv, snap.net.Clone(), reg)
+					// The reference resolves by path content off its own copy
+					// of the provision's string-keyed registry, which the
+					// engine does not read.
+					ref, onDemand := referenceLocalBuild(e, snap.failed, snap.fv, snap.net.Clone(), maps.Clone(prov.LSPs))
 					if onDemand != 0 {
 						return fmt.Errorf("epoch %d: the reference had to signal %d LSPs the engine's build did not", snap.epoch, onDemand)
 					}

@@ -7,7 +7,6 @@ import (
 
 	"rbpc/internal/core"
 	"rbpc/internal/graph"
-	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
 )
 
@@ -26,7 +25,7 @@ import (
 // construction: moving from failed-set A to failed-set S publishes plan(S),
 // whatever A was. Plans are immutable once built, share the rows of sources
 // a transition did not touch, and are safe to cache — a route's stack names
-// LSPs, which the linear net lineage never tears down.
+// LSPs of the provision, which every epoch's network holds.
 //
 //rbpc:immutable
 type plan struct {
@@ -58,11 +57,9 @@ func failedKey(failed []graph.EdgeID) string {
 // independent of everything the incremental writer leans on (fresh solvers,
 // no live index, no bounds, no previous rows): the affected pairs off the
 // static primary index, one batched sparse decomposition per affected
-// source (parallel, pure), then serial resolution of components into LSPs
-// on net in (src, dst) order (which receives any on-demand establishment —
-// the engine's net lineage is linear, so rows signaled here persist into
-// every later epoch).
-func (e *Engine) computePlan(failed []graph.EdgeID, net *mpls.Network) *plan {
+// source (parallel, pure), then resolution of components into LSPs in
+// (src, dst) order.
+func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
 	seen := make(map[rbpc.Pair]bool)
 	bySrc := make(map[graph.NodeID][]graph.NodeID)
 	for _, ed := range failed {
@@ -117,15 +114,13 @@ func (e *Engine) computePlan(failed []graph.EdgeID, net *mpls.Network) *plan {
 	close(next)
 	wg.Wait()
 
-	// Phase 2 — serial resolution into LSPs, one row per source. On-demand
-	// components are signaled into the epoch's writable net and recorded in
-	// the engine's registry so later plans find them provisioned.
+	// Phase 2 — resolution into LSPs, one row per source.
 	rows := make([]*planRow, len(e.canonical))
 	for i, s := range srcs {
 		routes := make([]*Route, len(bySrc[s]))
 		for j, ok := range out[i].oks {
 			if ok {
-				routes[j] = e.resolveRoute(out[i].decs[j], net)
+				routes[j] = ResolveRoute(e.lspAt, e.g, out[i].decs[j])
 			}
 		}
 		rows[s] = newPlanRow(bySrc[s], routes)

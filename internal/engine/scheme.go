@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"rbpc/internal/core"
@@ -137,15 +136,12 @@ type patchPoint struct {
 
 // detour is one solved request, with everything the crossings and pairs
 // sharing it need derived once: the flattened walk, its cost, and the
-// self-label stack of its components (resolved on first use, in crossing
-// order, so on-demand LSPs are signaled in a deterministic order).
+// self-label stack of its components' LSPs.
 type detour struct {
-	dec      core.Decomposition
-	ok       bool // a surviving detour exists
-	path     graph.Path
-	cost     float64
-	resolved bool
-	stack    []mpls.Label // nil after a failed resolution
+	ok    bool // a surviving detour exists, and resolves
+	path  graph.Path
+	cost  float64
+	stack []mpls.Label
 }
 
 // crossing is one provisioned LSP's traversal of a down link: the ILM row
@@ -276,8 +272,8 @@ func pairBefore(a, b graph.NodePair) bool {
 //     point's post-failure distance row and, for edge-bypass, confined to
 //     the ellipse around its targets. Patch points and bypass targets are
 //     failure endpoints, whose trees the epoch oracle roots anyway.
-//  3. Patch. Resolve each detour to its label stack once, form the wanted
-//     row of every crossing, and hand the set to PatchSet.Sync.
+//  3. Patch. Form the wanted row of every crossing from its detour's label
+//     stack, and hand the set to PatchSet.Sync.
 //  4. Answer. Splice the detours into each affected primary and lay the
 //     routes out as per-source rows.
 //
@@ -308,9 +304,6 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 				continue // a path crossing ed twice is listed twice; one visit finds both
 			}
 			lsp := e.lspAt[idx]
-			if lsp == nil {
-				continue
-			}
 			for i, edge := range lsp.Path.Edges {
 				if edge != ed {
 					continue
@@ -367,9 +360,11 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 			decs, oks = solver.FromBounded(pt.s, pt.dsts, bound, spath.Unreachable)
 		}
 		for j, dec := range decs {
-			dt := detour{dec: dec, ok: oks[j] && len(dec.Components) > 0}
-			if dt.ok {
-				dt.path, dt.cost = dec.Concat(), dec.Cost(e.g)
+			var dt detour
+			if oks[j] {
+				if rt := ResolveRoute(e.lspAt, e.g, dec); rt != nil { // nil for an empty detour, too
+					dt = detour{ok: true, path: dec.Concat(), cost: rt.Cost, stack: rt.Stack}
+				}
 			}
 			pt.dets = append(pt.dets, dt)
 		}
@@ -388,7 +383,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 			unrestorable++
 			continue
 		}
-		out, ok := e.localILMRow(sc, c, dt, net, flavor)
+		out, ok := localILMRow(sc, c, dt, flavor)
 		if !ok {
 			unrestorable++
 			continue
@@ -438,23 +433,10 @@ func (e *Engine) syncPatches(net *mpls.Network, want []mpls.ILMPatch) {
 }
 
 // localILMRow forms the label sequence (bottom-first) of the replacement
-// ILM row for crossing c, resolving the detour to LSPs on the epoch's net
-// the first time a crossing uses it. Mirrors rbpc.System.localRow, phrased
-// against engine state. The result may point into sc.labels.
-func (e *Engine) localILMRow(sc *localScratch, c crossing, dt *detour, net *mpls.Network, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
-	if !dt.resolved {
-		dt.resolved = true
-		r := rbpc.Resolver{Net: net, Provisioned: e.provisioned, LSPs: e.lspOf}
-		if lsps, err := r.Resolve(dt.dec); err == nil {
-			atomic.AddInt64(&e.onDemand, int64(r.OnDemand))
-			if stack, err := mpls.SelfStack(lsps); err == nil {
-				dt.stack = stack
-			}
-		}
-	}
-	if dt.stack == nil {
-		return nil, false
-	}
+// ILM row for crossing c from its detour's stack. Mirrors
+// rbpc.System.localRow, phrased against engine state. The result may point
+// into sc.labels.
+func localILMRow(sc *localScratch, c crossing, dt *detour, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
 	if flavor == rbpc.EndRoute {
 		return dt.stack, true
 	}
@@ -615,8 +597,8 @@ func (e *Engine) pendingTimers() int {
 // is phase one of two: the previous epoch's rows are carried (sources have
 // not heard of the transition yet, so their precomputed answers are
 // honestly stale) beneath the fresh local plan, and the caller continues
-// into the source-plan build, which publishes phase two on a fresh net
-// clone with srcReady set.
+// into the source-plan build, which publishes phase two on the same net
+// with srcReady set.
 //
 // FaultStaleBypass short-circuits the rebuild: the previous plan's patches
 // stay applied and its routes keep being served.

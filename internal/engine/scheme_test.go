@@ -276,8 +276,22 @@ func TestHybridConvergenceProperty(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		g := topology.Waxman(14, 0.8, 0.5, seed)
 		engines := make(map[Scheme]*Engine, 4)
+		// A hybrid transition is one network: phase two is published on the
+		// net phase one patched, not on a clone of it.
+		var phaseOne *Snapshot
+		oneNet := func(s *Snapshot) {
+			if !s.srcReady {
+				phaseOne = s
+			} else if phaseOne == nil || s.Epoch() != phaseOne.Epoch()+1 || s.Net() != phaseOne.Net() {
+				t.Errorf("seed %d: hybrid phase two (epoch %d, failed %v) does not serve on its phase one's network", seed, s.Epoch(), s.Failed())
+			}
+		}
 		for _, s := range Schemes() {
-			e, _ := newEngine(t, g, Config{Scheme: s})
+			cfg := Config{Scheme: s}
+			if s == SchemeHybrid {
+				cfg.OnEpoch = oneNet
+			}
+			e, _ := newEngine(t, g, cfg)
 			engines[s] = e
 		}
 		events := failure.ChurnSchedule(g, 30, 3, rand.New(rand.NewSource(seed)))
@@ -295,7 +309,7 @@ func TestHybridConvergenceProperty(t *testing.T) {
 			if !hyb.Converged() {
 				t.Fatalf("seed %d step %d: zero-flood hybrid not converged", seed, step)
 			}
-			// Phase two forwards on a clone of phase one's net, patches and all.
+			// Phase two forwards on phase one's net, patches and all.
 			sendDeliversServed(t, hyb, fmt.Sprintf("seed %d step %d, hybrid", seed, step))
 			single := len(src.Snapshot().Failed()) == 1
 			for s := 0; s < g.Order(); s++ {

@@ -8,8 +8,12 @@
 //
 // Costs cross the wire as raw Float64bits, so a decoded replica answers
 // with the same bits the worker served — the bit-identity the chaos
-// equivalence oracle demands. Label stacks do not cross: a replica is a
-// control-plane view (routability, costs, component paths); forwarding
+// equivalence oracle demands. A route's components cross as the IDs of
+// their LSPs (mpls.LSPID, one u32 each): every process of a deployment
+// provisions the same LSPs under the same IDs (the transport's attach
+// handshake compares a digest of the table), so a decoded route holds the
+// replica's own established LSPs. Label stacks do not cross: a replica is
+// a control-plane view (routability, costs, component LSPs); forwarding
 // state lives only in the worker that owns the shard's data plane.
 package engine
 
@@ -60,7 +64,7 @@ func (s *Snapshot) AppendWire(buf []byte) ([]byte, error) {
 }
 
 // AppendRouteWire serializes one served route (nil encodes an unroutable
-// override): presence byte, cost bits, and the component path sequence.
+// override): presence byte, cost bits, and the IDs of the component LSPs.
 func AppendRouteWire(buf []byte, rt *Route) []byte {
 	if rt == nil {
 		return append(buf, 0)
@@ -69,7 +73,7 @@ func AppendRouteWire(buf []byte, rt *Route) []byte {
 	buf = wireU64(buf, math.Float64bits(rt.Cost))
 	buf = wireU32(buf, uint32(len(rt.LSPs)))
 	for _, l := range rt.LSPs {
-		buf = wirePath(buf, l.Path)
+		buf = wireU32(buf, uint32(l.ID))
 	}
 	return buf
 }
@@ -77,23 +81,34 @@ func AppendRouteWire(buf []byte, rt *Route) []byte {
 // SnapDecoder rebuilds engine snapshots from their wire overlay. It holds
 // the shared canonical matrix — reconstructed once from the provision by
 // canonicalRows, as engine.New does, so canonical rows (and their cost
-// bits) are identical to the worker's — plus the LSP registry that
-// resolves decoded component paths back to provisioned LSP identities.
+// bits) are identical to the worker's — plus the provision's LSP table
+// keyed by LSP ID, which a decoded component is one bounds-checked read of.
 type SnapDecoder struct {
 	g     *graph.Graph
 	canon [][]*Route
-	lspOf map[string]*mpls.LSP
+	byID  []*mpls.LSP // dense, by mpls.LSPID; nil where the provision has no base LSP
 }
 
 // NewSnapDecoder builds the decoder for a provision. The provision must
 // be the full (unsliced) export of the deployment, so the decoder can
-// answer for any shard's sources.
+// answer for any shard's sources, and servable (rbpc.Provision.Servable).
 func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
+	if err := p.Servable(); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	canon, err := canonicalRows(p)
 	if err != nil {
 		return nil, err
 	}
-	return &SnapDecoder{g: p.Graph, canon: canon, lspOf: p.LSPs}, nil
+	var top mpls.LSPID
+	for _, l := range p.BaseLSPs {
+		top = max(top, l.ID)
+	}
+	byID := make([]*mpls.LSP, top+1)
+	for _, l := range p.BaseLSPs {
+		byID[l.ID] = l
+	}
+	return &SnapDecoder{g: p.Graph, canon: canon, byID: byID}, nil
 }
 
 // Materialized reports whether the source has a canonical serving row.
@@ -155,6 +170,11 @@ func (d *SnapDecoder) Decode(data []byte) (*Snapshot, error) {
 			if err != nil {
 				return nil, err
 			}
+			if rt != nil {
+				if from, to := rt.LSPs[0].Ingress(), rt.LSPs[len(rt.LSPs)-1].Egress(); int(from) != src || int(to) != dst {
+					return nil, fmt.Errorf("engine: decode: route of pair %d->%d runs %d->%d", src, dst, from, to)
+				}
+			}
 			routes[i] = rt
 		}
 		over[src] = newPlanRow(dsts, routes)
@@ -183,11 +203,11 @@ func (d *SnapDecoder) DecodeRouteWire(data []byte) (*Route, int, error) {
 	return rt, c.off, nil
 }
 
-// decodeRoute decodes one AppendRouteWire route against the decoder's
-// registry: provisioned components resolve to their registry LSPs (so
-// path identity — and the oracle's Path.Equal — is preserved), missing
-// ones ride as un-signaled LSP values, the same convention the cold tier
-// uses for on-demand answers.
+// decodeRoute decodes one AppendRouteWire route against the decoder's LSP
+// table: every component is an established LSP of the provision, there is
+// at least one, and each begins where the one before it ends. Whether the
+// chain joins the pair it is filed under is the caller's to check (Decode
+// does; an answer frame carries no pair).
 func (d *SnapDecoder) decodeRoute(c *wireCursor) (*Route, error) {
 	p := c.u8()
 	if c.err {
@@ -202,23 +222,20 @@ func (d *SnapDecoder) decodeRoute(c *wireCursor) (*Route, error) {
 	}
 	cost := math.Float64frombits(c.u64())
 	ncomp := int(c.u32())
-	if ncomp < 0 || ncomp*5 > c.remaining() {
+	if c.err || ncomp < 1 || ncomp*4 > c.remaining() {
 		return nil, fmt.Errorf("engine: decode: route component count %d implausible", ncomp)
 	}
 	lsps := make([]*mpls.LSP, ncomp)
-	for i := 0; i < ncomp; i++ {
-		p, err := d.decodePath(c)
-		if err != nil {
-			return nil, err
+	for i := range lsps {
+		id := c.u32()
+		if uint64(id) >= uint64(len(d.byID)) || d.byID[id] == nil {
+			return nil, fmt.Errorf("engine: decode: route component %d names LSP %d, which the provision does not hold", i, id)
 		}
-		if l, ok := d.lspOf[p.Key()]; ok {
-			lsps[i] = l
-		} else {
-			lsps[i] = &mpls.LSP{Path: p}
+		lsps[i] = d.byID[id]
+		if i > 0 && lsps[i-1].Egress() != lsps[i].Ingress() {
+			return nil, fmt.Errorf("engine: decode: route component %d (LSP %d) starts at %d, the one before it ends at %d",
+				i, id, lsps[i].Ingress(), lsps[i-1].Egress())
 		}
-	}
-	if c.err {
-		return nil, fmt.Errorf("engine: decode: truncated route")
 	}
 	return &Route{LSPs: lsps, Cost: cost}, nil
 }
@@ -263,30 +280,6 @@ func (d *SnapDecoder) decodeFailed(c *wireCursor) ([]graph.EdgeID, error) {
 		failed = nil
 	}
 	return failed, nil
-}
-
-func (d *SnapDecoder) decodePath(c *wireCursor) (graph.Path, error) {
-	nn := int(c.u32())
-	if nn < 1 || (nn-1)*8+4 > c.remaining()+4 || nn > c.remaining()/4+1 {
-		return graph.Path{}, fmt.Errorf("engine: decode: path length %d implausible", nn)
-	}
-	nodes := make([]graph.NodeID, nn)
-	for i := range nodes {
-		v := int(c.u32())
-		if c.err || v < 0 || v >= d.g.Order() {
-			return graph.Path{}, fmt.Errorf("engine: decode: path node out of range")
-		}
-		nodes[i] = graph.NodeID(v)
-	}
-	edges := make([]graph.EdgeID, nn-1)
-	for i := range edges {
-		e := int(c.u32())
-		if c.err || e < 0 || e >= d.g.Size() {
-			return graph.Path{}, fmt.Errorf("engine: decode: path edge out of range")
-		}
-		edges[i] = graph.EdgeID(e)
-	}
-	return graph.Path{Nodes: nodes, Edges: edges}, nil
 }
 
 // wireCursor is a bounds-checked little-endian reader over one frame.
@@ -338,15 +331,4 @@ func wireU32(buf []byte, v uint32) []byte {
 func wireU64(buf []byte, v uint64) []byte {
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func wirePath(buf []byte, p graph.Path) []byte {
-	buf = wireU32(buf, uint32(len(p.Nodes)))
-	for _, u := range p.Nodes {
-		buf = wireU32(buf, uint32(u))
-	}
-	for _, e := range p.Edges {
-		buf = wireU32(buf, uint32(e))
-	}
-	return buf
 }

@@ -3,9 +3,11 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/topology"
 )
 
@@ -226,5 +228,92 @@ func TestSnapDecoderRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := dec.Decode(frame); err != nil {
 		t.Fatalf("pristine frame stopped decoding: %v", err)
+	}
+}
+
+// TestSnapDecoderRefusesRoutesThatJoinNothing hand-builds snapshot frames a
+// CRC would pass — one overlay entry each, well-formed but for the one
+// thing the case names — and demands an error that says what failed: a
+// present route with no component, a component naming an LSP the provision
+// does not hold, components that do not chain, and a chain that does not
+// join the pair it is filed under. The same route bytes go through
+// DecodeRouteWire, the answer frames' entry, which sees everything but the
+// pair.
+func TestSnapDecoderRefusesRoutesThatJoinNothing(t *testing.T) {
+	g := topology.Waxman(10, 0.8, 0.5, 8)
+	_, sys := newEngine(t, g, Config{})
+	prov := sys.Export()
+	dec, err := NewSnapDecoder(prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a then b chain; a then c do not; nowhere is neither end of the chain.
+	var a, b, c *mpls.LSP
+	var top mpls.LSPID
+	for _, l := range prov.BaseLSPs {
+		top = max(top, l.ID)
+	}
+	for _, x := range prov.BaseLSPs {
+		for _, y := range prov.BaseLSPs {
+			if a == nil && x.Egress() == y.Ingress() && x.Ingress() != y.Egress() {
+				a, b = x, y
+			}
+		}
+	}
+	for _, y := range prov.BaseLSPs {
+		if y.Ingress() != a.Egress() {
+			c = y
+		}
+	}
+	src, dst := a.Ingress(), b.Egress()
+	var nowhere graph.NodeID
+	for nowhere == src || nowhere == dst {
+		nowhere++
+	}
+
+	route := func(ids ...mpls.LSPID) []byte {
+		buf := wireU64([]byte{1}, math.Float64bits(2))
+		buf = wireU32(buf, uint32(len(ids)))
+		for _, id := range ids {
+			buf = wireU32(buf, uint32(id))
+		}
+		return buf
+	}
+	frame := func(src, dst graph.NodeID, rt []byte) []byte {
+		buf := wireU64(nil, 3)          // epoch
+		buf = wireU32(buf, 1)           // one link down
+		buf = wireU32(buf, 0)           //   link 0
+		buf = wireU32(buf, 1)           // one overlay row
+		buf = wireU32(buf, uint32(src)) //   of src
+		buf = wireU32(buf, 1)           //   with one entry
+		return append(wireU32(buf, uint32(dst)), rt...)
+	}
+
+	if _, err := dec.Decode(frame(src, dst, route(a.ID, b.ID))); err != nil {
+		t.Fatalf("the well-formed frame the cases are cut from does not decode: %v", err)
+	}
+	for _, tc := range []struct {
+		name     string
+		src, dst graph.NodeID
+		rt       []byte
+		want     string // what the error must name
+		route    bool   // DecodeRouteWire refuses the route bytes on their own too
+	}{
+		{"empty route", src, dst, route(), "component count 0", true},
+		{"LSP ID past the table", src, dst, route(a.ID, top+1), "names LSP", true},
+		{"LSP ID nobody holds", src, dst, route(a.ID, 0), "names LSP 0", true},
+		{"broken chain", src, dst, route(a.ID, c.ID), "the one before it ends at", true},
+		{"wrong destination", src, nowhere, route(a.ID, b.ID), "runs", false},
+		{"wrong source", nowhere, dst, route(a.ID, b.ID), "runs", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := dec.Decode(frame(tc.src, tc.dst, tc.rt))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode: error %v, want one naming %q", err, tc.want)
+			}
+			if _, _, err := dec.DecodeRouteWire(tc.rt); (err != nil) != tc.route {
+				t.Fatalf("DecodeRouteWire: error %v, want refusal %v", err, tc.route)
+			}
+		})
 	}
 }

@@ -196,18 +196,6 @@ func TestPathKeyFormat(t *testing.T) {
 	}
 }
 
-var keySink string
-
-// BenchmarkPathKey prices the registry key of a typical base path (four
-// hops, three-digit ids): one call per component of every resolved route.
-func BenchmarkPathKey(b *testing.B) {
-	p := Path{Nodes: []NodeID{117, 203, 15, 88, 231}, Edges: []EdgeID{412, 96, 305, 471}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		keySink = p.Key()
-	}
-}
-
 func TestFailViewAccessors(t *testing.T) {
 	g, _ := pathFixture()
 	fv := FailEdges(g, 0)

@@ -21,21 +21,19 @@ import (
 // whose failure views remove nodes must not install it.
 type LiveIndex struct {
 	ex *Explicit
-	ci *CostIndex
 
+	// The cost index's columns; baseIdx names each candidate by its
+	// base-set position, which a solver hands on in core.Component.Base.
 	baseOff   []int32
 	baseCosts []float64
 	baseDsts  []int32
-	// baseKeys is the identity key column: baseKeys[k] == k. Clean sources
-	// alias it so every source — filtered or not — presents the same
-	// (costs, dsts, keys) triple shape to the solver.
-	baseKeys []int32
+	baseIdx   []int32
 
 	// Per-source live segments. A clean source (no dead candidate) aliases
 	// the base columns; a dirty source owns filtered copies.
 	costs [][]float64
 	dsts  [][]int32
-	keys  [][]int32
+	idx   [][]int32
 
 	// deadEdges[i] counts currently-failed edges on stored path i; the path
 	// is dead iff the count is nonzero. srcDead[u] counts dead paths out of
@@ -43,11 +41,11 @@ type LiveIndex struct {
 	deadEdges []int32
 	srcDead   []int32
 
-	// own{Costs,Dsts,Keys}[u] hold a dirty source's last owned segments so
+	// own{Costs,Dsts,Idx}[u] hold a dirty source's last owned segments so
 	// refiltering reuses their capacity instead of reallocating per epoch.
 	ownCosts [][]float64
 	ownDsts  [][]int32
-	ownKeys  [][]int32
+	ownIdx   [][]int32
 
 	// touched and touchGen dedup the sources one Update touches: source u is
 	// already on the touched list iff touchGen[u] == gen. Writer-owned
@@ -68,26 +66,22 @@ type LiveIndex struct {
 //rbpc:ctor
 func NewLiveIndex(b *Explicit, ci *CostIndex) *LiveIndex {
 	n := ci.Order()
-	off, costs, dsts, _ := ci.Columns()
+	off, costs, dsts, idx := ci.Columns()
 	li := &LiveIndex{
 		ex:        b,
-		ci:        ci,
 		baseOff:   off,
 		baseCosts: costs,
 		baseDsts:  dsts,
-		baseKeys:  make([]int32, ci.Len()),
+		baseIdx:   idx,
 		costs:     make([][]float64, n),
 		dsts:      make([][]int32, n),
-		keys:      make([][]int32, n),
+		idx:       make([][]int32, n),
 		deadEdges: make([]int32, b.Len()),
 		srcDead:   make([]int32, n),
 		ownCosts:  make([][]float64, n),
 		ownDsts:   make([][]int32, n),
-		ownKeys:   make([][]int32, n),
+		ownIdx:    make([][]int32, n),
 		touchGen:  make([]uint32, n),
-	}
-	for k := range li.baseKeys {
-		li.baseKeys[k] = int32(k)
 	}
 	for u := 0; u < n; u++ {
 		li.alias(graph.NodeID(u))
@@ -108,7 +102,7 @@ func (li *LiveIndex) alias(u graph.NodeID) {
 	lo, hi := li.baseOff[u], li.baseOff[u+1]
 	li.costs[u] = li.baseCosts[lo:hi]
 	li.dsts[u] = li.baseDsts[lo:hi]
-	li.keys[u] = li.baseKeys[lo:hi]
+	li.idx[u] = li.baseIdx[lo:hi]
 }
 
 // Update applies one epoch's failure delta: newlyDown edges just failed,
@@ -173,35 +167,35 @@ func (li *LiveIndex) refilter(u graph.NodeID) {
 	lo, hi := li.baseOff[u], li.baseOff[u+1]
 	cs := li.ownCosts[u][:0]
 	ds := li.ownDsts[u][:0]
-	ks := li.ownKeys[u][:0]
-	_, _, _, idx := li.ci.Columns()
+	is := li.ownIdx[u][:0]
 	for k := lo; k < hi; k++ {
-		if li.deadEdges[idx[k]] != 0 {
+		i := li.baseIdx[k]
+		if li.deadEdges[i] != 0 {
 			continue
 		}
 		cs = append(cs, li.baseCosts[k])
 		ds = append(ds, li.baseDsts[k])
-		ks = append(ks, k)
+		is = append(is, i)
 	}
-	li.ownCosts[u], li.ownDsts[u], li.ownKeys[u] = cs, ds, ks
-	li.costs[u], li.dsts[u], li.keys[u] = cs, ds, ks
+	li.ownCosts[u], li.ownDsts[u], li.ownIdx[u] = cs, ds, is
+	li.costs[u], li.dsts[u], li.idx[u] = cs, ds, is
 }
 
 // LiveFromSource returns u's live candidate columns: parallel slices of
-// base-view cost, path destination, and CostIndex flat position (for
-// PathAt), sorted ascending by (cost, insertion index). Shared index state —
+// base-view cost, path destination, and base-set index (SourcePath.Index,
+// what PathAt takes), sorted ascending by (cost, index). Shared index state —
 // callers must not modify or retain past the next Update.
 //
 //rbpc:hotpath
-func (li *LiveIndex) LiveFromSource(u graph.NodeID) (costs []float64, dsts []int32, keys []int32) {
-	return li.costs[u], li.dsts[u], li.keys[u]
+func (li *LiveIndex) LiveFromSource(u graph.NodeID) (costs []float64, dsts []int32, idx []int32) {
+	return li.costs[u], li.dsts[u], li.idx[u]
 }
 
-// PathAt returns the path of the candidate with key k (a CostIndex flat
-// position, as returned in LiveFromSource's keys column).
+// PathAt returns the stored path at base-set index i, as named by
+// LiveFromSource's idx column.
 //
 //rbpc:hotpath
-func (li *LiveIndex) PathAt(k int32) graph.Path { return li.ci.PathAt(k) }
+func (li *LiveIndex) PathAt(i int32) graph.Path { return li.ex.paths[i] }
 
 // DeadPaths reports how many stored paths are currently dead — telemetry
 // for tests asserting the index tracks the failure state.

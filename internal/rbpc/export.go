@@ -1,7 +1,9 @@
 package rbpc
 
 import (
+	"fmt"
 	"maps"
+	"slices"
 
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
@@ -19,16 +21,22 @@ import (
 // consumer that intends to keep serving from the export while the System
 // keeps mutating should Clone the Network (copy-on-write) — *LSP values
 // and the base set are immutable after provisioning and safe to share.
+//
+// BaseLSPs[i] is the LSP established for Base.All()[i]: the table the
+// online serving stack resolves a component through, by its base-set index
+// (core.Component.Base). Every engine, cold tier and decoder of a process
+// reads the one slice; nobody writes it. LSPs is the same registry, plus
+// whatever the System signaled on demand, keyed by path content.
 type Provision struct {
 	Graph     *graph.Graph
 	Net       *mpls.Network
 	Config    Config
 	Base      *paths.Explicit
+	BaseLSPs  []*mpls.LSP
 	LSPs      map[string]*mpls.LSP
 	Primaries map[Pair]*mpls.LSP
 	Routes    map[Pair][]*mpls.LSP
 	Failed    []graph.EdgeID
-	OnDemand  int
 }
 
 // Export snapshots the system's provisioned state. See Provision for the
@@ -39,10 +47,28 @@ func (s *System) Export() Provision {
 		Net:       s.net,
 		Config:    s.cfg,
 		Base:      s.base,
+		BaseLSPs:  slices.Clip(s.baseLSPs),
 		LSPs:      maps.Clone(s.lspOf),
 		Primaries: maps.Clone(s.primaries),
 		Routes:    maps.Clone(s.routes),
 		Failed:    s.KnownFailed(),
-		OnDemand:  s.onDemandLSPs,
 	}
+}
+
+// Servable checks the precondition of the online serving stack
+// (internal/engine, internal/shard, internal/shardrpc): a 1-hop base path
+// over every link in both directions, and an LSP for every base path. Then
+// every component of every restoration is a provisioned base path —
+// Theorem 2's k edges are 1-hop LSPs like any other, and a bare-edge offer
+// loses the solver's first-offer tie to its same-cost base path — and the
+// stack reads a component's LSP from BaseLSPs and never signals one.
+func (p Provision) Servable() error {
+	const need = "online serving needs rbpc.Config.EdgeLSPs and every base path established"
+	if !p.Base.EdgeComplete() {
+		return fmt.Errorf("rbpc: the base set has no 1-hop path over some link: %s", need)
+	}
+	if len(p.BaseLSPs) != p.Base.Len() || slices.Contains(p.BaseLSPs, nil) {
+		return fmt.Errorf("rbpc: some of the %d base paths have no LSP: %s", p.Base.Len(), need)
+	}
+	return nil
 }

@@ -88,8 +88,11 @@ func (s *System) provisionBasePath(p graph.Path) error {
 	if _, have := s.lspOf[key]; have {
 		return nil
 	}
-	s.base.Add(p)
+	grew := s.base.Add(p)
 	lsp, err := s.net.EstablishLSP(p)
+	if grew {
+		s.baseLSPs = append(s.baseLSPs, lsp) // nil when establishment failed: the position stays the path's
+	}
 	if err != nil {
 		return fmt.Errorf("rbpc: provisioning %v: %w", p, err)
 	}

@@ -8,6 +8,25 @@ import (
 	"rbpc/internal/verify"
 )
 
+// baseLSPsInStep checks the export's by-position LSP table against the base
+// set it is appended in lockstep with: entry i is the LSP established for
+// base path i, the one the string-keyed registry holds for that path.
+func baseLSPsInStep(t *testing.T, s *System, tag string) {
+	t.Helper()
+	p := s.Export()
+	if len(p.BaseLSPs) != p.Base.Len() {
+		t.Fatalf("%s: %d LSPs for %d base paths", tag, len(p.BaseLSPs), p.Base.Len())
+	}
+	for i, bp := range p.Base.All() {
+		if l := p.BaseLSPs[i]; l == nil || !l.Path.Equal(bp) || l != p.LSPs[bp.Key()] {
+			t.Fatalf("%s: base path %d (%v) is not at its position in the LSP table", tag, i, bp)
+		}
+	}
+	if err := p.Servable(); (err == nil) != p.Base.EdgeComplete() {
+		t.Fatalf("%s: Servable() = %v on a base set with EdgeComplete() = %v", tag, err, p.Base.EdgeComplete())
+	}
+}
+
 func TestAddLinkImprovesRoutes(t *testing.T) {
 	// A line 0-1-2-3-4: 0->4 takes 4 hops. Add a shortcut 0-4.
 	s, err := NewSystem(topology.Line(5), DefaultConfig())
@@ -17,10 +36,12 @@ func TestAddLinkImprovesRoutes(t *testing.T) {
 	if pkt := mustDeliver(t, s, 0, 4); pkt.Hops != 4 {
 		t.Fatalf("pre-growth hops = %d", pkt.Hops)
 	}
+	baseLSPsInStep(t, s, "provisioned")
 	id, err := s.AddLink(0, 4, 1)
 	if err != nil {
 		t.Fatalf("AddLink: %v", err)
 	}
+	baseLSPsInStep(t, s, "grown")
 	pkt := mustDeliver(t, s, 0, 4)
 	if pkt.Hops != 1 {
 		t.Errorf("post-growth hops = %d, want 1", pkt.Hops)

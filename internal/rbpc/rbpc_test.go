@@ -161,6 +161,8 @@ func TestOnDemandWithoutClosure(t *testing.T) {
 	e, _ := s.Graph().FindEdge(0, 1)
 	s.FailLink(e)
 	mustDeliver(t, s, 0, 1)
+	// Anything signaled on demand joins the registry, never the base set.
+	baseLSPsInStep(t, s, "after on-demand signaling")
 }
 
 func TestLocalEndRoute(t *testing.T) {

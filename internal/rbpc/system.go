@@ -71,7 +71,10 @@ type System struct {
 	oracle *spath.Oracle
 	base   *paths.Explicit
 
-	lspOf     map[string]*mpls.LSP // base-path key -> provisioned LSP
+	lspOf map[string]*mpls.LSP // base-path key -> provisioned LSP
+	// baseLSPs[i] is the LSP of base.All()[i]: appended in lockstep with
+	// base.Add, so a base path's position is its LSP's too (Export).
+	baseLSPs  []*mpls.LSP
 	primaries map[Pair]*mpls.LSP
 	routes    map[Pair][]*mpls.LSP
 
@@ -137,6 +140,7 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 			return nil, fmt.Errorf("rbpc: provisioning base LSP %v: %w", p, err)
 		}
 		s.lspOf[p.Key()] = lsp
+		s.baseLSPs = append(s.baseLSPs, lsp)
 	}
 
 	// Primary routes and FEC entries, hot sources only.

@@ -88,16 +88,14 @@ type coldReq struct {
 // ColdTier is the admission-controlled on-demand solver pool. Cold
 // queries enter a bounded queue; workers answer them by a Corollary-4
 // base-set solve against the querying shard's snapshot failure view. The
-// base set is edge-complete under the provisioning defaults, so a solve
-// yields the optimal-cost concatenation for every connected pair — the
-// same answer a materialized row would hold. Answers carry no label
-// stack: components missing from the registry are returned un-signaled
-// (control-plane answer), because establishing LSPs from reader threads
-// would race the shard writers' forwarding planes.
+// base set is edge-complete (rbpc.Provision.Servable), so a solve yields
+// the optimal-cost concatenation of provisioned LSPs for every connected
+// pair — the same answer, label stack included, a materialized row would
+// hold — resolved the way an engine resolves it (engine.ResolveRoute).
 type ColdTier struct {
 	g        *graph.Graph
 	base     *paths.Explicit
-	lspOf    map[string]*mpls.LSP // read-only after New; never written here
+	lspAt    []*mpls.LSP // the base set's LSPs by position (rbpc.Provision.BaseLSPs)
 	cfg      ColdConfig
 	onResult func(engine.Result)
 
@@ -123,16 +121,25 @@ type ColdTier struct {
 	hand  int                    //rbpc:guardedby mu
 }
 
-// NewColdTier starts the solver pool. Workers read the registry
-// concurrently, so nobody may write it from here on (the engines over the
-// same provision do not: they only read it too); onResult receives async
-// answers (nil discards them).
+// NewColdTier starts the solver pool over a base set and its LSP registry
+// keyed by path content, which it lays out by position once, here (a base
+// path the registry lacks answers unroutable); Over hands a coordinator's
+// tier the provision's own table instead. onResult receives async answers
+// (nil discards them).
 func NewColdTier(g *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
+	lspAt := make([]*mpls.LSP, base.Len())
+	for i, p := range base.All() {
+		lspAt[i] = lspOf[p.Key()]
+	}
+	return newColdTier(g, base, lspAt, cfg, onResult)
+}
+
+func newColdTier(g *graph.Graph, base *paths.Explicit, lspAt []*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
 	cfg = cfg.withDefaults()
 	t := &ColdTier{
 		g:        g,
 		base:     base,
-		lspOf:    lspOf,
+		lspAt:    lspAt,
 		cfg:      cfg,
 		onResult: onResult,
 		queue:    make(chan coldReq, cfg.Queue),
@@ -227,33 +234,9 @@ func (t *ColdTier) answer(solver **core.SparseSolver, boundKey *string, req cold
 	if !oks[0] {
 		return engine.Result{Src: req.src, Dst: req.dst, Snap: req.snap}
 	}
-	rt := t.routeFor(decs[0])
+	rt := engine.ResolveRoute(t.lspAt, t.g, decs[0])
 	t.promote(key, rt)
 	return engine.Result{Src: req.src, Dst: req.dst, Route: rt, Snap: req.snap}
-}
-
-// routeFor maps a decomposition to a served Route without touching any
-// shared mutable state: provisioned components resolve through the
-// read-only registry, missing ones ride as un-signaled LSP values. The
-// label stack is built only when every component is provisioned.
-func (t *ColdTier) routeFor(dec core.Decomposition) *engine.Route {
-	lsps := make([]*mpls.LSP, len(dec.Components))
-	signaled := true
-	for i, c := range dec.Components {
-		if l, ok := t.lspOf[c.Path.Key()]; ok {
-			lsps[i] = l
-		} else {
-			lsps[i] = &mpls.LSP{Path: c.Path}
-			signaled = false
-		}
-	}
-	rt := &engine.Route{LSPs: lsps, Cost: dec.Cost(t.g)}
-	if signaled {
-		if stack, err := mpls.SelfStack(lsps); err == nil {
-			rt.Stack = stack
-		}
-	}
-	return rt
 }
 
 // promote counts the answer toward promotion and caches it once the pair

@@ -63,9 +63,9 @@ type Coordinator struct {
 // starts them. Each shard receives only the primaries and routes of the
 // sources it owns (engine rows are allocated per provisioned source, so
 // unowned — and unprovisioned cold — sources cost it nothing); graph,
-// base set, LSP registry and network are shared (each engine clones the
-// network copy-on-write and reads the registry). p.Failed must be empty,
-// as for engine.New.
+// base set, LSP table and network are shared (each engine clones the
+// network copy-on-write and reads the table). p.Failed must be empty and
+// the provision servable, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: config needs Shards >= 1, got %d", cfg.Shards)
@@ -96,7 +96,7 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 // source-router scheme. The coordinator's cold tier, the ring's ownership
 // of a pair by its source, and the snapshot wire format all assume a
 // pair's answer is its source's row; the local schemes' ILM patches and
-// flood horizons are not partitioned or shipped (ROADMAP item 2).
+// flood horizons are not partitioned or shipped (ROADMAP item 1).
 func SourceOnly(s engine.Scheme) error {
 	if s != engine.SchemeSource {
 		return fmt.Errorf("shard: sharded serving is source-scheme only (got %v); serve %v from a single engine", s, s)
@@ -109,10 +109,14 @@ func SourceOnly(s engine.Scheme) error {
 // table over p's nodes (Ring.Table). dec is required when a worker can be
 // down (it cuts the detached snapshots their sources are then solved
 // against) and nil otherwise. A non-source cfg.Engine.Scheme is an error
-// (SourceOnly).
+// (SourceOnly), and so is a provision the cold tier cannot answer from
+// (rbpc.Provision.Servable).
 func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *engine.SnapDecoder) (*Coordinator, error) {
 	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
+	}
+	if err := p.Servable(); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	if len(owners) != p.Graph.Order() || len(workers) > MaxShards {
 		return nil, fmt.Errorf("shard: owner table covers %d sources of %d, over %d workers (at most %d)",
@@ -131,7 +135,7 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 	return &Coordinator{
 		owners: owners,
 		w:      workers,
-		cold:   NewColdTier(p.Graph, p.Base, p.LSPs, cfg.Cold, cfg.Engine.OnResult),
+		cold:   newColdTier(p.Graph, p.Base, p.BaseLSPs, cfg.Cold, cfg.Engine.OnResult),
 		skew:   cfg.Engine.Fault == engine.FaultSkewShard,
 		slot:   slot,
 		dec:    dec,
@@ -141,9 +145,8 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 
 // SliceProvision returns the provision slice shard i serves under the
 // owner table: only the primaries and routes of the sources i owns.
-// Graph, base set, network and the LSP registry stay shared — an engine
-// reads the provision's registry and signs on-demand LSPs into a registry
-// of its own. It is the single definition of the shard partition — New and
+// Graph, base set, network and the LSP table stay shared — an engine only
+// reads them. It is the single definition of the shard partition — New and
 // every remote worker process slice with it, so a worker rebuilt from the
 // same provision serves exactly the rows its in-process twin would.
 func SliceProvision(p rbpc.Provision, owners Owners, i int) rbpc.Provision {
@@ -519,7 +522,6 @@ func MergeStats(perShard []engine.Stats, epoch uint64, cold ColdStats) Stats {
 		st.Epochs += es.Epochs
 		st.PlanCacheHits += es.PlanCacheHits
 		st.PlanCacheMiss += es.PlanCacheMiss
-		st.OnDemandLSPs += es.OnDemandLSPs
 		st.RowBytes += es.RowBytes
 		if es.DenseRowBytes > st.DenseRowBytes {
 			st.DenseRowBytes = es.DenseRowBytes

@@ -73,7 +73,6 @@ type Stats struct {
 	Epochs        int64
 	PlanCacheHits int64
 	PlanCacheMiss int64
-	OnDemandLSPs  int64
 
 	// RowBytes sums resident routing-matrix bytes across shards;
 	// DenseRowBytes is what ONE dense all-pairs engine would hold (the

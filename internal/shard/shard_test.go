@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -286,6 +287,29 @@ func TestNonSourceSchemeRejected(t *testing.T) {
 		if _, err := Over(sys.Export(), cfg, ring.Table(g.Order()), nil, nil); err == nil {
 			t.Fatalf("Over accepted scheme %v", sch)
 		}
+	}
+}
+
+// TestNewRequiresEdgeLSPs: the cold tier answers from the provision's LSP
+// table and the shard engines resolve through it, so New refuses a
+// provision in which some link has no 1-hop base path — here the link that
+// is dearer than the way round it — naming the field that provisions one.
+func TestNewRequiresEdgeLSPs(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(0, 2, 3)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(sys.Export(), Config{Shards: 2})
+	if err == nil {
+		c.Close()
+		t.Fatal("New accepted a provision without EdgeLSPs")
+	}
+	if !strings.Contains(err.Error(), "rbpc.Config.EdgeLSPs") {
+		t.Fatalf("New: %v; the error does not name rbpc.Config.EdgeLSPs", err)
 	}
 }
 

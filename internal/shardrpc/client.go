@@ -60,11 +60,10 @@ type queryMetrics struct {
 // and bounded retry, death detection with the alive flag, the in-flight
 // budget, and health pings.
 type client struct {
-	idx   int
-	cfg   Config
-	dec   *engine.SnapDecoder
-	nodes int // topology contract checked against the worker's hello
-	links int
+	idx  int
+	cfg  Config
+	dec  *engine.SnapDecoder
+	want hello // what this worker must attach with, epoch aside (contract)
 	// pairs indexes the primaries of this worker's slice — the same index
 	// the worker's engine holds; the provision is known on both ends, so
 	// AffectedPairs needs no frame.
@@ -95,7 +94,7 @@ type client struct {
 	batchBuf []byte //rbpc:guardedby bmu
 }
 
-func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *engine.SnapDecoder) *client {
+func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *engine.SnapDecoder, want hello) *client {
 	own := make([]bool, len(owners))
 	for src, o := range owners {
 		own[src] = int(o) == idx
@@ -110,8 +109,7 @@ func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *
 		idx:   idx,
 		cfg:   cfg,
 		dec:   dec,
-		nodes: p.Graph.Order(),
-		links: p.Graph.Size(),
+		want:  want,
 		pairs: engine.PrimaryIndex(p.Graph, p.Primaries, own),
 		mine:  mine,
 		pend:  make(map[uint32]*call),
@@ -158,23 +156,19 @@ func (c *client) attachWithin() error {
 }
 
 // attach dials the worker's control and query connections, validates the
-// ring/topology contract from the hello, and waits for the priming
-// snapshot before declaring the worker alive — so a caller returning
-// from attach can immediately build whole views.
+// hello against the contract (ring, topology, LSP table), and waits for the
+// priming snapshot before declaring the worker alive — so a caller
+// returning from attach can immediately build whole views.
 func (c *client) attach() error {
 	control, h, err := c.dialOne(roleControl)
 	if err != nil {
 		return err
 	}
-	if int(h.shards) != c.cfg.Shards || int(h.vnodes) != c.cfg.VNodes || h.ringSeed != c.cfg.RingSeed {
+	want := c.want
+	want.epoch = h.epoch
+	if h != want {
 		control.Close()
-		return fmt.Errorf("shardrpc: worker %d ring contract (%d shards, %d vnodes, seed %#x) differs from coordinator (%d, %d, %#x)",
-			c.idx, h.shards, h.vnodes, h.ringSeed, c.cfg.Shards, c.cfg.VNodes, c.cfg.RingSeed)
-	}
-	if int(h.shard) != c.idx || int(h.nodes) != c.nodes || int(h.links) != c.links {
-		control.Close()
-		return fmt.Errorf("shardrpc: worker %d hello claims shard %d of a %d-node/%d-link topology, want %d of %d/%d",
-			c.idx, h.shard, h.nodes, h.links, c.idx, c.nodes, c.links)
+		return fmt.Errorf("shardrpc: worker %d attaches as %+v, the coordinator expects %+v: shard, ring, topology and LSP table must all agree", c.idx, h, want)
 	}
 	// The worker primes the replica right after the hello; read it
 	// synchronously so the attach postcondition is a current replica.

@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
@@ -19,9 +21,10 @@ const noEdge = ^uint32(0)
 // --- hello -----------------------------------------------------------------
 
 // hello is the worker's side of the attach handshake: the ring contract
-// (shards/vnodes/seed) plus the topology fingerprint (orders must match
-// or decoded node/edge IDs would mean different things) and the worker's
-// current epoch.
+// (shards/vnodes/seed), the topology fingerprint (orders must match or
+// decoded node/edge IDs would mean different things), the LSP table's
+// length and digest (registryDigest: decoded LSP IDs likewise) and the
+// worker's current epoch.
 type hello struct {
 	shard    uint32
 	shards   uint32
@@ -29,10 +32,47 @@ type hello struct {
 	ringSeed uint64
 	nodes    uint32
 	links    uint32
+	lsps     uint32
+	lspSum   uint32
 	epoch    uint64
 }
 
-const helloSize = 4 + 4 + 4 + 8 + 4 + 4 + 8
+const helloSize = 4 + 4 + 4 + 8 + 4 + 4 + 4 + 4 + 8
+
+// contract is the hello of shard idx as a process computes it from its own
+// provision, epoch aside: the worker sends it, the coordinator expects it.
+func contract(p rbpc.Provision, cfg Config, idx int) hello {
+	return hello{
+		shard:    uint32(idx),
+		shards:   uint32(cfg.Shards),
+		vnodes:   uint32(cfg.VNodes),
+		ringSeed: cfg.RingSeed,
+		nodes:    uint32(p.Graph.Order()),
+		links:    uint32(p.Graph.Size()),
+		lsps:     uint32(len(p.BaseLSPs)),
+		lspSum:   registryDigest(p.BaseLSPs),
+	}
+}
+
+// registryDigest is the CRC-32C of a provision's LSP table in order: each
+// LSP's ID, hop count, nodes and links. Two processes whose digests (and
+// table lengths) agree resolve every LSP ID on the wire to the same path.
+func registryDigest(lsps []*mpls.LSP) uint32 {
+	var sum uint32
+	var buf []byte
+	for _, l := range lsps {
+		buf = appendU32(buf[:0], uint32(l.ID))
+		buf = appendU32(buf, uint32(len(l.Path.Edges)))
+		for _, v := range l.Path.Nodes {
+			buf = appendU32(buf, uint32(v))
+		}
+		for _, e := range l.Path.Edges {
+			buf = appendU32(buf, uint32(e))
+		}
+		sum = crc32.Update(sum, castagnoli, buf)
+	}
+	return sum
+}
 
 func appendHello(buf []byte, h hello) []byte {
 	off := len(buf)
@@ -43,7 +83,9 @@ func appendHello(buf []byte, h hello) []byte {
 	putU64(buf, off+12, h.ringSeed)
 	putU32(buf, off+20, h.nodes)
 	putU32(buf, off+24, h.links)
-	putU64(buf, off+28, h.epoch)
+	putU32(buf, off+28, h.lsps)
+	putU32(buf, off+32, h.lspSum)
+	putU64(buf, off+36, h.epoch)
 	return buf
 }
 
@@ -58,7 +100,9 @@ func decodeHello(p []byte) (hello, error) {
 		ringSeed: getU64(p, 12),
 		nodes:    getU32(p, 20),
 		links:    getU32(p, 24),
-		epoch:    getU64(p, 28),
+		lsps:     getU32(p, 28),
+		lspSum:   getU32(p, 32),
+		epoch:    getU64(p, 36),
 	}, nil
 }
 
@@ -252,8 +296,7 @@ func appendAnswer(buf []byte, a Answer) []byte {
 }
 
 // decodeAnswer rebuilds an Answer, resolving the embedded route against
-// the decoder's canonical registry (same LSP identities as a decoded
-// snapshot).
+// the decoder's LSP table (same LSP identities as a decoded snapshot).
 func decodeAnswer(p []byte, dec *engine.SnapDecoder) (Answer, error) {
 	if len(p) < 13 {
 		return Answer{}, fmt.Errorf("shardrpc: short answer frame")
@@ -313,7 +356,6 @@ func appendStats(buf []byte, st engine.Stats) []byte {
 	buf = appendI64(buf, st.Epochs)
 	buf = appendI64(buf, st.PlanCacheHits)
 	buf = appendI64(buf, st.PlanCacheMiss)
-	buf = appendI64(buf, st.OnDemandLSPs)
 	buf = appendI64(buf, st.RowBytes)
 	buf = appendI64(buf, st.DenseRowBytes)
 	buf = appendSummary(buf, st.QueryLatency)
@@ -344,7 +386,6 @@ func decodeStats(p []byte) (engine.Stats, error) {
 	st.Epochs = c.i64()
 	st.PlanCacheHits = c.i64()
 	st.PlanCacheMiss = c.i64()
-	st.OnDemandLSPs = c.i64()
 	st.RowBytes = c.i64()
 	st.DenseRowBytes = c.i64()
 	st.QueryLatency = c.summary()

@@ -174,7 +174,7 @@ func TestQueryAnswerBatchRoundTrip(t *testing.T) {
 
 // TestHelloCodecRoundTrip covers the handshake frame.
 func TestHelloCodecRoundTrip(t *testing.T) {
-	h := hello{shard: 3, shards: 8, vnodes: 1024, ringSeed: 0x9e3779b97f4a7c15, nodes: 4096, links: 16384, epoch: 77}
+	h := hello{shard: 3, shards: 8, vnodes: 1024, ringSeed: 0x9e3779b97f4a7c15, nodes: 4096, links: 16384, lsps: 55932, lspSum: 0xdeadbeef, epoch: 77}
 	got, err := decodeHello(appendHello(nil, h))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 	st := engine.Stats{
 		Epoch: 9, SnapshotAge: 8 * time.Millisecond,
 		Queries: 100, Unroutable: 3, Submitted: 50, Dropped: 2, QueueDepth: 7,
-		Epochs: 11, PlanCacheHits: 13, PlanCacheMiss: 17, OnDemandLSPs: 19,
+		Epochs: 11, PlanCacheHits: 13, PlanCacheMiss: 17,
 		RowBytes: 1 << 20, DenseRowBytes: 1 << 24,
 		QueryLatency: metrics.Summary{Count: 5, P50: 1, P90: 2, P99: 3, Max: 4},
 		EpochBuild:   metrics.Summary{Count: 6, P50: 5, P90: 6, P99: 7, Max: 8},

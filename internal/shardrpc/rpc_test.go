@@ -1,8 +1,10 @@
 package shardrpc
 
 import (
+	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -463,6 +465,72 @@ func TestProcContractMismatchRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("coordinator accepted a worker with a different vnode count")
+	}
+}
+
+// TestProcForeignRegistryRejected: a route crosses the wire as its LSPs'
+// IDs, which name the same paths only over the same LSP table. A worker
+// provisioned with EdgeLSPs alone and a coordinator provisioned with the
+// subpath closure too, on the same graph, agree on ring and topology — every
+// field the hello carried before it carried the table — and must still not
+// attach: the error gives both lengths and both digests. On this graph the
+// closure adds no path, only another order, so the lengths agree too and
+// the digest alone tells the tables apart. The matching deployment attaches.
+func TestProcForeignRegistryRejected(t *testing.T) {
+	g := topology.Waxman(10, 0.8, 0.5, 4)
+	provision := func(rcfg rbpc.Config) rbpc.Provision {
+		sys, err := rbpc.NewSystem(g, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.Export()
+	}
+	edgeOnly, closed := provision(rbpc.Config{EdgeLSPs: true}), provision(rbpc.DefaultConfig())
+	if registryDigest(edgeOnly.BaseLSPs) == registryDigest(closed.BaseLSPs) {
+		t.Fatal("vacuous: the two configurations provision one table")
+	}
+	f := newPipeFarm(t, edgeOnly, Config{Shards: 2})
+	cfg := testConfig(f, 2)
+	cfg.DialTimeout, cfg.DialBudget = 50*time.Millisecond, 200*time.Millisecond
+
+	c, err := NewCoordinator(closed, cfg)
+	if err == nil {
+		c.Close()
+		t.Fatal("a coordinator attached workers provisioned with a different LSP table")
+	}
+	for _, p := range []rbpc.Provision{edgeOnly, closed} {
+		if want := fmt.Sprintf("lsps:%d lspSum:%d", len(p.BaseLSPs), registryDigest(p.BaseLSPs)); !strings.Contains(err.Error(), want) {
+			t.Errorf("attach error %q does not give %q", err, want)
+		}
+	}
+
+	c, err = NewCoordinator(edgeOnly, cfg)
+	if err != nil {
+		t.Fatalf("the matching deployment did not attach: %v", err)
+	}
+	c.Close()
+}
+
+// TestProcWorkerRequiresEdgeLSPs: a worker's engine resolves through the
+// provision's LSP table and signals nothing, so NewWorker refuses a
+// provision in which some link has no 1-hop base path — here the link that
+// is dearer than the way round it — naming the field that provisions one.
+func TestProcWorkerRequiresEdgeLSPs(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(0, 2, 3)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(sys.Export(), 0, Config{Shards: 2})
+	if err == nil {
+		w.Close()
+		t.Fatal("NewWorker accepted a provision without EdgeLSPs")
+	}
+	if !strings.Contains(err.Error(), "rbpc.Config.EdgeLSPs") {
+		t.Fatalf("NewWorker: %v; the error does not name rbpc.Config.EdgeLSPs", err)
 	}
 }
 

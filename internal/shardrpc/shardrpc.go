@@ -21,13 +21,21 @@
 // per query in the steady state, verified by allocprove. Cold frames
 // (bursts, snapshots, stats) take the ordinary append path.
 //
+// Attach. Every connection opens with an attach frame, answered by the
+// worker's hello: shard, ring (shards, vnodes, seed), the topology's order
+// and size, and the length and CRC-32C of the provision's LSP table. The
+// coordinator computes the same contract from its own provision and refuses
+// a worker that differs in any field — a route crosses as the IDs of its
+// LSPs, which name the same paths only over the same table.
+//
 // Traffic. Fail/repair bursts broadcast to every worker on its control
 // connection; workers push each published epoch back as an overlay-only
 // snapshot frame (engine.Snapshot.AppendWire — the canonical forest is
-// rebuilt once per process from the topology and never shipped), so the
-// decoded replica is the shard's current snapshot as the coordinator sees
-// it, and View() merges replicas exactly the way it merges in-process
-// snapshot pointers, still refusing torn (disagreeing) epochs. Flush is
+// rebuilt once per process from the topology and never shipped, and a route
+// component is its LSP's ID, one u32), so the decoded replica is the
+// shard's current snapshot as the coordinator sees it, and View() merges
+// replicas exactly the way it merges in-process snapshot pointers, still
+// refusing torn (disagreeing) epochs. Flush is
 // an explicit barrier frame: the worker's engine taps OnEpoch on its
 // writer goroutine, writing the snapshot frame on the control connection
 // before the flush ack, so a flush ack guarantees the coordinator's
@@ -65,7 +73,7 @@ type Dialer func(worker int) (net.Conn, error)
 // Config tunes the process-mode coordinator and its workers. Shards,
 // VNodes, and RingSeed are the routing contract — every process of a
 // deployment must agree, and the hello handshake rejects a worker built
-// against different parameters.
+// against different parameters, as it does one provisioned differently.
 type Config struct {
 	// Shards is the worker count (required, >= 1).
 	Shards int
@@ -172,8 +180,10 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	owners := ring.Table(p.Graph.Order())
 	c := &Coordinator{w: make([]*client, cfg.Shards)}
 	workers := make([]shard.Worker, cfg.Shards)
+	want := contract(p, cfg, 0)
 	for i := range c.w {
-		c.w[i] = newClient(i, cfg, p, owners, dec)
+		want.shard = uint32(i)
+		c.w[i] = newClient(i, cfg, p, owners, dec, want)
 		workers[i] = c.w[i]
 		if err := c.w[i].attachWithin(); err != nil {
 			for _, cl := range c.w[:i+1] {

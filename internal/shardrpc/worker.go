@@ -41,7 +41,7 @@ type Worker struct {
 	// that was lost on the way in.
 	torn atomic.Int64
 
-	ringContract hello
+	contract hello // what this worker answers an attach with, epoch aside
 }
 
 // NewWorker builds the worker for shard idx of the deployment described
@@ -61,18 +61,7 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{
-		idx: idx,
-		g:   p.Graph,
-		ringContract: hello{
-			shard:    uint32(idx),
-			shards:   uint32(cfg.Shards),
-			vnodes:   uint32(cfg.VNodes),
-			ringSeed: cfg.RingSeed,
-			nodes:    uint32(p.Graph.Order()),
-			links:    uint32(p.Graph.Size()),
-		},
-	}
+	w := &Worker{idx: idx, g: p.Graph}
 
 	ecfg := cfg.Engine
 	userTap := cfg.Engine.OnEpoch
@@ -87,6 +76,7 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 		return nil, fmt.Errorf("shardrpc: worker %d engine: %w", idx, err)
 	}
 	w.eng = eng
+	w.contract = contract(p, cfg, idx) // after engine.New: the provision is servable, its table whole
 	return w, nil
 }
 
@@ -146,7 +136,7 @@ func (w *Worker) ServeConn(nc net.Conn) error {
 	if typ != ftAttach {
 		return fmt.Errorf("shardrpc: worker %d: first frame %d is not attach", w.idx, typ)
 	}
-	h := w.ringContract
+	h := w.contract
 	h.epoch = w.eng.Snapshot().Epoch()
 	if err := c.WriteFrame(ftHello, 0, 0, appendHello(nil, h)); err != nil {
 		return err

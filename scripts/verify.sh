@@ -27,10 +27,12 @@ fi
 # of the deleted dense rows, of the deleted bridge from a map-shaped plan
 # into rows, of the deleted mirror of the rows into the network's FEC tables
 # (with hybrid's second network and the fault that could desynchronise
-# them), and of the deleted searches over views no kernel compiles;
-# whole-word, so test names that contain them do not trip the gate.
+# them), of the deleted searches over views no kernel compiles, and of the
+# path-valued wire component and the on-demand LSP count that went when a
+# component became its base-set index (DESIGN.md §9); whole-word, so test
+# names that contain them do not trip the gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric' -- '*.go'; then
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs' -- '*.go' ':!internal/rbpc/*.go'; then
 	echo "verify: a retired identifier reappeared (see above)" >&2
 	exit 1
 fi
@@ -43,6 +45,26 @@ if git grep -nE 'SetFEC\(|ClearFEC\(|FECEntryFor\(|SendIP\(' -- \
 	'internal/engine/*.go' 'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/probe/*.go' 'internal/chaos/*.go' |
 	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
 	echo "verify: a FEC-table call under the serving stack; go through Snapshot.Send (see above)" >&2
+	exit 1
+fi
+
+# A provisioned LSP is its index (DESIGN.md §9): the solver hands a
+# component's base-set position on, the engine, the cold tier and the
+# decoder read the provision's LSP table at it, and nothing under the
+# serving stack keys an LSP by path content, resolves through the offline
+# rbpc.Resolver, or makes up an LSP value for a path it could not find. The
+# failed-set key (the declaration of Snapshot.Key; the engine reads the
+# field) and NewColdTier's map parameter, which it lays out by position
+# once, are not what these match.
+echo "==> the serving stack resolves LSPs by index"
+if git grep -nE 'map\[string\]\*mpls\.LSP|rbpc\.Resolver|\.Key\(\)' -- 'internal/engine/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: a string-keyed LSP lookup under internal/engine; read the table by index (see above)" >&2
+	exit 1
+fi
+if git grep -nE 'rbpc\.Resolver|&mpls\.LSP\{' -- 'internal/shard/*.go' 'internal/shardrpc/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: on-demand resolution or a made-up LSP under internal/shard or internal/shardrpc (see above)" >&2
 	exit 1
 fi
 
