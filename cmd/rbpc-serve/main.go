@@ -300,6 +300,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *shardProcs > 0 && *shards > 0 {
 		return fail(2, "-shards and -shard-procs each pick the backend; give one")
 	}
+	// The load generator paces bursts of up to -batch queries by the
+	// interval -qps sets: a burst of none never finishes its window, and a
+	// rate of none has no interval.
+	if *batch < 1 {
+		return fail(2, "-batch must be at least 1, got", *batch)
+	}
+	if !(*qps > 0) { // NaN included
+		return fail(2, "-qps must be above 0, got", *qps)
+	}
 	nShards := max(*shards, *shardProcs)
 	if *hotSources > 0 && nShards <= 0 {
 		return fail(2, "-hot-sources needs -shards or -shard-procs (the cold tier lives in the coordinator)")

@@ -144,6 +144,12 @@ func TestRejectedFlagCombos(t *testing.T) {
 		// Without the up-front check this one would print "hybrid" and
 		// serve the source scheme: the worker spec carries no scheme.
 		{"hybrid over worker processes", []string{"-scheme", "hybrid", "-shard-procs", "2"}, "source-scheme only"},
+		// A burst of no queries never ends its window, a negative one panics
+		// sizing it, and a rate of none has no pacing interval.
+		{"empty bursts", []string{"-batch", "0"}, "-batch must be at least 1"},
+		{"negative bursts", []string{"-batch", "-1"}, "-batch must be at least 1"},
+		{"no query rate", []string{"-qps", "0"}, "-qps must be above 0"},
+		{"negative query rate", []string{"-qps", "-5"}, "-qps must be above 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := serve(t, tc.args...)

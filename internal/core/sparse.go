@@ -29,27 +29,19 @@ type DeadIndexed interface {
 	DeadUnderInto(fv *graph.FailureView, dead []bool) []bool
 }
 
-// ByCost is an optional candidate source ordered by ascending (cost,
-// insertion index), in a flat structure-of-arrays layout (see
-// paths.CostIndex.Columns). With one installed (SetCostIndex), searches
-// scan each settled node's candidates cheapest-first — reading only the
-// three rejection columns (cost, destination, dead-mask index) and fetching
-// the path value solely for candidates they relax — and bounded searches
-// stop at the first candidate that cannot reach any pending destination
-// within its distance bound.
-type ByCost interface {
-	Columns() (off []int32, costs []float64, dsts []int32, idx []int32)
-	PathAt(k int32) graph.Path
-}
-
 // LiveColumns is a pre-filtered candidate source (see paths.LiveIndex):
-// per source, the cost-sorted columns already restricted to paths that
-// survive the solver's failure view, the third column naming each
-// candidate by its base-set index (what Component.Base carries, and what
-// PathAt takes). With one installed (SetLiveIndex) the scan needs no
-// per-candidate liveness test at all — the filtering was paid once per
-// epoch, only for sources the failure delta touched. The caller owns the
-// contract that the index's failure state matches the solver's view.
+// per source, the candidates in ascending (cost, insertion index) order,
+// already restricted to paths that survive the solver's failure view, in a
+// flat structure-of-arrays layout whose third column names each candidate
+// by its base-set index (what Component.Base carries, and what PathAt
+// takes). With one installed (SetLiveIndex) searches scan each settled
+// node's candidates cheapest-first — reading only the rejection columns and
+// fetching the path value solely for candidates they relax — with no
+// per-candidate liveness test at all: the filtering was paid once per
+// epoch, only for sources the failure delta touched. Bounded searches stop
+// a node's scan at the first candidate that cannot reach any pending
+// destination within its distance bound. The caller owns the contract that
+// the index's failure state matches the solver's view.
 type LiveColumns interface {
 	LiveFromSource(u graph.NodeID) (costs []float64, dsts []int32, idx []int32)
 	PathAt(idx int32) graph.Path
@@ -67,13 +59,8 @@ type SparseSolver struct {
 	fv   *graph.FailureView
 	orig graph.View
 
-	src    DeadIndexed // nil when base is not materialized
-	ci     ByCost      // nil unless installed with SetCostIndex
-	ciOff  []int32     // ci's hot columns
-	ciCost []float64
-	ciDst  []int32
-	ciIdx  []int32
-	lc     LiveColumns // nil unless installed with SetLiveIndex
+	src DeadIndexed // nil when base is not materialized
+	lc  LiveColumns // nil unless installed with SetLiveIndex
 	// lcShadowsArcs records that the live index attests edge-completeness:
 	// every usable arc is preceded in the candidate scan by a live 1-hop
 	// base path of identical cost, so the raw-edge scan can only produce
@@ -157,24 +144,14 @@ func (ss *SparseSolver) Rebind(fv *graph.FailureView) {
 	ss.kern, _ = graph.CompileView(fv) // a *FailureView always compiles
 }
 
-// SetCostIndex installs a cost-sorted candidate source built over the same
-// base set (paths.CostIndex). Searches then iterate each settled node's
-// candidates cheapest-first — results are identical to insertion-order
-// iteration (the Dijkstra labels are path properties and the (Cost, Index)
-// sort preserves the first-best-offer tie-break) — and bounded searches
-// additionally stop a node's scan at the first candidate whose cost already
-// exceeds the remaining budget.
-func (ss *SparseSolver) SetCostIndex(ci ByCost) {
-	ss.ci = ci
-	ss.ciOff, ss.ciCost, ss.ciDst, ss.ciIdx = ci.Columns()
-}
-
 // SetLiveIndex installs a pre-filtered candidate source whose failure state
-// the caller keeps in sync with the solver's view (see paths.LiveIndex).
-// It takes precedence over a cost index: the candidate scan walks the live
-// columns with no per-candidate dead test. Results are identical to the
-// dead-mask scan — filtering removes exactly the candidates the mask would
-// reject, preserving the (cost, insertion index) order of the rest.
+// the caller keeps in sync with the solver's view (see paths.LiveIndex):
+// the candidate scan walks the live columns cheapest-first with no
+// per-candidate dead test. Results are identical to the insertion-order
+// dead-mask scan — the Dijkstra labels are path properties, filtering
+// removes exactly the candidates the mask would reject, and the (cost,
+// insertion index) order of the rest preserves the first-best-offer
+// tie-break.
 // Passing nil uninstalls it and restores the dead mask from the current
 // view.
 func (ss *SparseSolver) SetLiveIndex(lc LiveColumns) {
@@ -232,7 +209,7 @@ func (ss *SparseSolver) From(s graph.NodeID, dsts []graph.NodeID) ([]Decompositi
 // bare edge, its shortest distances coincide with the view's, so offers
 // that exceed a node's bound are transient labels Dijkstra would overwrite
 // anyway — pruning them (plus skipping provably-unreachable destinations
-// and, with a cost index installed, cutting each candidate scan at the
+// and, with a live index installed, cutting each candidate scan at the
 // remaining budget) changes nothing in the returned decompositions, which
 // stay bit-identical to From. A small relative slack absorbs float
 // association noise between the two cost sums.
@@ -423,29 +400,6 @@ func (ss *SparseSolver) search(s graph.NodeID, dsts []graph.NodeID, bound, rev [
 				v := graph.NodeID(lcDsts[j])
 				if total, tc := du+c, cu+1; ss.offer(v, total, tc) {
 					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.lc.PathAt(lcKeys[j]), Base: lcKeys[j] + 1})
-				}
-			}
-		case ss.ci != nil:
-			// Structure-of-arrays scan over the cost index's rejection
-			// columns, cheapest first. Same accept/reject decisions as the
-			// insertion-order walk below — the Dijkstra labels are path
-			// properties and the (cost, index) order keeps the
-			// first-best-offer tie-break.
-			end := ss.ciOff[u+1]
-			for k := ss.ciOff[u]; k < end; k++ {
-				c := ss.ciCost[k]
-				if du+c > maxTotal {
-					break // cheapest-first: every later candidate is dearer
-				}
-				if ss.dead[ss.ciIdx[k]] {
-					continue
-				}
-				v := graph.NodeID(ss.ciDst[k])
-				if bounded && du+c > ss.lab[v].bnd {
-					continue
-				}
-				if total, tc := du+c, cu+1; ss.offer(v, total, tc) {
-					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.ci.PathAt(k), Base: ss.ciIdx[k] + 1})
 				}
 			}
 		case ss.src != nil:

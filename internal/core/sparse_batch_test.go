@@ -75,7 +75,6 @@ func TestBatchedSolveBitIdenticalToPairSolves(t *testing.T) {
 			fv := graph.FailEdges(g, failed...)
 
 			batched := NewSparseSolver(ex, fv)
-			batched.SetCostIndex(ci)
 			batched.SetLiveIndex(li)
 
 			for s := 0; s < g.Order(); s++ {
@@ -84,7 +83,6 @@ func TestBatchedSolveBitIdenticalToPairSolves(t *testing.T) {
 				gotDecs, gotOks := batched.FromBounded(src, dsts, bound, spath.Unreachable)
 				for i, d := range dsts {
 					single := NewSparseSolver(ex, fv)
-					single.SetCostIndex(ci)
 					single.SetLiveIndex(li)
 					wantDecs, wantOks := single.FromBounded(src, []graph.NodeID{d}, bound, spath.Unreachable)
 					if gotOks[i] != wantOks[0] {
@@ -142,7 +140,6 @@ func TestBatchedSolveBitIdenticalToPairSolves(t *testing.T) {
 					continue
 				}
 				ell := NewSparseSolver(ex, fv)
-				ell.SetCostIndex(ci)
 				ell.SetLiveIndex(li)
 				eDecs, eOks := ell.FromBoundedEllipse(src, sub, bound, rev, spath.Unreachable)
 				for j, d := range sub {

@@ -71,7 +71,6 @@ func TestFromBoundedBitIdenticalToFrom(t *testing.T) {
 		if trial%2 == 0 {
 			ex = paths.Corollary4Extend(ex, g)
 		}
-		ci := paths.NewCostIndex(ex)
 
 		nfail := 1 + rng.Intn(3)
 		var failed []graph.EdgeID
@@ -80,8 +79,12 @@ func TestFromBoundedBitIdenticalToFrom(t *testing.T) {
 		}
 		fv := graph.FailEdges(g, failed...)
 
+		// The live columns at fv's failure state (a link drawn twice is
+		// down once).
+		li := paths.NewLiveIndex(ex, paths.NewCostIndex(ex))
+		li.Update(fv.RemovedEdges(), nil)
 		bounded := NewSparseSolver(ex, fv)
-		bounded.SetCostIndex(ci)
+		bounded.SetLiveIndex(li)
 
 		var dsts []graph.NodeID
 		for d := 0; d < g.Order(); d++ {
@@ -101,7 +104,7 @@ func TestFromBoundedBitIdenticalToFrom(t *testing.T) {
 					t.Fatalf("trial %d s=%d d=%d: decomposition diverged:\n bounded: %v\n plain:   %v",
 						trial, s, dsts[i], gotDecs[i], wantDecs[i])
 				}
-				// The cost-index scan and the insertion-order scan name the
+				// The live-column scan and the insertion-order scan name the
 				// same stored path (sameDecomposition compared the indices).
 				if err := baseNamesPath(ex, wantDecs[i]); err != nil {
 					t.Fatalf("trial %d s=%d d=%d: %v", trial, s, dsts[i], err)
@@ -121,20 +124,23 @@ func TestRebindMatchesFreshSolver(t *testing.T) {
 		sources = append(sources, graph.NodeID(i))
 	}
 	ex := paths.FromSources(paths.NewAllShortest(g), sources)
-	ci := paths.NewCostIndex(ex)
+	li := paths.NewLiveIndex(ex, paths.NewCostIndex(ex))
 
 	pooled := NewSparseSolver(ex, graph.FailEdges(g))
-	pooled.SetCostIndex(ci)
+	pooled.SetLiveIndex(li)
 	var dsts []graph.NodeID
 	for d := 0; d < g.Order(); d++ {
 		dsts = append(dsts, graph.NodeID(d))
 	}
+	var down []graph.EdgeID
 	for step := 0; step < 20; step++ {
 		var failed []graph.EdgeID
 		for len(failed) < 1+rng.Intn(4) {
 			failed = append(failed, graph.EdgeID(rng.Intn(g.Size())))
 		}
 		fv := graph.FailEdges(g, failed...)
+		li.Update(fv.RemovedEdges(), down) // the index moves with the view
+		down = fv.RemovedEdges()
 		pooled.Rebind(fv)
 		src := graph.NodeID(rng.Intn(g.Order()))
 		bound := trueDistances(fv, src)

@@ -83,16 +83,16 @@ func TestSparseFromEmptyAndUnusable(t *testing.T) {
 	}
 
 	// An empty materialized base set has no candidates and a nil dead mask:
-	// every route is bare edges, with and without a cost index over it.
+	// every route is bare edges, with and without a live index over it.
 	empty := paths.NewExplicit(g)
-	for _, ci := range []ByCost{nil, paths.NewCostIndex(empty)} {
+	for _, li := range []*paths.LiveIndex{nil, paths.NewLiveIndex(empty, paths.NewCostIndex(empty))} {
 		ss := NewSparseSolver(empty, fv)
-		if ci != nil {
-			ss.SetCostIndex(ci)
+		if li != nil {
+			ss.SetLiveIndex(li)
 		}
 		decs, oks = ss.From(0, []graph.NodeID{2})
 		if !oks[0] || decs[0].Len() != 2 || decs[0].Components[0].Kind != KindEdge {
-			t.Fatalf("empty base set (cost index %v): ok %v, decomposition %v", ci != nil, oks[0], decs[0])
+			t.Fatalf("empty base set (live index %v): ok %v, decomposition %v", li != nil, oks[0], decs[0])
 		}
 	}
 }

@@ -131,8 +131,9 @@ type Stats struct {
 	LocalPairs        int64
 	LocalUnrestorable int64
 	// Converged counts hybrid transitions whose switchover horizon has
-	// fully passed; PendingTimers is the number of still-armed switchover
-	// timers (0 after Drain or Close).
+	// fully passed on the engine's clock as of this scrape; PendingTimers is
+	// the number whose horizon has not (0 after Drain or Close, which drop
+	// them uncounted).
 	Converged     int64
 	PendingTimers int
 }
@@ -152,6 +153,11 @@ type Engine struct {
 	// (core.Component.Base) and the crossing scan of a down link walks
 	// base.IndicesThroughEdge against. Shared, read-only.
 	lspAt []*mpls.LSP
+	// net is the engine's one network: New's clone of the provision's — the
+	// exporting System may keep writing its own — never cloned or written
+	// again. Every epoch forwards over it under its own failure view and
+	// patch rows (Snapshot.Send).
+	net *mpls.Network
 
 	// Writer-owned state (only the writer goroutine touches these after New).
 	primaries map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
@@ -184,18 +190,17 @@ type Engine struct {
 	solvers  []*core.SparseSolver
 	pscratch *planScratch // incrementalPlan's reused working memory
 	inc      incCounters
-	// ilmPatches is the local-restoration writer state (Config.Scheme !=
-	// SchemeSource): the ILM patches applied on the current epoch's net.
 	// lscratch is the local build's reused working memory, nil under
 	// SchemeSource.
-	ilmPatches mpls.PatchSet
-	lscratch   *localScratch
+	lscratch *localScratch
 
-	// timers holds the armed hybrid switchover timers.
+	// switchovers holds, on the engine's clock, when each hybrid transition
+	// not yet counted in mConverged has flooded to its last reachable router
+	// (settleSwitchovers).
 	//
-	//rbpc:guardedby timerMu
-	timers  map[*time.Timer]struct{}
-	timerMu sync.Mutex
+	//rbpc:guardedby switchMu
+	switchovers []time.Time
+	switchMu    sync.Mutex
 
 	// canonBytes is the resident cost of the canonical matrix (top-level
 	// slice + every materialized row), fixed after New.
@@ -285,6 +290,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		base:      p.Base,
 		cfg:       cfg,
 		lspAt:     p.BaseLSPs,
+		net:       p.Net.Clone(),
 		primaries: p.Primaries,
 		live:      paths.NewLiveIndex(p.Base, p.Base.CostIndex()),
 		canonical: canonical,
@@ -307,14 +313,13 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Epoch 0: the pristine snapshot. The provision's network is cloned
-	// (copy-on-write) so the exporting System and the engine part ways.
+	// Epoch 0: the pristine snapshot.
 	s0 := &Snapshot{
 		epoch:    0,
 		failed:   nil,
 		key:      "",
 		fv:       graph.FailEdges(p.Graph),
-		net:      p.Net.Clone(),
+		net:      e.net,
 		oracle:   spath.NewOracle(graph.FailEdges(p.Graph)),
 		created:  time.Now(),
 		canon:    canonical,
@@ -697,11 +702,10 @@ func (e *Engine) Flush() {
 // residual queue are recorded; returns immediately if the engine is
 // closed.
 func (e *Engine) Drain() {
-	// Cancel pending hybrid switchover timers: a drain precedes metric
-	// scrapes and shutdown, and a timer firing after either is a stray
-	// goroutine touching engine state (the serving-side switchover needs
-	// no timer, so cancelling never changes an answer).
-	e.stopTimers()
+	// A drain precedes metric scrapes and shutdown: switchovers still
+	// pending are dropped, not counted (the serving-side switchover reads
+	// the clock per query, so dropping never changes an answer).
+	e.dropSwitchovers()
 	barriers := make([]chan struct{}, len(e.queries))
 	for i, ch := range e.queries {
 		b := make(chan struct{})
@@ -724,7 +728,7 @@ func (e *Engine) Drain() {
 // Close stops the writer and workers. Queries against already-obtained
 // snapshots remain valid; Engine methods must not be called after Close.
 func (e *Engine) Close() {
-	e.stopTimers()
+	e.dropSwitchovers()
 	e.closed.Do(func() { close(e.done) })
 	e.wg.Wait()
 }
@@ -743,6 +747,7 @@ func (e *Engine) queueLen() int {
 func (e *Engine) Stats() Stats {
 	s := e.snap.Load()
 	resident, dense := s.RowBytes()
+	pending := e.settleSwitchovers()
 	return Stats{
 		Epoch:         s.epoch,
 		SnapshotAge:   s.Age(),
@@ -768,7 +773,7 @@ func (e *Engine) Stats() Stats {
 		LocalPairs:        e.mLocalPairs.Load(),
 		LocalUnrestorable: e.mLocalUnrestorable.Load(),
 		Converged:         e.mConverged.Load(),
-		PendingTimers:     e.pendingTimers(),
+		PendingTimers:     pending,
 	}
 }
 
@@ -943,17 +948,8 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	// serving snapshot's failed-set when the next solve fan-out reads it.
 	e.live.Update(newlyDown, repairedIDs)
 
-	// The net lineage is linear: always clone the latest snapshot's net,
-	// whose link state and patched ILM rows (e.ilmPatches diffs against
-	// them) the transition moves on from.
-	net := prev.net.Clone()
-	for _, ed := range repairedIDs {
-		net.RepairEdge(ed)
-	}
-	for _, ed := range failed {
-		net.FailEdge(ed)
-	}
-
+	// The epoch's link state: Snapshot.Send forwards under it, over the one
+	// network every epoch shares.
 	fv := graph.FailEdges(e.g, failed...)
 	oracle := epochOracle(e.pristine, fv)
 	if !e.cfg.FullRebuild {
@@ -965,13 +961,12 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 
 	// Local restoration schemes: publish the local epoch. For SchemeLocal
 	// and SchemeBypass that is the whole transition; for SchemeHybrid it is
-	// phase one, and the source-plan build below publishes phase two on the
-	// same net: nothing writes a network once its ILM rows are patched — a
-	// source plan names LSPs, it never signals one.
+	// phase one, and the source-plan build below publishes phase two under
+	// the same patch rows — a source plan names LSPs and patches nothing.
 	var snap1 *Snapshot
 	if e.cfg.Scheme != SchemeSource {
 		var done bool
-		snap1, done = e.publishLocal(prev, start, failed, key, fv, oracle, net, newlyDown, repairedIDs)
+		snap1, done = e.publishLocal(prev, start, failed, key, fv, oracle, newlyDown, repairedIDs)
 		if done {
 			return
 		}
@@ -981,7 +976,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	// on a hit, the previous epoch's with the touched sources replaced on a
 	// miss, the reference's own in FullRebuild mode. The rows are also the
 	// epoch's FEC tables (Snapshot.Send), so publishing them is the paper's
-	// whole source-router action and nothing is written to net for it.
+	// whole source-router action.
 	var over []*planRow
 	hit := false
 	switch {
@@ -1022,6 +1017,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	var detected time.Time
 	var clock func() time.Time
 	var preOver []*planRow
+	var patch *mpls.ILMOverlay
 	if snap1 != nil {
 		epoch = snap1.epoch + 1
 		scheme = SchemeHybrid
@@ -1031,13 +1027,15 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		detected = snap1.detected
 		clock = snap1.clock
 		preOver = snap1.over
+		patch = snap1.patch
 	}
 	next := &Snapshot{
 		epoch:      epoch,
 		failed:     failed,
 		key:        key,
 		fv:         fv,
-		net:        net,
+		net:        e.net,
+		patch:      patch,
 		oracle:     oracle,
 		created:    time.Now(),
 		canon:      e.canonical,
@@ -1057,7 +1055,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	e.mEpochs.Add(0, 1)
 	e.mBuild.Record(0, time.Since(start))
 	if snap1 != nil {
-		e.scheduleConvergence(snap1.maxHorizon)
+		e.noteSwitchover(snap1.detected, snap1.maxHorizon)
 		// The source plan's cost is the post-failure shortest distance by
 		// construction (cached plans included), so hybrid reads its stretch
 		// denominators from it instead of rooting a tree per affected source.

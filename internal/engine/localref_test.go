@@ -271,12 +271,12 @@ func sameILMEntry(a, b mpls.ILMEntry) bool {
 
 // TestLocalBuildMatchesReference locksteps the engine's local build — the
 // pooled, live-index, bounded solver; the path-index crossing scan; the
-// memoized detours; the ILM patch diff — against referenceLocalBuild over
+// memoized detours; the frozen ILM overlay — against referenceLocalBuild over
 // seeded churn with up to three links down, on every epoch that publishes
 // a freshly built local plan: the same affected set, bit-identical costs,
 // the same walks, the same unrestorable pairs, the same counters, and a
-// phase-one net whose every ILM row reads as it would after reverting all
-// patches and re-applying the reference's.
+// phase-one epoch whose every ILM row (Snapshot.ILMRow) reads as the
+// provision's with the reference's rows applied.
 func TestLocalBuildMatchesReference(t *testing.T) {
 	topos := []struct {
 		name string
@@ -303,7 +303,6 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 				}
 				prov := sys.Export()
 				var e *Engine
-				var pristine *mpls.Network
 				var last struct {
 					unrestorable, hopsCount, hopsSum int64
 				}
@@ -316,7 +315,7 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 					// The reference resolves by path content off its own copy
 					// of the provision's string-keyed registry, which the
 					// engine does not read.
-					ref, onDemand := referenceLocalBuild(e, snap.failed, snap.fv, snap.net.Clone(), maps.Clone(prov.LSPs))
+					ref, onDemand := referenceLocalBuild(e, snap.failed, snap.fv, e.net.Clone(), maps.Clone(prov.LSPs))
 					if onDemand != 0 {
 						return fmt.Errorf("epoch %d: the reference had to signal %d LSPs the engine's build did not", snap.epoch, onDemand)
 					}
@@ -363,20 +362,20 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 					}
 					last.unrestorable, last.hopsCount, last.hopsSum = e.mLocalUnrestorable.Load(), hops.Count, hopsSum
 
-					// ILM: revert everything, re-apply the reference's rows.
-					// Only provisioned LSPs are ever patched, so the pristine
-					// net holds the reverted entry of every patchable row.
-					if e.ilmPatches.Len() != len(ref.rows) {
-						return fmt.Errorf("epoch %d: %d rows patched, reference %d", snap.epoch, e.ilmPatches.Len(), len(ref.rows))
+					// ILM: the provision's tables with the reference's rows
+					// applied. Only provisioned LSPs are ever patched, and the
+					// engine's network holds every such row as provisioned.
+					if snap.patch.Len() != len(ref.rows) {
+						return fmt.Errorf("epoch %d: %d rows patched, reference %d", snap.epoch, snap.patch.Len(), len(ref.rows))
 					}
 					for _, lsp := range prov.LSPs {
 						for _, k := range lspRows(lsp) {
 							want, patched := ref.rows[k]
 							if !patched {
-								want, _ = pristine.Router(k.router).ILMEntryFor(k.label)
+								want, _ = e.net.Router(k.router).ILMEntryFor(k.label)
 							}
-							if have, ok := snap.net.Router(k.router).ILMEntryFor(k.label); !ok || !sameILMEntry(have, want) {
-								return fmt.Errorf("epoch %d (failed %v): router %d label %d reads %+v, revert + re-apply gives %+v (patched: %v)",
+							if have, ok := snap.ILMRow(k.router, k.label); !ok || !sameILMEntry(have, want) {
+								return fmt.Errorf("epoch %d (failed %v): router %d label %d reads %+v, the provision with the reference's rows gives %+v (patched: %v)",
 									snap.epoch, snap.failed, k.router, k.label, have, want, patched)
 							}
 						}
@@ -395,7 +394,6 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				pristine = e.Snapshot().net
 
 				events := failure.ChurnSchedule(tp.g, steps, 3, rand.New(rand.NewSource(17)))
 				for _, ev := range events {
@@ -412,8 +410,8 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 				if epochs < len(events) {
 					t.Fatalf("checked %d local epochs over %d events", epochs, len(events))
 				}
-				if e.ilmPatches.Len() != 0 {
-					t.Fatalf("%d ILM patches left after the schedule drained", e.ilmPatches.Len())
+				if patch := e.Snapshot().patch; patch != nil {
+					t.Fatalf("%d ILM patch rows left after the schedule drained, want the nil overlay", patch.Len())
 				}
 			})
 		}

@@ -255,13 +255,12 @@ func pairBefore(a, b graph.NodePair) bool {
 }
 
 // buildLocalPlan computes the epoch's local restoration state for the
-// full failed-set: it brings the patched ILM rows on the epoch's net in
-// line with the failed-set — one row per provisioned LSP crossing of every
-// down link, e.ilmPatches writing only what changed since the previous
-// transition — and derives the answer each affected pair's patched
-// forwarding now delivers. Writer-only, and the whole of it stands between
-// a failure and the first restored packet, so it works in four passes over
-// writer-owned scratch:
+// full failed-set: the patched ILM rows — one per provisioned LSP crossing
+// of every down link, frozen into the epoch's overlay over the engine's
+// network, which is not written — and the answer each affected pair's
+// patched forwarding now delivers. Writer-only, and the whole of it stands
+// between a failure and the first restored packet, so it works in four
+// passes over writer-owned scratch:
 //
 //  1. Collect. Walk the provisioned LSPs through each down link (by base
 //     path index — no key is hashed) for the rows to patch, and merge the
@@ -273,19 +272,18 @@ func pairBefore(a, b graph.NodePair) bool {
 //     the ellipse around its targets. Patch points and bypass targets are
 //     failure endpoints, whose trees the epoch oracle roots anyway.
 //  3. Patch. Form the wanted row of every crossing from its detour's label
-//     stack, and hand the set to PatchSet.Sync.
+//     stack, and freeze the set (mpls.NewILMOverlay).
 //  4. Answer. Splice the detours into each affected primary and lay the
 //     routes out as per-source rows.
 //
 // The pairs' stretch is only noted here; it is accounted after the
 // snapshot is serving (accountStretch).
-func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network) *plan {
+func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle) (*plan, *mpls.ILMOverlay) {
 	sc := e.lscratch
 	sc.stretch, sc.crossings = sc.stretch[:0], sc.crossings[:0]
 	sc.want, sc.labels = sc.want[:0], sc.labels[:0]
 	if len(failed) == 0 {
-		e.syncPatches(net, nil)
-		return emptyPlan
+		return emptyPlan, nil
 	}
 	flavor, via := e.localFlavor()
 	defer sc.release(failed)
@@ -370,8 +368,8 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 		}
 	}
 
-	// Pass 3: the wanted ILM row of every crossing, then the diff against
-	// what the previous transition left patched.
+	// Pass 3: the wanted ILM row of every crossing, frozen into the epoch's
+	// overlay.
 	var unrestorable int64
 	for _, c := range sc.crossings {
 		target := c.r2
@@ -392,7 +390,12 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 			Entry: mpls.ILMEntry{Out: out, OutEdge: mpls.LocalProcess}})
 		e.mDetourHops.Add(int64(dt.path.Hops()))
 	}
-	e.syncPatches(net, sc.want)
+	patch, err := mpls.NewILMOverlay(e.net, sc.want)
+	if err != nil {
+		// A crossing's row is missing from the provision's tables — a
+		// provisioning bug, not a runtime condition.
+		panic("engine: patching ILM rows: " + err.Error())
+	}
 
 	// Pass 4: the answer each affected pair's patched data plane now
 	// delivers. sc.affected is (src, dst)-sorted, so each source's run is
@@ -420,16 +423,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 	}
 	e.mLocalPairs.Add(0, int64(len(sc.affected)))
 	e.mLocalUnrestorable.Add(0, unrestorable)
-	return &plan{rows: rows}
-}
-
-// syncPatches makes the patched ILM rows on net exactly want.
-func (e *Engine) syncPatches(net *mpls.Network, want []mpls.ILMPatch) {
-	if err := e.ilmPatches.Sync(net, want); err != nil {
-		// The row vanished from under us — a provisioning bug, not a
-		// runtime condition; surface it like a failed revert.
-		panic("engine: applying ILM patch: " + err.Error())
-	}
+	return &plan{rows: rows}, patch
 }
 
 // localILMRow forms the label sequence (bottom-first) of the replacement
@@ -544,50 +538,53 @@ func (e *Engine) floodHorizons(delta []graph.EdgeID, fv *graph.FailureView) (hor
 	return horizon, maxFinite
 }
 
-// scheduleConvergence arms the hybrid switchover timer: it fires once the
-// last reachable router's flood horizon has passed and counts the epoch as
-// converged (serving-side switchover needs no timer — Snapshot.Route gates
-// on the clock — so the timer exists for observability and is safe to
-// cancel). Drain and Close stop all pending timers so no callback
-// outlives the engine.
-func (e *Engine) scheduleConvergence(d time.Duration) {
-	if d <= 0 {
+// now reads the engine's clock: Config.Clock where one is injected, else the
+// wall clock.
+func (e *Engine) now() time.Time {
+	if e.cfg.Clock != nil {
+		return e.cfg.Clock()
+	}
+	return time.Now()
+}
+
+// noteSwitchover records a hybrid transition's convergence deadline: once
+// the engine's clock reads detected + maxHorizon, the flood has reached the
+// last reachable router and Snapshot.Converged turns true. Nothing waits for
+// it — Snapshot.Route gates on the clock per read — so the deadline is only
+// kept for Stats to count (settleSwitchovers); an instant flood is counted
+// here.
+func (e *Engine) noteSwitchover(detected time.Time, maxHorizon time.Duration) {
+	if maxHorizon <= 0 {
 		e.mConverged.Add(0, 1)
 		return
 	}
-	e.timerMu.Lock()
-	defer e.timerMu.Unlock()
-	if e.timers == nil {
-		e.timers = make(map[*time.Timer]struct{})
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		e.timerMu.Lock()
-		_, live := e.timers[t]
-		delete(e.timers, t)
-		e.timerMu.Unlock()
-		if live {
-			e.mConverged.Add(0, 1)
+	e.switchMu.Lock()
+	defer e.switchMu.Unlock()
+	e.switchovers = append(e.switchovers, detected.Add(maxHorizon))
+}
+
+// settleSwitchovers counts every recorded deadline the engine's clock has
+// reached as converged and returns how many are still pending.
+func (e *Engine) settleSwitchovers() int {
+	now := e.now()
+	e.switchMu.Lock()
+	defer e.switchMu.Unlock()
+	pending := e.switchovers[:0]
+	for _, at := range e.switchovers {
+		if now.Before(at) {
+			pending = append(pending, at)
 		}
-	})
-	e.timers[t] = struct{}{}
-}
-
-// stopTimers cancels every pending switchover timer.
-func (e *Engine) stopTimers() {
-	e.timerMu.Lock()
-	defer e.timerMu.Unlock()
-	for t := range e.timers {
-		t.Stop()
 	}
-	clear(e.timers)
+	e.mConverged.Add(0, int64(len(e.switchovers)-len(pending)))
+	e.switchovers = pending
+	return len(pending)
 }
 
-// pendingTimers reports the number of armed switchover timers.
-func (e *Engine) pendingTimers() int {
-	e.timerMu.Lock()
-	defer e.timerMu.Unlock()
-	return len(e.timers)
+// dropSwitchovers forgets every pending deadline, uncounted.
+func (e *Engine) dropSwitchovers() {
+	e.switchMu.Lock()
+	defer e.switchMu.Unlock()
+	e.switchovers = nil
 }
 
 // publishLocal builds and publishes the local-restoration epoch for the
@@ -597,15 +594,15 @@ func (e *Engine) pendingTimers() int {
 // is phase one of two: the previous epoch's rows are carried (sources have
 // not heard of the transition yet, so their precomputed answers are
 // honestly stale) beneath the fresh local plan, and the caller continues
-// into the source-plan build, which publishes phase two on the same net
-// with srcReady set.
+// into the source-plan build, which publishes phase two under the same
+// patch rows with srcReady set.
 //
-// FaultStaleBypass short-circuits the rebuild: the previous plan's patches
-// stay applied and its routes keep being served.
-func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, net *mpls.Network, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
-	lp := prev.local
+// FaultStaleBypass short-circuits the rebuild: the previous epoch's patch
+// rows and local plan are carried.
+func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
+	lp, patch := prev.local, prev.patch
 	if e.cfg.Fault != FaultStaleBypass {
-		lp = e.buildLocalPlan(failed, fv, oracle, net)
+		lp, patch = e.buildLocalPlan(failed, fv, oracle)
 	}
 
 	hybrid := e.cfg.Scheme == SchemeHybrid
@@ -617,10 +614,7 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 		delta = append(delta, repairedIDs...)
 		horizon, maxH = e.floodHorizons(delta, fv)
 	}
-	detected := time.Now()
-	if e.cfg.Clock != nil {
-		detected = e.cfg.Clock()
-	}
+	detected := e.now()
 	var over []*planRow
 	if hybrid {
 		over = prev.over
@@ -630,7 +624,8 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 		failed:     failed,
 		key:        key,
 		fv:         fv,
-		net:        net,
+		net:        e.net,
+		patch:      patch,
 		oracle:     oracle,
 		created:    time.Now(),
 		canon:      e.canonical,

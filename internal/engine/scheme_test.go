@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -145,8 +146,8 @@ func TestLocalSchemesServeAffectedPairs(t *testing.T) {
 			if got := localRoutesOf(snap); len(got) != 0 {
 				t.Fatalf("pristine epoch still holds %d local routes", len(got))
 			}
-			if e.ilmPatches.Len() != 0 {
-				t.Fatalf("pristine epoch still holds %d ILM patches", e.ilmPatches.Len())
+			if snap.patch != nil {
+				t.Fatalf("pristine epoch still holds %d ILM patch rows", snap.patch.Len())
 			}
 			for s := 0; s < g.Order(); s++ {
 				for d := 0; d < g.Order(); d++ {
@@ -276,20 +277,20 @@ func TestHybridConvergenceProperty(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		g := topology.Waxman(14, 0.8, 0.5, seed)
 		engines := make(map[Scheme]*Engine, 4)
-		// A hybrid transition is one network: phase two is published on the
-		// net phase one patched, not on a clone of it.
+		// A hybrid transition patches once: phase two is published under
+		// the patch rows phase one froze.
 		var phaseOne *Snapshot
-		oneNet := func(s *Snapshot) {
+		onePatch := func(s *Snapshot) {
 			if !s.srcReady {
 				phaseOne = s
-			} else if phaseOne == nil || s.Epoch() != phaseOne.Epoch()+1 || s.Net() != phaseOne.Net() {
-				t.Errorf("seed %d: hybrid phase two (epoch %d, failed %v) does not serve on its phase one's network", seed, s.Epoch(), s.Failed())
+			} else if phaseOne == nil || s.Epoch() != phaseOne.Epoch()+1 || s.patch != phaseOne.patch {
+				t.Errorf("seed %d: hybrid phase two (epoch %d, failed %v) does not forward under its phase one's patch rows", seed, s.Epoch(), s.Failed())
 			}
 		}
 		for _, s := range Schemes() {
 			cfg := Config{Scheme: s}
 			if s == SchemeHybrid {
-				cfg.OnEpoch = oneNet
+				cfg.OnEpoch = onePatch
 			}
 			e, _ := newEngine(t, g, cfg)
 			engines[s] = e
@@ -309,7 +310,7 @@ func TestHybridConvergenceProperty(t *testing.T) {
 			if !hyb.Converged() {
 				t.Fatalf("seed %d step %d: zero-flood hybrid not converged", seed, step)
 			}
-			// Phase two forwards on phase one's net, patches and all.
+			// Phase two forwards under phase one's patch rows.
 			sendDeliversServed(t, hyb, fmt.Sprintf("seed %d step %d, hybrid", seed, step))
 			single := len(src.Snapshot().Failed()) == 1
 			for s := 0; s < g.Order(); s++ {
@@ -360,9 +361,8 @@ func TestHybridConvergenceProperty(t *testing.T) {
 }
 
 // TestDrainCancelsSwitchoverTimers: a hybrid engine with a long flood
-// horizon arms a switchover timer per transition; Drain must cancel them
-// all so no timer callback outlives a drained engine (the -race smoke
-// regression for the shutdown gap).
+// horizon holds one pending switchover per transition; Drain and Close drop
+// them all, uncounted.
 func TestDrainCancelsSwitchoverTimers(t *testing.T) {
 	g := topology.Waxman(12, 0.8, 0.5, 2)
 	e, _ := newEngine(t, g, Config{
@@ -374,18 +374,51 @@ func TestDrainCancelsSwitchoverTimers(t *testing.T) {
 	e.Fail(1)
 	e.Flush()
 	if got := e.Stats().PendingTimers; got == 0 {
-		t.Fatal("no switchover timers armed after hybrid transitions")
+		t.Fatal("no switchover pending after hybrid transitions")
 	}
 	e.Drain()
 	if got := e.Stats().PendingTimers; got != 0 {
-		t.Fatalf("%d switchover timers still armed after Drain", got)
+		t.Fatalf("%d switchovers still pending after Drain", got)
 	}
-	// Further transitions may arm new timers; Close must also cancel them.
+	// Further transitions are pending again; Close must also drop them.
 	e.Fail(2)
 	e.Flush()
 	e.Close()
-	if got := e.pendingTimers(); got != 0 {
-		t.Fatalf("%d switchover timers still armed after Close", got)
+	if st := e.Stats(); st.PendingTimers != 0 || st.Converged != 0 {
+		t.Fatalf("after Close: %d switchovers pending, %d counted converged, want 0 and 0", st.PendingTimers, st.Converged)
+	}
+}
+
+// TestStatsConvergedFollowsTheClock: the switchover is a deadline on the
+// engine's clock, not a timer. On a stopped fake clock a hybrid transition
+// stays pending however long the test takes; once the clock passes the
+// epoch's MaxHorizon, Stats().Converged moves with Snapshot.Converged(); and
+// no goroutine was started to make it so.
+func TestStatsConvergedFollowsTheClock(t *testing.T) {
+	g := topology.Waxman(16, 0.8, 0.5, 3)
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	e, _ := newEngine(t, g, Config{
+		Scheme: SchemeHybrid,
+		// Short enough that a wall-clock timer would fire inside the test.
+		Flood: FloodConfig{Detect: time.Millisecond, PerHop: time.Millisecond},
+		Clock: clk.Now,
+	})
+	goroutines := runtime.NumGoroutine()
+	e.Fail(0)
+	e.Flush()
+	snap := e.Snapshot()
+	time.Sleep(2 * snap.MaxHorizon())
+	if st := e.Stats(); snap.Converged() || st.Converged != 0 || st.PendingTimers != 1 {
+		t.Fatalf("on a stopped clock: snapshot converged %v, Stats converged %d pending %d, want false, 0, 1",
+			snap.Converged(), st.Converged, st.PendingTimers)
+	}
+	clk.Advance(snap.MaxHorizon())
+	if st := e.Stats(); !snap.Converged() || st.Converged != 1 || st.PendingTimers != 0 {
+		t.Fatalf("past MaxHorizon: snapshot converged %v, Stats converged %d pending %d, want true, 1, 0",
+			snap.Converged(), st.Converged, st.PendingTimers)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Fatalf("%d goroutines, %d before the transition: the switchover started one", got, goroutines)
 	}
 }
 

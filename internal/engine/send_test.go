@@ -211,38 +211,50 @@ func TestSendWithoutDataPlane(t *testing.T) {
 	}
 }
 
-// TestEngineNetsNeverWriteFEC: the engine lineage writes no FEC table after
-// provisioning. Over seeded churn on every scheme, the FEC write counter of
-// every published epoch's network — it is copied along the clone lineage —
-// still reads what the provision's did.
-func TestEngineNetsNeverWriteFEC(t *testing.T) {
+// TestEngineNeverWritesItsNetwork: after New the engine lineage neither
+// clones nor writes a network. Over seeded churn on every scheme, every
+// published epoch forwards over the pointer-identical network, whose write
+// counters — ILM replacements, FEC updates, LSPs established — still read
+// what the provision's did.
+func TestEngineNeverWritesItsNetwork(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
 	sys, err := rbpc.NewSystem(g, rbpc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sys.Net().Stats().FECUpdates
-	if want == 0 {
-		t.Fatal("the provision installed no FEC entry")
+	want := sys.Net().Stats()
+	if want.FECUpdates == 0 || want.LSPsEstablished == 0 {
+		t.Fatalf("the provision installed nothing: %+v", want)
 	}
 	for _, scheme := range Schemes() {
-		epochs := 0
+		var e *Engine
+		epochs, patched := 0, 0
 		e, err := New(sys.Export(), Config{Scheme: scheme, OnEpoch: func(s *Snapshot) {
 			epochs++
-			if got := s.Net().Stats().FECUpdates; got != want {
-				t.Errorf("%v, epoch %d (failed %v): %d FEC writes on the epoch's network, the provision made %d", scheme, s.Epoch(), s.Failed(), got, want)
+			patched += s.patch.Len()
+			if s.net != e.net {
+				t.Errorf("%v, epoch %d (failed %v): the epoch forwards over a network of its own", scheme, s.Epoch(), s.Failed())
+			}
+			got := s.net.Stats()
+			if got.ILMReplacements != want.ILMReplacements || got.FECUpdates != want.FECUpdates || got.LSPsEstablished != want.LSPsEstablished {
+				t.Errorf("%v, epoch %d (failed %v): the network reads %d ILM replacements, %d FEC updates, %d LSPs; the provision made %d, %d, %d",
+					scheme, s.Epoch(), s.Failed(), got.ILMReplacements, got.FECUpdates, got.LSPsEstablished,
+					want.ILMReplacements, want.FECUpdates, want.LSPsEstablished)
 			}
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(e.Close)
+		if e.Snapshot().net != e.net {
+			t.Fatalf("%v: the pristine epoch forwards over a network of its own", scheme)
+		}
 		for _, ev := range failure.ChurnSchedule(g, 40, 3, rand.New(rand.NewSource(13))) {
 			e.ApplyEvents([]failure.Event{ev})
 			e.Flush()
 		}
-		if epochs == 0 {
-			t.Fatalf("%v: no epoch published", scheme)
+		if epochs == 0 || (patched != 0) != (scheme != SchemeSource) {
+			t.Fatalf("%v: %d epochs published, %d rows patched over them", scheme, epochs, patched)
 		}
 	}
 }

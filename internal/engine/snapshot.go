@@ -55,8 +55,15 @@ type Snapshot struct {
 	failed []graph.EdgeID // sorted
 	key    string         // canonical cache key of failed
 	fv     *graph.FailureView
-	net    *mpls.Network
 	oracle *spath.Oracle // shortest paths in fv (post-failure distances)
+
+	// net is the engine's one network — the same pointer in every epoch,
+	// written by none — and patch the ILM rows this epoch's failed-set
+	// patches over its tables (nil: none, which is every pristine and every
+	// source-scheme epoch). Together with fv they are the epoch's data
+	// plane (Send, ILMRow). net is nil on a replica decoded off the wire.
+	net   *mpls.Network
+	patch *mpls.ILMOverlay
 
 	// canon and over are the routing matrix, [src][dst], stored as the
 	// paper's observation about it: a restored route is the original with
@@ -123,26 +130,19 @@ func (s *Snapshot) Key() string { return s.key }
 // View returns the epoch's failure view of the topology.
 func (s *Snapshot) View() *graph.FailureView { return s.fv }
 
-// Net returns the epoch's forwarding plane: ILM tables (local-scheme
-// patches included), the LSP registry and link state. It is safe for
-// concurrent packet forwarding (reads); it must not be mutated. Its FEC
-// tables are the provision's, which the engine never maintains — the
-// epoch's FEC tables are the snapshot's rows, and Send is the ingress. Nil
-// on a replica decoded off the wire.
-func (s *Snapshot) Net() *mpls.Network { return s.net }
-
 // ErrNoDataPlane is Send's answer on a snapshot that holds no network: a
 // replica decoded off the wire is a control-plane view, and only the worker
 // that owns the shard's data plane can walk it.
 var ErrNoDataPlane = errors.New("engine: snapshot holds no data plane")
 
-// Send injects a packet for dst at src and forwards it over the epoch's ILM
-// tables and link state: src pushes the stack of its entry in this epoch's
-// matrix — the overlay's, else the canonical one. A local or bypass answer
-// changes nothing at the source, which pushes what it pushed while the
-// patched ILM rows do the rest; and a hybrid phase-two source the flood has
-// not reached still pushes from the overlay the transition began with. A
-// pair with no entry, or an unroutable one, is mpls.ErrNoRoute.
+// Send injects a packet for dst at src and forwards it over the engine's
+// network under the epoch's link state (fv) and patch rows: src pushes the
+// stack of its entry in this epoch's matrix — the overlay's, else the
+// canonical one. A local or bypass answer changes nothing at the source,
+// which pushes what it pushed while the patched ILM rows do the rest; and a
+// hybrid phase-two source the flood has not reached still pushes from the
+// overlay the transition began with. A pair with no entry, or an unroutable
+// one, is mpls.ErrNoRoute.
 func (s *Snapshot) Send(src, dst graph.NodeID) (*mpls.Packet, error) {
 	if s.net == nil {
 		return nil, ErrNoDataPlane
@@ -160,7 +160,18 @@ func (s *Snapshot) Send(src, dst graph.NodeID) (*mpls.Packet, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, mpls.ErrNoRoute)
 	}
-	return s.net.Send(src, dst, rt.Stack)
+	return s.net.Send(src, dst, rt.Stack, s.fv, s.patch)
+}
+
+// ILMRow returns the ILM row for label at router as this epoch forwards it
+// — the epoch's patch row where a local scheme patched one, else the
+// provision's — and false where the router has none, or on a replica, which
+// holds no data plane.
+func (s *Snapshot) ILMRow(router graph.NodeID, label mpls.Label) (mpls.ILMEntry, bool) {
+	if s.net == nil {
+		return mpls.ILMEntry{}, false
+	}
+	return s.net.ILMRow(router, label, s.patch)
 }
 
 // Oracle returns shortest-path distances in the epoch's failure view,

@@ -6,10 +6,11 @@ import "slices"
 // working views of the forwarding state at the moment of the call, and
 // table writes on either side copy only the written router's table (and
 // only the first time it is written after the clone). Cloning is O(routers
-// + links), independent of the number of installed ILM/FEC rows — this is
-// what makes per-epoch forwarding-state snapshots affordable for the
-// online restoration engine: an epoch that rewrites k routers' tables
-// pays for those k tables, not for the whole network.
+// + links), independent of the number of installed ILM/FEC rows: a lineage
+// that rewrites k routers' tables pays for those k tables, not for the
+// whole network. The online engine clones once, to part from the System
+// that provisioned it (engine.New); its epochs are overlays over that one
+// clone (ILMOverlay), not clones of their own.
 //
 // Semantics:
 //

@@ -58,20 +58,22 @@ func (n *Network) SendIP(src, dst graph.NodeID) (*Packet, error) {
 	if !ok {
 		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, ErrNoRoute)
 	}
-	return n.inject(src, dst, fe.Stack, fe.OutEdge)
+	return n.inject(src, dst, fe.Stack, fe.OutEdge, nil, nil)
 }
 
-// Send is SendIP for an ingress whose FEC row the caller holds: src pushes
-// stack (bottom first; it is copied) on a packet for dst and processes it
-// locally, as a row with OutEdge == LocalProcess does. The online engine's
-// FEC table is its routing matrix, not the network's, and enters here.
-func (n *Network) Send(src, dst graph.NodeID, stack []Label) (*Packet, error) {
-	return n.inject(src, dst, stack, LocalProcess)
+// Send is SendIP for an ingress whose FEC row, link state and patched ILM
+// rows the caller holds: src pushes stack (bottom first; it is copied) on a
+// packet for dst and processes it locally, as a row with OutEdge ==
+// LocalProcess does, and the packet is forwarded under fv and ov (Forward).
+// The online engine keeps all three per epoch — its FEC table is its routing
+// matrix — over one network it never writes, and enters here.
+func (n *Network) Send(src, dst graph.NodeID, stack []Label, fv *graph.FailureView, ov *ILMOverlay) (*Packet, error) {
+	return n.inject(src, dst, stack, LocalProcess, fv, ov)
 }
 
 // inject labels a packet at src, sends it out on first unless that is
 // LocalProcess, and forwards it.
-func (n *Network) inject(src, dst graph.NodeID, stack []Label, first graph.EdgeID) (*Packet, error) {
+func (n *Network) inject(src, dst graph.NodeID, stack []Label, first graph.EdgeID, fv *graph.FailureView, ov *ILMOverlay) (*Packet, error) {
 	pkt := &Packet{
 		Src: src, Dst: dst,
 		Stack: append([]Label(nil), stack...),
@@ -80,11 +82,11 @@ func (n *Network) inject(src, dst graph.NodeID, stack []Label, first graph.EdgeI
 		Trace: []graph.NodeID{src},
 	}
 	if first != LocalProcess {
-		if err := n.transmit(pkt, first); err != nil {
+		if err := n.transmit(pkt, first, fv); err != nil {
 			return pkt, err
 		}
 	}
-	return pkt, n.Forward(pkt)
+	return pkt, n.Forward(pkt, fv, ov)
 }
 
 // SendOnLSPs injects a packet at the ingress of the first LSP and carries
@@ -94,13 +96,16 @@ func (n *Network) SendOnLSPs(dst graph.NodeID, lsps []*LSP) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.inject(lsps[0].Ingress(), dst, stack, first)
+	return n.inject(lsps[0].Ingress(), dst, stack, first, nil, nil)
 }
 
 // Forward runs the label-switching loop until the packet is delivered (at
 // a router with an empty stack) or dropped. On success the packet rests at
-// its final router with Stack empty.
-func (n *Network) Forward(pkt *Packet) error {
+// its final router with Stack empty. The loop reads link state and ILM rows
+// through what it is handed: a link is up if fv keeps it (nil: the network's
+// own link state, which FailEdge and RepairEdge move), and a row is ov's
+// where ov has one (ILMRow).
+func (n *Network) Forward(pkt *Packet, fv *graph.FailureView, ov *ILMOverlay) error {
 	for {
 		top, ok := pkt.Top()
 		if !ok {
@@ -113,8 +118,7 @@ func (n *Network) Forward(pkt *Packet) error {
 		}
 		ops := 0
 		for {
-			r := n.routers[pkt.At]
-			entry, ok := r.ILMEntryFor(top)
+			entry, ok := n.ILMRow(pkt.At, top, ov)
 			if !ok {
 				n.stats.packetsDropped.Add(1)
 				return fmt.Errorf("router %d, label %d: %w", pkt.At, top, ErrNoRoute)
@@ -123,7 +127,7 @@ func (n *Network) Forward(pkt *Packet) error {
 			pkt.Stack = pkt.Stack[:len(pkt.Stack)-1]
 			pkt.Stack = append(pkt.Stack, entry.Out...)
 			if entry.OutEdge != LocalProcess {
-				if err := n.transmit(pkt, entry.OutEdge); err != nil {
+				if err := n.transmit(pkt, entry.OutEdge, fv); err != nil {
 					return err
 				}
 				break // continue outer loop at the new router
@@ -146,9 +150,14 @@ func (n *Network) Forward(pkt *Packet) error {
 	}
 }
 
-// transmit moves the packet across a link, enforcing link state and TTL.
-func (n *Network) transmit(pkt *Packet, e graph.EdgeID) error {
-	if !n.edgeUp[e] {
+// transmit moves the packet across a link, enforcing link state — fv's, or
+// the network's own when fv is nil — and TTL.
+func (n *Network) transmit(pkt *Packet, e graph.EdgeID, fv *graph.FailureView) error {
+	up := n.edgeUp[e]
+	if fv != nil {
+		up = fv.EdgeUsable(e)
+	}
+	if !up {
 		n.stats.packetsDropped.Add(1)
 		return fmt.Errorf("link %d at router %d: %w", e, pkt.At, ErrLinkDown)
 	}

@@ -113,7 +113,7 @@ func (n *Network) SendMerged(src graph.NodeID, tree *DestTree) (*Packet, error) 
 		TTL:   DefaultTTL,
 		Trace: []graph.NodeID{src},
 	}
-	return pkt, n.Forward(pkt)
+	return pkt, n.Forward(pkt, nil, nil)
 }
 
 // MergedConcatStack builds the bottom-first stack that rides the given
@@ -152,5 +152,5 @@ func (n *Network) SendMergedVia(src graph.NodeID, trees []*DestTree) (*Packet, e
 		TTL:   DefaultTTL,
 		Trace: []graph.NodeID{src},
 	}
-	return pkt, n.Forward(pkt)
+	return pkt, n.Forward(pkt, nil, nil)
 }

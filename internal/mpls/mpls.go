@@ -16,6 +16,13 @@
 //   - Every LSP also installs a self-entry at its ingress so that a popped
 //     stack can continue onto a following LSP: this is the stack mechanism
 //     that makes concatenation work.
+//
+// A restoration's whole delta is therefore a few rows, and the package lets
+// a caller hold it as exactly that. The offline System writes its rows into
+// its own tables (SetFEC, ReplaceILM, FailEdge). The online engine never
+// writes: it forwards every epoch over one shared network through Send,
+// handing the forwarding loop the epoch's FEC row, its link state (a
+// graph.FailureView) and its patched ILM rows (an ILMOverlay).
 package mpls
 
 import (
@@ -70,10 +77,10 @@ type Router struct {
 	// its labels densely from 16 up, so the label space is the table. A
 	// slot whose OutEdge is noRow holds no row. Like the FEC table below it
 	// is a flat slice so that the copy-on-write un-share after a Clone is
-	// one memmove of 32-byte rows — the local restoration schemes patch the
-	// routers adjacent to every failed link, which are the routers with the
-	// largest tables, on the restore-critical path — and so that a row costs
-	// its 32 bytes and nothing for hashing.
+	// one memmove of 32-byte rows — the offline local restoration schemes
+	// patch the routers adjacent to every failed link, which are the routers
+	// with the largest tables — and so that a row costs its 32 bytes and
+	// nothing for hashing.
 	ilm      []ILMEntry
 	ilmCount int
 	// fec is the dense FEC table, indexed by destination node ID (the FEC

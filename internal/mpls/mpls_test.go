@@ -264,7 +264,7 @@ func TestSendPushesGivenStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SendIP: %v", err)
 	}
-	got, err := n.Send(0, 4, stack)
+	got, err := n.Send(0, 4, stack, nil, nil)
 	if err != nil {
 		t.Fatalf("Send: %v", err)
 	}
@@ -279,10 +279,10 @@ func TestSendPushesGivenStack(t *testing.T) {
 	}
 
 	n.FailEdge(g.Edges()[2].ID) // link 2-3
-	if pkt, err := n.Send(0, 4, stack); !errors.Is(err, ErrLinkDown) || pkt.At != 2 {
+	if pkt, err := n.Send(0, 4, stack, nil, nil); !errors.Is(err, ErrLinkDown) || pkt.At != 2 {
 		t.Errorf("dead link: pkt at %d, err = %v, want ErrLinkDown at 2", pkt.At, err)
 	}
-	if _, err := n.Send(0, 4, []Label{9999}); !errors.Is(err, ErrNoRoute) {
+	if _, err := n.Send(0, 4, []Label{9999}, nil, nil); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("unknown label: err = %v, want ErrNoRoute", err)
 	}
 }
@@ -372,7 +372,7 @@ func TestForwardingLoopDetected(t *testing.T) {
 	n.Router(0).setILM(l0, ILMEntry{Out: []Label{l1}, OutEdge: e})
 	n.Router(1).setILM(l1, ILMEntry{Out: []Label{l0}, OutEdge: e})
 	pkt := &Packet{Src: 0, Dst: 1, Stack: []Label{l0}, At: 0, TTL: DefaultTTL, Trace: []graph.NodeID{0}}
-	err := n.Forward(pkt)
+	err := n.Forward(pkt, nil, nil)
 	if !errors.Is(err, ErrTTLExpired) {
 		t.Errorf("err = %v, want ErrTTLExpired", err)
 	}
@@ -386,7 +386,7 @@ func TestLocalLabelLoopDetected(t *testing.T) {
 	// Row that replaces the label with itself locally, forever.
 	n.Router(0).setILM(l, ILMEntry{Out: []Label{l}, OutEdge: LocalProcess})
 	pkt := &Packet{Src: 0, Dst: 0, Stack: []Label{l}, At: 0, TTL: DefaultTTL, Trace: []graph.NodeID{0}}
-	if err := n.Forward(pkt); !errors.Is(err, ErrLabelLoop) {
+	if err := n.Forward(pkt, nil, nil); !errors.Is(err, ErrLabelLoop) {
 		t.Errorf("err = %v, want ErrLabelLoop", err)
 	}
 }
@@ -406,7 +406,7 @@ func TestNoRouteOnUnknownLabel(t *testing.T) {
 	g := line5()
 	n := NewNetwork(g)
 	pkt := &Packet{Src: 0, Dst: 1, Stack: []Label{999}, At: 0, TTL: DefaultTTL, Trace: []graph.NodeID{0}}
-	if err := n.Forward(pkt); !errors.Is(err, ErrNoRoute) {
+	if err := n.Forward(pkt, nil, nil); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("err = %v, want ErrNoRoute", err)
 	}
 }

@@ -29,10 +29,13 @@ fi
 # (with hybrid's second network and the fault that could desynchronise
 # them), of the deleted searches over views no kernel compiles, and of the
 # path-valued wire component and the on-demand LSP count that went when a
-# component became its base-set index (DESIGN.md §9); whole-word, so test
+# component became its base-set index (DESIGN.md §9), of the ILM patch diff
+# and its writer state that went when an epoch's patch rows became an overlay
+# over the one network (DESIGN.md §16), of the switchover timers, and of the
+# solver's cost-index arm, which nothing served from; whole-word, so test
 # names that contain them do not trip the gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs' -- '*.go' ':!internal/rbpc/*.go'; then
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs|PatchSet|ilmPatches|syncPatches|scheduleConvergence|stopTimers|SetCostIndex' -- '*.go' ':!internal/rbpc/*.go'; then
 	echo "verify: a retired identifier reappeared (see above)" >&2
 	exit 1
 fi
@@ -45,6 +48,27 @@ if git grep -nE 'SetFEC\(|ClearFEC\(|FECEntryFor\(|SendIP\(' -- \
 	'internal/engine/*.go' 'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/probe/*.go' 'internal/chaos/*.go' |
 	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
 	echo "verify: a FEC-table call under the serving stack; go through Snapshot.Send (see above)" >&2
+	exit 1
+fi
+
+# An epoch forwards over the engine's one network under its own failure view
+# and its own patch rows (mpls.ILMOverlay; DESIGN.md §9, §16): the serving
+# stack writes no ILM row and no link state and signals no LSP, and the
+# engine clones a network once — New's, which parts it from the exporting
+# System — never per transition. -W prints the enclosing function as a
+# "file=N=" line ahead of each "file:N:" match.
+echo "==> the serving stack writes no network"
+if git grep -nE 'ReplaceILM\(|FailEdge\(|RepairEdge\(|EstablishLSP' -- \
+	'internal/engine/*.go' 'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/probe/*.go' 'internal/chaos/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: a network write under the serving stack; patch rows go in the epoch's mpls.ILMOverlay, link state in its view (see above)" >&2
+	exit 1
+fi
+if git grep -nW -iE 'net\.Clone\(\)' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
+	awk '/=[0-9]+=/ { fn = $0 }
+		/:[0-9]+:.*[Nn]et\.Clone\(\)/ && fn !~ /=func New\(/ { print fn; print; bad = 1 }
+		END { exit !bad }'; then
+	echo "verify: a network cloned under internal/engine outside New (see above)" >&2
 	exit 1
 fi
 
