@@ -44,7 +44,9 @@ verify:
 
 # Layer micro-benchmarks: the SSSP kernel (ns/edge, allocs/op), an epoch
 # tree with 1-3 links down derived from the pristine tree against computed
-# from scratch (<= 2 allocs asserted on the derived arm), the snapshot
+# from scratch (<= 2 allocs asserted on the derived arm), one source's
+# 63-destination fan-out solved by per-pair Dijkstras, by one batched
+# Dijkstra and by the writer's pull (core.Pull), the snapshot
 # read path (Snapshot.Route over the nil overlay, an overlay hit and miss,
 # and the hybrid local rows for an affected and an unaffected pair; 0
 # allocs asserted), a query worker's
@@ -60,6 +62,7 @@ verify:
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
+	$(GO) test -run '^$$' -bench BenchmarkSparseFanout -benchmem -benchtime $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/

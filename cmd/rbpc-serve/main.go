@@ -309,6 +309,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*qps > 0) { // NaN included
 		return fail(2, "-qps must be above 0, got", *qps)
 	}
+	// A value the run would quietly replace is refused: a scale of none is
+	// not the 16-node graph the generators clamp it to, a window of none
+	// serves nothing, and a negative count is not its flag's default.
+	switch {
+	case !(*scale > 0): // NaN included
+		return fail(2, "-scale must be above 0, got", *scale)
+	case *duration <= 0:
+		return fail(2, "-duration must be above 0, got", *duration)
+	case *shards < 0:
+		return fail(2, "-shards must be 0 (single engine) or more, got", *shards)
+	case *shardProcs < 0:
+		return fail(2, "-shard-procs must be 0 (in process) or more, got", *shardProcs)
+	case *workers < 0:
+		return fail(2, "-workers must be 0 (GOMAXPROCS) or more, got", *workers)
+	case *queue < 1:
+		return fail(2, "-queue must be at least 1, got", *queue)
+	}
 	nShards := max(*shards, *shardProcs)
 	if *hotSources > 0 && nShards <= 0 {
 		return fail(2, "-hot-sources needs -shards or -shard-procs (the cold tier lives in the coordinator)")
@@ -357,9 +374,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Per-shard workers/queue: the shards together get the configured
 		// budget, not nShards times it.
 		ecfg.Workers = (ecfg.Workers + nShards - 1) / nShards
-		if *queue > 0 {
-			ecfg.QueueDepth = (*queue + nShards - 1) / nShards
-		}
+		ecfg.QueueDepth = (*queue + nShards - 1) / nShards
 	}
 	cold := shard.ColdConfig{Workers: *coldWorkers, Queue: *coldQueue, CacheCap: *coldCache, PromoteAfter: *coldPromote}
 

@@ -150,6 +150,17 @@ func TestRejectedFlagCombos(t *testing.T) {
 		{"negative bursts", []string{"-batch", "-1"}, "-batch must be at least 1"},
 		{"no query rate", []string{"-qps", "0"}, "-qps must be above 0"},
 		{"negative query rate", []string{"-qps", "-5"}, "-qps must be above 0"},
+		// Each of these used to serve: a clamped 16-node graph, a window of
+		// no queries, and the flag's default under a negative count's name.
+		{"no scale", []string{"-scale", "0"}, "-scale must be above 0"},
+		{"negative scale", []string{"-scale", "-1"}, "-scale must be above 0"},
+		{"negative window", []string{"-duration", "-1s"}, "-duration must be above 0"},
+		{"no window", []string{"-duration", "0"}, "-duration must be above 0"},
+		{"negative shards", []string{"-shards", "-3"}, "-shards must be 0"},
+		{"negative worker processes", []string{"-shard-procs", "-1"}, "-shard-procs must be 0"},
+		{"negative query workers", []string{"-workers", "-1"}, "-workers must be 0"},
+		{"negative queue", []string{"-queue", "-5"}, "-queue must be at least 1"},
+		{"no queue", []string{"-queue", "0"}, "-queue must be at least 1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := serve(t, tc.args...)

@@ -83,26 +83,52 @@ func TestSparseFromEmptyAndUnusable(t *testing.T) {
 	}
 
 	// An empty materialized base set has no candidates and a nil dead mask:
-	// every route is bare edges, with and without a live index over it.
-	empty := paths.NewExplicit(g)
-	for _, li := range []*paths.LiveIndex{nil, paths.NewLiveIndex(empty, paths.NewCostIndex(empty))} {
-		ss := NewSparseSolver(empty, fv)
-		if li != nil {
-			ss.SetLiveIndex(li)
+	// every route is bare edges.
+	decs, oks = NewSparseSolver(paths.NewExplicit(g), fv).From(0, []graph.NodeID{2})
+	if !oks[0] || decs[0].Len() != 2 || decs[0].Components[0].Kind != KindEdge {
+		t.Fatalf("empty base set: ok %v, decomposition %v", oks[0], decs[0])
+	}
+}
+
+// TestRebindMatchesFreshSolver: one solver rebound across a churn of
+// failure views — as a cold-tier worker's is — must agree with a fresh
+// solver per view.
+func TestRebindMatchesFreshSolver(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := randomConnected(rng, 16, 18, 3)
+	var sources, dsts []graph.NodeID
+	for i := 0; i < g.Order(); i++ {
+		sources, dsts = append(sources, graph.NodeID(i)), append(dsts, graph.NodeID(i))
+	}
+	ex := paths.FromSources(paths.NewAllShortest(g), sources)
+	pooled := NewSparseSolver(ex, graph.FailEdges(g))
+	for step := 0; step < 20; step++ {
+		var failed []graph.EdgeID
+		for len(failed) < 1+rng.Intn(4) {
+			failed = append(failed, graph.EdgeID(rng.Intn(g.Size())))
 		}
-		decs, oks = ss.From(0, []graph.NodeID{2})
-		if !oks[0] || decs[0].Len() != 2 || decs[0].Components[0].Kind != KindEdge {
-			t.Fatalf("empty base set (live index %v): ok %v, decomposition %v", li != nil, oks[0], decs[0])
+		fv := graph.FailEdges(g, failed...)
+		pooled.Rebind(fv)
+		src := graph.NodeID(rng.Intn(g.Order()))
+		gotDecs, gotOks := pooled.From(src, dsts)
+		wantDecs, wantOks := NewSparseSolver(ex, fv).From(src, dsts)
+		for i := range dsts {
+			if gotOks[i] != wantOks[i] || !sameDecomposition(gotDecs[i], wantDecs[i]) {
+				t.Fatalf("step %d s=%d d=%d: rebind diverged from fresh solver", step, src, dsts[i])
+			}
 		}
 	}
 }
 
-// BenchmarkSparseFanout compares n independent single-destination runs
-// against one batched run over the same destination set.
+// BenchmarkSparseFanout compares three ways to one source's fan-out over an
+// edge-complete base set with three links down: n independent
+// single-destination Dijkstras, one batched Dijkstra, and the pull the
+// engine runs (the distance row and the liveness counts in hand, as the
+// epoch oracle and the live index hand them over).
 func BenchmarkSparseFanout(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 64, 64, 4)
-	base := paths.NewAllShortest(g)
+	ex := edgeComplete(g, paths.NewAllShortest(g))
 	fv := graph.FailEdges(g, 0, 1, 2)
 	var dsts []graph.NodeID
 	for d := 1; d < g.Order(); d++ {
@@ -111,13 +137,24 @@ func BenchmarkSparseFanout(b *testing.B) {
 	b.Run("single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, d := range dsts {
-				DecomposeSparse(base, fv, 0, d)
+				DecomposeSparse(ex, fv, 0, d)
 			}
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			DecomposeSparseFrom(base, fv, 0, dsts)
+			DecomposeSparseFrom(ex, fv, 0, dsts)
+		}
+	})
+	b.Run("pull", func(b *testing.B) {
+		li := paths.NewLiveIndex(ex)
+		li.Update(fv.RemovedEdges(), nil)
+		dist := trueDistances(fv, 0)
+		pull := NewPull(ex)
+		decs, oks := make([]Decomposition, len(dsts)), make([]bool, len(dsts))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pull.From(0, dist, li.Dead(), dsts, decs, oks)
 		}
 	})
 }

@@ -320,7 +320,7 @@ func BenchmarkEpochBuild(b *testing.B) {
 				e.ApplyEvents([]failure.Event{ev})
 				e.Flush()
 			}
-			// One cycle off the clock warms the pooled solvers and the pristine
+			// One cycle off the clock warms the writer's scratch and the pristine
 			// trees and leaves the cache as every later cycle finds it.
 			for range cycle {
 				next()

@@ -162,11 +162,9 @@ type Engine struct {
 	// Writer-owned state (only the writer goroutine touches these after New).
 	primaries map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
 	pairIndex *graph.PairIndex        // failed link -> pairs whose primary crosses it
-	// live is the persistent filtered form of the base set's cost index
-	// (cost-sorted candidate order for bounded solves): per-source column
-	// segments holding only currently-surviving candidates, carried across
-	// epochs and refiltered only for sources the failure delta touched.
-	// Updated once per published transition; read-only during solve fan-out.
+	// live is the base paths' liveness under the published failed-set: one
+	// failed-link count per path, moved by each transition's delta. Updated
+	// once per published transition; read-only during solve fan-out.
 	live *paths.LiveIndex
 	// pristine is epoch 0's oracle, kept for the engine's lifetime: every
 	// later epoch's trees are repairs of its trees (epochOracle). Nil on a
@@ -184,10 +182,9 @@ type Engine struct {
 	// side of the affected-pair delta: a pair enters the plan when its
 	// count leaves zero and falls back to canonical when it returns there.
 	downCount map[rbpc.Pair]int
-	// solvers is the writer's pool of warm sparse solvers, one per build
-	// worker; Rebind reuses their Dijkstra scratch and dead-path masks
-	// across epochs instead of reallocating per plan.
-	solvers  []*core.SparseSolver
+	// pulls is the writer's solve scratch, one per build worker
+	// (core.Pull), reused across epochs.
+	pulls    []*core.Pull
 	pscratch *planScratch // incrementalPlan's reused working memory
 	inc      incCounters
 	// lscratch is the local build's reused working memory, nil under
@@ -292,7 +289,8 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		lspAt:     p.BaseLSPs,
 		net:       p.Net.Clone(),
 		primaries: p.Primaries,
-		live:      paths.NewLiveIndex(p.Base, p.Base.CostIndex()),
+		live:      paths.NewLiveIndex(p.Base),
+		pulls:     make([]*core.Pull, cfg.BuildWorkers),
 		canonical: canonical,
 		planCache: newPlanCache(cfg.PlanCacheCap),
 		downCount: make(map[rbpc.Pair]int),
@@ -302,6 +300,9 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		done:      make(chan struct{}),
 	}
 
+	for w := range e.pulls {
+		e.pulls[w] = core.NewPull(p.Base)
+	}
 	e.pairIndex = PrimaryIndex(p.Graph, p.Primaries, nil)
 
 	e.canonBytes = int64(len(canonical)) * 8
@@ -942,10 +943,10 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	e.inc.entering.Add(int64(len(entering)))
 	e.inc.leaving.Add(leaving)
 
-	// Carry the persistent live candidate index across the transition. Like
-	// the downCount bookkeeping above, this runs on every published epoch —
-	// cache hits and fault paths included — so the index always mirrors the
-	// serving snapshot's failed-set when the next solve fan-out reads it.
+	// Carry the base paths' liveness across the transition. Like the
+	// downCount bookkeeping above, this runs on every published epoch —
+	// cache hits and fault paths included — so the counts always mirror the
+	// serving snapshot's failed-set when the next solve fan-out reads them.
 	e.live.Update(newlyDown, repairedIDs)
 
 	// The epoch's link state: Snapshot.Send forwards under it, over the one
@@ -954,8 +955,8 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	oracle := epochOracle(e.pristine, fv)
 	if !e.cfg.FullRebuild {
 		// Seed the epoch's oracle with every previous-epoch tree that
-		// provably survives the transition; adopted trees double as the
-		// pruning bounds of the incremental plan build below.
+		// provably survives the transition: an adopted source tree is the
+		// distance row the plan build below solves against.
 		e.inc.treesAdopted.Add(int64(oracle.AdoptFrom(prev.oracle, newlyDown, repaired)))
 	}
 
@@ -992,7 +993,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		if !ok {
 			// A repair-only burst that needed no solve counts as a cache
 			// hit: the lookup was answered from existing state.
-			pl, ok = e.incrementalPlan(key, prev.over, fv, oracle, newlyDown, entering, repaired)
+			pl, ok = e.incrementalPlan(key, prev.over, oracle, newlyDown, entering, repaired)
 			e.planCache.put(pl)
 		}
 		over, hit = pl.rows, ok
@@ -1071,25 +1072,30 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	}
 }
 
-// ResolveRoute is the served form of a decomposition solved over the base
+// ResolveRoute is the served form of a decomposition solved over base, the
 // set lspAt belongs to (rbpc.Provision.BaseLSPs): component i is the LSP at
-// its base-set index, the stack is their self-labels, the cost is dec's in
-// g. A component that names no base path — a bare edge, which an
-// edge-complete base set never yields — or whose LSP the table lacks, like
-// an empty decomposition, leaves the pair unroutable (nil): nothing is
-// signaled for it. The engine's epoch builds and the cold tier's on-demand
-// answers (internal/shard) are both this.
-func ResolveRoute(lspAt []*mpls.LSP, g *graph.Graph, dec core.Decomposition) *Route {
+// its base-set index, the stack is their self-labels, and the cost is the
+// sum, in component order, of the costs base stored for them —
+// core.Decomposition.Cost over base's graph, bit for bit (Explicit.Add
+// priced each path with the same function), without walking an edge. A
+// component that names no base path — a bare edge, which an edge-complete
+// base set never yields — or whose LSP the table lacks, like an empty
+// decomposition, leaves the pair unroutable (nil): nothing is signaled for
+// it. The engine's epoch builds and the cold tier's on-demand answers
+// (internal/shard) are both this.
+func ResolveRoute(base *paths.Explicit, lspAt []*mpls.LSP, dec core.Decomposition) *Route {
 	lsps := make([]*mpls.LSP, len(dec.Components))
+	var cost float64
 	for i, c := range dec.Components {
 		if c.Base == 0 || lspAt[c.Base-1] == nil {
 			return nil
 		}
 		lsps[i] = lspAt[c.Base-1]
+		cost += base.CostAt(c.Base - 1)
 	}
 	stack, err := mpls.SelfStack(lsps)
 	if err != nil {
 		return nil
 	}
-	return &Route{LSPs: lsps, Stack: stack, Cost: dec.Cost(g)}
+	return &Route{LSPs: lsps, Stack: stack, Cost: cost}
 }

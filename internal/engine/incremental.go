@@ -104,46 +104,6 @@ func routeUses(rt *Route, down []bool) bool {
 	return false
 }
 
-// revBound assembles the reverse-distance row for one source's batched
-// solve: rev[v] = min over the source's live destinations d (d ≠ s,
-// reachable per bound) of the post-failure distance from v to d. The
-// graph is undirected, so that distance is Tree(d).Dist(v), and the
-// destination trees are memoized in the epoch oracle alongside the source
-// trees (destinations recur across sources, and repair pricing roots
-// trees at edge endpoints anyway). A single live destination aliases its
-// tree's distance row outright — no copy; several min-combine into the
-// worker-owned scratch. Returns nil when no destination needs a search.
-func revBound(oracle *spath.Oracle, s graph.NodeID, dsts []graph.NodeID, bound []float64, scratch *[]float64) []float64 {
-	var rev []float64
-	owned := false // rev points into the scratch, safe to mutate
-	for _, d := range dsts {
-		if d == s || bound[d] >= spath.Unreachable {
-			continue
-		}
-		td := oracle.Tree(d).Dists()
-		if rev == nil {
-			rev = td
-			continue
-		}
-		if !owned {
-			// Second live destination: move the aliased first row into
-			// the scratch before combining.
-			if len(*scratch) < len(rev) {
-				*scratch = make([]float64, len(rev))
-			}
-			copy((*scratch)[:len(rev)], rev)
-			rev = (*scratch)[:len(rev)]
-			owned = true
-		}
-		for v, dv := range td[:len(rev)] {
-			if dv < rev[v] {
-				rev[v] = dv
-			}
-		}
-	}
-	return rev
-}
-
 // repairedLink is one link a transition repaired, with the new view's
 // distance rows from its two endpoints — the epoch oracle's trees rooted
 // there, fetched once per transition: a burst repairing R edges prices
@@ -185,24 +145,6 @@ func repairImproves(repaired []repairedLink, pr rbpc.Pair, rt *Route) bool {
 	return false
 }
 
-// ensureSolvers grows the writer's pooled solver set to n and rebinds each
-// to the epoch's view. Pooled solvers keep their Dijkstra scratch, labels,
-// and dead-path masks across epochs; Rebind refreshes only what the view
-// change invalidates instead of reallocating per plan.
-func (e *Engine) ensureSolvers(n int, fv *graph.FailureView) {
-	for len(e.solvers) < n {
-		s := core.NewSparseSolver(e.base, fv)
-		// The writer keeps e.live in sync with every published failed-set,
-		// so pooled solvers can skip the per-epoch dead-mask rebuild and the
-		// per-candidate liveness test entirely.
-		s.SetLiveIndex(e.live)
-		e.solvers = append(e.solvers, s)
-	}
-	for _, s := range e.solvers[:n] {
-		s.Rebind(fv)
-	}
-}
-
 // planScratch is incrementalPlan's working memory: writer-owned, reused
 // across transitions, so a transition allocates its new rows and nothing
 // to find them. downNew is all-false between builds.
@@ -212,19 +154,25 @@ type planScratch struct {
 	jobs     []solveJob     // the sources with pairs to solve, ascending
 	dsts     []graph.NodeID // the jobs' destinations, one dst-sorted span per job
 	slots    []int32        // parallel to dsts: the entry of the job's row the route goes to
+	// The fan-out's answers, parallel to dsts: each job's worker fills the
+	// job's span. A decomposition names base paths, nothing a transition
+	// built, so what lingers here pins no row.
+	decs []core.Decomposition
+	oks  []bool
 }
 
+// resized returns s with length n and contents unspecified, reusing its
+// backing array when that is large enough.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // solveJob is one source's share of the solve fan-out: the span of
-// planScratch.dsts to solve, the source's next row under construction (kept
-// entries in place, nil at the slots awaiting a solved route), and the
-// fan-out's answer.
+// planScratch.dsts to solve, and the source's next row under construction
+// (kept entries in place, nil at the slots awaiting a solved route).
 type solveJob struct {
 	src    graph.NodeID
 	lo, hi int
 	dsts   []graph.NodeID
 	routes []*Route
-	decs   []core.Decomposition
-	oks    []bool
 }
 
 // incrementalPlan builds plan(key) from the previous epoch's rows instead
@@ -245,10 +193,11 @@ type solveJob struct {
 // pointer — the paper's FEC delta is the rows that moved. Any other source
 // gets one new row, merged in dst order from its kept entries and its
 // solved ones. The solved ones go through a
-// work-stealing fan-out of pooled bounded solvers: each source's true
-// post-failure distance row (the epoch oracle's tree, often adopted rather
-// than recomputed) prunes the decomposition search, and results land in
-// pre-sized slots — no locks on the assembly path. Resolution into LSPs, a
+// work-stealing fan-out of pulls (core.Pull), one scratch per worker: each
+// source's true post-failure distance row (the epoch oracle's tree, often
+// adopted rather than recomputed) decides every restoration from the arcs
+// into its destination, and results land in pre-sized slots — no locks on
+// the assembly path. Resolution into LSPs, a
 // table read per component, is its own serial stage after the fan-out,
 // timed apart from the solve (IncrementalStats.ResolveNanos).
 //
@@ -257,7 +206,7 @@ type solveJob struct {
 // answered from cached state, which the caller accounts a plan-cache hit.
 // When nothing left the plan either, the previous rows themselves are the
 // new plan, aliased under the new key.
-func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureView, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge) (_ *plan, hit bool) {
+func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge) (_ *plan, hit bool) {
 	t0 := time.Now()
 	sc := e.pscratch
 	for _, ed := range newlyDown {
@@ -366,47 +315,33 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, fv *graph.FailureV
 
 	if len(sc.jobs) > 0 {
 		t1 := time.Now()
-		workers := min(e.cfg.BuildWorkers, len(sc.jobs))
-		e.ensureSolvers(workers, fv)
+		sc.decs, sc.oks = resized(sc.decs, len(sc.dsts)), resized(sc.oks, len(sc.dsts))
+		dead := e.live.Dead()
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for _, pull := range e.pulls[:min(len(e.pulls), len(sc.jobs))] {
 			wg.Add(1)
-			go func(solver *core.SparseSolver) {
+			go func() {
 				defer wg.Done()
-				var revScratch []float64
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(sc.jobs) {
 						return
 					}
 					job := &sc.jobs[i]
-					dsts := sc.dsts[job.lo:job.hi]
-					// The oracle tree is the true post-failure distance
-					// row from s; it bounds the decomposition search and
-					// skips provably unreachable destinations outright.
-					// The targets' own trees (memoized in the same epoch
-					// oracle, shared across sources) give the reverse
-					// distances that confine the search to the
-					// optimal-path ellipse instead of the whole forward
-					// ball of the farthest target.
-					bound := oracle.Tree(job.src).Dists()
-					if rev := revBound(oracle, job.src, dsts, bound, &revScratch); rev != nil {
-						job.decs, job.oks = solver.FromBoundedEllipse(job.src, dsts, bound, rev, spath.Unreachable)
-					} else {
-						job.decs, job.oks = solver.FromBounded(job.src, dsts, bound, spath.Unreachable)
-					}
+					pull.From(job.src, oracle.Tree(job.src).Dists(), dead,
+						sc.dsts[job.lo:job.hi], sc.decs[job.lo:job.hi], sc.oks[job.lo:job.hi])
 				}
-			}(e.solvers[w])
+			}()
 		}
 		wg.Wait()
 		e.inc.solveNs.Add(time.Since(t1).Nanoseconds())
 
 		t2 := time.Now()
 		for _, job := range sc.jobs {
-			for j, ok := range job.oks {
-				if ok {
-					job.routes[sc.slots[job.lo+j]] = ResolveRoute(e.lspAt, e.g, job.decs[j])
+			for j := job.lo; j < job.hi; j++ {
+				if sc.oks[j] {
+					job.routes[sc.slots[j]] = ResolveRoute(e.base, e.lspAt, sc.decs[j])
 				}
 			}
 			rows[job.src] = newPlanRow(job.dsts, job.routes)

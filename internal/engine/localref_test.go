@@ -54,7 +54,7 @@ type detourKey struct {
 }
 
 // referenceLocalBuild is the local build as it was before it moved onto
-// the pooled bounded solver: string-keyed crossing scan, a fresh unbounded
+// pooled solve scratch: string-keyed crossing scan, a fresh unbounded
 // SparseSolver.From per patch point, maps throughout, and every row
 // re-derived. It is the oracle of TestLocalBuildMatchesReference and must
 // stay the plain transcription of Section 4.2 it is. It reads engine state
@@ -270,7 +270,7 @@ func sameILMEntry(a, b mpls.ILMEntry) bool {
 }
 
 // TestLocalBuildMatchesReference locksteps the engine's local build — the
-// pooled, live-index, bounded solver; the path-index crossing scan; the
+// pull off the liveness counts; the path-index crossing scan; the
 // memoized detours; the frozen ILM overlay — against referenceLocalBuild over
 // seeded churn with up to three links down, on every epoch that publishes
 // a freshly built local plan: the same affected set, bit-identical costs,

@@ -54,8 +54,9 @@ func failedKey(failed []graph.EdgeID) string {
 }
 
 // computePlan builds plan(failed) from scratch — the FullRebuild reference,
-// independent of everything the incremental writer leans on (fresh solvers,
-// no live index, no bounds, no previous rows): the affected pairs off the
+// independent of everything the incremental writer leans on (the base-path
+// Dijkstra on fresh solvers where the writer pulls; no liveness counts, no
+// distance rows, no previous rows): the affected pairs off the
 // static primary index, one batched sparse decomposition per affected
 // source (parallel, pure), then resolution of components into LSPs in
 // (src, dst) order.
@@ -120,7 +121,7 @@ func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
 		routes := make([]*Route, len(bySrc[s]))
 		for j, ok := range out[i].oks {
 			if ok {
-				routes[j] = ResolveRoute(e.lspAt, e.g, out[i].decs[j])
+				routes[j] = ResolveRoute(e.base, e.lspAt, out[i].decs[j])
 			}
 		}
 		rows[s] = newPlanRow(bySrc[s], routes)

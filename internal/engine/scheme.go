@@ -122,11 +122,12 @@ type localScratch struct {
 	affected  []affectedPair
 	merged    []affectedPair // second buffer of the affected-set merge
 	stretch   []stretchObs
-	rev       []float64 // revBound's min-combine row
+	decs      []core.Decomposition // one patch point's solve
+	oks       []bool
 }
 
 // patchPoint is one router adjacent to a failure and the detours it needs:
-// every request out of it is answered by one bounded search.
+// every request out of it is answered by one solve.
 type patchPoint struct {
 	s      graph.NodeID
 	dsts   []graph.NodeID
@@ -266,11 +267,10 @@ func pairBefore(a, b graph.NodePair) bool {
 //     path index — no key is hashed) for the rows to patch, and merge the
 //     links' sorted primary-crossing lists for the affected pairs; both
 //     register the detours they need, grouped by patch point.
-//  2. Solve. One search per patch point on the writer's pooled solver —
-//     live candidate index, cheapest-first scan — bounded by the patch
-//     point's post-failure distance row and, for edge-bypass, confined to
-//     the ellipse around its targets. Patch points and bypass targets are
-//     failure endpoints, whose trees the epoch oracle roots anyway.
+//  2. Solve. One pull per patch point (core.Pull) against the patch point's
+//     post-failure distance row: each detour is read off the arcs into its
+//     target. Patch points are failure endpoints, whose trees the epoch
+//     oracle roots anyway; no tree is rooted at a target.
 //  3. Patch. Form the wanted row of every crossing from its detour's label
 //     stack, and freeze the set (mpls.NewILMOverlay).
 //  4. Answer. Splice the detours into each affected primary and lay the
@@ -278,7 +278,7 @@ func pairBefore(a, b graph.NodePair) bool {
 //
 // The pairs' stretch is only noted here; it is accounted after the
 // snapshot is serving (accountStretch).
-func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, oracle *spath.Oracle) (*plan, *mpls.ILMOverlay) {
+func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*plan, *mpls.ILMOverlay) {
 	sc := e.lscratch
 	sc.stretch, sc.crossings = sc.stretch[:0], sc.crossings[:0]
 	sc.want, sc.labels = sc.want[:0], sc.labels[:0]
@@ -337,30 +337,16 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, fv *graph.FailureView, or
 		}
 	}
 
-	// Pass 2: one bounded search per patch point. End-route targets are
-	// LSP egresses — any node, with trees nobody else roots, whose ellipses
-	// together cover most of the forward ball — so only edge-bypass pays
-	// for the reverse bound.
-	e.ensureSolvers(1, fv)
-	solver := e.solvers[0]
+	// Pass 2: one pull per patch point.
+	pull, dead := e.pulls[0], e.live.Dead()
 	for i := range sc.points {
 		pt := &sc.points[i]
-		bound := oracle.Tree(pt.s).Dists()
-		var rev []float64
-		if flavor == rbpc.EdgeBypass {
-			rev = revBound(oracle, pt.s, pt.dsts, bound, &sc.rev)
-		}
-		var decs []core.Decomposition
-		var oks []bool
-		if rev != nil {
-			decs, oks = solver.FromBoundedEllipse(pt.s, pt.dsts, bound, rev, spath.Unreachable)
-		} else {
-			decs, oks = solver.FromBounded(pt.s, pt.dsts, bound, spath.Unreachable)
-		}
-		for j, dec := range decs {
+		sc.decs, sc.oks = resized(sc.decs, len(pt.dsts)), resized(sc.oks, len(pt.dsts))
+		pull.From(pt.s, oracle.Tree(pt.s).Dists(), dead, pt.dsts, sc.decs, sc.oks)
+		for j, dec := range sc.decs {
 			var dt detour
-			if oks[j] {
-				if rt := ResolveRoute(e.lspAt, e.g, dec); rt != nil { // nil for an empty detour, too
+			if sc.oks[j] {
+				if rt := ResolveRoute(e.base, e.lspAt, dec); rt != nil { // nil for an empty detour, too
 					dt = detour{ok: true, path: dec.Concat(), cost: rt.Cost, stack: rt.Stack}
 				}
 			}
@@ -602,7 +588,7 @@ func (e *Engine) dropSwitchovers() {
 func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
 	lp, patch := prev.local, prev.patch
 	if e.cfg.Fault != FaultStaleBypass {
-		lp, patch = e.buildLocalPlan(failed, fv, oracle)
+		lp, patch = e.buildLocalPlan(failed, oracle)
 	}
 
 	hybrid := e.cfg.Scheme == SchemeHybrid

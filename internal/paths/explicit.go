@@ -26,6 +26,7 @@ type Explicit struct {
 	view graph.View
 
 	paths     []graph.Path
+	costs     []float64 // costs[i] is paths[i]'s cost in view
 	byKey     map[string]int
 	byPair    map[pairKey]int // canonical (first added) path per ordered pair
 	byPairAll map[pairKey][]int
@@ -33,8 +34,8 @@ type Explicit struct {
 	byNode    map[graph.NodeID][]int // paths visiting the node (incl. endpoints)
 	bySrc     map[graph.NodeID][]SourcePath
 
-	// ci memoizes CostIndex (a pure function of the populated set).
-	ci atomic.Pointer[CostIndex]
+	// ai memoizes ArcIndex (a pure function of the populated set).
+	ai atomic.Pointer[ArcIndex]
 }
 
 // SourcePath is one entry of the by-source index: a stored path plus its
@@ -74,8 +75,9 @@ func (b *Explicit) Add(p graph.Path) bool {
 		return false
 	}
 	idx := len(b.paths)
-	b.ci.Store(nil)
+	b.ai.Store(nil)
 	b.paths = append(b.paths, p.Clone())
+	b.costs = append(b.costs, b.paths[idx].CostIn(b.view))
 	b.byKey[key] = idx
 	pk := pairKey{p.Src(), p.Dst()}
 	if _, have := b.byPair[pk]; !have {
@@ -89,25 +91,30 @@ func (b *Explicit) Add(p graph.Path) bool {
 		b.byNode[n] = append(b.byNode[n], idx)
 	}
 	src := p.Src()
-	b.bySrc[src] = append(b.bySrc[src], SourcePath{Path: b.paths[idx], Cost: b.paths[idx].CostIn(b.view), Index: idx})
+	b.bySrc[src] = append(b.bySrc[src], SourcePath{Path: b.paths[idx], Cost: b.costs[idx], Index: idx})
 	return true
 }
 
-// CostIndex returns the set's cost-sorted index, built on first use and
-// shared from then on (it is immutable): every engine over this base set
-// solves off the same one, where a private copy each — the shards of one
-// process — is 4.3 MB at 56 000 paths. Call it once the set is populated;
-// Add drops the memo.
-func (b *Explicit) CostIndex() *CostIndex {
-	ci := b.ci.Load()
-	if ci == nil {
+// ArcIndex returns the set's by-source and by-destination arc lists, built
+// on first use and shared from then on (it is immutable): every engine over
+// this base set — the shards of one process — solves off the same one. Call
+// it once the set is populated; Add drops the memo.
+func (b *Explicit) ArcIndex() *ArcIndex {
+	ai := b.ai.Load()
+	if ai == nil {
 		// Concurrent first callers each build one and the last store wins;
 		// the indexes are identical.
-		ci = NewCostIndex(b)
-		b.ci.Store(ci)
+		ai = newArcIndex(b)
+		b.ai.Store(ai)
 	}
-	return ci
+	return ai
 }
+
+// CostAt returns the base-view cost of the stored path at position idx, as
+// Add computed it (Path.CostIn over the set's view).
+//
+//rbpc:hotpath
+func (b *Explicit) CostAt(idx int32) float64 { return b.costs[idx] }
 
 // FromSource returns every stored path starting at s with its precomputed
 // base-view cost, in insertion order. The returned slice is shared index
@@ -185,9 +192,6 @@ func (b *Explicit) View() graph.View { return b.view }
 //
 //rbpc:hotpath
 func (b *Explicit) IndicesThroughEdge(e graph.EdgeID) []int { return b.byEdge[e] }
-
-// SourceOf returns the source node of the stored path at position idx.
-func (b *Explicit) SourceOf(idx int) graph.NodeID { return b.paths[idx].Src() }
 
 // EdgeComplete reports whether the set contains the 1-hop path over every
 // usable arc of its view (both orientations of every link, as the EdgeLSPs

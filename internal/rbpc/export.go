@@ -3,6 +3,7 @@ package rbpc
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"rbpc/internal/graph"
@@ -55,13 +56,20 @@ func (s *System) Export() Provision {
 	}
 }
 
-// Servable checks the precondition of the online serving stack
-// (internal/engine, internal/shard, internal/shardrpc): a 1-hop base path
-// over every link in both directions, and an LSP for every base path. Then
+// Servable checks the preconditions of the online serving stack
+// (internal/engine, internal/shard, internal/shardrpc). A 1-hop base path
+// over every link in both directions, and an LSP for every base path: then
 // every component of every restoration is a provisioned base path —
 // Theorem 2's k edges are 1-hop LSPs like any other, and a bare-edge offer
 // loses the solver's first-offer tie to its same-cost base path — and the
-// stack reads a component's LSP from BaseLSPs and never signals one.
+// stack reads a component's LSP from BaseLSPs and never signals one. And
+// link weights whose every path sum is exact in a float64 — positive
+// integers totalling at most 2^53: the stack solves one restoration two
+// ways, reading it off the distance row (core.Pull, the hot rows) and by the
+// base-path Dijkstra (the FullRebuild reference, the cold tier), and they
+// agree route for route only where equal costs compare equal however they
+// were summed. The offline System and core.DecomposeSparse serve any
+// weights.
 func (p Provision) Servable() error {
 	const need = "online serving needs rbpc.Config.EdgeLSPs and every base path established"
 	if !p.Base.EdgeComplete() {
@@ -69,6 +77,17 @@ func (p Provision) Servable() error {
 	}
 	if len(p.BaseLSPs) != p.Base.Len() || slices.Contains(p.BaseLSPs, nil) {
 		return fmt.Errorf("rbpc: some of the %d base paths have no LSP: %s", p.Base.Len(), need)
+	}
+	const exact = "online serving needs link weights that sum exactly (positive integers, at most 2^53 in total)"
+	var total float64
+	for _, e := range p.Graph.Edges() {
+		if e.W != math.Trunc(e.W) { // a graph's weights are positive and finite
+			return fmt.Errorf("rbpc: link %d (%d-%d) has weight %v: %s", e.ID, e.U, e.V, e.W, exact)
+		}
+		total += e.W
+	}
+	if total > 1<<53 {
+		return fmt.Errorf("rbpc: the link weights total %v: %s", total, exact)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package rbpc
 
 import (
+	"strings"
 	"testing"
 
 	"rbpc/internal/graph"
@@ -24,6 +25,46 @@ func baseLSPsInStep(t *testing.T, s *System, tag string) {
 	}
 	if err := p.Servable(); (err == nil) != p.Base.EdgeComplete() {
 		t.Fatalf("%s: Servable() = %v on a base set with EdgeComplete() = %v", tag, err, p.Base.EdgeComplete())
+	}
+}
+
+// TestServableRequiresExactWeights: the serving stack's door refuses a graph
+// whose path sums are not exact in a float64 — a weight that is not a
+// positive integer value, or a total past 2^53 — naming the link or the
+// total, while the offline System provisions and restores over it all the
+// same; integer weights of any size below the total pass.
+func TestServableRequiresExactWeights(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		weights [3]float64 // a triangle's links
+		refuse  string     // "" = servable
+	}{
+		{"unit", [3]float64{1, 1, 1}, ""},
+		{"integers", [3]float64{3, 40, 1 << 40}, ""},
+		{"total-at-2^53", [3]float64{1 << 52, 1 << 51, 1 << 51}, ""},
+		{"fraction", [3]float64{1, 2.5, 1}, "link 1 (1-2) has weight 2.5"},
+		{"below-one", [3]float64{0.5, 1, 1}, "link 0 (0-1) has weight 0.5"},
+		{"total-past-2^53", [3]float64{1 << 52, 1 << 52, 2}, "total 9.007199254740994e+15"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.New(3)
+			g.AddEdge(0, 1, tc.weights[0])
+			g.AddEdge(1, 2, tc.weights[1])
+			g.AddEdge(2, 0, tc.weights[2])
+			s, err := NewSystem(g, DefaultConfig())
+			if err != nil {
+				t.Fatalf("the offline System refused the graph: %v", err)
+			}
+			err = s.Export().Servable()
+			switch {
+			case tc.refuse == "" && err != nil:
+				t.Fatalf("Servable() = %v, want nil", err)
+			case tc.refuse != "" && (err == nil || !strings.Contains(err.Error(), tc.refuse)):
+				t.Fatalf("Servable() = %v, want an error naming %q", err, tc.refuse)
+			}
+			s.FailLink(0) // the System restores over any weights
+			mustDeliver(t, s, 0, 1)
+		})
 	}
 }
 

@@ -93,7 +93,6 @@ type coldReq struct {
 // pair — the same answer, label stack included, a materialized row would
 // hold — resolved the way an engine resolves it (engine.ResolveRoute).
 type ColdTier struct {
-	g        *graph.Graph
 	base     *paths.Explicit
 	lspAt    []*mpls.LSP // the base set's LSPs by position (rbpc.Provision.BaseLSPs)
 	cfg      ColdConfig
@@ -125,19 +124,19 @@ type ColdTier struct {
 // keyed by path content, which it lays out by position once, here (a base
 // path the registry lacks answers unroutable); Over hands a coordinator's
 // tier the provision's own table instead. onResult receives async answers
-// (nil discards them).
-func NewColdTier(g *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
+// (nil discards them). The graph is base's own, which is what the tier
+// reads; the parameter stays for its callers.
+func NewColdTier(_ *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
 	lspAt := make([]*mpls.LSP, base.Len())
 	for i, p := range base.All() {
 		lspAt[i] = lspOf[p.Key()]
 	}
-	return newColdTier(g, base, lspAt, cfg, onResult)
+	return newColdTier(base, lspAt, cfg, onResult)
 }
 
-func newColdTier(g *graph.Graph, base *paths.Explicit, lspAt []*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
+func newColdTier(base *paths.Explicit, lspAt []*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
 	cfg = cfg.withDefaults()
 	t := &ColdTier{
-		g:        g,
 		base:     base,
 		lspAt:    lspAt,
 		cfg:      cfg,
@@ -234,7 +233,7 @@ func (t *ColdTier) answer(solver **core.SparseSolver, boundKey *string, req cold
 	if !oks[0] {
 		return engine.Result{Src: req.src, Dst: req.dst, Snap: req.snap}
 	}
-	rt := engine.ResolveRoute(t.lspAt, t.g, decs[0])
+	rt := engine.ResolveRoute(t.base, t.lspAt, decs[0])
 	t.promote(key, rt)
 	return engine.Result{Src: req.src, Dst: req.dst, Route: rt, Snap: req.snap}
 }

@@ -135,7 +135,7 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 	return &Coordinator{
 		owners: owners,
 		w:      workers,
-		cold:   newColdTier(p.Graph, p.Base, p.BaseLSPs, cfg.Cold, cfg.Engine.OnResult),
+		cold:   newColdTier(p.Base, p.BaseLSPs, cfg.Cold, cfg.Engine.OnResult),
 		skew:   cfg.Engine.Fault == engine.FaultSkewShard,
 		slot:   slot,
 		dec:    dec,

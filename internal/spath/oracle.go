@@ -2,6 +2,7 @@ package spath
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -305,6 +306,15 @@ func (o *Oracle) Path(s, d graph.NodeID) (graph.Path, bool) {
 // weights.
 func (o *Oracle) IsShortest(p graph.Path) bool {
 	return p.CostIn(o.view) == o.Dist(p.Src(), p.Dst())
+}
+
+// Roots returns the sources whose trees are currently memoized, in the
+// order they entered the cache: what a build rooted or adopted, without
+// rooting anything to find out.
+func (o *Oracle) Roots() []graph.NodeID {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return slices.Clone(o.ring)
 }
 
 // CachedTrees reports how many source trees are currently memoized.

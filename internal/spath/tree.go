@@ -41,8 +41,8 @@ func (t *Tree) Dist(v graph.NodeID) float64 { return t.dist[v] }
 // Dists returns the tree's full distance row, indexed by node ID, with
 // Unreachable at unreached nodes. The slice aliases the tree's internal
 // storage — callers must not modify it. It exists so bulk consumers (the
-// incremental epoch builder feeds these rows to bounded solvers as pruning
-// bounds) avoid a per-node accessor call and a defensive copy.
+// incremental epoch builder solves a source's restorations against its row,
+// core.Pull) avoid a per-node accessor call and a defensive copy.
 //
 //rbpc:hotpath
 func (t *Tree) Dists() []float64 { return t.dist }

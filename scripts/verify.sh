@@ -31,11 +31,14 @@ fi
 # path-valued wire component and the on-demand LSP count that went when a
 # component became its base-set index (DESIGN.md §9), of the ILM patch diff
 # and its writer state that went when an epoch's patch rows became an overlay
-# over the one network (DESIGN.md §16), of the switchover timers, and of the
-# solver's cost-index arm, which nothing served from; whole-word, so test
-# names that contain them do not trip the gate.
+# over the one network (DESIGN.md §16), of the switchover timers, of the
+# solver's cost-index arm, which nothing served from, and of the bounded
+# ellipse search with its live candidate columns, destination trees and
+# pooled solvers, which went when the writer's solve became a pull
+# (core.Pull, DESIGN.md §13); whole-word, so test names that contain them
+# do not trip the gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs|PatchSet|ilmPatches|syncPatches|scheduleConvergence|stopTimers|SetCostIndex' -- '*.go' ':!internal/rbpc/*.go'; then
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs|PatchSet|ilmPatches|syncPatches|scheduleConvergence|stopTimers|SetCostIndex|SetLiveIndex|LiveColumns|LiveFromSource|FromBounded|FromBoundedEllipse|revBound|refilter|ensureSolvers|NewCostIndex' -- '*.go' ':!internal/rbpc/*.go'; then
 	echo "verify: a retired identifier reappeared (see above)" >&2
 	exit 1
 fi
@@ -122,18 +125,20 @@ if git grep -nE 'BENCH_engine|bench-dir|compare-fail-pct|engine-shard|shard-swee
 	exit 1
 fi
 
-# The engine's writer owns one pool of sparse solvers, warm across epochs
-# and bound to the live candidate index (ensureSolvers); the from-scratch
-# reference plan (computePlan, Config.FullRebuild) is the only other place
-# allowed to build one. A solver constructed per transition anywhere else
-# is the slow arm this gate exists to keep out. -W prints the enclosing
-# function as a "file=N=" line ahead of each "file:N:" match.
-echo "==> internal/engine builds sparse solvers in ensureSolvers and computePlan only"
+# The writer solves by pull (core.Pull: a restoration read off the source's
+# distance row and the arcs into its destination); the base-path Dijkstra
+# (core.SparseSolver) is the reference it is checked against, and under
+# internal/engine the from-scratch reference plan (computePlan,
+# Config.FullRebuild) is the only place allowed to build one. A solver
+# constructed on the writer's path is the slow arm this gate exists to keep
+# out. -W prints the enclosing function as a "file=N=" line ahead of each
+# "file:N:" match.
+echo "==> internal/engine builds sparse solvers in computePlan only"
 if git grep -nW 'core\.NewSparseSolver(' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
 	awk '/=[0-9]+=/ { fn = $0 }
-		/:[0-9]+:.*NewSparseSolver\(/ && fn !~ /\) (ensureSolvers|computePlan)\(/ { print fn; print; bad = 1 }
+		/:[0-9]+:.*NewSparseSolver\(/ && fn !~ /\) computePlan\(/ { print fn; print; bad = 1 }
 		END { exit !bad }'; then
-	echo "verify: core.NewSparseSolver called outside ensureSolvers/computePlan (see above)" >&2
+	echo "verify: core.NewSparseSolver called outside computePlan (see above)" >&2
 	exit 1
 fi
 
