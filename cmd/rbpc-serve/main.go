@@ -278,8 +278,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		coldWorkers = fs.Int("cold-workers", 0, "cold-tier solver pool size (0 = default)")
 		coldQueue   = fs.Int("cold-queue", 0, "cold-tier admission queue depth; beyond it cold queries shed (0 = default)")
-		coldCache   = fs.Int("cold-cache", 0, "cold-tier promoted-answer cache capacity (0 = default)")
-		coldPromote = fs.Int("cold-promote-after", 0, "hits before a cold answer is promoted into the cache (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -311,7 +309,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// A value the run would quietly replace is refused: a scale of none is
 	// not the 16-node graph the generators clamp it to, a window of none
-	// serves nothing, and a negative count is not its flag's default.
+	// serves nothing, a negative count or delay is not its flag's default,
+	// its "all" or its "never", and a process-mode budget of none is not
+	// the library's.
 	switch {
 	case !(*scale > 0): // NaN included
 		return fail(2, "-scale must be above 0, got", *scale)
@@ -325,6 +325,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-workers must be 0 (GOMAXPROCS) or more, got", *workers)
 	case *queue < 1:
 		return fail(2, "-queue must be at least 1, got", *queue)
+	case *hotSources < 0:
+		return fail(2, "-hot-sources must be 0 (all) or more, got", *hotSources)
+	case *planCache < 0:
+		return fail(2, "-plan-cache-max must be 0 (unbounded) or more, got", *planCache)
+	case *coalesce < 0:
+		return fail(2, "-coalesce must be 0 or more, got", *coalesce)
+	case *floodDet < 0:
+		return fail(2, "-flood-detect must be 0 or more, got", *floodDet)
+	case *floodHop < 0:
+		return fail(2, "-flood-hop must be 0 or more, got", *floodHop)
+	case *coldWorkers < 0:
+		return fail(2, "-cold-workers must be 0 (default) or more, got", *coldWorkers)
+	case *coldQueue < 0:
+		return fail(2, "-cold-queue must be 0 (default) or more, got", *coldQueue)
+	case *killAfter < 0:
+		return fail(2, "-kill-worker-after must be 0 (never) or more, got", *killAfter)
+	case *dialBudget <= 0:
+		return fail(2, "-dial-budget must be above 0, got", *dialBudget)
+	case *ackTimeout <= 0:
+		return fail(2, "-ack-timeout must be above 0, got", *ackTimeout)
 	}
 	nShards := max(*shards, *shardProcs)
 	if *hotSources > 0 && nShards <= 0 {
@@ -376,7 +396,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ecfg.Workers = (ecfg.Workers + nShards - 1) / nShards
 		ecfg.QueueDepth = (*queue + nShards - 1) / nShards
 	}
-	cold := shard.ColdConfig{Workers: *coldWorkers, Queue: *coldQueue, CacheCap: *coldCache, PromoteAfter: *coldPromote}
+	cold := shard.ColdConfig{Workers: *coldWorkers, Queue: *coldQueue}
 
 	// The one place a backend is opened; everything below drives and
 	// reports on whichever this yields.
@@ -471,9 +491,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if st.RowBytes > 0 {
 			ratio = float64(st.DenseRowBytes) / float64(st.RowBytes)
 		}
-		fmt.Fprintf(stdout, "shards: %d; resident rows %d bytes vs dense %d (%.1fx); cold: %d queries, %d solved, %d shed, %d promotions\n",
+		fmt.Fprintf(stdout, "shards: %d; resident rows %d bytes vs dense %d (%.1fx); cold: %d queries, %d solved, %d shed\n",
 			st.Shards, st.RowBytes, st.DenseRowBytes, ratio,
-			st.Cold.Queries, st.Cold.Solved, st.Cold.Shed, st.Cold.Promotions)
+			st.Cold.Queries, st.Cold.Solved, st.Cold.Shed)
 	}
 	if pb, ok := be.(procBackend); ok {
 		fmt.Fprintf(stdout, "process mode: %d worker restarts, %d torn frames\n", pb.fleet.Restarts(), pb.Torn())

@@ -89,7 +89,7 @@ func TestStrictWindow(t *testing.T) {
 		// The cold queue covers the window's backlog: cold queries shed only
 		// on a full admission queue, and the closing drain absorbs the rest.
 		{"shards=4/hot-set", 8, []string{"-shards", "4", "-hot-sources", "40", "-plan-cache-max", "256",
-			"-cold-queue", "65536", "-cold-cache", "16384", "-cold-promote-after", "2"}, "shards: 4;"},
+			"-cold-queue", "65536"}, "shards: 4;"},
 		{"shard-procs=2", 8, []string{"-shard-procs", "2"}, "process mode: 0 worker restarts, 0 torn frames"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,6 +161,20 @@ func TestRejectedFlagCombos(t *testing.T) {
 		{"negative query workers", []string{"-workers", "-1"}, "-workers must be 0"},
 		{"negative queue", []string{"-queue", "-5"}, "-queue must be at least 1"},
 		{"no queue", []string{"-queue", "0"}, "-queue must be at least 1"},
+		// And each of these exited 0 under another meaning: every source
+		// hot, an unbounded plan cache, negative coalesce and flood delays,
+		// the cold tier's defaults, a kill that never fires, and the
+		// library's attach and RPC budgets in place of the flags'.
+		{"negative hot set", []string{"-hot-sources", "-5", "-shards", "2"}, "-hot-sources must be 0"},
+		{"negative plan cache", []string{"-plan-cache-max", "-1"}, "-plan-cache-max must be 0"},
+		{"negative coalesce window", []string{"-coalesce", "-1ms"}, "-coalesce must be 0"},
+		{"negative flood detection", []string{"-scheme", "hybrid", "-flood-detect", "-5ms"}, "-flood-detect must be 0"},
+		{"negative flood hop", []string{"-scheme", "hybrid", "-flood-hop", "-1ms"}, "-flood-hop must be 0"},
+		{"negative cold workers", []string{"-cold-workers", "-3"}, "-cold-workers must be 0"},
+		{"negative cold queue", []string{"-cold-queue", "-1"}, "-cold-queue must be 0"},
+		{"negative kill delay", []string{"-shard-procs", "2", "-kill-worker-after", "-1s"}, "-kill-worker-after must be 0"},
+		{"no dial budget", []string{"-shard-procs", "2", "-dial-budget", "0"}, "-dial-budget must be above 0"},
+		{"negative ack timeout", []string{"-shard-procs", "2", "-ack-timeout", "-1s"}, "-ack-timeout must be above 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := serve(t, tc.args...)

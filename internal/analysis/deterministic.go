@@ -7,8 +7,8 @@ import (
 
 // Deterministic checks functions annotated //rbpc:deterministic (or whole
 // packages whose package clause carries the directive): code the chaos
-// harness replays from a seed, the ring construction every shard must
-// agree on, and the corpus files that must be byte-stable across runs.
+// harness replays from a seed, the owner table every shard must agree on,
+// and the corpus files that must be byte-stable across runs.
 // Such code must not:
 //
 //   - range over a map (iteration order is randomized per run),

@@ -28,7 +28,7 @@
 //
 // Sharded cases (Config.Shards > 0) run the shard coordinator
 // (internal/shard) as the system under test through one lockstep driver:
-// the same schedule fans out to every worker, queries route by ring
+// the same schedule fans out to every worker, queries route by source
 // ownership with per-worker epoch monotonicity, and flush barriers check
 // every worker's snapshot against the event model (catching a skewed
 // worker or a dropped burst) before comparing the merged cross-shard view
@@ -110,7 +110,7 @@ type Config struct {
 	// Shards, when positive, runs the multi-shard coordinator
 	// (internal/shard) as the system under test instead of a single
 	// engine: the same event stream fans out to every shard, queries
-	// route by ring ownership, and flush barriers compare the merged
+	// route by source ownership, and flush barriers compare the merged
 	// cross-shard view bit-for-bit against the single-writer FullRebuild
 	// reference. Zero tests the single engine.
 	Shards int

@@ -11,8 +11,7 @@ import (
 // SourcePath.Index. With it the sparse decomposer iterates a node's outgoing
 // paths directly instead of probing all n possible endpoints through
 // per-pair lookups, and survival of a candidate is one bit load instead of
-// an edge scan. The mask builder reuses caller-owned scratch, so a pooled
-// solver rebuilds its mask on Rebind without a per-epoch allocation.
+// an edge scan.
 type DeadIndexed interface {
 	FromSource(s graph.NodeID) []paths.SourcePath
 	DeadUnderInto(fv *graph.FailureView, dead []bool) []bool
@@ -23,8 +22,7 @@ type DeadIndexed interface {
 // arcs) for one failure view, amortizing across calls everything that
 // depends only on (base, fv): the dead-path mask and the Dijkstra scratch
 // arrays. It is the reference the online engine's pull (Pull) is checked
-// against — the FullRebuild plan, the cold tier and the offline System solve
-// with it.
+// against — the FullRebuild plan and the offline System solve with it.
 //
 // A SparseSolver is not safe for concurrent use.
 type SparseSolver struct {
@@ -82,24 +80,6 @@ func NewSparseSolver(base paths.Base, fv *graph.FailureView) *SparseSolver {
 	}
 	ss.kern, _ = graph.CompileView(fv) // a *FailureView always compiles
 	return ss
-}
-
-// Rebind points an existing solver at a new failure view over the same
-// base set, reusing every scratch allocation (the Dijkstra arrays, the
-// heap, and — when the base supports DeadUnderInto — the dead-path mask).
-// The cold tier's workers hold one solver each across epochs and rebind
-// instead of rebuilding.
-func (ss *SparseSolver) Rebind(fv *graph.FailureView) {
-	if n := fv.Order(); n != len(ss.lab) {
-		ss.lab = make([]sparseLabel, n)
-		ss.curGen = 0
-		ss.prevComp = make([]Component, n)
-	}
-	ss.fv = fv
-	if ss.src != nil {
-		ss.dead = ss.src.DeadUnderInto(fv, ss.dead)
-	}
-	ss.kern, _ = graph.CompileView(fv) // a *FailureView always compiles
 }
 
 // DecomposeSparse finds a minimum-cost restoration path from s to d in the

@@ -90,36 +90,6 @@ func TestSparseFromEmptyAndUnusable(t *testing.T) {
 	}
 }
 
-// TestRebindMatchesFreshSolver: one solver rebound across a churn of
-// failure views — as a cold-tier worker's is — must agree with a fresh
-// solver per view.
-func TestRebindMatchesFreshSolver(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomConnected(rng, 16, 18, 3)
-	var sources, dsts []graph.NodeID
-	for i := 0; i < g.Order(); i++ {
-		sources, dsts = append(sources, graph.NodeID(i)), append(dsts, graph.NodeID(i))
-	}
-	ex := paths.FromSources(paths.NewAllShortest(g), sources)
-	pooled := NewSparseSolver(ex, graph.FailEdges(g))
-	for step := 0; step < 20; step++ {
-		var failed []graph.EdgeID
-		for len(failed) < 1+rng.Intn(4) {
-			failed = append(failed, graph.EdgeID(rng.Intn(g.Size())))
-		}
-		fv := graph.FailEdges(g, failed...)
-		pooled.Rebind(fv)
-		src := graph.NodeID(rng.Intn(g.Order()))
-		gotDecs, gotOks := pooled.From(src, dsts)
-		wantDecs, wantOks := NewSparseSolver(ex, fv).From(src, dsts)
-		for i := range dsts {
-			if gotOks[i] != wantOks[i] || !sameDecomposition(gotDecs[i], wantDecs[i]) {
-				t.Fatalf("step %d s=%d d=%d: rebind diverged from fresh solver", step, src, dsts[i])
-			}
-		}
-	}
-}
-
 // BenchmarkSparseFanout compares three ways to one source's fan-out over an
 // edge-complete base set with three links down: n independent
 // single-destination Dijkstras, one batched Dijkstra, and the pull the

@@ -36,9 +36,6 @@ type Config struct {
 	// churn that revisits failed-sets — repairs walking back to pristine —
 	// a cached plan's rows are published as they are: no solve, no resolve.
 	PlanCacheCap int
-	// BuildWorkers parallelizes per-source decomposition during plan
-	// computation. Default GOMAXPROCS.
-	BuildWorkers int
 	// FullRebuild forces every epoch's plan to be computed from scratch,
 	// bypassing both the plan cache and the incremental affected-pair
 	// builder. It is the reference mode of the equivalence oracle: a
@@ -183,7 +180,8 @@ type Engine struct {
 	// count leaves zero and falls back to canonical when it returns there.
 	downCount map[rbpc.Pair]int
 	// pulls is the writer's solve scratch, one per build worker
-	// (core.Pull), reused across epochs.
+	// (core.Pull), reused across epochs; there are GOMAXPROCS build
+	// workers.
 	pulls    []*core.Pull
 	pscratch *planScratch // incrementalPlan's reused working memory
 	inc      incCounters
@@ -274,9 +272,6 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 4096
 	}
-	if cfg.BuildWorkers < 1 {
-		cfg.BuildWorkers = runtime.GOMAXPROCS(0)
-	}
 
 	canonical, err := canonicalRows(p)
 	if err != nil {
@@ -290,7 +285,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		net:       p.Net.Clone(),
 		primaries: p.Primaries,
 		live:      paths.NewLiveIndex(p.Base),
-		pulls:     make([]*core.Pull, cfg.BuildWorkers),
+		pulls:     make([]*core.Pull, runtime.GOMAXPROCS(0)),
 		canonical: canonical,
 		planCache: newPlanCache(cfg.PlanCacheCap),
 		downCount: make(map[rbpc.Pair]int),

@@ -171,7 +171,7 @@ func TestSnapDecoderDetached(t *testing.T) {
 		}
 	}
 	// The replica and the worker snapshot it stands in for agree on the
-	// failed-set's key: the cold tier caches answers under it.
+	// failed-set's key, one encoding per failed-set live or decoded.
 	eng.Fail(ed)
 	eng.Flush()
 	if want := eng.Snapshot().Key(); want == "" || snap.Key() != want {

@@ -65,8 +65,8 @@ func (s *System) Export() Provision {
 // stack reads a component's LSP from BaseLSPs and never signals one. And
 // link weights whose every path sum is exact in a float64 — positive
 // integers totalling at most 2^53: the stack solves one restoration two
-// ways, reading it off the distance row (core.Pull, the hot rows) and by the
-// base-path Dijkstra (the FullRebuild reference, the cold tier), and they
+// ways, reading it off the distance row (core.Pull: the hot rows and the cold
+// tier) and by the base-path Dijkstra (the FullRebuild reference), and they
 // agree route for route only where equal costs compare equal however they
 // were summed. The offline System and core.DecomposeSparse serve any
 // weights.

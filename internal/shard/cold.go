@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,26 +11,20 @@ import (
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
+	"rbpc/internal/spath"
 )
 
 // ColdConfig tunes the on-demand tier answering pairs whose source has no
 // materialized serving row.
 type ColdConfig struct {
-	// Workers is the solver-pool size (default 2). Each worker owns one
-	// warm sparse solver, rebound when the failed-set changes under it.
+	// Workers is the solver-pool size (default 2). Each worker owns its
+	// pull, liveness counts and SSSP scratch.
 	Workers int
 	// Queue bounds the admission queue; submissions beyond it are shed
-	// (default 1024). This is the admission control: cold solves are
-	// orders of magnitude dearer than row lookups, and an unbounded
-	// backlog would let a cold-heavy burst starve the solver pool forever.
+	// (default 1024). This is the admission control: a cold answer is a
+	// search where a hot one is a row lookup, and an unbounded backlog
+	// would let a cold-heavy burst starve the solver pool forever.
 	Queue int
-	// PromoteAfter is how many times a pair must be answered under one
-	// failed-set before its route is promoted into the answer cache
-	// (default 3) — pairs that stay hot stop paying for solves.
-	PromoteAfter int
-	// CacheCap bounds the promoted-answer cache, CLOCK-evicted
-	// (default 4096).
-	CacheCap int
 }
 
 func (c ColdConfig) withDefaults() ColdConfig {
@@ -39,39 +34,16 @@ func (c ColdConfig) withDefaults() ColdConfig {
 	if c.Queue < 1 {
 		c.Queue = 1024
 	}
-	if c.PromoteAfter < 1 {
-		c.PromoteAfter = 3
-	}
-	if c.CacheCap < 1 {
-		c.CacheCap = 4096
-	}
 	return c
 }
 
 // ColdStats is the cold tier's counter scrape.
 type ColdStats struct {
 	// Queries counts pairs routed to the tier; Shed counts those refused
-	// by admission control; Solved counts base-set solves actually run;
-	// PromotedHits counts answers served from the promoted cache;
-	// Promotions counts routes promoted into it.
-	Queries      int64
-	Shed         int64
-	Solved       int64
-	PromotedHits int64
-	Promotions   int64
-}
-
-// coldKey identifies a promoted answer: the pair plus the failed-set it
-// was solved under (a cached route is only valid for its failed-set).
-type coldKey struct {
-	src, dst graph.NodeID
-	failed   string
-}
-
-type coldEntry struct {
-	key coldKey
-	rt  *engine.Route
-	ref bool
+	// by admission control; Solved counts the answers the pool computed.
+	Queries int64
+	Shed    int64
+	Solved  int64
 }
 
 // coldReq is one queued cold-tier solve. It pins the querying shard's
@@ -86,16 +58,17 @@ type coldReq struct {
 }
 
 // ColdTier is the admission-controlled on-demand solver pool. Cold
-// queries enter a bounded queue; workers answer them by a Corollary-4
-// base-set solve against the querying shard's snapshot failure view. The
-// base set is edge-complete (rbpc.Provision.Servable), so a solve yields
-// the optimal-cost concatenation of provisioned LSPs for every connected
-// pair — the same answer, label stack included, a materialized row would
-// hold — resolved the way an engine resolves it (engine.ResolveRoute).
+// queries enter a bounded queue; workers answer them the way the writer
+// answers an affected pair: the source's post-failure distance row under
+// the querying shard's snapshot, then core.Pull off the arcs into the
+// destination. The base set is edge-complete (rbpc.Provision.Servable), so
+// the pull yields the optimal-cost concatenation of provisioned LSPs for
+// every connected pair (Corollary 4) — the same answer, label stack
+// included, a materialized row would hold — resolved the way an engine
+// resolves it (engine.ResolveRoute).
 type ColdTier struct {
 	base     *paths.Explicit
 	lspAt    []*mpls.LSP // the base set's LSPs by position (rbpc.Provision.BaseLSPs)
-	cfg      ColdConfig
 	onResult func(engine.Result)
 
 	queue    chan coldReq
@@ -103,29 +76,17 @@ type ColdTier struct {
 	wg       sync.WaitGroup
 	inflight atomic.Int64
 
-	queries      atomic.Int64
-	shed         atomic.Int64
-	solved       atomic.Int64
-	promotedHits atomic.Int64
-	promotions   atomic.Int64
-
-	mu sync.Mutex
-	// hits counts answers per (pair, failed-set) toward promotion; reset
-	// wholesale when it outgrows the cache to bound memory (a crude decay
-	// that at worst delays a promotion by PromoteAfter hits).
-	hits map[coldKey]int //rbpc:guardedby mu
-	// cache/ring/hand are the promoted-answer CLOCK cache.
-	cache map[coldKey]*coldEntry //rbpc:guardedby mu
-	ring  []*coldEntry           //rbpc:guardedby mu
-	hand  int                    //rbpc:guardedby mu
+	queries atomic.Int64
+	shed    atomic.Int64
+	solved  atomic.Int64
 }
 
-// NewColdTier starts the solver pool over a base set and its LSP registry
-// keyed by path content, which it lays out by position once, here (a base
-// path the registry lacks answers unroutable); Over hands a coordinator's
-// tier the provision's own table instead. onResult receives async answers
-// (nil discards them). The graph is base's own, which is what the tier
-// reads; the parameter stays for its callers.
+// NewColdTier starts the solver pool over an edge-complete base set and
+// its LSP registry keyed by path content, which it lays out by position
+// once, here (a base path the registry lacks answers unroutable); Over
+// hands a coordinator's tier the provision's own table instead. onResult
+// receives async answers (nil discards them). The graph is base's own,
+// which is what the tier reads; the parameter stays for its callers.
 func NewColdTier(_ *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
 	lspAt := make([]*mpls.LSP, base.Len())
 	for i, p := range base.All() {
@@ -139,12 +100,9 @@ func newColdTier(base *paths.Explicit, lspAt []*mpls.LSP, cfg ColdConfig, onResu
 	t := &ColdTier{
 		base:     base,
 		lspAt:    lspAt,
-		cfg:      cfg,
 		onResult: onResult,
 		queue:    make(chan coldReq, cfg.Queue),
 		done:     make(chan struct{}),
-		hits:     make(map[coldKey]int),
-		cache:    make(map[coldKey]*coldEntry),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		t.wg.Add(1)
@@ -188,15 +146,14 @@ func (t *ColdTier) Submit(src, dst graph.NodeID, snap *engine.Snapshot) bool {
 
 func (t *ColdTier) worker() {
 	defer t.wg.Done()
-	var solver *core.SparseSolver
-	boundKey := "\x00unbound"
+	w := newColdWorker(t.base)
 	for {
 		select {
 		case <-t.done:
 			return
 		case req := <-t.queue:
 			t.inflight.Add(1)
-			res := t.answer(&solver, &boundKey, req)
+			res := t.answer(w, req)
 			if req.reply != nil {
 				req.reply <- res
 			} else if t.onResult != nil {
@@ -207,72 +164,63 @@ func (t *ColdTier) worker() {
 	}
 }
 
-func (t *ColdTier) answer(solver **core.SparseSolver, boundKey *string, req coldReq) engine.Result {
-	key := coldKey{src: req.src, dst: req.dst, failed: req.snap.Key()}
-
-	t.mu.Lock()
-	if ent, ok := t.cache[key]; ok {
-		ent.ref = true
-		t.mu.Unlock()
-		t.promotedHits.Add(1)
-		return engine.Result{Src: req.src, Dst: req.dst, Route: ent.rt, Snap: req.snap}
-	}
-	t.mu.Unlock()
-
-	// Rebind the worker's warm solver when the failed-set moved under it;
-	// consecutive queries against one epoch reuse the dead-path mask.
-	if *solver == nil {
-		*solver = core.NewSparseSolver(t.base, req.snap.View())
-	} else if *boundKey != key.failed {
-		(*solver).Rebind(req.snap.View())
-	}
-	*boundKey = key.failed
-
-	t.solved.Add(1)
-	decs, oks := (*solver).From(req.src, []graph.NodeID{req.dst})
-	if !oks[0] {
-		return engine.Result{Src: req.src, Dst: req.dst, Snap: req.snap}
-	}
-	rt := engine.ResolveRoute(t.base, t.lspAt, decs[0])
-	t.promote(key, rt)
-	return engine.Result{Src: req.src, Dst: req.dst, Route: rt, Snap: req.snap}
+// coldWorker is one pool worker's solve state, carried across requests and
+// epochs. The distance row is rooted in the worker's own SSSP scratch, never
+// in the request snapshot's oracle: an engine's epoch oracle is uncapped,
+// the pristine oracle's cap is the writer's, and AdoptFrom carries their
+// trees into later epochs, so a tree rooted there for a cold source would
+// stay resident for the life of the shard.
+type coldWorker struct {
+	pull *core.Pull
+	// live counts each base path's failed links under failed, the failed-set
+	// it was last moved to.
+	live   *paths.LiveIndex
+	failed []graph.EdgeID
+	sp     *spath.Solver
+	row    []float64
+	dst    [1]graph.NodeID
+	dec    [1]core.Decomposition
+	ok     [1]bool
 }
 
-// promote counts the answer toward promotion and caches it once the pair
-// has proven it stays hot.
-func (t *ColdTier) promote(key coldKey, rt *engine.Route) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.hits) > 4*t.cfg.CacheCap {
-		t.hits = make(map[coldKey]int)
+func newColdWorker(base *paths.Explicit) *coldWorker {
+	n := base.View().Order()
+	return &coldWorker{
+		pull: core.NewPull(base),
+		live: paths.NewLiveIndex(base),
+		sp:   spath.NewSolver(n),
+		row:  make([]float64, n),
 	}
-	t.hits[key]++
-	if t.hits[key] < t.cfg.PromoteAfter {
+}
+
+// moveTo brings the liveness counts to the failed-set failed with one
+// Update. The counts are sums over links, so failing every link of the new
+// set and repairing every link of the old one lands on the new set's counts:
+// a link in both adds one and takes it away.
+func (w *coldWorker) moveTo(failed []graph.EdgeID) {
+	if slices.Equal(failed, w.failed) {
 		return
 	}
-	delete(t.hits, key)
-	if _, ok := t.cache[key]; ok {
-		return
+	w.live.Update(failed, w.failed)
+	w.failed = append(w.failed[:0], failed...)
+}
+
+// answer is one cold solve: the worker's liveness moved to the snapshot's
+// failed-set, the source's distance row in the snapshot's view, the pull.
+func (t *ColdTier) answer(w *coldWorker, req coldReq) engine.Result {
+	w.moveTo(req.snap.Failed())
+	w.sp.Solve(req.snap.View(), req.src)
+	for v := range w.row {
+		w.row[v] = w.sp.Dist(graph.NodeID(v))
 	}
-	ent := &coldEntry{key: key, rt: rt, ref: true}
-	t.cache[key] = ent
-	t.promotions.Add(1)
-	if len(t.ring) < t.cfg.CacheCap {
-		t.ring = append(t.ring, ent)
-		return
+	w.dst[0] = req.dst
+	w.pull.From(req.src, w.row, w.live.Dead(), w.dst[:], w.dec[:], w.ok[:])
+	t.solved.Add(1)
+	if !w.ok[0] {
+		return engine.Result{Src: req.src, Dst: req.dst, Snap: req.snap}
 	}
-	for {
-		victim := t.ring[t.hand]
-		if victim.ref {
-			victim.ref = false
-			t.hand = (t.hand + 1) % len(t.ring)
-			continue
-		}
-		delete(t.cache, victim.key)
-		t.ring[t.hand] = ent
-		t.hand = (t.hand + 1) % len(t.ring)
-		return
-	}
+	rt := engine.ResolveRoute(t.base, t.lspAt, w.dec[0])
+	return engine.Result{Src: req.src, Dst: req.dst, Route: rt, Snap: req.snap}
 }
 
 // Drain waits for the queue and all in-flight solves to finish. The
@@ -302,10 +250,8 @@ func (t *ColdTier) Close() {
 
 func (t *ColdTier) Stats() ColdStats {
 	return ColdStats{
-		Queries:      t.queries.Load(),
-		Shed:         t.shed.Load(),
-		Solved:       t.solved.Load(),
-		PromotedHits: t.promotedHits.Load(),
-		Promotions:   t.promotions.Load(),
+		Queries: t.queries.Load(),
+		Shed:    t.shed.Load(),
+		Solved:  t.solved.Load(),
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // Coordinator fronts N shard workers: it partitions the provisioned pair
-// space by ring ownership (read from the owner table, never searched on the
-// ring), routes queries and submissions to owners,
+// space by source (the owner table, NewOwners), routes queries and
+// submissions to owners,
 // fans failure/repair bursts out to every worker, and merges per-worker
 // state into consistent cross-shard views and stats. It is the thin
 // layer — all serving and epoch building happens inside the workers'
@@ -67,17 +67,13 @@ type Coordinator struct {
 // network copy-on-write and reads the table). p.Failed must be empty and
 // the provision servable, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: config needs Shards >= 1, got %d", cfg.Shards)
-	}
 	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
+	owners, err := NewOwners(cfg.Shards, p.Graph.Order())
 	if err != nil {
 		return nil, err
 	}
-	owners := ring.Table(p.Graph.Order())
 	workers := make([]Worker, cfg.Shards)
 	for i := range workers {
 		eng, err := engine.New(SliceProvision(p, owners, i), cfg.Engine)
@@ -93,8 +89,8 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 }
 
 // SourceOnly is the one statement of what sharded serving supports: the
-// source-router scheme. The coordinator's cold tier, the ring's ownership
-// of a pair by its source, and the snapshot wire format all assume a
+// source-router scheme. The coordinator's cold tier, the ownership of a
+// pair by its source, and the snapshot wire format all assume a
 // pair's answer is its source's row; the local schemes' ILM patches and
 // flood horizons are not partitioned or shipped (ROADMAP item 1).
 func SourceOnly(s engine.Scheme) error {
@@ -105,8 +101,8 @@ func SourceOnly(s engine.Scheme) error {
 }
 
 // Over assembles the coordinator over already-running workers, one per
-// shard, each serving SliceProvision(p, owners, i); owners is the ring's
-// table over p's nodes (Ring.Table). dec is required when a worker can be
+// shard, each serving SliceProvision(p, owners, i); owners is the owner
+// table over p's nodes (NewOwners). dec is required when a worker can be
 // down (it cuts the detached snapshots their sources are then solved
 // against) and nil otherwise. A non-source cfg.Engine.Scheme is an error
 // (SourceOnly), and so is a provision the cold tier cannot answer from
@@ -282,7 +278,7 @@ func (c *Coordinator) coldSnap(owner int) *engine.Snapshot {
 	return s
 }
 
-// Query answers synchronously, routed by ring ownership. A materialized
+// Query answers synchronously, routed by ownership. A materialized
 // source of a live worker is the worker's own read (a lock-free row read
 // in process, one round trip over the wire); never-materialized sources
 // and the sources of a worker that is down go through the
@@ -386,7 +382,7 @@ func countSlots(pairs []rbpc.Pair, slot []uint8, counts *[MaxShards + 1]int32) {
 
 // AffectedPairs returns the provisioned pairs whose canonical primary
 // crosses the link: the union of the workers' slice indices — disjoint
-// by ring ownership, so no pair appears twice.
+// by ownership, so no pair appears twice.
 func (c *Coordinator) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
 	var out []graph.NodePair
 	for _, w := range c.w {

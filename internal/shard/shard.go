@@ -8,8 +8,8 @@
 // affected pairs group by source, every serving row is per-source, and a
 // shard can therefore run its own writer, plan cache, and epoch sequence
 // over its slice without ever coordinating with its peers on the hot
-// path. A consistent-hash ring (virtual nodes, deterministic seed — see
-// Ring) routes queries and submissions to owners; the Coordinator fans
+// path. Source src belongs to shard src mod N (the owner table, NewOwners),
+// which routes queries and submissions to owners; the Coordinator fans
 // coalesced failure/repair bursts out to every shard (each needs full
 // failure knowledge to rebuild its rows), tracks per-shard epoch
 // watermarks, and exposes a merged snapshot view (View) that never
@@ -19,17 +19,17 @@
 // divergence rows, and sources outside a shard's slice or the provisioned
 // hot set are not materialized at all.
 // Queries for those cold pairs fall through to an admission-controlled
-// on-demand tier (see cold.go) that solves them straight from the base
-// set — Corollary 4 guarantees an optimal-cost concatenation exists for
-// any connected pair — and promotes answers that stay hot into a bounded
-// cache.
+// on-demand tier (see cold.go) that reads them off the base set the way the
+// writer does — Corollary 4 guarantees an optimal-cost concatenation exists
+// for any connected pair, and core.Pull finds it from the source's
+// post-failure distance row.
 //
 // The Coordinator is deployment-agnostic: it talks to its shards through
 // the Worker seam (worker.go), which has exactly two implementations —
 // a direct *engine.Engine adapter here (New) and the socket client of
-// internal/shardrpc, whose workers are separate processes. The ring is a
-// pure function of its parameters, so remote processes agree on
-// ownership without coordination.
+// internal/shardrpc, whose workers are separate processes. The owner table
+// is a pure function of the shard count and the topology's order, so
+// remote processes agree on ownership without coordination.
 package shard
 
 import (
@@ -40,14 +40,9 @@ import (
 // Config tunes the coordinator. The zero value of every field except
 // Shards selects a default.
 type Config struct {
-	// Shards is the number of independent shard engines (required, >= 1).
+	// Shards is the number of independent shard engines (required, 1 to
+	// MaxShards).
 	Shards int
-	// VNodes is the ring's virtual-node count per shard (default
-	// DefaultVNodes).
-	VNodes int
-	// RingSeed seeds the ring hash (default DefaultRingSeed). Part of the
-	// routing contract — all processes of a deployment must agree.
-	RingSeed uint64
 	// Engine is the per-shard engine configuration template. Its Scheme
 	// must be engine.SchemeSource (SourceOnly). Engine.Fault ==
 	// engine.FaultSkewShard is the one fault the coordinator itself acts

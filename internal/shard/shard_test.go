@@ -170,39 +170,6 @@ func TestColdPairMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestColdPromotion drives one cold pair past PromoteAfter and checks the
-// promoted cache starts serving it.
-func TestColdPromotion(t *testing.T) {
-	g := topology.Waxman(12, 0.8, 0.5, 2)
-	rcfg := rbpc.DefaultConfig()
-	rcfg.Sources = []graph.NodeID{0}
-	c := newCoordinator(t, g, rcfg, Config{Shards: 2, Cold: ColdConfig{PromoteAfter: 2}})
-
-	src, dst := graph.NodeID(5), graph.NodeID(7)
-	var first *engine.Route
-	for i := 0; i < 6; i++ {
-		rt := c.Query(src, dst).Route
-		if rt == nil {
-			t.Fatalf("query %d: cold pair unroutable on a connected graph", i)
-		}
-		if first == nil {
-			first = rt
-		} else if math.Float64bits(rt.Cost) != math.Float64bits(first.Cost) {
-			t.Fatalf("query %d: cost drifted %v -> %v", i, first.Cost, rt.Cost)
-		}
-	}
-	st := c.Stats().Cold
-	if st.Promotions == 0 {
-		t.Fatalf("no promotion after %d identical queries: %+v", 6, st)
-	}
-	if st.PromotedHits == 0 {
-		t.Fatalf("promoted cache never hit: %+v", st)
-	}
-	if st.Solved >= st.Queries {
-		t.Fatalf("every query solved — cache not serving: %+v", st)
-	}
-}
-
 // TestCoordinatorSubmitBatchAndDrain checks async fan-out: every accepted
 // query is answered through OnResult before Drain returns, including the
 // cold diversions.
@@ -280,11 +247,11 @@ func TestNonSourceSchemeRejected(t *testing.T) {
 			c.Close()
 			t.Fatalf("New accepted scheme %v", sch)
 		}
-		ring, err := NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
+		owners, err := NewOwners(cfg.Shards, g.Order())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Over(sys.Export(), cfg, ring.Table(g.Order()), nil, nil); err == nil {
+		if _, err := Over(sys.Export(), cfg, owners, nil, nil); err == nil {
 			t.Fatalf("Over accepted scheme %v", sch)
 		}
 	}

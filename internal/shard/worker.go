@@ -12,7 +12,7 @@ import (
 // shard of the pair space: an engine over the shard's
 // SliceProvision slice, reached directly (engineWorker) or through the
 // socket client of internal/shardrpc. Everything deployment-agnostic —
-// ring, failed-set model, fan-out, barrier, routing, cold diversion,
+// ownership, failed-set model, fan-out, barrier, routing, cold diversion,
 // views, stats merge — sits above this interface; an implementation only
 // moves the calls to its engine and reports whether it still can.
 type Worker interface {

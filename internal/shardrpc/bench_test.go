@@ -94,11 +94,11 @@ func BenchmarkBatchFrameRoundTrip(b *testing.B) {
 		}},
 	}
 	mine := make([]uint8, n)
-	ring, err := shard.NewRing(shards, shard.DefaultVNodes, shard.DefaultRingSeed)
+	owners, err := shard.NewOwners(shards, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for src, o := range ring.Table(n) {
+	for src, o := range owners {
 		if o == 0 {
 			mine[src] = 1
 		}

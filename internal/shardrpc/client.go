@@ -156,7 +156,7 @@ func (c *client) attachWithin() error {
 }
 
 // attach dials the worker's control and query connections, validates the
-// hello against the contract (ring, topology, LSP table), and waits for the
+// hello against the contract (shards, topology, LSP table), and waits for the
 // priming snapshot before declaring the worker alive — so a caller
 // returning from attach can immediately build whole views.
 func (c *client) attach() error {
@@ -168,7 +168,7 @@ func (c *client) attach() error {
 	want.epoch = h.epoch
 	if h != want {
 		control.Close()
-		return fmt.Errorf("shardrpc: worker %d attaches as %+v, the coordinator expects %+v: shard, ring, topology and LSP table must all agree", c.idx, h, want)
+		return fmt.Errorf("shardrpc: worker %d attaches as %+v, the coordinator expects %+v: shard, shard count, topology and LSP table must all agree", c.idx, h, want)
 	}
 	// The worker primes the replica right after the hello; read it
 	// synchronously so the attach postcondition is a current replica.
@@ -187,7 +187,7 @@ func (c *client) attach() error {
 		return fmt.Errorf("shardrpc: worker %d priming snapshot: %w", c.idx, err)
 	}
 
-	pool := make([]*Conn, c.cfg.Conns)
+	pool := make([]*Conn, queryConns)
 	for i := range pool {
 		qc, _, err := c.dialOne(roleQuery)
 		if err != nil {
@@ -478,7 +478,7 @@ func (c *client) sendBatch(pairs []rbpc.Pair, owned int) bool {
 	seq := c.seq.Add(1)
 	ca := &call{kind: callBatch, t0: time.Now(), n: owned}
 	c.mu.Lock()
-	if c.inflight >= c.cfg.Inflight {
+	if c.inflight >= maxInflight {
 		c.mu.Unlock()
 		return false
 	}

@@ -20,37 +20,34 @@ const noEdge = ^uint32(0)
 
 // --- hello -----------------------------------------------------------------
 
-// hello is the worker's side of the attach handshake: the ring contract
-// (shards/vnodes/seed), the topology fingerprint (orders must match or
-// decoded node/edge IDs would mean different things), the LSP table's
+// hello is the worker's side of the attach handshake: the ownership
+// contract (shard index and shard count: the worker serves the sources
+// equal to shard mod shards), the topology fingerprint (orders must match
+// or decoded node/edge IDs would mean different things), the LSP table's
 // length and digest (registryDigest: decoded LSP IDs likewise) and the
 // worker's current epoch.
 type hello struct {
-	shard    uint32
-	shards   uint32
-	vnodes   uint32
-	ringSeed uint64
-	nodes    uint32
-	links    uint32
-	lsps     uint32
-	lspSum   uint32
-	epoch    uint64
+	shard  uint32
+	shards uint32
+	nodes  uint32
+	links  uint32
+	lsps   uint32
+	lspSum uint32
+	epoch  uint64
 }
 
-const helloSize = 4 + 4 + 4 + 8 + 4 + 4 + 4 + 4 + 8
+const helloSize = 4 + 4 + 4 + 4 + 4 + 4 + 8
 
 // contract is the hello of shard idx as a process computes it from its own
 // provision, epoch aside: the worker sends it, the coordinator expects it.
 func contract(p rbpc.Provision, cfg Config, idx int) hello {
 	return hello{
-		shard:    uint32(idx),
-		shards:   uint32(cfg.Shards),
-		vnodes:   uint32(cfg.VNodes),
-		ringSeed: cfg.RingSeed,
-		nodes:    uint32(p.Graph.Order()),
-		links:    uint32(p.Graph.Size()),
-		lsps:     uint32(len(p.BaseLSPs)),
-		lspSum:   registryDigest(p.BaseLSPs),
+		shard:  uint32(idx),
+		shards: uint32(cfg.Shards),
+		nodes:  uint32(p.Graph.Order()),
+		links:  uint32(p.Graph.Size()),
+		lsps:   uint32(len(p.BaseLSPs)),
+		lspSum: registryDigest(p.BaseLSPs),
 	}
 }
 
@@ -79,13 +76,11 @@ func appendHello(buf []byte, h hello) []byte {
 	buf = grow0(buf, off+helloSize)
 	putU32(buf, off, h.shard)
 	putU32(buf, off+4, h.shards)
-	putU32(buf, off+8, h.vnodes)
-	putU64(buf, off+12, h.ringSeed)
-	putU32(buf, off+20, h.nodes)
-	putU32(buf, off+24, h.links)
-	putU32(buf, off+28, h.lsps)
-	putU32(buf, off+32, h.lspSum)
-	putU64(buf, off+36, h.epoch)
+	putU32(buf, off+8, h.nodes)
+	putU32(buf, off+12, h.links)
+	putU32(buf, off+16, h.lsps)
+	putU32(buf, off+20, h.lspSum)
+	putU64(buf, off+24, h.epoch)
 	return buf
 }
 
@@ -94,15 +89,13 @@ func decodeHello(p []byte) (hello, error) {
 		return hello{}, fmt.Errorf("shardrpc: hello frame is %d bytes, want %d", len(p), helloSize)
 	}
 	return hello{
-		shard:    getU32(p, 0),
-		shards:   getU32(p, 4),
-		vnodes:   getU32(p, 8),
-		ringSeed: getU64(p, 12),
-		nodes:    getU32(p, 20),
-		links:    getU32(p, 24),
-		lsps:     getU32(p, 28),
-		lspSum:   getU32(p, 32),
-		epoch:    getU64(p, 36),
+		shard:  getU32(p, 0),
+		shards: getU32(p, 4),
+		nodes:  getU32(p, 8),
+		links:  getU32(p, 12),
+		lsps:   getU32(p, 16),
+		lspSum: getU32(p, 20),
+		epoch:  getU64(p, 24),
 	}, nil
 }
 

@@ -172,10 +172,14 @@ func TestQueryAnswerBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloCodecRoundTrip covers the handshake frame.
+// TestHelloCodecRoundTrip covers the handshake frame: 32 bytes.
 func TestHelloCodecRoundTrip(t *testing.T) {
-	h := hello{shard: 3, shards: 8, vnodes: 1024, ringSeed: 0x9e3779b97f4a7c15, nodes: 4096, links: 16384, lsps: 55932, lspSum: 0xdeadbeef, epoch: 77}
-	got, err := decodeHello(appendHello(nil, h))
+	h := hello{shard: 3, shards: 8, nodes: 4096, links: 16384, lsps: 55932, lspSum: 0xdeadbeef, epoch: 77}
+	buf := appendHello(nil, h)
+	if len(buf) != 32 {
+		t.Fatalf("hello encodes to %d bytes, want 32", len(buf))
+	}
+	got, err := decodeHello(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,7 +154,6 @@ func seedStatsFrame() []byte {
 
 func seedHelloFrame() []byte {
 	return appendHello([]byte{fuzzHello}, hello{
-		shard: 1, shards: 4, vnodes: 1024,
-		ringSeed: 0x9e3779b97f4a7c15, nodes: 12, links: 40, lsps: 236, lspSum: 0x1badc0de, epoch: 2,
+		shard: 1, shards: 4, nodes: 12, links: 40, lsps: 236, lspSum: 0x1badc0de, epoch: 2,
 	})
 }

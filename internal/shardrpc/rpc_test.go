@@ -445,10 +445,11 @@ func TestQueriesCountedOnceInBothModes(t *testing.T) {
 }
 
 // TestProcContractMismatchRejected proves the hello handshake refuses a
-// worker built against a different ring.
+// worker built for a different shard count: its slice is source mod 3, not
+// the coordinator's source mod 2.
 func TestProcContractMismatchRejected(t *testing.T) {
 	p := buildProvision(t, 10, 4)
-	wrong, err := NewWorker(p, 0, Config{Shards: 2, VNodes: 64})
+	wrong, err := NewWorker(p, 0, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,14 +465,17 @@ func TestProcContractMismatchRejected(t *testing.T) {
 		HealthEvery: -1,
 	})
 	if err == nil {
-		t.Fatal("coordinator accepted a worker with a different vnode count")
+		t.Fatal("coordinator accepted a worker built for a different shard count")
+	}
+	if !strings.Contains(err.Error(), "shard count") {
+		t.Fatalf("NewCoordinator: %v; the error does not name the shard count", err)
 	}
 }
 
 // TestProcForeignRegistryRejected: a route crosses the wire as its LSPs'
 // IDs, which name the same paths only over the same LSP table. A worker
 // provisioned with EdgeLSPs alone and a coordinator provisioned with the
-// subpath closure too, on the same graph, agree on ring and topology — every
+// subpath closure too, on the same graph, agree on shards and topology — every
 // field the hello carried before it carried the table — and must still not
 // attach: the error gives both lengths and both digests. On this graph the
 // closure adds no path, only another order, so the lengths agree too and

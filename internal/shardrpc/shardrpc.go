@@ -1,12 +1,13 @@
 // Package shardrpc moves the shard coordinator's workers out of process:
-// the same consistent-hash partition internal/shard serves from one
-// address space, served by N worker processes over a length-prefixed
-// binary protocol on Unix domain sockets. It is transport only — codec,
-// Conn, the socket client that implements shard.Worker, the Worker
-// server, the Fleet supervisor, attach/reattach/health — under the one
-// shard.Coordinator: NewCoordinator dials the workers and hands them to
-// it. The ring, the slice each worker owns (shard.SliceProvision), and
-// the engines are byte-for-byte the ones shard.New builds, so a
+// the same partition internal/shard serves from one address space — source
+// src on worker src mod N (shard.NewOwners) — served by N worker processes
+// over a length-prefixed binary protocol on Unix domain sockets. It is
+// transport only — codec, Conn, the socket client that implements
+// shard.Worker, the Worker server, the Fleet supervisor,
+// attach/reattach/health — under the one shard.Coordinator: NewCoordinator
+// dials the workers and hands them to it. The owner table, the slice each
+// worker owns (shard.SliceProvision), and the engines are byte-for-byte
+// the ones shard.New builds, so a
 // process-mode deployment answers bit-identically to `-shards N` (the
 // chaos lockstep oracle proves it over a pipe transport).
 //
@@ -22,8 +23,9 @@
 // (bursts, snapshots, stats) take the ordinary append path.
 //
 // Attach. Every connection opens with an attach frame, answered by the
-// worker's hello: shard, ring (shards, vnodes, seed), the topology's order
-// and size, and the length and CRC-32C of the provision's LSP table. The
+// worker's hello: its shard index and the shard count (which together fix
+// the sources it owns), the topology's order and size, and the length and
+// CRC-32C of the provision's LSP table. The
 // coordinator computes the same contract from its own provision and refuses
 // a worker that differs in any field — a route crosses as the IDs of its
 // LSPs, which name the same paths only over the same table.
@@ -70,17 +72,22 @@ import (
 // a net.Pipe.
 type Dialer func(worker int) (net.Conn, error)
 
-// Config tunes the process-mode coordinator and its workers. Shards,
-// VNodes, and RingSeed are the routing contract — every process of a
-// deployment must agree, and the hello handshake rejects a worker built
-// against different parameters, as it does one provisioned differently.
+// queryConns is the query-connection pool each worker is dialed with, in
+// addition to its control connection; maxInflight bounds a worker's
+// un-acked query batches, beyond which a batch is shed at submit (counted
+// dropped).
+const (
+	queryConns  = 2
+	maxInflight = 256
+)
+
+// Config tunes the process-mode coordinator and its workers. Shards is the
+// routing contract — every process of a deployment must agree, and the
+// hello handshake rejects a worker built for another shard count, as it
+// does one provisioned differently.
 type Config struct {
-	// Shards is the worker count (required, >= 1).
+	// Shards is the worker count (required, 1 to shard.MaxShards).
 	Shards int
-	// VNodes / RingSeed parameterize the consistent-hash ring (defaults
-	// shard.DefaultVNodes / shard.DefaultRingSeed).
-	VNodes   int
-	RingSeed uint64
 	// Engine is the per-worker engine template; its Scheme must be
 	// engine.SchemeSource (the snapshot wire format ships overlays, not
 	// local plans — shard.SourceOnly). Engine.Fault ==
@@ -100,27 +107,15 @@ type Config struct {
 	// Retries times before the worker is declared dead. Defaults 5s / 2.
 	AckTimeout time.Duration
 	Retries    int
-	// Conns is the query-connection pool size per worker, in addition to
-	// the control connection (default 2).
-	Conns int
 	// HealthEvery is the ping cadence per worker (default 1s; <0
 	// disables, which the deterministic chaos harness does).
 	HealthEvery time.Duration
-	// Inflight bounds un-acked query batches per worker; batches beyond
-	// it are shed at submit (counted dropped). Default 256.
-	Inflight int
 	// OnEpoch, when non-nil, observes every decoded replica snapshot in
 	// arrival order (the chaos flush oracle taps it).
 	OnEpoch func(worker int, snap *engine.Snapshot)
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.VNodes == 0 {
-		cfg.VNodes = shard.DefaultVNodes
-	}
-	if cfg.RingSeed == 0 {
-		cfg.RingSeed = shard.DefaultRingSeed
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
@@ -133,14 +128,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Retries <= 0 {
 		cfg.Retries = 2
 	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 2
-	}
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = time.Second
-	}
-	if cfg.Inflight <= 0 {
-		cfg.Inflight = 256
 	}
 	return cfg
 }
@@ -163,13 +152,10 @@ type Coordinator struct {
 // in the coordinator, answers for the sources of a crashed worker.
 func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shardrpc: config needs Shards >= 1, got %d", cfg.Shards)
-	}
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("shardrpc: config needs a Dialer")
 	}
-	ring, err := shard.NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
+	owners, err := shard.NewOwners(cfg.Shards, p.Graph.Order())
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +163,6 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	owners := ring.Table(p.Graph.Order())
 	c := &Coordinator{w: make([]*client, cfg.Shards)}
 	workers := make([]shard.Worker, cfg.Shards)
 	want := contract(p, cfg, 0)
@@ -192,7 +177,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	scfg := shard.Config{Shards: cfg.Shards, VNodes: cfg.VNodes, RingSeed: cfg.RingSeed, Engine: cfg.Engine, Cold: cfg.Cold}
+	scfg := shard.Config{Shards: cfg.Shards, Engine: cfg.Engine, Cold: cfg.Cold}
 	c.Coordinator, err = shard.Over(p, scfg, owners, workers, dec)
 	if err != nil {
 		for _, cl := range c.w {

@@ -36,7 +36,7 @@ const (
 // sequence number.
 const (
 	ftAttach      byte = 1  // coord→worker: flags = connection role
-	ftHello       byte = 2  // worker→coord: ring/topology contract
+	ftHello       byte = 2  // worker→coord: shard/topology contract
 	ftBurst       byte = 3  // coord→worker: fail/repair events
 	ftBurstAck    byte = 4  // worker→coord: events absorbed
 	ftSnapshot    byte = 5  // worker→coord: epoch overlay (unsolicited)

@@ -48,7 +48,7 @@ type Worker struct {
 // by cfg, slicing the full provision exactly the way shard.New does —
 // bit-identical engines are the whole point. The provision must be the
 // full export; the worker slices it itself so every process partitions
-// with the same ring.
+// with the same owner table.
 func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	if idx < 0 || idx >= cfg.Shards {
@@ -57,7 +57,7 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	if err := shard.SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
 	}
-	ring, err := shard.NewRing(cfg.Shards, cfg.VNodes, cfg.RingSeed)
+	owners, err := shard.NewOwners(cfg.Shards, p.Graph.Order())
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 			userTap(s)
 		}
 	}
-	eng, err := engine.New(shard.SliceProvision(p, ring.Table(p.Graph.Order()), idx), ecfg)
+	eng, err := engine.New(shard.SliceProvision(p, owners, idx), ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: worker %d engine: %w", idx, err)
 	}

@@ -22,7 +22,7 @@ import (
 
 // WorkerOpts is the complete description of one worker process's world:
 // enough to rebuild the coordinator's exact provision from scratch
-// (topology kind, scale, seed, closure, hot set), the ring contract
+// (topology kind, scale, seed, closure, hot set), the ownership contract
 // (shards, index), the engine tuning, and the socket to listen on.
 // Workers receive it as a single flag value — the spec is the whole
 // inter-process configuration channel, so a worker never reads state the

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"rbpc/internal/graph"
-)
+import "rbpc/internal/graph"
 
 // FloodHops models link-state flood propagation after the failure of one
 // link: the two failure-adjacent routers originate the LSA at hop 0, and
@@ -44,23 +40,4 @@ func FloodHops(v graph.View, e graph.Edge) []int {
 		})
 	}
 	return hops
-}
-
-// FloodDelays converts a flood front into per-router announcement times:
-// detect is the failure-detection delay at the adjacent routers (hop 0)
-// and perHop the per-link LSA propagation-plus-processing delay. Routers
-// the flood never reaches get +Inf — they keep whatever restoration state
-// they had.
-//
-//rbpc:deterministic
-func FloodDelays(hops []int, detect, perHop Time) []Time {
-	out := make([]Time, len(hops))
-	for i, h := range hops {
-		if h < 0 {
-			out[i] = Time(math.Inf(1))
-			continue
-		}
-		out[i] = detect + perHop*Time(h)
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -72,17 +71,6 @@ func TestFloodHopsRoutesAroundOtherFailures(t *testing.T) {
 	want := []int{0, 0, 2, 1}
 	if !reflect.DeepEqual(hops, want) {
 		t.Fatalf("FloodHops = %v, want %v", hops, want)
-	}
-}
-
-// TestFloodDelays: detect + perHop*hops, with unreachable routers at +Inf.
-func TestFloodDelays(t *testing.T) {
-	d := FloodDelays([]int{0, 2, -1}, 5, 10)
-	if d[0] != 5 || d[1] != 25 {
-		t.Fatalf("FloodDelays = %v", d)
-	}
-	if !math.IsInf(float64(d[2]), 1) {
-		t.Fatalf("unreachable router delay = %v, want +Inf", d[2])
 	}
 }
 

@@ -157,18 +157,29 @@ if git grep -nW -E 'spath\.(NewOracle|Compute)\(' -- 'internal/engine/*.go' ':!i
 	exit 1
 fi
 
-# Ownership is read from the owner table (shard.Owners), which each process
-# fills once from the ring (Ring.Table). Ring.Owner is a hash and an 11-deep
-# binary search whose branches are random, ~70 ns against a ~50 ns answer: a
-# ring search that creeps back into Query or SubmitBatch is the slow arm
-# again. The one other `.Owner(` in these packages is shardrpc's RemoteQuery
-# asking the coordinator, which reads the table.
-echo "==> internal/shard, internal/shardrpc search the ring in NewRing, Ring.Table and Ring.Counts only"
-if git grep -nW '\.Owner(' -- 'internal/shard/*.go' 'internal/shardrpc/*.go' ':!internal/shard/*_test.go' ':!internal/shardrpc/*_test.go' |
-	awk '/=[0-9]+=/ { fn = $0 }
-		/:[0-9]+:.*\.Owner\(/ && fn !~ /=func (NewRing\(|\(r \*Ring\) (Table|Counts)\(|\(c \*Coordinator\) RemoteQuery\()/ { print fn; print; bad = 1 }
-		END { exit !bad }'; then
-	echo "verify: Ring.Owner called outside NewRing/Table/Counts (see above)" >&2
+# The shard layer keeps what it serves (DESIGN.md §14): a source's shard is
+# its ID mod N (shard.NewOwners), and a cold pair is pulled like a hot one.
+# These are the names of the deleted consistent-hash ring with its
+# parameters, of the deleted promoted-answer cache's knob and counter, and
+# of the warm-solver rebind the cold tier used to carry between epochs;
+# scoped to the packages they lived in and served, since the root package's
+# NewRing builds a ring topology.
+echo "==> the ring, the promoted-answer cache and the solver rebind stay retired"
+if git grep -nwE 'NewRing|DefaultVNodes|DefaultRingSeed|RingSeed|VNodes|splitmix64|PromoteAfter|PromotedHits|Rebind' -- \
+	'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/core/*.go' 'internal/engine/*.go' 'internal/chaos/*.go' 'cmd/rbpc-serve/*.go'; then
+	echo "verify: a retired shard-layer identifier reappeared (see above)" >&2
+	exit 1
+fi
+
+# The cold tier answers by pull (core.Pull over the source's distance row,
+# rooted in the worker's own SSSP scratch), exactly as the writer does; the
+# base-path Dijkstra it used to run per query, and the rebind that carried
+# that solver across epochs, are the slow arm this gate keeps out of the
+# shard layer.
+echo "==> internal/shard, internal/shardrpc build no base-path Dijkstra"
+if git grep -nE 'core\.NewSparseSolver\(|core\.SparseSolver|\.Rebind\(' -- 'internal/shard/*.go' 'internal/shardrpc/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: a base-path Dijkstra under internal/shard or internal/shardrpc; pull (core.Pull) instead (see above)" >&2
 	exit 1
 fi
 
