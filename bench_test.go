@@ -322,22 +322,35 @@ func BenchmarkAblationMerging(b *testing.B) {
 	})
 }
 
-// BenchmarkForwarding measures the packet forwarder over a provisioned
-// deployment with an active restoration (stacked labels on the path).
+// BenchmarkForwarding measures the packet forwarder through a served epoch
+// with an active restoration (stacked labels on the path).
 func BenchmarkForwarding(b *testing.B) {
 	g := topology.Ring(32)
+	srv := benchServer(b, g, ServerConfig{})
+	e, _ := g.FindEdge(0, 1)
+	srv.Fail(e)
+	srv.Flush()
+	snap := srv.Snapshot()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snap.Send(0, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchServer provisions g and starts a Server over it.
+func benchServer(b *testing.B, g *Graph, cfg ServerConfig) *Server {
 	dep, err := NewDeployment(g, DefaultDeployConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, _ := g.FindEdge(0, 1)
-	dep.FailLink(e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dep.Net().SendIP(0, 1); err != nil {
-			b.Fatal(err)
-		}
+	srv, err := Serve(dep, cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Cleanup(srv.Close)
+	return srv
 }
 
 // BenchmarkProvisionDeployment measures full RBPC pre-provisioning
@@ -357,36 +370,29 @@ func BenchmarkProvisionDeployment(b *testing.B) {
 }
 
 // BenchmarkSourceRestoration measures the end-to-end source-router RBPC
-// reaction to a failure: online (recompute at failure time) vs
-// precomputed plans (the paper's "fastest if pre-computed and indexed by
-// the specific link failure").
+// reaction to one link failing and coming back, each transition published
+// by a Server's writer: online (every plan recomputed from scratch,
+// ServerConfig.FullRebuild) vs precomputed (after the first round both
+// failed-sets' plans are in the plan cache — the paper's "fastest if
+// pre-computed and indexed by the specific link failure").
 func BenchmarkSourceRestoration(b *testing.B) {
 	g := topology.Waxman(24, 0.7, 0.4, 5)
 	e := g.Edges()[0].ID
-
-	b.Run("online", func(b *testing.B) {
-		dep, err := NewDeployment(g, DefaultDeployConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dep.FailLink(e)
-			dep.RepairLink(e)
-		}
-	})
-	b.Run("precomputed", func(b *testing.B) {
-		dep, err := NewDeployment(g, DefaultDeployConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		dep.PrecomputeFailoverPlans()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dep.FailLinkPrecomputed(e)
-			dep.RepairLink(e)
-		}
-	})
+	for _, arm := range []struct {
+		name string
+		cfg  ServerConfig
+	}{{"online", ServerConfig{FullRebuild: true}}, {"precomputed", ServerConfig{}}} {
+		b.Run(arm.name, func(b *testing.B) {
+			srv := benchServer(b, g, arm.cfg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.Fail(e)
+				srv.Flush()
+				srv.Repair(e)
+				srv.Flush()
+			}
+		})
+	}
 }
 
 func shortName(name string) string {

@@ -3,70 +3,87 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"rbpc"
+	"rbpc/internal/engine"
 )
 
-// converge builds the hybrid deployment on a Waxman topology, fails the
-// first non-bridge link, and runs the simulation to convergence —
-// exactly the rbpc-sim main flow.
-func converge(t *testing.T, seed int64) (*rbpc.Graph, *rbpc.Deployment, rbpc.EdgeID) {
+// serve provisions the rbpc-sim topology for seed and starts a server on it
+// under scheme and fault, with the demo's flood model on a clock the test
+// sets; it returns the graph, the server, the clock and the link rbpc-sim
+// fails.
+func serve(t *testing.T, seed int64, scheme engine.Scheme, fault engine.Fault) (*rbpc.Graph, *rbpc.Server, *clock, rbpc.EdgeID) {
 	t.Helper()
 	g := rbpc.NewWaxman(16, 0.7, 0.4, seed)
 	dep, err := rbpc.NewDeployment(g, rbpc.DefaultDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eng rbpc.Engine
-	proto := rbpc.NewLinkState(g, &eng, rbpc.DefaultLinkStateConfig())
-	hyb := rbpc.NewHybridDeployment(dep, proto, &eng, rbpc.EdgeBypass)
-
-	failEdge := rbpc.EdgeID(-1)
-	for _, e := range g.Edges() {
-		if rbpc.Connected(rbpc.FailEdges(g, e.ID)) {
-			failEdge = e.ID
-			break
-		}
+	clk := new(clock)
+	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{Scheme: scheme, Flood: flood, Clock: clk.now, Fault: fault})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(srv.Close)
+	failEdge := firstNonBridge(g)
 	if failEdge < 0 {
 		t.Fatal("topology has only bridges")
 	}
-	if err := hyb.FailLink(failEdge); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	return g, dep, failEdge
+	return g, srv, clk, failEdge
 }
 
-// TestCheckConvergedClean: after convergence the deployment matches the
-// reference model — the divergence gate must stay silent on a healthy
-// run.
+// TestCheckConvergedClean: once the flood has reached every router, each
+// scheme's epoch matches the reference model — the divergence gate must
+// stay silent on a healthy run.
 func TestCheckConvergedClean(t *testing.T) {
 	for _, seed := range []int64{7, 11, 23} {
-		g, dep, failEdge := converge(t, seed)
-		if err := checkConverged(g, dep.Net(), failEdge); err != nil {
-			t.Errorf("seed %d: healthy run flagged as divergent: %v", seed, err)
+		for _, scheme := range engine.Schemes() {
+			g, srv, clk, failEdge := serve(t, seed, scheme, engine.FaultNone)
+			srv.Fail(failEdge)
+			srv.Flush()
+			snap := srv.Snapshot()
+			clk.set(snap.MaxHorizon())
+			if !snap.Converged() {
+				t.Fatalf("seed %d, %v: not converged at the flood's last horizon", seed, scheme)
+			}
+			if err := checkConverged(g, snap, failEdge); err != nil {
+				t.Errorf("seed %d, %v: healthy run flagged as divergent: %v", seed, scheme, err)
+			}
 		}
 	}
 }
 
 // TestCheckConvergedCatchesSabotage is the regression test for the
-// divergence exit path: a corrupted forwarding table must be detected,
-// where the old rbpc-sim would have merely logged a dropped probe.
+// divergence exit path. Under FaultDropEpoch the engine never publishes a
+// failed-set smaller than the one it serves: two links go down and come
+// back, then rbpc-sim's link fails, and the epoch still holds the first
+// two. The failed link's own endpoints keep their 1-hop primary over it,
+// so the data plane delivers over the dead link — the check must say so.
 func TestCheckConvergedCatchesSabotage(t *testing.T) {
-	g, dep, failEdge := converge(t, 7)
-
-	// Sabotage: remove the ingress FEC mapping of the failed link's
-	// endpoints (a pair that is provably still connected — the failed
-	// link is a non-bridge).
-	e := g.Edge(failEdge)
-	dep.Net().ClearFEC(e.U, e.V)
-
-	err := checkConverged(g, dep.Net(), failEdge)
-	if err == nil {
-		t.Fatal("checkConverged accepted a deployment with a deleted FEC entry")
+	g, srv, clk, failEdge := serve(t, 7, engine.SchemeHybrid, engine.FaultDropEpoch)
+	var decoys []rbpc.EdgeID
+	for _, e := range g.Edges() {
+		if e.ID != failEdge && len(decoys) < 2 && rbpc.Connected(rbpc.FailEdges(g, append(decoys, e.ID)...)) {
+			decoys = append(decoys, e.ID)
+		}
 	}
-	if !strings.Contains(err.Error(), "dropped") {
+	for _, e := range decoys {
+		srv.Fail(e)
+	}
+	srv.Flush()
+	for _, e := range decoys {
+		srv.Repair(e)
+	}
+	srv.Fail(failEdge)
+	srv.Flush()
+	clk.set(time.Hour)
+
+	err := checkConverged(g, srv.Snapshot(), failEdge)
+	if err == nil {
+		t.Fatal("checkConverged accepted an epoch that lost a failure")
+	}
+	if !strings.Contains(err.Error(), "over failed link") {
 		t.Fatalf("unexpected divergence kind: %v", err)
 	}
 }

@@ -1,22 +1,17 @@
 package rbpc
 
 import (
-	"io"
-
+	"rbpc/internal/engine"
 	"rbpc/internal/graph"
 	"rbpc/internal/ldp"
 	"rbpc/internal/mpls"
-	"rbpc/internal/ospf"
 	rbpcint "rbpc/internal/rbpc"
-	"rbpc/internal/scenario"
 	"rbpc/internal/sim"
-	"rbpc/internal/trace"
-	"rbpc/internal/verify"
 )
 
-// Deployment is a running RBPC installation over a simulated MPLS
-// network: base LSPs provisioned, FEC tables populated, ready to fail
-// links and restore by concatenation.
+// Deployment is a provisioned RBPC installation over a simulated MPLS
+// network: base LSPs established and FEC tables populated. Serve restores
+// over it.
 type Deployment = rbpcint.System
 
 // DeployConfig controls pre-provisioning (see DefaultDeployConfig).
@@ -25,15 +20,6 @@ type DeployConfig = rbpcint.Config
 // Pair is an ordered source-destination pair.
 type Pair = rbpcint.Pair
 
-// LocalScheme selects the local-RBPC variant.
-type LocalScheme = rbpcint.LocalScheme
-
-// Local RBPC variants (Section 4.2 of the paper).
-const (
-	EndRoute   = rbpcint.EndRoute
-	EdgeBypass = rbpcint.EdgeBypass
-)
-
 // DefaultDeployConfig provisions the subpath closure and per-edge LSPs:
 // restoration then never signals.
 func DefaultDeployConfig() DeployConfig { return rbpcint.DefaultConfig() }
@@ -41,6 +27,36 @@ func DefaultDeployConfig() DeployConfig { return rbpcint.DefaultConfig() }
 // NewDeployment provisions a full RBPC deployment over g.
 func NewDeployment(g *Graph, cfg DeployConfig) (*Deployment, error) {
 	return rbpcint.NewSystem(g, cfg)
+}
+
+// Server restores a deployment online: Fail and Repair links, Flush, and
+// read each epoch's routes and forwarding (Snapshot, Snapshot.Send) under
+// the scheme its configuration selects.
+type Server = engine.Engine
+
+// ServerConfig configures a Server (scheme, flood model, clock, workers).
+type ServerConfig = engine.Config
+
+// Scheme selects which of the paper's Section-4 restoration schemes a
+// Server runs; FloodConfig models the link-state flood hybrid waits for.
+type (
+	Scheme      = engine.Scheme
+	FloodConfig = engine.FloodConfig
+)
+
+// The restoration schemes: source-router RBPC (FEC rewrites), local
+// end-route and edge-bypass RBPC (one ILM row at the adjacent router), and
+// the hybrid of the two.
+const (
+	SchemeSource = engine.SchemeSource
+	SchemeLocal  = engine.SchemeLocal
+	SchemeBypass = engine.SchemeBypass
+	SchemeHybrid = engine.SchemeHybrid
+)
+
+// Serve starts a Server over dep. Close it when done.
+func Serve(dep *Deployment, cfg ServerConfig) (*Server, error) {
+	return engine.New(dep.Export(), cfg)
 }
 
 // MPLS plane types re-exported for packet-level inspection.
@@ -62,31 +78,6 @@ func NewMPLSNetwork(g *Graph) *MPLSNetwork { return mpls.NewNetwork(g) }
 // milliseconds).
 type Engine = sim.Engine
 
-// LinkState is the OSPF-like flooding substrate.
-type LinkState = ospf.Protocol
-
-// LinkStateConfig sets detection/propagation/processing delays.
-type LinkStateConfig = ospf.Config
-
-// DefaultLinkStateConfig uses 10ms detection, 1ms links, 0.1ms processing.
-func DefaultLinkStateConfig() LinkStateConfig { return ospf.DefaultConfig() }
-
-// NewLinkState builds the link-state protocol over g on eng.
-func NewLinkState(g *Graph, eng *Engine, cfg LinkStateConfig) *LinkState {
-	return ospf.New(g, eng, cfg)
-}
-
-// HybridDeployment couples a Deployment to the link-state protocol: the
-// router adjacent to a failure patches immediately; each source router
-// re-optimizes when the flood reaches it.
-type HybridDeployment = rbpcint.Hybrid
-
-// NewHybridDeployment wires dep to a link-state instance on the same
-// engine.
-func NewHybridDeployment(dep *Deployment, proto *LinkState, eng *Engine, scheme LocalScheme) *HybridDeployment {
-	return rbpcint.NewHybrid(dep, proto, eng, scheme)
-}
-
 // Baseline is conventional teardown-and-resignal restoration, for
 // comparison.
 type Baseline = rbpcint.Baseline
@@ -106,49 +97,3 @@ func NewBaseline(g *Graph, eng *Engine, cfg SignalingConfig) (*Baseline, error) 
 // Connected reports whether all usable nodes of the view are mutually
 // reachable.
 func Connected(v graph.View) bool { return graph.Connected(v) }
-
-// Table verification: static auditing of the forwarding state, with an
-// exact loop detector (the data plane's TTL only truncates loops).
-
-// VerifyReport aggregates a whole-network table audit.
-type VerifyReport = verify.Report
-
-// VerifyFinding is one non-delivered route.
-type VerifyFinding = verify.Finding
-
-// VerifyTables walks every FEC entry of every router through the ILM
-// rows and classifies each route: delivered, looping, blackholed,
-// crossing a dead link, or misdelivered.
-func VerifyTables(net *MPLSNetwork) VerifyReport { return verify.CheckAll(net) }
-
-// Scripted scenarios: reproducible failure timelines from text files.
-
-// ScenarioOp is one parsed script operation.
-type ScenarioOp = scenario.Op
-
-// ScenarioEvent is one logged outcome of a scripted run.
-type ScenarioEvent = scenario.Event
-
-// ParseScenario reads the line-oriented scenario DSL
-// ("at <ms> fail-link <id>", "at <ms> probe <src> <dst>", ...).
-func ParseScenario(r io.Reader) ([]ScenarioOp, error) { return scenario.Parse(r) }
-
-// RunScenario executes a parsed script against a hybrid deployment on
-// its engine and returns the event log.
-func RunScenario(h *HybridDeployment, eng *Engine, ops []ScenarioOp) ([]ScenarioEvent, error) {
-	return scenario.Run(h, eng, ops)
-}
-
-// TraceResult is a per-hop label-operation trace of one route.
-type TraceResult = trace.Result
-
-// TraceRoute walks the installed route for (src, dst), recording every
-// label operation — the reproduction's traceroute.
-func TraceRoute(net *MPLSNetwork, src, dst NodeID) TraceResult {
-	return trace.Route(net, src, dst)
-}
-
-// WriteTrace renders a trace for humans.
-func WriteTrace(w io.Writer, net *MPLSNetwork, res TraceResult) {
-	trace.Write(w, net, res)
-}

@@ -25,32 +25,35 @@ func ExampleNewRestorer() {
 	// backup hops: 5
 }
 
-// Source-router RBPC on the MPLS plane: a failure is healed by FEC
-// rewrites alone — ILM tables and signaling counters do not move.
+// Source-router RBPC on the MPLS plane: a failure is healed by rewriting
+// the source's FEC row alone — it pushes one label per provisioned LSP of
+// the concatenation; no ILM row changes and nothing is signaled.
 func ExampleNewDeployment() {
 	g := rbpc.NewComplete(4)
 	dep, err := rbpc.NewDeployment(g, rbpc.DefaultDeployConfig())
 	if err != nil {
 		panic(err)
 	}
-	ilmBefore, _ := dep.Net().TotalILM()
-	sigBefore := dep.Net().Stats().SignalingMsgs
-
-	e, _ := g.FindEdge(0, 1)
-	dep.FailLink(e)
-
-	pkt, err := dep.Net().SendIP(0, 1)
+	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{Scheme: rbpc.SchemeSource})
 	if err != nil {
 		panic(err)
 	}
-	ilmAfter, _ := dep.Net().TotalILM()
+	defer srv.Close()
+
+	e, _ := g.FindEdge(0, 1)
+	srv.Fail(e)
+	srv.Flush()
+
+	snap := srv.Snapshot()
+	pkt, err := snap.Send(0, 1)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("delivered in hops:", pkt.Hops)
-	fmt.Println("ILM unchanged:", ilmBefore == ilmAfter)
-	fmt.Println("signaling messages:", dep.Net().Stats().SignalingMsgs-sigBefore)
+	fmt.Println("labels pushed at the source:", len(snap.Route(0, 1).Stack))
 	// Output:
 	// delivered in hops: 2
-	// ILM unchanged: true
-	// signaling messages: 0
+	// labels pushed at the source: 2
 }
 
 // The exact decomposition machinery on the paper's Figure-2 comb: k
@@ -73,23 +76,37 @@ func ExampleDecomposeGreedy() {
 	// k=1 components: 2
 }
 
-// Static table verification: the audit proves the restoration left the
-// network loop-free and fully routed.
-func ExampleVerifyTables() {
+// The data-plane audit: every pair of the ring is walked through the
+// served epoch's forwarding after a failure — delivered, none looping.
+func ExampleServe() {
 	g := rbpc.NewRing(5)
 	dep, err := rbpc.NewDeployment(g, rbpc.DefaultDeployConfig())
 	if err != nil {
 		panic(err)
 	}
+	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
 	e, _ := g.FindEdge(0, 1)
-	dep.FailLink(e)
+	srv.Fail(e)
+	srv.Flush()
 
-	rep := rbpc.VerifyTables(dep.Net())
-	fmt.Println("clean:", rep.Clean())
-	fmt.Println("loop-free:", rep.LoopFree())
+	snap, delivered := srv.Snapshot(), 0
+	for s := 0; s < g.Order(); s++ {
+		for d := 0; d < g.Order(); d++ {
+			if s == d {
+				continue
+			}
+			if _, err := snap.Send(rbpc.NodeID(s), rbpc.NodeID(d)); err == nil {
+				delivered++
+			}
+		}
+	}
+	fmt.Println("pairs delivered:", delivered)
 	// Output:
-	// clean: true
-	// loop-free: true
+	// pairs delivered: 20
 }
 
 // Traffic classes: a gold class confined to fast links restores within

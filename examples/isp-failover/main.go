@@ -1,6 +1,6 @@
 // ISP failover: the paper's motivating scenario on a hierarchical ISP
 // backbone. A core link dies; we watch the three restoration strategies
-// race on the event simulator:
+// race on a simulated clock:
 //
 //  1. local edge-bypass RBPC at the adjacent router (fastest, possibly
 //     longer paths),
@@ -8,11 +8,15 @@
 //     (optimal paths, no signaling),
 //  3. the conventional baseline that tears down and re-signals every
 //     affected LSP via LDP (optimal paths, heavy signaling, slowest).
+//
+// The first two are one hybrid server (rbpc.SchemeHybrid), the third a
+// discrete-event run of LDP.
 package main
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
+	"time"
 
 	"rbpc"
 	"rbpc/internal/topology"
@@ -37,56 +41,62 @@ func main() {
 	fmt.Printf("provisioned %d base LSPs (canonical shortest paths, their subpaths, and per-link LSPs)\n",
 		dep.Base().Len())
 
-	var eng rbpc.Engine
-	proto := rbpc.NewLinkState(g, &eng, rbpc.DefaultLinkStateConfig())
-	hyb := rbpc.NewHybridDeployment(dep, proto, &eng, rbpc.EdgeBypass)
+	// The server's clock is the simulation's: time since the failure.
+	var since atomic.Int64
+	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{
+		Scheme: rbpc.SchemeHybrid,
+		Flood:  rbpc.FloodConfig{Detect: 10 * time.Millisecond, PerHop: 1100 * time.Microsecond},
+		Clock:  func() time.Time { return time.Unix(0, since.Load()) },
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
+	now := func() float64 { return float64(since.Load()) / float64(time.Millisecond) }
 
 	// Fail a core link (always bypassable in the circulant core).
 	coreLink := g.Edges()[0]
 	fmt.Printf("\nt=0: core link %d-%d fails\n", coreLink.U, coreLink.V)
-	if err := hyb.FailLink(coreLink.ID); err != nil {
-		panic(err)
-	}
+	srv.Fail(coreLink.ID)
+	srv.Flush()
+	snap := srv.Snapshot()
 
 	// An access router whose traffic crossed the dead link.
-	pairs := dep.PairsThrough(coreLink.ID)
+	pairs := srv.AffectedPairs(coreLink.ID)
 	if len(pairs) == 0 {
 		fmt.Println("no routes crossed this link; try another seed")
 		return
 	}
 	probePair := pairs[len(pairs)/2]
 	probe := func(label string) {
-		pkt, err := dep.Net().SendIP(probePair.Src, probePair.Dst)
+		pkt, err := snap.Send(probePair.Src, probePair.Dst)
 		if err != nil {
-			fmt.Printf("  t=%6.2fms  probe %d->%d: DROPPED — %s\n", eng.Now(), probePair.Src, probePair.Dst, label)
+			fmt.Printf("  t=%6.2fms  probe %d->%d: DROPPED — %s\n", now(), probePair.Src, probePair.Dst, label)
 			return
 		}
-		fmt.Printf("  t=%6.2fms  probe %d->%d: %d hops — %s\n", eng.Now(), probePair.Src, probePair.Dst, pkt.Hops, label)
+		fmt.Printf("  t=%6.2fms  probe %d->%d: %d hops — %s\n", now(), probePair.Src, probePair.Dst, pkt.Hops, label)
 	}
-	probe("blackhole until detection")
-
-	eng.RunUntil(10.2) // detection at 10ms
 	probe("local edge-bypass active")
 
-	eng.Run()
-	probe("source-router RBPC, optimal")
-
-	// Restoration timeline.
-	type upd struct {
-		pr rbpc.Pair
-		at float64
-	}
-	var ups []upd
-	for pr, at := range hyb.SourceUpdatedAt {
-		ups = append(ups, upd{pr, float64(at)})
-	}
-	sort.Slice(ups, func(i, j int) bool { return ups[i].at < ups[j].at })
+	// Restoration timeline: step the clock hop by hop of the flood and note
+	// when each source whose route crossed the link switches.
 	srcSeen := make(map[rbpc.NodeID]bool)
-	for _, u := range ups {
-		srcSeen[u.pr.Src] = true
+	var first, last float64
+	for at := 10 * time.Millisecond; !snap.Converged(); at += 1100 * time.Microsecond {
+		since.Store(int64(at))
+		for _, pr := range pairs {
+			if !srcSeen[pr.Src] && snap.HorizonPassed(pr.Src) {
+				if len(srcSeen) == 0 {
+					first = now()
+				}
+				srcSeen[pr.Src] = true
+				last = now()
+			}
+		}
 	}
+	probe("source-router RBPC, optimal")
 	fmt.Printf("\n%d source routers re-optimized %d pairs between %.2fms and %.2fms\n",
-		len(srcSeen), len(ups), ups[0].at, ups[len(ups)-1].at)
+		len(srcSeen), len(pairs), first, last)
 
 	// Compare against the conventional baseline.
 	var balEng rbpc.Engine
@@ -97,14 +107,12 @@ func main() {
 	bal.NotifyDelay = 10 // same detection delay
 	bal.FailLink(coreLink.ID)
 	balEng.Run()
-	var last float64
+	var worst float64
 	for _, at := range bal.RestoredAt {
-		if float64(at) > last {
-			last = float64(at)
-		}
+		worst = max(worst, float64(at))
 	}
 	fmt.Printf("\ncomparison for this failure:\n")
-	fmt.Printf("  %-28s %-22s %s\n", "", "traffic restored", "signaling")
-	fmt.Printf("  %-28s at %6.2fms (bypass)     0 messages\n", "RBPC local + source", hyb.LocalPatchedAt[coreLink.ID])
-	fmt.Printf("  %-28s at %6.2fms (last LSP)   %d LDP messages\n", "teardown + re-signal", last, bal.Signaling().Total())
+	fmt.Printf("  %-28s %-34s %s\n", "", "traffic restored", "signaling")
+	fmt.Printf("  %-28s %-34s 0 messages\n", "RBPC local + source", fmt.Sprintf("bypass from t=0, optimal %.2fms", last))
+	fmt.Printf("  %-28s %-34s %d LDP messages\n", "teardown + re-signal", fmt.Sprintf("last LSP at %.2fms", worst), bal.Signaling().Total())
 }

@@ -71,16 +71,23 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{Scheme: rbpc.SchemeSource})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
 	e1, _ := mesh.FindEdge(0, 1)
 	e2, _ := mesh.FindEdge(0, 2)
 	e3, _ := mesh.FindEdge(1, 2)
 	for i, e := range []rbpc.EdgeID{e1, e2, e3} {
-		dep.FailLink(e)
-		pkt, err := dep.Net().SendIP(0, 1)
+		srv.Fail(e)
+		srv.Flush()
+		snap := srv.Snapshot()
+		pkt, err := snap.Send(0, 1)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("after %d failure(s): 0->1 delivered via %v, %d LSPs concatenated, 0 signaling msgs\n",
-			i+1, pkt.Trace, len(dep.RouteOf(0, 1)))
+			i+1, pkt.Trace, len(snap.Route(0, 1).LSPs))
 	}
 }

@@ -46,21 +46,27 @@ func main() {
 	fmt.Println("concatenation: ", plan.Decomp)
 	fmt.Printf("PC length:      %d base paths (Theorem 1 bound for k=1: 2)\n", plan.PCLength())
 
-	// The same via the MPLS deployment: only the FEC entry at router 0
-	// changes; every ILM table in the network stays untouched.
+	// The same via the MPLS deployment: source-router RBPC rewrites only
+	// router 0's FEC row, to push one label per concatenated LSP; no ILM
+	// row changes and no LSP is signaled.
 	dep, err := rbpc.NewDeployment(g, rbpc.DefaultDeployConfig())
 	if err != nil {
 		panic(err)
 	}
-	before, _ := dep.Net().TotalILM()
-	dep.FailLink(e01)
-	after, _ := dep.Net().TotalILM()
+	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{Scheme: rbpc.SchemeSource})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
+	srv.Fail(e01)
+	srv.Flush()
 
-	pkt, err := dep.Net().SendIP(0, 2)
+	snap := srv.Snapshot()
+	pkt, err := snap.Send(0, 2)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nMPLS: packet 0->2 delivered via %v in %d hops\n", pkt.Trace, pkt.Hops)
-	fmt.Printf("ILM entries before/after restoration: %d/%d (unchanged)\n", before, after)
+	fmt.Printf("router 0's FEC row for 2 pushes %d labels, one per base LSP\n", len(snap.Route(0, 2).Stack))
 	fmt.Printf("signaling messages during restoration: 0\n")
 }

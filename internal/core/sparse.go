@@ -22,7 +22,7 @@ type DeadIndexed interface {
 // arcs) for one failure view, amortizing across calls everything that
 // depends only on (base, fv): the dead-path mask and the Dijkstra scratch
 // arrays. It is the reference the online engine's pull (Pull) is checked
-// against — the FullRebuild plan and the offline System solve with it.
+// against — the FullRebuild plan solves with it.
 //
 // A SparseSolver is not safe for concurrent use.
 type SparseSolver struct {

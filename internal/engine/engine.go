@@ -150,10 +150,11 @@ type Engine struct {
 	// (core.Component.Base) and the crossing scan of a down link walks
 	// base.IndicesThroughEdge against. Shared, read-only.
 	lspAt []*mpls.LSP
-	// net is the engine's one network: New's clone of the provision's — the
-	// exporting System may keep writing its own — never cloned or written
-	// again. Every epoch forwards over it under its own failure view and
-	// patch rows (Snapshot.Send).
+	// net is the engine's one network: New's clone of the provision's, never
+	// cloned or written again. (Nothing writes the provision's after
+	// rbpc.NewSystem either, so the clone guards nothing; it goes with
+	// Network.Clone's copy-on-write flags.) Every epoch forwards over it
+	// under its own failure view and patch rows (Snapshot.Send).
 	net *mpls.Network
 
 	// Writer-owned state (only the writer goroutine touches these after New).
@@ -250,16 +251,12 @@ type queryReq struct {
 	drain chan struct{}
 }
 
-// New builds an engine over a pristine provisioned export (p.Failed must
-// be empty: the engine owns all failure state from here on) and starts its
-// writer and query workers. The provision must be servable
-// (rbpc.Provision.Servable): the engine names LSPs, it never signals one.
-// The export's maps, LSP table, base set and graph are read, never written,
-// so several engines may be built over one provision.
+// New builds an engine over a provisioned export and starts its writer and
+// query workers. The provision must be servable (rbpc.Provision.Servable):
+// the engine names LSPs, it never signals one. The export's maps, LSP
+// table, base set and graph are read, never written, so several engines may
+// be built over one provision.
 func New(p rbpc.Provision, cfg Config) (*Engine, error) {
-	if len(p.Failed) != 0 {
-		return nil, fmt.Errorf("engine: provision has %d pre-existing failures; export a pristine system", len(p.Failed))
-	}
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -273,10 +270,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		cfg.QueueDepth = 4096
 	}
 
-	canonical, err := canonicalRows(p)
-	if err != nil {
-		return nil, err
-	}
+	canonical := canonicalRows(p)
 	e := &Engine{
 		g:         p.Graph,
 		base:      p.Base,
@@ -376,29 +370,22 @@ func epochOracle(pristine *spath.Oracle, fv *graph.FailureView) *spath.Oracle {
 }
 
 // canonicalRows builds the canonical routing matrix from the provisioned
-// routes. Rows are allocated lazily from the routes actually provisioned,
-// so sources outside a shard's slice or a hot-set provision stay nil
-// (non-materialized) and cost nothing.
-func canonicalRows(p rbpc.Provision) ([][]*Route, error) {
+// primaries: a pair's pristine route is its primary LSP alone. Rows are
+// allocated lazily from the primaries actually provisioned, so sources
+// outside a shard's slice or a hot-set provision stay nil (non-materialized)
+// and cost nothing.
+func canonicalRows(p rbpc.Provision) [][]*Route {
 	n := p.Graph.Order()
 	canon := make([][]*Route, n)
-	for pr, lsps := range p.Routes {
-		stack, err := mpls.SelfStack(lsps)
-		if err != nil {
-			return nil, fmt.Errorf("engine: provision route %v: %w", pr, err)
-		}
-		var cost float64
-		for _, l := range lsps {
-			cost += l.Path.CostIn(p.Graph)
-		}
+	for pr, lsp := range p.Primaries {
 		row := canon[pr.Src]
 		if row == nil {
 			row = make([]*Route, n)
 			canon[pr.Src] = row
 		}
-		row[pr.Dst] = &Route{LSPs: lsps, Stack: stack, Cost: cost}
+		row[pr.Dst] = &Route{LSPs: []*mpls.LSP{lsp}, Stack: []mpls.Label{lsp.SelfLabel()}, Cost: lsp.Path.CostIn(p.Graph)}
 	}
-	return canon, nil
+	return canon
 }
 
 // PrimaryIndex builds the static index failed link -> pairs whose

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"rbpc/internal/core"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 	"rbpc/internal/topology"
@@ -27,11 +30,15 @@ func newEngine(t testing.TB, g *graph.Graph, cfg Config) (*Engine, *rbpc.System)
 	return e, sys
 }
 
-// agreeWithSystem compares every pair's engine answer against a reference
-// System holding the same failed-set: same routability, same cost.
-func agreeWithSystem(t *testing.T, e *Engine, ref *rbpc.System, tag string) {
+// agreeWithReference compares every pair's engine answer against the rule
+// the offline restoration ran, computed here per pair over the failed-set:
+// the primary if it survives, else a minimum-cost decomposition over the
+// provision's base set (core.DecomposeSparse) — same routability, same
+// cost.
+func agreeWithReference(t *testing.T, e *Engine, p rbpc.Provision, failed []graph.EdgeID, tag string) {
 	t.Helper()
-	g := ref.Graph()
+	g := p.Graph
+	fv := graph.FailEdges(g, failed...)
 	for s := 0; s < g.Order(); s++ {
 		for d := 0; d < g.Order(); d++ {
 			if s == d {
@@ -39,20 +46,21 @@ func agreeWithSystem(t *testing.T, e *Engine, ref *rbpc.System, tag string) {
 			}
 			src, dst := graph.NodeID(s), graph.NodeID(d)
 			got := e.Query(src, dst).Route
-			want := ref.RouteOf(src, dst)
-			if (got == nil) != (want == nil) {
-				t.Fatalf("%s: pair %d->%d routable mismatch: engine %v, system %v",
-					tag, s, d, got != nil, want != nil)
+			var want float64
+			routable := true
+			if prim, ok := p.Primaries[rbpc.Pair{Src: src, Dst: dst}]; ok && paths.Survives(prim.Path, fv) {
+				want = prim.Path.CostIn(g)
+			} else {
+				dec, ok := core.DecomposeSparse(p.Base, fv, src, dst)
+				routable = ok && len(dec.Components) > 0
+				want = dec.Cost(g)
 			}
-			if got == nil {
-				continue
+			if (got != nil) != routable {
+				t.Fatalf("%s: pair %d->%d routable mismatch: engine %v, reference %v",
+					tag, s, d, got != nil, routable)
 			}
-			var wantCost float64
-			for _, l := range want {
-				wantCost += l.Path.CostIn(g)
-			}
-			if got.Cost != wantCost {
-				t.Fatalf("%s: pair %d->%d cost %v, system %v", tag, s, d, got.Cost, wantCost)
+			if got != nil && got.Cost != want {
+				t.Fatalf("%s: pair %d->%d cost %v, reference %v", tag, s, d, got.Cost, want)
 			}
 		}
 	}
@@ -60,29 +68,31 @@ func agreeWithSystem(t *testing.T, e *Engine, ref *rbpc.System, tag string) {
 
 func TestEngineMatchesSystemUnderChurn(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
-	e, _ := newEngine(t, g, Config{})
-	ref, err := rbpc.NewSystem(g, rbpc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, sys := newEngine(t, g, Config{})
+	prov := sys.Export()
 
-	agreeWithSystem(t, e, ref, "pristine")
+	agreeWithReference(t, e, prov, nil, "pristine")
 
+	down := make(map[graph.EdgeID]bool)
 	events := failure.ChurnSchedule(g, 40, 3, rand.New(rand.NewSource(5)))
 	for i, ev := range events {
 		if ev.Repair {
 			e.Repair(ev.Edge)
-			ref.RepairLink(ev.Edge)
+			delete(down, ev.Edge)
 		} else {
 			e.Fail(ev.Edge)
-			ref.FailLink(ev.Edge)
+			down[ev.Edge] = true
 		}
 		e.Flush()
-		snap := e.Snapshot()
-		if len(snap.Failed()) != len(ref.KnownFailed()) {
-			t.Fatalf("event %d: engine sees %v failed, system %v", i, snap.Failed(), ref.KnownFailed())
+		var failed []graph.EdgeID
+		for ed := range down {
+			failed = append(failed, ed)
 		}
-		agreeWithSystem(t, e, ref, "after event")
+		slices.Sort(failed)
+		if snap := e.Snapshot(); !slices.Equal(snap.Failed(), failed) {
+			t.Fatalf("event %d: engine sees %v failed, the schedule %v", i, snap.Failed(), failed)
+		}
+		agreeWithReference(t, e, prov, failed, "after event")
 	}
 	// Full schedule drains to pristine.
 	if got := e.Snapshot().Failed(); len(got) != 0 {
@@ -215,18 +225,6 @@ func TestQueryZeroAllocs(t *testing.T) {
 	}))
 	if n != 0 {
 		t.Fatalf("Query allocates %d times per op, want 0", n)
-	}
-}
-
-func TestNewRejectsFailedProvision(t *testing.T) {
-	g := topology.Waxman(10, 0.8, 0.5, 1)
-	sys, err := rbpc.NewSystem(g, rbpc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.FailLink(0)
-	if _, err := New(sys.Export(), Config{}); err == nil {
-		t.Fatal("New accepted a provision with live failures")
 	}
 }
 

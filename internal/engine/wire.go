@@ -96,10 +96,7 @@ func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	canon, err := canonicalRows(p)
-	if err != nil {
-		return nil, err
-	}
+	canon := canonicalRows(p)
 	var top mpls.LSPID
 	for _, l := range p.BaseLSPs {
 		top = max(top, l.ID)

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"sort"
 
+	"rbpc/internal/engine"
 	"rbpc/internal/graph"
 	"rbpc/internal/ldp"
-	"rbpc/internal/ospf"
 	rbpcint "rbpc/internal/rbpc"
 	"rbpc/internal/sim"
 )
@@ -31,9 +31,21 @@ type TimingResult struct {
 	BaselineMean, BaselineP95 sim.Time
 }
 
-// Timing runs the latency experiment: sample non-partitioning links,
-// fail each on a fresh timeline, and record when each scheme restores.
-// The deployment is built once and repaired between failures.
+// The hybrid timeline's delays, in ms: the routers adjacent to a failure
+// detect it after detectDelay, and every further router hears the
+// link-state flood one link (1 ms) and one processing step (0.1 ms) later
+// per hop.
+const (
+	detectDelay sim.Time = 10
+	floodHop    sim.Time = 1 + 0.1
+)
+
+// Timing runs the latency experiment: sample non-partitioning links, and
+// for each failure record when each scheme restores. Local RBPC restores at
+// detection. Source RBPC restores when the flood (sim.FloodHops, the model
+// the serving engine's hybrid runs) reaches the last source whose primary
+// crosses the failed link — the engine's affected pairs. The baseline runs
+// its LDP re-signaling on a fresh deployment and timeline per failure.
 func Timing(net Network, trials int, seed int64) (TimingResult, error) {
 	g := net.G
 	res := TimingResult{Network: net.Name}
@@ -42,37 +54,25 @@ func Timing(net Network, trials int, seed int64) (TimingResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("eval: timing: %w", err)
 	}
-	eng := &sim.Engine{}
-	proto := ospf.New(g, eng, ospf.DefaultConfig())
-	hyb := rbpcint.NewHybrid(sys, proto, eng, rbpcint.EdgeBypass)
+	affected := engine.PrimaryIndex(g, sys.Export().Primaries, nil)
 
 	rng := rand.New(rand.NewSource(seed))
 	var local, source, baseline []sim.Time
 
 	for trial := 0; trial < trials; trial++ {
 		e := graph.EdgeID(rng.Intn(g.Size()))
-		if !graph.Connected(graph.FailEdges(g, e)) {
+		fv := graph.FailEdges(g, e)
+		if !graph.Connected(fv) {
 			continue // a bridge: nothing restores it, skip per methodology
 		}
-		// Fresh per-failure bookkeeping.
-		hyb.LocalPatchedAt = make(map[graph.EdgeID]sim.Time)
-		hyb.SourceUpdatedAt = make(map[rbpcint.Pair]sim.Time)
-		t0 := eng.Now()
-		if err := hyb.FailLink(e); err != nil {
-			return res, err
-		}
-		eng.Run()
-		if at, ok := hyb.LocalPatchedAt[e]; ok {
-			local = append(local, at-t0)
-		}
-		var lastSource sim.Time
-		for _, at := range hyb.SourceUpdatedAt {
-			if at-t0 > lastSource {
-				lastSource = at - t0
+		local = append(local, detectDelay)
+		if pairs := affected.Pairs(e); len(pairs) > 0 {
+			hops := sim.FloodHops(fv, g.Edge(e))
+			var last int
+			for _, pr := range pairs {
+				last = max(last, hops[pr.Src])
 			}
-		}
-		if len(hyb.SourceUpdatedAt) > 0 {
-			source = append(source, lastSource)
+			source = append(source, detectDelay+sim.Time(last)*floodHop)
 		}
 
 		// Baseline on its own fresh deployment and timeline.
@@ -81,7 +81,7 @@ func Timing(net Network, trials int, seed int64) (TimingResult, error) {
 		if err != nil {
 			return res, err
 		}
-		bal.NotifyDelay = ospf.DefaultConfig().DetectDelay
+		bal.NotifyDelay = detectDelay
 		bal.FailLink(e)
 		balEng.Run()
 		var lastBal sim.Time
@@ -93,12 +93,6 @@ func Timing(net Network, trials int, seed int64) (TimingResult, error) {
 		if len(bal.RestoredAt) > 0 {
 			baseline = append(baseline, lastBal)
 		}
-
-		// Heal before the next trial.
-		if err := hyb.RepairLink(e); err != nil {
-			return res, err
-		}
-		eng.Run()
 		res.Failures++
 	}
 

@@ -8,9 +8,8 @@ import "slices"
 // only the first time it is written after the clone). Cloning is O(routers
 // + links), independent of the number of installed ILM/FEC rows: a lineage
 // that rewrites k routers' tables pays for those k tables, not for the
-// whole network. The online engine clones once, to part from the System
-// that provisioned it (engine.New); its epochs are overlays over that one
-// clone (ILMOverlay), not clones of their own.
+// whole network. The online engine clones once, in engine.New; its epochs
+// are overlays over that one clone (ILMOverlay), not clones of their own.
 //
 // Semantics:
 //

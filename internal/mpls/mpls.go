@@ -18,9 +18,10 @@
 //     that makes concatenation work.
 //
 // A restoration's whole delta is therefore a few rows, and the package lets
-// a caller hold it as exactly that. The offline System writes its rows into
-// its own tables (SetFEC, ReplaceILM, FailEdge). The online engine never
-// writes: it forwards every epoch over one shared network through Send,
+// a caller hold it as exactly that. A provisioner writes its pristine rows
+// into the tables (SetFEC); the conventional baseline rewrites them as it
+// re-signals. The online engine never writes: it forwards every epoch over
+// one shared network through Send,
 // handing the forwarding loop the epoch's FEC row, its link state (a
 // graph.FailureView) and its patched ILM rows (an ILMOverlay).
 package mpls

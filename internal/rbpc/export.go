@@ -2,7 +2,6 @@ package rbpc
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -11,23 +10,18 @@ import (
 	"rbpc/internal/paths"
 )
 
-// Provision is a point-in-time export of a System's provisioned state —
-// everything an external serving layer (internal/engine) needs to take
-// over restoration: the topology, the forwarding plane, the base set and
-// LSP registry, the per-pair primaries and current routes, and the
-// control plane's failure knowledge.
+// Provision is the export of a System's provisioned state — everything the
+// serving layer (internal/engine) needs to restore: the topology, the
+// forwarding plane, the base set and LSP registry, and the per-pair
+// primaries, each of which is also the pair's pristine route.
 //
-// Maps are copied so later System mutations do not disturb the export;
-// the pointed-to values (graph, network, LSPs, base set) are shared. A
-// consumer that intends to keep serving from the export while the System
-// keeps mutating should Clone the Network (copy-on-write) — *LSP values
-// and the base set are immutable after provisioning and safe to share.
+// The export shares the System's values; nothing writes them after
+// NewSystem, so any number of engines, cold tiers and decoders may read
+// one export concurrently.
 //
 // BaseLSPs[i] is the LSP established for Base.All()[i]: the table the
 // online serving stack resolves a component through, by its base-set index
-// (core.Component.Base). Every engine, cold tier and decoder of a process
-// reads the one slice; nobody writes it. LSPs is the same registry, plus
-// whatever the System signaled on demand, keyed by path content.
+// (core.Component.Base). LSPs is the same registry keyed by path content.
 type Provision struct {
 	Graph     *graph.Graph
 	Net       *mpls.Network
@@ -36,11 +30,9 @@ type Provision struct {
 	BaseLSPs  []*mpls.LSP
 	LSPs      map[string]*mpls.LSP
 	Primaries map[Pair]*mpls.LSP
-	Routes    map[Pair][]*mpls.LSP
-	Failed    []graph.EdgeID
 }
 
-// Export snapshots the system's provisioned state. See Provision for the
+// Export returns the system's provisioned state. See Provision for the
 // sharing contract.
 func (s *System) Export() Provision {
 	return Provision{
@@ -49,10 +41,8 @@ func (s *System) Export() Provision {
 		Config:    s.cfg,
 		Base:      s.base,
 		BaseLSPs:  slices.Clip(s.baseLSPs),
-		LSPs:      maps.Clone(s.lspOf),
-		Primaries: maps.Clone(s.primaries),
-		Routes:    maps.Clone(s.routes),
-		Failed:    s.KnownFailed(),
+		LSPs:      s.lspOf,
+		Primaries: s.primaries,
 	}
 }
 
@@ -68,8 +58,7 @@ func (s *System) Export() Provision {
 // ways, reading it off the distance row (core.Pull: the hot rows and the cold
 // tier) and by the base-path Dijkstra (the FullRebuild reference), and they
 // agree route for route only where equal costs compare equal however they
-// were summed. The offline System and core.DecomposeSparse serve any
-// weights.
+// were summed. core.DecomposeSparse serves any weights.
 func (p Provision) Servable() error {
 	const need = "online serving needs rbpc.Config.EdgeLSPs and every base path established"
 	if !p.Base.EdgeComplete() {

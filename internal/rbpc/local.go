@@ -1,14 +1,9 @@
 package rbpc
 
-import (
-	"fmt"
+import "fmt"
 
-	"rbpc/internal/core"
-	"rbpc/internal/graph"
-	"rbpc/internal/mpls"
-)
-
-// LocalScheme selects the local-RBPC variant of Section 4.2.
+// LocalScheme selects the local-RBPC variant of Section 4.2: the ILM patch
+// flavor the engine installs at the router adjacent to a failure.
 type LocalScheme int
 
 const (
@@ -31,143 +26,4 @@ func (s LocalScheme) String() string {
 	default:
 		return fmt.Sprintf("LocalScheme(%d)", int(s))
 	}
-}
-
-// LocalPatch applies local RBPC for the failure of link e: for every
-// provisioned LSP traversing e, the router immediately upstream of the
-// failed link replaces its single ILM row for that LSP. The data plane
-// must already mark e down (FailDataPlane).
-//
-// The adjacent router acts on global topology knowledge but only the
-// locally detected failure (plus whatever the control plane already
-// knows), per the paper. Patches are recorded and reversed by
-// UndoLocalPatches when the link recovers.
-//
-// It returns the number of ILM rows replaced. LSPs whose remainder cannot
-// be restored (the failure disconnected them) are left broken and counted
-// in the second return.
-func (s *System) LocalPatch(e graph.EdgeID, scheme LocalScheme) (patched, unrestorable int, err error) {
-	if _, dup := s.patches[e]; dup {
-		return 0, 0, fmt.Errorf("rbpc: link %d already locally patched", e)
-	}
-	known := append(s.KnownFailed(), e)
-	fv := graph.FailEdges(s.g, known...)
-
-	type rowKey struct {
-		router graph.NodeID
-		label  mpls.Label
-	}
-	var applied []patch
-	seen := make(map[rowKey]bool)
-	for _, p := range s.base.ThroughEdge(e) {
-		lsp, ok := s.lspOf[p.Key()]
-		if !ok {
-			continue
-		}
-		for i, edge := range lsp.Path.Edges {
-			if edge != e {
-				continue
-			}
-			r1 := lsp.Path.Nodes[i]
-			r2 := lsp.Path.Nodes[i+1]
-			inLabel, ok := s.labelInto(lsp, i)
-			if !ok {
-				continue
-			}
-			key := rowKey{router: r1, label: inLabel}
-			if seen[key] {
-				continue
-			}
-			row, ok := s.localRow(lsp, i, r1, r2, fv, scheme)
-			if !ok {
-				unrestorable++
-				continue
-			}
-			prev, rerr := s.net.ReplaceILM(r1, inLabel, row)
-			if rerr != nil {
-				return patched, unrestorable, fmt.Errorf("rbpc: patching LSP %d at router %d: %w", lsp.ID, r1, rerr)
-			}
-			seen[key] = true
-			applied = append(applied, patch{router: r1, label: inLabel, prev: prev})
-			patched++
-		}
-	}
-	s.patches[e] = applied
-	return patched, unrestorable, nil
-}
-
-// labelInto returns the label under which the LSP's traffic is processed
-// at Path.Nodes[i]: the ingress self-label for i == 0, the upstream hop
-// label otherwise.
-func (s *System) labelInto(lsp *mpls.LSP, i int) (mpls.Label, bool) {
-	if i == 0 {
-		return lsp.SelfLabel(), true
-	}
-	return lsp.HopLabel(i - 1)
-}
-
-// localRow builds the replacement ILM row at r1 for an LSP whose i-th link
-// (r1 -> r2) failed.
-func (s *System) localRow(lsp *mpls.LSP, i int, r1, r2 graph.NodeID, fv *graph.FailureView, scheme LocalScheme) (mpls.ILMEntry, bool) {
-	switch scheme {
-	case EndRoute:
-		dec, ok := core.DecomposeSparse(s.base, fv, r1, lsp.Egress())
-		if !ok || len(dec.Components) == 0 {
-			return mpls.ILMEntry{}, false
-		}
-		lsps, err := s.lspsFor(dec)
-		if err != nil {
-			return mpls.ILMEntry{}, false
-		}
-		stack, err := mpls.SelfStack(lsps)
-		if err != nil {
-			return mpls.ILMEntry{}, false
-		}
-		return mpls.ILMEntry{Out: stack, OutEdge: mpls.LocalProcess}, true
-	case EdgeBypass:
-		resume, ok := lsp.HopLabel(i)
-		if !ok {
-			return mpls.ILMEntry{}, false
-		}
-		dec, ok := core.DecomposeSparse(s.base, fv, r1, r2)
-		if !ok || len(dec.Components) == 0 {
-			return mpls.ILMEntry{}, false
-		}
-		lsps, err := s.lspsFor(dec)
-		if err != nil {
-			return mpls.ILMEntry{}, false
-		}
-		bypass, err := mpls.SelfStack(lsps)
-		if err != nil {
-			return mpls.ILMEntry{}, false
-		}
-		// Bottom-first: the resume label sits beneath the bypass stack,
-		// exposed when the bypass's egress (r2) pops.
-		out := make([]mpls.Label, 0, len(bypass)+1)
-		out = append(out, resume)
-		out = append(out, bypass...)
-		return mpls.ILMEntry{Out: out, OutEdge: mpls.LocalProcess}, true
-	default:
-		return mpls.ILMEntry{}, false
-	}
-}
-
-// UndoLocalPatches restores the ILM rows replaced by LocalPatch(e).
-func (s *System) UndoLocalPatches(e graph.EdgeID) int {
-	applied := s.patches[e]
-	for _, p := range applied {
-		// The row must still exist; restore the original entry.
-		if _, err := s.net.ReplaceILM(p.router, p.label, p.prev); err != nil {
-			panic(fmt.Sprintf("rbpc: undo patch at router %d label %d: %v", p.router, p.label, err))
-		}
-	}
-	delete(s.patches, e)
-	return len(applied)
-}
-
-// LocallyPatched reports whether link e currently has local patches
-// applied.
-func (s *System) LocallyPatched(e graph.EdgeID) bool {
-	_, ok := s.patches[e]
-	return ok
 }

@@ -1,27 +1,20 @@
 package rbpc
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 
+	"rbpc/internal/core"
 	"rbpc/internal/graph"
+	"rbpc/internal/ldp"
 	"rbpc/internal/mpls"
+	"rbpc/internal/sim"
 	"rbpc/internal/topology"
 )
 
-// newSquareSystem builds a System over C4 with full provisioning.
-func newSquareSystem(t *testing.T) *System {
+func mustDeliver(t *testing.T, net *mpls.Network, src, dst graph.NodeID) *mpls.Packet {
 	t.Helper()
-	s, err := NewSystem(topology.Ring(4), DefaultConfig())
-	if err != nil {
-		t.Fatalf("NewSystem: %v", err)
-	}
-	return s
-}
-
-func mustDeliver(t *testing.T, s *System, src, dst graph.NodeID) *mpls.Packet {
-	t.Helper()
-	pkt, err := s.Net().SendIP(src, dst)
+	pkt, err := net.SendIP(src, dst)
 	if err != nil {
 		t.Fatalf("SendIP(%d,%d): %v (trace %v)", src, dst, err, pkt)
 	}
@@ -32,230 +25,31 @@ func mustDeliver(t *testing.T, s *System, src, dst graph.NodeID) *mpls.Packet {
 }
 
 func TestProvisioningAndPrimaries(t *testing.T) {
-	s := newSquareSystem(t)
-	// Every ordered pair must be routable out of the box.
+	s, err := NewSystem(topology.Ring(4), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every ordered pair must be routable out of the box, on its primary.
+	p := s.Export()
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
 			if src == dst {
 				continue
 			}
-			pkt := mustDeliver(t, s, graph.NodeID(src), graph.NodeID(dst))
+			pkt := mustDeliver(t, s.Net(), graph.NodeID(src), graph.NodeID(dst))
 			if pkt.Hops > 2 {
 				t.Errorf("%d->%d took %d hops on C4", src, dst, pkt.Hops)
 			}
-		}
-	}
-	if s.OnDemandLSPs() != 0 {
-		t.Errorf("on-demand LSPs at provisioning time: %d", s.OnDemandLSPs())
-	}
-}
-
-func TestSourceRBPCSingleFailure(t *testing.T) {
-	s := newSquareSystem(t)
-	e, _ := s.Graph().FindEdge(0, 1)
-
-	// Physical failure, before any reaction: traffic crossing e drops.
-	s.FailDataPlane(e)
-	if _, err := s.Net().SendIP(0, 1); err == nil {
-		t.Fatal("packet crossed a dead link")
-	}
-
-	// Source-router reaction: FEC rewrites only.
-	ilmBefore, _ := s.Net().TotalILM()
-	sigBefore := s.Net().Stats().SignalingMsgs
-	s.NoteFailure(e)
-	updated, unroutable := s.UpdateAllSources(e)
-	if updated == 0 || unroutable != 0 {
-		t.Fatalf("updated=%d unroutable=%d", updated, unroutable)
-	}
-	ilmAfter, _ := s.Net().TotalILM()
-	if ilmAfter != ilmBefore {
-		t.Errorf("source RBPC changed ILM tables: %d -> %d", ilmBefore, ilmAfter)
-	}
-	if got := s.Net().Stats().SignalingMsgs; got != sigBefore {
-		t.Errorf("source RBPC signaled: %d -> %d messages", sigBefore, got)
-	}
-
-	// Traffic flows again on the 3-hop detour.
-	pkt := mustDeliver(t, s, 0, 1)
-	if pkt.Hops != 3 {
-		t.Errorf("restored route = %d hops, want 3", pkt.Hops)
-	}
-	// With one base path per pair, C4 is the paper's remark: some single
-	// failure forces 3 components (two trivial paths and an edge). The
-	// concatenation must never exceed that.
-	if r := s.RouteOf(0, 1); len(r) > 3 {
-		t.Errorf("concatenation of %d LSPs, want <= 3 on C4", len(r))
-	}
-}
-
-func TestSourceRBPCRecovery(t *testing.T) {
-	s := newSquareSystem(t)
-	e, _ := s.Graph().FindEdge(0, 1)
-	s.FailLink(e)
-	if pkt := mustDeliver(t, s, 0, 1); pkt.Hops != 3 {
-		t.Fatalf("detour hops = %d", pkt.Hops)
-	}
-	s.RepairLink(e)
-	if pkt := mustDeliver(t, s, 0, 1); pkt.Hops != 1 {
-		t.Errorf("after recovery hops = %d, want 1", pkt.Hops)
-	}
-	if len(s.KnownFailed()) != 0 {
-		t.Errorf("failures still known after repair: %v", s.KnownFailed())
-	}
-}
-
-func TestSourceRBPCDoubleFailure(t *testing.T) {
-	// K5 is 4-edge-connected: after two link failures every pair stays
-	// routable, with zero signaling (closure provisioning).
-	s, err := NewSystem(topology.Complete(5), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, _ := s.Graph().FindEdge(0, 1)
-	e2, _ := s.Graph().FindEdge(2, 3)
-	sigBefore := s.Net().Stats().SignalingMsgs
-	s.FailLink(e1)
-	s.FailLink(e2)
-	for src := 0; src < 5; src++ {
-		for dst := 0; dst < 5; dst++ {
-			if src != dst {
-				mustDeliver(t, s, graph.NodeID(src), graph.NodeID(dst))
+			if prim := p.Primaries[Pair{graph.NodeID(src), graph.NodeID(dst)}]; prim == nil || prim.Path.Hops() != pkt.Hops {
+				t.Errorf("%d->%d: primary %v, delivered in %d hops", src, dst, prim, pkt.Hops)
 			}
 		}
 	}
-	if got := s.Net().Stats().SignalingMsgs; got != sigBefore {
-		t.Errorf("double failure signaled %d messages", got-sigBefore)
-	}
-	if s.OnDemandLSPs() != 0 {
-		t.Errorf("on-demand LSPs = %d, want 0 with full closure", s.OnDemandLSPs())
-	}
-}
-
-func TestDisconnectionHandled(t *testing.T) {
-	// A line: failing the middle link separates the halves.
-	s, err := NewSystem(topology.Line(4), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.Graph().FindEdge(1, 2)
-	s.FailLink(e)
-	if _, err := s.Net().SendIP(0, 3); err == nil {
-		t.Error("packet delivered across a partition")
-	}
-	// Unaffected pairs still work.
-	mustDeliver(t, s, 0, 1)
-	mustDeliver(t, s, 2, 3)
-	// Repair restores everything.
-	s.RepairLink(e)
-	mustDeliver(t, s, 0, 3)
-}
-
-func TestOnDemandWithoutClosure(t *testing.T) {
-	// Without subpath closure or edge LSPs, restoration may need to
-	// signal components on demand — the System must still deliver.
-	s, err := NewSystem(topology.Ring(6), Config{SubpathClosure: false, EdgeLSPs: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.Graph().FindEdge(0, 1)
-	s.FailLink(e)
-	mustDeliver(t, s, 0, 1)
-	// Anything signaled on demand joins the registry, never the base set.
-	baseLSPsInStep(t, s, "after on-demand signaling")
-}
-
-func TestLocalEndRoute(t *testing.T) {
-	// Diamond + tail: LSP 0-1-2; link 1-2 fails; router 1 patches.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	e12 := g.AddEdge(1, 2, 1)
-	g.AddEdge(1, 3, 1)
-	g.AddEdge(3, 2, 1)
-	s, err := NewSystem(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.FailDataPlane(e12)
-	patched, unrestorable, err := s.LocalPatch(e12, EndRoute)
-	if err != nil {
-		t.Fatalf("LocalPatch: %v", err)
-	}
-	if patched == 0 || unrestorable != 0 {
-		t.Fatalf("patched=%d unrestorable=%d", patched, unrestorable)
-	}
-	// Source 0 has NOT updated its FEC; the patch alone must carry the
-	// packet: 0 -> 1 -> 3 -> 2.
-	pkt := mustDeliver(t, s, 0, 2)
-	want := []graph.NodeID{0, 1, 3, 2}
-	if len(pkt.Trace) != len(want) {
-		t.Fatalf("trace %v, want %v", pkt.Trace, want)
-	}
-	for i := range want {
-		if pkt.Trace[i] != want[i] {
-			t.Fatalf("trace %v, want %v", pkt.Trace, want)
+	// A base path's position is its LSP's.
+	for i, bp := range p.Base.All() {
+		if l := p.BaseLSPs[i]; l == nil || !l.Path.Equal(bp) || l != p.LSPs[bp.Key()] {
+			t.Fatalf("base path %d (%v) is not at its position in the LSP table", i, bp)
 		}
-	}
-	// Undo and repair: original 2-hop route again.
-	s.Net().RepairEdge(e12)
-	s.UndoLocalPatches(e12)
-	pkt = mustDeliver(t, s, 0, 2)
-	if pkt.Hops != 2 {
-		t.Errorf("after undo: %d hops", pkt.Hops)
-	}
-}
-
-func TestLocalEdgeBypass(t *testing.T) {
-	// Square + pendant: LSP 0-1-2 over the ring; bypass 1-0-3-2? Use C4:
-	// LSP 0-1 fails at its only link; R1=0 is the ingress; bypass 0-3-2-1
-	// resumes at 1 (the egress pop).
-	s := newSquareSystem(t)
-	e, _ := s.Graph().FindEdge(0, 1)
-	s.FailDataPlane(e)
-	patched, unrestorable, err := s.LocalPatch(e, EdgeBypass)
-	if err != nil {
-		t.Fatalf("LocalPatch: %v", err)
-	}
-	if patched == 0 || unrestorable != 0 {
-		t.Fatalf("patched=%d unrestorable=%d", patched, unrestorable)
-	}
-	pkt := mustDeliver(t, s, 0, 1)
-	if pkt.Hops != 3 {
-		t.Errorf("bypassed route = %d hops, want 3", pkt.Hops)
-	}
-	// Longer LSPs resume correctly too: 3 -> 1 originally 3-0-1.
-	mustDeliver(t, s, 3, 1)
-}
-
-func TestLocalPatchDuplicate(t *testing.T) {
-	s := newSquareSystem(t)
-	e, _ := s.Graph().FindEdge(0, 1)
-	s.FailDataPlane(e)
-	if _, _, err := s.LocalPatch(e, EdgeBypass); err != nil {
-		t.Fatal(err)
-	}
-	if !s.LocallyPatched(e) {
-		t.Error("LocallyPatched = false")
-	}
-	if _, _, err := s.LocalPatch(e, EdgeBypass); err == nil {
-		t.Error("double patch accepted")
-	}
-}
-
-func TestLocalPatchUnrestorable(t *testing.T) {
-	// Line: failing the middle link cannot be bypassed.
-	s, err := NewSystem(topology.Line(4), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := s.Graph().FindEdge(1, 2)
-	s.FailDataPlane(e)
-	patched, unrestorable, err := s.LocalPatch(e, EdgeBypass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if patched != 0 || unrestorable == 0 {
-		t.Errorf("patched=%d unrestorable=%d on a bridge", patched, unrestorable)
 	}
 }
 
@@ -265,103 +59,85 @@ func TestLocalSchemeString(t *testing.T) {
 	}
 }
 
-func TestPairsThrough(t *testing.T) {
-	s := newSquareSystem(t)
-	e, _ := s.Graph().FindEdge(0, 1)
-	prs := s.PairsThrough(e)
-	if len(prs) == 0 {
-		t.Fatal("no pairs through a used link")
-	}
-	// Must at least include (0,1) and (1,0).
-	has := func(p Pair) bool {
-		for _, q := range prs {
-			if q == p {
-				return true
+// TestServableRequiresExactWeights: the serving stack's door refuses a graph
+// whose path sums are not exact in a float64 — a weight that is not a
+// positive integer value, or a total past 2^53 — naming the link or the
+// total, while the System provisions it and core.DecomposeSparse restores
+// over it all the same; integer weights of any size below the total pass.
+func TestServableRequiresExactWeights(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		weights [3]float64 // a triangle's links
+		refuse  string     // "" = servable
+	}{
+		{"unit", [3]float64{1, 1, 1}, ""},
+		{"integers", [3]float64{3, 40, 1 << 40}, ""},
+		{"total-at-2^53", [3]float64{1 << 52, 1 << 51, 1 << 51}, ""},
+		{"fraction", [3]float64{1, 2.5, 1}, "link 1 (1-2) has weight 2.5"},
+		{"below-one", [3]float64{0.5, 1, 1}, "link 0 (0-1) has weight 0.5"},
+		{"total-past-2^53", [3]float64{1 << 52, 1 << 52, 2}, "total 9.007199254740994e+15"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.New(3)
+			g.AddEdge(0, 1, tc.weights[0])
+			g.AddEdge(1, 2, tc.weights[1])
+			g.AddEdge(2, 0, tc.weights[2])
+			s, err := NewSystem(g, DefaultConfig())
+			if err != nil {
+				t.Fatalf("the System refused the graph: %v", err)
 			}
-		}
-		return false
-	}
-	if !has(Pair{0, 1}) || !has(Pair{1, 0}) {
-		t.Errorf("pairs through edge: %v", prs)
-	}
-}
-
-// TestRandomFailuresAlwaysDeliverOrPartition: property-style integration
-// test over random topologies: after arbitrary single and double failures
-// and source RBPC, every pair either delivers or is genuinely partitioned.
-func TestRandomFailuresAlwaysDeliverOrPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 10; trial++ {
-		g := topology.Waxman(14, 0.7, 0.4, int64(trial))
-		s, err := NewSystem(g, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 0; f < 2; f++ {
-			e := graph.EdgeID(rng.Intn(g.Size()))
-			if _, known := s.failed[e]; known {
-				continue
+			err = s.Export().Servable()
+			switch {
+			case tc.refuse == "" && err != nil:
+				t.Fatalf("Servable() = %v, want nil", err)
+			case tc.refuse != "" && (err == nil || !strings.Contains(err.Error(), tc.refuse)):
+				t.Fatalf("Servable() = %v, want an error naming %q", err, tc.refuse)
 			}
-			s.FailLink(e)
-		}
-		fv := graph.FailEdges(g, s.KnownFailed()...)
-		for src := 0; src < g.Order(); src++ {
-			for dst := 0; dst < g.Order(); dst++ {
-				if src == dst {
-					continue
-				}
-				_, err := s.Net().SendIP(graph.NodeID(src), graph.NodeID(dst))
-				reachable := false
-				for _, v := range graph.ReachableFrom(fv, graph.NodeID(src)) {
-					if v == graph.NodeID(dst) {
-						reachable = true
-					}
-				}
-				if reachable && err != nil {
-					t.Fatalf("trial %d: %d->%d undeliverable despite connectivity: %v", trial, src, dst, err)
-				}
-				if !reachable && err == nil {
-					t.Fatalf("trial %d: %d->%d delivered across a partition", trial, src, dst)
-				}
+			if dec, ok := core.DecomposeSparse(s.Base(), graph.FailEdges(g, 0), 0, 1); !ok || dec.Concat().Hops() != 2 {
+				t.Fatalf("no 2-hop restoration of 0->1 around link 0: %v, %v", dec, ok)
 			}
-		}
+		})
 	}
 }
 
-// TestNoLoopsUnderLocalPatching: local patches must never loop a packet
-// (TTL would catch it); single failures on random graphs.
-func TestNoLoopsUnderLocalPatching(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		g := topology.Waxman(12, 0.8, 0.4, int64(100+trial))
-		s, err := NewSystem(g, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := graph.EdgeID(trial % g.Size())
-		s.FailDataPlane(e)
-		if _, _, err := s.LocalPatch(e, EdgeBypass); err != nil {
-			t.Fatal(err)
-		}
-		for src := 0; src < g.Order(); src++ {
-			for dst := 0; dst < g.Order(); dst++ {
-				if src == dst {
-					continue
-				}
-				pkt, err := s.Net().SendIP(graph.NodeID(src), graph.NodeID(dst))
-				if err != nil {
-					// Allowed only if truly cut off.
-					fv := graph.FailEdges(g, e)
-					for _, v := range graph.ReachableFrom(fv, graph.NodeID(src)) {
-						if v == graph.NodeID(dst) {
-							t.Fatalf("trial %d: %d->%d dropped (%v) though reachable", trial, src, dst, err)
-						}
-					}
-					continue
-				}
-				if pkt.Hops >= mpls.DefaultTTL {
-					t.Fatalf("trial %d: packet consumed its TTL", trial)
-				}
-			}
-		}
+func TestBaselineDeliversAfterResignaling(t *testing.T) {
+	g := topology.Ring(6)
+	eng := &sim.Engine{}
+	bal, err := NewBaseline(g, eng, ldp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pre-failure delivery.
+	mustDeliver(t, bal.Net(), 0, 3)
+	e, _ := g.FindEdge(0, 1)
+	bal.FailLink(e)
+	// Mid-signaling: the broken pairs blackhole.
+	if _, err := bal.Net().SendIP(0, 1); err == nil {
+		t.Error("delivered during re-signaling window")
+	}
+	eng.Run()
+	if pkt := mustDeliver(t, bal.Net(), 0, 1); pkt.Hops != 5 {
+		t.Errorf("baseline detour = %d hops, want 5", pkt.Hops)
+	}
+	if bal.RouteOf(0, 1) == nil {
+		t.Error("RouteOf nil after restoration")
+	}
+}
+
+func TestBaselineDisconnectedPair(t *testing.T) {
+	g := topology.Line(3)
+	eng := &sim.Engine{}
+	bal, err := NewBaseline(g, eng, ldp.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := g.FindEdge(0, 1)
+	bal.FailLink(e)
+	eng.Run()
+	if _, err := bal.Net().SendIP(0, 1); err == nil {
+		t.Error("delivered across partition")
+	}
+	if bal.RouteOf(0, 1) != nil {
+		t.Error("route exists across partition")
 	}
 }

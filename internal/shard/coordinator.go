@@ -60,12 +60,11 @@ type Coordinator struct {
 }
 
 // New partitions the provision across cfg.Shards in-process engines and
-// starts them. Each shard receives only the primaries and routes of the
-// sources it owns (engine rows are allocated per provisioned source, so
-// unowned — and unprovisioned cold — sources cost it nothing); graph,
-// base set, LSP table and network are shared (each engine clones the
-// network copy-on-write and reads the table). p.Failed must be empty and
-// the provision servable, as for engine.New.
+// starts them. Each shard receives only the primaries of the sources it
+// owns (engine rows are allocated per provisioned source, so unowned — and
+// unprovisioned cold — sources cost it nothing); graph, base set, LSP table
+// and network are shared (each engine clones the network copy-on-write and
+// reads the table). The provision must be servable, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
@@ -125,7 +124,7 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 		}
 		slot[src] = uint8(len(workers))
 	}
-	for pr := range p.Routes {
+	for pr := range p.Primaries {
 		slot[pr.Src] = owners[pr.Src]
 	}
 	return &Coordinator{
@@ -140,27 +139,20 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 }
 
 // SliceProvision returns the provision slice shard i serves under the
-// owner table: only the primaries and routes of the sources i owns.
+// owner table: only the primaries of the sources i owns.
 // Graph, base set, network and the LSP table stay shared — an engine only
 // reads them. It is the single definition of the shard partition — New and
 // every remote worker process slice with it, so a worker rebuilt from the
 // same provision serves exactly the rows its in-process twin would.
 func SliceProvision(p rbpc.Provision, owners Owners, i int) rbpc.Provision {
 	prims := make(map[rbpc.Pair]*mpls.LSP)
-	routes := make(map[rbpc.Pair][]*mpls.LSP)
 	for pr, lsp := range p.Primaries {
 		if int(owners[pr.Src]) == i {
 			prims[pr] = lsp
 		}
 	}
-	for pr, lsps := range p.Routes {
-		if int(owners[pr.Src]) == i {
-			routes[pr] = lsps
-		}
-	}
 	sp := p
 	sp.Primaries = prims
-	sp.Routes = routes
 	return sp
 }
 

@@ -61,7 +61,7 @@ func TestRingBalanceFullAS(t *testing.T) {
 
 // TestOwnerTableMatchesRing: the table every query reads is its definition,
 // src mod N, entry for entry, and slicing a provision through it hands every
-// route and primary to exactly its owner.
+// primary to exactly its owner.
 func TestOwnerTableMatchesRing(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 8, MaxShards} {
 		for _, n := range []int{0, 1, 237, fullASNodes} {
@@ -91,25 +91,18 @@ func TestOwnerTableMatchesRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		routes, prims := 0, 0
+		prims := 0
 		for i := 0; i < shards; i++ {
 			sp := SliceProvision(p, tab, i)
-			routes += len(sp.Routes)
 			prims += len(sp.Primaries)
-			for pr := range sp.Routes {
-				if int(tab[pr.Src]) != i {
-					t.Fatalf("shards=%d: route %v in shard %d's slice, owned by %d", shards, pr, i, tab[pr.Src])
-				}
-			}
 			for pr := range sp.Primaries {
 				if int(tab[pr.Src]) != i {
 					t.Fatalf("shards=%d: primary %v in shard %d's slice, owned by %d", shards, pr, i, tab[pr.Src])
 				}
 			}
 		}
-		if routes != len(p.Routes) || prims != len(p.Primaries) {
-			t.Fatalf("shards=%d: the slices hold %d routes of %d and %d primaries of %d",
-				shards, routes, len(p.Routes), prims, len(p.Primaries))
+		if prims != len(p.Primaries) {
+			t.Fatalf("shards=%d: the slices hold %d primaries of %d", shards, prims, len(p.Primaries))
 		}
 	}
 }

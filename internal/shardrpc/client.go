@@ -100,7 +100,7 @@ func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *
 		own[src] = int(o) == idx
 	}
 	mine := make([]uint8, len(owners))
-	for pr := range p.Routes {
+	for pr := range p.Primaries {
 		if own[pr.Src] {
 			mine[pr.Src] = 1
 		}

@@ -243,7 +243,7 @@ func TestAnswerCodecRoundTrip(t *testing.T) {
 	// Borrow a real provisioned route so path resolution exercises the
 	// registry hit path.
 	var rt *engine.Route
-	for pr := range p.Routes {
+	for pr := range p.Primaries {
 		eng, err := engine.New(p, engine.Config{})
 		if err != nil {
 			t.Fatal(err)

@@ -18,11 +18,12 @@
 //   - Restoration planning: BaseSet constructors (AllShortestPaths,
 //     OneShortestPathPerPair, ExplicitBase), NewRestorer, Decompose* —
 //     computing which base paths to concatenate.
-//   - MPLS deployment: NewDeployment runs a simulated MPLS network with
-//     pre-provisioned LSPs, applies source-router RBPC (FEC rewrites) and
-//     local RBPC (single ILM-row patches), forwards packets, and couples
-//     to a link-state protocol for realistically timed hybrid restoration
-//     (NewHybridDeployment).
+//   - MPLS deployment: NewDeployment provisions a simulated MPLS network
+//     with the base set's LSPs and every pair's FEC row; Serve restores
+//     over it online — source-router RBPC (FEC rewrites), local RBPC
+//     (single ILM-row patches) or the hybrid of the two on a modeled
+//     link-state flood — and forwards packets through each epoch
+//     (Snapshot.Send).
 //
 // Reproductions of the paper's tables and figures live behind RunTable1,
 // RunTable2, RunTable3 and RunFigure10; see also cmd/rbpc-bench.

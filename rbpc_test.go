@@ -6,7 +6,9 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestFacadeTheoremWorkflow(t *testing.T) {
@@ -39,43 +41,73 @@ func TestFacadeDisconnected(t *testing.T) {
 	}
 }
 
-func TestFacadeDeploymentLifecycle(t *testing.T) {
-	g := NewComplete(5)
+// serve provisions g and starts a Server over it, closed with the test.
+func serve(t *testing.T, g *Graph, cfg ServerConfig) *Server {
+	t.Helper()
 	dep, err := NewDeployment(g, DefaultDeployConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := g.FindEdge(0, 1)
-	dep.FailLink(e)
-	pkt, err := dep.Net().SendIP(0, 1)
-	if err != nil || pkt.At != 1 {
-		t.Fatalf("SendIP after failure: %v", err)
+	srv, err := Serve(dep, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dep.RepairLink(e)
-	pkt, err = dep.Net().SendIP(0, 1)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func TestFacadeDeploymentLifecycle(t *testing.T) {
+	g := NewComplete(5)
+	srv := serve(t, g, ServerConfig{})
+	e, _ := g.FindEdge(0, 1)
+	srv.Fail(e)
+	srv.Flush()
+	pkt, err := srv.Snapshot().Send(0, 1)
+	if err != nil || pkt.At != 1 || pkt.Hops != 2 {
+		t.Fatalf("Send after failure: %v", err)
+	}
+	srv.Repair(e)
+	srv.Flush()
+	pkt, err = srv.Snapshot().Send(0, 1)
 	if err != nil || pkt.Hops != 1 {
 		t.Fatalf("after repair: err=%v hops=%d", err, pkt.Hops)
 	}
 }
 
+// fakeClock is a Server clock the test sets.
+type fakeClock struct{ since atomic.Int64 }
+
+func (c *fakeClock) now() time.Time { return time.Unix(0, c.since.Load()) }
+
+// TestFacadeHybrid: on a hybrid Server the bypass patch carries the broken
+// pair from the epoch's publish, and the source's re-optimized route once
+// the modeled flood reaches it — the same 5-hop detour on a ring.
 func TestFacadeHybrid(t *testing.T) {
 	g := NewRing(6)
-	dep, err := NewDeployment(g, DefaultDeployConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eng Engine
-	proto := NewLinkState(g, &eng, DefaultLinkStateConfig())
-	hyb := NewHybridDeployment(dep, proto, &eng, EdgeBypass)
+	var clk fakeClock
+	srv := serve(t, g, ServerConfig{
+		Scheme: SchemeHybrid,
+		Flood:  FloodConfig{Detect: 10 * time.Millisecond, PerHop: time.Millisecond},
+		Clock:  clk.now,
+	})
 	e, _ := g.FindEdge(0, 1)
-	if err := hyb.FailLink(e); err != nil {
-		t.Fatal(err)
+	srv.Fail(e)
+	srv.Flush()
+	snap := srv.Snapshot()
+	if rt := snap.Route(0, 1); rt == nil || rt.Via != SchemeBypass {
+		t.Fatalf("before the flood 0->1 is served %+v, want the bypass answer", rt)
 	}
-	eng.Run()
-	if _, ok := hyb.LocalPatchedAt[e]; !ok {
-		t.Error("no local patch recorded")
+	if pkt, err := snap.Send(0, 1); err != nil || pkt.Hops != 5 {
+		t.Fatalf("bypassed Send: %v", err)
 	}
-	if _, err := dep.Net().SendIP(0, 1); err != nil {
+	clk.since.Store(int64(snap.MaxHorizon()))
+	if !snap.Converged() {
+		t.Fatal("not converged past the flood's last horizon")
+	}
+	if rt := snap.Route(0, 1); rt == nil || rt.Via != SchemeSource {
+		t.Fatalf("after the flood 0->1 is served %+v, want the source answer", rt)
+	}
+	if _, err := snap.Send(0, 1); err != nil {
 		t.Errorf("undeliverable after convergence: %v", err)
 	}
 }
@@ -184,32 +216,38 @@ func TestFacadeMergedTrees(t *testing.T) {
 	}
 }
 
+// TestFacadeScenarioAndTrace scripts a failure timeline on a hybrid Server
+// — fail link 0 at t=0, probe 0->1 and audit every pair at t=20ms — and
+// reads the probe's per-hop trace.
 func TestFacadeScenarioAndTrace(t *testing.T) {
 	g := NewComplete(4)
-	dep, err := NewDeployment(g, DefaultDeployConfig())
+	var clk fakeClock
+	srv := serve(t, g, ServerConfig{
+		Scheme: SchemeHybrid,
+		Flood:  FloodConfig{Detect: 10 * time.Millisecond, PerHop: time.Millisecond},
+		Clock:  clk.now,
+	})
+	srv.Fail(0)
+	srv.Flush()
+	clk.since.Store(int64(20 * time.Millisecond))
+	snap := srv.Snapshot()
+	edge := g.Edge(0)
+	pkt, err := snap.Send(edge.U, edge.V)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("probe: %v", err)
 	}
-	var eng Engine
-	proto := NewLinkState(g, &eng, DefaultLinkStateConfig())
-	hyb := NewHybridDeployment(dep, proto, &eng, EdgeBypass)
-
-	ops, err := ParseScenario(strings.NewReader("at 0 fail-link 0\nat 20 probe 0 1\nat 20 audit\n"))
-	if err != nil {
-		t.Fatal(err)
+	if tr := pkt.Trace; len(tr) != 3 || tr[0] != edge.U || tr[2] != edge.V {
+		t.Fatalf("probe trace %v, want a 2-hop walk from %d to %d", tr, edge.U, edge.V)
 	}
-	log, err := RunScenario(hyb, &eng, ops)
-	if err != nil || len(log) != 3 {
-		t.Fatalf("scenario: %v, %d events", err, len(log))
-	}
-	res := TraceRoute(dep.Net(), 0, 1)
-	if !res.Delivered {
-		t.Fatalf("trace: %s", res.Reason)
-	}
-	var sb strings.Builder
-	WriteTrace(&sb, dep.Net(), res)
-	if !strings.Contains(sb.String(), "DELIVERED") {
-		t.Error("trace render")
+	for s := 0; s < g.Order(); s++ {
+		for d := 0; d < g.Order(); d++ {
+			if s == d {
+				continue
+			}
+			if _, err := snap.Send(NodeID(s), NodeID(d)); err != nil {
+				t.Fatalf("audit: %d->%d: %v", s, d, err)
+			}
+		}
 	}
 }
 

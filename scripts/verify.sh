@@ -32,14 +32,29 @@ fi
 # component became its base-set index (DESIGN.md §9), of the ILM patch diff
 # and its writer state that went when an epoch's patch rows became an overlay
 # over the one network (DESIGN.md §16), of the switchover timers, of the
-# solver's cost-index arm, which nothing served from, and of the bounded
+# solver's cost-index arm, which nothing served from, of the bounded
 # ellipse search with its live candidate columns, destination trees and
 # pooled solvers, which went when the writer's solve became a pull
-# (core.Pull, DESIGN.md §13); whole-word, so test names that contain them
-# do not trip the gate.
+# (core.Pull, DESIGN.md §13), and of the offline System's second
+# restoration implementation — its per-pair updates, ILM patches, failover
+# plans, content resolver and on-demand signalling, its hybrid on a second
+# flood model, and the scenario, trace and table-audit packages around it
+# (DESIGN.md §9); whole-word, so test names that contain them do not trip
+# the gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs|PatchSet|ilmPatches|syncPatches|scheduleConvergence|stopTimers|SetCostIndex|SetLiveIndex|LiveColumns|LiveFromSource|FromBounded|FromBoundedEllipse|revBound|refilter|ensureSolvers|NewCostIndex' -- '*.go' ':!internal/rbpc/*.go'; then
+if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs|PatchSet|ilmPatches|syncPatches|scheduleConvergence|stopTimers|SetCostIndex|SetLiveIndex|LiveColumns|LiveFromSource|FromBounded|FromBoundedEllipse|revBound|refilter|ensureSolvers|NewCostIndex|UpdatePair|UpdateAllSources|LocalPatch|UndoLocalPatches|PrecomputeFailoverPlans|FailLinkPrecomputed|NewHybrid|HybridDeployment|NewLinkState|RunScenario|VerifyTables|TraceRoute|Resolver' -- '*.go'; then
 	echo "verify: a retired identifier reappeared (see above)" >&2
+	exit 1
+fi
+
+# Restoration has one implementation, the engine's (DESIGN.md §9): the
+# System provisions and exports, and solves nothing. A solver call in a
+# non-test file under internal/rbpc is the second implementation coming
+# back; comments may name the solvers.
+echo "==> internal/rbpc solves no restoration"
+if git grep -nE 'core\.(DecomposeSparse|NewSparseSolver|NewPull|Pull)\b' -- 'internal/rbpc/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ && $3 !~ /^[[:space:]]*\/\// { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: a restoration solve under internal/rbpc; restore through the engine (see above)" >&2
 	exit 1
 fi
 
@@ -57,8 +72,8 @@ fi
 # An epoch forwards over the engine's one network under its own failure view
 # and its own patch rows (mpls.ILMOverlay; DESIGN.md §9, §16): the serving
 # stack writes no ILM row and no link state and signals no LSP, and the
-# engine clones a network once — New's, which parts it from the exporting
-# System — never per transition. -W prints the enclosing function as a
+# engine clones a network once — New's — never per transition. -W prints
+# the enclosing function as a
 # "file=N=" line ahead of each "file:N:" match.
 echo "==> the serving stack writes no network"
 if git grep -nE 'ReplaceILM\(|FailEdge\(|RepairEdge\(|EstablishLSP' -- \
@@ -78,20 +93,19 @@ fi
 # A provisioned LSP is its index (DESIGN.md §9): the solver hands a
 # component's base-set position on, the engine, the cold tier and the
 # decoder read the provision's LSP table at it, and nothing under the
-# serving stack keys an LSP by path content, resolves through the offline
-# rbpc.Resolver, or makes up an LSP value for a path it could not find. The
-# failed-set key (the declaration of Snapshot.Key; the engine reads the
-# field) and NewColdTier's map parameter, which it lays out by position
-# once, are not what these match.
+# serving stack keys an LSP by path content or makes up an LSP value for a
+# path it could not find. The failed-set key (the declaration of
+# Snapshot.Key; the engine reads the field) and NewColdTier's map
+# parameter, which it lays out by position once, are not what these match.
 echo "==> the serving stack resolves LSPs by index"
-if git grep -nE 'map\[string\]\*mpls\.LSP|rbpc\.Resolver|\.Key\(\)' -- 'internal/engine/*.go' |
+if git grep -nE 'map\[string\]\*mpls\.LSP|\.Key\(\)' -- 'internal/engine/*.go' |
 	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
 	echo "verify: a string-keyed LSP lookup under internal/engine; read the table by index (see above)" >&2
 	exit 1
 fi
-if git grep -nE 'rbpc\.Resolver|&mpls\.LSP\{' -- 'internal/shard/*.go' 'internal/shardrpc/*.go' |
+if git grep -nE '&mpls\.LSP\{' -- 'internal/shard/*.go' 'internal/shardrpc/*.go' |
 	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
-	echo "verify: on-demand resolution or a made-up LSP under internal/shard or internal/shardrpc (see above)" >&2
+	echo "verify: a made-up LSP under internal/shard or internal/shardrpc (see above)" >&2
 	exit 1
 fi
 
@@ -204,6 +218,14 @@ fi
 
 echo "==> go test ./..."
 go test ./...
+
+# rbpc-sim and the examples start engine goroutines; running them catches
+# a panic or a hang that building them would not.
+echo "==> rbpc-sim and the examples run"
+go run ./cmd/rbpc-sim >/dev/null
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
 
 echo "==> bench module: go vet + go test (compiles against this checkout)"
 (cd bench && go vet ./... && go test ./...)
