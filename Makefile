@@ -13,19 +13,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Content-hash fact cache for direct-mode lint: warm runs with unchanged
-# sources re-parse and re-compile nothing (DESIGN.md §15).
-RBPC_LINT_CACHE ?= $(CURDIR)/.cache/rbpc-lint
-
-# The rbpc-lint invariant checkers (see internal/analysis and DESIGN.md
-# §10/§15): whole-module direct mode first (one cross-package annotation
-# index, compiler escape ground truth for allocprove, //rbpc:allow
-# staleness audit), then the same binary through go vet's unit protocol,
-# which also covers _test.go files and caches per-package results.
+# The invariant checkers alone (internal/analysis, DESIGN.md §10): one
+# module-wide annotation index, compiler escape ground truth for
+# allocprove and the //rbpc:allow staleness audit. `make test` runs the
+# same test.
 lint:
-	$(GO) build -o bin/rbpc-lint ./cmd/rbpc-lint
-	./bin/rbpc-lint -cache $(RBPC_LINT_CACHE) -unused-allow ./...
-	$(GO) vet -vettool=$(CURDIR)/bin/rbpc-lint ./...
+	$(GO) test -count=1 -run '^TestModuleClean$$' ./internal/analysis/
 
 race:
 	$(GO) test -race ./internal/graph/... ./internal/spath/... ./internal/eval/... \
@@ -38,7 +31,8 @@ race:
 chaos:
 	$(GO) test -race -tags chaos -count=1 ./internal/chaos/
 
-# The full pre-commit gate: build + vet + lint + tests + race detector.
+# The full pre-commit gate: gofmt + git-grep gates + build + vet + tests
+# (the invariant checkers included) + race detector + chaos.
 verify:
 	sh scripts/verify.sh
 

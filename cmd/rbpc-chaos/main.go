@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,28 +32,54 @@ import (
 	"rbpc/internal/engine"
 )
 
-func main() {
-	runs := flag.Int("runs", 20, "hunt: number of schedule seeds to try")
-	seed := flag.Int64("seed", 1, "hunt: first schedule seed")
-	nodes := flag.Int("nodes", 18, "hunt: Waxman topology size")
-	topoSeed := flag.Int64("topo-seed", 1, "hunt: topology seed")
-	steps := flag.Int("steps", 60, "hunt: churn events per schedule")
-	maxDown := flag.Int("maxdown", 3, "hunt: max concurrently-down links")
-	coalesce := flag.Duration("coalesce", 0, "engine coalescing window (hunt alternates 0 and 200us when unset)")
-	faultName := flag.String("fault", engine.FaultNone.String(), faultUsage())
-	corpus := flag.String("corpus", "", "hunt: write the shrunk failing case to this file")
-	replay := flag.String("replay", "", "replay a corpus case instead of hunting")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *replay != "" {
-		replayCase(*replay)
-		return
+// run is the whole command; it returns the exit code: 0 clean, 1 on an
+// oracle violation, 2 on a flag value it refuses or a harness error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rbpc-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runs := fs.Int("runs", 20, "hunt: number of schedule seeds to try")
+	seed := fs.Int64("seed", 1, "hunt: first schedule seed")
+	nodes := fs.Int("nodes", 18, "hunt: Waxman topology size")
+	topoSeed := fs.Int64("topo-seed", 1, "hunt: topology seed")
+	steps := fs.Int("steps", 60, "hunt: churn events per schedule")
+	maxDown := fs.Int("maxdown", 3, "hunt: max concurrently-down links")
+	coalesce := fs.Duration("coalesce", 0, "engine coalescing window (hunt alternates 0 and 200us when unset)")
+	faultName := fs.String("fault", engine.FaultNone.String(), faultUsage())
+	corpus := fs.String("corpus", "", "hunt: write the shrunk failing case to this file")
+	replay := fs.String("replay", "", "replay a corpus case instead of hunting")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, msg ...any) int {
+		fmt.Fprintln(stderr, append([]any{"rbpc-chaos:"}, msg...)...)
+		return code
 	}
 
+	if *replay != "" {
+		return replayCase(*replay, stdout, stderr)
+	}
+
+	// A value the hunt would quietly replace is refused: the harness reads
+	// a zero count as its default, a cap of none as one, and a hunt of no
+	// runs or no steps reports a clean run it never made. A churn schedule
+	// needs a link, so two nodes.
+	switch {
+	case *runs < 1:
+		return fail(2, "-runs must be at least 1, got", *runs)
+	case *nodes < 2:
+		return fail(2, "-nodes must be at least 2, got", *nodes)
+	case *steps < 1:
+		return fail(2, "-steps must be at least 1, got", *steps)
+	case *maxDown < 1:
+		return fail(2, "-maxdown must be at least 1, got", *maxDown)
+	case *coalesce < 0:
+		return fail(2, "-coalesce must be 0 or more, got", *coalesce)
+	}
 	fault, err := engine.ParseFault(*faultName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rbpc-chaos:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	cfg := chaos.Config{
 		Nodes:          *nodes,
@@ -67,26 +94,24 @@ func main() {
 	start := time.Now()
 	c, v, err := chaos.Hunt(cfg, *runs)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rbpc-chaos:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if v == nil {
-		fmt.Printf("rbpc-chaos: %d runs clean (%d nodes, topo seed %d, seeds %d..%d, fault %s) in %v\n",
+		fmt.Fprintf(stdout, "rbpc-chaos: %d runs clean (%d nodes, topo seed %d, seeds %d..%d, fault %s) in %v\n",
 			*runs, *nodes, *topoSeed, *seed, *seed+int64(*runs)-1, fault, time.Since(start).Round(time.Millisecond))
-		return
+		return 0
 	}
 
-	fmt.Fprintf(os.Stderr, "rbpc-chaos: ORACLE VIOLATION (schedule seed %d, fault %s)\n", c.Seed, c.Fault)
-	fmt.Fprintf(os.Stderr, "  %v\n", v)
-	fmt.Fprintf(os.Stderr, "shrunk schedule (%d steps):\n%s", len(c.Schedule), c.Schedule)
+	fmt.Fprintf(stderr, "rbpc-chaos: ORACLE VIOLATION (schedule seed %d, fault %s)\n", c.Seed, c.Fault)
+	fmt.Fprintf(stderr, "  %v\n", v)
+	fmt.Fprintf(stderr, "shrunk schedule (%d steps):\n%s", len(c.Schedule), c.Schedule)
 	if *corpus != "" {
 		if err := chaos.SaveCase(*corpus, c); err != nil {
-			fmt.Fprintln(os.Stderr, "rbpc-chaos: writing corpus:", err)
-			os.Exit(2)
+			return fail(2, "writing corpus:", err)
 		}
-		fmt.Fprintf(os.Stderr, "corpus written to %s (replay with: rbpc-chaos -replay %s)\n", *corpus, *corpus)
+		fmt.Fprintf(stderr, "corpus written to %s (replay with: rbpc-chaos -replay %s)\n", *corpus, *corpus)
 	}
-	os.Exit(1)
+	return 1
 }
 
 // faultUsage builds the -fault help from the engine's one name table: the
@@ -102,19 +127,20 @@ func faultUsage() string {
 		" (" + engine.FaultSkewShard.String() + " and " + engine.FaultTornFrame.String() + " need a -replay case with shards / procs)"
 }
 
-func replayCase(path string) {
+func replayCase(path string, stdout, stderr io.Writer) int {
 	c, err := chaos.LoadCase(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rbpc-chaos:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rbpc-chaos:", err)
+		return 2
 	}
-	fmt.Printf("rbpc-chaos: replaying %s (%d nodes, topo seed %d, fault %s, %d steps)\n",
+	fmt.Fprintf(stdout, "rbpc-chaos: replaying %s (%d nodes, topo seed %d, fault %s, %d steps)\n",
 		path, c.Nodes, c.TopoSeed, c.Fault, len(c.Schedule))
 	rep, err := c.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbpc-chaos: REPRODUCED\n  %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "rbpc-chaos: REPRODUCED\n  %v\n", err)
+		return 1
 	}
-	fmt.Printf("rbpc-chaos: clean — %d churn, %d queries, %d probes, %d epochs\n",
+	fmt.Fprintf(stdout, "rbpc-chaos: clean — %d churn, %d queries, %d probes, %d epochs\n",
 		rep.Churn, rep.Queries, rep.Probes, rep.Epochs)
+	return 0
 }

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sync/atomic"
@@ -42,11 +43,6 @@ func (c *clock) ms() float64         { return ms(time.Duration(c.since.Load())) 
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rbpc-sim:", err)
-	os.Exit(1)
-}
-
 // firstNonBridge returns the first link whose failure leaves g connected,
 // so restoration is possible; -1 if every link is a bridge.
 func firstNonBridge(g *rbpc.Graph) rbpc.EdgeID {
@@ -58,50 +54,83 @@ func firstNonBridge(g *rbpc.Graph) rbpc.EdgeID {
 	return -1
 }
 
-func main() {
-	nodes := flag.Int("nodes", 16, "Waxman topology size")
-	seed := flag.Int64("seed", 7, "random seed")
-	schemeName := flag.String("scheme", "hybrid", "restoration scheme: source, local, bypass or hybrid")
-	srcFlag := flag.Int("src", -1, "probe source (default: an endpoint of the failed link)")
-	dstFlag := flag.Int("dst", -1, "probe destination")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the whole command; it returns the exit code: 0 when every pair
+// matches the reference model, 1 on a divergence or a topology with no link
+// to restore around, 2 on a flag value it refuses.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rbpc-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 16, "Waxman topology size")
+	seed := fs.Int64("seed", 7, "random seed")
+	schemeName := fs.String("scheme", "hybrid", "restoration scheme: source, local, bypass or hybrid")
+	srcFlag := fs.Int("src", -1, "probe source (default: an endpoint of the failed link; give with -dst)")
+	dstFlag := fs.Int("dst", -1, "probe destination (give with -src)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, msg ...any) int {
+		fmt.Fprintln(stderr, append([]any{"rbpc-sim:"}, msg...)...)
+		return code
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// A link whose failure leaves the graph connected lies on a cycle, and a
+	// cycle takes three nodes. A probe names both of its ends or neither:
+	// one end alone would be replaced by the failed link's, and a self-pair
+	// always reads DROPPED.
+	switch {
+	case *nodes < 3:
+		return fail(2, "-nodes must be at least 3, got", *nodes)
+	case set["src"] != set["dst"]:
+		return fail(2, "-src and -dst are given together or not at all")
+	case set["src"] && (*srcFlag < 0 || *srcFlag >= *nodes):
+		return fail(2, fmt.Sprintf("-src must be a node in [0,%d), got %d", *nodes, *srcFlag))
+	case set["dst"] && (*dstFlag < 0 || *dstFlag >= *nodes):
+		return fail(2, fmt.Sprintf("-dst must be a node in [0,%d), got %d", *nodes, *dstFlag))
+	case set["src"] && *srcFlag == *dstFlag:
+		return fail(2, "-src and -dst must differ, got", *srcFlag, "for both")
+	}
 	scheme, err := engine.ParseScheme(*schemeName)
 	if err != nil {
-		fatal(err)
+		return fail(2, "-scheme:", err)
 	}
 	g := rbpc.NewWaxman(*nodes, 0.7, 0.4, *seed)
-	fmt.Printf("topology: %d nodes, %d links; scheme %v", g.Order(), g.Size(), scheme)
+	fmt.Fprintf(stdout, "topology: %d nodes, %d links; scheme %v", g.Order(), g.Size(), scheme)
 	if scheme == rbpc.SchemeHybrid {
-		fmt.Printf(" (flood: %vms to detect, %.2fms a hop)", detectMS, ms(flood.PerHop))
+		fmt.Fprintf(stdout, " (flood: %vms to detect, %.2fms a hop)", detectMS, ms(flood.PerHop))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	dep, err := rbpc.NewDeployment(g, rbpc.DefaultDeployConfig())
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	failEdge := firstNonBridge(g)
 	if failEdge < 0 {
-		fatal(fmt.Errorf("topology has only bridges; try another seed"))
+		return fail(1, "topology has only bridges; try another seed")
+	}
+	src, dst := rbpc.NodeID(*srcFlag), rbpc.NodeID(*dstFlag)
+	if !set["src"] {
+		src, dst = g.Edge(failEdge).U, g.Edge(failEdge).V
 	}
 	var clk clock
 	srv, err := rbpc.Serve(dep, rbpc.ServerConfig{Scheme: scheme, Flood: flood, Clock: clk.now})
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
-	err = run(g, srv, &clk, failEdge, *srcFlag, *dstFlag)
+	err = timeline(stdout, g, srv, &clk, failEdge, src, dst)
 	srv.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rbpc-sim: divergence (seed %d): %v\n", *seed, err)
-		os.Exit(1)
+		return fail(1, fmt.Sprintf("divergence (seed %d): %v", *seed, err))
 	}
 
-	fmt.Println("\nconventional baseline (teardown + LDP re-signaling):")
+	fmt.Fprintln(stdout, "\nconventional baseline (teardown + LDP re-signaling):")
 	var balEng rbpc.Engine
 	bal, err := rbpc.NewBaseline(g, &balEng, rbpc.DefaultSignalingConfig())
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	bal.NotifyDelay = detectMS
 	bal.FailLink(failEdge)
@@ -110,30 +139,27 @@ func main() {
 	for _, at := range bal.RestoredAt {
 		worst = max(worst, float64(at))
 	}
-	fmt.Printf("  %d LDP messages, last pair restored at %.2fms\n", bal.Signaling().Total(), worst)
+	fmt.Fprintf(stdout, "  %d LDP messages, last pair restored at %.2fms\n", bal.Signaling().Total(), worst)
+	return 0
 }
 
-// run fails failEdge on srv, prints the probe's timeline and the
-// per-source switchovers, and checks the converged epoch against the
-// reference model.
-func run(g *rbpc.Graph, srv *rbpc.Server, clk *clock, failEdge rbpc.EdgeID, srcFlag, dstFlag int) error {
+// timeline fails failEdge on srv, prints the timeline of a probe from src
+// to dst and the per-source switchovers, and checks the converged epoch
+// against the reference model.
+func timeline(stdout io.Writer, g *rbpc.Graph, srv *rbpc.Server, clk *clock, failEdge rbpc.EdgeID, src, dst rbpc.NodeID) error {
 	edge := g.Edge(failEdge)
-	src, dst := rbpc.NodeID(srcFlag), rbpc.NodeID(dstFlag)
-	if srcFlag < 0 || dstFlag < 0 {
-		src, dst = edge.U, edge.V
-	}
 	probe := func(label string) {
 		pkt, err := srv.Snapshot().Send(src, dst)
 		if err != nil {
-			fmt.Printf("  [%8.2fms] probe %d->%d: DROPPED (%v)\n", clk.ms(), src, dst, err)
+			fmt.Fprintf(stdout, "  [%8.2fms] probe %d->%d: DROPPED (%v)\n", clk.ms(), src, dst, err)
 			return
 		}
-		fmt.Printf("  [%8.2fms] probe %d->%d: delivered in %d hops via %v (%s)\n",
+		fmt.Fprintf(stdout, "  [%8.2fms] probe %d->%d: delivered in %d hops via %v (%s)\n",
 			clk.ms(), src, dst, pkt.Hops, pkt.Trace, label)
 	}
 
 	probe("pre-failure")
-	fmt.Printf("\nfailing link %d (%d-%d); its epoch publishes at t=0\n", failEdge, edge.U, edge.V)
+	fmt.Fprintf(stdout, "\nfailing link %d (%d-%d); its epoch publishes at t=0\n", failEdge, edge.U, edge.V)
 	srv.Fail(failEdge)
 	srv.Flush()
 	snap := srv.Snapshot()
@@ -161,7 +187,7 @@ func run(g *rbpc.Graph, srv *rbpc.Server, clk *clock, failEdge rbpc.EdgeID, srcF
 			}
 			slices.Sort(now)
 			for _, s := range now {
-				fmt.Printf("  [%8.2fms] source %3d switches %d pairs to its re-optimized route\n", clk.ms(), s, pairs[s])
+				fmt.Fprintf(stdout, "  [%8.2fms] source %3d switches %d pairs to its re-optimized route\n", clk.ms(), s, pairs[s])
 				delete(pairs, s)
 			}
 		}
@@ -171,12 +197,12 @@ func run(g *rbpc.Graph, srv *rbpc.Server, clk *clock, failEdge rbpc.EdgeID, srcF
 	if err := checkConverged(g, snap, failEdge); err != nil {
 		return err
 	}
-	fmt.Println("\nreference-model check: every pair delivered, none over the failed link; source routes are shortest")
+	fmt.Fprintln(stdout, "\nreference-model check: every pair delivered, none over the failed link; source routes are shortest")
 	rewritten := 0
 	if scheme == rbpc.SchemeSource || scheme == rbpc.SchemeHybrid {
 		rewritten = len(srv.AffectedPairs(failEdge))
 	}
-	fmt.Printf("RBPC summary: %d FEC rows rewritten, %d ILM rows patched, no LSP signaled\n",
+	fmt.Fprintf(stdout, "RBPC summary: %d FEC rows rewritten, %d ILM rows patched, no LSP signaled\n",
 		rewritten, srv.Stats().DetourHops.Count)
 	return nil
 }

@@ -87,3 +87,45 @@ func TestCheckConvergedCatchesSabotage(t *testing.T) {
 		t.Fatalf("unexpected divergence kind: %v", err)
 	}
 }
+
+// TestRejectedFlags: each value is refused with exit 2, the flag named and
+// nothing printed to stdout. Each used to panic, probe a pair that always
+// reads DROPPED, or be silently replaced by the failed link's endpoints.
+func TestRejectedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative nodes", []string{"-nodes", "-3"}, "-nodes must be at least 3"},
+		{"no cycle possible", []string{"-nodes", "2"}, "-nodes must be at least 3"},
+		{"source out of range", []string{"-src", "999", "-dst", "0"}, "-src must be a node in [0,16)"},
+		{"negative source", []string{"-src", "-1", "-dst", "0"}, "-src must be a node in [0,16)"},
+		{"destination out of range", []string{"-src", "0", "-dst", "16"}, "-dst must be a node in [0,16)"},
+		{"self-pair", []string{"-src", "3", "-dst", "3"}, "-src and -dst must differ"},
+		{"source alone", []string{"-src", "2"}, "-src and -dst are given together"},
+		{"destination alone", []string{"-dst", "2"}, "-src and -dst are given together"},
+		{"unknown scheme", []string{"-scheme", "flood"}, "-scheme"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			code := run(tc.args, &stdout, &stderr)
+			if code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), tc.want) {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr containing %q",
+					code, stdout.String(), stderr.String(), tc.want)
+			}
+		})
+	}
+}
+
+// TestProbePairIsTheGivenOne: a valid -src/-dst pair is probed as given,
+// not replaced by the failed link's endpoints, and the run passes its check.
+func TestProbePairIsTheGivenOne(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-src", "3", "-dst", "9"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "probe 3->9:") {
+		t.Fatalf("no probe of 3->9 in:\n%s", stdout.String())
+	}
+}

@@ -7,15 +7,17 @@ import (
 	"path/filepath"
 )
 
-// AllocProve cross-checks every //rbpc:hotpath claim against the
-// compiler's own escape analysis. The hotpath analyzer pattern-matches
-// allocating *constructs* (make, new, append, closures); this analyzer
-// consumes the ground truth instead — `go tool compile -m=2` verdicts
-// ("escapes to heap", "moved to heap") parsed by the driver — so a value
-// the compiler decides to heap-allocate inside a hotpath function is
-// reported even when no syntactic allocation appears, and a make() the
-// compiler proves stack-bound is not a finding (hotpath still flags it as
-// a construct; the two checkers are deliberately complementary).
+// AllocProve checks every //rbpc:hotpath claim against the compiler's own
+// escape analysis: the `go tool compile -m=2` verdicts ("escapes to heap",
+// "moved to heap") parsed by the driver. A value the compiler heap-allocates
+// inside a hotpath function is reported whether or not any allocating
+// syntax appears (a local whose address escapes, a literal returned by
+// pointer, a make of unknown size, the body of an inlined callee), and a
+// make() the compiler proves stack-bound is not a finding. What it cannot
+// see is an allocation inside a callee that is not inlined — a dynamic call
+// or a large helper; the allocation tests of the served path
+// (TestQueryZeroAllocs, BenchmarkSnapshotRoute, TestSubmitBatchAllocs)
+// cover those.
 //
 // Crash paths are exempt: an escape that only feeds a panic (the
 // argument of a panic call, or anything inside an unconditional panic

@@ -1,23 +1,19 @@
 // Package analysis is rbpc's invariant checker suite: a small, self-
-// contained go/analysis-style framework plus eight custom analyzers that
+// contained go/analysis-style framework plus six custom analyzers that
 // machine-check the hand-enforced invariants the online serving engine's
 // correctness and performance claims rest on.
 //
 // The paper's "fast recovery" story (restoration answered from immutable
 // epoch snapshots, allocation-free on the query path) only holds in
-// production if invariants that today live in comments — "Snapshot is
-// immutable after publish", "Query is 0 allocs/op", "trees is guarded by
-// mu", "onDemand is only touched atomically" — never regress. The
-// analyzers turn those comments into machine-checked annotations:
+// production if invariants that would otherwise live in comments —
+// "Snapshot is immutable after publish", "Route is 0 allocs/op", "trees is
+// guarded by mu" — never regress. The analyzers turn those comments into
+// machine-checked annotations:
 //
 //   - immutable  (//rbpc:immutable on a type): fields must not be written
 //     outside constructor/build functions.
-//   - hotpath    (//rbpc:hotpath on a function): no allocating constructs,
-//     and only calls to other hotpath or allowlisted functions.
 //   - guardedby  (//rbpc:guardedby mu on a field): accesses only in
 //     functions that lock mu (intra-procedural; //rbpc:locked escape).
-//   - atomicmix: a field accessed via sync/atomic anywhere must never be
-//     accessed non-atomically elsewhere.
 //   - lockorder: the module-wide mutex-acquisition graph (built from the
 //     lock facts ScanPackage extracts) must be acyclic — no two lock
 //     classes ever acquired in both orders.
@@ -27,18 +23,17 @@
 //   - deterministic (//rbpc:deterministic on a function or package
 //     clause): no map iteration, wall-clock reads, unseeded randomness,
 //     or float formatting — replay-critical code stays bit-reproducible.
-//   - allocprove: every //rbpc:hotpath claim cross-checked against the
-//     compiler's own escape analysis (go tool compile -m=2), so the
-//     no-alloc promise is compiler-verified instead of pattern-matched.
+//   - allocprove (//rbpc:hotpath on a function): no value the compiler's
+//     escape analysis (go tool compile -m=2) moves to the heap in its body,
+//     so the no-alloc promise is compiler-verified.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is built on the standard library only,
 // because this repository vendors no dependencies. Cross-package
-// information (which functions are hotpath, which fields are atomic,
-// which guards nest under which) flows through a string-keyed Index
-// instead of typed Facts: in whole-module mode (cmd/rbpc-lint ./...) the
-// index is built over every package before any analyzer runs; in
-// `go vet -vettool` mode it is serialized to the vet facts files.
+// information (which types are immutable, which guards nest under which)
+// flows through one string-keyed Index that AnalyzeModule builds over every
+// package of the module before any analyzer runs. AnalyzeModule has one
+// caller, TestModuleClean, so `go test ./...` is the suite's driver.
 package analysis
 
 import (
@@ -63,30 +58,10 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
-// All is the full rbpc-lint suite in reporting order.
+// All is the full suite in reporting order.
 var All = []*Analyzer{
-	Immutable, Hotpath, GuardedBy, AtomicMix,
-	LockOrder, SnapshotEscape, Deterministic, AllocProve,
-}
-
-// ByName returns the analyzers matching the given names (in All's order),
-// or an error naming the first unknown one.
-func ByName(names []string) ([]*Analyzer, error) {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []*Analyzer
-	for _, a := range All {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	for n := range want {
-		return nil, fmt.Errorf("unknown checker %q", n)
-	}
-	return out, nil
+	Immutable, GuardedBy, LockOrder,
+	SnapshotEscape, Deterministic, AllocProve,
 }
 
 // Diagnostic is one reported finding.
@@ -103,12 +78,12 @@ func (d Diagnostic) String() string {
 // Escape is one escape-analysis verdict parsed from the compiler's
 // -m=2 output: a value at File:Line:Col the compiler proved heap-bound.
 type Escape struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	File string
+	Line int
+	Col  int
 	// Msg is the compiler's own wording, e.g. "x escapes to heap" or
 	// "moved to heap: x".
-	Msg string `json:"msg"`
+	Msg string
 }
 
 // Unit is one package's worth of checkable material: syntax, types, and
@@ -134,9 +109,7 @@ type Pass struct {
 	Info     *types.Info
 	// Escapes mirrors Unit.Escapes (nil when escape analysis wasn't run).
 	Escapes []Escape
-	// Index holds annotations and facts for this package and every
-	// package it can see (the whole module in direct mode, this package
-	// plus its dependencies' facts in vettool mode).
+	// Index holds annotations and facts for every package of the module.
 	Index *Index
 
 	diags *[]Diagnostic
@@ -149,7 +122,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportPosf is Reportf for positions that did not come from this pass's
-// FileSet (e.g. parsed back out of compiler output or serialized facts).
+// FileSet (parsed back out of compiler output or lock facts).
 func (p *Pass) ReportPosf(position token.Position, format string, args ...any) {
 	if p.Index.allowed(position, p.Analyzer.Name) {
 		return
@@ -182,9 +155,8 @@ func RunAnalyzers(analyzers []*Analyzer, u *Unit, idx *Index) []Diagnostic {
 }
 
 // SortDiags sorts diagnostics by file, line, column, analyzer, and message,
-// and drops exact duplicates. Drivers that aggregate several units (direct
-// mode over many packages, a package and its _test variant under go vet)
-// funnel everything through here so output never depends on load order.
+// and drops exact duplicates, so output never depends on package load
+// order.
 func SortDiags(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -213,9 +185,8 @@ func SortDiags(diags []Diagnostic) []Diagnostic {
 }
 
 // parsePosString parses a "file:line:col" (or "file:line") string back
-// into a token.Position. Serialized facts and compiler output carry
-// positions as strings; this is the inverse of Position.String for the
-// paths this module produces.
+// into a token.Position. Lock facts carry positions as strings; this is
+// the inverse of Position.String for the paths this module produces.
 func parsePosString(s string) token.Position {
 	pos := token.Position{Filename: s}
 	rest := s

@@ -1,16 +1,16 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// The //rbpc:* annotation vocabulary (see DESIGN.md §10 and §15):
+// The //rbpc:* annotation vocabulary (see DESIGN.md §10):
 //
 //	//rbpc:immutable            on a type declaration
 //	//rbpc:epochscoped          on a type declaration (epoch-lifetime values)
@@ -24,80 +24,76 @@ import (
 // Annotations are directive comments (no space after //), so gofmt leaves
 // them alone and they are excluded from rendered documentation.
 
-// Index is the cross-package annotation and atomic-access fact base the
-// analyzers consult. Keys are universe-independent strings so the index
-// survives serialization between `go vet` compilation units:
+// Index is the module-wide annotation and lock fact base the analyzers
+// consult, keyed by strings independent of any one type-checking run:
 //
 //	type:      pkgpath.TypeName
 //	function:  pkgpath.FuncName or pkgpath.RecvTypeName.MethodName
 //	field:     pkgpath.StructName.fieldName
 type Index struct {
 	// Immutable marks types annotated //rbpc:immutable.
-	Immutable map[string]bool `json:"immutable,omitempty"`
+	Immutable map[string]bool
 	// EpochScoped marks types annotated //rbpc:epochscoped: values live
 	// exactly one epoch and may not be stored into fields, globals, or
 	// channels of unscoped types (the snapshotescape invariant).
-	EpochScoped map[string]bool `json:"epochscoped,omitempty"`
+	EpochScoped map[string]bool
 	// Hotpath marks functions annotated //rbpc:hotpath.
-	Hotpath map[string]bool `json:"hotpath,omitempty"`
+	Hotpath map[string]bool
 	// Deterministic marks functions annotated //rbpc:deterministic.
-	Deterministic map[string]bool `json:"deterministic,omitempty"`
+	Deterministic map[string]bool
 	// DeterministicPkg marks whole packages whose package clause carries
 	// //rbpc:deterministic: every function in them is checked.
-	DeterministicPkg map[string]bool `json:"deterministicpkg,omitempty"`
+	DeterministicPkg map[string]bool
 	// Ctor marks functions annotated //rbpc:ctor (build-phase writers).
-	Ctor map[string]bool `json:"ctor,omitempty"`
+	Ctor map[string]bool
 	// Locked marks functions annotated //rbpc:locked (guard held by caller).
-	Locked map[string]bool `json:"locked,omitempty"`
+	Locked map[string]bool
 	// Guard maps an annotated field to the name of its guarding mutex field.
-	Guard map[string]string `json:"guard,omitempty"`
-	// Atomic maps a raw (non-atomic-typed) field to one example position
-	// where it is accessed through a sync/atomic call.
-	Atomic map[string]string `json:"atomic,omitempty"`
+	Guard map[string]string
 
 	// Acquires maps a function to every sync.Mutex/RWMutex acquisition
 	// site in its body (closures included — the function "may acquire"),
 	// the raw material of the lockorder transitive closure.
-	Acquires map[string][]LockSite `json:"acquires,omitempty"`
+	Acquires map[string][]LockSite
 	// LockCalls maps a function to the module-local functions it calls —
 	// the call edges lock acquisition flows through.
-	LockCalls map[string][]string `json:"lockcalls,omitempty"`
+	LockCalls map[string][]string
 	// LockEdges are direct nested acquisitions: Inner acquired at InnerPos
 	// while Outer (acquired at OuterPos) was still held.
-	LockEdges []LockEdge `json:"lockedges,omitempty"`
+	LockEdges []LockEdge
 	// HeldCalls are module-local calls made while a guard was held; the
 	// lockorder analyzer expands them against the callees' transitive
 	// acquisition sets.
-	HeldCalls []HeldCall `json:"heldcalls,omitempty"`
+	HeldCalls []HeldCall
 
 	// allow maps "filename:line" to the analyzer names a //rbpc:allow
-	// comment on that line suppresses. Local to a package; not serialized.
+	// comment on that line suppresses.
 	allow map[string][]string
 	// allowUsed marks which (site, name) suppressions actually masked a
-	// diagnostic, feeding the -unused-allow staleness audit.
+	// diagnostic, feeding the staleness audit.
 	allowUsed map[string]map[string]bool
 }
 
 // LockSite is one mutex acquisition: the guard's index key and position.
 type LockSite struct {
-	Guard string `json:"guard"`
-	Pos   string `json:"pos"`
+	Guard string
+	Pos   string
 }
 
 // LockEdge is a direct acquired-while-held relation between two guards.
 type LockEdge struct {
-	Outer    string `json:"outer"`
-	OuterPos string `json:"outerpos"`
-	Inner    string `json:"inner"`
-	InnerPos string `json:"innerpos"`
+	Outer    string
+	OuterPos string
+	Inner    string
+	InnerPos string
 }
 
 // HeldCall is a module-local call made while a guard was held.
 type HeldCall struct {
-	Guard    string `json:"guard"`
-	GuardPos string `json:"guardpos"`
-	Callee   string `json:"callee"`
-	CallPos  string `json:"callpos"`
+	Guard    string
+	GuardPos string
+	Callee   string
+	CallPos  string
 }
 
 // NewIndex returns an empty index.
@@ -111,7 +107,6 @@ func NewIndex() *Index {
 		Ctor:             map[string]bool{},
 		Locked:           map[string]bool{},
 		Guard:            map[string]string{},
-		Atomic:           map[string]string{},
 		Acquires:         map[string][]LockSite{},
 		LockCalls:        map[string][]string{},
 		allow:            map[string][]string{},
@@ -119,124 +114,12 @@ func NewIndex() *Index {
 	}
 }
 
-// Merge folds facts from another index (e.g. a dependency's serialized
-// facts) into idx. Line suppressions are not merged: they are local to the
-// package being checked.
-func (idx *Index) Merge(o *Index) {
-	for k := range o.Immutable {
-		idx.Immutable[k] = true
+// appendNew appends x unless xs already holds it.
+func appendNew[T comparable](xs []T, x T) []T {
+	if slices.Contains(xs, x) {
+		return xs
 	}
-	for k := range o.EpochScoped {
-		idx.EpochScoped[k] = true
-	}
-	for k := range o.Hotpath {
-		idx.Hotpath[k] = true
-	}
-	for k := range o.Deterministic {
-		idx.Deterministic[k] = true
-	}
-	for k := range o.DeterministicPkg {
-		idx.DeterministicPkg[k] = true
-	}
-	for k := range o.Ctor {
-		idx.Ctor[k] = true
-	}
-	for k := range o.Locked {
-		idx.Locked[k] = true
-	}
-	for k, v := range o.Guard {
-		idx.Guard[k] = v
-	}
-	for k, v := range o.Atomic {
-		if _, ok := idx.Atomic[k]; !ok {
-			idx.Atomic[k] = v
-		}
-	}
-	for k, sites := range o.Acquires {
-		idx.Acquires[k] = mergeLockSites(idx.Acquires[k], sites)
-	}
-	for k, callees := range o.LockCalls {
-		idx.LockCalls[k] = mergeStrings(idx.LockCalls[k], callees)
-	}
-	for _, e := range o.LockEdges {
-		if !containsLockEdge(idx.LockEdges, e) {
-			idx.LockEdges = append(idx.LockEdges, e)
-		}
-	}
-	for _, h := range o.HeldCalls {
-		if !containsHeldCall(idx.HeldCalls, h) {
-			idx.HeldCalls = append(idx.HeldCalls, h)
-		}
-	}
-}
-
-func mergeLockSites(dst, src []LockSite) []LockSite {
-	for _, s := range src {
-		dup := false
-		for _, d := range dst {
-			if d == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
-func mergeStrings(dst, src []string) []string {
-	for _, s := range src {
-		dup := false
-		for _, d := range dst {
-			if d == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
-
-func containsLockEdge(edges []LockEdge, e LockEdge) bool {
-	for _, x := range edges {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}
-
-func containsHeldCall(calls []HeldCall, h HeldCall) bool {
-	for _, x := range calls {
-		if x == h {
-			return true
-		}
-	}
-	return false
-}
-
-// MarshalFacts serializes the shareable part of the index for a vet facts
-// file.
-func (idx *Index) MarshalFacts() ([]byte, error) { return json.Marshal(idx) }
-
-// UnmarshalFacts parses a facts file produced by MarshalFacts.
-func UnmarshalFacts(data []byte) (*Index, error) {
-	idx := NewIndex()
-	if len(data) == 0 {
-		return idx, nil
-	}
-	if err := json.Unmarshal(data, idx); err != nil {
-		return nil, err
-	}
-	// Maps elided by omitempty come back nil; restore invariants.
-	base := NewIndex()
-	base.Merge(idx)
-	return base, nil
+	return append(xs, x)
 }
 
 func (idx *Index) allowed(pos token.Position, analyzer string) bool {
@@ -266,7 +149,7 @@ type AllowAudit struct {
 
 // AuditAllows lists every //rbpc:allow name the index scanned with its
 // usage. Meaningful only after the analyzers have run over every package
-// whose allows the index holds (whole-module direct mode).
+// whose allows the index holds (AnalyzeModule).
 func (idx *Index) AuditAllows() []AllowAudit {
 	var out []AllowAudit
 	for site, names := range idx.allow {
@@ -341,7 +224,7 @@ func namedOf(t types.Type) *types.Named {
 
 // ctorPrefixes are function-name prefixes treated as constructor/build
 // functions: they may write fields of //rbpc:immutable types and may touch
-// guarded or atomic fields of objects they are still building. Anything
+// guarded fields of objects they are still building. Anything
 // else needs an explicit //rbpc:ctor.
 var ctorPrefixes = []string{"new", "build", "make", "compile"}
 
@@ -391,14 +274,12 @@ func groupDirectives(groups ...*ast.CommentGroup) [][2]string {
 }
 
 // ScanPackage records the package's annotations, //rbpc:allow
-// suppressions, and sync/atomic field-access facts into idx. It must run
-// for a package before any analyzer runs over it, and — for whole-module
-// analysis — for every package before any analyzer runs at all.
+// suppressions and lock facts into idx. It must run for every package
+// before any analyzer runs at all.
 func ScanPackage(fset *token.FileSet, files []*ast.File, info *types.Info, idx *Index) {
 	for _, f := range files {
 		scanAllows(fset, f, idx)
 		scanDecls(f, info, idx)
-		scanAtomicAccesses(fset, f, info, idx)
 		scanLockFacts(fset, f, info, idx)
 	}
 }
@@ -496,39 +377,6 @@ func scanFields(tn *types.TypeName, st *ast.StructType, idx *Index) {
 			}
 		}
 	}
-}
-
-// scanAtomicAccesses records every struct field whose address is passed to
-// a sync/atomic function — the raw-atomics usage the atomicmix analyzer
-// polices. Fields of the typed atomics (atomic.Int64 etc.) are not
-// recorded: their method set already forbids non-atomic access.
-func scanAtomicAccesses(fset *token.FileSet, f *ast.File, info *types.Info, idx *Index) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-			return true
-		}
-		for _, arg := range call.Args {
-			un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				continue
-			}
-			sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-			if !ok {
-				continue
-			}
-			if key, ok := fieldKey(info, sel); ok {
-				if _, have := idx.Atomic[key]; !have {
-					idx.Atomic[key] = fset.Position(sel.Pos()).String()
-				}
-			}
-		}
-		return true
-	})
 }
 
 // calleeFunc resolves the statically known *types.Func a call targets

@@ -10,9 +10,9 @@ import (
 	"strings"
 )
 
-// EscapeConfig describes one `go tool compile -m=2` invocation. The
-// drivers (direct mode, vet unit mode, the fixture kit) each know how to
-// assemble it from their own package metadata.
+// EscapeConfig describes one `go tool compile -m=2` invocation.
+// AnalyzeModule and the fixture kit each assemble it from their own
+// package metadata.
 type EscapeConfig struct {
 	// Dir is the working directory for the compile invocation; file paths
 	// in GoFiles are resolved against it.
@@ -102,20 +102,12 @@ func parseEscapes(out string) []Escape {
 }
 
 // WriteImportCfg writes an importcfg file for CollectEscapes from an
-// import-path → export-data-file map (and optional importmap entries),
-// returning the file's path. The caller owns the temp file.
-func WriteImportCfg(dir string, packageFile map[string]string, importMap map[string]string) (string, error) {
+// import-path → export-data-file map, returning the file's path. The
+// caller owns the temp file.
+func WriteImportCfg(dir string, packageFile map[string]string) (string, error) {
 	var b strings.Builder
-	b.WriteString("# rbpc-lint escape-analysis import config\n")
-	paths := make([]string, 0, len(importMap))
-	for k := range importMap {
-		paths = append(paths, k)
-	}
-	sort.Strings(paths)
-	for _, k := range paths {
-		fmt.Fprintf(&b, "importmap %s=%s\n", k, importMap[k])
-	}
-	paths = paths[:0]
+	b.WriteString("# escape-analysis import config\n")
+	paths := make([]string, 0, len(packageFile))
 	for k := range packageFile {
 		paths = append(paths, k)
 	}
@@ -123,7 +115,7 @@ func WriteImportCfg(dir string, packageFile map[string]string, importMap map[str
 	for _, k := range paths {
 		fmt.Fprintf(&b, "packagefile %s=%s\n", k, packageFile[k])
 	}
-	f, err := os.CreateTemp(dir, "rbpc-lint-importcfg-*")
+	f, err := os.CreateTemp(dir, "rbpc-importcfg-*")
 	if err != nil {
 		return "", err
 	}

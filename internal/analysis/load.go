@@ -33,19 +33,20 @@ type listedPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// listModule shells out to `go list -export` for the patterns, returning
-// the target packages (metadata only — nothing parsed yet) and the export
-// data of every package in the dependency closure.
-func listModule(dir string, patterns ...string) ([]listedPackage, map[string]string, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+// listModule shells out to `go list -export` for every package of the
+// module in dir, returning the module's packages (metadata only — nothing
+// parsed yet) and the export data of every package in their dependency
+// closure. It works offline against the local build cache, as `go vet`
+// does. GoFiles excludes _test.go files: what is checked is what links
+// into a binary.
+func listModule(dir string) ([]listedPackage, map[string]string, error) {
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -75,45 +76,6 @@ func listModule(dir string, patterns ...string) ([]listedPackage, map[string]str
 		}
 	}
 	return targets, exports, nil
-}
-
-// LoadPackages loads and type-checks the packages matched by the patterns
-// (plus nothing else: dependencies are imported from compiler export data,
-// not re-parsed). It shells out to `go list -export`, so it works offline
-// against the local build cache, exactly like `go vet` does.
-func LoadPackages(dir string, patterns ...string) ([]*LoadedPackage, *token.FileSet, error) {
-	targets, exports, err := listModule(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	fset := token.NewFileSet()
-	imp := ExportDataImporter(fset, func(path string) (string, bool) {
-		f, ok := exports[path]
-		return f, ok
-	})
-	var loaded []*LoadedPackage
-	for _, t := range targets {
-		lp, err := CheckPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		if err != nil {
-			return nil, nil, err
-		}
-		loaded = append(loaded, lp)
-	}
-	return loaded, fset, nil
-}
-
-// ExportDataImporter returns a types importer that resolves every import
-// from compiler export data located by resolve (an import path to file
-// mapping — `go list -export` output in direct mode, the vet config's
-// PackageFile in vettool mode).
-func ExportDataImporter(fset *token.FileSet, resolve func(path string) (string, bool)) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := resolve(path)
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
 }
 
 // CheckPackage parses and type-checks one package's files with the given
@@ -154,226 +116,68 @@ func NewInfo() *types.Info {
 	}
 }
 
-// ModuleOptions configures a whole-module analysis run.
-type ModuleOptions struct {
-	// Dir is the module directory `go list` runs in.
-	Dir string
-	// Patterns are the package patterns (default ./...).
-	Patterns []string
-	// Analyzers is the checker set (default All).
-	Analyzers []*Analyzer
-	// Escapes runs the compiler's escape analysis per package so
-	// allocprove has ground truth. Requires the module to build.
-	Escapes bool
-	// CacheDir enables the content-hash fact cache rooted there
-	// (satellite: unchanged packages are neither re-parsed nor
-	// re-compiled on warm runs). Empty disables caching.
-	CacheDir string
-	// UnusedAllow audits //rbpc:allow staleness across the run.
-	UnusedAllow bool
-}
-
 // ModuleResult is a whole-module analysis outcome.
 type ModuleResult struct {
 	// Diags are the findings, position-sorted and deduplicated.
 	Diags []Diagnostic
-	// StaleAllows are //rbpc:allow names that suppressed nothing
-	// (populated only when ModuleOptions.UnusedAllow is set).
+	// StaleAllows are //rbpc:allow names that suppressed nothing.
 	StaleAllows []AllowAudit
 }
 
-// AnalyzeModule is the legacy whole-module entry point: load every matched
-// package, build the module-wide annotation index, then run the analyzers
-// over each package against that shared index (no escape analysis, no
-// cache). Kept for tests; drivers use AnalyzeModuleOpts.
-func AnalyzeModule(analyzers []*Analyzer, dir string, patterns ...string) ([]Diagnostic, error) {
-	res, err := AnalyzeModuleOpts(ModuleOptions{Dir: dir, Patterns: patterns, Analyzers: analyzers})
+// AnalyzeModule checks the module rooted at dir: it type-checks every
+// package (dependencies come from compiler export data, not re-parsed),
+// scans them all into one index, collects the compiler's escape verdicts
+// per package, runs every analyzer over every package against that index,
+// and reports each //rbpc:allow name that suppressed nothing. The index is
+// complete before any analyzer runs, so every cross-package edge — an
+// immutable type written from another package, a lock acquired three calls
+// away — is visible.
+func AnalyzeModule(dir string) (*ModuleResult, error) {
+	targets, exports, err := listModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	return res.Diags, nil
-}
-
-// AnalyzeModuleOpts is the whole-module entry point cmd/rbpc-lint uses.
-// This is the most precise mode — every cross-package edge (a hotpath
-// call into another package, a lock acquired three calls away, an atomic
-// access far from a plain one) is visible because the module-wide index
-// is complete before any analyzer runs.
-func AnalyzeModuleOpts(opts ModuleOptions) (*ModuleResult, error) {
-	if len(opts.Patterns) == 0 {
-		opts.Patterns = []string{"./..."}
-	}
-	if opts.Analyzers == nil {
-		opts.Analyzers = All
-	}
-	targets, exports, err := listModule(opts.Dir, opts.Patterns...)
-	if err != nil {
-		return nil, err
-	}
-
-	var cache *factCache
-	if opts.CacheDir != "" {
-		cache, err = openFactCache(opts.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-	}
-	keys := cacheKeys(cache, targets, opts)
-
-	// Lazy parse+typecheck: warm cache runs touch no source at all.
 	fset := token.NewFileSet()
-	imp := ExportDataImporter(fset, func(path string) (string, bool) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
-		return f, ok
-	})
-	loaded := map[string]*LoadedPackage{}
-	load := func(t listedPackage) (*LoadedPackage, error) {
-		if lp, ok := loaded[t.ImportPath]; ok {
-			return lp, nil
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
+		return os.Open(f)
+	})
+	// A single importcfg over the whole closure serves every compile.
+	importCfg, err := WriteImportCfg(os.TempDir(), exports)
+	if err != nil {
+		return nil, err
+	}
+	defer os.Remove(importCfg)
+
+	idx := NewIndex()
+	units := make([]*Unit, len(targets))
+	for i, t := range targets {
 		lp, err := CheckPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
-		loaded[t.ImportPath] = lp
-		return lp, nil
-	}
-
-	// A single importcfg over the whole closure serves every compile.
-	importCfg := ""
-	if opts.Escapes {
-		tmpDir, err := os.MkdirTemp("", "rbpc-lint-escapes-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmpDir)
-		importCfg, err = WriteImportCfg(tmpDir, exports, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 1: per-package facts (and escapes), cached by content key.
-	perPkg := map[string]*Index{}
-	escapes := map[string][]Escape{}
-	for _, t := range targets {
-		key := keys[t.ImportPath]
-		if cache != nil {
-			if e, ok := cache.load(t.ImportPath); ok && e.Key == key && (!opts.Escapes || e.HasEscapes) {
-				idx, err := UnmarshalFacts(e.Facts)
-				if err == nil {
-					idx.allow = e.Allows
-					if idx.allow == nil {
-						idx.allow = map[string][]string{}
-					}
-					perPkg[t.ImportPath] = idx
-					if opts.Escapes {
-						escapes[t.ImportPath] = nonNilEscapes(e.Escapes)
-					}
-					continue
-				}
-			}
-		}
-		lp, err := load(t)
-		if err != nil {
-			return nil, err
-		}
-		idx := NewIndex()
 		ScanPackage(fset, lp.Files, lp.Info, idx)
-		perPkg[t.ImportPath] = idx
-		if opts.Escapes {
-			esc, err := CollectEscapes(EscapeConfig{
-				Dir: lp.Dir, ImportPath: lp.Path, GoFiles: lp.GoFiles, ImportCfg: importCfg,
-			})
-			if err != nil {
-				return nil, err
-			}
-			escapes[t.ImportPath] = esc
-		}
-	}
-
-	// Merge into the module index; its serialized hash keys the diag
-	// phase, so an annotation change anywhere re-runs every analyzer.
-	module := NewIndex()
-	for _, t := range targets {
-		module.mergeLocal(perPkg[t.ImportPath])
-	}
-	factsHash, err := indexHash(module)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: diagnostics against the module index.
-	var diags []Diagnostic
-	fresh := map[string][]Diagnostic{}
-	for _, t := range targets {
-		key := keys[t.ImportPath]
-		if cache != nil {
-			if e, ok := cache.load(t.ImportPath); ok && e.Key == key && e.HasDiags && e.DiagsKey == factsHash &&
-				(!opts.Escapes || e.HasEscapes) {
-				diags = append(diags, e.Diags...)
-				module.replayUsedAllows(e.UsedAllows)
-				continue
-			}
-		}
-		lp, err := load(t)
+		esc, err := CollectEscapes(EscapeConfig{
+			Dir: lp.Dir, ImportPath: lp.Path, GoFiles: lp.GoFiles, ImportCfg: importCfg,
+		})
 		if err != nil {
 			return nil, err
 		}
-		d := RunAnalyzers(opts.Analyzers, &Unit{
-			Fset: fset, Files: lp.Files, Pkg: lp.Types, Info: lp.Info, Escapes: escapes[t.ImportPath],
-		}, module)
-		diags = append(diags, d...)
-		fresh[t.ImportPath] = d
+		units[i] = &Unit{Fset: fset, Files: lp.Files, Pkg: lp.Types, Info: lp.Info, Escapes: esc}
 	}
 
-	if cache != nil {
-		for _, t := range targets {
-			d, recomputed := fresh[t.ImportPath]
-			if !recomputed {
-				continue // cached entry already current
-			}
-			idx := perPkg[t.ImportPath]
-			facts, err := idx.MarshalFacts()
-			if err != nil {
-				continue
-			}
-			esc, hasEsc := escapes[t.ImportPath]
-			cache.store(t.ImportPath, &cacheEntry{
-				Key:        keys[t.ImportPath],
-				Facts:      facts,
-				Allows:     idx.allow,
-				Escapes:    esc,
-				HasEscapes: hasEsc,
-				DiagsKey:   factsHash,
-				HasDiags:   true,
-				Diags:      nonNilDiags(d),
-				UsedAllows: module.usedAllowsFor(idx.allow),
-			})
-		}
+	var diags []Diagnostic
+	for _, u := range units {
+		diags = append(diags, RunAnalyzers(All, u, idx)...)
 	}
-
 	res := &ModuleResult{Diags: SortDiags(diags)}
-	if opts.UnusedAllow {
-		for _, a := range module.AuditAllows() {
-			if !a.Used {
-				res.StaleAllows = append(res.StaleAllows, a)
-			}
+	for _, a := range idx.AuditAllows() {
+		if !a.Used {
+			res.StaleAllows = append(res.StaleAllows, a)
 		}
 	}
 	return res, nil
-}
-
-func nonNilEscapes(e []Escape) []Escape {
-	if e == nil {
-		return []Escape{}
-	}
-	return e
-}
-
-func nonNilDiags(d []Diagnostic) []Diagnostic {
-	if d == nil {
-		return []Diagnostic{}
-	}
-	return d
 }

@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
-// Lock-fact extraction for the lockorder analyzer (DESIGN.md §15).
+// Lock-fact extraction for the lockorder analyzer (DESIGN.md §10).
 //
 // ScanPackage walks every function body once in source order, simulating
 // the held-lock set: sync Lock/RLock/TryLock/TryRLock push a guard,
@@ -26,10 +28,12 @@ import (
 // Guards are keyed by lock *class*, not instance: a mutex struct field is
 // "pkg.Type.field" (every instance of the type shares an ordering
 // discipline), a type with an embedded mutex is "pkg.Type", a package-level
-// mutex is "pkg.name", and a function-local mutex is "func-key.name". The
-// linear simulation over-approximates across exclusive branches, which can
-// only lose edges (an early-branch release empties the held set), never
-// invent a held guard that no execution holds at that point.
+// mutex is "pkg.name", and a function-local mutex is "func-key.name". An
+// if body that leaves (return, panic, break, continue, goto) runs on a copy
+// of the held set, so its `mu.Unlock(); return` does not release mu for the
+// code after it. Every other branch is folded in linearly, which can only
+// lose edges (a branch's release empties the held set), never invent a held
+// guard that no execution holds at that point.
 
 // lockAcquireMethods and lockReleaseMethods are the sync method names that
 // move a guard in or out of the held set. TryLock/TryRLock are treated as
@@ -82,6 +86,9 @@ func (s *lockScanner) scan(n ast.Node, held *[]heldLock) {
 			var fresh []heldLock
 			s.scan(n.Body, &fresh)
 			return false
+		case *ast.IfStmt:
+			s.ifStmt(n, held)
+			return false
 		case *ast.DeferStmt:
 			s.deferredCall(n.Call, held)
 			return false
@@ -94,6 +101,49 @@ func (s *lockScanner) scan(n ast.Node, held *[]heldLock) {
 		}
 		return true
 	})
+}
+
+// ifStmt scans an if statement. A body that leaves — `mu.Unlock(); return`
+// is the common shape — releases only on its own path, so the statements
+// after the if still hold what it released; any other body is folded in
+// linearly, like every other statement.
+func (s *lockScanner) ifStmt(n *ast.IfStmt, held *[]heldLock) {
+	if n.Init != nil {
+		s.scan(n.Init, held)
+	}
+	s.scan(n.Cond, held)
+	body := slices.Clone(*held)
+	s.scan(n.Body, &body)
+	if !s.leaves(n.Body) {
+		*held = body
+	}
+	if n.Else != nil {
+		s.scan(n.Else, held)
+	}
+}
+
+// leaves reports whether a block ends in a return, a panic, or a branch
+// (break, continue, goto) out of the statements that follow it.
+func (s *lockScanner) leaves(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
+	}
+	switch last := b.List[len(b.List)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := last.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		fn, ok := s.info.Uses[id].(*types.Builtin)
+		return ok && fn.Name() == "panic"
+	}
+	return false
 }
 
 // call processes one immediate (non-defer, non-go) call against the
@@ -111,12 +161,9 @@ func (s *lockScanner) call(call *ast.CallExpr, held *[]heldLock) {
 				return
 			}
 			pos := s.fset.Position(call.Pos()).String()
-			s.idx.Acquires[s.key] = mergeLockSites(s.idx.Acquires[s.key], []LockSite{{Guard: guard, Pos: pos}})
+			s.idx.Acquires[s.key] = appendNew(s.idx.Acquires[s.key], LockSite{Guard: guard, Pos: pos})
 			for _, h := range *held {
-				e := LockEdge{Outer: h.guard, OuterPos: h.pos, Inner: guard, InnerPos: pos}
-				if !containsLockEdge(s.idx.LockEdges, e) {
-					s.idx.LockEdges = append(s.idx.LockEdges, e)
-				}
+				s.idx.LockEdges = appendNew(s.idx.LockEdges, LockEdge{Outer: h.guard, OuterPos: h.pos, Inner: guard, InnerPos: pos})
 			}
 			*held = append(*held, heldLock{guard: guard, pos: pos})
 		case lockReleaseMethods[fn.Name()]:
@@ -137,13 +184,10 @@ func (s *lockScanner) call(call *ast.CallExpr, held *[]heldLock) {
 		return
 	}
 	ckey := FuncKey(fn)
-	s.idx.LockCalls[s.key] = mergeStrings(s.idx.LockCalls[s.key], []string{ckey})
+	s.idx.LockCalls[s.key] = appendNew(s.idx.LockCalls[s.key], ckey)
 	pos := s.fset.Position(call.Pos()).String()
 	for _, h := range *held {
-		hc := HeldCall{Guard: h.guard, GuardPos: h.pos, Callee: ckey, CallPos: pos}
-		if !containsHeldCall(s.idx.HeldCalls, hc) {
-			s.idx.HeldCalls = append(s.idx.HeldCalls, hc)
-		}
+		s.idx.HeldCalls = appendNew(s.idx.HeldCalls, HeldCall{Guard: h.guard, GuardPos: h.pos, Callee: ckey, CallPos: pos})
 	}
 }
 
@@ -157,7 +201,7 @@ func (s *lockScanner) deferredCall(call *ast.CallExpr, held *[]heldLock) {
 		s.scan(lit.Body, &fresh)
 	} else if fn := calleeFunc(s.info, call); fn != nil && fn.Pkg() != nil {
 		if fn.Pkg().Path() != "sync" && sameModule(s.modulePath(), fn.Pkg().Path()) {
-			s.idx.LockCalls[s.key] = mergeStrings(s.idx.LockCalls[s.key], []string{FuncKey(fn)})
+			s.idx.LockCalls[s.key] = appendNew(s.idx.LockCalls[s.key], FuncKey(fn))
 		}
 	}
 	for _, arg := range call.Args { // arguments evaluate at the defer site
@@ -174,7 +218,7 @@ func (s *lockScanner) spawnedCall(call *ast.CallExpr, held *[]heldLock) {
 		s.scan(lit.Body, &fresh)
 	} else if fn := calleeFunc(s.info, call); fn != nil && fn.Pkg() != nil {
 		if fn.Pkg().Path() != "sync" && sameModule(s.modulePath(), fn.Pkg().Path()) {
-			s.idx.LockCalls[s.key] = mergeStrings(s.idx.LockCalls[s.key], []string{FuncKey(fn)})
+			s.idx.LockCalls[s.key] = appendNew(s.idx.LockCalls[s.key], FuncKey(fn))
 		}
 	}
 	for _, arg := range call.Args {
@@ -255,4 +299,17 @@ func filePackage(f *ast.File, info *types.Info) string {
 		}
 	}
 	return ""
+}
+
+// sameModule reports whether two import paths share a root path segment —
+// the "is this our code or the standard library" test for a repository
+// with no external dependencies.
+func sameModule(a, b string) bool {
+	root := func(p string) string {
+		if i := strings.IndexByte(p, '/'); i >= 0 {
+			return p[:i]
+		}
+		return p
+	}
+	return root(a) == root(b)
 }

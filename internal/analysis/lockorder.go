@@ -19,9 +19,8 @@ import (
 // two instances locked in data-dependent order is the classic AB/BA
 // deadlock, and a canonical acquisition order must be made explicit.
 //
-// Each edge is reported in the package that owns the *inner* acquisition
-// site, so vet units and whole-module mode produce the same findings
-// without duplication.
+// Each edge is reported once, in the package that owns the *inner*
+// acquisition site.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "mutex acquisition graph must be acyclic across the module",

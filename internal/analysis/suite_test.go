@@ -13,16 +13,8 @@ func TestImmutableFixture(t *testing.T) {
 	RunFixture(t, fixture("immutable"), Immutable)
 }
 
-func TestHotpathFixture(t *testing.T) {
-	RunFixture(t, fixture("hotpath"), Hotpath)
-}
-
 func TestGuardedByFixture(t *testing.T) {
 	RunFixture(t, fixture("guardedby"), GuardedBy)
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	RunFixture(t, fixture("atomicmix"), AtomicMix)
 }
 
 func TestLockOrderFixture(t *testing.T) {
@@ -49,8 +41,8 @@ func TestAllocProveFixture(t *testing.T) {
 // //rbpc:allow vocabulary, so renaming one silently disables suppressions.
 func TestSuiteNames(t *testing.T) {
 	want := map[string]bool{
-		"immutable": true, "hotpath": true, "guardedby": true, "atomicmix": true,
-		"lockorder": true, "snapshotescape": true, "deterministic": true, "allocprove": true,
+		"immutable": true, "guardedby": true, "lockorder": true,
+		"snapshotescape": true, "deterministic": true, "allocprove": true,
 	}
 	if len(All) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(All), len(want))
@@ -62,62 +54,5 @@ func TestSuiteNames(t *testing.T) {
 		if a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %q missing doc or run", a.Name)
 		}
-	}
-}
-
-func TestFactsRoundTrip(t *testing.T) {
-	idx := NewIndex()
-	idx.Immutable["p.T"] = true
-	idx.Hotpath["p.T.Get"] = true
-	idx.Ctor["p.NewT"] = true
-	idx.Locked["p.T.evictLocked"] = true
-	idx.Guard["p.T.trees"] = "mu"
-	idx.Atomic["p.T.n"] = "a.go:10:5"
-	idx.EpochScoped["p.Snap"] = true
-	idx.Deterministic["p.Shuffle"] = true
-	idx.DeterministicPkg["p/q"] = true
-	idx.Acquires["p.T.Get"] = []LockSite{{Guard: "p.T.mu", Pos: "a.go:20:2"}}
-	idx.LockCalls["p.T.Get"] = []string{"p.T.evictLocked"}
-	idx.LockEdges = []LockEdge{{Outer: "p.T.mu", OuterPos: "a.go:20:2", Inner: "p.U.mu", InnerPos: "a.go:21:2"}}
-	idx.HeldCalls = []HeldCall{{Guard: "p.T.mu", GuardPos: "a.go:20:2", Callee: "p.lockU", CallPos: "a.go:22:2"}}
-
-	data, err := idx.MarshalFacts()
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	got, err := UnmarshalFacts(data)
-	if err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if !got.Immutable["p.T"] || !got.Hotpath["p.T.Get"] || !got.Ctor["p.NewT"] ||
-		!got.Locked["p.T.evictLocked"] || got.Guard["p.T.trees"] != "mu" ||
-		got.Atomic["p.T.n"] != "a.go:10:5" {
-		t.Errorf("facts did not survive the round trip: %+v", got)
-	}
-	if !got.EpochScoped["p.Snap"] || !got.Deterministic["p.Shuffle"] || !got.DeterministicPkg["p/q"] {
-		t.Errorf("scope/determinism facts did not survive the round trip: %+v", got)
-	}
-	if len(got.Acquires["p.T.Get"]) != 1 || got.Acquires["p.T.Get"][0].Guard != "p.T.mu" ||
-		len(got.LockCalls["p.T.Get"]) != 1 ||
-		len(got.LockEdges) != 1 || got.LockEdges[0].Inner != "p.U.mu" ||
-		len(got.HeldCalls) != 1 || got.HeldCalls[0].Callee != "p.lockU" {
-		t.Errorf("lock facts did not survive the round trip: %+v", got)
-	}
-
-	// Merging into an empty index preserves everything and stays usable.
-	merged := NewIndex()
-	merged.Merge(got)
-	if !merged.Immutable["p.T"] || merged.Guard["p.T.trees"] != "mu" {
-		t.Errorf("merge lost facts: %+v", merged)
-	}
-	// Merging twice must not duplicate slice-valued lock facts.
-	merged.Merge(got)
-	if len(merged.Acquires["p.T.Get"]) != 1 || len(merged.LockEdges) != 1 || len(merged.HeldCalls) != 1 {
-		t.Errorf("re-merge duplicated lock facts: %+v", merged)
-	}
-
-	// An empty facts file is valid (a package with no annotations).
-	if _, err := UnmarshalFacts(nil); err != nil {
-		t.Errorf("empty facts: %v", err)
 	}
 }

@@ -84,3 +84,27 @@ func nest(a, b *S) {
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
+
+type G struct{ mu sync.Mutex }
+type H struct{ mu sync.Mutex }
+
+// gh commits to G → H: the early return releases G on its own path only,
+// so G is still held where H is taken.
+func gh(g *G, h *H, stop bool) {
+	g.mu.Lock()
+	if stop {
+		g.mu.Unlock()
+		return
+	}
+	h.mu.Lock() // want "lock order cycle"
+	h.mu.Unlock()
+	g.mu.Unlock()
+}
+
+// hg commits to H → G: together with gh, a deadlock.
+func hg(g *G, h *H) {
+	h.mu.Lock()
+	g.mu.Lock() // want "lock order cycle"
+	g.mu.Unlock()
+	h.mu.Unlock()
+}

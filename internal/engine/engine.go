@@ -577,8 +577,9 @@ func (s *Snapshot) Routes(pairs []rbpc.Pair, routes []*Route) (unroutable int64,
 // serveBatch answers a submitted burst: one snapshot load and one latency
 // record cover every pair, so the per-query cost is a row lookup plus an
 // amortized share of the channel and clock overhead. (Not hotpath-annotated:
-// the optional OnResult callback is a dynamic call the checker cannot
-// verify; the per-candidate work is all in annotated callees.) The burst
+// the optional OnResult callback is the caller's code, whose allocations no
+// escape analysis of this body can see; the per-candidate work is all in
+// annotated callees.) The burst
 // is served ServeChunk pairs at a time (Snapshot.Routes).
 func (e *Engine) serveBatch(id uint64, q queryReq) {
 	s := e.snap.Load()

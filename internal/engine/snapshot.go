@@ -252,7 +252,7 @@ func (s *Snapshot) pastHorizon(src graph.NodeID) bool {
 	if s.clock == nil {
 		return time.Since(s.detected) >= h
 	}
-	return s.clock().Sub(s.detected) >= h //rbpc:allow hotpath -- injectable test clock, production path is the time.Since branch above
+	return s.clock().Sub(s.detected) >= h // injectable test clock, production path is the time.Since branch above
 }
 
 // Scheme returns the restoration scheme this snapshot serves.

@@ -23,10 +23,11 @@ type Event struct {
 //
 // Failures and repairs are interleaved at random, biased so the number of
 // concurrently-down links random-walks below maxDown rather than pinning
-// to it. The schedule ends with repairs for every link still down, so a
-// consumer that applies the whole schedule lands back on the pristine
-// network; the returned slice therefore has length >= steps (steps chosen
-// events plus the final drain).
+// to it; a failure drawn while every link is down repairs one instead. The
+// schedule ends with repairs for every link still down, so a consumer that
+// applies the whole schedule lands back on the pristine network; the
+// returned slice therefore has length >= steps (steps chosen events plus
+// the final drain).
 //
 //rbpc:deterministic
 func ChurnSchedule(g *graph.Graph, steps, maxDown int, rng *rand.Rand) []Event {
@@ -47,7 +48,8 @@ func ChurnSchedule(g *graph.Graph, steps, maxDown int, rng *rand.Rand) []Event {
 		// so the walk hovers in the middle of [0, maxDown].
 		repair := len(down) > 0 &&
 			(len(down) >= maxDown || rng.Intn(maxDown+1) < len(down))
-		if repair {
+		// With every link down there is none left to fail (maxDown > m).
+		if repair || len(down) == m {
 			i := rng.Intn(len(down))
 			e := down[i]
 			down[i] = down[len(down)-1]

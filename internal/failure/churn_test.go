@@ -3,6 +3,7 @@ package failure
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"rbpc/internal/graph"
 	"rbpc/internal/topology"
@@ -80,5 +81,68 @@ func TestChurnScheduleEdgeCases(t *testing.T) {
 		if down > 1 {
 			t.Fatalf("maxDown=0 clamp failed: %d concurrent failures", down)
 		}
+	}
+}
+
+// TestSchedulesTerminateWithEveryLinkDown: with maxDown above the link
+// count both generators reach a state with every link down, and a failure
+// drawn there used to rejection-sample an up link forever. On a 2-node,
+// 1-link graph each must now return in time, never have more links down
+// than exist and drain.
+func TestSchedulesTerminateWithEveryLinkDown(t *testing.T) {
+	g := topology.Waxman(2, 0.7, 0.4, 1)
+	if g.Size() != 1 {
+		t.Fatalf("Waxman(2) has %d links, want 1", g.Size())
+	}
+	within := func(name string, gen func() []Event) []Event {
+		t.Helper()
+		done := make(chan []Event, 1)
+		go func() { done <- gen() }()
+		select {
+		case evs := <-done:
+			return evs
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return with every link down", name)
+			return nil
+		}
+	}
+	check := func(name string, evs []Event, steps int) {
+		t.Helper()
+		if len(evs) < steps {
+			t.Fatalf("%s: %d events, want >= %d", name, len(evs), steps)
+		}
+		down := make(map[graph.EdgeID]bool)
+		for i, ev := range evs {
+			if ev.Repair != down[ev.Edge] || int(ev.Edge) >= g.Size() {
+				t.Fatalf("%s event %d: %+v, link down before it: %v", name, i, ev, down[ev.Edge])
+			}
+			if ev.Repair {
+				delete(down, ev.Edge)
+			} else {
+				down[ev.Edge] = true
+			}
+			if len(down) > g.Size() {
+				t.Fatalf("%s event %d: %d links down of %d", name, i, len(down), g.Size())
+			}
+		}
+		if len(down) != 0 {
+			t.Fatalf("%s: %d links still down after the schedule", name, len(down))
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		churn := within("ChurnSchedule", func() []Event {
+			return ChurnSchedule(g, 40, 3, rand.New(rand.NewSource(seed)))
+		})
+		check("ChurnSchedule", churn, 40)
+		chaos := within("ChaosSchedule", func() []Event {
+			var evs []Event
+			for _, st := range ChaosSchedule(g, 40, 3, rand.New(rand.NewSource(seed))) {
+				if st.Kind == StepFail || st.Kind == StepRepair {
+					evs = append(evs, st.Event())
+				}
+			}
+			return evs
+		})
+		check("ChaosSchedule", chaos, 40)
 	}
 }

@@ -253,7 +253,8 @@ func ChaosSchedule(g *graph.Graph, steps, maxDown int, rng *rand.Rand) Schedule 
 	for churn < steps {
 		repair := len(down) > 0 &&
 			(len(down) >= maxDown || rng.Intn(maxDown+1) < len(down))
-		if repair {
+		// With every link down there is none left to fail (maxDown > m).
+		if repair || len(down) == m {
 			i := rng.Intn(len(down))
 			e := down[i]
 			down[i] = down[len(down)-1]

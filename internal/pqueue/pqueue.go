@@ -20,7 +20,7 @@ const notInHeap = -1
 //go:noinline
 //rbpc:hotpath
 func panicf(format string, args ...any) {
-	panic(fmt.Sprintf(format, args...)) //rbpc:allow hotpath -- cold panic path, unreachable on valid input
+	panic(fmt.Sprintf(format, args...)) // cold panic path, unreachable on valid input
 }
 
 // IndexedMinHeap is a binary min-heap over the item IDs 0..n-1 keyed by
@@ -91,7 +91,7 @@ func (h *IndexedMinHeap) Push(item int, priority float64) {
 	}
 	h.key[item] = priority
 	h.pos[item] = int32(len(h.heap))
-	h.heap = append(h.heap, int32(item)) //rbpc:allow hotpath -- backing array presized to capacity n in New
+	h.heap = append(h.heap, int32(item)) // backing array presized to capacity n in New
 	h.siftUp(len(h.heap) - 1)
 }
 

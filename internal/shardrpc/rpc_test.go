@@ -258,6 +258,69 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	proc.Flush()
 
 	const victim = 0
+	killAndDivert(t, proc, farm, p, victim, ed)
+
+	// Replacement attaches: fresh worker, failed-set replayed, full
+	// service resumes bit-identically to an in-process reference.
+	farm.revive(victim)
+	if err := proc.Reattach(victim); err != nil {
+		t.Fatal(err)
+	}
+	checkReattached(t, proc, p, victim, ed)
+}
+
+// TestProcReattachBudgetExhausted: a Reattach whose worker stays dead
+// gives up inside its dial budget, leaves the worker dead and its sources
+// on the cold tier, and a later Reattach after the worker comes back
+// restores full service.
+func TestProcReattachBudgetExhausted(t *testing.T) {
+	const shards = 2
+	p := buildProvision(t, 14, 21)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	cfg := testConfig(farm, shards)
+	cfg.DialBudget = 300 * time.Millisecond
+	proc, err := NewCoordinator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+
+	ed := graph.EdgeID(5)
+	proc.Fail(ed)
+	proc.Flush()
+
+	const victim = 0
+	killAndDivert(t, proc, farm, p, victim, ed)
+
+	start := time.Now()
+	err = proc.Reattach(victim)
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "attach budget exhausted") {
+		t.Fatalf("Reattach of a dead worker returned %v, want an exhausted attach budget", err)
+	}
+	if limit := cfg.DialBudget + 2*cfg.DialTimeout; took > limit {
+		t.Fatalf("Reattach gave up after %v, budget %v plus two dial timeouts is %v", took, cfg.DialBudget, limit)
+	}
+	if proc.Shard(victim).Alive() {
+		t.Fatal("worker alive after a failed reattach")
+	}
+	if _, ok := proc.View(); ok {
+		t.Fatal("view claims consistency after a failed reattach")
+	}
+	checkColdAnswers(t, proc, p, victim, ed)
+
+	farm.revive(victim)
+	if err := proc.Reattach(victim); err != nil {
+		t.Fatal(err)
+	}
+	checkReattached(t, proc, p, victim, ed)
+}
+
+// killAndDivert kills worker victim, waits for the coordinator to mark it
+// dead and checks the view refuses to merge without it and its sources
+// answer from the cold tier under the failed set [ed].
+func killAndDivert(t *testing.T, proc *Coordinator, farm *pipeFarm, p rbpc.Provision, victim int, ed graph.EdgeID) {
+	t.Helper()
 	farm.kill(victim)
 	// The severed control pipe kills the reader immediately.
 	deadline := time.Now().Add(2 * time.Second)
@@ -270,10 +333,15 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	if _, ok := proc.View(); ok {
 		t.Fatal("view claims consistency with a dead worker")
 	}
+	checkColdAnswers(t, proc, p, victim, ed)
+}
 
-	// Victim-owned sources divert to the cold tier and still answer under
-	// the current failed-set.
+// checkColdAnswers: victim-owned sources divert to the cold tier and still
+// answer under the current failed set [ed].
+func checkColdAnswers(t *testing.T, proc *Coordinator, p rbpc.Provision, victim int, ed graph.EdgeID) {
+	t.Helper()
 	n := p.Graph.Order()
+	before := proc.Stats().Cold.Queries
 	served := 0
 	for s := 0; s < n && served < 4; s++ {
 		src := graph.NodeID(s)
@@ -297,16 +365,16 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	if served == 0 {
 		t.Fatal("no victim-owned pair answered through the cold tier")
 	}
-	if st := proc.Stats(); st.Cold.Queries == 0 {
+	if proc.Stats().Cold.Queries == before {
 		t.Fatal("cold tier shows no diverted queries")
 	}
+}
 
-	// Replacement attaches: fresh worker, failed-set replayed, full
-	// service resumes bit-identically to an in-process reference.
-	farm.revive(victim)
-	if err := proc.Reattach(victim); err != nil {
-		t.Fatal(err)
-	}
+// checkReattached: worker victim is alive again, replays the failed set
+// [ed], and every pair is served bit-identically to an in-process
+// shard.New with ed failed.
+func checkReattached(t *testing.T, proc *Coordinator, p rbpc.Provision, victim int, ed graph.EdgeID) {
+	t.Helper()
 	if !proc.Shard(victim).Alive() {
 		t.Fatal("worker not alive after reattach")
 	}
@@ -317,13 +385,14 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	if f := pv.Shard(victim).Failed(); len(f) != 1 || f[0] != ed {
 		t.Fatalf("reattached worker serves failed-set %v, want [%d]", f, ed)
 	}
-	ref, err := shard.New(p, shard.Config{Shards: shards})
+	ref, err := shard.New(p, shard.Config{Shards: proc.Shards()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
 	ref.Fail(ed)
 	ref.Flush()
+	n := p.Graph.Order()
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {

@@ -240,7 +240,7 @@ func (s *Solver) bfsKernel(k *graph.Kernel, src graph.NodeID) {
 	masked := eoff != nil || noff != nil
 	dist, hops, parent, parentE := s.dist, s.hops, s.parent, s.parentE
 	gen, cur, touched := s.gen, s.cur, s.touched
-	queue := append(s.queue, src) //rbpc:allow hotpath -- scratch presized to the view's order by grow
+	queue := append(s.queue, src) // scratch presized to the view's order by grow
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
 		du := dist[u]
@@ -262,8 +262,8 @@ func (s *Solver) bfsKernel(k *graph.Kernel, src graph.NodeID) {
 				hops[to] = hu + 1
 				parent[to] = u
 				parentE[to] = a.Edge
-				touched = append(touched, to) //rbpc:allow hotpath -- amortized: reaches high-water capacity and is reused
-				queue = append(queue, to)     //rbpc:allow hotpath -- scratch presized to the view's order by grow
+				touched = append(touched, to) // amortized: reaches high-water capacity and is reused
+				queue = append(queue, to)     // scratch presized to the view's order by grow
 			case dist[to] == du+1:
 				// Same level: keep the lexicographically least parent so
 				// trees are deterministic.
@@ -321,7 +321,7 @@ func (s *Solver) dijkstraKernel(k *graph.Kernel, eps float64, src graph.NodeID) 
 				hops[to] = 0
 				parent[to] = -1
 				parentE[to] = -1
-				touched = append(touched, to) //rbpc:allow hotpath -- amortized: reaches high-water capacity and is reused
+				touched = append(touched, to) // amortized: reaches high-water capacity and is reused
 			}
 			switch {
 			case nd < dist[to]:

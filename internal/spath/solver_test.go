@@ -28,7 +28,6 @@ func referenceCompute(v graph.View, src graph.NodeID) *Tree {
 	return referenceDijkstra(v, src)
 }
 
-//rbpc:ctor
 func referenceBFS(v graph.View, src graph.NodeID) *Tree {
 	t := newTree(v.Order(), src)
 	t.dist[src] = 0
@@ -57,7 +56,6 @@ func referenceBFS(v graph.View, src graph.NodeID) *Tree {
 	return t
 }
 
-//rbpc:ctor
 func referenceDijkstra(v graph.View, src graph.NodeID) *Tree {
 	n := v.Order()
 	t := newTree(n, src)
