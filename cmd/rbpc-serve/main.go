@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 	"rbpc/internal/shardrpc"
+	"rbpc/internal/topology"
 )
 
 // backend is the system under load, as the window driver and the
@@ -341,6 +343,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-cold-queue must be 0 (default) or more, got", *coldQueue)
 	case *killAfter < 0:
 		return fail(2, "-kill-worker-after must be 0 (never) or more, got", *killAfter)
+	case *killAfter > 0 && *shardProcs == 0:
+		return fail(2, "-kill-worker-after needs -shard-procs (it kills a worker process)")
+	case *failEvery < 0:
+		return fail(2, "-fail-every must be 0 (no churn) or more, got", *failEvery)
+	case *maxDown < 1:
+		return fail(2, "-max-down must be at least 1, got", *maxDown)
+	case !slices.Contains(topology.Kinds, *topo):
+		return fail(2, fmt.Sprintf("-topology must be one of %v, got %q", topology.Kinds, *topo))
 	case *dialBudget <= 0:
 		return fail(2, "-dial-budget must be above 0, got", *dialBudget)
 	case *ackTimeout <= 0:

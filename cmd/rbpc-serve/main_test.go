@@ -175,6 +175,14 @@ func TestRejectedFlagCombos(t *testing.T) {
 		{"negative kill delay", []string{"-shard-procs", "2", "-kill-worker-after", "-1s"}, "-kill-worker-after must be 0"},
 		{"no dial budget", []string{"-shard-procs", "2", "-dial-budget", "0"}, "-dial-budget must be above 0"},
 		{"negative ack timeout", []string{"-shard-procs", "2", "-ack-timeout", "-1s"}, "-ack-timeout must be above 0"},
+		// These exited 0 too: churn one link at a time (failure.ChurnSchedule
+		// clamps the bound to 1), no churn at all, and a kill with no worker
+		// process to kill; an unknown topology exited 1 from provisioning.
+		{"no max down", []string{"-max-down", "0"}, "-max-down must be at least 1"},
+		{"negative max down", []string{"-max-down", "-2"}, "-max-down must be at least 1"},
+		{"negative churn interval", []string{"-fail-every", "-1s"}, "-fail-every must be 0"},
+		{"kill without worker processes", []string{"-kill-worker-after", "1s"}, "-kill-worker-after needs -shard-procs"},
+		{"unknown topology", []string{"-topology", "bogus"}, "-topology must be one of"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := serve(t, tc.args...)

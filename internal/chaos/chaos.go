@@ -62,7 +62,6 @@ import (
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
-	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
@@ -236,10 +235,10 @@ type world struct {
 	g   *graph.Graph
 	sys *rbpc.System
 	all *paths.AllShortest
-	// prim is the pristine primary LSP per provisioned pair — the input
-	// of the local schemes' Section-4 constructions, which the oracle
-	// recomputes independently for every local-flavor answer.
-	prim map[rbpc.Pair]*mpls.LSP
+	// prov is sys's export: its pairs' primaries are the input of the
+	// local schemes' Section-4 constructions, which the oracle recomputes
+	// independently for every local-flavor answer.
+	prov rbpc.Provision
 }
 
 var (
@@ -259,7 +258,7 @@ func universe(nodes int, topoSeed int64) (*world, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: provisioning %d-node topology (seed %d): %w", nodes, topoSeed, err)
 	}
-	w := &world{g: g, sys: sys, all: paths.NewAllShortest(g), prim: sys.Export().Primaries}
+	w := &world{g: g, sys: sys, all: paths.NewAllShortest(g), prov: sys.Export()}
 	worlds[key] = w
 	return w, nil
 }
@@ -501,9 +500,9 @@ func Hunt(cfg Config, runs int) (Case, *Violation, error) {
 		if sc, sv := Shrink(c); sv != nil {
 			return sc, sv, nil
 		}
-		// The violation did not reproduce on an immediate re-run (a true
-		// scheduling race): return the unshrunk case with the original
-		// violation so the caller still has the evidence.
+		// The violation did not reproduce in the case's serial form (it
+		// needs the writer's timing): return the unshrunk case with the
+		// original violation so the caller still has the evidence.
 		return c, v, nil
 	}
 	return Case{}, nil, nil

@@ -34,9 +34,9 @@ type checker struct {
 	// may honestly fail one) and how flushed snapshots compare to the
 	// source-scheme reference.
 	scheme engine.Scheme
-	// prim is the pristine primary per pair — the input of the local
-	// schemes' Section-4 constructions, recomputed here independently.
-	prim map[rbpc.Pair]*mpls.LSP
+	// prov's primaries are the input of the local schemes' Section-4
+	// constructions, recomputed here independently.
+	prov rbpc.Provision
 
 	// lastEpoch tracks query-stream monotonicity per epoch sequence:
 	// key 0 for the single engine, the shard index in sharded runs (each
@@ -56,11 +56,20 @@ func newChecker(w *world, scheme engine.Scheme) *checker {
 		all:       w.all,
 		base:      w.sys.Base(),
 		scheme:    scheme,
-		prim:      w.prim,
+		prov:      w.prov,
 		lastEpoch: make(map[int]uint64),
 		dist:      make([]float64, n),
 		done:      make([]bool, n),
 	}
+}
+
+// primary returns the pristine primary LSP of (src, dst), nil where the
+// provision has none.
+func (ck *checker) primary(src, dst graph.NodeID) *mpls.LSP {
+	if idx, ok := ck.prov.Primary(src, dst); ok {
+		return ck.prov.BaseLSPs[idx]
+	}
+	return nil
 }
 
 // bruteDist is the independent reference: a naive O(n^2) Dijkstra over
@@ -282,7 +291,7 @@ func (ck *checker) checkLocalResult(step int, snap *engine.Snapshot, down map[gr
 	if want := ck.bruteDist(down, src, dst); rt.Cost < want-costEps {
 		return vio("optimality", "served cost %v beats the post-failure shortest %v", rt.Cost, want)
 	}
-	lsp := ck.prim[rbpc.Pair{Src: src, Dst: dst}]
+	lsp := ck.primary(src, dst)
 	if lsp == nil {
 		return vio("local-exact", "local answer for a pair with no provisioned primary")
 	}
@@ -412,7 +421,7 @@ func (ck *checker) localExactCost(via engine.Scheme, down map[graph.EdgeID]bool,
 // construction always succeeds, so a nil bypass answer for a connected
 // pair is a violation unless this holds.)
 func (ck *checker) bypassBlocked(down map[graph.EdgeID]bool, src, dst graph.NodeID) bool {
-	lsp := ck.prim[rbpc.Pair{Src: src, Dst: dst}]
+	lsp := ck.primary(src, dst)
 	if lsp == nil {
 		return false
 	}
@@ -479,7 +488,7 @@ func (ck *checker) checkEquivalence(step int, got, want *engine.Snapshot) *Viola
 				return vio("pair %d->%d routable true, reference false (failed %v)", s, d, gf)
 			}
 			if a.Via != engine.SchemeSource {
-				lsp := ck.prim[rbpc.Pair{Src: src, Dst: dst}]
+				lsp := ck.primary(src, dst)
 				if lsp == nil {
 					return vio("pair %d->%d local answer with no provisioned primary", s, d)
 				}

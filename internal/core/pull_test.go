@@ -74,7 +74,7 @@ func edgeComplete(g *graph.Graph, b paths.Base) *paths.Explicit {
 // LiveIndex moved to fv's failed links, the distance row from an SSSP of fv.
 func pullFrom(ex *paths.Explicit, fv *graph.FailureView, s graph.NodeID, dsts []graph.NodeID) ([]Decomposition, []bool) {
 	li := paths.NewLiveIndex(ex)
-	li.Update(fv.RemovedEdges(), nil)
+	li.Update(fv.RemovedEdges(), nil, nil)
 	decs, oks := make([]Decomposition, len(dsts)), make([]bool, len(dsts))
 	NewPull(ex).From(s, trueDistances(fv, s), li.Dead(), dsts, decs, oks)
 	return decs, oks
@@ -113,7 +113,7 @@ func TestPullBitIdenticalToFrom(t *testing.T) {
 		}
 		fv := graph.FailEdges(g, failed...) // a link drawn twice is down once
 		li := paths.NewLiveIndex(ex)
-		li.Update(fv.RemovedEdges(), nil)
+		li.Update(fv.RemovedEdges(), nil, nil)
 		pull := NewPull(ex)
 
 		for s := 0; s < n; s++ {

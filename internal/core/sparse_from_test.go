@@ -118,7 +118,7 @@ func BenchmarkSparseFanout(b *testing.B) {
 	})
 	b.Run("pull", func(b *testing.B) {
 		li := paths.NewLiveIndex(ex)
-		li.Update(fv.RemovedEdges(), nil)
+		li.Update(fv.RemovedEdges(), nil, nil)
 		dist := trueDistances(fv, 0)
 		pull := NewPull(ex)
 		decs, oks := make([]Decomposition, len(dsts)), make([]bool, len(dsts))

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,12 +155,20 @@ type Engine struct {
 	// under its own failure view and patch rows (Snapshot.Send).
 	net *mpls.Network
 
+	// prim marks, by base-set index, the primaries of the pairs this engine
+	// serves (rbpc.Provision.PrimaryMask); primAt[src][dst] is the base-set
+	// index of (src, dst)'s primary, -1 where the pair has none, and row src
+	// is nil for a source the engine does not serve. Fixed after New.
+	prim   []bool
+	primAt [][]int32
+
 	// Writer-owned state (only the writer goroutine touches these after New).
-	primaries map[rbpc.Pair]*mpls.LSP // canonical primary per provisioned pair
-	pairIndex *graph.PairIndex        // failed link -> pairs whose primary crosses it
+	//
 	// live is the base paths' liveness under the published failed-set: one
 	// failed-link count per path, moved by each transition's delta. Updated
-	// once per published transition; read-only during solve fan-out.
+	// once per published transition; read-only during solve fan-out. It is
+	// also the affected-pair membership: a pair is in the plan exactly while
+	// its primary's count is non-zero.
 	live *paths.LiveIndex
 	// pristine is epoch 0's oracle, kept for the engine's lifetime: every
 	// later epoch's trees are repairs of its trees (epochOracle). Nil on a
@@ -175,11 +181,6 @@ type Engine struct {
 	// rows it describes.
 	mat       []uint8
 	planCache *planCache
-	// downCount tracks, per pair, how many edges of its canonical primary
-	// are currently down in the published snapshot. It is the membership
-	// side of the affected-pair delta: a pair enters the plan when its
-	// count leaves zero and falls back to canonical when it returns there.
-	downCount map[rbpc.Pair]int
 	// pulls is the writer's solve scratch, one per build worker
 	// (core.Pull), reused across epochs; there are GOMAXPROCS build
 	// workers.
@@ -270,19 +271,19 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		cfg.QueueDepth = 4096
 	}
 
-	canonical := canonicalRows(p)
+	canonical, primAt := canonicalRows(p)
 	e := &Engine{
 		g:         p.Graph,
 		base:      p.Base,
 		cfg:       cfg,
 		lspAt:     p.BaseLSPs,
 		net:       p.Net.Clone(),
-		primaries: p.Primaries,
+		prim:      p.PrimaryMask(),
+		primAt:    primAt,
 		live:      paths.NewLiveIndex(p.Base),
 		pulls:     make([]*core.Pull, runtime.GOMAXPROCS(0)),
 		canonical: canonical,
 		planCache: newPlanCache(cfg.PlanCacheCap),
-		downCount: make(map[rbpc.Pair]int),
 		pscratch:  &planScratch{downNew: make([]bool, p.Graph.Size())},
 		events:    make(chan writerMsg, 256),
 		queries:   make([]chan queryReq, cfg.Workers),
@@ -292,7 +293,6 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	for w := range e.pulls {
 		e.pulls[w] = core.NewPull(p.Base)
 	}
-	e.pairIndex = PrimaryIndex(p.Graph, p.Primaries, nil)
 
 	e.canonBytes = int64(len(canonical)) * 8
 	e.mat = make([]uint8, len(canonical))
@@ -369,51 +369,32 @@ func epochOracle(pristine *spath.Oracle, fv *graph.FailureView) *spath.Oracle {
 	return pristine.Derive(fv)
 }
 
-// canonicalRows builds the canonical routing matrix from the provisioned
-// primaries: a pair's pristine route is its primary LSP alone. Rows are
-// allocated lazily from the primaries actually provisioned, so sources
-// outside a shard's slice or a hot-set provision stay nil (non-materialized)
-// and cost nothing.
-func canonicalRows(p rbpc.Provision) [][]*Route {
+// canonicalRows builds the canonical routing matrix from the provision's
+// primaries (rbpc.Provision.Primary): a pair's pristine route is its primary
+// LSP alone. Beside it, primAt[src][dst] is the primary's base-set index, -1
+// where the pair has none. Rows of both are allocated for the served sources
+// only, so sources outside a shard's slice or a hot-set provision stay nil
+// (non-materialized) and cost nothing.
+func canonicalRows(p rbpc.Provision) (canon [][]*Route, primAt [][]int32) {
 	n := p.Graph.Order()
-	canon := make([][]*Route, n)
-	for pr, lsp := range p.Primaries {
-		row := canon[pr.Src]
-		if row == nil {
-			row = make([]*Route, n)
-			canon[pr.Src] = row
-		}
-		row[pr.Dst] = &Route{LSPs: []*mpls.LSP{lsp}, Stack: []mpls.Label{lsp.SelfLabel()}, Cost: lsp.Path.CostIn(p.Graph)}
-	}
-	return canon
-}
-
-// PrimaryIndex builds the static index failed link -> pairs whose
-// primary crosses it, packed flat (CSR) so the hot affected-pair scan is
-// one contiguous slice per edge. Primaries never change, so the index is
-// built once; per-edge lists are (src, dst)-sorted for deterministic plan
-// construction. A non-nil own (indexed by source) restricts the index to
-// the sources it marks — the socket client of a remote shard
-// (internal/shardrpc) indexes exactly the slice its worker's engine does.
-func PrimaryIndex(g *graph.Graph, prims map[rbpc.Pair]*mpls.LSP, own []bool) *graph.PairIndex {
-	lists := make(map[graph.EdgeID][]graph.NodePair)
-	for pr, lsp := range prims {
-		if own != nil && !own[pr.Src] {
+	canon, primAt = make([][]*Route, n), make([][]int32, n)
+	for src, served := range p.Serves {
+		if !served {
 			continue
 		}
-		for _, ed := range lsp.Path.Edges {
-			lists[ed] = append(lists[ed], graph.NodePair{Src: pr.Src, Dst: pr.Dst})
+		canon[src], primAt[src] = make([]*Route, n), make([]int32, n)
+		for dst := range primAt[src] {
+			idx, ok := p.Primary(graph.NodeID(src), graph.NodeID(dst))
+			if !ok {
+				primAt[src][dst] = -1
+				continue
+			}
+			lsp := p.BaseLSPs[idx]
+			canon[src][dst] = &Route{LSPs: []*mpls.LSP{lsp}, Stack: []mpls.Label{lsp.SelfLabel()}, Cost: lsp.Path.CostIn(p.Graph)}
+			primAt[src][dst] = int32(idx)
 		}
 	}
-	for _, prs := range lists {
-		sort.Slice(prs, func(i, j int) bool {
-			if prs[i].Src != prs[j].Src {
-				return prs[i].Src < prs[j].Src
-			}
-			return prs[i].Dst < prs[j].Dst
-		})
-	}
-	return graph.BuildPairIndex(g.Size(), lists)
+	return canon, primAt
 }
 
 // Snapshot returns the current serving epoch. The returned snapshot stays
@@ -761,13 +742,13 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// AffectedPairs returns the provisioned pairs whose canonical primary
-// crosses the link — the pairs whose service a failure of ed interrupts.
-// The index is static after New, so this is safe to call concurrently;
-// the serving layer's time-to-restore prober uses it to pick the pairs to
-// probe after injecting a failure. Callers must not modify the result.
+// AffectedPairs returns, (src, dst)-sorted, the served pairs whose primary
+// crosses the link — the pairs whose service a failure of ed interrupts
+// (rbpc.AffectedPairs). It reads only what is fixed after New, so it is safe
+// to call concurrently; the serving layer's time-to-restore prober uses it
+// to pick the pairs to probe after injecting a failure.
 func (e *Engine) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
-	return e.pairIndex.Pairs(ed)
+	return rbpc.AffectedPairs(e.base, e.prim, ed)
 }
 
 // RecordRestore records one observed time-to-restore: the wall-clock from
@@ -888,49 +869,37 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		}
 	}
 
-	// Affected-pair membership: bump downCount for newly-failed primary
-	// edges before decrementing repaired ones, so "entering" (count leaves
-	// zero) and "leaving" (count returns to zero) are unambiguous — a pair
-	// crossing both a new failure and a repair keeps a positive count
-	// throughout and is classified as staying. This bookkeeping runs on
-	// every published transition, cache hits and fault paths included, so
-	// it always mirrors the serving snapshot's failed-set. entering feeds
-	// the incremental build, which walks it in (src, dst) order: each link's
-	// list is sorted, so only a multi-link burst needs the sort.
-	var entering []rbpc.Pair
-	var leaving int64
-	for _, ed := range newlyDown {
-		for _, np := range e.pairIndex.Pairs(ed) {
-			pr := rbpc.Pair(np)
-			if e.downCount[pr] == 0 {
-				entering = append(entering, pr)
-			}
-			e.downCount[pr]++
+	// Carry the base paths' liveness across the transition, and read the
+	// affected-pair membership off it: a pair enters the plan when its
+	// primary's count leaves zero and leaves it when the count returns
+	// there. The update applies failures before repairs, so a pair whose
+	// primary crosses both a new failure and a repaired link keeps a positive
+	// count throughout and stays. This runs on every published transition,
+	// cache hits and fault paths included, so the counts always mirror the
+	// serving snapshot's failed-set when the next solve fan-out reads them.
+	// entering feeds the incremental build, which walks it in (src, dst)
+	// order: a link's primaries are met in that order in a base set built
+	// source by source, so the sort is a linear check unless a burst failed
+	// several links.
+	sc := e.pscratch
+	e.live.Update(newlyDown, repairedIDs, &sc.moves)
+	all := e.base.All()
+	entering := sc.entering[:0]
+	for _, idx := range sc.moves.Broken {
+		if e.prim[idx] {
+			entering = append(entering, graph.NodePair{Src: all[idx].Src(), Dst: all[idx].Dst()})
 		}
 	}
-	if len(newlyDown) > 1 {
-		slices.SortFunc(entering, func(a, b rbpc.Pair) int {
-			return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-		})
-	}
-	for _, ed := range repairedIDs {
-		for _, np := range e.pairIndex.Pairs(ed) {
-			pr := rbpc.Pair(np)
-			e.downCount[pr]--
-			if e.downCount[pr] == 0 {
-				delete(e.downCount, pr)
-				leaving++
-			}
+	rbpc.SortPairs(entering)
+	sc.entering = entering
+	var leaving int64
+	for _, idx := range sc.moves.Healed {
+		if e.prim[idx] {
+			leaving++
 		}
 	}
 	e.inc.entering.Add(int64(len(entering)))
 	e.inc.leaving.Add(leaving)
-
-	// Carry the base paths' liveness across the transition. Like the
-	// downCount bookkeeping above, this runs on every published epoch —
-	// cache hits and fault paths included — so the counts always mirror the
-	// serving snapshot's failed-set when the next solve fan-out reads them.
-	e.live.Update(newlyDown, repairedIDs)
 
 	// The epoch's link state: Snapshot.Send forwards under it, over the one
 	// network every epoch shares.

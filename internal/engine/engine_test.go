@@ -48,8 +48,8 @@ func agreeWithReference(t *testing.T, e *Engine, p rbpc.Provision, failed []grap
 			got := e.Query(src, dst).Route
 			var want float64
 			routable := true
-			if prim, ok := p.Primaries[rbpc.Pair{Src: src, Dst: dst}]; ok && paths.Survives(prim.Path, fv) {
-				want = prim.Path.CostIn(g)
+			if idx, ok := p.Primary(src, dst); ok && paths.Survives(p.BaseLSPs[idx].Path, fv) {
+				want = p.BaseLSPs[idx].Path.CostIn(g)
 			} else {
 				dec, ok := core.DecomposeSparse(p.Base, fv, src, dst)
 				routable = ok && len(dec.Components) > 0

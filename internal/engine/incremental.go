@@ -8,6 +8,7 @@ import (
 
 	"rbpc/internal/core"
 	"rbpc/internal/graph"
+	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 )
@@ -149,11 +150,13 @@ func repairImproves(repaired []repairedLink, pr rbpc.Pair, rt *Route) bool {
 // across transitions, so a transition allocates its new rows and nothing
 // to find them. downNew is all-false between builds.
 type planScratch struct {
-	downNew  []bool         // by EdgeID: the link went down in this transition
-	repaired []repairedLink // the links it repaired
-	jobs     []solveJob     // the sources with pairs to solve, ascending
-	dsts     []graph.NodeID // the jobs' destinations, one dst-sorted span per job
-	slots    []int32        // parallel to dsts: the entry of the job's row the route goes to
+	moves    paths.LiveMoves  // the base paths the transition broke and healed
+	entering []graph.NodePair // the served pairs whose primary it broke, (src, dst)-sorted
+	downNew  []bool           // by EdgeID: the link went down in this transition
+	repaired []repairedLink   // the links it repaired
+	jobs     []solveJob       // the sources with pairs to solve, ascending
+	dsts     []graph.NodeID   // the jobs' destinations, one dst-sorted span per job
+	slots    []int32          // parallel to dsts: the entry of the job's row the route goes to
 	// The fan-out's answers, parallel to dsts: each job's worker fills the
 	// job's span. A decomposition names base paths, nothing a transition
 	// built, so what lingers here pins no row.
@@ -179,8 +182,8 @@ type solveJob struct {
 // of from scratch. Classification walks them source by source, in step with
 // the source's run of the (src, dst)-sorted entering pairs:
 //
-//   - entries whose primary left the failed-set (downCount hit zero) drop
-//     out and fall back to canonical;
+//   - entries whose primary is whole again (its liveness count is zero)
+//     drop out and fall back to canonical;
 //   - entries whose served route crosses a newly-failed edge are stale and
 //     re-solved;
 //   - entries a repaired edge could improve (or tie) are re-solved — unless
@@ -206,9 +209,10 @@ type solveJob struct {
 // answered from cached state, which the caller accounts a plan-cache hit.
 // When nothing left the plan either, the previous rows themselves are the
 // new plan, aliased under the new key.
-func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []rbpc.Pair, repaired []graph.Edge) (_ *plan, hit bool) {
+func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Oracle, newlyDown []graph.EdgeID, entering []graph.NodePair, repaired []graph.Edge) (_ *plan, hit bool) {
 	t0 := time.Now()
 	sc := e.pscratch
+	dead := e.live.Dead()
 	for _, ed := range newlyDown {
 		sc.downNew[ed] = true
 	}
@@ -235,6 +239,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 			continue
 		}
 		pd, prt := p.entries()
+		primAt := e.primAt[s]
 
 		// One merge, in dst order, of the previous entries and the entering
 		// pairs. The source's next row is begun at the first entry that
@@ -268,7 +273,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 			}
 			pr, rt := rbpc.Pair{Src: src, Dst: pd[i]}, prt[i]
 			switch {
-			case e.downCount[pr] == 0: // leaving: back to canonical
+			case dead[primAt[pr.Dst]] == 0: // leaving: back to canonical
 				begin(i)
 			case rt != nil && len(newlyDown) > 0 && routeUses(rt, sc.downNew):
 				stale++
@@ -316,7 +321,6 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 	if len(sc.jobs) > 0 {
 		t1 := time.Now()
 		sc.decs, sc.oks = resized(sc.decs, len(sc.dsts)), resized(sc.oks, len(sc.dsts))
-		dead := e.live.Dead()
 		var cursor atomic.Int64
 		var wg sync.WaitGroup
 		for _, pull := range e.pulls[:min(len(e.pulls), len(sc.jobs))] {

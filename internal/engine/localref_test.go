@@ -57,11 +57,13 @@ type detourKey struct {
 // SparseSolver.From per patch point, maps throughout, and every row
 // re-derived. It is the oracle of TestLocalBuildMatchesReference and must
 // stay the plain transcription of Section 4.2 it is. It reads engine state
-// (it runs on the writer, from OnEpoch) but writes none. lsps is the
-// provision's string-keyed registry; a solved component resolves through
-// the provision's table by its base-set index (baseLSPs), as the engine
-// resolves it.
-func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView, lsps map[string]*mpls.LSP, baseLSPs []*mpls.LSP) (ref refLocal) {
+// (it runs on the writer, from OnEpoch) but writes none. Crossings are
+// scanned off the provision's string-keyed registry (LSPs), a pair's primary
+// is read off the provision (Primary), and a solved component resolves
+// through the provision's table by its base-set index (BaseLSPs), as the
+// engine resolves it.
+func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView, prov rbpc.Provision) (ref refLocal) {
+	lsps, baseLSPs := prov.LSPs, prov.BaseLSPs
 	flavor, via := e.localFlavor()
 	ref = refLocal{
 		routes: make(map[rbpc.Pair]*Route),
@@ -121,21 +123,21 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 	}
 
 	// The affected set, from the primaries themselves rather than the
-	// engine's incremental bookkeeping.
+	// engine's liveness counts, in (src, dst) order.
 	var affected []rbpc.Pair
-	for pr, lsp := range e.primaries {
-		if slices.ContainsFunc(lsp.Path.Edges, func(ed graph.EdgeID) bool { return downIn[ed] }) {
-			affected = append(affected, pr)
+	primary := make(map[rbpc.Pair]*mpls.LSP)
+	for s := 0; s < e.g.Order(); s++ {
+		for d := 0; d < e.g.Order(); d++ {
+			pr := rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)}
+			idx, ok := prov.Primary(pr.Src, pr.Dst)
+			if ok && slices.ContainsFunc(baseLSPs[idx].Path.Edges, func(ed graph.EdgeID) bool { return downIn[ed] }) {
+				affected = append(affected, pr)
+				primary[pr] = baseLSPs[idx]
+			}
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool {
-		if affected[i].Src != affected[j].Src {
-			return affected[i].Src < affected[j].Src
-		}
-		return affected[i].Dst < affected[j].Dst
-	})
 	for _, pr := range affected {
-		lsp := e.primaries[pr]
+		lsp := primary[pr]
 		for i, edge := range lsp.Path.Edges {
 			if !downIn[edge] {
 				continue
@@ -247,7 +249,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 		return &Route{Via: via, Path: graph.Path{Nodes: nodes, Edges: edges}, Cost: cost}
 	}
 	for _, pr := range affected {
-		rt := localRoute(pr, e.primaries[pr])
+		rt := localRoute(pr, primary[pr])
 		ref.routes[pr] = rt
 		if rt == nil {
 			ref.unrestorable++
@@ -318,7 +320,7 @@ func TestLocalBuildMatchesReference(t *testing.T) {
 					// The reference scans crossings by path content off the
 					// provision's string-keyed registry, which the engine
 					// does not read.
-					ref := referenceLocalBuild(e, snap.failed, snap.fv, prov.LSPs, prov.BaseLSPs)
+					ref := referenceLocalBuild(e, snap.failed, snap.fv, prov)
 
 					got := localRoutesOf(snap)
 					if len(got) != len(ref.routes) {

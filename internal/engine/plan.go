@@ -56,33 +56,32 @@ func failedKey(failed []graph.EdgeID) string {
 // computePlan builds plan(failed) from scratch — the FullRebuild reference,
 // independent of everything the incremental writer leans on (the base-path
 // Dijkstra on fresh solvers where the writer pulls; no liveness counts, no
-// distance rows, no previous rows): the affected pairs off the
-// static primary index, one batched sparse decomposition per affected
-// source (parallel, pure), then resolution of components into LSPs in
-// (src, dst) order.
+// distance rows, no previous rows): the affected pairs off the base set's
+// link index through the primary mask, one batched sparse decomposition per
+// affected source (parallel, pure), then resolution of components into LSPs
+// in (src, dst) order.
 func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
-	seen := make(map[rbpc.Pair]bool)
-	bySrc := make(map[graph.NodeID][]graph.NodeID)
+	var affected []graph.NodePair
 	for _, ed := range failed {
-		for _, np := range e.pairIndex.Pairs(ed) {
-			if pr := rbpc.Pair(np); !seen[pr] {
-				seen[pr] = true
-				bySrc[pr.Src] = append(bySrc[pr.Src], pr.Dst)
-			}
-		}
+		affected = append(affected, rbpc.AffectedPairs(e.base, e.prim, ed)...)
 	}
+	rbpc.SortPairs(affected)
+	affected = slices.Compact(affected)
 	key := failedKey(failed)
-	if len(bySrc) == 0 {
+	if len(affected) == 0 {
 		return &plan{key: key}
 	}
 	fv := graph.FailEdges(e.g, failed...)
 
-	srcs := make([]graph.NodeID, 0, len(bySrc))
-	for s, dsts := range bySrc {
-		srcs = append(srcs, s)
-		slices.Sort(dsts)
+	// Each source's run of the sorted pairs is its destinations.
+	var srcs []graph.NodeID
+	var bySrc [][]graph.NodeID
+	for _, pr := range affected {
+		if len(srcs) == 0 || srcs[len(srcs)-1] != pr.Src {
+			srcs, bySrc = append(srcs, pr.Src), append(bySrc, nil)
+		}
+		bySrc[len(bySrc)-1] = append(bySrc[len(bySrc)-1], pr.Dst)
 	}
-	slices.Sort(srcs)
 
 	// Phase 1 — decomposition fan-out. Each source's affected destinations
 	// are covered by one multi-destination Dijkstra on the base-path graph.
@@ -104,7 +103,7 @@ func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
 			solver := core.NewSparseSolver(e.base, fv)
 			for i := range next {
 				s := srcs[i]
-				decs, oks := solver.From(s, bySrc[s])
+				decs, oks := solver.From(s, bySrc[i])
 				out[i] = srcDecs{decs, oks}
 			}
 		}()
@@ -118,13 +117,13 @@ func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
 	// Phase 2 — resolution into LSPs, one row per source.
 	rows := make([]*planRow, len(e.canonical))
 	for i, s := range srcs {
-		routes := make([]*Route, len(bySrc[s]))
+		routes := make([]*Route, len(bySrc[i]))
 		for j, ok := range out[i].oks {
 			if ok {
 				routes[j] = ResolveRoute(e.base, e.lspAt, out[i].decs[j])
 			}
 		}
-		rows[s] = newPlanRow(bySrc[s], routes)
+		rows[s] = newPlanRow(bySrc[i], routes)
 	}
 	return &plan{key: key, rows: rows}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"rbpc/internal/core"
@@ -121,6 +122,7 @@ type localScratch struct {
 	labels    []mpls.Label // backing store of the bypass rows in want
 	affected  []affectedPair
 	merged    []affectedPair // second buffer of the affected-set merge
+	crossed   []affectedPair // one link's affected pairs, merged into affected
 	stretch   []stretchObs
 	decs      []core.Decomposition // one patch point's solve
 	oks       []bool
@@ -226,34 +228,33 @@ func (sc *localScratch) release(failed []graph.EdgeID) {
 	sc.points = sc.points[:0]
 }
 
-// mergeAffected fills sc.affected with the (src, dst)-sorted union of the
-// failed links' primary-crossing lists — each already sorted — paired with
-// the canonical primaries.
-func (e *Engine) mergeAffected(sc *localScratch, failed []graph.EdgeID) {
-	out, spare := sc.affected[:0], sc.merged[:0]
-	for _, ed := range failed {
-		a, b := out, e.pairIndex.Pairs(ed)
-		spare = spare[:0]
-		for len(a) > 0 || len(b) > 0 {
-			switch {
-			case len(b) == 0 || len(a) > 0 && pairBefore(a[0].NodePair, b[0]):
-				spare = append(spare, a[0])
-				a = a[1:]
-			case len(a) > 0 && a[0].NodePair == b[0]:
-				b = b[1:]
-			default:
-				spare = append(spare, affectedPair{NodePair: b[0], lsp: e.primaries[rbpc.Pair(b[0])]})
-				b = b[1:]
-			}
-		}
-		out, spare = spare, out
+// mergeAffected merges sc.crossed, one link's affected pairs, into
+// sc.affected, the (src, dst)-sorted union of the links merged so far. A
+// link's pairs are met in (src, dst) order in a base set built source by
+// source, so sorting them is a linear check unless the set is a subpath
+// closure.
+func (sc *localScratch) mergeAffected() {
+	b := sc.crossed
+	if !slices.IsSortedFunc(b, affectedPair.compare) {
+		slices.SortFunc(b, affectedPair.compare)
 	}
-	sc.affected, sc.merged = out, spare
+	a, out := sc.affected, sc.merged[:0]
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].compare(b[0]) < 0:
+			out = append(out, a[0])
+			a = a[1:]
+		case len(a) > 0 && a[0].NodePair == b[0].NodePair:
+			b = b[1:]
+		default:
+			out = append(out, b[0])
+			b = b[1:]
+		}
+	}
+	sc.affected, sc.merged = out, sc.affected
 }
 
-func pairBefore(a, b graph.NodePair) bool {
-	return a.Src < b.Src || a.Src == b.Src && a.Dst < b.Dst
-}
+func (a affectedPair) compare(b affectedPair) int { return a.NodePair.Compare(b.NodePair) }
 
 // buildLocalPlan computes the epoch's local restoration state for the
 // full failed-set: the patched ILM rows — one per provisioned LSP crossing
@@ -291,17 +292,23 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 		sc.downIn[ed] = true
 	}
 
-	// Pass 1: the rows to patch, the affected pairs, and the detours both
-	// need. The crossings of a pair's primary are requested explicitly —
-	// the same requests when primaries are base paths — so the route
-	// construction below never misses.
+	// Pass 1: the rows to patch, the affected pairs — the primaries among
+	// the paths walked — and the detours both need. The crossings of a
+	// pair's primary are requested explicitly — the same requests, since
+	// primaries are base paths — so the route construction below never
+	// misses.
+	sc.affected = sc.affected[:0]
 	for _, ed := range failed {
 		idxs := e.base.IndicesThroughEdge(ed)
+		sc.crossed = sc.crossed[:0]
 		for j, idx := range idxs {
 			if j > 0 && idxs[j-1] == idx {
 				continue // a path crossing ed twice is listed twice; one visit finds both
 			}
 			lsp := e.lspAt[idx]
+			if e.prim[idx] {
+				sc.crossed = append(sc.crossed, affectedPair{NodePair: graph.NodePair{Src: lsp.Ingress(), Dst: lsp.Egress()}, lsp: lsp})
+			}
 			for i, edge := range lsp.Path.Edges {
 				if edge != ed {
 					continue
@@ -319,12 +326,9 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 				}
 			}
 		}
+		sc.mergeAffected()
 	}
-	e.mergeAffected(sc, failed)
 	for _, ap := range sc.affected {
-		if ap.lsp == nil {
-			continue
-		}
 		for i, edge := range ap.lsp.Path.Edges {
 			if !sc.downIn[edge] {
 				continue
@@ -395,9 +399,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 		for ; hi < len(sc.affected) && sc.affected[hi].Src == src; hi++ {
 			ap := sc.affected[hi]
 			dsts[hi] = ap.Dst
-			if ap.lsp != nil {
-				routes[hi] = e.localRoute(sc, ap, flavor, via)
-			}
+			routes[hi] = e.localRoute(sc, ap, flavor, via)
 			if rt := routes[hi]; rt != nil {
 				sc.stretch = append(sc.stretch, stretchObs{pr: rbpc.Pair(ap.NodePair), cost: rt.Cost})
 			} else {
@@ -455,7 +457,7 @@ func (e *Engine) localRoute(sc *localScratch, ap affectedPair, flavor rbpc.Local
 				Cost: prefix.CostIn(e.g) + dt.cost,
 			}
 		}
-		return nil // unreachable: the pair index said a crossing exists
+		return nil // unreachable: the primary crosses a failed link
 	}
 	nodes := make([]graph.NodeID, 1, len(prim.Nodes))
 	nodes[0] = prim.Src()

@@ -96,7 +96,7 @@ func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	canon := canonicalRows(p)
+	canon, _ := canonicalRows(p)
 	var top mpls.LSPID
 	for _, l := range p.BaseLSPs {
 		top = max(top, l.ID)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"rbpc/internal/engine"
 	"rbpc/internal/graph"
 	"rbpc/internal/ldp"
 	rbpcint "rbpc/internal/rbpc"
@@ -54,7 +53,8 @@ func Timing(net Network, trials int, seed int64) (TimingResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("eval: timing: %w", err)
 	}
-	affected := engine.PrimaryIndex(g, sys.Export().Primaries, nil)
+	prov := sys.Export()
+	primary := prov.PrimaryMask()
 
 	rng := rand.New(rand.NewSource(seed))
 	var local, source, baseline []sim.Time
@@ -66,7 +66,7 @@ func Timing(net Network, trials int, seed int64) (TimingResult, error) {
 			continue // a bridge: nothing restores it, skip per methodology
 		}
 		local = append(local, detectDelay)
-		if pairs := affected.Pairs(e); len(pairs) > 0 {
+		if pairs := rbpcint.AffectedPairs(prov.Base, primary, e); len(pairs) > 0 {
 			hops := sim.FloodHops(fv, g.Edge(e))
 			var last int
 			for _, pr := range pairs {

@@ -9,6 +9,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -48,6 +49,18 @@ func (e Edge) Other(x NodeID) NodeID {
 type Arc struct {
 	Edge EdgeID
 	To   NodeID
+}
+
+// NodePair is an ordered source-destination pair: the unit the serving
+// layer lists a link failure's affected pairs in.
+type NodePair struct {
+	Src, Dst NodeID
+}
+
+// Compare orders pairs by source, then destination — the (src, dst) order
+// affected-pair lists are kept in.
+func (p NodePair) Compare(q NodePair) int {
+	return cmp.Or(cmp.Compare(p.Src, q.Src), cmp.Compare(p.Dst, q.Dst))
 }
 
 // Graph is a weighted multigraph. The zero value is an empty undirected

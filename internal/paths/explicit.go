@@ -176,11 +176,18 @@ func (b *Explicit) Contains(p graph.Path) bool {
 
 // Between implements Base.
 func (b *Explicit) Between(s, d graph.NodeID) (graph.Path, bool) {
-	idx, ok := b.byPair[pairKey{s, d}]
+	idx, ok := b.IndexBetween(s, d)
 	if !ok {
 		return graph.Path{}, false
 	}
 	return b.paths[idx], true
+}
+
+// IndexBetween returns the set position of the path Between returns: the
+// first stored path from s to d.
+func (b *Explicit) IndexBetween(s, d graph.NodeID) (int, bool) {
+	idx, ok := b.byPair[pairKey{s, d}]
+	return idx, ok
 }
 
 // View implements Base.

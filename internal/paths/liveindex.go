@@ -19,6 +19,14 @@ type LiveIndex struct {
 	dead []int32 // dead[i] counts the currently-failed edges on stored path i
 }
 
+// LiveMoves receives the paths one Update moved across zero, as set
+// positions in the order the update met them: Broken the paths whose count
+// left zero, Healed the paths whose count returned to it. Update truncates
+// both before appending, so one LiveMoves is reusable scratch.
+type LiveMoves struct {
+	Broken, Healed []int
+}
+
 // NewLiveIndex builds a LiveIndex over b with no edges failed.
 func NewLiveIndex(b *Explicit) *LiveIndex {
 	return &LiveIndex{ex: b, dead: make([]int32, b.Len())}
@@ -28,15 +36,27 @@ func NewLiveIndex(b *Explicit) *LiveIndex {
 // repaired edges just restored. The cumulative down-set after all Updates
 // must equal the removed-edge set of the failure view the solves run
 // against (and that view must remove no nodes).
-func (li *LiveIndex) Update(newlyDown, repaired []graph.EdgeID) {
+//
+// Failures are applied before repairs, so a path crossing both a newly
+// failed and a repaired link keeps a positive count throughout and moves in
+// neither direction. A non-nil moves receives the paths that did move.
+func (li *LiveIndex) Update(newlyDown, repaired []graph.EdgeID, moves *LiveMoves) {
+	if moves != nil {
+		moves.Broken, moves.Healed = moves.Broken[:0], moves.Healed[:0]
+	}
 	for _, e := range newlyDown {
 		for _, idx := range li.ex.IndicesThroughEdge(e) {
+			if li.dead[idx] == 0 && moves != nil {
+				moves.Broken = append(moves.Broken, idx)
+			}
 			li.dead[idx]++
 		}
 	}
 	for _, e := range repaired {
 		for _, idx := range li.ex.IndicesThroughEdge(e) {
-			li.dead[idx]--
+			if li.dead[idx]--; li.dead[idx] == 0 && moves != nil {
+				moves.Healed = append(moves.Healed, idx)
+			}
 		}
 	}
 }

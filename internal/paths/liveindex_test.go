@@ -12,7 +12,8 @@ import (
 // fail/repair walk, the incrementally updated counts mark dead exactly the
 // paths the from-scratch mask of the cumulative failed set does
 // (Explicit.DeadUnder) — so the counts neither drift under repairs nor
-// depend on how the set was reached.
+// depend on how the set was reached — and the step's reported moves are
+// exactly the paths whose from-scratch liveness flipped, each once.
 func TestLiveIndexWalkMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomConnected(rng, 30, 45, 4)
@@ -24,7 +25,9 @@ func TestLiveIndexWalkMatchesFromScratch(t *testing.T) {
 	li := NewLiveIndex(ex)
 
 	down := map[graph.EdgeID]bool{}
-	sawDead, sawRepair := false, false
+	was := make([]bool, ex.Len())
+	var moves LiveMoves
+	sawDead, sawRepair, sawStay := false, false, false
 	for step := 0; step < 200; step++ {
 		// One burst: a few failures of up links and repairs of down ones.
 		var fail, repair []graph.EdgeID
@@ -44,7 +47,7 @@ func TestLiveIndexWalkMatchesFromScratch(t *testing.T) {
 		for _, e := range repair {
 			delete(down, e)
 		}
-		li.Update(fail, repair)
+		li.Update(fail, repair, &moves)
 		sawRepair = sawRepair || len(repair) > 0
 
 		var all []graph.EdgeID
@@ -59,8 +62,33 @@ func TestLiveIndexWalkMatchesFromScratch(t *testing.T) {
 			}
 			sawDead = sawDead || c > 1
 		}
+		var broken, healed []int
+		for i := range want {
+			switch {
+			case want[i] && !was[i]:
+				broken = append(broken, i)
+			case !want[i] && was[i]:
+				healed = append(healed, i)
+			case want[i] && len(fail) > 0 && len(repair) > 0:
+				sawStay = true
+			}
+		}
+		if got := sortedCopy(moves.Broken); !slices.Equal(got, broken) {
+			t.Fatalf("step %d: reported broken %v, liveness flipped dead on %v", step, got, broken)
+		}
+		if got := sortedCopy(moves.Healed); !slices.Equal(got, healed) {
+			t.Fatalf("step %d: reported healed %v, liveness flipped alive on %v", step, got, healed)
+		}
+		was = want
 	}
-	if !sawRepair || !sawDead {
-		t.Fatalf("vacuous: repairs seen %v, a path with two links down seen %v", sawRepair, sawDead)
+	if !sawRepair || !sawDead || !sawStay {
+		t.Fatalf("vacuous: repairs seen %v, a path with two links down seen %v, a dead path through a mixed burst seen %v",
+			sawRepair, sawDead, sawStay)
 	}
+}
+
+func sortedCopy(s []int) []int {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return s
 }

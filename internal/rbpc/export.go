@@ -12,8 +12,9 @@ import (
 
 // Provision is the export of a System's provisioned state — everything the
 // serving layer (internal/engine) needs to restore: the topology, the
-// forwarding plane, the base set and LSP registry, and the per-pair
-// primaries, each of which is also the pair's pristine route.
+// forwarding plane, the base set and LSP registry, and the sources whose
+// pairs it serves. A served pair's primary, which is also its pristine
+// route, is the base set's path for the pair (Primary).
 //
 // The export shares the System's values; nothing writes them after
 // NewSystem, so any number of engines, cold tiers and decoders may read
@@ -22,27 +23,82 @@ import (
 // BaseLSPs[i] is the LSP established for Base.All()[i]: the table the
 // online serving stack resolves a component through, by its base-set index
 // (core.Component.Base). LSPs is the same registry keyed by path content.
+//
+// Serves[src] marks the sources whose pairs the provision serves rows for:
+// the hot set (Config.Sources, every node when nil), narrowed to one shard's
+// sources by its slice (internal/shard.SliceProvision).
 type Provision struct {
-	Graph     *graph.Graph
-	Net       *mpls.Network
-	Config    Config
-	Base      *paths.Explicit
-	BaseLSPs  []*mpls.LSP
-	LSPs      map[string]*mpls.LSP
-	Primaries map[Pair]*mpls.LSP
+	Graph    *graph.Graph
+	Net      *mpls.Network
+	Config   Config
+	Base     *paths.Explicit
+	BaseLSPs []*mpls.LSP
+	LSPs     map[string]*mpls.LSP
+	Serves   []bool
 }
 
 // Export returns the system's provisioned state. See Provision for the
 // sharing contract.
 func (s *System) Export() Provision {
 	return Provision{
-		Graph:     s.g,
-		Net:       s.net,
-		Config:    s.cfg,
-		Base:      s.base,
-		BaseLSPs:  slices.Clip(s.baseLSPs),
-		LSPs:      s.lspOf,
-		Primaries: s.primaries,
+		Graph:    s.g,
+		Net:      s.net,
+		Config:   s.cfg,
+		Base:     s.base,
+		BaseLSPs: slices.Clip(s.baseLSPs),
+		LSPs:     s.lspOf,
+		Serves:   slices.Clip(s.serves),
+	}
+}
+
+// Primary returns the base-set index of the primary of (src, dst): the base
+// set's path for the pair (paths.Explicit.IndexBetween) when the provision
+// serves src. Its LSP is BaseLSPs[idx]. ok is false for a source the
+// provision does not serve and for a pair the base set does not join — a
+// self-pair, or a disconnected one.
+func (p Provision) Primary(src, dst graph.NodeID) (idx int, ok bool) {
+	if !p.Serves[src] {
+		return 0, false
+	}
+	return p.Base.IndexBetween(src, dst)
+}
+
+// PrimaryMask marks, by base-set index, the paths that are the primary of
+// a pair the provision serves.
+func (p Provision) PrimaryMask() []bool {
+	mask := make([]bool, p.Base.Len())
+	for s := range p.Serves {
+		for d := range p.Serves {
+			if idx, ok := p.Primary(graph.NodeID(s), graph.NodeID(d)); ok {
+				mask[idx] = true
+			}
+		}
+	}
+	return mask
+}
+
+// AffectedPairs returns, (src, dst)-sorted, the pairs whose primary crosses
+// link ed — the pairs a failure of ed interrupts: the base paths through ed
+// (paths.Explicit.IndicesThroughEdge) that primary marks (PrimaryMask).
+// Each call returns a fresh slice.
+func AffectedPairs(base *paths.Explicit, primary []bool, ed graph.EdgeID) []graph.NodePair {
+	var out []graph.NodePair
+	all := base.All()
+	for _, idx := range base.IndicesThroughEdge(ed) {
+		if primary[idx] {
+			out = append(out, graph.NodePair{Src: all[idx].Src(), Dst: all[idx].Dst()})
+		}
+	}
+	SortPairs(out)
+	return out
+}
+
+// SortPairs sorts pairs into (src, dst) order, in one linear pass when they
+// already are — as a link's affected pairs are in a base set built source
+// by source; a subpath closure's are not.
+func SortPairs(prs []graph.NodePair) {
+	if !slices.IsSortedFunc(prs, graph.NodePair.Compare) {
+		slices.SortFunc(prs, graph.NodePair.Compare)
 	}
 }
 

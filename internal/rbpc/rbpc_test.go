@@ -1,6 +1,7 @@
 package rbpc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,15 +41,50 @@ func TestProvisioningAndPrimaries(t *testing.T) {
 			if pkt.Hops > 2 {
 				t.Errorf("%d->%d took %d hops on C4", src, dst, pkt.Hops)
 			}
-			if prim := p.Primaries[Pair{graph.NodeID(src), graph.NodeID(dst)}]; prim == nil || prim.Path.Hops() != pkt.Hops {
-				t.Errorf("%d->%d: primary %v, delivered in %d hops", src, dst, prim, pkt.Hops)
+			idx, ok := p.Primary(graph.NodeID(src), graph.NodeID(dst))
+			if !ok {
+				t.Fatalf("%d->%d has no primary", src, dst)
 			}
+			between, _ := p.Base.Between(graph.NodeID(src), graph.NodeID(dst))
+			if prim := p.BaseLSPs[idx]; !prim.Path.Equal(between) || prim.Path.Hops() != pkt.Hops {
+				t.Errorf("%d->%d: primary %v (the base set's path is %v), delivered in %d hops", src, dst, prim.Path, between, pkt.Hops)
+			}
+		}
+		if _, ok := p.Primary(graph.NodeID(src), graph.NodeID(src)); ok {
+			t.Errorf("self-pair %d->%d has a primary", src, src)
 		}
 	}
 	// A base path's position is its LSP's.
 	for i, bp := range p.Base.All() {
 		if l := p.BaseLSPs[i]; l == nil || !l.Path.Equal(bp) || l != p.LSPs[bp.Key()] {
 			t.Fatalf("base path %d (%v) is not at its position in the LSP table", i, bp)
+		}
+	}
+
+	// A hot-set provision serves its listed sources only: the others keep
+	// their base paths (the 1-hop ones) but have no primary and no FEC row.
+	hot, err := NewSystem(topology.Ring(4), Config{EdgeLSPs: true, Sources: []graph.NodeID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := hot.Export()
+	if !slices.Equal(hp.Serves, []bool{false, true, false, false}) {
+		t.Fatalf("hot set {1} serves %v", hp.Serves)
+	}
+	for src := 0; src < 4; src++ {
+		for dst := 0; dst < 4; dst++ {
+			_, ok := hp.Primary(graph.NodeID(src), graph.NodeID(dst))
+			_, sendErr := hot.Net().SendIP(graph.NodeID(src), graph.NodeID(dst))
+			if want := src == 1 && dst != 1; ok != want || (sendErr == nil) != want {
+				t.Errorf("hot set {1}: %d->%d has a primary %v and delivers %v, want %v", src, dst, ok, sendErr == nil, want)
+			}
+		}
+	}
+	mask := hp.PrimaryMask()
+	for i, bp := range hp.Base.All() {
+		idx, ok := hp.Primary(bp.Src(), bp.Dst())
+		if want := ok && idx == i; mask[i] != want {
+			t.Errorf("mask[%d] (%v) = %v, want %v", i, bp, mask[i], want)
 		}
 	}
 }

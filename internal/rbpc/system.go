@@ -53,7 +53,8 @@ func DefaultConfig() Config {
 
 // System is a provisioned RBPC deployment: the MPLS network with the base
 // set's LSPs established and every provisioned pair's FEC row pushing its
-// primary. Nothing writes it after NewSystem.
+// primary, the base set's path for the pair (Provision.Primary). Nothing
+// writes it after NewSystem.
 type System struct {
 	g    *graph.Graph
 	net  *mpls.Network
@@ -63,8 +64,8 @@ type System struct {
 	lspOf map[string]*mpls.LSP // base-path key -> provisioned LSP
 	// baseLSPs[i] is the LSP of base.All()[i]: a base path's position is
 	// its LSP's too (Export).
-	baseLSPs  []*mpls.LSP
-	primaries map[Pair]*mpls.LSP
+	baseLSPs []*mpls.LSP
+	serves   []bool // by NodeID: the source's pairs have primaries and FEC rows
 }
 
 // NewSystem provisions a full RBPC deployment over g: canonical per-pair
@@ -72,11 +73,11 @@ type System struct {
 // every router for every destination.
 func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	s := &System{
-		g:         g,
-		net:       mpls.NewNetwork(g),
-		cfg:       cfg,
-		lspOf:     make(map[string]*mpls.LSP),
-		primaries: make(map[Pair]*mpls.LSP),
+		g:      g,
+		net:    mpls.NewNetwork(g),
+		cfg:    cfg,
+		lspOf:  make(map[string]*mpls.LSP),
+		serves: make([]bool, g.Order()),
 	}
 
 	all := paths.NewAllShortest(g)
@@ -109,20 +110,16 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		s.baseLSPs = append(s.baseLSPs, lsp)
 	}
 
-	// Primary routes and FEC entries, hot sources only.
+	// FEC entries pushing the primaries, hot sources only.
+	for _, src := range sources {
+		s.serves[src] = true
+	}
+	p := s.Export()
 	for _, src := range sources {
 		for di := 0; di < n; di++ {
-			if graph.NodeID(di) == src {
-				continue
+			if idx, ok := p.Primary(src, graph.NodeID(di)); ok {
+				s.net.SetFEC(src, graph.NodeID(di), mpls.FECEntry{Stack: []mpls.Label{s.baseLSPs[idx].SelfLabel()}, OutEdge: mpls.LocalProcess})
 			}
-			pr := Pair{src, graph.NodeID(di)}
-			p, ok := base.Between(pr.Src, pr.Dst)
-			if !ok {
-				continue // disconnected pair
-			}
-			lsp := s.lspOf[p.Key()]
-			s.primaries[pr] = lsp
-			s.net.SetFEC(pr.Src, pr.Dst, mpls.FECEntry{Stack: []mpls.Label{lsp.SelfLabel()}, OutEdge: mpls.LocalProcess})
 		}
 	}
 	return s, nil

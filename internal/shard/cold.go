@@ -201,7 +201,7 @@ func (w *coldWorker) moveTo(failed []graph.EdgeID) {
 	if slices.Equal(failed, w.failed) {
 		return
 	}
-	w.live.Update(failed, w.failed)
+	w.live.Update(failed, w.failed, nil)
 	w.failed = append(w.failed[:0], failed...)
 }
 

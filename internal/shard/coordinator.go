@@ -12,7 +12,6 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
-	"rbpc/internal/mpls"
 	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
@@ -60,9 +59,9 @@ type Coordinator struct {
 }
 
 // New partitions the provision across cfg.Shards in-process engines and
-// starts them. Each shard receives only the primaries of the sources it
-// owns (engine rows are allocated per provisioned source, so unowned — and
-// unprovisioned cold — sources cost it nothing); graph, base set, LSP table
+// starts them. Each shard serves only the sources it owns (engine rows are
+// allocated per served source, so unowned — and unprovisioned cold —
+// sources cost it nothing); graph, base set, LSP table
 // and network are shared (each engine clones the network copy-on-write and
 // reads the table). The provision must be servable, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
@@ -123,9 +122,9 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 			return nil, fmt.Errorf("shard: source %d is owned by shard %d of %d", src, o, len(workers))
 		}
 		slot[src] = uint8(len(workers))
-	}
-	for pr := range p.Primaries {
-		slot[pr.Src] = owners[pr.Src]
+		if p.Serves[src] {
+			slot[src] = o
+		}
 	}
 	return &Coordinator{
 		owners: owners,
@@ -139,20 +138,18 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 }
 
 // SliceProvision returns the provision slice shard i serves under the
-// owner table: only the primaries of the sources i owns.
-// Graph, base set, network and the LSP table stay shared — an engine only
-// reads them. It is the single definition of the shard partition — New and
-// every remote worker process slice with it, so a worker rebuilt from the
-// same provision serves exactly the rows its in-process twin would.
+// owner table: p's served sources narrowed to those i owns. Graph, base
+// set, network and the LSP table stay shared — an engine only reads them.
+// It is the single definition of the shard partition — New and every remote
+// worker process slice with it, so a worker rebuilt from the same provision
+// serves exactly the rows its in-process twin would.
 func SliceProvision(p rbpc.Provision, owners Owners, i int) rbpc.Provision {
-	prims := make(map[rbpc.Pair]*mpls.LSP)
-	for pr, lsp := range p.Primaries {
-		if int(owners[pr.Src]) == i {
-			prims[pr] = lsp
-		}
+	serves := make([]bool, len(p.Serves))
+	for src, served := range p.Serves {
+		serves[src] = served && int(owners[src]) == i
 	}
 	sp := p
-	sp.Primaries = prims
+	sp.Serves = serves
 	return sp
 }
 
@@ -372,9 +369,9 @@ func countSlots(pairs []rbpc.Pair, slot []uint8, counts *[MaxShards + 1]int32) {
 	}
 }
 
-// AffectedPairs returns the provisioned pairs whose canonical primary
-// crosses the link: the union of the workers' slice indices — disjoint
-// by ownership, so no pair appears twice.
+// AffectedPairs returns the served pairs whose primary crosses the link:
+// the union of the workers' slices' lists — disjoint by ownership, so no
+// pair appears twice.
 func (c *Coordinator) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
 	var out []graph.NodePair
 	for _, w := range c.w {

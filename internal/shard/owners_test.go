@@ -91,18 +91,18 @@ func TestOwnerTableMatchesRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prims := 0
+		prims, all := 0, countTrue(p.PrimaryMask())
 		for i := 0; i < shards; i++ {
 			sp := SliceProvision(p, tab, i)
-			prims += len(sp.Primaries)
-			for pr := range sp.Primaries {
-				if int(tab[pr.Src]) != i {
-					t.Fatalf("shards=%d: primary %v in shard %d's slice, owned by %d", shards, pr, i, tab[pr.Src])
+			for src, served := range sp.Serves {
+				if served != (int(tab[src]) == i) {
+					t.Fatalf("shards=%d: shard %d's slice serves source %d %v, owned by %d", shards, i, src, served, tab[src])
 				}
 			}
+			prims += countTrue(sp.PrimaryMask())
 		}
-		if prims != len(p.Primaries) {
-			t.Fatalf("shards=%d: the slices hold %d primaries of %d", shards, prims, len(p.Primaries))
+		if prims != all {
+			t.Fatalf("shards=%d: the slices hold %d primaries of %d", shards, prims, all)
 		}
 	}
 }
@@ -121,4 +121,14 @@ func TestRingRejectsTooManyShards(t *testing.T) {
 	if _, err := NewOwners(MaxShards+1, 10); err == nil {
 		t.Fatalf("NewOwners(%d) accepted: an owner-table entry is one byte", MaxShards+1)
 	}
+}
+
+func countTrue(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
 }

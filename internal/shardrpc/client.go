@@ -10,6 +10,7 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/paths"
 	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
@@ -64,12 +65,13 @@ type client struct {
 	cfg  Config
 	dec  *engine.SnapDecoder
 	want hello // what this worker must attach with, epoch aside (contract)
-	// pairs indexes the primaries of this worker's slice — the same index
-	// the worker's engine holds; the provision is known on both ends, so
-	// AffectedPairs needs no frame.
-	pairs *graph.PairIndex
+	// base and prim are the base set and the primary mask of this worker's
+	// slice — the mask the worker's engine holds; the provision is known on
+	// both ends, so AffectedPairs needs no frame.
+	base *paths.Explicit
+	prim []bool
 	// mine[src] is 1 when this worker holds a materialized row for src — a
-	// provisioned source it owns — else 0: the mark the shared-burst encode
+	// served source it owns — else 0: the mark the shared-burst encode
 	// advances by (fillOwnedBatch).
 	mine []uint8
 	met  queryMetrics
@@ -95,25 +97,23 @@ type client struct {
 }
 
 func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *engine.SnapDecoder, want hello) *client {
-	own := make([]bool, len(owners))
-	for src, o := range owners {
-		own[src] = int(o) == idx
-	}
-	mine := make([]uint8, len(owners))
-	for pr := range p.Primaries {
-		if own[pr.Src] {
-			mine[pr.Src] = 1
+	slice := shard.SliceProvision(p, owners, idx)
+	mine := make([]uint8, len(slice.Serves))
+	for src, served := range slice.Serves {
+		if served {
+			mine[src] = 1
 		}
 	}
 	c := &client{
-		idx:   idx,
-		cfg:   cfg,
-		dec:   dec,
-		want:  want,
-		pairs: engine.PrimaryIndex(p.Graph, p.Primaries, own),
-		mine:  mine,
-		pend:  make(map[uint32]*call),
-		done:  make(chan struct{}),
+		idx:  idx,
+		cfg:  cfg,
+		dec:  dec,
+		want: want,
+		base: p.Base,
+		prim: slice.PrimaryMask(),
+		mine: mine,
+		pend: make(map[uint32]*call),
+		done: make(chan struct{}),
 	}
 	if cfg.HealthEvery > 0 {
 		go c.healthLoop()
@@ -637,7 +637,9 @@ func (c *client) SubmitBatch(pairs []rbpc.Pair, owned int) int {
 	return 0
 }
 
-func (c *client) AffectedPairs(ed graph.EdgeID) []graph.NodePair { return c.pairs.Pairs(ed) }
+func (c *client) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
+	return rbpc.AffectedPairs(c.base, c.prim, ed)
+}
 
 // Snapshot is the latest decoded replica (non-nil once attached; a dead
 // worker keeps its last one).

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -314,6 +316,91 @@ func TestProcReattachBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkReattached(t, proc, p, victim, ed)
+}
+
+// TestProcWorkerDiesAsFleetCloses: worker 0 dies while the coordinator
+// closes, with a burst's ack and the health pings in flight. Close returns
+// within two ack timeouts, nothing panics, and every goroutine the
+// coordinator started — connection readers, health loops, burst-ack
+// watchers, the cold tier, the workers' connection servers — is gone after
+// it, so the goroutine count settles back to its value before the
+// coordinator was built.
+func TestProcWorkerDiesAsFleetCloses(t *testing.T) {
+	const shards = 2
+	p := buildProvision(t, 12, 5)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	cfg := testConfig(farm, shards)
+	cfg.AckTimeout = 200 * time.Millisecond
+	cfg.HealthEvery = time.Millisecond
+	before := runtime.NumGoroutine()
+	proc, err := NewCoordinator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.Fail(3) // its ack watchers are pending as the fleet closes
+	proc.SubmitBatch([]rbpc.Pair{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
+
+	var killed sync.WaitGroup
+	killed.Add(1)
+	go func() {
+		defer killed.Done()
+		farm.kill(0)
+	}()
+	start := time.Now()
+	proc.Close()
+	took := time.Since(start)
+	killed.Wait()
+	if took > 2*cfg.AckTimeout {
+		t.Fatalf("Close took %v with a worker dying under it, want at most %v", took, 2*cfg.AckTimeout)
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5s after Close, %d before the coordinator:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestClientAffectedPairsMatchSlice: each socket client lists, for every
+// link, exactly the pairs of its worker's slice whose primary crosses it —
+// order included, against a reference built from Provision.Primary over the
+// slice — without a frame: the provision is known on both ends. The
+// provision is a subpath closure, whose links meet their primaries out of
+// (src, dst) order.
+func TestClientAffectedPairsMatchSlice(t *testing.T) {
+	const shards = 3
+	p := buildProvision(t, 16, 11)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	proc, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	owners, err := shard.NewOwners(shards, p.Graph.Order())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := p.Graph.Order()
+	for i, cl := range proc.w {
+		slice := shard.SliceProvision(p, owners, i)
+		want := make([][]graph.NodePair, p.Graph.Size())
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if idx, ok := slice.Primary(graph.NodeID(s), graph.NodeID(d)); ok {
+					for _, ed := range slice.BaseLSPs[idx].Path.Edges {
+						want[ed] = append(want[ed], graph.NodePair{Src: graph.NodeID(s), Dst: graph.NodeID(d)})
+					}
+				}
+			}
+		}
+		for ed := range want {
+			if got := cl.AffectedPairs(graph.EdgeID(ed)); !slices.Equal(got, want[ed]) {
+				t.Fatalf("worker %d, link %d: affected pairs %v, the slice's primaries crossing it %v", i, ed, got, want[ed])
+			}
+		}
+	}
 }
 
 // killAndDivert kills worker victim, waits for the coordinator to mark it

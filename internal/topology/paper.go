@@ -221,6 +221,9 @@ func PaperInternet(seed int64, scale float64) *graph.Graph {
 	return PowerLawExtra(n, 2, m, seed)
 }
 
+// Kinds lists the stand-in topologies Build resolves, by name.
+var Kinds = []string{"as", "isp", "internet", "waxman"}
+
 // Build resolves a stand-in topology by name — the one spelling shared by
 // the serving commands and the shardrpc worker processes, which must
 // rebuild the coordinator's exact graph from (kind, scale, seed) alone.
@@ -240,6 +243,6 @@ func Build(kind string, scale float64, seed int64) (*graph.Graph, error) {
 		}
 		return Waxman(n, 0.8, 0.5, seed), nil
 	default:
-		return nil, fmt.Errorf("unknown topology %q (want as, isp, internet, or waxman)", kind)
+		return nil, fmt.Errorf("unknown topology %q (want one of %v)", kind, Kinds)
 	}
 }

@@ -23,30 +23,44 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-# The engine has one serving-row representation, and a plan is held in it
-# from the solver to the snapshot (DESIGN.md §9, §12). These are the names
-# of the deleted dense rows, of the deleted bridge from a map-shaped plan
-# into rows, of the deleted mirror of the rows into the network's FEC tables
-# (with hybrid's second network and the fault that could desynchronise
-# them), of the deleted searches over views no kernel compiles, and of the
-# path-valued wire component and the on-demand LSP count that went when a
-# component became its base-set index (DESIGN.md §9), of the ILM patch diff
-# and its writer state that went when an epoch's patch rows became an overlay
-# over the one network (DESIGN.md §15), of the switchover timers, of the
-# solver's cost-index arm, which nothing served from, of the bounded
-# ellipse search with its live candidate columns, destination trees and
-# pooled solvers, which went when the writer's solve became a pull
-# (core.Pull, DESIGN.md §13), and of the offline System's second
-# restoration implementation — its per-pair updates, ILM patches, failover
-# plans, content resolver and on-demand signalling, its hybrid on a second
-# flood model, and the scenario, trace and table-audit packages around it
-# (DESIGN.md §9); whole-word, so test names that contain them do not trip
+# Retired identifiers. A name is kept here only where bringing its
+# mechanism back would compile and pass every test and every other gate
+# below unnoticed; a name whose return trips a test or another gate needs no
+# grep, and went. Whole-word, so test names that contain them do not trip
 # the gate.
 echo "==> retired identifiers stay retired"
-if git grep -nwE 'DeltaRows|assembleDense|emptyOver|mergePlanRow|buildOverlayRows|assembleOverlay|syncFEC|setFEC|localNet|FaultSkipFECRewrite|bidiGeneric|dijkstraGeneric|bfsGeneric|wirePath|decodePath|OnDemandLSPs|PatchSet|ilmPatches|syncPatches|scheduleConvergence|stopTimers|SetCostIndex|SetLiveIndex|LiveColumns|LiveFromSource|FromBounded|FromBoundedEllipse|revBound|refilter|ensureSolvers|NewCostIndex|UpdatePair|UpdateAllSources|LocalPatch|UndoLocalPatches|PrecomputeFailoverPlans|FailLinkPrecomputed|NewHybrid|HybridDeployment|NewLinkState|RunScenario|VerifyTables|TraceRoute|Resolver' -- '*.go'; then
-	echo "verify: a retired identifier reappeared (see above)" >&2
-	exit 1
-fi
+retired() { # $1: the names, $2: the rule they guard
+	if git grep -nwE "$1" -- '*.go'; then
+		echo "verify: a retired identifier reappeared (see above): $2" >&2
+		exit 1
+	fi
+}
+# One serving-row representation (DESIGN.md §9): a dense matrix behind a
+# knob answers exactly what canonical + overlay does.
+retired 'DeltaRows|assembleDense' "one serving-row representation"
+# One search kernel (DESIGN.md §8): every view compiles (graph.CompileView),
+# and a generic fallback arm would find the same paths more slowly.
+retired 'bidiGeneric|dijkstraGeneric|bfsGeneric' "one search kernel"
+# One liveness count per base path (paths.LiveIndex): the filtered candidate
+# columns it used to maintain change no answer.
+retired 'refilter|LiveFromSource' "one liveness count per base path"
+# One edge index, the base set's own, and one membership (DESIGN.md §12): a
+# pair's primary is its base path and it is affected while that path's
+# liveness count is non-zero. A second pair-keyed index, or the primaries
+# map beside the mask, would serve the same pairs.
+retired 'PairIndex|BuildPairIndex|PrimaryIndex|Primaries' "one edge index and one membership"
+# A provisioned LSP is its index (DESIGN.md §9): a content-keyed registry
+# under the shard layer, which the engine-only gate below does not scan,
+# would resolve the same LSPs.
+retired 'Resolver' "a provisioned LSP is its index"
+# One restoration implementation and one hybrid timeline, the engine's
+# (DESIGN.md §9): the deleted offline hybrid, its flood model and the
+# scenario, table-audit and trace packages around it would come back with
+# their own tests.
+retired 'NewHybrid|HybridDeployment|NewLinkState|RunScenario|VerifyTables|TraceRoute' "one restoration implementation"
+# One frame checksum, CRC-32C (shardrpc.checksum): the byte-at-a-time FNV-1a
+# loop it replaced checks frames just as well, only slower.
+retired 'fnv1a' "one frame checksum"
 
 # Restoration has one implementation, the engine's (DESIGN.md §9): the
 # System provisions and exports, and solves nothing. A solver call in a
@@ -113,9 +127,11 @@ fi
 # The writer classifies and merges by walking sorted rows against
 # writer-owned scratch (DESIGN.md §12); a map built per transition — pairs
 # to recompute, destinations by source, the edges just down — is the form
-# that walk replaced. downCount, the membership counts, is the one map the
-# pipeline reads, and it lives on the engine.
-echo "==> incrementalPlan and publish build no map per transition"
+# that walk replaced. Membership is no map either: a pair is affected while
+# its primary's liveness count (paths.LiveIndex) is non-zero, and the
+# primary is read off the base set by index, so nothing in the engine or
+# the shard layer keys state by pair.
+echo "==> incrementalPlan and publish build no map per transition; no pair-keyed map"
 if git grep -nW 'make(map\[' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
 	awk '/=[0-9]+=/ { fn = $0 }
 		/:[0-9]+:.*make\(map\[/ && fn ~ /\) (incrementalPlan|publish)\(/ { print fn; print; bad = 1 }
@@ -123,11 +139,9 @@ if git grep -nW 'make(map\[' -- 'internal/engine/*.go' ':!internal/engine/*_test
 	echo "verify: a per-transition map in incrementalPlan/publish (see above)" >&2
 	exit 1
 fi
-
-# The frame layer has one payload checksum, CRC-32C (shardrpc.checksum);
-# this is the byte-at-a-time FNV-1a loop it replaced.
-if git grep -nw 'fnv1a' -- '*.go'; then
-	echo "verify: the retired byte-loop frame checksum reappeared (see above)" >&2
+if git grep -nE 'map\[rbpc\.Pair\]' -- 'internal/engine/*.go' 'internal/shard/*.go' |
+	awk -F: '$1 !~ /_test\.go$/ { print; bad = 1 } END { exit !bad }'; then
+	echo "verify: a pair-keyed map under internal/engine or internal/shard; read membership off the liveness counts (see above)" >&2
 	exit 1
 fi
 
@@ -175,12 +189,13 @@ fi
 # The shard layer keeps what it serves (DESIGN.md §14): a source's shard is
 # its ID mod N (shard.NewOwners), and a cold pair is pulled like a hot one.
 # These are the names of the deleted consistent-hash ring with its
-# parameters, of the deleted promoted-answer cache's knob and counter, and
-# of the warm-solver rebind the cold tier used to carry between epochs;
-# scoped to the packages they lived in and served, since the root package's
-# NewRing builds a ring topology.
-echo "==> the ring, the promoted-answer cache and the solver rebind stay retired"
-if git grep -nwE 'NewRing|DefaultVNodes|DefaultRingSeed|RingSeed|VNodes|splitmix64|PromoteAfter|PromotedHits|Rebind' -- \
+# parameters and of the deleted promoted-answer cache's knob and counter,
+# either of which would serve the same answers; scoped to the packages they
+# lived in and served, since the root package's NewRing builds a ring
+# topology. (The warm-solver rebind needs no name: the Dijkstra gate below
+# refuses its call.)
+echo "==> the ring and the promoted-answer cache stay retired"
+if git grep -nwE 'NewRing|DefaultVNodes|DefaultRingSeed|RingSeed|VNodes|splitmix64|PromoteAfter|PromotedHits' -- \
 	'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/core/*.go' 'internal/engine/*.go' 'internal/chaos/*.go' 'cmd/rbpc-serve/*.go'; then
 	echo "verify: a retired shard-layer identifier reappeared (see above)" >&2
 	exit 1
