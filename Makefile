@@ -24,6 +24,7 @@ race:
 	$(GO) test -race ./internal/graph/... ./internal/spath/... ./internal/eval/... \
 		./internal/engine/... ./internal/rbpc/... ./internal/mpls/... \
 		./internal/shard/... ./internal/shardrpc/... ./internal/probe/...
+	$(GO) test -race -count=20 -run 'TestBurstsAreAtomic' ./internal/engine/ ./internal/shard/ ./internal/shardrpc/
 
 # The long fault-injection conformance suite (DESIGN.md §11): seeded chaos
 # schedules against the online engine under -race, with the theorem oracles

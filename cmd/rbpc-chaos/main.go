@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	topoSeed := fs.Int64("topo-seed", 1, "hunt: topology seed")
 	steps := fs.Int("steps", 60, "hunt: churn events per schedule")
 	maxDown := fs.Int("maxdown", 3, "hunt: max concurrently-down links")
-	coalesce := fs.Duration("coalesce", 0, "engine coalescing window (hunt alternates 0 and 200us when unset)")
 	faultName := fs.String("fault", engine.FaultNone.String(), faultUsage())
 	corpus := fs.String("corpus", "", "hunt: write the shrunk failing case to this file")
 	replay := fs.String("replay", "", "replay a corpus case instead of hunting")
@@ -74,21 +73,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-steps must be at least 1, got", *steps)
 	case *maxDown < 1:
 		return fail(2, "-maxdown must be at least 1, got", *maxDown)
-	case *coalesce < 0:
-		return fail(2, "-coalesce must be 0 or more, got", *coalesce)
 	}
 	fault, err := engine.ParseFault(*faultName)
 	if err != nil {
 		return fail(2, err)
 	}
 	cfg := chaos.Config{
-		Nodes:          *nodes,
-		TopoSeed:       *topoSeed,
-		Seed:           *seed,
-		Steps:          *steps,
-		MaxDown:        *maxDown,
-		CoalesceWindow: *coalesce,
-		Fault:          fault,
+		Nodes:    *nodes,
+		TopoSeed: *topoSeed,
+		Seed:     *seed,
+		Steps:    *steps,
+		MaxDown:  *maxDown,
+		Fault:    fault,
 	}
 
 	start := time.Now()
@@ -140,7 +136,7 @@ func replayCase(path string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rbpc-chaos: REPRODUCED\n  %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "rbpc-chaos: clean — %d churn, %d queries, %d probes, %d epochs\n",
-		rep.Churn, rep.Queries, rep.Probes, rep.Epochs)
+	fmt.Fprintf(stdout, "rbpc-chaos: clean — %d churn (%d multi-link bursts), %d queries, %d probes, %d epochs\n",
+		rep.Churn, rep.Bursts, rep.Queries, rep.Probes, rep.Epochs)
 	return 0
 }

@@ -23,7 +23,6 @@ func TestRejectedFlags(t *testing.T) {
 		{"negative steps", []string{"-steps", "-1"}, "-steps must be at least 1"},
 		{"no steps", []string{"-steps", "0"}, "-steps must be at least 1"},
 		{"no runs", []string{"-runs", "0"}, "-runs must be at least 1"},
-		{"negative coalesce window", []string{"-coalesce", "-1ms"}, "-coalesce must be 0 or more"},
 		{"unknown fault", []string{"-fault", "nope"}, "unknown fault"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

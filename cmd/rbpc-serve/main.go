@@ -262,7 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch     = fs.Int("batch", 1024, "max queries per submitted burst")
 		failEvery = fs.Duration("fail-every", 50*time.Millisecond, "interval between injected churn events (0 = no churn)")
 		maxDown   = fs.Int("max-down", 3, "max links concurrently down during churn")
-		coalesce  = fs.Duration("coalesce", time.Millisecond, "writer coalesce window for failure bursts")
 		schemeStr = fs.String("scheme", "source", "restoration scheme: source, local, bypass, or hybrid")
 		floodDet  = fs.Duration("flood-detect", 2*time.Millisecond, "modeled failure-detection delay before the link-state flood starts (hybrid switchover)")
 		floodHop  = fs.Duration("flood-hop", 100*time.Microsecond, "modeled per-hop link-state flood propagation delay (hybrid switchover)")
@@ -274,8 +273,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		shardProcs = fs.Int("shard-procs", 0, "serve the window from N forked worker processes over the wire transport (0 = in process)")
 		workerSpec = fs.String("worker", "", "run as a shard worker process with this spec (internal; set by -shard-procs)")
-		dialBudget = fs.Duration("dial-budget", 2*time.Minute, "total budget for attaching or reattaching one worker process, provisioning included")
-		ackTimeout = fs.Duration("ack-timeout", 5*time.Second, "per-RPC round-trip timeout before a worker retry (then death) in process mode")
 		killAfter  = fs.Duration("kill-worker-after", 0, "kill worker 0 this long into the process-mode window (crash-recovery demo; 0 = never)")
 
 		coldWorkers = fs.Int("cold-workers", 0, "cold-tier solver pool size (0 = default)")
@@ -311,9 +308,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// A value the run would quietly replace is refused: a scale of none is
 	// not the 16-node graph the generators clamp it to, a window of none
-	// serves nothing, a negative count or delay is not its flag's default,
-	// its "all" or its "never", and a process-mode budget of none is not
-	// the library's.
+	// serves nothing, and a negative count or delay is not its flag's
+	// default, its "all" or its "never".
 	switch {
 	case !(*scale > 0): // NaN included
 		return fail(2, "-scale must be above 0, got", *scale)
@@ -331,8 +327,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-hot-sources must be 0 (all) or more, got", *hotSources)
 	case *planCache < 0:
 		return fail(2, "-plan-cache-max must be 0 (unbounded) or more, got", *planCache)
-	case *coalesce < 0:
-		return fail(2, "-coalesce must be 0 or more, got", *coalesce)
 	case *floodDet < 0:
 		return fail(2, "-flood-detect must be 0 or more, got", *floodDet)
 	case *floodHop < 0:
@@ -351,10 +345,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-max-down must be at least 1, got", *maxDown)
 	case !slices.Contains(topology.Kinds, *topo):
 		return fail(2, fmt.Sprintf("-topology must be one of %v, got %q", topology.Kinds, *topo))
-	case *dialBudget <= 0:
-		return fail(2, "-dial-budget must be above 0, got", *dialBudget)
-	case *ackTimeout <= 0:
-		return fail(2, "-ack-timeout must be above 0, got", *ackTimeout)
 	}
 	nShards := max(*shards, *shardProcs)
 	if *hotSources > 0 && nShards <= 0 {
@@ -390,12 +380,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ecfg := engine.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CoalesceWindow: *coalesce,
-		PlanCacheCap:   *planCache,
-		Scheme:         sch,
-		Flood:          engine.FloodConfig{Detect: *floodDet, PerHop: *floodHop},
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		PlanCacheCap: *planCache,
+		Scheme:       sch,
+		Flood:        engine.FloodConfig{Detect: *floodDet, PerHop: *floodHop},
 	}
 	if ecfg.Workers < 1 {
 		ecfg.Workers = runtime.GOMAXPROCS(0)
@@ -419,16 +408,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wo.MaxProcs = ecfg.Workers
 		wo.Workers = ecfg.Workers
 		wo.Queue = ecfg.QueueDepth
-		wo.Coalesce = *coalesce
 		wo.PlanCacheMax = *planCache
 		fmt.Fprintf(stdout, "forking %d worker processes (GOMAXPROCS %d each)... ", nShards, wo.MaxProcs)
 		attachStart := time.Now()
-		pb, err := openProcs(p, wo, shardrpc.Config{
-			Shards:     nShards,
-			Cold:       cold,
-			DialBudget: *dialBudget,
-			AckTimeout: *ackTimeout,
-		}, stderr)
+		pb, err := openProcs(p, wo, shardrpc.Config{Shards: nShards, Cold: cold}, stderr)
 		if err != nil {
 			return fail(1, err)
 		}
@@ -491,8 +474,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			st.Stretch.Mean, st.DetourHops.Mean, st.DetourHops.Max, st.Converged)
 	}
 	inc := st.Incremental
-	fmt.Fprintf(stdout, "incremental: %d rows reused / %d recomputed (%d entering, %d leaving, %d stale, %d repair-improved), %d trees adopted\n",
-		inc.PairsReused, inc.PairsRecomputed, inc.Entering, inc.Leaving, inc.StaleRoutes, inc.RepairImproved, inc.TreesAdopted)
+	fmt.Fprintf(stdout, "incremental: %d rows reused / %d recomputed (%d entering, %d leaving, %d stale, %d repair-improved)\n",
+		inc.PairsReused, inc.PairsRecomputed, inc.Entering, inc.Leaving, inc.StaleRoutes, inc.RepairImproved)
 	fmt.Fprintf(stdout, "build stages: affected %v  solve %v  resolve %v  assemble %v\n",
 		time.Duration(inc.AffectedNanos), time.Duration(inc.SolveNanos),
 		time.Duration(inc.ResolveNanos), time.Duration(inc.AssembleNanos))

@@ -162,19 +162,15 @@ func TestRejectedFlagCombos(t *testing.T) {
 		{"negative queue", []string{"-queue", "-5"}, "-queue must be at least 1"},
 		{"no queue", []string{"-queue", "0"}, "-queue must be at least 1"},
 		// And each of these exited 0 under another meaning: every source
-		// hot, an unbounded plan cache, negative coalesce and flood delays,
-		// the cold tier's defaults, a kill that never fires, and the
-		// library's attach and RPC budgets in place of the flags'.
+		// hot, an unbounded plan cache, negative flood delays, the cold
+		// tier's defaults and a kill that never fires.
 		{"negative hot set", []string{"-hot-sources", "-5", "-shards", "2"}, "-hot-sources must be 0"},
 		{"negative plan cache", []string{"-plan-cache-max", "-1"}, "-plan-cache-max must be 0"},
-		{"negative coalesce window", []string{"-coalesce", "-1ms"}, "-coalesce must be 0"},
 		{"negative flood detection", []string{"-scheme", "hybrid", "-flood-detect", "-5ms"}, "-flood-detect must be 0"},
 		{"negative flood hop", []string{"-scheme", "hybrid", "-flood-hop", "-1ms"}, "-flood-hop must be 0"},
 		{"negative cold workers", []string{"-cold-workers", "-3"}, "-cold-workers must be 0"},
 		{"negative cold queue", []string{"-cold-queue", "-1"}, "-cold-queue must be 0"},
 		{"negative kill delay", []string{"-shard-procs", "2", "-kill-worker-after", "-1s"}, "-kill-worker-after must be 0"},
-		{"no dial budget", []string{"-shard-procs", "2", "-dial-budget", "0"}, "-dial-budget must be above 0"},
-		{"negative ack timeout", []string{"-shard-procs", "2", "-ack-timeout", "-1s"}, "-ack-timeout must be above 0"},
 		// These exited 0 too: churn one link at a time (failure.ChurnSchedule
 		// clamps the bound to 1), no churn at all, and a kill with no worker
 		// process to kill; an unknown topology exited 1 from provisioning.

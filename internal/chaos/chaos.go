@@ -1,9 +1,9 @@
 // Package chaos is the deterministic fault-injection conformance harness
 // for the online restoration engine. It composes the discrete-event
 // engine (internal/sim) with the serving engine (internal/engine),
-// driving seeded schedules of failure bursts, repairs racing failures,
-// queries landing mid-rebuild, and coalescing-window edge cases — and
-// checks every served answer against independent runtime oracles:
+// driving seeded schedules of failure bursts, repairs racing failures and
+// queries landing mid-rebuild — and checks every served answer against
+// independent runtime oracles:
 //
 //   - optimality: an independent brute-force Dijkstra on the failed graph
 //     confirms the served cost is the true post-failure shortest distance;
@@ -83,9 +83,6 @@ type Config struct {
 	Steps int
 	// MaxDown bounds concurrently-down links (default 3).
 	MaxDown int
-	// CoalesceWindow is passed to the engine; non-zero values exercise
-	// burst coalescing (events cancelling out inside one window).
-	CoalesceWindow time.Duration
 	// Fault injects a deliberate defect (engine.FaultNone = the production
 	// system): a writer defect in every engine under test, or — in the one
 	// vocabulary — FaultSkewShard (needs Shards > 0) or FaultTornFrame
@@ -146,17 +143,16 @@ func (c Config) withDefaults() Config {
 // schedule. Same Case -> same run, which is what makes shrinking and
 // corpus replay possible.
 type Case struct {
-	Nodes          int
-	TopoSeed       int64
-	Seed           int64 // schedule seed the case was generated from (informational)
-	MaxDown        int   // informational
-	CoalesceWindow time.Duration
-	Fault          engine.Fault
-	Scheme         engine.Scheme
-	FloodFrozen    bool
-	Shards         int  // 0 = single engine under test
-	Procs          bool // serve the shards over the shardrpc transport
-	Schedule       failure.Schedule
+	Nodes       int
+	TopoSeed    int64
+	Seed        int64 // schedule seed the case was generated from (informational)
+	MaxDown     int   // informational
+	Fault       engine.Fault
+	Scheme      engine.Scheme
+	FloodFrozen bool
+	Shards      int  // 0 = single engine under test
+	Procs       bool // serve the shards over the shardrpc transport
+	Schedule    failure.Schedule
 }
 
 // Generate builds the Case for cfg: the seeded topology plus the seeded
@@ -171,17 +167,16 @@ func Generate(cfg Config) (Case, error) {
 		return Case{}, err
 	}
 	return Case{
-		Nodes:          cfg.Nodes,
-		TopoSeed:       cfg.TopoSeed,
-		Seed:           cfg.Seed,
-		MaxDown:        cfg.MaxDown,
-		CoalesceWindow: cfg.CoalesceWindow,
-		Fault:          cfg.Fault,
-		Scheme:         cfg.Scheme,
-		FloodFrozen:    cfg.FloodFrozen,
-		Shards:         cfg.Shards,
-		Procs:          cfg.Procs,
-		Schedule:       failure.ChaosSchedule(w.g, cfg.Steps, cfg.MaxDown, rand.New(rand.NewSource(cfg.Seed))),
+		Nodes:       cfg.Nodes,
+		TopoSeed:    cfg.TopoSeed,
+		Seed:        cfg.Seed,
+		MaxDown:     cfg.MaxDown,
+		Fault:       cfg.Fault,
+		Scheme:      cfg.Scheme,
+		FloodFrozen: cfg.FloodFrozen,
+		Shards:      cfg.Shards,
+		Procs:       cfg.Procs,
+		Schedule:    failure.ChaosSchedule(w.g, cfg.Steps, cfg.MaxDown, rand.New(rand.NewSource(cfg.Seed))),
 	}, nil
 }
 
@@ -214,8 +209,12 @@ type TraceEntry struct {
 
 // Report summarizes one run.
 type Report struct {
-	Steps   int   // schedule length
-	Churn   int   // fail/repair steps executed
+	Steps int // schedule length
+	Churn int // fail/repair steps executed
+	// Bursts counts the runs of two or more consecutive fail/repair steps,
+	// each handed to the system under test as one ApplyEvents: one
+	// multi-link transition.
+	Bursts  int
 	Queries int   // query steps executed
 	Probes  int   // end-to-end data-plane probes sent
 	Epochs  int64 // epochs published by the engine (via the OnEpoch tap)
@@ -279,10 +278,9 @@ func (c Case) Run() (Report, error) {
 	}
 	var epochs atomic.Int64
 	ecfg := engine.Config{
-		Scheme:         c.Scheme,
-		CoalesceWindow: c.CoalesceWindow,
-		Fault:          c.Fault,
-		OnEpoch:        func(*engine.Snapshot) { epochs.Add(1) },
+		Scheme:  c.Scheme,
+		Fault:   c.Fault,
+		OnEpoch: func(*engine.Snapshot) { epochs.Add(1) },
 	}
 	if c.Scheme == engine.SchemeHybrid && c.FloodFrozen {
 		// Freeze the flood: no router's horizon ever passes, so every
@@ -292,10 +290,9 @@ func (c Case) Run() (Report, error) {
 	// The system under test: a single engine, or the shard coordinator
 	// over in-process engines or — when the case is process-mode — over
 	// socket clients driving the worker fleet through pipe-backed wire
-	// connections. Both answer the four calls the schedule makes.
+	// connections. Both answer the three calls the schedule makes.
 	var sut interface {
-		Fail(graph.EdgeID)
-		Repair(graph.EdgeID)
+		ApplyEvents([]failure.Event)
 		Flush()
 		Query(src, dst graph.NodeID) engine.Result
 	}
@@ -323,10 +320,7 @@ func (c Case) Run() (Report, error) {
 	// compare its serving matrix bit-for-bit against the engine under
 	// test — incremental reuse (or an injected defect) may never produce
 	// a snapshot a from-scratch build would not.
-	ref, err := engine.New(w.sys.Export(), engine.Config{
-		CoalesceWindow: c.CoalesceWindow,
-		FullRebuild:    true,
-	})
+	ref, err := engine.New(w.sys.Export(), engine.Config{FullRebuild: true})
 	if err != nil {
 		return Report{}, err
 	}
@@ -342,23 +336,43 @@ func (c Case) Run() (Report, error) {
 	})
 
 	var vio *Violation
-	for i, st := range c.Schedule {
-		i, st := i, st
+	for i := 0; i < len(c.Schedule); i++ {
+		st := c.Schedule[i]
+		if st.IsChurn() {
+			// A maximal run of consecutive fail/repair steps is one burst to
+			// the system under test and one to the reference: one transition
+			// on each, whatever the writers' timing.
+			var evs []failure.Event
+			j := i
+			for ; j < len(c.Schedule) && c.Schedule[j].IsChurn(); j++ {
+				evs = append(evs, c.Schedule[j].Event())
+			}
+			se.At(sim.Time(i), func() {
+				if vio != nil {
+					return
+				}
+				sut.ApplyEvents(evs)
+				ref.ApplyEvents(evs)
+				for _, ev := range evs {
+					if ev.Repair {
+						delete(model, ev.Edge)
+					} else {
+						model[ev.Edge] = true
+					}
+				}
+				rep.Churn += len(evs)
+				if len(evs) > 1 {
+					rep.Bursts++
+				}
+			})
+			i = j - 1 // resume after the run
+			continue
+		}
 		se.At(sim.Time(i), func() {
 			if vio != nil {
 				return
 			}
 			switch st.Kind {
-			case failure.StepFail:
-				sut.Fail(st.Edge)
-				ref.Fail(st.Edge)
-				model[st.Edge] = true
-				rep.Churn++
-			case failure.StepRepair:
-				sut.Repair(st.Edge)
-				ref.Repair(st.Edge)
-				delete(model, st.Edge)
-				rep.Churn++
 			case failure.StepQuery:
 				rep.Queries++
 				owner := 0
@@ -473,18 +487,14 @@ func (c Case) sharded(prov rbpc.Provision, ecfg engine.Config) (coord *shard.Coo
 }
 
 // Hunt runs the harness over runs consecutive schedule seeds starting at
-// cfg.Seed, alternating the coalesce window off and on so both writer
-// timings are covered. On the first oracle violation the failing schedule
-// is shrunk to a minimal reproduction; the shrunk case and its violation
-// are returned. A nil violation means every run was clean.
+// cfg.Seed. On the first oracle violation the failing schedule is shrunk
+// to a minimal reproduction; the shrunk case and its violation are
+// returned. A nil violation means every run was clean.
 func Hunt(cfg Config, runs int) (Case, *Violation, error) {
 	cfg = cfg.withDefaults()
 	for r := 0; r < runs; r++ {
 		run := cfg
 		run.Seed = cfg.Seed + int64(r)
-		if r%2 == 1 && run.CoalesceWindow == 0 {
-			run.CoalesceWindow = 200 * time.Microsecond
-		}
 		c, err := Generate(run)
 		if err != nil {
 			return Case{}, nil, err

@@ -200,9 +200,10 @@ func TestRunTraceDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(r1.Trace, r2.Trace) {
 		t.Fatal("two runs of the same case produced different event traces")
 	}
-	if r1.Queries == 0 || r1.Churn == 0 || r1.Probes == 0 {
-		t.Fatalf("schedule exercised nothing: %+v", r1)
+	if r1.Queries == 0 || r1.Churn == 0 || r1.Probes == 0 || r1.Bursts == 0 {
+		t.Fatalf("schedule exercised nothing, or no multi-link burst: %+v", r1)
 	}
+	t.Logf("%d churn steps, %d of the bursts multi-link, %d queries, %d epochs", r1.Churn, r1.Bursts, r1.Queries, r1.Epochs)
 }
 
 // TestCorpusRefusesRetiredFault: skip-fec-rewrite perturbed the engine's

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
@@ -31,7 +30,6 @@ func WriteCase(w io.Writer, c Case) error {
 	fmt.Fprintf(bw, "topo-seed %d\n", c.TopoSeed)
 	fmt.Fprintf(bw, "sched-seed %d\n", c.Seed)
 	fmt.Fprintf(bw, "max-down %d\n", c.MaxDown)
-	fmt.Fprintf(bw, "coalesce-us %d\n", c.CoalesceWindow.Microseconds())
 	fmt.Fprintf(bw, "fault %s\n", c.Fault)
 	// Scheme keys are omitted for source-scheme cases so their files stay
 	// byte-identical to the pre-scheme corpus format.
@@ -125,7 +123,8 @@ func ReadCase(r io.Reader) (Case, error) {
 		case "max-down":
 			c.MaxDown = int(n)
 		case "coalesce-us":
-			c.CoalesceWindow = time.Duration(n) * time.Microsecond
+			// The engine's coalescing window is gone: a burst is one
+			// transition. Files written while it existed still load.
 		case "flood-frozen":
 			c.FloodFrozen = n != 0
 		case "shards":

@@ -436,8 +436,8 @@ func (ck *checker) bypassBlocked(down map[graph.EdgeID]bool, src, dst graph.Node
 // deliberately excluded (label numbers depend on signaling order, which
 // the contract does not cover); a deterministic per-flush sample of
 // oracle distances is compared at the bit level too. Intermediate epoch
-// counts are not compared — the two writers may coalesce bursts
-// differently — but flushed serving state is path-independent for a
+// counts are not compared — either writer may take bursts queued together
+// in one transition — but flushed serving state is path-independent for a
 // correct engine, which is exactly the property the incremental builder
 // must preserve.
 //

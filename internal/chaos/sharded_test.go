@@ -104,7 +104,8 @@ func TestProcTraceDeterministic(t *testing.T)    { traceDeterministic(t, procCfg
 // TestProcCorpusKeys: process-mode cases survive the corpus format,
 // in-process sharded files stay byte-identical to the pre-transport
 // format (no procs key written), and files written while the coordinator
-// and the transport had fault enums of their own still load.
+// and the transport had fault enums of their own, or the engine a
+// coalescing window, still load.
 func TestProcCorpusKeys(t *testing.T) {
 	c, err := Generate(procCfg())
 	if err != nil {
@@ -143,6 +144,7 @@ func TestProcCorpusKeys(t *testing.T) {
 		{"fault none\nshards 3\nshard-fault none\nprocs 1\nproc-fault torn-frame\n", engine.FaultTornFrame, true},
 		{"fault drop-epoch\nshards 3\nshard-fault none\n", engine.FaultDropEpoch, true},
 		{"fault drop-epoch\nshards 3\nshard-fault skew-shard\n", 0, false}, // one fault per case
+		{"coalesce-us 200\nfault drop-epoch\n", engine.FaultDropEpoch, true},
 	} {
 		old, err := ReadCase(bytes.NewReader([]byte("nodes 12\n" + tc.header + "schedule\nfail 1\nflush\n")))
 		if (err == nil) != tc.ok {

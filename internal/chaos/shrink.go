@@ -13,17 +13,19 @@ import (
 // engine absorbs redundant events (failing a down link or repairing an up
 // link is a no-op), matching the reference model's map semantics.
 //
-// It shrinks the case's serial form (serial), whose every churn step is
-// followed by a flush, because that form replays deterministically. In the
-// form a case is generated in, consecutive churn events reach the writer
-// with no barrier between them and racing queries read whichever epoch is
-// published when they land, so how the writer groups events into
-// transitions, and which epoch a query sees, depend on goroutine timing — a
-// defect in how one transition builds on the last (FaultSkipRepairRescan)
-// shows at one step in one run, at another or not at all in the next. In the
-// serial form every event is its own transition, published before the next
-// step runs, so one run of a candidate decides it and the shrunk case fails
-// at the same step every time.
+// It shrinks the case's serial form (serial), whose every run of churn
+// steps is followed by a flush, because that form replays
+// deterministically. Case.Run hands each run to the engines as one burst,
+// one transition; but in the form a case is generated in, two runs parted
+// by a racing query reach the writer with no barrier between them, and the
+// query reads whichever epoch is published when it lands, so whether the
+// writer takes the two bursts in one transition or two, and which epoch a
+// query sees, depend on goroutine timing — a defect in how one transition
+// builds on the last (FaultSkipRepairRescan) shows at one step in one run,
+// at another or not at all in the next. In the serial form every burst is
+// its own transition, published before the next step runs, so one run of a
+// candidate decides it and the shrunk case fails at the same step every
+// time, keeping its multi-link transitions.
 //
 // Shrink returns the smallest failing case found and its violation. A nil
 // violation means the serial form of the input does not fail — the
@@ -70,15 +72,17 @@ func Shrink(c Case) (Case, *Violation) {
 	return c, v
 }
 
-// serial returns sched with a flush after every churn step that is not
-// already followed by a barrier (a flush or a settle).
+// serial returns sched with a flush after every run of churn steps that is
+// not already followed by a barrier (a flush or a settle).
 func serial(sched failure.Schedule) failure.Schedule {
 	out := make(failure.Schedule, 0, 2*len(sched))
 	for i, st := range sched {
 		out = append(out, st)
-		churn := st.Kind == failure.StepFail || st.Kind == failure.StepRepair
+		if !st.IsChurn() || i+1 < len(sched) && sched[i+1].IsChurn() {
+			continue // not the end of a run
+		}
 		barrier := i+1 < len(sched) && (sched[i+1].Kind == failure.StepFlush || sched[i+1].Kind == failure.StepSettle)
-		if churn && !barrier {
+		if !barrier {
 			out = append(out, failure.Step{Kind: failure.StepFlush})
 		}
 	}

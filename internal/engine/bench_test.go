@@ -118,7 +118,7 @@ func BenchmarkSnapshotRoute(b *testing.B) {
 // middle and a core link by the number of pairs crossing them, as the
 // benchmark of record draws its episodes — and that link's repair, for
 // both patch flavors. Under SchemeLocal and SchemeBypass the local epoch
-// is the whole transition: ns/op covers oracle adoption, the local build
+// is the whole transition: ns/op covers the tree derivations, the local build
 // with its frozen ILM overlay and the publish — what Stats.LocalBuild
 // records — and the stretch accounting that follows the publish.
 func BenchmarkLocalPlanBuild(b *testing.B) {

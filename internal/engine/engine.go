@@ -26,10 +26,6 @@ type Config struct {
 	// QueueDepth bounds the async query queue; Submit drops (returns
 	// false) when it is full. Default 4096.
 	QueueDepth int
-	// CoalesceWindow is how long the writer keeps absorbing further
-	// failure events after the first of a burst before building the epoch.
-	// Zero coalesces only events already queued (no added latency).
-	CoalesceWindow time.Duration
 	// PlanCacheCap bounds the failed-set plan cache (0 = unbounded). Under
 	// churn that revisits failed-sets — repairs walking back to pristine —
 	// a cached plan's rows are published as they are: no solve, no resolve.
@@ -232,9 +228,10 @@ type Engine struct {
 	mLocalUnrestorable metrics.Counter
 }
 
+// writerMsg is one burst, which the writer applies whole, or a barrier.
 type writerMsg struct {
-	ev    failure.Event
-	flush chan struct{} // non-nil: barrier marker, no event
+	evs   []failure.Event
+	flush chan struct{} // non-nil: barrier marker, no events
 }
 
 type queryReq struct {
@@ -622,24 +619,25 @@ func (e *Engine) settle(id uint64, at time.Time, n, unroutable int64) {
 	e.mLatency.RecordN(id, time.Since(at), n)
 }
 
-// Fail injects a link failure. The epoch including it is published
-// asynchronously; use Flush to wait.
-func (e *Engine) Fail(ed graph.EdgeID) { e.send(failure.Event{Edge: ed}) }
+// Fail injects a link failure: a burst of one event. The epoch including it
+// is published asynchronously; use Flush to wait.
+func (e *Engine) Fail(ed graph.EdgeID) { e.send([]failure.Event{{Edge: ed}}) }
 
-// Repair injects a link repair.
-func (e *Engine) Repair(ed graph.EdgeID) { e.send(failure.Event{Repair: true, Edge: ed}) }
+// Repair injects a link repair: a burst of one event.
+func (e *Engine) Repair(ed graph.EdgeID) { e.send([]failure.Event{{Repair: true, Edge: ed}}) }
 
-// ApplyEvents injects a burst of churn events; the writer coalesces them
-// into as few epochs as its timing allows (often one).
+// ApplyEvents injects a burst of churn events as one transition: no
+// published snapshot shows some of the burst's events and not the others.
+// The burst is copied, so the caller may reuse evs once the call returns.
 func (e *Engine) ApplyEvents(evs []failure.Event) {
-	for _, ev := range evs {
-		e.send(ev)
+	if len(evs) > 0 {
+		e.send(slices.Clone(evs))
 	}
 }
 
-func (e *Engine) send(ev failure.Event) {
+func (e *Engine) send(evs []failure.Event) {
 	select {
-	case e.events <- writerMsg{ev: ev}:
+	case e.events <- writerMsg{evs: evs}:
 	case <-e.done:
 	}
 }
@@ -758,8 +756,8 @@ func (e *Engine) RecordRestore(d time.Duration) {
 	e.mRestore.Record(0, d)
 }
 
-// writer is the single mutator: it drains failure events, coalesces
-// bursts, and publishes epochs.
+// writer is the single mutator: it drains failure bursts and publishes
+// epochs.
 func (e *Engine) writer() {
 	defer e.wg.Done()
 	downSet := make(map[graph.EdgeID]bool)
@@ -780,52 +778,35 @@ func (e *Engine) writer() {
 	}
 }
 
-// absorb applies msg and then keeps absorbing queued events — plus, if
-// configured, events arriving within the coalesce window — into downSet.
-// It returns the flush barriers seen and whether the failed-set changed.
+// absorb applies msg, and every message already queued behind it, to
+// downSet, a burst at a time and each burst whole, so the failed-set it
+// leaves holds every event of a burst or none. It returns the flush
+// barriers seen and whether the failed-set changed.
 func (e *Engine) absorb(msg writerMsg, downSet map[graph.EdgeID]bool) (flushes []chan struct{}, changed bool) {
 	apply := func(m writerMsg) {
 		if m.flush != nil {
 			flushes = append(flushes, m.flush)
 			return
 		}
-		if m.ev.Repair {
-			if downSet[m.ev.Edge] {
-				delete(downSet, m.ev.Edge)
+		for _, ev := range m.evs {
+			if ev.Repair {
+				if downSet[ev.Edge] {
+					delete(downSet, ev.Edge)
+					changed = true
+				}
+			} else if !downSet[ev.Edge] {
+				downSet[ev.Edge] = true
 				changed = true
 			}
-		} else if !downSet[m.ev.Edge] {
-			downSet[m.ev.Edge] = true
-			changed = true
 		}
 	}
 	apply(msg)
-
-	var window <-chan time.Time
-	if e.cfg.CoalesceWindow > 0 {
-		window = time.After(e.cfg.CoalesceWindow)
-	}
 	for {
 		select {
 		case m := <-e.events:
 			apply(m)
-		case <-window:
-			return flushes, changed
-		case <-e.done:
-			return flushes, changed
 		default:
-			if window == nil {
-				return flushes, changed
-			}
-			// Window still open: block for more events (or the deadline).
-			select {
-			case m := <-e.events:
-				apply(m)
-			case <-window:
-				return flushes, changed
-			case <-e.done:
-				return flushes, changed
-			}
+			return flushes, changed
 		}
 	}
 }
@@ -842,7 +823,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	slices.Sort(failed)
 	key := failedKey(failed)
 	if key == prev.key {
-		return // coalesced burst cancelled out
+		return // the bursts absorbed cancelled out
 	}
 	shrunk := len(failed) < len(prev.failed)
 	if e.cfg.Fault == FaultDropEpoch && shrunk {
@@ -902,15 +883,10 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 	e.inc.leaving.Add(leaving)
 
 	// The epoch's link state: Snapshot.Send forwards under it, over the one
-	// network every epoch shares.
+	// network every epoch shares. Its oracle's trees depend on the failed-set
+	// alone, whatever epochs came before.
 	fv := graph.FailEdges(e.g, failed...)
 	oracle := epochOracle(e.pristine, fv)
-	if !e.cfg.FullRebuild {
-		// Seed the epoch's oracle with every previous-epoch tree that
-		// provably survives the transition: an adopted source tree is the
-		// distance row the plan build below solves against.
-		e.inc.treesAdopted.Add(int64(oracle.AdoptFrom(prev.oracle, newlyDown, repaired)))
-	}
 
 	// Local restoration schemes: publish the local epoch. For SchemeLocal
 	// and SchemeBypass that is the whole transition; for SchemeHybrid it is

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,15 +130,96 @@ func TestPlanCacheHitsOnRevisitedFailedSet(t *testing.T) {
 
 func TestCoalescedBurstCancelsOut(t *testing.T) {
 	g := topology.Waxman(12, 0.8, 0.5, 2)
-	e, _ := newEngine(t, g, Config{CoalesceWindow: 100 * time.Millisecond})
+	e, _ := newEngine(t, g, Config{})
 	ed := graph.EdgeID(1)
 
-	// Fail+repair inside one coalesce window: the failed-set is unchanged,
-	// so no epoch may be published.
+	// Fail+repair in one burst: the failed-set is unchanged, so no epoch
+	// may be published.
 	e.ApplyEvents([]failure.Event{{Edge: ed}, {Repair: true, Edge: ed}})
 	e.Flush()
 	if st := e.Stats(); st.Epochs != 0 || st.Epoch != 0 {
 		t.Fatalf("cancelled burst published an epoch: %+v", st)
+	}
+}
+
+// tornBurst returns the first of the bursts' link groups of which failed
+// holds some links but not all, nil if there is none.
+func tornBurst(failed []graph.EdgeID, groups [][]graph.EdgeID) []graph.EdgeID {
+	for _, grp := range groups {
+		n := 0
+		for _, ed := range grp {
+			if slices.Contains(failed, ed) {
+				n++
+			}
+		}
+		if n != 0 && n != len(grp) {
+			return grp
+		}
+	}
+	return nil
+}
+
+// TestBurstsAreAtomic: a burst handed to ApplyEvents is one transition.
+// Three disjoint three-link groups are failed and repaired as bursts, with
+// no barrier between them, so the writer finds several queued at once; every
+// epoch the OnEpoch tap sees must hold all or none of each group's links.
+// It runs idle and with four goroutines spinning on runtime.Gosched, which
+// moves where the writer gets scheduled between a burst's arrival and its
+// publish.
+func TestBurstsAreAtomic(t *testing.T) {
+	g := topology.Waxman(16, 0.8, 0.5, 3)
+	groups := [][]graph.EdgeID{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}
+	for _, spinners := range []int{0, 4} {
+		t.Run(fmt.Sprintf("spinners=%d", spinners), func(t *testing.T) {
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for range spinners {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							runtime.Gosched()
+						}
+					}
+				}()
+			}
+			defer wg.Wait()
+			defer close(stop)
+
+			// The tap runs on the writer; Flush orders its writes before the
+			// reads below.
+			epochs := 0
+			var torn error
+			e, _ := newEngine(t, g, Config{OnEpoch: func(s *Snapshot) {
+				epochs++
+				if grp := tornBurst(s.Failed(), groups); grp != nil && torn == nil {
+					torn = fmt.Errorf("epoch %d fails %v: part of burst %v", s.Epoch(), s.Failed(), grp)
+				}
+			}})
+			const rounds = 150
+			burst := make([]failure.Event, 3)
+			for range rounds {
+				for _, repair := range []bool{false, true} {
+					for _, grp := range groups {
+						for i, ed := range grp {
+							burst[i] = failure.Event{Repair: repair, Edge: ed}
+						}
+						e.ApplyEvents(burst) // reused: ApplyEvents copies
+					}
+					e.Flush() // every group down, or every group up: one epoch at least
+				}
+			}
+			if torn != nil {
+				t.Fatal(torn)
+			}
+			if epochs < 2*rounds || len(e.Snapshot().Failed()) != 0 {
+				t.Fatalf("%d epochs published over %d rounds, %v left down", epochs, rounds, e.Snapshot().Failed())
+			}
+		})
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // TestEpochTreesMatchCompute taps every published epoch of a seeded churn
 // (failures and repairs, at most three links down) and demands that the
-// epoch oracle's tree of every root — the ones the build cached by deriving
-// or adopting them, and the rest, derived on the spot — has exactly the
+// epoch oracle's tree of every root — the ones the build derived and cached,
+// and the rest, derived on the spot — has exactly the
 // distance row of a from-scratch search of the epoch's view. The capped arm
 // squeezes the pristine oracle to four trees, so most derivations first
 // bring an evicted pristine tree back.

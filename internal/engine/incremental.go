@@ -30,7 +30,6 @@ type incCounters struct {
 	leaving         atomic.Int64
 	stale           atomic.Int64
 	improved        atomic.Int64
-	treesAdopted    atomic.Int64
 	fullRebuilds    atomic.Int64
 	affectedNs      atomic.Int64
 	solveNs         atomic.Int64
@@ -55,8 +54,9 @@ type IncrementalStats struct {
 	// repaired edge offered a route at least as good.
 	StaleRoutes    int64
 	RepairImproved int64
-	// TreesAdopted counts distance-oracle trees carried across epochs
-	// without recomputation; FullRebuilds counts reference-mode plans.
+	// TreesAdopted is always 0: an epoch's trees are derived from the
+	// pristine ones (spath.Oracle.Derive), never carried from the epoch
+	// before. FullRebuilds counts reference-mode plans.
 	TreesAdopted int64
 	FullRebuilds int64
 	// Per-stage cumulative build time: affected-pair classification,
@@ -77,7 +77,6 @@ func (c *incCounters) snapshot() IncrementalStats {
 		Leaving:         c.leaving.Load(),
 		StaleRoutes:     c.stale.Load(),
 		RepairImproved:  c.improved.Load(),
-		TreesAdopted:    c.treesAdopted.Load(),
 		FullRebuilds:    c.fullRebuilds.Load(),
 		AffectedNanos:   c.affectedNs.Load(),
 		SolveNanos:      c.solveNs.Load(),
@@ -197,8 +196,8 @@ type solveJob struct {
 // gets one new row, merged in dst order from its kept entries and its
 // solved ones. The solved ones go through a
 // work-stealing fan-out of pulls (core.Pull), one scratch per worker: each
-// source's true post-failure distance row (the epoch oracle's tree, often
-// adopted rather than recomputed) decides every restoration from the arcs
+// source's true post-failure distance row (the epoch oracle's tree, a
+// repair of the pristine one) decides every restoration from the arcs
 // into its destination, and results land in pre-sized slots — no locks on
 // the assembly path. Resolution into LSPs, a
 // table read per component, is its own serial stage after the fan-out,

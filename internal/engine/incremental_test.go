@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
@@ -100,9 +99,6 @@ func TestIncrementalBitIdenticalToFullRebuild(t *testing.T) {
 	if ist.PairsReused == 0 {
 		t.Fatal("incremental engine never reused a plan entry: comparison is vacuous")
 	}
-	if ist.TreesAdopted == 0 {
-		t.Fatal("incremental engine never adopted an oracle tree")
-	}
 	if rst := ref.Stats().Incremental; rst.FullRebuilds == 0 || rst.PairsReused != 0 {
 		t.Fatalf("reference engine did not run in full-rebuild mode: %+v", rst)
 	}
@@ -110,7 +106,7 @@ func TestIncrementalBitIdenticalToFullRebuild(t *testing.T) {
 
 // TestPlanCacheHitsUnderChurnWriterPath is the regression test for the
 // zero-hit-rate finding: replaying an identical churn schedule through the
-// full writer path (absorb → coalesce → publish) must hit the plan cache
+// full writer path (absorb → publish) must hit the plan cache
 // on every epoch of the second pass — every failed-set was already built
 // and the incremental builder must store its plans under the same keys a
 // from-scratch build would.
@@ -169,10 +165,10 @@ func TestFaultSkipRepairRescan(t *testing.T) {
 		{FaultSkipRepairRescan, 10},
 	} {
 		g := build()
-		// Coalesce both failures into one epoch so the intermediate set {A}
-		// is never built or cached — the later repair must go through the
-		// incremental path, not a cache hit.
-		e, _ := newEngine(t, g, Config{CoalesceWindow: 50 * time.Millisecond, Fault: tc.fault})
+		// Both failures in one burst, so one transition: the intermediate
+		// set {A} is never built or cached — the later repair must go
+		// through the incremental path, not a cache hit.
+		e, _ := newEngine(t, g, Config{Fault: tc.fault})
 		e.ApplyEvents([]failure.Event{{Edge: a}, {Edge: b}})
 		e.Flush()
 		if rt := e.Query(0, 1).Route; rt == nil || rt.Cost != 10 {

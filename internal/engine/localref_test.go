@@ -64,7 +64,10 @@ type detourKey struct {
 // engine resolves it.
 func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView, prov rbpc.Provision) (ref refLocal) {
 	lsps, baseLSPs := prov.LSPs, prov.BaseLSPs
-	flavor, via := e.localFlavor()
+	via := SchemeBypass
+	if e.cfg.Scheme == SchemeLocal {
+		via = SchemeLocal
+	}
 	ref = refLocal{
 		routes: make(map[rbpc.Pair]*Route),
 		rows:   make(map[ilmRow]mpls.ILMEntry),
@@ -113,7 +116,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 				}
 				seen[k] = true
 				crossings = append(crossings, crossing{lsp: lsp, i: i, r1: r1, r2: r2, label: label})
-				if flavor == rbpc.EndRoute {
+				if via == SchemeLocal {
 					need(r1, lsp.Egress())
 				} else {
 					need(r1, r2)
@@ -142,7 +145,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 			if !downIn[edge] {
 				continue
 			}
-			if flavor == rbpc.EndRoute {
+			if via == SchemeLocal {
 				need(lsp.Path.Nodes[i], pr.Dst)
 				break
 			}
@@ -184,7 +187,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 		if err != nil {
 			return mpls.ILMEntry{}, false
 		}
-		if flavor == rbpc.EndRoute {
+		if via == SchemeLocal {
 			return mpls.ILMEntry{Out: stack, OutEdge: mpls.LocalProcess}, true
 		}
 		resume, ok := c.lsp.HopLabel(c.i)
@@ -195,7 +198,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 	}
 	for _, c := range crossings {
 		target := c.r2
-		if flavor == rbpc.EndRoute {
+		if via == SchemeLocal {
 			target = c.lsp.Egress()
 		}
 		dec, ok := sol(c.r1, target)
@@ -213,7 +216,7 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 	}
 
 	localRoute := func(pr rbpc.Pair, lsp *mpls.LSP) *Route {
-		if flavor == rbpc.EndRoute {
+		if via == SchemeLocal {
 			for i, edge := range lsp.Path.Edges {
 				if !downIn[edge] {
 					continue

@@ -89,14 +89,6 @@ type FloodConfig struct {
 // its local answers indefinitely.
 const neverHorizon = time.Duration(math.MaxInt64)
 
-// localFlavor maps the serving scheme to the ILM-patch flavor it installs.
-func (e *Engine) localFlavor() (rbpc.LocalScheme, Scheme) {
-	if e.cfg.Scheme == SchemeLocal {
-		return rbpc.EndRoute, SchemeLocal
-	}
-	return rbpc.EdgeBypass, SchemeBypass
-}
-
 // labelInto returns the label under which the LSP's traffic is processed
 // at Path.Nodes[i]: the ingress self-label for i == 0, the upstream hop
 // label otherwise.
@@ -286,7 +278,12 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 	if len(failed) == 0 {
 		return emptyPlan, nil
 	}
-	flavor, via := e.localFlavor()
+	// The patch flavor, which also tags the answers: end-route under
+	// SchemeLocal, edge-bypass under SchemeBypass and in hybrid's phase one.
+	via := SchemeBypass
+	if e.cfg.Scheme == SchemeLocal {
+		via = SchemeLocal
+	}
 	defer sc.release(failed)
 	for _, ed := range failed {
 		sc.downIn[ed] = true
@@ -319,7 +316,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 				}
 				r1, r2 := lsp.Path.Nodes[i], lsp.Path.Nodes[i+1]
 				sc.crossings = append(sc.crossings, crossing{lsp: lsp, i: i, r1: r1, r2: r2, label: label})
-				if flavor == rbpc.EndRoute {
+				if via == SchemeLocal {
 					sc.need(r1, lsp.Egress())
 				} else {
 					sc.need(r1, r2)
@@ -333,7 +330,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 			if !sc.downIn[edge] {
 				continue
 			}
-			if flavor == rbpc.EndRoute {
+			if via == SchemeLocal {
 				sc.need(ap.lsp.Path.Nodes[i], ap.Dst)
 				break // end-route acts at the first down crossing only
 			}
@@ -363,7 +360,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 	var unrestorable int64
 	for _, c := range sc.crossings {
 		target := c.r2
-		if flavor == rbpc.EndRoute {
+		if via == SchemeLocal {
 			target = c.lsp.Egress()
 		}
 		dt := sc.detour(c.r1, target)
@@ -371,7 +368,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 			unrestorable++
 			continue
 		}
-		out, ok := localILMRow(sc, c, dt, flavor)
+		out, ok := localILMRow(sc, c, dt, via)
 		if !ok {
 			unrestorable++
 			continue
@@ -399,7 +396,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 		for ; hi < len(sc.affected) && sc.affected[hi].Src == src; hi++ {
 			ap := sc.affected[hi]
 			dsts[hi] = ap.Dst
-			routes[hi] = e.localRoute(sc, ap, flavor, via)
+			routes[hi] = e.localRoute(sc, ap, via)
 			if rt := routes[hi]; rt != nil {
 				sc.stretch = append(sc.stretch, stretchObs{pr: rbpc.Pair(ap.NodePair), cost: rt.Cost})
 			} else {
@@ -419,8 +416,8 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 // the detour to the LSP's egress, edge-bypass's pushes the detour to the
 // far endpoint over the label the LSP resumes with there (Section 4.2).
 // The result may point into sc.labels.
-func localILMRow(sc *localScratch, c crossing, dt *detour, flavor rbpc.LocalScheme) ([]mpls.Label, bool) {
-	if flavor == rbpc.EndRoute {
+func localILMRow(sc *localScratch, c crossing, dt *detour, via Scheme) ([]mpls.Label, bool) {
+	if via == SchemeLocal {
 		return dt.stack, true
 	}
 	resume, ok := c.lsp.HopLabel(c.i)
@@ -439,9 +436,9 @@ func localILMRow(sc *localScratch, c crossing, dt *detour, flavor rbpc.LocalSche
 // the end-route detour to the destination, or (edge-bypass) the primary
 // with every down link spliced out for its detour. Returns nil when any
 // required detour does not exist — the pair is locally unrestorable.
-func (e *Engine) localRoute(sc *localScratch, ap affectedPair, flavor rbpc.LocalScheme, via Scheme) *Route {
+func (e *Engine) localRoute(sc *localScratch, ap affectedPair, via Scheme) *Route {
 	prim := ap.lsp.Path
-	if flavor == rbpc.EndRoute {
+	if via == SchemeLocal {
 		for i, edge := range prim.Edges {
 			if !sc.downIn[edge] {
 				continue

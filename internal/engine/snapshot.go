@@ -4,11 +4,12 @@
 // churn underneath it.
 //
 // The concurrency model is single-writer, many-readers. All mutation goes
-// through one writer goroutine that coalesces bursts of failure events
-// into an epoch, builds an immutable Snapshot for the new failed-set, and
-// publishes it with one atomic pointer swap. Readers load the pointer and
-// serve entirely from the snapshot — no locks, no allocation, and no torn
-// state: every answer is consistent with exactly one epoch.
+// through one writer goroutine that applies each burst of failure events
+// whole (Engine.ApplyEvents: a burst is one transition), builds an
+// immutable Snapshot for the new failed-set, and publishes it with one
+// atomic pointer swap. Readers load the pointer and serve entirely from the
+// snapshot — no locks, no allocation, and no torn state: every answer is
+// consistent with exactly one epoch.
 package engine
 
 import (

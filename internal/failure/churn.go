@@ -8,7 +8,7 @@ import (
 
 // Event is one step of a churn sequence: a single link goes down or comes
 // back up. Churn is the input stream of the online restoration engine
-// (internal/engine), which coalesces bursts of events into epochs.
+// (internal/engine), which applies each burst of events as one transition.
 type Event struct {
 	// Repair is false for a failure, true for a repair.
 	Repair bool

@@ -65,6 +65,9 @@ type Step struct {
 	Src, Dst graph.NodeID
 }
 
+// IsChurn reports whether the step is a fail or a repair.
+func (s Step) IsChurn() bool { return s.Kind == StepFail || s.Kind == StepRepair }
+
 // Event converts a churn step to the engine's event type. It panics on
 // query/flush steps, which have no event equivalent.
 func (s Step) Event() Event {
@@ -85,7 +88,7 @@ type Schedule []Step
 func (s Schedule) Churn() int {
 	n := 0
 	for _, st := range s {
-		if st.Kind == StepFail || st.Kind == StepRepair {
+		if st.IsChurn() {
 			n++
 		}
 	}

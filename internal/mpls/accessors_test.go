@@ -1,10 +1,6 @@
 package mpls
 
-import (
-	"testing"
-
-	"rbpc/internal/graph"
-)
+import "testing"
 
 func TestNetworkAccessors(t *testing.T) {
 	g := line5()
@@ -90,20 +86,5 @@ func TestClearFECAndDests(t *testing.T) {
 	n.ClearFEC(0, 3) // idempotent, no counter bump
 	if n.Stats().FECUpdates != updates {
 		t.Error("ClearFEC of absent row counted")
-	}
-}
-
-func TestSyncNewEdges(t *testing.T) {
-	g := line5()
-	n := NewNetwork(g)
-	id := g.AddEdge(0, 4, 1)
-	n.SyncNewEdges()
-	if !n.EdgeUp(id) {
-		t.Error("new edge not up")
-	}
-	// The new link is usable for LSPs immediately.
-	p := graph.Path{Nodes: []graph.NodeID{0, 4}, Edges: []graph.EdgeID{id}}
-	if _, err := n.EstablishLSP(p); err != nil {
-		t.Errorf("EstablishLSP over new link: %v", err)
 	}
 }

@@ -328,15 +328,6 @@ func (n *Network) EdgeUp(e graph.EdgeID) bool { return n.edgeUp[e] }
 // dropped until restoration rewrites tables.
 func (n *Network) FailEdge(e graph.EdgeID) { n.edgeUp[e] = false }
 
-// SyncNewEdges registers links added to the topology after the network
-// was built (the graph is append-only, so existing edge IDs are stable).
-// New links come up immediately.
-func (n *Network) SyncNewEdges() {
-	for len(n.edgeUp) < n.g.Size() {
-		n.edgeUp = append(n.edgeUp, true)
-	}
-}
-
 // RepairEdge marks a link up again.
 func (n *Network) RepairEdge(e graph.EdgeID) { n.edgeUp[e] = true }
 

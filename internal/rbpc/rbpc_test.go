@@ -89,12 +89,6 @@ func TestProvisioningAndPrimaries(t *testing.T) {
 	}
 }
 
-func TestLocalSchemeString(t *testing.T) {
-	if EndRoute.String() != "end-route" || EdgeBypass.String() != "edge-bypass" || LocalScheme(9).String() == "" {
-		t.Error("LocalScheme.String wrong")
-	}
-}
-
 // TestServableRequiresExactWeights: the serving stack's door refuses a graph
 // whose path sums are not exact in a float64 — a weight that is not a
 // positive integer value, or a total past 2^53 — naming the link or the

@@ -4,8 +4,9 @@
 // Restoration is the online engine's (internal/engine), served from an
 // export of the provision (Export): the source-router scheme's FEC
 // rewrites, local RBPC's single ILM-row replacement in both variants
-// (LocalScheme), and the hybrid that runs the second and then the first as
-// the link-state flood arrives. The package also keeps the conventional
+// (end-route and edge-bypass, engine.SchemeLocal and engine.SchemeBypass),
+// and the hybrid that runs the second and then the first as the link-state
+// flood arrives. The package also keeps the conventional
 // teardown-and-re-signal baseline RBPC is measured against (Baseline).
 package rbpc
 

@@ -166,10 +166,11 @@ func (t *ColdTier) worker() {
 
 // coldWorker is one pool worker's solve state, carried across requests and
 // epochs. The distance row is rooted in the worker's own SSSP scratch, never
-// in the request snapshot's oracle: an engine's epoch oracle is uncapped,
-// the pristine oracle's cap is the writer's, and AdoptFrom carries their
-// trees into later epochs, so a tree rooted there for a cold source would
-// stay resident for the life of the shard.
+// in the request snapshot's oracle: an epoch oracle is uncapped, so a tree
+// rooted there for a cold source would stay resident as long as the epoch,
+// and its derivation (spath.Oracle.Derive) would first put the cold
+// source's pristine tree in the writer's pristine oracle, whose cap is sized
+// for the sources the writer serves.
 type coldWorker struct {
 	pull *core.Pull
 	// live counts each base path's failed links under failed, the failed-set

@@ -145,9 +145,9 @@ func TestColdTierMatchesDijkstra(t *testing.T) {
 
 // TestColdTierRootsNoTreeInTheSnapshot: a cold answer roots the source's
 // distance row in the worker's own scratch, so answering cold pairs leaves
-// the querying snapshot's oracle — which the writer's AdoptFrom would carry
-// into later epochs — exactly as it found it, on a live engine's snapshot
-// and on a detached one.
+// the querying snapshot's oracle — uncapped, and on an engine derived
+// through the writer's capped pristine oracle — exactly as it found it, on
+// a live engine's snapshot and on a detached one.
 func TestColdTierRootsNoTreeInTheSnapshot(t *testing.T) {
 	g := weightedGraph(24, 10, 5)
 	sys, err := rbpc.NewSystem(g, rbpc.DefaultConfig())

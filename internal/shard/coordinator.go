@@ -52,7 +52,8 @@ type Coordinator struct {
 	// cut from.
 	model  map[graph.EdgeID]bool //rbpc:guardedby mu
 	bursts uint64                //rbpc:guardedby mu
-	one    [1]failure.Event      //rbpc:guardedby mu
+	// one is Fail's and Repair's burst, reused: Worker.Apply keeps none.
+	one [1]failure.Event //rbpc:guardedby mu
 	// detached caches the canonical-only snapshot of the model: dropped by
 	// every burst, rebuilt by the first dead-owner query after it.
 	detached atomic.Pointer[engine.Snapshot]
@@ -187,8 +188,8 @@ func (c *Coordinator) applyOne(ev failure.Event) {
 	c.mu.Unlock()
 }
 
-// ApplyEvents fans a churn burst out to every worker as one burst; each
-// worker's writer coalesces it independently.
+// ApplyEvents fans a churn burst out to every worker as one burst, which
+// each worker's engine publishes as one transition.
 func (c *Coordinator) ApplyEvents(evs []failure.Event) {
 	if len(evs) == 0 {
 		return
@@ -423,8 +424,8 @@ func (v View) Route(src, dst graph.NodeID) *engine.Route {
 
 // View assembles a consistent cross-shard view from the workers' current
 // snapshots. Between bursts (and always after Flush) the first attempt
-// succeeds; under concurrent churn it retries while the workers'
-// independently-coalesced epochs converge, and reports ok=false with the
+// succeeds; under concurrent churn it retries while the workers' writers,
+// each publishing at its own pace, converge, and reports ok=false with the
 // latest (possibly torn) snapshots if they fail to agree within the retry
 // budget — which a correct deployment only hits mid-burst, and a worker
 // that is down, a skewed worker or a dropped burst frame hits forever.
@@ -567,7 +568,6 @@ func sumIncremental(a, b engine.IncrementalStats) engine.IncrementalStats {
 	a.Leaving += b.Leaving
 	a.StaleRoutes += b.StaleRoutes
 	a.RepairImproved += b.RepairImproved
-	a.TreesAdopted += b.TreesAdopted
 	a.FullRebuilds += b.FullRebuilds
 	a.AffectedNanos += b.AffectedNanos
 	a.SolveNanos += b.SolveNanos

@@ -10,7 +10,7 @@
 // over its slice without ever coordinating with its peers on the hot
 // path. Source src belongs to shard src mod N (the owner table, NewOwners),
 // which routes queries and submissions to owners; the Coordinator fans
-// coalesced failure/repair bursts out to every shard (each needs full
+// failure/repair bursts out to every shard (each needs full
 // failure knowledge to rebuild its rows), tracks per-shard epoch
 // watermarks, and exposes a merged snapshot view (View) that never
 // returns a torn cross-shard epoch.

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rbpc/internal/engine"
+	"rbpc/internal/failure"
 	"rbpc/internal/graph"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/topology"
@@ -212,6 +214,58 @@ func TestWatermarkAdvances(t *testing.T) {
 	c.Flush()
 	if w := c.Watermark(); w == 0 {
 		t.Fatal("watermark did not advance after a flushed failure")
+	}
+}
+
+// TestBurstsAreAtomicOnEveryShard: the coordinator hands every worker a
+// burst whole, and every worker's engine publishes it as one transition.
+// Three disjoint three-link groups are failed and repaired as bursts, no
+// barrier between the groups, and every epoch any worker publishes must
+// hold all or none of each group's links.
+func TestBurstsAreAtomicOnEveryShard(t *testing.T) {
+	g := topology.Waxman(16, 0.8, 0.5, 3)
+	groups := [][]graph.EdgeID{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}
+	var mu sync.Mutex // the workers' writers tap concurrently
+	epochs := 0
+	var torn error
+	cfg := Config{Shards: 3}
+	cfg.Engine.OnEpoch = func(s *engine.Snapshot) {
+		mu.Lock()
+		defer mu.Unlock()
+		epochs++
+		for _, grp := range groups {
+			n := 0
+			for _, ed := range grp {
+				if slices.Contains(s.Failed(), ed) {
+					n++
+				}
+			}
+			if n != 0 && n != len(grp) && torn == nil {
+				torn = fmt.Errorf("an epoch %d fails %v: part of burst %v", s.Epoch(), s.Failed(), grp)
+			}
+		}
+	}
+	c := newCoordinator(t, g, rbpc.DefaultConfig(), cfg)
+	const rounds = 100
+	burst := make([]failure.Event, 3)
+	for range rounds {
+		for _, repair := range []bool{false, true} {
+			for _, grp := range groups {
+				for i, ed := range grp {
+					burst[i] = failure.Event{Repair: repair, Edge: ed}
+				}
+				c.ApplyEvents(burst) // reused: every engine copies it
+			}
+			c.Flush()
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if torn != nil {
+		t.Fatal(torn)
+	}
+	if epochs < 2*rounds*c.Shards() {
+		t.Fatalf("%d epochs published by %d workers over %d rounds", epochs, c.Shards(), rounds)
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // moves the calls to its engine and reports whether it still can.
 type Worker interface {
 	// Apply hands one churn burst to the shard's writer without waiting
-	// for it to publish. A worker that is down drops it; the coordinator
-	// replays its model to the replacement.
+	// for it to publish; the writer publishes it as one transition. evs is
+	// not kept after the call. A worker that is down drops it; the
+	// coordinator replays its model to the replacement.
 	Apply(evs []failure.Event)
 	// Flush blocks until every burst applied before the call is reflected
 	// in Snapshot.

@@ -422,7 +422,6 @@ func appendIncremental(buf []byte, in engine.IncrementalStats) []byte {
 	buf = appendI64(buf, in.Leaving)
 	buf = appendI64(buf, in.StaleRoutes)
 	buf = appendI64(buf, in.RepairImproved)
-	buf = appendI64(buf, in.TreesAdopted)
 	buf = appendI64(buf, in.FullRebuilds)
 	buf = appendI64(buf, in.AffectedNanos)
 	buf = appendI64(buf, in.SolveNanos)
@@ -486,7 +485,6 @@ func (c *cursor) incremental() engine.IncrementalStats {
 		Leaving:         c.i64(),
 		StaleRoutes:     c.i64(),
 		RepairImproved:  c.i64(),
-		TreesAdopted:    c.i64(),
 		FullRebuilds:    c.i64(),
 		AffectedNanos:   c.i64(),
 		SolveNanos:      c.i64(),

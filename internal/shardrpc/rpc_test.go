@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rbpc/internal/engine"
+	"rbpc/internal/failure"
 	"rbpc/internal/graph"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
@@ -752,6 +753,65 @@ func TestProcFlushBarrierOrdersReplicas(t *testing.T) {
 				t.Fatalf("view failed-set %v contains %d not in model", got, e)
 			}
 		}
+	}
+}
+
+// TestBurstsAreAtomicOnEveryReplica: a burst crosses the wire as one frame
+// and every worker's engine publishes it as one transition, so no replica
+// the coordinator decodes (Config.OnEpoch) holds part of a burst. Three
+// disjoint three-link groups are failed and repaired as bursts, no barrier
+// between the groups.
+func TestBurstsAreAtomicOnEveryReplica(t *testing.T) {
+	const shards = 3
+	p := buildProvision(t, 16, 3)
+	groups := [][]graph.EdgeID{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	cfg := testConfig(farm, shards)
+	var mu sync.Mutex // one reader goroutine per worker taps
+	replicas := 0
+	var torn error
+	cfg.OnEpoch = func(worker int, s *engine.Snapshot) {
+		mu.Lock()
+		defer mu.Unlock()
+		replicas++
+		for _, grp := range groups {
+			n := 0
+			for _, ed := range grp {
+				if slices.Contains(s.Failed(), ed) {
+					n++
+				}
+			}
+			if n != 0 && n != len(grp) && torn == nil {
+				torn = fmt.Errorf("worker %d's replica of epoch %d fails %v: part of burst %v", worker, s.Epoch(), s.Failed(), grp)
+			}
+		}
+	}
+	proc, err := NewCoordinator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+
+	const rounds = 60
+	burst := make([]failure.Event, 3)
+	for range rounds {
+		for _, repair := range []bool{false, true} {
+			for _, grp := range groups {
+				for i, ed := range grp {
+					burst[i] = failure.Event{Repair: repair, Edge: ed}
+				}
+				proc.ApplyEvents(burst)
+			}
+			proc.Flush()
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if torn != nil {
+		t.Fatal(torn)
+	}
+	if replicas < 2*rounds*shards {
+		t.Fatalf("%d replicas decoded from %d workers over %d rounds", replicas, shards, rounds)
 	}
 }
 

@@ -100,7 +100,8 @@ type Config struct {
 	// Dial opens a connection to a worker (required on the coordinator).
 	Dial Dialer
 	// DialTimeout bounds one dial attempt; DialBudget bounds the whole
-	// reattach loop for a replacement worker. Defaults 2s / 30s.
+	// attach or reattach loop of one worker, which a freshly forked worker
+	// spends provisioning. Defaults 2s / 2min.
 	DialTimeout time.Duration
 	DialBudget  time.Duration
 	// AckTimeout bounds one RPC round trip; an RPC is retried up to
@@ -120,7 +121,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.DialBudget <= 0 {
-		cfg.DialBudget = 30 * time.Second
+		cfg.DialBudget = 2 * time.Minute
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second

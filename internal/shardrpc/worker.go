@@ -169,6 +169,8 @@ func (w *Worker) serveControl(c *Conn) error {
 		}
 		switch typ {
 		case ftBurst:
+			// One frame is one burst, and one transition; evs is reused, as
+			// ApplyEvents copies it.
 			evs = evs[:0]
 			if evs, err = decodeBurst(payload, evs); err != nil {
 				return err

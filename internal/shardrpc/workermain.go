@@ -38,12 +38,9 @@ type WorkerOpts struct {
 	Index  int
 	Socket string
 
-	MaxProcs int // GOMAXPROCS inside the worker (0 = inherit)
-	Workers  int // engine query workers
-	Queue    int
-	// Coalesce crosses the spec as whole microseconds (coalesce-us); a
-	// sub-microsecond remainder is truncated.
-	Coalesce     time.Duration
+	MaxProcs     int // GOMAXPROCS inside the worker (0 = inherit)
+	Workers      int // engine query workers
+	Queue        int
 	PlanCacheMax int
 }
 
@@ -63,7 +60,6 @@ func (o WorkerOpts) Encode() string {
 		"maxprocs=" + strconv.Itoa(o.MaxProcs),
 		"workers=" + strconv.Itoa(o.Workers),
 		"queue=" + strconv.Itoa(o.Queue),
-		"coalesce-us=" + strconv.FormatInt(o.Coalesce.Microseconds(), 10),
 		"plan-cache=" + strconv.Itoa(o.PlanCacheMax),
 	}, ",")
 }
@@ -107,10 +103,6 @@ func ParseWorkerOpts(spec string) (WorkerOpts, error) {
 			o.Workers, err = strconv.Atoi(v)
 		case "queue":
 			o.Queue, err = strconv.Atoi(v)
-		case "coalesce-us":
-			var us int64
-			us, err = strconv.ParseInt(v, 10, 64)
-			o.Coalesce = time.Duration(us) * time.Microsecond
 		case "plan-cache":
 			o.PlanCacheMax, err = strconv.Atoi(v)
 		default:
@@ -169,10 +161,9 @@ func RunWorker(o WorkerOpts) error {
 	cfg := Config{
 		Shards: o.Shards,
 		Engine: engine.Config{
-			Workers:        o.Workers,
-			QueueDepth:     o.Queue,
-			CoalesceWindow: o.Coalesce,
-			PlanCacheCap:   o.PlanCacheMax,
+			Workers:      o.Workers,
+			QueueDepth:   o.Queue,
+			PlanCacheCap: o.PlanCacheMax,
 		},
 	}
 	w, err := NewWorker(p, o.Index, cfg)

@@ -3,7 +3,6 @@ package shardrpc
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestWorkerOptsRoundTrip: the spec string is the whole configuration
@@ -13,7 +12,7 @@ func TestWorkerOptsRoundTrip(t *testing.T) {
 	full := WorkerOpts{
 		Topology: "as", Scale: 0.02, Seed: 7, Closure: true, HotSources: 40,
 		Shards: 4, Index: 3, Socket: "/tmp/rbpc-w123/w3.sock",
-		MaxProcs: 2, Workers: 2, Queue: 2048, Coalesce: time.Millisecond, PlanCacheMax: 256,
+		MaxProcs: 2, Workers: 2, Queue: 2048, PlanCacheMax: 256,
 	}
 	for _, tc := range []struct {
 		name string
@@ -23,8 +22,6 @@ func TestWorkerOptsRoundTrip(t *testing.T) {
 		{"fractional scale", func(o *WorkerOpts) { o.Scale = 0.1 + 0.2 }},
 		{"negative seed", func(o *WorkerOpts) { o.Seed = -9 }},
 		{"no closure", func(o *WorkerOpts) { o.Closure = false }},
-		{"sub-millisecond coalesce", func(o *WorkerOpts) { o.Coalesce = 250 * time.Microsecond }},
-		{"zero coalesce", func(o *WorkerOpts) { o.Coalesce = 0 }},
 		{"minimal", func(o *WorkerOpts) { *o = WorkerOpts{Topology: "isp", Socket: "w0.sock", Shards: 1} }},
 	} {
 		o := full
@@ -35,13 +32,6 @@ func TestWorkerOptsRoundTrip(t *testing.T) {
 		} else if got != o {
 			t.Errorf("%s: round trip through %q\n got %+v\nwant %+v", tc.name, o.Encode(), got, o)
 		}
-	}
-
-	// The one lossy field, as its comment says: whole microseconds.
-	o := full
-	o.Coalesce = 1500 * time.Nanosecond
-	if got, err := ParseWorkerOpts(o.Encode()); err != nil || got.Coalesce != time.Microsecond {
-		t.Errorf("1.5us coalesce came back as %v (err %v), want 1us", got.Coalesce, err)
 	}
 }
 

@@ -1,12 +1,36 @@
 package spath
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"rbpc/internal/graph"
 	"rbpc/internal/topology"
 )
+
+func treesEqualBits(a, b *Tree) bool {
+	if a.Source != b.Source || len(a.dist) != len(b.dist) {
+		return false
+	}
+	for v := range a.dist {
+		if math.Float64bits(a.dist[v]) != math.Float64bits(b.dist[v]) ||
+			a.hops[v] != b.hops[v] || a.parent[v] != b.parent[v] || a.parentE[v] != b.parentE[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// scanUsesEdge reports whether id is the parent edge of some node of t.
+func scanUsesEdge(t *Tree, id graph.EdgeID) bool {
+	for _, pe := range t.parentE {
+		if pe == id {
+			return true
+		}
+	}
+	return false
+}
 
 // hopTieGraph has equal-cost alternatives that differ only in hop count: a
 // ladder whose rungs cost 1 and whose rails cost 2, closed by weight-2 and

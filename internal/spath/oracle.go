@@ -211,84 +211,6 @@ func (o *Oracle) Precompute(sources []graph.NodeID, workers int) int {
 	return len(todo)
 }
 
-// adoptSlack scales the float-noise margin AdoptFrom allows when deciding
-// whether a restored edge could tie an existing distance: near-ties are
-// conservatively treated as disturbances and the tree is recomputed.
-const adoptSlack = 1e-9
-
-// AdoptFrom seeds o with every cached tree of prev that provably remains
-// the canonical shortest-path tree under o's view, which must differ from
-// prev's exactly by failing the `removed` edges and restoring the
-// `repaired` ones (weights and endpoints as in the underlying graph). A
-// tree carries over when it uses no removed edge (so its paths — and
-// therefore all distances — survive) and no repaired edge improves or
-// ties a distance at its endpoints (so no new parent candidate appears
-// anywhere, by induction over the restored edges). Trees failing either
-// test are simply not adopted; the oracle recomputes them on demand.
-//
-// The removed-edge test probes each edge's two endpoints (Tree.usesEdge):
-// O(k) per cached tree, no per-node scan and no edge set to build.
-//
-// It returns the number of trees adopted. This is what makes incremental
-// epoch builds cheap for the distance oracle: across a small failure
-// burst almost every cached tree is reusable as-is.
-func (o *Oracle) AdoptFrom(prev *Oracle, removed []graph.EdgeID, repaired []graph.Edge) int {
-	if prev == nil {
-		return 0
-	}
-	down := make([]graph.Edge, len(removed))
-	for i, id := range removed {
-		down[i] = o.view.Edge(id)
-	}
-	prev.mu.RLock()
-	cands := make([]*Tree, 0, len(prev.trees))
-	for _, e := range prev.trees {
-		cands = append(cands, e.tree)
-	}
-	prev.mu.RUnlock()
-
-	keep := cands[:0]
-	for _, t := range cands {
-		if t.carriesOver(down, repaired) {
-			keep = append(keep, t)
-		}
-	}
-
-	adopted := 0
-	o.mu.Lock()
-	for _, t := range keep {
-		if _, dup := o.trees[t.Source]; dup {
-			continue
-		}
-		if o.cap > 0 {
-			for len(o.trees) >= o.cap {
-				o.evictOneLocked()
-			}
-		}
-		o.trees[t.Source] = &oracleEntry{tree: t}
-		o.ring = append(o.ring, t.Source)
-		adopted++
-	}
-	o.mu.Unlock()
-	return adopted
-}
-
-// carriesOver is AdoptFrom's per-tree test: no removed edge is a tree edge
-// and no repaired edge improves or ties a label.
-func (t *Tree) carriesOver(removed, repaired []graph.Edge) bool {
-	for _, e := range removed {
-		if t.usesEdge(e) {
-			return false
-		}
-	}
-	for _, e := range repaired {
-		if t.DisturbedBy(e, adoptSlack*(1+e.W)) {
-			return false
-		}
-	}
-	return true
-}
-
 // Dist returns the shortest-path distance from s to d, or Unreachable.
 func (o *Oracle) Dist(s, d graph.NodeID) float64 {
 	return o.Tree(s).Dist(d)
@@ -309,8 +231,8 @@ func (o *Oracle) IsShortest(p graph.Path) bool {
 }
 
 // Roots returns the sources whose trees are currently memoized, in the
-// order they entered the cache: what a build rooted or adopted, without
-// rooting anything to find out.
+// order they entered the cache: what a build rooted, without rooting
+// anything to find out.
 func (o *Oracle) Roots() []graph.NodeID {
 	o.mu.RLock()
 	defer o.mu.RUnlock()

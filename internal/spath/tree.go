@@ -133,35 +133,6 @@ func newTree(n int, src graph.NodeID) *Tree {
 	return t
 }
 
-// usesEdge reports whether e is a tree edge. A tree edge is the parent
-// edge of its child endpoint, so two probes decide it — which is what lets
-// incremental adoption test a failed set in O(k) per tree instead of
-// scanning every node's parent edge (tree derivation makes the same probes
-// to name the orphaned child). Parallel edges between one node pair are
-// told apart by ID.
-//
-//rbpc:hotpath
-func (t *Tree) usesEdge(e graph.Edge) bool {
-	return t.parentE[e.U] == e.ID || t.parentE[e.V] == e.ID
-}
-
-// DisturbedBy reports whether restoring edge e could alter the canonical
-// tree: true when, against the tree's distances, the edge improves or ties
-// the label at either endpoint (within slack, to absorb float noise — a
-// near-tie conservatively counts as disturbed). If no restored edge
-// disturbs a tree and no failed edge is a tree edge, a fresh solve over
-// the new view reproduces the tree bit-for-bit: distances are unchanged by
-// induction over the added edges, and a strictly-worse edge is never a
-// parent candidate under the deterministic tie-break.
-func (t *Tree) DisturbedBy(e graph.Edge, slack float64) bool {
-	dx, dy := t.dist[e.U], t.dist[e.V]
-	if dx == Unreachable && dy == Unreachable {
-		// One edge cannot connect the source to a fully unreached component.
-		return false
-	}
-	return dx+e.W <= dy+slack || dy+e.W <= dx+slack
-}
-
 // betterParent reports whether candidate (hops, parent node, parent edge)
 // precedes the incumbent lexicographically.
 //

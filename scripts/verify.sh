@@ -61,6 +61,26 @@ retired 'NewHybrid|HybridDeployment|NewLinkState|RunScenario|VerifyTables|TraceR
 # One frame checksum, CRC-32C (shardrpc.checksum): the byte-at-a-time FNV-1a
 # loop it replaced checks frames just as well, only slower.
 retired 'fnv1a' "one frame checksum"
+# A burst is one transition and an epoch is what its failed-set makes it
+# (DESIGN.md §9): a coalescing window behind a knob that defaults to zero
+# would pass every test. (Tree adoption needs no name here: its trees,
+# rooted by an earlier transition, fail TestTransitionRootsTreesAtSourcesOnly.)
+retired 'CoalesceWindow' "a burst is one transition"
+# One name per local scheme, engine.SchemeLocal and engine.SchemeBypass: a
+# second enum for the ILM-patch flavor would select the same rows.
+retired 'LocalScheme|EndRoute|EdgeBypass' "one name per local scheme"
+# The network a provision exports serves the graph it was built over: a
+# growth hook with no caller would pass every test.
+retired 'SyncNewEdges' "no growth hook on the network"
+
+# The same rule for the retired corpus key: ReadCase still accepts it from
+# older files and ignores it, and a writer that emitted it again would
+# round-trip unnoticed.
+echo "==> coalesce-us is read, never written"
+if git grep -n 'coalesce-us' -- '*.go' ':!*_test.go' | grep -v 'case "coalesce-us":'; then
+	echo "verify: the retired coalesce-us key is written again (see above): a burst is one transition" >&2
+	exit 1
+fi
 
 # Restoration has one implementation, the engine's (DESIGN.md §9): the
 # System provisions and exports, and solves nothing. A solver call in a
@@ -256,6 +276,11 @@ echo "==> go test -race (concurrent packages)"
 go test -race ./internal/graph/... ./internal/spath/... ./internal/eval/... \
 	./internal/engine/... ./internal/rbpc/... ./internal/mpls/... \
 	./internal/shard/... ./internal/shardrpc/... ./internal/probe/...
+
+# A burst is one transition on a lone engine, on every shard and on every
+# wire replica; a split burst is a timing window, so the tests run 20 times.
+echo "==> bursts are atomic (-race, 20 runs)"
+go test -race -count=20 -run 'TestBurstsAreAtomic' ./internal/engine/ ./internal/shard/ ./internal/shardrpc/
 
 echo "==> chaos conformance suite (long, -race, tagged)"
 go test -race -tags chaos -count=1 ./internal/chaos/
