@@ -51,8 +51,10 @@ verify:
 # allocs per plan-cache miss and per hit), and the sharded read
 # path: a query's whole cost through the in-process coordinator at 2 and at
 # 8 shards (every shard scans the shared burst; 0 allocs asserted), the
-# frame checksum in GB/s, and a 256-pair query frame out and its answer
-# frame back over a pipe and over a Unix socket. CI runs them once each
+# frame checksum in GB/s, a 256-pair query frame out and its answer
+# frame back over a pipe and over a Unix socket, and building a base set's
+# indexes (the benchmark of record's set, and a subpath closure whose pairs
+# hold several paths; B and allocs per set). CI runs them once each
 # (BENCHTIME=1x) so they cannot rot.
 BENCHTIME ?= 1s
 bench:
@@ -61,3 +63,4 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
+	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -benchtime $(BENCHTIME) ./internal/paths/

@@ -265,7 +265,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		schemeStr = fs.String("scheme", "source", "restoration scheme: source, local, bypass, or hybrid")
 		floodDet  = fs.Duration("flood-detect", 2*time.Millisecond, "modeled failure-detection delay before the link-state flood starts (hybrid switchover)")
 		floodHop  = fs.Duration("flood-hop", 100*time.Microsecond, "modeled per-hop link-state flood propagation delay (hybrid switchover)")
-		strict    = fs.Bool("strict", false, "exit non-zero if any query was dropped or answered unroutable, churn left no time-to-restore sample, or a switchover timer outlived the drain")
+		strict    = fs.Bool("strict", false, "exit non-zero if any query was dropped or answered unroutable, or churn left no time-to-restore sample")
 
 		shards     = fs.Int("shards", 0, "shard the pair space across N in-process coordinator shards (0 = single engine)")
 		hotSources = fs.Int("hot-sources", 0, "provision only the first N sources (0 = all); other pairs answer on demand via the cold tier (needs -shards or -shard-procs)")
@@ -502,8 +502,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, fmt.Sprintf("strict mode: %d dropped, %d unroutable", st.Dropped, st.Unroutable))
 		case *failEvery > 0 && st.Restore.Count == 0:
 			return fail(1, "strict mode: churn ran but the prober recorded no time-to-restore samples")
-		case st.PendingTimers != 0:
-			return fail(1, fmt.Sprintf("strict mode: %d switchover timers still pending after drain", st.PendingTimers))
 		}
 	}
 	return 0

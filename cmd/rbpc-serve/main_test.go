@@ -75,7 +75,7 @@ func window(extra ...string) []string {
 
 // TestStrictWindow serves one strict window per backend shape. Exit 0 under
 // -strict means 0 dropped, 0 unroutable, at least one time-to-restore
-// sample and no switchover timer pending after the drain.
+// sample.
 func TestStrictWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

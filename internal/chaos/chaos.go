@@ -1,9 +1,8 @@
 // Package chaos is the deterministic fault-injection conformance harness
-// for the online restoration engine. It composes the discrete-event
-// engine (internal/sim) with the serving engine (internal/engine),
-// driving seeded schedules of failure bursts, repairs racing failures and
-// queries landing mid-rebuild — and checks every served answer against
-// independent runtime oracles:
+// for the online restoration engine (internal/engine). It drives seeded
+// schedules of failure bursts, repairs racing failures and queries landing
+// mid-rebuild, step by step in schedule order, and checks every served
+// answer against independent runtime oracles:
 //
 //   - optimality: an independent brute-force Dijkstra on the failed graph
 //     confirms the served cost is the true post-failure shortest distance;
@@ -66,7 +65,6 @@ import (
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 	"rbpc/internal/shardrpc"
-	"rbpc/internal/sim"
 	"rbpc/internal/topology"
 )
 
@@ -201,12 +199,6 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("chaos: step %d (epoch %d): %s: %s", v.Step, v.Epoch, v.Kind, v.Detail)
 }
 
-// TraceEntry is one fired discrete event of a run (see sim.TraceFunc).
-type TraceEntry struct {
-	At  sim.Time
-	Seq int64
-}
-
 // Report summarizes one run.
 type Report struct {
 	Steps int // schedule length
@@ -218,9 +210,6 @@ type Report struct {
 	Queries int   // query steps executed
 	Probes  int   // end-to-end data-plane probes sent
 	Epochs  int64 // epochs published by the engine (via the OnEpoch tap)
-	// Trace is the discrete-event trace of the run; two runs of the same
-	// Case must produce identical traces.
-	Trace []TraceEntry
 }
 
 // world is the shared immutable context for one (nodes, topoSeed):
@@ -330,13 +319,8 @@ func (c Case) Run() (Report, error) {
 	rep := Report{Steps: len(c.Schedule)}
 	model := make(map[graph.EdgeID]bool) // reference failed-set of the event stream
 
-	var se sim.Engine
-	se.SetTrace(func(at sim.Time, seq int64) {
-		rep.Trace = append(rep.Trace, TraceEntry{At: at, Seq: seq})
-	})
-
 	var vio *Violation
-	for i := 0; i < len(c.Schedule); i++ {
+	for i := 0; i < len(c.Schedule) && vio == nil; i++ {
 		st := c.Schedule[i]
 		if st.IsChurn() {
 			// A maximal run of consecutive fail/repair steps is one burst to
@@ -347,87 +331,76 @@ func (c Case) Run() (Report, error) {
 			for ; j < len(c.Schedule) && c.Schedule[j].IsChurn(); j++ {
 				evs = append(evs, c.Schedule[j].Event())
 			}
-			se.At(sim.Time(i), func() {
-				if vio != nil {
-					return
+			sut.ApplyEvents(evs)
+			ref.ApplyEvents(evs)
+			for _, ev := range evs {
+				if ev.Repair {
+					delete(model, ev.Edge)
+				} else {
+					model[ev.Edge] = true
 				}
-				sut.ApplyEvents(evs)
-				ref.ApplyEvents(evs)
-				for _, ev := range evs {
-					if ev.Repair {
-						delete(model, ev.Edge)
-					} else {
-						model[ev.Edge] = true
-					}
-				}
-				rep.Churn += len(evs)
-				if len(evs) > 1 {
-					rep.Bursts++
-				}
-			})
+			}
+			rep.Churn += len(evs)
+			if len(evs) > 1 {
+				rep.Bursts++
+			}
 			i = j - 1 // resume after the run
 			continue
 		}
-		se.At(sim.Time(i), func() {
-			if vio != nil {
-				return
+		switch st.Kind {
+		case failure.StepQuery:
+			rep.Queries++
+			owner := 0
+			if coord != nil {
+				owner = coord.Owner(st.Src)
 			}
-			switch st.Kind {
-			case failure.StepQuery:
-				rep.Queries++
-				owner := 0
-				if coord != nil {
-					owner = coord.Owner(st.Src)
-				}
-				vio = ck.checkResult(i, owner, sut.Query(st.Src, st.Dst))
-				rep.Probes = ck.probes
-			case failure.StepFlush:
-				sut.Flush()
-				ref.Flush()
-				if coord == nil {
-					vio = ck.checkFlush(i, 0, eng.Snapshot(), model)
-					if vio == nil {
-						vio = ck.checkEquivalence(i, eng.Snapshot(), ref.Snapshot())
-					}
-					break
-				}
-				// Per-worker flush agreement: every worker's snapshot (the
-				// engine's, or the replica decoded off the wire) must hold
-				// the full failed-set — the oracle that catches a skewed
-				// worker and a burst dropped on the wire.
-				for s := 0; s < coord.Shards() && vio == nil; s++ {
-					vio = ck.checkFlush(i, s, coord.Shard(s).Snapshot(), model)
-				}
+			vio = ck.checkResult(i, owner, sut.Query(st.Src, st.Dst))
+			rep.Probes = ck.probes
+		case failure.StepFlush:
+			sut.Flush()
+			ref.Flush()
+			if coord == nil {
+				vio = ck.checkFlush(i, 0, eng.Snapshot(), model)
 				if vio == nil {
-					if v, ok := coord.View(); !ok {
-						vio = &Violation{Step: i, Kind: "torn-view",
-							Detail: "no consistent cross-shard view after flush"}
-					} else {
-						vio = ck.checkShardEquivalence(i, v, ref.Snapshot())
-					}
+					vio = ck.checkEquivalence(i, eng.Snapshot(), ref.Snapshot())
 				}
-			case failure.StepSettle:
-				// Settle: flush, then wait (real time) for the published
-				// snapshot to become time-invariant. Only a live hybrid
-				// flood takes nonzero time; a frozen flood never settles,
-				// so settle steps degrade to flush barriers there.
-				sut.Flush()
-				ref.Flush()
-				if eng != nil && !c.FloodFrozen {
-					deadline := time.Now().Add(5 * time.Second)
-					for !eng.Snapshot().Converged() {
-						if time.Now().After(deadline) {
-							vio = &Violation{Step: i, Epoch: eng.Snapshot().Epoch(), Kind: "settle",
-								Detail: "snapshot did not converge within 5s"}
-							break
-						}
-						time.Sleep(100 * time.Microsecond)
-					}
+				break
+			}
+			// Per-worker flush agreement: every worker's snapshot (the
+			// engine's, or the replica decoded off the wire) must hold the
+			// full failed-set — the oracle that catches a skewed worker and
+			// a burst dropped on the wire.
+			for s := 0; s < coord.Shards() && vio == nil; s++ {
+				vio = ck.checkFlush(i, s, coord.Shard(s).Snapshot(), model)
+			}
+			if vio == nil {
+				if v, ok := coord.View(); !ok {
+					vio = &Violation{Step: i, Kind: "torn-view",
+						Detail: "no consistent cross-shard view after flush"}
+				} else {
+					vio = ck.checkShardEquivalence(i, v, ref.Snapshot())
 				}
 			}
-		})
+		case failure.StepSettle:
+			// Settle: flush, then wait (real time) for the published
+			// snapshot to become time-invariant. Only a live hybrid flood
+			// takes nonzero time; a frozen flood never settles, so settle
+			// steps degrade to flush barriers there.
+			sut.Flush()
+			ref.Flush()
+			if eng != nil && !c.FloodFrozen {
+				deadline := time.Now().Add(5 * time.Second)
+				for !eng.Snapshot().Converged() {
+					if time.Now().After(deadline) {
+						vio = &Violation{Step: i, Epoch: eng.Snapshot().Epoch(), Kind: "settle",
+							Detail: "snapshot did not converge within 5s"}
+						break
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}
 	}
-	se.Run()
 	rep.Epochs = epochs.Load()
 	if vio != nil {
 		return rep, vio

@@ -80,26 +80,10 @@ func engineFaultStillCaught(t *testing.T, cfg Config) {
 func TestShardedEngineFaultsStillCaught(t *testing.T) { engineFaultStillCaught(t, shardedCfg()) }
 func TestProcEngineFaultsStillCaught(t *testing.T)    { engineFaultStillCaught(t, procCfg()) }
 
-// traceDeterministic: sharded runs replay byte-identically too — neither
-// the fan-out nor the pipe transport adds scheduling visible to the
-// oracles.
-func traceDeterministic(t *testing.T, cfg Config) {
-	c, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err1 := c.Run()
-	r2, err2 := c.Run()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("clean sharded case failed: %v / %v", err1, err2)
-	}
-	if !reflect.DeepEqual(r1.Trace, r2.Trace) {
-		t.Fatal("two sharded runs produced different event traces")
-	}
-}
-
-func TestShardedTraceDeterministic(t *testing.T) { traceDeterministic(t, shardedCfg()) }
-func TestProcTraceDeterministic(t *testing.T)    { traceDeterministic(t, procCfg()) }
+// Sharded runs replay alike too (replayTwice): neither the fan-out nor the
+// pipe transport adds scheduling visible to the oracles.
+func TestShardedTraceDeterministic(t *testing.T) { replayTwice(t, shardedCfg()) }
+func TestProcTraceDeterministic(t *testing.T)    { replayTwice(t, procCfg()) }
 
 // TestProcCorpusKeys: process-mode cases survive the corpus format,
 // in-process sharded files stay byte-identical to the pre-transport

@@ -5,18 +5,6 @@ import (
 	"rbpc/internal/paths"
 )
 
-// DeadIndexed is the optional interface of a materialized base set (see
-// paths.Explicit): every stored path out of a node with its precomputed
-// base-view cost, and a per-failure-view dead-path mask indexed by
-// SourcePath.Index. With it the sparse decomposer iterates a node's outgoing
-// paths directly instead of probing all n possible endpoints through
-// per-pair lookups, and survival of a candidate is one bit load instead of
-// an edge scan.
-type DeadIndexed interface {
-	FromSource(s graph.NodeID) []paths.SourcePath
-	DeadUnderInto(fv *graph.FailureView, dead []bool) []bool
-}
-
 // SparseSolver runs minimum-cost restoration-path searches on the
 // "base-path graph" (surviving base paths and surviving bare edges as
 // arcs) for one failure view, amortizing across calls everything that
@@ -30,8 +18,9 @@ type SparseSolver struct {
 	fv   *graph.FailureView
 	orig graph.View
 
-	src  DeadIndexed // nil when base is not materialized
-	dead []bool      // src's dead-path mask under fv
+	ex   *paths.Explicit // nil when base is not materialized
+	arcs *paths.ArcIndex // ex's arc lists
+	dead []bool          // ex's dead-path mask under fv
 
 	// kern is the compiled flat form of fv (CSR + removal bitsets): the
 	// raw-edge scan iterates it directly instead of paying a visitor closure
@@ -74,9 +63,9 @@ func NewSparseSolver(base paths.Base, fv *graph.FailureView) *SparseSolver {
 		lab:      make([]sparseLabel, n),
 		prevComp: make([]Component, n),
 	}
-	if di, ok := base.(DeadIndexed); ok {
-		ss.src = di
-		ss.dead = di.DeadUnderInto(fv, nil)
+	if ex, ok := base.(*paths.Explicit); ok {
+		ss.ex, ss.arcs = ex, ex.ArcIndex()
+		ss.dead = ex.DeadUnderInto(fv, nil)
 	}
 	ss.kern, _ = graph.CompileView(fv) // a *FailureView always compiles
 	return ss
@@ -183,16 +172,16 @@ func (ss *SparseSolver) From(s graph.NodeID, dsts []graph.NodeID) ([]Decompositi
 		// base path wins over a bare edge — a bare-edge component would
 		// need a fresh 1-hop LSP.
 		switch {
-		case ss.src != nil:
-			// A materialized base set in insertion order. An empty one has
-			// no candidates and a nil mask, which this loop never indexes.
-			for _, sp := range ss.src.FromSource(u) {
-				if ss.dead[sp.Index] {
+		case ss.ex != nil:
+			// A materialized base set's arcs out of u, in base-set index
+			// order. An empty set has no arcs and an empty mask.
+			for _, a := range ss.arcs.Out(u) {
+				if ss.dead[a.Idx] {
 					continue
 				}
-				v := sp.Path.Dst()
-				if total, tc := du+sp.Cost, cu+1; ss.offer(v, total, tc) {
-					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: sp.Path, Base: int32(sp.Index) + 1})
+				v := graph.NodeID(a.Peer)
+				if total, tc := du+a.Cost, cu+1; ss.offer(v, total, tc) {
+					ss.commit(u, v, total, tc, Component{Kind: KindBasePath, Path: ss.ex.All()[a.Idx], Base: a.Idx + 1})
 				}
 			}
 		default:

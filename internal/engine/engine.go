@@ -122,11 +122,9 @@ type Stats struct {
 	LocalPairs        int64
 	LocalUnrestorable int64
 	// Converged counts hybrid transitions whose switchover horizon has
-	// fully passed on the engine's clock as of this scrape; PendingTimers is
-	// the number whose horizon has not (0 after Drain or Close, which drop
-	// them uncounted).
-	Converged     int64
-	PendingTimers int
+	// fully passed on the engine's clock as of this scrape. Drain and Close
+	// drop the transitions whose horizon has not, uncounted.
+	Converged int64
 }
 
 // Engine serves restoration queries from immutable epoch snapshots while
@@ -134,7 +132,7 @@ type Stats struct {
 // for the concurrency model.
 type Engine struct {
 	g    *graph.Graph
-	base *paths.Explicit // concrete base set (solver candidates, ThroughEdge scans)
+	base *paths.Explicit // concrete base set (solver candidates, IndicesThroughEdge scans)
 	cfg  Config
 
 	snap atomic.Pointer[Snapshot]
@@ -710,7 +708,7 @@ func (e *Engine) queueLen() int {
 func (e *Engine) Stats() Stats {
 	s := e.snap.Load()
 	resident, dense := s.RowBytes()
-	pending := e.settleSwitchovers()
+	e.settleSwitchovers()
 	return Stats{
 		Epoch:         s.epoch,
 		SnapshotAge:   s.Age(),
@@ -736,7 +734,6 @@ func (e *Engine) Stats() Stats {
 		LocalPairs:        e.mLocalPairs.Load(),
 		LocalUnrestorable: e.mLocalUnrestorable.Load(),
 		Converged:         e.mConverged.Load(),
-		PendingTimers:     pending,
 	}
 }
 

@@ -96,8 +96,8 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 	var crossings []crossing
 	seen := make(map[ilmRow]bool)
 	for _, ed := range failed {
-		for _, p := range e.base.ThroughEdge(ed) {
-			lsp, ok := lsps[p.Key()]
+		for _, idx := range e.base.IndicesThroughEdge(ed) {
+			lsp, ok := lsps[e.base.All()[idx].Key()]
 			if !ok {
 				continue
 			}

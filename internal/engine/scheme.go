@@ -550,8 +550,8 @@ func (e *Engine) noteSwitchover(detected time.Time, maxHorizon time.Duration) {
 }
 
 // settleSwitchovers counts every recorded deadline the engine's clock has
-// reached as converged and returns how many are still pending.
-func (e *Engine) settleSwitchovers() int {
+// reached as converged and keeps the rest pending.
+func (e *Engine) settleSwitchovers() {
 	now := e.now()
 	e.switchMu.Lock()
 	defer e.switchMu.Unlock()
@@ -563,7 +563,6 @@ func (e *Engine) settleSwitchovers() int {
 	}
 	e.mConverged.Add(0, int64(len(e.switchovers)-len(pending)))
 	e.switchovers = pending
-	return len(pending)
 }
 
 // dropSwitchovers forgets every pending deadline, uncounted.

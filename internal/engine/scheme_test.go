@@ -360,38 +360,53 @@ func TestHybridConvergenceProperty(t *testing.T) {
 	}
 }
 
-// TestDrainCancelsSwitchoverTimers: a hybrid engine with a long flood
-// horizon holds one pending switchover per transition; Drain and Close drop
-// them all, uncounted.
+// TestDrainCancelsSwitchoverTimers: a hybrid engine keeps one switchover
+// deadline per transition on its clock; Drain and Close drop the pending
+// ones uncounted, so moving the clock past their horizons afterwards counts
+// none of them converged — while a transition between the two, left alone,
+// is counted once the clock passes it.
 func TestDrainCancelsSwitchoverTimers(t *testing.T) {
 	g := topology.Waxman(12, 0.8, 0.5, 2)
+	clk := &fakeClock{now: time.Unix(1000, 0)}
 	e, _ := newEngine(t, g, Config{
 		Scheme: SchemeHybrid,
 		Flood:  FloodConfig{Detect: time.Hour, PerHop: time.Hour},
+		Clock:  clk.Now,
 	})
 	e.Fail(0)
 	e.Flush()
 	e.Fail(1)
 	e.Flush()
-	if got := e.Stats().PendingTimers; got == 0 {
-		t.Fatal("no switchover pending after hybrid transitions")
+	horizon := e.Snapshot().MaxHorizon()
+	if horizon <= 0 {
+		t.Fatal("the hybrid transitions have no switchover horizon")
 	}
 	e.Drain()
-	if got := e.Stats().PendingTimers; got != 0 {
-		t.Fatalf("%d switchovers still pending after Drain", got)
+	clk.Advance(2 * horizon)
+	if got := e.Stats().Converged; got != 0 {
+		t.Fatalf("%d switchovers counted converged: Drain kept them", got)
 	}
-	// Further transitions are pending again; Close must also drop them.
+	// A transition after the drain converges once the clock passes it.
 	e.Fail(2)
 	e.Flush()
+	clk.Advance(2 * e.Snapshot().MaxHorizon())
+	if got := e.Stats().Converged; got != 1 {
+		t.Fatalf("%d switchovers counted converged past the horizon, want 1", got)
+	}
+	// Close drops the pending ones too.
+	e.Fail(3)
+	e.Flush()
+	horizon = e.Snapshot().MaxHorizon()
 	e.Close()
-	if st := e.Stats(); st.PendingTimers != 0 || st.Converged != 0 {
-		t.Fatalf("after Close: %d switchovers pending, %d counted converged, want 0 and 0", st.PendingTimers, st.Converged)
+	clk.Advance(2 * horizon)
+	if got := e.Stats().Converged; got != 1 {
+		t.Fatalf("after Close: %d switchovers counted converged, want 1", got)
 	}
 }
 
 // TestStatsConvergedFollowsTheClock: the switchover is a deadline on the
 // engine's clock, not a timer. On a stopped fake clock a hybrid transition
-// stays pending however long the test takes; once the clock passes the
+// stays unconverged however long the test takes; once the clock passes the
 // epoch's MaxHorizon, Stats().Converged moves with Snapshot.Converged(); and
 // no goroutine was started to make it so.
 func TestStatsConvergedFollowsTheClock(t *testing.T) {
@@ -408,14 +423,14 @@ func TestStatsConvergedFollowsTheClock(t *testing.T) {
 	e.Flush()
 	snap := e.Snapshot()
 	time.Sleep(2 * snap.MaxHorizon())
-	if st := e.Stats(); snap.Converged() || st.Converged != 0 || st.PendingTimers != 1 {
-		t.Fatalf("on a stopped clock: snapshot converged %v, Stats converged %d pending %d, want false, 0, 1",
-			snap.Converged(), st.Converged, st.PendingTimers)
+	if st := e.Stats(); snap.Converged() || st.Converged != 0 {
+		t.Fatalf("on a stopped clock: snapshot converged %v, Stats converged %d, want false, 0",
+			snap.Converged(), st.Converged)
 	}
 	clk.Advance(snap.MaxHorizon())
-	if st := e.Stats(); !snap.Converged() || st.Converged != 1 || st.PendingTimers != 0 {
-		t.Fatalf("past MaxHorizon: snapshot converged %v, Stats converged %d pending %d, want true, 1, 0",
-			snap.Converged(), st.Converged, st.PendingTimers)
+	if st := e.Stats(); !snap.Converged() || st.Converged != 1 {
+		t.Fatalf("past MaxHorizon: snapshot converged %v, Stats converged %d, want true, 1",
+			snap.Converged(), st.Converged)
 	}
 	if got := runtime.NumGoroutine(); got > goroutines {
 		t.Fatalf("%d goroutines, %d before the transition: the switchover started one", got, goroutines)

@@ -72,7 +72,7 @@ func TestDeadUnderIntoReusesScratch(t *testing.T) {
 	g := square()
 	ex := FromSources(NewAllShortest(g), []graph.NodeID{0, 1, 2, 3})
 	fv := graph.FailEdges(g, 0)
-	want := ex.DeadUnder(fv)
+	want := ex.DeadUnderInto(fv, nil)
 
 	scratch := make([]bool, ex.Len())
 	for i := range scratch {

@@ -8,9 +8,9 @@
 //   - Implicit sets answer membership and lookup queries through a
 //     shortest-path oracle without materializing any path. They scale to
 //     the paper's 40k-node Internet topology.
-//   - Explicit sets store every path and maintain inverted indexes
-//     (edge -> paths, node -> paths) used by the ILM accounting and the
-//     FEC-update planner on ISP-sized networks.
+//   - Explicit sets store every path with one index per question asked
+//     of them (pair -> paths, link -> paths, node -> arcs out and in): the
+//     base set the online serving stack provisions and solves over.
 package paths
 
 import (
@@ -88,15 +88,6 @@ func NewUniqueShortest(g *graph.Graph) *UniqueShortest {
 	return &UniqueShortest{
 		orig:   g,
 		padded: spath.NewOracle(spath.Padded(g, spath.PaddingFor(g))),
-	}
-}
-
-// NewUniqueShortestView is like NewUniqueShortest for an arbitrary view
-// with a caller-chosen padding magnitude.
-func NewUniqueShortestView(v graph.View, eps float64) *UniqueShortest {
-	return &UniqueShortest{
-		orig:   v,
-		padded: spath.NewOracle(spath.Padded(v, eps)),
 	}
 }
 

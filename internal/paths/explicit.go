@@ -1,21 +1,18 @@
 package paths
 
 import (
-	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"rbpc/internal/graph"
-	"rbpc/internal/spath"
 )
 
 // pairKey identifies an ordered source-destination pair.
 type pairKey struct{ s, d graph.NodeID }
 
-// Explicit is a materialized base set with inverted indexes. It powers the
-// ILM-table accounting (how many LSPs traverse each router) and the
-// source-router FEC-update planner (which base paths a link failure
-// breaks).
+// Explicit is a materialized base set: the stored paths with their
+// base-view costs, and one index per question asked of them — byPair and
+// next for the paths of a pair, byEdge for the paths over a link, and the
+// memoized ArcIndex for the paths out of and into a node.
 //
 // Once populated (Add is the build phase), an Explicit is read-only: every
 // consumer — decomposers, planners, evaluation fan-outs — shares it
@@ -25,39 +22,25 @@ type pairKey struct{ s, d graph.NodeID }
 type Explicit struct {
 	view graph.View
 
-	paths     []graph.Path
-	costs     []float64 // costs[i] is paths[i]'s cost in view
-	byKey     map[string]int
-	byPair    map[pairKey]int // canonical (first added) path per ordered pair
-	byPairAll map[pairKey][]int
-	byEdge    map[graph.EdgeID][]int
-	byNode    map[graph.NodeID][]int // paths visiting the node (incl. endpoints)
-	bySrc     map[graph.NodeID][]SourcePath
+	paths []graph.Path
+	costs []float64 // costs[i] is paths[i]'s cost in view
+	// next[i] is the position of the path its pair gained after paths[i],
+	// -1 at the end: byPair holds the head of each pair's chain, in the
+	// order Add stored them.
+	next   []int32
+	byPair map[pairKey]int
+	byEdge map[graph.EdgeID][]int
 
 	// ai memoizes ArcIndex (a pure function of the populated set).
 	ai atomic.Pointer[ArcIndex]
 }
 
-// SourcePath is one entry of the by-source index: a stored path plus its
-// cost in the base view, precomputed so hot consumers (the sparse
-// decomposer's Dijkstra) never rescan edges to price a candidate. Index is
-// the path's position in the set (stable; see DeadUnder).
-type SourcePath struct {
-	Path  graph.Path
-	Cost  float64
-	Index int
-}
-
 // NewExplicit returns an empty explicit base set over v.
 func NewExplicit(v graph.View) *Explicit {
 	return &Explicit{
-		view:      v,
-		byKey:     make(map[string]int),
-		byPair:    make(map[pairKey]int),
-		byPairAll: make(map[pairKey][]int),
-		byEdge:    make(map[graph.EdgeID][]int),
-		byNode:    make(map[graph.NodeID][]int),
-		bySrc:     make(map[graph.NodeID][]SourcePath),
+		view:   v,
+		byPair: make(map[pairKey]int),
+		byEdge: make(map[graph.EdgeID][]int),
 	}
 }
 
@@ -70,28 +53,30 @@ func (b *Explicit) Add(p graph.Path) bool {
 	if p.IsTrivial() {
 		return false
 	}
-	key := p.Key()
-	if _, dup := b.byKey[key]; dup {
-		return false
+	pk := pairKey{p.Src(), p.Dst()}
+	head, have := b.byPair[pk]
+	tail := -1
+	if have {
+		for i := head; i >= 0; i = int(b.next[i]) {
+			if b.paths[i].Equal(p) {
+				return false
+			}
+			tail = i
+		}
 	}
 	idx := len(b.paths)
 	b.ai.Store(nil)
 	b.paths = append(b.paths, p.Clone())
 	b.costs = append(b.costs, b.paths[idx].CostIn(b.view))
-	b.byKey[key] = idx
-	pk := pairKey{p.Src(), p.Dst()}
-	if _, have := b.byPair[pk]; !have {
+	b.next = append(b.next, -1)
+	if have {
+		b.next[tail] = int32(idx)
+	} else {
 		b.byPair[pk] = idx
 	}
-	b.byPairAll[pk] = append(b.byPairAll[pk], idx)
 	for _, e := range p.Edges {
 		b.byEdge[e] = append(b.byEdge[e], idx)
 	}
-	for _, n := range p.Nodes {
-		b.byNode[n] = append(b.byNode[n], idx)
-	}
-	src := p.Src()
-	b.bySrc[src] = append(b.bySrc[src], SourcePath{Path: b.paths[idx], Cost: b.costs[idx], Index: idx})
 	return true
 }
 
@@ -116,27 +101,13 @@ func (b *Explicit) ArcIndex() *ArcIndex {
 //rbpc:hotpath
 func (b *Explicit) CostAt(idx int32) float64 { return b.costs[idx] }
 
-// FromSource returns every stored path starting at s with its precomputed
-// base-view cost, in insertion order. The returned slice is shared index
-// state: callers must not modify it.
-//
-//rbpc:hotpath
-func (b *Explicit) FromSource(s graph.NodeID) []SourcePath { return b.bySrc[s] }
-
-// DeadUnder returns a Len()-sized mask marking every stored path broken by
-// fv's removed edges and nodes: dead[i] == !Survives(paths[i], fv). It
-// costs O(paths through the removed elements), not O(total paths), so
-// consumers doing many survival checks against one failure view (the
-// sparse decomposer) can trade a per-check edge scan for one bit load.
-func (b *Explicit) DeadUnder(fv *graph.FailureView) []bool {
-	return b.DeadUnderInto(fv, nil)
-}
-
-// DeadUnderInto is DeadUnder writing into caller-owned scratch: if dead
-// has capacity for Len() entries it is cleared and reused, otherwise a
-// fresh mask is allocated. Consumers that rebuild their mask once per
-// failure view (the online engine's pooled sparse solvers, rebound every
-// epoch) use it to avoid a Len()-sized allocation per epoch.
+// DeadUnderInto returns a Len()-sized mask marking every stored path broken
+// by fv's removed edges and nodes: dead[i] == !Survives(paths[i], fv). It
+// costs O(paths through the removed elements), not O(total paths), so a
+// consumer doing many survival checks against one failure view (the sparse
+// decomposer) trades a per-check edge scan for one bit load. If dead has
+// capacity for Len() entries it is cleared and reused, otherwise a fresh
+// mask is allocated.
 func (b *Explicit) DeadUnderInto(fv *graph.FailureView, dead []bool) []bool {
 	if cap(dead) >= len(b.paths) {
 		dead = dead[:len(b.paths)]
@@ -149,11 +120,22 @@ func (b *Explicit) DeadUnderInto(fv *graph.FailureView, dead []bool) []bool {
 			dead[idx] = true
 		}
 	}
-	// A stored path visiting a removed node is dead: it is nontrivial, so
-	// it traverses an edge incident to that node.
+	// A stored path visiting a removed node is dead. It has a hop, so it
+	// leaves the node over one of its arcs or, when the node is its
+	// destination, enters it — over one of those arcs too in an undirected
+	// view, where every link is an arc both ways; in a directed one the
+	// paths into the node are its ArcIndex column.
 	for _, nd := range fv.RemovedNodes() {
-		for _, idx := range b.byNode[nd] {
-			dead[idx] = true
+		b.view.VisitArcs(nd, func(a graph.Arc) bool {
+			for _, idx := range b.byEdge[a.Edge] {
+				dead[idx] = true
+			}
+			return true
+		})
+		if b.view.Directed() {
+			for _, a := range b.ArcIndex().In(nd) {
+				dead[a.Idx] = true
+			}
 		}
 	}
 	return dead
@@ -165,13 +147,22 @@ func (b *Explicit) Len() int { return len(b.paths) }
 // All returns the stored paths. Callers must not modify the slice.
 func (b *Explicit) All() []graph.Path { return b.paths }
 
-// Contains implements Base.
+// Contains implements Base. p is assumed valid in View(), so it is stored
+// exactly when its pair's chain holds an Equal path.
 func (b *Explicit) Contains(p graph.Path) bool {
 	if p.IsTrivial() {
 		return false
 	}
-	_, ok := b.byKey[p.Key()]
-	return ok
+	head, ok := b.byPair[pairKey{p.Src(), p.Dst()}]
+	if !ok {
+		return false
+	}
+	for i := head; i >= 0; i = int(b.next[i]) {
+		if b.paths[i].Equal(p) {
+			return true
+		}
+	}
+	return false
 }
 
 // Between implements Base.
@@ -193,9 +184,9 @@ func (b *Explicit) IndexBetween(s, d graph.NodeID) (int, bool) {
 // View implements Base.
 func (b *Explicit) View() graph.View { return b.view }
 
-// IndicesThroughEdge returns the set positions (see SourcePath.Index) of
-// the stored paths traversing e. Shared index state — callers must not
-// modify the slice.
+// IndicesThroughEdge returns the set positions (Arc.Idx) of the stored
+// paths traversing e. Shared index state — callers must not modify the
+// slice.
 //
 //rbpc:hotpath
 func (b *Explicit) IndicesThroughEdge(e graph.EdgeID) []int { return b.byEdge[e] }
@@ -213,9 +204,11 @@ func (b *Explicit) EdgeComplete() bool {
 		src := graph.NodeID(u)
 		complete := true
 		b.view.VisitArcs(src, func(a graph.Arc) bool {
-			for _, idx := range b.byPairAll[pairKey{src, a.To}] {
-				if e := b.paths[idx].Edges; len(e) == 1 && e[0] == a.Edge {
-					return true
+			if head, ok := b.byPair[pairKey{src, a.To}]; ok {
+				for i := head; i >= 0; i = int(b.next[i]) {
+					if e := b.paths[i].Edges; len(e) == 1 && e[0] == a.Edge {
+						return true
+					}
 				}
 			}
 			complete = false
@@ -226,43 +219,6 @@ func (b *Explicit) EdgeComplete() bool {
 		}
 	}
 	return true
-}
-
-// ThroughEdge returns the base paths traversing edge e.
-func (b *Explicit) ThroughEdge(e graph.EdgeID) []graph.Path {
-	idxs := b.byEdge[e]
-	out := make([]graph.Path, len(idxs))
-	for i, idx := range idxs {
-		out[i] = b.paths[idx]
-	}
-	return out
-}
-
-// ThroughInteriorNode returns the base paths that visit node n strictly
-// between their endpoints — the paths a failure of router n breaks.
-func (b *Explicit) ThroughInteriorNode(n graph.NodeID) []graph.Path {
-	var out []graph.Path
-	for _, idx := range b.byNode[n] {
-		if p := b.paths[idx]; p.HasInteriorNode(n) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ILMEntries returns, for every node, the number of ILM entries required to
-// provision all stored paths as LSPs: a path of h hops installs one entry
-// at each of its h downstream routers (every router that receives the
-// labeled packet: the interior nodes and the egress; the ingress writes
-// labels from its FEC table, not its ILM).
-func (b *Explicit) ILMEntries() map[graph.NodeID]int {
-	entries := make(map[graph.NodeID]int)
-	for _, p := range b.paths {
-		for _, n := range p.Nodes[1:] {
-			entries[n]++
-		}
-	}
-	return entries
 }
 
 var _ Base = (*Explicit)(nil)
@@ -344,79 +300,4 @@ func Corollary4Extend(b *Explicit, g *graph.Graph) *Explicit {
 func EdgePath(g graph.View, id graph.EdgeID, u graph.NodeID) graph.Path {
 	e := g.Edge(id)
 	return graph.Path{Nodes: []graph.NodeID{u, e.Other(u)}, Edges: []graph.EdgeID{id}}
-}
-
-// EnsureEdgePaths adds, for every edge that is not itself a shortest path
-// between its endpoints, the single-edge path in both directions. The
-// paper: "In the rare cases where an edge (u, v) is not a shortest path
-// between u and v, the basic set of paths must also contain the single edge
-// path". The oracle must answer for the same view as b.
-func EnsureEdgePaths(b *Explicit, g *graph.Graph, o *spath.Oracle) int {
-	added := 0
-	for _, e := range g.Edges() {
-		if e.W > o.Dist(e.U, e.V) {
-			if b.Add(EdgePath(g, e.ID, e.U)) {
-				added++
-			}
-			if b.Add(EdgePath(g, e.ID, e.V)) {
-				added++
-			}
-		}
-	}
-	return added
-}
-
-// Stats summarizes an explicit base set.
-type Stats struct {
-	Paths     int
-	Pairs     int
-	MaxILM    int
-	TotalILM  int
-	AvgILM    float64
-	MaxHops   int
-	TotalHops int
-}
-
-// Summarize computes Stats for b.
-func Summarize(b *Explicit) Stats {
-	s := Stats{Paths: b.Len(), Pairs: len(b.byPair)}
-	ilm := b.ILMEntries()
-	for _, c := range ilm {
-		s.TotalILM += c
-		if c > s.MaxILM {
-			s.MaxILM = c
-		}
-	}
-	if len(ilm) > 0 {
-		s.AvgILM = float64(s.TotalILM) / float64(len(ilm))
-	}
-	for _, p := range b.paths {
-		s.TotalHops += p.Hops()
-		if p.Hops() > s.MaxHops {
-			s.MaxHops = p.Hops()
-		}
-	}
-	return s
-}
-
-// String renders Stats compactly.
-func (s Stats) String() string {
-	return fmt.Sprintf("paths=%d pairs=%d ilm(max=%d avg=%.1f) hops(max=%d total=%d)",
-		s.Paths, s.Pairs, s.MaxILM, s.AvgILM, s.MaxHops, s.TotalHops)
-}
-
-// SortedPairs returns the ordered pairs covered by the set, sorted, mainly
-// for deterministic iteration in tests and reports.
-func (b *Explicit) SortedPairs() [][2]graph.NodeID {
-	out := make([][2]graph.NodeID, 0, len(b.byPair))
-	for pk := range b.byPair {
-		out = append(out, [2]graph.NodeID{pk.s, pk.d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }

@@ -5,7 +5,7 @@ import "rbpc/internal/graph"
 // LiveIndex is the liveness of a base set's paths under the current set of
 // failed edges, carried across epochs: one count per stored path of how many
 // of its edges are down. It is the persistent form of the dead-path mask
-// (Explicit.DeadUnder): a transition costs the paths through its delta
+// (Explicit.DeadUnderInto): a transition costs the paths through its delta
 // edges, whatever the base set's size, and a solve tests a candidate with
 // one load.
 //

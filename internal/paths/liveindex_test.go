@@ -11,7 +11,7 @@ import (
 // TestLiveIndexWalkMatchesFromScratch: after every step of a seeded
 // fail/repair walk, the incrementally updated counts mark dead exactly the
 // paths the from-scratch mask of the cumulative failed set does
-// (Explicit.DeadUnder) — so the counts neither drift under repairs nor
+// (Explicit.DeadUnderInto) — so the counts neither drift under repairs nor
 // depend on how the set was reached — and the step's reported moves are
 // exactly the paths whose from-scratch liveness flipped, each once.
 func TestLiveIndexWalkMatchesFromScratch(t *testing.T) {
@@ -55,7 +55,7 @@ func TestLiveIndexWalkMatchesFromScratch(t *testing.T) {
 			all = append(all, e)
 		}
 		slices.Sort(all)
-		want := ex.DeadUnder(graph.FailEdges(g, all...))
+		want := ex.DeadUnderInto(graph.FailEdges(g, all...), nil)
 		for i, c := range li.Dead() {
 			if c < 0 || (c != 0) != want[i] {
 				t.Fatalf("step %d failed %v: path %d has %d links down, from scratch dead = %v", step, all, i, c, want[i])

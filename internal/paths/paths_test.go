@@ -1,12 +1,13 @@
 package paths
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"rbpc/internal/graph"
-	"rbpc/internal/spath"
 )
 
 // square returns the 4-cycle 0-1-2-3-0 with unit weights.
@@ -155,17 +156,11 @@ func TestExplicitAddAndIndexes(t *testing.T) {
 	if !b.Contains(p012) || b.Contains(graph.Path{Nodes: []graph.NodeID{1, 2}, Edges: []graph.EdgeID{1}}) {
 		t.Error("Contains wrong")
 	}
-	if got := b.ThroughEdge(0); len(got) != 2 {
-		t.Errorf("ThroughEdge(0) = %d paths, want 2", len(got))
+	if got := b.IndicesThroughEdge(0); len(got) != 2 {
+		t.Errorf("IndicesThroughEdge(0) = %v, want both paths", got)
 	}
-	if got := b.ThroughEdge(2); len(got) != 0 {
-		t.Errorf("ThroughEdge(2) = %d paths, want 0", len(got))
-	}
-	if got := b.ThroughInteriorNode(1); len(got) != 1 || !got[0].Equal(p012) {
-		t.Errorf("ThroughInteriorNode(1) = %v", got)
-	}
-	if got := b.ThroughInteriorNode(0); len(got) != 0 {
-		t.Errorf("ThroughInteriorNode(0) = %v, want none (endpoint)", got)
+	if got := b.IndicesThroughEdge(2); len(got) != 0 {
+		t.Errorf("IndicesThroughEdge(2) = %v, want none", got)
 	}
 }
 
@@ -185,42 +180,26 @@ func TestExplicitBetweenCanonical(t *testing.T) {
 	}
 }
 
-func TestILMEntries(t *testing.T) {
-	g := square()
-	b := NewExplicit(g)
-	// 0->2 via 1: entries at 1 and 2. 1->0: entry at 0.
-	b.Add(graph.Path{Nodes: []graph.NodeID{0, 1, 2}, Edges: []graph.EdgeID{0, 1}})
-	b.Add(graph.Path{Nodes: []graph.NodeID{1, 0}, Edges: []graph.EdgeID{0}})
-	ilm := b.ILMEntries()
-	want := map[graph.NodeID]int{0: 1, 1: 1, 2: 1}
-	for n, w := range want {
-		if ilm[n] != w {
-			t.Errorf("ILM[%d] = %d, want %d", n, ilm[n], w)
-		}
-	}
-	if len(ilm) != len(want) {
-		t.Errorf("ILM has %d routers, want %d", len(ilm), len(want))
-	}
-}
-
 func TestFromSourcesAllPairs(t *testing.T) {
 	g := square()
 	all := NewAllShortest(g)
 	ex := FromSources(all, []graph.NodeID{0, 1, 2, 3})
-	// 4 nodes -> 12 ordered pairs.
-	if len(ex.SortedPairs()) != 12 {
-		t.Errorf("covered pairs = %d, want 12", len(ex.SortedPairs()))
-	}
-	for _, pr := range ex.SortedPairs() {
-		p, ok := ex.Between(pr[0], pr[1])
-		if !ok {
-			t.Fatalf("no path for %v", pr)
-		}
-		if err := p.Validate(g); err != nil {
-			t.Fatalf("stored path invalid: %v", err)
-		}
-		if !all.Contains(p) {
-			t.Errorf("stored path %v is not shortest", p)
+	// 4 nodes -> 12 ordered pairs, each with its path.
+	for s := graph.NodeID(0); s < 4; s++ {
+		for d := graph.NodeID(0); d < 4; d++ {
+			p, ok := ex.Between(s, d)
+			if ok != (s != d) {
+				t.Fatalf("Between(%d, %d) found a path: %v", s, d, ok)
+			}
+			if !ok {
+				continue
+			}
+			if err := p.Validate(g); err != nil {
+				t.Fatalf("stored path invalid: %v", err)
+			}
+			if !all.Contains(p) {
+				t.Errorf("stored path %v is not shortest", p)
+			}
 		}
 	}
 }
@@ -265,29 +244,6 @@ func TestCorollary4Extend(t *testing.T) {
 	}
 }
 
-func TestEnsureEdgePaths(t *testing.T) {
-	// Triangle with one heavy edge that is not a shortest path.
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	heavy := g.AddEdge(0, 2, 5)
-	o := spath.NewOracle(g)
-	b := FromSources(NewAllShortest(g), []graph.NodeID{0, 1, 2})
-	if b.Contains(EdgePath(g, heavy, 0)) {
-		t.Fatal("heavy edge already in canonical set")
-	}
-	added := EnsureEdgePaths(b, g, o)
-	if added != 2 {
-		t.Errorf("EnsureEdgePaths added %d, want 2 (both directions)", added)
-	}
-	if !b.Contains(EdgePath(g, heavy, 0)) || !b.Contains(EdgePath(g, heavy, 2)) {
-		t.Error("heavy edge paths missing after EnsureEdgePaths")
-	}
-	if again := EnsureEdgePaths(b, g, o); again != 0 {
-		t.Errorf("second EnsureEdgePaths added %d, want 0", again)
-	}
-}
-
 func TestEdgePathOrientation(t *testing.T) {
 	g := square()
 	p := EdgePath(g, 0, 1) // edge 0 is (0,1); oriented from 1
@@ -296,58 +252,218 @@ func TestEdgePathOrientation(t *testing.T) {
 	}
 }
 
-func TestSummarizeExplicit(t *testing.T) {
-	g := square()
-	ex := FromSources(NewAllShortest(g), []graph.NodeID{0, 1, 2, 3})
-	s := Summarize(ex)
-	if s.Paths != ex.Len() || s.Pairs != 12 {
-		t.Errorf("stats = %+v", s)
+// TestQuickExplicitIndexesConsistent: every index an Explicit keeps agrees
+// with a linear scan of All(). Inputs are random multigraphs — parallel
+// links, and a directed one in four — carrying a FromSources,
+// SubpathClosure or Corollary4Extend set, with or without the 1-hop paths;
+// the set is rebuilt from its own paths interleaved with re-added
+// duplicates and random walks. Checked: Add's verdict and the order it
+// stores in, Contains, IndexBetween, EdgeComplete, IndicesThroughEdge,
+// ArcIndex.Out and In, and DeadUnderInto under link failures and under
+// node failures.
+func TestQuickExplicitIndexesConsistent(t *testing.T) {
+	f := func(seed int64) bool {
+		if err := checkExplicitIndexes(rand.New(rand.NewSource(seed))); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
 	}
-	if s.MaxHops < 2 || s.MaxILM < 1 || s.AvgILM <= 0 {
-		t.Errorf("stats degenerate: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestQuickExplicitIndexesConsistent: for random base sets, the inverted
-// indexes agree with a linear scan.
-func TestQuickExplicitIndexesConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomConnected(rng, 4+rng.Intn(12), rng.Intn(15), 3)
-		all := NewAllShortest(g)
-		var sources []graph.NodeID
-		for i := 0; i < g.Order(); i++ {
-			sources = append(sources, graph.NodeID(i))
+// randomMultigraph is a random connected graph with parallel links, or a
+// directed one with an arc each way per link plus parallel arcs.
+func randomMultigraph(rng *rand.Rand, directed bool) *graph.Graph {
+	base := randomConnected(rng, 4+rng.Intn(10), rng.Intn(12), 3)
+	g := graph.New(base.Order())
+	if directed {
+		g = graph.NewDirected(base.Order())
+	}
+	for _, e := range base.Edges() {
+		g.AddEdge(e.U, e.V, e.W)
+		if directed {
+			g.AddEdge(e.V, e.U, float64(1+rng.Intn(3)))
 		}
-		ex := FromSources(all, sources)
-		if g.Size() == 0 {
+	}
+	for i := rng.Intn(6); i > 0; i-- {
+		e := base.Edges()[rng.Intn(base.Size())]
+		g.AddEdge(e.U, e.V, float64(1+rng.Intn(3)))
+	}
+	return g
+}
+
+// randomWalk is a path of up to four hops over random arcs, nodes not
+// repeated; trivial when its start has no arc out.
+func randomWalk(rng *rand.Rand, g *graph.Graph) graph.Path {
+	u := graph.NodeID(rng.Intn(g.Order()))
+	p := graph.Trivial(u)
+	for hops := 1 + rng.Intn(4); hops > 0; hops-- {
+		var arcs []graph.Arc
+		g.VisitArcs(u, func(a graph.Arc) bool {
+			if !p.HasNode(a.To) {
+				arcs = append(arcs, a)
+			}
 			return true
+		})
+		if len(arcs) == 0 {
+			break
 		}
-		e := graph.EdgeID(rng.Intn(g.Size()))
-		fromIndex := len(ex.ThroughEdge(e))
-		scan := 0
-		for _, p := range ex.All() {
-			if p.HasEdge(e) {
-				scan++
+		a := arcs[rng.Intn(len(arcs))]
+		p = graph.Path{Nodes: append(slices.Clone(p.Nodes), a.To), Edges: append(slices.Clone(p.Edges), a.Edge)}
+		u = a.To
+	}
+	return p
+}
+
+func checkExplicitIndexes(rng *rand.Rand) error {
+	g := randomMultigraph(rng, rng.Intn(4) == 0)
+	n := g.Order()
+	sources := make([]graph.NodeID, n)
+	for i := range sources {
+		sources[i] = graph.NodeID(i)
+	}
+	built := FromSources(NewAllShortest(g), sources)
+	families := []string{"FromSources", "SubpathClosure", "Corollary4Extend"}
+	if g.Directed() {
+		families = families[:2] // Corollary4Extend appends links both ways
+	}
+	family := families[rng.Intn(len(families))]
+	switch family {
+	case "SubpathClosure":
+		built = SubpathClosure(built)
+	case "Corollary4Extend":
+		built = Corollary4Extend(built, g)
+	}
+	// The 1-hop paths: all of them, all but one, or none.
+	skip := -1
+	switch rng.Intn(3) {
+	case 1:
+		skip = rng.Intn(g.Size())
+	case 2:
+		skip = g.Size()
+	}
+	for _, e := range g.Edges() {
+		if int(e.ID) < skip || skip == -1 {
+			built.Add(EdgePath(g, e.ID, e.U))
+			if !g.Directed() {
+				built.Add(EdgePath(g, e.ID, e.V))
 			}
 		}
-		if fromIndex != scan {
-			return false
+	}
+
+	// Rebuild the set from its paths, duplicates and random walks
+	// interleaved, and hold Add to the scan of what it already took.
+	var seq []graph.Path
+	for _, p := range built.All() {
+		seq = append(seq, p)
+		for rng.Intn(3) == 0 {
+			seq = append(seq, seq[rng.Intn(len(seq))].Clone())
 		}
-		node := graph.NodeID(rng.Intn(g.Order()))
-		fromNodeIdx := len(ex.ThroughInteriorNode(node))
-		scan = 0
-		for _, p := range ex.All() {
-			if p.HasInteriorNode(node) {
-				scan++
+		if rng.Intn(4) == 0 {
+			seq = append(seq, randomWalk(rng, g))
+		}
+	}
+	ex := NewExplicit(g)
+	var stored []graph.Path
+	for k, p := range seq {
+		want := !p.IsTrivial() && !slices.ContainsFunc(stored, p.Equal)
+		if got := ex.Add(p); got != want {
+			return fmt.Errorf("%s: Add(seq[%d] = %v) = %v, scan says %v", family, k, p, got, want)
+		}
+		if want {
+			stored = append(stored, p)
+		}
+	}
+	all := ex.All()
+	if !slices.EqualFunc(all, stored, graph.Path.Equal) {
+		return fmt.Errorf("%s: All() holds %d paths, not the %d Add took in order", family, len(all), len(stored))
+	}
+
+	for k, p := range seq {
+		want := !p.IsTrivial() && slices.ContainsFunc(all, p.Equal)
+		if got := ex.Contains(p); got != want {
+			return fmt.Errorf("%s: Contains(seq[%d] = %v) = %v, scan says %v", family, k, p, got, want)
+		}
+	}
+
+	for s := graph.NodeID(0); int(s) < n; s++ {
+		for d := graph.NodeID(0); int(d) < n; d++ {
+			want := slices.IndexFunc(all, func(p graph.Path) bool { return p.Src() == s && p.Dst() == d })
+			got, ok := ex.IndexBetween(s, d)
+			if ok != (want >= 0) || (ok && got != want) {
+				return fmt.Errorf("%s: IndexBetween(%d, %d) = %d, %v; the first stored path is %d", family, s, d, got, ok, want)
 			}
 		}
-		return fromNodeIdx == scan
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+
+	complete := true
+	for _, e := range g.Edges() {
+		ends := []graph.NodeID{e.U, e.V}
+		if g.Directed() {
+			ends = ends[:1]
+		}
+		for _, u := range ends {
+			if !slices.ContainsFunc(all, EdgePath(g, e.ID, u).Equal) {
+				complete = false
+			}
+		}
 	}
+	if got := ex.EdgeComplete(); got != complete {
+		return fmt.Errorf("%s: EdgeComplete() = %v, scan says %v", family, got, complete)
+	}
+
+	through := make([][]int, g.Size())
+	for i, p := range all {
+		for _, e := range p.Edges {
+			through[e] = append(through[e], i)
+		}
+	}
+	for e := range through {
+		if got := ex.IndicesThroughEdge(graph.EdgeID(e)); !slices.Equal(got, through[e]) {
+			return fmt.Errorf("%s: IndicesThroughEdge(%d) = %v, scan says %v", family, e, got, through[e])
+		}
+	}
+
+	ai := ex.ArcIndex()
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		var out, in []Arc
+		for i, p := range all {
+			if p.Src() == u {
+				out = append(out, Arc{Cost: p.CostIn(g), Peer: p.Dst(), Idx: int32(i)})
+			}
+			if p.Dst() == u {
+				in = append(in, Arc{Cost: p.CostIn(g), Peer: p.Src(), Idx: int32(i)})
+			}
+		}
+		if !slices.Equal(ai.Out(u), out) || !slices.Equal(ai.In(u), in) {
+			return fmt.Errorf("%s: ArcIndex at %d: out %v in %v, scan says %v and %v", family, u, ai.Out(u), ai.In(u), out, in)
+		}
+	}
+
+	for trial := 0; trial < 6; trial++ {
+		var fv *graph.FailureView
+		if trial%2 == 0 {
+			var down []graph.EdgeID
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				down = append(down, graph.EdgeID(rng.Intn(g.Size())))
+			}
+			fv = graph.FailEdges(g, down...)
+		} else {
+			var down []graph.NodeID
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				down = append(down, graph.NodeID(rng.Intn(n)))
+			}
+			fv = graph.FailNodes(g, down...)
+		}
+		dead := ex.DeadUnderInto(fv, nil)
+		for i, p := range all {
+			if dead[i] == Survives(p, fv) {
+				return fmt.Errorf("%s: DeadUnderInto(edges %v, nodes %v)[%d] = %v for %v", family, fv.RemovedEdges(), fv.RemovedNodes(), i, dead[i], p)
+			}
+		}
+	}
+	return nil
 }

@@ -30,7 +30,6 @@ import (
 type Provision struct {
 	Graph    *graph.Graph
 	Net      *mpls.Network
-	Config   Config
 	Base     *paths.Explicit
 	BaseLSPs []*mpls.LSP
 	LSPs     map[string]*mpls.LSP
@@ -43,7 +42,6 @@ func (s *System) Export() Provision {
 	return Provision{
 		Graph:    s.g,
 		Net:      s.net,
-		Config:   s.cfg,
 		Base:     s.base,
 		BaseLSPs: slices.Clip(s.baseLSPs),
 		LSPs:     s.lspOf,

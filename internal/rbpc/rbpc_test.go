@@ -1,6 +1,7 @@
 package rbpc
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -86,6 +87,26 @@ func TestProvisioningAndPrimaries(t *testing.T) {
 		if want := ok && idx == i; mask[i] != want {
 			t.Errorf("mask[%d] (%v) = %v, want %v", i, bp, mask[i], want)
 		}
+	}
+}
+
+// TestNewSystemRefusesForeignSources: a hot source that is not a node of
+// the graph is refused with an error naming it, before anything is
+// provisioned, instead of indexing past the graph's nodes.
+func TestNewSystemRefusesForeignSources(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  graph.NodeID
+	}{
+		{"past-the-last-node", 9},
+		{"negative", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSystem(topology.Ring(4), Config{EdgeLSPs: true, Sources: []graph.NodeID{1, tc.src}})
+			if want := fmt.Sprintf("hot source %d ", tc.src); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("NewSystem = %v, %v; want an error naming %q", s, err, want)
+			}
+		})
 	}
 }
 

@@ -59,7 +59,6 @@ func DefaultConfig() Config {
 type System struct {
 	g    *graph.Graph
 	net  *mpls.Network
-	cfg  Config
 	base *paths.Explicit
 
 	lspOf map[string]*mpls.LSP // base-path key -> provisioned LSP
@@ -73,16 +72,20 @@ type System struct {
 // shortest-path LSPs (plus configured closures) and initial FEC entries at
 // every router for every destination.
 func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
+	n := g.Order()
+	for _, src := range cfg.Sources {
+		if src < 0 || int(src) >= n {
+			return nil, fmt.Errorf("rbpc: hot source %d is not a node of the %d-node graph", src, n)
+		}
+	}
 	s := &System{
 		g:      g,
 		net:    mpls.NewNetwork(g),
-		cfg:    cfg,
 		lspOf:  make(map[string]*mpls.LSP),
-		serves: make([]bool, g.Order()),
+		serves: make([]bool, n),
 	}
 
 	all := paths.NewAllShortest(g)
-	n := g.Order()
 	sources := cfg.Sources
 	if sources == nil {
 		sources = make([]graph.NodeID, n)

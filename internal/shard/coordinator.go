@@ -523,7 +523,6 @@ func MergeStats(perShard []engine.Stats, epoch uint64, cold ColdStats) Stats {
 		st.LocalPairs += es.LocalPairs
 		st.LocalUnrestorable += es.LocalUnrestorable
 		st.Converged += es.Converged
-		st.PendingTimers += es.PendingTimers
 	}
 	st.Queries += st.Cold.Queries - st.Cold.Shed
 	st.Dropped += st.Cold.Shed

@@ -95,7 +95,6 @@ type Stats struct {
 	LocalPairs        int64
 	LocalUnrestorable int64
 	Converged         int64
-	PendingTimers     int
 	// Incremental sums the per-shard incremental builder counters.
 	Incremental engine.IncrementalStats
 	Cold        ColdStats

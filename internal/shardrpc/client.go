@@ -433,7 +433,7 @@ func (c *client) rpc(conn *Conn, typ, flags byte, payload []byte, want byte) (*c
 		return nil, fmt.Errorf("shardrpc: worker %d is down", c.idx)
 	}
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= rpcRetries; attempt++ {
 		seq := c.seq.Add(1)
 		ca := &call{kind: callRPC, done: make(chan struct{}), want: want}
 		c.mu.Lock()
@@ -538,7 +538,7 @@ func (c *client) burst(payload []byte) error {
 	go func() {
 		select {
 		case <-ca.done:
-		case <-time.After(c.cfg.AckTimeout * time.Duration(c.cfg.Retries+1)):
+		case <-time.After(c.cfg.AckTimeout * (rpcRetries + 1)):
 			if c.take(seq) != nil {
 				c.die(c.generation(), fmt.Errorf("shardrpc: worker %d never acked burst", c.idx))
 			}

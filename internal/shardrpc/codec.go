@@ -362,7 +362,6 @@ func appendStats(buf []byte, st engine.Stats) []byte {
 	buf = appendI64(buf, st.LocalPairs)
 	buf = appendI64(buf, st.LocalUnrestorable)
 	buf = appendI64(buf, st.Converged)
-	buf = appendI64(buf, int64(st.PendingTimers))
 	return buf
 }
 
@@ -392,7 +391,6 @@ func decodeStats(p []byte) (engine.Stats, error) {
 	st.LocalPairs = c.i64()
 	st.LocalUnrestorable = c.i64()
 	st.Converged = c.i64()
-	st.PendingTimers = int(c.i64())
 	if c.err || c.off != len(p) {
 		return engine.Stats{}, fmt.Errorf("shardrpc: malformed stats frame")
 	}

@@ -212,7 +212,7 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 		},
 		Stretch:    metrics.AccSummary{Count: 4, Mean: 1001.5, Max: 1100},
 		DetourHops: metrics.AccSummary{Count: 5, Mean: 2.5, Max: 6},
-		LocalPairs: 21, LocalUnrestorable: 22, Converged: 23, PendingTimers: 24,
+		LocalPairs: 21, LocalUnrestorable: 22, Converged: 23,
 	}
 	got, err := decodeStats(appendStats(nil, st))
 	if err != nil {

@@ -249,7 +249,6 @@ func TestProcWorkerCrashDivertsAndReattaches(t *testing.T) {
 	farm := newPipeFarm(t, p, Config{Shards: shards})
 	cfg := testConfig(farm, shards)
 	cfg.AckTimeout = 200 * time.Millisecond
-	cfg.Retries = 1
 	proc, err := NewCoordinator(p, cfg)
 	if err != nil {
 		t.Fatal(err)

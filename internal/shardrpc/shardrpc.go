@@ -75,10 +75,12 @@ type Dialer func(worker int) (net.Conn, error)
 // queryConns is the query-connection pool each worker is dialed with, in
 // addition to its control connection; maxInflight bounds a worker's
 // un-acked query batches, beyond which a batch is shed at submit (counted
-// dropped).
+// dropped); rpcRetries is how many times an RPC that outlived AckTimeout is
+// retried before its worker is declared dead.
 const (
 	queryConns  = 2
 	maxInflight = 256
+	rpcRetries  = 2
 )
 
 // Config tunes the process-mode coordinator and its workers. Shards is the
@@ -105,9 +107,8 @@ type Config struct {
 	DialTimeout time.Duration
 	DialBudget  time.Duration
 	// AckTimeout bounds one RPC round trip; an RPC is retried up to
-	// Retries times before the worker is declared dead. Defaults 5s / 2.
+	// rpcRetries times before the worker is declared dead. Default 5s.
 	AckTimeout time.Duration
-	Retries    int
 	// HealthEvery is the ping cadence per worker (default 1s; <0
 	// disables, which the deterministic chaos harness does).
 	HealthEvery time.Duration
@@ -125,9 +126,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 5 * time.Second
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 2
 	}
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = time.Second

@@ -13,23 +13,10 @@ type Time float64
 // Events at equal times fire in scheduling order, so runs are
 // deterministic.
 type Engine struct {
-	now   Time
-	seq   int64
-	pq    eventHeap
-	trace TraceFunc
+	now Time
+	seq int64
+	pq  eventHeap
 }
-
-// TraceFunc observes every fired event: the time it fired at and the
-// engine-assigned scheduling sequence number. Because the engine is
-// deterministic, two runs of the same schedule must produce identical
-// trace sequences — the chaos harness (internal/chaos) records traces and
-// compares them across replays to certify determinism.
-type TraceFunc func(t Time, seq int64)
-
-// SetTrace installs fn as the event trace hook (nil disables tracing).
-// The hook fires immediately before each event's callback runs, with the
-// clock already advanced to the event's time.
-func (e *Engine) SetTrace(fn TraceFunc) { e.trace = fn }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -57,9 +44,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.pq).(event)
 	e.now = ev.at
-	if e.trace != nil {
-		e.trace(ev.at, ev.seq)
-	}
 	ev.do()
 	return true
 }

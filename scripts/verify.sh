@@ -73,6 +73,20 @@ retired 'LocalScheme|EndRoute|EdgeBypass' "one name per local scheme"
 # growth hook with no caller would pass every test.
 retired 'SyncNewEdges' "no growth hook on the network"
 
+# One index per question about a base set (DESIGN.md §13): paths.Explicit
+# keeps its pair map and its link map, beside the chains and the ArcIndex.
+# A second map answering what one of those answers — by source, by node, by
+# path key — would pass every test. The struct is read between its
+# "type Explicit struct {" line and the closing brace.
+echo "==> paths.Explicit keeps byPair and byEdge as its only maps"
+if awk '/^type Explicit struct \{/ { inside = 1; next }
+	inside && /^\}/ { inside = 0 }
+	inside && /map\[/ && $1 != "byPair" && $1 != "byEdge" { print FILENAME ":" FNR ": " $0; bad = 1 }
+	END { exit !bad }' internal/paths/*.go; then
+	echo "verify: a map field in paths.Explicit other than byPair and byEdge (see above): one index per question" >&2
+	exit 1
+fi
+
 # The same rule for the retired corpus key: ReadCase still accepts it from
 # older files and ignores it, and a writer that emitted it again would
 # round-trip unnoticed.
