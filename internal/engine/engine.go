@@ -77,7 +77,11 @@ type Result struct {
 	Snap *Snapshot
 }
 
-// Stats is a point-in-time scrape of the engine's counters.
+// Stats is a point-in-time scrape of the engine's counters, and the one
+// counter record of the serving stack: shard.Stats embeds the merge of its
+// shards' records. Every field is fixed-size in the encoding/binary sense,
+// so the record's binary image is its wire form (a process-mode worker's
+// stats frame).
 type Stats struct {
 	Epoch         uint64
 	SnapshotAge   time.Duration
@@ -85,7 +89,7 @@ type Stats struct {
 	Unroutable    int64
 	Submitted     int64
 	Dropped       int64
-	QueueDepth    int
+	QueueDepth    int64
 	Epochs        int64
 	PlanCacheHits int64
 	PlanCacheMiss int64
@@ -256,7 +260,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if cfg.Scheme < SchemeSource || cfg.Scheme > SchemeHybrid {
+	if cfg.Scheme > SchemeHybrid {
 		return nil, fmt.Errorf("engine: unknown scheme %d", int(cfg.Scheme))
 	}
 	if cfg.Workers < 1 {
@@ -716,7 +720,7 @@ func (e *Engine) Stats() Stats {
 		Unroutable:    e.mUnroutable.Load(),
 		Submitted:     e.mSubmitted.Load(),
 		Dropped:       e.mDropped.Load(),
-		QueueDepth:    e.queueLen(),
+		QueueDepth:    int64(e.queueLen()),
 		Epochs:        e.mEpochs.Load(),
 		PlanCacheHits: e.mCacheHits.Load(),
 		PlanCacheMiss: e.mCacheMiss.Load(),

@@ -26,8 +26,9 @@ import (
 // original LSP at its far endpoint. Hybrid composes them in time: every
 // source serves the bypass answer the instant the adjacent router patches,
 // then switches to the optimal source answer once the modeled link-state
-// flood (Config.Flood) has reached it.
-type Scheme int
+// flood (Config.Flood) has reached it. A scheme is one byte, which is how
+// it crosses the wire inside Stats.
+type Scheme uint8
 
 const (
 	// SchemeSource is the source-router scheme (Section 4.1) — the zero

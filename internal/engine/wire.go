@@ -18,6 +18,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -37,10 +38,10 @@ func (s *Snapshot) AppendWire(buf []byte) ([]byte, error) {
 	if s.local != nil {
 		return nil, fmt.Errorf("engine: %v-scheme snapshot carries local restoration state, which does not serialize", s.scheme)
 	}
-	buf = wireU64(buf, s.epoch)
-	buf = wireU32(buf, uint32(len(s.failed)))
+	buf = binary.LittleEndian.AppendUint64(buf, s.epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.failed)))
 	for _, e := range s.failed {
-		buf = wireU32(buf, uint32(e))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e))
 	}
 	rows := 0
 	for _, pr := range s.over {
@@ -48,15 +49,15 @@ func (s *Snapshot) AppendWire(buf []byte) ([]byte, error) {
 			rows++
 		}
 	}
-	buf = wireU32(buf, uint32(rows))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rows))
 	for src, pr := range s.over {
 		if pr == nil {
 			continue
 		}
-		buf = wireU32(buf, uint32(src))
-		buf = wireU32(buf, uint32(len(pr.dsts)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(src))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pr.dsts)))
 		for i, d := range pr.dsts {
-			buf = wireU32(buf, uint32(d))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
 			buf = AppendRouteWire(buf, pr.routes[i])
 		}
 	}
@@ -70,10 +71,10 @@ func AppendRouteWire(buf []byte, rt *Route) []byte {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
-	buf = wireU64(buf, math.Float64bits(rt.Cost))
-	buf = wireU32(buf, uint32(len(rt.LSPs)))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rt.Cost))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rt.LSPs)))
 	for _, l := range rt.LSPs {
-		buf = wireU32(buf, uint32(l.ID))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.ID))
 	}
 	return buf
 }
@@ -279,7 +280,7 @@ func (d *SnapDecoder) decodeFailed(c *wireCursor) ([]graph.EdgeID, error) {
 	return failed, nil
 }
 
-// wireCursor is a bounds-checked little-endian reader over one frame.
+// wireCursor is a bounds-checked reader over one little-endian frame.
 // Reads past the end set err and return zero; callers check err once per
 // structure instead of per field.
 type wireCursor struct {
@@ -305,9 +306,9 @@ func (c *wireCursor) u32() uint32 {
 		c.err = true
 		return 0
 	}
-	b := c.data[c.off:]
+	v := binary.LittleEndian.Uint32(c.data[c.off:])
 	c.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return v
 }
 
 func (c *wireCursor) u64() uint64 {
@@ -315,17 +316,7 @@ func (c *wireCursor) u64() uint64 {
 		c.err = true
 		return 0
 	}
-	b := c.data[c.off:]
+	v := binary.LittleEndian.Uint64(c.data[c.off:])
 	c.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func wireU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func wireU64(buf []byte, v uint64) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	return v
 }

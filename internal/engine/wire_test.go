@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -271,22 +272,23 @@ func TestSnapDecoderRefusesRoutesThatJoinNothing(t *testing.T) {
 		nowhere++
 	}
 
+	le := binary.LittleEndian
 	route := func(ids ...mpls.LSPID) []byte {
-		buf := wireU64([]byte{1}, math.Float64bits(2))
-		buf = wireU32(buf, uint32(len(ids)))
+		buf := le.AppendUint64([]byte{1}, math.Float64bits(2))
+		buf = le.AppendUint32(buf, uint32(len(ids)))
 		for _, id := range ids {
-			buf = wireU32(buf, uint32(id))
+			buf = le.AppendUint32(buf, uint32(id))
 		}
 		return buf
 	}
 	frame := func(src, dst graph.NodeID, rt []byte) []byte {
-		buf := wireU64(nil, 3)          // epoch
-		buf = wireU32(buf, 1)           // one link down
-		buf = wireU32(buf, 0)           //   link 0
-		buf = wireU32(buf, 1)           // one overlay row
-		buf = wireU32(buf, uint32(src)) //   of src
-		buf = wireU32(buf, 1)           //   with one entry
-		return append(wireU32(buf, uint32(dst)), rt...)
+		buf := le.AppendUint64(nil, 3)          // epoch
+		buf = le.AppendUint32(buf, 1)           // one link down
+		buf = le.AppendUint32(buf, 0)           //   link 0
+		buf = le.AppendUint32(buf, 1)           // one overlay row
+		buf = le.AppendUint32(buf, uint32(src)) //   of src
+		buf = le.AppendUint32(buf, 1)           //   with one entry
+		return append(le.AppendUint32(buf, uint32(dst)), rt...)
 	}
 
 	if _, err := dec.Decode(frame(src, dst, route(a.ID, b.ID))); err != nil {

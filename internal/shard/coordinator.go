@@ -485,77 +485,63 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// MergeStats folds per-shard engine scrapes into the deployment view:
-// counters sum, latency percentiles take the worst shard (per-shard
-// histograms cannot be re-merged), RowBytes sums residents while
-// DenseRowBytes stays the single-engine dense baseline the shards
-// collectively replace. The serving commands lift a lone engine into the
+// MergeStats folds per-shard engine scrapes into the deployment view (see
+// Stats for the rules). The serving commands lift a lone engine into the
 // same shape with it.
 func MergeStats(perShard []engine.Stats, epoch uint64, cold ColdStats) Stats {
-	st := Stats{
-		Shards:   len(perShard),
-		Epoch:    epoch,
-		Cold:     cold,
-		PerShard: perShard,
+	st := Stats{Shards: len(perShard), Cold: cold, PerShard: perShard}
+	for _, es := range perShard {
+		st.Stats = mergeEngine(st.Stats, es)
 	}
-	for i := range perShard {
-		es := perShard[i]
-		st.Queries += es.Queries
-		st.Unroutable += es.Unroutable
-		st.Submitted += es.Submitted
-		st.Dropped += es.Dropped
-		st.QueueDepth += es.QueueDepth
-		st.Epochs += es.Epochs
-		st.PlanCacheHits += es.PlanCacheHits
-		st.PlanCacheMiss += es.PlanCacheMiss
-		st.RowBytes += es.RowBytes
-		if es.DenseRowBytes > st.DenseRowBytes {
-			st.DenseRowBytes = es.DenseRowBytes
-		}
-		st.QueryLatency = maxSummary(st.QueryLatency, es.QueryLatency)
-		st.EpochBuild = maxSummary(st.EpochBuild, es.EpochBuild)
-		st.Incremental = sumIncremental(st.Incremental, es.Incremental)
-		st.Scheme = es.Scheme
-		st.Restore = maxSummary(st.Restore, es.Restore)
-		st.LocalBuild = maxSummary(st.LocalBuild, es.LocalBuild)
-		st.Stretch = mergeAcc(st.Stretch, es.Stretch)
-		st.DetourHops = mergeAcc(st.DetourHops, es.DetourHops)
-		st.LocalPairs += es.LocalPairs
-		st.LocalUnrestorable += es.LocalUnrestorable
-		st.Converged += es.Converged
-	}
-	st.Queries += st.Cold.Queries - st.Cold.Shed
-	st.Dropped += st.Cold.Shed
+	st.Epoch = epoch
+	st.Queries += cold.Queries - cold.Shed
+	st.Dropped += cold.Shed
 	return st
 }
 
+// mergeEngine folds one shard's record into the running merge a.
+func mergeEngine(a, b engine.Stats) engine.Stats {
+	a.SnapshotAge = max(a.SnapshotAge, b.SnapshotAge)
+	a.Queries += b.Queries
+	a.Unroutable += b.Unroutable
+	a.Submitted += b.Submitted
+	a.Dropped += b.Dropped
+	a.QueueDepth += b.QueueDepth
+	a.Epochs += b.Epochs
+	a.PlanCacheHits += b.PlanCacheHits
+	a.PlanCacheMiss += b.PlanCacheMiss
+	a.RowBytes += b.RowBytes
+	a.DenseRowBytes = max(a.DenseRowBytes, b.DenseRowBytes)
+	a.QueryLatency = maxSummary(a.QueryLatency, b.QueryLatency)
+	a.EpochBuild = maxSummary(a.EpochBuild, b.EpochBuild)
+	a.Incremental = sumIncremental(a.Incremental, b.Incremental)
+	a.Scheme = b.Scheme
+	a.Restore = maxSummary(a.Restore, b.Restore)
+	a.LocalBuild = maxSummary(a.LocalBuild, b.LocalBuild)
+	a.Stretch = mergeAcc(a.Stretch, b.Stretch)
+	a.DetourHops = mergeAcc(a.DetourHops, b.DetourHops)
+	a.LocalPairs += b.LocalPairs
+	a.LocalUnrestorable += b.LocalUnrestorable
+	a.Converged += b.Converged
+	return a
+}
+
 func maxSummary(a, b metrics.Summary) metrics.Summary {
-	out := a
-	out.Count = a.Count + b.Count
-	if b.P50 > out.P50 {
-		out.P50 = b.P50
+	return metrics.Summary{
+		Count: a.Count + b.Count,
+		P50:   max(a.P50, b.P50),
+		P90:   max(a.P90, b.P90),
+		P99:   max(a.P99, b.P99),
+		Max:   max(a.Max, b.Max),
 	}
-	if b.P90 > out.P90 {
-		out.P90 = b.P90
-	}
-	if b.P99 > out.P99 {
-		out.P99 = b.P99
-	}
-	if b.Max > out.Max {
-		out.Max = b.Max
-	}
-	return out
 }
 
 // mergeAcc combines two accumulator digests: counts sum, means are
 // count-weighted, maxima take the larger.
 func mergeAcc(a, b metrics.AccSummary) metrics.AccSummary {
-	out := metrics.AccSummary{Count: a.Count + b.Count, Max: a.Max}
+	out := metrics.AccSummary{Count: a.Count + b.Count, Max: max(a.Max, b.Max)}
 	if out.Count > 0 {
 		out.Mean = (a.Mean*float64(a.Count) + b.Mean*float64(b.Count)) / float64(out.Count)
-	}
-	if b.Max > out.Max {
-		out.Max = b.Max
 	}
 	return out
 }
@@ -567,6 +553,7 @@ func sumIncremental(a, b engine.IncrementalStats) engine.IncrementalStats {
 	a.Leaving += b.Leaving
 	a.StaleRoutes += b.StaleRoutes
 	a.RepairImproved += b.RepairImproved
+	a.TreesAdopted += b.TreesAdopted
 	a.FullRebuilds += b.FullRebuilds
 	a.AffectedNanos += b.AffectedNanos
 	a.SolveNanos += b.SolveNanos

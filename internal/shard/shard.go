@@ -32,10 +32,7 @@
 // remote processes agree on ownership without coordination.
 package shard
 
-import (
-	"rbpc/internal/engine"
-	"rbpc/internal/engine/metrics"
-)
+import "rbpc/internal/engine"
 
 // Config tunes the coordinator. The zero value of every field except
 // Shards selects a default.
@@ -52,51 +49,21 @@ type Config struct {
 	Cold ColdConfig
 }
 
-// Stats is a point-in-time scrape of the coordinator: sums of the shard
-// counters, the cold tier's counters, and the per-shard breakdown.
+// Stats is a point-in-time scrape of the coordinator: the shards' engine
+// records merged into one (MergeStats), the cold tier's counters, and the
+// per-shard breakdown.
 type Stats struct {
-	Shards int
-	// Epoch is the low watermark: the highest epoch every shard has
-	// reached. Individual shards may be ahead.
-	Epoch uint64
-
-	Queries       int64
-	Unroutable    int64
-	Submitted     int64
-	Dropped       int64
-	QueueDepth    int
-	Epochs        int64
-	PlanCacheHits int64
-	PlanCacheMiss int64
-
-	// RowBytes sums resident routing-matrix bytes across shards;
-	// DenseRowBytes is what ONE dense all-pairs engine would hold (the
-	// shards partition a single pair space, so the baseline is not
-	// summed). Their ratio is the cold-pair saving.
-	RowBytes      int64
-	DenseRowBytes int64
-
-	// QueryLatency/EpochBuild take the worst shard per percentile — the
-	// conservative tail, since per-shard histograms cannot be re-merged.
-	QueryLatency metrics.Summary
-	EpochBuild   metrics.Summary
-
-	// Scheme is the restoration scheme the shard template was configured
-	// with (all shards share it); the fields below it follow the
-	// engine.Stats fields of the same names. Restore/LocalBuild take the
-	// worst shard per percentile like the latency summaries above;
-	// Stretch/DetourHops are count-weighted across shards; the counters
-	// sum.
-	Scheme            engine.Scheme
-	Restore           metrics.Summary
-	LocalBuild        metrics.Summary
-	Stretch           metrics.AccSummary
-	DetourHops        metrics.AccSummary
-	LocalPairs        int64
-	LocalUnrestorable int64
-	Converged         int64
-	// Incremental sums the per-shard incremental builder counters.
-	Incremental engine.IncrementalStats
-	Cold        ColdStats
-	PerShard    []engine.Stats
+	// Stats is the merged record, read as a lone engine's: Epoch is the low
+	// watermark (every shard has reached it; individual shards may be
+	// ahead); counters sum, and Queries and Dropped count the cold tier's
+	// answers and sheds too; latency summaries take the worst shard per
+	// percentile, since per-shard histograms cannot be re-merged; Stretch
+	// and DetourHops are count-weighted; SnapshotAge is the oldest shard's.
+	// RowBytes sums resident routing-matrix bytes, while DenseRowBytes is
+	// what ONE dense all-pairs engine would hold (the shards partition a
+	// single pair space), so their ratio is the cold-pair saving.
+	engine.Stats
+	Shards   int
+	Cold     ColdStats
+	PerShard []engine.Stats
 }

@@ -165,7 +165,7 @@ func (c *client) attach() error {
 		return err
 	}
 	want := c.want
-	want.epoch = h.epoch
+	want.Epoch = h.Epoch
 	if h != want {
 		control.Close()
 		return fmt.Errorf("shardrpc: worker %d attaches as %+v, the coordinator expects %+v: shard, shard count, topology and LSP table must all agree", c.idx, h, want)
@@ -239,8 +239,8 @@ func (c *client) dialOne(role byte) (*Conn, hello, error) {
 		conn.Close()
 		return nil, hello{}, fmt.Errorf("shardrpc: worker %d replied frame %d to attach", c.idx, typ)
 	}
-	h, err := decodeHello(payload)
-	if err != nil {
+	var h hello
+	if err := decodeFixed(payload, &h); err != nil {
 		conn.Close()
 		return nil, hello{}, err
 	}
@@ -504,7 +504,7 @@ func (c *client) sendBatch(pairs []rbpc.Pair, owned int) bool {
 // the answer of every synchronous query lands.
 func (c *client) remoteQuery(src, dst graph.NodeID, ed graph.EdgeID, hasProbe bool) (Answer, error) {
 	t0 := time.Now()
-	ca, err := c.rpc(c.queryConn(), ftQuery, 0, appendQuery(nil, src, dst, ed, hasProbe), ftAnswer)
+	ca, err := c.rpc(c.queryConn(), ftQuery, 0, appendFixed(nil, newQuery(src, dst, ed, hasProbe)), ftAnswer)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -557,20 +557,21 @@ func (c *client) flush() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(ca.payload) != 8 {
-		return 0, fmt.Errorf("shardrpc: worker %d flush ack is %d bytes", c.idx, len(ca.payload))
+	var epoch uint64
+	if err := decodeFixed(ca.payload, &epoch); err != nil {
+		return 0, fmt.Errorf("shardrpc: worker %d flush ack: %w", c.idx, err)
 	}
-	return getU64(ca.payload, 0), nil
+	return epoch, nil
 }
 
 // ping is the health check; the pong carries the count of torn frames
 // the worker's end of the wire has dropped (0 when the ping fails).
 func (c *client) ping() int64 {
-	ca, err := c.rpc(c.controlConn(), ftPing, 0, nil, ftPong)
-	if err != nil || len(ca.payload) != 8 {
-		return 0
+	var torn int64
+	if ca, err := c.rpc(c.controlConn(), ftPing, 0, nil, ftPong); err == nil {
+		_ = decodeFixed(ca.payload, &torn) // a pong of the wrong size reads 0, as a failed ping does
 	}
-	return int64(getU64(ca.payload, 0))
+	return torn
 }
 
 // --- shard.Worker -----------------------------------------------------------
@@ -672,7 +673,8 @@ func (c *client) Stats() engine.Stats {
 	var st engine.Stats
 	if c.alive.Load() {
 		if ca, err := c.rpc(c.controlConn(), ftStats, 0, nil, ftStatsAck); err == nil {
-			st, _ = decodeStats(ca.payload)
+			// A frame of the wrong size leaves st zero, as a dead worker's is.
+			_ = decodeFixed(ca.payload, &st)
 		}
 	}
 	st.Queries += c.met.queries.Load()

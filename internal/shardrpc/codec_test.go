@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
@@ -23,7 +24,7 @@ import (
 // batch has no per-answer callback to hand a cost to.
 func answerAt(p []byte, i int) (flags byte, costBits uint64) {
 	off := 4 + answerEntrySize*i
-	return p[off], getU64(p, off+1)
+	return p[off], binary.LittleEndian.Uint64(p[off+1:])
 }
 
 // TestFrameRoundTrip drives random frames through a pipe-backed Conn and
@@ -172,15 +173,20 @@ func TestQueryAnswerBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloCodecRoundTrip covers the handshake frame: 32 bytes.
+// TestHelloCodecRoundTrip covers the handshake frame: the binary image of
+// hello, 32 bytes, its fields at the offsets of their declaration order.
 func TestHelloCodecRoundTrip(t *testing.T) {
-	h := hello{shard: 3, shards: 8, nodes: 4096, links: 16384, lsps: 55932, lspSum: 0xdeadbeef, epoch: 77}
-	buf := appendHello(nil, h)
+	h := hello{Shard: 3, Shards: 8, Nodes: 4096, Links: 16384, LSPs: 55932, LSPSum: 0xdeadbeef, Epoch: 77}
+	buf := appendFixed(nil, h)
 	if len(buf) != 32 {
 		t.Fatalf("hello encodes to %d bytes, want 32", len(buf))
 	}
-	got, err := decodeHello(buf)
-	if err != nil {
+	le := binary.LittleEndian
+	if le.Uint32(buf[0:]) != h.Shard || le.Uint32(buf[16:]) != h.LSPs || le.Uint32(buf[20:]) != h.LSPSum || le.Uint64(buf[24:]) != h.Epoch {
+		t.Fatalf("hello fields are not at their declaration offsets: %x", buf)
+	}
+	var got hello
+	if err := decodeFixed(buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != h {
@@ -188,10 +194,42 @@ func TestHelloCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStatsCodecRoundTrip fills every engine.Stats field with a distinct
-// value and proves the hand-rolled codec carries all of them — a new
-// engine stat that is not added to the codec fails this test by
-// construction (reflect covers the struct).
+// TestFixedFramesRefuseOtherSizes: a fixed-size frame decodes only from
+// exactly its image's bytes — the query (12 bytes, noEdge spelling no
+// probe), the 8-byte acks, the hello and the stats record alike.
+func TestFixedFramesRefuseOtherSizes(t *testing.T) {
+	for _, tc := range []struct {
+		q    query
+		want query
+	}{
+		{newQuery(4, 9, 0, false), query{Src: 4, Dst: 9, Probe: noEdge}},
+		{newQuery(4, 9, 0, true), query{Src: 4, Dst: 9, Probe: 0}},
+		{newQuery(1, 2, 77, true), query{Src: 1, Dst: 2, Probe: 77}},
+	} {
+		buf := appendFixed(nil, tc.q)
+		var got query
+		if len(buf) != 12 || decodeFixed(buf, &got) != nil || got != tc.want {
+			t.Fatalf("query %+v: %d bytes decoded as %+v, want 12 bytes and %+v", tc.q, len(buf), got, tc.want)
+		}
+	}
+	for _, v := range []any{new(query), new(uint64), new(int64), new(hello), new(engine.Stats)} {
+		n := binary.Size(v)
+		if n <= 0 {
+			t.Fatalf("%T is not fixed-size", v)
+		}
+		for _, size := range []int{0, n - 1, n + 1} {
+			if err := decodeFixed(make([]byte, size), v); err == nil {
+				t.Fatalf("%T decoded from %d bytes, its image is %d", v, size, n)
+			}
+		}
+	}
+}
+
+// TestStatsCodecRoundTrip fills every engine.Stats field, nested ones
+// included, with a distinct value and proves the stats frame — the
+// record's binary image — carries all of them: a field added to
+// engine.Stats crosses with no codec change, and one that is not
+// fixed-size fails the encode.
 func TestStatsCodecRoundTrip(t *testing.T) {
 	st := engine.Stats{
 		Epoch: 9, SnapshotAge: 8 * time.Millisecond,
@@ -202,7 +240,7 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 		EpochBuild:   metrics.Summary{Count: 6, P50: 5, P90: 6, P99: 7, Max: 8},
 		Incremental: engine.IncrementalStats{
 			PairsReused: 1, PairsRecomputed: 2, Entering: 3, Leaving: 4,
-			StaleRoutes: 5, RepairImproved: 6, FullRebuilds: 8, // TreesAdopted is always 0 and does not cross
+			StaleRoutes: 5, RepairImproved: 6, TreesAdopted: 7, FullRebuilds: 8,
 			AffectedNanos: 9, SolveNanos: 10, ResolveNanos: 11, AssembleNanos: 12,
 		},
 		Scheme:  engine.SchemeHybrid,
@@ -214,21 +252,30 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 		DetourHops: metrics.AccSummary{Count: 5, Mean: 2.5, Max: 6},
 		LocalPairs: 21, LocalUnrestorable: 22, Converged: 23,
 	}
-	got, err := decodeStats(appendStats(nil, st))
-	if err != nil {
+	buf := appendFixed(nil, st)
+	if len(buf) != binary.Size(st) {
+		t.Fatalf("stats frame is %d bytes, the record's image %d", len(buf), binary.Size(st))
+	}
+	var got engine.Stats
+	if err := decodeFixed(buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("stats diverged:\nwant %+v\ngot  %+v", st, got)
 	}
-	// Every exported field must be non-zero above, or this test cannot
-	// prove the codec carries it.
-	v := reflect.ValueOf(st)
-	for i := 0; i < v.NumField(); i++ {
-		if v.Field(i).IsZero() {
-			t.Fatalf("field %s left zero — give it a distinct value", v.Type().Field(i).Name)
+	// Every field must be non-zero above, or this test cannot prove the
+	// frame carries it.
+	var walk func(v reflect.Value, name string)
+	walk = func(v reflect.Value, name string) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), name+"."+v.Type().Field(i).Name)
+			}
+		} else if v.IsZero() {
+			t.Errorf("field %s left zero — give it a distinct value", name)
 		}
 	}
+	walk(reflect.ValueOf(st), "Stats")
 }
 
 // TestAnswerCodecRoundTrip covers the full single-query answer,

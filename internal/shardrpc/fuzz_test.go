@@ -89,19 +89,19 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatal("burst round trip unstable")
 			}
 		case fuzzStats:
-			st, err := decodeStats(payload)
-			if err != nil {
+			var st engine.Stats
+			if decodeFixed(payload, &st) != nil {
 				return
 			}
-			if string(appendStats(nil, st)) != string(payload) {
+			if string(appendFixed(nil, st)) != string(payload) {
 				t.Fatal("stats round trip unstable")
 			}
 		case fuzzHello:
-			h, err := decodeHello(payload)
-			if err != nil {
+			var h hello
+			if decodeFixed(payload, &h) != nil {
 				return
 			}
-			if string(appendHello(nil, h)) != string(payload) {
+			if string(appendFixed(nil, h)) != string(payload) {
 				t.Fatal("hello round trip unstable")
 			}
 		}
@@ -146,14 +146,14 @@ func seedBurstFrame() []byte {
 }
 
 func seedStatsFrame() []byte {
-	return appendStats([]byte{fuzzStats}, engine.Stats{
+	return appendFixed([]byte{fuzzStats}, engine.Stats{
 		Epoch: 3, Queries: 10, RowBytes: 1 << 12,
 		Stretch: metrics.AccSummary{Count: 2, Mean: 1000.5, Max: 1100},
 	})
 }
 
 func seedHelloFrame() []byte {
-	return appendHello([]byte{fuzzHello}, hello{
-		shard: 1, shards: 4, nodes: 12, links: 40, lsps: 236, lspSum: 0x1badc0de, epoch: 2,
+	return appendFixed([]byte{fuzzHello}, hello{
+		Shard: 1, Shards: 4, Nodes: 12, Links: 40, LSPs: 236, LSPSum: 0x1badc0de, Epoch: 2,
 	})
 }

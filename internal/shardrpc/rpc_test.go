@@ -659,7 +659,7 @@ func TestProcForeignRegistryRejected(t *testing.T) {
 		t.Fatal("a coordinator attached workers provisioned with a different LSP table")
 	}
 	for _, p := range []rbpc.Provision{edgeOnly, closed} {
-		if want := fmt.Sprintf("lsps:%d lspSum:%d", len(p.BaseLSPs), registryDigest(p.BaseLSPs)); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("LSPs:%d LSPSum:%d", len(p.BaseLSPs), registryDigest(p.BaseLSPs)); !strings.Contains(err.Error(), want) {
 			t.Errorf("attach error %q does not give %q", err, want)
 		}
 	}

@@ -13,14 +13,17 @@
 //
 // Wire shape. Every frame is a fixed 20-byte header (magic, payload
 // length, sequence, type, flags, CRC-32C of the payload) followed by the
-// payload, all little-endian, hand-rolled — no reflection, no JSON, and
-// reused buffers on both ends. A connection reads through one 64 KiB
-// buffered reader: a header and its payload, and under load several
-// frames, arrive in one read call, and a payload is handed out in place.
-// The hot frames (query batches out, answer batches back) encode and
-// decode through fixed-offset //rbpc:hotpath functions: zero allocations
-// per query in the steady state, verified by allocprove. Cold frames
-// (bursts, snapshots, stats) take the ordinary append path.
+// payload, all little-endian through encoding/binary, no JSON, and reused
+// buffers on both ends. A connection reads through one 64 KiB buffered
+// reader: a header and its payload, and under load several frames, arrive
+// in one read call, and a payload is handed out in place. The hot frames
+// (query batches out, answer batches back) encode and decode through
+// fixed-offset //rbpc:hotpath functions: zero allocations per query in the
+// steady state, verified by allocprove. A fixed-size frame (the hello, a
+// single query, the stats ack, the flush ack and the pong) is the
+// encoding/binary image of one value — the stats ack is engine.Stats
+// itself; the other cold frames (bursts, answers, snapshots) take the
+// ordinary append path.
 //
 // Attach. Every connection opens with an attach frame, answered by the
 // worker's hello: its shard index and the shard count (which together fix
@@ -166,7 +169,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	workers := make([]shard.Worker, cfg.Shards)
 	want := contract(p, cfg, 0)
 	for i := range c.w {
-		want.shard = uint32(i)
+		want.Shard = uint32(i)
 		c.w[i] = newClient(i, cfg, p, owners, dec, want)
 		workers[i] = c.w[i]
 		if err := c.w[i].attachWithin(); err != nil {

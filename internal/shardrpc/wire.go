@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -10,7 +11,8 @@ import (
 	"sync/atomic"
 )
 
-// Frame header layout (little-endian, 20 bytes):
+// Frame header layout (little-endian, like every integer on this wire;
+// 20 bytes):
 //
 //	offset 0  u32 magic "RBPC"
 //	offset 4  u32 payload length
@@ -127,17 +129,17 @@ func (c *Conn) ReadFrame() (typ byte, flags byte, seq uint32, payload []byte, er
 			}
 			return 0, 0, 0, nil, err
 		}
-		if getU32(hdr, 0) != wireMagic {
-			return 0, 0, 0, nil, fmt.Errorf("shardrpc: bad frame magic %#x", getU32(hdr, 0))
+		if m := binary.LittleEndian.Uint32(hdr[0:]); m != wireMagic {
+			return 0, 0, 0, nil, fmt.Errorf("shardrpc: bad frame magic %#x", m)
 		}
-		n := int(getU32(hdr, 4))
+		n := int(binary.LittleEndian.Uint32(hdr[4:]))
 		if n > maxFrame {
 			return 0, 0, 0, nil, fmt.Errorf("shardrpc: frame length %d exceeds limit", n)
 		}
 		// The header's fields are read out before the next Peek, which may
 		// move the bytes hdr aliases.
-		seq, typ, flags = getU32(hdr, 8), hdr[12], hdr[13]
-		sum := getU32(hdr, 16)
+		seq, typ, flags = binary.LittleEndian.Uint32(hdr[8:]), hdr[12], hdr[13]
+		sum := binary.LittleEndian.Uint32(hdr[16:])
 		if headerSize+n <= readBuffer {
 			frame, err := c.br.Peek(headerSize + n)
 			if err != nil {
@@ -174,13 +176,13 @@ func (c *Conn) WriteFrame(typ, flags byte, seq uint32, payload []byte) error {
 		c.wbuf = make([]byte, n)
 	}
 	b := c.wbuf[:n]
-	putU32(b, 0, wireMagic)
-	putU32(b, 4, uint32(len(payload)))
-	putU32(b, 8, seq)
+	binary.LittleEndian.PutUint32(b[0:], wireMagic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[8:], seq)
 	b[12] = typ
 	b[13] = flags
 	b[14], b[15] = 0, 0
-	putU32(b, 16, checksum(payload))
+	binary.LittleEndian.PutUint32(b[16:], checksum(payload))
 	copy(b[headerSize:], payload)
 	if c.corrupt != nil {
 		c.corrupt(typ, b[headerSize:])
@@ -201,47 +203,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 //rbpc:hotpath
 func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
-
-// Fixed-offset little-endian primitives: the hot codec functions below
-// write into buffers their callers have already grown, so the steady
-// state query path never allocates. Each takes its bytes as one
-// fixed-length window (one bounds check), which is the shape the compiler
-// turns into a single load or store.
-
-//rbpc:hotpath
-func putU32(b []byte, off int, v uint32) {
-	w := b[off : off+4 : off+4]
-	w[0] = byte(v)
-	w[1] = byte(v >> 8)
-	w[2] = byte(v >> 16)
-	w[3] = byte(v >> 24)
-}
-
-//rbpc:hotpath
-func putU64(b []byte, off int, v uint64) {
-	w := b[off : off+8 : off+8]
-	w[0] = byte(v)
-	w[1] = byte(v >> 8)
-	w[2] = byte(v >> 16)
-	w[3] = byte(v >> 24)
-	w[4] = byte(v >> 32)
-	w[5] = byte(v >> 40)
-	w[6] = byte(v >> 48)
-	w[7] = byte(v >> 56)
-}
-
-//rbpc:hotpath
-func getU32(b []byte, off int) uint32 {
-	w := b[off : off+4 : off+4]
-	return uint32(w[0]) | uint32(w[1])<<8 | uint32(w[2])<<16 | uint32(w[3])<<24
-}
-
-//rbpc:hotpath
-func getU64(b []byte, off int) uint64 {
-	w := b[off : off+8 : off+8]
-	return uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
-		uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
-}
 
 // grow returns buf resized to n bytes, reallocating only when capacity
 // demands — the cold half of the reused-buffer discipline (hot fillers

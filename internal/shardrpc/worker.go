@@ -137,8 +137,8 @@ func (w *Worker) ServeConn(nc net.Conn) error {
 		return fmt.Errorf("shardrpc: worker %d: first frame %d is not attach", w.idx, typ)
 	}
 	h := w.contract
-	h.epoch = w.eng.Snapshot().Epoch()
-	if err := c.WriteFrame(ftHello, 0, 0, appendHello(nil, h)); err != nil {
+	h.Epoch = w.eng.Snapshot().Epoch()
+	if err := c.WriteFrame(ftHello, 0, 0, appendFixed(nil, h)); err != nil {
 		return err
 	}
 	switch role {
@@ -158,9 +158,8 @@ func (w *Worker) ServeConn(nc net.Conn) error {
 // replies echo the request sequence number.
 func (w *Worker) serveControl(c *Conn) error {
 	var (
-		evs      []failure.Event
-		ackBuf   []byte
-		statsBuf []byte
+		evs    []failure.Event
+		ackBuf []byte
 	)
 	for {
 		typ, _, seq, payload, err := c.ReadFrame()
@@ -179,18 +178,16 @@ func (w *Worker) serveControl(c *Conn) error {
 			err = c.WriteFrame(ftBurstAck, 0, seq, nil)
 		case ftFlush:
 			w.eng.Flush()
-			ackBuf = grow(ackBuf, 8)
-			putU64(ackBuf, 0, w.eng.Snapshot().Epoch())
+			ackBuf = appendFixed(ackBuf[:0], w.eng.Snapshot().Epoch())
 			err = c.WriteFrame(ftFlushAck, 0, seq, ackBuf)
 		case ftDrain:
 			w.eng.Drain()
 			err = c.WriteFrame(ftDrainAck, 0, seq, nil)
 		case ftStats:
-			statsBuf = appendStats(statsBuf[:0], w.eng.Stats())
-			err = c.WriteFrame(ftStatsAck, 0, seq, statsBuf)
+			ackBuf = appendFixed(ackBuf[:0], w.eng.Stats())
+			err = c.WriteFrame(ftStatsAck, 0, seq, ackBuf)
 		case ftPing:
-			ackBuf = grow(ackBuf, 8)
-			putU64(ackBuf, 0, uint64(w.torn.Load()))
+			ackBuf = appendFixed(ackBuf[:0], w.torn.Load())
 			err = c.WriteFrame(ftPong, 0, seq, ackBuf)
 		default:
 			return fmt.Errorf("shardrpc: worker %d: frame %d on control connection", w.idx, typ)
@@ -223,11 +220,11 @@ func (w *Worker) serveQuery(c *Conn) error {
 			w.serveBatch(payload, ansBuf, n, order)
 			err = c.WriteFrame(ftAnswerBatch, 0, seq, ansBuf)
 		case ftQuery:
-			src, dst, probe, hasProbe, derr := decodeQuery(payload)
-			if derr != nil {
-				return derr
+			var q query
+			if err := decodeFixed(payload, &q); err != nil {
+				return err
 			}
-			ansBuf = w.answerQuery(ansBuf[:0], src, dst, probe, hasProbe)
+			ansBuf = w.answerQuery(ansBuf[:0], q)
 			err = c.WriteFrame(ftAnswer, 0, seq, ansBuf)
 		case ftPing:
 			err = c.WriteFrame(ftPong, 0, seq, nil)
@@ -289,7 +286,8 @@ func (w *Worker) serveBatch(payload, ansBuf []byte, n, order int) {
 // forwarding plane, so it must be computed here, not at the coordinator.
 // The row is read directly, not through engine.Query: a query is counted
 // where its answer lands, on the client.
-func (w *Worker) answerQuery(buf []byte, src, dst graph.NodeID, ed graph.EdgeID, hasProbe bool) []byte {
+func (w *Worker) answerQuery(buf []byte, q query) []byte {
+	src, dst := graph.NodeID(q.Src), graph.NodeID(q.Dst)
 	snap := w.eng.Snapshot()
 	res := engine.Result{Src: src, Dst: dst, Snap: snap}
 	order := w.g.Order()
@@ -298,8 +296,8 @@ func (w *Worker) answerQuery(buf []byte, src, dst graph.NodeID, ed graph.EdgeID,
 	}
 	a := Answer{Epoch: snap.Epoch(), Failed: snap.Failed(), Route: res.Route}
 	a.Routable = res.Route != nil
-	if hasProbe {
-		a.ProbeResult = probe.Verdict(res, ed)
+	if q.Probe != noEdge {
+		a.ProbeResult = probe.Verdict(res, graph.EdgeID(q.Probe))
 	}
 	return appendAnswer(buf, a)
 }

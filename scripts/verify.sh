@@ -87,6 +87,18 @@ if awk '/^type Explicit struct \{/ { inside = 1; next }
 	exit 1
 fi
 
+# One byte order on the wire, encoding/binary's (DESIGN.md §14): the
+# shift-and-mask little-endian toolkits it replaced — putU32/getU64 and
+# appendU32 in internal/shardrpc, wireU32 and wireCursor's reads in
+# internal/engine — wrote the same bytes, so one coming back would pass
+# every test. A byte cut out of a word by a shift, or a word assembled from
+# shifted bytes, is the shape they all share.
+echo "==> no hand-rolled byte order"
+if git grep -nE 'byte\([[:alnum:]_]+ ?>> ?(8|16|24|32|40|48|56)\)|\]\) ?<< ?(8|16|24|32|40|48|56)' -- '*.go'; then
+	echo "verify: a hand-rolled byte-order encode or decode (see above); use encoding/binary's LittleEndian" >&2
+	exit 1
+fi
+
 # The same rule for the retired corpus key: ReadCase still accepts it from
 # older files and ignores it, and a writer that emitted it again would
 # round-trip unnoticed.
