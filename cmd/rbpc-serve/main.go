@@ -274,9 +274,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shardProcs = fs.Int("shard-procs", 0, "serve the window from N forked worker processes over the wire transport (0 = in process)")
 		workerSpec = fs.String("worker", "", "run as a shard worker process with this spec (internal; set by -shard-procs)")
 		killAfter  = fs.Duration("kill-worker-after", 0, "kill worker 0 this long into the process-mode window (crash-recovery demo; 0 = never)")
-
-		coldWorkers = fs.Int("cold-workers", 0, "cold-tier solver pool size (0 = default)")
-		coldQueue   = fs.Int("cold-queue", 0, "cold-tier admission queue depth; beyond it cold queries shed (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -331,10 +328,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "-flood-detect must be 0 or more, got", *floodDet)
 	case *floodHop < 0:
 		return fail(2, "-flood-hop must be 0 or more, got", *floodHop)
-	case *coldWorkers < 0:
-		return fail(2, "-cold-workers must be 0 (default) or more, got", *coldWorkers)
-	case *coldQueue < 0:
-		return fail(2, "-cold-queue must be 0 (default) or more, got", *coldQueue)
 	case *killAfter < 0:
 		return fail(2, "-kill-worker-after must be 0 (never) or more, got", *killAfter)
 	case *killAfter > 0 && *shardProcs == 0:
@@ -395,7 +388,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ecfg.Workers = (ecfg.Workers + nShards - 1) / nShards
 		ecfg.QueueDepth = (*queue + nShards - 1) / nShards
 	}
-	cold := shard.ColdConfig{Workers: *coldWorkers, Queue: *coldQueue}
 
 	// The one place a backend is opened; everything below drives and
 	// reports on whichever this yields.
@@ -411,7 +403,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wo.PlanCacheMax = *planCache
 		fmt.Fprintf(stdout, "forking %d worker processes (GOMAXPROCS %d each)... ", nShards, wo.MaxProcs)
 		attachStart := time.Now()
-		pb, err := openProcs(p, wo, shardrpc.Config{Shards: nShards, Cold: cold}, stderr)
+		pb, err := openProcs(p, wo, shardrpc.Config{Shards: nShards}, stderr)
 		if err != nil {
 			return fail(1, err)
 		}
@@ -427,7 +419,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		be = pb
 	case *shards > 0:
-		c, err := shard.New(p, shard.Config{Shards: nShards, Engine: ecfg, Cold: cold})
+		c, err := shard.New(p, shard.Config{Shards: nShards, Engine: ecfg})
 		if err != nil {
 			return fail(1, "shard coordinator:", err)
 		}

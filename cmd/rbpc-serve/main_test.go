@@ -86,10 +86,9 @@ func TestStrictWindow(t *testing.T) {
 		{"engine/gomaxprocs=1", 1, nil, "time-to-restore (source):"},
 		{"engine/gomaxprocs=8", 8, nil, "time-to-restore (source):"},
 		{"hybrid", 8, []string{"-scheme", "hybrid", "-flood-detect", "2ms", "-flood-hop", "100us"}, "time-to-restore (hybrid):"},
-		// The cold queue covers the window's backlog: cold queries shed only
-		// on a full admission queue, and the closing drain absorbs the rest.
-		{"shards=4/hot-set", 8, []string{"-shards", "4", "-hot-sources", "40", "-plan-cache-max", "256",
-			"-cold-queue", "65536"}, "shards: 4;"},
+		// The cold tier admits each burst's cold part as one unit, so its
+		// queue of bursts covers the window's backlog at the default bound.
+		{"shards=4/hot-set", 8, []string{"-shards", "4", "-hot-sources", "40", "-plan-cache-max", "256"}, "shards: 4;"},
 		{"shard-procs=2", 8, []string{"-shard-procs", "2"}, "process mode: 0 worker restarts, 0 torn frames"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,14 +161,16 @@ func TestRejectedFlagCombos(t *testing.T) {
 		{"negative queue", []string{"-queue", "-5"}, "-queue must be at least 1"},
 		{"no queue", []string{"-queue", "0"}, "-queue must be at least 1"},
 		// And each of these exited 0 under another meaning: every source
-		// hot, an unbounded plan cache, negative flood delays, the cold
-		// tier's defaults and a kill that never fires.
+		// hot, an unbounded plan cache, negative flood delays and a kill
+		// that never fires.
 		{"negative hot set", []string{"-hot-sources", "-5", "-shards", "2"}, "-hot-sources must be 0"},
 		{"negative plan cache", []string{"-plan-cache-max", "-1"}, "-plan-cache-max must be 0"},
 		{"negative flood detection", []string{"-scheme", "hybrid", "-flood-detect", "-5ms"}, "-flood-detect must be 0"},
 		{"negative flood hop", []string{"-scheme", "hybrid", "-flood-hop", "-1ms"}, "-flood-hop must be 0"},
-		{"negative cold workers", []string{"-cold-workers", "-3"}, "-cold-workers must be 0"},
-		{"negative cold queue", []string{"-cold-queue", "-1"}, "-cold-queue must be 0"},
+		// The cold tier's pool and queue bound are constants: its two
+		// retired flags are refused as unknown, with any value.
+		{"negative cold workers", []string{"-cold-workers", "-3"}, "flag provided but not defined: -cold-workers"},
+		{"negative cold queue", []string{"-cold-queue", "-1"}, "flag provided but not defined: -cold-queue"},
 		{"negative kill delay", []string{"-shard-procs", "2", "-kill-worker-after", "-1s"}, "-kill-worker-after must be 0"},
 		// These exited 0 too: churn one link at a time (failure.ChurnSchedule
 		// clamps the bound to 1), no churn at all, and a kill with no worker

@@ -215,10 +215,10 @@ type Report struct {
 // world is the shared immutable context for one (nodes, topoSeed):
 // the topology, a pristine provisioned system to export engines from,
 // and the all-shortest-paths base set the theorem oracle checks against.
-// Provisioning dominates run cost, so worlds are cached — the engine
-// clones everything it mutates (COW network, per-export map clones), so
-// sharing between successive runs is safe. Concurrent runs over one world
-// are not: cloning the pristine network marks its tables shared, a write.
+// Provisioning dominates run cost, so worlds are cached. Nothing a run
+// builds over a world writes it — an engine reads the provision's graph,
+// base set, LSP table and network, and never clones or writes the network
+// — so runs over one world may share it, concurrently too.
 type world struct {
 	g   *graph.Graph
 	sys *rbpc.System
@@ -360,9 +360,10 @@ func (c Case) Run() (Report, error) {
 			sut.Flush()
 			ref.Flush()
 			if coord == nil {
-				vio = ck.checkFlush(i, 0, eng.Snapshot(), model)
+				snap := eng.Snapshot()
+				vio = ck.checkFlush(i, 0, snap, model)
 				if vio == nil {
-					vio = ck.checkEquivalence(i, eng.Snapshot(), ref.Snapshot())
+					vio = ck.checkEquivalence(i, []*engine.Snapshot{snap}, func(graph.NodeID) int { return 0 }, ref.Snapshot())
 				}
 				break
 			}
@@ -378,7 +379,11 @@ func (c Case) Run() (Report, error) {
 					vio = &Violation{Step: i, Kind: "torn-view",
 						Detail: "no consistent cross-shard view after flush"}
 				} else {
-					vio = ck.checkShardEquivalence(i, v, ref.Snapshot())
+					snaps := make([]*engine.Snapshot, v.Shards())
+					for s := range snaps {
+						snaps[s] = v.Shard(s)
+					}
+					vio = ck.checkEquivalence(i, snaps, coord.Owner, ref.Snapshot())
 				}
 			}
 		case failure.StepSettle:

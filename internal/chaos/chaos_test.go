@@ -107,8 +107,8 @@ func TestSchemeConformanceClean(t *testing.T) {
 		{"hybrid-converged", engine.SchemeHybrid, false},
 		{"hybrid-frozen", engine.SchemeHybrid, true},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			cfg := smokeCfg()
 			cfg.Scheme = tc.scheme
 			cfg.FloodFrozen = tc.frozen

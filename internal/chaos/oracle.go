@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rbpc/internal/core"
@@ -12,7 +13,6 @@ import (
 	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
-	"rbpc/internal/shard"
 )
 
 // costEps is the tolerance for cost comparisons. Topology weights are
@@ -429,13 +429,17 @@ func (ck *checker) bypassBlocked(down map[graph.EdgeID]bool, src, dst graph.Node
 	return !ok
 }
 
-// checkEquivalence compares the flushed snapshot of the engine under test
-// against the lockstep FullRebuild reference: same failed-set, and for
-// every pair whose answer is source-flavored the same routability, the
-// same cost bits, and the same component path sequences. Label stacks are
-// deliberately excluded (label numbers depend on signaling order, which
-// the contract does not cover); a deterministic per-flush sample of
-// oracle distances is compared at the bit level too. Intermediate epoch
+// checkEquivalence compares the flushed system under test against the
+// lockstep FullRebuild reference. snaps are the snapshots it serves from —
+// one for a lone engine, one per shard of a consistent cross-shard view —
+// and owner names the one serving each source. Every snapshot must carry
+// the reference's failed-set, and every pair, read from the snapshot
+// serving its source, whose answer is source-flavored must have the same
+// routability, the same cost bits, and the same component path sequences.
+// Label stacks are deliberately excluded (label numbers depend on
+// signaling order, which the contract does not cover); a deterministic
+// per-flush sample of oracle distances, each read from the snapshot
+// serving its source, is compared at the bit level too. Intermediate epoch
 // counts are not compared — either writer may take bursts queued together
 // in one transition — but flushed serving state is path-independent for a
 // correct engine, which is exactly the property the incremental builder
@@ -448,31 +452,31 @@ func (ck *checker) bypassBlocked(down map[graph.EdgeID]bool, src, dst graph.Node
 // tolerated only for a provably blocked edge-bypass. A converged hybrid
 // serves source answers everywhere, so it must bit-match in full — the
 // machine check of the switchover property.
-func (ck *checker) checkEquivalence(step int, got, want *engine.Snapshot) *Violation {
-	vio := func(format string, args ...interface{}) *Violation {
-		return &Violation{Step: step, Epoch: got.Epoch(), Kind: "equivalence",
-			Detail: fmt.Sprintf(format, args...)}
-	}
-	gf, wf := got.Failed(), want.Failed()
-	if len(gf) != len(wf) {
-		return vio("failed-set %v, reference %v", gf, wf)
-	}
-	for i := range gf {
-		if gf[i] != wf[i] {
-			return vio("failed-set %v, reference %v", gf, wf)
+func (ck *checker) checkEquivalence(step int, snaps []*engine.Snapshot, owner func(graph.NodeID) int, want *engine.Snapshot) *Violation {
+	wf := want.Failed()
+	for i, got := range snaps {
+		if !slices.Equal(got.Failed(), wf) {
+			return &Violation{Step: step, Epoch: got.Epoch(), Kind: "equivalence",
+				Detail: fmt.Sprintf("snapshot %d of %d: failed-set %v, reference %v", i, len(snaps), got.Failed(), wf)}
 		}
 	}
-	down := make(map[graph.EdgeID]bool, len(gf))
-	for _, e := range gf {
+	down := make(map[graph.EdgeID]bool, len(wf))
+	for _, e := range wf {
 		down[e] = true
 	}
 	n := ck.g.Order()
 	for s := 0; s < n; s++ {
+		src := graph.NodeID(s)
+		got := snaps[owner(src)]
+		vio := func(format string, args ...interface{}) *Violation {
+			return &Violation{Step: step, Epoch: got.Epoch(), Kind: "equivalence",
+				Detail: fmt.Sprintf(format, args...)}
+		}
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
-			src, dst := graph.NodeID(s), graph.NodeID(d)
+			dst := graph.NodeID(d)
 			a, b := got.Route(src, dst), want.Route(src, dst)
 			if a == nil && b == nil {
 				continue
@@ -482,10 +486,10 @@ func (ck *checker) checkEquivalence(step int, got, want *engine.Snapshot) *Viola
 					ck.bypassBlocked(down, src, dst) {
 					continue
 				}
-				return vio("pair %d->%d routable false, reference true (failed %v)", s, d, gf)
+				return vio("pair %d->%d routable false, reference true (failed %v)", s, d, wf)
 			}
 			if b == nil {
-				return vio("pair %d->%d routable true, reference false (failed %v)", s, d, gf)
+				return vio("pair %d->%d routable true, reference false (failed %v)", s, d, wf)
 			}
 			if a.Via != engine.SchemeSource {
 				lsp := ck.primary(src, dst)
@@ -495,75 +499,11 @@ func (ck *checker) checkEquivalence(step int, got, want *engine.Snapshot) *Viola
 				exact, ok := ck.localExactCost(a.Via, down, lsp, dst)
 				if !ok || math.Abs(a.Cost-exact) > costEps {
 					return vio("pair %d->%d local cost %v, independent %v recomputation says %v (failed %v)",
-						s, d, a.Cost, a.Via, exact, gf)
+						s, d, a.Cost, a.Via, exact, wf)
 				}
 				if a.Cost < b.Cost-costEps {
 					return vio("pair %d->%d local cost %v beats the reference optimum %v", s, d, a.Cost, b.Cost)
 				}
-				continue
-			}
-			if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
-				return vio("pair %d->%d cost %v, reference %v (failed %v)", s, d, a.Cost, b.Cost, gf)
-			}
-			if len(a.LSPs) != len(b.LSPs) {
-				return vio("pair %d->%d has %d components, reference %d", s, d, len(a.LSPs), len(b.LSPs))
-			}
-			for i := range a.LSPs {
-				if !a.LSPs[i].Path.Equal(b.LSPs[i].Path) {
-					return vio("pair %d->%d component %d path %v, reference %v", s, d, i, a.LSPs[i].Path, b.LSPs[i].Path)
-				}
-			}
-		}
-	}
-	for k := 0; k < 8; k++ {
-		src := graph.NodeID((step*5 + k*3) % n)
-		dst := graph.NodeID((step*7 + k*11 + 1) % n)
-		da, db := got.Oracle().Dist(src, dst), want.Oracle().Dist(src, dst)
-		if math.Float64bits(da) != math.Float64bits(db) {
-			return vio("dist %d->%d = %v, reference %v (failed %v)", src, dst, da, db, gf)
-		}
-	}
-	return nil
-}
-
-// checkShardEquivalence is checkEquivalence for a sharded run: every
-// shard snapshot of the consistent view must carry the reference's
-// failed-set, every pair (answered by its owner shard) must match the
-// reference's routability, cost bits, and component path sequence, and
-// the sampled oracle distances — taken from the owning shard's snapshot —
-// must be bit-identical too.
-func (ck *checker) checkShardEquivalence(step int, v shard.View, want *engine.Snapshot) *Violation {
-	wf := want.Failed()
-	for s := 0; s < v.Shards(); s++ {
-		snap := v.Shard(s)
-		gf := snap.Failed()
-		agree := len(gf) == len(wf)
-		for i := 0; agree && i < len(gf); i++ {
-			agree = gf[i] == wf[i]
-		}
-		if !agree {
-			return &Violation{Step: step, Epoch: snap.Epoch(), Kind: "equivalence",
-				Detail: fmt.Sprintf("shard %d failed-set %v, reference %v", s, gf, wf)}
-		}
-	}
-	n := ck.g.Order()
-	for s := 0; s < n; s++ {
-		src := graph.NodeID(s)
-		snap := v.Snap(src)
-		vio := func(format string, args ...interface{}) *Violation {
-			return &Violation{Step: step, Epoch: snap.Epoch(), Kind: "equivalence",
-				Detail: fmt.Sprintf(format, args...)}
-		}
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			dst := graph.NodeID(d)
-			a, b := snap.Route(src, dst), want.Route(src, dst)
-			if (a == nil) != (b == nil) {
-				return vio("pair %d->%d routable %v, reference %v (failed %v)", s, d, a != nil, b != nil, wf)
-			}
-			if a == nil {
 				continue
 			}
 			if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) {
@@ -582,9 +522,10 @@ func (ck *checker) checkShardEquivalence(step int, v shard.View, want *engine.Sn
 	for k := 0; k < 8; k++ {
 		src := graph.NodeID((step*5 + k*3) % n)
 		dst := graph.NodeID((step*7 + k*11 + 1) % n)
-		da, db := v.Snap(src).Oracle().Dist(src, dst), want.Oracle().Dist(src, dst)
+		got := snaps[owner(src)]
+		da, db := got.Oracle().Dist(src, dst), want.Oracle().Dist(src, dst)
 		if math.Float64bits(da) != math.Float64bits(db) {
-			return &Violation{Step: step, Epoch: v.Snap(src).Epoch(), Kind: "equivalence",
+			return &Violation{Step: step, Epoch: got.Epoch(), Kind: "equivalence",
 				Detail: fmt.Sprintf("dist %d->%d = %v, reference %v (failed %v)", src, dst, da, db, wf)}
 		}
 	}

@@ -146,11 +146,10 @@ type Engine struct {
 	// (core.Component.Base) and the crossing scan of a down link walks
 	// base.IndicesThroughEdge against. Shared, read-only.
 	lspAt []*mpls.LSP
-	// net is the engine's one network: New's clone of the provision's, never
-	// cloned or written again. (Nothing writes the provision's after
-	// rbpc.NewSystem either, so the clone guards nothing; it goes with
-	// Network.Clone's copy-on-write flags.) Every epoch forwards over it
-	// under its own failure view and patch rows (Snapshot.Send).
+	// net is the engine's one network: the provision's own, which nothing
+	// writes after rbpc.NewSystem, and so neither cloned nor written here.
+	// Every epoch forwards over it under its own failure view and patch rows
+	// (Snapshot.Send).
 	net *mpls.Network
 
 	// prim marks, by base-set index, the primaries of the pairs this engine
@@ -236,11 +235,11 @@ type writerMsg struct {
 	flush chan struct{} // non-nil: barrier marker, no events
 }
 
+// queryReq is one admission unit of the query queues: a burst of pairs
+// stamped with one timestamp and served from one snapshot load, or a Drain
+// barrier.
 type queryReq struct {
-	src, dst graph.NodeID
-	at       time.Time
-	// batch, when non-nil, carries a whole burst of pairs stamped with one
-	// timestamp and served from one snapshot load; src/dst are unused.
+	at    time.Time
 	batch []rbpc.Pair
 	// owned, when non-zero, marks batch as shared with other engines
 	// (SubmitOwned): only the pairs whose source this engine materializes
@@ -276,7 +275,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		base:      p.Base,
 		cfg:       cfg,
 		lspAt:     p.BaseLSPs,
-		net:       p.Net.Clone(),
+		net:       p.Net,
 		prim:      p.PrimaryMask(),
 		primAt:    primAt,
 		live:      paths.NewLiveIndex(p.Base),
@@ -423,23 +422,11 @@ func (e *Engine) Dist(src, dst graph.NodeID) float64 {
 	return e.snap.Load().oracle.Dist(src, dst)
 }
 
-// Submit enqueues an async query for the worker pool. It reports false —
-// without blocking — when the target shard is full (the open-loop load
-// shed). Shards are chosen round-robin so steady load spreads across all
-// workers.
-//
-//rbpc:hotpath
+// Submit enqueues one async query for the worker pool: a burst of one pair
+// (SubmitBatch). It reports false — without blocking — when the target
+// shard is full (the open-loop load shed).
 func (e *Engine) Submit(src, dst graph.NodeID) bool {
-	key := uint64(src)*0x9e3779b1 + uint64(dst)
-	e.mSubmitted.Add(key, 1)
-	shard := e.submitSeq.Add(1) % uint64(len(e.queries))
-	select {
-	case e.queries[shard] <- queryReq{src: src, dst: dst, at: time.Now()}:
-		return true
-	default:
-		e.mDropped.Add(key, 1)
-		return false
-	}
+	return e.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
 }
 
 // SubmitBatch enqueues a whole burst of queries with one timestamp and one
@@ -506,15 +493,7 @@ func (e *Engine) queryWorker(id uint64) {
 				e.serveOwned(id, q)
 				continue
 			}
-			if q.batch != nil {
-				e.serveBatch(id, q)
-				continue
-			}
-			res := e.Query(q.src, q.dst)
-			e.mLatency.Record(id, time.Since(q.at))
-			if e.cfg.OnResult != nil {
-				e.cfg.OnResult(res)
-			}
+			e.serveBatch(id, q)
 		}
 	}
 }

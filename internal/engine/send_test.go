@@ -211,11 +211,11 @@ func TestSendWithoutDataPlane(t *testing.T) {
 	}
 }
 
-// TestEngineNeverWritesItsNetwork: after New the engine lineage neither
-// clones nor writes a network. Over seeded churn on every scheme, every
-// published epoch forwards over the pointer-identical network, whose write
-// counters — ILM replacements, FEC updates, LSPs established — still read
-// what the provision's did.
+// TestEngineNeverWritesItsNetwork: the engine lineage neither clones nor
+// writes a network. It forwards over the provision's own, and over seeded
+// churn on every scheme, every published epoch forwards over that
+// pointer-identical network, whose write counters — ILM replacements, FEC
+// updates, LSPs established — still read what the provision's did.
 func TestEngineNeverWritesItsNetwork(t *testing.T) {
 	g := topology.Waxman(16, 0.8, 0.5, 3)
 	sys, err := rbpc.NewSystem(g, rbpc.DefaultConfig())
@@ -246,6 +246,9 @@ func TestEngineNeverWritesItsNetwork(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(e.Close)
+		if e.net != sys.Net() {
+			t.Fatalf("%v: the engine forwards over a network other than the provision's", scheme)
+		}
 		if e.Snapshot().net != e.net {
 			t.Fatalf("%v: the pristine epoch forwards over a network of its own", scheme)
 		}

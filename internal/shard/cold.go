@@ -4,40 +4,35 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rbpc/internal/core"
 	"rbpc/internal/engine"
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
+	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
 )
 
-// ColdConfig tunes the on-demand tier answering pairs whose source has no
-// materialized serving row.
-type ColdConfig struct {
-	// Workers is the solver-pool size (default 2). Each worker owns its
-	// pull, liveness counts and SSSP scratch.
-	Workers int
-	// Queue bounds the admission queue; submissions beyond it are shed
-	// (default 1024). This is the admission control: a cold answer is a
-	// search where a hot one is a row lookup, and an unbounded backlog
-	// would let a cold-heavy burst starve the solver pool forever.
-	Queue int
-}
+// The cold tier's pool and its admission bound. Each of the coldWorkers
+// solvers drains a queue of its own, coldQueue/coldWorkers entries deep, and
+// an entry is one admission unit: a synchronous Query, or the diverted part
+// of one coordinator burst however many pairs it holds. The bound counts
+// units, as an engine's query queue counts bursts, and a unit beyond it is
+// shed whole. It is the admission control: a cold answer is a search where a
+// hot one is a row lookup, and an unbounded backlog would let cold-heavy
+// load starve the pool forever.
+const (
+	coldWorkers = 2
+	coldQueue   = 1024
+)
 
-func (c ColdConfig) withDefaults() ColdConfig {
-	if c.Workers < 1 {
-		c.Workers = 2
-	}
-	if c.Queue < 1 {
-		c.Queue = 1024
-	}
-	return c
-}
+// ColdConfig is the cold tier's configuration, which has nothing to set:
+// the pool and its admission bound are constants (coldWorkers, coldQueue).
+// It stays a parameter of NewColdTier for that function's callers.
+type ColdConfig struct{}
 
-// ColdStats is the cold tier's counter scrape.
+// ColdStats is the cold tier's counter scrape, in pairs.
 type ColdStats struct {
 	// Queries counts pairs routed to the tier; Shed counts those refused
 	// by admission control; Solved counts the answers the pool computed.
@@ -46,15 +41,24 @@ type ColdStats struct {
 	Solved  int64
 }
 
-// coldReq is one queued cold-tier solve. It pins the querying shard's
-// snapshot for the duration of the solve, so it is epoch-scoped: it may
-// ride the admission queue but never rest anywhere longer-lived.
+// coldReq is one admission unit of the cold tier: a pair pinned to the
+// caller's snapshot and answered on reply (Query), the diverted part of a
+// coordinator burst (burst non-nil), or a Drain barrier (drain non-nil). It
+// pins snapshots for the duration of its solves, so it is epoch-scoped: it
+// may ride the admission queue but never rest anywhere longer-lived.
 //
 //rbpc:epochscoped
 type coldReq struct {
 	src, dst graph.NodeID
 	snap     *engine.Snapshot
-	reply    chan engine.Result // nil: async, answer goes to onResult
+	reply    chan engine.Result
+	// burst is one of c's bursts, shared read-only with c's workers: the
+	// pairs of it whose slot is in divert are this unit's.
+	burst  []rbpc.Pair
+	c      *Coordinator
+	divert slotSet
+	// drain is closed by the worker once everything queued ahead is answered.
+	drain chan struct{}
 }
 
 // ColdTier is the admission-controlled on-demand solver pool. Cold
@@ -71,10 +75,12 @@ type ColdTier struct {
 	lspAt    []*mpls.LSP // the base set's LSPs by position (rbpc.Provision.BaseLSPs)
 	onResult func(engine.Result)
 
-	queue    chan coldReq
-	done     chan struct{}
-	wg       sync.WaitGroup
-	inflight atomic.Int64
+	// queues holds one admission queue per worker; units are dealt to them
+	// round-robin by seq.
+	queues [coldWorkers]chan coldReq
+	seq    atomic.Uint64
+	done   chan struct{}
+	wg     sync.WaitGroup
 
 	queries atomic.Int64
 	shed    atomic.Int64
@@ -85,81 +91,92 @@ type ColdTier struct {
 // its LSP registry keyed by path content, which it lays out by position
 // once, here (a base path the registry lacks answers unroutable); Over
 // hands a coordinator's tier the provision's own table instead. onResult
-// receives async answers (nil discards them). The graph is base's own,
-// which is what the tier reads; the parameter stays for its callers.
-func NewColdTier(_ *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
+// receives the answers to coordinator bursts (nil discards them). The
+// graph is base's own, which is what the tier reads, and ColdConfig sets
+// nothing; both parameters stay for the function's callers.
+func NewColdTier(_ *graph.Graph, base *paths.Explicit, lspOf map[string]*mpls.LSP, _ ColdConfig, onResult func(engine.Result)) *ColdTier {
 	lspAt := make([]*mpls.LSP, base.Len())
 	for i, p := range base.All() {
 		lspAt[i] = lspOf[p.Key()]
 	}
-	return newColdTier(base, lspAt, cfg, onResult)
+	return newColdTier(base, lspAt, onResult)
 }
 
-func newColdTier(base *paths.Explicit, lspAt []*mpls.LSP, cfg ColdConfig, onResult func(engine.Result)) *ColdTier {
-	cfg = cfg.withDefaults()
+func newColdTier(base *paths.Explicit, lspAt []*mpls.LSP, onResult func(engine.Result)) *ColdTier {
 	t := &ColdTier{
 		base:     base,
 		lspAt:    lspAt,
 		onResult: onResult,
-		queue:    make(chan coldReq, cfg.Queue),
 		done:     make(chan struct{}),
 	}
-	for w := 0; w < cfg.Workers; w++ {
+	for i := range t.queues {
+		t.queues[i] = make(chan coldReq, coldQueue/coldWorkers)
 		t.wg.Add(1)
-		go t.worker()
+		go t.worker(t.queues[i])
 	}
 	return t
 }
 
-// Query answers a cold pair synchronously: admitted through the bounded
-// queue, solved by the pool. A full queue sheds the query — the caller
-// gets a nil route, exactly as an overloaded engine shard sheds a Submit.
-func (t *ColdTier) Query(src, dst graph.NodeID, snap *engine.Snapshot) engine.Result {
-	t.queries.Add(1)
-	reply := make(chan engine.Result, 1)
+// admit enqueues one unit holding n pairs on the next worker's queue, or
+// sheds it whole when that queue is full. Coordinator.SubmitBatch admits
+// the diverted part of a burst as one unit, whose answers go to onResult.
+func (t *ColdTier) admit(req coldReq, n int) bool {
+	t.queries.Add(int64(n))
 	select {
-	case t.queue <- coldReq{src: src, dst: dst, snap: snap, reply: reply}:
-	default:
-		t.shed.Add(1)
-		return engine.Result{Src: src, Dst: dst, Snap: snap}
-	}
-	select {
-	case res := <-reply:
-		return res
-	case <-t.done:
-		return engine.Result{Src: src, Dst: dst, Snap: snap}
-	}
-}
-
-// Submit enqueues a cold pair asynchronously; the answer goes to the
-// coordinator's OnResult callback. Reports false when shed.
-func (t *ColdTier) Submit(src, dst graph.NodeID, snap *engine.Snapshot) bool {
-	t.queries.Add(1)
-	select {
-	case t.queue <- coldReq{src: src, dst: dst, snap: snap}:
+	case t.queues[t.seq.Add(1)%coldWorkers] <- req:
 		return true
 	default:
-		t.shed.Add(1)
+		t.shed.Add(int64(n))
 		return false
 	}
 }
 
-func (t *ColdTier) worker() {
+// Query answers a cold pair synchronously: admitted through the bounded
+// queue, solved by the pool. A full queue sheds the query — the caller
+// gets a nil route, exactly as an overloaded engine shard sheds a burst.
+func (t *ColdTier) Query(src, dst graph.NodeID, snap *engine.Snapshot) engine.Result {
+	reply := make(chan engine.Result, 1)
+	if t.admit(coldReq{src: src, dst: dst, snap: snap, reply: reply}, 1) {
+		select {
+		case res := <-reply:
+			return res
+		case <-t.done:
+		}
+	}
+	return engine.Result{Src: src, Dst: dst, Snap: snap}
+}
+
+func (t *ColdTier) worker(queue chan coldReq) {
 	defer t.wg.Done()
 	w := newColdWorker(t.base)
 	for {
 		select {
 		case <-t.done:
 			return
-		case req := <-t.queue:
-			t.inflight.Add(1)
-			res := t.answer(w, req)
-			if req.reply != nil {
-				req.reply <- res
-			} else if t.onResult != nil {
-				t.onResult(res)
+		case req := <-queue:
+			switch {
+			case req.drain != nil:
+				close(req.drain)
+			case req.burst != nil:
+				t.serveBurst(w, req)
+			default:
+				req.reply <- t.answer(w, req.src, req.dst, req.snap)
 			}
-			t.inflight.Add(-1)
+		}
+	}
+}
+
+// serveBurst answers the diverted part of a coordinator burst, each pair
+// under the snapshot the coordinator's rule picks for its owner (coldSnap).
+func (t *ColdTier) serveBurst(w *coldWorker, req coldReq) {
+	c := req.c
+	for _, pr := range req.burst {
+		if !req.divert.has(c.slot[pr.Src]) {
+			continue
+		}
+		res := t.answer(w, pr.Src, pr.Dst, c.coldSnap(c.Owner(pr.Src)))
+		if t.onResult != nil {
+			t.onResult(res)
 		}
 	}
 }
@@ -208,39 +225,42 @@ func (w *coldWorker) moveTo(failed []graph.EdgeID) {
 
 // answer is one cold solve: the worker's liveness moved to the snapshot's
 // failed-set, the source's distance row in the snapshot's view, the pull.
-func (t *ColdTier) answer(w *coldWorker, req coldReq) engine.Result {
-	w.moveTo(req.snap.Failed())
-	w.sp.Solve(req.snap.View(), req.src)
+func (t *ColdTier) answer(w *coldWorker, src, dst graph.NodeID, snap *engine.Snapshot) engine.Result {
+	w.moveTo(snap.Failed())
+	w.sp.Solve(snap.View(), src)
 	for v := range w.row {
 		w.row[v] = w.sp.Dist(graph.NodeID(v))
 	}
-	w.dst[0] = req.dst
-	w.pull.From(req.src, w.row, w.live.Dead(), w.dst[:], w.dec[:], w.ok[:])
+	w.dst[0] = dst
+	w.pull.From(src, w.row, w.live.Dead(), w.dst[:], w.dec[:], w.ok[:])
 	t.solved.Add(1)
 	if !w.ok[0] {
-		return engine.Result{Src: req.src, Dst: req.dst, Snap: req.snap}
+		return engine.Result{Src: src, Dst: dst, Snap: snap}
 	}
 	rt := engine.ResolveRoute(t.base, t.lspAt, w.dec[0])
-	return engine.Result{Src: req.src, Dst: req.dst, Route: rt, Snap: req.snap}
+	return engine.Result{Src: src, Dst: dst, Route: rt, Snap: snap}
 }
 
-// Drain waits for the queue and all in-flight solves to finish. The
-// idle condition must hold on two consecutive polls to cover the window
-// between a worker dequeuing a request and marking itself in-flight.
+// Drain blocks until every unit admitted before the call is answered: it
+// queues a barrier behind each worker's queue (waiting while that queue is
+// full — a drain is never shed) and waits for every worker to reach it, as
+// Engine.Drain does. Returns at once if the tier is closed.
 func (t *ColdTier) Drain() {
-	idle := 0
-	for idle < 2 {
+	var barriers [coldWorkers]chan struct{}
+	for i, q := range t.queues {
+		barriers[i] = make(chan struct{})
 		select {
+		case q <- coldReq{drain: barriers[i]}:
 		case <-t.done:
 			return
-		default:
 		}
-		if len(t.queue) == 0 && t.inflight.Load() == 0 {
-			idle++
-		} else {
-			idle = 0
+	}
+	for _, b := range barriers {
+		select {
+		case <-b:
+		case <-t.done:
+			return
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

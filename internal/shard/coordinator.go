@@ -62,9 +62,9 @@ type Coordinator struct {
 // New partitions the provision across cfg.Shards in-process engines and
 // starts them. Each shard serves only the sources it owns (engine rows are
 // allocated per served source, so unowned — and unprovisioned cold —
-// sources cost it nothing); graph, base set, LSP table
-// and network are shared (each engine clones the network copy-on-write and
-// reads the table). The provision must be servable, as for engine.New.
+// sources cost it nothing); graph, base set, LSP table and network are
+// shared, and every engine only reads them. The provision must be
+// servable, as for engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
@@ -130,7 +130,7 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 	return &Coordinator{
 		owners: owners,
 		w:      workers,
-		cold:   newColdTier(p.Base, p.BaseLSPs, cfg.Cold, cfg.Engine.OnResult),
+		cold:   newColdTier(p.Base, p.BaseLSPs, cfg.Engine.OnResult),
 		skew:   cfg.Engine.Fault == engine.FaultSkewShard,
 		slot:   slot,
 		dec:    dec,
@@ -304,26 +304,23 @@ func (c *Coordinator) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.P
 	}
 }
 
-// Submit enqueues one async query with the owner (or the cold tier).
+// Submit enqueues one async query: a burst of one pair (SubmitBatch).
 // Reports false when shed.
 func (c *Coordinator) Submit(src, dst graph.NodeID) bool {
-	owner, hot := c.route(src)
-	if hot && c.w[owner].Alive() {
-		return c.w[owner].SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}, 1) == 1
-	}
-	return c.cold.Submit(src, dst, c.coldSnap(owner))
+	return c.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
 }
 
 // SubmitBatch shares a burst among its owners: one pass counts each
-// worker's pairs, then every worker with a non-zero count is handed the
+// slot's pairs, then every live worker with a non-zero count is handed the
 // caller's slice itself and its count, and serves the pairs it owns out of
 // it. Nothing is copied, allocated or queued beyond that slice; the price
 // is that every worker scans the whole burst (DESIGN.md, the sharded read
-// path). Pairs of non-materialized sources and of workers that are down
-// divert to the cold tier's admission queue. The coordinator takes
+// path). The pairs of non-materialized sources and of workers that are
+// down divert to the cold tier, which is handed the same slice once, with
+// the set of diverted slots and their count. The coordinator takes
 // ownership of pairs — it is read, never written, from here on. Returns
-// the number of queries accepted (each worker admits or sheds its part as
-// a unit).
+// the number of queries accepted: each worker, and the cold tier, admits
+// or sheds its part as a unit.
 func (c *Coordinator) SubmitBatch(pairs []rbpc.Pair) int {
 	if len(pairs) == 0 {
 		return 0
@@ -332,32 +329,34 @@ func (c *Coordinator) SubmitBatch(pairs []rbpc.Pair) int {
 	countSlots(pairs, c.slot, &counts)
 	// A slot diverts when no live worker answers for it: the cold slot, and
 	// the slot of every worker that is down.
-	var divert [MaxShards + 1]bool
+	var divert slotSet
 	cold := len(c.w)
-	divert[cold] = true
-	diverted := counts[cold]
-	for i, w := range c.w {
-		if counts[i] != 0 && !w.Alive() {
-			divert[i] = true
-			diverted += counts[i]
-			counts[i] = 0
-		}
-	}
+	divert.add(cold)
+	diverted := int(counts[cold])
 	accepted := 0
-	if diverted != 0 {
-		for _, pr := range pairs {
-			if divert[c.slot[pr.Src]] && c.cold.Submit(pr.Src, pr.Dst, c.coldSnap(int(c.owners[pr.Src]))) {
-				accepted++
-			}
+	for i, w := range c.w {
+		switch {
+		case counts[i] == 0:
+		case w.Alive():
+			accepted += w.SubmitBatch(pairs, int(counts[i]))
+		default:
+			divert.add(i)
+			diverted += int(counts[i])
 		}
 	}
-	for i, w := range c.w {
-		if counts[i] != 0 {
-			accepted += w.SubmitBatch(pairs, int(counts[i]))
-		}
+	if diverted != 0 && c.cold.admit(coldReq{burst: pairs, c: c, divert: divert}, diverted) {
+		accepted += diverted
 	}
 	return accepted
 }
+
+// slotSet is a set of the coordinator's slots — the workers' indices and
+// the cold slot, len(w) — one bit a slot.
+type slotSet [(MaxShards + 64) / 64]uint64
+
+func (s *slotSet) add(i int) { s[i/64] |= 1 << (i % 64) }
+
+func (s *slotSet) has(i uint8) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // countSlots is SubmitBatch's one pass over a burst: how many pairs fall
 // to each slot. An increment through a table probe, no branch on the owner

@@ -22,7 +22,9 @@
 // on-demand tier (see cold.go) that reads them off the base set the way the
 // writer does — Corollary 4 guarantees an optimal-cost concatenation exists
 // for any connected pair, and core.Pull finds it from the source's
-// post-failure distance row.
+// post-failure distance row. The coordinator admits the tier as one more
+// slot beside its workers: a burst's cold part, like a worker's part, is
+// one queue entry, admitted or shed whole.
 //
 // The Coordinator is deployment-agnostic: it talks to its shards through
 // the Worker seam (worker.go), which has exactly two implementations —
@@ -35,7 +37,8 @@ package shard
 import "rbpc/internal/engine"
 
 // Config tunes the coordinator. The zero value of every field except
-// Shards selects a default.
+// Shards selects a default. The cold tier has no knob: its pool and its
+// admission bound are constants (cold.go).
 type Config struct {
 	// Shards is the number of independent shard engines (required, 1 to
 	// MaxShards).
@@ -45,8 +48,6 @@ type Config struct {
 	// engine.FaultSkewShard is the one fault the coordinator itself acts
 	// on (chaos harness only).
 	Engine engine.Config
-	// Cold tunes the on-demand tier for non-materialized sources.
-	Cold ColdConfig
 }
 
 // Stats is a point-in-time scrape of the coordinator: the shards' engine

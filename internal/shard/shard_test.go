@@ -364,7 +364,7 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 	for _, shards := range []int{3, 8} {
 		var mu sync.Mutex
 		answered := make(map[rbpc.Pair][]uint64) // cost bits of every answer, by pair
-		cfg := Config{Shards: shards, Cold: ColdConfig{Queue: 1 << 12}}
+		cfg := Config{Shards: shards}
 		cfg.Engine.OnResult = func(r engine.Result) {
 			bits := uint64(0)
 			if r.Route != nil {

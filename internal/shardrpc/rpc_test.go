@@ -886,7 +886,6 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 	for _, shards := range []int{3, 8} {
 		farm := newPipeFarm(t, p, Config{Shards: shards})
 		cfg := testConfig(farm, shards)
-		cfg.Cold = shard.ColdConfig{Queue: 1 << 12}
 		proc, err := NewCoordinator(p, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -89,7 +89,9 @@ const (
 // Config tunes the process-mode coordinator and its workers. Shards is the
 // routing contract — every process of a deployment must agree, and the
 // hello handshake rejects a worker built for another shard count, as it
-// does one provisioned differently.
+// does one provisioned differently. The coordinator-side cold tier, which
+// answers never-materialized sources and the sources of a crashed worker,
+// has no knob (shard.Config).
 type Config struct {
 	// Shards is the worker count (required, 1 to shard.MaxShards).
 	Shards int
@@ -99,9 +101,6 @@ type Config struct {
 	// engine.FaultTornFrame is the one fault the transport itself acts on
 	// (chaos harness only).
 	Engine engine.Config
-	// Cold tunes the coordinator-side on-demand tier, which answers both
-	// never-materialized sources and the sources of a crashed worker.
-	Cold shard.ColdConfig
 	// Dial opens a connection to a worker (required on the coordinator).
 	Dial Dialer
 	// DialTimeout bounds one dial attempt; DialBudget bounds the whole
@@ -179,7 +178,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	scfg := shard.Config{Shards: cfg.Shards, Engine: cfg.Engine, Cold: cfg.Cold}
+	scfg := shard.Config{Shards: cfg.Shards, Engine: cfg.Engine}
 	c.Coordinator, err = shard.Over(p, scfg, owners, workers, dec)
 	if err != nil {
 		for _, cl := range c.w {

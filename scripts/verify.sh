@@ -72,6 +72,19 @@ retired 'LocalScheme|EndRoute|EdgeBypass' "one name per local scheme"
 # The network a provision exports serves the graph it was built over: a
 # growth hook with no caller would pass every test.
 retired 'SyncNewEdges' "no growth hook on the network"
+# One admission rule (DESIGN.md §14): the cold tier admits or sheds a burst's
+# cold part whole, from a pool and a queue bound that are constants. Its
+# retired knobs — the rbpc-serve flags, and a field that makes ColdConfig
+# settable again — would pass every test at their defaults. The flags are
+# matched outside tests, whose rows check that rbpc-serve refuses them.
+if git grep -nwE 'cold-workers|cold-queue' -- '*.go' ':!*_test.go'; then
+	echo "verify: a retired cold-tier flag reappeared (see above): one admission rule" >&2
+	exit 1
+fi
+if ! grep -qx 'type ColdConfig struct{}' internal/shard/cold.go; then
+	echo "verify: shard.ColdConfig is not the empty struct: the cold tier has no knob (one admission rule)" >&2
+	exit 1
+fi
 
 # One index per question about a base set (DESIGN.md §13): paths.Explicit
 # keeps its pair map and its link map, beside the chains and the ArcIndex.
@@ -130,12 +143,10 @@ if git grep -nE 'SetFEC\(|ClearFEC\(|FECEntryFor\(|SendIP\(' -- \
 	exit 1
 fi
 
-# An epoch forwards over the engine's one network under its own failure view
-# and its own patch rows (mpls.ILMOverlay; DESIGN.md §9, §15): the serving
-# stack writes no ILM row and no link state and signals no LSP, and the
-# engine clones a network once — New's — never per transition. -W prints
-# the enclosing function as a
-# "file=N=" line ahead of each "file:N:" match.
+# An epoch forwards over the engine's one network, the provision's, under its
+# own failure view and its own patch rows (mpls.ILMOverlay; DESIGN.md §9,
+# §15): the serving stack writes no ILM row and no link state and signals no
+# LSP, and the engine clones no network — nothing writes the one it reads.
 echo "==> the serving stack writes no network"
 if git grep -nE 'ReplaceILM\(|FailEdge\(|RepairEdge\(|EstablishLSP' -- \
 	'internal/engine/*.go' 'internal/shard/*.go' 'internal/shardrpc/*.go' 'internal/probe/*.go' 'internal/chaos/*.go' |
@@ -143,11 +154,8 @@ if git grep -nE 'ReplaceILM\(|FailEdge\(|RepairEdge\(|EstablishLSP' -- \
 	echo "verify: a network write under the serving stack; patch rows go in the epoch's mpls.ILMOverlay, link state in its view (see above)" >&2
 	exit 1
 fi
-if git grep -nW -iE 'net\.Clone\(\)' -- 'internal/engine/*.go' ':!internal/engine/*_test.go' |
-	awk '/=[0-9]+=/ { fn = $0 }
-		/:[0-9]+:.*[Nn]et\.Clone\(\)/ && fn !~ /=func New\(/ { print fn; print; bad = 1 }
-		END { exit !bad }'; then
-	echo "verify: a network cloned under internal/engine outside New (see above)" >&2
+if git grep -nE '[Nn]et\.Clone\(\)' -- 'internal/engine/*.go' ':!internal/engine/*_test.go'; then
+	echo "verify: a network cloned under internal/engine; read the provision's (see above)" >&2
 	exit 1
 fi
 
@@ -307,6 +315,11 @@ go test -race ./internal/graph/... ./internal/spath/... ./internal/eval/... \
 # wire replica; a split burst is a timing window, so the tests run 20 times.
 echo "==> bursts are atomic (-race, 20 runs)"
 go test -race -count=20 -run 'TestBurstsAreAtomic' ./internal/engine/ ./internal/shard/ ./internal/shardrpc/
+
+# The cold tier admits a burst's cold part as one unit and its Drain is a
+# barrier; an admission or a drain that lost a unit is a timing window too.
+echo "==> the cold tier takes bursts whole and drains exactly (-race, 20 runs)"
+go test -race -count=20 -run 'TestColdBurstIsOneUnit|TestColdShedsABurstWhole|TestColdDrainIsExact' ./internal/shard/
 
 echo "==> chaos conformance suite (long, -race, tagged)"
 go test -race -tags chaos -count=1 ./internal/chaos/
