@@ -54,8 +54,9 @@ verify:
 # frame checksum in GB/s, a 256-pair query frame out and its answer
 # frame back over a pipe and over a Unix socket, and building a base set's
 # indexes (the benchmark of record's set, and a subpath closure whose pairs
-# hold several paths; B and allocs per set). CI runs them once each
-# (BENCHTIME=1x) so they cannot rot.
+# hold several paths; B and allocs per set), and provisioning the benchmark
+# of record's whole deployment (rbpc.NewSystem: ns, B and allocs). CI runs
+# them once each (BENCHTIME=1x) so they cannot rot.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
@@ -64,3 +65,4 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
 	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -benchtime $(BENCHTIME) ./internal/paths/
+	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -benchtime $(BENCHTIME) ./internal/rbpc/

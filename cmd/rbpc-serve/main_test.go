@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"rbpc/internal/shardrpc"
 )
 
 // TestMain doubles as the worker entry point: the fleet re-executes
@@ -126,6 +130,94 @@ func TestKillWorkerRecovers(t *testing.T) {
 		!strings.Contains(stdout, "process mode: 1 worker restarts") ||
 		!strings.Contains(stdout, "unroutable answers: 0;") {
 		t.Fatalf("exit %d, want 0 with one worker restart and 0 unroutable\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// TestFleetAttachesWithoutASleep forks a two-worker fleet over a small
+// topology and attaches to it. The fleet listens before it forks, so every
+// dial of a worker succeeds — its first included, while the worker is
+// still provisioning — and the attach waits for the worker on that first
+// connection instead of failing it and pausing: each worker is dialed the
+// same number of times (its control connection and query pool) and no dial
+// fails. Then worker 0 is killed; its replacement inherits the same
+// listener, and the coordinator reattaches it with one more round of
+// dials, none failing, and reads an answer from it over the wire.
+func TestFleetAttachesWithoutASleep(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
+	wo := shardrpc.WorkerOpts{Topology: "as", Scale: 0.02, Seed: 1, Shards: 2, MaxProcs: 1, Workers: 1, Queue: 64}
+	p, err := wo.Provision()
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := make(chan int, 1)
+	fleet, err := shardrpc.NewFleet(wo, func(i int) { up <- i })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+
+	var mu sync.Mutex
+	dials := make([]int, wo.Shards)
+	failed := 0
+	dial := func(i int) (net.Conn, error) {
+		c, err := fleet.Dial(i)
+		mu.Lock()
+		defer mu.Unlock()
+		dials[i]++
+		if err != nil {
+			failed++
+		}
+		return c, err
+	}
+	counts := func() ([]int, int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(dials), failed
+	}
+
+	start := time.Now()
+	c, err := shardrpc.NewCoordinator(p, shardrpc.Config{Shards: 2, Dial: dial})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	attach, nfailed := counts()
+	if nfailed != 0 || attach[0] < 2 || attach[1] != attach[0] {
+		t.Fatalf("attaching the fleet dialed its workers %v times with %d failed dials, want the same number (control + query pool) each and none failed", attach, nfailed)
+	}
+	// A loose sanity bound: the fleet provisions a 0.02-scale topology.
+	if limit := 10 * time.Second; took >= limit {
+		t.Fatalf("NewCoordinator took %v over a freshly forked fleet, want under %v", took, limit)
+	}
+
+	const victim = 0 // owns source 0
+	if err := fleet.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case i := <-up:
+		if i != victim {
+			t.Fatalf("fleet respawned worker %d, want %d", i, victim)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the killed worker was not respawned within 30s")
+	}
+	if err := c.Reattach(victim); err != nil {
+		t.Fatalf("reattaching the respawned worker: %v", err)
+	}
+	if !c.Shard(victim).Alive() {
+		t.Fatal("the respawned worker is not alive after Reattach")
+	}
+	if again, nfailed := counts(); nfailed != 0 || again[victim] != 2*attach[victim] {
+		t.Fatalf("reattaching worker %d took it from %d to %d dials with %d failed, want one more round (%d) and none failed", victim, attach[victim], again[victim], nfailed, attach[victim])
+	}
+	ans, err := c.RemoteQuery(0, 1)
+	if err != nil || ans.Route == nil {
+		t.Fatalf("the respawned worker answered (0,1) with %+v, %v; want a route", ans, err)
+	}
+	if n := fleet.Restarts(); n != 1 {
+		t.Fatalf("fleet counts %d restarts, want 1", n)
 	}
 }
 

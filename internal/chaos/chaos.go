@@ -434,7 +434,6 @@ func (c Case) sharded(prov rbpc.Provision, ecfg engine.Config) (coord *shard.Coo
 		// ack-timeout death racing it.
 		HealthEvery: -1,
 		AckTimeout:  time.Minute,
-		DialTimeout: time.Second,
 		DialBudget:  10 * time.Second,
 	}
 	var workers []*shardrpc.Worker

@@ -22,7 +22,7 @@ import "slices"
 //
 // Concurrency: Clone must not run concurrently with writes to n, but it
 // may run concurrently with reads (table lookups, packet forwarding) —
-// the shared maps are never mutated in place once marked shared, and all
+// the shared tables are never mutated in place once marked shared, and all
 // counters are atomic. After the clone, the two networks are independent:
 // writes to one are never visible to the other.
 func (n *Network) Clone() *Network {
@@ -30,6 +30,7 @@ func (n *Network) Clone() *Network {
 		g:          n.g,
 		routers:    make([]*Router, len(n.routers)),
 		lsps:       n.lsps,
+		numLSPs:    n.numLSPs,
 		sharedLSPs: true,
 		nextLSP:    n.nextLSP,
 		edgeUp:     slices.Clone(n.edgeUp),

@@ -2,6 +2,7 @@ package mpls
 
 import (
 	"fmt"
+	"slices"
 
 	"rbpc/internal/graph"
 )
@@ -72,19 +73,88 @@ func (l *LSP) IncomingLabelAt(v graph.NodeID) (Label, bool) {
 // EstablishLSP provisions an LSP along path, allocating labels downstream
 // and installing ILM rows at every router. It costs Hops() signaling
 // messages (one label mapping per hop) plus one for the ingress self-row.
-// The path must be nontrivial and usable (all links up).
+// The path must be nontrivial and usable (all links up). The LSP keeps a
+// copy of path.
 func (n *Network) EstablishLSP(path graph.Path) (*LSP, error) {
-	return n.establish(path, false)
+	return first(n.establish([]graph.Path{path.Clone()}, false))
 }
 
 // EstablishLSPPHP provisions an LSP with penultimate-hop popping: the
 // egress holds no ILM row for it, so a 2-hop bypass adds no label state at
 // the resumption router.
 func (n *Network) EstablishLSPPHP(path graph.Path) (*LSP, error) {
-	return n.establish(path, true)
+	return first(n.establish([]graph.Path{path.Clone()}, true))
 }
 
-func (n *Network) establish(path graph.Path, php bool) (*LSP, error) {
+// EstablishLSPs provisions an LSP along each of paths, in order, exactly
+// as EstablishLSP called on each in turn would — the same IDs, labels, ILM
+// rows and signaling. The LSPs share paths, which the caller must not
+// modify afterwards (a base set's stored paths, which nothing writes). At
+// the first path EstablishLSP would refuse it stops and returns the LSPs
+// established before it with the error.
+func (n *Network) EstablishLSPs(paths []graph.Path) ([]*LSP, error) {
+	return n.establish(paths, false)
+}
+
+func first(lsps []*LSP, err error) (*LSP, error) {
+	if err != nil {
+		return nil, err
+	}
+	return lsps[0], nil
+}
+
+// establish provisions an LSP along each of paths, sharing the path, in
+// flat passes: each router's ILM table is grown once, to the labels the
+// batch allocates there (counted as if no LSP were PHP, an egress label
+// more than a PHP one takes), and the LSP records and their hop labels are
+// carved from one array each.
+func (n *Network) establish(paths []graph.Path, php bool) ([]*LSP, error) {
+	// The ingress allocates the self-label and every later node the label
+	// of the hop into it. A node no router has is install's to refuse.
+	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < len(n.routers) }
+	hops := 0
+	for _, p := range paths {
+		hops += p.Hops()
+		for _, v := range p.Nodes {
+			if known(v) {
+				n.routers[v].reserved++
+			}
+		}
+	}
+	for _, p := range paths {
+		for _, v := range p.Nodes {
+			if known(v) && n.routers[v].reserved > 0 {
+				n.routers[v].reserveILM()
+			}
+		}
+	}
+	n.lsps = slices.Grow(n.writableLSPs(), len(paths))
+	s := &lspSlab{lsps: make([]LSP, len(paths)), labels: make([]Label, hops)}
+	out := make([]*LSP, 0, len(paths))
+	done := 0 // hops of the LSPs in out
+	var err error
+	for _, p := range paths {
+		var lsp *LSP
+		if lsp, err = n.install(p, php, s); err != nil {
+			break
+		}
+		out = append(out, lsp)
+		done += p.Hops()
+	}
+	n.stats.lspsEstablished.Add(int64(len(out)))
+	n.stats.signalingMsgs.Add(int64(done + len(out))) // one mapping per hop + ingress row
+	return out, err
+}
+
+// lspSlab hands out LSP records and hop labels from one array each.
+type lspSlab struct {
+	lsps   []LSP
+	labels []Label
+}
+
+// install establishes one LSP over path, its record and hop labels taken
+// from s; establish counts the signaling.
+func (n *Network) install(path graph.Path, php bool, s *lspSlab) (*LSP, error) {
 	if path.Hops() == 0 {
 		return nil, fmt.Errorf("%w: trivial path", errInvalidPath)
 	}
@@ -100,11 +170,13 @@ func (n *Network) establish(path graph.Path, php bool) (*LSP, error) {
 		return nil, fmt.Errorf("%w: PHP needs at least 2 hops", errInvalidPath)
 	}
 
-	lsp := &LSP{ID: n.nextLSP, Path: path.Clone(), PHP: php}
+	m := path.Hops()
+	lsp := &s.lsps[0]
+	s.lsps = s.lsps[1:]
+	lsp.ID, lsp.Path, lsp.PHP = n.nextLSP, path, php
+	lsp.hopLabels, s.labels = s.labels[:m:m], s.labels[m:]
 	n.nextLSP++
 
-	m := path.Hops()
-	lsp.hopLabels = make([]Label, m)
 	// Downstream assignment: v_{i+1} assigns the label for link e_i.
 	// With PHP the egress assigns none; the final swap at v_{m-1} becomes
 	// a pop.
@@ -116,11 +188,12 @@ func (n *Network) establish(path graph.Path, php bool) (*LSP, error) {
 		lsp.hopLabels[i] = n.routers[path.Nodes[i+1]].allocLabel()
 	}
 
-	// Ingress self-row.
+	// Ingress self-row. A swap row's one out-label is the LSP's own hop
+	// label, shared: neither is ever written after this.
 	ingress := n.routers[path.Src()]
 	lsp.selfLabel = ingress.allocLabel()
 	ingress.setILM(lsp.selfLabel, ILMEntry{
-		Out:     []Label{lsp.hopLabels[0]},
+		Out:     lsp.hopLabels[0:1:1],
 		OutEdge: path.Edges[0],
 		LSP:     lsp.ID,
 	})
@@ -139,20 +212,19 @@ func (n *Network) establish(path graph.Path, php bool) (*LSP, error) {
 			// Penultimate pop: forward the inner stack on the last link.
 			r.setILM(in, ILMEntry{Out: nil, OutEdge: path.Edges[i], LSP: lsp.ID})
 		default:
-			r.setILM(in, ILMEntry{Out: []Label{lsp.hopLabels[i]}, OutEdge: path.Edges[i], LSP: lsp.ID})
+			r.setILM(in, ILMEntry{Out: lsp.hopLabels[i : i+1 : i+1], OutEdge: path.Edges[i], LSP: lsp.ID})
 		}
 	}
 
-	n.writableLSPs()[lsp.ID] = lsp
-	n.stats.lspsEstablished.Add(1)
-	n.stats.signalingMsgs.Add(int64(m) + 1) // one mapping per hop + ingress row
+	n.lsps = append(n.writableLSPs(), lsp)
+	n.numLSPs++
 	return lsp, nil
 }
 
 // TeardownLSP removes the LSP's rows everywhere and releases its labels,
 // costing one release message per hop.
 func (n *Network) TeardownLSP(id LSPID) error {
-	lsp, ok := n.lsps[id]
+	lsp, ok := n.LSPByID(id)
 	if !ok {
 		return fmt.Errorf("mpls: teardown of unknown LSP %d", id)
 	}
@@ -165,7 +237,8 @@ func (n *Network) TeardownLSP(id LSPID) error {
 	for i := 0; i < last; i++ {
 		n.routers[lsp.Path.Nodes[i+1]].freeLabel(lsp.hopLabels[i])
 	}
-	delete(n.writableLSPs(), id)
+	n.writableLSPs()[id] = nil
+	n.numLSPs--
 	n.stats.lspsTornDown.Add(1)
 	n.stats.signalingMsgs.Add(int64(m))
 	return nil
@@ -173,12 +246,14 @@ func (n *Network) TeardownLSP(id LSPID) error {
 
 // LSPByID returns an established LSP.
 func (n *Network) LSPByID(id LSPID) (*LSP, bool) {
-	l, ok := n.lsps[id]
-	return l, ok
+	if id < 0 || int(id) >= len(n.lsps) || n.lsps[id] == nil {
+		return nil, false
+	}
+	return n.lsps[id], true
 }
 
 // NumLSPs returns the number of currently established LSPs.
-func (n *Network) NumLSPs() int { return len(n.lsps) }
+func (n *Network) NumLSPs() int { return n.numLSPs }
 
 // TotalILM returns the summed ILM sizes over all routers, and the largest
 // single table.

@@ -29,7 +29,6 @@ package mpls
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -104,6 +103,9 @@ type Router struct {
 
 	nextLabel Label
 	freeList  []Label
+	// reserved counts the labels a batch of LSPs being established will
+	// allocate here (Network.establish); it is zero between batches.
+	reserved int
 }
 
 // noRow in an ILM slot's OutEdge marks the slot empty.
@@ -157,6 +159,20 @@ func (r *Router) setILM(l Label, e ILMEntry) {
 		r.ilmCount++
 	}
 	r.writableILM(l)[l] = e
+}
+
+// reserveILM makes room in the ILM table for the router's next reserved
+// labels, un-sharing it first if a Clone holds a reference, so that
+// installing their rows grows the table at most once; it clears the count.
+func (r *Router) reserveILM() {
+	if r.sharedILM {
+		r.ilm = slices.Clone(r.ilm)
+		r.sharedILM = false
+	}
+	if need := int(r.nextLabel) + r.reserved - len(r.ilm); need > 0 {
+		r.ilm = slices.Grow(r.ilm, need)
+	}
+	r.reserved = 0
 }
 
 // writableFEC un-shares the FEC table if a Clone holds a reference and
@@ -270,8 +286,12 @@ func (s *netStats) copyFrom(o *netStats) {
 type Network struct {
 	g       *graph.Graph
 	routers []*Router
-	lsps    map[LSPID]*LSP
-	// sharedLSPs marks the lsps map as shared with a Clone; the next
+	// lsps is the LSP registry, indexed by LSPID: IDs are handed out
+	// densely from 1 (slot 0 is never used) and a torn-down LSP leaves its
+	// slot nil, so len(lsps) == nextLSP. numLSPs counts the established.
+	lsps    []*LSP
+	numLSPs int
+	// sharedLSPs marks the lsps slice as shared with a Clone; the next
 	// write copies it first.
 	sharedLSPs bool
 	nextLSP    LSPID
@@ -284,7 +304,7 @@ func NewNetwork(g *graph.Graph) *Network {
 	n := &Network{
 		g:       g,
 		routers: make([]*Router, g.Order()),
-		lsps:    make(map[LSPID]*LSP),
+		lsps:    make([]*LSP, 1),
 		edgeUp:  make([]bool, g.Size()),
 		nextLSP: 1,
 	}
@@ -310,9 +330,9 @@ func (n *Network) Stats() Stats { return n.stats.snapshot() }
 
 // writableLSPs returns the LSP registry, un-sharing it first if a Clone
 // holds a reference.
-func (n *Network) writableLSPs() map[LSPID]*LSP {
+func (n *Network) writableLSPs() []*LSP {
 	if n.sharedLSPs {
-		n.lsps = maps.Clone(n.lsps)
+		n.lsps = slices.Clone(n.lsps)
 		n.sharedLSPs = false
 	}
 	return n.lsps

@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"rbpc/internal/graph"
@@ -15,8 +16,9 @@ type pairKey struct{ s, d graph.NodeID }
 // memoized ArcIndex for the paths out of and into a node.
 //
 // Once populated (Add is the build phase), an Explicit is read-only: every
-// consumer — decomposers, planners, evaluation fan-outs — shares it
-// concurrently without locking.
+// consumer — decomposers, planners, evaluation fan-outs, the LSPs
+// established over the stored paths — shares it concurrently without
+// locking.
 //
 //rbpc:immutable
 type Explicit struct {
@@ -29,7 +31,13 @@ type Explicit struct {
 	// order Add stored them.
 	next   []int32
 	byPair map[pairKey]int
-	byEdge map[graph.EdgeID][]int
+	// byEdge[e] lists the positions of the paths over link e, by EdgeID.
+	byEdge [][]int
+	// nodeSlab and edgeSlab are the free tails of the arrays Add copies
+	// stored paths into: a stored path is a window of one of them, capped
+	// at its own length, so a path costs no allocation of its own.
+	nodeSlab []graph.NodeID
+	edgeSlab []graph.EdgeID
 
 	// ai memoizes ArcIndex (a pure function of the populated set).
 	ai atomic.Pointer[ArcIndex]
@@ -37,16 +45,25 @@ type Explicit struct {
 
 // NewExplicit returns an empty explicit base set over v.
 func NewExplicit(v graph.View) *Explicit {
-	return &Explicit{
-		view:   v,
-		byPair: make(map[pairKey]int),
-		byEdge: make(map[graph.EdgeID][]int),
+	return &Explicit{view: v, byPair: make(map[pairKey]int)}
+}
+
+// reserve sizes an empty set for n paths, so that building it grows no
+// index along the way.
+//
+//rbpc:ctor
+func (b *Explicit) reserve(n int) {
+	b.paths = slices.Grow(b.paths, n)
+	b.costs = slices.Grow(b.costs, n)
+	b.next = slices.Grow(b.next, n)
+	if len(b.byPair) == 0 {
+		b.byPair = make(map[pairKey]int, n)
 	}
 }
 
 // Add inserts p into the set (deduplicating identical paths) and returns
-// whether the set grew. Trivial paths are rejected: an LSP needs at least
-// one hop.
+// whether the set grew. The set stores a copy: the caller may reuse p.
+// Trivial paths are rejected: an LSP needs at least one hop.
 //
 //rbpc:ctor
 func (b *Explicit) Add(p graph.Path) bool {
@@ -66,8 +83,8 @@ func (b *Explicit) Add(p graph.Path) bool {
 	}
 	idx := len(b.paths)
 	b.ai.Store(nil)
-	b.paths = append(b.paths, p.Clone())
-	b.costs = append(b.costs, b.paths[idx].CostIn(b.view))
+	b.paths = append(b.paths, b.store(p))
+	b.costs = append(b.costs, p.CostIn(b.view))
 	b.next = append(b.next, -1)
 	if have {
 		b.next[tail] = int32(idx)
@@ -75,9 +92,41 @@ func (b *Explicit) Add(p graph.Path) bool {
 		b.byPair[pk] = idx
 	}
 	for _, e := range p.Edges {
+		if int(e) >= len(b.byEdge) {
+			b.byEdge = append(b.byEdge, make([][]int, int(e)+1-len(b.byEdge))...)
+		}
 		b.byEdge[e] = append(b.byEdge[e], idx)
 	}
 	return true
+}
+
+// slabMin and slabMax bound the arrays store allocates: each is twice the
+// last, from slabMin up to slabMax entries (or one path's length, if that
+// is more), so a small set stays small and a large one allocates a few
+// dozen times.
+const (
+	slabMin = 64
+	slabMax = 1 << 16
+)
+
+// store copies p into the set's slabs and returns the copy.
+//
+//rbpc:ctor
+func (b *Explicit) store(p graph.Path) graph.Path {
+	return graph.Path{Nodes: carve(&b.nodeSlab, p.Nodes), Edges: carve(&b.edgeSlab, p.Edges)}
+}
+
+// carve appends xs to the free tail *slab, starting a new array when the
+// tail is too short, and returns the window xs landed in, capped at its
+// length so an append to it cannot reach the next window.
+func carve[T any](slab *[]T, xs []T) []T {
+	if cap(*slab)-len(*slab) < len(xs) {
+		size := min(max(2*cap(*slab), slabMin), slabMax)
+		*slab = make([]T, 0, max(size, len(xs)))
+	}
+	at := len(*slab)
+	*slab = append(*slab, xs...)
+	return (*slab)[at:len(*slab):len(*slab)]
 }
 
 // ArcIndex returns the set's by-source and by-destination arc lists, built
@@ -116,7 +165,7 @@ func (b *Explicit) DeadUnderInto(fv *graph.FailureView, dead []bool) []bool {
 		dead = make([]bool, len(b.paths))
 	}
 	for _, e := range fv.RemovedEdges() {
-		for _, idx := range b.byEdge[e] {
+		for _, idx := range b.IndicesThroughEdge(e) {
 			dead[idx] = true
 		}
 	}
@@ -127,7 +176,7 @@ func (b *Explicit) DeadUnderInto(fv *graph.FailureView, dead []bool) []bool {
 	// paths into the node are its ArcIndex column.
 	for _, nd := range fv.RemovedNodes() {
 		b.view.VisitArcs(nd, func(a graph.Arc) bool {
-			for _, idx := range b.byEdge[a.Edge] {
+			for _, idx := range b.IndicesThroughEdge(a.Edge) {
 				dead[idx] = true
 			}
 			return true
@@ -181,6 +230,22 @@ func (b *Explicit) IndexBetween(s, d graph.NodeID) (int, bool) {
 	return idx, ok
 }
 
+// PairHeads returns a Len()-sized mask marking, for every pair the set
+// joins, its first stored path — the one IndexBetween returns. It is read
+// off the pair chains in one pass, with no lookup by pair.
+func (b *Explicit) PairHeads() []bool {
+	head := make([]bool, len(b.paths))
+	for i := range head {
+		head[i] = true
+	}
+	for _, nx := range b.next {
+		if nx >= 0 {
+			head[nx] = false
+		}
+	}
+	return head
+}
+
 // View implements Base.
 func (b *Explicit) View() graph.View { return b.view }
 
@@ -189,7 +254,12 @@ func (b *Explicit) View() graph.View { return b.view }
 // slice.
 //
 //rbpc:hotpath
-func (b *Explicit) IndicesThroughEdge(e graph.EdgeID) []int { return b.byEdge[e] }
+func (b *Explicit) IndicesThroughEdge(e graph.EdgeID) []int {
+	if int(e) >= len(b.byEdge) {
+		return nil
+	}
+	return b.byEdge[e]
+}
 
 // EdgeComplete reports whether the set contains the 1-hop path over every
 // usable arc of its view (both orientations of every link, as the EdgeLSPs
@@ -230,6 +300,7 @@ var _ Base = (*Explicit)(nil)
 func FromSources(b Base, sources []graph.NodeID) *Explicit {
 	ex := NewExplicit(b.View())
 	n := b.View().Order()
+	ex.reserve(len(sources) * (n - 1))
 	for _, s := range sources {
 		for d := 0; d < n; d++ {
 			if graph.NodeID(d) == s {

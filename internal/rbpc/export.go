@@ -62,15 +62,12 @@ func (p Provision) Primary(src, dst graph.NodeID) (idx int, ok bool) {
 }
 
 // PrimaryMask marks, by base-set index, the paths that are the primary of
-// a pair the provision serves.
+// a pair the provision serves: the first stored path of each pair
+// (paths.Explicit.PairHeads) whose source it serves.
 func (p Provision) PrimaryMask() []bool {
-	mask := make([]bool, p.Base.Len())
-	for s := range p.Serves {
-		for d := range p.Serves {
-			if idx, ok := p.Primary(graph.NodeID(s), graph.NodeID(d)); ok {
-				mask[idx] = true
-			}
-		}
+	mask := p.Base.PairHeads()
+	for i, path := range p.Base.All() {
+		mask[i] = mask[i] && p.Serves[path.Src()]
 	}
 	return mask
 }

@@ -81,7 +81,6 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	s := &System{
 		g:      g,
 		net:    mpls.NewNetwork(g),
-		lspOf:  make(map[string]*mpls.LSP),
 		serves: make([]bool, n),
 	}
 
@@ -105,25 +104,27 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	}
 	s.base = base
 
-	for _, p := range base.All() {
-		lsp, err := s.net.EstablishLSP(p)
-		if err != nil {
-			return nil, fmt.Errorf("rbpc: provisioning base LSP %v: %w", p, err)
-		}
-		s.lspOf[p.Key()] = lsp
-		s.baseLSPs = append(s.baseLSPs, lsp)
+	// One LSP per base path, in base order, sharing the stored path.
+	stored := base.All()
+	lsps, err := s.net.EstablishLSPs(stored)
+	if err != nil {
+		return nil, fmt.Errorf("rbpc: provisioning base LSP %v: %w", stored[len(lsps)], err)
+	}
+	s.baseLSPs = lsps
+	s.lspOf = make(map[string]*mpls.LSP, len(lsps))
+	for i, p := range stored {
+		s.lspOf[p.Key()] = lsps[i]
 	}
 
-	// FEC entries pushing the primaries, hot sources only.
+	// FEC entries pushing the primaries, hot sources only. A served pair's
+	// primary is its first stored path (Provision.Primary).
 	for _, src := range sources {
 		s.serves[src] = true
 	}
-	p := s.Export()
-	for _, src := range sources {
-		for di := 0; di < n; di++ {
-			if idx, ok := p.Primary(src, graph.NodeID(di)); ok {
-				s.net.SetFEC(src, graph.NodeID(di), mpls.FECEntry{Stack: []mpls.Label{s.baseLSPs[idx].SelfLabel()}, OutEdge: mpls.LocalProcess})
-			}
+	primary := s.Export().PrimaryMask()
+	for i, p := range stored {
+		if primary[i] {
+			s.net.SetFEC(p.Src(), p.Dst(), mpls.FECEntry{Stack: []mpls.Label{lsps[i].SelfLabel()}, OutEdge: mpls.LocalProcess})
 		}
 	}
 	return s, nil

@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -139,28 +140,44 @@ func (c *client) healthLoop() {
 	}
 }
 
-// attachWithin dials and attaches the worker, retrying inside the dial
-// budget.
+// errContract marks an attach the worker's hello refused: a worker built
+// for another deployment, which no retry heals.
+var errContract = errors.New("shard, shard count, topology and LSP table must all agree")
+
+// maxAttachPause caps the pause between attach attempts, which starts at a
+// millisecond and doubles.
+const maxAttachPause = 100 * time.Millisecond
+
+// attachWithin dials and attaches the worker inside the dial budget. Each
+// handshake read waits for the worker until the budget's deadline, so a
+// worker still provisioning behind a socket that already accepts (a
+// Fleet's) costs exactly its provisioning time, and a hung one fails at the
+// deadline. A dial or connection that fails is retried after a pause of at
+// most maxAttachPause; a hello that breaks the contract fails at once.
 func (c *client) attachWithin() error {
 	deadline := time.Now().Add(c.cfg.DialBudget)
+	pause := time.Millisecond
 	for {
-		err := c.attach()
-		if err == nil {
-			return nil
+		err := c.attach(deadline)
+		if err == nil || errors.Is(err, errContract) {
+			return err
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return fmt.Errorf("shardrpc: worker %d: attach budget exhausted: %w", c.idx, err)
 		}
-		time.Sleep(c.cfg.DialTimeout / 4)
+		time.Sleep(min(pause, left))
+		pause = min(2*pause, maxAttachPause)
 	}
 }
 
 // attach dials the worker's control and query connections, validates the
 // hello against the contract (shards, topology, LSP table), and waits for the
 // priming snapshot before declaring the worker alive — so a caller
-// returning from attach can immediately build whole views.
-func (c *client) attach() error {
-	control, h, err := c.dialOne(roleControl)
+// returning from attach can immediately build whole views. Every read of
+// the handshake gives up at deadline.
+func (c *client) attach(deadline time.Time) error {
+	control, h, err := c.dialOne(roleControl, deadline)
 	if err != nil {
 		return err
 	}
@@ -168,7 +185,7 @@ func (c *client) attach() error {
 	want.Epoch = h.Epoch
 	if h != want {
 		control.Close()
-		return fmt.Errorf("shardrpc: worker %d attaches as %+v, the coordinator expects %+v: shard, shard count, topology and LSP table must all agree", c.idx, h, want)
+		return fmt.Errorf("shardrpc: worker %d attaches as %+v, the coordinator expects %+v: %w", c.idx, h, want, errContract)
 	}
 	// The worker primes the replica right after the hello; read it
 	// synchronously so the attach postcondition is a current replica.
@@ -189,7 +206,7 @@ func (c *client) attach() error {
 
 	pool := make([]*Conn, queryConns)
 	for i := range pool {
-		qc, _, err := c.dialOne(roleQuery)
+		qc, _, err := c.dialOne(roleQuery, deadline)
 		if err != nil {
 			control.Close()
 			for _, p := range pool[:i] {
@@ -198,6 +215,12 @@ func (c *client) attach() error {
 			return err
 		}
 		pool[i] = qc
+	}
+	// The handshake is over: from here a connection waits as long as its
+	// reader does, and AckTimeout bounds the RPCs on it.
+	control.nc.SetDeadline(time.Time{})
+	for _, qc := range pool {
+		qc.nc.SetDeadline(time.Time{})
 	}
 
 	c.mu.Lock()
@@ -217,10 +240,15 @@ func (c *client) attach() error {
 }
 
 // dialOne opens and attaches one connection, returning the worker hello.
-func (c *client) dialOne(role byte) (*Conn, hello, error) {
+// The connection's deadline is left at deadline.
+func (c *client) dialOne(role byte, deadline time.Time) (*Conn, hello, error) {
 	nc, err := c.cfg.Dial(c.idx)
 	if err != nil {
 		return nil, hello{}, fmt.Errorf("shardrpc: dial worker %d: %w", c.idx, err)
+	}
+	if err := nc.SetDeadline(deadline); err != nil {
+		nc.Close()
+		return nil, hello{}, fmt.Errorf("shardrpc: worker %d: handshake deadline: %w", c.idx, err)
 	}
 	conn := newConn(nc, &c.torn)
 	if role == roleControl && c.idx == 0 && c.cfg.Engine.Fault == engine.FaultTornFrame {

@@ -80,7 +80,6 @@ func testConfig(f *pipeFarm, shards int) Config {
 		Shards:      shards,
 		Dial:        f.dial,
 		AckTimeout:  2 * time.Second,
-		DialTimeout: 100 * time.Millisecond,
 		DialBudget:  2 * time.Second,
 		HealthEvery: -1, // deterministic tests drive liveness themselves
 	}
@@ -300,8 +299,8 @@ func TestProcReattachBudgetExhausted(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "attach budget exhausted") {
 		t.Fatalf("Reattach of a dead worker returned %v, want an exhausted attach budget", err)
 	}
-	if limit := cfg.DialBudget + 2*cfg.DialTimeout; took > limit {
-		t.Fatalf("Reattach gave up after %v, budget %v plus two dial timeouts is %v", took, cfg.DialBudget, limit)
+	if limit := cfg.DialBudget + 2*maxAttachPause; took > limit {
+		t.Fatalf("Reattach gave up after %v, budget %v plus two attach pauses is %v", took, cfg.DialBudget, limit)
 	}
 	if proc.Shard(victim).Alive() {
 		t.Fatal("worker alive after a failed reattach")
@@ -617,7 +616,7 @@ func TestProcContractMismatchRejected(t *testing.T) {
 	}
 	_, err = NewCoordinator(p, Config{
 		Shards: 2, Dial: dial,
-		DialTimeout: 50 * time.Millisecond, DialBudget: 200 * time.Millisecond,
+		DialBudget:  200 * time.Millisecond,
 		HealthEvery: -1,
 	})
 	if err == nil {
@@ -625,6 +624,68 @@ func TestProcContractMismatchRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "shard count") {
 		t.Fatalf("NewCoordinator: %v; the error does not name the shard count", err)
+	}
+}
+
+// TestProcContractMismatchFailsAtOnce: a hello that breaks the contract
+// cannot heal, so the attach loop gives up on it at once instead of
+// retrying it for the whole dial budget — here the default two minutes,
+// for which a retried mismatch would hang a misconfigured deployment.
+func TestProcContractMismatchFailsAtOnce(t *testing.T) {
+	p := buildProvision(t, 10, 4)
+	wrong, err := NewWorker(p, 0, Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrong.Close()
+	dial := func(int) (net.Conn, error) {
+		cc, wc := net.Pipe()
+		go wrong.ServeConn(wc)
+		return cc, nil
+	}
+	start := time.Now()
+	_, err = NewCoordinator(p, Config{Shards: 2, Dial: dial, HealthEvery: -1})
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "shard count") {
+		t.Fatalf("NewCoordinator: %v; want the shard-count mismatch", err)
+	}
+	if strings.Contains(err.Error(), "budget exhausted") {
+		t.Fatalf("NewCoordinator: %v; a contract mismatch was retried", err)
+	}
+	if limit := time.Second; took > limit {
+		t.Fatalf("a contract mismatch failed after %v under the default dial budget, want within %v", took, limit)
+	}
+}
+
+// TestProcHungWorkerFailsInsideBudget: a dial that succeeds against a
+// worker that never answers — a Fleet's socket in front of a process that
+// hangs while provisioning — fails the attach at the dial budget's
+// deadline, not never.
+func TestProcHungWorkerFailsInsideBudget(t *testing.T) {
+	p := buildProvision(t, 10, 4)
+	var mu sync.Mutex
+	var held []net.Conn // the worker ends, open and unread
+	defer func() {
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	dial := func(int) (net.Conn, error) {
+		cc, wc := net.Pipe()
+		mu.Lock()
+		held = append(held, wc)
+		mu.Unlock()
+		return cc, nil
+	}
+	cfg := Config{Shards: 2, Dial: dial, DialBudget: 200 * time.Millisecond, HealthEvery: -1}
+	start := time.Now()
+	_, err := NewCoordinator(p, cfg)
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "attach budget exhausted") {
+		t.Fatalf("NewCoordinator over a hung worker: %v; want an exhausted attach budget", err)
+	}
+	if limit := cfg.DialBudget + 2*maxAttachPause; took > limit {
+		t.Fatalf("NewCoordinator gave up after %v, budget %v plus two attach pauses is %v", took, cfg.DialBudget, limit)
 	}
 }
 
@@ -651,7 +712,7 @@ func TestProcForeignRegistryRejected(t *testing.T) {
 	}
 	f := newPipeFarm(t, edgeOnly, Config{Shards: 2})
 	cfg := testConfig(f, 2)
-	cfg.DialTimeout, cfg.DialBudget = 50*time.Millisecond, 200*time.Millisecond
+	cfg.DialBudget = 200 * time.Millisecond
 
 	c, err := NewCoordinator(closed, cfg)
 	if err == nil {

@@ -50,8 +50,8 @@
 // frame per owning worker per burst); answers demultiplex by sequence
 // number over per-worker connection pools.
 //
-// Failure. Per-worker health checks, a configurable dial/ack timeout
-// with bounded retry, and crash diversion: while a worker is down its
+// Failure. Per-worker health checks, a configurable attach budget and ack
+// timeout with bounded retry, and crash diversion: while a worker is down its
 // sources are re-solved through the Corollary-4 cold tier against a
 // detached snapshot of the coordinator's failed-set model, until a
 // replacement process attaches and is resynced by replaying the current
@@ -103,11 +103,13 @@ type Config struct {
 	Engine engine.Config
 	// Dial opens a connection to a worker (required on the coordinator).
 	Dial Dialer
-	// DialTimeout bounds one dial attempt; DialBudget bounds the whole
-	// attach or reattach loop of one worker, which a freshly forked worker
-	// spends provisioning. Defaults 2s / 2min.
-	DialTimeout time.Duration
-	DialBudget  time.Duration
+	// DialBudget bounds the whole attach or reattach of one worker: every
+	// read of the handshake waits until its deadline, which is how long a
+	// freshly forked worker may spend provisioning behind a Fleet socket
+	// that already accepts. A dial or handshake that fails is retried
+	// (a Fleet's dials do not fail while it is open); a hello that breaks
+	// the contract is not. Default 2min.
+	DialBudget time.Duration
 	// AckTimeout bounds one RPC round trip; an RPC is retried up to
 	// rpcRetries times before the worker is declared dead. Default 5s.
 	AckTimeout time.Duration
@@ -120,9 +122,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.DialBudget <= 0 {
 		cfg.DialBudget = 2 * time.Minute
 	}
@@ -145,10 +144,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator attaches every worker through cfg.Dial and hands the
-// clients to the shared coordinator. The workers must already be
-// listening; a worker that cannot be attached within the dial budget
-// fails construction (post-construction crashes are survived,
-// construction requires a whole deployment). The full provision's
+// clients to the shared coordinator. A worker that cannot be attached
+// within the dial budget, or that answers for another deployment, fails
+// construction (post-construction crashes are survived, construction
+// requires a whole deployment). The full provision's
 // canonical matrix (SnapDecoder) decodes the workers' replicas here and,
 // in the coordinator, answers for the sources of a crashed worker.
 func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {

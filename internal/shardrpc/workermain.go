@@ -23,10 +23,11 @@ import (
 // WorkerOpts is the complete description of one worker process's world:
 // enough to rebuild the coordinator's exact provision from scratch
 // (topology kind, scale, seed, closure, hot set), the ownership contract
-// (shards, index), the engine tuning, and the socket to listen on.
-// Workers receive it as a single flag value — the spec is the whole
-// inter-process configuration channel, so a worker never reads state the
-// coordinator didn't spell out.
+// (shards, index) and the engine tuning. Workers receive it as a single
+// flag value — the spec is the whole inter-process configuration channel,
+// so a worker never reads state the coordinator didn't spell out. Where to
+// serve is not in it: a worker serves the listener it inherits from its
+// Fleet (RunWorker).
 type WorkerOpts struct {
 	Topology   string
 	Scale      float64
@@ -36,7 +37,6 @@ type WorkerOpts struct {
 
 	Shards int
 	Index  int
-	Socket string
 
 	MaxProcs     int // GOMAXPROCS inside the worker (0 = inherit)
 	Workers      int // engine query workers
@@ -45,8 +45,7 @@ type WorkerOpts struct {
 }
 
 // Encode renders the spec as a comma-separated k=v string — the value of
-// the serving binaries' -worker flag. Socket paths live in a fleet temp
-// directory and never contain commas.
+// the serving binaries' -worker flag.
 func (o WorkerOpts) Encode() string {
 	return strings.Join([]string{
 		"topo=" + o.Topology,
@@ -56,7 +55,6 @@ func (o WorkerOpts) Encode() string {
 		"hot=" + strconv.Itoa(o.HotSources),
 		"shards=" + strconv.Itoa(o.Shards),
 		"index=" + strconv.Itoa(o.Index),
-		"socket=" + o.Socket,
 		"maxprocs=" + strconv.Itoa(o.MaxProcs),
 		"workers=" + strconv.Itoa(o.Workers),
 		"queue=" + strconv.Itoa(o.Queue),
@@ -83,8 +81,6 @@ func ParseWorkerOpts(spec string) (WorkerOpts, error) {
 		switch k {
 		case "topo":
 			o.Topology = v
-		case "socket":
-			o.Socket = v
 		case "scale":
 			o.Scale, err = strconv.ParseFloat(v, 64)
 		case "seed":
@@ -112,8 +108,8 @@ func ParseWorkerOpts(spec string) (WorkerOpts, error) {
 			return WorkerOpts{}, fmt.Errorf("shardrpc: worker spec %s: %v", k, err)
 		}
 	}
-	if o.Topology == "" || o.Socket == "" || o.Shards < 1 {
-		return WorkerOpts{}, fmt.Errorf("shardrpc: worker spec %q missing topo/socket/shards", spec)
+	if o.Topology == "" || o.Shards < 1 {
+		return WorkerOpts{}, fmt.Errorf("shardrpc: worker spec %q missing topo/shards", spec)
 	}
 	return o, nil
 }
@@ -145,14 +141,30 @@ func (o WorkerOpts) Provision() (rbpc.Provision, error) {
 	return sys.Export(), nil
 }
 
+// listenerFD is the descriptor a worker process inherits its listener on:
+// the first of exec.Cmd.ExtraFiles, after stdin, stdout and stderr.
+const listenerFD = 3
+
 // RunWorker is the worker process's whole life: rebuild the provision the
 // coordinator described (bit-identical — the same Provision call), slice
-// it onto this index's shard engine, and serve the socket until the
-// process is killed. It never returns nil: the supervisor kills workers,
+// it onto this index's shard engine, and serve the listener inherited on
+// descriptor 3 until the process is killed. The Fleet opened that listener
+// before forking and holds it open, so the coordinator's connections queue
+// on it while this process provisions; a process started without one fails
+// before provisioning. It never returns nil: the supervisor kills workers,
 // workers don't exit.
 func RunWorker(o WorkerOpts) error {
 	if o.MaxProcs > 0 {
 		runtime.GOMAXPROCS(o.MaxProcs)
+	}
+	f := os.NewFile(listenerFD, "listener")
+	if f == nil {
+		return fmt.Errorf("shardrpc: worker %d: no inherited listener on descriptor %d", o.Index, listenerFD)
+	}
+	l, err := net.FileListener(f)
+	f.Close() // FileListener serves a duplicate
+	if err != nil {
+		return fmt.Errorf("shardrpc: worker %d: inherited listener on descriptor %d: %w", o.Index, listenerFD, err)
 	}
 	p, err := o.Provision()
 	if err != nil {
@@ -171,25 +183,27 @@ func RunWorker(o WorkerOpts) error {
 		return err
 	}
 	defer w.Close()
-	// A leftover socket from a previous worker generation would make
-	// Listen fail; the path is ours by construction.
-	os.Remove(o.Socket)
-	l, err := net.Listen("unix", o.Socket)
-	if err != nil {
-		return err
-	}
 	return w.Serve(l)
 }
 
 // Fleet forks and supervises the worker processes of one deployment: the
-// same binary re-exec'd in -worker mode, one Unix socket per worker in a
-// private temp directory. A worker that dies while the fleet is open is
-// respawned and reported through onUp, so the coordinator can Reattach
+// same binary re-exec'd in -worker mode, each serving a Unix socket in a
+// private temp directory. The fleet listens on every socket itself before
+// forking and hands the listener down as an inherited descriptor, holding
+// its own copy open for its whole life, so a worker's socket accepts
+// connections from the moment NewFleet returns — while the worker is still
+// provisioning, and across a crash and its respawn, whose replacement
+// inherits the same listener. A worker that dies while the fleet is open
+// is respawned and reported through onUp, so the coordinator can Reattach
 // and resync it; until then its sources divert to the cold tier.
 type Fleet struct {
-	opts WorkerOpts // template; Index and Socket filled per worker
+	opts WorkerOpts // template; Index filled per worker
 	dir  string
 	onUp func(worker int)
+	// ls[i] is worker i's listener and files[i] the descriptor of it every
+	// process of worker i inherits; both are closed by Close.
+	ls    []net.Listener
+	files []*os.File
 
 	mu      sync.Mutex
 	procs   []*exec.Cmd //rbpc:guardedby mu
@@ -203,11 +217,11 @@ type Fleet struct {
 
 var errFleetClosing = errors.New("shardrpc: fleet is closing")
 
-// NewFleet spawns Shards worker processes from the template spec. onUp
-// (optional) is called from the watcher goroutine each time a crashed
-// worker has been respawned — the caller reattaches there. The listeners
-// come up asynchronously; the coordinator's dial retry loop absorbs the
-// startup window.
+// NewFleet listens on one socket per worker and spawns Shards worker
+// processes from the template spec. onUp (optional) is called from the
+// watcher goroutine each time a crashed worker has been respawned — the
+// caller reattaches there. A dial succeeds as soon as NewFleet returns; the
+// worker answers it (the attach hello) once it has provisioned.
 func NewFleet(o WorkerOpts, onUp func(worker int)) (*Fleet, error) {
 	// Unix socket paths are capped at ~108 bytes; the system temp dir
 	// plus "rbpc-w*/w<N>.sock" stays well under it.
@@ -215,7 +229,21 @@ func NewFleet(o WorkerOpts, onUp func(worker int)) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{opts: o, dir: dir, onUp: onUp, procs: make([]*exec.Cmd, o.Shards)}
+	f := &Fleet{
+		opts: o, dir: dir, onUp: onUp,
+		ls: make([]net.Listener, o.Shards), files: make([]*os.File, o.Shards),
+		procs: make([]*exec.Cmd, o.Shards),
+	}
+	for i := 0; i < o.Shards; i++ {
+		if f.ls[i], err = net.Listen("unix", f.socket(i)); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if f.files[i], err = f.ls[i].(*net.UnixListener).File(); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	for i := 0; i < o.Shards; i++ {
 		if err := f.spawn(i); err != nil {
 			f.Close()
@@ -225,16 +253,17 @@ func NewFleet(o WorkerOpts, onUp func(worker int)) (*Fleet, error) {
 	return f, nil
 }
 
-// Socket returns worker i's socket path.
-func (f *Fleet) Socket(i int) string {
+// socket returns worker i's socket path.
+func (f *Fleet) socket(i int) string {
 	return filepath.Join(f.dir, fmt.Sprintf("w%d.sock", i))
 }
 
-// Dial is the coordinator-facing Dialer over the fleet's sockets. One
-// attempt is bounded here; the coordinator's attach loop retries inside
-// its dial budget while a freshly-spawned worker provisions.
+// Dial is the coordinator-facing Dialer over the fleet's sockets. The
+// fleet's own listener makes it succeed while the fleet is open, whether
+// worker i is provisioning, serving or being respawned; the attach
+// handshake on the connection waits for the worker.
 func (f *Fleet) Dial(i int) (net.Conn, error) {
-	return net.DialTimeout("unix", f.Socket(i), 2*time.Second)
+	return net.DialTimeout("unix", f.socket(i), 2*time.Second)
 }
 
 // Restarts counts workers respawned after a crash.
@@ -258,10 +287,10 @@ func (f *Fleet) Kill(i int) error {
 func (f *Fleet) spawn(i int) error {
 	wo := f.opts
 	wo.Index = i
-	wo.Socket = f.Socket(i)
 	cmd := exec.Command(os.Args[0], "-worker", wo.Encode())
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
+	cmd.ExtraFiles = []*os.File{f.files[i]} // descriptor listenerFD in the child
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closing {
@@ -297,7 +326,8 @@ func (f *Fleet) watch(i int, cmd *exec.Cmd) {
 	}
 }
 
-// Close kills every worker, waits until each has been reaped and removes
+// Close kills every worker, waits until each has been reaped, closes the
+// listeners — a connection still queued on one is refused — and removes
 // the socket directory. Idempotent.
 func (f *Fleet) Close() {
 	f.mu.Lock()
@@ -313,5 +343,13 @@ func (f *Fleet) Close() {
 	}
 	f.mu.Unlock()
 	f.unreaped.Wait()
+	for i := range f.ls {
+		if f.files[i] != nil {
+			f.files[i].Close()
+		}
+		if f.ls[i] != nil {
+			f.ls[i].Close()
+		}
+	}
 	os.RemoveAll(f.dir)
 }

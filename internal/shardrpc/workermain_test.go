@@ -11,7 +11,7 @@ import (
 func TestWorkerOptsRoundTrip(t *testing.T) {
 	full := WorkerOpts{
 		Topology: "as", Scale: 0.02, Seed: 7, Closure: true, HotSources: 40,
-		Shards: 4, Index: 3, Socket: "/tmp/rbpc-w123/w3.sock",
+		Shards: 4, Index: 3,
 		MaxProcs: 2, Workers: 2, Queue: 2048, PlanCacheMax: 256,
 	}
 	for _, tc := range []struct {
@@ -22,7 +22,7 @@ func TestWorkerOptsRoundTrip(t *testing.T) {
 		{"fractional scale", func(o *WorkerOpts) { o.Scale = 0.1 + 0.2 }},
 		{"negative seed", func(o *WorkerOpts) { o.Seed = -9 }},
 		{"no closure", func(o *WorkerOpts) { o.Closure = false }},
-		{"minimal", func(o *WorkerOpts) { *o = WorkerOpts{Topology: "isp", Socket: "w0.sock", Shards: 1} }},
+		{"minimal", func(o *WorkerOpts) { *o = WorkerOpts{Topology: "isp", Shards: 1} }},
 	} {
 		o := full
 		tc.mod(&o)
@@ -37,12 +37,14 @@ func TestWorkerOptsRoundTrip(t *testing.T) {
 
 func TestParseWorkerOptsRejects(t *testing.T) {
 	for _, tc := range []struct{ name, spec, want string }{
-		{"key without a value", "topo=as,closure,socket=s,shards=1", "not k=v"},
-		{"unknown key", "topo=as,socket=s,shards=1,colour=red", "unknown key"},
-		{"unparsable value", "topo=as,socket=s,shards=two", "shards"},
-		{"missing topo", "socket=s,shards=1", "missing"},
-		{"missing socket", "topo=as,shards=1", "missing"},
-		{"missing shards", "topo=as,socket=s", "missing"},
+		{"key without a value", "topo=as,closure,shards=1", "not k=v"},
+		{"unknown key", "topo=as,shards=1,colour=red", "unknown key"},
+		// A worker serves the listener its fleet hands it; the spec names
+		// no socket.
+		{"retired socket key", "topo=as,socket=s,shards=1", "unknown key"},
+		{"unparsable value", "topo=as,shards=two", "shards"},
+		{"missing topo", "shards=1", "missing"},
+		{"missing shards", "topo=as", "missing"},
 	} {
 		if o, err := ParseWorkerOpts(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: ParseWorkerOpts(%q) = %+v, %v; want an error containing %q", tc.name, tc.spec, o, err, tc.want)

@@ -86,17 +86,47 @@ if ! grep -qx 'type ColdConfig struct{}' internal/shard/cold.go; then
 	exit 1
 fi
 
+# A worker is ready when its socket is (DESIGN.md §14): the Fleet listens on
+# every worker's socket before it forks and hands the listener down as an
+# inherited descriptor, so the coordinator's first dial succeeds and its
+# attach waits exactly as long as the worker provisions. A socket path in
+# the worker spec, or a worker that listens for itself, would bring back the
+# dial that fails while the worker provisions and the retry pause after it;
+# both pass every test but the timed one, which a slow host may not
+# trip. The spec key is matched outside tests, whose rows check that
+# ParseWorkerOpts refuses it.
+echo "==> a worker serves the listener its fleet hands it"
+if git grep -nE 'socket=|case "socket"' -- '*.go' ':!*_test.go'; then
+	echo "verify: the retired socket= worker-spec key reappeared (see above): a worker serves its inherited listener" >&2
+	exit 1
+fi
+if awk '/^type WorkerOpts struct \{/ { inside = 1; next }
+	inside && /^\}/ { inside = 0 }
+	inside && $1 == "Socket" { print FILENAME ":" FNR ": " $0; bad = 1 }
+	END { exit !bad }' internal/shardrpc/*.go; then
+	echo "verify: a Socket field in shardrpc.WorkerOpts (see above): a worker serves its inherited listener" >&2
+	exit 1
+fi
+if git grep -nW -E 'net\.Listen(Unix)?\(' -- internal/shardrpc/workermain.go |
+	awk '/=[0-9]+=/ { fn = $0 }
+		/:[0-9]+:.*net\.Listen(Unix)?\(/ && fn !~ /=func (NewFleet\(|\(f \*Fleet\) )/ { print fn; print; bad = 1 }
+		END { exit !bad }'; then
+	echo "verify: a Unix listener opened outside Fleet in workermain.go (see above): a worker serves its inherited listener" >&2
+	exit 1
+fi
+
 # One index per question about a base set (DESIGN.md §13): paths.Explicit
-# keeps its pair map and its link map, beside the chains and the ArcIndex.
-# A second map answering what one of those answers — by source, by node, by
-# path key — would pass every test. The struct is read between its
+# keeps its pair map, beside the pair chains, the link lists (by EdgeID)
+# and the ArcIndex. A second map answering what one of those answers — by
+# source, by node, by path key, or the link lists keyed by a map again —
+# would pass every test. The struct is read between its
 # "type Explicit struct {" line and the closing brace.
-echo "==> paths.Explicit keeps byPair and byEdge as its only maps"
+echo "==> paths.Explicit keeps byPair as its only map"
 if awk '/^type Explicit struct \{/ { inside = 1; next }
 	inside && /^\}/ { inside = 0 }
-	inside && /map\[/ && $1 != "byPair" && $1 != "byEdge" { print FILENAME ":" FNR ": " $0; bad = 1 }
+	inside && /map\[/ && $1 != "byPair" { print FILENAME ":" FNR ": " $0; bad = 1 }
 	END { exit !bad }' internal/paths/*.go; then
-	echo "verify: a map field in paths.Explicit other than byPair and byEdge (see above): one index per question" >&2
+	echo "verify: a map field in paths.Explicit other than byPair (see above): one index per question" >&2
 	exit 1
 fi
 
@@ -320,6 +350,14 @@ go test -race -count=20 -run 'TestBurstsAreAtomic' ./internal/engine/ ./internal
 # barrier; an admission or a drain that lost a unit is a timing window too.
 echo "==> the cold tier takes bursts whole and drains exactly (-race, 20 runs)"
 go test -race -count=20 -run 'TestColdBurstIsOneUnit|TestColdShedsABurstWhole|TestColdDrainIsExact' ./internal/shard/
+
+# A forked fleet attaches as soon as its workers can answer, a respawned
+# worker reattaches on the listener it inherits, and a contract mismatch or a
+# hung worker fails inside the dial budget; the socket transport's timing
+# windows are exercised five times under the race detector.
+echo "==> fleet attach and the socket transport (-race, 5 runs)"
+go test -race -count=5 -run 'TestFleetAttachesWithoutASleep' ./cmd/rbpc-serve/
+go test -race -count=5 -run 'TestProc' ./internal/shardrpc/
 
 echo "==> chaos conformance suite (long, -race, tagged)"
 go test -race -tags chaos -count=1 ./internal/chaos/
