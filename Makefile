@@ -48,7 +48,10 @@ verify:
 # cost per answer of a submitted burst, a local-scheme transition with
 # three links down, a phase-two transition of the writer in the benchmark
 # of record's shape (three-link episodes, plan cache of three: ns and
-# allocs per plan-cache miss and per hit), and the sharded read
+# allocs per plan-cache miss and per hit), building an engine (every
+# source and half of them) and a snapshot decoder over the benchmark of
+# record's provision (ns, B and allocs: the canonical table is most of
+# it), and the sharded read
 # path: a query's whole cost through the in-process coordinator at 2 and at
 # 8 shards (every shard scans the shared burst; 0 allocs asserted), the
 # frame checksum in GB/s, a 256-pair query frame out and its answer
@@ -61,7 +64,7 @@ BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
 	$(GO) test -run '^$$' -bench BenchmarkSparseFanout -benchmem -benchtime $(BENCHTIME) ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild|BenchmarkEngineNew|BenchmarkSnapDecoder' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
 	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -benchtime $(BENCHTIME) ./internal/paths/

@@ -50,7 +50,7 @@ func ExampleNewDeployment() {
 		panic(err)
 	}
 	fmt.Println("delivered in hops:", pkt.Hops)
-	fmt.Println("labels pushed at the source:", len(snap.Route(0, 1).Stack))
+	fmt.Println("labels pushed at the source:", len(snap.Route(0, 1).LSPs))
 	// Output:
 	// delivered in hops: 2
 	// labels pushed at the source: 2

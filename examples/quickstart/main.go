@@ -67,6 +67,6 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("\nMPLS: packet 0->2 delivered via %v in %d hops\n", pkt.Trace, pkt.Hops)
-	fmt.Printf("router 0's FEC row for 2 pushes %d labels, one per base LSP\n", len(snap.Route(0, 2).Stack))
+	fmt.Printf("router 0's FEC row for 2 pushes %d labels, one per base LSP\n", len(snap.Route(0, 2).LSPs))
 	fmt.Printf("signaling messages during restoration: 0\n")
 }

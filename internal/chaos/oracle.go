@@ -266,7 +266,7 @@ func (ck *checker) checkLocalResult(step int, snap *engine.Snapshot, down map[gr
 	if rt.Via != engine.SchemeLocal && rt.Via != engine.SchemeBypass {
 		return vio("chain", "unknown answer flavor %v", rt.Via)
 	}
-	if len(rt.LSPs) != 0 || len(rt.Stack) != 0 {
+	if len(rt.LSPs) != 0 {
 		return vio("chain", "local answer carries source components")
 	}
 	p := rt.Path

@@ -251,7 +251,7 @@ func BenchmarkServeBatch(b *testing.B) {
 }
 
 // BenchmarkEngineQuery measures the steady-state lock-free read path under
-// parallel load, with a failure in place so answers cross the COW rows.
+// parallel load, with failures in place so answers cross overlay rows.
 func BenchmarkEngineQuery(b *testing.B) {
 	g := topology.Waxman(64, 0.8, 0.5, 13)
 	e, _ := newEngine(b, g, Config{})
@@ -345,3 +345,52 @@ func BenchmarkEpochBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineNew measures building an engine, and closing it, over the
+// benchmark's provision (the AS stand-in at scale 0.05): full serves every
+// source, half the sources of one shard of two. The canonical matrix is
+// most of what New builds, so allocs/op is its cost.
+func BenchmarkEngineNew(b *testing.B) {
+	g := topology.PaperAS(1, 0.05)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		p    rbpc.Provision
+	}{{"full", sys.Export()}, {"half", halfSlice(sys.Export())}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, err := New(tc.p, Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkSnapDecoder measures building a snapshot decoder over the
+// benchmark's provision, what every process of a sharded deployment that
+// decodes replicas does once.
+func BenchmarkSnapDecoder(b *testing.B) {
+	g := topology.PaperAS(1, 0.05)
+	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := sys.Export()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if decoderSink, err = NewSnapDecoder(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var decoderSink *SnapDecoder

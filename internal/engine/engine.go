@@ -153,11 +153,10 @@ type Engine struct {
 	net *mpls.Network
 
 	// prim marks, by base-set index, the primaries of the pairs this engine
-	// serves (rbpc.Provision.PrimaryMask); primAt[src][dst] is the base-set
-	// index of (src, dst)'s primary, -1 where the pair has none, and row src
-	// is nil for a source the engine does not serve. Fixed after New.
-	prim   []bool
-	primAt [][]int32
+	// serves (rbpc.Provision.PrimaryMask); canon is their routes, one slot
+	// per served pair (see canonical). Both fixed after New.
+	prim  []bool
+	canon canonical
 
 	// Writer-owned state (only the writer goroutine touches these after New).
 	//
@@ -171,9 +170,8 @@ type Engine struct {
 	// later epoch's trees are repairs of its trees (epochOracle). Nil on a
 	// FullRebuild engine, whose trees stay from-scratch searches so the
 	// reference arm is independent of the derivation it checks.
-	pristine  *spath.Oracle
-	canonical [][]*Route
-	// mat[src] is 1 when canonical[src] is materialized, else 0: the byte
+	pristine *spath.Oracle
+	// mat[src] is 1 when canon's row src is materialized, else 0: the byte
 	// serveOwned advances its gather cursor by. Fixed after New, like the
 	// rows it describes.
 	mat       []uint8
@@ -197,7 +195,7 @@ type Engine struct {
 	switchMu    sync.Mutex
 
 	// canonBytes is the resident cost of the canonical matrix (top-level
-	// slice + every materialized row), fixed after New.
+	// slice + the cells of every materialized row), fixed after New.
 	canonBytes int64
 
 	events chan writerMsg
@@ -269,18 +267,17 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		cfg.QueueDepth = 4096
 	}
 
-	canonical, primAt := canonicalRows(p)
+	prim := p.PrimaryMask()
 	e := &Engine{
 		g:         p.Graph,
 		base:      p.Base,
 		cfg:       cfg,
 		lspAt:     p.BaseLSPs,
 		net:       p.Net,
-		prim:      p.PrimaryMask(),
-		primAt:    primAt,
+		prim:      prim,
+		canon:     newCanonical(p, prim),
 		live:      paths.NewLiveIndex(p.Base),
 		pulls:     make([]*core.Pull, runtime.GOMAXPROCS(0)),
-		canonical: canonical,
 		planCache: newPlanCache(cfg.PlanCacheCap),
 		pscratch:  &planScratch{downNew: make([]bool, p.Graph.Size())},
 		events:    make(chan writerMsg, 256),
@@ -292,10 +289,10 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		e.pulls[w] = core.NewPull(p.Base)
 	}
 
-	e.canonBytes = int64(len(canonical)) * 8
-	e.mat = make([]uint8, len(canonical))
-	for src, row := range canonical {
-		e.canonBytes += int64(len(row)) * 8
+	e.canonBytes = int64(len(e.canon.at)) * 8
+	e.mat = make([]uint8, len(e.canon.at))
+	for src, row := range e.canon.at {
+		e.canonBytes += int64(len(row)) * canonCellBytes
 		if row != nil {
 			e.mat[src] = 1
 		}
@@ -310,7 +307,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		net:      e.net,
 		oracle:   spath.NewOracle(graph.FailEdges(p.Graph)),
 		created:  time.Now(),
-		canon:    canonical,
+		canon:    e.canon,
 		rowBytes: e.canonBytes,
 		scheme:   cfg.Scheme,
 		clock:    cfg.Clock,
@@ -367,32 +364,69 @@ func epochOracle(pristine *spath.Oracle, fv *graph.FailureView) *spath.Oracle {
 	return pristine.Derive(fv)
 }
 
-// canonicalRows builds the canonical routing matrix from the provision's
-// primaries (rbpc.Provision.Primary): a pair's pristine route is its primary
-// LSP alone. Beside it, primAt[src][dst] is the primary's base-set index, -1
-// where the pair has none. Rows of both are allocated for the served sources
-// only, so sources outside a shard's slice or a hot-set provision stay nil
-// (non-materialized) and cost nothing.
-func canonicalRows(p rbpc.Provision) (canon [][]*Route, primAt [][]int32) {
+// canonical is the pristine routing matrix, stored as the one fact it
+// holds: a served pair's pristine route is its primary LSP alone
+// (rbpc.Provision.Primary). at[src][dst] is the pair's slot, -1 where it
+// has no primary, and row src is nil for a source the provision does not
+// serve (not materialized). routes holds one route per served primary, in
+// base order, and base each one's base-set index, where the writer reads a
+// pair's liveness count (incrementalPlan). Every epoch shares it.
+//
+//rbpc:immutable
+type canonical struct {
+	at     [][]int32
+	routes []Route
+	base   []int32
+}
+
+// canonCellBytes is what RowBytes charges for one slot of the matrix.
+const canonCellBytes = 4
+
+// newCanonical builds the canonical matrix of a provision whose served
+// primaries prim marks (rbpc.Provision.PrimaryMask): the one builder of
+// engine.New and NewSnapDecoder, which therefore serve the same routes with
+// the same cost bits. A route's LSPs are a window of the provision's table:
+// nothing is allocated per route.
+//
+//rbpc:ctor
+func newCanonical(p rbpc.Provision, prim []bool) canonical {
 	n := p.Graph.Order()
-	canon, primAt = make([][]*Route, n), make([][]int32, n)
+	c := canonical{at: make([][]int32, n)}
 	for src, served := range p.Serves {
-		if !served {
-			continue
-		}
-		canon[src], primAt[src] = make([]*Route, n), make([]int32, n)
-		for dst := range primAt[src] {
-			idx, ok := p.Primary(graph.NodeID(src), graph.NodeID(dst))
-			if !ok {
-				primAt[src][dst] = -1
-				continue
+		if served {
+			c.at[src] = make([]int32, n)
+			for dst := range c.at[src] {
+				c.at[src][dst] = -1
 			}
-			lsp := p.BaseLSPs[idx]
-			canon[src][dst] = &Route{LSPs: []*mpls.LSP{lsp}, Stack: []mpls.Label{lsp.SelfLabel()}, Cost: lsp.Path.CostIn(p.Graph)}
-			primAt[src][dst] = int32(idx)
 		}
 	}
-	return canon, primAt
+	k := 0
+	for _, ok := range prim {
+		if ok {
+			k++
+		}
+	}
+	c.routes, c.base = make([]Route, 0, k), make([]int32, 0, k)
+	for i, path := range p.Base.All() {
+		if prim[i] {
+			c.at[path.Src()][path.Dst()] = int32(len(c.routes))
+			c.routes = append(c.routes, Route{LSPs: p.BaseLSPs[i : i+1 : i+1], Cost: p.Base.CostAt(int32(i))})
+			c.base = append(c.base, int32(i))
+		}
+	}
+	return c
+}
+
+// route is the pair's canonical route, nil where it has none.
+//
+//rbpc:hotpath
+func (c *canonical) route(src, dst graph.NodeID) *Route {
+	if row := c.at[src]; row != nil {
+		if slot := row[dst]; slot >= 0 {
+			return &c.routes[slot]
+		}
+	}
+	return nil
 }
 
 // Snapshot returns the current serving epoch. The returned snapshot stays
@@ -947,7 +981,7 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 		patch:      patch,
 		oracle:     oracle,
 		created:    time.Now(),
-		canon:      e.canonical,
+		canon:      e.canon,
 		over:       over,
 		rowBytes:   e.canonBytes + overlayBytes(over),
 		scheme:     scheme,
@@ -982,14 +1016,14 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 
 // ResolveRoute is the served form of a decomposition solved over base, the
 // set lspAt belongs to (rbpc.Provision.BaseLSPs): component i is the LSP at
-// its base-set index, the stack is their self-labels, and the cost is the
-// sum, in component order, of the costs base stored for them —
-// core.Decomposition.Cost over base's graph, bit for bit (Explicit.Add
-// priced each path with the same function), without walking an edge. A
-// component that names no base path — a bare edge, which an edge-complete
-// base set never yields — or whose LSP the table lacks, like an empty
-// decomposition, leaves the pair unroutable (nil): nothing is signaled for
-// it. The engine's epoch builds and the cold tier's on-demand answers
+// its base-set index, and the cost is the sum, in component order, of the
+// costs base stored for them — core.Decomposition.Cost over base's graph,
+// bit for bit (Explicit.Add priced each path with the same function),
+// without walking an edge. A component that names no base path — a bare
+// edge, which an edge-complete base set never yields — or whose LSP the
+// table lacks, like an empty decomposition or components that do not chain
+// (mpls.CheckChain), leaves the pair unroutable (nil): nothing is signaled
+// for it. The engine's epoch builds and the cold tier's on-demand answers
 // (internal/shard) are both this.
 func ResolveRoute(base *paths.Explicit, lspAt []*mpls.LSP, dec core.Decomposition) *Route {
 	lsps := make([]*mpls.LSP, len(dec.Components))
@@ -1001,9 +1035,8 @@ func ResolveRoute(base *paths.Explicit, lspAt []*mpls.LSP, dec core.Decompositio
 		lsps[i] = lspAt[c.Base-1]
 		cost += base.CostAt(c.Base - 1)
 	}
-	stack, err := mpls.SelfStack(lsps)
-	if err != nil {
+	if mpls.CheckChain(lsps) != nil {
 		return nil
 	}
-	return &Route{LSPs: lsps, Stack: stack, Cost: cost}
+	return &Route{LSPs: lsps, Cost: cost}
 }

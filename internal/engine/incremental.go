@@ -226,7 +226,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 
 	var rows []*planRow // the new plan's; copied from prev when the first source changes
 	var reused, stale, improved int64
-	for s, at := 0, 0; s < len(e.canonical); s++ {
+	for s, at := 0, 0; s < len(e.canon.at); s++ {
 		src := graph.NodeID(s)
 		lo := at
 		for at < len(entering) && entering[at].Src == src {
@@ -238,7 +238,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 			continue
 		}
 		pd, prt := p.entries()
-		primAt := e.primAt[s]
+		slots := e.canon.at[s]
 
 		// One merge, in dst order, of the previous entries and the entering
 		// pairs. The source's next row is begun at the first entry that
@@ -272,7 +272,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 			}
 			pr, rt := rbpc.Pair{Src: src, Dst: pd[i]}, prt[i]
 			switch {
-			case dead[primAt[pr.Dst]] == 0: // leaving: back to canonical
+			case dead[e.canon.base[slots[pr.Dst]]] == 0: // leaving: back to canonical
 				begin(i)
 			case rt != nil && len(newlyDown) > 0 && routeUses(rt, sc.downNew):
 				stale++
@@ -294,7 +294,7 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 			continue
 		}
 		if rows == nil {
-			rows = make([]*planRow, len(e.canonical))
+			rows = make([]*planRow, len(e.canon.at))
 			copy(rows, prev)
 		}
 		if job.hi = len(sc.dsts); job.hi > job.lo {

@@ -115,7 +115,7 @@ func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
 	wg.Wait()
 
 	// Phase 2 — resolution into LSPs, one row per source.
-	rows := make([]*planRow, len(e.canonical))
+	rows := make([]*planRow, len(e.canon.at))
 	for i, s := range srcs {
 		routes := make([]*Route, len(bySrc[i]))
 		for j, ok := range out[i].oks {

@@ -349,7 +349,8 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 			var dt detour
 			if sc.oks[j] {
 				if rt := ResolveRoute(e.base, e.lspAt, dec); rt != nil { // nil for an empty detour, too
-					dt = detour{ok: true, path: dec.Concat(), cost: rt.Cost, stack: rt.Stack}
+					stack, _ := mpls.SelfStack(rt.LSPs) // a resolved route chains
+					dt = detour{ok: true, path: dec.Concat(), cost: rt.Cost, stack: stack}
 				}
 			}
 			pt.dets = append(pt.dets, dt)
@@ -388,7 +389,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 	// Pass 4: the answer each affected pair's patched data plane now
 	// delivers. sc.affected is (src, dst)-sorted, so each source's run is
 	// its row; the rows share two backing arrays.
-	rows := make([]*planRow, len(e.canonical))
+	rows := make([]*planRow, len(e.canon.at))
 	dsts := make([]graph.NodeID, len(sc.affected))
 	routes := make([]*Route, len(sc.affected))
 	for lo := 0; lo < len(sc.affected); {
@@ -614,7 +615,7 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 		patch:      patch,
 		oracle:     oracle,
 		created:    time.Now(),
-		canon:      e.canonical,
+		canon:      e.canon,
 		over:       over,
 		rowBytes:   e.canonBytes + overlayBytes(over),
 		scheme:     e.cfg.Scheme,

@@ -53,8 +53,8 @@ func checkLocalAnswer(t *testing.T, e *Engine, src, dst graph.NodeID, rt *Route,
 	if rt.Via != wantVia {
 		t.Fatalf("%s: pair %d->%d Via = %v, want %v", tag, src, dst, rt.Via, wantVia)
 	}
-	if len(rt.LSPs) != 0 || len(rt.Stack) != 0 {
-		t.Fatalf("%s: local answer carries source-plan LSPs/Stack", tag)
+	if len(rt.LSPs) != 0 {
+		t.Fatalf("%s: local answer carries source-plan LSPs", tag)
 	}
 	if err := rt.Path.Validate(snap.View()); err != nil {
 		t.Fatalf("%s: pair %d->%d path invalid: %v", tag, src, dst, err)

@@ -18,14 +18,16 @@ import (
 
 // sendDeliversServed is the writer's one forwarding invariant, checked from
 // the outside: at a published epoch, for every materialized (src, dst), the
-// packet Send injects is delivered at dst iff the snapshot serves the pair a
-// route, and then walks as many links as that route has — the components of
-// a source answer, the path of a local one. A hybrid source the flood has
-// not reached serves its local answer over whatever stack it pushed before
-// the transition and is skipped (TestSendPushesTheRow covers it).
+// stack Send pushes is storedStack of the pair's entry in the matrix (the
+// overlay's, else the canonical one), and the packet it injects is
+// delivered at dst iff the snapshot serves the pair a route, and then walks
+// as many links as that route has — the components of a source answer, the
+// path of a local one. A hybrid source the flood has not reached serves its
+// local answer over whatever stack it pushed before the transition and is
+// skipped (TestSendPushesTheRow covers it).
 func sendDeliversServed(t *testing.T, snap *Snapshot, tag string) {
 	t.Helper()
-	n := len(snap.canon)
+	n := len(snap.canon.at)
 	for s := 0; s < n; s++ {
 		src := graph.NodeID(s)
 		if !snap.Materialized(src) || !snap.HorizonPassed(src) {
@@ -35,6 +37,14 @@ func sendDeliversServed(t *testing.T, snap *Snapshot, tag string) {
 			dst := graph.NodeID(d)
 			if dst == src {
 				continue
+			}
+			entry, ok := rowsGet(snap.over, src, dst)
+			if !ok {
+				entry = snap.canon.route(src, dst)
+			}
+			stack, err := snap.fecStack(src, dst)
+			if entry == nil && !errors.Is(err, mpls.ErrNoRoute) || entry != nil && (err != nil || !slices.Equal(stack, storedStack(entry))) {
+				t.Fatalf("%s (failed %v): pair %d->%d pushes %v (%v), its entry %v stands for %v", tag, snap.Failed(), s, d, stack, err, entry, storedStack(entry))
 			}
 			rt := snap.Route(src, dst)
 			pkt, err := snap.Send(src, dst)
@@ -53,6 +63,21 @@ func sendDeliversServed(t *testing.T, snap *Snapshot, tag string) {
 			}
 		}
 	}
+}
+
+// storedStack is the FEC entry a source route stands for, spelled out label
+// by label: its components' self-labels, bottom-first, so the last
+// component's is at the bottom and a canonical route pushes its primary's
+// self-label alone. Nil for no route.
+func storedStack(rt *Route) []mpls.Label {
+	if rt == nil {
+		return nil
+	}
+	stack := make([]mpls.Label, len(rt.LSPs))
+	for i, l := range rt.LSPs {
+		stack[len(stack)-1-i] = l.SelfLabel()
+	}
+	return stack
 }
 
 // walkOf is the path a source route's components concatenate to.
@@ -162,6 +187,9 @@ search:
 		if !affected || lr == nil || lr.Via != SchemeBypass || snap.Route(src, dst) != lr {
 			t.Fatalf("%s, epoch %d %s: the local answer is not what is served", tag, snap.Epoch(), when)
 		}
+		if stack, err := snap.fecStack(src, dst); err != nil || !slices.Equal(stack, storedStack(r1)) {
+			t.Fatalf("%s, epoch %d %s: src pushes %v (%v), want the first transition's %v", tag, snap.Epoch(), when, stack, err, storedStack(r1))
+		}
 		pkt, err := snap.Send(src, dst)
 		if err != nil || pkt.At != dst {
 			t.Fatalf("%s, epoch %d %s: Send: %v (%v)", tag, snap.Epoch(), when, pkt, err)
@@ -183,7 +211,7 @@ search:
 	}
 	carriesFirst(phase1, "after the horizon")
 	r2 := phase2.Route(src, dst)
-	if r2 == nil || r2.Via != SchemeSource || slices.Equal(r2.Stack, r1.Stack) {
+	if r2 == nil || r2.Via != SchemeSource || slices.Equal(r2.LSPs, r1.LSPs) {
 		t.Fatalf("%s: after the horizon phase two serves %+v, want a new source route", tag, r2)
 	}
 	pkt, err := phase2.Send(src, dst)

@@ -23,22 +23,22 @@ import (
 )
 
 // Route is one served answer. For source-scheme answers (Via ==
-// SchemeSource) it is the LSP concatenation currently restoring the pair,
-// its label stack as pushed by the source router — the pair's FEC entry,
-// which Snapshot.Send reads from here — and its cost in the
-// original graph (which, by construction, is the true post-failure
-// shortest distance). For local-scheme answers (Via == SchemeLocal /
-// SchemeBypass) the source keeps pushing its canonical stack and the
-// restoration happens mid-path at patched ILM rows: LSPs and Stack are nil,
+// SchemeSource) it is the LSP concatenation currently restoring the pair
+// and its cost in the original graph (which, by construction, is the true
+// post-failure shortest distance); the label stack the source router pushes
+// for it — the pair's FEC entry — is its LSPs' self-labels, derived where a
+// packet is sent (Snapshot.Send). For local-scheme answers (Via ==
+// SchemeLocal / SchemeBypass) the source keeps pushing its canonical stack
+// and the restoration happens mid-path at patched ILM rows: LSPs is nil,
 // Path is the concrete walk the patched data plane delivers, and Cost is
 // that walk's cost — at least, and under the local schemes usually above,
-// the post-failure shortest distance.
+// the post-failure shortest distance. A route decoded off the wire has the
+// same shape as the engine's.
 type Route struct {
-	LSPs  []*mpls.LSP
-	Stack []mpls.Label
-	Cost  float64
-	Via   Scheme
-	Path  graph.Path
+	LSPs []*mpls.LSP
+	Cost float64
+	Via  Scheme
+	Path graph.Path
 }
 
 // Snapshot is one epoch's immutable serving state. Everything reachable
@@ -69,18 +69,18 @@ type Snapshot struct {
 	// canon and over are the routing matrix, [src][dst], stored as the
 	// paper's observation about it: a restored route is the original with
 	// a short splice, so an epoch differs from the pristine matrix in a
-	// handful of entries. canon is the engine's canonical matrix — the
-	// same slice in every epoch, with nil rows for sources the provision
-	// did not materialize — and over holds one divergence row per source
-	// the current failed-set touches (nil entry = the source serves pure
-	// canonical; nil slice = no source diverges, which is every pristine
-	// epoch and every repair back to one). A read consults the overlay
-	// first and falls back to canonical. Row src of the matrix is also
-	// source src's FEC table — each entry's Stack is what src pushes for
-	// that destination (Send) — so the paper's per-transition FEC delta is
-	// the rows that moved between two epochs, and pointer-shared rows make
-	// the rest free.
-	canon [][]*Route
+	// handful of entries. canon is the engine's canonical matrix — a slot
+	// per pair into one route per served primary, the same table in every
+	// epoch, with nil rows for sources the provision did not materialize —
+	// and over holds one divergence row per source the current failed-set
+	// touches (nil entry = the source serves pure canonical; nil slice = no
+	// source diverges, which is every pristine epoch and every repair back
+	// to one). A read consults the overlay first and falls back to
+	// canonical. Row src of the matrix is also source src's FEC table —
+	// each entry's LSPs name what src pushes for that destination (Send) —
+	// so the paper's per-transition FEC delta is the rows that moved
+	// between two epochs, and pointer-shared rows make the rest free.
+	canon canonical
 	over  []*planRow
 
 	// rowBytes is the resident-byte accounting of this epoch's matrix (see
@@ -138,30 +138,38 @@ var ErrNoDataPlane = errors.New("engine: snapshot holds no data plane")
 
 // Send injects a packet for dst at src and forwards it over the engine's
 // network under the epoch's link state (fv) and patch rows: src pushes the
-// stack of its entry in this epoch's matrix — the overlay's, else the
-// canonical one. A local or bypass answer changes nothing at the source,
-// which pushes what it pushed while the patched ILM rows do the rest; and a
-// hybrid phase-two source the flood has not reached still pushes from the
-// overlay the transition began with. A pair with no entry, or an unroutable
-// one, is mpls.ErrNoRoute.
+// self-labels of its entry's LSPs in this epoch's matrix — the overlay's,
+// else the canonical one. A local or bypass answer changes nothing at the
+// source, which pushes what it pushed while the patched ILM rows do the
+// rest; and a hybrid phase-two source the flood has not reached still
+// pushes from the overlay the transition began with. A pair with no entry,
+// or an unroutable one, is mpls.ErrNoRoute.
 func (s *Snapshot) Send(src, dst graph.NodeID) (*mpls.Packet, error) {
 	if s.net == nil {
 		return nil, ErrNoDataPlane
 	}
+	stack, err := s.fecStack(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return s.net.Send(src, dst, stack, s.fv, s.patch)
+}
+
+// fecStack is src's FEC entry for dst as Send pushes it: the label stack
+// (bottom-first) of the entry's LSPs.
+func (s *Snapshot) fecStack(src, dst graph.NodeID) ([]mpls.Label, error) {
 	rows := s.over
 	if s.srcReady && !s.pastHorizon(src) {
 		rows = s.preOver
 	}
 	rt, ok := rowsGet(rows, src, dst)
 	if !ok {
-		if row := s.canon[src]; row != nil {
-			rt = row[dst]
-		}
+		rt = s.canon.route(src, dst)
 	}
 	if rt == nil {
 		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, mpls.ErrNoRoute)
 	}
-	return s.net.Send(src, dst, rt.Stack, s.fv, s.patch)
+	return mpls.SelfStack(rt.LSPs)
 }
 
 // ILMRow returns the ILM row for label at router as this epoch forwards it
@@ -209,10 +217,7 @@ func (s *Snapshot) Route(src, dst graph.NodeID) *Route {
 			}
 		}
 	}
-	if row := s.canon[src]; row != nil {
-		return row[dst]
-	}
-	return nil
+	return s.canon.route(src, dst)
 }
 
 // Materialized reports whether the source has a precomputed serving row
@@ -223,17 +228,17 @@ func (s *Snapshot) Route(src, dst graph.NodeID) *Route {
 //
 //rbpc:hotpath
 func (s *Snapshot) Materialized(src graph.NodeID) bool {
-	return s.canon[src] != nil
+	return s.canon.at[src] != nil
 }
 
 // RowBytes reports the resident bytes this snapshot's routing matrix
 // keeps alive and the bytes a dense all-pairs matrix over the same
-// topology would hold (top-level slice plus n route pointers per source).
-// The two are equal for a snapshot at rest with every source hot; the
-// ratio is the cold-pair saving.
+// topology would hold (top-level slice plus n slot cells per source). The
+// two are equal for a snapshot at rest with every source hot; the ratio is
+// the cold-pair saving.
 func (s *Snapshot) RowBytes() (resident, dense int64) {
-	n := int64(len(s.canon))
-	return s.rowBytes, n*8 + n*n*8
+	n := int64(len(s.canon.at))
+	return s.rowBytes, n*8 + n*n*canonCellBytes
 }
 
 // Age reports how long this snapshot has been the serving epoch (time

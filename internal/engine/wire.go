@@ -12,9 +12,11 @@
 // their LSPs (mpls.LSPID, one u32 each): every process of a deployment
 // provisions the same LSPs under the same IDs (the transport's attach
 // handshake compares a digest of the table), so a decoded route holds the
-// replica's own established LSPs. Label stacks do not cross: a replica is
-// a control-plane view (routability, costs, component LSPs); forwarding
-// state lives only in the worker that owns the shard's data plane.
+// replica's own established LSPs — the route is its LSPs, so a decoded
+// route has the engine route's shape. A replica is a control-plane view
+// (routability, costs, component LSPs): it holds no network to push a
+// label stack on, and forwarding lives only in the worker that owns the
+// shard's data plane.
 package engine
 
 import (
@@ -80,13 +82,13 @@ func AppendRouteWire(buf []byte, rt *Route) []byte {
 }
 
 // SnapDecoder rebuilds engine snapshots from their wire overlay. It holds
-// the shared canonical matrix — reconstructed once from the provision by
-// canonicalRows, as engine.New does, so canonical rows (and their cost
-// bits) are identical to the worker's — plus the provision's LSP table
+// the shared canonical matrix — built once from the provision by
+// newCanonical, as engine.New builds it, so canonical routes (and their
+// cost bits) are identical to the worker's — plus the provision's LSP table
 // keyed by LSP ID, which a decoded component is one bounds-checked read of.
 type SnapDecoder struct {
 	g     *graph.Graph
-	canon [][]*Route
+	canon canonical
 	byID  []*mpls.LSP // dense, by mpls.LSPID; nil where the provision has no base LSP
 }
 
@@ -97,7 +99,7 @@ func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	canon, _ := canonicalRows(p)
+	canon := newCanonical(p, p.PrimaryMask())
 	var top mpls.LSPID
 	for _, l := range p.BaseLSPs {
 		top = max(top, l.ID)
@@ -115,7 +117,7 @@ func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
 // what lets the process-mode coordinator divert cold pairs without
 // consulting any worker.
 func (d *SnapDecoder) Materialized(src graph.NodeID) bool {
-	return int(src) < len(d.canon) && d.canon[src] != nil
+	return int(src) < len(d.canon.at) && d.canon.at[src] != nil
 }
 
 // Decode rebuilds a snapshot from AppendWire output: the shared canonical

@@ -1,7 +1,6 @@
 package mpls
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,8 +39,6 @@ func lineNet(tb testing.TB, n int) (*graph.Graph, *Network) {
 	return g, net
 }
 
-func mapPtr(v any) uintptr { return reflect.ValueOf(v).Pointer() }
-
 // ilmRows collects a router's installed ILM rows by label.
 func ilmRows(r *Router) map[Label]ILMEntry {
 	rows := make(map[Label]ILMEntry, r.ILMSize())
@@ -51,40 +48,6 @@ func ilmRows(r *Router) map[Label]ILMEntry {
 		}
 	}
 	return rows
-}
-
-func TestCloneSharesUntouchedTables(t *testing.T) {
-	_, net := lineNet(t, 8)
-	c := net.Clone()
-
-	for i := range net.routers {
-		if mapPtr(c.routers[i].ilm) != mapPtr(net.routers[i].ilm) {
-			t.Fatalf("router %d: ILM not shared after clone", i)
-		}
-		if mapPtr(c.routers[i].fec) != mapPtr(net.routers[i].fec) {
-			t.Fatalf("router %d: FEC not shared after clone", i)
-		}
-	}
-	if mapPtr(c.lsps) != mapPtr(net.lsps) {
-		t.Fatal("LSP registry not shared after clone")
-	}
-
-	// One FEC write on the clone un-shares exactly that router's FEC map.
-	c.SetFEC(3, 0, FECEntry{OutEdge: LocalProcess})
-	if mapPtr(c.routers[3].fec) == mapPtr(net.routers[3].fec) {
-		t.Fatal("written FEC map still shared")
-	}
-	if mapPtr(c.routers[3].ilm) != mapPtr(net.routers[3].ilm) {
-		t.Fatal("ILM map of written router should remain shared")
-	}
-	for i := range net.routers {
-		if i == 3 {
-			continue
-		}
-		if mapPtr(c.routers[i].fec) != mapPtr(net.routers[i].fec) {
-			t.Fatalf("untouched router %d un-shared by a write to router 3", i)
-		}
-	}
 }
 
 func TestCloneIsolation(t *testing.T) {
@@ -202,13 +165,13 @@ func imageOf(n *Network) tableImage {
 	return img
 }
 
-// TestCloneParentTablesBitIdentical is the aliasing regression test for the
-// copy-on-write snapshot: after aggressive mutation of a clone — FEC
+// TestCloneParentTablesBitIdentical is the aliasing regression test for
+// Clone: after aggressive mutation of a clone — FEC
 // rewrites and clears at every router, an ILM replacement, LSP
 // establishment and teardown, and link failures — the parent's ILM and FEC
 // tables, link state, and LSP registry must compare deep-equal to a
-// pre-clone image. Any shared map mutated in place (a missed un-share in
-// writableILM/writableFEC/writableLSPs) shows up as a diff here.
+// pre-clone image. Any table the two share and the clone mutates in place
+// shows up as a diff here.
 func TestCloneParentTablesBitIdentical(t *testing.T) {
 	g, net := lineNet(t, 8)
 	before := imageOf(net)
@@ -251,32 +214,12 @@ func TestCloneParentTablesBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkNetworkClone measures the snapshot cost alone: it must scale
-// with router/link count only, not with installed table rows.
+// BenchmarkNetworkClone measures the cost of a copy of the whole network.
 func BenchmarkNetworkClone(b *testing.B) {
 	_, net := lineNet(b, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net = net.Clone()
-	}
-}
-
-// BenchmarkClonePatch proves the copy-on-write claim: clone the network
-// and rewrite FEC rows at k routers. Cost grows with k (the changed
-// tables), not with the ~2n untouched tables.
-func BenchmarkClonePatch(b *testing.B) {
-	for _, k := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("patched=%d", k), func(b *testing.B) {
-			_, net := lineNet(b, 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := net.Clone()
-				for r := 0; r < k; r++ {
-					c.SetFEC(graph.NodeID(r), 0, FECEntry{OutEdge: LocalProcess})
-				}
-			}
-		})
 	}
 }

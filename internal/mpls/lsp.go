@@ -128,7 +128,7 @@ func (n *Network) establish(paths []graph.Path, php bool) ([]*LSP, error) {
 			}
 		}
 	}
-	n.lsps = slices.Grow(n.writableLSPs(), len(paths))
+	n.lsps = slices.Grow(n.lsps, len(paths))
 	s := &lspSlab{lsps: make([]LSP, len(paths)), labels: make([]Label, hops)}
 	out := make([]*LSP, 0, len(paths))
 	done := 0 // hops of the LSPs in out
@@ -216,7 +216,7 @@ func (n *Network) install(path graph.Path, php bool, s *lspSlab) (*LSP, error) {
 		}
 	}
 
-	n.lsps = append(n.writableLSPs(), lsp)
+	n.lsps = append(n.lsps, lsp)
 	n.numLSPs++
 	return lsp, nil
 }
@@ -237,7 +237,7 @@ func (n *Network) TeardownLSP(id LSPID) error {
 	for i := 0; i < last; i++ {
 		n.routers[lsp.Path.Nodes[i+1]].freeLabel(lsp.hopLabels[i])
 	}
-	n.writableLSPs()[id] = nil
+	n.lsps[id] = nil
 	n.numLSPs--
 	n.stats.lspsTornDown.Add(1)
 	n.stats.signalingMsgs.Add(int64(m))
@@ -268,27 +268,35 @@ func (n *Network) TotalILM() (total, max int) {
 	return total, max
 }
 
-// ConcatStack builds the label stack (bottom-first) that sends a packet
-// along the concatenation of the given LSPs: the first hop label of the
-// first LSP on top, then the self-labels of the remaining LSPs beneath it.
-// It errors unless consecutive LSPs chain (egress of one is ingress of the
-// next).
-func ConcatStack(lsps []*LSP) ([]Label, graph.EdgeID, error) {
+// CheckChain reports whether the LSPs concatenate: there is at least one,
+// each after the first starts where the one before it ends, and none but
+// the last uses PHP — under PHP the inner label is exposed one hop early,
+// at the penultimate router of the previous LSP, which is only correct if
+// that router equals the next LSP's ingress, and the general case is
+// rejected.
+func CheckChain(lsps []*LSP) error {
 	if len(lsps) == 0 {
-		return nil, 0, fmt.Errorf("mpls: empty concatenation")
+		return fmt.Errorf("mpls: empty concatenation")
 	}
 	for i := 1; i < len(lsps); i++ {
 		if lsps[i-1].Egress() != lsps[i].Ingress() {
-			return nil, 0, fmt.Errorf("mpls: LSP %d ends at %d but LSP %d starts at %d",
+			return fmt.Errorf("mpls: LSP %d ends at %d but LSP %d starts at %d",
 				lsps[i-1].ID, lsps[i-1].Egress(), lsps[i].ID, lsps[i].Ingress())
 		}
 		if lsps[i-1].PHP {
-			// Under PHP the inner label is exposed one hop early, at the
-			// penultimate router of the previous LSP — which is only
-			// correct if that router equals the next LSP's ingress.
-			// Reject the general case.
-			return nil, 0, fmt.Errorf("mpls: LSP %d uses PHP and cannot be concatenated before another LSP", lsps[i-1].ID)
+			return fmt.Errorf("mpls: LSP %d uses PHP and cannot be concatenated before another LSP", lsps[i-1].ID)
 		}
+	}
+	return nil
+}
+
+// ConcatStack builds the label stack (bottom-first) that sends a packet
+// along the concatenation of the given LSPs: the first hop label of the
+// first LSP on top, then the self-labels of the remaining LSPs beneath it.
+// It errors unless the LSPs chain (CheckChain).
+func ConcatStack(lsps []*LSP) ([]Label, graph.EdgeID, error) {
+	if err := CheckChain(lsps); err != nil {
+		return nil, 0, err
 	}
 	// Bottom-first: deepest label continues the last LSP.
 	stack := make([]Label, 0, len(lsps))
@@ -302,20 +310,11 @@ func ConcatStack(lsps []*LSP) ([]Label, graph.EdgeID, error) {
 // SelfStack builds the label stack (bottom-first) of the concatenation's
 // self-labels, for use with LocalProcess: the holding router resolves the
 // top self-label through its own ILM. The first LSP must therefore start
-// at the router that will process the stack. Chaining is validated as in
-// ConcatStack.
+// at the router that will process the stack. It errors unless the LSPs
+// chain (CheckChain).
 func SelfStack(lsps []*LSP) ([]Label, error) {
-	if len(lsps) == 0 {
-		return nil, fmt.Errorf("mpls: empty concatenation")
-	}
-	for i := 1; i < len(lsps); i++ {
-		if lsps[i-1].Egress() != lsps[i].Ingress() {
-			return nil, fmt.Errorf("mpls: LSP %d ends at %d but LSP %d starts at %d",
-				lsps[i-1].ID, lsps[i-1].Egress(), lsps[i].ID, lsps[i].Ingress())
-		}
-		if lsps[i-1].PHP {
-			return nil, fmt.Errorf("mpls: LSP %d uses PHP and cannot be concatenated before another LSP", lsps[i-1].ID)
-		}
+	if err := CheckChain(lsps); err != nil {
+		return nil, err
 	}
 	stack := make([]Label, 0, len(lsps))
 	for i := len(lsps) - 1; i >= 0; i-- {

@@ -76,30 +76,17 @@ type Router struct {
 	// ilm is the incoming label map, indexed by label: a router hands out
 	// its labels densely from 16 up, so the label space is the table. A
 	// slot whose OutEdge is noRow holds no row. Like the FEC table below it
-	// is a flat slice so that the copy-on-write un-share after a Clone is
-	// one memmove of 32-byte rows — the offline local restoration schemes
-	// patch the routers adjacent to every failed link, which are the routers
-	// with the largest tables — and so that a row costs its 32 bytes and
-	// nothing for hashing.
+	// is a flat slice, so that a row costs its 32 bytes and nothing for
+	// hashing and a Clone copies the table in one memmove.
 	ilm      []ILMEntry
 	ilmCount int
 	// fec is the dense FEC table, indexed by destination node ID (the FEC
-	// key domain is exactly the node space); nil marks an absent row. A
-	// flat slice of pointers instead of a map makes the copy-on-write
-	// un-share after a Clone one pointer-array memmove instead of a rehash
-	// of every row, and keeping 8-byte slots (the entries themselves are
-	// immutable once installed and stay shared across lineages) keeps that
-	// memmove small — the difference between an epoch assembly that
-	// touches hundreds of routers paying microseconds versus milliseconds
-	// per router. The slice grows on demand when the topology gains nodes.
+	// key domain is exactly the node space); nil marks an absent row. The
+	// entries are immutable once installed, so a Clone copies 8-byte slots
+	// and shares them. The slice grows on demand when the topology gains
+	// nodes.
 	fec      []*FECEntry
 	fecCount int
-
-	// sharedILM/sharedFEC mark the tables as shared with a Clone of the
-	// network: the next write copies the table first (copy-on-write at
-	// router granularity), so the other lineage keeps its view.
-	sharedILM bool
-	sharedFEC bool
 
 	nextLabel Label
 	freeList  []Label
@@ -133,20 +120,16 @@ func (r *Router) allocLabel() Label {
 
 func (r *Router) freeLabel(l Label) {
 	if _, ok := r.ILMEntryFor(l); ok {
-		r.writableILM(l)[l] = ILMEntry{OutEdge: noRow}
+		r.ilm[l] = ILMEntry{OutEdge: noRow}
 		r.ilmCount--
 	}
 	r.freeList = append(r.freeList, l)
 }
 
-// writableILM un-shares the ILM table if a Clone holds a reference and
-// ensures it spans at least l+1 slots. All ILM writes must go through it
-// (or through setILM, which also keeps the row count).
+// writableILM ensures the ILM table spans at least l+1 slots. A row
+// installed at a new label goes through it (or through setILM, which also
+// keeps the row count).
 func (r *Router) writableILM(l Label) []ILMEntry {
-	if r.sharedILM {
-		r.ilm = slices.Clone(r.ilm)
-		r.sharedILM = false
-	}
 	for int(l) >= len(r.ilm) {
 		r.ilm = append(r.ilm, ILMEntry{OutEdge: noRow})
 	}
@@ -162,26 +145,18 @@ func (r *Router) setILM(l Label, e ILMEntry) {
 }
 
 // reserveILM makes room in the ILM table for the router's next reserved
-// labels, un-sharing it first if a Clone holds a reference, so that
-// installing their rows grows the table at most once; it clears the count.
+// labels, so that installing their rows grows the table at most once; it
+// clears the count.
 func (r *Router) reserveILM() {
-	if r.sharedILM {
-		r.ilm = slices.Clone(r.ilm)
-		r.sharedILM = false
-	}
 	if need := int(r.nextLabel) + r.reserved - len(r.ilm); need > 0 {
 		r.ilm = slices.Grow(r.ilm, need)
 	}
 	r.reserved = 0
 }
 
-// writableFEC un-shares the FEC table if a Clone holds a reference and
-// ensures it spans at least dst+1 slots. All FEC writes must go through it.
+// writableFEC ensures the FEC table spans at least dst+1 slots. A row
+// installed goes through it.
 func (r *Router) writableFEC(dst graph.NodeID) []*FECEntry {
-	if r.sharedFEC {
-		r.fec = slices.Clone(r.fec)
-		r.sharedFEC = false
-	}
 	if int(dst) >= len(r.fec) {
 		r.fec = append(r.fec, make([]*FECEntry, int(dst)+1-len(r.fec))...)
 	}
@@ -291,12 +266,9 @@ type Network struct {
 	// slot nil, so len(lsps) == nextLSP. numLSPs counts the established.
 	lsps    []*LSP
 	numLSPs int
-	// sharedLSPs marks the lsps slice as shared with a Clone; the next
-	// write copies it first.
-	sharedLSPs bool
-	nextLSP    LSPID
-	edgeUp     []bool
-	stats      netStats
+	nextLSP LSPID
+	edgeUp  []bool
+	stats   netStats
 }
 
 // NewNetwork builds an MPLS network over topology g with all links up.
@@ -327,16 +299,6 @@ func (n *Network) Router(id graph.NodeID) *Router { return n.routers[id] }
 
 // Stats returns a copy of the accumulated counters.
 func (n *Network) Stats() Stats { return n.stats.snapshot() }
-
-// writableLSPs returns the LSP registry, un-sharing it first if a Clone
-// holds a reference.
-func (n *Network) writableLSPs() []*LSP {
-	if n.sharedLSPs {
-		n.lsps = slices.Clone(n.lsps)
-		n.sharedLSPs = false
-	}
-	return n.lsps
-}
 
 // EdgeUp reports whether the link is currently up.
 //
@@ -370,8 +332,7 @@ func (n *Network) ClearFEC(id, dst graph.NodeID) {
 	if int(dst) >= len(r.fec) || r.fec[dst] == nil {
 		return
 	}
-	slots := r.writableFEC(dst)
-	slots[dst] = nil
+	r.fec[dst] = nil
 	r.fecCount--
 	n.stats.fecUpdates.Add(1)
 }
@@ -386,7 +347,7 @@ func (n *Network) ReplaceILM(id graph.NodeID, l Label, e ILMEntry) (ILMEntry, er
 	if !ok {
 		return ILMEntry{}, fmt.Errorf("mpls: router %d has no ILM entry for label %d", id, l)
 	}
-	r.writableILM(l)[l] = e
+	r.ilm[l] = e
 	n.stats.ilmReplacements.Add(1)
 	return prev, nil
 }

@@ -67,8 +67,8 @@ type coldReq struct {
 // the querying shard's snapshot, then core.Pull off the arcs into the
 // destination. The base set is edge-complete (rbpc.Provision.Servable), so
 // the pull yields the optimal-cost concatenation of provisioned LSPs for
-// every connected pair (Corollary 4) — the same answer, label stack
-// included, a materialized row would hold — resolved the way an engine
+// every connected pair (Corollary 4) — the same answer, LSPs and cost
+// bits, a materialized row would hold — resolved the way an engine
 // resolves it (engine.ResolveRoute).
 type ColdTier struct {
 	base     *paths.Explicit

@@ -6,8 +6,7 @@
 # would otherwise show only when the benchmark pipeline runs), and the
 # race detector over the packages with real concurrency (the SSSP solver
 # pool, the CSR lazy build, the oracle's CLOCK cache, the eval fan-outs,
-# the online engine: epoch snapshots under churn, COW network clones and
-# the sharded metrics; and the shard coordinator, the socket transport
+# the online engine: epoch snapshots under churn and the sharded metrics; and the shard coordinator, the socket transport
 # and the prober).
 #
 # Usage: scripts/verify.sh   (or: make verify)
@@ -61,6 +60,13 @@ retired 'NewHybrid|HybridDeployment|NewLinkState|RunScenario|VerifyTables|TraceR
 # One frame checksum, CRC-32C (shardrpc.checksum): the byte-at-a-time FNV-1a
 # loop it replaced checks frames just as well, only slower.
 retired 'fnv1a' "one frame checksum"
+# A route is its LSPs, stored once (DESIGN.md §9): the canonical matrix is
+# one slot per served pair into one route per served primary, and the stack
+# a source pushes is derived from the LSPs where a packet is sent. A
+# matrix of route pointers built beside a matrix of primaries, and a
+# network clone's copy-on-write flags (Clone is a plain copy, and no
+# serving path clones), would answer the same and pass every test.
+retired 'canonicalRows|sharedILM|sharedFEC|sharedLSPs' "a route is its LSPs, stored once"
 # A burst is one transition and an epoch is what its failed-set makes it
 # (DESIGN.md §9): a coalescing window behind a knob that defaults to zero
 # would pass every test. (Tree adoption needs no name here: its trees,
@@ -83,6 +89,39 @@ if git grep -nwE 'cold-workers|cold-queue' -- '*.go' ':!*_test.go'; then
 fi
 if ! grep -qx 'type ColdConfig struct{}' internal/shard/cold.go; then
 	echo "verify: shard.ColdConfig is not the empty struct: the cold tier has no knob (one admission rule)" >&2
+	exit 1
+fi
+
+# The same rule for the two shapes the canonical table replaced: a label
+# stack stored in engine.Route beside the LSPs it is derived from (the
+# struct is read between its "type Route struct {" line and the closing
+# brace), and a matrix of route pointers in non-test internal/engine.
+echo "==> engine.Route holds no label stack; no route-pointer matrix"
+if awk '/^type Route struct \{/ { inside = 1; next }
+	inside && /^\}/ { inside = 0 }
+	inside && /^[[:space:]]*([[:alnum:]_]+,[[:space:]]*)*Stack[[:space:],]/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+	END { exit !bad }' internal/engine/*.go; then
+	echo "verify: a Stack field in engine.Route (see above): the stack is derived from the LSPs where a packet is sent" >&2
+	exit 1
+fi
+if git grep -nF '[][]*Route' -- 'internal/engine/*.go' ':!internal/engine/*_test.go'; then
+	echo "verify: a matrix of route pointers under internal/engine (see above): the canonical table is slots into one route per served primary" >&2
+	exit 1
+fi
+
+# DESIGN.md §4's per-experiment index is how a reader finds the code that
+# regenerates a result; a test or benchmark it names that no function of
+# the module is sends the reader nowhere. (A name followed by "*" names the
+# function and its sub-benchmarks.)
+echo "==> every test and benchmark DESIGN.md §4 names exists"
+missing=0
+for name in $(awk '/^## 4\./ { f = 1; next } /^## / { f = 0 } f' DESIGN.md | grep -oE '(Test|Benchmark)[[:alnum:]_]+' | sort -u); do
+	if ! git grep -qE "^func $name\(" -- '*.go'; then
+		echo "verify: DESIGN.md §4 names $name, which is no function of the module" >&2
+		missing=1
+	fi
+done
+if [ "$missing" -ne 0 ]; then
 	exit 1
 fi
 
