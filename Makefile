@@ -54,8 +54,7 @@ verify:
 # it), and the sharded read
 # path: a query's whole cost through the in-process coordinator at 2 and at
 # 8 shards (every shard scans the shared burst; 0 allocs asserted), the
-# frame checksum in GB/s, a 256-pair query frame out and its answer
-# frame back over a pipe and over a Unix socket, and building a base set's
+# frame checksum in GB/s, and building a base set's
 # indexes (the benchmark of record's set, and a subpath closure whose pairs
 # hold several paths; B and allocs per set), and provisioning the benchmark
 # of record's whole deployment (rbpc.NewSystem: ns, B and allocs). CI runs
@@ -66,6 +65,6 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkSparseFanout -benchmem -benchtime $(BENCHTIME) ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild|BenchmarkEngineNew|BenchmarkSnapDecoder' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
-	$(GO) test -run '^$$' -bench 'BenchmarkFrameChecksum|BenchmarkBatchFrameRoundTrip' -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
+	$(GO) test -run '^$$' -bench BenchmarkFrameChecksum -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
 	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -benchtime $(BENCHTIME) ./internal/paths/
 	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -benchtime $(BENCHTIME) ./internal/rbpc/

@@ -111,16 +111,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // faultUsage builds the -fault help from the engine's one name table: the
-// faults a hunt's lone engine can host. The two that act on a coordinator or
-// a transport have nothing to perturb here and are reached by replaying a
-// corpus case that sets shards or procs.
+// faults a hunt's lone engine can host. The three that act on a
+// coordinator or a transport have nothing to perturb here and are reached by
+// replaying a corpus case that sets shards or procs.
 func faultUsage() string {
 	names := []string{engine.FaultNone.String()}
 	for _, f := range engine.Faults() {
 		names = append(names, f.String())
 	}
 	return "inject an engine defect: " + strings.Join(names, ", ") +
-		" (" + engine.FaultSkewShard.String() + " and " + engine.FaultTornFrame.String() + " need a -replay case with shards / procs)"
+		" (" + engine.FaultSkewShard.String() + ", " + engine.FaultTornFrame.String() + " and " +
+		engine.FaultPristineView.String() + " need a -replay case with shards / procs)"
 }
 
 func replayCase(path string, stdout, stderr io.Writer) int {

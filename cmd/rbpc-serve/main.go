@@ -158,8 +158,8 @@ func runWindow(g *graph.Graph, eng backend, o windowOpts) windowResult {
 				probeWG.Add(1)
 				go func(ed graph.EdgeID) {
 					defer probeWG.Done()
-					// The verdict of every poll is computed where the pair's
-					// data plane lives, which may be another process.
+					// The verdict of every poll is computed by whoever
+					// answers the pair (probe.ProbeBackend).
 					probe.RestoreVia(eng, o.scheme, ed, t0)
 				}(ev.Edge)
 			}
@@ -395,15 +395,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *shardProcs > 0:
 		// Each worker process is pinned to its share of the CPUs, so the
-		// fleet is the same machine -shards N runs on.
+		// fleet is the same machine -shards N runs on. Queries are answered
+		// here, from the replicas, by per-shard pools sized as -shards N
+		// sizes its engines'.
 		wo.Shards = nShards
 		wo.MaxProcs = ecfg.Workers
-		wo.Workers = ecfg.Workers
-		wo.Queue = ecfg.QueueDepth
 		wo.PlanCacheMax = *planCache
 		fmt.Fprintf(stdout, "forking %d worker processes (GOMAXPROCS %d each)... ", nShards, wo.MaxProcs)
 		attachStart := time.Now()
-		pb, err := openProcs(p, wo, shardrpc.Config{Shards: nShards}, stderr)
+		pb, err := openProcs(p, wo, shardrpc.Config{Shards: nShards, Engine: ecfg}, stderr)
 		if err != nil {
 			return fail(1, err)
 		}

@@ -137,14 +137,14 @@ func TestKillWorkerRecovers(t *testing.T) {
 // topology and attaches to it. The fleet listens before it forks, so every
 // dial of a worker succeeds — its first included, while the worker is
 // still provisioning — and the attach waits for the worker on that first
-// connection instead of failing it and pausing: each worker is dialed the
-// same number of times (its control connection and query pool) and no dial
-// fails. Then worker 0 is killed; its replacement inherits the same
-// listener, and the coordinator reattaches it with one more round of
-// dials, none failing, and reads an answer from it over the wire.
+// connection instead of failing it and pausing: each worker is dialed once,
+// for its one connection, and no dial fails. Then worker 0 is killed; its
+// replacement inherits the same listener, the coordinator reattaches it
+// with one more dial, which does not fail, and answers a query of one of
+// its sources from the replacement's replica.
 func TestFleetAttachesWithoutASleep(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir())
-	wo := shardrpc.WorkerOpts{Topology: "as", Scale: 0.02, Seed: 1, Shards: 2, MaxProcs: 1, Workers: 1, Queue: 64}
+	wo := shardrpc.WorkerOpts{Topology: "as", Scale: 0.02, Seed: 1, Shards: 2, MaxProcs: 1}
 	p, err := wo.Provision()
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +183,8 @@ func TestFleetAttachesWithoutASleep(t *testing.T) {
 	}
 	defer c.Close()
 	attach, nfailed := counts()
-	if nfailed != 0 || attach[0] < 2 || attach[1] != attach[0] {
-		t.Fatalf("attaching the fleet dialed its workers %v times with %d failed dials, want the same number (control + query pool) each and none failed", attach, nfailed)
+	if nfailed != 0 || attach[0] != 1 || attach[1] != 1 {
+		t.Fatalf("attaching the fleet dialed its workers %v times with %d failed dials, want once each and none failed", attach, nfailed)
 	}
 	// A loose sanity bound: the fleet provisions a 0.02-scale topology.
 	if limit := 10 * time.Second; took >= limit {
@@ -209,12 +209,15 @@ func TestFleetAttachesWithoutASleep(t *testing.T) {
 	if !c.Shard(victim).Alive() {
 		t.Fatal("the respawned worker is not alive after Reattach")
 	}
-	if again, nfailed := counts(); nfailed != 0 || again[victim] != 2*attach[victim] {
-		t.Fatalf("reattaching worker %d took it from %d to %d dials with %d failed, want one more round (%d) and none failed", victim, attach[victim], again[victim], nfailed, attach[victim])
+	if again, nfailed := counts(); nfailed != 0 || again[victim] != 2 {
+		t.Fatalf("reattaching worker %d took it from %d to %d dials with %d failed, want one more and none failed", victim, attach[victim], again[victim], nfailed)
 	}
-	ans, err := c.RemoteQuery(0, 1)
-	if err != nil || ans.Route == nil {
-		t.Fatalf("the respawned worker answered (0,1) with %+v, %v; want a route", ans, err)
+	before := c.Stats().Cold.Queries
+	if res := c.Query(0, 1); res.Route == nil || res.Snap != c.Replica(victim) {
+		t.Fatalf("(0,1) answered with %+v; want a route from the respawned worker's replica", res)
+	}
+	if c.Stats().Cold.Queries != before {
+		t.Fatal("(0,1) was answered by the cold tier, not the respawned worker's replica")
 	}
 	if n := fleet.Restarts(); n != 1 {
 		t.Fatalf("fleet counts %d restarts, want 1", n)

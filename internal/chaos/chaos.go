@@ -36,13 +36,16 @@
 // Process-mode cases (Config.Procs, sharded only) put the cross-process
 // transport (internal/shardrpc) under that same driver and those same
 // oracles: the worker fleet runs in-process behind net.Pipe connections
-// carrying the real length-prefixed wire protocol, so every query crosses
-// a full encode/decode round trip, every churn event rides a burst frame,
-// and the snapshots the barriers check are the coordinator's decoded
-// replicas. FaultSkewShard is injected in the coordinator's one fan-out,
-// so it is caught in both modes; FaultTornFrame corrupts one burst frame
-// on the wire after its checksum is computed, the receiving worker must
-// drop it, and the flush oracle must catch the divergence.
+// carrying the real length-prefixed wire protocol, so every churn event
+// rides a burst frame, every epoch a snapshot frame, and every query is
+// answered — and its data plane walked — on the coordinator's decoded
+// replica, which is also what the barriers check. FaultSkewShard is
+// injected in the coordinator's one fan-out, so it is caught in both
+// modes; FaultTornFrame corrupts one burst frame on the wire after its
+// checksum is computed, the receiving worker must drop it, and the flush
+// oracle must catch the divergence; FaultPristineView builds every
+// replica's failure view from no failed links, and the equivalence
+// oracle's distance sample must catch the replica that forgot them.
 //
 // Failing schedules are shrunk to a minimal event sequence by delta
 // debugging (Shrink) and emitted as a replayable corpus file that
@@ -83,8 +86,9 @@ type Config struct {
 	MaxDown int
 	// Fault injects a deliberate defect (engine.FaultNone = the production
 	// system): a writer defect in every engine under test, or — in the one
-	// vocabulary — FaultSkewShard (needs Shards > 0) or FaultTornFrame
-	// (needs Procs). The harness must catch every injectable fault.
+	// vocabulary — FaultSkewShard (needs Shards > 0), FaultTornFrame or
+	// FaultPristineView (need Procs). The harness must catch every
+	// injectable fault.
 	Fault engine.Fault
 	// Scheme selects the restoration scheme of the engine under test
 	// (default engine.SchemeSource). The lockstep reference always runs
@@ -112,7 +116,8 @@ type Config struct {
 	// cross-process transport (internal/shardrpc) instead of in-process
 	// engines: the same worker fleet runs behind net.Pipe connections
 	// carrying the real wire protocol, so the oracles check the full
-	// frame encode/decode, burst/ack, and replica-merge machinery.
+	// frame encode/decode, burst/ack, replica-merge and replica-serving
+	// machinery.
 	// Requires Shards > 0.
 	Procs bool
 }
@@ -262,8 +267,9 @@ func (c Case) Run() (Report, error) {
 	if c.Procs && c.Shards <= 0 {
 		return Report{}, fmt.Errorf("chaos: process-mode cases require Shards > 0")
 	}
-	if (c.Fault == engine.FaultSkewShard && c.Shards <= 0) || (c.Fault == engine.FaultTornFrame && !c.Procs) {
-		return Report{}, fmt.Errorf("chaos: fault %v has nothing to act on in this case (skew-shard needs shards, torn-frame needs procs)", c.Fault)
+	if (c.Fault == engine.FaultSkewShard && c.Shards <= 0) ||
+		((c.Fault == engine.FaultTornFrame || c.Fault == engine.FaultPristineView) && !c.Procs) {
+		return Report{}, fmt.Errorf("chaos: fault %v has nothing to act on in this case (skew-shard needs shards, torn-frame and pristine-view need procs)", c.Fault)
 	}
 	var epochs atomic.Int64
 	ecfg := engine.Config{

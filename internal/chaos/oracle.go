@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -230,15 +229,10 @@ func (ck *checker) checkResult(step, sh int, res engine.Result) *Violation {
 	// End-to-end forwarding on the epoch's own data plane: the stack the
 	// source pushes in this epoch (Snapshot.Send) must deliver over the
 	// epoch's ILM tables and link state, and on unit-weight topologies must
-	// walk exactly the served cost. An answer that crossed the wire carries
-	// a control-plane replica with no forwarding state — only the worker
-	// process can walk its data plane — so this is the one oracle a
-	// process-mode answer skips (the prober's ProbeQuery path exercises
-	// that walk end to end instead).
+	// walk exactly the served cost. A process-mode answer is walked on the
+	// replica that answered it: the provision's network under the replica's
+	// own failure view.
 	pkt, err := snap.Send(res.Src, res.Dst)
-	if errors.Is(err, engine.ErrNoDataPlane) {
-		return nil
-	}
 	ck.probes++
 	if err != nil {
 		return vio("forwarding", "data plane dropped the packet: %v", err)

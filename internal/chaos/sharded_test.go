@@ -53,19 +53,19 @@ func catchesEvery(t *testing.T, cfg Config, faults ...engine.Fault) {
 }
 
 // The skew is injected in the coordinator's one fan-out, so both modes
-// must catch it; the torn frame needs a wire.
+// must catch it; the torn frame and the pristine replica view need a wire.
 func TestHarnessCatchesEveryShardFault(t *testing.T) {
 	catchesEvery(t, shardedCfg(), engine.FaultSkewShard)
 }
 
 func TestHarnessCatchesEveryProcFault(t *testing.T) {
-	catchesEvery(t, procCfg(), engine.FaultSkewShard, engine.FaultTornFrame)
+	catchesEvery(t, procCfg(), engine.FaultSkewShard, engine.FaultTornFrame, engine.FaultPristineView)
 }
 
 // engineFaultStillCaught: an engine-level defect inside a worker is still
 // caught through the sharded oracles (the skew proof must not be the only
-// working detector) — over the wire too, where the decoded replicas and
-// wire answers carry enough state although no engine memory is shared.
+// working detector) — over the wire too, where the decoded replicas carry
+// enough state although no engine memory is shared.
 func engineFaultStillCaught(t *testing.T, cfg Config) {
 	cfg.Fault = engine.FaultDropEpoch
 	_, v, err := Hunt(cfg, 4)

@@ -241,7 +241,7 @@ func BenchmarkServeBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at := i % (len(pool) / batch) * batch
-		e.serveBatch(0, queryReq{at: time.Now(), batch: pool[at : at+batch]})
+		e.pool.serveBatch(0, queryReq{at: time.Now(), batch: pool[at : at+batch]})
 	}
 	b.StopTimer()
 	if got := answers.Load(); got != uint64(b.N)*batch {

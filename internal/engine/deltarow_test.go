@@ -367,7 +367,7 @@ func TestDrainWaitsForSubmitted(t *testing.T) {
 }
 
 // TestSubmitBatchAnswersInOrder checks the chunked serving of a burst: a
-// batch that is neither a multiple of ServeChunk nor shorter than it is
+// batch that is neither a multiple of serveChunk nor shorter than it is
 // answered pair by pair, in order, with exactly the snapshot's routes, and
 // the unroutable pairs — self pairs excluded — are counted once each.
 func TestSubmitBatchAnswersInOrder(t *testing.T) {
@@ -386,8 +386,8 @@ func TestSubmitBatchAnswersInOrder(t *testing.T) {
 			pairs = append(pairs, rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)})
 		}
 	}
-	if len(pairs) <= 2*ServeChunk || len(pairs)%ServeChunk == 0 {
-		t.Fatalf("%d pairs do not end in a partial chunk of %d", len(pairs), ServeChunk)
+	if len(pairs) <= 2*serveChunk || len(pairs)%serveChunk == 0 {
+		t.Fatalf("%d pairs do not end in a partial chunk of %d", len(pairs), serveChunk)
 	}
 	want := append([]rbpc.Pair(nil), pairs...)
 	before := e.Stats()

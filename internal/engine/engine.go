@@ -21,7 +21,7 @@ import (
 // Config tunes the engine. The zero value is usable; New fills defaults.
 type Config struct {
 	// Workers is the number of goroutines draining the async query queue
-	// (Submit). Default GOMAXPROCS-ish small constant.
+	// (Submit; Pool). Default 4.
 	Workers int
 	// QueueDepth bounds the async query queue; Submit drops (returns
 	// false) when it is full. Default 4096.
@@ -37,9 +37,9 @@ type Config struct {
 	// FullRebuild engine fed the same event sequence. Production leaves
 	// it false.
 	FullRebuild bool
-	// OnResult receives async query answers from the worker pool. Must be
-	// safe for concurrent calls. Nil discards answers (the queue still
-	// exercises the serving path and metrics).
+	// OnResult receives async query answers from the worker pool (Pool).
+	// Must be safe for concurrent calls. Nil discards answers (the queue
+	// still exercises the serving path and metrics).
 	OnResult func(Result)
 	// OnEpoch, when non-nil, is invoked synchronously by the writer
 	// immediately after each epoch publish, with the snapshot just made
@@ -170,11 +170,7 @@ type Engine struct {
 	// later epoch's trees are repairs of its trees (epochOracle). Nil on a
 	// FullRebuild engine, whose trees stay from-scratch searches so the
 	// reference arm is independent of the derivation it checks.
-	pristine *spath.Oracle
-	// mat[src] is 1 when canon's row src is materialized, else 0: the byte
-	// serveOwned advances its gather cursor by. Fixed after New, like the
-	// rows it describes.
-	mat       []uint8
+	pristine  *spath.Oracle
 	planCache *planCache
 	// pulls is the writer's solve scratch, one per build worker
 	// (core.Pull), reused across epochs; there are GOMAXPROCS build
@@ -198,25 +194,18 @@ type Engine struct {
 	// slice + the cells of every materialized row), fixed after New.
 	canonBytes int64
 
-	events chan writerMsg
-	// queries is sharded one channel per worker so concurrent submitters
-	// never serialize on a single channel lock: each Submit/SubmitBatch
-	// lands on exactly one shard and each worker drains exactly one.
-	queries   []chan queryReq
-	submitSeq atomic.Uint64
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closed    sync.Once
+	// pool serves every query off snap and keeps the serving counters.
+	pool *Pool
 
-	mQueries    metrics.Counter
-	mUnroutable metrics.Counter
-	mSubmitted  metrics.Counter
-	mDropped    metrics.Counter
-	mEpochs     metrics.Counter
-	mCacheHits  metrics.Counter
-	mCacheMiss  metrics.Counter
-	mLatency    metrics.Histogram
-	mBuild      metrics.Histogram
+	events chan writerMsg
+	done   chan struct{}
+	wg     sync.WaitGroup
+	closed sync.Once
+
+	mEpochs    metrics.Counter
+	mCacheHits metrics.Counter
+	mCacheMiss metrics.Counter
+	mBuild     metrics.Histogram
 
 	mRestore           metrics.Histogram
 	mLocalBuild        metrics.Histogram
@@ -233,21 +222,6 @@ type writerMsg struct {
 	flush chan struct{} // non-nil: barrier marker, no events
 }
 
-// queryReq is one admission unit of the query queues: a burst of pairs
-// stamped with one timestamp and served from one snapshot load, or a Drain
-// barrier.
-type queryReq struct {
-	at    time.Time
-	batch []rbpc.Pair
-	// owned, when non-zero, marks batch as shared with other engines
-	// (SubmitOwned): only the pairs whose source this engine materializes
-	// are this engine's to answer, and there are owned of them.
-	owned int
-	// drain, when non-nil, is a Drain barrier: the worker closes it after
-	// serving everything queued ahead of it. No query is attached.
-	drain chan struct{}
-}
-
 // New builds an engine over a provisioned export and starts its writer and
 // query workers. The provision must be servable (rbpc.Provision.Servable):
 // the engine names LSPs, it never signals one. The export's maps, LSP
@@ -259,12 +233,6 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	}
 	if cfg.Scheme > SchemeHybrid {
 		return nil, fmt.Errorf("engine: unknown scheme %d", int(cfg.Scheme))
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 4
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 4096
 	}
 
 	prim := p.PrimaryMask()
@@ -281,7 +249,6 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		planCache: newPlanCache(cfg.PlanCacheCap),
 		pscratch:  &planScratch{downNew: make([]bool, p.Graph.Size())},
 		events:    make(chan writerMsg, 256),
-		queries:   make([]chan queryReq, cfg.Workers),
 		done:      make(chan struct{}),
 	}
 
@@ -290,12 +257,8 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	}
 
 	e.canonBytes = int64(len(e.canon.at)) * 8
-	e.mat = make([]uint8, len(e.canon.at))
-	for src, row := range e.canon.at {
+	for _, row := range e.canon.at {
 		e.canonBytes += int64(len(row)) * canonCellBytes
-		if row != nil {
-			e.mat[src] = 1
-		}
 	}
 
 	// Epoch 0: the pristine snapshot.
@@ -327,17 +290,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 
 	e.wg.Add(1)
 	go e.writer()
-	// Each worker owns one shard; per-shard depth splits QueueDepth so the
-	// configured bound stays the total in-flight budget.
-	depth := cfg.QueueDepth / cfg.Workers
-	if depth < 1 {
-		depth = 1
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		e.queries[w] = make(chan queryReq, depth)
-		e.wg.Add(1)
-		go e.queryWorker(uint64(w))
-	}
+	e.pool = NewPool(&e.snap, p.Serves, cfg)
 	return e, nil
 }
 
@@ -435,20 +388,10 @@ func (c *canonical) route(src, dst graph.NodeID) *Route {
 //rbpc:hotpath
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
-// Query answers synchronously from the current epoch: lock-free and
-// allocation-free. The result's Route is nil for unroutable pairs.
+// Query answers synchronously from the current epoch (Pool.Query).
 //
 //rbpc:hotpath
-func (e *Engine) Query(src, dst graph.NodeID) Result {
-	s := e.snap.Load()
-	r := s.Route(src, dst)
-	key := uint64(src)*0x9e3779b1 + uint64(dst)
-	e.mQueries.Add(key, 1)
-	if r == nil && src != dst {
-		e.mUnroutable.Add(key, 1)
-	}
-	return Result{Src: src, Dst: dst, Route: r, Snap: s}
-}
+func (e *Engine) Query(src, dst graph.NodeID) Result { return e.pool.Query(src, dst) }
 
 // Dist returns the post-failure shortest distance for the pair in the
 // current epoch (+Inf if disconnected), via the epoch's oracle.
@@ -460,178 +403,22 @@ func (e *Engine) Dist(src, dst graph.NodeID) float64 {
 // (SubmitBatch). It reports false — without blocking — when the target
 // shard is full (the open-loop load shed).
 func (e *Engine) Submit(src, dst graph.NodeID) bool {
-	return e.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
+	return e.pool.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
 }
 
-// SubmitBatch enqueues a whole burst of queries with one timestamp and one
-// channel operation; the receiving worker serves the entire burst from a
-// single snapshot load. The engine takes ownership of pairs — the caller
-// must not reuse the slice. Returns the number of queries accepted: the
-// burst is admitted or shed as a unit, so the result is len(pairs) or 0.
+// SubmitBatch enqueues a burst of queries as one unit (Pool.SubmitBatch).
 //
 //rbpc:hotpath
-func (e *Engine) SubmitBatch(pairs []rbpc.Pair) int {
-	return e.enqueue(queryReq{batch: pairs}, len(pairs))
-}
+func (e *Engine) SubmitBatch(pairs []rbpc.Pair) int { return e.pool.SubmitBatch(pairs) }
 
-// SubmitOwned is SubmitBatch for a burst this engine shares with others —
-// the shard coordinator hands every shard engine the caller's slice itself
-// instead of a copy of its part. The engine answers the pairs whose source
-// it materializes (Snapshot.Materialized; a shard engine's rows are exactly
-// the sources it owns) and skips the rest; owned is how many those are,
-// counted by the caller, and admission, Submitted and Dropped are counted
-// in it. The slice is only ever read, so engines serving it concurrently
-// do not race. Returns owned or 0.
+// SubmitOwned is SubmitBatch for a burst this engine shares with others
+// (Pool.SubmitOwned): it answers the pairs whose source it materializes
+// (Snapshot.Materialized; a shard engine's rows are exactly the sources it
+// owns). Returns owned or 0.
 //
 //rbpc:hotpath
 func (e *Engine) SubmitOwned(pairs []rbpc.Pair, owned int) int {
-	if owned == len(pairs) {
-		return e.SubmitBatch(pairs) // nothing to skip: the plain loop serves it
-	}
-	return e.enqueue(queryReq{batch: pairs, owned: owned}, owned)
-}
-
-// enqueue admits or sheds one burst of n queries as a unit.
-//
-//rbpc:hotpath
-func (e *Engine) enqueue(q queryReq, n int) int {
-	if n == 0 {
-		return 0
-	}
-	key := e.submitSeq.Add(1)
-	e.mSubmitted.Add(key, int64(n))
-	shard := key % uint64(len(e.queries))
-	q.at = time.Now()
-	select {
-	case e.queries[shard] <- q:
-		return n
-	default:
-		e.mDropped.Add(key, int64(n))
-		return 0
-	}
-}
-
-func (e *Engine) queryWorker(id uint64) {
-	defer e.wg.Done()
-	ch := e.queries[id]
-	for {
-		select {
-		case <-e.done:
-			return
-		case q := <-ch:
-			if q.drain != nil {
-				close(q.drain)
-				continue
-			}
-			if q.owned != 0 {
-				e.serveOwned(id, q)
-				continue
-			}
-			e.serveBatch(id, q)
-		}
-	}
-}
-
-// ServeChunk is how many pairs of a burst are looked up before any of them
-// is delivered: enough for the core to keep its miss buffers full, few
-// enough that the routes are still in the first-level cache when the
-// consumer reads them.
-const ServeChunk = 64
-
-// Routes resolves at most ServeChunk pairs in two passes over the chunk:
-// look every pair up, then read every route found. A lookup ends in a route
-// that, for a random pair, is not in the cache, and a consumer that took
-// the pairs one at a time — a callback with an atomic or a lock in it,
-// which later loads wait behind, or a lookup whose branches mispredict —
-// would take those misses one at a time, each in full: the burst would run
-// at the memory latency of the moment, which on a shared host is another
-// one every few minutes. Read back to back in loops that do nothing else,
-// the misses of a chunk overlap, and the consumer finds the route it is
-// about to read in the cache. routes[i] is pairs[i]'s route (nil: none);
-// the results are how many pairs were unroutable (no route, and not a
-// self-pair) and the union of the schemes that answered.
-//
-//rbpc:hotpath
-func (s *Snapshot) Routes(pairs []rbpc.Pair, routes []*Route) (unroutable int64, via Scheme) {
-	routes = routes[:len(pairs)]
-	for i, pr := range pairs {
-		routes[i] = s.Route(pr.Src, pr.Dst)
-	}
-	for i, pr := range pairs {
-		if r := routes[i]; r != nil {
-			via |= r.Via
-		} else if pr.Src != pr.Dst {
-			unroutable++
-		}
-	}
-	return unroutable, via
-}
-
-// serveBatch answers a submitted burst: one snapshot load and one latency
-// record cover every pair, so the per-query cost is a row lookup plus an
-// amortized share of the channel and clock overhead. (Not hotpath-annotated:
-// the optional OnResult callback is the caller's code, whose allocations no
-// escape analysis of this body can see; the per-candidate work is all in
-// annotated callees.) The burst
-// is served ServeChunk pairs at a time (Snapshot.Routes).
-func (e *Engine) serveBatch(id uint64, q queryReq) {
-	s := e.snap.Load()
-	var unroutable int64
-	for rest := q.batch; len(rest) > 0; {
-		chunk := rest[:min(len(rest), ServeChunk)]
-		rest = rest[len(chunk):]
-		unroutable += e.answerChunk(s, chunk)
-	}
-	e.settle(id, q.at, int64(len(q.batch)), unroutable)
-}
-
-// serveOwned is serveBatch for a burst shared with other engines
-// (SubmitOwned): it gathers the pairs whose source this engine
-// materializes into a chunk and answers each full chunk the same way. The
-// gather has no branch on ownership — every pair is stored, and the cursor
-// advances by the source's byte in e.mat — because the owners of a random
-// burst are a coin flip, and a mispredicted skip per pair costs more than
-// the answer's own lookup.
-func (e *Engine) serveOwned(id uint64, q queryReq) {
-	s := e.snap.Load()
-	var unroutable, served int64
-	var own [ServeChunk]rbpc.Pair
-	mat, k := e.mat, 0
-	for _, pr := range q.batch {
-		own[k] = pr
-		k += int(mat[pr.Src])
-		if k == ServeChunk {
-			unroutable += e.answerChunk(s, own[:])
-			served += ServeChunk
-			k = 0
-		}
-	}
-	unroutable += e.answerChunk(s, own[:k])
-	served += int64(k)
-	e.settle(id, q.at, served, unroutable)
-}
-
-// answerChunk resolves at most ServeChunk pairs off one snapshot and
-// delivers them; it returns how many were unroutable.
-func (e *Engine) answerChunk(s *Snapshot, chunk []rbpc.Pair) int64 {
-	var routes [ServeChunk]*Route
-	unroutable, via := s.Routes(chunk, routes[:])
-	if e.cfg.OnResult != nil {
-		for i, pr := range chunk {
-			e.cfg.OnResult(Result{Src: pr.Src, Dst: pr.Dst, Route: routes[i], Snap: s})
-		}
-	}
-	runtime.KeepAlive(via)
-	return unroutable
-}
-
-// settle counts one served burst: n answers, one arrival latency.
-func (e *Engine) settle(id uint64, at time.Time, n, unroutable int64) {
-	e.mQueries.Add(id, n)
-	if unroutable != 0 {
-		e.mUnroutable.Add(id, unroutable)
-	}
-	e.mLatency.RecordN(id, time.Since(at), n)
+	return e.pool.SubmitOwned(pairs, owned)
 }
 
 // Fail injects a link failure: a burst of one event. The epoch including it
@@ -672,53 +459,25 @@ func (e *Engine) Flush() {
 	}
 }
 
-// Drain blocks until every query submitted before the call has been
-// served: it enqueues a barrier on each worker shard (blocking if the
-// shard is full — drains never shed) and waits for all workers to pass
-// it. Queries submitted concurrently with Drain may or may not be
-// covered. Call before scraping final metrics so tail latencies of the
-// residual queue are recorded; returns immediately if the engine is
-// closed.
+// Drain blocks until every query submitted before the call has been served
+// (Pool.Drain). Call before scraping final metrics so tail latencies of the
+// residual queue are recorded; returns immediately if the engine is closed.
 func (e *Engine) Drain() {
 	// A drain precedes metric scrapes and shutdown: switchovers still
 	// pending are dropped, not counted (the serving-side switchover reads
 	// the clock per query, so dropping never changes an answer).
 	e.dropSwitchovers()
-	barriers := make([]chan struct{}, len(e.queries))
-	for i, ch := range e.queries {
-		b := make(chan struct{})
-		select {
-		case ch <- queryReq{drain: b}:
-			barriers[i] = b
-		case <-e.done:
-			return
-		}
-	}
-	for _, b := range barriers {
-		select {
-		case <-b:
-		case <-e.done:
-			return
-		}
-	}
+	e.pool.Drain()
 }
 
-// Close stops the writer and workers. Queries against already-obtained
-// snapshots remain valid; Engine methods must not be called after Close.
+// Close stops the writer and the query workers. Queries against
+// already-obtained snapshots remain valid; Engine methods must not be
+// called after Close.
 func (e *Engine) Close() {
 	e.dropSwitchovers()
 	e.closed.Do(func() { close(e.done) })
 	e.wg.Wait()
-}
-
-// queueLen sums the in-flight queue entries across all worker shards.
-// Batched entries count once — it measures backlog pressure, not queries.
-func (e *Engine) queueLen() int {
-	n := 0
-	for _, ch := range e.queries {
-		n += len(ch)
-	}
-	return n
+	e.pool.Close()
 }
 
 // Stats scrapes the engine's counters.
@@ -726,20 +485,14 @@ func (e *Engine) Stats() Stats {
 	s := e.snap.Load()
 	resident, dense := s.RowBytes()
 	e.settleSwitchovers()
-	return Stats{
+	st := Stats{
 		Epoch:         s.epoch,
 		SnapshotAge:   s.Age(),
-		Queries:       e.mQueries.Load(),
-		Unroutable:    e.mUnroutable.Load(),
-		Submitted:     e.mSubmitted.Load(),
-		Dropped:       e.mDropped.Load(),
-		QueueDepth:    int64(e.queueLen()),
 		Epochs:        e.mEpochs.Load(),
 		PlanCacheHits: e.mCacheHits.Load(),
 		PlanCacheMiss: e.mCacheMiss.Load(),
 		RowBytes:      resident,
 		DenseRowBytes: dense,
-		QueryLatency:  e.mLatency.Summarize(),
 		EpochBuild:    e.mBuild.Summarize(),
 		Incremental:   e.inc.snapshot(),
 
@@ -752,6 +505,8 @@ func (e *Engine) Stats() Stats {
 		LocalUnrestorable: e.mLocalUnrestorable.Load(),
 		Converged:         e.mConverged.Load(),
 	}
+	e.pool.Scrape(&st)
+	return st
 }
 
 // AffectedPairs returns, (src, dst)-sorted, the served pairs whose primary

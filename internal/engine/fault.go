@@ -9,9 +9,10 @@ import "fmt"
 // nothing. Production configurations leave it at FaultNone. This is the
 // one fault vocabulary of the serving stack: the writer defects perturb
 // this package's writer goroutine (so a faulty engine is still race-free,
-// just wrong); FaultSkewShard and FaultTornFrame travel in the same
-// Config.Fault field but are acted on by the shard coordinator and the
-// shardrpc transport, and an engine ignores them.
+// just wrong); FaultSkewShard, FaultTornFrame and FaultPristineView travel
+// in the same Config.Fault field but are acted on by the shard coordinator,
+// the shardrpc transport and the snapshot decoder, and an engine ignores
+// them.
 type Fault int
 
 const (
@@ -55,6 +56,13 @@ const (
 	// misses churn, and its replica's failed-set disagrees at the next
 	// flush.
 	FaultTornFrame
+	// FaultPristineView makes the process-mode coordinator's snapshot
+	// decoder (SnapDecoder.Detached) build every replica's failure view
+	// from no failed links, while the failed-set it reports stays right:
+	// the replica's data plane forwards and its distance oracle measures
+	// as if nothing were down (equivalence-oracle violation: the sampled
+	// post-failure distances diverge from the reference's).
+	FaultPristineView
 )
 
 // faultNames is the one name table: the CLI vocabulary of cmd/rbpc-chaos
@@ -67,6 +75,7 @@ var faultNames = [...]string{
 	FaultStaleBypass:       "stale-bypass",
 	FaultSkewShard:         "skew-shard",
 	FaultTornFrame:         "torn-frame",
+	FaultPristineView:      "pristine-view",
 }
 
 // String implements fmt.Stringer.
@@ -78,9 +87,9 @@ func (f Fault) String() string {
 }
 
 // Faults lists the writer defects — every fault a lone engine can host
-// (FaultNone excluded). FaultSkewShard needs a coordinator and
-// FaultTornFrame a transport, so harnesses that iterate this list against
-// a single engine do not meet them.
+// (FaultNone excluded). FaultSkewShard needs a coordinator, and
+// FaultTornFrame and FaultPristineView a transport, so harnesses that
+// iterate this list against a single engine do not meet them.
 func Faults() []Fault {
 	return []Fault{FaultStalePlanOnRepair, FaultDropEpoch, FaultSkipRepairRescan, FaultStaleBypass}
 }

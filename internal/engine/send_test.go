@@ -221,24 +221,6 @@ search:
 	return true
 }
 
-// TestSendWithoutDataPlane: a snapshot that holds no network — a replica
-// decoded off the wire — answers Send with the sentinel its callers skip on,
-// and an unroutable pair is mpls.ErrNoRoute.
-func TestSendWithoutDataPlane(t *testing.T) {
-	g := topology.Waxman(12, 0.8, 0.5, 6)
-	e, sys := newEngine(t, g, Config{})
-	dec, err := NewSnapDecoder(sys.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Detached(nil, 0).Send(0, 1); !errors.Is(err, ErrNoDataPlane) {
-		t.Fatalf("Send on a replica: %v, want ErrNoDataPlane", err)
-	}
-	if _, err := e.Snapshot().Send(0, 0); !errors.Is(err, mpls.ErrNoRoute) {
-		t.Fatalf("Send for a pair with no entry: %v, want ErrNoRoute", err)
-	}
-}
-
 // TestEngineNeverWritesItsNetwork: the engine lineage neither clones nor
 // writes a network. It forwards over the provision's own, and over seeded
 // churn on every scheme, every published epoch forwards over that

@@ -62,7 +62,9 @@ type Snapshot struct {
 	// written by none — and patch the ILM rows this epoch's failed-set
 	// patches over its tables (nil: none, which is every pristine and every
 	// source-scheme epoch). Together with fv they are the epoch's data
-	// plane (Send, ILMRow). net is nil on a replica decoded off the wire.
+	// plane (Send, ILMRow). net is nil only in a worker process's engine,
+	// built on a slice with no network; a replica decoded off the wire
+	// forwards over the provision's.
 	net   *mpls.Network
 	patch *mpls.ILMOverlay
 
@@ -131,9 +133,10 @@ func (s *Snapshot) Key() string { return s.key }
 // View returns the epoch's failure view of the topology.
 func (s *Snapshot) View() *graph.FailureView { return s.fv }
 
-// ErrNoDataPlane is Send's answer on a snapshot that holds no network: a
-// replica decoded off the wire is a control-plane view, and only the worker
-// that owns the shard's data plane can walk it.
+// ErrNoDataPlane is Send's answer on a snapshot that holds no network: one
+// of a worker process's engine, built on a slice with Net nil, since the
+// worker answers no query. A replica decoded off the wire forwards over the
+// provision's network.
 var ErrNoDataPlane = errors.New("engine: snapshot holds no data plane")
 
 // Send injects a packet for dst at src and forwards it over the engine's
@@ -174,8 +177,8 @@ func (s *Snapshot) fecStack(src, dst graph.NodeID) ([]mpls.Label, error) {
 
 // ILMRow returns the ILM row for label at router as this epoch forwards it
 // — the epoch's patch row where a local scheme patched one, else the
-// provision's — and false where the router has none, or on a replica, which
-// holds no data plane.
+// provision's — and false where the router has none, or on a worker
+// process's snapshot, which holds no data plane.
 func (s *Snapshot) ILMRow(router graph.NodeID, label mpls.Label) (mpls.ILMEntry, bool) {
 	if s.net == nil {
 		return mpls.ILMEntry{}, false

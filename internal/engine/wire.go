@@ -13,16 +13,19 @@
 // provisions the same LSPs under the same IDs (the transport's attach
 // handshake compares a digest of the table), so a decoded route holds the
 // replica's own established LSPs — the route is its LSPs, so a decoded
-// route has the engine route's shape. A replica is a control-plane view
-// (routability, costs, component LSPs): it holds no network to push a
-// label stack on, and forwarding lives only in the worker that owns the
-// shard's data plane.
+// route has the engine route's shape. A replica forwards too: the decoder
+// keeps the provision's network, the one network every epoch forwards
+// over, and a decoded epoch's link state is its failed-set's view, so
+// Send on a replica walks exactly what the worker's engine would — which is
+// why the process-mode coordinator answers queries and probes itself, and
+// a worker's engine holds no network at all.
 package engine
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"rbpc/internal/graph"
@@ -84,18 +87,24 @@ func AppendRouteWire(buf []byte, rt *Route) []byte {
 // SnapDecoder rebuilds engine snapshots from their wire overlay. It holds
 // the shared canonical matrix — built once from the provision by
 // newCanonical, as engine.New builds it, so canonical routes (and their
-// cost bits) are identical to the worker's — plus the provision's LSP table
-// keyed by LSP ID, which a decoded component is one bounds-checked read of.
+// cost bits) are identical to the worker's — the provision's LSP table
+// keyed by LSP ID, which a decoded component is one bounds-checked read of,
+// and the provision's network, which every snapshot it builds forwards over.
 type SnapDecoder struct {
 	g     *graph.Graph
+	net   *mpls.Network
 	canon canonical
 	byID  []*mpls.LSP // dense, by mpls.LSPID; nil where the provision has no base LSP
+	// pristineView is the injected FaultPristineView.
+	pristineView bool
 }
 
 // NewSnapDecoder builds the decoder for a provision. The provision must
 // be the full (unsliced) export of the deployment, so the decoder can
 // answer for any shard's sources, and servable (rbpc.Provision.Servable).
-func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
+// fault, at most one, is the deployment's injected defect: the decoder acts
+// on FaultPristineView and ignores every other (production passes none).
+func NewSnapDecoder(p rbpc.Provision, fault ...Fault) (*SnapDecoder, error) {
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -108,7 +117,8 @@ func NewSnapDecoder(p rbpc.Provision) (*SnapDecoder, error) {
 	for _, l := range p.BaseLSPs {
 		byID[l.ID] = l
 	}
-	return &SnapDecoder{g: p.Graph, canon: canon, byID: byID}, nil
+	return &SnapDecoder{g: p.Graph, net: p.Net, canon: canon, byID: byID,
+		pristineView: slices.Contains(fault, FaultPristineView)}, nil
 }
 
 // Materialized reports whether the source has a canonical serving row.
@@ -191,9 +201,8 @@ func (d *SnapDecoder) Decode(data []byte) (*Snapshot, error) {
 }
 
 // DecodeRouteWire decodes one AppendRouteWire route from the front of
-// data, returning the route and the number of bytes consumed — the entry
-// point the shardrpc answer codec uses for routes embedded in answer
-// frames.
+// data, returning the route and the number of bytes consumed. Nothing on
+// the wire carries a lone route; the benchmark's per-layer probe times it.
 func (d *SnapDecoder) DecodeRouteWire(data []byte) (*Route, int, error) {
 	c := wireCursor{data: data}
 	rt, err := d.decodeRoute(&c)
@@ -207,7 +216,7 @@ func (d *SnapDecoder) DecodeRouteWire(data []byte) (*Route, int, error) {
 // table: every component is an established LSP of the provision, there is
 // at least one, and each begins where the one before it ends. Whether the
 // chain joins the pair it is filed under is the caller's to check (Decode
-// does; an answer frame carries no pair).
+// does).
 func (d *SnapDecoder) decodeRoute(c *wireCursor) (*Route, error) {
 	p := c.u8()
 	if c.err {
@@ -241,18 +250,24 @@ func (d *SnapDecoder) decodeRoute(c *wireCursor) (*Route, error) {
 }
 
 // Detached builds a canonical-only snapshot for an arbitrary failed-set:
-// shared canonical rows, nil overlay, locally computed failure view and
-// oracle. The process-mode coordinator solves cold-tier queries against
+// shared canonical rows, nil overlay, the provision's network, and a
+// locally computed failure view and oracle. Decode builds every replica on
+// one, and the process-mode coordinator solves cold-tier queries against
 // one when the owning worker is down — Corollary 4 answers any source
 // from the base set, which is exactly what crash recovery leans on. The
 // failed slice must be sorted ascending; it is retained.
 func (d *SnapDecoder) Detached(failed []graph.EdgeID, epoch uint64) *Snapshot {
-	fv := graph.FailEdges(d.g, failed...)
+	down := failed
+	if d.pristineView {
+		down = nil // injected defect: the view forgets the failed links
+	}
+	fv := graph.FailEdges(d.g, down...)
 	return &Snapshot{
 		epoch:   epoch,
 		failed:  failed,
 		key:     failedKey(failed),
 		fv:      fv,
+		net:     d.net,
 		oracle:  epochOracle(nil, fv),
 		canon:   d.canon,
 		created: time.Now(),

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"rbpc/internal/failure"
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/topology"
@@ -125,6 +127,64 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 		}
 		eng.Flush()
 		check("round")
+	}
+}
+
+// TestReplicaSendMatchesEngine: a decoded replica forwards. Across a
+// churn schedule, at every flush, every served pair's packet injected on
+// the replica of the engine's snapshot ends where the engine's does, in as
+// many hops, over the same routers, with the same label stack — the
+// decoder's network is the provision's, and the replica's link state is
+// its failed-set's view.
+func TestReplicaSendMatchesEngine(t *testing.T) {
+	g := topology.Waxman(14, 0.8, 0.5, 41)
+	eng, sys := newEngine(t, g, Config{})
+	dec, err := NewSnapDecoder(sys.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.Order()
+	detours := 0
+	check := func(step int) {
+		t.Helper()
+		snap := eng.Snapshot()
+		buf, err := snap.AppendWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := dec.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				src, dst := graph.NodeID(s), graph.NodeID(d)
+				rt := snap.Route(src, dst)
+				if rt == nil {
+					continue
+				}
+				want, werr := snap.Send(src, dst)
+				got, gerr := rep.Send(src, dst)
+				if werr != nil || gerr != nil {
+					t.Fatalf("step %d: %d->%d: engine Send %v, replica Send %v", step, s, d, werr, gerr)
+				}
+				if got.At != want.At || got.Hops != want.Hops || !slices.Equal(got.Trace, want.Trace) || !slices.Equal(got.Stack, want.Stack) {
+					t.Fatalf("step %d: %d->%d: replica walked %+v, engine %+v", step, s, d, got, want)
+				}
+				if len(rt.LSPs) > 1 {
+					detours++
+				}
+			}
+		}
+	}
+	check(0)
+	for i, ev := range failure.ChurnSchedule(g, 24, 3, rand.New(rand.NewSource(3))) {
+		eng.ApplyEvents([]failure.Event{ev})
+		eng.Flush()
+		check(i + 1)
+	}
+	if detours == 0 {
+		t.Fatal("vacuous: no concatenated route was walked")
 	}
 }
 

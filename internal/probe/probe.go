@@ -68,8 +68,9 @@ func Verdict(res engine.Result, ed graph.EdgeID) ProbeResult {
 }
 
 // ProbeBackend is the serving surface the prober polls: the whole verdict
-// is computed by whoever owns the pair's data plane — the shard
-// coordinator asks the owning worker, in process or over the wire — and
+// is computed by whoever answers the pair — the shard coordinator asks the
+// owning worker, which walks its snapshot (an engine's in process, the
+// decoded replica in process mode) with Verdict, or its cold tier — and
 // handed back, rather than read off a local snapshot.
 type ProbeBackend interface {
 	ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) ProbeResult

@@ -269,10 +269,11 @@ func (c *Coordinator) coldSnap(owner int) *engine.Snapshot {
 }
 
 // Query answers synchronously, routed by ownership. A materialized
-// source of a live worker is the worker's own read (a lock-free row read
-// in process, one round trip over the wire); never-materialized sources
-// and the sources of a worker that is down go through the
-// admission-controlled cold tier (see coldSnap).
+// source of a live worker is a lock-free row read of the worker's
+// snapshot — its engine's in process, the decoded replica of its epochs in
+// process mode; no query crosses a wire. Never-materialized sources and the
+// sources of a worker that is down go through the admission-controlled
+// cold tier (see coldSnap).
 func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
 	owner, hot := c.route(src)
 	if hot {
@@ -284,15 +285,16 @@ func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
 }
 
 // ProbeQuery is Query for the time-to-restore prober: the full
-// restoration verdict of one pair under one probe edge, computed by the
-// owning worker on its own data plane. When the cold tier answers
-// instead, delivery equals routability — the control-plane answer is the
-// restoration; there is no row, or no live data plane, to walk.
+// restoration verdict of one pair under one probe edge (probe.Verdict), a
+// walk of the answering snapshot's data plane — the owning engine's own in
+// process, the replica's, over the provision's network, in process mode.
+// When the cold tier answers instead, delivery equals routability — the
+// control-plane answer is the restoration; there is no row to walk.
 func (c *Coordinator) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.ProbeResult {
 	owner, hot := c.route(src)
 	if hot {
-		if v, ok := c.w[owner].Probe(src, dst, ed); ok {
-			return v
+		if res, ok := c.w[owner].Query(src, dst); ok {
+			return probe.Verdict(res, ed)
 		}
 	}
 	snap := c.coldSnap(owner)
@@ -386,7 +388,9 @@ func (c *Coordinator) RecordRestore(src graph.NodeID, d time.Duration) {
 }
 
 // Watermark returns the low epoch watermark, read off the workers'
-// current snapshots: every worker has published at least this epoch.
+// current snapshots: every worker has published at least this epoch. A
+// worker process that is respawned starts a new epoch line at 0, so the
+// watermark can fall across a reattach.
 func (c *Coordinator) Watermark() uint64 {
 	low := c.w[0].Snapshot().Epoch()
 	for _, w := range c.w[1:] {

@@ -4,17 +4,19 @@ import (
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
-	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 )
 
 // Worker is the seam between the Coordinator and whatever serves one
-// shard of the pair space: an engine over the shard's
-// SliceProvision slice, reached directly (engineWorker) or through the
-// socket client of internal/shardrpc. Everything deployment-agnostic —
-// ownership, failed-set model, fan-out, barrier, routing, cold diversion,
-// views, stats merge — sits above this interface; an implementation only
-// moves the calls to its engine and reports whether it still can.
+// shard of the pair space: an engine over the shard's SliceProvision slice,
+// reached directly (engineWorker), or the socket client of
+// internal/shardrpc, which sends the churn to a worker process's engine and
+// answers every query from the replica of its epochs through an
+// engine.Pool — the engine's own query pool. Everything
+// deployment-agnostic — ownership, failed-set model, fan-out, barrier,
+// routing, cold diversion, views, stats merge — sits above this interface;
+// an implementation only moves the calls to its engine or its replica and
+// reports whether it still can.
 type Worker interface {
 	// Apply hands one churn burst to the shard's writer without waiting
 	// for it to publish; the writer publishes it as one transition. evs is
@@ -24,15 +26,12 @@ type Worker interface {
 	// Flush blocks until every burst applied before the call is reflected
 	// in Snapshot.
 	Flush()
-	// Query answers one pair synchronously from the shard's current
-	// epoch. ok is false when the worker is down (or dies mid-query); the
-	// coordinator then answers from the cold tier. A worker counts every
-	// query it answers, here, in Probe and in SubmitBatch, exactly once in
-	// its own Stats — the coordinator keeps no query counter.
+	// Query answers one pair synchronously from Snapshot. ok is false when
+	// the worker is down; the coordinator then answers from the cold tier.
+	// A worker counts every query it answers, here and in SubmitBatch,
+	// exactly once in its own Stats — the coordinator keeps no query
+	// counter.
 	Query(src, dst graph.NodeID) (res engine.Result, ok bool)
-	// Probe is Query plus the restoration verdict for the probed edge,
-	// computed where the shard's data plane lives.
-	Probe(src, dst graph.NodeID, ed graph.EdgeID) (v probe.ProbeResult, ok bool)
 	// SubmitBatch enqueues the worker's part of an async burst: pairs is
 	// the whole burst, shared read-only with the other workers it was
 	// handed to, and owned is how many of its pairs have a source this
@@ -73,8 +72,4 @@ func (w engineWorker) Alive() bool { return true }
 //rbpc:hotpath
 func (w engineWorker) Query(src, dst graph.NodeID) (engine.Result, bool) {
 	return w.Engine.Query(src, dst), true
-}
-
-func (w engineWorker) Probe(src, dst graph.NodeID, ed graph.EdgeID) (probe.ProbeResult, bool) {
-	return probe.Verdict(w.Engine.Query(src, dst), ed), true
 }

@@ -8,59 +8,31 @@ import (
 	"time"
 
 	"rbpc/internal/engine"
-	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
 	"rbpc/internal/paths"
-	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 )
 
-// callKind distinguishes pending-table entries: RPCs park a waiter on a
-// channel; query batches are fire-and-forget at submit time and resolved
-// by the reader as answers stream back.
-type callKind int
-
-const (
-	callRPC callKind = iota
-	callBatch
-)
-
+// call is one RPC parked on the pending table until its reply (or the
+// worker's death) resolves it.
 type call struct {
-	kind callKind
-	// RPC fields.
 	done    chan struct{}
 	want    byte
 	payload []byte // copied reply payload
-	flags   byte
 	err     error
-	// Batch fields.
-	t0 time.Time
-	n  int
-}
-
-// queryMetrics are the client-side serving counters of one worker:
-// queries are counted where the answers land (remoteQuery and the reader
-// goroutines), and latency is submit to answer arrival — transport
-// included, which is the honest number for a cross-process deployment.
-// Nothing on the worker's side of the wire counts a query, so Stats
-// reports each exactly once.
-type queryMetrics struct {
-	queries    metrics.Counter
-	unroutable metrics.Counter
-	dropped    metrics.Counter
-	latency    metrics.Histogram
 }
 
 // client drives one worker and is the socket implementation of
-// shard.Worker: a control connection (bursts, barriers, stats; snapshot
-// frames back) plus a pool of query connections, a pending table
-// demultiplexing replies by sequence number, and the decoded replica
-// snapshot the coordinator reads as the shard's current epoch. What it
-// adds to the seam is everything a wire needs: encode/decode, timeouts
-// and bounded retry, death detection with the alive flag, the in-flight
-// budget, and health pings.
+// shard.Worker: one connection (bursts, barriers, stats out; snapshot
+// frames and acks back), a pending table demultiplexing replies by
+// sequence number, and the decoded replica snapshot the coordinator reads
+// as the shard's current epoch. Queries never reach the worker: the
+// client answers them from the replica through its own engine.Pool. What
+// it adds to the seam is everything a wire needs: encode/decode, timeouts
+// and bounded retry, death detection with the alive flag, and health
+// pings.
 type client struct {
 	idx  int
 	cfg  Config
@@ -71,40 +43,25 @@ type client struct {
 	// both ends, so AffectedPairs needs no frame.
 	base *paths.Explicit
 	prim []bool
-	// mine[src] is 1 when this worker holds a materialized row for src — a
-	// served source it owns — else 0: the mark the shared-burst encode
-	// advances by (fillOwnedBatch).
-	mine []uint8
-	met  queryMetrics
+	// pool answers this worker's sources off replica, and counts them.
+	pool *engine.Pool
 
-	mu       sync.Mutex
-	control  *Conn
-	query    []*Conn
-	pend     map[uint32]*call //rbpc:guardedby mu
-	inflight int              //rbpc:guardedby mu
-	gen      int              //rbpc:guardedby mu
+	mu      sync.Mutex
+	control *Conn
+	pend    map[uint32]*call //rbpc:guardedby mu
+	gen     int              //rbpc:guardedby mu
 
 	seq     atomic.Uint32
-	next    atomic.Uint32
 	alive   atomic.Bool
 	replica atomic.Pointer[engine.Snapshot]
 	// torn counts the checksum-failed frames this end has dropped, over
 	// every connection the client has dialed.
 	torn atomic.Int64
 	done chan struct{} // closed by Close; stops the health loop
-	// batchBuf is the reused query-batch encode buffer.
-	bmu      sync.Mutex
-	batchBuf []byte //rbpc:guardedby bmu
 }
 
 func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *engine.SnapDecoder, want hello) *client {
 	slice := shard.SliceProvision(p, owners, idx)
-	mine := make([]uint8, len(slice.Serves))
-	for src, served := range slice.Serves {
-		if served {
-			mine[src] = 1
-		}
-	}
 	c := &client{
 		idx:  idx,
 		cfg:  cfg,
@@ -112,10 +69,10 @@ func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *
 		want: want,
 		base: p.Base,
 		prim: slice.PrimaryMask(),
-		mine: mine,
 		pend: make(map[uint32]*call),
 		done: make(chan struct{}),
 	}
+	c.pool = engine.NewPool(&c.replica, slice.Serves, cfg.Engine)
 	if cfg.HealthEvery > 0 {
 		go c.healthLoop()
 	}
@@ -171,13 +128,14 @@ func (c *client) attachWithin() error {
 	}
 }
 
-// attach dials the worker's control and query connections, validates the
-// hello against the contract (shards, topology, LSP table), and waits for the
-// priming snapshot before declaring the worker alive — so a caller
-// returning from attach can immediately build whole views. Every read of
-// the handshake gives up at deadline.
+// attach dials the worker's connection, validates the hello against the
+// contract (shards, topology, LSP table), and waits for the priming
+// snapshot — so the replica is current when attach returns. The worker is
+// not yet alive: the caller admits it once it is in sync with the
+// coordinator's failed set. Every read of the handshake gives up at
+// deadline.
 func (c *client) attach(deadline time.Time) error {
-	control, h, err := c.dialOne(roleControl, deadline)
+	control, h, err := c.dial(deadline)
 	if err != nil {
 		return err
 	}
@@ -203,45 +161,32 @@ func (c *client) attach(deadline time.Time) error {
 		control.Close()
 		return fmt.Errorf("shardrpc: worker %d priming snapshot: %w", c.idx, err)
 	}
-
-	pool := make([]*Conn, queryConns)
-	for i := range pool {
-		qc, _, err := c.dialOne(roleQuery, deadline)
-		if err != nil {
-			control.Close()
-			for _, p := range pool[:i] {
-				p.Close()
-			}
-			return err
-		}
-		pool[i] = qc
-	}
-	// The handshake is over: from here a connection waits as long as its
+	// The handshake is over: from here the connection waits as long as its
 	// reader does, and AckTimeout bounds the RPCs on it.
 	control.nc.SetDeadline(time.Time{})
-	for _, qc := range pool {
-		qc.nc.SetDeadline(time.Time{})
-	}
 
 	c.mu.Lock()
 	c.control = control
-	c.query = pool
 	c.gen++
 	gen := c.gen
 	c.mu.Unlock()
-	c.storeReplica(snap)
-	c.alive.Store(true)
+	c.storeReplica(gen, snap)
 
 	go c.reader(control, gen)
-	for _, qc := range pool {
-		go c.reader(qc, gen)
-	}
 	return nil
 }
 
-// dialOne opens and attaches one connection, returning the worker hello.
-// The connection's deadline is left at deadline.
-func (c *client) dialOne(role byte, deadline time.Time) (*Conn, hello, error) {
+// admit declares an attached worker alive, so its sources leave the cold
+// tier, unless its connection has died since.
+func (c *client) admit() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.alive.Store(c.control != nil)
+}
+
+// dial opens and attaches the worker's connection, returning the worker
+// hello. The connection's deadline is left at deadline.
+func (c *client) dial(deadline time.Time) (*Conn, hello, error) {
 	nc, err := c.cfg.Dial(c.idx)
 	if err != nil {
 		return nil, hello{}, fmt.Errorf("shardrpc: dial worker %d: %w", c.idx, err)
@@ -251,10 +196,10 @@ func (c *client) dialOne(role byte, deadline time.Time) (*Conn, hello, error) {
 		return nil, hello{}, fmt.Errorf("shardrpc: worker %d: handshake deadline: %w", c.idx, err)
 	}
 	conn := newConn(nc, &c.torn)
-	if role == roleControl && c.idx == 0 && c.cfg.Engine.Fault == engine.FaultTornFrame {
+	if c.idx == 0 && c.cfg.Engine.Fault == engine.FaultTornFrame {
 		armTornFrame(conn)
 	}
-	if err := conn.WriteFrame(ftAttach, role, 0, nil); err != nil {
+	if err := conn.WriteFrame(ftAttach, 0, 0, nil); err != nil {
 		conn.Close()
 		return nil, hello{}, err
 	}
@@ -290,30 +235,31 @@ func armTornFrame(conn *Conn) {
 	}
 }
 
-// storeReplica publishes a decoded snapshot, refusing epoch regressions
-// (a tap frame can race the attach priming frame; newest wins).
-func (c *client) storeReplica(snap *engine.Snapshot) {
-	for {
-		cur := c.replica.Load()
-		if cur != nil && cur.Epoch() > snap.Epoch() {
-			return
-		}
-		if c.replica.CompareAndSwap(cur, snap) {
-			break
-		}
+// storeReplica publishes a snapshot decoded off the connection of
+// generation gen. One connection delivers its worker's epochs in order,
+// and each connection starts a new epoch line — a respawned worker's
+// engine counts again from 0 — so the priming snapshot replaces the
+// replica whatever its epoch, and only a frame a stale reader decoded
+// after its connection was replaced is dropped.
+func (c *client) storeReplica(gen int, snap *engine.Snapshot) {
+	c.mu.Lock()
+	if gen != c.gen {
+		c.mu.Unlock()
+		return
 	}
+	c.replica.Store(snap)
+	c.mu.Unlock()
 	if c.cfg.OnEpoch != nil {
 		c.cfg.OnEpoch(c.idx, snap)
 	}
 }
 
-// reader drains one connection, demultiplexing by sequence number:
-// snapshot frames update the replica, answer batches settle into the
-// serving metrics, everything else resolves a parked RPC.
+// reader drains the connection, demultiplexing by sequence number:
+// snapshot frames update the replica, everything else resolves a parked
+// RPC.
 func (c *client) reader(conn *Conn, gen int) {
-	key := uint64(c.idx)
 	for {
-		typ, flags, seq, payload, err := conn.ReadFrame()
+		typ, _, seq, payload, err := conn.ReadFrame()
 		if err != nil {
 			c.die(gen, err)
 			return
@@ -325,77 +271,28 @@ func (c *client) reader(conn *Conn, gen int) {
 				c.die(gen, fmt.Errorf("shardrpc: worker %d snapshot: %w", c.idx, derr))
 				return
 			}
-			c.storeReplica(snap)
-		case ftAnswerBatch:
-			n, ok := answerBatchCount(payload)
-			if !ok {
-				c.die(gen, fmt.Errorf("shardrpc: worker %d sent malformed answer batch", c.idx))
-				return
-			}
-			ca := c.take(seq)
-			if ca == nil || ca.kind != callBatch {
-				continue // late answer after a timeout/death; already accounted
-			}
-			c.settleBatch(key, ca, payload, n)
+			c.storeReplica(gen, snap)
 		default:
 			ca := c.take(seq)
-			if ca == nil || ca.kind != callRPC {
-				continue
+			if ca == nil {
+				continue // late reply after a timeout
 			}
 			if typ != ca.want {
 				ca.err = fmt.Errorf("shardrpc: worker %d replied frame %d, want %d", c.idx, typ, ca.want)
 			} else {
 				ca.payload = append(ca.payload[:0], payload...)
-				ca.flags = flags
 			}
 			close(ca.done)
 		}
 	}
 }
 
-// settleBatch folds one answer batch into the coordinator metrics: the
-// whole batch records one arrival latency (RecordN) and the per-answer
-// scan is a hot fixed-offset walk.
-func (c *client) settleBatch(key uint64, ca *call, payload []byte, n int) {
-	if n > ca.n {
-		n = ca.n // defensive: never credit more answers than were asked
-	}
-	unroutable := scanUnroutable(payload, n)
-	c.met.queries.Add(key, int64(n))
-	c.met.unroutable.Add(key, unroutable)
-	if d := time.Since(ca.t0); n > 0 {
-		c.met.latency.RecordN(key, d, int64(n))
-	}
-	if short := int64(ca.n - n); short > 0 {
-		c.met.dropped.Add(key, short)
-	}
-}
-
-// scanUnroutable counts the batch's unroutable answers — the hot half of
-// answer decoding: one flags byte per answer, added up without a branch
-// (which answers are unroutable is the network's business, not a pattern).
-//
-//rbpc:hotpath
-func scanUnroutable(payload []byte, n int) int64 {
-	var routable int64
-	for off := 4; off < 4+answerEntrySize*n; off += answerEntrySize {
-		routable += int64(payload[off] & ansRoutable) // the entry's flags byte
-	}
-	return int64(n) - routable
-}
-
-// take removes and returns the pending entry for seq (nil if unknown),
-// decrementing the in-flight budget for batch entries.
+// take removes and returns the pending entry for seq (nil if unknown).
 func (c *client) take(seq uint32) *call {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ca := c.pend[seq]
-	if ca != nil {
-		delete(c.pend, seq)
-		if ca.kind == callBatch {
-			c.inflight--
-		}
-	}
+	delete(c.pend, seq)
 	return ca
 }
 
@@ -409,28 +306,18 @@ func (c *client) die(gen int, cause error) {
 		return
 	}
 	c.alive.Store(false)
-	control, pool := c.control, c.query
-	c.control, c.query = nil, nil
+	control := c.control
+	c.control = nil
 	pend := c.pend
 	c.pend = make(map[uint32]*call)
-	c.inflight = 0
 	c.mu.Unlock()
 
 	if control != nil {
 		control.Close()
 	}
-	for _, qc := range pool {
-		qc.Close()
-	}
-	key := uint64(c.idx)
 	for _, ca := range pend {
-		switch ca.kind {
-		case callRPC:
-			ca.err = fmt.Errorf("shardrpc: worker %d died: %w", c.idx, cause)
-			close(ca.done)
-		case callBatch:
-			c.met.dropped.Add(key, int64(ca.n))
-		}
+		ca.err = fmt.Errorf("shardrpc: worker %d died: %w", c.idx, cause)
+		close(ca.done)
 	}
 }
 
@@ -439,16 +326,6 @@ func (c *client) controlConn() *Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.control
-}
-
-// queryConn picks the next pool connection round-robin.
-func (c *client) queryConn() *Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.query) == 0 {
-		return nil
-	}
-	return c.query[int(c.next.Add(1))%len(c.query)]
 }
 
 // rpc performs one round trip on conn with AckTimeout and bounded retry;
@@ -463,7 +340,7 @@ func (c *client) rpc(conn *Conn, typ, flags byte, payload []byte, want byte) (*c
 	var lastErr error
 	for attempt := 0; attempt <= rpcRetries; attempt++ {
 		seq := c.seq.Add(1)
-		ca := &call{kind: callRPC, done: make(chan struct{}), want: want}
+		ca := &call{done: make(chan struct{}), want: want}
 		c.mu.Lock()
 		c.pend[seq] = ca
 		c.mu.Unlock()
@@ -493,62 +370,6 @@ func (c *client) generation() int {
 	return c.gen
 }
 
-// sendBatch encodes this worker's part of a shared burst — owned of its
-// pairs — straight into the reused frame buffer, writes the frame and
-// registers its pending entry; answers settle asynchronously in the
-// reader. Returns false when the worker is dead, the in-flight budget is
-// exhausted, or the write fails — the caller accounts the part as dropped.
-func (c *client) sendBatch(pairs []rbpc.Pair, owned int) bool {
-	conn := c.queryConn()
-	if conn == nil {
-		return false
-	}
-	seq := c.seq.Add(1)
-	ca := &call{kind: callBatch, t0: time.Now(), n: owned}
-	c.mu.Lock()
-	if c.inflight >= maxInflight {
-		c.mu.Unlock()
-		return false
-	}
-	c.inflight++
-	c.pend[seq] = ca
-	c.mu.Unlock()
-
-	c.bmu.Lock()
-	c.batchBuf = grow(c.batchBuf, queryBatchSize(len(pairs)))
-	n := fillOwnedBatch(c.batchBuf, pairs, c.mine)
-	err := conn.WriteFrame(ftQueryBatch, 0, seq, c.batchBuf[:queryBatchSize(n)])
-	c.bmu.Unlock()
-	if err != nil {
-		c.take(seq) // remove before die so the batch is not also counted there
-		c.die(c.generation(), err)
-		return false
-	}
-	return true
-}
-
-// remoteQuery performs one synchronous single-pair query (optionally with
-// a probe edge), decodes the full answer, and counts it: this is where
-// the answer of every synchronous query lands.
-func (c *client) remoteQuery(src, dst graph.NodeID, ed graph.EdgeID, hasProbe bool) (Answer, error) {
-	t0 := time.Now()
-	ca, err := c.rpc(c.queryConn(), ftQuery, 0, appendFixed(nil, newQuery(src, dst, ed, hasProbe)), ftAnswer)
-	if err != nil {
-		return Answer{}, err
-	}
-	ans, err := decodeAnswer(ca.payload, c.dec)
-	if err != nil {
-		return Answer{}, err
-	}
-	key := uint64(c.idx)
-	c.met.queries.Add(key, 1)
-	c.met.latency.Record(key, time.Since(t0))
-	if ans.Route == nil && src != dst {
-		c.met.unroutable.Add(key, 1)
-	}
-	return ans, nil
-}
-
 // burst ships one encoded churn burst. The ack is awaited asynchronously
 // — the pending entry resolves when the worker confirms, and only a write
 // failure (dead transport) surfaces here; ordering against the following
@@ -559,7 +380,7 @@ func (c *client) burst(payload []byte) error {
 		return fmt.Errorf("shardrpc: worker %d is down", c.idx)
 	}
 	seq := c.seq.Add(1)
-	ca := &call{kind: callRPC, done: make(chan struct{}), want: ftBurstAck}
+	ca := &call{done: make(chan struct{}), want: ftBurstAck}
 	c.mu.Lock()
 	c.pend[seq] = ca
 	c.mu.Unlock()
@@ -604,10 +425,12 @@ func (c *client) ping() int64 {
 
 // --- shard.Worker -----------------------------------------------------------
 
-// Apply ships the burst as one frame; a dead worker misses it and is
+// Apply ships the burst as one frame whenever the connection is up — also
+// while a reattached worker resyncs, so no burst falls between the
+// replayed failed set and its admission; a dead worker misses it and is
 // resynced from the coordinator's model on Reattach.
 func (c *client) Apply(evs []failure.Event) {
-	if c.alive.Load() {
+	if c.controlConn() != nil {
 		c.burst(appendBurst(nil, evs))
 	}
 }
@@ -622,48 +445,22 @@ func (c *client) Flush() {
 	}
 }
 
-// Query is one round trip on a pool connection. ok is false when the
-// worker is down or died mid-query.
+// Query answers from the replica (engine.Pool.Query). ok is false when the
+// worker is down: its sources then divert to the cold tier.
 func (c *client) Query(src, dst graph.NodeID) (engine.Result, bool) {
 	if !c.alive.Load() {
 		return engine.Result{}, false
 	}
-	ans, err := c.remoteQuery(src, dst, 0, false)
-	if err != nil {
-		return engine.Result{}, false
-	}
-	return engine.Result{Src: src, Dst: dst, Route: ans.Route, Snap: c.snapFor(ans)}, true
+	return c.pool.Query(src, dst), true
 }
 
-// snapFor resolves the snapshot to attach to a query result: the decoded
-// replica when it matches the answering epoch, else a detached snapshot
-// of the answer's failed-set (the replica frame may still be in flight).
-func (c *client) snapFor(ans Answer) *engine.Snapshot {
-	if rep := c.replica.Load(); rep.Epoch() == ans.Epoch {
-		return rep
-	}
-	return c.dec.Detached(ans.Failed, ans.Epoch)
-}
-
-// Probe ships the probe edge with the query: only the worker can walk
-// the shard's data plane, so the whole verdict comes back on the wire.
-func (c *client) Probe(src, dst graph.NodeID, ed graph.EdgeID) (probe.ProbeResult, bool) {
-	if !c.alive.Load() {
-		return probe.ProbeResult{}, false
-	}
-	ans, err := c.remoteQuery(src, dst, ed, true)
-	return ans.ProbeResult, err == nil
-}
-
-// SubmitBatch ships this worker's part of the burst as one frame; the part
-// is shed whole when the worker is down, the in-flight budget is spent, or
-// the write fails.
+// SubmitBatch hands this worker's part of the burst to the client's pool,
+// which answers it from the replica; the part is shed whole when the pool's
+// queue is full.
+//
+//rbpc:hotpath
 func (c *client) SubmitBatch(pairs []rbpc.Pair, owned int) int {
-	if c.sendBatch(pairs, owned) {
-		return owned
-	}
-	c.met.dropped.Add(uint64(c.idx), int64(owned))
-	return 0
+	return c.pool.SubmitOwned(pairs, owned)
 }
 
 func (c *client) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
@@ -676,27 +473,13 @@ func (c *client) Snapshot() *engine.Snapshot { return c.replica.Load() }
 
 func (c *client) Alive() bool { return c.alive.Load() }
 
-// Drain settles the worker's queues, then waits for the answer batches
-// still crossing the wire (the worker has served them — drain acked —
-// but the frames may not have landed). Batches pending on a worker that
-// dies are accounted dropped by the death path.
-func (c *client) Drain() {
-	if c.alive.Load() {
-		c.rpc(c.controlConn(), ftDrain, 0, nil, ftDrainAck)
-	}
-	for deadline := time.Now().Add(c.cfg.AckTimeout); time.Now().Before(deadline); {
-		c.mu.Lock()
-		busy := c.inflight > 0
-		c.mu.Unlock()
-		if !busy {
-			return
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
+// Drain blocks until every query the client's pool accepted before the call
+// is answered.
+func (c *client) Drain() { c.pool.Drain() }
 
 // Stats scrapes the worker's engine over the wire (zeros while it is
-// down) and adds the serving counters kept on this side of it.
+// down) and sets the serving counters to the pool's: every query is
+// answered, and counted, on this side of the wire.
 func (c *client) Stats() engine.Stats {
 	var st engine.Stats
 	if c.alive.Load() {
@@ -705,18 +488,15 @@ func (c *client) Stats() engine.Stats {
 			_ = decodeFixed(ca.payload, &st)
 		}
 	}
-	st.Queries += c.met.queries.Load()
-	st.Unroutable += c.met.unroutable.Load()
-	st.Dropped += c.met.dropped.Load()
-	if s := c.met.latency.Summarize(); s.Count > 0 {
-		st.QueryLatency = s
-	}
+	c.pool.Scrape(&st)
 	return st
 }
 
-// Close tears the connections down (coordinator shutdown, not a worker
-// death). Worker processes are owned by the supervisor, not the client.
+// Close tears the connection down (coordinator shutdown, not a worker
+// death) and stops the pool. Worker processes are owned by the supervisor,
+// not the client.
 func (c *client) Close() {
 	close(c.done)
 	c.die(c.generation(), fmt.Errorf("shardrpc: coordinator closed"))
+	c.pool.Close()
 }

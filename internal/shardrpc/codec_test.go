@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -15,17 +14,7 @@ import (
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
-	"rbpc/internal/probe"
-	"rbpc/internal/rbpc"
 )
-
-// answerAt reads entry i of an answer batch: the read half of fillAnswerAt.
-// The client itself reads only the flags bytes (scanUnroutable) — a wire
-// batch has no per-answer callback to hand a cost to.
-func answerAt(p []byte, i int) (flags byte, costBits uint64) {
-	off := 4 + answerEntrySize*i
-	return p[off], binary.LittleEndian.Uint64(p[off+1:])
-}
 
 // TestFrameRoundTrip drives random frames through a pipe-backed Conn and
 // asserts type, flags, sequence, and payload survive byte-for-byte.
@@ -109,70 +98,6 @@ func TestBurstCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQueryAnswerBatchRoundTrip: property test over the hot frames —
-// query batches and answer batches — including Float64bits identity for
-// awkward costs (negative zero, subnormals, NaN payloads, infinities).
-func TestQueryAnswerBatchRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	awkward := []uint64{
-		0, math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(1)),
-		math.Float64bits(math.Inf(-1)), math.Float64bits(math.NaN()), 1, // subnormal
-		math.Float64bits(0.1), math.MaxUint64,
-	}
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(64)
-		pairs := make([]rbpc.Pair, n)
-		for i := range pairs {
-			pairs[i] = rbpc.Pair{Src: graph.NodeID(rng.Intn(1 << 16)), Dst: graph.NodeID(rng.Intn(1 << 16))}
-		}
-		// The encode filters a shared burst by the worker's marks: with a
-		// random half of the sources marked, the frame holds exactly the
-		// marked pairs, in order.
-		mine := make([]uint8, 1<<16)
-		var want []rbpc.Pair
-		for i := range mine {
-			mine[i] = uint8(rng.Intn(2))
-		}
-		for _, pr := range pairs {
-			if mine[pr.Src] == 1 {
-				want = append(want, pr)
-			}
-		}
-		qb := grow(nil, queryBatchSize(n))
-		qb = qb[:queryBatchSize(fillOwnedBatch(qb, pairs, mine))]
-		gotN, ok := queryBatchCount(qb)
-		if !ok || gotN != len(want) {
-			t.Fatalf("trial %d: query batch count %d ok=%v, want %d", trial, gotN, ok, len(want))
-		}
-		for i := range want {
-			src, dst := queryAt(qb, i)
-			if graph.NodeID(src) != want[i].Src || graph.NodeID(dst) != want[i].Dst {
-				t.Fatalf("trial %d: pair %d diverged", trial, i)
-			}
-		}
-
-		flags := make([]byte, n)
-		bits := make([]uint64, n)
-		ab := grow(nil, answerBatchSize(n))
-		fillAnswerCount(ab, n)
-		for i := 0; i < n; i++ {
-			flags[i] = byte(rng.Intn(8))
-			bits[i] = awkward[rng.Intn(len(awkward))]
-			fillAnswerAt(ab, i, flags[i], bits[i])
-		}
-		gotN, ok = answerBatchCount(ab)
-		if !ok || gotN != n {
-			t.Fatalf("trial %d: answer batch count %d ok=%v, want %d", trial, gotN, ok, n)
-		}
-		for i := 0; i < n; i++ {
-			f, bs := answerAt(ab, i)
-			if f != flags[i] || bs != bits[i] {
-				t.Fatalf("trial %d: answer %d flags %d bits %x, want %d %x", trial, i, f, bs, flags[i], bits[i])
-			}
-		}
-	}
-}
-
 // TestHelloCodecRoundTrip covers the handshake frame: the binary image of
 // hello, 32 bytes, its fields at the offsets of their declaration order.
 func TestHelloCodecRoundTrip(t *testing.T) {
@@ -195,24 +120,10 @@ func TestHelloCodecRoundTrip(t *testing.T) {
 }
 
 // TestFixedFramesRefuseOtherSizes: a fixed-size frame decodes only from
-// exactly its image's bytes — the query (12 bytes, noEdge spelling no
-// probe), the 8-byte acks, the hello and the stats record alike.
+// exactly its image's bytes — the 8-byte acks, the hello and the stats
+// record alike.
 func TestFixedFramesRefuseOtherSizes(t *testing.T) {
-	for _, tc := range []struct {
-		q    query
-		want query
-	}{
-		{newQuery(4, 9, 0, false), query{Src: 4, Dst: 9, Probe: noEdge}},
-		{newQuery(4, 9, 0, true), query{Src: 4, Dst: 9, Probe: 0}},
-		{newQuery(1, 2, 77, true), query{Src: 1, Dst: 2, Probe: 77}},
-	} {
-		buf := appendFixed(nil, tc.q)
-		var got query
-		if len(buf) != 12 || decodeFixed(buf, &got) != nil || got != tc.want {
-			t.Fatalf("query %+v: %d bytes decoded as %+v, want 12 bytes and %+v", tc.q, len(buf), got, tc.want)
-		}
-	}
-	for _, v := range []any{new(query), new(uint64), new(int64), new(hello), new(engine.Stats)} {
+	for _, v := range []any{new(uint64), new(int64), new(hello), new(engine.Stats)} {
 		n := binary.Size(v)
 		if n <= 0 {
 			t.Fatalf("%T is not fixed-size", v)
@@ -276,62 +187,6 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 		}
 	}
 	walk(reflect.ValueOf(st), "Stats")
-}
-
-// TestAnswerCodecRoundTrip covers the full single-query answer,
-// including route resolution against the decoder registry and cost bit
-// identity.
-func TestAnswerCodecRoundTrip(t *testing.T) {
-	p := buildProvision(t, 12, 33)
-	dec, err := engine.NewSnapDecoder(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Borrow a real provisioned route so path resolution exercises the
-	// registry hit path.
-	eng, err := engine.New(p, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := eng.Query(0, 1).Route
-	eng.Close()
-	if rt == nil {
-		t.Fatal("no provisioned route to round-trip")
-	}
-	cases := []Answer{
-		{Epoch: 3, Failed: []graph.EdgeID{1, 5, 9}, Route: rt, ProbeResult: probe.ProbeResult{Routable: true, Delivered: true, FailedContains: true}},
-		{Epoch: 0},
-		{Epoch: 1 << 40, Failed: []graph.EdgeID{0}, ProbeResult: probe.ProbeResult{FailedContains: true}},
-	}
-	for i, want := range cases {
-		got, err := decodeAnswer(appendAnswer(nil, want), dec)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got.Epoch != want.Epoch || got.Routable != want.Routable ||
-			got.Delivered != want.Delivered || got.FailedContains != want.FailedContains {
-			t.Fatalf("case %d: scalar fields diverged: %+v vs %+v", i, want, got)
-		}
-		if !reflect.DeepEqual(got.Failed, want.Failed) {
-			t.Fatalf("case %d: failed-set %v decoded as %v", i, want.Failed, got.Failed)
-		}
-		if (got.Route == nil) != (want.Route == nil) {
-			t.Fatalf("case %d: route presence diverged", i)
-		}
-		if want.Route != nil {
-			if math.Float64bits(got.Route.Cost) != math.Float64bits(want.Route.Cost) {
-				t.Fatalf("case %d: route cost bits diverged", i)
-			}
-			if len(got.Route.LSPs) != len(want.Route.LSPs) {
-				t.Fatalf("case %d: component count diverged", i)
-			}
-			for j := range want.Route.LSPs {
-				if got.Route.LSPs[j] != want.Route.LSPs[j] {
-					t.Fatalf("case %d: component %d did not resolve to the registry LSP", i, j)
-				}
-			}
-		}
-	}
 }
 
 // memConn is a transport that holds everything written to it: the writer

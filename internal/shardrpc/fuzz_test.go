@@ -7,8 +7,6 @@ import (
 	"rbpc/internal/engine"
 	"rbpc/internal/engine/metrics"
 	"rbpc/internal/failure"
-	"rbpc/internal/graph"
-	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/topology"
 )
@@ -32,7 +30,7 @@ var fuzzDecoder = sync.OnceValue(func() *engine.SnapDecoder {
 // Selector bytes routing a fuzz input to one decoder.
 const (
 	fuzzSnapshot byte = iota
-	fuzzAnswer
+	_                 // the retired answer frame: its corpus entries decode nothing
 	fuzzBurst
 	fuzzStats
 	fuzzHello
@@ -47,7 +45,6 @@ const (
 // inconsistent state past the decode layer.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(seedSnapshotFrame(fuzzSnapshot))
-	f.Add(seedAnswerFrame())
 	f.Add(seedBurstFrame())
 	f.Add(seedStatsFrame())
 	f.Add(seedHelloFrame())
@@ -71,14 +68,6 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			if string(re) != string(payload) {
 				t.Fatalf("snapshot round trip unstable:\nin  %x\nout %x", payload, re)
-			}
-		case fuzzAnswer:
-			a, err := decodeAnswer(payload, dec)
-			if err != nil {
-				return
-			}
-			if string(appendAnswer(nil, a)) != string(payload) {
-				t.Fatal("answer round trip unstable")
 			}
 		case fuzzBurst:
 			evs, err := decodeBurst(payload, nil)
@@ -129,14 +118,6 @@ func seedSnapshotFrame(selector byte) []byte {
 		panic(err)
 	}
 	return buf
-}
-
-func seedAnswerFrame() []byte {
-	return appendAnswer([]byte{fuzzAnswer}, Answer{
-		Epoch:       5,
-		Failed:      []graph.EdgeID{1, 4},
-		ProbeResult: probe.ProbeResult{FailedContains: true},
-	})
 }
 
 func seedBurstFrame() []byte {

@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 	"rbpc/internal/topology"
@@ -24,6 +26,8 @@ import (
 // and serves the other on a fresh goroutine, exactly like a socket
 // accept loop would.
 type pipeFarm struct {
+	p       rbpc.Provision
+	cfg     Config
 	workers []*Worker
 	mu      sync.Mutex
 	dead    map[int]bool
@@ -31,16 +35,21 @@ type pipeFarm struct {
 
 func newPipeFarm(t testing.TB, p rbpc.Provision, cfg Config) *pipeFarm {
 	t.Helper()
-	f := &pipeFarm{workers: make([]*Worker, cfg.Shards), dead: make(map[int]bool)}
+	f := &pipeFarm{p: p, cfg: cfg, workers: make([]*Worker, cfg.Shards), dead: make(map[int]bool)}
 	for i := 0; i < cfg.Shards; i++ {
-		w, err := NewWorker(p, i, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.workers[i] = w
-		t.Cleanup(w.Close)
+		f.workers[i] = f.newWorker(t, i)
 	}
 	return f
+}
+
+func (f *pipeFarm) newWorker(t testing.TB, i int) *Worker {
+	t.Helper()
+	w, err := NewWorker(f.p, i, f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	return w
 }
 
 func (f *pipeFarm) dial(i int) (net.Conn, error) {
@@ -75,6 +84,16 @@ func (f *pipeFarm) revive(i int) {
 	f.mu.Unlock()
 }
 
+// respawn is a supervisor's re-exec of a killed worker: new dials reach a
+// fresh NewWorker, whose engine starts pristine at epoch 0.
+func (f *pipeFarm) respawn(t testing.TB, i int) {
+	w := f.newWorker(t, i)
+	f.mu.Lock()
+	f.workers[i] = w
+	f.dead[i] = false
+	f.mu.Unlock()
+}
+
 func testConfig(f *pipeFarm, shards int) Config {
 	return Config{
 		Shards:      shards,
@@ -97,9 +116,11 @@ func buildProvision(t testing.TB, n int, seed int64) rbpc.Provision {
 
 // TestProcMatchesInProcess drives the process-mode coordinator and an
 // in-process shard.Coordinator through identical churn and asserts
-// bit-identical serving: every pair's routability, cost bits, and
-// component paths agree after every flush, and the merged views agree on
-// the failed-set.
+// bit-identical serving after every flush: every pair's routability, cost
+// bits and component paths agree in the merged views and in a synchronous
+// Query of each, and so does every pair's ProbeQuery verdict under the
+// link the last event touched — a walk of the replica's data plane against
+// a walk of the engine's.
 func TestProcMatchesInProcess(t *testing.T) {
 	const shards = 3
 	p := buildProvision(t, 16, 11)
@@ -117,7 +138,8 @@ func TestProcMatchesInProcess(t *testing.T) {
 	defer ref.Close()
 
 	n := p.Graph.Order()
-	check := func(tag string) {
+	delivered := 0
+	check := func(tag string, ed graph.EdgeID) {
 		t.Helper()
 		pv, ok := proc.View()
 		if !ok {
@@ -133,29 +155,20 @@ func TestProcMatchesInProcess(t *testing.T) {
 					continue
 				}
 				src, dst := graph.NodeID(s), graph.NodeID(d)
-				w, g := rv.Route(src, dst), pv.Route(src, dst)
-				if (w == nil) != (g == nil) {
-					t.Fatalf("%s: pair %d->%d routable %v, process %v", tag, s, d, w != nil, g != nil)
+				sameRoute(t, tag+" view", s, d, rv.Route(src, dst), pv.Route(src, dst))
+				sameRoute(t, tag+" query", s, d, ref.Query(src, dst).Route, proc.Query(src, dst).Route)
+				want, got := ref.ProbeQuery(src, dst, ed), proc.ProbeQuery(src, dst, ed)
+				if got != want {
+					t.Fatalf("%s: pair %d->%d probed under link %d: verdict %+v, in process %+v", tag, s, d, ed, got, want)
 				}
-				if w == nil {
-					continue
-				}
-				if math.Float64bits(w.Cost) != math.Float64bits(g.Cost) {
-					t.Fatalf("%s: pair %d->%d cost bits diverge", tag, s, d)
-				}
-				if len(w.LSPs) != len(g.LSPs) {
-					t.Fatalf("%s: pair %d->%d component count %d vs %d", tag, s, d, len(w.LSPs), len(g.LSPs))
-				}
-				for i := range w.LSPs {
-					if !w.LSPs[i].Path.Equal(g.LSPs[i].Path) {
-						t.Fatalf("%s: pair %d->%d component %d diverges", tag, s, d, i)
-					}
+				if got.FailedContains && got.Delivered {
+					delivered++
 				}
 			}
 		}
 	}
 
-	check("pristine")
+	check("pristine", 0)
 	churn := []struct {
 		repair bool
 		edge   graph.EdgeID
@@ -172,40 +185,174 @@ func TestProcMatchesInProcess(t *testing.T) {
 		}
 		proc.Flush()
 		ref.Flush()
-		check("churn")
+		check("churn", ev.edge)
 	}
+	if delivered == 0 {
+		t.Fatal("vacuous: no probe walked a replica's data plane under a failed link")
+	}
+}
 
-	// Synchronous single queries agree with the view too (and carry the
-	// answering epoch + failed-set on the wire).
-	for s := 0; s < n; s++ {
-		src := graph.NodeID(s)
-		dst := graph.NodeID((s + 1) % n)
-		if src == dst {
-			continue
-		}
-		ans, err := proc.RemoteQuery(src, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Query(src, dst)
-		if (want.Route == nil) != (ans.Route == nil) {
-			t.Fatalf("remote query %d->%d routable mismatch", src, dst)
-		}
-		if want.Route != nil &&
-			math.Float64bits(want.Route.Cost) != math.Float64bits(ans.Route.Cost) {
-			t.Fatalf("remote query %d->%d cost bits mismatch", src, dst)
+// sameRoute fails the test unless the in-process route w and the process
+// route g agree in routability, cost bits and component paths.
+func sameRoute(t *testing.T, tag string, s, d int, w, g *engine.Route) {
+	t.Helper()
+	if (w == nil) != (g == nil) {
+		t.Fatalf("%s: pair %d->%d routable %v, process %v", tag, s, d, w != nil, g != nil)
+	}
+	if w == nil {
+		return
+	}
+	if math.Float64bits(w.Cost) != math.Float64bits(g.Cost) {
+		t.Fatalf("%s: pair %d->%d cost bits diverge", tag, s, d)
+	}
+	if len(w.LSPs) != len(g.LSPs) {
+		t.Fatalf("%s: pair %d->%d component count %d vs %d", tag, s, d, len(w.LSPs), len(g.LSPs))
+	}
+	for i := range w.LSPs {
+		if !w.LSPs[i].Path.Equal(g.LSPs[i].Path) {
+			t.Fatalf("%s: pair %d->%d component %d diverges", tag, s, d, i)
 		}
 	}
 }
 
-// TestProcSubmitBatchAndStats pushes async batches through the wire and
-// checks the merged stats account them: accepted queries settle into
-// Queries (+ Unroutable consistency) after Drain.
+// TestProcRespawnedWorkerServesCurrentFailures: a respawned worker is a
+// fresh process whose engine counts epochs from 0 again, behind a replica
+// the dead one left several epochs ahead. After Reattach its sources must
+// be served from the new worker's epochs — the churn that happened while
+// it was down included — so every pair's Query and ProbeQuery verdict, under
+// a link failed and a link repaired during the outage, matches an
+// in-process reference.
+func TestProcRespawnedWorkerServesCurrentFailures(t *testing.T) {
+	const shards = 2
+	p := buildProvision(t, 16, 11)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	proc, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	ref, err := shard.New(p, shard.Config{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	step := func(ed graph.EdgeID, repair bool) {
+		if repair {
+			proc.Repair(ed)
+			ref.Repair(ed)
+		} else {
+			proc.Fail(ed)
+			ref.Fail(ed)
+		}
+		proc.Flush()
+		ref.Flush()
+	}
+
+	const victim = 0
+	for _, ed := range []graph.EdgeID{2, 7, 11, 5} {
+		step(ed, false)
+	}
+	step(7, true)
+	old := proc.Replica(victim).Epoch()
+
+	farm.kill(victim)
+	deadline := time.Now().Add(2 * time.Second)
+	for proc.Shard(victim).Alive() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if proc.Shard(victim).Alive() {
+		t.Fatal("worker never marked dead after its control connection died")
+	}
+	const repaired, failed = graph.EdgeID(2), graph.EdgeID(3)
+	step(repaired, true)
+	step(failed, false)
+
+	farm.respawn(t, victim)
+	if err := proc.Reattach(victim); err != nil {
+		t.Fatal(err)
+	}
+	if !proc.Shard(victim).Alive() {
+		t.Fatal("worker not alive after reattach")
+	}
+	if got := proc.Replica(victim).Epoch(); got >= old {
+		t.Fatalf("vacuous: the respawned worker's replica is at epoch %d, the dead one's was %d", got, old)
+	}
+	if got, want := proc.Replica(victim).Failed(), ref.Shard(victim).Snapshot().Failed(); !slices.Equal(got, want) {
+		t.Fatalf("respawned worker's replica holds failed set %v, want %v", got, want)
+	}
+	n := p.Graph.Order()
+	owned := 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			src, dst := graph.NodeID(s), graph.NodeID(d)
+			if proc.Owner(src) == victim {
+				owned++
+			}
+			sameRoute(t, "after respawn", s, d, ref.Query(src, dst).Route, proc.Query(src, dst).Route)
+			for _, ed := range []graph.EdgeID{repaired, failed} {
+				if want, got := ref.ProbeQuery(src, dst, ed), proc.ProbeQuery(src, dst, ed); got != want {
+					t.Fatalf("pair %d->%d probed under link %d after respawn: verdict %+v, in process %+v", s, d, ed, got, want)
+				}
+			}
+		}
+	}
+	if owned == 0 {
+		t.Fatal("vacuous: the respawned worker owns no source")
+	}
+}
+
+// TestSendWithoutDataPlane: a worker's engine holds no network — it answers
+// no query, so it forwards nothing — and its snapshot answers Send with
+// the sentinel; the coordinator's replica of the same epoch forwards over
+// the provision's network, and a pair with no entry is mpls.ErrNoRoute.
+func TestSendWithoutDataPlane(t *testing.T) {
+	const shards = 2
+	p := buildProvision(t, 12, 6)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	proc, err := NewCoordinator(p, testConfig(farm, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	src := graph.NodeID(0)
+	owner := proc.Owner(src)
+	if _, err := farm.workers[owner].Engine().Snapshot().Send(src, 1); !errors.Is(err, engine.ErrNoDataPlane) {
+		t.Fatalf("Send on a worker's snapshot: %v, want ErrNoDataPlane", err)
+	}
+	if pkt, err := proc.Replica(owner).Send(src, 1); err != nil || pkt.At != 1 {
+		t.Fatalf("Send on the replica: %+v, %v; want delivered at 1", pkt, err)
+	}
+	if _, err := proc.Replica(owner).Send(src, src); !errors.Is(err, mpls.ErrNoRoute) {
+		t.Fatalf("Send for a pair with no entry: %v, want ErrNoRoute", err)
+	}
+}
+
+// TestProcSubmitBatchAndStats submits a burst to the process-mode
+// coordinator and checks that Config.Engine.OnResult receives every
+// accepted answer, each read off its owner's replica, and that the merged
+// stats account them: accepted queries settle into Queries and the latency
+// histogram after Drain.
 func TestProcSubmitBatchAndStats(t *testing.T) {
 	const shards = 2
 	p := buildProvision(t, 12, 3)
 	farm := newPipeFarm(t, p, Config{Shards: shards})
-	proc, err := NewCoordinator(p, testConfig(farm, shards))
+	cfg := testConfig(farm, shards)
+	var mu sync.Mutex
+	answered := 0
+	var foreign error
+	var proc *Coordinator
+	cfg.Engine.OnResult = func(r engine.Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		answered++
+		if foreign == nil && r.Snap != proc.Replica(proc.Owner(r.Src)) {
+			foreign = fmt.Errorf("%d->%d answered from epoch %d, not its owner's replica", r.Src, r.Dst, r.Snap.Epoch())
+		}
+	}
+	proc, err := NewCoordinator(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +372,11 @@ func TestProcSubmitBatchAndStats(t *testing.T) {
 		t.Fatal("no queries accepted")
 	}
 	proc.Drain()
+	mu.Lock()
+	if answered != accepted || foreign != nil {
+		t.Fatalf("OnResult received %d answers of %d accepted (%v)", answered, accepted, foreign)
+	}
+	mu.Unlock()
 	st := proc.Stats()
 	if st.Queries < int64(accepted) {
 		t.Fatalf("stats count %d queries, %d were accepted", st.Queries, accepted)
@@ -560,10 +712,12 @@ func TestProcTornCleanRunReadsZero(t *testing.T) {
 	}
 }
 
-// TestQueriesCountedOnceInBothModes: N Query + M ProbeQuery calls raise
-// Stats().Queries by exactly N+M through the in-process coordinator and
-// through the pipe-backed one — every answered query is counted once, by
-// the worker implementation that answered it.
+// TestQueriesCountedOnceInBothModes: N Query + M ProbeQuery calls and a
+// burst of B pairs raise Stats().Queries by exactly N+M+B through the
+// in-process coordinator and through the pipe-backed one — every answered
+// query is counted once, by the worker implementation that answered it —
+// and the serving counters of the burst's admission, Submitted, Dropped and
+// QueueDepth, read the same in both.
 func TestQueriesCountedOnceInBothModes(t *testing.T) {
 	const shards, nQuery, nProbe = 2, 7, 5
 	p := buildProvision(t, 12, 9)
@@ -580,8 +734,13 @@ func TestQueriesCountedOnceInBothModes(t *testing.T) {
 	defer wire.Close()
 
 	n := p.Graph.Order()
+	var burst []rbpc.Pair
+	for s := 0; s < n; s++ {
+		burst = append(burst, rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID((s + 2) % n)})
+	}
+	delta := map[string]engine.Stats{}
 	for name, c := range map[string]*shard.Coordinator{"in-process": inproc, "wire": wire.Coordinator} {
-		before := c.Stats().Queries
+		before := c.Stats()
 		for i := 0; i < nQuery; i++ {
 			if c.Query(graph.NodeID(i%n), graph.NodeID((i+3)%n)).Route == nil {
 				t.Fatalf("%s: query %d unroutable on a pristine network", name, i)
@@ -592,10 +751,26 @@ func TestQueriesCountedOnceInBothModes(t *testing.T) {
 				t.Fatalf("%s: probe %d unroutable on a pristine network", name, i)
 			}
 		}
-		if got := c.Stats().Queries - before; got != nQuery+nProbe {
-			t.Errorf("%s: %d Query + %d ProbeQuery raised Stats().Queries by %d, want %d",
-				name, nQuery, nProbe, got, nQuery+nProbe)
+		if got := c.SubmitBatch(slices.Clone(burst)); got != len(burst) {
+			t.Fatalf("%s: %d of %d pairs accepted", name, got, len(burst))
 		}
+		c.Drain()
+		after := c.Stats()
+		if got, want := after.Queries-before.Queries, int64(nQuery+nProbe+len(burst)); got != want {
+			t.Errorf("%s: %d Query + %d ProbeQuery + a burst of %d raised Stats().Queries by %d, want %d",
+				name, nQuery, nProbe, len(burst), got, want)
+		}
+		delta[name] = engine.Stats{
+			Submitted:  after.Submitted - before.Submitted,
+			Dropped:    after.Dropped - before.Dropped,
+			QueueDepth: after.QueueDepth,
+		}
+	}
+	in, wr := delta["in-process"], delta["wire"]
+	if in.Submitted != int64(len(burst)) || wr.Submitted != in.Submitted ||
+		wr.Dropped != in.Dropped || wr.QueueDepth != in.QueueDepth {
+		t.Errorf("serving counters disagree: in process submitted %d, dropped %d, queue %d; wire %d, %d, %d; want %d submitted",
+			in.Submitted, in.Dropped, in.QueueDepth, wr.Submitted, wr.Dropped, wr.QueueDepth, len(burst))
 	}
 }
 
@@ -876,10 +1051,10 @@ func TestBurstsAreAtomicOnEveryReplica(t *testing.T) {
 }
 
 // TestSelfPairVerdictMatchesInProcess: a pair whose source is its
-// destination has no route and is not unroutable — the engine says so for
-// a burst (serveBatch) as for a single query, and the worker's answer
-// batch must say the same, or the same burst raises Stats().Unroutable
-// over the wire and not in process.
+// destination has no route and is not unroutable — the engine's pool says
+// so for a burst as for a single query, in process and over a replica
+// alike, or the same burst raises Stats().Unroutable in one mode and not
+// the other.
 func TestSelfPairVerdictMatchesInProcess(t *testing.T) {
 	const shards = 2
 	p := buildProvision(t, 12, 9)
@@ -919,11 +1094,13 @@ func TestSelfPairVerdictMatchesInProcess(t *testing.T) {
 }
 
 // TestSharedBatchExactlyOnce is the pipe twin of the in-process test of
-// the same name: every client encodes its own part out of the one shared
-// slice, so each worker must answer exactly the pairs it was handed and
-// the cold tier exactly the rest — also while a worker is down, when its
-// part diverts and nobody answers it twice. A wire batch has no answer
-// callback; the per-worker Queries counters stand in.
+// the same name: every client's pool serves its own part out of the one
+// shared slice, so each worker's part must be answered exactly once and
+// the cold tier must answer exactly the rest — also when a worker dies
+// between the submit and the Drain (its part was admitted, and its pool
+// answers it from the last replica), and while a worker is down, when its
+// part diverts and nobody answers it twice. The per-worker Queries
+// counters count the answers.
 func TestSharedBatchExactlyOnce(t *testing.T) {
 	g := topology.Waxman(14, 0.8, 0.5, 9)
 	rcfg := rbpc.DefaultConfig()
@@ -961,10 +1138,27 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 			}
 		}
 		victim := -1
-		for round := 0; round < 2; round++ {
+		largest := 0
+		for i := range handed {
+			if handed[i] > handed[largest] {
+				largest = i
+			}
+		}
+		for round := 0; round < 3; round++ {
 			before := proc.Stats()
 			if got := proc.SubmitBatch(pairs); got != len(pairs) {
 				t.Fatalf("shards=%d round %d: %d of %d pairs accepted", shards, round, got, len(pairs))
+			}
+			if round == 1 {
+				// The worker with the largest part dies after its part was
+				// admitted, before the Drain.
+				farm.kill(largest)
+				for deadline := time.Now().Add(2 * time.Second); proc.Shard(largest).Alive() && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				if proc.Shard(largest).Alive() {
+					t.Fatalf("shards=%d: worker %d never marked dead", shards, largest)
+				}
 			}
 			proc.Drain()
 			after := proc.Stats()
@@ -988,31 +1182,17 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 			if got := after.Dropped - before.Dropped; got != 0 {
 				t.Errorf("shards=%d round %d: %d queries dropped", shards, round, got)
 			}
-			if round == 0 {
-				// Second round: the worker with the largest part is down.
-				victim = 0
-				for i := range handed {
-					if handed[i] > handed[victim] {
-						victim = i
-					}
-				}
-				farm.kill(victim)
-				for deadline := time.Now().Add(2 * time.Second); proc.Shard(victim).Alive() && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
-				if proc.Shard(victim).Alive() {
-					t.Fatalf("shards=%d: worker %d never marked dead", shards, victim)
-				}
+			if round == 1 {
+				victim = largest // the third round submits while it is down
 			}
 		}
 		proc.Close()
 	}
 }
 
-// TestSubmitBatchAllocs: over a pipe a burst costs the coordinator at most
-// one allocation per owner — the pending entry its answer settles against;
-// the frame is encoded straight out of the caller's slice into a reused
-// buffer.
+// TestSubmitBatchAllocs: over a pipe, as in process, a burst costs the
+// coordinator no allocation — each owner's client hands the caller's slice
+// to its pool, which answers it from the replica.
 func TestSubmitBatchAllocs(t *testing.T) {
 	const shards = 3
 	p := buildProvision(t, 14, 9)
@@ -1032,12 +1212,12 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	accepted := 0
 	submit := func() {
 		accepted += proc.SubmitBatch(pairs)
-		proc.Drain() // keeps the in-flight budget from filling
+		proc.Drain() // keeps the queues from filling
 	}
-	submit() // warm-up: frame buffers, the pending table
+	submit() // warm-up
 	drain := testing.AllocsPerRun(20, proc.Drain)
-	if a := testing.AllocsPerRun(20, submit) - drain; a > shards {
-		t.Errorf("SubmitBatch allocates %.1f times a burst over a pipe, want at most one per owner (%d)", a, shards)
+	if a := testing.AllocsPerRun(20, submit) - drain; a > 0 {
+		t.Errorf("SubmitBatch allocates %.1f times a burst over a pipe, want none", a)
 	}
 	if st := proc.Stats(); st.Queries != int64(accepted) || st.Dropped != 0 {
 		t.Errorf("%d queries answered and %d dropped of %d accepted", st.Queries, st.Dropped, accepted)

@@ -1,29 +1,26 @@
-// Package shardrpc moves the shard coordinator's workers out of process:
+// Package shardrpc moves the shard coordinator's writers out of process:
 // the same partition internal/shard serves from one address space — source
-// src on worker src mod N (shard.NewOwners) — served by N worker processes
-// over a length-prefixed binary protocol on Unix domain sockets. It is
-// transport only — codec, Conn, the socket client that implements
+// src on worker src mod N (shard.NewOwners) — written by N worker
+// processes over a length-prefixed binary protocol on Unix domain sockets.
+// It is transport only — codec, Conn, the socket client that implements
 // shard.Worker, the Worker server, the Fleet supervisor,
 // attach/reattach/health — under the one shard.Coordinator: NewCoordinator
 // dials the workers and hands them to it. The owner table, the slice each
-// worker owns (shard.SliceProvision), and the engines are byte-for-byte
-// the ones shard.New builds, so a
-// process-mode deployment answers bit-identically to `-shards N` (the
-// chaos lockstep oracle proves it over a pipe transport).
+// worker owns (shard.SliceProvision), and the epochs are byte-for-byte the
+// ones shard.New builds, so a process-mode deployment answers
+// bit-identically to `-shards N` (the chaos lockstep oracle proves it over
+// a pipe transport).
 //
-// Wire shape. Every frame is a fixed 20-byte header (magic, payload
-// length, sequence, type, flags, CRC-32C of the payload) followed by the
-// payload, all little-endian through encoding/binary, no JSON, and reused
-// buffers on both ends. A connection reads through one 64 KiB buffered
-// reader: a header and its payload, and under load several frames, arrive
-// in one read call, and a payload is handed out in place. The hot frames
-// (query batches out, answer batches back) encode and decode through
-// fixed-offset //rbpc:hotpath functions: zero allocations per query in the
-// steady state, verified by allocprove. A fixed-size frame (the hello, a
-// single query, the stats ack, the flush ack and the pong) is the
-// encoding/binary image of one value — the stats ack is engine.Stats
-// itself; the other cold frames (bursts, answers, snapshots) take the
-// ordinary append path.
+// Wire shape. The wire carries epochs, not queries. Every frame is a fixed
+// 20-byte header (magic, payload length, sequence, type, flags, CRC-32C of
+// the payload) followed by the payload, all little-endian through
+// encoding/binary, no JSON, and reused buffers on both ends. A connection
+// reads through one 64 KiB buffered reader: a header and its payload, and
+// often several frames, arrive in one read call, and a payload is handed
+// out in place. A fixed-size frame (the hello, the stats ack, the flush ack
+// and the pong) is the encoding/binary image of one value — the stats ack
+// is engine.Stats itself; bursts and snapshots take the ordinary append
+// path.
 //
 // Attach. Every connection opens with an attach frame, answered by the
 // worker's hello: its shard index and the shard count (which together fix
@@ -33,22 +30,22 @@
 // a worker that differs in any field — a route crosses as the IDs of its
 // LSPs, which name the same paths only over the same table.
 //
-// Traffic. Fail/repair bursts broadcast to every worker on its control
-// connection; workers push each published epoch back as an overlay-only
-// snapshot frame (engine.Snapshot.AppendWire — the canonical forest is
-// rebuilt once per process from the topology and never shipped, and a route
-// component is its LSP's ID, one u32), so the decoded replica is the
-// shard's current snapshot as the coordinator sees it, and View() merges
+// Traffic. A worker only writes. Fail/repair bursts broadcast to every
+// worker on its one connection; workers push each published epoch back as
+// an overlay-only snapshot frame (engine.Snapshot.AppendWire — under the
+// source-router scheme only a source's FEC table changes, so an epoch is
+// its overlay rows; the canonical table is rebuilt once per process from
+// the provision and never shipped, and a route component is its LSP's ID,
+// one u32). The decoded replica is the shard's current snapshot as the
+// coordinator sees it, over the provision's own network, and View() merges
 // replicas exactly the way it merges in-process snapshot pointers, still
-// refusing torn (disagreeing) epochs. Flush is
-// an explicit barrier frame: the worker's engine taps OnEpoch on its
-// writer goroutine, writing the snapshot frame on the control connection
-// before the flush ack, so a flush ack guarantees the coordinator's
-// replica is current. A query burst is shared, not partitioned: the
-// coordinator hands every owning worker's client the caller's slice, and
-// each encodes the pairs its worker owns straight into its frame (one
-// frame per owning worker per burst); answers demultiplex by sequence
-// number over per-worker connection pools.
+// refusing torn (disagreeing) epochs. Flush is an explicit barrier frame:
+// the worker's engine taps OnEpoch on its writer goroutine, writing the
+// snapshot frame before the flush ack, so a flush ack guarantees the
+// coordinator's replica is current. Queries, bursts of queries and probes
+// never cross the wire: each client answers its worker's sources from the
+// replica through an engine.Pool, the engine's own query pool, exactly as
+// an in-process shard answers from its engine's snapshot.
 //
 // Failure. Per-worker health checks, a configurable attach budget and ack
 // timeout with bounded retry, and crash diversion: while a worker is down its
@@ -75,16 +72,9 @@ import (
 // a net.Pipe.
 type Dialer func(worker int) (net.Conn, error)
 
-// queryConns is the query-connection pool each worker is dialed with, in
-// addition to its control connection; maxInflight bounds a worker's
-// un-acked query batches, beyond which a batch is shed at submit (counted
-// dropped); rpcRetries is how many times an RPC that outlived AckTimeout is
-// retried before its worker is declared dead.
-const (
-	queryConns  = 2
-	maxInflight = 256
-	rpcRetries  = 2
-)
+// rpcRetries is how many times an RPC that outlived AckTimeout is retried
+// before its worker is declared dead.
+const rpcRetries = 2
 
 // Config tunes the process-mode coordinator and its workers. Shards is the
 // routing contract — every process of a deployment must agree, and the
@@ -97,9 +87,12 @@ type Config struct {
 	Shards int
 	// Engine is the per-worker engine template; its Scheme must be
 	// engine.SchemeSource (the snapshot wire format ships overlays, not
-	// local plans — shard.SourceOnly). Engine.Fault ==
-	// engine.FaultTornFrame is the one fault the transport itself acts on
-	// (chaos harness only).
+	// local plans — shard.SourceOnly). Workers, QueueDepth and OnResult act
+	// at the coordinator, where every query is answered: they size and tap
+	// each client's query pool (engine.Pool), one per worker, as they size
+	// and tap each shard engine's in process. Engine.Fault ==
+	// engine.FaultTornFrame and engine.FaultPristineView are the faults the
+	// transport and its snapshot decoder act on (chaos harness only).
 	Engine engine.Config
 	// Dial opens a connection to a worker (required on the coordinator).
 	Dial Dialer
@@ -116,8 +109,8 @@ type Config struct {
 	// HealthEvery is the ping cadence per worker (default 1s; <0
 	// disables, which the deterministic chaos harness does).
 	HealthEvery time.Duration
-	// OnEpoch, when non-nil, observes every decoded replica snapshot in
-	// arrival order (the chaos flush oracle taps it).
+	// OnEpoch, when non-nil, observes every decoded snapshot that becomes
+	// a worker's replica, in arrival order (the chaos flush oracle taps it).
 	OnEpoch func(worker int, snap *engine.Snapshot)
 }
 
@@ -136,8 +129,7 @@ func (cfg Config) withDefaults() Config {
 
 // Coordinator is the process-mode front: the shard.Coordinator itself,
 // over socket clients, plus what only a transport has — replicas by
-// index, raw wire answers, torn-frame counts, and reattaching a
-// replacement worker.
+// index, torn-frame counts, and reattaching a replacement worker.
 type Coordinator struct {
 	*shard.Coordinator
 	w []*client
@@ -148,8 +140,9 @@ type Coordinator struct {
 // within the dial budget, or that answers for another deployment, fails
 // construction (post-construction crashes are survived, construction
 // requires a whole deployment). The full provision's
-// canonical matrix (SnapDecoder) decodes the workers' replicas here and,
-// in the coordinator, answers for the sources of a crashed worker.
+// canonical matrix (SnapDecoder) decodes the workers' replicas here, which
+// answer every query of their sources, and, in the coordinator, answers for
+// the sources of a crashed worker.
 func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dial == nil {
@@ -159,7 +152,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec, err := engine.NewSnapDecoder(p)
+	dec, err := engine.NewSnapDecoder(p, cfg.Engine.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -176,6 +169,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 			}
 			return nil, err
 		}
+		c.w[i].admit()
 	}
 	scfg := shard.Config{Shards: cfg.Shards, Engine: cfg.Engine}
 	c.Coordinator, err = shard.Over(p, scfg, owners, workers, dec)
@@ -206,17 +200,31 @@ func (c *Coordinator) Torn() int64 {
 	return n
 }
 
-// RemoteQuery exposes the raw single-query RPC to src's owner — the full
-// wire answer (epoch, failed-set, route) rather than the Result wrapper.
+// Answer is one pair's answer from its owner's replica: the epoch and
+// failed-set it was read under and the route (nil when unroutable).
+type Answer struct {
+	Epoch  uint64
+	Failed []graph.EdgeID
+	Route  *engine.Route
+}
+
+// RemoteQuery answers one pair from its owner's replica, counted as a
+// query, and fails while the owner is down (Query would divert the pair to
+// the cold tier). It is kept for the benchmark's per-layer probe.
 func (c *Coordinator) RemoteQuery(src, dst graph.NodeID) (Answer, error) {
-	return c.w[c.Owner(src)].remoteQuery(src, dst, 0, false)
+	cl := c.w[c.Owner(src)]
+	res, ok := cl.Query(src, dst)
+	if !ok {
+		return Answer{}, fmt.Errorf("shardrpc: worker %d is down", cl.idx)
+	}
+	return Answer{Epoch: res.Snap.Epoch(), Failed: res.Snap.Failed(), Route: res.Route}, nil
 }
 
 // Reattach dials a replacement for worker i (the supervisor calls this
 // after respawning the process) and resyncs it: a fresh worker is
-// pristine, so the coordinator's whole model failed-set is replayed as
-// one burst and flushed, after which the worker serves current epochs
-// and its sources leave the cold tier.
+// pristine and starts a new epoch line at 0, so the coordinator's whole
+// model failed-set is replayed as one burst and flushed into the replica.
+// Only then is the worker alive again and its sources leave the cold tier.
 func (c *Coordinator) Reattach(i int) error {
 	cl := c.w[i]
 	if err := cl.attachWithin(); err != nil {
@@ -229,6 +237,9 @@ func (c *Coordinator) Reattach(i int) error {
 		}
 		cl.Apply(evs)
 	}
-	_, err := cl.flush()
-	return err
+	if _, err := cl.flush(); err != nil {
+		return err
+	}
+	cl.admit()
+	return nil
 }

@@ -28,53 +28,26 @@ const (
 	// largest deployment fits in a fraction of this.
 	maxFrame = 64 << 20
 	// readBuffer is the size of a connection's buffered reader: one read
-	// call brings in a header with its payload, and usually several frames
-	// (a 512-pair answer batch is 4.6 KB). A frame that does not fit is
-	// read into the connection's own growable buffer instead.
+	// call brings in a header with its payload, and usually several frames.
+	// A frame that does not fit is read into the connection's own growable
+	// buffer instead.
 	readBuffer = 64 << 10
 )
 
 // Frame types. Direction is fixed per type; replies echo the request's
 // sequence number.
 const (
-	ftAttach      byte = 1  // coord→worker: flags = connection role
-	ftHello       byte = 2  // worker→coord: shard/topology contract
-	ftBurst       byte = 3  // coord→worker: fail/repair events
-	ftBurstAck    byte = 4  // worker→coord: events absorbed
-	ftSnapshot    byte = 5  // worker→coord: epoch overlay (unsolicited)
-	ftFlush       byte = 6  // coord→worker: barrier
-	ftFlushAck    byte = 7  // worker→coord: epoch after barrier
-	ftDrain       byte = 8  // coord→worker: settle queues
-	ftDrainAck    byte = 9  // worker→coord
-	ftQueryBatch  byte = 10 // coord→worker: src/dst pairs
-	ftAnswerBatch byte = 11 // worker→coord: per-pair verdicts
-	ftQuery       byte = 12 // coord→worker: one pair + optional probe edge
-	ftAnswer      byte = 13 // worker→coord: full route + epoch + probe verdict
-	ftStats       byte = 14 // coord→worker
-	ftStatsAck    byte = 15 // worker→coord: engine.Stats
-	ftPing        byte = 16 // coord→worker: health check
-	ftPong        byte = 17 // worker→coord
-)
-
-// Connection roles carried in the ftAttach flags byte.
-const (
-	roleControl byte = 0 // bursts, flush, stats, snapshots back
-	roleQuery   byte = 1 // query/answer traffic only
-)
-
-// Answer flag bits (ftAnswerBatch entries, ftAnswer). In an answer batch
-// ansRoutable is the negation of what Stats().Unroutable counts: a route
-// exists, or the pair is a self-pair, whose empty path costs 0 — the
-// engine does not count those unroutable either.
-const (
-	ansRoutable       byte = 1 << 0
-	ansDelivered      byte = 1 << 1
-	ansFailedContains byte = 1 << 2
-)
-
-// Frame-level flag bits.
-const (
-	flagShed byte = 1 << 0 // ftAnswerBatch: whole batch refused at admission
+	ftAttach   byte = 1  // coord→worker: opens the connection
+	ftHello    byte = 2  // worker→coord: shard/topology contract
+	ftBurst    byte = 3  // coord→worker: fail/repair events
+	ftBurstAck byte = 4  // worker→coord: events absorbed
+	ftSnapshot byte = 5  // worker→coord: epoch overlay (unsolicited)
+	ftFlush    byte = 6  // coord→worker: barrier
+	ftFlushAck byte = 7  // worker→coord: epoch after barrier
+	ftStats    byte = 8  // coord→worker
+	ftStatsAck byte = 9  // worker→coord: engine.Stats
+	ftPing     byte = 10 // coord→worker: health check
+	ftPong     byte = 11 // worker→coord
 )
 
 // Conn frames one transport connection. Reads are single-goroutine

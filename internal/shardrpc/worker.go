@@ -2,30 +2,26 @@ package shardrpc
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
-	"rbpc/internal/graph"
-	"rbpc/internal/probe"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/shard"
 )
 
-// Worker serves one shard of the pair space out of its own process: the
-// same engine over the same shard.SliceProvision slice the
-// in-process coordinator would build, fronted by the wire protocol. One
-// control connection carries bursts, barriers, and stats, and returns
-// every published epoch as an overlay snapshot frame; query connections
-// serve batches straight off the engine's current snapshot, each on its
-// own goroutine (the pool the coordinator dials is the worker's
-// parallelism).
+// Worker writes one shard of the pair space out of its own process: the
+// same engine over the same shard.SliceProvision slice the in-process
+// coordinator would build, fronted by the wire protocol. It only writes:
+// its one connection carries bursts in and every published epoch back as
+// an overlay snapshot frame, plus the flush barrier, stats and pings. The
+// coordinator answers every query from the replica it decodes, so the
+// worker's engine holds no network (it would forward nothing) and its
+// query pool stays idle.
 type Worker struct {
 	idx int
-	g   *graph.Graph
 	eng *engine.Engine
 
 	// control is the connection the epoch tap pushes snapshot frames to;
@@ -46,9 +42,12 @@ type Worker struct {
 
 // NewWorker builds the worker for shard idx of the deployment described
 // by cfg, slicing the full provision exactly the way shard.New does —
-// bit-identical engines are the whole point. The provision must be the
-// full export; the worker slices it itself so every process partitions
-// with the same owner table.
+// bit-identical epochs are the whole point — and dropping the slice's
+// network: the worker's snapshots forward nothing (Send answers
+// engine.ErrNoDataPlane), and a worker process that provisioned the
+// network for itself can let it go. The provision must be the full export;
+// the worker slices it itself so every process partitions with the same
+// owner table.
 func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	if idx < 0 || idx >= cfg.Shards {
@@ -61,9 +60,11 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{idx: idx, g: p.Graph}
+	w := &Worker{idx: idx}
 
 	ecfg := cfg.Engine
+	// The coordinator serves every query: the engine's pool stays idle.
+	ecfg.Workers, ecfg.QueueDepth, ecfg.OnResult = 1, 1, nil
 	userTap := cfg.Engine.OnEpoch
 	ecfg.OnEpoch = func(s *engine.Snapshot) {
 		w.pushSnapshot(s)
@@ -71,7 +72,9 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 			userTap(s)
 		}
 	}
-	eng, err := engine.New(shard.SliceProvision(p, owners, idx), ecfg)
+	slice := shard.SliceProvision(p, owners, idx)
+	slice.Net = nil
+	eng, err := engine.New(slice, ecfg)
 	if err != nil {
 		return nil, fmt.Errorf("shardrpc: worker %d engine: %w", idx, err)
 	}
@@ -123,13 +126,12 @@ func (w *Worker) Serve(l net.Listener) error {
 	}
 }
 
-// ServeConn serves one coordinator connection to completion (its role is
-// declared by the first frame). The chaos harness calls this directly
-// with pipe ends.
+// ServeConn serves one coordinator connection to completion; it opens with
+// an attach frame. The chaos harness calls this directly with pipe ends.
 func (w *Worker) ServeConn(nc net.Conn) error {
 	c := newConn(nc, &w.torn)
 	defer c.Close()
-	typ, role, _, _, err := c.ReadFrame()
+	typ, _, _, _, err := c.ReadFrame()
 	if err != nil {
 		return err
 	}
@@ -141,17 +143,11 @@ func (w *Worker) ServeConn(nc net.Conn) error {
 	if err := c.WriteFrame(ftHello, 0, 0, appendFixed(nil, h)); err != nil {
 		return err
 	}
-	switch role {
-	case roleControl:
-		w.control.Store(c)
-		// Prime the coordinator's replica so its view is whole before the
-		// first churn event.
-		w.pushSnapshot(w.eng.Snapshot())
-		return w.serveControl(c)
-	case roleQuery:
-		return w.serveQuery(c)
-	}
-	return fmt.Errorf("shardrpc: worker %d: unknown attach role %d", w.idx, role)
+	w.control.Store(c)
+	// Prime the coordinator's replica so its view is whole before the
+	// first churn event.
+	w.pushSnapshot(w.eng.Snapshot())
+	return w.serveControl(c)
 }
 
 // serveControl handles bursts, barriers, stats, and health checks. All
@@ -180,9 +176,6 @@ func (w *Worker) serveControl(c *Conn) error {
 			w.eng.Flush()
 			ackBuf = appendFixed(ackBuf[:0], w.eng.Snapshot().Epoch())
 			err = c.WriteFrame(ftFlushAck, 0, seq, ackBuf)
-		case ftDrain:
-			w.eng.Drain()
-			err = c.WriteFrame(ftDrainAck, 0, seq, nil)
 		case ftStats:
 			ackBuf = appendFixed(ackBuf[:0], w.eng.Stats())
 			err = c.WriteFrame(ftStatsAck, 0, seq, ackBuf)
@@ -190,114 +183,10 @@ func (w *Worker) serveControl(c *Conn) error {
 			ackBuf = appendFixed(ackBuf[:0], w.torn.Load())
 			err = c.WriteFrame(ftPong, 0, seq, ackBuf)
 		default:
-			return fmt.Errorf("shardrpc: worker %d: frame %d on control connection", w.idx, typ)
+			return fmt.Errorf("shardrpc: worker %d: unexpected frame %d", w.idx, typ)
 		}
 		if err != nil {
 			return err
 		}
 	}
-}
-
-// serveQuery answers query traffic on one pool connection: batches are
-// served inline off a single snapshot load (the pool's width, not a
-// queue, is the concurrency), single queries return the full route plus
-// the worker's own data-plane probe verdict.
-func (w *Worker) serveQuery(c *Conn) error {
-	var ansBuf []byte
-	order := w.g.Order()
-	for {
-		typ, _, seq, payload, err := c.ReadFrame()
-		if err != nil {
-			return err
-		}
-		switch typ {
-		case ftQueryBatch:
-			n, ok := queryBatchCount(payload)
-			if !ok {
-				return fmt.Errorf("shardrpc: worker %d: malformed query batch", w.idx)
-			}
-			ansBuf = grow(ansBuf, answerBatchSize(n))
-			w.serveBatch(payload, ansBuf, n, order)
-			err = c.WriteFrame(ftAnswerBatch, 0, seq, ansBuf)
-		case ftQuery:
-			var q query
-			if err := decodeFixed(payload, &q); err != nil {
-				return err
-			}
-			ansBuf = w.answerQuery(ansBuf[:0], q)
-			err = c.WriteFrame(ftAnswer, 0, seq, ansBuf)
-		case ftPing:
-			err = c.WriteFrame(ftPong, 0, seq, nil)
-		default:
-			return fmt.Errorf("shardrpc: worker %d: frame %d on query connection", w.idx, typ)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// serveBatch fills the pre-grown answer buffer for one query batch from
-// one snapshot load: per pair a row lookup, a flags byte, and the raw cost
-// bits — the steady-state serving path, allocation-free end to end. The
-// frame is served engine.ServeChunk pairs at a time through the engine's
-// own chunked lookup (Snapshot.Routes), so the route misses of a chunk
-// overlap instead of each pair's cost waiting on its own lookup. A pair
-// with a node outside the topology is looked up as the self-pair of node 0
-// and answered unroutable whatever that finds; a self-pair is answered with
-// the empty path, cost 0 — not unroutable, as the engine counts it.
-//
-//rbpc:hotpath
-func (w *Worker) serveBatch(payload, ansBuf []byte, n, order int) {
-	snap := w.eng.Snapshot()
-	fillAnswerCount(ansBuf, n)
-	var pairs [engine.ServeChunk]rbpc.Pair
-	var routes [engine.ServeChunk]*engine.Route
-	for base := 0; base < n; base += engine.ServeChunk {
-		m := min(n-base, engine.ServeChunk)
-		for i := 0; i < m; i++ {
-			src, dst := queryAt(payload, base+i)
-			if int(src) >= order || int(dst) >= order {
-				src, dst = 0, 0
-			}
-			pairs[i] = rbpc.Pair{Src: graph.NodeID(src), Dst: graph.NodeID(dst)}
-		}
-		snap.Routes(pairs[:m], routes[:m])
-		for i := 0; i < m; i++ {
-			src, dst := queryAt(payload, base+i)
-			var flags byte
-			var bits uint64
-			if int(src) < order && int(dst) < order {
-				if rt := routes[i]; rt != nil {
-					flags = ansRoutable
-					bits = math.Float64bits(rt.Cost)
-				} else if src == dst {
-					flags = ansRoutable
-				}
-			}
-			fillAnswerAt(ansBuf, base+i, flags, bits)
-		}
-	}
-}
-
-// answerQuery builds the full answer for a synchronous single query off
-// the current snapshot, including the verdict of the data-plane walk when
-// a probe edge rides along — only the worker owns the shard's real
-// forwarding plane, so it must be computed here, not at the coordinator.
-// The row is read directly, not through engine.Query: a query is counted
-// where its answer lands, on the client.
-func (w *Worker) answerQuery(buf []byte, q query) []byte {
-	src, dst := graph.NodeID(q.Src), graph.NodeID(q.Dst)
-	snap := w.eng.Snapshot()
-	res := engine.Result{Src: src, Dst: dst, Snap: snap}
-	order := w.g.Order()
-	if int(src) < order && int(dst) < order && src != dst {
-		res.Route = snap.Route(src, dst)
-	}
-	a := Answer{Epoch: snap.Epoch(), Failed: snap.Failed(), Route: res.Route}
-	a.Routable = res.Route != nil
-	if q.Probe != noEdge {
-		a.ProbeResult = probe.Verdict(res, graph.EdgeID(q.Probe))
-	}
-	return appendAnswer(buf, a)
 }

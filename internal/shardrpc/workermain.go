@@ -38,8 +38,10 @@ type WorkerOpts struct {
 	Shards int
 	Index  int
 
-	MaxProcs     int // GOMAXPROCS inside the worker (0 = inherit)
-	Workers      int // engine query workers
+	MaxProcs int // GOMAXPROCS inside the worker (0 = inherit)
+	// Workers and Queue cross in the spec and size nothing: a worker
+	// answers no query (Config.Engine sizes the coordinator's pools).
+	Workers      int
 	Queue        int
 	PlanCacheMax int
 }
@@ -170,14 +172,7 @@ func RunWorker(o WorkerOpts) error {
 	if err != nil {
 		return fmt.Errorf("shardrpc: worker %d: %w", o.Index, err)
 	}
-	cfg := Config{
-		Shards: o.Shards,
-		Engine: engine.Config{
-			Workers:      o.Workers,
-			QueueDepth:   o.Queue,
-			PlanCacheCap: o.PlanCacheMax,
-		},
-	}
+	cfg := Config{Shards: o.Shards, Engine: engine.Config{PlanCacheCap: o.PlanCacheMax}}
 	w, err := NewWorker(p, o.Index, cfg)
 	if err != nil {
 		return err

@@ -78,6 +78,12 @@ retired 'LocalScheme|EndRoute|EdgeBypass' "one name per local scheme"
 # The network a provision exports serves the graph it was built over: a
 # growth hook with no caller would pass every test.
 retired 'SyncNewEdges' "no growth hook on the network"
+# The wire carries epochs, not queries (DESIGN.md §14): the coordinator
+# answers every query, burst and probe from its replica through an
+# engine.Pool. The query, answer and drain frames, the per-worker query
+# connections and in-flight budget, and the client and worker code around
+# them would answer the same pairs the same way, only over a socket.
+retired 'ftQuery|ftAnswer|ftQueryBatch|ftAnswerBatch|ftDrain|ftDrainAck|roleQuery|queryConns|maxInflight|callBatch|sendBatch|settleBatch|scanUnroutable|remoteQuery|queryConn|snapFor|queryMetrics|batchBuf|serveQuery|answerQuery|fillOwnedBatch|queryBatchSize|answerBatchSize|appendAnswer|decodeAnswer' "the wire carries epochs, not queries"
 # One admission rule (DESIGN.md §14): the cold tier admits or sheds a burst's
 # cold part whole, from a pool and a queue bound that are constants. Its
 # retired knobs — the rbpc-serve flags, and a field that makes ColdConfig
@@ -392,11 +398,15 @@ go test -race -count=20 -run 'TestColdBurstIsOneUnit|TestColdShedsABurstWhole|Te
 
 # A forked fleet attaches as soon as its workers can answer, a respawned
 # worker reattaches on the listener it inherits, and a contract mismatch or a
-# hung worker fails inside the dial budget; the socket transport's timing
-# windows are exercised five times under the race detector.
-echo "==> fleet attach and the socket transport (-race, 5 runs)"
+# hung worker fails inside the dial budget; the coordinator answers from its
+# replicas — a burst exactly once, also when its owner dies before the
+# Drain, with the counters of in-process serving, and with the worker's own
+# data plane gone. The socket transport's timing windows are exercised five
+# times under the race detector.
+echo "==> fleet attach, the socket transport and replica serving (-race, 5 runs)"
 go test -race -count=5 -run 'TestFleetAttachesWithoutASleep' ./cmd/rbpc-serve/
-go test -race -count=5 -run 'TestProc' ./internal/shardrpc/
+go test -race -count=5 -run 'TestProc|TestSharedBatchExactlyOnce|TestQueriesCountedOnceInBothModes|TestSendWithoutDataPlane|TestSubmitBatchAllocs' ./internal/shardrpc/
+go test -race -count=5 -run 'TestReplicaSendMatchesEngine' ./internal/engine/
 
 echo "==> chaos conformance suite (long, -race, tagged)"
 go test -race -tags chaos -count=1 ./internal/chaos/
