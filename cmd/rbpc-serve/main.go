@@ -396,8 +396,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *shardProcs > 0:
 		// Each worker process is pinned to its share of the CPUs, so the
 		// fleet is the same machine -shards N runs on. Queries are answered
-		// here, from the replicas, by per-shard pools sized as -shards N
-		// sizes its engines'.
+		// here, from the replicas, by the coordinator's one pool, sized as
+		// under -shards N: the workers of N engines' pools together.
 		wo.Shards = nShards
 		wo.MaxProcs = ecfg.Workers
 		wo.PlanCacheMax = *planCache
@@ -485,9 +485,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *strict {
-		// The crash demo is exempt from the drop gate only: a killed worker
-		// legitimately sheds its in-flight batches, but its sources divert
-		// to the cold tier and must still be answered.
+		// The crash demo is exempt from the drop gate only: the batches a
+		// killed worker's sources had in flight are still answered, off its
+		// last replica, but while it is down its sources divert to the cold
+		// tier, which may legitimately shed a burst's part whole. They must
+		// still be routable.
 		dropsGated := *shardProcs <= 0 || *killAfter <= 0
 		switch {
 		case st.Unroutable > 0 || (dropsGated && st.Dropped > 0):

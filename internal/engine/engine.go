@@ -290,7 +290,7 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 
 	e.wg.Add(1)
 	go e.writer()
-	e.pool = NewPool(&e.snap, p.Serves, cfg)
+	e.pool = NewPool([]Source{e}, make([]uint8, p.Graph.Order()), cfg)
 	return e, nil
 }
 
@@ -399,26 +399,19 @@ func (e *Engine) Dist(src, dst graph.NodeID) float64 {
 	return e.snap.Load().oracle.Dist(src, dst)
 }
 
-// Submit enqueues one async query for the worker pool: a burst of one pair
-// (SubmitBatch). It reports false — without blocking — when the target
-// shard is full (the open-loop load shed).
+// Submit enqueues one async query: a burst of one pair (SubmitBatch). It
+// reports false, without blocking, when the burst is shed.
 func (e *Engine) Submit(src, dst graph.NodeID) bool {
-	return e.pool.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
+	return e.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
 }
 
-// SubmitBatch enqueues a burst of queries as one unit (Pool.SubmitBatch).
+// SubmitBatch enqueues a burst of queries as one unit (Pool.SubmitBatch):
+// it returns len(pairs), or 0 — without blocking — when the burst is shed
+// (the open-loop load shed).
 //
 //rbpc:hotpath
-func (e *Engine) SubmitBatch(pairs []rbpc.Pair) int { return e.pool.SubmitBatch(pairs) }
-
-// SubmitOwned is SubmitBatch for a burst this engine shares with others
-// (Pool.SubmitOwned): it answers the pairs whose source it materializes
-// (Snapshot.Materialized; a shard engine's rows are exactly the sources it
-// owns). Returns owned or 0.
-//
-//rbpc:hotpath
-func (e *Engine) SubmitOwned(pairs []rbpc.Pair, owned int) int {
-	return e.pool.SubmitOwned(pairs, owned)
+func (e *Engine) SubmitBatch(pairs []rbpc.Pair) int {
+	return e.pool.SubmitBatch(pairs, nil, len(pairs))
 }
 
 // Fail injects a link failure: a burst of one event. The epoch including it

@@ -12,19 +12,16 @@ import (
 )
 
 // Pool is the query side of the serving stack: synchronous queries and the
-// asynchronous worker pool that serves submitted bursts, over a snapshot
-// source it only reads. An Engine serves through one over its own published
-// snapshot; the process-mode coordinator (internal/shardrpc) serves through
-// one per worker over the replica it decodes off the wire, so a query
-// answers where it is asked, in either deployment, by the same code. The
-// pool keeps the serving counters — Queries, Unroutable, Submitted,
-// Dropped, QueueDepth and QueryLatency — of whoever owns it (Scrape).
+// asynchronous worker pool that serves submitted bursts, reading src's
+// pairs off src[slot[src]]. An Engine serves through one over its own
+// snapshot (every slot 0), the shard coordinator through one over every
+// shard's. The pool keeps the serving counters — Queries, Unroutable,
+// Submitted, Dropped, QueueDepth and QueryLatency — of its owner (Scrape).
 type Pool struct {
-	snap *atomic.Pointer[Snapshot]
-	// mat[src] is 1 when the snapshots serve a materialized row for src,
-	// else 0: the byte serveOwned advances its gather cursor by. Fixed at
-	// NewPool, like the rows it describes.
-	mat      []uint8
+	src []Source
+	// slot is fixed at NewPool. A value past the last source answers
+	// nothing: bursts must skip it, and Query must not be asked for it.
+	slot     []uint8
 	onResult func(Result)
 
 	// queries is sharded one channel per worker so concurrent submitters
@@ -43,29 +40,43 @@ type Pool struct {
 	mLatency    metrics.Histogram
 }
 
+// Source is what a pool reads snapshots from: an Engine, or a shard.Worker.
+type Source interface {
+	Snapshot() *Snapshot
+}
+
+// Slots is a set of slot values, one bit each: the slots whose pairs a
+// shared burst leaves to someone else (SubmitBatch).
+type Slots [4]uint64
+
+// Add puts slot i in the set.
+func (s *Slots) Add(i int) { s[i/64] |= 1 << (i % 64) }
+
+// Has reports whether slot i is in the set.
+//
+//rbpc:hotpath
+func (s *Slots) Has(i uint8) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
 // queryReq is one admission unit of the query queues: a burst of pairs
-// stamped with one timestamp and served from one snapshot load, or a Drain
-// barrier.
+// stamped with one timestamp, or a Drain barrier.
 type queryReq struct {
 	at    time.Time
 	batch []rbpc.Pair
-	// owned, when non-zero, marks batch as shared with other pools
-	// (SubmitOwned): only the pairs whose source this pool materializes
-	// are this pool's to answer, and there are owned of them.
-	owned int
+	// skip names the slots whose pairs are someone else's (SubmitBatch);
+	// nil on a one-source pool's burst, served whole off one snapshot load.
+	skip *Slots
 	// drain, when non-nil, is a Drain barrier: the worker closes it after
 	// serving everything queued ahead of it. No query is attached.
 	drain chan struct{}
 }
 
-// NewPool starts cfg.Workers query workers (default 4) behind queues that
-// hold cfg.QueueDepth bursts in total (default 4096), answering off
-// whatever snapshot snap holds when a burst is served; snap must hold one
-// before the first query. serves marks the sources whose rows the snapshots
-// materialize (rbpc.Provision.Serves of the provision they serve).
+// NewPool starts a pool over srcs and the slot table; every source must
+// hold a snapshot before the first query. It runs len(srcs) × cfg.Workers
+// query workers (default 4) behind queues that hold len(srcs) ×
+// cfg.QueueDepth bursts in total (default 4096): an engine's pool a source.
 // cfg.OnResult receives every asynchronous answer; the pool reads no other
 // field.
-func NewPool(snap *atomic.Pointer[Snapshot], serves []bool, cfg Config) *Pool {
+func NewPool(srcs []Source, slot []uint8, cfg Config) *Pool {
 	workers, depth := cfg.Workers, cfg.QueueDepth
 	if workers < 1 {
 		workers = 4
@@ -73,17 +84,13 @@ func NewPool(snap *atomic.Pointer[Snapshot], serves []bool, cfg Config) *Pool {
 	if depth < 1 {
 		depth = 4096
 	}
+	workers, depth = workers*len(srcs), depth*len(srcs)
 	p := &Pool{
-		snap:     snap,
-		mat:      make([]uint8, len(serves)),
+		src:      srcs,
+		slot:     slot,
 		onResult: cfg.OnResult,
 		queries:  make([]chan queryReq, workers),
 		done:     make(chan struct{}),
-	}
-	for src, served := range serves {
-		if served {
-			p.mat[src] = 1
-		}
 	}
 	// Each worker owns one shard; per-shard depth splits the depth so the
 	// configured bound stays the total in-flight budget.
@@ -95,12 +102,13 @@ func NewPool(snap *atomic.Pointer[Snapshot], serves []bool, cfg Config) *Pool {
 	return p
 }
 
-// Query answers synchronously from the current snapshot: lock-free and
-// allocation-free. The result's Route is nil for unroutable pairs.
+// Query answers synchronously from src's source's current snapshot:
+// lock-free and allocation-free. The result's Route is nil for unroutable
+// pairs.
 //
 //rbpc:hotpath
 func (p *Pool) Query(src, dst graph.NodeID) Result {
-	s := p.snap.Load()
+	s := p.src[p.slot[src]].Snapshot()
 	r := s.Route(src, dst)
 	key := uint64(src)*0x9e3779b1 + uint64(dst)
 	p.mQueries.Add(key, 1)
@@ -111,30 +119,16 @@ func (p *Pool) Query(src, dst graph.NodeID) Result {
 }
 
 // SubmitBatch enqueues a whole burst of queries with one timestamp and one
-// channel operation; the receiving worker serves the entire burst from a
-// single snapshot load. The pool takes ownership of pairs — the caller
-// must not reuse the slice. Returns the number of queries accepted: the
-// burst is admitted or shed as a unit, so the result is len(pairs) or 0.
+// channel operation; the receiving worker serves it from one snapshot load
+// a source. The pool takes ownership of pairs, which it only reads, so the
+// slice may be shared. The pairs whose slot is in skip (which must not
+// change; nil, every pair, only on a one-source pool) are someone else's; n
+// counts the rest, for admission, Submitted and Dropped. Returns n or 0:
+// the burst is admitted or shed as a unit.
 //
 //rbpc:hotpath
-func (p *Pool) SubmitBatch(pairs []rbpc.Pair) int {
-	return p.enqueue(queryReq{batch: pairs}, len(pairs))
-}
-
-// SubmitOwned is SubmitBatch for a burst this pool shares with others —
-// the shard coordinator hands every worker the caller's slice itself
-// instead of a copy of its part. The pool answers the pairs whose source
-// it materializes and skips the rest; owned is how many those are,
-// counted by the caller, and admission, Submitted and Dropped are counted
-// in it. The slice is only ever read, so pools serving it concurrently do
-// not race. Returns owned or 0.
-//
-//rbpc:hotpath
-func (p *Pool) SubmitOwned(pairs []rbpc.Pair, owned int) int {
-	if owned == len(pairs) {
-		return p.SubmitBatch(pairs) // nothing to skip: the plain loop serves it
-	}
-	return p.enqueue(queryReq{batch: pairs, owned: owned}, owned)
+func (p *Pool) SubmitBatch(pairs []rbpc.Pair, skip *Slots, n int) int {
+	return p.enqueue(queryReq{batch: pairs, skip: skip}, n)
 }
 
 // enqueue admits or sheds one burst of n queries as a unit.
@@ -169,8 +163,8 @@ func (p *Pool) queryWorker(id uint64) {
 				close(q.drain)
 				continue
 			}
-			if q.owned != 0 {
-				p.serveOwned(id, q)
+			if q.skip != nil {
+				p.serveSlots(id, q)
 				continue
 			}
 			p.serveBatch(id, q)
@@ -203,6 +197,13 @@ func (s *Snapshot) Routes(pairs []rbpc.Pair, routes []*Route) (unroutable int64,
 	for i, pr := range pairs {
 		routes[i] = s.Route(pr.Src, pr.Dst)
 	}
+	return tally(pairs, routes)
+}
+
+// tally is the second pass of Routes: pairs[i]'s route is routes[i].
+//
+//rbpc:hotpath
+func tally(pairs []rbpc.Pair, routes []*Route) (unroutable int64, via Scheme) {
 	for i, pr := range pairs {
 		if r := routes[i]; r != nil {
 			via |= r.Via
@@ -213,15 +214,14 @@ func (s *Snapshot) Routes(pairs []rbpc.Pair, routes []*Route) (unroutable int64,
 	return unroutable, via
 }
 
-// serveBatch answers a submitted burst: one snapshot load and one latency
-// record cover every pair, so the per-query cost is a row lookup plus an
-// amortized share of the channel and clock overhead. (Not hotpath-annotated:
-// the optional OnResult callback is the caller's code, whose allocations no
-// escape analysis of this body can see; the per-candidate work is all in
-// annotated callees.) The burst is served serveChunk pairs at a time
-// (Snapshot.Routes).
+// serveBatch answers a burst with no skipped slot off one source: one
+// snapshot load and one latency record cover every pair. (Not
+// hotpath-annotated: the optional OnResult callback is the caller's code,
+// whose allocations no escape analysis of this body can see; the
+// per-candidate work is all in annotated callees.) The burst is served
+// serveChunk pairs at a time (Snapshot.Routes).
 func (p *Pool) serveBatch(id uint64, q queryReq) {
-	s := p.snap.Load()
+	s := p.src[0].Snapshot()
 	var unroutable int64
 	for rest := q.batch; len(rest) > 0; {
 		chunk := rest[:min(len(rest), serveChunk)]
@@ -229,32 +229,6 @@ func (p *Pool) serveBatch(id uint64, q queryReq) {
 		unroutable += p.answerChunk(s, chunk)
 	}
 	p.settle(id, q.at, int64(len(q.batch)), unroutable)
-}
-
-// serveOwned is serveBatch for a burst shared with other pools
-// (SubmitOwned): it gathers the pairs whose source this pool materializes
-// into a chunk and answers each full chunk the same way. The gather has no
-// branch on ownership — every pair is stored, and the cursor advances by
-// the source's byte in p.mat — because the owners of a random burst are a
-// coin flip, and a mispredicted skip per pair costs more than the answer's
-// own lookup.
-func (p *Pool) serveOwned(id uint64, q queryReq) {
-	s := p.snap.Load()
-	var unroutable, served int64
-	var own [serveChunk]rbpc.Pair
-	mat, k := p.mat, 0
-	for _, pr := range q.batch {
-		own[k] = pr
-		k += int(mat[pr.Src])
-		if k == serveChunk {
-			unroutable += p.answerChunk(s, own[:])
-			served += serveChunk
-			k = 0
-		}
-	}
-	unroutable += p.answerChunk(s, own[:k])
-	served += int64(k)
-	p.settle(id, q.at, served, unroutable)
 }
 
 // answerChunk resolves at most serveChunk pairs off one snapshot and
@@ -265,6 +239,54 @@ func (p *Pool) answerChunk(s *Snapshot, chunk []rbpc.Pair) int64 {
 	if p.onResult != nil {
 		for i, pr := range chunk {
 			p.onResult(Result{Src: pr.Src, Dst: pr.Dst, Route: routes[i], Snap: s})
+		}
+	}
+	runtime.KeepAlive(via)
+	return unroutable
+}
+
+// serveSlots is serveBatch for a burst with skipped slots: the pairs of the
+// others are gathered, each beside its source's snapshot, into chunks. The
+// gather has no branch on the slot — the cursor advances by its byte in
+// keep — because the slots of a random burst are a coin flip, and a
+// mispredicted skip per pair costs more than the answer's own lookup.
+func (p *Pool) serveSlots(id uint64, q queryReq) {
+	var snaps [256]*Snapshot
+	var keep [256]uint8
+	for i, src := range p.src {
+		if !q.skip.Has(uint8(i)) {
+			snaps[i], keep[i] = src.Snapshot(), 1
+		}
+	}
+	var unroutable, served int64
+	var own [serveChunk]rbpc.Pair
+	var at [serveChunk]*Snapshot
+	slot, k := p.slot, 0
+	for _, pr := range q.batch {
+		i := slot[pr.Src]
+		own[k], at[k] = pr, snaps[i]
+		k += int(keep[i])
+		if k == serveChunk {
+			unroutable += p.answerEach(&at, own[:])
+			served += serveChunk
+			k = 0
+		}
+	}
+	unroutable += p.answerEach(&at, own[:k])
+	served += int64(k)
+	p.settle(id, q.at, served, unroutable)
+}
+
+// answerEach is answerChunk with a snapshot a pair: at[i] answers chunk[i].
+func (p *Pool) answerEach(at *[serveChunk]*Snapshot, chunk []rbpc.Pair) int64 {
+	var routes [serveChunk]*Route
+	for i, pr := range chunk {
+		routes[i] = at[i].Route(pr.Src, pr.Dst)
+	}
+	unroutable, via := tally(chunk, routes[:len(chunk)])
+	if p.onResult != nil {
+		for i, pr := range chunk {
+			p.onResult(Result{Src: pr.Src, Dst: pr.Dst, Route: routes[i], Snap: at[i]})
 		}
 	}
 	runtime.KeepAlive(via)
@@ -312,19 +334,17 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// Scrape sets st's serving fields to the pool's counters: Queries,
-// Unroutable, Submitted, Dropped, QueueDepth (the queue entries in flight
-// across every worker shard — a burst counts once: it measures backlog
-// pressure, not queries) and QueryLatency.
+// Scrape adds the pool's counters to st's serving fields — Queries,
+// Unroutable, Submitted, Dropped and QueueDepth (the queue entries in
+// flight across every worker shard — a burst counts once: it measures
+// backlog pressure, not queries) — and sets st.QueryLatency to its own.
 func (p *Pool) Scrape(st *Stats) {
-	depth := 0
 	for _, ch := range p.queries {
-		depth += len(ch)
+		st.QueueDepth += int64(len(ch))
 	}
-	st.Queries = p.mQueries.Load()
-	st.Unroutable = p.mUnroutable.Load()
-	st.Submitted = p.mSubmitted.Load()
-	st.Dropped = p.mDropped.Load()
-	st.QueueDepth = int64(depth)
+	st.Queries += p.mQueries.Load()
+	st.Unroutable += p.mUnroutable.Load()
+	st.Submitted += p.mSubmitted.Load()
+	st.Dropped += p.mDropped.Load()
 	st.QueryLatency = p.mLatency.Summarize()
 }

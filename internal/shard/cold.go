@@ -52,11 +52,12 @@ type coldReq struct {
 	src, dst graph.NodeID
 	snap     *engine.Snapshot
 	reply    chan engine.Result
-	// burst is one of c's bursts, shared read-only with c's workers: the
-	// pairs of it whose slot is in divert are this unit's.
+	// burst is one of c's bursts, shared read-only with c's pool: the
+	// pairs of it whose slot is in divert — the set the pool skips — are
+	// this unit's.
 	burst  []rbpc.Pair
 	c      *Coordinator
-	divert slotSet
+	divert *engine.Slots
 	// drain is closed by the worker once everything queued ahead is answered.
 	drain chan struct{}
 }
@@ -171,7 +172,7 @@ func (t *ColdTier) worker(queue chan coldReq) {
 func (t *ColdTier) serveBurst(w *coldWorker, req coldReq) {
 	c := req.c
 	for _, pr := range req.burst {
-		if !req.divert.has(c.slot[pr.Src]) {
+		if !req.divert.Has(c.slot[pr.Src]) {
 			continue
 		}
 		res := t.answer(w, pr.Src, pr.Dst, c.coldSnap(c.Owner(pr.Src)))

@@ -17,27 +17,33 @@ import (
 )
 
 // Coordinator fronts N shard workers: it partitions the provisioned pair
-// space by source (the owner table, NewOwners), routes queries and
-// submissions to owners,
-// fans failure/repair bursts out to every worker, and merges per-worker
-// state into consistent cross-shard views and stats. It is the thin
-// layer — all serving and epoch building happens inside the workers'
-// engines — and the only one: the same coordinator runs over in-process
-// engines (New) and over worker processes (internal/shardrpc, through
-// Over). The query path takes no lock; the one mutex orders bursts and
-// guards the failed-set model they fold into.
+// space by source (the owner table, NewOwners), fans failure/repair bursts
+// out to every worker, answers every query from its owner's snapshot
+// through one query pool, and merges per-worker state into consistent
+// cross-shard views and stats. The workers only write — every epoch is
+// built inside their engines — and the same coordinator runs over
+// in-process engines (New) and over worker processes (internal/shardrpc,
+// through Over). The query path takes no lock; the one mutex orders bursts
+// and guards the failed-set model they fold into.
 type Coordinator struct {
 	owners Owners
 	w      []Worker
-	cold   *ColdTier
+	// pool answers live workers' sources off their snapshots, by slot.
+	pool *engine.Pool
+	cold *ColdTier
 	// skew is the injected FaultSkewShard: worker 0 never learns of churn.
 	skew bool
 	// slot folds materialization into ownership, for one table probe per
 	// pair: a source with a materialized serving row reads its owner's
 	// index, every other source reads len(w), the cold slot.
 	// Materialization is static (the overlay only ever diverges
-	// provisioned rows), so the table answers for every epoch.
+	// provisioned rows), so the table answers for every epoch. It is the
+	// pool's slot table.
 	slot []uint8
+	// coldOnly is a burst's skipped slots while every worker is alive.
+	coldOnly engine.Slots
+	// prim is the provision's primary mask (AffectedPairs).
+	prim []bool
 	// dec builds detached snapshots of the model for cold solves while an
 	// owner is down. Nil in process: an engine is never down, and the
 	// in-process shape does not pay for a second canonical matrix.
@@ -60,11 +66,12 @@ type Coordinator struct {
 }
 
 // New partitions the provision across cfg.Shards in-process engines and
-// starts them. Each shard serves only the sources it owns (engine rows are
-// allocated per served source, so unowned — and unprovisioned cold —
-// sources cost it nothing); graph, base set, LSP table and network are
-// shared, and every engine only reads them. The provision must be
-// servable, as for engine.New.
+// starts them. Each shard writes only the rows of the sources it owns
+// (engine rows are allocated per served source, so unowned — and
+// unprovisioned cold — sources cost it nothing), with an idle query pool
+// (WriterConfig); graph, base set, LSP table and network are shared, and
+// every engine only reads them. The provision must be servable, as for
+// engine.New.
 func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	if err := SourceOnly(cfg.Engine.Scheme); err != nil {
 		return nil, err
@@ -75,7 +82,7 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	}
 	workers := make([]Worker, cfg.Shards)
 	for i := range workers {
-		eng, err := engine.New(SliceProvision(p, owners, i), cfg.Engine)
+		eng, err := engine.New(SliceProvision(p, owners, i), WriterConfig(cfg.Engine))
 		if err != nil {
 			for _, w := range workers[:i] {
 				w.Close()
@@ -100,10 +107,11 @@ func SourceOnly(s engine.Scheme) error {
 }
 
 // Over assembles the coordinator over already-running workers, one per
-// shard, each serving SliceProvision(p, owners, i); owners is the owner
-// table over p's nodes (NewOwners). dec is required when a worker can be
-// down (it cuts the detached snapshots their sources are then solved
-// against) and nil otherwise. A non-source cfg.Engine.Scheme is an error
+// shard, each writing SliceProvision(p, owners, i); owners is the owner
+// table over p's nodes (NewOwners). It starts the query pool over the
+// workers' snapshots. dec is required when a worker can be down (it cuts
+// the detached snapshots their sources are then solved against) and nil
+// otherwise. A non-source cfg.Engine.Scheme is an error
 // (SourceOnly), and so is a provision the cold tier cannot answer from
 // (rbpc.Provision.Servable).
 func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *engine.SnapDecoder) (*Coordinator, error) {
@@ -127,15 +135,23 @@ func Over(p rbpc.Provision, cfg Config, owners Owners, workers []Worker, dec *en
 			slot[src] = o
 		}
 	}
-	return &Coordinator{
+	srcs := make([]engine.Source, len(workers))
+	for i, w := range workers {
+		srcs[i] = w
+	}
+	c := &Coordinator{
 		owners: owners,
 		w:      workers,
+		pool:   engine.NewPool(srcs, slot, cfg.Engine),
 		cold:   newColdTier(p.Base, p.BaseLSPs, cfg.Engine.OnResult),
 		skew:   cfg.Engine.Fault == engine.FaultSkewShard,
 		slot:   slot,
+		prim:   p.PrimaryMask(),
 		dec:    dec,
 		model:  make(map[graph.EdgeID]bool),
-	}, nil
+	}
+	c.coldOnly.Add(len(workers))
+	return c, nil
 }
 
 // SliceProvision returns the provision slice shard i serves under the
@@ -167,11 +183,12 @@ func (c *Coordinator) Shard(i int) Worker { return c.w[i] }
 func (c *Coordinator) Owner(src graph.NodeID) int { return int(c.owners[src]) }
 
 // route is the table read every query starts with: src's owner, and
-// whether that owner holds a materialized row for it.
+// whether the pool answers src (the owner is alive and holds src's row).
 //
 //rbpc:hotpath
 func (c *Coordinator) route(src graph.NodeID) (owner int, hot bool) {
-	return int(c.owners[src]), int(c.slot[src]) < len(c.w)
+	owner = int(c.owners[src])
+	return owner, int(c.slot[src]) < len(c.w) && c.w[owner].Alive()
 }
 
 // Fail fans a link failure out to every worker (each needs full failure
@@ -268,18 +285,14 @@ func (c *Coordinator) coldSnap(owner int) *engine.Snapshot {
 	return s
 }
 
-// Query answers synchronously, routed by ownership. A materialized
-// source of a live worker is a lock-free row read of the worker's
-// snapshot — its engine's in process, the decoded replica of its epochs in
-// process mode; no query crosses a wire. Never-materialized sources and the
-// sources of a worker that is down go through the admission-controlled
-// cold tier (see coldSnap).
+// Query answers synchronously, routed by ownership. A materialized source
+// of a live worker is a lock-free row read of its snapshot, through the
+// pool; never-materialized sources and the sources of a worker that is
+// down go through the admission-controlled cold tier (see coldSnap).
 func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
 	owner, hot := c.route(src)
 	if hot {
-		if res, ok := c.w[owner].Query(src, dst); ok {
-			return res
-		}
+		return c.pool.Query(src, dst)
 	}
 	return c.cold.Query(src, dst, c.coldSnap(owner))
 }
@@ -293,9 +306,7 @@ func (c *Coordinator) Query(src, dst graph.NodeID) engine.Result {
 func (c *Coordinator) ProbeQuery(src, dst graph.NodeID, ed graph.EdgeID) probe.ProbeResult {
 	owner, hot := c.route(src)
 	if hot {
-		if res, ok := c.w[owner].Query(src, dst); ok {
-			return probe.Verdict(res, ed)
-		}
+		return probe.Verdict(c.pool.Query(src, dst), ed)
 	}
 	snap := c.coldSnap(owner)
 	routable := c.cold.Query(src, dst, snap).Route != nil
@@ -312,53 +323,38 @@ func (c *Coordinator) Submit(src, dst graph.NodeID) bool {
 	return c.SubmitBatch([]rbpc.Pair{{Src: src, Dst: dst}}) == 1
 }
 
-// SubmitBatch shares a burst among its owners: one pass counts each
-// slot's pairs, then every live worker with a non-zero count is handed the
-// caller's slice itself and its count, and serves the pairs it owns out of
-// it. Nothing is copied, allocated or queued beyond that slice; the price
-// is that every worker scans the whole burst (DESIGN.md, the sharded read
-// path). The pairs of non-materialized sources and of workers that are
-// down divert to the cold tier, which is handed the same slice once, with
-// the set of diverted slots and their count. The coordinator takes
-// ownership of pairs — it is read, never written, from here on. Returns
-// the number of queries accepted: each worker, and the cold tier, admits
-// or sheds its part as a unit.
+// SubmitBatch splits a burst between the pool and the cold tier without
+// copying it: one pass counts each slot's pairs, then both are handed the
+// caller's slice and the set of diverted slots — the cold slot, and the
+// slot of every worker that is down — which the pool skips and the cold
+// tier answers. While every worker is alive nothing is allocated. The
+// coordinator takes ownership of pairs, which are only read from here on.
+// Returns the number of queries accepted: the pool and the cold tier each
+// admit or shed their part as a unit.
 func (c *Coordinator) SubmitBatch(pairs []rbpc.Pair) int {
 	if len(pairs) == 0 {
 		return 0
 	}
 	var counts [MaxShards + 1]int32
 	countSlots(pairs, c.slot, &counts)
-	// A slot diverts when no live worker answers for it: the cold slot, and
-	// the slot of every worker that is down.
-	var divert slotSet
-	cold := len(c.w)
-	divert.add(cold)
-	diverted := int(counts[cold])
-	accepted := 0
+	skip := &c.coldOnly
+	diverted := int(counts[len(c.w)])
 	for i, w := range c.w {
-		switch {
-		case counts[i] == 0:
-		case w.Alive():
-			accepted += w.SubmitBatch(pairs, int(counts[i]))
-		default:
-			divert.add(i)
+		if counts[i] != 0 && !w.Alive() {
+			if skip == &c.coldOnly {
+				skip = new(engine.Slots)
+				*skip = c.coldOnly
+			}
+			skip.Add(i)
 			diverted += int(counts[i])
 		}
 	}
-	if diverted != 0 && c.cold.admit(coldReq{burst: pairs, c: c, divert: divert}, diverted) {
+	accepted := c.pool.SubmitBatch(pairs, skip, len(pairs)-diverted)
+	if diverted != 0 && c.cold.admit(coldReq{burst: pairs, c: c, divert: skip}, diverted) {
 		accepted += diverted
 	}
 	return accepted
 }
-
-// slotSet is a set of the coordinator's slots — the workers' indices and
-// the cold slot, len(w) — one bit a slot.
-type slotSet [(MaxShards + 64) / 64]uint64
-
-func (s *slotSet) add(i int) { s[i/64] |= 1 << (i % 64) }
-
-func (s *slotSet) has(i uint8) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 // countSlots is SubmitBatch's one pass over a burst: how many pairs fall
 // to each slot. An increment through a table probe, no branch on the owner
@@ -371,15 +367,11 @@ func countSlots(pairs []rbpc.Pair, slot []uint8, counts *[MaxShards + 1]int32) {
 	}
 }
 
-// AffectedPairs returns the served pairs whose primary crosses the link:
-// the union of the workers' slices' lists — disjoint by ownership, so no
-// pair appears twice.
+// AffectedPairs returns, (src, dst)-sorted, the served pairs whose primary
+// crosses the link (rbpc.AffectedPairs over the whole provision): a lone
+// engine's list, in its order.
 func (c *Coordinator) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
-	var out []graph.NodePair
-	for _, w := range c.w {
-		out = append(out, w.AffectedPairs(ed)...)
-	}
-	return out
+	return rbpc.AffectedPairs(c.cold.base, c.prim, ed)
 }
 
 // RecordRestore records one observed time-to-restore (Stats.Restore).
@@ -460,23 +452,23 @@ func failedSetsAgree(snaps []*engine.Snapshot) bool {
 }
 
 // Drain blocks until every query submitted before the call has been
-// served by its worker or the cold tier.
+// served by the pool or the cold tier.
 func (c *Coordinator) Drain() {
-	for _, w := range c.w {
-		w.Drain()
-	}
+	c.pool.Drain()
 	c.cold.Drain()
 }
 
-// Close stops every worker and the cold tier.
+// Close stops the pool, every worker and the cold tier.
 func (c *Coordinator) Close() {
+	c.pool.Close()
 	for _, w := range c.w {
 		w.Close()
 	}
 	c.cold.Close()
 }
 
-// Stats merges the workers' scrapes (see MergeStats) and overlays the
+// Stats merges the workers' scrapes (see MergeStats), adds the pool's
+// serving counters — the workers answer no query — and overlays the
 // coordinator's own time-to-restore histogram.
 func (c *Coordinator) Stats() Stats {
 	perShard := make([]engine.Stats, len(c.w))
@@ -484,6 +476,7 @@ func (c *Coordinator) Stats() Stats {
 		perShard[i] = w.Stats()
 	}
 	st := MergeStats(perShard, c.Watermark(), c.cold.Stats())
+	c.pool.Scrape(&st.Stats)
 	st.Restore = c.restore.Summarize()
 	return st
 }

@@ -1,5 +1,5 @@
 // Package shard partitions the pair space by source across N independent
-// serving shards, each an internal/engine instance owning one slice of
+// writing shards, each an internal/engine instance owning one slice of
 // the sources — the scale-out layer that takes the single-writer engine
 // to full-size topologies.
 //
@@ -8,12 +8,12 @@
 // affected pairs group by source, every serving row is per-source, and a
 // shard can therefore run its own writer, plan cache, and epoch sequence
 // over its slice without ever coordinating with its peers on the hot
-// path. Source src belongs to shard src mod N (the owner table, NewOwners),
-// which routes queries and submissions to owners; the Coordinator fans
-// failure/repair bursts out to every shard (each needs full
-// failure knowledge to rebuild its rows), tracks per-shard epoch
-// watermarks, and exposes a merged snapshot view (View) that never
-// returns a torn cross-shard epoch.
+// path. Source src belongs to shard src mod N (the owner table, NewOwners).
+// The Coordinator fans failure/repair bursts out to every shard (each
+// needs full failure knowledge to rebuild its rows), answers every query
+// through one engine.Pool over all the shards' snapshots (a pair's answer
+// is its source's row), tracks per-shard epoch watermarks, and exposes a
+// merged snapshot view (View) that never returns a torn cross-shard epoch.
 //
 // Engine snapshots share one canonical matrix and carry only per-source
 // divergence rows, and sources outside a shard's slice or the provisioned
@@ -22,13 +22,14 @@
 // on-demand tier (see cold.go) that reads them off the base set the way the
 // writer does — Corollary 4 guarantees an optimal-cost concatenation exists
 // for any connected pair, and core.Pull finds it from the source's
-// post-failure distance row. The coordinator admits the tier as one more
-// slot beside its workers: a burst's cold part, like a worker's part, is
-// one queue entry, admitted or shed whole.
+// post-failure distance row. The coordinator admits the tier beside its
+// query pool: a burst's cold part, like the pool's part, is one queue
+// entry, admitted or shed whole.
 //
 // The Coordinator is deployment-agnostic: it talks to its shards through
-// the Worker seam (worker.go), which has exactly two implementations —
-// a direct *engine.Engine adapter here (New) and the socket client of
+// the Worker seam (worker.go) — the writes and the snapshots they publish,
+// no query — which has exactly two implementations: a direct
+// *engine.Engine adapter here (New) and the socket client of
 // internal/shardrpc, whose workers are separate processes. The owner table
 // is a pure function of the shard count and the topology's order, so
 // remote processes agree on ownership without coordination.
@@ -44,7 +45,10 @@ type Config struct {
 	// MaxShards).
 	Shards int
 	// Engine is the per-shard engine configuration template. Its Scheme
-	// must be engine.SchemeSource (SourceOnly). Engine.Fault ==
+	// must be engine.SchemeSource (SourceOnly). Workers, QueueDepth and
+	// OnResult size and tap the coordinator's one pool (Shards × Workers
+	// workers, Shards × QueueDepth queue slots) and the cold tier; a shard
+	// engine's own pool stays idle (WriterConfig). Engine.Fault ==
 	// engine.FaultSkewShard is the one fault the coordinator itself acts
 	// on (chaos harness only).
 	Engine engine.Config

@@ -350,9 +350,10 @@ func everyPairTwice(n int) []rbpc.Pair {
 	return pairs
 }
 
-// TestSharedBatchExactlyOnce: every worker is handed the same slice, so
-// the burst is safe only if every pair is answered by exactly one party —
-// its owner when the source is materialized, the cold tier when it is not.
+// TestSharedBatchExactlyOnce: the pool and the cold tier are handed the
+// same slice, so the burst is safe only if every pair is answered by exactly
+// one party — the pool, off its owner's snapshot, when the source is
+// materialized, the cold tier when it is not.
 func TestSharedBatchExactlyOnce(t *testing.T) {
 	g := topology.Waxman(14, 0.8, 0.5, 9)
 	rcfg := rbpc.DefaultConfig()
@@ -363,7 +364,8 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 	}
 	for _, shards := range []int{3, 8} {
 		var mu sync.Mutex
-		answered := make(map[rbpc.Pair][]uint64) // cost bits of every answer, by pair
+		answered := make(map[rbpc.Pair][]uint64)            // cost bits of every answer, by pair
+		snapOf := make(map[graph.NodeID][]*engine.Snapshot) // the snapshot of every answer, by source
 		cfg := Config{Shards: shards}
 		cfg.Engine.OnResult = func(r engine.Result) {
 			bits := uint64(0)
@@ -372,6 +374,7 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 			}
 			mu.Lock()
 			answered[rbpc.Pair{Src: r.Src, Dst: r.Dst}] = append(answered[rbpc.Pair{Src: r.Src, Dst: r.Dst}], bits)
+			snapOf[r.Src] = append(snapOf[r.Src], r.Snap)
 			mu.Unlock()
 		}
 		c := newCoordinator(t, g, rcfg, cfg)
@@ -380,12 +383,11 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 
 		pairs := everyPairTwice(g.Order())
 		sent := make(map[rbpc.Pair]int)
-		handed := make([]int64, shards)
-		var cold int64
+		var hotPairs, cold int64
 		for _, pr := range pairs {
 			sent[pr]++
 			if hot[pr.Src] {
-				handed[c.Owner(pr.Src)]++
+				hotPairs++
 			} else {
 				cold++
 			}
@@ -397,10 +399,8 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 		c.Drain()
 		after := c.Stats()
 
-		for i := range handed {
-			if got := after.PerShard[i].Queries - before.PerShard[i].Queries; got != handed[i] {
-				t.Errorf("shards=%d: worker %d answered %d queries, was handed %d", shards, i, got, handed[i])
-			}
+		if got := (after.Queries - after.Cold.Queries) - (before.Queries - before.Cold.Queries); got != hotPairs {
+			t.Errorf("shards=%d: the pool answered %d queries, %d pairs have a hot source", shards, got, hotPairs)
 		}
 		if got := after.Cold.Queries - before.Cold.Queries; got != cold {
 			t.Errorf("shards=%d: the cold tier took %d queries, %d pairs have a cold source", shards, got, cold)
@@ -417,6 +417,14 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 		if len(answered) != len(sent) {
 			t.Errorf("shards=%d: answers for %d distinct pairs, %d were sent", shards, len(answered), len(sent))
 		}
+		for src, snaps := range snapOf {
+			owner := c.Shard(c.Owner(src)).Snapshot()
+			for _, s := range snaps {
+				if s != owner {
+					t.Fatalf("shards=%d: source %d answered from epoch %d of another snapshot, not its owner's", shards, src, s.Epoch())
+				}
+			}
+		}
 		mu.Unlock()
 		for pr, costs := range answered {
 			var want uint64
@@ -429,6 +437,90 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPoolReadsEachOwnersSnapshot: the pool answers each pair off its own
+// source's owner, in a burst and in Query. Worker 0 never learns of the
+// failure (FaultSkewShard), so its sources must answer from its stale
+// pristine epoch and every other source from the post-failure one; a pool
+// that read one slot for every pair would answer all of them from one
+// epoch.
+func TestPoolReadsEachOwnersSnapshot(t *testing.T) {
+	g := topology.Waxman(14, 0.8, 0.5, 9)
+	var mu sync.Mutex
+	var got []engine.Result
+	cfg := Config{Shards: 3}
+	cfg.Engine.Fault = engine.FaultSkewShard
+	cfg.Engine.OnResult = func(r engine.Result) {
+		mu.Lock()
+		got = append(got, r)
+		mu.Unlock()
+	}
+	c := newCoordinator(t, g, rbpc.DefaultConfig(), cfg)
+	ed := g.Edges()[0].ID
+	c.Fail(ed)
+	c.Flush()
+	if f := c.Shard(0).Snapshot().Failed(); len(f) != 0 {
+		t.Fatalf("skewed worker 0 serves failed set %v, want it pristine", f)
+	}
+	pairs := everyPairTwice(g.Order())
+	if acc := c.SubmitBatch(pairs); acc != len(pairs) {
+		t.Fatalf("%d of %d pairs accepted", acc, len(pairs))
+	}
+	c.Drain()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != len(pairs) {
+		t.Fatalf("%d answers for %d pairs", len(got), len(pairs))
+	}
+	for _, r := range got {
+		owner := c.Owner(r.Src)
+		if r.Snap != c.Shard(owner).Snapshot() {
+			t.Fatalf("pair %d->%d answered from epoch %d, not from its owner %d's snapshot (epoch %d)",
+				r.Src, r.Dst, r.Snap.Epoch(), owner, c.Shard(owner).Snapshot().Epoch())
+		}
+		if stale := !slices.Contains(r.Snap.Failed(), ed); stale != (owner == 0) {
+			t.Fatalf("pair %d->%d of worker %d answered under failed set %v", r.Src, r.Dst, owner, r.Snap.Failed())
+		}
+		if q := c.Query(r.Src, r.Dst); q.Snap != r.Snap {
+			t.Fatalf("Query(%d, %d) answered from epoch %d, the burst from its owner's epoch %d", r.Src, r.Dst, q.Snap.Epoch(), r.Snap.Epoch())
+		}
+	}
+}
+
+// TestAffectedPairsMatchEngine: over a hot-set provision, the coordinator
+// lists for every link exactly a lone engine's affected pairs, order
+// included.
+func TestAffectedPairsMatchEngine(t *testing.T) {
+	g := topology.Waxman(16, 0.8, 0.5, 11)
+	rcfg := rbpc.DefaultConfig()
+	rcfg.Sources = []graph.NodeID{1, 2, 4, 7, 8, 11, 13}
+	sys, err := rbpc.NewSystem(g, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Export()
+	c, err := New(p, Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e, err := engine.New(p, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	some := false
+	for ed := range p.Graph.Size() {
+		want := e.AffectedPairs(graph.EdgeID(ed))
+		some = some || len(want) > 0
+		if got := c.AffectedPairs(graph.EdgeID(ed)); !slices.Equal(got, want) {
+			t.Fatalf("link %d: affected pairs %v, a lone engine's %v", ed, got, want)
+		}
+	}
+	if !some {
+		t.Fatal("vacuous: no link has an affected pair")
 	}
 }
 
@@ -471,10 +563,10 @@ func TestSubmitBatchAllocs(t *testing.T) {
 
 // BenchmarkSubmitBatch measures a query's whole cost through the
 // in-process sharded path — the coordinator's counting pass, the hand-off,
-// every shard scanning the shared burst for its own pairs, the lookups —
-// as 512-pair bursts over the pristine AS stand-in. Each of N shards scans
-// all 512 pairs to serve 512/N of them: the difference between the two
-// rows is what that costs (DESIGN.md, the sharded read path).
+// the pool's one scan of the burst picking each pair's owner snapshot, the
+// lookups — as 512-pair bursts over the pristine AS stand-in. The burst is
+// scanned once whatever the shard count, so the two rows should read alike
+// (DESIGN.md, the sharded read path).
 func BenchmarkSubmitBatch(b *testing.B) {
 	g := topology.PaperAS(1, 0.05)
 	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})

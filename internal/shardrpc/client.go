@@ -9,10 +9,6 @@ import (
 
 	"rbpc/internal/engine"
 	"rbpc/internal/failure"
-	"rbpc/internal/graph"
-	"rbpc/internal/paths"
-	"rbpc/internal/rbpc"
-	"rbpc/internal/shard"
 )
 
 // call is one RPC parked on the pending table until its reply (or the
@@ -27,24 +23,15 @@ type call struct {
 // client drives one worker and is the socket implementation of
 // shard.Worker: one connection (bursts, barriers, stats out; snapshot
 // frames and acks back), a pending table demultiplexing replies by
-// sequence number, and the decoded replica snapshot the coordinator reads
-// as the shard's current epoch. Queries never reach the worker: the
-// client answers them from the replica through its own engine.Pool. What
-// it adds to the seam is everything a wire needs: encode/decode, timeouts
-// and bounded retry, death detection with the alive flag, and health
-// pings.
+// sequence number, and the decoded replica the coordinator's pool reads as
+// the shard's current epoch. What it adds to the seam is everything a wire
+// needs: encode/decode, timeouts and bounded retry, death detection with
+// the alive flag, and health pings.
 type client struct {
 	idx  int
 	cfg  Config
 	dec  *engine.SnapDecoder
 	want hello // what this worker must attach with, epoch aside (contract)
-	// base and prim are the base set and the primary mask of this worker's
-	// slice — the mask the worker's engine holds; the provision is known on
-	// both ends, so AffectedPairs needs no frame.
-	base *paths.Explicit
-	prim []bool
-	// pool answers this worker's sources off replica, and counts them.
-	pool *engine.Pool
 
 	mu      sync.Mutex
 	control *Conn
@@ -60,19 +47,15 @@ type client struct {
 	done chan struct{} // closed by Close; stops the health loop
 }
 
-func newClient(idx int, cfg Config, p rbpc.Provision, owners shard.Owners, dec *engine.SnapDecoder, want hello) *client {
-	slice := shard.SliceProvision(p, owners, idx)
+func newClient(idx int, cfg Config, dec *engine.SnapDecoder, want hello) *client {
 	c := &client{
 		idx:  idx,
 		cfg:  cfg,
 		dec:  dec,
 		want: want,
-		base: p.Base,
-		prim: slice.PrimaryMask(),
 		pend: make(map[uint32]*call),
 		done: make(chan struct{}),
 	}
-	c.pool = engine.NewPool(&c.replica, slice.Serves, cfg.Engine)
 	if cfg.HealthEvery > 0 {
 		go c.healthLoop()
 	}
@@ -445,41 +428,14 @@ func (c *client) Flush() {
 	}
 }
 
-// Query answers from the replica (engine.Pool.Query). ok is false when the
-// worker is down: its sources then divert to the cold tier.
-func (c *client) Query(src, dst graph.NodeID) (engine.Result, bool) {
-	if !c.alive.Load() {
-		return engine.Result{}, false
-	}
-	return c.pool.Query(src, dst), true
-}
-
-// SubmitBatch hands this worker's part of the burst to the client's pool,
-// which answers it from the replica; the part is shed whole when the pool's
-// queue is full.
-//
-//rbpc:hotpath
-func (c *client) SubmitBatch(pairs []rbpc.Pair, owned int) int {
-	return c.pool.SubmitOwned(pairs, owned)
-}
-
-func (c *client) AffectedPairs(ed graph.EdgeID) []graph.NodePair {
-	return rbpc.AffectedPairs(c.base, c.prim, ed)
-}
-
 // Snapshot is the latest decoded replica (non-nil once attached; a dead
 // worker keeps its last one).
 func (c *client) Snapshot() *engine.Snapshot { return c.replica.Load() }
 
 func (c *client) Alive() bool { return c.alive.Load() }
 
-// Drain blocks until every query the client's pool accepted before the call
-// is answered.
-func (c *client) Drain() { c.pool.Drain() }
-
 // Stats scrapes the worker's engine over the wire (zeros while it is
-// down) and sets the serving counters to the pool's: every query is
-// answered, and counted, on this side of the wire.
+// down); its serving counters read 0, as the worker answers no query.
 func (c *client) Stats() engine.Stats {
 	var st engine.Stats
 	if c.alive.Load() {
@@ -488,15 +444,12 @@ func (c *client) Stats() engine.Stats {
 			_ = decodeFixed(ca.payload, &st)
 		}
 	}
-	c.pool.Scrape(&st)
 	return st
 }
 
 // Close tears the connection down (coordinator shutdown, not a worker
-// death) and stops the pool. Worker processes are owned by the supervisor,
-// not the client.
+// death). Worker processes are owned by the supervisor, not the client.
 func (c *client) Close() {
 	close(c.done)
 	c.die(c.generation(), fmt.Errorf("shardrpc: coordinator closed"))
-	c.pool.Close()
 }

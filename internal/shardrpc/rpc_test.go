@@ -514,42 +514,100 @@ func TestProcWorkerDiesAsFleetCloses(t *testing.T) {
 	}
 }
 
-// TestClientAffectedPairsMatchSlice: each socket client lists, for every
-// link, exactly the pairs of its worker's slice whose primary crosses it —
-// order included, against a reference built from Provision.Primary over the
-// slice — without a frame: the provision is known on both ends. The
-// provision is a subpath closure, whose links meet their primaries out of
-// (src, dst) order.
-func TestClientAffectedPairsMatchSlice(t *testing.T) {
+// TestAffectedPairsMatchEngine is the pipe twin of the in-process test of
+// the same name: over a hot-set provision, the process-mode coordinator
+// lists for every link exactly a lone engine's affected pairs, order
+// included, without a frame — the provision is known on both ends.
+func TestAffectedPairsMatchEngine(t *testing.T) {
 	const shards = 3
-	p := buildProvision(t, 16, 11)
+	g := topology.Waxman(16, 0.8, 0.5, 11)
+	rcfg := rbpc.DefaultConfig()
+	rcfg.Sources = []graph.NodeID{1, 2, 4, 7, 8, 11, 13}
+	sys, err := rbpc.NewSystem(g, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sys.Export()
 	farm := newPipeFarm(t, p, Config{Shards: shards})
 	proc, err := NewCoordinator(p, testConfig(farm, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer proc.Close()
-	owners, err := shard.NewOwners(shards, p.Graph.Order())
+	e, err := engine.New(p, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := p.Graph.Order()
-	for i, cl := range proc.w {
-		slice := shard.SliceProvision(p, owners, i)
-		want := make([][]graph.NodePair, p.Graph.Size())
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if idx, ok := slice.Primary(graph.NodeID(s), graph.NodeID(d)); ok {
-					for _, ed := range slice.BaseLSPs[idx].Path.Edges {
-						want[ed] = append(want[ed], graph.NodePair{Src: graph.NodeID(s), Dst: graph.NodeID(d)})
-					}
-				}
-			}
+	defer e.Close()
+	some := false
+	for ed := range p.Graph.Size() {
+		want := e.AffectedPairs(graph.EdgeID(ed))
+		some = some || len(want) > 0
+		if got := proc.AffectedPairs(graph.EdgeID(ed)); !slices.Equal(got, want) {
+			t.Fatalf("link %d: affected pairs %v, a lone engine's %v", ed, got, want)
 		}
-		for ed := range want {
-			if got := cl.AffectedPairs(graph.EdgeID(ed)); !slices.Equal(got, want[ed]) {
-				t.Fatalf("worker %d, link %d: affected pairs %v, the slice's primaries crossing it %v", i, ed, got, want[ed])
-			}
+	}
+	if !some {
+		t.Fatal("vacuous: no link has an affected pair")
+	}
+}
+
+// TestPoolReadsEachOwnersSnapshot is the pipe twin of the in-process test
+// of the same name: worker 0 never learns of the failure
+// (FaultSkewShard), so its sources must answer, in a burst and in Query,
+// from its stale replica and every other source from a replica of the
+// post-failure epoch.
+func TestPoolReadsEachOwnersSnapshot(t *testing.T) {
+	const shards = 3
+	p := buildProvision(t, 14, 9)
+	farm := newPipeFarm(t, p, Config{Shards: shards})
+	cfg := testConfig(farm, shards)
+	cfg.Engine.Fault = engine.FaultSkewShard
+	var mu sync.Mutex
+	var got []engine.Result
+	cfg.Engine.OnResult = func(r engine.Result) {
+		mu.Lock()
+		got = append(got, r)
+		mu.Unlock()
+	}
+	proc, err := NewCoordinator(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	ed := p.Graph.Edges()[0].ID
+	proc.Fail(ed)
+	proc.Flush()
+	if f := proc.Replica(0).Failed(); len(f) != 0 {
+		t.Fatalf("skewed worker 0's replica serves failed set %v, want it pristine", f)
+	}
+	n := p.Graph.Order()
+	var pairs []rbpc.Pair
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			pairs = append(pairs, rbpc.Pair{Src: graph.NodeID(s), Dst: graph.NodeID(d)})
+		}
+	}
+	if acc := proc.SubmitBatch(pairs); acc != len(pairs) {
+		t.Fatalf("%d of %d pairs accepted", acc, len(pairs))
+	}
+	proc.Drain()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != len(pairs) {
+		t.Fatalf("%d answers for %d pairs", len(got), len(pairs))
+	}
+	for _, r := range got {
+		owner := proc.Owner(r.Src)
+		if r.Snap != proc.Replica(owner) {
+			t.Fatalf("pair %d->%d answered from epoch %d, not from its owner %d's replica (epoch %d)",
+				r.Src, r.Dst, r.Snap.Epoch(), owner, proc.Replica(owner).Epoch())
+		}
+		if stale := !slices.Contains(r.Snap.Failed(), ed); stale != (owner == 0) {
+			t.Fatalf("pair %d->%d of worker %d answered under failed set %v", r.Src, r.Dst, owner, r.Snap.Failed())
+		}
+		if q := proc.Query(r.Src, r.Dst); q.Snap != r.Snap {
+			t.Fatalf("Query(%d, %d) answered from epoch %d, the burst from its owner's epoch %d", r.Src, r.Dst, q.Snap.Epoch(), r.Snap.Epoch())
 		}
 	}
 }
@@ -715,9 +773,9 @@ func TestProcTornCleanRunReadsZero(t *testing.T) {
 // TestQueriesCountedOnceInBothModes: N Query + M ProbeQuery calls and a
 // burst of B pairs raise Stats().Queries by exactly N+M+B through the
 // in-process coordinator and through the pipe-backed one — every answered
-// query is counted once, by the worker implementation that answered it —
-// and the serving counters of the burst's admission, Submitted, Dropped and
-// QueueDepth, read the same in both.
+// query is counted once, by the coordinator's pool that answered it, and
+// no worker counts one — and the serving counters of the burst's admission,
+// Submitted, Dropped and QueueDepth, read the same in both.
 func TestQueriesCountedOnceInBothModes(t *testing.T) {
 	const shards, nQuery, nProbe = 2, 7, 5
 	p := buildProvision(t, 12, 9)
@@ -759,6 +817,13 @@ func TestQueriesCountedOnceInBothModes(t *testing.T) {
 		if got, want := after.Queries-before.Queries, int64(nQuery+nProbe+len(burst)); got != want {
 			t.Errorf("%s: %d Query + %d ProbeQuery + a burst of %d raised Stats().Queries by %d, want %d",
 				name, nQuery, nProbe, len(burst), got, want)
+		}
+		for i, ps := range after.PerShard {
+			if ps.Queries != 0 || ps.Unroutable != 0 || ps.Submitted != 0 || ps.Dropped != 0 ||
+				ps.QueueDepth != 0 || ps.QueryLatency.Count != 0 {
+				t.Errorf("%s: worker %d counts queries (%d queries, %d unroutable, %d submitted, %d dropped, queue %d, %d latencies), want none",
+					name, i, ps.Queries, ps.Unroutable, ps.Submitted, ps.Dropped, ps.QueueDepth, ps.QueryLatency.Count)
+			}
 		}
 		delta[name] = engine.Stats{
 			Submitted:  after.Submitted - before.Submitted,
@@ -1094,13 +1159,12 @@ func TestSelfPairVerdictMatchesInProcess(t *testing.T) {
 }
 
 // TestSharedBatchExactlyOnce is the pipe twin of the in-process test of
-// the same name: every client's pool serves its own part out of the one
-// shared slice, so each worker's part must be answered exactly once and
-// the cold tier must answer exactly the rest — also when a worker dies
-// between the submit and the Drain (its part was admitted, and its pool
+// the same name: the pool and the cold tier share the one slice, so every
+// pair must be answered exactly once — the hot ones by the pool, each off
+// its owner's replica, the rest by the cold tier — also when a worker dies
+// between the submit and the Drain (its part was admitted, and the pool
 // answers it from the last replica), and while a worker is down, when its
-// part diverts and nobody answers it twice. The per-worker Queries
-// counters count the answers.
+// part diverts and nobody answers it twice.
 func TestSharedBatchExactlyOnce(t *testing.T) {
 	g := topology.Waxman(14, 0.8, 0.5, 9)
 	rcfg := rbpc.DefaultConfig()
@@ -1124,6 +1188,13 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 	for _, shards := range []int{3, 8} {
 		farm := newPipeFarm(t, p, Config{Shards: shards})
 		cfg := testConfig(farm, shards)
+		var mu sync.Mutex
+		var answers []engine.Result
+		cfg.Engine.OnResult = func(r engine.Result) {
+			mu.Lock()
+			answers = append(answers, r)
+			mu.Unlock()
+		}
 		proc, err := NewCoordinator(p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -1162,17 +1233,36 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 			}
 			proc.Drain()
 			after := proc.Stats()
-			wantCold := cold
-			for i := range handed {
-				want := handed[i]
+			wantCold, wantHot := cold, int64(0)
+			for i, n := range handed {
 				if i == victim {
-					wantCold += want // its part diverted
-					want = 0
-				}
-				if got := after.PerShard[i].Queries - before.PerShard[i].Queries; got != want {
-					t.Errorf("shards=%d round %d: worker %d answered %d queries, want %d", shards, round, i, got, want)
+					wantCold += n // its part diverted
+				} else {
+					wantHot += n
 				}
 			}
+			if got := (after.Queries - after.Cold.Queries) - (before.Queries - before.Cold.Queries); got != wantHot {
+				t.Errorf("shards=%d round %d: the pool answered %d queries, want %d", shards, round, got, wantHot)
+			}
+			mu.Lock()
+			if len(answers) != len(pairs) {
+				t.Errorf("shards=%d round %d: %d answers for %d pairs", shards, round, len(answers), len(pairs))
+			}
+			for _, r := range answers {
+				// Once the largest part's worker is dead, the cold tier
+				// answers its sources off a detached snapshot of the model:
+				// its cold sources from round 1 on, and all of them while it
+				// is down. Every other answer is read off the owner's replica,
+				// the last one of a dead owner included.
+				owner := proc.Owner(r.Src)
+				detached := owner == largest && (owner == victim || round == 1 && int(r.Src) >= len(rcfg.Sources))
+				if !detached && r.Snap != proc.Replica(owner) {
+					t.Fatalf("shards=%d round %d: pair %d->%d answered from epoch %d, not from its owner %d's replica",
+						shards, round, r.Src, r.Dst, r.Snap.Epoch(), owner)
+				}
+			}
+			answers = answers[:0]
+			mu.Unlock()
 			if got := after.Cold.Queries - before.Cold.Queries; got != wantCold {
 				t.Errorf("shards=%d round %d: the cold tier took %d queries, want %d", shards, round, got, wantCold)
 			}
@@ -1191,8 +1281,8 @@ func TestSharedBatchExactlyOnce(t *testing.T) {
 }
 
 // TestSubmitBatchAllocs: over a pipe, as in process, a burst costs the
-// coordinator no allocation — each owner's client hands the caller's slice
-// to its pool, which answers it from the replica.
+// coordinator no allocation — the caller's slice goes to the pool, which
+// answers it from the owners' replicas.
 func TestSubmitBatchAllocs(t *testing.T) {
 	const shards = 3
 	p := buildProvision(t, 14, 9)

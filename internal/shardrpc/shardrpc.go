@@ -43,9 +43,9 @@
 // the worker's engine taps OnEpoch on its writer goroutine, writing the
 // snapshot frame before the flush ack, so a flush ack guarantees the
 // coordinator's replica is current. Queries, bursts of queries and probes
-// never cross the wire: each client answers its worker's sources from the
-// replica through an engine.Pool, the engine's own query pool, exactly as
-// an in-process shard answers from its engine's snapshot.
+// never cross the wire, and no client answers one: the shard coordinator's
+// one query pool reads each worker's replica exactly as it reads an
+// in-process shard engine's snapshot.
 //
 // Failure. Per-worker health checks, a configurable attach budget and ack
 // timeout with bounded retry, and crash diversion: while a worker is down its
@@ -89,8 +89,9 @@ type Config struct {
 	// engine.SchemeSource (the snapshot wire format ships overlays, not
 	// local plans — shard.SourceOnly). Workers, QueueDepth and OnResult act
 	// at the coordinator, where every query is answered: they size and tap
-	// each client's query pool (engine.Pool), one per worker, as they size
-	// and tap each shard engine's in process. Engine.Fault ==
+	// the coordinator's one query pool exactly as shard.Config.Engine does
+	// in process, and a worker's engine keeps an idle pool
+	// (shard.WriterConfig). Engine.Fault ==
 	// engine.FaultTornFrame and engine.FaultPristineView are the faults the
 	// transport and its snapshot decoder act on (chaos harness only).
 	Engine engine.Config
@@ -140,9 +141,9 @@ type Coordinator struct {
 // within the dial budget, or that answers for another deployment, fails
 // construction (post-construction crashes are survived, construction
 // requires a whole deployment). The full provision's
-// canonical matrix (SnapDecoder) decodes the workers' replicas here, which
-// answer every query of their sources, and, in the coordinator, answers for
-// the sources of a crashed worker.
+// canonical matrix (SnapDecoder) decodes the workers' replicas here, from
+// which the coordinator's pool answers every query of their sources, and,
+// in the coordinator, answers for the sources of a crashed worker.
 func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dial == nil {
@@ -161,7 +162,7 @@ func NewCoordinator(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 	want := contract(p, cfg, 0)
 	for i := range c.w {
 		want.Shard = uint32(i)
-		c.w[i] = newClient(i, cfg, p, owners, dec, want)
+		c.w[i] = newClient(i, cfg, dec, want)
 		workers[i] = c.w[i]
 		if err := c.w[i].attachWithin(); err != nil {
 			for _, cl := range c.w[:i+1] {
@@ -208,15 +209,15 @@ type Answer struct {
 	Route  *engine.Route
 }
 
-// RemoteQuery answers one pair from its owner's replica, counted as a
-// query, and fails while the owner is down (Query would divert the pair to
-// the cold tier). It is kept for the benchmark's per-layer probe.
+// RemoteQuery answers one pair as Query does — a materialized source from
+// its owner's replica — and fails while the owner is down (Query would
+// divert the pair to the cold tier). It is kept for the benchmark's
+// per-layer probe.
 func (c *Coordinator) RemoteQuery(src, dst graph.NodeID) (Answer, error) {
-	cl := c.w[c.Owner(src)]
-	res, ok := cl.Query(src, dst)
-	if !ok {
+	if cl := c.w[c.Owner(src)]; !cl.Alive() {
 		return Answer{}, fmt.Errorf("shardrpc: worker %d is down", cl.idx)
 	}
+	res := c.Query(src, dst)
 	return Answer{Epoch: res.Snap.Epoch(), Failed: res.Snap.Failed(), Route: res.Route}, nil
 }
 

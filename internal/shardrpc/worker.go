@@ -62,9 +62,7 @@ func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	}
 	w := &Worker{idx: idx}
 
-	ecfg := cfg.Engine
-	// The coordinator serves every query: the engine's pool stays idle.
-	ecfg.Workers, ecfg.QueueDepth, ecfg.OnResult = 1, 1, nil
+	ecfg := shard.WriterConfig(cfg.Engine)
 	userTap := cfg.Engine.OnEpoch
 	ecfg.OnEpoch = func(s *engine.Snapshot) {
 		w.pushSnapshot(s)

@@ -40,7 +40,7 @@ type WorkerOpts struct {
 
 	MaxProcs int // GOMAXPROCS inside the worker (0 = inherit)
 	// Workers and Queue cross in the spec and size nothing: a worker
-	// answers no query (Config.Engine sizes the coordinator's pools).
+	// answers no query (Config.Engine sizes the coordinator's pool).
 	Workers      int
 	Queue        int
 	PlanCacheMax int

@@ -84,6 +84,11 @@ retired 'SyncNewEdges' "no growth hook on the network"
 # connections and in-flight budget, and the client and worker code around
 # them would answer the same pairs the same way, only over a socket.
 retired 'ftQuery|ftAnswer|ftQueryBatch|ftAnswerBatch|ftDrain|ftDrainAck|roleQuery|queryConns|maxInflight|callBatch|sendBatch|settleBatch|scanUnroutable|remoteQuery|queryConn|snapFor|queryMetrics|batchBuf|serveQuery|answerQuery|fillOwnedBatch|queryBatchSize|answerBatchSize|appendAnswer|decodeAnswer' "the wire carries epochs, not queries"
+# The coordinator reads, shards only write (DESIGN.md §14): one query pool
+# over every shard's snapshot answers a burst, scanned once. A pool a shard,
+# each serving its owned part out of the shared burst, would answer the same
+# pairs the same way, only with every burst scanned once a shard.
+retired 'SubmitOwned|serveOwned|slotSet' "one query pool per deployment"
 # One admission rule (DESIGN.md §14): the cold tier admits or sheds a burst's
 # cold part whole, from a pool and a queue bound that are constants. Its
 # retired knobs — the rbpc-serve flags, and a field that makes ColdConfig
@@ -399,13 +404,15 @@ go test -race -count=20 -run 'TestColdBurstIsOneUnit|TestColdShedsABurstWhole|Te
 # A forked fleet attaches as soon as its workers can answer, a respawned
 # worker reattaches on the listener it inherits, and a contract mismatch or a
 # hung worker fails inside the dial budget; the coordinator answers from its
-# replicas — a burst exactly once, also when its owner dies before the
-# Drain, with the counters of in-process serving, and with the worker's own
-# data plane gone. The socket transport's timing windows are exercised five
-# times under the race detector.
+# replicas — a burst exactly once, each pair off its own owner's snapshot,
+# also when its owner dies before the Drain, with the counters of in-process
+# serving, and with the worker's own data plane gone. The socket transport's
+# timing windows and the one pool's shared bursts are exercised five times
+# under the race detector.
 echo "==> fleet attach, the socket transport and replica serving (-race, 5 runs)"
 go test -race -count=5 -run 'TestFleetAttachesWithoutASleep' ./cmd/rbpc-serve/
-go test -race -count=5 -run 'TestProc|TestSharedBatchExactlyOnce|TestQueriesCountedOnceInBothModes|TestSendWithoutDataPlane|TestSubmitBatchAllocs' ./internal/shardrpc/
+go test -race -count=5 -run 'TestProc|TestSharedBatchExactlyOnce|TestQueriesCountedOnceInBothModes|TestSendWithoutDataPlane|TestSubmitBatchAllocs|TestPoolReadsEachOwnersSnapshot|TestAffectedPairsMatchEngine' ./internal/shardrpc/
+go test -race -count=5 -run 'TestSharedBatchExactlyOnce|TestSubmitBatchAllocs|TestPoolReadsEachOwnersSnapshot|TestAffectedPairsMatchEngine' ./internal/shard/
 go test -race -count=5 -run 'TestReplicaSendMatchesEngine' ./internal/engine/
 
 echo "==> chaos conformance suite (long, -race, tagged)"
