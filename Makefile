@@ -57,8 +57,10 @@ verify:
 # frame checksum in GB/s, and building a base set's
 # indexes (the benchmark of record's set, and a subpath closure whose pairs
 # hold several paths; B and allocs per set), and provisioning the benchmark
-# of record's whole deployment (rbpc.NewSystem: ns, B and allocs). CI runs
-# them once each (BENCHTIME=1x) so they cannot rot.
+# of record's deployment in full, as the coordinator does (rbpc.NewSystem),
+# and its write side, as a worker process does (rbpc.WriteProvision): ns,
+# B and allocs of each. CI runs them once each (BENCHTIME=1x) so they
+# cannot rot.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/

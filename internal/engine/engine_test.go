@@ -356,3 +356,41 @@ func TestNewRequiresEdgeLSPs(t *testing.T) {
 		t.Fatalf("NewSnapDecoder refused a hot-set provision: %v", err)
 	}
 }
+
+// TestNewRefusesLocalSchemesWithoutDataPlane: a local, bypass or hybrid
+// engine patches the provision's ILM rows by its LSPs' labels, and a
+// provision without a data plane — a write side, whose LSP records carry
+// no labels, or an export whose network was dropped — has neither. New
+// refuses every non-source scheme there, naming it, instead of building
+// patch rows that push label 0; the source scheme, which names LSPs only,
+// is built.
+func TestNewRefusesLocalSchemesWithoutDataPlane(t *testing.T) {
+	g, cfg := detourTriangle(), rbpc.Config{EdgeLSPs: true}
+	write, err := rbpc.WriteProvision(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rbpc.NewSystem(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := sys.Export()
+	dropped.Net = nil
+	for name, p := range map[string]rbpc.Provision{"write side": write, "dropped network": dropped} {
+		for _, sch := range []Scheme{SchemeLocal, SchemeBypass, SchemeHybrid} {
+			e, err := New(p, Config{Scheme: sch})
+			if err == nil {
+				e.Close()
+				t.Fatalf("%s: New built a %v engine without a data plane", name, sch)
+			}
+			if !strings.Contains(err.Error(), sch.String()) || !strings.Contains(err.Error(), "no data plane") {
+				t.Fatalf("%s: New: %v; the error does not name the %v scheme and the missing data plane", name, err, sch)
+			}
+		}
+		e, err := New(p, Config{Scheme: SchemeSource})
+		if err != nil {
+			t.Fatalf("%s: New refused the source scheme: %v", name, err)
+		}
+		e.Close()
+	}
+}

@@ -81,6 +81,9 @@ func (v *FailureView) NodeUsable(id NodeID) bool {
 // Order implements View.
 func (v *FailureView) Order() int { return v.g.Order() }
 
+// Size implements View.
+func (v *FailureView) Size() int { return v.g.Size() }
+
 // Directed implements View.
 func (v *FailureView) Directed() bool { return v.g.Directed() }
 

@@ -206,6 +206,9 @@ type View interface {
 	// Order returns the number of nodes of the underlying graph. Removed
 	// nodes keep their IDs; they simply have no usable arcs.
 	Order() int
+	// Size returns the number of edges of the underlying graph: edge IDs
+	// run 0..Size()-1. Removed edges keep their IDs.
+	Size() int
 	// Directed reports whether arcs may only be traversed from U to V.
 	Directed() bool
 	// Edge returns the edge record for id.

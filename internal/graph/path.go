@@ -56,8 +56,12 @@ func (p Path) Validate(v View) error {
 	if len(p.Nodes) != len(p.Edges)+1 {
 		return fmt.Errorf("graph: path has %d nodes and %d edges", len(p.Nodes), len(p.Edges))
 	}
+	m := v.Size()
 	for i, id := range p.Edges {
 		u, w := p.Nodes[i], p.Nodes[i+1]
+		if id < 0 || int(id) >= m {
+			return fmt.Errorf("graph: path step %d uses edge %d, and the view has %d edges", i, id, m)
+		}
 		e := v.Edge(id)
 		if v.Directed() {
 			if e.U != u || e.V != w {
@@ -66,21 +70,31 @@ func (p Path) Validate(v View) error {
 		} else if !(e.U == u && e.V == w) && !(e.U == w && e.V == u) {
 			return fmt.Errorf("graph: edge %d is (%d,%d), path step %d is (%d,%d)", id, e.U, e.V, i, u, w)
 		}
-		// The edge must be traversable in the view: confirm it appears as
-		// an arc out of u.
-		usable := false
-		v.VisitArcs(u, func(a Arc) bool {
-			if a.Edge == id && a.To == w {
-				usable = true
-				return false
-			}
-			return true
-		})
-		if !usable {
+		if !arcUsable(v, id, u, w) {
 			return fmt.Errorf("graph: edge %d (%d,%d) not usable at step %d", id, u, w, i)
 		}
 	}
 	return nil
+}
+
+// arcUsable reports whether edge id, which joins u to w the way v's
+// orientation allows, is traversable out of u in v: whether it appears as
+// an arc out of u. On a *Graph every edge is an arc out of each endpoint it
+// may be left from, so the endpoint check already said yes; any other view
+// is asked.
+func arcUsable(v View, id EdgeID, u, w NodeID) bool {
+	if _, whole := v.(*Graph); whole {
+		return true
+	}
+	usable := false
+	v.VisitArcs(u, func(a Arc) bool {
+		if a.Edge == id && a.To == w {
+			usable = true
+			return false
+		}
+		return true
+	})
+	return usable
 }
 
 // IsSimple reports whether no node repeats.

@@ -7,7 +7,14 @@ import (
 	"rbpc/internal/graph"
 )
 
-// LSP is an established label-switched path.
+// LSP is an established label-switched path, or the record of one.
+//
+// A Network's LSP (EstablishLSP, EstablishLSPs) carries the labels laid out
+// below and has its rows installed along the path. A record (Records)
+// carries the ID and path only: it has no labels — SelfLabel reads 0,
+// HopLabel finds none, and FirstHopLabel, ConcatStack and SelfStack are
+// not for records — and installs nothing. It is what a process that only
+// names LSPs needs of them.
 //
 // Label layout for a path v_0 e_0 v_1 e_1 ... e_{m-1} v_m:
 //
@@ -94,6 +101,20 @@ func (n *Network) EstablishLSPPHP(path graph.Path) (*LSP, error) {
 // established before it with the error.
 func (n *Network) EstablishLSPs(paths []graph.Path) ([]*LSP, error) {
 	return n.establish(paths, false)
+}
+
+// Records returns the LSPs a fresh network's EstablishLSPs would establish
+// along paths, as records: the same IDs, from 1 in order, each sharing its
+// path, and no labels. Nothing validates the paths; they are a base set's
+// stored paths, which a network would establish as they are.
+func Records(paths []graph.Path) []*LSP {
+	recs := make([]LSP, len(paths))
+	out := make([]*LSP, len(paths))
+	for i, p := range paths {
+		recs[i] = LSP{ID: firstLSPID + LSPID(i), Path: p}
+		out[i] = &recs[i]
+	}
+	return out
 }
 
 func first(lsps []*LSP, err error) (*LSP, error) {

@@ -262,8 +262,9 @@ type Network struct {
 	g       *graph.Graph
 	routers []*Router
 	// lsps is the LSP registry, indexed by LSPID: IDs are handed out
-	// densely from 1 (slot 0 is never used) and a torn-down LSP leaves its
-	// slot nil, so len(lsps) == nextLSP. numLSPs counts the established.
+	// densely from firstLSPID (slot 0 is never used) and a torn-down LSP
+	// leaves its slot nil, so len(lsps) == nextLSP. numLSPs counts the
+	// established.
 	lsps    []*LSP
 	numLSPs int
 	nextLSP LSPID
@@ -271,14 +272,17 @@ type Network struct {
 	stats   netStats
 }
 
+// firstLSPID is the ID of a fresh network's first LSP.
+const firstLSPID LSPID = 1
+
 // NewNetwork builds an MPLS network over topology g with all links up.
 func NewNetwork(g *graph.Graph) *Network {
 	n := &Network{
 		g:       g,
 		routers: make([]*Router, g.Order()),
-		lsps:    make([]*LSP, 1),
+		lsps:    make([]*LSP, firstLSPID),
 		edgeUp:  make([]bool, g.Size()),
-		nextLSP: 1,
+		nextLSP: firstLSPID,
 	}
 	for i := range n.routers {
 		n.routers[i] = newRouter(graph.NodeID(i), g.Order())

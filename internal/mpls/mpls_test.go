@@ -172,6 +172,15 @@ func TestEstablishErrors(t *testing.T) {
 	if _, err := n.EstablishLSP(bad); err == nil {
 		t.Error("invalid path accepted")
 	}
+	for _, id := range []graph.EdgeID{7, -1} { // line5 has links 0..3
+		outside := graph.Path{Nodes: []graph.NodeID{0, 1, 2}, Edges: []graph.EdgeID{0, id}}
+		if _, err := n.EstablishLSP(outside); !errors.Is(err, errInvalidPath) {
+			t.Errorf("path over link %d, which the graph does not have: %v, want errInvalidPath", id, err)
+		}
+	}
+	if total, _ := n.TotalILM(); n.NumLSPs() != 0 || total != 0 {
+		t.Errorf("refused paths left %d LSPs and %d ILM rows", n.NumLSPs(), total)
+	}
 	n.FailEdge(1)
 	if _, err := n.EstablishLSP(pathOf(g, 0, 1, 2)); err == nil {
 		t.Error("path over failed link accepted")

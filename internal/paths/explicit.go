@@ -82,7 +82,9 @@ func (b *Explicit) Add(p graph.Path) bool {
 		}
 	}
 	idx := len(b.paths)
-	b.ai.Store(nil)
+	if b.ai.Load() != nil {
+		b.ai.Store(nil)
+	}
 	b.paths = append(b.paths, b.store(p))
 	b.costs = append(b.costs, p.CostIn(b.view))
 	b.next = append(b.next, -1)

@@ -24,6 +24,10 @@ import (
 // online serving stack resolves a component through, by its base-set index
 // (core.Component.Base). LSPs is the same registry keyed by path content.
 //
+// A write-side provision (WriteProvision) is the same but for the
+// forwarding plane: Net and LSPs are nil, and BaseLSPs are records, with
+// the IDs and paths of Export's and no labels.
+//
 // Serves[src] marks the sources whose pairs the provision serves rows for:
 // the hot set (Config.Sources, every node when nil), narrowed to one shard's
 // sources by its slice (internal/shard.SliceProvision).

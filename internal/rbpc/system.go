@@ -6,8 +6,11 @@
 // rewrites, local RBPC's single ILM-row replacement in both variants
 // (end-route and edge-bypass, engine.SchemeLocal and engine.SchemeBypass),
 // and the hybrid that runs the second and then the first as the link-state
-// flood arrives. The package also keeps the conventional
-// teardown-and-re-signal baseline RBPC is measured against (Baseline).
+// flood arrives. A process that only solves restorations and names their
+// LSPs builds the provision's write side instead (WriteProvision): the same
+// base set and LSP identities, and no forwarding plane. The package also
+// keeps the conventional teardown-and-re-signal baseline RBPC is measured
+// against (Baseline).
 package rbpc
 
 import (
@@ -72,37 +75,11 @@ type System struct {
 // shortest-path LSPs (plus configured closures) and initial FEC entries at
 // every router for every destination.
 func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
-	n := g.Order()
-	for _, src := range cfg.Sources {
-		if src < 0 || int(src) >= n {
-			return nil, fmt.Errorf("rbpc: hot source %d is not a node of the %d-node graph", src, n)
-		}
+	base, serves, err := buildBase(g, cfg)
+	if err != nil {
+		return nil, err
 	}
-	s := &System{
-		g:      g,
-		net:    mpls.NewNetwork(g),
-		serves: make([]bool, n),
-	}
-
-	all := paths.NewAllShortest(g)
-	sources := cfg.Sources
-	if sources == nil {
-		sources = make([]graph.NodeID, n)
-		for i := range sources {
-			sources[i] = graph.NodeID(i)
-		}
-	}
-	base := paths.FromSources(all, sources)
-	if cfg.SubpathClosure {
-		base = paths.SubpathClosure(base)
-	}
-	if cfg.EdgeLSPs {
-		for _, e := range g.Edges() {
-			base.Add(paths.EdgePath(g, e.ID, e.U))
-			base.Add(paths.EdgePath(g, e.ID, e.V))
-		}
-	}
-	s.base = base
+	s := &System{g: g, net: mpls.NewNetwork(g), base: base, serves: serves}
 
 	// One LSP per base path, in base order, sharing the stored path.
 	stored := base.All()
@@ -118,9 +95,6 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 
 	// FEC entries pushing the primaries, hot sources only. A served pair's
 	// primary is its first stored path (Provision.Primary).
-	for _, src := range sources {
-		s.serves[src] = true
-	}
 	primary := s.Export().PrimaryMask()
 	for i, p := range stored {
 		if primary[i] {
@@ -128,6 +102,55 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// WriteProvision provisions the write side of NewSystem(g, cfg).Export():
+// the same graph, base set and served sources, and the base set's LSPs as
+// records (mpls.Records) numbered as NewSystem establishes them. It has no
+// forwarding plane — no network, labels, ILM or FEC rows (Net is nil) — and
+// no key registry (LSPs is nil). It is what a process that only solves
+// restorations and names their LSPs builds: an engine over it serves the
+// source scheme and forwards nothing.
+func WriteProvision(g *graph.Graph, cfg Config) (Provision, error) {
+	base, serves, err := buildBase(g, cfg)
+	if err != nil {
+		return Provision{}, err
+	}
+	return Provision{Graph: g, Base: base, BaseLSPs: mpls.Records(base.All()), Serves: serves}, nil
+}
+
+// buildBase builds the base set cfg provisions over g, in the order its
+// LSPs are numbered, and marks the sources it serves: the one builder of
+// NewSystem and WriteProvision.
+func buildBase(g *graph.Graph, cfg Config) (*paths.Explicit, []bool, error) {
+	n := g.Order()
+	for _, src := range cfg.Sources {
+		if src < 0 || int(src) >= n {
+			return nil, nil, fmt.Errorf("rbpc: hot source %d is not a node of the %d-node graph", src, n)
+		}
+	}
+	sources := cfg.Sources
+	if sources == nil {
+		sources = make([]graph.NodeID, n)
+		for i := range sources {
+			sources[i] = graph.NodeID(i)
+		}
+	}
+	base := paths.FromSources(paths.NewAllShortest(g), sources)
+	if cfg.SubpathClosure {
+		base = paths.SubpathClosure(base)
+	}
+	if cfg.EdgeLSPs {
+		for _, e := range g.Edges() {
+			base.Add(paths.EdgePath(g, e.ID, e.U))
+			base.Add(paths.EdgePath(g, e.ID, e.V))
+		}
+	}
+	serves := make([]bool, n)
+	for _, src := range sources {
+		serves[src] = true
+	}
+	return base, serves, nil
 }
 
 // Net returns the underlying MPLS network.

@@ -1,10 +1,15 @@
 package shardrpc
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"rbpc/internal/engine"
+	"rbpc/internal/failure"
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
@@ -175,4 +180,109 @@ func sameRow(t *testing.T, got, want *mpls.Network, v graph.NodeID, l mpls.Label
 	if !gok || !wok || !reflect.DeepEqual(ge, row) || !reflect.DeepEqual(we, row) {
 		t.Fatalf("router %d's ILM row for label %d is %+v (%v), the reference's %+v (%v), the LSP's %+v", v, l, ge, gok, we, wok, row)
 	}
+}
+
+// TestWriteProvisionMatchesSystem: a worker process builds the write side
+// of the provision only (rbpc.WriteProvision, in RunWorker), and
+// it must be NewSystem's export minus the forwarding plane, on the three
+// provision shapes of internal/rbpc's membership tests — the AS stand-in, a
+// subpath closure and a hot set: the same base paths at the same cost bits,
+// pair heads, primary mask and served sources, and LSP records with the
+// export's IDs and paths and no labels; the same attach hello on every
+// shard; and a worker built on it publishes, over a churn schedule, epoch
+// frames byte-identical to those of a worker built on the full export.
+func TestWriteProvisionMatchesSystem(t *testing.T) {
+	waxman := topology.Waxman(30, 0.8, 0.5, 4)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		cfg  rbpc.Config
+	}{
+		{"as-0.05", topology.PaperAS(1, 0.05), rbpc.Config{EdgeLSPs: true}},
+		{"waxman-closure", waxman, rbpc.DefaultConfig()},
+		{"waxman-hot-set", waxman, rbpc.Config{EdgeLSPs: true, Sources: []graph.NodeID{3, 7, 8, 20, 29}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := rbpc.NewSystem(tc.g, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := sys.Export()
+			wp, err := rbpc.WriteProvision(tc.g, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wp.Net != nil || wp.LSPs != nil || wp.Graph != tc.g {
+				t.Fatalf("the write side holds network %p and key registry of %d, over graph %p (want none, none, %p)", wp.Net, len(wp.LSPs), wp.Graph, tc.g)
+			}
+			if wp.Base.Len() != full.Base.Len() || len(wp.BaseLSPs) != len(full.BaseLSPs) {
+				t.Fatalf("%d base paths and %d LSPs, the system's %d and %d", wp.Base.Len(), len(wp.BaseLSPs), full.Base.Len(), len(full.BaseLSPs))
+			}
+			for i, want := range full.Base.All() {
+				if got := wp.Base.All()[i]; !got.Equal(want) || math.Float64bits(wp.Base.CostAt(int32(i))) != math.Float64bits(full.Base.CostAt(int32(i))) {
+					t.Fatalf("base path %d is %v at cost %v, the system's %v at %v", i, got, wp.Base.CostAt(int32(i)), want, full.Base.CostAt(int32(i)))
+				}
+				got, ref := wp.BaseLSPs[i], full.BaseLSPs[i]
+				if got.ID != ref.ID || !got.Path.Equal(ref.Path) {
+					t.Fatalf("LSP record %d is %d %v, the system's LSP %d %v", i, got.ID, got.Path, ref.ID, ref.Path)
+				}
+				if _, labelled := got.HopLabel(0); labelled || got.SelfLabel() != 0 {
+					t.Fatalf("LSP record %d carries labels", got.ID)
+				}
+			}
+			if !slices.Equal(wp.Base.PairHeads(), full.Base.PairHeads()) || !slices.Equal(wp.PrimaryMask(), full.PrimaryMask()) || !slices.Equal(wp.Serves, full.Serves) {
+				t.Fatal("pair heads, primary mask or served sources differ from the system's")
+			}
+
+			const shards = 2
+			evs := failure.ChurnSchedule(tc.g, 120, 3, rand.New(rand.NewSource(11)))
+			for idx := 0; idx < shards; idx++ {
+				cfg := Config{Shards: shards}
+				if got, want := contract(wp, cfg, idx), contract(full, cfg, idx); got != want {
+					t.Fatalf("shard %d: the write side's hello %+v, the system's %+v", idx, got, want)
+				}
+				got, want := workerFrames(t, wp, cfg, idx, evs), workerFrames(t, full, cfg, idx, evs)
+				if len(got) != len(want) {
+					t.Fatalf("shard %d: %d epoch frames over the write side, %d over the system", idx, len(got), len(want))
+				}
+				rows := false
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("shard %d: epoch frame %d differs between the write side and the system", idx, i)
+					}
+					rows = rows || len(want[i]) > len(want[0])+64
+				}
+				if !rows {
+					t.Fatalf("vacuous: shard %d published no epoch with overlay rows", idx)
+				}
+			}
+		})
+	}
+}
+
+// workerFrames builds shard idx's worker over p and returns the wire frame
+// of every epoch it publishes — the pristine one, then one a burst — as it
+// takes evs in bursts of up to three, flushing after each.
+func workerFrames(t *testing.T, p rbpc.Provision, cfg Config, idx int, evs []failure.Event) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	frame := func(s *engine.Snapshot) {
+		buf, err := s.AppendWire(nil)
+		if err != nil {
+			t.Error(err)
+		}
+		frames = append(frames, buf)
+	}
+	cfg.Engine.OnEpoch = frame // called on the writer goroutine; Flush orders it before the read
+	w, err := NewWorker(p, idx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	frame(w.Engine().Snapshot())
+	for i := 0; i < len(evs); i += 3 {
+		w.Engine().ApplyEvents(evs[i:min(i+3, len(evs))])
+		w.Engine().Flush()
+	}
+	return frames
 }

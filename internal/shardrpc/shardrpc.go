@@ -9,7 +9,9 @@
 // worker owns (shard.SliceProvision), and the epochs are byte-for-byte the
 // ones shard.New builds, so a process-mode deployment answers
 // bit-identically to `-shards N` (the chaos lockstep oracle proves it over
-// a pipe transport).
+// a pipe transport). A worker process builds only the write side of the
+// provision (rbpc.WriteProvision: the base set and label-less LSP records,
+// no forwarding plane); the coordinator holds the one data plane.
 //
 // Wire shape. The wire carries epochs, not queries. Every frame is a fixed
 // 20-byte header (magic, payload length, sequence, type, flags, CRC-32C of

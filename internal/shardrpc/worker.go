@@ -41,13 +41,13 @@ type Worker struct {
 }
 
 // NewWorker builds the worker for shard idx of the deployment described
-// by cfg, slicing the full provision exactly the way shard.New does —
-// bit-identical epochs are the whole point — and dropping the slice's
-// network: the worker's snapshots forward nothing (Send answers
-// engine.ErrNoDataPlane), and a worker process that provisioned the
-// network for itself can let it go. The provision must be the full export;
-// the worker slices it itself so every process partitions with the same
-// owner table.
+// by cfg, slicing the provision exactly the way shard.New does —
+// bit-identical epochs are the whole point — with no network: the worker's
+// snapshots forward nothing (Send answers engine.ErrNoDataPlane). The
+// provision is the deployment's whole one, not a slice — the worker slices
+// it itself so every process partitions with the same owner table — and
+// either its write side (rbpc.WriteProvision, what RunWorker builds) or a
+// full export, whose network the slice drops.
 func NewWorker(p rbpc.Provision, idx int, cfg Config) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	if idx < 0 || idx >= cfg.Shards {

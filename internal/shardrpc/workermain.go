@@ -120,13 +120,30 @@ func ParseWorkerOpts(spec string) (WorkerOpts, error) {
 // (kind, scale, seed) and the RBPC system over it. The hot set is the
 // first HotSources node IDs — deterministic, and on the generated
 // topologies node IDs carry no locality, so it behaves like a uniform
-// sample of the pair space. This is the one recipe: the coordinator's
-// process and every worker call it, so they cannot disagree on what was
-// provisioned.
+// sample of the pair space. There is one recipe, at two depths: the
+// coordinator's process builds the whole system here, and every worker
+// process builds the write side of the same recipe (RunWorker,
+// rbpc.WriteProvision: the same base set and LSP numbering, no forwarding
+// plane). The attach contract proves they agree: a worker's hello carries
+// the digest of its LSP table (registryDigest: IDs and paths), and the
+// coordinator refuses one that differs from its own.
 func (o WorkerOpts) Provision() (rbpc.Provision, error) {
-	g, err := topology.Build(o.Topology, o.Scale, o.Seed)
+	g, rcfg, err := o.recipe()
 	if err != nil {
 		return rbpc.Provision{}, err
+	}
+	sys, err := rbpc.NewSystem(g, rcfg)
+	if err != nil {
+		return rbpc.Provision{}, fmt.Errorf("provision: %w", err)
+	}
+	return sys.Export(), nil
+}
+
+// recipe is the (topology, configuration) pair the spec provisions.
+func (o WorkerOpts) recipe() (*graph.Graph, rbpc.Config, error) {
+	g, err := topology.Build(o.Topology, o.Scale, o.Seed)
+	if err != nil {
+		return nil, rbpc.Config{}, err
 	}
 	rcfg := rbpc.Config{SubpathClosure: o.Closure, EdgeLSPs: true}
 	if o.HotSources > 0 && o.HotSources < g.Order() {
@@ -136,25 +153,23 @@ func (o WorkerOpts) Provision() (rbpc.Provision, error) {
 		}
 		rcfg.Sources = srcs
 	}
-	sys, err := rbpc.NewSystem(g, rcfg)
-	if err != nil {
-		return rbpc.Provision{}, fmt.Errorf("provision: %w", err)
-	}
-	return sys.Export(), nil
+	return g, rcfg, nil
 }
 
 // listenerFD is the descriptor a worker process inherits its listener on:
 // the first of exec.Cmd.ExtraFiles, after stdin, stdout and stderr.
 const listenerFD = 3
 
-// RunWorker is the worker process's whole life: rebuild the provision the
-// coordinator described (bit-identical — the same Provision call), slice
-// it onto this index's shard engine, and serve the listener inherited on
-// descriptor 3 until the process is killed. The Fleet opened that listener
-// before forking and holds it open, so the coordinator's connections queue
-// on it while this process provisions; a process started without one fails
-// before provisioning. It never returns nil: the supervisor kills workers,
-// workers don't exit.
+// RunWorker is the worker process's whole life: build the write side of
+// the provision the coordinator described (rbpc.WriteProvision over the
+// spec's recipe: the base set and LSP records the coordinator's Provision
+// numbers identically, and no forwarding plane, which a worker never
+// reads), slice it onto this index's shard engine, and serve the listener
+// inherited on descriptor 3 until the process is killed. The Fleet opened
+// that listener before forking and holds it open, so the coordinator's
+// connections queue on it while this process provisions; a process started
+// without one fails before provisioning. It never returns nil: the
+// supervisor kills workers, workers don't exit.
 func RunWorker(o WorkerOpts) error {
 	if o.MaxProcs > 0 {
 		runtime.GOMAXPROCS(o.MaxProcs)
@@ -168,9 +183,13 @@ func RunWorker(o WorkerOpts) error {
 	if err != nil {
 		return fmt.Errorf("shardrpc: worker %d: inherited listener on descriptor %d: %w", o.Index, listenerFD, err)
 	}
-	p, err := o.Provision()
+	g, rcfg, err := o.recipe()
 	if err != nil {
 		return fmt.Errorf("shardrpc: worker %d: %w", o.Index, err)
+	}
+	p, err := rbpc.WriteProvision(g, rcfg)
+	if err != nil {
+		return fmt.Errorf("shardrpc: worker %d: provision: %w", o.Index, err)
 	}
 	cfg := Config{Shards: o.Shards, Engine: engine.Config{PlanCacheCap: o.PlanCacheMax}}
 	w, err := NewWorker(p, o.Index, cfg)

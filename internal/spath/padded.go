@@ -41,6 +41,9 @@ func PaddingFor(g *graph.Graph) float64 {
 // Order implements graph.View.
 func (p *PaddedView) Order() int { return p.under.Order() }
 
+// Size implements graph.View.
+func (p *PaddedView) Size() int { return p.under.Size() }
+
 // Directed implements graph.View.
 func (p *PaddedView) Directed() bool { return p.under.Directed() }
 
