@@ -55,12 +55,14 @@ verify:
 # path: a query's whole cost through the in-process coordinator at 2 and at
 # 8 shards (every shard scans the shared burst; 0 allocs asserted), the
 # frame checksum in GB/s, and building a base set's
-# indexes (the benchmark of record's set, and a subpath closure whose pairs
-# hold several paths; B and allocs per set), and provisioning the benchmark
-# of record's deployment in full, as the coordinator does (rbpc.NewSystem),
-# and its write side, as a worker process does (rbpc.WriteProvision): ns,
-# B and allocs of each. CI runs them once each (BENCHTIME=1x) so they
-# cannot rot.
+# indexes (the benchmark of record's set, walked tree by tree off a
+# pre-rooted oracle, and a subpath closure, built wholly through Add, whose
+# pairs hold several paths; B and allocs per set), and provisioning the
+# benchmark of record's deployment in full, as the coordinator does
+# (rbpc.NewSystem: the tree walk, one batch of LSPs, keys cut from one
+# string, FEC rows from one array), and its write side, as a worker process
+# does (rbpc.WriteProvision): ns, B and allocs of each. CI runs them once
+# each (BENCHTIME=1x) so they cannot rot.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/

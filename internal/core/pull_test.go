@@ -57,7 +57,7 @@ func baseNamesPath(ex *paths.Explicit, d Decomposition) error {
 // edgeComplete returns b materialized for every source plus the 1-hop path
 // over every link both ways — what EdgeLSPs provisioning installs, and what
 // the pull requires.
-func edgeComplete(g *graph.Graph, b paths.Base) *paths.Explicit {
+func edgeComplete(g *graph.Graph, b paths.TreeBase) *paths.Explicit {
 	var sources []graph.NodeID
 	for i := 0; i < g.Order(); i++ {
 		sources = append(sources, graph.NodeID(i))

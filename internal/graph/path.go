@@ -228,18 +228,22 @@ func (p Path) String() string {
 
 // Key returns a compact string identifying the path's edge sequence plus its
 // endpoints ("src:e0,e1,...,:dst"), suitable as a map key (e.g. for
-// deduplicating base paths). It is on the restore-critical path — every
-// component of every restoration route is resolved to its LSP by key — so
-// it formats into a stack buffer and allocates only the returned string.
+// deduplicating base paths). It formats into a stack buffer and allocates
+// only the returned string.
 func (p Path) Key() string {
 	var buf [96]byte
-	b := strconv.AppendInt(buf[:0], int64(p.Nodes[0]), 10)
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends p's Key to b and returns the extended buffer, so that
+// many keys can be cut from one allocation.
+func (p Path) AppendKey(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(p.Nodes[0]), 10)
 	b = append(b, ':')
 	for _, e := range p.Edges {
 		b = strconv.AppendInt(b, int64(e), 10)
 		b = append(b, ',')
 	}
 	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(p.Dst()), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(p.Dst()), 10)
 }

@@ -319,13 +319,19 @@ func (n *Network) RepairEdge(e graph.EdgeID) { n.edgeUp[e] = true }
 
 // SetFEC installs (or replaces) the FEC row for dst at router id. This is
 // the entirety of source-router RBPC's data-plane action.
-func (n *Network) SetFEC(id, dst graph.NodeID, e FECEntry) {
+func (n *Network) SetFEC(id, dst graph.NodeID, e FECEntry) { n.InstallFEC(id, dst, &e) }
+
+// InstallFEC installs *e as the FEC row for dst at router id, as SetFEC
+// does, and keeps the pointer: the row is immutable once installed, so the
+// caller must not write *e or its stack afterwards. Provisioning installs
+// a row per served pair this way from one array of entries.
+func (n *Network) InstallFEC(id, dst graph.NodeID, e *FECEntry) {
 	r := n.routers[id]
 	slots := r.writableFEC(dst)
 	if slots[dst] == nil {
 		r.fecCount++
 	}
-	slots[dst] = &e
+	slots[dst] = e
 	n.stats.fecUpdates.Add(1)
 }
 

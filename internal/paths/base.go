@@ -32,6 +32,16 @@ type Base interface {
 	View() graph.View
 }
 
+// TreeBase is a base set whose path for each pair is the pair's path in
+// one shortest-path tree per source: Between(s, d) is Tree(s)'s path to
+// d. A restorable tiebreak is exactly such a choice of one tree per
+// source, and it is what FromSources reads, a tree at a time.
+type TreeBase interface {
+	Base
+	// Tree returns the tree rooted at s that Between reads s's paths from.
+	Tree(s graph.NodeID) *spath.Tree
+}
+
 // AllShortest is the implicit base set containing every shortest path of
 // the original network. This is the base set of the paper's main
 // experiments ("the set of basic paths corresponds to all-pairs shortest
@@ -71,6 +81,9 @@ func (b *AllShortest) Between(s, d graph.NodeID) (graph.Path, bool) {
 // View implements Base.
 func (b *AllShortest) View() graph.View { return b.o.View() }
 
+// Tree implements TreeBase: the oracle's tree at s.
+func (b *AllShortest) Tree(s graph.NodeID) *spath.Tree { return b.o.Tree(s) }
+
 // UniqueShortest is the implicit base set of Theorem 3: exactly one
 // shortest path per pair, selected by infinitesimal padding of the edge
 // weights. Because padded shortest paths are unique, the set is
@@ -105,13 +118,17 @@ func (b *UniqueShortest) Between(s, d graph.NodeID) (graph.Path, bool) {
 // View implements Base, returning the original (unpadded) view.
 func (b *UniqueShortest) View() graph.View { return b.orig }
 
+// Tree implements TreeBase: the padded oracle's tree at s. Its paths are
+// the set's; its distances are padded.
+func (b *UniqueShortest) Tree(s graph.NodeID) *spath.Tree { return b.padded.Tree(s) }
+
 // PaddedOracle exposes the padded selection oracle, used by the sparse
 // decomposer to rank candidate base paths.
 func (b *UniqueShortest) PaddedOracle() *spath.Oracle { return b.padded }
 
 var (
-	_ Base = (*AllShortest)(nil)
-	_ Base = (*UniqueShortest)(nil)
+	_ TreeBase = (*AllShortest)(nil)
+	_ TreeBase = (*UniqueShortest)(nil)
 )
 
 // Survives reports whether path p avoids every failure in the view: all of

@@ -1,24 +1,24 @@
 package paths
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"rbpc/internal/graph"
+	"rbpc/internal/spath"
 )
 
 // pairKey identifies an ordered source-destination pair.
 type pairKey struct{ s, d graph.NodeID }
 
 // Explicit is a materialized base set: the stored paths with their
-// base-view costs, and one index per question asked of them — byPair and
-// next for the paths of a pair, byEdge for the paths over a link, and the
-// memoized ArcIndex for the paths out of and into a node.
+// base-view costs, and one index per question asked of them — the pair
+// heads and next for the paths of a pair, byEdge for the paths over a
+// link, and the memoized ArcIndex for the paths out of and into a node.
 //
-// Once populated (Add is the build phase), an Explicit is read-only: every
-// consumer — decomposers, planners, evaluation fan-outs, the LSPs
-// established over the stored paths — shares it concurrently without
-// locking.
+// Once populated (FromSources and Add are the build phase), an Explicit is
+// read-only: every consumer — decomposers, planners, evaluation fan-outs,
+// the LSPs established over the stored paths — shares it concurrently
+// without locking.
 //
 //rbpc:immutable
 type Explicit struct {
@@ -27,15 +27,21 @@ type Explicit struct {
 	paths []graph.Path
 	costs []float64 // costs[i] is paths[i]'s cost in view
 	// next[i] is the position of the path its pair gained after paths[i],
-	// -1 at the end: byPair holds the head of each pair's chain, in the
-	// order Add stored them.
-	next   []int32
-	byPair map[pairKey]int
+	// -1 at the end: each pair's chain, in the order the set stored it.
+	// A chain's head is in rows when its source has one, else in byPair.
+	next []int32
+	// rows[s] is the dense head row of a source FromSources walked:
+	// rows[s][d] is the position of the first path from s to d, -1 if
+	// none. A source it did not walk has no row (nil), so a set built
+	// through Add alone, or a hot set's unserved sources with their 1-hop
+	// paths, keep their heads in the sparse byPair.
+	rows   [][]int32
+	byPair map[pairKey]int32
 	// byEdge[e] lists the positions of the paths over link e, by EdgeID.
 	byEdge [][]int
-	// nodeSlab and edgeSlab are the free tails of the arrays Add copies
-	// stored paths into: a stored path is a window of one of them, capped
-	// at its own length, so a path costs no allocation of its own.
+	// nodeSlab and edgeSlab are the free tails of the arrays stored paths
+	// are carved from: a stored path is a window of one of them, capped at
+	// its own length, so a path costs no allocation of its own.
 	nodeSlab []graph.NodeID
 	edgeSlab []graph.EdgeID
 
@@ -45,20 +51,27 @@ type Explicit struct {
 
 // NewExplicit returns an empty explicit base set over v.
 func NewExplicit(v graph.View) *Explicit {
-	return &Explicit{view: v, byPair: make(map[pairKey]int)}
+	return &Explicit{view: v, byPair: make(map[pairKey]int32)}
 }
 
-// reserve sizes an empty set for n paths, so that building it grows no
-// index along the way.
-//
-//rbpc:ctor
-func (b *Explicit) reserve(n int) {
-	b.paths = slices.Grow(b.paths, n)
-	b.costs = slices.Grow(b.costs, n)
-	b.next = slices.Grow(b.next, n)
-	if len(b.byPair) == 0 {
-		b.byPair = make(map[pairKey]int, n)
+// row returns s's dense head row, nil if FromSources did not walk s.
+func (b *Explicit) row(s graph.NodeID) []int32 {
+	if int(s) < len(b.rows) {
+		return b.rows[s]
 	}
+	return nil
+}
+
+// head returns the position of the first stored path from s to d, -1 if
+// the set holds none.
+func (b *Explicit) head(s, d graph.NodeID) int32 {
+	if row := b.row(s); row != nil {
+		return row[d]
+	}
+	if h, ok := b.byPair[pairKey{s, d}]; ok {
+		return h
+	}
+	return -1
 }
 
 // Add inserts p into the set (deduplicating identical paths) and returns
@@ -70,39 +83,49 @@ func (b *Explicit) Add(p graph.Path) bool {
 	if p.IsTrivial() {
 		return false
 	}
-	pk := pairKey{p.Src(), p.Dst()}
-	head, have := b.byPair[pk]
-	tail := -1
-	if have {
-		for i := head; i >= 0; i = int(b.next[i]) {
-			if b.paths[i].Equal(p) {
-				return false
-			}
-			tail = i
+	s, d := p.Src(), p.Dst()
+	tail := int32(-1)
+	for i := b.head(s, d); i >= 0; i = b.next[i] {
+		if b.paths[i].Equal(p) {
+			return false
 		}
+		tail = i
 	}
-	idx := len(b.paths)
 	if b.ai.Load() != nil {
 		b.ai.Store(nil)
 	}
-	b.paths = append(b.paths, b.store(p))
-	b.costs = append(b.costs, p.CostIn(b.view))
-	b.next = append(b.next, -1)
-	if have {
-		b.next[tail] = int32(idx)
-	} else {
-		b.byPair[pk] = idx
-	}
-	for _, e := range p.Edges {
-		if int(e) >= len(b.byEdge) {
-			b.byEdge = append(b.byEdge, make([][]int, int(e)+1-len(b.byEdge))...)
-		}
-		b.byEdge[e] = append(b.byEdge[e], idx)
+	idx := b.push(b.store(p))
+	switch row := b.row(s); {
+	case tail >= 0:
+		b.next[tail] = idx
+	case row != nil:
+		row[d] = idx
+	default:
+		b.byPair[pairKey{s, d}] = idx
 	}
 	return true
 }
 
-// slabMin and slabMax bound the arrays store allocates: each is twice the
+// push appends p, already carved into the set's slabs, at the end of the
+// set and of byEdge's lists, and returns its position; the caller links it
+// into its pair's chain. Its cost is summed in the set's own view.
+//
+//rbpc:ctor
+func (b *Explicit) push(p graph.Path) int32 {
+	idx := int32(len(b.paths))
+	b.paths = append(b.paths, p)
+	b.costs = append(b.costs, p.CostIn(b.view))
+	b.next = append(b.next, -1)
+	for _, e := range p.Edges {
+		if int(e) >= len(b.byEdge) {
+			b.byEdge = append(b.byEdge, make([][]int, int(e)+1-len(b.byEdge))...)
+		}
+		b.byEdge[e] = append(b.byEdge[e], int(idx))
+	}
+	return idx
+}
+
+// slabMin and slabMax bound the arrays grab allocates: each is twice the
 // last, from slabMin up to slabMax entries (or one path's length, if that
 // is more), so a small set stays small and a large one allocates a few
 // dozen times.
@@ -115,20 +138,40 @@ const (
 //
 //rbpc:ctor
 func (b *Explicit) store(p graph.Path) graph.Path {
-	return graph.Path{Nodes: carve(&b.nodeSlab, p.Nodes), Edges: carve(&b.edgeSlab, p.Edges)}
+	nodes, edges := grab(&b.nodeSlab, len(p.Nodes)), grab(&b.edgeSlab, len(p.Edges))
+	copy(nodes, p.Nodes)
+	copy(edges, p.Edges)
+	return graph.Path{Nodes: nodes, Edges: edges}
 }
 
-// carve appends xs to the free tail *slab, starting a new array when the
-// tail is too short, and returns the window xs landed in, capped at its
-// length so an append to it cannot reach the next window.
-func carve[T any](slab *[]T, xs []T) []T {
-	if cap(*slab)-len(*slab) < len(xs) {
+// walk carves the path of t from its root to d, a node t reaches, into the
+// set's slabs by t's parent links, and returns it: the path
+// spath.Tree.PathTo builds, with no allocation of its own.
+//
+//rbpc:ctor
+func (b *Explicit) walk(t *spath.Tree, d graph.NodeID) graph.Path {
+	h := t.Hops(d)
+	p := graph.Path{Nodes: grab(&b.nodeSlab, h+1), Edges: grab(&b.edgeSlab, h)}
+	at := d
+	for i := h; i > 0; i-- {
+		p.Nodes[i] = at
+		at, p.Edges[i-1] = t.Parent(at)
+	}
+	p.Nodes[0] = at
+	return p
+}
+
+// grab returns the next k entries of the free tail *slab, starting a new
+// array when the tail is too short, as a window capped at its length so an
+// append to it cannot reach the next window.
+func grab[T any](slab *[]T, k int) []T {
+	if cap(*slab)-len(*slab) < k {
 		size := min(max(2*cap(*slab), slabMin), slabMax)
-		*slab = make([]T, 0, max(size, len(xs)))
+		*slab = make([]T, 0, max(size, k))
 	}
 	at := len(*slab)
-	*slab = append(*slab, xs...)
-	return (*slab)[at:len(*slab):len(*slab)]
+	*slab = (*slab)[:at+k]
+	return (*slab)[at : at+k : at+k]
 }
 
 // ArcIndex returns the set's by-source and by-destination arc lists, built
@@ -204,11 +247,7 @@ func (b *Explicit) Contains(p graph.Path) bool {
 	if p.IsTrivial() {
 		return false
 	}
-	head, ok := b.byPair[pairKey{p.Src(), p.Dst()}]
-	if !ok {
-		return false
-	}
-	for i := head; i >= 0; i = int(b.next[i]) {
+	for i := b.head(p.Src(), p.Dst()); i >= 0; i = b.next[i] {
 		if b.paths[i].Equal(p) {
 			return true
 		}
@@ -228,8 +267,10 @@ func (b *Explicit) Between(s, d graph.NodeID) (graph.Path, bool) {
 // IndexBetween returns the set position of the path Between returns: the
 // first stored path from s to d.
 func (b *Explicit) IndexBetween(s, d graph.NodeID) (int, bool) {
-	idx, ok := b.byPair[pairKey{s, d}]
-	return idx, ok
+	if h := b.head(s, d); h >= 0 {
+		return int(h), true
+	}
+	return 0, false
 }
 
 // PairHeads returns a Len()-sized mask marking, for every pair the set
@@ -276,11 +317,9 @@ func (b *Explicit) EdgeComplete() bool {
 		src := graph.NodeID(u)
 		complete := true
 		b.view.VisitArcs(src, func(a graph.Arc) bool {
-			if head, ok := b.byPair[pairKey{src, a.To}]; ok {
-				for i := head; i >= 0; i = int(b.next[i]) {
-					if e := b.paths[i].Edges; len(e) == 1 && e[0] == a.Edge {
-						return true
-					}
+			for i := b.head(src, a.To); i >= 0; i = b.next[i] {
+				if e := b.paths[i].Edges; len(e) == 1 && e[0] == a.Edge {
+					return true
 				}
 			}
 			complete = false
@@ -295,21 +334,39 @@ func (b *Explicit) EdgeComplete() bool {
 
 var _ Base = (*Explicit)(nil)
 
-// FromSources materializes the canonical base paths from every source in
-// sources to every reachable destination, using base's Between. Passing
-// every node as a source yields the paper's "one LSP per ordered pair" base
-// set.
-func FromSources(b Base, sources []graph.NodeID) *Explicit {
-	ex := NewExplicit(b.View())
-	n := b.View().Order()
-	ex.reserve(len(sources) * (n - 1))
-	for _, s := range sources {
-		for d := 0; d < n; d++ {
-			if graph.NodeID(d) == s {
-				continue
-			}
-			if p, ok := b.Between(s, graph.NodeID(d)); ok {
-				ex.Add(p)
+// FromSources materializes the base paths b holds from every source in
+// sources to every node it reaches, source by source and destinations
+// ascending: each source's paths are read off b.Tree(source), the path
+// b.Between returns. Passing every node as a source yields the paper's
+// "one LSP per ordered pair" base set.
+//
+// Each tree is walked once: its paths are carved straight into the set's
+// slabs by the tree's parent links, with their costs summed in the set's
+// (unpadded) view as Add sums them, and each walked source gets a dense
+// head row, so a walked pair costs no lookup, map entry or allocation of
+// its own. A repeated source is walked once.
+//
+//rbpc:ctor
+func FromSources(b TreeBase, sources []graph.NodeID) *Explicit {
+	v := b.View()
+	n := v.Order()
+	ex := NewExplicit(v)
+	ex.paths = make([]graph.Path, 0, len(sources)*(n-1))
+	ex.costs = make([]float64, 0, len(sources)*(n-1))
+	ex.next = make([]int32, 0, len(sources)*(n-1))
+	ex.rows = make([][]int32, n)
+	heads := make([]int32, len(sources)*n)
+	for k, s := range sources {
+		if ex.rows[s] != nil {
+			continue
+		}
+		row := heads[k*n : (k+1)*n : (k+1)*n]
+		ex.rows[s] = row
+		t := b.Tree(s)
+		for d := range row {
+			row[d] = -1
+			if dst := graph.NodeID(d); dst != s && t.Reached(dst) {
+				row[d] = ex.push(ex.walk(t, dst))
 			}
 		}
 	}

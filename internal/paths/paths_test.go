@@ -257,10 +257,11 @@ func TestEdgePathOrientation(t *testing.T) {
 // links, and a directed one in four — carrying a FromSources,
 // SubpathClosure or Corollary4Extend set, with or without the 1-hop paths;
 // the set is rebuilt from its own paths interleaved with re-added
-// duplicates and random walks. Checked: Add's verdict and the order it
-// stores in, Contains, IndexBetween, EdgeComplete, IndicesThroughEdge,
-// ArcIndex.Out and In, and DeadUnderInto under link failures and under
-// node failures.
+// duplicates and random walks, on top of the trees of a random subset of
+// the sources (FromSources) or of none. Checked: Add's verdict and the
+// order it stores in, Contains, IndexBetween, EdgeComplete,
+// IndicesThroughEdge, ArcIndex.Out and In, and DeadUnderInto under link
+// failures and under node failures.
 func TestQuickExplicitIndexesConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		if err := checkExplicitIndexes(rand.New(rand.NewSource(seed))); err != nil {
@@ -366,8 +367,19 @@ func checkExplicitIndexes(rng *rand.Rand) error {
 			seq = append(seq, randomWalk(rng, g))
 		}
 	}
-	ex := NewExplicit(g)
-	var stored []graph.Path
+	// The set starts as the trees of a random subset of the sources (none,
+	// one in four), so Add meets pairs whose heads are in dense rows as
+	// well as in the pair map.
+	var walked []graph.NodeID
+	if rng.Intn(2) == 0 {
+		for _, s := range sources {
+			if rng.Intn(4) == 0 {
+				walked = append(walked, s)
+			}
+		}
+	}
+	ex := FromSources(NewAllShortest(g), walked)
+	stored := slices.Clone(ex.All())
 	for k, p := range seq {
 		want := !p.IsTrivial() && !slices.ContainsFunc(stored, p.Equal)
 		if got := ex.Add(p); got != want {

@@ -1,7 +1,6 @@
 package rbpc
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -91,20 +90,29 @@ func TestProvisioningAndPrimaries(t *testing.T) {
 }
 
 // TestNewSystemRefusesForeignSources: a hot source that is not a node of
-// the graph is refused with an error naming it, before anything is
-// provisioned, instead of indexing past the graph's nodes.
+// the graph, or is listed twice, is refused by both builders (NewSystem
+// and WriteProvision) with an error naming it, before anything is
+// provisioned — instead of indexing past the graph's nodes, or walking the
+// repeated source's tree into the base set twice.
 func TestNewSystemRefusesForeignSources(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		src  graph.NodeID
+		name    string
+		sources []graph.NodeID
+		want    string
 	}{
-		{"past-the-last-node", 9},
-		{"negative", -1},
+		{"past-the-last-node", []graph.NodeID{1, 9}, "hot source 9 is not a node"},
+		{"negative", []graph.NodeID{1, -1}, "hot source -1 is not a node"},
+		{"repeated", []graph.NodeID{2, 1, 3, 1}, "hot source 1 is listed twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSystem(topology.Ring(4), Config{EdgeLSPs: true, Sources: []graph.NodeID{1, tc.src}})
-			if want := fmt.Sprintf("hot source %d ", tc.src); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("NewSystem = %v, %v; want an error naming %q", s, err, want)
+			cfg := Config{EdgeLSPs: true, Sources: tc.sources}
+			s, err := NewSystem(topology.Ring(4), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewSystem = %v, %v; want an error saying %q", s, err, tc.want)
+			}
+			p, err := WriteProvision(topology.Ring(4), cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("WriteProvision = %v, %v; want an error saying %q", p.Base, err, tc.want)
 			}
 		})
 	}

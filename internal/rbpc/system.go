@@ -15,6 +15,7 @@ package rbpc
 
 import (
 	"fmt"
+	"strconv"
 
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
@@ -74,6 +75,13 @@ type System struct {
 // NewSystem provisions a full RBPC deployment over g: canonical per-pair
 // shortest-path LSPs (plus configured closures) and initial FEC entries at
 // every router for every destination.
+//
+// It provisions in flat passes, with no allocation per path: the base set
+// is read off each source's shortest-path tree (paths.FromSources), the
+// LSPs are established as one batch sharing the stored paths, the
+// registry's keys (Provision.LSPs, each path's Path.Key) are windows of one
+// string, and the primaries' FEC entries and their one-label stacks are
+// carved from one array each.
 func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	base, serves, err := buildBase(g, cfg)
 	if err != nil {
@@ -88,17 +96,45 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("rbpc: provisioning base LSP %v: %w", stored[len(lsps)], err)
 	}
 	s.baseLSPs = lsps
-	s.lspOf = make(map[string]*mpls.LSP, len(lsps))
+	// The registry's keys are cut from one string. Every node and link ID
+	// has at most digits digits, so a path's key is at most its hops plus
+	// two IDs, each with a separator, and the buffer never grows.
+	digits := len(strconv.Itoa(max(g.Order(), g.Size())))
+	size := 0
+	for _, p := range stored {
+		size += (len(p.Edges) + 2) * (digits + 1)
+	}
+	buf := make([]byte, 0, size)
+	ends := make([]int, len(stored))
 	for i, p := range stored {
-		s.lspOf[p.Key()] = lsps[i]
+		buf = p.AppendKey(buf)
+		ends[i] = len(buf)
+	}
+	keys := string(buf)
+	s.lspOf = make(map[string]*mpls.LSP, len(lsps))
+	for i, at := 0, 0; i < len(stored); i++ {
+		s.lspOf[keys[at:ends[i]]] = lsps[i]
+		at = ends[i]
 	}
 
 	// FEC entries pushing the primaries, hot sources only. A served pair's
 	// primary is its first stored path (Provision.Primary).
 	primary := s.Export().PrimaryMask()
+	rows := 0
+	for _, m := range primary {
+		if m {
+			rows++
+		}
+	}
+	entries := make([]mpls.FECEntry, rows)
+	stacks := make([]mpls.Label, rows)
+	k := 0
 	for i, p := range stored {
 		if primary[i] {
-			s.net.SetFEC(p.Src(), p.Dst(), mpls.FECEntry{Stack: []mpls.Label{lsps[i].SelfLabel()}, OutEdge: mpls.LocalProcess})
+			stacks[k] = lsps[i].SelfLabel()
+			entries[k] = mpls.FECEntry{Stack: stacks[k : k+1 : k+1], OutEdge: mpls.LocalProcess}
+			s.net.InstallFEC(p.Src(), p.Dst(), &entries[k])
+			k++
 		}
 	}
 	return s, nil
@@ -121,19 +157,26 @@ func WriteProvision(g *graph.Graph, cfg Config) (Provision, error) {
 
 // buildBase builds the base set cfg provisions over g, in the order its
 // LSPs are numbered, and marks the sources it serves: the one builder of
-// NewSystem and WriteProvision.
+// NewSystem and WriteProvision. A hot source that is not a node of g, or
+// is listed twice, is refused.
 func buildBase(g *graph.Graph, cfg Config) (*paths.Explicit, []bool, error) {
 	n := g.Order()
-	for _, src := range cfg.Sources {
+	serves := make([]bool, n)
+	sources := cfg.Sources
+	for _, src := range sources {
 		if src < 0 || int(src) >= n {
 			return nil, nil, fmt.Errorf("rbpc: hot source %d is not a node of the %d-node graph", src, n)
 		}
+		if serves[src] {
+			return nil, nil, fmt.Errorf("rbpc: hot source %d is listed twice", src)
+		}
+		serves[src] = true
 	}
-	sources := cfg.Sources
 	if sources == nil {
 		sources = make([]graph.NodeID, n)
 		for i := range sources {
 			sources[i] = graph.NodeID(i)
+			serves[i] = true
 		}
 	}
 	base := paths.FromSources(paths.NewAllShortest(g), sources)
@@ -145,10 +188,6 @@ func buildBase(g *graph.Graph, cfg Config) (*paths.Explicit, []bool, error) {
 			base.Add(paths.EdgePath(g, e.ID, e.U))
 			base.Add(paths.EdgePath(g, e.ID, e.V))
 		}
-	}
-	serves := make([]bool, n)
-	for _, src := range sources {
-		serves[src] = true
 	}
 	return base, serves, nil
 }

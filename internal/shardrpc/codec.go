@@ -73,11 +73,14 @@ func contract(p rbpc.Provision, cfg Config, idx int) hello {
 // registryDigest is the CRC-32C of a provision's LSP table in order: each
 // LSP's ID, hop count, nodes and links. Two processes whose digests (and
 // table lengths) agree resolve every LSP ID on the wire to the same path.
+// The records' bytes are checksummed in runs of digestRun bytes, not one
+// record at a time: the sum of a byte stream does not depend on how it is
+// cut.
 func registryDigest(lsps []*mpls.LSP) uint32 {
 	var sum uint32
-	var buf []byte
+	buf := make([]byte, 0, digestRun)
 	for _, l := range lsps {
-		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(l.ID))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.ID))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Path.Edges)))
 		for _, v := range l.Path.Nodes {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
@@ -85,10 +88,16 @@ func registryDigest(lsps []*mpls.LSP) uint32 {
 		for _, e := range l.Path.Edges {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(e))
 		}
-		sum = crc32.Update(sum, castagnoli, buf)
+		if len(buf) >= digestRun {
+			sum = crc32.Update(sum, castagnoli, buf)
+			buf = buf[:0]
+		}
 	}
-	return sum
+	return crc32.Update(sum, castagnoli, buf)
 }
+
+// digestRun is the length of the runs registryDigest checksums.
+const digestRun = 64 << 10
 
 // --- bursts ----------------------------------------------------------------
 

@@ -2,6 +2,8 @@ package shardrpc
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
@@ -285,4 +287,64 @@ func workerFrames(t *testing.T, p rbpc.Provision, cfg Config, idx int, evs []fai
 		w.Engine().Flush()
 	}
 	return frames
+}
+
+// perRecordDigest is registryDigest as it was first written, one
+// crc32.Update per LSP record: the reference the run-length form must
+// equal.
+func perRecordDigest(lsps []*mpls.LSP) (sum uint32, stream int) {
+	var buf []byte
+	for _, l := range lsps {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(l.ID))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l.Path.Edges)))
+		for _, v := range l.Path.Nodes {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		for _, e := range l.Path.Edges {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(e))
+		}
+		sum = crc32.Update(sum, castagnoli, buf)
+		stream += len(buf)
+	}
+	return sum, stream
+}
+
+// TestRegistryDigestMatchesPerRecord: the hello's digest, checksummed in
+// runs of digestRun bytes, equals the per-record checksum on the three
+// membership provisions, for the coordinator's LSPs and a worker's records
+// alike. The AS table spans many runs, so a run boundary inside a record is
+// crossed.
+func TestRegistryDigestMatchesPerRecord(t *testing.T) {
+	waxman := topology.Waxman(30, 0.8, 0.5, 4)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		cfg  rbpc.Config
+		runs int // at least this many runs of digestRun bytes
+	}{
+		{"as-0.05", topology.PaperAS(1, 0.05), rbpc.Config{EdgeLSPs: true}, 8},
+		{"waxman-closure", waxman, rbpc.DefaultConfig(), 0},
+		{"waxman-hot-set", waxman, rbpc.Config{EdgeLSPs: true, Sources: []graph.NodeID{3, 7, 8, 20, 29}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := rbpc.NewSystem(tc.g, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wp, err := rbpc.WriteProvision(tc.g, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, stream := perRecordDigest(sys.Export().BaseLSPs)
+			if stream < tc.runs*digestRun {
+				t.Fatalf("the table is %d bytes, under %d runs", stream, tc.runs)
+			}
+			if got := registryDigest(sys.Export().BaseLSPs); got != want {
+				t.Fatalf("registryDigest of the system's LSPs = %#x, per record %#x", got, want)
+			}
+			if got := registryDigest(wp.BaseLSPs); got != want {
+				t.Fatalf("registryDigest of the write side's records = %#x, per record %#x", got, want)
+			}
+		})
+	}
 }
