@@ -224,21 +224,18 @@ type writerMsg struct {
 
 // New builds an engine over a provisioned export and starts its writer and
 // query workers. The provision must be servable (rbpc.Provision.Servable):
-// the engine names LSPs, it never signals one. Only the source scheme runs
-// on a provision without a data plane (Net nil: rbpc.WriteProvision, or a
-// slice that dropped it): the local schemes patch the provision's ILM rows
-// by the LSPs' labels, which its records do not carry. The export's maps, LSP
-// table, base set and graph are read, never written, so several engines may
-// be built over one provision.
+// the engine names LSPs, it never signals one, and it builds every scheme's
+// plan — patches included, which name LSPs too — with or without a data
+// plane; a provision without one (Net nil: rbpc.WriteProvision, or a slice
+// that dropped it) publishes the same epochs, whose Send answers
+// ErrNoDataPlane. The export's maps, LSP table, base set and graph are read,
+// never written, so several engines may be built over one provision.
 func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 	if err := p.Servable(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	if cfg.Scheme > SchemeHybrid {
 		return nil, fmt.Errorf("engine: unknown scheme %d", int(cfg.Scheme))
-	}
-	if cfg.Scheme != SchemeSource && p.Net == nil {
-		return nil, fmt.Errorf("engine: the %v scheme patches ILM rows and the provision has no data plane (a write-side provision)", cfg.Scheme)
 	}
 
 	prim := p.PrimaryMask()

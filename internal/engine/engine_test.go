@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"rbpc/internal/core"
 	"rbpc/internal/failure"
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
@@ -357,40 +360,131 @@ func TestNewRequiresEdgeLSPs(t *testing.T) {
 	}
 }
 
-// TestNewRefusesLocalSchemesWithoutDataPlane: a local, bypass or hybrid
-// engine patches the provision's ILM rows by its LSPs' labels, and a
-// provision without a data plane — a write side, whose LSP records carry
-// no labels, or an export whose network was dropped — has neither. New
-// refuses every non-source scheme there, naming it, instead of building
-// patch rows that push label 0; the source scheme, which names LSPs only,
-// is built.
-func TestNewRefusesLocalSchemesWithoutDataPlane(t *testing.T) {
-	g, cfg := detourTriangle(), rbpc.Config{EdgeLSPs: true}
-	write, err := rbpc.WriteProvision(g, cfg)
-	if err != nil {
-		t.Fatal(err)
+// sameByID reports whether two answers of engines over different
+// provisions of one graph agree: both nil, or the same scheme, cost bits and
+// walk, over LSPs with the same IDs and paths.
+func sameByID(a, b *Route) bool {
+	if a == nil || b == nil {
+		return a == b
 	}
-	sys, err := rbpc.NewSystem(g, cfg)
-	if err != nil {
-		t.Fatal(err)
+	return a.Via == b.Via && math.Float64bits(a.Cost) == math.Float64bits(b.Cost) && a.Path.Equal(b.Path) &&
+		slices.EqualFunc(a.LSPs, b.LSPs, func(x, y *mpls.LSP) bool { return x.ID == y.ID && x.Path.Equal(y.Path) })
+}
+
+// sameEpoch reports how a write-side engine's epoch differs from a full
+// engine's: its failed-set and phase, every pair's entry in the overlay, the
+// rows the transition began with, the local plan and the canonical table,
+// what it serves, and its patches, named by LSP ID.
+func sameEpoch(full, write *Snapshot) error {
+	if full.epoch != write.epoch || !slices.Equal(full.failed, write.failed) || full.srcReady != write.srcReady || full.maxHorizon != write.maxHorizon {
+		return fmt.Errorf("epoch %d (failed %v, phase two %v) against %d (failed %v, phase two %v)",
+			full.epoch, full.failed, full.srcReady, write.epoch, write.failed, write.srcReady)
 	}
-	dropped := sys.Export()
-	dropped.Net = nil
-	for name, p := range map[string]rbpc.Provision{"write side": write, "dropped network": dropped} {
-		for _, sch := range []Scheme{SchemeLocal, SchemeBypass, SchemeHybrid} {
-			e, err := New(p, Config{Scheme: sch})
-			if err == nil {
-				e.Close()
-				t.Fatalf("%s: New built a %v engine without a data plane", name, sch)
-			}
-			if !strings.Contains(err.Error(), sch.String()) || !strings.Contains(err.Error(), "no data plane") {
-				t.Fatalf("%s: New: %v; the error does not name the %v scheme and the missing data plane", name, err, sch)
+	n := graph.NodeID(len(full.canon.at))
+	for src := graph.NodeID(0); src < n; src++ {
+		for dst := graph.NodeID(0); dst < n; dst++ {
+			a, aok := rowsGet(full.over, src, dst)
+			b, bok := rowsGet(write.over, src, dst)
+			c, cok := rowsGet(full.preOver, src, dst)
+			d, dok := rowsGet(write.preOver, src, dst)
+			lf, lfok := full.LocalRoute(src, dst)
+			lw, lwok := write.LocalRoute(src, dst)
+			if aok != bok || cok != dok || lfok != lwok || !sameByID(a, b) || !sameByID(c, d) || !sameByID(lf, lw) ||
+				!sameByID(full.canon.route(src, dst), write.canon.route(src, dst)) || !sameByID(full.Route(src, dst), write.Route(src, dst)) {
+				return fmt.Errorf("epoch %d (failed %v): pair %d->%d: the rows differ (overlay %v/%v, local %v/%v, served %v against %v)",
+					full.epoch, full.failed, src, dst, aok, bok, lfok, lwok, full.Route(src, dst), write.Route(src, dst))
 			}
 		}
-		e, err := New(p, Config{Scheme: SchemeSource})
+	}
+	fp, wp := full.patch.Patches(), write.patch.Patches()
+	if !slices.EqualFunc(fp, wp, func(x, y mpls.ILMPatch) bool {
+		return x.Router == y.Router && x.Crossing.ID == y.Crossing.ID && x.Hop == y.Hop && x.Resume == y.Resume &&
+			slices.EqualFunc(x.Splice, y.Splice, func(l, m *mpls.LSP) bool { return l.ID == m.ID })
+	}) {
+		return fmt.Errorf("epoch %d (failed %v): %d patches, the write side's %d differ", full.epoch, full.failed, len(fp), len(wp))
+	}
+	return nil
+}
+
+// TestWriteSideMatchesFullEngine: an engine builds every scheme's plan,
+// patches included, from LSP IDs alone, so over a write-side provision
+// (rbpc.WriteProvision: label-less records, no network) it publishes, epoch
+// for epoch under one churn schedule, what an engine over the full
+// provision of the same graph does — plan rows, routes, costs and patches by
+// LSP ID. The write side's Send answers ErrNoDataPlane; the full side's
+// delivers. Local-scheme epochs must patch some
+// row, or the comparison proved nothing.
+func TestWriteSideMatchesFullEngine(t *testing.T) {
+	steps := 30
+	if testing.Short() {
+		steps = 10
+	}
+	for _, tp := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"triangle", detourTriangle()}, {"as", topology.PaperAS(1, 0.05)}} {
+		cfg := rbpc.Config{EdgeLSPs: true}
+		write, err := rbpc.WriteProvision(tp.g, cfg)
 		if err != nil {
-			t.Fatalf("%s: New refused the source scheme: %v", name, err)
+			t.Fatal(err)
 		}
-		e.Close()
+		sys, err := rbpc.NewSystem(tp.g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := failure.ChurnSchedule(tp.g, steps, 3, rand.New(rand.NewSource(31)))
+		for _, sch := range Schemes() {
+			t.Run(tp.name+"/"+sch.String(), func(t *testing.T) {
+				var fulls, writes []*Snapshot
+				build := func(p rbpc.Provision, into *[]*Snapshot) *Engine {
+					e, err := New(p, Config{Scheme: sch, OnEpoch: func(s *Snapshot) { *into = append(*into, s) }})
+					if err != nil {
+						t.Fatalf("New over the %v provision: %v", p.Net != nil, err)
+					}
+					t.Cleanup(e.Close)
+					*into = append(*into, e.Snapshot())
+					return e
+				}
+				fe, we := build(sys.Export(), &fulls), build(write, &writes)
+				patched := 0
+				for i := 0; i < len(events); {
+					burst := 1 + i%3 // single events and bursts of two and three
+					burst = min(burst, len(events)-i)
+					fe.ApplyEvents(events[i : i+burst])
+					we.ApplyEvents(events[i : i+burst])
+					i += burst
+					fe.Flush()
+					we.Flush()
+				}
+				if len(fulls) != len(writes) {
+					t.Fatalf("the full engine published %d epochs, the write side %d", len(fulls), len(writes))
+				}
+				for k := range fulls {
+					if err := sameEpoch(fulls[k], writes[k]); err != nil {
+						t.Fatal(err)
+					}
+					patched += writes[k].patch.Len()
+				}
+				if (patched > 0) != (sch != SchemeSource) {
+					t.Fatalf("%d patches over %d epochs", patched, len(writes))
+				}
+				last := writes[len(writes)-1]
+				for src := graph.NodeID(0); src < graph.NodeID(tp.g.Order()); src++ {
+					for dst := graph.NodeID(0); dst < graph.NodeID(tp.g.Order()); dst++ {
+						if src == dst || last.Route(src, dst) == nil {
+							continue
+						}
+						if _, err := last.Send(src, dst); !errors.Is(err, ErrNoDataPlane) {
+							t.Fatalf("write side: Send(%d, %d) = %v, want ErrNoDataPlane", src, dst, err)
+						}
+						if pkt, err := fulls[len(fulls)-1].Send(src, dst); err != nil || pkt.At != dst {
+							t.Fatalf("full side: Send(%d, %d) = %v, %v", src, dst, pkt, err)
+						}
+						return
+					}
+				}
+				t.Fatal("no pair is routable at the last epoch")
+			})
+		}
 	}
 }

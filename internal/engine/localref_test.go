@@ -106,7 +106,13 @@ func referenceLocalBuild(e *Engine, failed []graph.EdgeID, fv *graph.FailureView
 					continue
 				}
 				r1, r2 := lsp.Path.Nodes[i], lsp.Path.Nodes[i+1]
-				label, ok := labelInto(lsp, i)
+				// The row under which the LSP's traffic is processed at
+				// r1: its self-label at the ingress, else the label of the
+				// hop into r1.
+				label, ok := lsp.SelfLabel(), true
+				if i > 0 {
+					label, ok = lsp.HopLabel(i - 1)
+				}
 				if !ok {
 					continue
 				}

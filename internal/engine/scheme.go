@@ -90,16 +90,6 @@ type FloodConfig struct {
 // its local answers indefinitely.
 const neverHorizon = time.Duration(math.MaxInt64)
 
-// labelInto returns the label under which the LSP's traffic is processed
-// at Path.Nodes[i]: the ingress self-label for i == 0, the upstream hop
-// label otherwise.
-func labelInto(lsp *mpls.LSP, i int) (mpls.Label, bool) {
-	if i == 0 {
-		return lsp.SelfLabel(), true
-	}
-	return lsp.HopLabel(i - 1)
-}
-
 // localScratch is buildLocalPlan's working memory. The build is
 // writer-only and runs once per transition on the restore-critical path,
 // so everything it would otherwise allocate per event lives here and is
@@ -107,18 +97,16 @@ func labelInto(lsp *mpls.LSP, i int) (mpls.Label, bool) {
 // the end of each build, the slices are truncated at the start of the
 // next.
 type localScratch struct {
-	downIn    []bool       // by EdgeID: the link is down in the epoch being built
-	pointAt   []int32      // by NodeID: 1 + index in points of the node's patch point
-	points    []patchPoint // detour requests grouped by patch point; entries are recycled
-	crossings []crossing
-	want      []mpls.ILMPatch
-	labels    []mpls.Label // backing store of the bypass rows in want
-	affected  []affectedPair
-	merged    []affectedPair // second buffer of the affected-set merge
-	crossed   []affectedPair // one link's affected pairs, merged into affected
-	stretch   []stretchObs
-	decs      []core.Decomposition // one patch point's solve
-	oks       []bool
+	downIn   []bool          // by EdgeID: the link is down in the epoch being built
+	pointAt  []int32         // by NodeID: 1 + index in points of the node's patch point
+	points   []patchPoint    // detour requests grouped by patch point; entries are recycled
+	want     []mpls.ILMPatch // a patch per crossing of a down link
+	affected []affectedPair
+	merged   []affectedPair // second buffer of the affected-set merge
+	crossed  []affectedPair // one link's affected pairs, merged into affected
+	stretch  []stretchObs
+	decs     []core.Decomposition // one patch point's solve
+	oks      []bool
 }
 
 // patchPoint is one router adjacent to a failure and the detours it needs:
@@ -127,26 +115,9 @@ type patchPoint struct {
 	s      graph.NodeID
 	dsts   []graph.NodeID
 	slotAt []int32 // by NodeID: 1 + index in dsts of the request towards it
-	dets   []detour
-}
-
-// detour is one solved request, with everything the crossings and pairs
-// sharing it need derived once: the flattened walk, its cost, and the
-// self-label stack of its components' LSPs.
-type detour struct {
-	ok    bool // a surviving detour exists, and resolves
-	path  graph.Path
-	cost  float64
-	stack []mpls.Label
-}
-
-// crossing is one provisioned LSP's traversal of a down link: the ILM row
-// (r1, label) to patch.
-type crossing struct {
-	lsp    *mpls.LSP
-	i      int
-	r1, r2 graph.NodeID
-	label  mpls.Label
+	// dets holds each request's solved detour, by index in dsts: LSPs, cost
+	// and walk (Path), derived once; nil if no surviving detour resolves.
+	dets []*Route
 }
 
 type affectedPair struct {
@@ -194,12 +165,9 @@ func (sc *localScratch) need(s, d graph.NodeID) {
 
 // detour returns the solved request s -> d, nil if it has no detour. The
 // request must have been registered with need before the solve.
-func (sc *localScratch) detour(s, d graph.NodeID) *detour {
+func (sc *localScratch) detour(s, d graph.NodeID) *Route {
 	pt := &sc.points[sc.pointAt[s]-1]
-	if dt := &pt.dets[pt.slotAt[d]-1]; dt.ok {
-		return dt
-	}
-	return nil
+	return pt.dets[pt.slotAt[d]-1]
 }
 
 // release zeroes the indexed tables and drops what the build's detours
@@ -250,23 +218,23 @@ func (sc *localScratch) mergeAffected() {
 func (a affectedPair) compare(b affectedPair) int { return a.NodePair.Compare(b.NodePair) }
 
 // buildLocalPlan computes the epoch's local restoration state for the
-// full failed-set: the patched ILM rows — one per provisioned LSP crossing
-// of every down link, frozen into the epoch's overlay over the engine's
-// network, which is not written — and the answer each affected pair's
-// patched forwarding now delivers. Writer-only, and the whole of it stands
+// full failed-set: the patches — one per provisioned LSP crossing of every
+// down link, named by LSPs and frozen into the epoch's overlay over the
+// engine's network (not written) or over none — and the answer each
+// affected pair's patched forwarding now delivers. Writer-only, and the whole of it stands
 // between a failure and the first restored packet, so it works in four
 // passes over writer-owned scratch:
 //
 //  1. Collect. Walk the provisioned LSPs through each down link (by base
-//     path index — no key is hashed) for the rows to patch, and merge the
+//     path index — no key is hashed) for the patches, and merge the
 //     links' sorted primary-crossing lists for the affected pairs; both
 //     register the detours they need, grouped by patch point.
 //  2. Solve. One pull per patch point (core.Pull) against the patch point's
 //     post-failure distance row: each detour is read off the arcs into its
 //     target. Patch points are failure endpoints, whose trees the epoch
 //     oracle roots anyway; no tree is rooted at a target.
-//  3. Patch. Form the wanted row of every crossing from its detour's label
-//     stack, and freeze the set (mpls.NewILMOverlay).
+//  3. Patch. Splice each crossing's detour LSPs into its patch, and freeze
+//     the set (mpls.NewILMOverlay, which derives the labels).
 //  4. Answer. Splice the detours into each affected primary and lay the
 //     routes out as per-source rows.
 //
@@ -274,8 +242,7 @@ func (a affectedPair) compare(b affectedPair) int { return a.NodePair.Compare(b.
 // snapshot is serving (accountStretch).
 func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*plan, *mpls.ILMOverlay) {
 	sc := e.lscratch
-	sc.stretch, sc.crossings = sc.stretch[:0], sc.crossings[:0]
-	sc.want, sc.labels = sc.want[:0], sc.labels[:0]
+	sc.stretch, sc.want = sc.stretch[:0], sc.want[:0]
 	if len(failed) == 0 {
 		return emptyPlan, nil
 	}
@@ -290,7 +257,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 		sc.downIn[ed] = true
 	}
 
-	// Pass 1: the rows to patch, the affected pairs — the primaries among
+	// Pass 1: the patches, the affected pairs — the primaries among
 	// the paths walked — and the detours both need. The crossings of a
 	// pair's primary are requested explicitly — the same requests, since
 	// primaries are base paths — so the route construction below never
@@ -311,17 +278,9 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 				if edge != ed {
 					continue
 				}
-				label, ok := labelInto(lsp, i)
-				if !ok {
-					continue
-				}
-				r1, r2 := lsp.Path.Nodes[i], lsp.Path.Nodes[i+1]
-				sc.crossings = append(sc.crossings, crossing{lsp: lsp, i: i, r1: r1, r2: r2, label: label})
-				if via == SchemeLocal {
-					sc.need(r1, lsp.Egress())
-				} else {
-					sc.need(r1, r2)
-				}
+				p := mpls.ILMPatch{Router: lsp.Path.Nodes[i], Crossing: lsp, Hop: i, Resume: via != SchemeLocal}
+				sc.want = append(sc.want, p)
+				sc.need(p.Router, p.End())
 			}
 		}
 		sc.mergeAffected()
@@ -346,43 +305,35 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 		sc.decs, sc.oks = resized(sc.decs, len(pt.dsts)), resized(sc.oks, len(pt.dsts))
 		pull.From(pt.s, oracle.Tree(pt.s).Dists(), dead, pt.dsts, sc.decs, sc.oks)
 		for j, dec := range sc.decs {
-			var dt detour
+			var dt *Route
 			if sc.oks[j] {
-				if rt := ResolveRoute(e.base, e.lspAt, dec); rt != nil { // nil for an empty detour, too
-					stack, _ := mpls.SelfStack(rt.LSPs) // a resolved route chains
-					dt = detour{ok: true, path: dec.Concat(), cost: rt.Cost, stack: stack}
+				if dt = ResolveRoute(e.base, e.lspAt, dec); dt != nil { // nil for an empty detour, too
+					dt.Path = dec.Concat()
 				}
 			}
 			pt.dets = append(pt.dets, dt)
 		}
 	}
 
-	// Pass 3: the wanted ILM row of every crossing, frozen into the epoch's
-	// overlay.
+	// Pass 3: each crossing's detour spliced into its patch (no detour, no
+	// patch), and the set frozen into the epoch's overlay.
 	var unrestorable int64
-	for _, c := range sc.crossings {
-		target := c.r2
-		if via == SchemeLocal {
-			target = c.lsp.Egress()
-		}
-		dt := sc.detour(c.r1, target)
+	want := sc.want[:0]
+	for _, p := range sc.want {
+		dt := sc.detour(p.Router, p.End())
 		if dt == nil {
 			unrestorable++
 			continue
 		}
-		out, ok := localILMRow(sc, c, dt, via)
-		if !ok {
-			unrestorable++
-			continue
-		}
-		sc.want = append(sc.want, mpls.ILMPatch{Router: c.r1, Label: c.label,
-			Entry: mpls.ILMEntry{Out: out, OutEdge: mpls.LocalProcess}})
-		e.mDetourHops.Add(int64(dt.path.Hops()))
+		p.Splice = dt.LSPs
+		want = append(want, p)
+		e.mDetourHops.Add(int64(dt.Path.Hops()))
 	}
+	sc.want = want
 	patch, err := mpls.NewILMOverlay(e.net, sc.want)
 	if err != nil {
-		// A crossing's row is missing from the provision's tables — a
-		// provisioning bug, not a runtime condition.
+		// A crossing's row is missing from the provision's tables, or a
+		// detour does not join it — a bug, not a runtime condition.
 		panic("engine: patching ILM rows: " + err.Error())
 	}
 
@@ -413,26 +364,6 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 	return &plan{rows: rows}, patch
 }
 
-// localILMRow forms the label sequence (bottom-first) of the replacement
-// ILM row for crossing c from its detour's stack: end-route's row pushes
-// the detour to the LSP's egress, edge-bypass's pushes the detour to the
-// far endpoint over the label the LSP resumes with there (Section 4.2).
-// The result may point into sc.labels.
-func localILMRow(sc *localScratch, c crossing, dt *detour, via Scheme) ([]mpls.Label, bool) {
-	if via == SchemeLocal {
-		return dt.stack, true
-	}
-	resume, ok := c.lsp.HopLabel(c.i)
-	if !ok {
-		return nil, false
-	}
-	// Bottom-first: the resume label sits beneath the bypass stack,
-	// exposed when the bypass's egress pops.
-	at := len(sc.labels)
-	sc.labels = append(append(sc.labels, resume), dt.stack...)
-	return sc.labels[at:len(sc.labels):len(sc.labels)], true
-}
-
 // localRoute derives the path an affected pair's traffic takes through the
 // patched data plane: the primary up to the first down crossing followed by
 // the end-route detour to the destination, or (edge-bypass) the primary
@@ -452,8 +383,8 @@ func (e *Engine) localRoute(sc *localScratch, ap affectedPair, via Scheme) *Rout
 			prefix := prim.SubPath(0, i)
 			return &Route{
 				Via:  via,
-				Path: prefix.Concat(dt.path),
-				Cost: prefix.CostIn(e.g) + dt.cost,
+				Path: prefix.Concat(dt.Path),
+				Cost: prefix.CostIn(e.g) + dt.Cost,
 			}
 		}
 		return nil // unreachable: the primary crosses a failed link
@@ -473,9 +404,9 @@ func (e *Engine) localRoute(sc *localScratch, ap affectedPair, via Scheme) *Rout
 		if dt == nil {
 			return nil
 		}
-		nodes = append(nodes, dt.path.Nodes[1:]...)
-		edges = append(edges, dt.path.Edges...)
-		cost += dt.cost
+		nodes = append(nodes, dt.Path.Nodes[1:]...)
+		edges = append(edges, dt.Path.Edges...)
+		cost += dt.Cost
 	}
 	return &Route{Via: via, Path: graph.Path{Nodes: nodes, Edges: edges}, Cost: cost}
 }

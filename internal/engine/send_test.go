@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -18,7 +17,7 @@ import (
 
 // sendDeliversServed is the writer's one forwarding invariant, checked from
 // the outside: at a published epoch, for every materialized (src, dst), the
-// stack Send pushes is storedStack of the pair's entry in the matrix (the
+// route whose LSPs Send pushes is the pair's entry in the matrix (the
 // overlay's, else the canonical one), and the packet it injects is
 // delivered at dst iff the snapshot serves the pair a route, and then walks
 // as many links as that route has — the components of a source answer, the
@@ -42,9 +41,8 @@ func sendDeliversServed(t *testing.T, snap *Snapshot, tag string) {
 			if !ok {
 				entry = snap.canon.route(src, dst)
 			}
-			stack, err := snap.fecStack(src, dst)
-			if entry == nil && !errors.Is(err, mpls.ErrNoRoute) || entry != nil && (err != nil || !slices.Equal(stack, storedStack(entry))) {
-				t.Fatalf("%s (failed %v): pair %d->%d pushes %v (%v), its entry %v stands for %v", tag, snap.Failed(), s, d, stack, err, entry, storedStack(entry))
+			if fec := snap.fecRoute(src, dst); fec != entry {
+				t.Fatalf("%s (failed %v): pair %d->%d pushes %v, its entry %v stands for %v", tag, snap.Failed(), s, d, storedStack(fec), entry, storedStack(entry))
 			}
 			rt := snap.Route(src, dst)
 			pkt, err := snap.Send(src, dst)
@@ -187,8 +185,8 @@ search:
 		if !affected || lr == nil || lr.Via != SchemeBypass || snap.Route(src, dst) != lr {
 			t.Fatalf("%s, epoch %d %s: the local answer is not what is served", tag, snap.Epoch(), when)
 		}
-		if stack, err := snap.fecStack(src, dst); err != nil || !slices.Equal(stack, storedStack(r1)) {
-			t.Fatalf("%s, epoch %d %s: src pushes %v (%v), want the first transition's %v", tag, snap.Epoch(), when, stack, err, storedStack(r1))
+		if fec := snap.fecRoute(src, dst); fec != r1 {
+			t.Fatalf("%s, epoch %d %s: src pushes %v, want the first transition's %v", tag, snap.Epoch(), when, storedStack(fec), storedStack(r1))
 		}
 		pkt, err := snap.Send(src, dst)
 		if err != nil || pkt.At != dst {

@@ -59,12 +59,12 @@ type Snapshot struct {
 	oracle *spath.Oracle // shortest paths in fv (post-failure distances)
 
 	// net is the engine's one network — the same pointer in every epoch,
-	// written by none — and patch the ILM rows this epoch's failed-set
-	// patches over its tables (nil: none, which is every pristine and every
-	// source-scheme epoch). Together with fv they are the epoch's data
-	// plane (Send, ILMRow). net is nil only in a worker process's engine,
-	// built on a slice with no network; a replica decoded off the wire
-	// forwards over the provision's.
+	// written by none — and patch the LSP-named patches of this epoch's
+	// failed-set, as ILM rows over its tables (nil: none, which is every
+	// pristine and every source-scheme epoch). Together with fv they are
+	// the epoch's data plane (Send, ILMRow). net is nil only in an engine
+	// built on a write-side provision, whose patch holds the patches alone;
+	// a replica decoded off the wire forwards over the provision's.
 	net   *mpls.Network
 	patch *mpls.ILMOverlay
 
@@ -134,45 +134,40 @@ func (s *Snapshot) Key() string { return s.key }
 func (s *Snapshot) View() *graph.FailureView { return s.fv }
 
 // ErrNoDataPlane is Send's answer on a snapshot that holds no network: one
-// of a worker process's engine, built on a slice with Net nil, since the
-// worker answers no query. A replica decoded off the wire forwards over the
-// provision's network.
+// of an engine over a write-side provision (Net nil), such as a worker
+// process's, which answers no query. A replica decoded off the wire
+// forwards over the provision's network.
 var ErrNoDataPlane = errors.New("engine: snapshot holds no data plane")
 
 // Send injects a packet for dst at src and forwards it over the engine's
-// network under the epoch's link state (fv) and patch rows: src pushes the
-// self-labels of its entry's LSPs in this epoch's matrix — the overlay's,
-// else the canonical one. A local or bypass answer changes nothing at the
-// source, which pushes what it pushed while the patched ILM rows do the
-// rest; and a hybrid phase-two source the flood has not reached still
-// pushes from the overlay the transition began with. A pair with no entry,
-// or an unroutable one, is mpls.ErrNoRoute.
+// network under the epoch's link state (fv) and patch rows: src pushes its
+// entry's LSPs in this epoch's matrix — the overlay's, else the canonical
+// one. A local or bypass answer changes nothing at the source, which pushes
+// what it pushed while the patched ILM rows do the rest; and a hybrid
+// phase-two source the flood has not reached still pushes from the overlay
+// the transition began with. A pair with no entry, or an unroutable one, is
+// mpls.ErrNoRoute.
 func (s *Snapshot) Send(src, dst graph.NodeID) (*mpls.Packet, error) {
 	if s.net == nil {
 		return nil, ErrNoDataPlane
 	}
-	stack, err := s.fecStack(src, dst)
-	if err != nil {
-		return nil, err
+	rt := s.fecRoute(src, dst)
+	if rt == nil {
+		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, mpls.ErrNoRoute)
 	}
-	return s.net.Send(src, dst, stack, s.fv, s.patch)
+	return s.net.Send(dst, rt.LSPs, s.fv, s.patch)
 }
 
-// fecStack is src's FEC entry for dst as Send pushes it: the label stack
-// (bottom-first) of the entry's LSPs.
-func (s *Snapshot) fecStack(src, dst graph.NodeID) ([]mpls.Label, error) {
+// fecRoute is src's FEC entry for dst as Send pushes it, nil for none.
+func (s *Snapshot) fecRoute(src, dst graph.NodeID) *Route {
 	rows := s.over
 	if s.srcReady && !s.pastHorizon(src) {
 		rows = s.preOver
 	}
-	rt, ok := rowsGet(rows, src, dst)
-	if !ok {
-		rt = s.canon.route(src, dst)
+	if rt, ok := rowsGet(rows, src, dst); ok {
+		return rt
 	}
-	if rt == nil {
-		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, mpls.ErrNoRoute)
-	}
-	return mpls.SelfStack(rt.LSPs)
+	return s.canon.route(src, dst)
 }
 
 // ILMRow returns the ILM row for label at router as this epoch forwards it

@@ -3,6 +3,7 @@ package mpls
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rbpc/internal/graph"
 )
@@ -58,25 +59,28 @@ func (n *Network) SendIP(src, dst graph.NodeID) (*Packet, error) {
 	if !ok {
 		return nil, fmt.Errorf("router %d, dst %d: %w", src, dst, ErrNoRoute)
 	}
-	return n.inject(src, dst, fe.Stack, fe.OutEdge, nil, nil)
+	return n.inject(src, dst, slices.Clone(fe.Stack), fe.OutEdge, nil, nil)
 }
 
 // Send is SendIP for an ingress whose FEC row, link state and patched ILM
-// rows the caller holds: src pushes stack (bottom first; it is copied) on a
-// packet for dst and processes it locally, as a row with OutEdge ==
-// LocalProcess does, and the packet is forwarded under fv and ov (Forward).
-// The online engine keeps all three per epoch — its FEC table is its routing
-// matrix — over one network it never writes, and enters here.
-func (n *Network) Send(src, dst graph.NodeID, stack []Label, fv *graph.FailureView, ov *ILMOverlay) (*Packet, error) {
-	return n.inject(src, dst, stack, LocalProcess, fv, ov)
+// rows the caller holds: the row for dst is the chain lsps (CheckChain),
+// whose first LSP's ingress pushes their self-labels and processes the
+// packet locally, and the packet is forwarded under fv and ov (Forward). The
+// online engine keeps all three per epoch over one network it never writes.
+func (n *Network) Send(dst graph.NodeID, lsps []*LSP, fv *graph.FailureView, ov *ILMOverlay) (*Packet, error) {
+	stack, err := SelfStack(lsps)
+	if err != nil {
+		return nil, err
+	}
+	return n.inject(lsps[0].Ingress(), dst, stack, LocalProcess, fv, ov)
 }
 
-// inject labels a packet at src, sends it out on first unless that is
-// LocalProcess, and forwards it.
+// inject labels a packet at src with stack, which it keeps, sends it out
+// on first unless that is LocalProcess, and forwards it.
 func (n *Network) inject(src, dst graph.NodeID, stack []Label, first graph.EdgeID, fv *graph.FailureView, ov *ILMOverlay) (*Packet, error) {
 	pkt := &Packet{
 		Src: src, Dst: dst,
-		Stack: append([]Label(nil), stack...),
+		Stack: stack,
 		At:    src,
 		TTL:   DefaultTTL,
 		Trace: []graph.NodeID{src},

@@ -256,15 +256,17 @@ func TestSendIPUsesFEC(t *testing.T) {
 	}
 }
 
-// TestSendPushesGivenStack: Send with a FEC row's stack is SendIP — same
-// walk, same delivery — without the row being installed; it drops on a dead
-// link and reports ErrNoRoute for a label no router holds.
+// TestSendPushesGivenStack: Send with a FEC row's LSPs is SendIP with the
+// row's stack — same walk, same delivery — without the row being installed;
+// it drops on a dead link, reports ErrNoRoute for an LSP no router holds a
+// label of (a record), and refuses LSPs that do not chain.
 func TestSendPushesGivenStack(t *testing.T) {
 	g := line5()
 	n := NewNetwork(g)
 	a, _ := n.EstablishLSP(pathOf(g, 0, 1, 2))
 	b, _ := n.EstablishLSP(pathOf(g, 2, 3, 4))
-	stack, err := SelfStack([]*LSP{a, b})
+	lsps := []*LSP{a, b}
+	stack, err := SelfStack(lsps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,26 +275,29 @@ func TestSendPushesGivenStack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SendIP: %v", err)
 	}
-	got, err := n.Send(0, 4, stack, nil, nil)
+	got, err := n.Send(4, lsps, nil, nil)
 	if err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if got.At != 4 || got.Hops != want.Hops || !slices.Equal(got.Trace, want.Trace) {
 		t.Errorf("Send walked %v (%d hops, at %d), SendIP %v (%d hops)", got.Trace, got.Hops, got.At, want.Trace, want.Hops)
 	}
-	if len(stack) != 2 || stack[0] != b.SelfLabel() {
-		t.Errorf("Send consumed the caller's stack: %v", stack)
+	if fe, _ := n.Router(0).FECEntryFor(4); !slices.Equal(fe.Stack, stack) {
+		t.Errorf("SendIP consumed the FEC row's stack: %v", fe.Stack)
 	}
 	if fec := n.Stats().FECUpdates; fec != 1 {
 		t.Errorf("FECUpdates = %d after one SetFEC", fec)
 	}
 
 	n.FailEdge(g.Edges()[2].ID) // link 2-3
-	if pkt, err := n.Send(0, 4, stack, nil, nil); !errors.Is(err, ErrLinkDown) || pkt.At != 2 {
+	if pkt, err := n.Send(4, lsps, nil, nil); !errors.Is(err, ErrLinkDown) || pkt.At != 2 {
 		t.Errorf("dead link: pkt at %d, err = %v, want ErrLinkDown at 2", pkt.At, err)
 	}
-	if _, err := n.Send(0, 4, []Label{9999}, nil, nil); !errors.Is(err, ErrNoRoute) {
+	if _, err := n.Send(2, Records([]graph.Path{a.Path}), nil, nil); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("unknown label: err = %v, want ErrNoRoute", err)
+	}
+	if _, err := n.Send(4, []*LSP{b, a}, nil, nil); err == nil {
+		t.Error("Send pushed LSPs that do not chain")
 	}
 }
 

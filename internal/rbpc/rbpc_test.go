@@ -9,7 +9,9 @@ import (
 	"rbpc/internal/graph"
 	"rbpc/internal/ldp"
 	"rbpc/internal/mpls"
+	"rbpc/internal/paths"
 	"rbpc/internal/sim"
+	"rbpc/internal/spath"
 	"rbpc/internal/topology"
 )
 
@@ -198,5 +200,48 @@ func TestBaselineDisconnectedPair(t *testing.T) {
 	}
 	if bal.RouteOf(0, 1) != nil {
 		t.Error("route exists across partition")
+	}
+}
+
+// treeCounter is walkBase as FromSources reads it, noting the most trees its
+// oracle holds once it has handed one out.
+type treeCounter struct {
+	*paths.AllShortest
+	most int
+}
+
+func (c *treeCounter) Tree(s graph.NodeID) *spath.Tree {
+	t := c.AllShortest.Tree(s)
+	c.most = max(c.most, c.Oracle().CachedTrees())
+	return t
+}
+
+// TestWalkRetainsOneTree: provisioning walks each source's tree once, and
+// the oracle it walks holds at most one tree at any point of the walk, where
+// a memoizing one ends it holding all n. The base set is the memoizing
+// oracle's, path for path and cost for cost.
+func TestWalkRetainsOneTree(t *testing.T) {
+	g := topology.PaperAS(1, 0.05)
+	srcs := make([]graph.NodeID, g.Order())
+	for i := range srcs {
+		srcs[i] = graph.NodeID(i)
+	}
+	walk := &treeCounter{AllShortest: walkBase(g)}
+	got := paths.FromSources(walk, srcs)
+	if walk.most != 1 {
+		t.Fatalf("the walk's oracle held up to %d trees, want 1", walk.most)
+	}
+	memo := &treeCounter{AllShortest: paths.NewAllShortest(g)}
+	want := paths.FromSources(memo, srcs)
+	if memo.most != g.Order() {
+		t.Fatalf("a memoizing oracle held up to %d trees over %d sources: the count sees nothing", memo.most, g.Order())
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%d base paths, the memoizing walk's %d", got.Len(), want.Len())
+	}
+	for i, p := range want.All() {
+		if k := int32(i); !got.All()[i].Equal(p) || got.CostAt(k) != want.CostAt(k) {
+			t.Fatalf("base path %d is %v at %v, the memoizing walk's %v at %v", i, got.All()[i], got.CostAt(k), p, want.CostAt(k))
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
+	"rbpc/internal/spath"
 )
 
 // Pair is an ordered source-destination pair.
@@ -145,8 +146,8 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 // records (mpls.Records) numbered as NewSystem establishes them. It has no
 // forwarding plane — no network, labels, ILM or FEC rows (Net is nil) — and
 // no key registry (LSPs is nil). It is what a process that only solves
-// restorations and names their LSPs builds: an engine over it serves the
-// source scheme and forwards nothing.
+// restorations and names their LSPs builds: an engine over it serves every
+// scheme and forwards nothing.
 func WriteProvision(g *graph.Graph, cfg Config) (Provision, error) {
 	base, serves, err := buildBase(g, cfg)
 	if err != nil {
@@ -179,7 +180,7 @@ func buildBase(g *graph.Graph, cfg Config) (*paths.Explicit, []bool, error) {
 			serves[i] = true
 		}
 	}
-	base := paths.FromSources(paths.NewAllShortest(g), sources)
+	base := paths.FromSources(walkBase(g), sources)
 	if cfg.SubpathClosure {
 		base = paths.SubpathClosure(base)
 	}
@@ -190,6 +191,15 @@ func buildBase(g *graph.Graph, cfg Config) (*paths.Explicit, []bool, error) {
 		}
 	}
 	return base, serves, nil
+}
+
+// walkBase is the all-shortest set FromSources reads the base set off, on
+// an oracle that keeps one tree: the walk reads each source's tree once, so
+// memoizing them all would hold n trees live until it ends.
+func walkBase(g *graph.Graph) *paths.AllShortest {
+	o := spath.NewOracle(g)
+	o.SetCap(1)
+	return paths.NewAllShortestOracle(o)
 }
 
 // Net returns the underlying MPLS network.

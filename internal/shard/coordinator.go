@@ -98,7 +98,7 @@ func New(p rbpc.Provision, cfg Config) (*Coordinator, error) {
 // source-router scheme. The coordinator's cold tier, the ownership of a
 // pair by its source, and the snapshot wire format all assume a
 // pair's answer is its source's row; the local schemes' ILM patches and
-// flood horizons are not partitioned or shipped (ROADMAP item 1).
+// flood horizons are not partitioned or shipped (ROADMAP item 2).
 func SourceOnly(s engine.Scheme) error {
 	if s != engine.SchemeSource {
 		return fmt.Errorf("shard: sharded serving is source-scheme only (got %v); serve %v from a single engine", s, s)
