@@ -61,8 +61,10 @@ verify:
 # benchmark of record's deployment in full, as the coordinator does
 # (rbpc.NewSystem: the tree walk, one batch of LSPs, keys cut from one
 # string, FEC rows from one array), and its write side, as a worker process
-# does (rbpc.WriteProvision): ns, B and allocs of each. CI runs them once
-# each (BENCHTIME=1x) so they cannot rot.
+# does (rbpc.WriteProvision): ns, B and allocs of each. The base-set and
+# provisioning benchmarks run at GOMAXPROCS 1 and 2 (-cpu 1,2): the walk and
+# the batch fan out over every core, and a forked worker builds at 1. CI
+# runs them once each (BENCHTIME=1x) so they cannot rot.
 BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
@@ -70,5 +72,5 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild|BenchmarkEngineNew|BenchmarkSnapDecoder' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench BenchmarkFrameChecksum -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
-	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -benchtime $(BENCHTIME) ./internal/paths/
-	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -benchtime $(BENCHTIME) ./internal/rbpc/
+	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -cpu 1,2 -benchtime $(BENCHTIME) ./internal/paths/
+	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -cpu 1,2 -benchtime $(BENCHTIME) ./internal/rbpc/

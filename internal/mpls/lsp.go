@@ -2,9 +2,11 @@ package mpls
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"rbpc/internal/graph"
+	"rbpc/internal/par"
 )
 
 // LSP is an established label-switched path, or the record of one.
@@ -99,6 +101,16 @@ func (n *Network) EstablishLSPPHP(path graph.Path) (*LSP, error) {
 // modify afterwards (a base set's stored paths, which nothing writes). At
 // the first path EstablishLSP would refuse it stops and returns the LSPs
 // established before it with the error.
+//
+// A large batch is established on every core: it is split into GOMAXPROCS
+// contiguous chunks, which validate their paths and count the labels they
+// take at each router in parallel; a prefix sum over the chunks gives each
+// its first label at every router, each router's ILM table is sized once to
+// its final length, and the chunks then install into disjoint slots in
+// parallel. Every path is validated before any is installed, so the batch
+// is cut at its first refused path whatever the chunking. A batch that
+// takes labels at a router holding freed labels (TeardownLSP) runs as one
+// chunk, which reuses them as EstablishLSP would.
 func (n *Network) EstablishLSPs(paths []graph.Path) ([]*LSP, error) {
 	return n.establish(paths, false)
 }
@@ -124,79 +136,191 @@ func first(lsps []*LSP, err error) (*LSP, error) {
 	return lsps[0], nil
 }
 
-// establish provisions an LSP along each of paths, sharing the path, in
-// flat passes: each router's ILM table is grown once, to the labels the
-// batch allocates there (counted as if no LSP were PHP, an egress label
-// more than a PHP one takes), and the LSP records and their hop labels are
+// minChunk is the fewest LSPs a chunk of a batch establishes: a batch of
+// fewer than twice as many runs as one chunk, on the caller's goroutine.
+const minChunk = 256
+
+// chunk is a contiguous part of a batch being established: paths[lo:hi],
+// established on one goroutine.
+type chunk struct {
+	lo, hi int
+	// hops counts the hops of the chunk's paths; err is the refusal of the
+	// first path past them, which validation cut the chunk at.
+	hops int
+	err  error
+	// next[v] counts the labels the chunk takes at router v, and then is
+	// the next of them. A batch split into one chunk from the start, or
+	// one layOutLabels turns back, has no next: it counts in the routers'
+	// reserved and takes its labels through allocLabel.
+	next []Label
+	// first is the ID of the chunk's first LSP; lsps, labels and out are
+	// its windows of the batch's records, hop labels and result.
+	first  LSPID
+	lsps   []LSP
+	labels []Label
+	out    []*LSP
+}
+
+// establish provisions an LSP along each of paths, sharing the path: the
+// chunks validate and count in parallel, the batch is cut at its first
+// refused path, every router's labels and ILM table are laid out once, and
+// the chunks install in parallel. The LSP records and their hop labels are
 // carved from one array each.
 func (n *Network) establish(paths []graph.Path, php bool) ([]*LSP, error) {
-	// The ingress allocates the self-label and every later node the label
-	// of the hop into it. A node no router has is install's to refuse.
-	known := func(v graph.NodeID) bool { return v >= 0 && int(v) < len(n.routers) }
-	hops := 0
-	for _, p := range paths {
-		hops += p.Hops()
-		for _, v := range p.Nodes {
-			if known(v) {
+	cs := make([]chunk, max(1, min(runtime.GOMAXPROCS(0), len(paths)/minChunk)))
+	for i := range cs {
+		c := &cs[i]
+		c.lo, c.hi = i*len(paths)/len(cs), (i+1)*len(paths)/len(cs)
+		if len(cs) > 1 {
+			c.next = make([]Label, len(n.routers))
+		}
+	}
+	par.Do(len(cs), func(i int) { n.check(&cs[i], paths, php) })
+	var err error
+	for i := range cs {
+		if err = cs[i].err; err != nil {
+			cs = cs[:i+1]
+			break
+		}
+	}
+	// A cut may leave one chunk, counted as a chunk of several: it lays out
+	// its labels all the same.
+	if cs[0].next != nil && !n.layOutLabels(cs) {
+		one := chunk{hi: cs[len(cs)-1].hi}
+		for i := range cs {
+			one.hops += cs[i].hops
+			for v, k := range cs[i].next {
+				n.routers[v].reserved += int(k)
+			}
+		}
+		cs = []chunk{one}
+	}
+	if cs[0].next == nil {
+		for _, p := range paths[:cs[0].hi] {
+			for _, v := range p.Nodes {
+				if n.routers[v].reserved > 0 {
+					n.routers[v].reserveILM()
+				}
+			}
+		}
+	}
+
+	total, hops := cs[len(cs)-1].hi, 0
+	for i := range cs {
+		hops += cs[i].hops
+	}
+	lsps, labels, out := make([]LSP, total), make([]Label, hops), make([]*LSP, total)
+	n.lsps = slices.Grow(n.lsps, total)[:len(n.lsps)+total]
+	for i, at := 0, 0; i < len(cs); i++ {
+		c := &cs[i]
+		c.first = n.nextLSP + LSPID(c.lo)
+		c.lsps, c.labels, c.out = lsps[c.lo:c.hi], labels[at:at+c.hops], out[c.lo:c.hi]
+		at += c.hops
+	}
+	par.Do(len(cs), func(i int) {
+		c := &cs[i]
+		for j, p := range paths[c.lo:c.hi] {
+			c.out[j] = n.install(c, p, php)
+		}
+	})
+	n.nextLSP += LSPID(total)
+	n.numLSPs += total
+	n.stats.lspsEstablished.Add(int64(total))
+	n.stats.signalingMsgs.Add(int64(hops + total)) // one mapping per hop + ingress row
+	return out, err
+}
+
+// check validates the chunk's paths in order and counts their hops and the
+// labels they take, cutting the chunk at the first path EstablishLSP would
+// refuse. A path takes its self-label at its ingress and a hop label at
+// every later router but, under PHP, its egress.
+func (n *Network) check(c *chunk, paths []graph.Path, php bool) {
+	for i := c.lo; i < c.hi; i++ {
+		p := paths[i]
+		if err := n.refuse(p, php); err != nil {
+			c.hi, c.err = i, err
+			return
+		}
+		c.hops += p.Hops()
+		takers := p.Nodes
+		if php {
+			takers = takers[:len(takers)-1]
+		}
+		for _, v := range takers {
+			if c.next != nil {
+				c.next[v]++
+			} else {
 				n.routers[v].reserved++
 			}
 		}
 	}
-	for _, p := range paths {
-		for _, v := range p.Nodes {
-			if known(v) && n.routers[v].reserved > 0 {
-				n.routers[v].reserveILM()
-			}
-		}
-	}
-	n.lsps = slices.Grow(n.lsps, len(paths))
-	s := &lspSlab{lsps: make([]LSP, len(paths)), labels: make([]Label, hops)}
-	out := make([]*LSP, 0, len(paths))
-	done := 0 // hops of the LSPs in out
-	var err error
-	for _, p := range paths {
-		var lsp *LSP
-		if lsp, err = n.install(p, php, s); err != nil {
-			break
-		}
-		out = append(out, lsp)
-		done += p.Hops()
-	}
-	n.stats.lspsEstablished.Add(int64(len(out)))
-	n.stats.signalingMsgs.Add(int64(done + len(out))) // one mapping per hop + ingress row
-	return out, err
 }
 
-// lspSlab hands out LSP records and hop labels from one array each.
-type lspSlab struct {
-	lsps   []LSP
-	labels []Label
-}
-
-// install establishes one LSP over path, its record and hop labels taken
-// from s; establish counts the signaling.
-func (n *Network) install(path graph.Path, php bool, s *lspSlab) (*LSP, error) {
+// refuse returns why EstablishLSP refuses path, nil if it does not.
+func (n *Network) refuse(path graph.Path, php bool) error {
 	if path.Hops() == 0 {
-		return nil, fmt.Errorf("%w: trivial path", errInvalidPath)
+		return fmt.Errorf("%w: trivial path", errInvalidPath)
 	}
 	if err := path.Validate(n.g); err != nil {
-		return nil, fmt.Errorf("%w: %v", errInvalidPath, err)
+		return fmt.Errorf("%w: %v", errInvalidPath, err)
 	}
 	for _, e := range path.Edges {
 		if !n.edgeUp[e] {
-			return nil, fmt.Errorf("%w: link %d is down", errInvalidPath, e)
+			return fmt.Errorf("%w: link %d is down", errInvalidPath, e)
 		}
 	}
 	if php && path.Hops() == 1 {
-		return nil, fmt.Errorf("%w: PHP needs at least 2 hops", errInvalidPath)
+		return fmt.Errorf("%w: PHP needs at least 2 hops", errInvalidPath)
 	}
+	return nil
+}
 
+// layOutLabels turns the chunks' label counts into each chunk's first
+// label at every router — the router's next label plus what the chunks
+// before it take there — and, at every router the batch takes labels at,
+// sizes the ILM table to its final length and moves the next label and the
+// row count past the batch. The new slots are left for the chunks to fill:
+// the batch installs a row at every label it takes. It reports false, and
+// changes nothing, when such a router holds freed labels, which only
+// allocLabel reuses.
+func (n *Network) layOutLabels(cs []chunk) bool {
+	for v, r := range n.routers {
+		if len(r.freeList) == 0 {
+			continue
+		}
+		for i := range cs {
+			if cs[i].next[v] > 0 {
+				return false
+			}
+		}
+	}
+	for v, r := range n.routers {
+		at := r.nextLabel
+		for i := range cs {
+			k := cs[i].next[v]
+			cs[i].next[v] = at
+			at += k
+		}
+		if at > r.nextLabel {
+			r.sizeILM(r.nextLabel) // the slots below the batch's labels stay empty
+			r.ilm = slices.Grow(r.ilm, int(at-r.nextLabel))[:at]
+			r.ilmCount += int(at - r.nextLabel)
+			r.nextLabel = at
+		}
+	}
+	return true
+}
+
+// install establishes one LSP over path, which check has validated: its
+// record, ID and hop labels taken from c, its labels from c's counts (or
+// allocLabel) and its rows installed. establish counts the signaling.
+func (n *Network) install(c *chunk, path graph.Path, php bool) *LSP {
 	m := path.Hops()
-	lsp := &s.lsps[0]
-	s.lsps = s.lsps[1:]
-	lsp.ID, lsp.Path, lsp.PHP = n.nextLSP, path, php
-	lsp.hopLabels, s.labels = s.labels[:m:m], s.labels[m:]
-	n.nextLSP++
+	lsp := &c.lsps[0]
+	c.lsps = c.lsps[1:]
+	lsp.ID, lsp.Path, lsp.PHP = c.first, path, php
+	c.first++
+	lsp.hopLabels, c.labels = c.labels[:m:m], c.labels[m:]
 
 	// Downstream assignment: v_{i+1} assigns the label for link e_i.
 	// With PHP the egress assigns none; the final swap at v_{m-1} becomes
@@ -206,14 +330,13 @@ func (n *Network) install(path graph.Path, php bool, s *lspSlab) (*LSP, error) {
 		last = m - 1
 	}
 	for i := 0; i < last; i++ {
-		lsp.hopLabels[i] = n.routers[path.Nodes[i+1]].allocLabel()
+		lsp.hopLabels[i] = c.label(n, path.Nodes[i+1])
 	}
 
 	// Ingress self-row. A swap row's one out-label is the LSP's own hop
 	// label, shared: neither is ever written after this.
-	ingress := n.routers[path.Src()]
-	lsp.selfLabel = ingress.allocLabel()
-	ingress.setILM(lsp.selfLabel, ILMEntry{
+	lsp.selfLabel = c.label(n, path.Src())
+	c.setILM(n, path.Src(), lsp.selfLabel, ILMEntry{
 		Out:     lsp.hopLabels[0:1:1],
 		OutEdge: path.Edges[0],
 		LSP:     lsp.ID,
@@ -221,25 +344,44 @@ func (n *Network) install(path graph.Path, php bool, s *lspSlab) (*LSP, error) {
 
 	// Transit and egress rows.
 	for i := 1; i <= m; i++ {
-		r := n.routers[path.Nodes[i]]
+		v := path.Nodes[i]
 		in := lsp.hopLabels[i-1]
 		switch {
 		case i == m:
 			if php {
 				continue // egress holds no row under PHP
 			}
-			r.setILM(in, ILMEntry{Out: nil, OutEdge: LocalProcess, LSP: lsp.ID})
+			c.setILM(n, v, in, ILMEntry{Out: nil, OutEdge: LocalProcess, LSP: lsp.ID})
 		case php && i == m-1:
 			// Penultimate pop: forward the inner stack on the last link.
-			r.setILM(in, ILMEntry{Out: nil, OutEdge: path.Edges[i], LSP: lsp.ID})
+			c.setILM(n, v, in, ILMEntry{Out: nil, OutEdge: path.Edges[i], LSP: lsp.ID})
 		default:
-			r.setILM(in, ILMEntry{Out: lsp.hopLabels[i : i+1 : i+1], OutEdge: path.Edges[i], LSP: lsp.ID})
+			c.setILM(n, v, in, ILMEntry{Out: lsp.hopLabels[i : i+1 : i+1], OutEdge: path.Edges[i], LSP: lsp.ID})
 		}
 	}
 
-	n.lsps = append(n.lsps, lsp)
-	n.numLSPs++
-	return lsp, nil
+	n.lsps[lsp.ID] = lsp
+	return lsp
+}
+
+// label takes the chunk's next label at router v.
+func (c *chunk) label(n *Network, v graph.NodeID) Label {
+	if c.next == nil {
+		return n.routers[v].allocLabel()
+	}
+	l := c.next[v]
+	c.next[v]++
+	return l
+}
+
+// setILM installs row e for label l at router v. A chunk with counts writes
+// its own slot of a table layOutLabels sized and counted.
+func (c *chunk) setILM(n *Network, v graph.NodeID, l Label, e ILMEntry) {
+	if c.next == nil {
+		n.routers[v].setILM(l, e)
+		return
+	}
+	n.routers[v].ilm[l] = e
 }
 
 // TeardownLSP removes the LSP's rows everywhere and releases its labels,

@@ -90,8 +90,9 @@ type Router struct {
 
 	nextLabel Label
 	freeList  []Label
-	// reserved counts the labels a batch of LSPs being established will
-	// allocate here (Network.establish); it is zero between batches.
+	// reserved counts the labels a batch of LSPs being established as one
+	// chunk will allocate here (Network.establish); it is zero between
+	// batches.
 	reserved int
 }
 
@@ -126,14 +127,15 @@ func (r *Router) freeLabel(l Label) {
 	r.freeList = append(r.freeList, l)
 }
 
-// writableILM ensures the ILM table spans at least l+1 slots. A row
-// installed at a new label goes through it (or through setILM, which also
-// keeps the row count).
-func (r *Router) writableILM(l Label) []ILMEntry {
-	for int(l) >= len(r.ilm) {
-		r.ilm = append(r.ilm, ILMEntry{OutEdge: noRow})
+// sizeILM extends the ILM table to span at least l slots, the new ones
+// empty. A row installed at a new label goes through it.
+func (r *Router) sizeILM(l Label) {
+	if old := len(r.ilm); int(l) > old {
+		r.ilm = slices.Grow(r.ilm, int(l)-old)[:l]
+		for i := old; i < int(l); i++ {
+			r.ilm[i] = ILMEntry{OutEdge: noRow}
+		}
 	}
-	return r.ilm
 }
 
 // setILM installs (or replaces) the row for label l.
@@ -141,7 +143,8 @@ func (r *Router) setILM(l Label, e ILMEntry) {
 	if _, ok := r.ILMEntryFor(l); !ok {
 		r.ilmCount++
 	}
-	r.writableILM(l)[l] = e
+	r.sizeILM(l + 1)
+	r.ilm[l] = e
 }
 
 // reserveILM makes room in the ILM table for the router's next reserved

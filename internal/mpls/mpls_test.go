@@ -2,6 +2,9 @@ package mpls
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -185,6 +188,87 @@ func TestEstablishErrors(t *testing.T) {
 	if _, err := n.EstablishLSP(pathOf(g, 0, 1, 2)); err == nil {
 		t.Error("path over failed link accepted")
 	}
+
+	// A batch whose k-th path is refused establishes exactly the k paths
+	// before it and returns that path's error, in as many chunks as it
+	// runs: every path is validated before any is installed, so a later
+	// chunk's paths are not installed either. The 1200 paths run as two
+	// chunks of 600 at GOMAXPROCS 2 and four of 300 at 4, so a refusal at
+	// 0 or 100 leaves the first chunk alone, cut, and one at 700 leaves
+	// several.
+	for _, k := range []int{0, 100, 700} {
+		batch := lineBatch(g, 1200)
+		batch[k] = bad
+		ref := NewNetwork(g)
+		refLSPs := make([]*LSP, 0, k)
+		var refErr error
+		for _, p := range batch {
+			lsp, err := ref.EstablishLSP(p)
+			if err != nil {
+				refErr = err
+				break
+			}
+			refLSPs = append(refLSPs, lsp)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("batch/k=%d/procs=%d", k, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				got := NewNetwork(g)
+				lsps, err := got.EstablishLSPs(batch)
+				if len(lsps) != k || err == nil || err.Error() != refErr.Error() {
+					t.Fatalf("the batch established %d LSPs and returned %v, want %d and %v", len(lsps), err, k, refErr)
+				}
+				sameNetwork(t, got, ref, lsps, refLSPs)
+			})
+		}
+	}
+}
+
+// lineBatch returns m paths of line5, every path of one to four hops
+// either way in turn.
+func lineBatch(g *graph.Graph, m int) []graph.Path {
+	var all []graph.Path
+	for u := 0; u < 5; u++ {
+		for v := 0; v < 5; v++ {
+			step := 1
+			if v < u {
+				step = -1
+			}
+			nodes := []graph.NodeID{graph.NodeID(u)}
+			for w := u; w != v; {
+				w += step
+				nodes = append(nodes, graph.NodeID(w))
+			}
+			if u != v {
+				all = append(all, pathOf(g, nodes...))
+			}
+		}
+	}
+	batch := make([]graph.Path, m)
+	for i := range batch {
+		batch[i] = all[i%len(all)]
+	}
+	return batch
+}
+
+// sameNetwork fails unless got, whose batch established gotLSPs, holds
+// what want, which established wantLSPs, holds: the LSPs with their IDs,
+// paths and labels, the registry, every router's ILM and FEC tables, label
+// allocator and free labels, and the counters.
+func sameNetwork(t *testing.T, got, want *Network, gotLSPs, wantLSPs []*LSP) {
+	t.Helper()
+	if !reflect.DeepEqual(gotLSPs, wantLSPs) || !reflect.DeepEqual(got.lsps, want.lsps) {
+		t.Fatalf("the LSPs differ from the reference's")
+	}
+	if got.nextLSP != want.nextLSP || got.numLSPs != want.numLSPs || got.Stats() != want.Stats() {
+		t.Fatalf("next LSP %d, %d LSPs, counters %+v; the reference's %d, %d, %+v",
+			got.nextLSP, got.numLSPs, got.Stats(), want.nextLSP, want.numLSPs, want.Stats())
+	}
+	for v := range want.routers {
+		if g, w := got.routers[v], want.routers[v]; !reflect.DeepEqual(*g, *w) {
+			t.Fatalf("router %d is %+v, the reference's %+v", v, *g, *w)
+		}
+	}
 }
 
 func TestTeardownFreesLabels(t *testing.T) {
@@ -211,6 +295,50 @@ func TestTeardownFreesLabels(t *testing.T) {
 	lsp2, _ := n.EstablishLSP(pathOf(g, 0, 1, 2, 3))
 	if lsp2.FirstHopLabel() != lsp.FirstHopLabel() {
 		t.Errorf("label not recycled: %d vs %d", lsp2.FirstHopLabel(), lsp.FirstHopLabel())
+	}
+
+	// So they are by a batch large enough for several chunks: one that
+	// takes labels at a router holding freed labels runs as one chunk and
+	// reuses them, as EstablishLSP on each of its paths would.
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("batch/procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			got, ref := NewNetwork(g), NewNetwork(g)
+			batch := lineBatch(g, 1200)
+			gotLSPs, err := got.EstablishLSPs(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refLSPs []*LSP
+			for _, p := range batch {
+				lsp, err := ref.EstablishLSP(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refLSPs = append(refLSPs, lsp)
+			}
+			for _, id := range []LSPID{3, 40, 41, 977} {
+				if err := got.TeardownLSP(id); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.TeardownLSP(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			more, err := got.EstablishLSPs(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotLSPs = append(gotLSPs, more...)
+			for _, p := range batch {
+				lsp, err := ref.EstablishLSP(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refLSPs = append(refLSPs, lsp)
+			}
+			sameNetwork(t, got, ref, gotLSPs, refLSPs)
+		})
 	}
 }
 

@@ -15,13 +15,14 @@ import (
 // is Router — is carried over the concatenation Splice instead. Under
 // end-route Splice ends at Crossing's egress; under edge-bypass (Resume) it
 // ends at Path.Nodes[Hop+1], where Crossing resumes beneath it. A patch
-// carries no label: NewILMOverlay derives them from the LSPs.
+// carries no label: NewILMOverlay derives them from the LSPs. Resume sits
+// in Router's padding, so a patch is 48 bytes on a 64-bit platform.
 type ILMPatch struct {
 	Router   graph.NodeID
+	Resume   bool
 	Crossing *LSP
 	Hop      int
 	Splice   []*LSP
-	Resume   bool
 }
 
 // End returns the router p's splice ends at: Crossing's egress, or under

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rbpc/internal/graph"
 )
@@ -282,6 +283,18 @@ func TestOverlayRows(t *testing.T) {
 		ps[0].Crossing != first.Crossing || !slices.Equal(ps[0].Splice, first.Splice) ||
 		ps[1].Crossing != second.Crossing || !slices.Equal(ps[1].Splice, second.Splice) {
 		t.Fatalf("over no network the overlay holds %+v, want %+v then %+v", ps, first, second)
+	}
+}
+
+// TestILMPatchSize: a local transition holds one ILMPatch per patched row,
+// so the layout is pinned: Resume sits in Router's padding and a patch is
+// 48 bytes on a 64-bit platform (56 with Resume last).
+func TestILMPatchSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(ILMPatch{}); got != 48 {
+		t.Fatalf("ILMPatch is %d bytes, want 48", got)
 	}
 }
 

@@ -35,7 +35,9 @@ type Base interface {
 // TreeBase is a base set whose path for each pair is the pair's path in
 // one shortest-path tree per source: Between(s, d) is Tree(s)'s path to
 // d. A restorable tiebreak is exactly such a choice of one tree per
-// source, and it is what FromSources reads, a tree at a time.
+// source, and it is what FromSources reads, a tree at a time on each of
+// its goroutines: Tree must be safe for concurrent use, as the oracle's
+// is.
 type TreeBase interface {
 	Base
 	// Tree returns the tree rooted at s that Between reads s's paths from.

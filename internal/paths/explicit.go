@@ -1,9 +1,11 @@
 package paths
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"rbpc/internal/graph"
+	"rbpc/internal/par"
 	"rbpc/internal/spath"
 )
 
@@ -142,23 +144,6 @@ func (b *Explicit) store(p graph.Path) graph.Path {
 	copy(nodes, p.Nodes)
 	copy(edges, p.Edges)
 	return graph.Path{Nodes: nodes, Edges: edges}
-}
-
-// walk carves the path of t from its root to d, a node t reaches, into the
-// set's slabs by t's parent links, and returns it: the path
-// spath.Tree.PathTo builds, with no allocation of its own.
-//
-//rbpc:ctor
-func (b *Explicit) walk(t *spath.Tree, d graph.NodeID) graph.Path {
-	h := t.Hops(d)
-	p := graph.Path{Nodes: grab(&b.nodeSlab, h+1), Edges: grab(&b.edgeSlab, h)}
-	at := d
-	for i := h; i > 0; i-- {
-		p.Nodes[i] = at
-		at, p.Edges[i-1] = t.Parent(at)
-	}
-	p.Nodes[0] = at
-	return p
 }
 
 // grab returns the next k entries of the free tail *slab, starting a new
@@ -340,37 +325,164 @@ var _ Base = (*Explicit)(nil)
 // b.Between returns. Passing every node as a source yields the paper's
 // "one LSP per ordered pair" base set.
 //
-// Each tree is walked once: its paths are carved straight into the set's
-// slabs by the tree's parent links, with their costs summed in the set's
-// (unpadded) view as Add sums them, and each walked source gets a dense
-// head row, so a walked pair costs no lookup, map entry or allocation of
-// its own. A repeated source is walked once.
+// Each tree is walked once: its paths are carved straight into slabs by the
+// tree's parent links, with their costs summed in the set's (unpadded) view
+// as Add sums them, and each walked source gets a dense head row, so a
+// walked pair costs no lookup, map entry or allocation of its own. A
+// repeated source is walked once.
+//
+// The walk uses every core: the distinct sources are split into GOMAXPROCS
+// contiguous ranges (no more ranges than sources), each walked on its own
+// goroutine, so b.Tree must be safe for concurrent use and is asked for one
+// tree at a time per range. A range stores its paths from the position the
+// ranges before it would reach if every source reached every node; a
+// source that reaches fewer leaves a gap the ranges after it close up. The
+// link lists are then counted per range and filled in parallel, each range
+// at its own offset in every list. So position i holds the path a walk on
+// one goroutine puts there, and every list is in ascending position order,
+// at any GOMAXPROCS.
 //
 //rbpc:ctor
 func FromSources(b TreeBase, sources []graph.NodeID) *Explicit {
 	v := b.View()
 	n := v.Order()
 	ex := NewExplicit(v)
-	ex.paths = make([]graph.Path, 0, len(sources)*(n-1))
-	ex.costs = make([]float64, 0, len(sources)*(n-1))
-	ex.next = make([]int32, 0, len(sources)*(n-1))
 	ex.rows = make([][]int32, n)
 	heads := make([]int32, len(sources)*n)
-	for k, s := range sources {
-		if ex.rows[s] != nil {
-			continue
+	walk := make([]graph.NodeID, 0, len(sources))
+	for _, s := range sources {
+		if ex.rows[s] == nil {
+			k := len(walk)
+			ex.rows[s] = heads[k*n : (k+1)*n : (k+1)*n]
+			walk = append(walk, s)
 		}
-		row := heads[k*n : (k+1)*n : (k+1)*n]
-		ex.rows[s] = row
+	}
+	slots := len(walk) * (n - 1) // a source reaches at most the n-1 others
+	ex.paths = make([]graph.Path, slots)
+	ex.costs = make([]float64, slots)
+	ex.next = make([]int32, slots)
+
+	ws := make([]walker, max(1, min(runtime.GOMAXPROCS(0), len(walk))))
+	par.Do(len(ws), func(i int) {
+		lo, hi := i*len(walk)/len(ws), (i+1)*len(walk)/len(ws)
+		ws[i].walk(ex, b, walk[lo:hi], int32(lo*(n-1)))
+	})
+
+	// Close the gaps, in order: a range's block only moves down, onto
+	// positions the ranges before it have left.
+	stored := int32(0)
+	for i := range ws {
+		w := &ws[i]
+		if w.at != stored {
+			copy(ex.paths[stored:], ex.paths[w.at:w.end])
+			copy(ex.costs[stored:], ex.costs[w.at:w.end])
+			copy(ex.next[stored:], ex.next[w.at:w.end])
+		}
+		w.shift = stored - w.at
+		stored += w.end - w.at
+	}
+	ex.paths, ex.costs, ex.next = ex.paths[:stored], ex.costs[:stored], ex.next[:stored]
+	last := &ws[len(ws)-1]
+	ex.nodeSlab, ex.edgeSlab = last.nodeSlab, last.edgeSlab
+
+	// The link lists are windows of one array: link e's holds the paths of
+	// range 0 over e, then those of range 1, and so on. A range's uses
+	// become its cursors into the windows.
+	hops := 0
+	for e := 0; e < v.Size(); e++ {
+		for i := range ws {
+			c := ws[i].uses[e]
+			ws[i].uses[e] = hops
+			hops += c
+		}
+	}
+	flat := make([]int, hops)
+	ex.byEdge = make([][]int, v.Size())
+	for e := range ex.byEdge {
+		lo, hi := ws[0].uses[e], hops
+		if e+1 < len(ex.byEdge) {
+			hi = ws[0].uses[e+1]
+		}
+		if hi > lo {
+			ex.byEdge[e] = flat[lo:hi:hi]
+		}
+	}
+	par.Do(len(ws), func(i int) { ws[i].index(ex, flat) })
+	return ex
+}
+
+// walker is one goroutine's part of FromSources: a contiguous range of the
+// distinct sources, its own slabs, and the paths it stored over each link.
+type walker struct {
+	srcs []graph.NodeID
+	// at and end bound the positions the walker stored its paths at; shift
+	// is how far they moved down when the gaps before them closed.
+	at, end, shift int32
+	nodeSlab       []graph.NodeID
+	edgeSlab       []graph.EdgeID
+	// uses[e] counts the walker's paths over link e, and then is its
+	// cursor into e's list.
+	uses []int
+}
+
+// walk stores the paths of srcs' trees from position at on, each source's
+// destinations ascending, and fills their head rows.
+//
+//rbpc:ctor
+func (w *walker) walk(ex *Explicit, b TreeBase, srcs []graph.NodeID, at int32) {
+	w.srcs, w.at, w.end = srcs, at, at
+	w.uses = make([]int, ex.view.Size())
+	for _, s := range srcs {
+		row := ex.rows[s]
 		t := b.Tree(s)
 		for d := range row {
 			row[d] = -1
 			if dst := graph.NodeID(d); dst != s && t.Reached(dst) {
-				row[d] = ex.push(ex.walk(t, dst))
+				p := w.carve(t, dst)
+				ex.paths[w.end], ex.costs[w.end], ex.next[w.end] = p, p.CostIn(ex.view), -1
+				row[d] = w.end
+				w.end++
 			}
 		}
 	}
-	return ex
+}
+
+// carve copies the path of t from its root to d, a node t reaches, into
+// the walker's slabs by t's parent links and counts its links: the path
+// spath.Tree.PathTo builds, with no allocation of its own.
+func (w *walker) carve(t *spath.Tree, d graph.NodeID) graph.Path {
+	h := t.Hops(d)
+	p := graph.Path{Nodes: grab(&w.nodeSlab, h+1), Edges: grab(&w.edgeSlab, h)}
+	at := d
+	for i := h; i > 0; i-- {
+		p.Nodes[i] = at
+		at, p.Edges[i-1] = t.Parent(at)
+		w.uses[p.Edges[i-1]]++
+	}
+	p.Nodes[0] = at
+	return p
+}
+
+// index moves the walker's head rows with its paths and lists its paths in
+// the link lists, at its cursors into flat.
+//
+//rbpc:ctor
+func (w *walker) index(ex *Explicit, flat []int) {
+	if w.shift != 0 {
+		for _, s := range w.srcs {
+			for d, h := range ex.rows[s] {
+				if h >= 0 {
+					ex.rows[s][d] = h + w.shift
+				}
+			}
+		}
+	}
+	for i := w.at + w.shift; i < w.end+w.shift; i++ {
+		for _, e := range ex.paths[i].Edges {
+			flat[w.uses[e]] = int(i)
+			w.uses[e]++
+		}
+	}
 }
 
 // SubpathClosure returns a new explicit set containing every contiguous

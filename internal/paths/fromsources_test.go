@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -38,17 +39,20 @@ func reweighted(g *graph.Graph, seed int64) *graph.Graph {
 }
 
 // TestFromSourcesMatchesPerPair: FromSources, which walks each source's
-// tree once into the set's slabs and a dense head row, builds exactly the
-// set the per-pair reference builds (perPair) — on the AS stand-in, a
-// Waxman graph at fractional weights, the padded-unique base over it, and
-// hot sets listed out of order or twice — and so do the sets grown from it:
-// its 1-hop paths added, its SubpathClosure and its Corollary4Extend.
-// Checked: every path in order, its cost bits, and for every pair
-// IndexBetween, Contains of every stored path, PairHeads,
+// tree once into slabs and a dense head row, a range of sources per
+// goroutine, builds exactly the set the per-pair reference builds (perPair)
+// at GOMAXPROCS 1, 2 and 4 — on the AS stand-in, a Waxman graph at
+// fractional weights, the padded-unique base over it, hot sets listed out
+// of order or twice, and a disconnected graph whose sources reach different
+// numbers of nodes, so that the ranges leave gaps to close — and so do the
+// sets grown from it: its 1-hop paths added, its SubpathClosure and its
+// Corollary4Extend. Checked: every path in order, its cost bits, and for
+// every pair IndexBetween, Contains of every stored path, PairHeads,
 // IndicesThroughEdge, ArcIndex and EdgeComplete.
 func TestFromSourcesMatchesPerPair(t *testing.T) {
 	as := topology.PaperAS(1, 0.05)
 	waxman := reweighted(topology.Waxman(40, 0.8, 0.5, 3), 5)
+	split := islands()
 	every := func(g *graph.Graph) []graph.NodeID {
 		src := make([]graph.NodeID, g.Order())
 		for i := range src {
@@ -68,31 +72,83 @@ func TestFromSourcesMatchesPerPair(t *testing.T) {
 		{"waxman-weighted/unique", waxman, NewUniqueShortest(waxman), every(waxman)},
 		{"waxman-weighted/hot-set", waxman, NewUniqueShortest(waxman), []graph.NodeID{33, 2, 17, 9}},
 		{"waxman-weighted/repeated", waxman, NewAllShortest(waxman), []graph.NodeID{4, 11, 4, 30, 11}},
+		{"islands", split, NewAllShortest(split), every(split)},
+		{"islands/hot-set", split, NewUniqueShortest(split), []graph.NodeID{12, 17, 3, 19, 15, 0, 11}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, want := FromSources(tc.base, tc.sources), perPair(tc.base, tc.sources)
-			if err := sameSet(tc.g, got, want); err != nil {
-				t.Fatalf("FromSources: %v", err)
-			}
-			if err := sameSet(tc.g, SubpathClosure(got), SubpathClosure(want)); err != nil {
-				t.Fatalf("SubpathClosure: %v", err)
-			}
-			if err := sameSet(tc.g, Corollary4Extend(got, tc.g), Corollary4Extend(want, tc.g)); err != nil {
-				t.Fatalf("Corollary4Extend: %v", err)
-			}
-			for _, e := range tc.g.Edges() {
-				for _, ex := range []*Explicit{got, want} {
-					ex.Add(EdgePath(tc.g, e.ID, e.U))
-					ex.Add(EdgePath(tc.g, e.ID, e.V))
-				}
-			}
-			if err := sameSet(tc.g, got, want); err != nil {
-				t.Fatalf("with the 1-hop paths: %v", err)
-			}
-			if !got.EdgeComplete() {
-				t.Fatal("the set with every 1-hop path is not EdgeComplete")
+			ref := newReference(tc.g, tc.base, tc.sources)
+			for _, procs := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					ref.check(t, FromSources(tc.base, tc.sources))
+				})
 			}
 		})
+	}
+}
+
+// islands is a 20-node graph of five components, which a source reaches 9,
+// 4, 1 or 0 nodes of: a weighted 10-ring with chords, a 5-node path, two
+// single links and an isolated node between them.
+func islands() *graph.Graph {
+	g := graph.New(20)
+	for u := 0; u < 10; u++ {
+		g.AddEdge(graph.NodeID(u), graph.NodeID((u+1)%10), float64(1+u%3))
+	}
+	g.AddEdge(0, 5, 2)
+	g.AddEdge(2, 7, 1)
+	for u := 10; u < 14; u++ {
+		g.AddEdge(graph.NodeID(u), graph.NodeID(u+1), 1)
+	}
+	g.AddEdge(15, 16, 1)
+	g.AddEdge(18, 19, 3)
+	return g
+}
+
+// reference holds the per-pair reference's set for one case and the sets
+// grown from it, built once for the case's rows.
+type reference struct {
+	g                        *graph.Graph
+	set, closure, ext, edges *Explicit
+}
+
+// newReference builds the per-pair reference for FromSources(base, sources)
+// over g: the set, its SubpathClosure, its Corollary4Extend and the set with
+// every 1-hop path added.
+func newReference(g *graph.Graph, base TreeBase, sources []graph.NodeID) *reference {
+	r := &reference{g: g, set: perPair(base, sources), edges: perPair(base, sources)}
+	r.closure, r.ext = SubpathClosure(r.set), Corollary4Extend(r.set, g)
+	addEdges(g, r.edges)
+	return r
+}
+
+// addEdges adds the 1-hop path over every link of g, both ways, to ex.
+func addEdges(g *graph.Graph, ex *Explicit) {
+	for _, e := range g.Edges() {
+		ex.Add(EdgePath(g, e.ID, e.U))
+		ex.Add(EdgePath(g, e.ID, e.V))
+	}
+}
+
+// check fails unless got, built by FromSources, and the sets grown from it
+// are the reference's.
+func (r *reference) check(t *testing.T, got *Explicit) {
+	t.Helper()
+	if err := sameSet(r.g, got, r.set); err != nil {
+		t.Fatalf("FromSources: %v", err)
+	}
+	if err := sameSet(r.g, SubpathClosure(got), r.closure); err != nil {
+		t.Fatalf("SubpathClosure: %v", err)
+	}
+	if err := sameSet(r.g, Corollary4Extend(got, r.g), r.ext); err != nil {
+		t.Fatalf("Corollary4Extend: %v", err)
+	}
+	addEdges(r.g, got)
+	if err := sameSet(r.g, got, r.edges); err != nil {
+		t.Fatalf("with the 1-hop paths: %v", err)
+	}
+	if !got.EdgeComplete() {
+		t.Fatal("the set with every 1-hop path is not EdgeComplete")
 	}
 }
 

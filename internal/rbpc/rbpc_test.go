@@ -1,8 +1,11 @@
 package rbpc
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"rbpc/internal/core"
@@ -204,33 +207,51 @@ func TestBaselineDisconnectedPair(t *testing.T) {
 }
 
 // treeCounter is walkBase as FromSources reads it, noting the most trees its
-// oracle holds once it has handed one out.
+// oracle holds once it has handed one out. FromSources asks for trees from
+// several goroutines at once.
 type treeCounter struct {
 	*paths.AllShortest
+	mu   sync.Mutex
 	most int
 }
 
 func (c *treeCounter) Tree(s graph.NodeID) *spath.Tree {
 	t := c.AllShortest.Tree(s)
+	c.mu.Lock()
 	c.most = max(c.most, c.Oracle().CachedTrees())
+	c.mu.Unlock()
 	return t
 }
 
 // TestWalkRetainsOneTree: provisioning walks each source's tree once, and
 // the oracle it walks holds at most one tree at any point of the walk, where
-// a memoizing one ends it holding all n. The base set is the memoizing
-// oracle's, path for path and cost for cost.
+// a memoizing one ends it holding all n; over four walkers each holds only
+// the tree it walks besides. The base set is the memoizing oracle's, path
+// for path and cost for cost.
 func TestWalkRetainsOneTree(t *testing.T) {
 	g := topology.PaperAS(1, 0.05)
 	srcs := make([]graph.NodeID, g.Order())
 	for i := range srcs {
 		srcs[i] = graph.NodeID(i)
 	}
-	walk := &treeCounter{AllShortest: walkBase(g)}
-	got := paths.FromSources(walk, srcs)
-	if walk.most != 1 {
-		t.Fatalf("the walk's oracle held up to %d trees, want 1", walk.most)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			walk := &treeCounter{AllShortest: walkBase(g)}
+			got := paths.FromSources(walk, srcs)
+			if walk.most != 1 {
+				t.Fatalf("the walk's oracle held up to %d trees, want 1", walk.most)
+			}
+			sameAsMemoized(t, g, srcs, got)
+		})
 	}
+}
+
+// sameAsMemoized fails unless got is the base set walked off a memoizing
+// oracle, path for path and cost for cost, and that oracle's count sees its
+// n trees.
+func sameAsMemoized(t *testing.T, g *graph.Graph, srcs []graph.NodeID, got *paths.Explicit) {
+	t.Helper()
 	memo := &treeCounter{AllShortest: paths.NewAllShortest(g)}
 	want := paths.FromSources(memo, srcs)
 	if memo.most != g.Order() {

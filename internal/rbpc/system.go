@@ -19,6 +19,7 @@ import (
 
 	"rbpc/internal/graph"
 	"rbpc/internal/mpls"
+	"rbpc/internal/par"
 	"rbpc/internal/paths"
 	"rbpc/internal/spath"
 )
@@ -83,6 +84,12 @@ type System struct {
 // registry's keys (Provision.LSPs, each path's Path.Key) are windows of one
 // string, and the primaries' FEC entries and their one-label stacks are
 // carved from one array each.
+//
+// It uses every core: the walk and the batch fan out over GOMAXPROCS, the
+// keys are cut and the base set's ArcIndex (which every engine over the
+// export reads) is built while the batch runs, and the key map is built
+// while the FEC rows go in. Each pass reads only the base set or the
+// batch's LSPs, and the result is the same at any GOMAXPROCS.
 func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	base, serves, err := buildBase(g, cfg)
 	if err != nil {
@@ -90,16 +97,68 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 	}
 	s := &System{g: g, net: mpls.NewNetwork(g), base: base, serves: serves}
 
-	// One LSP per base path, in base order, sharing the stored path.
 	stored := base.All()
-	lsps, err := s.net.EstablishLSPs(stored)
+	var (
+		lsps    []*mpls.LSP
+		keys    string
+		ends    []int
+		primary []bool
+	)
+	par.Do(3, func(i int) {
+		switch i {
+		case 0:
+			// One LSP per base path, in base order, sharing the stored path.
+			lsps, err = s.net.EstablishLSPs(stored)
+		case 1:
+			keys, ends = cutKeys(g, stored)
+		case 2:
+			base.ArcIndex()
+			// A served pair's primary is its first stored path
+			// (Provision.Primary).
+			primary = Provision{Base: base, Serves: serves}.PrimaryMask()
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("rbpc: provisioning base LSP %v: %w", stored[len(lsps)], err)
 	}
 	s.baseLSPs = lsps
-	// The registry's keys are cut from one string. Every node and link ID
-	// has at most digits digits, so a path's key is at most its hops plus
-	// two IDs, each with a separator, and the buffer never grows.
+
+	par.Do(2, func(i int) {
+		if i == 1 {
+			s.lspOf = make(map[string]*mpls.LSP, len(lsps))
+			for j, at := 0, 0; j < len(stored); j++ {
+				s.lspOf[keys[at:ends[j]]] = lsps[j]
+				at = ends[j]
+			}
+			return
+		}
+		// FEC entries pushing the primaries, hot sources only.
+		rows := 0
+		for _, m := range primary {
+			if m {
+				rows++
+			}
+		}
+		entries := make([]mpls.FECEntry, rows)
+		stacks := make([]mpls.Label, rows)
+		k := 0
+		for j, p := range stored {
+			if primary[j] {
+				stacks[k] = lsps[j].SelfLabel()
+				entries[k] = mpls.FECEntry{Stack: stacks[k : k+1 : k+1], OutEdge: mpls.LocalProcess}
+				s.net.InstallFEC(p.Src(), p.Dst(), &entries[k])
+				k++
+			}
+		}
+	})
+	return s, nil
+}
+
+// cutKeys returns the registry's keys, each path's Path.Key, as one string
+// and the end of each path's key in it. Every node and link ID of g has at
+// most digits digits, so a path's key is at most its hops plus two IDs,
+// each with a separator, and the buffer never grows.
+func cutKeys(g *graph.Graph, stored []graph.Path) (string, []int) {
 	digits := len(strconv.Itoa(max(g.Order(), g.Size())))
 	size := 0
 	for _, p := range stored {
@@ -111,34 +170,7 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 		buf = p.AppendKey(buf)
 		ends[i] = len(buf)
 	}
-	keys := string(buf)
-	s.lspOf = make(map[string]*mpls.LSP, len(lsps))
-	for i, at := 0, 0; i < len(stored); i++ {
-		s.lspOf[keys[at:ends[i]]] = lsps[i]
-		at = ends[i]
-	}
-
-	// FEC entries pushing the primaries, hot sources only. A served pair's
-	// primary is its first stored path (Provision.Primary).
-	primary := s.Export().PrimaryMask()
-	rows := 0
-	for _, m := range primary {
-		if m {
-			rows++
-		}
-	}
-	entries := make([]mpls.FECEntry, rows)
-	stacks := make([]mpls.Label, rows)
-	k := 0
-	for i, p := range stored {
-		if primary[i] {
-			stacks[k] = lsps[i].SelfLabel()
-			entries[k] = mpls.FECEntry{Stack: stacks[k : k+1 : k+1], OutEdge: mpls.LocalProcess}
-			s.net.InstallFEC(p.Src(), p.Dst(), &entries[k])
-			k++
-		}
-	}
-	return s, nil
+	return string(buf), ends
 }
 
 // WriteProvision provisions the write side of NewSystem(g, cfg).Export():

@@ -3,10 +3,12 @@ package shardrpc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -69,15 +71,17 @@ func referenceProvision(t *testing.T, g *graph.Graph, cfg rbpc.Config) (*paths.E
 	return base, net, lsps
 }
 
-// TestNewSystemMatchesEstablish: rbpc.NewSystem provisions in flat passes —
-// base paths read off each source's tree, each router's label space
-// reserved once, LSP records and labels carved from one array each, the
-// primaries' FEC rows bucketed by source — and must produce exactly what
-// provisioning path by path does: the same base set in the same order with
-// the same costs, the same LSP IDs, paths and labels, every router's ILM
-// rows and FEC rows, the same key registry, the same signaling count, and
-// the same attach digest (registryDigest). The digests are pinned as well:
-// a worker must attach to a coordinator built from an older checkout.
+// TestNewSystemMatchesEstablish: rbpc.NewSystem provisions in flat passes on
+// every core — base paths read off each source's tree, a range of sources
+// a goroutine; the LSPs established in chunks, each taking its labels at
+// every router from a prefix sum of the chunks' counts; the keys, the arc
+// index and the key map built beside them — and must produce, at
+// GOMAXPROCS 1, 2 and 4, exactly what provisioning path by path does: the
+// same base set in the same order with the same costs, the same LSP IDs,
+// paths and labels, every router's ILM rows and FEC rows, the same key
+// registry, the same signaling count, and the same attach digest
+// (registryDigest). The digests are pinned as well: a worker must attach to
+// a coordinator built from an older checkout.
 func TestNewSystemMatchesEstablish(t *testing.T) {
 	waxman := topology.Waxman(40, 0.8, 0.5, 3)
 	as, err := topology.Build("as", 0.05, 1)
@@ -95,80 +99,85 @@ func TestNewSystemMatchesEstablish(t *testing.T) {
 		{"as/0.05", as, rbpc.Config{EdgeLSPs: true}, 0x1f0ae3e5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := rbpc.NewSystem(tc.g, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := sys.Export()
 			base, net, lsps := referenceProvision(t, tc.g, tc.cfg)
+			for _, procs := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					sys, err := rbpc.NewSystem(tc.g, tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := sys.Export()
 
-			if p.Base.Len() != base.Len() || len(p.BaseLSPs) != len(lsps) {
-				t.Fatalf("%d base paths and %d LSPs, the reference %d and %d", p.Base.Len(), len(p.BaseLSPs), base.Len(), len(lsps))
-			}
-			rows := 0
-			for i, want := range base.All() {
-				if got := p.Base.All()[i]; !got.Equal(want) || math.Float64bits(p.Base.CostAt(int32(i))) != math.Float64bits(base.CostAt(int32(i))) {
-					t.Fatalf("base path %d is %v at cost %v, the reference's %v at %v", i, got, p.Base.CostAt(int32(i)), want, base.CostAt(int32(i)))
-				}
-				got, ref := p.BaseLSPs[i], lsps[i]
-				if got.ID != ref.ID || !got.Path.Equal(ref.Path) || got.PHP != ref.PHP || got.SelfLabel() != ref.SelfLabel() {
-					t.Fatalf("LSP %d is %d %v (self-label %d), the reference's %d %v (%d)", i, got.ID, got.Path, got.SelfLabel(), ref.ID, ref.Path, ref.SelfLabel())
-				}
-				m := ref.Path.Hops()
-				first, _ := ref.HopLabel(0)
-				sameRow(t, p.Net, net, ref.Ingress(), ref.SelfLabel(), mpls.ILMEntry{Out: []mpls.Label{first}, OutEdge: ref.Path.Edges[0], LSP: ref.ID})
-				for h := 0; h < m; h++ {
-					gl, _ := got.HopLabel(h)
-					rl, _ := ref.HopLabel(h)
-					if gl != rl {
-						t.Fatalf("LSP %d hop %d carries label %d, the reference's %d", ref.ID, h, gl, rl)
+					if p.Base.Len() != base.Len() || len(p.BaseLSPs) != len(lsps) {
+						t.Fatalf("%d base paths and %d LSPs, the reference %d and %d", p.Base.Len(), len(p.BaseLSPs), base.Len(), len(lsps))
 					}
-					row := mpls.ILMEntry{OutEdge: mpls.LocalProcess, LSP: ref.ID} // the egress pops
-					if h+1 < m {
-						next, _ := ref.HopLabel(h + 1)
-						row = mpls.ILMEntry{Out: []mpls.Label{next}, OutEdge: ref.Path.Edges[h+1], LSP: ref.ID}
+					rows := 0
+					for i, want := range base.All() {
+						if got := p.Base.All()[i]; !got.Equal(want) || math.Float64bits(p.Base.CostAt(int32(i))) != math.Float64bits(base.CostAt(int32(i))) {
+							t.Fatalf("base path %d is %v at cost %v, the reference's %v at %v", i, got, p.Base.CostAt(int32(i)), want, base.CostAt(int32(i)))
+						}
+						got, ref := p.BaseLSPs[i], lsps[i]
+						if got.ID != ref.ID || !got.Path.Equal(ref.Path) || got.PHP != ref.PHP || got.SelfLabel() != ref.SelfLabel() {
+							t.Fatalf("LSP %d is %d %v (self-label %d), the reference's %d %v (%d)", i, got.ID, got.Path, got.SelfLabel(), ref.ID, ref.Path, ref.SelfLabel())
+						}
+						m := ref.Path.Hops()
+						first, _ := ref.HopLabel(0)
+						sameRow(t, p.Net, net, ref.Ingress(), ref.SelfLabel(), mpls.ILMEntry{Out: []mpls.Label{first}, OutEdge: ref.Path.Edges[0], LSP: ref.ID})
+						for h := 0; h < m; h++ {
+							gl, _ := got.HopLabel(h)
+							rl, _ := ref.HopLabel(h)
+							if gl != rl {
+								t.Fatalf("LSP %d hop %d carries label %d, the reference's %d", ref.ID, h, gl, rl)
+							}
+							row := mpls.ILMEntry{OutEdge: mpls.LocalProcess, LSP: ref.ID} // the egress pops
+							if h+1 < m {
+								next, _ := ref.HopLabel(h + 1)
+								row = mpls.ILMEntry{Out: []mpls.Label{next}, OutEdge: ref.Path.Edges[h+1], LSP: ref.ID}
+							}
+							sameRow(t, p.Net, net, ref.Path.Nodes[h+1], rl, row)
+						}
+						rows += m + 1
 					}
-					sameRow(t, p.Net, net, ref.Path.Nodes[h+1], rl, row)
-				}
-				rows += m + 1
-			}
-			total := 0
-			for v := 0; v < tc.g.Order(); v++ {
-				id := graph.NodeID(v)
-				gr, rr := p.Net.Router(id), net.Router(id)
-				if gr.ILMSize() != rr.ILMSize() {
-					t.Fatalf("router %d holds %d ILM rows, the reference %d", v, gr.ILMSize(), rr.ILMSize())
-				}
-				total += rr.ILMSize()
-				dsts := rr.FECDests()
-				if !reflect.DeepEqual(gr.FECDests(), dsts) {
-					t.Fatalf("router %d has FEC rows for %v, the reference for %v", v, gr.FECDests(), dsts)
-				}
-				for _, d := range dsts {
-					ge, _ := gr.FECEntryFor(d)
-					re, _ := rr.FECEntryFor(d)
-					if !reflect.DeepEqual(ge, re) {
-						t.Fatalf("router %d's FEC row for %d is %+v, the reference's %+v", v, d, ge, re)
+					total := 0
+					for v := 0; v < tc.g.Order(); v++ {
+						id := graph.NodeID(v)
+						gr, rr := p.Net.Router(id), net.Router(id)
+						if gr.ILMSize() != rr.ILMSize() {
+							t.Fatalf("router %d holds %d ILM rows, the reference %d", v, gr.ILMSize(), rr.ILMSize())
+						}
+						total += rr.ILMSize()
+						dsts := rr.FECDests()
+						if !reflect.DeepEqual(gr.FECDests(), dsts) {
+							t.Fatalf("router %d has FEC rows for %v, the reference for %v", v, gr.FECDests(), dsts)
+						}
+						for _, d := range dsts {
+							ge, _ := gr.FECEntryFor(d)
+							re, _ := rr.FECEntryFor(d)
+							if !reflect.DeepEqual(ge, re) {
+								t.Fatalf("router %d's FEC row for %d is %+v, the reference's %+v", v, d, ge, re)
+							}
+						}
 					}
-				}
-			}
-			if total != rows {
-				t.Fatalf("the tables hold %d ILM rows and the LSPs install %d: some row was not compared", total, rows)
-			}
-			if len(p.LSPs) != len(lsps) {
-				t.Fatalf("the key registry holds %d LSPs, the reference %d", len(p.LSPs), len(lsps))
-			}
-			for _, ref := range lsps {
-				if got := p.LSPs[ref.Path.Key()]; got == nil || got.ID != ref.ID {
-					t.Fatalf("key %q names %v, the reference LSP %d", ref.Path.Key(), got, ref.ID)
-				}
-			}
-			if gs, rs := p.Net.Stats(), net.Stats(); gs != rs {
-				t.Fatalf("network counters %+v, the reference's %+v", gs, rs)
-			}
-			got, want := registryDigest(p.BaseLSPs), registryDigest(lsps)
-			if got != want || got != tc.digest {
-				t.Fatalf("attach digest %#x, the reference's %#x, pinned %#x", got, want, tc.digest)
+					if total != rows {
+						t.Fatalf("the tables hold %d ILM rows and the LSPs install %d: some row was not compared", total, rows)
+					}
+					if len(p.LSPs) != len(lsps) {
+						t.Fatalf("the key registry holds %d LSPs, the reference %d", len(p.LSPs), len(lsps))
+					}
+					for _, ref := range lsps {
+						if got := p.LSPs[ref.Path.Key()]; got == nil || got.ID != ref.ID {
+							t.Fatalf("key %q names %v, the reference LSP %d", ref.Path.Key(), got, ref.ID)
+						}
+					}
+					if gs, rs := p.Net.Stats(), net.Stats(); gs != rs {
+						t.Fatalf("network counters %+v, the reference's %+v", gs, rs)
+					}
+					got, want := registryDigest(p.BaseLSPs), registryDigest(lsps)
+					if got != want || got != tc.digest {
+						t.Fatalf("attach digest %#x, the reference's %#x, pinned %#x", got, want, tc.digest)
+					}
+				})
 			}
 		})
 	}

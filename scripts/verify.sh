@@ -415,6 +415,14 @@ go test -race -count=5 -run 'TestProc|TestSharedBatchExactlyOnce|TestQueriesCoun
 go test -race -count=5 -run 'TestSharedBatchExactlyOnce|TestSubmitBatchAllocs|TestPoolReadsEachOwnersSnapshot|TestAffectedPairsMatchEngine' ./internal/shard/
 go test -race -count=5 -run 'TestReplicaSendMatchesEngine' ./internal/engine/
 
+# Provisioning fans out over GOMAXPROCS (DESIGN.md §13): the walk's source
+# ranges and the batch's chunks write shared slices and tables at disjoint
+# indices, and the result must be the one-goroutine build's at GOMAXPROCS 1,
+# 2 and 4, which these tests set row by row.
+echo "==> provisioning on every core (-race, 5 runs)"
+go test -race -count=5 -run 'TestFromSourcesMatchesPerPair|TestWalkRetainsOneTree|TestEstablishErrors|TestTeardownFreesLabels|TestNewSystemMatchesEstablish' \
+	./internal/paths/ ./internal/mpls/ ./internal/rbpc/ ./internal/shardrpc/
+
 echo "==> chaos conformance suite (long, -race, tagged)"
 go test -race -tags chaos -count=1 ./internal/chaos/
 
