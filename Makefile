@@ -60,10 +60,13 @@ verify:
 # pairs hold several paths; B and allocs per set), and provisioning the
 # benchmark of record's deployment in full, as the coordinator does
 # (rbpc.NewSystem: the tree walk, one batch of LSPs, keys cut from one
-# string, FEC rows from one array), and its write side, as a worker process
-# does (rbpc.WriteProvision): ns, B and allocs of each. The base-set and
-# provisioning benchmarks run at GOMAXPROCS 1 and 2 (-cpu 1,2): the walk and
-# the batch fan out over every core, and a forked worker builds at 1. CI
+# string, a FEC slot per served pair), and its write side, as a worker
+# process does (rbpc.WriteProvision): ns, B and allocs of each, and the live
+# heap the provision keeps (live-B). The base-set and provisioning
+# benchmarks run at GOMAXPROCS 1 and 2 (-cpu 1,2): the walk and the batch
+# fan out over every core, and a forked worker builds at 1. Last, a copy of
+# the whole forwarding plane (mpls.Network.Clone) of a 256-router line and
+# of the benchmark of record's provision: B per op is the tables' bytes. CI
 # runs them once each (BENCHTIME=1x) so they cannot rot.
 BENCHTIME ?= 1s
 bench:
@@ -74,3 +77,4 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkFrameChecksum -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
 	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -cpu 1,2 -benchtime $(BENCHTIME) ./internal/paths/
 	$(GO) test -run '^$$' -bench BenchmarkNewSystem -benchmem -cpu 1,2 -benchtime $(BENCHTIME) ./internal/rbpc/
+	$(GO) test -run '^$$' -bench BenchmarkNetworkClone -benchmem -benchtime $(BENCHTIME) ./internal/mpls/

@@ -48,7 +48,9 @@ func (p Path) CostIn(v View) float64 {
 
 // Validate checks the structural invariant and that every edge (1) exists in
 // v, (2) is usable (not failed), and (3) joins consecutive nodes with the
-// right orientation for directed views.
+// right orientation for directed views. It resolves the view once a path:
+// on a *Graph every hop is checked on the graph's own edges, and every edge
+// is usable there.
 func (p Path) Validate(v View) error {
 	if len(p.Nodes) == 0 {
 		return fmt.Errorf("graph: empty path")
@@ -56,21 +58,27 @@ func (p Path) Validate(v View) error {
 	if len(p.Nodes) != len(p.Edges)+1 {
 		return fmt.Errorf("graph: path has %d nodes and %d edges", len(p.Nodes), len(p.Edges))
 	}
-	m := v.Size()
+	g, whole := v.(*Graph)
+	m, directed := v.Size(), v.Directed()
 	for i, id := range p.Edges {
 		u, w := p.Nodes[i], p.Nodes[i+1]
 		if id < 0 || int(id) >= m {
 			return fmt.Errorf("graph: path step %d uses edge %d, and the view has %d edges", i, id, m)
 		}
-		e := v.Edge(id)
-		if v.Directed() {
+		var e Edge
+		if whole {
+			e = g.edges[id]
+		} else {
+			e = v.Edge(id)
+		}
+		if directed {
 			if e.U != u || e.V != w {
 				return fmt.Errorf("graph: edge %d is (%d->%d), path uses it as (%d->%d)", id, e.U, e.V, u, w)
 			}
 		} else if !(e.U == u && e.V == w) && !(e.U == w && e.V == u) {
 			return fmt.Errorf("graph: edge %d is (%d,%d), path step %d is (%d,%d)", id, e.U, e.V, i, u, w)
 		}
-		if !arcUsable(v, id, u, w) {
+		if !whole && !arcUsable(v, id, u, w) {
 			return fmt.Errorf("graph: edge %d (%d,%d) not usable at step %d", id, u, w, i)
 		}
 	}
@@ -79,13 +87,8 @@ func (p Path) Validate(v View) error {
 
 // arcUsable reports whether edge id, which joins u to w the way v's
 // orientation allows, is traversable out of u in v: whether it appears as
-// an arc out of u. On a *Graph every edge is an arc out of each endpoint it
-// may be left from, so the endpoint check already said yes; any other view
-// is asked.
+// an arc out of u.
 func arcUsable(v View, id EdgeID, u, w NodeID) bool {
-	if _, whole := v.(*Graph); whole {
-		return true
-	}
 	usable := false
 	v.VisitArcs(u, func(a Arc) bool {
 		if a.Edge == id && a.To == w {

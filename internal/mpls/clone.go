@@ -1,14 +1,19 @@
 package mpls
 
-import "slices"
+import (
+	"maps"
+	"slices"
+)
 
 // Clone returns a copy of the network: both networks keep working views of
 // the forwarding state at the moment of the call, and writes to one are
 // never visible to the other. Every router's ILM and FEC tables, the LSP
-// registry, link up/down state, label allocators and statistics are copied;
-// the *LSP and *FECEntry values and an ILM row's out-labels are immutable
-// once installed and stay shared. No serving path clones a network: an
-// epoch is an overlay over the provision's one network (ILMOverlay).
+// registry, link up/down state, label allocators and statistics are copied.
+// A table is a slice of pointer-free slots naming LSPs, so it copies in one
+// memmove; the *LSP records the slots name, and the rows a side table holds
+// whole, are immutable once installed and stay shared. No serving path
+// clones a network: an epoch is an overlay over the provision's one network
+// (ILMOverlay).
 //
 // Clone must not run concurrently with writes to n, but it may run
 // concurrently with reads (table lookups, packet forwarding); all counters
@@ -26,9 +31,12 @@ func (n *Network) Clone() *Network {
 	for i, r := range n.routers {
 		c.routers[i] = &Router{
 			ID:        r.ID,
+			net:       c,
 			ilm:       slices.Clone(r.ilm),
+			ilmSide:   maps.Clone(r.ilmSide),
 			ilmCount:  r.ilmCount,
 			fec:       slices.Clone(r.fec),
+			fecSide:   maps.Clone(r.fecSide),
 			fecCount:  r.fecCount,
 			nextLabel: r.nextLabel,
 			freeList:  slices.Clone(r.freeList),

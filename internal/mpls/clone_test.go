@@ -213,13 +213,3 @@ func TestCloneParentTablesBitIdentical(t *testing.T) {
 		t.Errorf("parent LSP registry size changed: %d -> %d", before.lsps, after.lsps)
 	}
 }
-
-// BenchmarkNetworkClone measures the cost of a copy of the whole network.
-func BenchmarkNetworkClone(b *testing.B) {
-	_, net := lineNet(b, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net = net.Clone()
-	}
-}

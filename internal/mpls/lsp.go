@@ -20,11 +20,11 @@ import (
 //
 // Label layout for a path v_0 e_0 v_1 e_1 ... e_{m-1} v_m:
 //
-//	selfLabel          — allocated by v_0; ILM row at v_0 swaps it to
+//	self-label         — allocated by v_0; ILM row at v_0 swaps it to
 //	                     hopLabels[0] and forwards on e_0. It exists so the
 //	                     LSP can be the *second or later* component of a
 //	                     concatenation: a pop at the previous LSP's egress
-//	                     exposes selfLabel, which v_0 then resolves.
+//	                     exposes the self-label, which v_0 then resolves.
 //	hopLabels[i]       — allocated by v_{i+1}: the label carried on link
 //	                     e_i. Transit routers swap hopLabels[i] ->
 //	                     hopLabels[i+1]; the egress v_m pops hopLabels[m-1].
@@ -37,7 +37,7 @@ type LSP struct {
 	Path graph.Path
 	PHP  bool
 
-	selfLabel Label
+	self      [1]Label // the self-label, as the one-label stack push returns
 	hopLabels []Label
 }
 
@@ -50,7 +50,7 @@ func (l *LSP) Egress() graph.NodeID { return l.Path.Dst() }
 // SelfLabel returns the label that names this LSP at its own ingress —
 // what a concatenating router pushes beneath the current stack so the
 // packet continues onto this LSP.
-func (l *LSP) SelfLabel() Label { return l.selfLabel }
+func (l *LSP) SelfLabel() Label { return l.self[0] }
 
 // FirstHopLabel returns the label the ingress sends on the first link.
 func (l *LSP) FirstHopLabel() Label { return l.hopLabels[0] }
@@ -67,6 +67,30 @@ func (l *LSP) HopLabel(i int) (Label, bool) {
 	}
 	return l.hopLabels[i], true
 }
+
+// row returns the ILM row the LSP installs at the at-th router of its path:
+// the self-row at its ingress (0) and a swap at a transit router, each
+// pushing the label of the link out and sending the packet on it; a pop at
+// its egress (at the path's hop count), and under PHP a pop sent on the last
+// link at the penultimate router. Out is a window of the LSP's hop labels.
+//
+//rbpc:hotpath
+func (l *LSP) row(at int) ILMEntry {
+	switch m := len(l.Path.Edges); {
+	case at == m:
+		return ILMEntry{OutEdge: LocalProcess, LSP: l.ID}
+	case l.PHP && at == m-1:
+		return ILMEntry{OutEdge: l.Path.Edges[at], LSP: l.ID}
+	}
+	return ILMEntry{Out: l.hopLabels[at : at+1 : at+1], OutEdge: l.Path.Edges[at], LSP: l.ID}
+}
+
+// push returns the FEC row that pushes the LSP's self-label for its ingress
+// to process, which sends the packet along the LSP. Stack is a window of the
+// record.
+//
+//rbpc:hotpath
+func (l *LSP) push() FECEntry { return FECEntry{Stack: l.self[:], OutEdge: LocalProcess} }
 
 // IncomingLabelAt returns the label with which packets on this LSP arrive
 // at router v (which must be a non-ingress node of the path).
@@ -302,8 +326,7 @@ func (n *Network) layOutLabels(cs []chunk) bool {
 			at += k
 		}
 		if at > r.nextLabel {
-			r.sizeILM(r.nextLabel) // the slots below the batch's labels stay empty
-			r.ilm = slices.Grow(r.ilm, int(at-r.nextLabel))[:at]
+			r.sizeILM(at) // the slots below the batch's labels stay empty
 			r.ilmCount += int(at - r.nextLabel)
 			r.nextLabel = at
 		}
@@ -333,31 +356,14 @@ func (n *Network) install(c *chunk, path graph.Path, php bool) *LSP {
 		lsp.hopLabels[i] = c.label(n, path.Nodes[i+1])
 	}
 
-	// Ingress self-row. A swap row's one out-label is the LSP's own hop
-	// label, shared: neither is ever written after this.
-	lsp.selfLabel = c.label(n, path.Src())
-	c.setILM(n, path.Src(), lsp.selfLabel, ILMEntry{
-		Out:     lsp.hopLabels[0:1:1],
-		OutEdge: path.Edges[0],
-		LSP:     lsp.ID,
-	})
-
-	// Transit and egress rows.
-	for i := 1; i <= m; i++ {
-		v := path.Nodes[i]
-		in := lsp.hopLabels[i-1]
-		switch {
-		case i == m:
-			if php {
-				continue // egress holds no row under PHP
-			}
-			c.setILM(n, v, in, ILMEntry{Out: nil, OutEdge: LocalProcess, LSP: lsp.ID})
-		case php && i == m-1:
-			// Penultimate pop: forward the inner stack on the last link.
-			c.setILM(n, v, in, ILMEntry{Out: nil, OutEdge: path.Edges[i], LSP: lsp.ID})
-		default:
-			c.setILM(n, v, in, ILMEntry{Out: lsp.hopLabels[i : i+1 : i+1], OutEdge: path.Edges[i], LSP: lsp.ID})
-		}
+	// One row at every router that took a label: the ingress's self-row
+	// (0), and the row for the label of the hop into each later router,
+	// which under PHP the egress has none of. Each slot names the LSP and
+	// the router's position on it (LSP.row).
+	lsp.self[0] = c.label(n, path.Src())
+	c.setILM(n, path.Src(), lsp.self[0], ilmSlot{lsp: lsp.ID})
+	for i := 1; i <= last; i++ {
+		c.setILM(n, path.Nodes[i], lsp.hopLabels[i-1], ilmSlot{lsp: lsp.ID, at: int32(i)})
 	}
 
 	n.lsps[lsp.ID] = lsp
@@ -374,25 +380,32 @@ func (c *chunk) label(n *Network, v graph.NodeID) Label {
 	return l
 }
 
-// setILM installs row e for label l at router v. A chunk with counts writes
-// its own slot of a table layOutLabels sized and counted.
-func (c *chunk) setILM(n *Network, v graph.NodeID, l Label, e ILMEntry) {
+// setILM installs slot s for label l at router v. A chunk with counts
+// writes its own slot of a table layOutLabels sized and counted.
+func (c *chunk) setILM(n *Network, v graph.NodeID, l Label, s ilmSlot) {
 	if c.next == nil {
-		n.routers[v].setILM(l, e)
+		n.routers[v].setILM(l, s)
 		return
 	}
-	n.routers[v].ilm[l] = e
+	n.routers[v].ilm[l] = s
 }
 
 // TeardownLSP removes the LSP's rows everywhere and releases its labels,
-// costing one release message per hop.
+// costing one release message per hop. A FEC row installed as the LSP's
+// (InstallFEC) stays, held whole: it pushes the self-label it pushed.
 func (n *Network) TeardownLSP(id LSPID) error {
 	lsp, ok := n.LSPByID(id)
 	if !ok {
 		return fmt.Errorf("mpls: teardown of unknown LSP %d", id)
 	}
 	m := lsp.Path.Hops()
-	n.routers[lsp.Path.Src()].freeLabel(lsp.selfLabel)
+	in := n.routers[lsp.Path.Src()]
+	in.freeLabel(lsp.self[0])
+	for d, fid := range in.fec {
+		if fid == id {
+			in.setSideFEC(graph.NodeID(d), lsp.push())
+		}
+	}
 	last := m
 	if lsp.PHP {
 		last = m - 1

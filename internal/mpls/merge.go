@@ -78,9 +78,9 @@ func (n *Network) InstallDestTree(dst graph.NodeID, nextHop map[graph.NodeID]gra
 			n.uninstallPartial(tree)
 			return nil, fmt.Errorf("mpls: InstallDestTree: router %d forwards to %d which has no row", r, arc.To)
 		}
-		n.routers[r].setILM(tree.labels[r], ILMEntry{Out: []Label{next}, OutEdge: arc.Edge})
+		n.routers[r].setSideILM(tree.labels[r], ILMEntry{Out: []Label{next}, OutEdge: arc.Edge})
 	}
-	n.routers[dst].setILM(tree.labels[dst], ILMEntry{Out: nil, OutEdge: LocalProcess})
+	n.routers[dst].setSideILM(tree.labels[dst], ILMEntry{Out: nil, OutEdge: LocalProcess})
 	n.stats.signalingMsgs.Add(int64(len(tree.labels)))
 	return tree, nil
 }

@@ -19,7 +19,7 @@
 //
 // A restoration's whole delta is therefore a few rows, and the package lets
 // a caller hold it as exactly that. A provisioner writes its pristine rows
-// into the tables (SetFEC); the conventional baseline rewrites them as it
+// into the tables (InstallFEC); the conventional baseline rewrites them as it
 // re-signals. The online engine never writes: it forwards every epoch over
 // one shared network through Send,
 // handing the forwarding loop the epoch's FEC row, its link state (a
@@ -55,6 +55,9 @@ const LocalProcess graph.EdgeID = -1
 //   - swap:       Out = [next], OutEdge = link
 //   - pop (egress): Out = nil, OutEdge = LocalProcess
 //   - local RBPC:  Out = [replacement sequence], OutEdge = link or LocalProcess
+//
+// It is the form a row is read and written in; a router holds the row an
+// LSP installs as 8 bytes naming the LSP (Router, LSP.row).
 type ILMEntry struct {
 	Out     []Label
 	OutEdge graph.EdgeID
@@ -73,19 +76,29 @@ type FECEntry struct {
 type Router struct {
 	ID graph.NodeID
 
+	// net is the network the router belongs to: an ILM or FEC slot names an
+	// LSP of its registry.
+	net *Network
+
 	// ilm is the incoming label map, indexed by label: a router hands out
-	// its labels densely from 16 up, so the label space is the table. A
-	// slot whose OutEdge is noRow holds no row. Like the FEC table below it
-	// is a flat slice, so that a row costs its 32 bytes and nothing for
-	// hashing and a Clone copies the table in one memmove.
-	ilm      []ILMEntry
+	// its labels densely from 16 up, so the label space is the table. A slot
+	// names the LSP whose row it is and the router's position on that LSP's
+	// path, and the row itself — its out-label and its link — is read off
+	// the LSP's record (LSP.row). A slot is 8 bytes and holds no pointer, so
+	// the collector never scans the table and a Clone copies it in one
+	// memmove. A row no LSP installs (a merged tree's, ReplaceILM's) is held
+	// whole in ilmSide, and its slot marks it (sideRow). The zero slot holds
+	// no row.
+	ilm      []ilmSlot
+	ilmSide  map[Label]ILMEntry
 	ilmCount int
-	// fec is the dense FEC table, indexed by destination node ID (the FEC
-	// key domain is exactly the node space); nil marks an absent row. The
-	// entries are immutable once installed, so a Clone copies 8-byte slots
-	// and shares them. The slice grows on demand when the topology gains
-	// nodes.
-	fec      []*FECEntry
+	// fec is the FEC table, indexed by destination node ID (the FEC key
+	// domain is exactly the node space): a slot names the LSP whose
+	// self-label the row pushes (InstallFEC, LSP.push), or marks a row held
+	// whole in fecSide (SetFEC); 0 is no row. The slice grows on demand
+	// when the topology gains nodes.
+	fec      []LSPID
+	fecSide  map[graph.NodeID]FECEntry
 	fecCount int
 
 	nextLabel Label
@@ -96,13 +109,23 @@ type Router struct {
 	reserved int
 }
 
-// noRow in an ILM slot's OutEdge marks the slot empty.
-const noRow graph.EdgeID = -2
+// ilmSlot is one ILM slot: the row LSP lsp installs at the at-th router of
+// its path (LSP.row), or, when lsp is sideRow, the row held in the router's
+// ilmSide. LSP IDs start at firstLSPID, so the zero slot is empty.
+type ilmSlot struct {
+	lsp LSPID
+	at  int32
+}
 
-func newRouter(id graph.NodeID, order int) *Router {
+// sideRow in an ILM or FEC slot marks a row held whole in the router's side
+// table.
+const sideRow LSPID = -1
+
+func newRouter(n *Network, id graph.NodeID, order int) *Router {
 	return &Router{
 		ID:        id,
-		fec:       make([]*FECEntry, order),
+		net:       n,
+		fec:       make([]LSPID, order),
 		nextLabel: 16, // labels 0-15 are reserved in real MPLS
 	}
 }
@@ -120,31 +143,43 @@ func (r *Router) allocLabel() Label {
 }
 
 func (r *Router) freeLabel(l Label) {
-	if _, ok := r.ILMEntryFor(l); ok {
-		r.ilm[l] = ILMEntry{OutEdge: noRow}
+	if int(l) < len(r.ilm) && r.ilm[l] != (ilmSlot{}) {
+		if r.ilm[l].lsp == sideRow {
+			delete(r.ilmSide, l)
+		}
+		r.ilm[l] = ilmSlot{}
 		r.ilmCount--
 	}
 	r.freeList = append(r.freeList, l)
 }
 
 // sizeILM extends the ILM table to span at least l slots, the new ones
-// empty. A row installed at a new label goes through it.
+// empty. A row installed at a new label goes through it, and a batch sizes
+// the table for all its labels at once (layOutLabels, reserveILM).
 func (r *Router) sizeILM(l Label) {
 	if old := len(r.ilm); int(l) > old {
 		r.ilm = slices.Grow(r.ilm, int(l)-old)[:l]
-		for i := old; i < int(l); i++ {
-			r.ilm[i] = ILMEntry{OutEdge: noRow}
-		}
+		clear(r.ilm[old:])
 	}
 }
 
-// setILM installs (or replaces) the row for label l.
-func (r *Router) setILM(l Label, e ILMEntry) {
-	if _, ok := r.ILMEntryFor(l); !ok {
+// setILM installs slot s for label l, which holds no row or, when s marks
+// a side row, the row being replaced.
+func (r *Router) setILM(l Label, s ilmSlot) {
+	r.sizeILM(l + 1)
+	if r.ilm[l] == (ilmSlot{}) {
 		r.ilmCount++
 	}
-	r.sizeILM(l + 1)
-	r.ilm[l] = e
+	r.ilm[l] = s
+}
+
+// setSideILM installs (or replaces) row e for label l, held whole.
+func (r *Router) setSideILM(l Label, e ILMEntry) {
+	r.setILM(l, ilmSlot{lsp: sideRow})
+	if r.ilmSide == nil {
+		r.ilmSide = make(map[Label]ILMEntry)
+	}
+	r.ilmSide[l] = e
 }
 
 // reserveILM makes room in the ILM table for the router's next reserved
@@ -157,13 +192,27 @@ func (r *Router) reserveILM() {
 	r.reserved = 0
 }
 
-// writableFEC ensures the FEC table spans at least dst+1 slots. A row
-// installed goes through it.
-func (r *Router) writableFEC(dst graph.NodeID) []*FECEntry {
+// setFEC installs (or replaces) slot id for dst.
+func (r *Router) setFEC(dst graph.NodeID, id LSPID) {
 	if int(dst) >= len(r.fec) {
-		r.fec = append(r.fec, make([]*FECEntry, int(dst)+1-len(r.fec))...)
+		r.fec = append(r.fec, make([]LSPID, int(dst)+1-len(r.fec))...)
 	}
-	return r.fec
+	switch r.fec[dst] {
+	case 0:
+		r.fecCount++
+	case sideRow:
+		delete(r.fecSide, dst)
+	}
+	r.fec[dst] = id
+}
+
+// setSideFEC installs (or replaces) row e for dst, held whole.
+func (r *Router) setSideFEC(dst graph.NodeID, e FECEntry) {
+	r.setFEC(dst, sideRow)
+	if r.fecSide == nil {
+		r.fecSide = make(map[graph.NodeID]FECEntry)
+	}
+	r.fecSide[dst] = e
 }
 
 // ILMSize returns the number of installed ILM entries — the hardware table
@@ -172,24 +221,41 @@ func (r *Router) writableFEC(dst graph.NodeID) []*FECEntry {
 //rbpc:hotpath
 func (r *Router) ILMSize() int { return r.ilmCount }
 
-// ILMEntryFor returns the entry for an incoming label.
+// ILMEntryFor returns the entry for an incoming label. A row an LSP
+// installed is read off the LSP's record: its Out is a window of the LSP's
+// hop labels, which nothing writes, so an entry stays what it was read as
+// whatever later happens to the row.
 //
 //rbpc:hotpath
 func (r *Router) ILMEntryFor(l Label) (ILMEntry, bool) {
-	if l < 0 || int(l) >= len(r.ilm) || r.ilm[l].OutEdge == noRow {
+	if l < 0 || int(l) >= len(r.ilm) {
 		return ILMEntry{}, false
 	}
-	return r.ilm[l], true
+	switch s := r.ilm[l]; {
+	case s.lsp > 0:
+		return r.net.lsps[s.lsp].row(int(s.at)), true
+	case s.lsp == sideRow:
+		return r.ilmSide[l], true
+	}
+	return ILMEntry{}, false
 }
 
-// FECEntryFor returns the FEC row for a destination.
+// FECEntryFor returns the FEC row for a destination. A row InstallFEC
+// installed is read off its LSP's record, and its Stack is a window of
+// that record, which nothing writes.
 //
 //rbpc:hotpath
 func (r *Router) FECEntryFor(dst graph.NodeID) (FECEntry, bool) {
-	if int(dst) >= len(r.fec) || r.fec[dst] == nil {
+	if int(dst) >= len(r.fec) {
 		return FECEntry{}, false
 	}
-	return *r.fec[dst], true
+	switch id := r.fec[dst]; {
+	case id > 0:
+		return r.net.lsps[id].push(), true
+	case id == sideRow:
+		return r.fecSide[dst], true
+	}
+	return FECEntry{}, false
 }
 
 // FECSize returns the number of installed FEC rows.
@@ -201,8 +267,8 @@ func (r *Router) FECSize() int { return r.fecCount }
 // ascending order.
 func (r *Router) FECDests() []graph.NodeID {
 	out := make([]graph.NodeID, 0, r.fecCount)
-	for d, p := range r.fec {
-		if p != nil {
+	for d, id := range r.fec {
+		if id != 0 {
 			out = append(out, graph.NodeID(d))
 		}
 	}
@@ -288,7 +354,7 @@ func NewNetwork(g *graph.Graph) *Network {
 		nextLSP: firstLSPID,
 	}
 	for i := range n.routers {
-		n.routers[i] = newRouter(graph.NodeID(i), g.Order())
+		n.routers[i] = newRouter(n, graph.NodeID(i), g.Order())
 	}
 	for i := range n.edgeUp {
 		n.edgeUp[i] = true
@@ -321,31 +387,39 @@ func (n *Network) FailEdge(e graph.EdgeID) { n.edgeUp[e] = false }
 func (n *Network) RepairEdge(e graph.EdgeID) { n.edgeUp[e] = true }
 
 // SetFEC installs (or replaces) the FEC row for dst at router id. This is
-// the entirety of source-router RBPC's data-plane action.
-func (n *Network) SetFEC(id, dst graph.NodeID, e FECEntry) { n.InstallFEC(id, dst, &e) }
-
-// InstallFEC installs *e as the FEC row for dst at router id, as SetFEC
-// does, and keeps the pointer: the row is immutable once installed, so the
-// caller must not write *e or its stack afterwards. Provisioning installs
-// a row per served pair this way from one array of entries.
-func (n *Network) InstallFEC(id, dst graph.NodeID, e *FECEntry) {
-	r := n.routers[id]
-	slots := r.writableFEC(dst)
-	if slots[dst] == nil {
-		r.fecCount++
-	}
-	slots[dst] = e
+// the entirety of source-router RBPC's data-plane action. The row is held
+// as e is: the caller must not write its stack afterwards.
+func (n *Network) SetFEC(id, dst graph.NodeID, e FECEntry) {
+	n.routers[id].setSideFEC(dst, e)
 	n.stats.fecUpdates.Add(1)
+}
+
+// InstallFEC installs, at l's ingress, the FEC row for dst that pushes l's
+// self-label for the ingress to process — the row SetFEC(l.Ingress(), dst,
+// FECEntry{Stack: []Label{l.SelfLabel()}, OutEdge: LocalProcess}) would
+// install — held as l's ID in a 4-byte slot and read off l's record. l must
+// be an LSP established in n. Provisioning installs a row per served pair
+// this way.
+func (n *Network) InstallFEC(dst graph.NodeID, l *LSP) error {
+	if got, ok := n.LSPByID(l.ID); !ok || got != l {
+		return fmt.Errorf("mpls: LSP %d is not established in this network", l.ID)
+	}
+	n.routers[l.Ingress()].setFEC(dst, l.ID)
+	n.stats.fecUpdates.Add(1)
+	return nil
 }
 
 // ClearFEC removes the FEC row for dst at router id, if any; subsequent
 // traffic for dst entering at id is dropped (no route).
 func (n *Network) ClearFEC(id, dst graph.NodeID) {
 	r := n.routers[id]
-	if int(dst) >= len(r.fec) || r.fec[dst] == nil {
+	if int(dst) >= len(r.fec) || r.fec[dst] == 0 {
 		return
 	}
-	r.fec[dst] = nil
+	if r.fec[dst] == sideRow {
+		delete(r.fecSide, dst)
+	}
+	r.fec[dst] = 0
 	r.fecCount--
 	n.stats.fecUpdates.Add(1)
 }
@@ -353,14 +427,15 @@ func (n *Network) ClearFEC(id, dst graph.NodeID) {
 // ReplaceILM replaces the ILM row for label l at router id — local RBPC's
 // single-table-entry action at the router adjacent to a failure. The
 // previous entry is returned so the caller can undo the patch when the
-// link recovers.
+// link recovers. The new row is held as e is: the caller must not write its
+// out-labels afterwards.
 func (n *Network) ReplaceILM(id graph.NodeID, l Label, e ILMEntry) (ILMEntry, error) {
 	r := n.routers[id]
 	prev, ok := r.ILMEntryFor(l)
 	if !ok {
 		return ILMEntry{}, fmt.Errorf("mpls: router %d has no ILM entry for label %d", id, l)
 	}
-	r.ilm[l] = e
+	r.setSideILM(l, e)
 	n.stats.ilmReplacements.Add(1)
 	return prev, nil
 }

@@ -511,8 +511,8 @@ func TestForwardingLoopDetected(t *testing.T) {
 	n := NewNetwork(g)
 	l0 := n.Router(0).allocLabel()
 	l1 := n.Router(1).allocLabel()
-	n.Router(0).setILM(l0, ILMEntry{Out: []Label{l1}, OutEdge: e})
-	n.Router(1).setILM(l1, ILMEntry{Out: []Label{l0}, OutEdge: e})
+	n.Router(0).setSideILM(l0, ILMEntry{Out: []Label{l1}, OutEdge: e})
+	n.Router(1).setSideILM(l1, ILMEntry{Out: []Label{l0}, OutEdge: e})
 	pkt := &Packet{Src: 0, Dst: 1, Stack: []Label{l0}, At: 0, TTL: DefaultTTL, Trace: []graph.NodeID{0}}
 	err := n.Forward(pkt, nil, nil)
 	if !errors.Is(err, ErrTTLExpired) {
@@ -526,7 +526,7 @@ func TestLocalLabelLoopDetected(t *testing.T) {
 	n := NewNetwork(g)
 	l := n.Router(0).allocLabel()
 	// Row that replaces the label with itself locally, forever.
-	n.Router(0).setILM(l, ILMEntry{Out: []Label{l}, OutEdge: LocalProcess})
+	n.Router(0).setSideILM(l, ILMEntry{Out: []Label{l}, OutEdge: LocalProcess})
 	pkt := &Packet{Src: 0, Dst: 0, Stack: []Label{l}, At: 0, TTL: DefaultTTL, Trace: []graph.NodeID{0}}
 	if err := n.Forward(pkt, nil, nil); !errors.Is(err, ErrLabelLoop) {
 		t.Errorf("err = %v, want ErrLabelLoop", err)

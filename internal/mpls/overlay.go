@@ -93,7 +93,7 @@ func NewILMOverlay(n *Network, want []ILMPatch) (*ILMOverlay, error) {
 	out := make([]Label, 0, labels)
 	for i, p := range o.patches {
 		c := p.Crossing
-		l, ok := c.selfLabel, true
+		l, ok := c.SelfLabel(), true
 		if p.Hop > 0 {
 			l, ok = c.HopLabel(p.Hop - 1)
 		}

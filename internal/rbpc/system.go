@@ -82,8 +82,8 @@ type System struct {
 // is read off each source's shortest-path tree (paths.FromSources), the
 // LSPs are established as one batch sharing the stored paths, the
 // registry's keys (Provision.LSPs, each path's Path.Key) are windows of one
-// string, and the primaries' FEC entries and their one-label stacks are
-// carved from one array each.
+// string, and a primary's FEC row is a slot naming its LSP
+// (mpls.Network.InstallFEC).
 //
 // It uses every core: the walk and the batch fan out over GOMAXPROCS, the
 // keys are cut and the base set's ArcIndex (which every engine over the
@@ -132,25 +132,17 @@ func NewSystem(g *graph.Graph, cfg Config) (*System, error) {
 			}
 			return
 		}
-		// FEC entries pushing the primaries, hot sources only.
-		rows := 0
-		for _, m := range primary {
-			if m {
-				rows++
-			}
-		}
-		entries := make([]mpls.FECEntry, rows)
-		stacks := make([]mpls.Label, rows)
-		k := 0
+		// FEC rows pushing the primaries, hot sources only: each a slot
+		// naming the primary's LSP.
 		for j, p := range stored {
-			if primary[j] {
-				stacks[k] = lsps[j].SelfLabel()
-				entries[k] = mpls.FECEntry{Stack: stacks[k : k+1 : k+1], OutEdge: mpls.LocalProcess}
-				s.net.InstallFEC(p.Src(), p.Dst(), &entries[k])
-				k++
+			if primary[j] && err == nil {
+				err = s.net.InstallFEC(p.Dst(), lsps[j])
 			}
 		}
 	})
+	if err != nil {
+		return nil, fmt.Errorf("rbpc: installing the FEC rows: %w", err)
+	}
 	return s, nil
 }
 
