@@ -46,9 +46,11 @@ verify:
 # and the hybrid local rows for an affected and an unaffected pair; 0
 # allocs asserted), a query worker's
 # cost per answer of a submitted burst, a local-scheme transition with
-# three links down, a phase-two transition of the writer in the benchmark
-# of record's shape (three-link episodes, plan cache of three: ns and
-# allocs per plan-cache miss and per hit), building an engine (every
+# three links down, a transition of the writer in the benchmark of
+# record's shape (three-link episodes, plan cache of three: ns and allocs
+# per plan-cache miss and per hit, under the source scheme and under hybrid
+# with the benchmark's flood; at GOMAXPROCS 1 and 2, since the solve
+# fan-out spreads over every core), building an engine (every
 # source and half of them) and a snapshot decoder over the benchmark of
 # record's provision (ns, B and allocs: the canonical table is most of
 # it), and the sharded read
@@ -72,7 +74,8 @@ BENCHTIME ?= 1s
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSSSPKernel|BenchmarkOracleTree' -benchmem -benchtime $(BENCHTIME) ./internal/spath/
 	$(GO) test -run '^$$' -bench BenchmarkSparseFanout -benchmem -benchtime $(BENCHTIME) ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEpochBuild|BenchmarkEngineNew|BenchmarkSnapDecoder' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshotRoute|BenchmarkServeBatch|BenchmarkLocalPlanBuild|BenchmarkEngineNew|BenchmarkSnapDecoder' -benchmem -benchtime $(BENCHTIME) ./internal/engine/
+	$(GO) test -run '^$$' -bench BenchmarkEpochBuild -benchmem -cpu 1,2 -benchtime $(BENCHTIME) ./internal/engine/
 	$(GO) test -run '^$$' -bench BenchmarkSubmitBatch -benchmem -benchtime $(BENCHTIME) ./internal/shard/
 	$(GO) test -run '^$$' -bench BenchmarkFrameChecksum -benchmem -benchtime $(BENCHTIME) ./internal/shardrpc/
 	$(GO) test -run '^$$' -bench BenchmarkExplicitBuild -benchmem -cpu 1,2 -benchtime $(BENCHTIME) ./internal/paths/

@@ -468,8 +468,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	inc := st.Incremental
 	fmt.Fprintf(stdout, "incremental: %d rows reused / %d recomputed (%d entering, %d leaving, %d stale, %d repair-improved)\n",
 		inc.PairsReused, inc.PairsRecomputed, inc.Entering, inc.Leaving, inc.StaleRoutes, inc.RepairImproved)
-	fmt.Fprintf(stdout, "build stages: affected %v  solve %v  resolve %v  assemble %v\n",
-		time.Duration(inc.AffectedNanos), time.Duration(inc.SolveNanos),
+	fmt.Fprintf(stdout, "build stages: local %v  affected %v  solve %v  resolve %v  assemble %v\n",
+		time.Duration(inc.LocalNanos), time.Duration(inc.AffectedNanos), time.Duration(inc.SolveNanos),
 		time.Duration(inc.ResolveNanos), time.Duration(inc.AssembleNanos))
 	if nShards > 0 {
 		ratio := 0.0

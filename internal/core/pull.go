@@ -40,12 +40,15 @@ func boundSlack(b float64) float64 { return 1e-9 * (b + 1) }
 // agrees within the slack and the pull never returns more components.
 //
 // A Pull is scratch for one build worker: labels stamped by generation, so
-// starting a solve is one increment. Not safe for concurrent use.
+// starting a solve is one increment, and the components of a solve's
+// decompositions carved from one buffer the Pull reuses. Not safe for
+// concurrent use.
 type Pull struct {
 	arcs  *paths.ArcIndex
 	paths []graph.Path
 	lab   []pullLabel
 	gen   uint32
+	comps []Component // the last solve's decompositions' components
 }
 
 // pullLabel is a node's label in the current solve, valid where gen matches
@@ -69,8 +72,11 @@ func NewPull(ex *paths.Explicit) *Pull {
 // that dist and dead describe: dist is the view's shortest-distance row
 // from s (spath.Unreachable where there is no path), dead[i] != 0 iff base
 // path i crosses a failed link (paths.LiveIndex.Dead). The view removes
-// links only. The decompositions share one backing array, the call's only
-// allocation.
+// links only. The decompositions share one backing array, which the Pull
+// owns and reuses: they are valid until p's next From, so a caller reads
+// them — resolves them into routes, concatenates their paths — before it
+// pulls again. Once the buffer has grown to a solve's size, From allocates
+// nothing.
 func (p *Pull) From(s graph.NodeID, dist []float64, dead []int32, dsts []graph.NodeID, decs []Decomposition, oks []bool) {
 	p.gen++
 	if p.gen == 0 { // wrapped: stale stamps could collide, start over
@@ -89,7 +95,10 @@ func (p *Pull) From(s graph.NodeID, dist []float64, dead []int32, dsts []graph.N
 	if total == 0 {
 		return
 	}
-	comps := make([]Component, total)
+	if cap(p.comps) < total {
+		p.comps = make([]Component, total)
+	}
+	comps := p.comps[:total]
 	for i, d := range dsts {
 		if !oks[i] || d == s {
 			continue

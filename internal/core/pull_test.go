@@ -237,3 +237,41 @@ func TestPullSkipsUnreachable(t *testing.T) {
 		t.Fatalf("components %d/%d/%d, want 0/1/0", decs[0].Len(), decs[1].Len(), decs[2].Len())
 	}
 }
+
+// TestPullReusesItsComponents: a Pull carves every solve's decompositions
+// from one buffer it keeps, so once the buffer has grown to the largest
+// solve's size, From allocates nothing — and a solve after a larger one
+// still returns exactly the decompositions a fresh Pull does.
+func TestPullReusesItsComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g := randomConnected(rng, 30, 25, 4)
+	ex := edgeComplete(g, paths.NewUniqueShortest(g))
+	fv := graph.FailEdges(g, 2, 9, 17)
+	li := paths.NewLiveIndex(ex)
+	li.Update(fv.RemovedEdges(), nil, nil)
+	all := make([]graph.NodeID, g.Order())
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	pull := NewPull(ex)
+	decs, oks := make([]Decomposition, len(all)), make([]bool, len(all))
+	comps := 0
+	for s := range all {
+		dist := trueDistances(fv, graph.NodeID(s))
+		pull.From(graph.NodeID(s), dist, li.Dead(), all, decs, oks) // grows the buffer
+		few := all[:1+s%5]
+		if a := testing.AllocsPerRun(10, func() { pull.From(graph.NodeID(s), dist, li.Dead(), few, decs, oks) }); a != 0 {
+			t.Fatalf("source %d: a pull allocates %v times after the buffer grew, want 0", s, a)
+		}
+		want, wantOks := pullFrom(ex, fv, graph.NodeID(s), few)
+		for i := range few {
+			if oks[i] != wantOks[i] || !sameDecomposition(decs[i], want[i]) {
+				t.Fatalf("source %d to %d: %v (ok %v) from a reused buffer, %v (ok %v) from a fresh Pull", s, few[i], decs[i], oks[i], want[i], wantOks[i])
+			}
+			comps += decs[i].Len()
+		}
+	}
+	if comps == 0 {
+		t.Fatal("vacuous: no decomposition had a component")
+	}
+}

@@ -281,7 +281,10 @@ func BenchmarkEngineQuery(b *testing.B) {
 // cache no longer holds and is built from the previous epoch's rows (miss),
 // every repair walks back through the plans its episode cached (hit). One
 // op is one transition, Fail or Repair to Flush; the other half of each
-// episode runs off the clock.
+// episode runs off the clock. The hybrid arms run the same schedule under
+// SchemeHybrid with the benchmark of record's flood (2 ms to detect, 100 µs
+// a hop): a transition is then phase one (the local plan) and phase two
+// (the source plan) too.
 func BenchmarkEpochBuild(b *testing.B) {
 	g := topology.PaperAS(1, 0.05)
 	sys, err := rbpc.NewSystem(g, rbpc.Config{EdgeLSPs: true})
@@ -289,12 +292,19 @@ func BenchmarkEpochBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	prov := sys.Export()
+	flood := FloodConfig{Detect: 2 * time.Millisecond, PerHop: 100 * time.Microsecond}
 	for _, arm := range []struct {
 		name    string
 		repairs bool
-	}{{"miss", false}, {"hit", true}} {
+		cfg     Config
+	}{
+		{"miss", false, Config{PlanCacheCap: 3}},
+		{"hit", true, Config{PlanCacheCap: 3}},
+		{"hybrid/miss", false, Config{PlanCacheCap: 3, Scheme: SchemeHybrid, Flood: flood}},
+		{"hybrid/hit", true, Config{PlanCacheCap: 3, Scheme: SchemeHybrid, Flood: flood}},
+	} {
 		b.Run(arm.name, func(b *testing.B) {
-			e, err := New(prov, Config{PlanCacheCap: 3})
+			e, err := New(prov, arm.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

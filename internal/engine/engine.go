@@ -172,10 +172,10 @@ type Engine struct {
 	// reference arm is independent of the derivation it checks.
 	pristine  *spath.Oracle
 	planCache *planCache
-	// pulls is the writer's solve scratch, one per build worker
-	// (core.Pull), reused across epochs; there are GOMAXPROCS build
-	// workers.
-	pulls    []*core.Pull
+	// solvers is the writer's solve scratch, one per build worker (a
+	// core.Pull and the SSSP arena a source's post-failure row is derived
+	// in), reused across epochs; there are GOMAXPROCS build workers.
+	solvers  []solveWorker
 	pscratch *planScratch // incrementalPlan's reused working memory
 	inc      incCounters
 	// lscratch is the local build's reused working memory, nil under
@@ -248,15 +248,15 @@ func New(p rbpc.Provision, cfg Config) (*Engine, error) {
 		prim:      prim,
 		canon:     newCanonical(p, prim),
 		live:      paths.NewLiveIndex(p.Base),
-		pulls:     make([]*core.Pull, runtime.GOMAXPROCS(0)),
+		solvers:   make([]solveWorker, runtime.GOMAXPROCS(0)),
 		planCache: newPlanCache(cfg.PlanCacheCap),
 		pscratch:  &planScratch{downNew: make([]bool, p.Graph.Size())},
 		events:    make(chan writerMsg, 256),
 		done:      make(chan struct{}),
 	}
 
-	for w := range e.pulls {
-		e.pulls[w] = core.NewPull(p.Base)
+	for w := range e.solvers {
+		e.solvers[w] = solveWorker{pull: core.NewPull(p.Base), sp: spath.NewSolver(p.Graph.Order())}
 	}
 
 	e.canonBytes = int64(len(e.canon.at)) * 8
@@ -766,28 +766,44 @@ func (e *Engine) publish(downSet map[graph.EdgeID]bool) {
 }
 
 // ResolveRoute is the served form of a decomposition solved over base, the
-// set lspAt belongs to (rbpc.Provision.BaseLSPs): component i is the LSP at
-// its base-set index, and the cost is the sum, in component order, of the
-// costs base stored for them — core.Decomposition.Cost over base's graph,
-// bit for bit (Explicit.Add priced each path with the same function),
-// without walking an edge. A component that names no base path — a bare
-// edge, which an edge-complete base set never yields — or whose LSP the
-// table lacks, like an empty decomposition or components that do not chain
-// (mpls.CheckChain), leaves the pair unroutable (nil): nothing is signaled
-// for it. The engine's epoch builds and the cold tier's on-demand answers
-// (internal/shard) are both this.
+// set lspAt belongs to (rbpc.Provision.BaseLSPs), in a Route and an LSP
+// window of its own: resolve into fresh memory. The cold tier's on-demand
+// answers (internal/shard), the local plan's detours and the FullRebuild
+// reference are this; the writer's solve fan-out carves a row's routes
+// from one block (resolveRow).
 func ResolveRoute(base *paths.Explicit, lspAt []*mpls.LSP, dec core.Decomposition) *Route {
-	lsps := make([]*mpls.LSP, len(dec.Components))
+	rt := new(Route)
+	if !resolve(base, lspAt, dec, make([]*mpls.LSP, len(dec.Components)), rt) {
+		return nil
+	}
+	return rt
+}
+
+// resolve is the one resolver: it writes into rt the served form of dec,
+// with lsps (len(dec.Components) long) as its LSP window, and reports
+// whether the pair is routable. Component i is the LSP at its base-set
+// index, and the cost is the sum, in component order, of the costs base
+// stored for them — core.Decomposition.Cost over base's graph, bit for bit
+// (Explicit.Add priced each path with the same function), without walking
+// an edge. A component that names no base path — a bare edge, which an
+// edge-complete base set never yields — or whose LSP the table lacks, like
+// an empty decomposition or components that do not chain
+// (mpls.CheckChain), leaves the pair unroutable: rt is not written and
+// nothing is signaled for it.
+//
+//rbpc:hotpath
+func resolve(base *paths.Explicit, lspAt []*mpls.LSP, dec core.Decomposition, lsps []*mpls.LSP, rt *Route) bool {
 	var cost float64
 	for i, c := range dec.Components {
 		if c.Base == 0 || lspAt[c.Base-1] == nil {
-			return nil
+			return false
 		}
 		lsps[i] = lspAt[c.Base-1]
 		cost += base.CostAt(c.Base - 1)
 	}
 	if mpls.CheckChain(lsps) != nil {
-		return nil
+		return false
 	}
-	return &Route{LSPs: lsps, Cost: cost}
+	*rt = Route{LSPs: lsps, Cost: cost}
+	return true
 }

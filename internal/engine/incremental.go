@@ -8,6 +8,7 @@ import (
 
 	"rbpc/internal/core"
 	"rbpc/internal/graph"
+	"rbpc/internal/mpls"
 	"rbpc/internal/paths"
 	"rbpc/internal/rbpc"
 	"rbpc/internal/spath"
@@ -35,6 +36,7 @@ type incCounters struct {
 	solveNs         atomic.Int64
 	resolveNs       atomic.Int64
 	assembleNs      atomic.Int64
+	localNs         atomic.Int64
 }
 
 // IncrementalStats is a point-in-time scrape of the incremental epoch
@@ -62,11 +64,16 @@ type IncrementalStats struct {
 	// Per-stage cumulative build time: affected-pair classification,
 	// bounded decomposition solves, LSP resolution, and snapshot assembly
 	// (overlay accounting and snapshot construction — the rows are published
-	// as the plan built them).
+	// as the plan built them). Solves and resolution run in one fan-out, whose
+	// wall SolveNanos and ResolveNanos split between them. LocalNanos is the
+	// local schemes' epoch, hybrid's phase one: the local plan
+	// (buildLocalPlan), the flood horizons and the swap; 0 under
+	// SchemeSource.
 	AffectedNanos int64
 	SolveNanos    int64
 	ResolveNanos  int64
 	AssembleNanos int64
+	LocalNanos    int64
 }
 
 func (c *incCounters) snapshot() IncrementalStats {
@@ -82,6 +89,7 @@ func (c *incCounters) snapshot() IncrementalStats {
 		SolveNanos:      c.solveNs.Load(),
 		ResolveNanos:    c.resolveNs.Load(),
 		AssembleNanos:   c.assembleNs.Load(),
+		LocalNanos:      c.localNs.Load(),
 	}
 }
 
@@ -157,8 +165,9 @@ type planScratch struct {
 	dsts     []graph.NodeID   // the jobs' destinations, one dst-sorted span per job
 	slots    []int32          // parallel to dsts: the entry of the job's row the route goes to
 	// The fan-out's answers, parallel to dsts: each job's worker fills the
-	// job's span. A decomposition names base paths, nothing a transition
-	// built, so what lingers here pins no row.
+	// job's span and resolves it before it pulls again, which reuses the
+	// components (core.Pull.From). A decomposition names base paths,
+	// nothing a transition built, so what lingers here pins no row.
 	decs []core.Decomposition
 	oks  []bool
 }
@@ -166,6 +175,47 @@ type planScratch struct {
 // resized returns s with length n and contents unspecified, reusing its
 // backing array when that is large enough.
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// solveWorker is one build worker's solve scratch: its pull and the SSSP
+// arena in which it derives each source's post-failure distance row
+// (spath.Oracle.Row), which the pull reads and nothing keeps.
+type solveWorker struct {
+	pull *core.Pull
+	sp   *spath.Solver
+	// tap, nil outside tests, sees every row the worker pulls from, with
+	// its source and the oracle it came from.
+	tap func(src graph.NodeID, row []float64, o *spath.Oracle)
+}
+
+// resolveRow resolves a job's solved entries — its span of the fan-out's
+// answers in sc — into the nil slots of its row and returns the row. The routes are carved from one exact-size []Route
+// and their LSP windows from one exact-size []*mpls.LSP: two allocations a
+// row, where a route each took two. A served Route thus shares memory with
+// its own row's routes only, which the row keeps alive anyway; carving
+// from blocks shared across rows let one retained answer pin the routes
+// of rows long replaced (DESIGN.md §12).
+func (e *Engine) resolveRow(job *solveJob, sc *planScratch) *planRow {
+	slots, decs, oks := sc.slots[job.lo:job.hi], sc.decs[job.lo:job.hi], sc.oks[job.lo:job.hi]
+	nr, nl := 0, 0
+	for j, ok := range oks {
+		if ok {
+			nr++
+			nl += len(decs[j].Components)
+		}
+	}
+	block, win := make([]Route, nr), make([]*mpls.LSP, nl)
+	for j, ok := range oks {
+		if !ok {
+			continue
+		}
+		n := len(decs[j].Components)
+		if resolve(e.base, e.lspAt, decs[j], win[:n:n], &block[0]) {
+			job.routes[slots[j]] = &block[0]
+			block, win = block[1:], win[n:]
+		}
+	}
+	return newPlanRow(job.dsts, job.routes)
+}
 
 // solveJob is one source's share of the solve fan-out: the span of
 // planScratch.dsts to solve, and the source's next row under construction
@@ -195,13 +245,16 @@ type solveJob struct {
 // pointer — the paper's FEC delta is the rows that moved. Any other source
 // gets one new row, merged in dst order from its kept entries and its
 // solved ones. The solved ones go through a
-// work-stealing fan-out of pulls (core.Pull), one scratch per worker: each
-// source's true post-failure distance row (the epoch oracle's tree, a
-// repair of the pristine one) decides every restoration from the arcs
-// into its destination, and results land in pre-sized slots — no locks on
-// the assembly path. Resolution into LSPs, a
-// table read per component, is its own serial stage after the fan-out,
-// timed apart from the solve (IncrementalStats.ResolveNanos).
+// work-stealing fan-out of jobs, one solveWorker per goroutine. A worker
+// derives the source's true post-failure distance row in its own arena
+// (spath.Oracle.Row: a repair of the pristine tree's labels, memoized
+// nowhere), pulls every restoration off it and the arcs into each
+// destination (core.Pull), and resolves the answers into LSPs at once —
+// a table read per component, carved a row at a time (resolveRow) — so
+// the job's row is done when the worker moves on. Answers land in
+// pre-sized slots and rows in distinct indices: no locks on the assembly
+// path. The fan-out's wall is split between IncrementalStats.SolveNanos
+// and ResolveNanos by the workers' time in each.
 //
 // hit reports a repair-only burst that classification proves needs no solve
 // — surviving entries reused, leaving ones dropped: the failed-set was
@@ -321,36 +374,45 @@ func (e *Engine) incrementalPlan(key string, prev []*planRow, oracle *spath.Orac
 		t1 := time.Now()
 		sc.decs, sc.oks = resized(sc.decs, len(sc.dsts)), resized(sc.oks, len(sc.dsts))
 		var cursor atomic.Int64
+		var solveNs, resolveNs atomic.Int64 // the workers' busy time, by stage
 		var wg sync.WaitGroup
-		for _, pull := range e.pulls[:min(len(e.pulls), len(sc.jobs))] {
+		for w := range e.solvers[:min(len(e.solvers), len(sc.jobs))] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sw := &e.solvers[w]
+				var solve, resolve time.Duration
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(sc.jobs) {
-						return
+						break
 					}
 					job := &sc.jobs[i]
-					pull.From(job.src, oracle.Tree(job.src).Dists(), dead,
-						sc.dsts[job.lo:job.hi], sc.decs[job.lo:job.hi], sc.oks[job.lo:job.hi])
+					ts := time.Now()
+					row := oracle.Row(job.src, sw.sp)
+					if sw.tap != nil {
+						sw.tap(job.src, row, oracle)
+					}
+					sw.pull.From(job.src, row, dead, sc.dsts[job.lo:job.hi], sc.decs[job.lo:job.hi], sc.oks[job.lo:job.hi])
+					tr := time.Now()
+					rows[job.src] = e.resolveRow(job, sc)
+					solve, resolve = solve+tr.Sub(ts), resolve+time.Since(tr)
 				}
+				solveNs.Add(solve.Nanoseconds())
+				resolveNs.Add(resolve.Nanoseconds())
 			}()
 		}
 		wg.Wait()
-		e.inc.solveNs.Add(time.Since(t1).Nanoseconds())
-
-		t2 := time.Now()
-		for _, job := range sc.jobs {
-			for j := job.lo; j < job.hi; j++ {
-				if sc.oks[j] {
-					job.routes[sc.slots[j]] = ResolveRoute(e.base, e.lspAt, sc.decs[j])
-				}
-			}
-			rows[job.src] = newPlanRow(job.dsts, job.routes)
-		}
 		clear(sc.jobs) // the scratch must not pin the rows it helped build
-		e.inc.resolveNs.Add(time.Since(t2).Nanoseconds())
+		// The fan-out's wall, split between the stages in proportion to the
+		// workers' time in each: together they cover it exactly.
+		wall := time.Since(t1).Nanoseconds()
+		rs := resolveNs.Load()
+		if busy := solveNs.Load() + rs; busy > 0 {
+			rs = int64(float64(wall) * float64(rs) / float64(busy))
+		}
+		e.inc.solveNs.Add(wall - rs)
+		e.inc.resolveNs.Add(rs)
 	}
 
 	// A plan in which no source diverges is the nil plan, so a snapshot at

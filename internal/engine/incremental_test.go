@@ -186,3 +186,34 @@ func TestFaultSkipRepairRescan(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestStageTimesNameTheirPhase: the local epoch's time is LocalNanos, which
+// reads 0 under SchemeSource and moves under hybrid once a failure is
+// published, and a failure's solve fan-out charges both SolveNanos and
+// ResolveNanos, which split its wall between them.
+func TestStageTimesNameTheirPhase(t *testing.T) {
+	g := topology.PaperAS(1, 0.02)
+	for _, scheme := range []Scheme{SchemeSource, SchemeHybrid} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			e, _ := newEngine(t, g, Config{Scheme: scheme})
+			var ed graph.EdgeID = -1
+			for i := 0; i < g.Size() && ed < 0; i++ {
+				if len(e.AffectedPairs(graph.EdgeID(i))) > 0 && graph.Connected(graph.FailEdges(g, graph.EdgeID(i))) {
+					ed = graph.EdgeID(i)
+				}
+			}
+			if ed < 0 {
+				t.Fatal("vacuous: no link carries a primary without cutting the graph")
+			}
+			e.ApplyEvents([]failure.Event{{Edge: ed}})
+			e.Flush()
+			inc := e.Stats().Incremental
+			if local := inc.LocalNanos; (local > 0) != (scheme == SchemeHybrid) {
+				t.Errorf("LocalNanos = %d under %s", local, scheme)
+			}
+			if inc.PairsRecomputed == 0 || inc.SolveNanos <= 0 || inc.ResolveNanos <= 0 {
+				t.Errorf("a failure recomputed %d pairs in %d ns of solve and %d ns of resolve", inc.PairsRecomputed, inc.SolveNanos, inc.ResolveNanos)
+			}
+		})
+	}
+}

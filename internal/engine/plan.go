@@ -90,7 +90,7 @@ func (e *Engine) computePlan(failed []graph.EdgeID) *plan {
 		oks  []bool
 	}
 	out := make([]srcDecs, len(srcs))
-	workers := min(len(e.pulls), len(srcs))
+	workers := min(len(e.solvers), len(srcs))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {

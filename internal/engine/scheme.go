@@ -299,7 +299,7 @@ func (e *Engine) buildLocalPlan(failed []graph.EdgeID, oracle *spath.Oracle) (*p
 	}
 
 	// Pass 2: one pull per patch point.
-	pull, dead := e.pulls[0], e.live.Dead()
+	pull, dead := e.solvers[0].pull, e.live.Dead()
 	for i := range sc.points {
 		pt := &sc.points[i]
 		sc.decs, sc.oks = resized(sc.decs, len(pt.dsts)), resized(sc.oks, len(pt.dsts))
@@ -389,9 +389,21 @@ func (e *Engine) localRoute(sc *localScratch, ap affectedPair, via Scheme) *Rout
 		}
 		return nil // unreachable: the primary crosses a failed link
 	}
-	nodes := make([]graph.NodeID, 1, len(prim.Nodes))
+	// Size the spliced walk first: each down link gives way to its
+	// detour's hops, so the walk is allocated once at its final length.
+	hops := len(prim.Edges)
+	for i, edge := range prim.Edges {
+		if sc.downIn[edge] {
+			dt := sc.detour(prim.Nodes[i], prim.Nodes[i+1])
+			if dt == nil {
+				return nil
+			}
+			hops += len(dt.Path.Edges) - 1
+		}
+	}
+	nodes := make([]graph.NodeID, 1, hops+1)
 	nodes[0] = prim.Src()
-	edges := make([]graph.EdgeID, 0, len(prim.Edges))
+	edges := make([]graph.EdgeID, 0, hops)
 	var cost float64
 	for i, edge := range prim.Edges {
 		if !sc.downIn[edge] {
@@ -401,9 +413,6 @@ func (e *Engine) localRoute(sc *localScratch, ap affectedPair, via Scheme) *Rout
 			continue
 		}
 		dt := sc.detour(prim.Nodes[i], prim.Nodes[i+1])
-		if dt == nil {
-			return nil
-		}
 		nodes = append(nodes, dt.Path.Nodes[1:]...)
 		edges = append(edges, dt.Path.Edges...)
 		cost += dt.Cost
@@ -518,6 +527,7 @@ func (e *Engine) dropSwitchovers() {
 // FaultStaleBypass short-circuits the rebuild: the previous epoch's patch
 // rows and local plan are carried.
 func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.EdgeID, key string, fv *graph.FailureView, oracle *spath.Oracle, newlyDown, repairedIDs []graph.EdgeID) (snap1 *Snapshot, done bool) {
+	t0 := time.Now()
 	lp, patch := prev.local, prev.patch
 	if e.cfg.Fault != FaultStaleBypass {
 		lp, patch = e.buildLocalPlan(failed, oracle)
@@ -557,6 +567,7 @@ func (e *Engine) publishLocal(prev *Snapshot, start time.Time, failed []graph.Ed
 		clock:      e.cfg.Clock,
 	}
 	e.snap.Store(next)
+	e.inc.localNs.Add(time.Since(t0).Nanoseconds())
 	e.mLocalBuild.Record(0, time.Since(start))
 	e.mEpochs.Add(0, 1)
 	if !hybrid {

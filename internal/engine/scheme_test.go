@@ -466,3 +466,43 @@ func TestLocalStatsPopulated(t *testing.T) {
 		t.Fatal("AffectedPairs disagrees with LocalPairs")
 	}
 }
+
+// TestLocalRoutesSizedOnce: a local route's walk — under bypass its
+// primary with every down link spliced out for its detour, under end-route
+// its primary's prefix and the detour — is allocated once, at its final
+// length: every local route of every epoch of a seeded churn has
+// len == cap in both of its walk's arrays. It fails as vacuous unless some
+// detour was longer than the link it replaced, where a walk grown by
+// append would have been regrown.
+func TestLocalRoutesSizedOnce(t *testing.T) {
+	g := topology.PaperAS(1, 0.02)
+	for _, scheme := range []Scheme{SchemeLocal, SchemeBypass, SchemeHybrid} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			var prov rbpc.Provision
+			longer := 0
+			check := func(snap *Snapshot) {
+				for pr, rt := range localRoutesOf(snap) {
+					if rt == nil {
+						continue
+					}
+					p := rt.Path
+					if len(p.Nodes) != cap(p.Nodes) || len(p.Edges) != cap(p.Edges) {
+						t.Errorf("epoch %d: %v walks %d nodes in %d slots, %d edges in %d", snap.Epoch(), pr, len(p.Nodes), cap(p.Nodes), len(p.Edges), cap(p.Edges))
+					}
+					if idx, ok := prov.Primary(pr.Src, pr.Dst); ok && len(p.Edges) > prov.Base.All()[idx].Hops() {
+						longer++
+					}
+				}
+			}
+			e, sys := newEngine(t, g, Config{Scheme: scheme, OnEpoch: check})
+			prov = sys.Export()
+			for _, ev := range failure.ChurnSchedule(g, 30, 3, rand.New(rand.NewSource(9))) {
+				e.ApplyEvents([]failure.Event{ev})
+				e.Flush()
+			}
+			if longer == 0 {
+				t.Fatal("vacuous: no detour lengthened a walk")
+			}
+		})
+	}
+}

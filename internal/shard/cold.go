@@ -196,19 +196,16 @@ type coldWorker struct {
 	live   *paths.LiveIndex
 	failed []graph.EdgeID
 	sp     *spath.Solver
-	row    []float64
 	dst    [1]graph.NodeID
 	dec    [1]core.Decomposition
 	ok     [1]bool
 }
 
 func newColdWorker(base *paths.Explicit) *coldWorker {
-	n := base.View().Order()
 	return &coldWorker{
 		pull: core.NewPull(base),
 		live: paths.NewLiveIndex(base),
-		sp:   spath.NewSolver(n),
-		row:  make([]float64, n),
+		sp:   spath.NewSolver(base.View().Order()),
 	}
 }
 
@@ -229,11 +226,8 @@ func (w *coldWorker) moveTo(failed []graph.EdgeID) {
 func (t *ColdTier) answer(w *coldWorker, src, dst graph.NodeID, snap *engine.Snapshot) engine.Result {
 	w.moveTo(snap.Failed())
 	w.sp.Solve(snap.View(), src)
-	for v := range w.row {
-		w.row[v] = w.sp.Dist(graph.NodeID(v))
-	}
 	w.dst[0] = dst
-	w.pull.From(src, w.row, w.live.Dead(), w.dst[:], w.dec[:], w.ok[:])
+	w.pull.From(src, w.sp.Row(), w.live.Dead(), w.dst[:], w.dec[:], w.ok[:])
 	t.solved.Add(1)
 	if !w.ok[0] {
 		return engine.Result{Src: src, Dst: dst, Snap: snap}

@@ -555,5 +555,6 @@ func sumIncremental(a, b engine.IncrementalStats) engine.IncrementalStats {
 	a.SolveNanos += b.SolveNanos
 	a.ResolveNanos += b.ResolveNanos
 	a.AssembleNanos += b.AssembleNanos
+	a.LocalNanos += b.LocalNanos
 	return a
 }

@@ -153,6 +153,7 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 			PairsReused: 1, PairsRecomputed: 2, Entering: 3, Leaving: 4,
 			StaleRoutes: 5, RepairImproved: 6, TreesAdopted: 7, FullRebuilds: 8,
 			AffectedNanos: 9, SolveNanos: 10, ResolveNanos: 11, AssembleNanos: 12,
+			LocalNanos: 13,
 		},
 		Scheme:  engine.SchemeHybrid,
 		Restore: metrics.Summary{Count: 2, P50: 9, P90: 10, P99: 11, Max: 12},

@@ -115,6 +115,9 @@ type derivation struct {
 // uses no failed edge gets the pristine *Tree itself; any other root costs
 // O(k + |orphans|·deg) instead of a search of the whole view. Trees are
 // bit-identical to Compute(v, root) and depend on (root, failed set) only.
+// Tree memoizes what it derives; Row derives a root's distance row into
+// the caller's solver and memoizes nothing, so the derived oracle holds
+// only the roots asked for by tree.
 //
 // Every other view — removed nodes, a PaddedView, a foreign View type, a
 // directed graph — is not modelled by the repair, and Derive returns a
@@ -153,19 +156,13 @@ func pristineOver(view graph.View, g *graph.Graph) bool {
 // subtree.
 type orphanRun struct{ lo, hi int32 }
 
-// tree returns the failed view's tree rooted at s as a repair of the
-// pristine one.
-//
-//rbpc:ctor
-func (d *derivation) tree(s graph.NodeID) *Tree {
-	pe := d.pristine.entry(s)
+// orphans appends to runs[:0] the orphaned runs of pe's tree under d's
+// failed links — the subtree below each failed tree edge, sorted by start,
+// with runs nested in an earlier one dropped — and returns them with the
+// tree's layout. No runs: the pristine tree is the failed view's too.
+func (d *derivation) orphans(pe *oracleEntry, runs []orphanRun) (*treeLayout, []orphanRun) {
 	p := pe.tree
-
-	// The orphaned subtrees: the child endpoint of every failed tree edge.
-	// Subtrees nest or are disjoint, so after sorting by start a run that
-	// begins inside the previous kept one is covered by it.
-	var stack [8]orphanRun
-	runs := stack[:0]
+	runs = runs[:0]
 	var lay *treeLayout
 	for _, f := range d.failed {
 		c := f.U
@@ -185,16 +182,30 @@ func (d *derivation) tree(s graph.NodeID) *Tree {
 		}
 		runs[i] = r
 	}
-	if len(runs) == 0 {
-		return p
-	}
-	kept := runs[:1]
-	for _, r := range runs[1:] {
+	// Subtrees nest or are disjoint, so a run that begins inside the
+	// previous kept one is covered by it.
+	kept := runs[:min(len(runs), 1)]
+	for _, r := range runs[len(kept):] {
 		if r.lo >= kept[len(kept)-1].hi {
 			kept = append(kept, r)
 		}
 	}
+	return lay, kept
+}
 
+// tree returns the failed view's tree rooted at s as a repair of the
+// pristine one: the pristine *Tree itself when it has no orphans, else a
+// new tree (one allocation for the struct, one for its labels).
+//
+//rbpc:ctor
+func (d *derivation) tree(s graph.NodeID) *Tree {
+	pe := d.pristine.entry(s)
+	p := pe.tree
+	var buf [8]orphanRun
+	lay, runs := d.orphans(pe, buf[:0])
+	if len(runs) == 0 {
+		return p
+	}
 	n := len(p.dist)
 	t := allocTree(n, s)
 	copy(t.dist, p.dist)
@@ -203,21 +214,46 @@ func (d *derivation) tree(s graph.NodeID) *Tree {
 	copy(t.parentE, p.parentE)
 	sv := AcquireSolver(n)
 	sv.begin(n, s)
-	sv.repairOrphans(&d.kern, t, lay.order, kept)
+	sv.repairOrphans(&d.kern, t.dist, t.hops, t.parent, t.parentE, lay.order, runs)
 	ReleaseSolver(sv)
 	return t
 }
 
-// repairOrphans re-solves the orphaned runs of t (a copy of the pristine
-// tree's labels) against the failed kernel k, which must remove no node, on
-// a solver whose run has just begun (fresh generation, empty heap). The
+// row returns the failed view's distance row from s: the pristine tree's
+// own row when it has no orphans, else a repair of a copy of the pristine
+// labels in sv's scratch, valid until sv's next run. No tree is built and
+// nothing is memoized.
+//
+//rbpc:hotpath
+func (d *derivation) row(s graph.NodeID, sv *Solver) []float64 {
+	pe := d.pristine.entry(s)
+	p := pe.tree
+	var buf [8]orphanRun
+	lay, runs := d.orphans(pe, buf[:0])
+	if len(runs) == 0 {
+		return p.dist
+	}
+	n := len(p.dist)
+	sv.begin(n, s)
+	// The repair reads a kept node's distance and hop count only, and
+	// resets an orphan's labels before it reads them: the parents of the
+	// kept nodes, which a row does not show, need no copy.
+	dist, hops := sv.dist[:n], sv.hops[:n]
+	copy(dist, p.dist)
+	copy(hops, p.hops)
+	sv.repairOrphans(&d.kern, dist, hops, sv.parent[:n], sv.parentE[:n], lay.order, runs)
+	return dist
+}
+
+// repairOrphans re-solves the orphaned runs of a tree's four label arrays
+// (a copy of the pristine tree's labels: a new tree's, or the solver's own
+// scratch) against the failed kernel k, which must remove no node, on a
+// solver whose run has just begun (fresh generation, empty heap). The
 // relax and tie-break rules are dijkstraKernel's, so the labels land on the
 // same fixed point.
 //
 //rbpc:hotpath
-//rbpc:ctor
-func (s *Solver) repairOrphans(k *graph.Kernel, t *Tree, order []graph.NodeID, runs []orphanRun) {
-	dist, hops, parent, parentE := t.dist, t.hops, t.parent, t.parentE
+func (s *Solver) repairOrphans(k *graph.Kernel, dist []float64, hops []int32, parent []graph.NodeID, parentE []graph.EdgeID, order []graph.NodeID, runs []orphanRun) {
 	gen, cur, h := s.gen, s.cur, s.heap
 
 	// Reset every orphan before seeding any, and stamp it: from here on

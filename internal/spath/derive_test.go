@@ -3,6 +3,7 @@ package spath
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rbpc/internal/graph"
@@ -68,10 +69,11 @@ func multigraph(rng *rand.Rand) *graph.Graph {
 
 // TestDerivedTreeMatchesCompute: over seeded (root, 1–4 failed links), a
 // derived oracle's tree equals Compute on the failed view in all four
-// arrays (distances by bit pattern), on every graph shape where the repair
-// could plausibly differ; a root whose pristine tree avoids the failed set
-// gets the pristine *Tree itself; cut bridges leave their orphans exactly
-// as newTree leaves an unreached node.
+// arrays (distances by bit pattern), and so does its row derived into a
+// solver's scratch (Row, asked before the tree is memoized), on every graph
+// shape where the repair could plausibly differ; a root whose pristine tree
+// avoids the failed set gets the pristine *Tree itself; cut bridges leave
+// their orphans exactly as newTree leaves an unreached node.
 func TestDerivedTreeMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	draws := 3000
@@ -92,6 +94,7 @@ func TestDerivedTreeMatchesCompute(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
 			pristine := NewOracle(g)
+			sv := NewSolver(0)
 			shared, repaired, cutOff := 0, 0, 0
 			for i := 0; i < draws; i++ {
 				failed := make([]graph.EdgeID, 1+rng.Intn(4))
@@ -109,7 +112,17 @@ func TestDerivedTreeMatchesCompute(t *testing.T) {
 				if o.derive == nil {
 					t.Fatal("Derive fell back to Compute on an edge-only failure view")
 				}
-				got, want := o.Tree(root), Compute(fv, root)
+				want := Compute(fv, root)
+				row := o.Row(root, sv)
+				for v := range want.dist {
+					if math.Float64bits(row[v]) != math.Float64bits(want.dist[v]) {
+						t.Fatalf("root %d failed %v: derived row at %d = %v, Compute says %v", root, failed, v, row[v], want.dist[v])
+					}
+				}
+				if len(row) != len(want.dist) || o.CachedTrees() != 0 {
+					t.Fatalf("root %d failed %v: row of %d nodes for %d, %d trees memoized", root, failed, len(row), len(want.dist), o.CachedTrees())
+				}
+				got := o.Tree(root)
 				if !treesEqualBits(got, want) {
 					t.Fatalf("root %d failed %v: derived tree differs from Compute", root, failed)
 				}
@@ -202,6 +215,85 @@ func TestDerivedOracleCappedPristine(t *testing.T) {
 		}
 		if got := pristine.CachedTrees(); got > 4 {
 			t.Fatalf("pristine oracle holds %d trees, cap 4", got)
+		}
+	}
+}
+
+// TestRowAllocatesNothing: Row allocates nothing and memoizes nothing — on
+// a derived oracle for a root with orphans (its row is repaired in the
+// solver's scratch), for a root without (its row is the pristine tree's
+// own), and on a plain oracle (a search in the scratch, over a view that
+// also cuts a node off, so the row must mark what the search left
+// unlabeled) — and each row is Compute's. Once a tree is memoized, Row
+// returns that tree's row.
+func TestRowAllocatesNothing(t *testing.T) {
+	g := topology.PaperAS(1, 0.05)
+	pristine := NewOracle(g)
+	failed := []graph.EdgeID{3, 40, 200}
+	fv := graph.FailEdges(g, failed...)
+	derived := pristine.Derive(fv)
+	var orphaned, clean graph.NodeID = -1, -1
+	for s := 0; s < g.Order(); s++ {
+		uses := false
+		for _, f := range failed {
+			uses = uses || scanUsesEdge(pristine.Tree(graph.NodeID(s)), f)
+		}
+		if uses && orphaned < 0 {
+			orphaned = graph.NodeID(s)
+		}
+		if !uses && clean < 0 {
+			clean = graph.NodeID(s)
+		}
+	}
+	if orphaned < 0 || clean < 0 {
+		t.Fatalf("vacuous: root with orphans %d, root without %d", orphaned, clean)
+	}
+	// The plain arm's view cuts off a node other than the root; the arms
+	// before it leave a finite label there in the scratch.
+	cut := graph.NodeID(0)
+	if cut == orphaned {
+		cut = 1
+	}
+	cutFailed := slices.Clone(failed)
+	for _, a := range g.Arcs(cut) {
+		cutFailed = append(cutFailed, a.Edge)
+	}
+	sv := NewSolver(g.Order())
+	for _, tc := range []struct {
+		name string
+		o    *Oracle
+		root graph.NodeID
+	}{
+		{"derived", derived, orphaned},
+		{"no-orphans", derived, clean},
+		{"plain", NewOracle(graph.FailEdges(g, cutFailed...)), orphaned},
+	} {
+		cached := tc.o.CachedTrees()
+		var row []float64
+		if a := testing.AllocsPerRun(50, func() { row = tc.o.Row(tc.root, sv) }); a != 0 {
+			t.Errorf("%s: Row allocates %v times, want 0", tc.name, a)
+		}
+		if got := tc.o.CachedTrees(); got != cached {
+			t.Errorf("%s: Row changed CachedTrees from %d to %d", tc.name, cached, got)
+		}
+		want := Compute(tc.o.View(), tc.root).Dists()
+		if tc.name == "plain" && want[cut] != Unreachable {
+			t.Fatalf("vacuous: node %d is reachable in the plain arm's view", cut)
+		}
+		for v := range want {
+			if math.Float64bits(row[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: row at %d = %v, Compute says %v", tc.name, v, row[v], want[v])
+			}
+		}
+		inScratch := &row[0] == &sv.dist[0]
+		if inScratch != (tc.name != "no-orphans") {
+			t.Errorf("%s: row in the solver's scratch: %v", tc.name, inScratch)
+		}
+		if tc.name == "no-orphans" && &row[0] != &pristine.Tree(tc.root).Dists()[0] {
+			t.Errorf("%s: row is not the pristine tree's own", tc.name)
+		}
+		if memo := tc.o.Tree(tc.root).Dists(); &tc.o.Row(tc.root, sv)[0] != &memo[0] {
+			t.Errorf("%s: Row does not return the memoized tree's row", tc.name)
 		}
 	}
 }

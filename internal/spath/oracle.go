@@ -44,6 +44,9 @@ func (e *oracleEntry) touch() {
 // previous arbitrary-map-key eviction, and is deterministic given the same
 // access sequence.
 //
+// Only Tree memoizes: Row reads a root's row without adding a tree, so an
+// oracle holds exactly the roots its callers asked for by Tree.
+//
 // Oracle is safe for concurrent use.
 type Oracle struct {
 	view graph.View
@@ -72,6 +75,35 @@ func (o *Oracle) View() graph.View { return o.view }
 
 // Tree returns the (memoized) shortest-path tree rooted at s.
 func (o *Oracle) Tree(s graph.NodeID) *Tree { return o.entry(s).tree }
+
+// Row returns the distance row from s in the oracle's view, indexed by
+// node ID with Unreachable at unreached nodes, bit-identical to
+// Tree(s).Dists() — without memoizing a tree. If the oracle holds s's tree,
+// the row is that tree's. Otherwise, on a derived oracle, a root whose
+// pristine tree uses no failed edge gets the pristine tree's row, and any
+// other root's row is repaired in sv's scratch (Derive); on a plain oracle
+// the row is a search of the view in sv's scratch. A row in the scratch is
+// valid until sv's next run, and sv's own accessors do not describe it.
+// The row must not be modified. Row allocates nothing once sv is sized and
+// the pristine tree is resident, and leaves CachedTrees as it was: it is
+// for a caller that reads a root's row once, like the engine's solve
+// fan-out, one solver per worker.
+//
+//rbpc:hotpath
+func (o *Oracle) Row(s graph.NodeID, sv *Solver) []float64 {
+	o.mu.RLock()
+	e := o.trees[s]
+	o.mu.RUnlock()
+	if e != nil {
+		e.touch()
+		return e.tree.dist
+	}
+	if o.derive != nil {
+		return o.derive.row(s, sv)
+	}
+	sv.Solve(o.view, s)
+	return sv.Row()
+}
 
 // entry returns the cache entry of the tree rooted at s, building the tree
 // on a miss: by repair of the pristine tree on a derived oracle, by a

@@ -169,6 +169,23 @@ func (s *Solver) PathTo(v graph.NodeID) (graph.Path, bool) {
 	return p, true
 }
 
+// Row lays the last Solve's distances out as a tree's row, in place: over
+// the view's order, with Unreachable at every node the run did not label,
+// bit-identical to Tree().Dists() without materializing a tree. The row
+// aliases the solver's scratch: it is valid until the next run, and must
+// not be modified.
+//
+//rbpc:hotpath
+func (s *Solver) Row() []float64 {
+	dist := s.dist[:s.n]
+	for v, g := range s.gen[:s.n] {
+		if g != s.cur {
+			dist[v] = Unreachable
+		}
+	}
+	return dist
+}
+
 // Tree materializes the last Solve's result as a standalone shortest-path
 // tree, detached from the solver's scratch.
 //
