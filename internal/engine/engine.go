@@ -396,12 +396,6 @@ func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 //rbpc:hotpath
 func (e *Engine) Query(src, dst graph.NodeID) Result { return e.pool.Query(src, dst) }
 
-// Dist returns the post-failure shortest distance for the pair in the
-// current epoch (+Inf if disconnected), via the epoch's oracle.
-func (e *Engine) Dist(src, dst graph.NodeID) float64 {
-	return e.snap.Load().oracle.Dist(src, dst)
-}
-
 // Submit enqueues one async query: a burst of one pair (SubmitBatch). It
 // reports false, without blocking, when the burst is shed.
 func (e *Engine) Submit(src, dst graph.NodeID) bool {

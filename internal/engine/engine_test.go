@@ -240,7 +240,7 @@ func TestUnroutablePair(t *testing.T) {
 	if res.Route != nil {
 		t.Fatalf("pair 0->3 routable across a cut: %+v", res.Route)
 	}
-	if d := e.Dist(0, 3); d != spath.Unreachable {
+	if d := e.Snapshot().Oracle().Dist(0, 3); d != spath.Unreachable {
 		t.Fatalf("Dist across cut = %v", d)
 	}
 	if st := e.Stats(); st.Unroutable == 0 {
